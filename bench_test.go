@@ -89,6 +89,52 @@ func BenchmarkAnalysisAllCells(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckerStep measures the incremental well-formedness checker
+// alone: the layer every checked engine entry point pays per event.
+func BenchmarkCheckerStep(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ck := trace.NewChecker()
+		for _, e := range benchTrace.Events {
+			if err := ck.Step(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(benchTrace.Len()), "events/op")
+}
+
+// BenchmarkEngineFrontEnd measures what the engine adds around one ST-WDC
+// analysis (BenchmarkAnalysis/ST-WDC is the bare cell): the checked
+// default against WithUncheckedInput, fed in the 8192-event chunks
+// FeedTrace uses.
+func BenchmarkEngineFrontEnd(b *testing.B) {
+	for _, cfg := range []struct {
+		name string
+		opts []race.Option
+	}{
+		{"checked", nil},
+		{"unchecked", []race.Option{race.WithUncheckedInput()}},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eng, err := race.NewEngine(cfg.opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := eng.FeedTrace(benchTrace); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(benchTrace.Len()), "events/op")
+		})
+	}
+}
+
 // BenchmarkUninstrumentedReplay is the baseline the slowdown factors in
 // Tables 3–5 divide by.
 func BenchmarkUninstrumentedReplay(b *testing.B) {

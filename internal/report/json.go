@@ -35,6 +35,9 @@ func AnalysisJSON(name string, col *Collector) JSONAnalysis {
 		Dynamic:  col.Dynamic(),
 		RaceVars: col.RaceVars(),
 	}
+	if n := col.Dynamic(); n > 0 {
+		ja.Races = make([]JSONRace, 0, n)
+	}
 	for i, rc := range col.Races() {
 		ja.Races = append(ja.Races, JSONRace{
 			Seq:   i,

@@ -6,7 +6,8 @@ package report
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/trace"
 )
@@ -45,30 +46,46 @@ func (r Race) String() string {
 // Collector accumulates dynamic races. Following §5.1, multiple failed
 // checks at one access count as a single dynamic race: analyses must call
 // Add at most once per access event (the engines guarantee this).
+//
+// Add is the analyses' hot path and only appends. The sets behind Static,
+// StaticLocs and RaceVars are derived from the race list when asked for,
+// and extended — not rebuilt — over the races added since. Like the list
+// itself they must not be read while another goroutine is adding; readers
+// may run concurrently with each other (a finished report is served to
+// many requests).
 type Collector struct {
-	races      []Race
-	staticSet  map[trace.Loc]int // loc -> dynamic count
-	varSet     map[uint32]int    // var -> dynamic count
-	firstByVar map[uint32]Race
+	races []Race
+
+	mu      sync.Mutex  // guards the derived sets below
+	indexed int         // races[:indexed] are in the sets
+	locs    []trace.Loc // racing program locations, sorted
+	vars    []uint32    // variables with a race, sorted
 }
 
 // NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{
-		staticSet:  make(map[trace.Loc]int),
-		varSet:     make(map[uint32]int),
-		firstByVar: make(map[uint32]Race),
-	}
-}
+func NewCollector() *Collector { return &Collector{} }
 
 // Add records one dynamic race.
-func (c *Collector) Add(r Race) {
-	c.races = append(c.races, r)
-	c.staticSet[r.Loc]++
-	c.varSet[r.Var]++
-	if _, ok := c.firstByVar[r.Var]; !ok {
-		c.firstByVar[r.Var] = r
+func (c *Collector) Add(r Race) { c.races = append(c.races, r) }
+
+// lockSets locks c.mu and brings the derived sets up to date with the race
+// list; the caller reads them and unlocks.
+func (c *Collector) lockSets() {
+	c.mu.Lock()
+	if c.indexed == len(c.races) {
+		return
 	}
+	fresh := c.races[c.indexed:]
+	c.locs, c.vars = slices.Grow(c.locs, len(fresh)), slices.Grow(c.vars, len(fresh))
+	for _, r := range fresh {
+		c.locs = append(c.locs, r.Loc)
+		c.vars = append(c.vars, r.Var)
+	}
+	c.indexed = len(c.races)
+	slices.Sort(c.locs)
+	c.locs = slices.Compact(c.locs)
+	slices.Sort(c.vars)
+	c.vars = slices.Compact(c.vars)
 }
 
 // Dynamic returns the total number of dynamic races.
@@ -86,7 +103,11 @@ func (c *Collector) RaceAt(i int) Race { return c.races[i] }
 
 // Static returns the number of statically distinct races (program
 // locations).
-func (c *Collector) Static() int { return len(c.staticSet) }
+func (c *Collector) Static() int {
+	c.lockSets()
+	defer c.mu.Unlock()
+	return len(c.locs)
+}
 
 // Races returns all dynamic races in detection order. The returned slice is
 // owned by the collector.
@@ -95,26 +116,26 @@ func (c *Collector) Races() []Race { return c.races }
 // RaceVars returns the sorted set of variables with at least one race —
 // the quantity the cross-analysis property tests compare.
 func (c *Collector) RaceVars() []uint32 {
-	vars := make([]uint32, 0, len(c.varSet))
-	for v := range c.varSet {
-		vars = append(vars, v)
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	return vars
+	c.lockSets()
+	defer c.mu.Unlock()
+	return slices.Clone(c.vars)
 }
 
-// FirstRace returns the first dynamic race on variable v, if any.
+// FirstRace returns the first dynamic race on variable v, if any, by
+// scanning the race list: it serves the figure tables, whose traces have a
+// handful of races.
 func (c *Collector) FirstRace(v uint32) (Race, bool) {
-	r, ok := c.firstByVar[v]
-	return r, ok
+	for _, r := range c.races {
+		if r.Var == v {
+			return r, true
+		}
+	}
+	return Race{}, false
 }
 
 // StaticLocs returns the sorted racing program locations.
 func (c *Collector) StaticLocs() []trace.Loc {
-	locs := make([]trace.Loc, 0, len(c.staticSet))
-	for l := range c.staticSet {
-		locs = append(locs, l)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	return locs
+	c.lockSets()
+	defer c.mu.Unlock()
+	return slices.Clone(c.locs)
 }

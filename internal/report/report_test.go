@@ -2,6 +2,7 @@ package report
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/trace"
@@ -69,4 +70,54 @@ func TestUnknownTidSentinel(t *testing.T) {
 	if UnknownTid != 0xFFFF {
 		t.Error("UnknownTid changed; update race diagnostics")
 	}
+}
+
+// TestDerivedSetsFollowAdds: the lazily derived sets are extended, not
+// frozen, when races arrive between reads — and the first race on a variable
+// stays the first.
+func TestDerivedSetsFollowAdds(t *testing.T) {
+	c := NewCollector()
+	if c.Static() != 0 || len(c.RaceVars()) != 0 || len(c.StaticLocs()) != 0 {
+		t.Fatal("empty collector has derived races")
+	}
+	c.Add(Race{Loc: 3, Var: 4, Index: 1})
+	if c.Static() != 1 {
+		t.Fatalf("static = %d after one race", c.Static())
+	}
+	c.Add(Race{Loc: 3, Var: 4, Index: 2})
+	c.Add(Race{Loc: 8, Var: 5, Index: 3})
+	if c.Static() != 2 {
+		t.Errorf("static = %d after reads interleaved with adds", c.Static())
+	}
+	if got := c.RaceVars(); len(got) != 2 || got[0] != 4 || got[1] != 5 {
+		t.Errorf("RaceVars = %v", got)
+	}
+	if r, ok := c.FirstRace(4); !ok || r.Index != 1 {
+		t.Errorf("FirstRace(4) = %v, %v", r, ok)
+	}
+}
+
+// TestDerivedSetsConcurrentReaders: a finished collector is read by many
+// goroutines at once (raced serves one report to concurrent requests); the
+// first readers race to build the sets. Run under -race.
+func TestDerivedSetsConcurrentReaders(t *testing.T) {
+	c := NewCollector()
+	for i := 0; i < 100; i++ {
+		c.Add(Race{Loc: trace.Loc(i % 7), Var: uint32(i % 5), Index: i})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ja := AnalysisJSON("X", c)
+			if ja.Static != 7 || len(ja.RaceVars) != 5 || len(c.StaticLocs()) != 7 {
+				t.Errorf("static %d, vars %d", ja.Static, len(ja.RaceVars))
+			}
+			if r, ok := c.FirstRace(3); !ok || r.Index != 3 {
+				t.Errorf("FirstRace(3) = %v, %v", r, ok)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -42,8 +42,6 @@ func Check(tr *Trace) error {
 		}
 	}
 	ended := make([]bool, tr.Threads)
-	seen := make([]bool, tr.Threads)
-	held := make([]int, tr.Threads)
 
 	fail := func(i int, e Event, f string, args ...any) error {
 		return &CheckError{Index: i, Event: e, Msg: fmt.Sprintf(f, args...)}
@@ -59,7 +57,6 @@ func Check(tr *Trace) error {
 		if ended[e.T] {
 			return fail(i, e, "thread ran after being joined")
 		}
-		seen[e.T] = true
 		switch e.Op {
 		case OpRead, OpWrite:
 			if int(e.Targ) >= tr.Vars {
@@ -76,7 +73,6 @@ func Check(tr *Trace) error {
 				return fail(i, e, "lock already held by T%d", h)
 			}
 			lockHolder[e.Targ] = int32(e.T)
-			held[e.T]++
 		case OpRelease:
 			if int(e.Targ) >= tr.Locks {
 				return fail(i, e, "lock id out of range (Locks=%d)", tr.Locks)
@@ -85,7 +81,6 @@ func Check(tr *Trace) error {
 				return fail(i, e, "release of lock not held by this thread")
 			}
 			lockHolder[e.Targ] = -1
-			held[e.T]--
 		case OpFork:
 			ct := Tid(e.Targ)
 			if int(ct) >= tr.Threads {
@@ -141,81 +136,118 @@ func MustCheck(tr *Trace) *Trace {
 // not bounds), and a thread is considered started at its first event — so
 // "ran before being forked" surfaces as an error at the later fork ("fork
 // of a thread that already ran") rather than at the early event.
+//
+// Its state is two dense tables indexed by id and grown by doubling as ids
+// appear, the layout every analysis uses for the same id spaces: the common
+// event costs one byte load.
 type Checker struct {
-	n          int
-	lockHolder map[uint32]int32 // lock -> holding thread; absent = free
-	running    map[Tid]bool     // threads that have executed an event
-	forked     map[Tid]bool     // threads created by a fork event
-	ended      map[Tid]bool     // threads that have been joined
+	n       int
+	threads []uint8 // lifecycle flags per thread id
+	holder  []int32 // per lock id: holding thread + 1; 0 = free
 }
 
+// Thread lifecycle flags.
+const (
+	threadRunning uint8 = 1 << iota // has executed an event
+	threadForked                    // was created by a fork event
+	threadEnded                     // has been joined
+)
+
 // NewChecker returns a checker with no events observed.
-func NewChecker() *Checker {
-	return &Checker{
-		lockHolder: make(map[uint32]int32),
-		running:    make(map[Tid]bool),
-		forked:     make(map[Tid]bool),
-		ended:      make(map[Tid]bool),
-	}
-}
+func NewChecker() *Checker { return &Checker{} }
 
 // Checked returns the number of events stepped so far.
 func (c *Checker) Checked() int { return c.n }
 
+// fail builds the error for the event being stepped.
+func (c *Checker) fail(e Event, f string, args ...any) error {
+	return &CheckError{Index: c.n, Event: e, Msg: fmt.Sprintf(f, args...)}
+}
+
+// cover returns s extended to hold index i: new elements are zero, and the
+// capacity doubles when it has to reallocate.
+func cover[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	if i < cap(s) {
+		return s[:i+1]
+	}
+	grown := make([]T, i+1, 2*(i+1))
+	copy(grown, s)
+	return grown
+}
+
 // Step checks the next event of the stream. The error, if any, is a
 // *CheckError carrying the event's stream index.
 func (c *Checker) Step(e Event) error {
-	i := c.n
-	fail := func(f string, args ...any) error {
-		return &CheckError{Index: i, Event: e, Msg: fmt.Sprintf(f, args...)}
+	// An access by a thread that is running and not joined — nearly every
+	// event — breaks no rule and changes no state. Deciding that before the
+	// call keeps the event in registers: step's growth and error paths make
+	// it spill every argument on entry.
+	if e.Op.IsAccess() && int(e.T) < len(c.threads) && c.threads[e.T]&^threadForked == threadRunning {
+		c.n++
+		return nil
 	}
-	if c.ended[e.T] {
-		return fail("thread ran after being joined")
+	return c.step(e)
+}
+
+// step is Step without the shortcut: every rule, for any event.
+func (c *Checker) step(e Event) error {
+	t := int(e.T)
+	c.threads = cover(c.threads, t)
+	if c.threads[t]&threadEnded != 0 {
+		return c.fail(e, "thread ran after being joined")
 	}
 	switch e.Op {
 	case OpRead, OpWrite, OpVolatileRead, OpVolatileWrite, OpClassInit, OpClassAccess:
 		// No per-op state beyond marking the thread as running.
 	case OpAcquire:
-		if h, held := c.lockHolder[e.Targ]; held {
-			if h == int32(e.T) {
-				return fail("reentrant acquire (lock already held by this thread)")
+		m := int(e.Targ)
+		c.holder = cover(c.holder, m)
+		if h := c.holder[m]; h != 0 {
+			if h == int32(t)+1 {
+				return c.fail(e, "reentrant acquire (lock already held by this thread)")
 			}
-			return fail("lock already held by T%d", h)
+			return c.fail(e, "lock already held by T%d", h-1)
 		}
-		c.lockHolder[e.Targ] = int32(e.T)
+		c.holder[m] = int32(t) + 1
 	case OpRelease:
-		if h, held := c.lockHolder[e.Targ]; !held || h != int32(e.T) {
-			return fail("release of lock not held by this thread")
+		m := int(e.Targ)
+		if m >= len(c.holder) || c.holder[m] != int32(t)+1 {
+			return c.fail(e, "release of lock not held by this thread")
 		}
-		delete(c.lockHolder, e.Targ)
+		c.holder[m] = 0
 	case OpFork:
-		ct := Tid(e.Targ)
-		if ct == e.T {
-			return fail("thread forks itself")
+		ct := int(Tid(e.Targ))
+		if ct == t {
+			return c.fail(e, "thread forks itself")
 		}
-		if c.forked[ct] {
-			return fail("thread T%d forked twice", ct)
+		c.threads = cover(c.threads, ct)
+		if c.threads[ct]&threadForked != 0 {
+			return c.fail(e, "thread T%d forked twice", ct)
 		}
-		if c.running[ct] || c.ended[ct] {
-			return fail("fork of thread T%d that already ran", ct)
+		if c.threads[ct]&(threadRunning|threadEnded) != 0 {
+			return c.fail(e, "fork of thread T%d that already ran", ct)
 		}
-		c.forked[ct] = true
+		c.threads[ct] |= threadForked
 	case OpJoin:
-		ct := Tid(e.Targ)
-		if ct == e.T {
-			return fail("thread joins itself")
+		ct := int(Tid(e.Targ))
+		if ct == t {
+			return c.fail(e, "thread joins itself")
 		}
-		if c.ended[ct] {
-			return fail("thread T%d joined twice", ct)
+		c.threads = cover(c.threads, ct)
+		if c.threads[ct]&threadEnded != 0 {
+			return c.fail(e, "thread T%d joined twice", ct)
 		}
 		// A join target that never appeared is treated as a root thread
 		// that executed no events, matching Check's treatment of threads
 		// that are never fork targets.
-		c.ended[ct] = true
+		c.threads[ct] |= threadEnded
 	default:
-		return fail("unknown op")
+		return c.fail(e, "unknown op")
 	}
-	c.running[e.T] = true
+	c.threads[t] |= threadRunning
 	c.n++
 	return nil
 }

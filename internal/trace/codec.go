@@ -82,20 +82,20 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		tr.Events = append(tr.Events, e)
 	}
 	if h.Events == Unbounded {
-		widenSpaces(tr)
+		tr.Widen(tr.Events)
 	}
 	return tr, nil
 }
 
-// widenSpaces grows a trace's declared id spaces to cover every id its
-// events actually use (streamed headers carry hints, not bounds).
-func widenSpaces(tr *Trace) {
+// Widen grows the trace's declared id spaces to cover every id evs use
+// (streamed headers carry hints, not bounds).
+func (tr *Trace) Widen(evs []Event) {
 	widen := func(n *int, id uint32) {
 		if int(id)+1 > *n {
 			*n = int(id) + 1
 		}
 	}
-	for _, e := range tr.Events {
+	for _, e := range evs {
 		widen(&tr.Threads, uint32(e.T))
 		switch e.Op {
 		case OpRead, OpWrite:

@@ -106,8 +106,21 @@ func TestCheckReentrantAcquire(t *testing.T) {
 
 func TestCheckAcquireHeldByOther(t *testing.T) {
 	tr := NewBuilder().Acq("T1", "m").Acq("T2", "m").Build()
-	if Check(tr) == nil {
-		t.Error("double acquire across threads must fail")
+	err := Check(tr)
+	if err == nil {
+		t.Fatal("double acquire across threads must fail")
+	}
+	// The batch and the streaming checker name the holder alike.
+	const want = "lock already held by T0"
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("Check: %v, want %q", err, want)
+	}
+	c := NewChecker()
+	if err := c.Step(tr.Events[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Step(tr.Events[1]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Checker: %v, want %q", err, want)
 	}
 }
 

@@ -133,7 +133,10 @@ func WithCapacityHints(h CapacityHints) Option {
 
 // WithUncheckedInput disables the engine's incremental well-formedness
 // checking, for callers that have already validated the stream (e.g. a
-// replay of a checked trace) and want the last few ns/event back.
+// replay of a checked trace). The checker is two dense table lookups per
+// event, so what the option buys is the last few ns/event — on the default
+// ST-WDC engine, roughly a fifth of the per-event cost — not a different
+// order of throughput.
 func WithUncheckedInput() Option {
 	return func(c *engineConfig) { c.unchecked = true }
 }
@@ -192,9 +195,10 @@ type Engine struct {
 	spill  *spillState    // non-nil iff WithSpill configured (with vindication)
 	met    *EngineMetrics // non-nil iff WithMetrics configured
 
-	// Observed id-space sizes (max id + 1), maintained per event so a
-	// retained stream can be rebuilt into a well-declared Trace.
-	threads, vars, locks, vols, classes int
+	// spaces declares the id spaces of the retained stream (Events stays
+	// nil), so that it can be rebuilt into a well-declared Trace;
+	// maintained only when the engine retains (keep).
+	spaces Trace
 
 	fed    int
 	err    error
@@ -272,47 +276,33 @@ func (e *Engine) Detectors() []string {
 // Fed returns the number of events consumed so far.
 func (e *Engine) Fed() int { return e.fed }
 
-// observe widens the engine's view of the id spaces with one event.
-func (e *Engine) observe(ev Event) {
-	widen := func(n *int, id int) {
-		if id+1 > *n {
-			*n = id + 1
-		}
-	}
-	widen(&e.threads, int(ev.T))
-	switch ev.Op {
-	case trace.OpRead, trace.OpWrite:
-		widen(&e.vars, int(ev.Targ))
-	case trace.OpAcquire, trace.OpRelease:
-		widen(&e.locks, int(ev.Targ))
-	case trace.OpFork, trace.OpJoin:
-		widen(&e.threads, int(ev.Targ))
-	case trace.OpVolatileRead, trace.OpVolatileWrite:
-		widen(&e.vols, int(ev.Targ))
-	case trace.OpClassInit, trace.OpClassAccess:
-		widen(&e.classes, int(ev.Targ))
-	}
-}
+// feedChunk is the run length in which FeedTrace and FeedSource commit a
+// stream: per-call costs vanish per event, and a chunk stays cache-resident
+// between the checking pass and the analysis passes.
+const feedChunk = 8192
 
-// Feed consumes the next event of the stream, running every configured
-// analysis on it. Ill-formed input (per the incremental well-formedness
-// rules) returns an error and poisons the engine.
-func (e *Engine) Feed(ev Event) error {
+// feed is the engine's one front end, behind every entry point: check the
+// run, retain it if Close will vindicate, then dispatch it — into the
+// pipeline's current batch, or through each analysis in turn.
+func (e *Engine) feed(evs []Event) error {
 	if e.closed {
 		return errors.New("race: Feed on closed engine")
 	}
 	if e.err != nil {
 		return e.err
 	}
+	var verr error
 	if e.chk != nil {
-		if err := e.chk.Step(ev); err != nil {
-			e.err = fmt.Errorf("race: ill-formed event stream: %w", err)
-			return e.err
+		for i, ev := range evs {
+			if err := e.chk.Step(ev); err != nil {
+				verr = fmt.Errorf("race: ill-formed event stream: %w", err)
+				evs = evs[:i]
+				break
+			}
 		}
 	}
-	e.observe(ev)
 	if e.keep {
-		if err := e.retain(ev); err != nil {
+		if err := e.retain(evs); err != nil {
 			e.err = err
 			return err
 		}
@@ -321,27 +311,37 @@ func (e *Engine) Feed(ev Event) error {
 		if err := e.checkPipe(); err != nil {
 			return err
 		}
-		if err := e.enqueue(ev); err != nil {
+		if err := e.enqueue(evs); err != nil {
 			return err
 		}
-		e.fed++
-		if e.met != nil {
-			e.met.eventsFed.Inc()
-		}
-		return nil
-	}
-	for i := range e.dets {
-		d := &e.dets[i]
-		d.a.Handle(ev)
-		if e.onRace != nil || e.met != nil {
-			e.deliverNew(d)
+	} else {
+		for i := range e.dets {
+			d := &e.dets[i]
+			for _, ev := range evs {
+				d.a.Handle(ev)
+			}
+			if e.onRace != nil || e.met != nil {
+				e.deliverNew(d)
+			}
 		}
 	}
-	e.fed++
+	e.fed += len(evs)
 	if e.met != nil {
-		e.met.eventsFed.Inc()
+		e.met.eventsFed.Add(uint64(len(evs)))
 	}
-	return nil
+	if verr != nil {
+		e.err = verr
+	}
+	return verr
+}
+
+// Feed consumes the next event of the stream, running every configured
+// analysis on it: a one-event run through the FeedBatch front end.
+// Ill-formed input (per the incremental well-formedness rules) returns an
+// error and poisons the engine.
+func (e *Engine) Feed(ev Event) error {
+	one := [1]Event{ev}
+	return e.feed(one[:])
 }
 
 // deliverNew invokes the OnRace callback for d's not-yet-delivered races
@@ -383,94 +383,50 @@ func (e *Engine) checkPipe() error {
 
 // FeedBatch consumes a run of events in one call — the feed-side batching
 // that makes per-thread runs from a Runtime (and event frames arriving at a
-// raced server) cheap to commit: one well-formedness pass, one id-space
-// pass, and a single append into the parallel pipeline's current batch,
-// instead of per-event enqueue bookkeeping.
+// raced server) cheap to commit: one well-formedness pass and one analysis
+// pass per cell (or a single append into the parallel pipeline's current
+// batch), instead of per-event bookkeeping.
 //
 // Semantics match feeding the events one at a time: if event i is
 // ill-formed, events [0, i) are fully analyzed, the engine is poisoned, and
 // the checker's error is returned. The one observable difference is OnRace
-// interleaving on a sequential engine: within a batch each analysis runs to
-// completion before the next (as the parallel pipeline always has), so
-// per-analysis detection order and Seq numbering are unchanged, but
-// callbacks of different analyses no longer interleave event-by-event.
+// interleaving on a sequential multi-analysis engine: within a run each
+// analysis runs to completion before the next (as the parallel pipeline
+// always has), so per-analysis detection order and Seq numbering are
+// unchanged, but callbacks of different analyses interleave per run, not
+// per event. That holds on every entry point: Feed's run is one event,
+// FeedTrace's and FeedSource's are 8192-event chunks.
 func (e *Engine) FeedBatch(evs []Event) error {
-	if e.closed {
-		return errors.New("race: FeedBatch on closed engine")
+	if e.met == nil {
+		return e.feed(evs)
 	}
-	if e.err != nil {
-		return e.err
-	}
-	var t0 time.Time
-	if e.met != nil {
-		t0 = time.Now()
-	}
-	var verr error
-	valid := evs
-	if e.chk != nil {
-		for i, ev := range evs {
-			if err := e.chk.Step(ev); err != nil {
-				verr = fmt.Errorf("race: ill-formed event stream: %w", err)
-				valid = evs[:i]
-				break
-			}
-		}
-	}
-	for _, ev := range valid {
-		e.observe(ev)
-	}
-	if e.keep {
-		if err := e.retain(valid...); err != nil {
-			e.err = err
-			return err
-		}
-	}
-	if e.pipe != nil {
-		if err := e.checkPipe(); err != nil {
-			return err
-		}
-		if err := e.enqueueBatch(valid); err != nil {
-			return err
-		}
-	} else {
-		for i := range e.dets {
-			d := &e.dets[i]
-			for _, ev := range valid {
-				d.a.Handle(ev)
-			}
-			if e.onRace != nil || e.met != nil {
-				e.deliverNew(d)
-			}
-		}
-	}
-	e.fed += len(valid)
-	if e.met != nil {
-		e.met.eventsFed.Add(uint64(len(valid)))
-		e.met.feedBatch.ObserveDuration(time.Since(t0))
-	}
-	if verr != nil {
-		e.err = verr
-	}
-	return verr
+	t0 := time.Now()
+	err := e.feed(evs)
+	e.met.feedBatch.ObserveDuration(time.Since(t0))
+	return err
 }
 
 // FeedTrace streams a complete trace through the engine. The trace's
 // declared id spaces widen the engine's capacity view up front; the events
-// then flow through Feed one by one, exactly as they would from a live
-// source.
+// then flow through FeedBatch in 8192-event chunks, so on a sequential
+// multi-analysis engine cross-analysis OnRace interleaving is per chunk;
+// per-analysis order and Seq are unchanged (see FeedBatch).
 func (e *Engine) FeedTrace(tr *Trace) error {
 	if tr == nil {
 		return errors.New("race: FeedTrace of nil trace")
 	}
-	e.threads = max(e.threads, tr.Threads)
-	e.vars = max(e.vars, tr.Vars)
-	e.locks = max(e.locks, tr.Locks)
-	e.vols = max(e.vols, tr.Volatiles)
-	e.classes = max(e.classes, tr.Classes)
-	for _, ev := range tr.Events {
-		if err := e.Feed(ev); err != nil {
+	sp := &e.spaces
+	sp.Threads = max(sp.Threads, tr.Threads)
+	sp.Vars = max(sp.Vars, tr.Vars)
+	sp.Locks = max(sp.Locks, tr.Locks)
+	sp.Volatiles = max(sp.Volatiles, tr.Volatiles)
+	sp.Classes = max(sp.Classes, tr.Classes)
+	for evs := tr.Events; len(evs) > 0; {
+		n := min(len(evs), feedChunk)
+		if err := e.FeedBatch(evs[:n]); err != nil {
 			return err
 		}
+		evs = evs[n:]
 	}
 	return nil
 }
@@ -497,37 +453,45 @@ type EventSink interface {
 var _ EventSink = (*Engine)(nil)
 
 // FeedSource drains an EventSource into the engine, so arbitrarily large
-// trace files pipe through without being materialized.
+// trace files pipe through without being materialized: events are committed
+// through FeedBatch from one reused 8192-event buffer (so OnRace interleaves
+// as in FeedTrace), those read before a source error included.
 func (e *Engine) FeedSource(src EventSource) error {
+	buf := make([]Event, 0, feedChunk)
 	for {
 		ev, err := src.Next()
+		if err == nil {
+			if buf = append(buf, ev); len(buf) < feedChunk {
+				continue
+			}
+		}
+		if ferr := e.FeedBatch(buf); ferr != nil {
+			return ferr
+		}
+		buf = buf[:0]
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if err := e.Feed(ev); err != nil {
-			return err
-		}
 	}
 }
 
-// bufferedTrace rebuilds a Trace from the retained stream, declared over
-// the observed id spaces. With an active spill the stream is replayed
-// from the racelog on disk.
+// bufferedTrace rebuilds a Trace from the retained stream. With an active
+// spill the stream is replayed from the racelog on disk.
 func (e *Engine) bufferedTrace() (*Trace, error) {
 	if e.spill != nil && e.spill.log != nil {
 		return e.spilledTrace()
 	}
-	return &Trace{
-		Events:    e.events,
-		Threads:   e.threads,
-		Vars:      e.vars,
-		Locks:     e.locks,
-		Volatiles: e.vols,
-		Classes:   e.classes,
-	}, nil
+	return e.traceOf(e.events), nil
+}
+
+// traceOf declares events over the engine's observed id spaces.
+func (e *Engine) traceOf(events []Event) *Trace {
+	tr := e.spaces
+	tr.Events = events
+	return &tr
 }
 
 // Abort discards the engine without computing a report: pipeline workers

@@ -5,10 +5,11 @@ package race
 // dedicated worker goroutine fed by a single-producer/single-consumer ring
 // of event batches, so independent Table 1 cells analyze the same event
 // stream concurrently instead of serially. Feed stays a cheap enqueue —
-// the well-formedness checker and id-space observation run on the feeding
-// goroutine (so errors still surface synchronously), and the event lands
-// in the current batch, which flushes when full, at synchronization events
-// (when an OnRace callback wants timely delivery), and at Close.
+// the well-formedness checker (and a vindicating engine's retention) runs
+// on the feeding goroutine, so errors still surface synchronously, and the
+// run lands in the current batch, which flushes when full, at
+// synchronization events (when an OnRace callback wants timely delivery),
+// and at Close.
 //
 // Determinism: every analysis still consumes the complete stream in feed
 // order, so the Close report is identical to the sequential engine's, and
@@ -347,24 +348,13 @@ func (p *pipeline) firstErr() error {
 	return nil
 }
 
-// enqueue appends ev to the current batch, flushing when the batch is full
-// or when a synchronization event should make OnRace delivery timely.
-func (e *Engine) enqueue(ev Event) error {
-	p := e.pipe
-	p.cur.evs = append(p.cur.evs, ev)
-	if len(p.cur.evs) >= p.batchSize || (p.raceCh != nil && ev.Op.IsSync()) {
-		return e.flushBatch()
-	}
-	return nil
-}
-
-// enqueueBatch appends a whole run of events to the current batch in one
-// append — the pipeline half of FeedBatch. Flush triggers: batch size,
-// and (when an OnRace callback wants timely delivery) the presence of any
-// synchronization event in the run — run-granular rather than Feed's
-// event-granular sync flushing, so commit-per-run batching is kept even
-// on engines with callbacks installed (every raced session has one).
-func (e *Engine) enqueueBatch(evs []Event) error {
+// enqueue appends a run of events to the current batch in one append — the
+// pipeline half of the engine's front end. Flush triggers: batch size, and
+// (when an OnRace callback wants timely delivery) the presence of any
+// synchronization event in the run — run-granular, so commit-per-run
+// batching is kept even on engines with callbacks installed (every raced
+// session has one); Feed's one-event runs make it event-granular there.
+func (e *Engine) enqueue(evs []Event) error {
 	p := e.pipe
 	p.cur.evs = append(p.cur.evs, evs...)
 	if len(p.cur.evs) >= p.batchSize {

@@ -157,8 +157,8 @@ func New(tr *Trace, rel Relation, lvl Level) (Detector, error) {
 }
 
 // Analyze runs the (rel, lvl) analysis over the whole trace and returns its
-// report. It is a thin wrapper over the streaming Engine: the trace is fed
-// event by event, with incremental well-formedness checking. Invalid
+// report. It is a thin wrapper over the streaming Engine: the trace goes
+// through FeedTrace, with incremental well-formedness checking. Invalid
 // (rel, lvl) combinations and ill-formed traces return errors.
 func Analyze(tr *Trace, rel Relation, lvl Level) (*Report, error) {
 	eng, err := NewEngine(WithRelation(rel), WithLevel(lvl), WithCapacityHints(HintsOf(tr)))

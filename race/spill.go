@@ -53,9 +53,11 @@ type spillState struct {
 	log       *store.Log
 }
 
-// retain buffers evs for vindication-time replay, spilling the buffer to
+// retain buffers evs for vindication-time replay (noting the id spaces
+// they span, which the rebuilt trace must declare), spilling the buffer to
 // the racelog when it exceeds the active bound.
-func (e *Engine) retain(evs ...Event) error {
+func (e *Engine) retain(evs []Event) error {
+	e.spaces.Widen(evs)
 	e.events = append(e.events, evs...)
 	s := e.spill
 	if s == nil {
@@ -146,12 +148,5 @@ func (e *Engine) spilledTrace() (*Trace, error) {
 		}
 		events = append(events, ev)
 	}
-	return &Trace{
-		Events:    events,
-		Threads:   e.threads,
-		Vars:      e.vars,
-		Locks:     e.locks,
-		Volatiles: e.vols,
-		Classes:   e.classes,
-	}, nil
+	return e.traceOf(events), nil
 }
