@@ -9,14 +9,18 @@
 package repro_test
 
 import (
+	"bufio"
+	"bytes"
 	"runtime"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/vindicate"
+	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/race"
 
@@ -133,6 +137,55 @@ func BenchmarkEngineFrontEnd(b *testing.B) {
 			b.ReportMetric(float64(benchTrace.Len()), "events/op")
 		})
 	}
+}
+
+// BenchmarkWireEventsFrame measures one hop of the ingest path per event:
+// an 8192-event Events frame encoded by WriteEvents and decoded by
+// ReadHeader+ReadEvents into a reused slab (steady state: 0 B/op).
+func BenchmarkWireEventsFrame(b *testing.B) {
+	evs := benchTrace.Events[:8192]
+	var pipe bytes.Buffer
+	bw := bufio.NewWriterSize(&pipe, 1<<16)
+	br := bufio.NewReaderSize(&pipe, 1<<16)
+	slab := make([]trace.Event, 0, len(evs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := wire.WriteEvents(bw, evs); err != nil {
+			b.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		_, n, err := wire.ReadHeader(br)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := wire.ReadEvents(br, n, slab); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+}
+
+// BenchmarkLogAppendBatch measures the journal's write-ahead append per
+// event: 8192-event batches into a racelog without fsync (rotation every
+// 1 Mi events included), the cost a durable session adds before the engine.
+func BenchmarkLogAppendBatch(b *testing.B) {
+	evs := benchTrace.Events[:8192]
+	l, err := store.Open(b.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := l.AppendBatch(evs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
 }
 
 // BenchmarkUninstrumentedReplay is the baseline the slowdown factors in

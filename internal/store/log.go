@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -30,16 +28,11 @@ type Log struct {
 	active segMeta
 	f      fault.File
 	bw     *bufio.Writer
-	crc    hash.Hash32
+	crc    uint32 // running CRC-32 (IEEE) of the active segment's record bytes
 
 	appended uint64 // total records, buffered included (the next offset)
 	synced   uint64 // records durable as of the last Sync or seal
 	closed   bool
-
-	// rec is the record encoding scratch buffer; a local array would
-	// escape (and allocate) through the writer and hash interface calls
-	// on every append.
-	rec [trace.RecordSize]byte
 }
 
 // Open opens (or creates) the racelog directory dir for appending,
@@ -67,7 +60,7 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, fmt.Errorf("store: dropping unrecoverable segment: %w", err)
 		}
 	}
-	l := &Log{dir: dir, opts: opts, fsys: fsys, crc: crc32.NewIEEE()}
+	l := &Log{dir: dir, opts: opts, fsys: fsys}
 
 	// The recovered tail continues as the active segment when it is
 	// unsealed; a sealed (or absent) tail starts a fresh segment.
@@ -93,9 +86,9 @@ func Open(dir string, opts Options) (*Log, error) {
 			}
 		}
 		// The running record CRC died with the previous process; resume it
-		// from the prefix CRC recovery already computed, so this segment
-		// can still seal.
-		l.crc = recoveredCRC(tail.crcRec)
+		// from the prefix CRC recovery already computed (crc32.Update
+		// continues a digest), so this segment can still seal.
+		l.crc = tail.crcRec
 		l.active = tail
 		l.f = f
 		l.bw = bufio.NewWriterSize(f, 1<<16)
@@ -121,26 +114,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	l.synced = l.appended
 	opts.Metrics.recovery(time.Since(t0))
 	return l, nil
-}
-
-// recoveredCRC rebuilds a running CRC-32 hash whose state matches sum.
-// crc32.IEEE is resumable: Update(sum, data) == digest of (prefix ‖ data)
-// when sum is the prefix digest, which resumableCRC wraps as a hash.Hash32.
-func recoveredCRC(sum uint32) hash.Hash32 { return &resumableCRC{sum: sum} }
-
-type resumableCRC struct{ sum uint32 }
-
-func (c *resumableCRC) Write(p []byte) (int, error) {
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, p)
-	return len(p), nil
-}
-func (c *resumableCRC) Sum32() uint32  { return c.sum }
-func (c *resumableCRC) Reset()         { c.sum = 0 }
-func (c *resumableCRC) Size() int      { return 4 }
-func (c *resumableCRC) BlockSize() int { return 1 }
-func (c *resumableCRC) Sum(b []byte) []byte {
-	s := c.sum
-	return append(b, byte(s>>24), byte(s>>16), byte(s>>8), byte(s))
 }
 
 // recoverDir scans dir's segment files in order, returning the longest
@@ -207,7 +180,7 @@ func (l *Log) startSegment(seg uint32, first uint64) error {
 	l.active = segMeta{path: path, seg: seg, first: first, size: headerSize}
 	l.f = f
 	l.bw = bufio.NewWriterSize(f, 1<<16)
-	l.crc = crc32.NewIEEE()
+	l.crc = 0
 	return nil
 }
 
@@ -275,44 +248,50 @@ func (l *Log) Segments() []SegmentInfo {
 
 // Append writes one record to the log.
 func (l *Log) Append(ev trace.Event) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.append(ev)
+	return l.AppendBatch([]trace.Event{ev})
 }
 
-// AppendBatch writes a run of records.
+// AppendBatch writes a run of records. Records are encoded, folded into the
+// segment's running CRC and handed to the buffered writer a window at a time
+// (trace.WriteRecords); a run that crosses the rotation threshold is split
+// there, so the bytes on disk are those of one Append per record.
 func (l *Log) AppendBatch(evs []trace.Event) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, ev := range evs {
-		if err := l.append(ev); err != nil {
+	for len(evs) > 0 {
+		if l.closed {
+			return errors.New("store: append to closed racelog")
+		}
+		a := &l.active
+		// A tail recovered at or past the threshold (written under a larger
+		// SegmentEvents) takes one more record and then rotates.
+		room := uint64(1)
+		if seg := uint64(l.opts.SegmentEvents); a.count < seg {
+			room = seg - a.count
+		}
+		run := evs[:min(uint64(len(evs)), room)]
+		if err := trace.WriteRecords(l.bw, run, &l.crc); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-func (l *Log) append(ev trace.Event) error {
-	if l.closed {
-		return errors.New("store: append to closed racelog")
-	}
-	trace.PutRecord(l.rec[:], ev)
-	if _, err := l.bw.Write(l.rec[:]); err != nil {
-		return err
-	}
-	l.crc.Write(l.rec[:])
-	if l.active.count%IndexInterval == 0 {
-		l.active.index = append(l.active.index, IndexEntry{
-			Off: l.active.first + l.active.count,
-			Pos: headerSize + l.active.count*uint64(trace.RecordSize),
-		})
-	}
-	l.active.sum.add(ev)
-	l.active.count++
-	l.active.size += trace.RecordSize
-	l.appended++
-	if l.active.count >= uint64(l.opts.SegmentEvents) {
-		return l.rotate()
+		end := a.count + uint64(len(run))
+		for c := (a.count + IndexInterval - 1) / IndexInterval * IndexInterval; c < end; c += IndexInterval {
+			a.index = append(a.index, IndexEntry{
+				Off: a.first + c,
+				Pos: headerSize + c*uint64(trace.RecordSize),
+			})
+		}
+		for _, ev := range run {
+			a.sum.add(ev)
+		}
+		a.count = end
+		a.size += int64(len(run)) * trace.RecordSize
+		l.appended += uint64(len(run))
+		evs = evs[len(run):]
+		if a.count >= uint64(l.opts.SegmentEvents) {
+			if err := l.rotate(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -342,7 +321,7 @@ func (l *Log) seal() error {
 	if err := l.bw.Flush(); err != nil {
 		return err
 	}
-	if err := appendFooterFile(l.f, &l.active, l.crc.Sum32()); err != nil {
+	if err := appendFooterFile(l.f, &l.active, l.crc); err != nil {
 		return err
 	}
 	if !l.opts.NoSync {

@@ -31,9 +31,10 @@ type Reader struct {
 	read uint64
 	err  error
 
-	// rec is the decode scratch buffer (a local array would escape, and
-	// allocate, through the io.ReadFull interface call on every record).
-	rec [trace.RecordSize]byte
+	// buf holds the batch Next serves from (allocated on the first Next);
+	// pos is its cursor.
+	buf []trace.Event
+	pos int
 }
 
 // OpenRead opens a racelog directory read-only and returns a reader over
@@ -129,10 +130,46 @@ func (r *Reader) open() error {
 	return nil
 }
 
-// Next returns the next event, or io.EOF at the end of the snapshot.
+// Next returns the next event, or io.EOF at the end of the snapshot. It
+// serves from a buffer that ReadBatch fills a window at a time.
 func (r *Reader) Next() (trace.Event, error) {
+	if r.pos == len(r.buf) {
+		if r.buf == nil {
+			r.buf = make([]trace.Event, 0, trace.RecordWindow)
+		}
+		n, err := r.fill(r.buf[:cap(r.buf)])
+		r.buf, r.pos = r.buf[:n], 0
+		if n == 0 {
+			return trace.Event{}, err
+		}
+	}
+	r.pos++
+	r.read++
+	return r.buf[r.pos-1], nil
+}
+
+// ReadBatch decodes up to len(dst) events into dst and returns how many:
+// at least one, or 0 and io.EOF at the end of the snapshot (or the reader's
+// sticky error). Batches end at segment boundaries.
+func (r *Reader) ReadBatch(dst []trace.Event) (int, error) {
+	n := copy(dst, r.buf[r.pos:]) // events Next has buffered come first
+	r.pos += n
+	if n == 0 {
+		var err error
+		if n, err = r.fill(dst); n == 0 {
+			return 0, err
+		}
+	}
+	r.read += uint64(n)
+	return n, nil
+}
+
+// fill decodes the next run of the current segment into dst. Events ahead
+// of a damaged record are still delivered; the error surfaces on the
+// following call.
+func (r *Reader) fill(dst []trace.Event) (int, error) {
 	if r.err != nil {
-		return trace.Event{}, r.err
+		return 0, r.err
 	}
 	for r.f == nil || r.left == 0 {
 		if r.f != nil {
@@ -143,27 +180,32 @@ func (r *Reader) Next() (trace.Event, error) {
 		}
 		if r.cur >= len(r.segs) {
 			r.err = io.EOF
-			return trace.Event{}, io.EOF
+			return 0, io.EOF
 		}
 		if err := r.open(); err != nil {
 			r.err = err
-			return trace.Event{}, err
+			return 0, err
 		}
 	}
-	if _, err := io.ReadFull(r.br, r.rec[:]); err != nil {
+	dst = dst[:min(uint64(len(dst)), r.left)]
+	n, bad, err := trace.ReadRecords(r.br, dst, nil)
+	switch {
+	case bad >= 0:
+		n = bad
+		r.err = fmt.Errorf("store: segment %d: %w", r.segs[r.cur].seg, trace.BadRecord(bad, dst[bad].Op))
+	case err != nil:
 		// The snapshot promised r.left more records; a short read here is
 		// real corruption or concurrent truncation, not clean EOF.
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		r.err = fmt.Errorf("store: segment %d truncated under reader: %w", r.segs[r.cur].seg, err)
-		return trace.Event{}, r.err
 	}
-	ev, err := trace.GetRecord(r.rec[:])
-	if err != nil {
-		r.err = fmt.Errorf("store: segment %d: %w", r.segs[r.cur].seg, err)
-		return trace.Event{}, r.err
+	r.left -= uint64(n)
+	if n == 0 {
+		return 0, r.err
 	}
-	r.left--
-	r.read++
-	return ev, nil
+	return n, nil
 }
 
 // Events returns the number of events the reader has produced so far.

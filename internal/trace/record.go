@@ -1,8 +1,12 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 )
 
 // RecordSize is the fixed wire size of one encoded event: tid u16, op u8,
@@ -24,14 +28,140 @@ func PutRecord(b []byte, e Event) {
 // GetRecord decodes one event from b, which must be at least RecordSize
 // bytes, validating the op.
 func GetRecord(b []byte) (Event, error) {
-	e := Event{
+	e := decodeRecord(b)
+	if !e.Op.Valid() {
+		return Event{}, fmt.Errorf("trace: invalid op %d in record", b[2])
+	}
+	return e, nil
+}
+
+// decodeRecord decodes one record without judging its op.
+func decodeRecord(b []byte) Event {
+	return Event{
 		T:    Tid(binary.LittleEndian.Uint16(b[0:])),
 		Op:   Op(b[2]),
 		Targ: binary.LittleEndian.Uint32(b[4:]),
 		Loc:  Loc(binary.LittleEndian.Uint32(b[8:])),
 	}
-	if !e.Op.Valid() {
-		return Event{}, fmt.Errorf("trace: invalid op %d in record", b[2])
+}
+
+// RecordWindow is how many records the windowed codecs (ReadRecords,
+// WriteRecords) encode, checksum and copy per pass: 12 KiB, small enough
+// that the checksum and the codec touch the bytes while they are still in
+// the L1 cache, large enough that per-call overheads vanish.
+const RecordWindow = 1024
+
+// ErrBadRecords marks an event-record run the codec refuses: an invalid op
+// byte or a byte count that is not a whole number of records.
+var ErrBadRecords = errors.New("trace: malformed event records")
+
+// PutRecords encodes evs into b, which must hold len(evs) records.
+func PutRecords(b []byte, evs []Event) {
+	_ = b[:len(evs)*RecordSize]
+	for i, e := range evs {
+		PutRecord(b[i*RecordSize:], e)
 	}
-	return e, nil
+}
+
+// GetRecords decodes len(dst) records from b. Every record is decoded; the
+// result is the index of the first one whose op is invalid, or -1.
+func GetRecords(dst []Event, b []byte) int {
+	_ = b[:len(dst)*RecordSize]
+	bad := -1
+	for i := range dst {
+		e := decodeRecord(b[i*RecordSize : i*RecordSize+RecordSize])
+		if !e.Op.Valid() && bad < 0 {
+			bad = i
+		}
+		dst[i] = e
+	}
+	return bad
+}
+
+// CheckRecords validates b as a run of event records without decoding it:
+// a whole number of records, every op valid. It is the byte scan a hop that
+// forwards records verbatim runs in place of a decode.
+func CheckRecords(b []byte) error {
+	if len(b)%RecordSize != 0 {
+		return RaggedRecords(len(b))
+	}
+	for i := 2; i < len(b); i += RecordSize {
+		if !Op(b[i]).Valid() {
+			return BadRecord(i/RecordSize, Op(b[i]))
+		}
+	}
+	return nil
+}
+
+// RaggedRecords is the error for a run of n bytes, not a whole number of
+// records.
+func RaggedRecords(n int) error {
+	return fmt.Errorf("%w: %d bytes is not a whole number of %d-byte records", ErrBadRecords, n, RecordSize)
+}
+
+// BadRecord is the error for record i of a run carrying the invalid op.
+func BadRecord(i int, op Op) error {
+	return fmt.Errorf("%w: record %d: invalid op %d", ErrBadRecords, i, op)
+}
+
+// WriteRecords encodes evs straight into bw's free buffer space, a window at
+// a time, folding the encoded bytes into the running CRC-32 (IEEE) *crc.
+// Nothing is allocated and each record is touched once: encoded, summed and
+// committed while its window is cache-hot.
+func WriteRecords(bw *bufio.Writer, evs []Event, crc *uint32) error {
+	for len(evs) > 0 {
+		buf := bw.AvailableBuffer()
+		if cap(buf) < RecordSize {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+			if buf = bw.AvailableBuffer(); cap(buf) < RecordSize {
+				return errors.New("trace: WriteRecords through a writer buffer smaller than one record")
+			}
+		}
+		n := min(len(evs), cap(buf)/RecordSize, RecordWindow)
+		buf = buf[:n*RecordSize]
+		PutRecords(buf, evs[:n])
+		*crc = crc32.Update(*crc, crc32.IEEETable, buf)
+		if _, err := bw.Write(buf); err != nil {
+			return err
+		}
+		evs = evs[n:]
+	}
+	return nil
+}
+
+// ReadRecords decodes records from br into dst, a window at a time, until
+// dst is full or the stream fails, and returns how many it decoded. When crc
+// is non-nil the raw bytes are folded into it. err is the stream's own
+// condition: io.EOF when it ended on a record boundary, io.ErrUnexpectedEOF
+// inside a record. An invalid op does not stop the read — the rest of dst is
+// still consumed and summed, so a framed caller can tell corruption from a
+// bad sender by its checksum — and is reported separately: bad is the index
+// of the first such record (see BadRecord), or -1.
+func ReadRecords(br *bufio.Reader, dst []Event, crc *uint32) (n, bad int, err error) {
+	bad = -1
+	for n < len(dst) {
+		want := min(len(dst)-n, RecordWindow, br.Size()/RecordSize)
+		b, err := br.Peek(want * RecordSize)
+		got := len(b) / RecordSize
+		b = b[:got*RecordSize]
+		if i := GetRecords(dst[n:n+got], b); i >= 0 && bad < 0 {
+			bad = n + i
+		}
+		if crc != nil {
+			*crc = crc32.Update(*crc, crc32.IEEETable, b)
+		}
+		br.Discard(len(b))
+		n += got
+		if got < want {
+			// Peek came up short and err says why. Leftover bytes that do
+			// not make a record mean the stream was cut inside one.
+			if err == io.EOF && br.Buffered() > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return n, bad, err
+		}
+	}
+	return n, bad, nil
 }

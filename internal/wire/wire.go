@@ -50,6 +50,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -113,21 +114,52 @@ const (
 	trailerSize = 4 // u32 CRC-32 (IEEE) over type byte + payload
 )
 
-// frameCRC computes the trailer checksum for a frame.
-func frameCRC(t Type, payload []byte) uint32 {
-	crc := crc32.ChecksumIEEE([]byte{uint8(t)})
-	return crc32.Update(crc, crc32.IEEETable, payload)
+// typeCRC starts a frame's trailer checksum: the CRC of its type byte, which
+// the payload bytes are then folded into (crc32.Update), whole or a window
+// at a time. It is crc32.ChecksumIEEE([]byte{t}) spelled as the one table
+// step it is, because a slice handed to hash/crc32 escapes to the heap.
+func typeCRC(t Type) uint32 {
+	return ^(crc32.IEEETable[^uint8(t)] ^ 0x00FFFFFF)
+}
+
+// putHeader encodes a frame header into hdr (headerSize bytes), refusing a
+// payload over the limit.
+func putHeader(hdr []byte, t Type, n int) error {
+	if n > MaxPayload {
+		return fmt.Errorf("wire: %v payload of %d bytes exceeds limit %d", t, n, MaxPayload)
+	}
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(n))
+	hdr[4] = uint8(t)
+	return nil
+}
+
+// parseHeader decodes a frame header, refusing a declared payload over the
+// limit.
+func parseHeader(hdr []byte) (Type, int, error) {
+	n := binary.LittleEndian.Uint32(hdr[0:])
+	t := Type(hdr[4])
+	if n > MaxPayload {
+		return 0, 0, fmt.Errorf("wire: %v frame declares %d payload bytes (limit %d)", t, n, MaxPayload)
+	}
+	return t, int(n), nil
+}
+
+// checkTrailer compares a frame's trailer bytes with crc, the sum of the
+// type byte and payload the reader saw.
+func checkTrailer(t Type, tail []byte, crc uint32) error {
+	if got := binary.LittleEndian.Uint32(tail); got != crc {
+		return fmt.Errorf("wire: %v frame: %w (crc %08x, want %08x)", t, ErrCorruptFrame, got, crc)
+	}
+	return nil
 }
 
 // WriteFrame writes one frame. Writers typically wrap w in a bufio.Writer
 // and flush at message boundaries (after Hello, Flush, EOF, and responses).
 func WriteFrame(w io.Writer, t Type, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("wire: %v payload of %d bytes exceeds limit %d", t, len(payload), MaxPayload)
-	}
 	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	hdr[4] = uint8(t)
+	if err := putHeader(hdr[:], t, len(payload)); err != nil {
+		return err
+	}
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -137,7 +169,7 @@ func WriteFrame(w io.Writer, t Type, payload []byte) error {
 		}
 	}
 	var tail [trailerSize]byte
-	binary.LittleEndian.PutUint32(tail[:], frameCRC(t, payload))
+	binary.LittleEndian.PutUint32(tail[:], crc32.Update(typeCRC(t), crc32.IEEETable, payload))
 	_, err := w.Write(tail[:])
 	return err
 }
@@ -145,7 +177,9 @@ func WriteFrame(w io.Writer, t Type, payload []byte) error {
 // ReadFrame reads one frame, returning its type and payload. io.EOF is
 // returned untouched on a clean end between frames; a partial frame is an
 // io.ErrUnexpectedEOF-wrapping error; a checksum mismatch is an
-// ErrCorruptFrame-wrapping error.
+// ErrCorruptFrame-wrapping error. It reads exactly the frame's bytes from r
+// into a fresh buffer; loops that serve a connection read through its
+// bufio.Reader with ReadHeader and ReadBody or ReadEvents instead.
 func ReadFrame(r io.Reader) (Type, []byte, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -154,30 +188,150 @@ func ReadFrame(r io.Reader) (Type, []byte, error) {
 		}
 		return 0, nil, fmt.Errorf("wire: reading frame header: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:])
-	t := Type(hdr[4])
-	if n > MaxPayload {
-		return 0, nil, fmt.Errorf("wire: %v frame declares %d payload bytes (limit %d)", t, n, MaxPayload)
+	t, n, err := parseHeader(hdr[:])
+	if err != nil {
+		return 0, nil, err
 	}
-	var payload []byte
-	if n > 0 {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return 0, nil, fmt.Errorf("wire: reading %v payload: %w", t, err)
-		}
+	payload, err := ReadBody(r, t, n, nil)
+	return t, payload, err
+}
+
+// ReadBody reads the n-byte payload and the trailer of a frame whose header
+// has been read, into buf's storage (grown when too small, so a caller that
+// passes the previous result back reads frame after frame into one buffer),
+// and returns the payload once its checksum has verified.
+func ReadBody(r io.Reader, t Type, n int, buf []byte) ([]byte, error) {
+	if cap(buf) < n+trailerSize {
+		buf = make([]byte, n+trailerSize)
 	}
-	var tail [trailerSize]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
+	buf = buf[:n+trailerSize]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			// The stream ended mid-frame, not between frames.
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, nil, fmt.Errorf("wire: reading %v checksum: %w", t, err)
+		return nil, fmt.Errorf("wire: reading %v payload: %w", t, err)
 	}
-	if got, want := binary.LittleEndian.Uint32(tail[:]), frameCRC(t, payload); got != want {
-		return 0, nil, fmt.Errorf("wire: %v frame: %w (crc %08x, want %08x)", t, ErrCorruptFrame, got, want)
+	if err := checkTrailer(t, buf[n:], crc32.Update(typeCRC(t), crc32.IEEETable, buf[:n])); err != nil {
+		return nil, err
 	}
-	return t, payload, nil
+	return buf[:n], nil
+}
+
+// The functions below are the allocation-free streaming form of the same
+// framing, over a connection's bufio.Reader and bufio.Writer: small fields
+// are parsed and built in the buffers themselves (Peek, AvailableBuffer).
+
+// reserve returns n bytes of bw's free buffer space, flushing first when
+// less is free, to be filled in place and committed with bw.Write.
+func reserve(bw *bufio.Writer, n int) ([]byte, error) {
+	if bw.Available() < n {
+		if err := bw.Flush(); err != nil {
+			return nil, err
+		}
+		if bw.Available() < n {
+			return nil, fmt.Errorf("wire: writer buffer of %d bytes is smaller than a frame header", bw.Size())
+		}
+	}
+	return bw.AvailableBuffer()[:n], nil
+}
+
+// WriteEvents writes evs as one Events frame — the same bytes as
+// WriteFrame(TEvents, AppendEvents(nil, evs)) — without building the
+// payload: records are encoded straight into bw's buffer and checksummed a
+// window at a time (trace.WriteRecords). evs must fit one frame
+// (MaxFrameEvents).
+func WriteEvents(bw *bufio.Writer, evs []trace.Event) error {
+	hdr, err := reserve(bw, headerSize)
+	if err == nil {
+		err = putHeader(hdr, TEvents, len(evs)*trace.RecordSize)
+	}
+	if err != nil {
+		return err
+	}
+	if _, err := bw.Write(hdr); err != nil {
+		return err
+	}
+	crc := typeCRC(TEvents)
+	if err := trace.WriteRecords(bw, evs, &crc); err != nil {
+		return err
+	}
+	tail, err := reserve(bw, trailerSize)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(tail, crc)
+	_, err = bw.Write(tail)
+	return err
+}
+
+// ReadHeader reads a frame's header: its type and payload length. io.EOF is
+// returned untouched on a clean end between frames. The body must then be
+// consumed with ReadBody or, for an Events frame, ReadEvents.
+func ReadHeader(br *bufio.Reader) (Type, int, error) {
+	hdr, err := br.Peek(headerSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) == 0 {
+			return 0, 0, io.EOF
+		}
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, 0, fmt.Errorf("wire: reading frame header: %w", err)
+	}
+	t, n, err := parseHeader(hdr)
+	br.Discard(headerSize)
+	return t, n, err
+}
+
+// ReadEvents reads the body of an Events frame whose header declared n
+// payload bytes, decoding it out of br's buffer a window at a time
+// (trace.ReadRecords) into dst's storage — no payload buffer exists. It
+// accepts exactly the frames ReadFrame + DecodeEvents accept and fails the
+// same way: a short stream or checksum mismatch (ErrCorruptFrame) first,
+// then a trace.ErrBadRecords-wrapping error for a ragged payload or an
+// invalid op. The events are returned only once the trailer has verified;
+// on any error the result is nil, whatever dst's storage now holds.
+func ReadEvents(br *bufio.Reader, n int, dst []trace.Event) ([]trace.Event, error) {
+	count := n / trace.RecordSize
+	if cap(dst) < count {
+		dst = make([]trace.Event, count)
+	}
+	dst = dst[:count]
+	crc := typeCRC(TEvents)
+	var bad error
+	_, i, err := trace.ReadRecords(br, dst, &crc)
+	if i >= 0 {
+		bad = trace.BadRecord(i, dst[i].Op)
+	}
+	if rem := n % trace.RecordSize; rem != 0 && err == nil {
+		var ragged []byte
+		if ragged, err = br.Peek(rem); err == nil {
+			crc = crc32.Update(crc, crc32.IEEETable, ragged)
+			br.Discard(rem)
+			bad = trace.RaggedRecords(n)
+		}
+	}
+	var tail []byte
+	if err == nil {
+		tail, err = br.Peek(trailerSize)
+	}
+	if err != nil {
+		if err == io.EOF {
+			// The stream ended mid-frame, not between frames.
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("wire: reading %v payload: %w", TEvents, err)
+	}
+	err = checkTrailer(TEvents, tail, crc)
+	br.Discard(trailerSize)
+	if err != nil {
+		return nil, err
+	}
+	if bad != nil {
+		return nil, fmt.Errorf("wire: events payload: %w", bad)
+	}
+	return dst, nil
 }
 
 // AppendEvents appends the wire encoding of evs to dst and returns the
@@ -185,25 +339,18 @@ func ReadFrame(r io.Reader) (Type, []byte, error) {
 func AppendEvents(dst []byte, evs []trace.Event) []byte {
 	off := len(dst)
 	dst = append(dst, make([]byte, len(evs)*trace.RecordSize)...)
-	for i, e := range evs {
-		trace.PutRecord(dst[off+i*trace.RecordSize:], e)
-	}
+	trace.PutRecords(dst[off:], evs)
 	return dst
 }
 
 // DecodeEvents parses an Events frame payload.
 func DecodeEvents(payload []byte) ([]trace.Event, error) {
 	if len(payload)%trace.RecordSize != 0 {
-		return nil, fmt.Errorf("wire: events payload of %d bytes is not a whole number of %d-byte records",
-			len(payload), trace.RecordSize)
+		return nil, fmt.Errorf("wire: events payload: %w", trace.RaggedRecords(len(payload)))
 	}
 	evs := make([]trace.Event, len(payload)/trace.RecordSize)
-	for i := range evs {
-		e, err := trace.GetRecord(payload[i*trace.RecordSize:])
-		if err != nil {
-			return nil, fmt.Errorf("wire: events record %d: %w", i, err)
-		}
-		evs[i] = e
+	if i := trace.GetRecords(evs, payload); i >= 0 {
+		return nil, fmt.Errorf("wire: events payload: %w", trace.BadRecord(i, evs[i].Op))
 	}
 	return evs, nil
 }

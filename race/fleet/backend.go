@@ -25,7 +25,6 @@ import (
 	"net/http"
 
 	"repro/internal/obs/tracing"
-	"repro/race"
 	"repro/race/server"
 )
 
@@ -77,23 +76,19 @@ type Backend interface {
 	Proxy(w http.ResponseWriter, r *http.Request)
 }
 
-// Session is one streaming session held open through a backend. Close
-// returns the backend's canonical report JSON verbatim, so a report is
-// byte-identical whether the session stayed put or migrated. Release drops
-// the attachment without ending the session (durable sessions stay
-// resumable).
+// Session is one streaming session held open through a backend. Events
+// travel as bytes: FeedRecords takes the body of one Events frame — whole,
+// valid event records, which the router has already checked — and must not
+// keep recs after it returns. SetFlushContext hands the next Flush a trace
+// parent (the router's flush span, or the client's passed through) for the
+// backend's barrier spans. Close returns the backend's canonical report
+// JSON verbatim, so a report is byte-identical whether the session stayed
+// put or migrated. Release drops the attachment without ending the session
+// (durable sessions stay resumable).
 type Session interface {
-	Feed(evs []race.Event) error
+	FeedRecords(recs []byte) error
+	SetFlushContext(sc tracing.SpanContext)
 	Flush() (uint64, error)
 	Close() ([]byte, error)
 	Release()
-}
-
-// flushTraced is the optional Session extension for per-flush trace
-// propagation: SetFlushContext hands the router's flush span (or the
-// client's, passed through) to the backend, parenting the backend's
-// journal-fsync work under it. Sessions without it simply don't thread
-// flush traces — the Session seam stays minimal for other implementations.
-type flushTraced interface {
-	SetFlushContext(sc tracing.SpanContext)
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"net/http"
 
-	"repro/internal/obs/tracing"
-	"repro/race"
 	"repro/race/server"
 )
 
@@ -100,19 +98,11 @@ type faultSession struct {
 	gate func(op string) error
 }
 
-// SetFlushContext forwards flush trace context to the wrapped session when
-// it participates (interface embedding does not promote optional methods).
-func (s *faultSession) SetFlushContext(sc tracing.SpanContext) {
-	if ft, ok := s.Session.(flushTraced); ok {
-		ft.SetFlushContext(sc)
-	}
-}
-
-func (s *faultSession) Feed(evs []race.Event) error {
+func (s *faultSession) FeedRecords(recs []byte) error {
 	if err := s.gate("feed"); err != nil {
 		return err
 	}
-	return s.Session.Feed(evs)
+	return s.Session.FeedRecords(recs)
 }
 
 func (s *faultSession) Flush() (uint64, error) {

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs/tracing"
-	"repro/race"
+	"repro/internal/wire"
 	"repro/race/server"
 )
 
@@ -141,8 +141,12 @@ type localSession struct {
 // SetFlushContext parents the next Flush's server-side spans under sc.
 func (s *localSession) SetFlushContext(sc tracing.SpanContext) { s.flushSC = sc }
 
-func (s *localSession) Feed(evs []race.Event) error {
+func (s *localSession) FeedRecords(recs []byte) error {
 	if err := s.b.down(); err != nil {
+		return err
+	}
+	evs, err := wire.DecodeEvents(recs)
+	if err != nil {
 		return err
 	}
 	return s.sess.Feed(evs)

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/obs/tracing"
 	"repro/internal/wire"
-	"repro/race"
 	"repro/race/server"
 )
 
@@ -226,7 +225,7 @@ type remoteSession struct {
 // next Flush frame's optional trace payload.
 func (s *remoteSession) SetFlushContext(sc tracing.SpanContext) { s.sess.SetFlushContext(sc) }
 
-func (s *remoteSession) Feed(evs []race.Event) error { return s.sess.FeedBatch(evs) }
+func (s *remoteSession) FeedRecords(recs []byte) error { return s.sess.FeedRecords(recs) }
 
 func (s *remoteSession) Flush() (uint64, error) {
 	if err := s.sess.Flush(); err != nil {

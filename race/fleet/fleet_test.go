@@ -147,9 +147,8 @@ func TestMigrationMidStreamConformanceAllCells(t *testing.T) {
 		t.Errorf("migrated report differs from uninterrupted batch Analyze\n--- migrated ---\n%s\n--- batch ---\n%s", got, want)
 	}
 
-	m := rt.Snapshot()
-	if m.MigrationsCompleted == 0 || m.MigrationsFailed != 0 {
-		t.Errorf("metrics after migration: %+v", m)
+	if done, failed := rt.metrics.migCompleted.Value(), rt.metrics.migFailed.Value(); done == 0 || failed != 0 {
+		t.Errorf("metrics after migration: %d completed, %d failed", done, failed)
 	}
 }
 
@@ -204,12 +203,11 @@ func TestCrashMigrationConformanceAllCells(t *testing.T) {
 		t.Errorf("session %s still streaming on survivor after close", id)
 	}
 
-	m := rt.Snapshot()
-	if m.MigrationsCompleted == 0 {
-		t.Errorf("no completed migration recorded: %+v", m)
+	if rt.metrics.migCompleted.Value() == 0 {
+		t.Error("no completed migration recorded")
 	}
-	if st := m.Backends[holder.Name()]; st.Status != "down" {
-		t.Errorf("killed backend status %q, want down", st.Status)
+	if st := rt.health.status(holder.Name()); st != "down" {
+		t.Errorf("killed backend status %q, want down", st)
 	}
 }
 
@@ -314,11 +312,10 @@ func TestRouterSpreadsSessions(t *testing.T) {
 		}
 		c.Close()
 	}
-	m := rt.Snapshot()
 	var routed uint64
 	spread := 0
 	for _, b := range locals {
-		c := m.Backends[b.Name()].SessionsRouted
+		c := rt.metrics.sessionsRouted[b.Name()].Value()
 		routed += c
 		if c > 0 {
 			spread++

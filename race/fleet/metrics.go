@@ -13,9 +13,7 @@ import (
 //
 // Naming follows the canonical catalog (README "Observability"): the
 // fleet_ prefix, _total counters, _seconds histograms, and a backend label
-// on per-backend series. The legacy /metrics JSON keys (migrations_*,
-// redirects_sent, backends{...}) are derived from these same counters in
-// Snapshot, so the two views can never disagree.
+// on per-backend series.
 type fleetMetrics struct {
 	migStarted   *obs.Counter
 	migCompleted *obs.Counter

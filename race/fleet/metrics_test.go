@@ -10,15 +10,15 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 	"repro/internal/workload"
-	"repro/race"
 	"repro/race/server"
 )
 
 // TestFleetMetricsExposition drives a two-backend fleet through an open,
 // a migration, and a resume, then checks that the canonical fleet_*
-// series, the Prometheus exposition, and the legacy JSON document all
-// agree.
+// series, the Prometheus exposition, and the JSON view of the same
+// registry all agree.
 func TestFleetMetricsExposition(t *testing.T) {
 	rt, locals, _ := startFleet(t, 2)
 	ctx := context.Background()
@@ -31,7 +31,7 @@ func TestFleetMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Feed(append([]race.Event(nil), tr.Events[:512]...)); err != nil {
+	if err := sess.FeedRecords(wire.AppendEvents(nil, tr.Events[:512])); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sess.Flush(); err != nil {
@@ -61,14 +61,10 @@ func TestFleetMetricsExposition(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	legacy := rt.Snapshot()
-	if legacy.MigrationsStarted != 1 || legacy.MigrationsCompleted != 1 || legacy.MigrationsFailed != 0 {
-		t.Fatalf("migrations: %+v", legacy)
-	}
 	var routed, resumed uint64
-	for _, bm := range legacy.Backends {
-		routed += bm.SessionsRouted
-		resumed += bm.ResumesRouted
+	for _, name := range rt.names {
+		routed += rt.metrics.sessionsRouted[name].Value()
+		resumed += rt.metrics.resumesRouted[name].Value()
 	}
 	if routed != 1 || resumed != 1 {
 		t.Fatalf("routed=%d resumed=%d, want 1 and 1", routed, resumed)
@@ -116,7 +112,7 @@ func TestFleetMetricsExposition(t *testing.T) {
 		promRouted += s.Value
 	}
 	if promRouted != float64(routed) {
-		t.Errorf("prometheus routed sum %v != legacy %v", promRouted, routed)
+		t.Errorf("prometheus routed sum %v != registry %v", promRouted, routed)
 	}
 	upFam, ok := byName["fleet_backend_up"]
 	if !ok || len(upFam.Samples) != 2 {
@@ -146,7 +142,8 @@ func TestFleetMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// JSON view: canonical names alongside legacy aliases, same values.
+	// JSON view: the same snapshot under canonical names, and nothing else
+	// — the PR 4 aliases (migrations_completed, backends, …) are gone.
 	res2, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -156,19 +153,16 @@ func TestFleetMetricsExposition(t *testing.T) {
 	if err := json.NewDecoder(res2.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if body["migrations_completed"] != float64(1) {
-		t.Errorf("legacy migrations_completed = %v", body["migrations_completed"])
-	}
 	if body["fleet_migrations_completed_total"] != float64(1) {
 		t.Errorf("canonical fleet_migrations_completed_total = %v", body["fleet_migrations_completed_total"])
-	}
-	if _, ok := body["backends"]; !ok {
-		t.Error("legacy backends document missing")
 	}
 	foundRouted := false
 	for k := range body {
 		if strings.HasPrefix(k, `fleet_sessions_routed_total{backend="`) {
 			foundRouted = true
+		}
+		if !strings.HasPrefix(k, "fleet_") && !strings.HasPrefix(k, "go_") {
+			t.Errorf("JSON body has non-canonical key %q", k)
 		}
 	}
 	if !foundRouted {

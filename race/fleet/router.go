@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
+	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/race/server"
 )
@@ -406,22 +407,10 @@ type flushAckPayload struct {
 }
 
 // ServeTCP accepts wire-protocol connections until the listener closes,
-// one proxied session per connection.
+// one proxied session per connection, riding out transient accept failures
+// exactly as raced does (server.ServeListener).
 func (rt *Router) ServeTCP(lis net.Listener) error {
-	for {
-		conn, err := lis.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
-			return err
-		}
-		go rt.serveConn(conn)
-	}
+	return server.ServeListener(lis, rt.logger, rt.serveConn)
 }
 
 // serveConn proxies one client session onto its backend. Frame in, session
@@ -528,21 +517,27 @@ func (rt *Router) serveConn(conn net.Conn) {
 		return
 	}
 
+	// Every frame is read into one buffer (payload, starting with the
+	// hello's), reused for the connection's lifetime. An Events body is checked where it lies — frame checksum,
+	// whole records, valid ops — and forwarded verbatim, so frame boundaries
+	// (and with them the offsets backends ack) pass through unchanged.
 	for {
-		t, payload, err := wire.ReadFrame(br)
+		t, n, err := wire.ReadHeader(br)
+		if err == nil {
+			payload, err = wire.ReadBody(br, t, n, payload)
+		}
 		if err != nil {
 			sess.Release() // client vanished; durable sessions stay resumable
 			return
 		}
 		switch t {
 		case wire.TEvents:
-			evs, err := wire.DecodeEvents(payload)
-			if err != nil {
+			if err := trace.CheckRecords(payload); err != nil {
 				sess.Release()
 				sendErr(err)
 				return
 			}
-			if err := sess.Feed(evs); err != nil {
+			if err := sess.FeedRecords(payload); err != nil {
 				if isHandoffError(err) {
 					sess.Release()
 					sendRedirect()
@@ -573,8 +568,8 @@ func (rt *Router) serveConn(conn net.Conn) {
 				fsp.SetAttr("session", id)
 				downstream = fsp.Context()
 			}
-			if ft, ok := sess.(flushTraced); ok && downstream.Valid() {
-				ft.SetFlushContext(downstream)
+			if downstream.Valid() {
+				sess.SetFlushContext(downstream)
 			}
 			n, err := sess.Flush()
 			fsp.SetError(err)

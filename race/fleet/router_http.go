@@ -11,53 +11,6 @@ import (
 	"repro/race/server"
 )
 
-// Metrics is the router's GET /metrics document: fleet-level routing and
-// migration counters plus per-backend health and routing state — the
-// signals the load harness (ROADMAP item 2) scrapes.
-type Metrics struct {
-	MigrationsStarted   uint64 `json:"migrations_started"`
-	MigrationsCompleted uint64 `json:"migrations_completed"`
-	MigrationsFailed    uint64 `json:"migrations_failed"`
-	RedirectsSent       uint64 `json:"redirects_sent"`
-
-	Backends map[string]BackendMetrics `json:"backends"`
-}
-
-// BackendMetrics is one backend's slice of the router metrics.
-type BackendMetrics struct {
-	// Status is "up", "draining", or "down" as the prober sees it.
-	Status string `json:"status"`
-	// SessionsRouted counts fresh sessions placed on the backend;
-	// ResumesRouted counts re-attachments landed there.
-	SessionsRouted uint64 `json:"sessions_routed"`
-	ResumesRouted  uint64 `json:"resumes_routed"`
-	// ProbeFailures counts failed health probes (total, not consecutive).
-	ProbeFailures uint64 `json:"probe_failures"`
-}
-
-// Snapshot returns the router's metrics. The document's keys predate the
-// obs registry and are kept as aliases of the canonical fleet_* series
-// (same counters, so the views cannot disagree); scrape the registry for
-// the canonical names.
-func (rt *Router) Snapshot() Metrics {
-	m := Metrics{
-		MigrationsStarted:   rt.metrics.migStarted.Value(),
-		MigrationsCompleted: rt.metrics.migCompleted.Value(),
-		MigrationsFailed:    rt.metrics.migFailed.Value(),
-		RedirectsSent:       rt.metrics.redirects.Value(),
-		Backends:            make(map[string]BackendMetrics, len(rt.names)),
-	}
-	for _, name := range rt.names {
-		m.Backends[name] = BackendMetrics{
-			Status:         rt.health.status(name),
-			SessionsRouted: rt.metrics.sessionsRouted[name].Value(),
-			ResumesRouted:  rt.metrics.resumesRouted[name].Value(),
-			ProbeFailures:  rt.metrics.probeFailures[name].Value(),
-		}
-	}
-	return m
-}
-
 // Handler returns the router's HTTP API — the raced API plus fleet admin:
 //
 //	POST /sessions                      open (router assigns the id, routes
@@ -66,7 +19,8 @@ func (rt *Router) Snapshot() Metrics {
 //	*    /sessions/{id}...              proxied to the session's backend
 //	POST /ingest                        one-shot ingest on any routable backend
 //	GET  /healthz                       router readiness (≥1 routable backend)
-//	GET  /metrics                       fleet metrics (Metrics document)
+//	GET  /metrics                       the fleet_* metric registry (JSON, or
+//	                                    Prometheus text)
 //	POST /admin/backends/{name}/drain   drain a backend fleet-wide
 //	POST /admin/sessions/{id}/migrate   ?to=backend — migrate a session
 func (rt *Router) Handler() http.Handler {
@@ -238,28 +192,18 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]any{"ok": ok, "routable_backends": routable, "backends": status})
 }
 
-// handleMetrics serves the registry two ways: Prometheus text exposition
-// under ?format=prometheus or an Accept header asking for text/plain (how
-// Prometheus itself scrapes), otherwise the canonical-name JSON map with
-// the legacy Metrics document merged over it (legacy keys win, as aliases
-// for one release).
+// handleMetrics serves the one registry snapshot two ways: Prometheus text
+// exposition under ?format=prometheus or an Accept header asking for
+// text/plain (how Prometheus itself scrapes), otherwise the same snapshot as
+// a JSON map keyed by canonical metric name.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	snap := rt.reg.Snapshot()
 	if r.URL.Query().Get("format") == "prometheus" || obs.AcceptsText(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", obs.TextContentType)
-		obs.WriteText(w, rt.reg.Snapshot())
+		obs.WriteText(w, snap)
 		return
 	}
-	body := obs.JSONMap(rt.reg.Snapshot())
-	legacy, err := json.Marshal(rt.Snapshot())
-	if err == nil {
-		var m map[string]any
-		if json.Unmarshal(legacy, &m) == nil {
-			for k, v := range m {
-				body[k] = v
-			}
-		}
-	}
-	writeJSON(w, body)
+	writeJSON(w, obs.JSONMap(snap))
 }
 
 // handleDrainBackend drains one backend and marks it unroutable

@@ -295,9 +295,8 @@ type RemoteSession struct {
 	c         *Client
 	id        string
 	batchSize int
-	buf       []race.Event
-	scratch   []byte // reused frame-payload encoding buffer
-	flushed   uint64 // server-acknowledged offset from the last Flush
+	buf       []race.Event // pending events of Feed and short FeedBatch runs
+	flushed   uint64       // server-acknowledged offset from the last Flush
 	closed    bool
 	err       error
 	span      *tracing.Span       // session span when the client has a tracer
@@ -356,12 +355,14 @@ func (s *RemoteSession) Feed(ev race.Event) error {
 	}
 	s.buf = append(s.buf, ev)
 	if len(s.buf) >= s.batchSize {
-		return s.ship()
+		return s.ship(nil)
 	}
 	return nil
 }
 
-// FeedBatch buffers a run of events, shipping when the pending batch fills.
+// FeedBatch buffers a run of events, shipping when the pending batch
+// fills. The run that fills it is encoded straight from evs onto the
+// connection (after anything pending), never copied into the session.
 func (s *RemoteSession) FeedBatch(evs []race.Event) error {
 	if s.err != nil {
 		return s.err
@@ -369,32 +370,53 @@ func (s *RemoteSession) FeedBatch(evs []race.Event) error {
 	if s.closed {
 		return errors.New("server: FeedBatch on closed remote session")
 	}
+	if len(s.buf)+len(evs) >= s.batchSize {
+		return s.ship(evs)
+	}
 	s.buf = append(s.buf, evs...)
-	if len(s.buf) >= s.batchSize {
-		return s.ship()
+	return nil
+}
+
+// FeedRecords ships recs — whole, valid event records, the body of one
+// Events frame — as one frame, verbatim: the forwarding path of the fleet
+// router, which has the bytes in hand and no reason to decode them.
+func (s *RemoteSession) FeedRecords(recs []byte) error {
+	if s.err != nil {
+		return s.err
+	}
+	if s.closed {
+		return errors.New("server: FeedRecords on closed remote session")
+	}
+	if err := s.ship(nil); err != nil {
+		return err
+	}
+	if err := wire.WriteFrame(s.c.bw, wire.TEvents, recs); err != nil {
+		return s.fail(err)
 	}
 	return nil
 }
 
-// ship sends the pending batch as Events frames, chunking runs larger
-// than a frame's payload limit across several frames.
-func (s *RemoteSession) ship() error {
+// ship sends the pending batch, then run, as Events frames, chunking runs
+// larger than a frame's payload limit across several frames.
+func (s *RemoteSession) ship(run []race.Event) error {
 	var ssp *tracing.Span
-	if s.c.tracer != nil && len(s.buf) > 0 {
+	if n := len(s.buf) + len(run); s.c.tracer != nil && n > 0 {
 		ssp = s.c.tracer.Child("client.ship", s.span.Context())
-		ssp.SetInt("events", int64(len(s.buf)))
+		ssp.SetInt("events", int64(n))
 	}
-	for off := 0; off < len(s.buf); off += wire.MaxFrameEvents {
-		end := min(off+wire.MaxFrameEvents, len(s.buf))
-		s.scratch = wire.AppendEvents(s.scratch[:0], s.buf[off:end])
-		if err := wire.WriteFrame(s.c.bw, wire.TEvents, s.scratch); err != nil {
-			s.buf = s.buf[:0]
-			ssp.SetError(err)
-			ssp.End()
-			return s.fail(err)
+	pending := s.buf
+	s.buf = s.buf[:0]
+	for _, evs := range [2][]race.Event{pending, run} {
+		for len(evs) > 0 {
+			n := min(len(evs), wire.MaxFrameEvents)
+			if err := wire.WriteEvents(s.c.bw, evs[:n]); err != nil {
+				ssp.SetError(err)
+				ssp.End()
+				return s.fail(err)
+			}
+			evs = evs[n:]
 		}
 	}
-	s.buf = s.buf[:0]
 	ssp.End()
 	return nil
 }
@@ -429,7 +451,7 @@ func (s *RemoteSession) Flush() error {
 // flushWire runs the wire flush barrier, attaching traceparent tp (when
 // non-empty) as the Flush frame's payload.
 func (s *RemoteSession) flushWire(tp string) error {
-	if err := s.ship(); err != nil {
+	if err := s.ship(nil); err != nil {
 		return err
 	}
 	var payload []byte
@@ -489,7 +511,7 @@ func (s *RemoteSession) CloseJSON() ([]byte, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	if err := s.ship(); err != nil {
+	if err := s.ship(nil); err != nil {
 		return nil, err
 	}
 	if err := wire.WriteFrame(s.c.bw, wire.TEOF, nil); err != nil {

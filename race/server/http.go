@@ -34,7 +34,7 @@ import (
 //	                                 report (query: analysis=A,B&vindicate=1)
 //	GET    /healthz                  readiness: 503 while draining or with an
 //	                                 unwritable data dir; reports occupancy
-//	GET    /metrics                  expvar-style counters
+//	GET    /metrics                  the metric registry (JSON, or Prometheus text)
 //
 // Fleet administration (the router's control surface):
 //
@@ -201,46 +201,33 @@ const ingestBatch = 4096
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, sess *Session) {
 	br := bufio.NewReaderSize(r.Body, 1<<16)
-	var (
-		sc    = tracing.FromContext(r.Context())
-		rec   [trace.RecordSize]byte
-		batch = make([]race.Event, 0, ingestBatch)
-		fed   uint64
-	)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
+	sc := tracing.FromContext(r.Context())
+	var fed uint64
+	for done := false; !done; {
+		slab := sess.takeSlab()
+		if cap(slab) < ingestBatch {
+			slab = make([]race.Event, ingestBatch)
 		}
-		run := batch
-		batch = make([]race.Event, 0, ingestBatch)
-		fed += uint64(len(run))
-		return sess.FeedCtx(sc, run)
-	}
-	for {
-		_, err := io.ReadFull(br, rec[:])
-		if err == io.EOF {
-			break
+		n, bad, err := trace.ReadRecords(br, slab[:ingestBatch], nil)
+		done = err == io.EOF
+		switch {
+		case bad >= 0:
+			err = trace.BadRecord(bad, slab[bad].Op)
+		case done:
+			err = nil
+		case err != nil:
+			err = fmt.Errorf("truncated event record: %w", err)
 		}
 		if err != nil {
-			http.Error(w, fmt.Sprintf("truncated event record: %v", err), http.StatusBadRequest)
-			return
-		}
-		ev, err := trace.GetRecord(rec[:])
-		if err != nil {
+			sess.putSlab(slab)
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		batch = append(batch, ev) // race.Event is an alias of trace.Event
-		if len(batch) >= ingestBatch {
-			if err := flush(); err != nil {
-				httpError(w, err)
-				return
-			}
+		if err := sess.feed(sc, slab[:n], true); err != nil {
+			httpError(w, err)
+			return
 		}
-	}
-	if err := flush(); err != nil {
-		httpError(w, err)
-		return
+		fed += uint64(n)
 	}
 	writeJSON(w, map[string]uint64{"fed": fed})
 }
@@ -471,24 +458,16 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]uint64{"fed": offset})
 }
 
-// handleMetrics serves the registry two ways: ?format=prometheus — or a
-// Prometheus-style Accept: text/plain; version=0.0.4 header — emits the
-// text exposition (v0.0.4); the default JSON body carries every
-// canonical metric (see the README catalog) plus the legacy PR 4 keys
-// as aliases, kept for one release so existing scrapers keep working.
+// handleMetrics serves the one registry snapshot two ways: ?format=prometheus
+// — or a Prometheus-style Accept: text/plain; version=0.0.4 header — emits
+// the text exposition (v0.0.4); the default is the same snapshot as a JSON
+// map keyed by canonical metric name (see the README catalog).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	snap := s.Registry().Snapshot()
 	if r.URL.Query().Get("format") == "prometheus" || obs.AcceptsText(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", obs.TextContentType)
-		obs.WriteText(w, s.Registry().Snapshot())
+		obs.WriteText(w, snap)
 		return
 	}
-	body := obs.JSONMap(s.Registry().Snapshot())
-	legacy, _ := json.Marshal(s.Metrics())
-	var alias map[string]any
-	if json.Unmarshal(legacy, &alias) == nil {
-		for k, v := range alias {
-			body[k] = v
-		}
-	}
-	writeJSON(w, body)
+	writeJSON(w, obs.JSONMap(snap))
 }

@@ -441,13 +441,14 @@ func (s *Server) recoverOpen(parent tracing.SpanContext, dir string, meta sessio
 		return err
 	}
 	sess := &Session{
-		ID:   meta.ID,
-		cfg:  meta.Config,
-		srv:  s,
-		dir:  dir,
-		jlog: jlog,
-		work: make(chan workItem, s.cfg.QueueDepth),
-		done: make(chan struct{}),
+		ID:    meta.ID,
+		cfg:   meta.Config,
+		srv:   s,
+		dir:   dir,
+		jlog:  jlog,
+		work:  make(chan workItem, s.cfg.QueueDepth),
+		done:  make(chan struct{}),
+		slabs: newSlabs(),
 	}
 	// Replay spans (and the session's later ingest spans, until a
 	// connection re-attaches) parent under the recovery tree.
@@ -501,12 +502,17 @@ func (sess *Session) replayJournal(sink engineSink) (err error) {
 		return err
 	}
 	defer r.Close()
-	batch := make([]race.Event, 0, replayChunk)
-	flush := func() error {
-		if len(batch) == 0 {
+	// The engine copies what it retains, so one buffer serves every batch.
+	batch := make([]race.Event, replayChunk)
+	for {
+		n, err := r.ReadBatch(batch)
+		if err == io.EOF {
 			return nil
 		}
-		if err := feedSafe(sink, batch); err != nil {
+		if err != nil {
+			return err
+		}
+		if err := feedSafe(sink, batch[:n]); err != nil {
 			return err
 		}
 		// Recovery work, not new ingest: the original run already counted
@@ -514,28 +520,10 @@ func (sess *Session) replayJournal(sink engineSink) (err error) {
 		// session's own cursor (double-counting would spike events_total
 		// after every restart).
 		sess.mu.Lock()
-		sess.fed += uint64(len(batch))
+		sess.fed += uint64(n)
 		sess.mu.Unlock()
-		replayed += uint64(len(batch))
-		batch = batch[:0]
-		return nil
+		replayed += uint64(n)
 	}
-	for {
-		ev, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		batch = append(batch, ev)
-		if len(batch) == replayChunk {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
 }
 
 // Shutdown is the graceful counterpart of Close for a durable server:

@@ -100,8 +100,8 @@ func TestMetricsScrapeConsistency(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONBackCompat: the JSON /metrics body still carries every
-// legacy PR 4 key (aliases for one release) alongside canonical names.
+// TestMetricsJSONBackCompat: the registry carries the whole catalog under
+// canonical names (the PR 4 JSON document and its typed snapshot are gone).
 func TestMetricsJSONBackCompat(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
@@ -118,12 +118,11 @@ func TestMetricsJSONBackCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := srv.Metrics()
-	if snap.EventsTotal != uint64(len(tr.Events)) {
-		t.Errorf("events_total = %d, want %d", snap.EventsTotal, len(tr.Events))
+	if got := srv.metrics.analyzed.Value(); got != uint64(len(tr.Events)) {
+		t.Errorf("raced_events_analyzed_total = %d, want %d", got, len(tr.Events))
 	}
-	if snap.SessionsOpened != 1 || snap.ActiveSessions != 1 {
-		t.Errorf("sessions: %+v", snap)
+	if opened, active := srv.metrics.opened.Value(), srv.ActiveSessions(); opened != 1 || active != 1 {
+		t.Errorf("sessions: %d opened, %d active", opened, active)
 	}
 
 	var b strings.Builder
@@ -244,9 +243,6 @@ func TestRejectedReasonSplit(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
-	}
-	if got := srv.Metrics().SessionsRejected; got != 2 {
-		t.Errorf("sessions_rejected sum = %d, want 2", got)
 	}
 }
 

@@ -545,12 +545,4 @@ func TestSessionListingAndPerSessionMetrics(t *testing.T) {
 	if st := byID[closed.ID]; st.State != "finished" || st.Events != uint64(len(tr.Events)) || st.Races == 0 {
 		t.Errorf("finished session status %+v", st)
 	}
-
-	m := s.Metrics()
-	if got, want := m.SessionEvents[open.ID], uint64(len(tr.Events)); got != want {
-		t.Errorf("metrics session_events[%s] = %d, want %d", open.ID, got, want)
-	}
-	if _, ok := m.SessionEvents[closed.ID]; ok {
-		t.Errorf("metrics session_events lists finished session %s", closed.ID)
-	}
 }

@@ -183,7 +183,7 @@ type metrics struct {
 	start time.Time
 
 	// Ingest pipeline, registered downstream-first (see above).
-	analyzed  *obs.Counter        // raced_events_analyzed_total (legacy events_total)
+	analyzed  *obs.Counter        // raced_events_analyzed_total
 	eng       *race.EngineMetrics // raced_engine_* (shared by every session's engine)
 	journaled *obs.Counter        // raced_events_journaled_total
 	enqueued  *obs.Counter        // raced_events_enqueued_total
@@ -227,19 +227,11 @@ type rejectedCounters struct {
 	shutdown   *obs.Counter // open raced server Close
 }
 
-// total sums every reason — the legacy single-counter view kept by the
-// JSON MetricsSnapshot. Each Value() is an atomic load; the sum is as
-// consistent as any multi-counter scrape.
-func (r *rejectedCounters) total() uint64 {
-	return r.full.Value() + r.draining.Value() + r.config.Value() +
-		r.idConflict.Value() + r.io.Value() + r.shutdown.Value()
-}
-
 // init registers the server metric catalog. s is only captured by the
 // gauge closures, which run at snapshot time.
 func (m *metrics) init(reg *obs.Registry, s *Server) {
 	m.analyzed = reg.Counter("raced_events_analyzed_total",
-		"Events fully applied to their session's analyses (legacy events_total).")
+		"Events fully applied to their session's analyses.")
 	m.eng = race.NewEngineMetrics(reg, "raced_engine")
 	m.journaled = reg.Counter("raced_events_journaled_total",
 		"Events committed past the write-ahead journal stage (a no-op pass-through on memory-only servers).")
@@ -296,29 +288,6 @@ func (m *metrics) init(reg *obs.Registry, s *Server) {
 		SyncSeconds: reg.Histogram("raced_journal_fsync_seconds",
 			"Journal Sync (flush + fsync) inside flush barriers.", obs.LatencyBuckets()),
 	}
-}
-
-// MetricsSnapshot is one reading of the server's counters.
-type MetricsSnapshot struct {
-	ActiveSessions   int    `json:"active_sessions"`
-	SessionsOpened   uint64 `json:"sessions_opened"`
-	SessionsClosed   uint64 `json:"sessions_closed"`
-	SessionsEvicted  uint64 `json:"sessions_evicted"`
-	SessionsRejected uint64 `json:"sessions_rejected"`
-	SessionsFailed   uint64 `json:"sessions_failed"`
-	// SessionsSuspended counts single-session suspends (the source half of
-	// a fleet migration); SessionsImported counts single-session recoveries
-	// (the target half). Whole-server Recover resumptions are not imports.
-	SessionsSuspended uint64  `json:"sessions_suspended"`
-	SessionsImported  uint64  `json:"sessions_imported"`
-	EventsTotal       uint64  `json:"events_total"`
-	BatchesTotal      uint64  `json:"batches_total"`
-	RacesTotal        uint64  `json:"races_total"`
-	UptimeSeconds     float64 `json:"uptime_seconds"`
-	EventsPerSecond   float64 `json:"events_per_second"`
-	// SessionEvents maps each live session to the event count its engine
-	// has consumed — the per-tenant load view.
-	SessionEvents map[string]uint64 `json:"session_events,omitempty"`
 }
 
 // New builds a Server and starts its idle-eviction janitor (unless eviction
@@ -499,10 +468,11 @@ func (s *Server) openSession(reqID string, cfg SessionConfig, persist bool) (*Se
 	s.mu.Unlock()
 
 	sess := &Session{
-		cfg:  cfg,
-		srv:  s,
-		work: make(chan workItem, s.cfg.QueueDepth),
-		done: make(chan struct{}),
+		cfg:   cfg,
+		srv:   s,
+		work:  make(chan workItem, s.cfg.QueueDepth),
+		done:  make(chan struct{}),
+		slabs: newSlabs(),
 	}
 	sink, err := s.cfg.newSink(cfg, sess.onRace)
 	if err != nil {
@@ -751,44 +721,6 @@ func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
 // front ends can mount /debug/traces and daemons can share it.
 func (s *Server) Tracer() *tracing.Tracer { return s.cfg.Tracer }
 
-// Metrics returns a snapshot of the server's counters in the legacy
-// (PR 4) JSON shape. The events_total read happens first — it is the
-// downstream end of the ingest pipeline — so the snapshot can never
-// claim more analyzed events than accepted ones.
-func (s *Server) Metrics() MetricsSnapshot {
-	up := s.cfg.now().Sub(s.metrics.start).Seconds()
-	events := s.metrics.analyzed.Value()
-	s.mu.Lock()
-	live := make([]*Session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
-	}
-	s.mu.Unlock()
-	perSession := make(map[string]uint64, len(live))
-	for _, sess := range live {
-		perSession[sess.ID] = sess.Fed()
-	}
-	snap := MetricsSnapshot{
-		ActiveSessions:    s.ActiveSessions(),
-		SessionEvents:     perSession,
-		SessionsOpened:    s.metrics.opened.Value(),
-		SessionsClosed:    s.metrics.closed.Value(),
-		SessionsEvicted:   s.metrics.evicted.Value(),
-		SessionsRejected:  s.metrics.rejected.total(),
-		SessionsFailed:    s.metrics.failed.Value(),
-		SessionsSuspended: s.metrics.suspended.Value(),
-		SessionsImported:  s.metrics.imported.Value(),
-		EventsTotal:       events,
-		BatchesTotal:      s.metrics.batches.Value(),
-		RacesTotal:        s.metrics.races.Value(),
-		UptimeSeconds:     up,
-	}
-	if up > 0 {
-		snap.EventsPerSecond = float64(events) / up
-	}
-	return snap
-}
-
 // janitor periodically evicts idle sessions.
 func (s *Server) janitor() {
 	defer close(s.janitorDone)
@@ -898,7 +830,10 @@ func (s *Server) Close() error {
 // applied.
 type workItem struct {
 	events []race.Event
-	ack    chan error
+	// recycle marks events as one of the session's slabs: the feeder hands
+	// it back (putSlab) once journal and engine are done with the batch.
+	recycle bool
+	ack     chan error
 	// trace is the span context the feeder parents its journal/engine
 	// spans under: the enqueue span for a batch, the flush span for a
 	// barrier. Zero when tracing is off or no context reached the session.
@@ -925,6 +860,13 @@ type Session struct {
 	closing  bool
 	work     chan workItem
 	done     chan struct{} // feeder exited; report/err final
+
+	// slabs is the free list of event slabs that front ends decode into
+	// (takeSlab/putSlab): exactly two tokens circulate, so one batch is
+	// decoded while the feeder works on the previous one and steady-state
+	// ingest allocates nothing. A token starts empty and grows to the
+	// largest batch seen.
+	slabs chan []race.Event
 
 	mu         sync.Mutex
 	lastActive time.Time
@@ -1013,45 +955,13 @@ func (sess *Session) run(sink engineSink) {
 			item.ack <- sess.Err()
 			continue
 		}
-		if sess.Err() != nil {
-			continue // poisoned: drain and discard so producers never block
+		// A poisoned session drains and discards, so producers never block.
+		if sess.Err() == nil {
+			sess.ingest(sink, item)
 		}
-		// Write-ahead: the journal sees the batch before the engine, so a
-		// crash can lose unjournaled analysis work but never journal an
-		// event the engine might not have seen on replay.
-		if sess.jlog != nil {
-			jsp := sess.startSpan("raced.journal.append", item.trace)
-			jsp.SetInt("events", int64(len(item.events)))
-			t0 := time.Now()
-			err := sess.jlog.AppendBatch(item.events)
-			sess.srv.metrics.journalAppend.ObserveDuration(time.Since(t0))
-			jsp.SetError(err)
-			jsp.End()
-			if err != nil {
-				if sess.fail(fmt.Errorf("%w: journaling batch: %w", ErrDiskFault, err)) {
-					sess.srv.metrics.failed.Add(1)
-					sess.srv.noteIOFault(err)
-				}
-				continue
-			}
+		if item.recycle {
+			sess.putSlab(item.events)
 		}
-		sess.srv.metrics.journaled.Add(uint64(len(item.events)))
-		asp := sess.startSpan("raced.engine.analyze", item.trace)
-		asp.SetInt("events", int64(len(item.events)))
-		if err := feedSafe(sink, item.events); err != nil {
-			asp.SetError(err)
-			asp.End()
-			if sess.fail(err) {
-				sess.srv.metrics.failed.Add(1)
-			}
-			continue
-		}
-		asp.End()
-		sess.srv.metrics.analyzed.Add(uint64(len(item.events)))
-		sess.srv.metrics.batches.Add(1)
-		sess.mu.Lock()
-		sess.fed += uint64(len(item.events))
-		sess.mu.Unlock()
 	}
 	if sess.isSuspended() {
 		// Graceful shutdown: seal the journal (Close syncs it) and discard
@@ -1111,6 +1021,46 @@ func (sess *Session) run(sink engineSink) {
 		}
 		sess.persistState(stateAborted, sess.Fed())
 	}
+}
+
+// ingest applies one batch on the feeder goroutine: journal, then engine.
+func (sess *Session) ingest(sink engineSink, item workItem) {
+	// Write-ahead: the journal sees the batch before the engine, so a
+	// crash can lose unjournaled analysis work but never journal an
+	// event the engine might not have seen on replay.
+	if sess.jlog != nil {
+		jsp := sess.startSpan("raced.journal.append", item.trace)
+		jsp.SetInt("events", int64(len(item.events)))
+		t0 := time.Now()
+		err := sess.jlog.AppendBatch(item.events)
+		sess.srv.metrics.journalAppend.ObserveDuration(time.Since(t0))
+		jsp.SetError(err)
+		jsp.End()
+		if err != nil {
+			if sess.fail(fmt.Errorf("%w: journaling batch: %w", ErrDiskFault, err)) {
+				sess.srv.metrics.failed.Add(1)
+				sess.srv.noteIOFault(err)
+			}
+			return
+		}
+	}
+	sess.srv.metrics.journaled.Add(uint64(len(item.events)))
+	asp := sess.startSpan("raced.engine.analyze", item.trace)
+	asp.SetInt("events", int64(len(item.events)))
+	if err := feedSafe(sink, item.events); err != nil {
+		asp.SetError(err)
+		asp.End()
+		if sess.fail(err) {
+			sess.srv.metrics.failed.Add(1)
+		}
+		return
+	}
+	asp.End()
+	sess.srv.metrics.analyzed.Add(uint64(len(item.events)))
+	sess.srv.metrics.batches.Add(1)
+	sess.mu.Lock()
+	sess.fed += uint64(len(item.events))
+	sess.mu.Unlock()
 }
 
 // isSuspended reports whether graceful shutdown quiesced this session.
@@ -1230,16 +1180,69 @@ func (sess *Session) Feed(events []race.Event) error {
 // spans for this batch parent under it. A zero parent falls back to the
 // session's connection-level context.
 func (sess *Session) FeedCtx(parent tracing.SpanContext, events []race.Event) error {
+	return sess.feed(parent, events, false)
+}
+
+// maxSlabEvents bounds the slabs a session keeps: a frame past it (1.5 MiB
+// of records; clients ship 2048-event frames by default) is decoded into a
+// one-off buffer instead of pinning that much per session.
+const maxSlabEvents = 1 << 17
+
+func newSlabs() chan []race.Event {
+	slabs := make(chan []race.Event, 2)
+	slabs <- nil
+	slabs <- nil
+	return slabs
+}
+
+// takeSlab takes one of the session's two event slabs, waiting for the
+// feeder to finish with one when both are in flight. Whoever takes a slab
+// hands it (or the grown slab that replaced it) back exactly once: feed
+// with recycle set does so on every path, putSlab otherwise.
+func (sess *Session) takeSlab() []race.Event {
+	slab := <-sess.slabs
+	select {
+	case other := <-sess.slabs:
+		// Both are free: work in the one already grown (and cache-warm). The
+		// second grows only once batches overlap — a client that waits for
+		// every flush ack never makes it.
+		if cap(other) > cap(slab) {
+			slab, other = other, slab
+		}
+		sess.slabs <- other
+	default:
+	}
+	return slab
+}
+
+// putSlab returns a slab to the free list.
+func (sess *Session) putSlab(slab []race.Event) {
+	if cap(slab) > maxSlabEvents {
+		slab = nil
+	}
+	sess.slabs <- slab[:0]
+}
+
+// feed enqueues one batch. With recycle set, events is a slab from takeSlab
+// and goes back to the free list when the feeder is done with it — or here,
+// when the batch is refused.
+func (sess *Session) feed(parent tracing.SpanContext, events []race.Event, recycle bool) error {
+	refuse := func(err error) error {
+		if recycle {
+			sess.putSlab(events)
+		}
+		return err
+	}
 	if len(events) == 0 {
-		return sess.Err()
+		return refuse(sess.Err())
 	}
 	sess.ingestMu.Lock()
 	defer sess.ingestMu.Unlock()
 	if sess.closing {
-		return sess.closedErr()
+		return refuse(sess.closedErr())
 	}
 	if err := sess.Err(); err != nil {
-		return err
+		return refuse(err)
 	}
 	sess.touch()
 	sp := sess.startSpan("raced.enqueue", parent)
@@ -1251,7 +1254,7 @@ func (sess *Session) FeedCtx(parent tracing.SpanContext, events []race.Event) er
 	// interleaving with a scrape.
 	sess.srv.metrics.enqueued.Add(uint64(len(events)))
 	sess.srv.metrics.queueDepth.Observe(float64(len(sess.work)))
-	item := workItem{events: events, trace: sp.Context()}
+	item := workItem{events: events, recycle: recycle, trace: sp.Context()}
 	select {
 	case sess.work <- item:
 		// Free slot: record a zero wait so the histogram's count matches

@@ -62,9 +62,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if s.ActiveSessions() != 0 {
 		t.Fatalf("session still registered after Close")
 	}
-	m := s.Metrics()
-	if m.EventsTotal != uint64(tr.Len()) || m.RacesTotal != 2 || m.SessionsClosed != 1 {
-		t.Fatalf("metrics = %+v", m)
+	if m := &s.metrics; m.analyzed.Value() != uint64(tr.Len()) || m.races.Value() != 2 || m.closed.Value() != 1 {
+		t.Fatalf("metrics: analyzed %d, races %d, closed %d", m.analyzed.Value(), m.races.Value(), m.closed.Value())
 	}
 
 	// Close is idempotent and Feed after Close errors.
@@ -95,7 +94,7 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := s.OpenSession(SessionConfig{}); err != nil {
 		t.Fatalf("after freeing a slot: %v", err)
 	}
-	if got := s.Metrics().SessionsRejected; got != 1 {
+	if got := s.metrics.rejected.full.Value(); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
 }
@@ -138,7 +137,7 @@ func TestIdleEviction(t *testing.T) {
 	if _, err := busy.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Metrics().SessionsEvicted; got != 1 {
+	if got := s.metrics.evicted.Value(); got != 1 {
 		t.Fatalf("evicted counter = %d, want 1", got)
 	}
 }
@@ -205,7 +204,7 @@ func TestPanicIsolation(t *testing.T) {
 	if rep.Dynamic() != 1 {
 		t.Fatalf("healthy session found %d races, want 1", rep.Dynamic())
 	}
-	if got := s.Metrics().SessionsFailed; got == 0 {
+	if got := s.metrics.failed.Value(); got == 0 {
 		t.Fatal("failed counter not incremented")
 	}
 }
@@ -330,14 +329,18 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("archived report = %+v", archived)
 	}
 
-	var metrics MetricsSnapshot
+	// JSON /metrics is the registry snapshot under canonical names only.
+	var metrics map[string]any
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	decode(resp, &metrics)
-	if metrics.EventsTotal != uint64(tr.Len()) || metrics.RacesTotal != 2 {
+	if metrics["raced_events_analyzed_total"] != float64(tr.Len()) || metrics["raced_races_total"] != float64(2) {
 		t.Fatalf("metrics = %+v", metrics)
+	}
+	if _, ok := metrics["events_total"]; ok {
+		t.Error("legacy events_total alias still served")
 	}
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"syscall"
 	"time"
 
 	"repro/internal/obs/tracing"
+	"repro/internal/trace"
 	"repro/internal/wire"
+	"repro/race"
 )
 
 // errProto marks server-detected protocol violations (bad frame sequence,
@@ -127,9 +130,17 @@ type flushAckPayload struct {
 // ServeTCP accepts raw-TCP wire-protocol connections until the listener
 // closes. Each connection carries one session; connection handling is
 // panic-isolated, so a protocol bug on one connection cannot take the
-// acceptor down. Transient accept failures (fd exhaustion under load)
-// are retried with backoff instead of killing the multi-tenant server.
+// acceptor down.
 func (s *Server) ServeTCP(lis net.Listener) error {
+	return ServeListener(lis, s.cfg.Logger, s.serveConn)
+}
+
+// ServeListener is the accept loop raced and the fleet router share: it
+// hands every accepted connection to serve on its own goroutine until the
+// listener closes (a nil return). Transient accept failures (fd exhaustion
+// under load) are retried with capped backoff instead of killing a
+// multi-tenant front end; any other accept error is returned.
+func ServeListener(lis net.Listener, logger *slog.Logger, serve func(net.Conn)) error {
 	delay := 5 * time.Millisecond
 	for {
 		conn, err := lis.Accept()
@@ -139,8 +150,7 @@ func (s *Server) ServeTCP(lis net.Listener) error {
 			}
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() || isTemporaryAcceptError(err) {
-				s.cfg.Logger.Warn("accept failed, retrying",
-					"err", err, "delay", delay)
+				logger.Warn("accept failed, retrying", "err", err, "delay", delay)
 				time.Sleep(delay)
 				if delay *= 2; delay > time.Second {
 					delay = time.Second
@@ -150,7 +160,7 @@ func (s *Server) ServeTCP(lis net.Listener) error {
 			return err
 		}
 		delay = 5 * time.Millisecond
-		go s.serveConn(conn)
+		go serve(conn)
 	}
 }
 
@@ -292,7 +302,31 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 
 	for {
-		t, payload, err := wire.ReadFrame(br)
+		// An Events body is decoded straight out of br into one of the
+		// session's two slabs (taking one waits for the feeder to be done
+		// with it — the connection's backpressure); nothing of the frame
+		// reaches the session before its checksum has verified.
+		t, n, err := wire.ReadHeader(br)
+		var (
+			payload []byte
+			evs     []race.Event
+		)
+		switch {
+		case err != nil:
+		case t == wire.TEvents:
+			slab := sess.takeSlab()
+			if evs, err = wire.ReadEvents(br, n, slab); err != nil {
+				sess.putSlab(slab)
+			}
+		default:
+			payload, err = wire.ReadBody(br, t, n, nil)
+		}
+		if errors.Is(err, trace.ErrBadRecords) {
+			err = fmt.Errorf("%w: %v", errProto, err)
+			sess.abort(err)
+			sendErr(err)
+			return
+		}
 		if err != nil {
 			// Client vanished mid-session (including clean EOF without the
 			// EOF frame): free the slot (or, for a durable session, leave
@@ -303,14 +337,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		switch t {
 		case wire.TEvents:
-			evs, err := wire.DecodeEvents(payload)
-			if err != nil {
-				err = fmt.Errorf("%w: %v", errProto, err)
-				sess.abort(err)
-				sendErr(err)
-				return
-			}
-			if err := sess.Feed(evs); err != nil {
+			if err := sess.feed(tracing.SpanContext{}, evs, true); err != nil {
 				// Sticky ingestion error: report it and end the session.
 				sess.Close()
 				sendErr(err)

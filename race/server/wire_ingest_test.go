@@ -1,0 +1,241 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net"
+	"sync"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/wire"
+	"repro/internal/workload"
+	"repro/race"
+)
+
+// slabSpy is an engineSink that notes the backing array of every batch the
+// feeder hands the engine — the identity of the slab it was decoded into.
+type slabSpy struct {
+	engineSink
+	mu    *sync.Mutex
+	slabs map[unsafe.Pointer]bool
+}
+
+func (s *slabSpy) FeedBatch(evs []race.Event) error {
+	s.mu.Lock()
+	s.slabs[unsafe.Pointer(unsafe.SliceData(evs))] = true
+	s.mu.Unlock()
+	return s.engineSink.FeedBatch(evs)
+}
+
+// TestWireSlabRecycling: wire sessions decode every Events frame into one
+// of two recycled slabs, and recycling never lets bytes of a later frame (or
+// of the client's own buffer, scribbled over after every FeedBatch) reach an
+// engine that is still working on an earlier one — parallel engines hold
+// batches on worker rings, vindicating ones retain the stream, spilling ones
+// write it out later. Reports must be byte-identical to in-process analysis
+// and no session may see more than two slabs.
+func TestWireSlabRecycling(t *testing.T) {
+	p, _ := workload.ProgramByName("avrora")
+	tr := p.Generate(20000, 5)
+	const frame = 1000 // events per frame; the tail frame is shorter
+
+	engines := []struct {
+		name string
+		opts []race.Option
+		ref  []race.Option
+	}{
+		{"parallel", []race.Option{race.WithAnalysisNames("FTO-HB", "ST-WDC", "ST-DC", "FT2"), race.WithParallelism(4), race.WithBatchSize(64)},
+			[]race.Option{race.WithAnalysisNames("FTO-HB", "ST-WDC", "ST-DC", "FT2")}},
+		{"vindicating", []race.Option{race.WithVindication()}, []race.Option{race.WithVindication()}},
+		{"spilling", []race.Option{race.WithVindication(), race.WithSpill(t.TempDir(), 512)}, []race.Option{race.WithVindication()}},
+	}
+	for _, e := range engines {
+		ref, err := race.NewEngine(e.ref...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.FeedTrace(tr); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ref.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(rep)
+
+		for _, depth := range []int{1, 32} {
+			for _, durable := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/depth%d/durable=%v", e.name, depth, durable), func(t *testing.T) {
+					var mu sync.Mutex
+					slabs := make(map[unsafe.Pointer]bool)
+					cfg := Config{QueueDepth: depth}
+					if durable {
+						cfg.DataDir = t.TempDir()
+					}
+					cfg.newSink = func(_ SessionConfig, onRace func(race.RaceInfo)) (engineSink, error) {
+						eng, err := race.NewEngine(append([]race.Option{race.WithOnRace(onRace)}, e.opts...)...)
+						if err != nil {
+							return nil, err
+						}
+						return &slabSpy{engineSink: eng, mu: &mu, slabs: slabs}, nil
+					}
+					_, addr := startTCP(t, cfg)
+					client, err := Dial(addr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer client.Close()
+					sess, err := client.Open(SessionConfig{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sess.SetBatchSize(frame)
+					buf := make([]race.Event, frame)
+					for lo := 0; lo < len(tr.Events); lo += frame {
+						n := copy(buf, tr.Events[lo:])
+						if err := sess.FeedBatch(buf[:n]); err != nil {
+							t.Fatal(err)
+						}
+						for i := range buf { // the caller's slice is its own again
+							buf[i] = race.Event{T: 0xFFFF, Op: 0xEE, Targ: ^uint32(0)}
+						}
+						if lo/frame%5 == 4 {
+							if err := sess.Flush(); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					got, err := sess.CloseJSON()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("report differs from in-process analysis\n--- wire ---\n%s\n--- batch ---\n%s", got, want)
+					}
+					if len(slabs) == 0 || len(slabs) > 2 {
+						t.Errorf("session decoded into %d slabs, want 1 or 2", len(slabs))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSlabsSurviveRefusedBatches: a batch the session refuses (it is
+// closing, or already failed) hands its slab straight back, so a later
+// connection resuming the session still finds both.
+func TestSlabsSurviveRefusedBatches(t *testing.T) {
+	s := New(Config{newSink: poisonedFactory})
+	defer s.Close()
+	sess, err := s.OpenSession(SessionConfig{Analyses: []string{"PANIC"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		slab := append(sess.takeSlab(), race.Event{Op: race.OpWrite}, race.Event{Op: race.OpWrite})
+		sess.feed(sess.traceCtx, slab, true) // the sink panics on the second, failing the session
+		sess.Flush()
+	}
+	sess.feed(sess.traceCtx, sess.takeSlab(), true) // empty batches come back too
+	if n := len(sess.slabs); n != 2 {
+		t.Fatalf("%d slabs on the free list after refused batches, want 2", n)
+	}
+}
+
+// TestWireRefusesBadFrames: nothing of an Events frame reaches the session
+// unless the whole frame verifies. A checksum failure counts as a corrupt
+// frame and drops the connection; an invalid op or ragged payload under a
+// good checksum is a protocol violation answered with a typed TError. Either
+// way the session has enqueued only the good frame before it.
+func TestWireRefusesBadFrames(t *testing.T) {
+	good := wire.AppendEvents(nil, []race.Event{{Op: race.OpWrite, Targ: 1}, {T: 1, Op: race.OpRead, Targ: 1}})
+	badOp := append([]byte(nil), good...)
+	badOp[14] = 0xEE
+	frameOf := func(payload []byte) []byte {
+		var b bytes.Buffer
+		wire.WriteFrame(&b, wire.TEvents, payload)
+		return b.Bytes()
+	}
+	corrupt := frameOf(good)
+	corrupt[9] ^= 0x04
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		code  wire.ErrCode // "" = connection dropped, corrupt-frame counter bumped
+	}{
+		{"bad-crc", corrupt, ""},
+		{"invalid-op", frameOf(badOp), wire.CodeProto},
+		{"ragged", frameOf(good[:len(good)-5]), wire.CodeProto},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, addr := startTCP(t, Config{DataDir: t.TempDir()})
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			br := bufio.NewReader(conn)
+			hello, _ := json.Marshal(helloPayload{Proto: wire.Proto})
+			wire.WriteFrame(conn, wire.THello, hello)
+			ty, payload, err := wire.ReadFrame(br)
+			if err != nil || ty != wire.TAck {
+				t.Fatalf("handshake: %v, %v", ty, err)
+			}
+			var ack ackPayload
+			json.Unmarshal(payload, &ack)
+			sess, _ := s.Session(ack.Session)
+
+			wire.WriteFrame(conn, wire.TEvents, good)
+			wire.WriteFrame(conn, wire.TFlush, nil)
+			if ty, _, err := wire.ReadFrame(br); err != nil || ty != wire.TFlushAck {
+				t.Fatalf("flush: %v, %v", ty, err)
+			}
+			conn.Write(tc.frame)
+			ty, payload, err = wire.ReadFrame(br)
+			if tc.code == "" {
+				if err == nil {
+					t.Fatalf("corrupt frame answered with %v (%s)", ty, payload)
+				}
+				if n := s.metrics.corruptFrames.Value(); n != 1 {
+					t.Errorf("raced_corrupt_frames_total = %d, want 1", n)
+				}
+			} else if err != nil || ty != wire.TError || wire.DecodeError(payload).Code != tc.code {
+				t.Fatalf("got %v (%s), err %v; want TError %q", ty, payload, err, tc.code)
+			}
+			if n := sess.Enqueued(); n != 2 {
+				t.Errorf("session enqueued %d events, want the good frame's 2", n)
+			}
+		})
+	}
+}
+
+// TestSlabTakePrefersTheGrownOne: while batches never overlap (a client that
+// waits for every flush ack) one slab serves them all and the second token
+// stays empty — half the per-session memory, and the warm half.
+func TestSlabTakePrefersTheGrownOne(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	sess, err := s.OpenSession(SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := append(sess.takeSlab(), make([]race.Event, 100)...)
+	sess.putSlab(first)
+	for i := 0; i < 4; i++ {
+		slab := sess.takeSlab()
+		if cap(slab) != cap(first) || unsafe.SliceData(slab[:1]) != unsafe.SliceData(first) {
+			t.Fatalf("take %d returned a slab of cap %d, want the grown one (cap %d)", i, cap(slab), cap(first))
+		}
+		sess.putSlab(slab)
+	}
+	held := sess.takeSlab() // with the grown one in flight, the spare is handed out
+	if spare := sess.takeSlab(); cap(spare) != 0 {
+		t.Fatalf("spare slab has cap %d before any overlap", cap(spare))
+	}
+	_ = held
+}
