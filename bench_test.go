@@ -93,6 +93,57 @@ func BenchmarkAnalysisAllCells(b *testing.B) {
 	}
 }
 
+// fanoutTrace is the h2-calibrated, sync-dense workload of the benchmark's
+// fanout15-par row, a fifth of its length.
+var fanoutTrace = func() *trace.Trace {
+	p, _ := workload.ProgramByName("h2")
+	return p.Generate(20000, 1)
+}()
+
+// BenchmarkEngineFanout15 measures the full Table 1 matrix in one engine —
+// 15 cells, 7 computations — the way the fanout15-par row drives it:
+// 8192-event runs with a Sync barrier after each, sequentially and on two
+// pipeline workers, as ns and allocated bytes per event.
+func BenchmarkEngineFanout15(b *testing.B) {
+	for _, cfg := range []struct {
+		name string
+		par  int
+	}{
+		{"sequential", 1},
+		{"parallel2", 2},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng, err := race.NewEngine(race.WithAnalysisNames(race.Detectors()...), race.WithParallelism(cfg.par))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for evs := fanoutTrace.Events; len(evs) > 0; {
+					n := min(len(evs), 8192)
+					if err := eng.FeedBatch(evs[:n]); err != nil {
+						b.Fatal(err)
+					}
+					if err := eng.Sync(); err != nil {
+						b.Fatal(err)
+					}
+					evs = evs[n:]
+				}
+				if _, err := eng.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			events := float64(fanoutTrace.Len()) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
+		})
+	}
+}
+
 // BenchmarkCheckerStep measures the incremental well-formedness checker
 // alone: the layer every checked engine entry point pays per event.
 func BenchmarkCheckerStep(b *testing.B) {

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/fault"
@@ -160,11 +161,20 @@ func buildFleet(schedule string, seed uint64) (*chaosFleet, error) {
 		})
 	}
 
+	// Session ids pick backends, so they come from the seed too: which
+	// sessions land on the backend a schedule breaks must replay with it.
+	var idMu sync.Mutex
+	ids := fault.NewRand(seed ^ 0x5e5510) // its own stream, apart from the fault plans'
 	opts := fleet.Options{
 		ProbeInterval:   50 * time.Millisecond,
 		ProbeThreshold:  2,
 		BreakerCooldown: 200 * time.Millisecond,
 		IOTimeout:       5 * time.Second,
+		NewSessionID: func() string {
+			idMu.Lock()
+			defer idMu.Unlock()
+			return fmt.Sprintf("f%012x", ids.Uint64()>>16)
+		},
 	}
 	var connStats *fault.ConnStats
 	if schedule == "net" {

@@ -14,6 +14,13 @@
 // engines; the SmartTrack engine replaces LockTables with per-variable CS
 // lists but reuses RuleB with epoch-valued acquire queues.
 //
+// "Shared" is literal below the SmartTrack level: Substrate bundles a
+// relation's synchronization state with its rule (a) and rule (b) state,
+// the FT2, FTO and Unopt levels are Views over it, and a Group advances one
+// substrate per event under every configured view of the relation. The
+// comment on Substrate argues why that computes exactly what each cell
+// would alone.
+//
 // All state grows on demand: neither structure needs the trace's id spaces
 // up front, so both work under the streaming engine, where threads and
 // locks are discovered as events arrive. RuleB in particular keeps one
@@ -296,16 +303,12 @@ func (tb *lockTab) cell(x uint32) *aCell {
 // each variable, plus the variables accessed by the lock's ongoing critical
 // section.
 type LockTables struct {
-	// MarkWritesAsReads selects FTO behaviour, where Rm and Lr represent
-	// reads *and* writes (Algorithm 2 line 19).
-	MarkWritesAsReads bool
-
 	locks []*lockTab
 }
 
 // NewLockTables builds empty rule (a) tables from capacity hints.
-func NewLockTables(spec analysis.Spec, markWritesAsReads bool) *LockTables {
-	return &LockTables{MarkWritesAsReads: markWritesAsReads, locks: make([]*lockTab, spec.Locks)}
+func NewLockTables(spec analysis.Spec) *LockTables {
+	return &LockTables{locks: make([]*lockTab, spec.Locks)}
 }
 
 func (lt *LockTables) tab(m uint32) *lockTab {
@@ -338,8 +341,10 @@ func (lt *LockTables) ReadJoin(t trace.Tid, m, x uint32, s *analysis.SyncState, 
 
 // WriteJoin applies rule (a) for a write of x inside a critical section on
 // m: joins the release times of prior critical sections on m that read or
-// wrote x, and records x in the ongoing critical section's write set (and
-// read set in FTO mode).
+// wrote x, and records x in the ongoing critical section's write set. FTO's
+// Rm and Lr also represent writes (Algorithm 2 line 19), which needs no
+// read mark here: a later write joins Lr ⊔ Lw and a later read joins Lw, so
+// folding a write into Lr as well as Lw changes no join.
 func (lt *LockTables) WriteJoin(t trace.Tid, m, x uint32, s *analysis.SyncState, idx int32, hook analysis.Hook) {
 	tb := lt.tab(m)
 	cl := tb.cell(x)
@@ -359,9 +364,6 @@ func (lt *LockTables) WriteJoin(t trace.Tid, m, x uint32, s *analysis.SyncState,
 		tb.touched = append(tb.touched, x)
 	}
 	cl.mark |= inWriteSet
-	if lt.MarkWritesAsReads {
-		cl.mark |= inReadSet
-	}
 }
 
 // Release folds the ongoing critical section's access sets into Lr/Lw with

@@ -157,7 +157,7 @@ func (f edgeFunc) Edge(src, dst int32) { f(src, dst) }
 
 func TestLockTablesReadSeesWriters(t *testing.T) {
 	s, tr := syncFor(analysis.DC, 2, 1)
-	lt := NewLockTables(tr, false)
+	lt := NewLockTables(tr)
 
 	// T0 writes x in a CS on m.
 	s.PostAcquire(0, 0)
@@ -176,7 +176,7 @@ func TestLockTablesReadSeesWriters(t *testing.T) {
 
 func TestLockTablesReadersOnlyConflictWithWrites(t *testing.T) {
 	s, tr := syncFor(analysis.DC, 2, 1)
-	lt := NewLockTables(tr, false)
+	lt := NewLockTables(tr)
 	s.PostAcquire(0, 0)
 	lt.ReadJoin(0, 0, 3, s, 1, nil) // read-only CS
 	lt.Release(0, 0, s.P[0], 2)
@@ -193,25 +193,37 @@ func TestLockTablesReadersOnlyConflictWithWrites(t *testing.T) {
 	}
 }
 
-func TestLockTablesFTOMarksWritesAsReads(t *testing.T) {
-	s, tr := syncFor(analysis.DC, 2, 1)
-	lt := NewLockTables(tr, true) // FTO mode
-	s.PostAcquire(0, 0)
-	lt.WriteJoin(0, 0, 3, s, 1, nil)
-	lt.Release(0, 0, s.P[0], 2)
-	s.PostRelease(0, 0)
-	tb := lt.locks[0]
-	if tb.cell(3).lr == nil {
-		t.Error("FTO mode must fold writes into Lr")
-	}
-	if tb.cell(3).lw == nil {
-		t.Error("Lw must be populated")
+// TestLockTablesWriteOnlySectionOrdersLaterAccesses pins why FTO needs no
+// "writes are also reads" mark: a critical section that only wrote x folds
+// into Lw alone, and both a later read and a later write in a critical
+// section on the same lock still join its release time.
+func TestLockTablesWriteOnlySectionOrdersLaterAccesses(t *testing.T) {
+	for _, laterWrite := range []bool{false, true} {
+		s, tr := syncFor(analysis.DC, 2, 1)
+		lt := NewLockTables(tr)
+		s.PostAcquire(0, 0)
+		lt.WriteJoin(0, 0, 3, s, 1, nil)
+		relTime := s.P[0].Copy()
+		lt.Release(0, 0, relTime, 2)
+		s.PostRelease(0, 0)
+		if cl := lt.locks[0].cell(3); cl.lr != nil || cl.lw == nil {
+			t.Fatalf("write-only section must fold into Lw alone: lr=%v lw=%v", cl.lr, cl.lw)
+		}
+		s.PostAcquire(1, 0)
+		if laterWrite {
+			lt.WriteJoin(1, 0, 3, s, 4, nil)
+		} else {
+			lt.ReadJoin(1, 0, 3, s, 4, nil)
+		}
+		if s.P[1].Get(0) != relTime.Get(0) {
+			t.Errorf("later write=%v: rule (a) join missing: %v", laterWrite, s.P[1])
+		}
 	}
 }
 
 func TestLockTablesClearsAccessSets(t *testing.T) {
 	s, tr := syncFor(analysis.DC, 1, 1)
-	lt := NewLockTables(tr, false)
+	lt := NewLockTables(tr)
 	s.PostAcquire(0, 0)
 	lt.ReadJoin(0, 0, 1, s, 0, nil)
 	lt.WriteJoin(0, 0, 2, s, 1, nil)
@@ -228,7 +240,7 @@ func TestLockTablesClearsAccessSets(t *testing.T) {
 func TestWeights(t *testing.T) {
 	s, tr := syncFor(analysis.DC, 3, 2)
 	rb := NewRuleB(analysis.DC, tr, false)
-	lt := NewLockTables(tr, false)
+	lt := NewLockTables(tr)
 	if rb.Weight() != 0 || lt.Weight() != 0 {
 		t.Error("fresh state must weigh nothing")
 	}
@@ -267,5 +279,29 @@ func TestRuleBWCPEnqueuesHBTime(t *testing.T) {
 	ent := lg.rel[0]
 	if ent.c.Get(0) != s.H[0].Get(vc.Tid(0))-1 && ent.c.Get(0) == 0 {
 		t.Errorf("WCP rule (b) must log HB release times, got %v", ent.c)
+	}
+}
+
+// TestSubstrateShape: HB needs neither CCS structure, WDC omits rule (b),
+// and only a graph-building substrate carries a hook.
+func TestSubstrateShape(t *testing.T) {
+	spec := analysis.Spec{Threads: 2, Locks: 1, Vars: 1}
+	for _, tc := range []struct {
+		rel    analysis.Relation
+		lt, rb bool
+	}{
+		{analysis.HB, false, false}, {analysis.WCP, true, true},
+		{analysis.DC, true, true}, {analysis.WDC, true, false},
+	} {
+		b := NewSubstrate(tc.rel, spec, false)
+		if (b.lt != nil) != tc.lt || (b.rb != nil) != tc.rb {
+			t.Errorf("%v: rule (a) state %v, rule (b) state %v; want %v, %v", tc.rel, b.lt != nil, b.rb != nil, tc.lt, tc.rb)
+		}
+		if b.Graph() != nil || b.hook != nil {
+			t.Errorf("%v: graph built without being asked for", tc.rel)
+		}
+	}
+	if b := NewSubstrate(analysis.WDC, spec, true); b.Graph() == nil || b.hook == nil {
+		t.Error("graph-building substrate has no graph")
 	}
 }

@@ -9,6 +9,7 @@ package ft
 
 import (
 	"repro/internal/analysis"
+	"repro/internal/ccs"
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/vc"
@@ -20,64 +21,73 @@ type varState struct {
 	rvc *vc.VC   // read-shared vector clock, nil in epoch mode
 }
 
-// Analysis is the FT2 detector.
-type Analysis struct {
-	s    *analysis.SyncState
+// View is FT2's last-access metadata and race check over an HB substrate
+// (see ccs.Substrate).
+type View struct {
+	Sub  *ccs.Substrate
 	vars []varState
 	col  *report.Collector
-	idx  int32
 }
 
-// New builds an FT2 analysis from capacity hints; state grows on demand as
-// new ids appear in the stream.
+// NewView builds FT2's view of sub from capacity hints; state grows on
+// demand as new ids appear in the stream.
+func NewView(sub *ccs.Substrate, spec analysis.Spec) *View {
+	return &View{Sub: sub, vars: make([]varState, spec.Vars), col: report.NewCollector()}
+}
+
+// Analysis is the FT2 detector: an HB substrate with the FT2 view alone.
+type Analysis struct{ View }
+
+// New builds an FT2 analysis from capacity hints.
 func New(spec analysis.Spec) *Analysis {
-	return &Analysis{
-		s:    analysis.NewSyncState(analysis.HB, spec),
-		vars: make([]varState, spec.Vars),
-		col:  report.NewCollector(),
-	}
+	return &Analysis{*NewView(ccs.NewSubstrate(analysis.HB, spec, false), spec)}
 }
 
 // Name implements analysis.Analysis.
 func (a *Analysis) Name() string { return "FT2" }
 
-// Races implements analysis.Analysis.
-func (a *Analysis) Races() *report.Collector { return a.col }
+// Races exposes the collector of detected races.
+func (a *View) Races() *report.Collector { return a.col }
 
 // Handle implements analysis.Analysis.
 func (a *Analysis) Handle(e trace.Event) {
-	idx := a.idx
-	a.idx++
-	t := e.T
-	a.s.Ensure(t)
+	idx := a.Sub.Begin(e.T)
 	switch e.Op {
 	case trace.OpRead:
-		a.read(t, e.Targ, e.Loc, idx)
+		if a.Stale(e.T, e.Targ, false) {
+			a.Read(e.T, e.Targ, e.Loc, idx)
+		}
 	case trace.OpWrite:
-		a.write(t, e.Targ, e.Loc, idx)
-	case trace.OpAcquire:
-		a.s.PreAcquire(t, e.Targ)
-		a.s.PostAcquire(t, e.Targ)
-	case trace.OpRelease:
-		a.s.PostRelease(t, e.Targ)
+		if a.Stale(e.T, e.Targ, true) {
+			a.Write(e.T, e.Targ, e.Loc, idx)
+		}
 	default:
-		a.s.HandleOther(e, idx)
+		a.Sub.Sync(e, idx)
 	}
 }
 
-func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
-	p := a.s.P[t]
+// Stale implements ccs.View: the [Same Epoch] cases.
+func (a *View) Stale(t trace.Tid, x uint32, write bool) bool {
+	tt := vc.Tid(t)
+	c := a.Sub.P[t].Get(tt)
+	analysis.EnsureLen(&a.vars, int(x)+1)
+	v := &a.vars[x]
+	if write {
+		return v.w != vc.E(tt, c) // [Write Same Epoch]
+	}
+	if v.rvc == nil {
+		return v.r != vc.E(tt, c) // [Read Same Epoch]
+	}
+	return v.rvc.Get(tt) != c // [Read Shared Same Epoch]
+}
+
+// Read implements ccs.View.
+func (a *View) Read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
+	p := a.Sub.P[t]
 	tt := vc.Tid(t)
 	c := p.Get(tt)
 	cur := vc.E(tt, c)
-	analysis.EnsureLen(&a.vars, int(x)+1)
 	v := &a.vars[x]
-	if v.rvc == nil && v.r == cur {
-		return // [Read Same Epoch]
-	}
-	if v.rvc != nil && v.rvc.Get(tt) == c {
-		return // [Read Shared Same Epoch]
-	}
 	if !vc.EpochLeq(v.w, p) { // write–read race check
 		a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Index: int(idx), PriorTid: trace.Tid(v.w.Tid())})
 	}
@@ -94,16 +104,12 @@ func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	}
 }
 
-func (a *Analysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
-	p := a.s.P[t]
+// Write implements ccs.View.
+func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
+	p := a.Sub.P[t]
 	tt := vc.Tid(t)
-	c := p.Get(tt)
-	cur := vc.E(tt, c)
-	analysis.EnsureLen(&a.vars, int(x)+1)
+	cur := vc.E(tt, p.Get(tt))
 	v := &a.vars[x]
-	if v.w == cur {
-		return // [Write Same Epoch]
-	}
 	raced := false
 	var prior trace.Tid = report.UnknownTid
 	if !vc.EpochLeq(v.w, p) { // write–write race check
@@ -132,7 +138,7 @@ func (a *Analysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 
 // MetadataWeight implements analysis.Analysis.
 func (a *Analysis) MetadataWeight() int {
-	w := a.s.Weight()
+	w := a.Sub.Weight()
 	for i := range a.vars {
 		w += 2
 		if a.vars[i].rvc != nil {

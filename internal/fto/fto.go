@@ -49,112 +49,89 @@ func (s *Stats) HeldAtLeast(k int) uint64 {
 	return n
 }
 
-// Analysis is an FTO-based detector for one of the four relations.
-type Analysis struct {
-	rel  analysis.Relation
-	s    *analysis.SyncState
-	lt   *ccs.LockTables // nil for HB
-	rb   *ccs.RuleB      // nil for HB and WDC
+// View is FTO's last-access metadata and race check over a relation's
+// substrate (see ccs.Substrate).
+type View struct {
+	Sub  *ccs.Substrate
 	vars []varState
 	col  *report.Collector
 	st   Stats
 	vcs  vc.Pool // recycles retired read vector clocks
-	idx  int32
 }
 
-// New builds an FTO analysis for relation rel from capacity hints; state
-// grows on demand as new ids appear in the stream.
+// NewView builds FTO's view of sub from capacity hints; state grows on
+// demand as new ids appear in the stream.
+func NewView(sub *ccs.Substrate, spec analysis.Spec) *View {
+	return &View{Sub: sub, vars: make([]varState, spec.Vars), col: report.NewCollector()}
+}
+
+// Analysis is an FTO-based detector for one of the four relations: the
+// relation's substrate with the FTO view alone.
+type Analysis struct{ View }
+
+// New builds an FTO analysis for relation rel from capacity hints.
 func New(rel analysis.Relation, spec analysis.Spec) *Analysis {
-	a := &Analysis{
-		rel:  rel,
-		s:    analysis.NewSyncState(rel, spec),
-		vars: make([]varState, spec.Vars),
-		col:  report.NewCollector(),
-	}
-	if rel != analysis.HB {
-		a.lt = ccs.NewLockTables(spec, true) // FTO: Lr/Rm represent reads and writes
-		if rel != analysis.WDC {
-			a.rb = ccs.NewRuleB(rel, spec, false)
-		}
-	}
-	return a
+	return &Analysis{*NewView(ccs.NewSubstrate(rel, spec, false), spec)}
 }
 
 // Name implements analysis.Analysis.
-func (a *Analysis) Name() string { return "FTO-" + a.rel.String() }
+func (a *Analysis) Name() string { return "FTO-" + a.Sub.Rel.String() }
 
-// Races implements analysis.Analysis.
-func (a *Analysis) Races() *report.Collector { return a.col }
+// Races exposes the collector of detected races.
+func (a *View) Races() *report.Collector { return a.col }
 
 // Stats returns the run-time characteristics gathered so far.
-func (a *Analysis) Stats() *Stats { return &a.st }
+func (a *View) Stats() *Stats { return &a.st }
 
 // Handle implements analysis.Analysis.
 func (a *Analysis) Handle(e trace.Event) {
-	idx := a.idx
-	a.idx++
-	t := e.T
-	a.s.Ensure(t)
+	idx := a.Sub.Begin(e.T)
 	switch e.Op {
 	case trace.OpRead:
-		a.read(t, e.Targ, e.Loc, idx)
+		if a.Stale(e.T, e.Targ, false) {
+			a.Sub.RuleA(e.T, e.Targ, false, idx, false)
+			a.Read(e.T, e.Targ, e.Loc, idx)
+		}
 	case trace.OpWrite:
-		a.write(t, e.Targ, e.Loc, idx)
-	case trace.OpAcquire:
-		a.s.PreAcquire(t, e.Targ)
-		if a.rb != nil {
-			a.rb.Acquire(t, e.Targ, a.s.P[t])
+		if a.Stale(e.T, e.Targ, true) {
+			a.Sub.RuleA(e.T, e.Targ, true, idx, false)
+			a.Write(e.T, e.Targ, e.Loc, idx)
 		}
-		a.s.PostAcquire(t, e.Targ)
-	case trace.OpRelease:
-		if a.rb != nil {
-			a.rb.Release(t, e.Targ, a.s, idx, nil)
-		}
-		if a.lt != nil {
-			a.lt.Release(t, e.Targ, a.releaseTime(t), idx)
-		}
-		a.s.PostRelease(t, e.Targ)
 	default:
-		a.s.HandleOther(e, idx)
+		a.Sub.Sync(e, idx)
 	}
 }
 
-func (a *Analysis) releaseTime(t trace.Tid) *vc.VC {
-	if a.rel == analysis.WCP {
-		return a.s.H[t]
+// Stale implements ccs.View: the [Same Epoch] cases.
+func (a *View) Stale(t trace.Tid, x uint32, write bool) bool {
+	tt := vc.Tid(t)
+	c := a.Sub.P[t].Get(tt)
+	analysis.EnsureLen(&a.vars, int(x)+1)
+	v := &a.vars[x]
+	if write {
+		a.st.Writes++
+		return v.w != vc.E(tt, c) // [Write Same Epoch]
 	}
-	return a.s.P[t]
-}
-
-func (a *Analysis) nsea(t trace.Tid) {
-	held := len(a.s.Held(t))
-	if held > 3 {
-		held = 3
-	}
-	a.st.HeldAtNSEA[held]++
-}
-
-func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	a.st.Reads++
-	p := a.s.P[t]
+	if v.rvc == nil {
+		return v.r != vc.E(tt, c) // [Read Same Epoch]
+	}
+	return v.rvc.Get(tt) != c // [Shared Same Epoch]
+}
+
+func (a *View) nsea(t trace.Tid) {
+	a.st.HeldAtNSEA[min(len(a.Sub.Held(t)), 3)]++
+}
+
+// Read implements ccs.View.
+func (a *View) Read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
+	a.st.NSEAReads++
+	a.nsea(t)
+	p := a.Sub.P[t]
 	tt := vc.Tid(t)
 	c := p.Get(tt)
 	cur := vc.E(tt, c)
-	analysis.EnsureLen(&a.vars, int(x)+1)
 	v := &a.vars[x]
-	if v.rvc == nil && v.r == cur {
-		return // [Read Same Epoch]
-	}
-	if v.rvc != nil && v.rvc.Get(tt) == c {
-		return // [Shared Same Epoch]
-	}
-	a.st.NSEAReads++
-	a.nsea(t)
-	if a.lt != nil {
-		for _, m := range a.s.Held(t) {
-			a.lt.ReadJoin(t, m, x, a.s, idx, nil)
-		}
-	}
 	if v.rvc == nil {
 		switch {
 		case v.r != vc.None && v.r.Tid() == tt: // [Read Owned]
@@ -183,24 +160,14 @@ func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	v.rvc.Set(tt, c)
 }
 
-func (a *Analysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
-	a.st.Writes++
-	p := a.s.P[t]
-	tt := vc.Tid(t)
-	c := p.Get(tt)
-	cur := vc.E(tt, c)
-	analysis.EnsureLen(&a.vars, int(x)+1)
-	v := &a.vars[x]
-	if v.w == cur {
-		return // [Write Same Epoch]
-	}
+// Write implements ccs.View.
+func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	a.st.NSEAWrites++
 	a.nsea(t)
-	if a.lt != nil {
-		for _, m := range a.s.Held(t) {
-			a.lt.WriteJoin(t, m, x, a.s, idx, nil)
-		}
-	}
+	p := a.Sub.P[t]
+	tt := vc.Tid(t)
+	cur := vc.E(tt, p.Get(tt))
+	v := &a.vars[x]
 	if v.rvc == nil {
 		if v.r == vc.None || v.r.Tid() != tt { // [Write Exclusive]
 			if !vc.EpochLeq(v.r, p) {
@@ -223,18 +190,12 @@ func (a *Analysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 
 // MetadataWeight implements analysis.Analysis.
 func (a *Analysis) MetadataWeight() int {
-	w := a.s.Weight()
+	w := a.Sub.Weight()
 	for i := range a.vars {
 		w += 2
 		if a.vars[i].rvc != nil {
 			w += a.vars[i].rvc.Weight() + 3
 		}
-	}
-	if a.lt != nil {
-		w += a.lt.Weight()
-	}
-	if a.rb != nil {
-		w += a.rb.Weight()
 	}
 	return w
 }

@@ -104,7 +104,7 @@ type entry struct {
 
 	counter   *Counter
 	gauge     *Gauge
-	gaugeFunc func() float64
+	gaugeFunc func() float64 // GaugeFunc or CounterFunc
 	hist      *Histogram
 }
 
@@ -176,6 +176,14 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // snapshot time. fn must be safe to call concurrently.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(&entry{name: name, help: help, labels: labels, kind: KindGauge, gaugeFunc: fn})
+}
+
+// CounterFunc registers a counter whose value is computed by fn at
+// snapshot time — for monotonic totals kept in another unit than the one
+// exposed (nanoseconds behind a _seconds_total). fn must be monotonic and
+// safe to call concurrently.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+	r.register(&entry{name: name, help: help, labels: labels, kind: KindCounter, gaugeFunc: fn})
 }
 
 // Histogram registers and returns a new histogram with the given

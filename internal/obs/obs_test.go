@@ -22,10 +22,14 @@ func TestCounterGauge(t *testing.T) {
 		t.Errorf("gauge = %d, want 4", g.Value())
 	}
 	r.GaugeFunc("gf", "computed", func() float64 { return 2.5 })
+	r.CounterFunc("cf_seconds_total", "computed", func() float64 { return 0.75 })
 
 	snaps := r.Snapshot()
-	if len(snaps) != 3 {
-		t.Fatalf("snapshot has %d metrics, want 3", len(snaps))
+	if len(snaps) != 4 {
+		t.Fatalf("snapshot has %d metrics, want 4", len(snaps))
+	}
+	if snaps[3].Name != "cf_seconds_total" || snaps[3].Value != 0.75 || snaps[3].Kind != KindCounter {
+		t.Errorf("snap[3] = %+v, want a counter reading 0.75", snaps[3])
 	}
 	if snaps[0].Name != "c_total" || snaps[0].Value != 42 {
 		t.Errorf("snap[0] = %+v", snaps[0])

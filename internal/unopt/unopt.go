@@ -10,8 +10,6 @@
 package unopt
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
 	"repro/internal/ccs"
 	"repro/internal/graph"
@@ -20,7 +18,12 @@ import (
 	"repro/internal/vc"
 )
 
-// HBAnalysis is classic vector-clock happens-before analysis.
+// View is the unoptimized last-access metadata and race check over a
+// relation's substrate (see ccs.Substrate): classic vector-clock analysis
+// for HB, Algorithm 1 for WCP, DC and WDC. When the substrate builds the
+// constraint graph, the view adds its last-writer edges; the races it
+// finds are the same either way, so one view reports for both "Unopt-X" and
+// "Unopt-X w/G".
 //
 // The per-variable last-access clocks rx/wx are stored unboxed ([]vc.VC
 // values rather than []*vc.VC): one slice of inline clock headers instead
@@ -28,75 +31,123 @@ import (
 // analysis's per-variable allocations. A zero-value clock means "no access
 // recorded" — real accesses always store a clock ≥ 1, so the ⊑ checks and
 // same-epoch tests read identically on absent state.
-type HBAnalysis struct {
-	s      *analysis.SyncState
+type View struct {
+	Sub    *ccs.Substrate
 	rx, wx []vc.VC
 	col    *report.Collector
-	idx    int32
+
+	g         *graph.Graph // Sub's graph, if any
+	lastWrIdx []int32      // last write event per variable, for g
 }
 
-// NewHB builds an unoptimized HB analysis from capacity hints; state grows
-// on demand as new ids appear in the stream.
-func NewHB(spec analysis.Spec) *HBAnalysis {
-	return &HBAnalysis{
-		s:   analysis.NewSyncState(analysis.HB, spec),
+// NewView builds the unoptimized view of sub from capacity hints; state
+// grows on demand as new ids appear in the stream.
+func NewView(sub *ccs.Substrate, spec analysis.Spec) *View {
+	v := &View{
+		Sub: sub,
 		rx:  make([]vc.VC, spec.Vars),
 		wx:  make([]vc.VC, spec.Vars),
 		col: report.NewCollector(),
+		g:   sub.Graph(),
 	}
+	if v.g != nil {
+		analysis.GrowNeg(&v.lastWrIdx, spec.Vars)
+	}
+	return v
+}
+
+// Analysis is an unoptimized detector: a relation's substrate with the
+// unoptimized view alone.
+type Analysis struct{ View }
+
+// NewHB builds an unoptimized HB analysis from capacity hints.
+func NewHB(spec analysis.Spec) *Analysis {
+	return &Analysis{*NewView(ccs.NewSubstrate(analysis.HB, spec, false), spec)}
+}
+
+// NewPredictive builds an unoptimized predictive analysis for relation rel
+// (WCP, DC, or WDC; WDC omits rule (b), §3, and WCP composes with HB, §2.4)
+// from capacity hints. If buildGraph is set, the analysis also constructs
+// the event constraint graph used by vindication (the "w/G"
+// configurations).
+func NewPredictive(rel analysis.Relation, spec analysis.Spec, buildGraph bool) *Analysis {
+	if rel == analysis.HB {
+		panic("unopt: use NewHB for HB analysis")
+	}
+	return &Analysis{*NewView(ccs.NewSubstrate(rel, spec, buildGraph), spec)}
 }
 
 // Name implements analysis.Analysis.
-func (a *HBAnalysis) Name() string { return "Unopt-HB" }
+func (a *Analysis) Name() string {
+	if a.g != nil {
+		return "Unopt-" + a.Sub.Rel.String() + " w/G"
+	}
+	return "Unopt-" + a.Sub.Rel.String()
+}
 
-// Races implements analysis.Analysis.
-func (a *HBAnalysis) Races() *report.Collector { return a.col }
+// Races exposes the collector of detected races.
+func (a *View) Races() *report.Collector { return a.col }
+
+// Graph returns the constraint graph, or nil if not built.
+func (a *View) Graph() *graph.Graph { return a.g }
 
 // Handle implements analysis.Analysis.
-func (a *HBAnalysis) Handle(e trace.Event) {
-	idx := a.idx
-	a.idx++
-	t := e.T
-	a.s.Ensure(t)
+func (a *Analysis) Handle(e trace.Event) {
+	idx := a.Sub.Begin(e.T)
 	switch e.Op {
 	case trace.OpRead:
-		a.read(t, e.Targ, e.Loc, idx)
+		if a.Stale(e.T, e.Targ, false) {
+			a.Sub.RuleA(e.T, e.Targ, false, idx, true)
+			a.Read(e.T, e.Targ, e.Loc, idx)
+		}
 	case trace.OpWrite:
-		a.write(t, e.Targ, e.Loc, idx)
-	case trace.OpAcquire:
-		a.s.PreAcquire(t, e.Targ)
-		a.s.PostAcquire(t, e.Targ)
-	case trace.OpRelease:
-		a.s.PostRelease(t, e.Targ)
+		if a.Stale(e.T, e.Targ, true) {
+			a.Sub.RuleA(e.T, e.Targ, true, idx, true)
+			a.Write(e.T, e.Targ, e.Loc, idx)
+		}
 	default:
-		a.s.HandleOther(e, idx)
+		a.Sub.Sync(e, idx)
 	}
 }
 
-func (a *HBAnalysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
-	p := a.s.P[t]
-	c := p.Get(vc.Tid(t))
-	analysis.EnsureLen(&a.rx, int(x)+1)
-	analysis.EnsureLen(&a.wx, int(x)+1)
-	rx := &a.rx[x]
-	if rx.Get(vc.Tid(t)) == c {
-		return // t already read x in this epoch
+// Stale implements ccs.View: per §5.1, a [Shared Same Epoch]-like check —
+// has t already read (written) x in this epoch?
+func (a *View) Stale(t trace.Tid, x uint32, write bool) bool {
+	c := a.Sub.P[t].Get(vc.Tid(t))
+	if int(x) >= len(a.wx) {
+		a.growVars(int(x) + 1)
+	}
+	if write {
+		return a.wx[x].Get(vc.Tid(t)) != c
+	}
+	return a.rx[x].Get(vc.Tid(t)) != c
+}
+
+// growVars extends the per-variable tables to cover variable ids < n.
+func (a *View) growVars(n int) {
+	analysis.EnsureLen(&a.rx, n)
+	analysis.EnsureLen(&a.wx, n)
+	if a.g != nil {
+		analysis.GrowNeg(&a.lastWrIdx, n)
+	}
+}
+
+// Read implements ccs.View.
+func (a *View) Read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
+	p := a.Sub.P[t]
+	if a.g != nil && a.lastWrIdx[x] >= 0 {
+		a.g.Edge(a.lastWrIdx[x], idx) // last-writer hard edge
 	}
 	if wx := &a.wx[x]; !wx.Leq(p) {
 		a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Write: false, Index: int(idx), PriorTid: culprit(wx, p)})
 	}
-	rx.Set(vc.Tid(t), c)
+	a.rx[x].Set(vc.Tid(t), p.Get(vc.Tid(t)))
 }
 
-func (a *HBAnalysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
-	p := a.s.P[t]
-	c := p.Get(vc.Tid(t))
-	analysis.EnsureLen(&a.rx, int(x)+1)
-	analysis.EnsureLen(&a.wx, int(x)+1)
+// Write implements ccs.View.
+func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
+	p := a.Sub.P[t]
 	wx := &a.wx[x]
-	if wx.Get(vc.Tid(t)) == c {
-		return // t already wrote x in this epoch
-	}
 	raced := false
 	var prior trace.Tid = report.UnknownTid
 	if !wx.Leq(p) {
@@ -112,12 +163,15 @@ func (a *HBAnalysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	if raced {
 		a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Write: true, Index: int(idx), PriorTid: prior})
 	}
-	wx.Set(vc.Tid(t), c)
+	wx.Set(vc.Tid(t), p.Get(vc.Tid(t)))
+	if a.g != nil {
+		a.lastWrIdx[x] = idx
+	}
 }
 
 // MetadataWeight implements analysis.Analysis.
-func (a *HBAnalysis) MetadataWeight() int {
-	return a.s.Weight() + accessClockWeight(a.rx) + accessClockWeight(a.wx)
+func (a *Analysis) MetadataWeight() int {
+	return a.Sub.Weight() + accessClockWeight(a.rx) + accessClockWeight(a.wx)
 }
 
 // accessClockWeight totals the footprint of an unboxed last-access clock
@@ -140,195 +194,6 @@ func culprit(x, p *vc.VC) trace.Tid {
 		}
 	}
 	return report.UnknownTid
-}
-
-// Predictive is Algorithm 1: unoptimized vector-clock WCP, DC, or WDC
-// analysis. WDC omits rule (b) (§3); WCP composes with HB (§2.4).
-type Predictive struct {
-	rel analysis.Relation
-	s   *analysis.SyncState
-	lt  *ccs.LockTables
-	rb  *ccs.RuleB // nil for WDC
-	col *report.Collector
-
-	// rx, wx are unboxed last-access clocks (see HBAnalysis): the zero
-	// clock means no access recorded, which every check already treats
-	// correctly (⊥ ⊑ everything, and never in the current epoch).
-	rx, wx []vc.VC
-
-	g         *graph.Graph
-	lastWrIdx []int32
-	idx       int32
-}
-
-// NewPredictive builds an unoptimized predictive analysis for relation rel
-// (WCP, DC, or WDC) from capacity hints; state grows on demand as new ids
-// appear in the stream. If buildGraph is set, the analysis also constructs
-// the event constraint graph used by vindication (the "w/G"
-// configurations).
-func NewPredictive(rel analysis.Relation, spec analysis.Spec, buildGraph bool) *Predictive {
-	if rel == analysis.HB {
-		panic("unopt: use NewHB for HB analysis")
-	}
-	a := &Predictive{
-		rel: rel,
-		s:   analysis.NewSyncState(rel, spec),
-		lt:  ccs.NewLockTables(spec, false),
-		col: report.NewCollector(),
-		rx:  make([]vc.VC, spec.Vars),
-		wx:  make([]vc.VC, spec.Vars),
-	}
-	if rel != analysis.WDC {
-		a.rb = ccs.NewRuleB(rel, spec, false)
-	}
-	if buildGraph {
-		a.g = graph.New(spec.Events)
-		a.s.SetHook(a.g, spec)
-		a.lastWrIdx = make([]int32, spec.Vars)
-		for i := range a.lastWrIdx {
-			a.lastWrIdx[i] = -1
-		}
-	}
-	// hasWrite needs no extra state: in graph mode lastWrIdx already says
-	// whether x has been written; without a graph no consumer asks.
-	return a
-}
-
-// Name implements analysis.Analysis.
-func (a *Predictive) Name() string {
-	if a.g != nil {
-		return fmt.Sprintf("Unopt-%s w/G", a.rel)
-	}
-	return fmt.Sprintf("Unopt-%s", a.rel)
-}
-
-// Races implements analysis.Analysis.
-func (a *Predictive) Races() *report.Collector { return a.col }
-
-// Graph returns the constraint graph, or nil if not built.
-func (a *Predictive) Graph() *graph.Graph { return a.g }
-
-func (a *Predictive) hook() analysis.Hook {
-	if a.g == nil {
-		return nil
-	}
-	return a.g
-}
-
-// Handle implements analysis.Analysis.
-func (a *Predictive) Handle(e trace.Event) {
-	idx := a.idx
-	a.idx++
-	t := e.T
-	a.s.Ensure(t)
-	if a.g != nil {
-		a.g.Observe(idx)
-	}
-	a.s.OnEvent(t, idx)
-	switch e.Op {
-	case trace.OpRead:
-		a.read(t, e.Targ, e.Loc, idx)
-	case trace.OpWrite:
-		a.write(t, e.Targ, e.Loc, idx)
-	case trace.OpAcquire:
-		a.s.PreAcquire(t, e.Targ) // HB edges for WCP; no-op for DC/WDC
-		if a.rb != nil {
-			a.rb.Acquire(t, e.Targ, a.s.P[t])
-		}
-		a.s.PostAcquire(t, e.Targ)
-	case trace.OpRelease:
-		if a.rb != nil {
-			a.rb.Release(t, e.Targ, a.s, idx, a.hook())
-		}
-		a.lt.Release(t, e.Targ, a.releaseTime(t), idx)
-		a.s.PostRelease(t, e.Targ)
-	default:
-		a.s.HandleOther(e, idx)
-	}
-}
-
-// growVars extends the per-variable tables to cover variable ids < n.
-func (a *Predictive) growVars(n int) {
-	analysis.EnsureLen(&a.rx, n)
-	analysis.EnsureLen(&a.wx, n)
-	if a.g != nil {
-		analysis.GrowNeg(&a.lastWrIdx, n)
-	}
-}
-
-// releaseTime is the clock stored into rule (a) tables at a release: the HB
-// clock for WCP (so that joins left-compose WCP edges with HB), the
-// relation clock itself for DC and WDC.
-func (a *Predictive) releaseTime(t trace.Tid) *vc.VC {
-	if a.rel == analysis.WCP {
-		return a.s.H[t]
-	}
-	return a.s.P[t]
-}
-
-func (a *Predictive) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
-	p := a.s.P[t]
-	c := p.Get(vc.Tid(t))
-	a.growVars(int(x) + 1)
-	rx := &a.rx[x]
-	if rx.Get(vc.Tid(t)) == c {
-		return
-	}
-	for _, m := range a.s.Held(t) {
-		a.lt.ReadJoin(t, m, x, a.s, idx, a.hook())
-	}
-	if a.g != nil && a.lastWrIdx[x] >= 0 {
-		a.g.Edge(a.lastWrIdx[x], idx) // last-writer hard edge
-	}
-	if wx := &a.wx[x]; !wx.Leq(p) {
-		a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Write: false, Index: int(idx), PriorTid: culprit(wx, p)})
-	}
-	rx.Set(vc.Tid(t), c)
-}
-
-func (a *Predictive) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
-	p := a.s.P[t]
-	c := p.Get(vc.Tid(t))
-	a.growVars(int(x) + 1)
-	wx := &a.wx[x]
-	if wx.Get(vc.Tid(t)) == c {
-		return
-	}
-	for _, m := range a.s.Held(t) {
-		a.lt.WriteJoin(t, m, x, a.s, idx, a.hook())
-	}
-	raced := false
-	var prior trace.Tid = report.UnknownTid
-	if !wx.Leq(p) {
-		raced = true
-		prior = culprit(wx, p)
-	}
-	if rx := &a.rx[x]; !rx.Leq(p) {
-		if !raced {
-			prior = culprit(rx, p)
-		}
-		raced = true
-	}
-	if raced {
-		a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Write: true, Index: int(idx), PriorTid: prior})
-	}
-	wx.Set(vc.Tid(t), c)
-	if a.g != nil {
-		a.lastWrIdx[x] = idx
-	}
-}
-
-// MetadataWeight implements analysis.Analysis.
-func (a *Predictive) MetadataWeight() int {
-	w := a.s.Weight() + a.lt.Weight()
-	if a.rb != nil {
-		w += a.rb.Weight()
-	}
-	w += accessClockWeight(a.rx) + accessClockWeight(a.wx)
-	if a.g != nil {
-		w += a.g.Weight()
-	}
-	return w
 }
 
 func init() {

@@ -12,7 +12,7 @@ import (
 
 // runWDCGraph runs Unopt-WDC w/G (the weakest relation, so it flags every
 // candidate race) and returns the analysis.
-func runWDCGraph(tr *trace.Trace) *unopt.Predictive {
+func runWDCGraph(tr *trace.Trace) *unopt.Analysis {
 	a := unopt.NewPredictive(analysis.WDC, analysis.SpecOf(tr), true)
 	analysis.Run(a, tr)
 	return a

@@ -29,7 +29,7 @@ func buildPair(secondWrite bool) *trace.Trace {
 
 // raceIndexOf runs graph-building WDC and returns the single detected
 // race's index plus the analysis graph.
-func raceIndexOf(t *testing.T, tr *trace.Trace) (int, *unopt.Predictive) {
+func raceIndexOf(t *testing.T, tr *trace.Trace) (int, *unopt.Analysis) {
 	t.Helper()
 	a := unopt.NewPredictive(analysis.WDC, analysis.SpecOf(tr), true)
 	analysis.Run(a, tr)

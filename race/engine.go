@@ -4,9 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/ccs"
+	"repro/internal/ft"
+	"repro/internal/fto"
+	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/unopt"
 	"repro/internal/vindicate"
@@ -142,15 +147,19 @@ func WithUncheckedInput() Option {
 }
 
 // WithParallelism runs the engine's analyses on up to n worker goroutines
-// (capped at the fan-out size), each fed the event stream through a
-// batched single-producer ring — the pipelined fan-out that makes a
-// multi-analysis engine scale with cores instead of paying one full
-// analysis cost per Table 1 cell per event. n ≤ 1 keeps the sequential
-// engine. Feed must still be called from one goroutine at a time; the
-// Close report is identical to the sequential engine's, and OnRace
-// callbacks are delivered from a single goroutine in per-analysis
+// pulling event batches from one shared ring — the pipelined fan-out that
+// makes a multi-analysis engine scale with cores instead of paying one full
+// analysis cost per Table 1 cell per event. The unit a worker runs is a
+// computation, not a cell: the FT2, FTO and Unopt cells of one relation
+// share one (see FeedBatch), so n is capped at the number of computations —
+// 7 for the full 15-cell matrix — and workers take the costliest pending
+// computation first, by cost measured on the stream itself. n ≤ 1 keeps
+// the sequential engine. Feed must still be called from one goroutine at a
+// time; the Close report is identical to the sequential engine's, and
+// OnRace callbacks are delivered from a single goroutine in per-analysis
 // detection order (see RaceInfo.Seq). A good default is
-// runtime.GOMAXPROCS(0) when the fan-out has at least that many analyses.
+// runtime.GOMAXPROCS(0) when the fan-out has at least that many
+// computations.
 func WithParallelism(n int) Option {
 	return func(c *engineConfig) { c.par = n }
 }
@@ -163,11 +172,26 @@ func WithBatchSize(k int) Option {
 	return func(c *engineConfig) { c.batch = k }
 }
 
-// engineDet is one detector of the fan-out plus its race-delivery cursor.
+// engineDet is one detector of the fan-out: its report name, the collector
+// its races land in, and its race-delivery cursor.
 type engineDet struct {
-	entry analysis.Entry
-	a     analysis.Analysis
-	seen  int // races already delivered to the OnRace callback
+	name string
+	col  *report.Collector
+	seen int // races already delivered to the OnRace callback
+}
+
+// computation is the engine's unit of per-event work, and of scheduling on
+// the parallel pipeline: one Handle call per event on behalf of one or more
+// detectors. The FT2, FTO and Unopt cells of one relation share a
+// computation — one relation substrate advanced once per event, each cell a
+// view reading its P (see ccs.Substrate for why that is exact) — so the full
+// Table 1 matrix is 7 computations, not 15: HB, WCP, DC, WDC, and each
+// SmartTrack cell alone, because SmartTrack's CS lists feed last-access
+// metadata back into P.
+type computation struct {
+	name string // the shared relation, or the lone SmartTrack cell
+	a    interface{ Handle(trace.Event) }
+	dets []int // indices into Engine.dets, in fan-out order
 }
 
 // Engine is a streaming, multi-analysis race detection engine: the public
@@ -177,7 +201,11 @@ type engineDet struct {
 // pass, reports races online through the optional OnRace callback, and
 // produces a final Report at Close.
 //
-// With WithParallelism the analyses run on worker goroutines fed by a
+// Cells of one relation below the SmartTrack level share their relation's
+// synchronization and CCS state (see computation), whichever way the engine
+// runs; every sub-report is byte-identical to that cell analyzed alone.
+//
+// With WithParallelism the computations run on worker goroutines fed by a
 // batched pipeline (see pipeline.go); Feed becomes a cheap enqueue and the
 // Close report is bit-identical to the sequential engine's.
 //
@@ -186,6 +214,7 @@ type engineDet struct {
 // subsequent Feed and Close calls return the same error.
 type Engine struct {
 	dets   []engineDet
+	comps  []computation
 	chk    *trace.Checker
 	onRace func(RaceInfo)
 	pipe   *pipeline // non-nil iff the engine runs the parallel fan-out
@@ -244,7 +273,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	if !cfg.unchecked {
 		e.chk = trace.NewChecker()
 	}
-	spec := cfg.hints.spec()
+	var entries []analysis.Entry
 	seen := make(map[Cell]bool, len(cells))
 	for _, cell := range cells {
 		if seen[cell] {
@@ -255,12 +284,63 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		if !ok {
 			return nil, fmt.Errorf("race: no %v analysis at level %v (N/A in Table 1)", cell.Relation, cell.Level)
 		}
-		e.dets = append(e.dets, engineDet{entry: entry, a: entry.New(spec)})
+		entries = append(entries, entry)
 	}
-	if n := min(cfg.par, len(e.dets)); n > 1 {
+	e.build(entries, cfg.hints.spec())
+	if n := min(cfg.par, len(e.comps)); n > 1 {
 		e.startPipeline(n, cfg.batch)
 	}
 	return e, nil
+}
+
+// build turns the fan-out into detectors and the computations behind them.
+func (e *Engine) build(entries []analysis.Entry, spec analysis.Spec) {
+	e.dets = make([]engineDet, len(entries))
+	for di, entry := range entries {
+		e.dets[di].name = entry.Name
+		name := entry.Name // a SmartTrack cell computes alone
+		if entry.Level != SmartTrack {
+			name = entry.Relation.String()
+		}
+		ci := slices.IndexFunc(e.comps, func(c computation) bool { return c.name == name })
+		if ci < 0 {
+			ci = len(e.comps)
+			e.comps = append(e.comps, computation{name: name})
+		}
+		e.comps[ci].dets = append(e.comps[ci].dets, di)
+	}
+	for ci := range e.comps {
+		c := &e.comps[ci]
+		first := entries[c.dets[0]]
+		if len(c.dets) == 1 { // nothing to share: the standalone cell
+			a := first.New(spec)
+			c.a, e.dets[c.dets[0]].col = a, a.Races()
+			continue
+		}
+		buildGraph := slices.ContainsFunc(c.dets, func(di int) bool { return entries[di].Level == UnoptG })
+		sub := ccs.NewSubstrate(first.Relation, spec, buildGraph)
+		var views []ccs.View
+		var uv *unopt.View // one view reports as "Unopt-X" and as "Unopt-X w/G"
+		edged := 0
+		for _, di := range c.dets {
+			d := &e.dets[di]
+			switch entries[di].Level {
+			case FT2:
+				v := ft.NewView(sub, spec)
+				views, d.col = append(views, v), v.Races()
+			case FTO:
+				v := fto.NewView(sub, spec)
+				views, d.col = append(views, v), v.Races()
+			default:
+				if uv == nil {
+					uv = unopt.NewView(sub, spec)
+					edged, views = len(views), append(views, uv)
+				}
+				d.col = uv.Races()
+			}
+		}
+		c.a = ccs.NewGroup(sub, views, edged)
+	}
 }
 
 // Detectors lists the names of the engine's configured analyses, in
@@ -268,7 +348,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 func (e *Engine) Detectors() []string {
 	out := make([]string, len(e.dets))
 	for i := range e.dets {
-		out[i] = e.dets[i].entry.Name
+		out[i] = e.dets[i].name
 	}
 	return out
 }
@@ -283,7 +363,7 @@ const feedChunk = 8192
 
 // feed is the engine's one front end, behind every entry point: check the
 // run, retain it if Close will vindicate, then dispatch it — into the
-// pipeline's current batch, or through each analysis in turn.
+// pipeline's current batch, or through each computation in turn.
 func (e *Engine) feed(evs []Event) error {
 	if e.closed {
 		return errors.New("race: Feed on closed engine")
@@ -315,13 +395,15 @@ func (e *Engine) feed(evs []Event) error {
 			return err
 		}
 	} else {
-		for i := range e.dets {
-			d := &e.dets[i]
+		for i := range e.comps {
+			c := &e.comps[i]
 			for _, ev := range evs {
-				d.a.Handle(ev)
+				c.a.Handle(ev)
 			}
 			if e.onRace != nil || e.met != nil {
-				e.deliverNew(d)
+				for _, di := range c.dets {
+					e.deliverNew(&e.dets[di])
+				}
 			}
 		}
 	}
@@ -344,28 +426,32 @@ func (e *Engine) Feed(ev Event) error {
 	return e.feed(one[:])
 }
 
+// pending returns d's oldest not-yet-delivered race, stamped with its
+// per-analysis sequence number.
+func (d *engineDet) pending() RaceInfo {
+	rc := d.col.RaceAt(d.seen)
+	return RaceInfo{
+		Analysis: d.name,
+		Seq:      d.seen,
+		Var:      rc.Var,
+		Loc:      uint32(rc.Loc),
+		Index:    rc.Index,
+		Write:    rc.Write,
+	}
+}
+
 // deliverNew invokes the OnRace callback for d's not-yet-delivered races
 // and counts them into the metrics registry. RaceCount is a cheap counter
 // read; the race records are only touched on the (rare) events that
 // detected something.
 func (e *Engine) deliverNew(d *engineDet) {
-	col := d.a.Races()
-	for n := col.RaceCount(); d.seen < n; d.seen++ {
+	for n := d.col.RaceCount(); d.seen < n; d.seen++ {
 		if e.met != nil {
 			e.met.races.Inc()
 		}
-		if e.onRace == nil {
-			continue
+		if e.onRace != nil {
+			e.onRace(d.pending())
 		}
-		rc := col.RaceAt(d.seen)
-		e.onRace(RaceInfo{
-			Analysis: d.entry.Name,
-			Seq:      d.seen,
-			Var:      rc.Var,
-			Loc:      uint32(rc.Loc),
-			Index:    rc.Index,
-			Write:    rc.Write,
-		})
 	}
 }
 
@@ -394,8 +480,12 @@ func (e *Engine) checkPipe() error {
 // analysis runs to completion before the next (as the parallel pipeline
 // always has), so per-analysis detection order and Seq numbering are
 // unchanged, but callbacks of different analyses interleave per run, not
-// per event. That holds on every entry point: Feed's run is one event,
-// FeedTrace's and FeedSource's are 8192-event chunks.
+// per event — and cells of one relation deliver together: the FT2, FTO and
+// Unopt cells of a relation run as one computation over shared
+// synchronization state, so after each run their new races arrive back to
+// back, in fan-out order, at the position of the relation's first cell.
+// That holds on every entry point: Feed's run is one event, FeedTrace's
+// and FeedSource's are 8192-event chunks.
 func (e *Engine) FeedBatch(evs []Event) error {
 	if e.met == nil {
 		return e.feed(evs)
@@ -543,7 +633,7 @@ func (e *Engine) Close() (*Report, error) {
 	}
 	subs := make([]*Report, len(e.dets))
 	for i := range e.dets {
-		subs[i] = &Report{name: e.dets[i].entry.Name, col: e.dets[i].a.Races()}
+		subs[i] = &Report{name: e.dets[i].name, col: e.dets[i].col}
 	}
 	rep := &Report{name: subs[0].name, col: subs[0].col, subs: subs}
 	if e.keep {

@@ -328,3 +328,43 @@ func TestRouterSpreadsSessions(t *testing.T) {
 		t.Errorf("all %d sessions landed on one backend; ring not spreading", n)
 	}
 }
+
+// TestRouterSessionIDSource: a router given an id source places sessions by
+// its ids, in order — what makes a seeded fault schedule hit the same
+// backends on every replay — and falls back to NewSessionID without one.
+func TestRouterSessionIDSource(t *testing.T) {
+	srv := server.New(server.Config{IdleTimeout: -1})
+	t.Cleanup(func() { srv.Close() })
+	next := 0
+	rt, err := New([]Backend{NewLocal("only", srv)}, Options{NewSessionID: func() string {
+		next++
+		return "fseeded" + string(rune('0'+next))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go rt.ServeTCP(lis)
+	for _, want := range []string{"fseeded1", "fseeded2"} {
+		c, err := server.Dial(lis.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := c.Open(server.SessionConfig{Analyses: []string{"FTO-HB"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sess.ID() != want {
+			t.Errorf("session id = %q, want %q from the configured source", sess.ID(), want)
+		}
+		c.Close()
+	}
+	if rt, _, _ := startFleet(t, 1); len(rt.newID()) != 13 {
+		t.Errorf("default id source is not NewSessionID")
+	}
+}

@@ -43,6 +43,7 @@ type Router struct {
 
 	ioTimeout time.Duration
 	wrapConn  func(net.Conn) net.Conn
+	newID     func() string
 
 	lockMu    sync.Mutex
 	sessLocks map[string]*sync.Mutex
@@ -77,6 +78,13 @@ type Options struct {
 	// an organic stall would.
 	WrapConn func(net.Conn) net.Conn
 
+	// NewSessionID mints the id of a session whose client chose none; the
+	// id picks the session's backend on the hash ring. Nil means
+	// NewSessionID (crypto/rand). A fault-injection harness supplies a
+	// seeded source, so that which backend its schedule hits is a function
+	// of its seed.
+	NewSessionID func() string
+
 	// Registry receives the router's fleet_* metrics. Nil creates a
 	// private registry, reachable via Router.Registry. A registry must
 	// not be shared between Routers (series would collide).
@@ -109,6 +117,10 @@ func New(backends []Backend, opts Options) (*Router, error) {
 		tracer:    opts.Tracer,
 		ioTimeout: opts.IOTimeout,
 		wrapConn:  opts.WrapConn,
+		newID:     opts.NewSessionID,
+	}
+	if rt.newID == nil {
+		rt.newID = NewSessionID
 	}
 	if rt.reg == nil {
 		rt.reg = obs.NewRegistry()
@@ -496,7 +508,7 @@ func (rt *Router) serveConn(conn net.Conn) {
 	} else {
 		id = hello.SessionID
 		if id == "" {
-			id = NewSessionID()
+			id = rt.newID()
 		}
 		sess, _, err = rt.routeOpen(ctx, id, hello.Session)
 	}

@@ -86,7 +86,7 @@ func (rt *Router) handleOpen(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	id := q.Get("id")
 	if id == "" {
-		id = NewSessionID()
+		id = rt.newID()
 		q.Set("id", id)
 		r.URL.RawQuery = q.Encode()
 	}
@@ -164,7 +164,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 // handleIngest routes a one-shot ingest to any routable backend (hashed on
 // a throwaway id so load still spreads).
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	b, ok := rt.pickRoutable(NewSessionID())
+	b, ok := rt.pickRoutable(rt.newID())
 	if !ok {
 		http.Error(w, ErrNoBackends.Error(), http.StatusServiceUnavailable)
 		return

@@ -1,8 +1,8 @@
 package race
 
 import (
-	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -11,10 +11,11 @@ import (
 // shares one across every session's engine) through an obs.Registry.
 // Construct with NewEngineMetrics and install with WithMetrics.
 //
-// The hot-path cost is one atomic add per event counter and one
-// timestamp pair per FeedBatch call; a nil *EngineMetrics disables
-// everything, and conformance tests pin that enabling it does not
-// change any report byte.
+// The hot-path cost is one atomic add per event counter, one timestamp
+// pair per FeedBatch call, and (parallel engines) one atomic add per
+// claim of a computation, of time the scheduler measures anyway; a nil
+// *EngineMetrics disables everything, and conformance tests pin that
+// enabling it does not change any report byte.
 type EngineMetrics struct {
 	reg    *obs.Registry
 	prefix string
@@ -24,8 +25,8 @@ type EngineMetrics struct {
 	races     *obs.Counter   // <prefix>_races_total
 	eventsFed *obs.Counter   // <prefix>_events_fed_total
 
-	mu     sync.Mutex
-	shards []*obs.Counter // <prefix>_shard_events_total{shard=...}, lazy
+	mu   sync.Mutex
+	busy map[string]*atomic.Int64 // ns behind <prefix>_computation_busy_seconds_total{computation=...}, lazy
 }
 
 // NewEngineMetrics registers the engine metric family under the given
@@ -36,7 +37,7 @@ func NewEngineMetrics(reg *obs.Registry, prefix string) *EngineMetrics {
 	if reg == nil {
 		return nil
 	}
-	m := &EngineMetrics{reg: reg, prefix: prefix}
+	m := &EngineMetrics{reg: reg, prefix: prefix, busy: make(map[string]*atomic.Int64)}
 	// races is incremented downstream of eventsFed (detection follows
 	// feeding); registering it first keeps snapshots pipeline-consistent
 	// (see the obs package comment).
@@ -48,24 +49,28 @@ func NewEngineMetrics(reg *obs.Registry, prefix string) *EngineMetrics {
 		"Wall time of one FeedBatch call (checker + retain + enqueue or analyze).",
 		obs.LatencyBuckets())
 	m.ringOcc = reg.Histogram(prefix+"_ring_occupancy",
-		"Pipeline ring occupancy (in-flight batches, max across workers) sampled at each flush.",
+		"Pipeline ring occupancy (batches the slowest computation has yet to apply) sampled at each flush.",
 		obs.DepthBuckets())
 	return m
 }
 
-// shardCounter returns the per-shard event counter for pipeline worker
-// i, registering it on first use. Workers resolve the pointer once at
-// startup, so the lock is off the hot path.
-func (m *EngineMetrics) shardCounter(i int) *obs.Counter {
+// computationBusy returns the busy-time accumulator, in nanoseconds, of
+// the named computation, registering its series on first use. Pipelines
+// resolve the pointer once at start-up, so the lock is off the hot path;
+// engines sharing the handle aggregate by computation name.
+func (m *EngineMetrics) computationBusy(name string) *atomic.Int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.shards) <= i {
-		c := m.reg.Counter(m.prefix+"_shard_events_total",
-			"Events processed per pipeline worker shard.",
-			obs.L("shard", strconv.Itoa(len(m.shards))))
-		m.shards = append(m.shards, c)
+	ns := m.busy[name]
+	if ns == nil {
+		ns = new(atomic.Int64)
+		m.busy[name] = ns
+		m.reg.CounterFunc(m.prefix+"_computation_busy_seconds_total",
+			"Time pipeline workers spent applying (timed) batches to each computation: a relation shared by its FT2/FTO/Unopt cells, or a SmartTrack cell.",
+			func() float64 { return float64(ns.Load()) / 1e9 },
+			obs.L("computation", name))
 	}
-	return m.shards[i]
+	return ns
 }
 
 // WithMetrics installs engine instrumentation (see NewEngineMetrics).

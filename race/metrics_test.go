@@ -67,10 +67,10 @@ func TestMetricsDoNotPerturbReports(t *testing.T) {
 		// The registry must have seen the traffic it claims to measure.
 		snaps := reg.Snapshot()
 		byName := map[string]float64{}
-		var shardSum float64
+		busy := map[string]float64{}
 		for _, s := range snaps {
-			if s.Name == "test_engine_shard_events_total" {
-				shardSum += s.Value
+			if s.Name == "test_engine_computation_busy_seconds_total" {
+				busy[s.Labels[0].Value] = s.Value
 				continue
 			}
 			if s.Hist == nil {
@@ -83,11 +83,19 @@ func TestMetricsDoNotPerturbReports(t *testing.T) {
 		if byName["test_engine_races_total"] == 0 {
 			t.Errorf("%s: races_total = 0, avrora should race", cfg.name)
 		}
-		if cfg.par > 1 {
-			// Every shard consumes the full stream.
-			wantShard := float64(min(cfg.par, 15) * len(tr.Events))
-			if shardSum != wantShard {
-				t.Errorf("%s: shard events sum = %v, want %v", cfg.name, shardSum, wantShard)
+		// The 15 cells are 7 computations, each with measured busy time on
+		// the pipeline; a sequential engine schedules nothing and registers
+		// no such series.
+		want := []string{"HB", "WCP", "DC", "WDC", "ST-WCP", "ST-DC", "ST-WDC"}
+		if cfg.par <= 1 {
+			want = nil
+		}
+		if len(busy) != len(want) {
+			t.Errorf("%s: busy series %v, want one each for %v", cfg.name, busy, want)
+		}
+		for _, name := range want {
+			if busy[name] <= 0 {
+				t.Errorf("%s: computation %s has no busy time: %v", cfg.name, name, busy)
 			}
 		}
 	}
@@ -137,7 +145,7 @@ func TestEngineMetricsExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		"eng_events_fed_total", "eng_races_total",
-		"eng_feed_batch_seconds", "eng_ring_occupancy", "eng_shard_events_total",
+		"eng_feed_batch_seconds", "eng_ring_occupancy", "eng_computation_busy_seconds_total",
 	} {
 		if !found[want] {
 			t.Errorf("exposition missing family %s:\n%s", want, b.String())

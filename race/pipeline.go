@@ -1,178 +1,77 @@
 package race
 
 // This file implements the engine's parallel fan-out pipeline: with
-// WithParallelism(n), each shard of the configured analyses runs on a
-// dedicated worker goroutine fed by a single-producer/single-consumer ring
-// of event batches, so independent Table 1 cells analyze the same event
-// stream concurrently instead of serially. Feed stays a cheap enqueue —
-// the well-formedness checker (and a vindicating engine's retention) runs
-// on the feeding goroutine, so errors still surface synchronously, and the
-// run lands in the current batch, which flushes when full, at
-// synchronization events (when an OnRace callback wants timely delivery),
-// and at Close.
+// WithParallelism(n), the engine's computations (one per relation shared by
+// FT2/FTO/Unopt cells, one per SmartTrack cell — see computation) run on n
+// worker goroutines pulling from one shared ring of event batches. Each
+// computation has a cursor into the ring; a free worker claims the
+// unclaimed computation with batches pending and the highest measured cost
+// per event, applies every pending batch to it, and releases it. All
+// computations lag the same stream, so costliest-first is longest-
+// processing-time-first scheduling, and the costs are measured on the
+// trace being analyzed (two clock reads per computation per batch), not
+// read from a table calibrated on another.
 //
-// Determinism: every analysis still consumes the complete stream in feed
-// order, so the Close report is identical to the sequential engine's, and
-// races delivered to OnRace carry per-analysis sequence numbers
-// (RaceInfo.Seq) that match detection order exactly. Callbacks are invoked
-// from one drainer goroutine, never concurrently.
+// Feed stays a cheap enqueue — the well-formedness checker (and a
+// vindicating engine's retention) runs on the feeding goroutine, so errors
+// still surface synchronously, and the run lands in the current batch,
+// which flushes when full, at synchronization events (when an OnRace
+// callback wants timely delivery), and at Close.
 //
-// Failure: a panicking analysis poisons the engine — its worker closes its
-// ring so the producer cannot block, and the panic surfaces as an error
-// from the next Feed or from Close.
+// Determinism: every computation still consumes the complete stream in
+// feed order, one worker at a time, so the Close report is identical to
+// the sequential engine's, and races delivered to OnRace carry per-analysis
+// sequence numbers (RaceInfo.Seq) that match detection order exactly.
+// Callbacks are invoked from one drainer goroutine, never concurrently.
+//
+// Failure: a panicking analysis poisons the engine — its computation stays
+// claimed for good, so nothing touches its torn state, and the panic
+// surfaces as an error from the next Feed or Sync, or from Close.
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
+	"time"
 )
 
 // DefaultBatchSize is the pipeline batch size WithBatchSize(0) resolves
-// to: large enough that per-batch coordination (one ring push per worker
-// plus a possible wakeup) vanishes per event.
+// to: large enough that per-batch coordination (one publish, and one claim
+// per computation at most) vanishes per event.
 const DefaultBatchSize = 1024
 
 const (
-	// ringCapacity is the number of in-flight batches each worker may lag
-	// behind the producer before Feed backpressures.
+	// ringCapacity is the number of in-flight batches the slowest
+	// computation may lag behind the producer before Feed backpressures.
 	ringCapacity = 64
-	// ringSpins bounds the lock-free retry loop before a ring operation
-	// parks on the slow-path condition variable.
-	ringSpins = 256
+	// minTimedBatch is the batch length below which a computation's pass
+	// goes untimed: two clock reads would rival the work they measure.
+	minTimedBatch = 64
 )
 
-// eventBatch is one batch of events shared by every worker; refs counts
-// the workers still due to process it, and the last one recycles it. ack,
-// when non-nil, is closed by the consuming worker once the batch has been
-// fully processed — the barrier primitive Engine.Sync rides on.
+// eventBatch is one batch of events, read by every computation and
+// recycled once the last cursor has passed it.
 type eventBatch struct {
-	evs  []Event
-	refs atomic.Int32
-	ack  chan struct{}
+	evs []Event
 }
 
 // batchPool recycles event batches between the producer and the last
-// worker to finish each batch.
+// computation to finish each batch.
 var batchPool = sync.Pool{New: func() any { return new(eventBatch) }}
 
-// spscRing is a bounded single-producer/single-consumer queue of batches.
-// The fast paths are purely atomic; after a bounded spin both sides park
-// on a condition variable, and each successful operation wakes the other
-// side only when it is actually waiting.
-type spscRing struct {
-	buf    []*eventBatch
-	mask   uint64
-	head   atomic.Uint64 // next slot the consumer reads
-	_      [56]byte      // keep producer and consumer indices off one cache line
-	tail   atomic.Uint64 // next slot the producer writes
-	_      [56]byte
-	sleep  atomic.Int32 // parked sides
-	mu     sync.Mutex
-	cond   sync.Cond
-	closed atomic.Bool
-}
+// task is a computation's place in the pipeline.
+type task struct {
+	*computation
+	labels context.Context // pprof label computation=<name>, prebuilt: a claim allocates nothing
+	busy   *atomic.Int64   // ns behind <prefix>_computation_busy_seconds_total; nil without metrics
 
-func newRing(capacity int) *spscRing {
-	size := 1
-	for size < capacity {
-		size <<= 1
-	}
-	r := &spscRing{buf: make([]*eventBatch, size), mask: uint64(size - 1)}
-	r.cond.L = &r.mu
-	return r
-}
-
-// wake signals the other side if it is parked.
-func (r *spscRing) wake() {
-	if r.sleep.Load() != 0 {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	}
-}
-
-// push enqueues b, blocking while the ring is full. It returns false if
-// the ring was closed (consumer death), so the producer can surface the
-// worker's error instead of blocking forever.
-func (r *spscRing) push(b *eventBatch) bool {
-	spins := 0
-	for {
-		if r.closed.Load() {
-			return false
-		}
-		t := r.tail.Load()
-		if t-r.head.Load() < uint64(len(r.buf)) {
-			r.buf[t&r.mask] = b
-			r.tail.Store(t + 1)
-			r.wake()
-			return true
-		}
-		if spins++; spins < ringSpins {
-			runtime.Gosched()
-			continue
-		}
-		r.sleep.Add(1)
-		r.mu.Lock()
-		for !r.closed.Load() && r.tail.Load()-r.head.Load() >= uint64(len(r.buf)) {
-			r.cond.Wait()
-		}
-		r.mu.Unlock()
-		r.sleep.Add(-1)
-		spins = 0
-	}
-}
-
-// pop dequeues the next batch, blocking while the ring is empty. ok is
-// false once the ring is closed and drained.
-func (r *spscRing) pop() (b *eventBatch, ok bool) {
-	spins := 0
-	for {
-		h := r.head.Load()
-		if h < r.tail.Load() {
-			b = r.buf[h&r.mask]
-			r.buf[h&r.mask] = nil
-			r.head.Store(h + 1)
-			r.wake()
-			return b, true
-		}
-		if r.closed.Load() {
-			return nil, false
-		}
-		if spins++; spins < ringSpins {
-			runtime.Gosched()
-			continue
-		}
-		r.sleep.Add(1)
-		r.mu.Lock()
-		for !r.closed.Load() && r.head.Load() >= r.tail.Load() {
-			r.cond.Wait()
-		}
-		r.mu.Unlock()
-		r.sleep.Add(-1)
-		spins = 0
-	}
-}
-
-// close marks the ring finished; blocked sides unblock. Pushed batches
-// remain poppable (close-and-drain).
-func (r *spscRing) close() {
-	r.closed.Store(true)
-	r.mu.Lock()
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-// pworker is one pipeline worker: a shard of the fan-out's analyses and
-// the ring feeding them.
-type pworker struct {
-	ring *spscRing
-	idx  int   // worker/shard index, stable for metrics labelling
-	dets []int // indices into Engine.dets, in fan-out order
-	done chan struct{}
+	// Guarded by pipeline.mu.
+	next    uint64  // cursor: batches applied so far
+	claimed bool    // a worker is applying batches to it (for good, once its analysis panicked)
+	cost    float64 // measured ns/event, smoothed; 0 until a timed batch
 }
 
 // syncSentinel marks a RaceInfo flowing through raceCh as Engine.Sync's
@@ -182,16 +81,23 @@ const syncSentinel = -1
 
 // pipeline is the engine's parallel runtime state.
 type pipeline struct {
-	workers   []*pworker
+	tasks     []*task
 	batchSize int
 	cur       *eventBatch
 	raceCh    chan RaceInfo
 	syncAck   chan struct{} // drainer acks Sync's sentinel here
 	drainDone chan struct{}
+	workers   sync.WaitGroup
 
 	mu     sync.Mutex
+	work   sync.Cond                 // workers wait here for something to claim
+	room   sync.Cond                 // the producer waits here: for a free slot, or for Sync's barrier
+	ring   [ringCapacity]*eventBatch // batches [head, tail), batch i in slot i%ringCapacity
+	head   uint64                    // batches every task has applied; their slots are free
+	tail   uint64                    // batches published
+	closed bool                      // no more batches will be published
 	errs   []error
-	dead   atomic.Bool // fast-path flag: some worker or callback has failed
+	dead   atomic.Bool // fast-path flag: some analysis or callback has failed
 	cbDead bool        // drainer-local: the OnRace callback has panicked
 }
 
@@ -210,13 +116,22 @@ func (p *pipeline) deliver(fn func(RaceInfo), ri RaceInfo) {
 	fn(ri)
 }
 
-// startPipeline shards the engine's analyses over n workers and starts
-// them, plus the single OnRace drainer when a callback is installed.
+// startPipeline starts n workers over the engine's computations, plus the
+// single OnRace drainer when a callback is installed.
 func (e *Engine) startPipeline(n, batchSize int) {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
 	p := &pipeline{batchSize: batchSize, cur: newBatch()}
+	p.work.L, p.room.L = &p.mu, &p.mu
+	for i := range e.comps {
+		c := &e.comps[i]
+		t := &task{computation: c, labels: pprof.WithLabels(context.Background(), pprof.Labels("computation", c.name))}
+		if e.met != nil {
+			t.busy = e.met.computationBusy(c.name)
+		}
+		p.tasks = append(p.tasks, t)
+	}
 	if e.onRace != nil {
 		p.raceCh = make(chan RaceInfo, 256)
 		p.syncAck = make(chan struct{})
@@ -240,13 +155,9 @@ func (e *Engine) startPipeline(n, batchSize int) {
 			}
 		}()
 	}
+	p.workers.Add(n)
 	for w := 0; w < n; w++ {
-		pw := &pworker{ring: newRing(ringCapacity), idx: w, done: make(chan struct{})}
-		for di := w; di < len(e.dets); di += n {
-			pw.dets = append(pw.dets, di)
-		}
-		p.workers = append(p.workers, pw)
-		go e.runWorker(p, pw)
+		go e.runWorker(p)
 	}
 	e.pipe = p
 }
@@ -254,88 +165,141 @@ func (e *Engine) startPipeline(n, batchSize int) {
 func newBatch() *eventBatch {
 	b := batchPool.Get().(*eventBatch)
 	b.evs = b.evs[:0]
-	b.ack = nil
 	return b
 }
 
-// runWorker drains the worker's ring, feeding every event of every batch
-// to each analysis of the shard in order, then publishing any new races.
-func (e *Engine) runWorker(p *pipeline, w *pworker) {
-	defer close(w.done)
+// claim picks a free worker's next task: of the unclaimed tasks with
+// batches pending, the one that costs most per event. Callers hold p.mu.
+func (p *pipeline) claim() *task {
+	var best *task
+	for _, t := range p.tasks {
+		if !t.claimed && t.next < p.tail && (best == nil || t.cost > best.cost) {
+			best = t
+		}
+	}
+	return best
+}
+
+// runWorker claims a task, applies its pending batches, releases it, and
+// repeats, until the pipeline is closed and nothing is left to claim (a
+// task another worker still holds is that worker's to finish).
+func (e *Engine) runWorker(p *pipeline) {
+	defer p.workers.Done()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		t := p.claim()
+		if t == nil {
+			if p.closed {
+				return
+			}
+			p.work.Wait()
+			continue
+		}
+		t.claimed = true
+		lo, hi := t.next, p.tail
+		p.mu.Unlock()
+		ns, n, ok := e.apply(p, t, lo, hi)
+		p.mu.Lock()
+		if !ok {
+			return // t stays claimed; fail has woken the producer
+		}
+		t.next, t.claimed = hi, false
+		if n > 0 {
+			if t.busy != nil {
+				t.busy.Add(int64(ns))
+			}
+			sample := float64(ns) / float64(n)
+			if t.cost == 0 {
+				t.cost = sample
+			} else {
+				t.cost += (sample - t.cost) / 4
+			}
+		}
+		p.recycle()
+	}
+}
+
+// apply feeds batches [lo, hi) to t's computation and publishes its new
+// races, without the lock: the slots cannot be reused before t.next passes
+// them. It returns the time and event count of the batches it timed; ok is
+// false if the analysis panicked, which poisons the engine.
+func (e *Engine) apply(p *pipeline, t *task, lo, hi uint64) (ns time.Duration, n int, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.fail(fmt.Errorf("race: analysis panicked in pipeline worker: %v", r))
-			// Unblock the producer: a closed ring makes push return false,
-			// which Feed turns into the recorded error.
-			w.ring.close()
+			ok = false
 		}
 	}()
-	var shardEvents *obs.Counter
-	if e.met != nil {
-		shardEvents = e.met.shardCounter(w.idx)
-	}
-	for {
-		b, ok := w.ring.pop()
-		if !ok {
-			return
+	pprof.SetGoroutineLabels(t.labels)
+	for i := lo; i < hi; i++ {
+		evs := p.ring[i%ringCapacity].evs
+		var t0 time.Time
+		if len(evs) >= minTimedBatch {
+			t0 = time.Now()
 		}
-		for _, di := range w.dets {
-			d := &e.dets[di]
-			for _, ev := range b.evs {
-				d.a.Handle(ev)
-			}
+		for _, ev := range evs {
+			t.a.Handle(ev)
+		}
+		if len(evs) >= minTimedBatch {
+			ns += time.Since(t0)
+			n += len(evs)
+		}
+		for _, di := range t.dets {
 			if p.raceCh != nil {
-				e.deliverRaces(d, p.raceCh)
+				e.deliverRaces(&e.dets[di], p.raceCh)
 			} else if e.met != nil {
-				e.countRaces(d)
+				e.countRaces(&e.dets[di])
 			}
 		}
-		if shardEvents != nil {
-			shardEvents.Add(uint64(len(b.evs)))
-		}
-		if b.ack != nil {
-			close(b.ack)
-		}
-		if b.refs.Add(-1) == 0 {
-			batchPool.Put(b)
-		}
 	}
+	return ns, n, true
+}
+
+// recycle frees the batches every task has now applied and wakes a producer
+// waiting for room or for Sync's barrier. Callers hold p.mu.
+func (p *pipeline) recycle() {
+	low := p.tail
+	for _, t := range p.tasks {
+		low = min(low, t.next)
+	}
+	if low == p.head {
+		return
+	}
+	for ; p.head < low; p.head++ {
+		slot := &p.ring[p.head%ringCapacity]
+		batchPool.Put(*slot)
+		*slot = nil
+	}
+	p.room.Broadcast()
 }
 
 // countRaces advances d's delivery cursor counting new races into the
 // metrics registry, for pipelines with no OnRace drainer installed.
 func (e *Engine) countRaces(d *engineDet) {
-	for n := d.a.Races().RaceCount(); d.seen < n; d.seen++ {
+	for n := d.col.RaceCount(); d.seen < n; d.seen++ {
 		e.met.races.Inc()
 	}
 }
 
-// deliverRaces publishes d's newly detected races in detection order,
-// stamped with their per-analysis sequence numbers.
+// deliverRaces publishes d's newly detected races in detection order.
 func (e *Engine) deliverRaces(d *engineDet, sink chan<- RaceInfo) {
-	col := d.a.Races()
-	for n := col.RaceCount(); d.seen < n; d.seen++ {
+	for n := d.col.RaceCount(); d.seen < n; d.seen++ {
 		if e.met != nil {
 			e.met.races.Inc()
 		}
-		rc := col.RaceAt(d.seen)
-		sink <- RaceInfo{
-			Analysis: d.entry.Name,
-			Seq:      d.seen,
-			Var:      rc.Var,
-			Loc:      uint32(rc.Loc),
-			Index:    rc.Index,
-			Write:    rc.Write,
-		}
+		sink <- d.pending()
 	}
 }
 
-// fail records a worker error and flips the poison flag.
+// fail records a worker or callback error, flips the poison flag, and wakes
+// a producer waiting on cursors that may now never move.
 func (p *pipeline) fail(err error) {
 	p.mu.Lock()
 	p.errs = append(p.errs, err)
-	p.mu.Unlock()
 	p.dead.Store(true)
+	p.room.Broadcast()
+	p.mu.Unlock()
 }
 
 // firstErr returns the first recorded worker error, if any.
@@ -370,39 +334,30 @@ func (e *Engine) enqueue(evs []Event) error {
 	return nil
 }
 
-// flushBatch publishes the current batch to every worker ring.
+// flushBatch publishes the current batch to the ring, waiting for a free
+// slot while the slowest computation is a full ring behind. On a dead
+// pipeline the batch is abandoned: the engine is poisoned either way.
 func (e *Engine) flushBatch() error {
 	p := e.pipe
 	if len(p.cur.evs) == 0 {
 		return nil
 	}
-	b := p.cur
-	// A failed push (dead worker) abandons the batch: it was already
-	// delivered to earlier rings, so retrying would make surviving workers
-	// process the same events twice. The engine is poisoned either way.
-	p.cur = newBatch()
-	b.refs.Store(int32(len(p.workers)))
+	p.mu.Lock()
+	for p.tail-p.head == ringCapacity && !p.dead.Load() {
+		p.room.Wait()
+	}
+	if p.dead.Load() {
+		p.mu.Unlock()
+		return e.checkPipe()
+	}
 	if e.met != nil {
-		// Occupancy of the laggiest ring, sampled once per flush: the
-		// producer owns tail and reads head, so both loads are safe here.
-		var occ uint64
-		for _, w := range p.workers {
-			if d := w.ring.tail.Load() - w.ring.head.Load(); d > occ {
-				occ = d
-			}
-		}
-		e.met.ringOcc.Observe(float64(occ))
+		e.met.ringOcc.Observe(float64(p.tail - p.head))
 	}
-	for _, w := range p.workers {
-		if !w.ring.push(b) {
-			if err := p.firstErr(); err != nil {
-				e.err = err
-			} else {
-				e.err = fmt.Errorf("race: pipeline worker exited early")
-			}
-			return e.err
-		}
-	}
+	p.ring[p.tail%ringCapacity] = p.cur
+	p.tail++
+	p.work.Broadcast()
+	p.mu.Unlock()
+	p.cur = newBatch()
 	return nil
 }
 
@@ -430,29 +385,14 @@ func (e *Engine) Sync() error {
 	if err := e.flushBatch(); err != nil {
 		return err
 	}
-	workerDead := func() error {
-		if e.err = p.firstErr(); e.err == nil {
-			e.err = errors.New("race: pipeline worker exited early")
-		}
-		return e.err
-	}
-	// One empty acked batch per worker ring: its ack closing means that
-	// worker consumed everything enqueued before it. The select against
-	// the worker's done channel keeps a dying worker from holding the
+	// Every cursor at the tail means every computation has applied every
+	// batch; a dying worker wakes the wait too, so it cannot hold the
 	// barrier open forever.
-	for _, w := range p.workers {
-		b := newBatch()
-		b.ack = make(chan struct{})
-		b.refs.Store(1)
-		if !w.ring.push(b) {
-			return workerDead()
-		}
-		select {
-		case <-b.ack:
-		case <-w.done:
-			return workerDead()
-		}
+	p.mu.Lock()
+	for p.head < p.tail && !p.dead.Load() {
+		p.room.Wait()
 	}
+	p.mu.Unlock()
 	if p.raceCh != nil {
 		// The workers have pushed every pre-barrier race into raceCh; a
 		// sentinel behind them makes the drainer's ack mean those races
@@ -461,24 +401,20 @@ func (e *Engine) Sync() error {
 		p.raceCh <- RaceInfo{Seq: syncSentinel}
 		<-p.syncAck
 	}
-	if err := p.firstErr(); err != nil {
-		e.err = err
-		return err
-	}
-	return nil
+	return e.checkPipe()
 }
 
-// drainPipeline flushes the trailing partial batch, stops the workers, and
-// waits for the drainer; it returns the first worker error, if any.
+// drainPipeline flushes the trailing partial batch, lets the workers finish
+// what is published and joins them, then waits for the drainer; it returns
+// the first worker error, if any.
 func (e *Engine) drainPipeline() error {
 	p := e.pipe
 	ferr := e.flushBatch()
-	for _, w := range p.workers {
-		w.ring.close()
-	}
-	for _, w := range p.workers {
-		<-w.done
-	}
+	p.mu.Lock()
+	p.closed = true
+	p.work.Broadcast()
+	p.mu.Unlock()
+	p.workers.Wait()
 	if p.raceCh != nil {
 		close(p.raceCh)
 		<-p.drainDone
