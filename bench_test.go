@@ -60,8 +60,7 @@ func BenchmarkAnalysis(b *testing.B) {
 
 // BenchmarkAnalysisAllCells measures the multi-analysis fan-out: one pass
 // of the avrora-calibrated workload through every registered Table 1 cell
-// at once, sequentially and through the parallel pipeline at GOMAXPROCS —
-// the throughput comparison behind the repo's BENCH_*.json trajectory.
+// at once, sequentially and through the parallel pipeline at GOMAXPROCS.
 // The parallel speedup requires cores: on a single-CPU machine the
 // pipeline can only hide coordination, not overlap analysis work.
 func BenchmarkAnalysisAllCells(b *testing.B) {
@@ -79,11 +78,9 @@ func BenchmarkAnalysisAllCells(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d, err := bench.MeasureEngine(benchTrace, names, cfg.par, 0)
-				if err != nil {
+				if err := runEngine(benchTrace, names, cfg.par); err != nil {
 					b.Fatal(err)
 				}
-				_ = d
 			}
 			b.ReportMetric(float64(benchTrace.Len()), "events/op")
 			if s := b.Elapsed().Seconds(); s > 0 {
@@ -91,6 +88,25 @@ func BenchmarkAnalysisAllCells(b *testing.B) {
 			}
 		})
 	}
+}
+
+// runEngine makes one full pass of tr, Feed to Close, through an engine
+// running the named analyses at the given parallelism (1 = sequential).
+func runEngine(tr *trace.Trace, names []string, parallelism int) error {
+	eng, err := race.NewEngine(
+		race.WithAnalysisNames(names...),
+		race.WithCapacityHints(race.HintsOf(tr)),
+		race.WithParallelism(parallelism),
+		race.WithUncheckedInput(),
+	)
+	if err != nil {
+		return err
+	}
+	if err := eng.FeedTrace(tr); err != nil {
+		return err
+	}
+	_, err = eng.Close()
+	return err
 }
 
 // fanoutTrace is the h2-calibrated, sync-dense workload of the benchmark's

@@ -8,13 +8,9 @@
 //	racebench -table all -trials 5
 //	racebench -figures
 //	racebench -table 7 -programs xalan,pmd
-//	racebench -json BENCH_results.json -scale 40000
 //
-// The -json mode writes the full table measurements plus the single-
-// analysis costs and the multi-analysis fan-out throughput comparison to
-// the named file (schema "racebench/v1", documented in internal/bench) —
-// the machine-readable perf trajectory the checked-in BENCH_*.json files
-// track across PRs.
+// It renders the paper's artifacts; the repository's performance is
+// measured by benchmark/ (BENCHMARK.json), not here.
 package main
 
 import (
@@ -34,9 +30,6 @@ func main() {
 		trials   = flag.Int("trials", 1, "trials per measurement (appendix tables use 5+)")
 		seed     = flag.Int64("seed", 1, "base workload seed")
 		programs = flag.String("programs", "", "comma-separated workload subset (default: all ten)")
-		jsonOut  = flag.String("json", "", "write machine-readable results (racebench/v1 schema) to this file")
-		par      = flag.Int("parallelism", 0, "fan-out parallelism for -json throughput (0 = GOMAXPROCS)")
-		batch    = flag.Int("batch", 0, "fan-out batch size for -json throughput (0 = engine default)")
 	)
 	flag.Parse()
 
@@ -45,34 +38,10 @@ func main() {
 		cfg.Programs = strings.Split(*programs, ",")
 	}
 
-	if *jsonOut != "" {
-		rep, err := bench.BuildJSON(cfg, *par, *batch)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "racebench: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "racebench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WriteJSON(f, rep); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "racebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("racebench: wrote %s (fan-out speedup %.2fx at parallelism %d on %d CPU(s))\n",
-			*jsonOut, rep.Fanout.Speedup, rep.Fanout.Parallelism, rep.CPUs)
-	}
-
 	if *figures {
 		fmt.Print(bench.RenderFigures())
 	}
-	if *table == "" && !*figures && *jsonOut == "" {
+	if *table == "" && !*figures {
 		flag.Usage()
 		os.Exit(2)
 	}

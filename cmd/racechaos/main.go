@@ -28,7 +28,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -248,30 +247,19 @@ func reference(tr *race.Trace, names []string) ([]byte, error) {
 	return json.Marshal(rep)
 }
 
-// classify names the typed class of a session failure, or "" when the
-// error is unclassified — the contract violation the harness exists to
-// catch.
+// classify names the typed class of a session failure — the code a server
+// sent, else the label of the error's row in the service's error table — or
+// "" when the error is unclassified: the contract violation the harness
+// exists to catch.
 func classify(err error) string {
 	if code := server.RemoteErrorCode(err); code != "" {
 		return "code:" + string(code)
 	}
-	switch {
-	case errors.Is(err, server.ErrDiskFault):
-		return "disk-fault"
-	case errors.Is(err, server.ErrSuspended), errors.Is(err, server.ErrHandoff):
-		return "handoff"
-	case errors.Is(err, server.ErrEvicted):
-		return "evicted"
-	case errors.Is(err, server.ErrDraining), errors.Is(err, fleet.ErrBackendDraining):
-		return "draining"
-	case errors.Is(err, server.ErrServerFull), errors.Is(err, fleet.ErrNoBackends):
-		return "capacity"
-	case errors.Is(err, fleet.ErrBackendDown), errors.Is(err, fleet.ErrCircuitOpen):
-		return "backend-down"
-	case errors.Is(err, fault.ErrInjected):
+	if label := server.Classify(err).Label; label != "" {
+		return label
+	}
+	if fault.Injected(err) {
 		return "injected"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "timeout"
 	}
 	return ""
 }

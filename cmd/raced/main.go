@@ -127,7 +127,7 @@ func main() {
 			fatalf("%v", err)
 		}
 		logger.Info("HTTP API listening", "addr", lis.Addr().String())
-		hs := &http.Server{Handler: srv.Handler()}
+		hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: server.ReadHeaderTimeout}
 		go func() { errc <- hs.Serve(lis) }()
 	}
 	if *debugAddr != "" {

@@ -52,11 +52,11 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
 	"repro/race/fleet"
+	"repro/race/server"
 )
 
 // backendFlag collects repeated -backend definitions.
@@ -158,7 +158,7 @@ func main() {
 			fatalf("%v", err)
 		}
 		logger.Info("HTTP API listening", "addr", lis.Addr().String())
-		hs := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: 10 * time.Second}
+		hs := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: server.ReadHeaderTimeout}
 		go func() { errc <- hs.Serve(lis) }()
 	}
 	if *debugAddr != "" {

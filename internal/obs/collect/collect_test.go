@@ -229,7 +229,7 @@ func TestCheckReportRejectsBadSchema(t *testing.T) {
 
 func TestCheckAcceptsLoadSchema(t *testing.T) {
 	// raceload emits the same collector fields under its superset schema;
-	// Check must accept it so racemon -check can validate LOAD_pr10.json.
+	// Check must accept it so racemon -check can validate a raceload report.
 	rep := &Report{Schema: LoadSchemaVersion, Targets: []string{"a"}}
 	col := New(rep)
 	col.Record(time.Unix(5000, 0), map[string]TargetSample{"a": sampleAt(10)})

@@ -11,45 +11,26 @@ import (
 // with typed checks instead of matching message substrings.
 type ErrCode string
 
-// The error-code vocabulary. Transient codes (a retry against the same or
-// another backend can succeed) are marked; the rest are terminal for the
-// session.
+// The error-code vocabulary. What each code means, the HTTP status it maps
+// to, what a client does about it and what happens to the session's journal
+// are one row each of race/server's condition table (race/server/errors.go;
+// the README's "Errors" section renders it) — nothing about a code is
+// decided here.
 const (
-	// CodeUnknownSession: the session id is not open (and, on a durable
-	// server, not on disk). Transient during migration races.
 	CodeUnknownSession ErrCode = "unknown-session"
-	// CodeBusy: the session is attached to another connection.
-	CodeBusy ErrCode = "busy"
-	// CodeSuspended: the session was suspended for migration; resume
-	// elsewhere. Transient.
-	CodeSuspended ErrCode = "suspended"
-	// CodeEvicted: the session was evicted (idle timeout or shutdown).
-	// Transient for durable sessions, which can be resumed.
-	CodeEvicted ErrCode = "evicted"
-	// CodeDraining: the server rejects new sessions. Transient (try
-	// another backend).
-	CodeDraining ErrCode = "draining"
-	// CodeFull: the session table is at capacity. Transient.
-	CodeFull ErrCode = "full"
-	// CodeShutdown: the server is closed.
-	CodeShutdown ErrCode = "shutdown"
-	// CodeClosed: the session already finished.
-	CodeClosed ErrCode = "closed"
-	// CodeIDTaken: the caller-chosen session id is already in use.
-	CodeIDTaken ErrCode = "id-taken"
-	// CodeIO: the session failed on disk I/O (journal append/sync); its
-	// state is sticky-failed and its journal quarantined.
-	CodeIO ErrCode = "io"
-	// CodeCorrupt: a frame failed its checksum.
-	CodeCorrupt ErrCode = "corrupt"
-	// CodeProto: the peer violated the protocol (bad version, bad frame
-	// sequence, undecodable payload).
-	CodeProto ErrCode = "proto"
-	// CodeTimeout: the server cut the connection after an I/O deadline
-	// expired. Transient.
-	CodeTimeout ErrCode = "timeout"
-	// CodeInternal: any other server-side failure (analysis error, panic).
-	CodeInternal ErrCode = "internal"
+	CodeBusy           ErrCode = "busy"
+	CodeSuspended      ErrCode = "suspended"
+	CodeEvicted        ErrCode = "evicted"
+	CodeDraining       ErrCode = "draining"
+	CodeFull           ErrCode = "full"
+	CodeShutdown       ErrCode = "shutdown"
+	CodeClosed         ErrCode = "closed"
+	CodeIDTaken        ErrCode = "id-taken"
+	CodeIO             ErrCode = "io"
+	CodeCorrupt        ErrCode = "corrupt"
+	CodeProto          ErrCode = "proto"
+	CodeTimeout        ErrCode = "timeout"
+	CodeInternal       ErrCode = "internal"
 )
 
 // ErrorCodeHeader is the HTTP response header carrying an ErrCode on

@@ -33,13 +33,15 @@
 // every event sent before it has been applied to the session's analyses —
 // and, on a durable server, journaled and synced to disk (any ingestion
 // error is reported). EOF is the graceful end of stream; the server replies
-// with the final report and both sides close. Error frames carry a
-// human-readable message and terminate the session.
+// with the final report and both sides close. Error frames carry a typed
+// code (ErrCode) and a human-readable message, and terminate the session;
+// what each code obliges either side to do is race/server's condition table
+// (race/server/errors.go, rendered in the README's "Errors" section).
 //
 // A Hello may instead name an existing durable session to re-attach to
 // ({proto, resume: id}); the Ack then carries the accepted event offset the
 // client resumes sending from. Payload shapes live in race/server
-// (helloPayload/ackPayload).
+// (HelloPayload, AckPayload, FlushPayload, FlushAckPayload).
 //
 // A router fronting several servers may answer any client frame with
 // Redirect instead: the session's backend is being handed off (drain,

@@ -17,28 +17,47 @@
 // in one process: Local wraps a *server.Server directly (deterministic
 // tests, simulated crashes via Kill), Remote speaks the wire protocol and
 // HTTP to a real raced.
+//
+// The router keeps no error classifier: failover, redirects, mark-down and
+// the codes it sends all read race/server's condition table
+// (server.Classify), which its own sentinels join by wrapping.
 package fleet
 
 import (
 	"context"
-	"errors"
 	"net/http"
 
 	"repro/internal/obs/tracing"
 	"repro/race/server"
 )
 
+// routerErr is a router-side error that server.Classify resolves to the
+// row of the server condition it wraps: the router's own failures join the
+// one error table instead of keeping a second one.
+type routerErr struct {
+	msg  string
+	cond error
+}
+
+func (e *routerErr) Error() string { return e.msg }
+func (e *routerErr) Unwrap() error { return e.cond }
+
 // Errors surfaced by backends and routing.
 var (
 	// ErrBackendDraining marks a backend that answers health probes but
 	// has been told to stop admitting sessions: reachable (existing
 	// sessions keep streaming, admin calls work) but not routable.
-	ErrBackendDraining = errors.New("fleet: backend is draining")
+	ErrBackendDraining error = &routerErr{"fleet: backend is draining", server.ErrDraining}
 	// ErrNoBackends means no routable backend remains for an operation.
-	ErrNoBackends = errors.New("fleet: no routable backends")
+	ErrNoBackends error = &routerErr{"fleet: no routable backends", server.ErrServerFull}
 	// ErrBackendDown is a simulated-crash (Local.Kill) or probe-declared
 	// dead backend refusing an operation.
-	ErrBackendDown = errors.New("fleet: backend is down")
+	ErrBackendDown error = &routerErr{"fleet: backend is down", server.ErrConnLost}
+	// ErrCircuitOpen is the fast-fail a tripped backend circuit returns: the
+	// backend accumulated too many unreachable-class failures and calls to it
+	// are short-circuited until the cooldown expires. Routing fails over to
+	// the next ring arc exactly as if the dial itself had been refused.
+	ErrCircuitOpen error = &routerErr{"fleet: backend circuit open", server.ErrConnLost}
 )
 
 // Backend is one raced instance as the router sees it. Open/Resume carry

@@ -1,17 +1,9 @@
 package fleet
 
 import (
-	"errors"
 	"sync"
 	"time"
 )
-
-// ErrCircuitOpen is the fast-fail a tripped backend circuit returns: the
-// backend accumulated too many unreachable-class failures and calls to it
-// are short-circuited until the cooldown expires. It classifies as
-// unreachable, so routing fails over to the next ring arc exactly as if
-// the dial itself had been refused.
-var ErrCircuitOpen = errors.New("fleet: backend circuit open")
 
 // DefaultBreakerThreshold and DefaultBreakerCooldown govern the per-backend
 // circuit breakers when unconfigured: three consecutive unreachable-class

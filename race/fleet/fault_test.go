@@ -1,12 +1,46 @@
 package fleet
 
 import (
+	"fmt"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/race/server"
 )
+
+// TestRouterErrorsJoinTheTable: the router keeps no classifier — its own
+// sentinels resolve, through server.Classify, to the row of the server
+// condition they wrap, so the wire code a client gets, the failover and the
+// redirect decisions all read the one table.
+func TestRouterErrorsJoinTheTable(t *testing.T) {
+	for _, tc := range []struct {
+		err         error
+		code        wire.ErrCode
+		unreachable bool // mark the backend down, fail over, count toward the breaker
+		redirect    bool // mid-stream: answer the client with a Redirect
+	}{
+		{ErrBackendDraining, wire.CodeDraining, false, false},
+		{ErrNoBackends, wire.CodeFull, false, false},
+		{fmt.Errorf("%w: b1 (killed)", ErrBackendDown), wire.CodeInternal, true, true},
+		{fmt.Errorf("%w: b1", ErrCircuitOpen), wire.CodeInternal, true, true},
+		{server.RemoteFault(wire.CodeSuspended, "moved"), wire.CodeSuspended, false, true},
+		{server.RemoteFault(wire.CodeTimeout, "stalled"), wire.CodeTimeout, false, true},
+		{server.RemoteFault(wire.CodeUnknownSession, "who?"), wire.CodeUnknownSession, false, false},
+		{server.RemoteFault(wire.CodeIO, "disk"), wire.CodeIO, false, false},
+		{nil, wire.CodeInternal, false, false},
+	} {
+		c := server.Classify(tc.err)
+		if c.WireCode() != tc.code || isUnreachable(tc.err) != tc.unreachable || c.Resumable() != tc.redirect {
+			t.Errorf("%v: code %q unreachable %v redirect %v, want %q %v %v", tc.err,
+				c.WireCode(), isUnreachable(tc.err), c.Resumable(), tc.code, tc.unreachable, tc.redirect)
+		}
+	}
+	if !isUnknownSession(server.RemoteFault(wire.CodeUnknownSession, "who?")) || isUnknownSession(ErrNoBackends) {
+		t.Error("isUnknownSession does not read the code column")
+	}
+}
 
 // TestBreakerStateMachine drives one breaker through its full cycle:
 // closed → open after threshold unreachable failures → half-open after the

@@ -2,18 +2,13 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"repro/internal/obs/tracing"
-	"repro/internal/wire"
-	"repro/race/server"
 )
 
 // Migration moves a sealed session directory between backend data dirs:
@@ -257,60 +252,4 @@ func (rt *Router) MigrateSession(ctx context.Context, id, to string) error {
 		return fmt.Errorf("fleet: session %s not found on any backend", id)
 	}
 	return rt.migrate(ctx, id, srcDataDir, dst)
-}
-
-// isUnreachable classifies an error as "the backend is gone" (connection-
-// level failure, a killed local backend, or a tripped circuit) rather than
-// a session-level rejection. Classification is purely typed — errors.Is
-// over the sentinels and errnos the transport actually produces — so an
-// injected fault (fault.Conn, fault.Gate) and an organic one route the same.
-func isUnreachable(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrBackendDown) || errors.Is(err, ErrCircuitOpen) {
-		return true
-	}
-	// Connection-level errnos, surfaced through net.OpError (and url.Error
-	// for HTTP) chains; errors.Is traverses all of them.
-	if errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) ||
-		errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.EHOSTUNREACH) ||
-		errors.Is(err, syscall.ENETUNREACH) || errors.Is(err, syscall.ETIMEDOUT) {
-		return true
-	}
-	// A peer that vanished mid-frame, a closed socket, or a stall cut by an
-	// I/O deadline.
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) || errors.Is(err, os.ErrDeadlineExceeded) {
-		return true
-	}
-	var dnsErr *net.DNSError
-	if errors.As(err, &dnsErr) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// isHandoffError classifies a mid-stream session failure as "the session
-// moved or its backend died" — the client should re-resume — rather than a
-// permanent stream error. Remote backends carry their sentinels through
-// typed TError frames (and the error-code header), so errors.Is reaches
-// across the wire; RemoteErrorCode covers the codes with no local sentinel.
-func isHandoffError(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, server.ErrSuspended) || errors.Is(err, server.ErrHandoff) ||
-		errors.Is(err, server.ErrEvicted) || errors.Is(err, ErrBackendDown) {
-		return true
-	}
-	if errors.Is(err, wire.ErrCorruptFrame) {
-		return true
-	}
-	switch server.RemoteErrorCode(err) {
-	case wire.CodeSuspended, wire.CodeEvicted, wire.CodeTimeout, wire.CodeCorrupt:
-		return true
-	}
-	return isUnreachable(err)
 }

@@ -72,7 +72,7 @@ func dialRaw(t *testing.T, addr string) *rawClient {
 	conn.SetDeadline(time.Now().Add(10 * time.Second)) // a dead ingress fails the test, not hangs it
 	defer conn.SetDeadline(time.Time{})
 	c := &rawClient{conn: conn, br: bufio.NewReader(conn)}
-	hello, _ := json.Marshal(helloPayload{Proto: wire.Proto, Session: server.SessionConfig{Analyses: []string{"ST-WDC"}}})
+	hello, _ := json.Marshal(server.HelloPayload{Proto: wire.Proto, Session: server.SessionConfig{Analyses: []string{"ST-WDC"}}})
 	if err := wire.WriteFrame(conn, wire.THello, hello); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func dialRaw(t *testing.T, addr string) *rawClient {
 	if err != nil || ty != wire.TAck {
 		t.Fatalf("handshake: %v frame, err %v", ty, err)
 	}
-	var ack ackPayload
+	var ack server.AckPayload
 	if err := json.Unmarshal(payload, &ack); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func (c *rawClient) flush(t *testing.T) uint64 {
 	if err != nil || ty != wire.TFlushAck {
 		t.Fatalf("flush: %v frame (%s), err %v", ty, payload, err)
 	}
-	var fa flushAckPayload
+	var fa server.FlushAckPayload
 	if err := json.Unmarshal(payload, &fa); err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +210,17 @@ func TestRouterRefusesBadFramesAtTheEdge(t *testing.T) {
 			var b bytes.Buffer
 			wire.WriteFrame(&b, wire.TEvents, badOp)
 			return b.Bytes()
-		}, wire.CodeInternal},
+		}, wire.CodeProto},
 		{"ragged", func() []byte {
 			var b bytes.Buffer
 			wire.WriteFrame(&b, wire.TEvents, good[:len(good)-5])
 			return b.Bytes()
-		}, wire.CodeInternal},
+		}, wire.CodeProto},
+		{"unexpected-frame", func() []byte {
+			var b bytes.Buffer
+			wire.WriteFrame(&b, wire.TAck, nil)
+			return b.Bytes()
+		}, wire.CodeProto},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,6 +253,99 @@ func TestRouterRefusesBadFramesAtTheEdge(t *testing.T) {
 				t.Fatalf("backend saw frames %v, want only the good one (%d bytes)", got, len(good))
 			}
 		})
+	}
+}
+
+// TestFrontEndsAnswerTheSameCode: raced over TCP and racefleet over a Local
+// backend are two readers of one protocol, so the same violation — and the
+// same session-level refusal — earns the same code from both.
+func TestFrontEndsAnswerTheSameCode(t *testing.T) {
+	hello := func(h server.HelloPayload) []byte {
+		var b bytes.Buffer
+		payload, _ := json.Marshal(h)
+		wire.WriteFrame(&b, wire.THello, payload)
+		return b.Bytes()
+	}
+	frame := func(ty wire.Type, payload []byte) []byte {
+		var b bytes.Buffer
+		wire.WriteFrame(&b, ty, payload)
+		return b.Bytes()
+	}
+	open := hello(server.HelloPayload{Proto: wire.Proto})
+	good := wire.AppendEvents(nil, []trace.Event{{Op: trace.OpWrite, Targ: 1}, {T: 1, Op: trace.OpRead, Targ: 1}})
+	badOp := append([]byte(nil), good...)
+	badOp[trace.RecordSize+2] = 0xEE
+
+	cases := []struct {
+		name string
+		// send is what a fresh connection writes; the reply to its last frame
+		// must be a TError carrying code. attached first opens a session on a
+		// second connection and hands its id over.
+		send func(attached string) [][]byte
+		code wire.ErrCode
+	}{
+		{"non-hello-first-frame", func(string) [][]byte { return [][]byte{frame(wire.TFlush, nil)} }, wire.CodeProto},
+		{"undecodable-hello", func(string) [][]byte { return [][]byte{frame(wire.THello, []byte("{not json"))} }, wire.CodeProto},
+		{"wrong-proto", func(string) [][]byte { return [][]byte{hello(server.HelloPayload{Proto: wire.Proto + 7})} }, wire.CodeProto},
+		{"unexpected-frame-mid-session", func(string) [][]byte { return [][]byte{open, frame(wire.TAck, nil)} }, wire.CodeProto},
+		{"ragged-events", func(string) [][]byte { return [][]byte{open, frame(wire.TEvents, good[:len(good)-5])} }, wire.CodeProto},
+		{"invalid-op-events", func(string) [][]byte { return [][]byte{open, frame(wire.TEvents, badOp)} }, wire.CodeProto},
+		{"resume-unknown-session", func(string) [][]byte {
+			return [][]byte{hello(server.HelloPayload{Proto: wire.Proto, Resume: "fnosuchsession"})}
+		}, wire.CodeUnknownSession},
+		{"second-attach", func(attached string) [][]byte {
+			return [][]byte{hello(server.HelloPayload{Proto: wire.Proto, Resume: attached})}
+		}, wire.CodeBusy},
+	}
+	fronts := map[string]func(*testing.T) string{
+		"raced": func(t *testing.T) string {
+			srv := server.New(server.Config{DataDir: t.TempDir(), IdleTimeout: -1})
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.ServeTCP(lis)
+			t.Cleanup(func() { lis.Close(); srv.Close() })
+			return lis.Addr().String()
+		},
+		"racefleet": func(t *testing.T) string {
+			_, _, addr := startSpyFleet(t)
+			return addr
+		},
+	}
+	for front, start := range fronts {
+		for _, tc := range cases {
+			t.Run(front+"/"+tc.name, func(t *testing.T) {
+				addr := start(t)
+				holder := dialRaw(t, addr) // keeps one session attached for the busy case
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				conn.SetDeadline(time.Now().Add(10 * time.Second))
+				br := bufio.NewReader(conn)
+				frames := tc.send(holder.id)
+				for i, f := range frames {
+					if _, err := conn.Write(f); err != nil {
+						t.Fatal(err)
+					}
+					ty, payload, err := wire.ReadFrame(br)
+					if err != nil {
+						t.Fatalf("frame %d: %v", i, err)
+					}
+					if i < len(frames)-1 {
+						if ty != wire.TAck {
+							t.Fatalf("handshake answered %v (%s)", ty, payload)
+						}
+						continue
+					}
+					if re := wire.DecodeError(payload); ty != wire.TError || re.Code != tc.code {
+						t.Fatalf("answered %v code %q (%s), want TError %q", ty, re.Code, re.Msg, tc.code)
+					}
+				}
+			})
+		}
 	}
 }
 

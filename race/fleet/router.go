@@ -205,27 +205,17 @@ func NewSessionID() string {
 }
 
 // isUnknownSession reports whether err says the backend has never heard of
-// the session. Remote backends carry the sentinel through typed TError
-// frames and the error-code header, so errors.Is reaches across the wire;
-// RemoteErrorCode covers peers whose error chain kept only the code.
+// the session.
 func isUnknownSession(err error) bool {
-	return err != nil &&
-		(errors.Is(err, server.ErrUnknown) || server.RemoteErrorCode(err) == wire.CodeUnknownSession)
+	return server.Classify(err).Code == wire.CodeUnknownSession
 }
 
-// errorCode classifies a router-side error for the TError frame, deferring
-// to the backend's own classification when the chain carries one.
-func errorCode(err error) wire.ErrCode {
-	if code := server.RemoteErrorCode(err); code != "" {
-		return code
-	}
-	switch {
-	case errors.Is(err, ErrBackendDraining):
-		return wire.CodeDraining
-	case errors.Is(err, ErrNoBackends):
-		return wire.CodeFull
-	}
-	return server.ErrorCode(err)
+// isUnreachable reports whether err says the backend is gone (a
+// connection-level failure, a killed local backend, a tripped circuit)
+// rather than that it rejected the session; an injected fault (fault.Conn,
+// fault.Gate) and an organic one route the same.
+func isUnreachable(err error) bool {
+	return server.Classify(err).Recovery == server.Reconnect
 }
 
 // routeOpen places a fresh session: the id's ring sequence is tried in
@@ -249,15 +239,13 @@ func (rt *Router) routeOpen(ctx context.Context, id string, cfg server.SessionCo
 			return sess, b, nil
 		}
 		lastErr = err
-		if isUnreachable(err) {
+		switch server.Classify(err).Recovery {
+		case server.Reconnect:
 			rt.health.markDown(name)
-			continue
+		case server.Failover: // capacity: next arc on the ring
+		default:
+			return nil, nil, err
 		}
-		if errors.Is(err, server.ErrServerFull) || errors.Is(err, server.ErrDraining) ||
-			errors.Is(err, server.ErrServerClosed) {
-			continue // capacity failover: next arc on the ring
-		}
-		return nil, nil, err
 	}
 	if lastErr == nil {
 		lastErr = ErrNoBackends
@@ -391,33 +379,6 @@ func (rt *Router) routeResume(ctx context.Context, id string) (Session, uint64, 
 
 // ---- wire-protocol front end ----
 
-// helloPayload/ackPayload/flushAckPayload mirror the raced wire payloads
-// (they are defined by the protocol, not exported Go API).
-type helloPayload struct {
-	Proto     int                  `json:"proto"`
-	Session   server.SessionConfig `json:"session"`
-	SessionID string               `json:"session_id,omitempty"`
-	Resume    string               `json:"resume,omitempty"`
-	// Trace is an optional W3C traceparent from the client (ignored by
-	// peers that predate tracing).
-	Trace string `json:"trace,omitempty"`
-}
-
-// flushPayload is the optional TFlush payload carrying the client's
-// per-flush trace context (old clients send no payload).
-type flushPayload struct {
-	Trace string `json:"trace,omitempty"`
-}
-
-type ackPayload struct {
-	Session string `json:"session"`
-	Fed     uint64 `json:"fed"`
-}
-
-type flushAckPayload struct {
-	Fed uint64 `json:"fed"`
-}
-
 // ServeTCP accepts wire-protocol connections until the listener closes,
 // one proxied session per connection, riding out transient accept failures
 // exactly as raced does (server.ServeListener).
@@ -453,11 +414,17 @@ func (rt *Router) serveConn(conn net.Conn) {
 	bw := bufio.NewWriterSize(wrapped, 1<<16)
 
 	sendErr := func(err error) {
-		if werr := wire.WriteFrame(bw, wire.TError, wire.EncodeError(errorCode(err), err.Error())); werr == nil {
+		if werr := wire.WriteFrame(bw, wire.TError, wire.EncodeError(server.Classify(err).WireCode(), err.Error())); werr == nil {
 			bw.Flush()
 		}
 	}
-	sendRedirect := func() {
+	// fail answers a backend's mid-stream error: a Redirect when resuming
+	// heals it (the session moved or its backend died), else the typed error.
+	fail := func(err error) {
+		if !server.Classify(err).Resumable() {
+			sendErr(err)
+			return
+		}
 		rt.metrics.redirects.Inc()
 		if werr := wire.WriteFrame(bw, wire.TRedirect, nil); werr == nil {
 			bw.Flush()
@@ -469,16 +436,16 @@ func (rt *Router) serveConn(conn net.Conn) {
 		return
 	}
 	if t != wire.THello {
-		sendErr(fmt.Errorf("fleet: expected hello frame, got %v", t))
+		sendErr(fmt.Errorf("%w: expected hello frame, got %v", server.ErrProto, t))
 		return
 	}
-	var hello helloPayload
+	var hello server.HelloPayload
 	if err := json.Unmarshal(payload, &hello); err != nil {
-		sendErr(fmt.Errorf("fleet: bad hello payload: %w", err))
+		sendErr(fmt.Errorf("%w: bad hello payload: %v", server.ErrProto, err))
 		return
 	}
 	if hello.Proto != wire.Proto {
-		sendErr(fmt.Errorf("fleet: unsupported protocol version %d (want %d)", hello.Proto, wire.Proto))
+		sendErr(fmt.Errorf("%w: unsupported protocol version %d (want %d)", server.ErrProto, hello.Proto, wire.Proto))
 		return
 	}
 
@@ -519,7 +486,7 @@ func (rt *Router) serveConn(conn net.Conn) {
 	}
 	connSpan.SetAttr("session", id)
 
-	ack, _ := json.Marshal(ackPayload{Session: id, Fed: fed})
+	ack, _ := json.Marshal(server.AckPayload{Session: id, Fed: fed})
 	if err := wire.WriteFrame(bw, wire.TAck, ack); err != nil {
 		sess.Release()
 		return
@@ -546,17 +513,12 @@ func (rt *Router) serveConn(conn net.Conn) {
 		case wire.TEvents:
 			if err := trace.CheckRecords(payload); err != nil {
 				sess.Release()
-				sendErr(err)
+				sendErr(fmt.Errorf("%w: %v", server.ErrProto, err))
 				return
 			}
 			if err := sess.FeedRecords(payload); err != nil {
-				if isHandoffError(err) {
-					sess.Release()
-					sendRedirect()
-					return
-				}
 				sess.Release()
-				sendErr(err)
+				fail(err)
 				return
 			}
 		case wire.TFlush:
@@ -566,7 +528,7 @@ func (rt *Router) serveConn(conn net.Conn) {
 			// the client's context passed through).
 			parent := tracing.FromContext(ctx)
 			if len(payload) > 0 {
-				var fp flushPayload
+				var fp server.FlushPayload
 				if json.Unmarshal(payload, &fp) == nil {
 					if fsc, ok := tracing.ParseTraceparent(fp.Trace); ok {
 						parent = fsc
@@ -587,16 +549,11 @@ func (rt *Router) serveConn(conn net.Conn) {
 			fsp.SetError(err)
 			fsp.End()
 			if err != nil {
-				if isHandoffError(err) {
-					sess.Release()
-					sendRedirect()
-					return
-				}
 				sess.Release()
-				sendErr(err)
+				fail(err)
 				return
 			}
-			fa, _ := json.Marshal(flushAckPayload{Fed: n})
+			fa, _ := json.Marshal(server.FlushAckPayload{Fed: n})
 			if err := wire.WriteFrame(bw, wire.TFlushAck, fa); err != nil {
 				sess.Release()
 				return
@@ -608,11 +565,7 @@ func (rt *Router) serveConn(conn net.Conn) {
 		case wire.TEOF:
 			doc, err := sess.Close()
 			if err != nil {
-				if isHandoffError(err) {
-					sendRedirect()
-					return
-				}
-				sendErr(err)
+				fail(err)
 				return
 			}
 			if err := wire.WriteFrame(bw, wire.TReport, doc); err != nil {
@@ -623,7 +576,7 @@ func (rt *Router) serveConn(conn net.Conn) {
 			return
 		default:
 			sess.Release()
-			sendErr(fmt.Errorf("fleet: unexpected %v frame mid-session", t))
+			sendErr(fmt.Errorf("%w: unexpected %v frame mid-session", server.ErrProto, t))
 			return
 		}
 	}

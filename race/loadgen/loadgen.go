@@ -18,16 +18,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -207,54 +204,10 @@ func newRunner(cfg Config, pool *tracePool) *runner {
 	return r
 }
 
-// Classify names an error by its typed class: a server sentinel (via
-// errors.Is across the wire, the PR 8 contract), a context outcome, a
-// connection-level failure, or — the contract's escape hatch — the raw
-// wire code of a typed remote error with no sentinel mapping. The empty
-// string means unclassified, which the harness reports as a violation.
-func Classify(err error) string {
-	switch {
-	case errors.Is(err, server.ErrServerFull):
-		return "server_full"
-	case errors.Is(err, server.ErrDraining):
-		return "draining"
-	case errors.Is(err, server.ErrBusy):
-		return "busy"
-	case errors.Is(err, server.ErrSuspended):
-		return "suspended"
-	case errors.Is(err, server.ErrEvicted):
-		return "evicted"
-	case errors.Is(err, server.ErrDiskFault):
-		return "disk_fault"
-	case errors.Is(err, server.ErrSessionClosed):
-		return "session_closed"
-	case errors.Is(err, server.ErrUnknown):
-		return "unknown_session"
-	case errors.Is(err, server.ErrIDTaken):
-		return "id_taken"
-	case errors.Is(err, server.ErrServerClosed):
-		return "server_closed"
-	case errors.Is(err, server.ErrHandoff):
-		return "handoff"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "timeout"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	}
-	if code := server.RemoteErrorCode(err); code != "" {
-		return "remote_" + string(code)
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) || errors.Is(err, syscall.ECONNRESET) ||
-		errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNREFUSED) {
-		return "conn"
-	}
-	var ne net.Error
-	if errors.As(err, &ne) {
-		return "conn"
-	}
-	return ""
-}
+// Classify names an error by the label of its row in the service's error
+// table (server.Classify). The empty string means unclassified — nothing in
+// the chain is typed — which the harness reports as a violation.
+func Classify(err error) string { return server.Classify(err).Label }
 
 // maxUnclassifiedSamples bounds the retained messages: enough to diagnose
 // a contract violation, not enough to bloat the report.

@@ -69,42 +69,6 @@ func (c *Client) Close() error { return c.conn.Close() }
 // pending batch as an Events frame.
 const DefaultClientBatch = 2048
 
-// ErrHandoff is the sticky session error after a Redirect frame: a fleet
-// router is moving the session to another backend. The session id remains
-// valid — reconnect (through the router) and Resume it; the new ack's
-// offset says where to pick up. ReliableSession does this automatically.
-var ErrHandoff = errors.New("server: session handed off; reconnect and resume to continue")
-
-// SentinelForCode maps a wire error code to the local sentinel it encodes,
-// so a server-reported condition classifies identically on both sides of
-// the connection. Codes with no local counterpart (corrupt, proto, timeout,
-// internal) return nil and classify through the RemoteError itself.
-func SentinelForCode(code wire.ErrCode) error {
-	switch code {
-	case wire.CodeUnknownSession:
-		return ErrUnknown
-	case wire.CodeBusy:
-		return ErrBusy
-	case wire.CodeSuspended:
-		return ErrSuspended
-	case wire.CodeEvicted:
-		return ErrEvicted
-	case wire.CodeDraining:
-		return ErrDraining
-	case wire.CodeFull:
-		return ErrServerFull
-	case wire.CodeShutdown:
-		return ErrServerClosed
-	case wire.CodeClosed:
-		return ErrSessionClosed
-	case wire.CodeIDTaken:
-		return ErrIDTaken
-	case wire.CodeIO:
-		return ErrDiskFault
-	}
-	return nil
-}
-
 // remoteError is a decoded TError frame as the client surfaces it: it
 // unwraps to both the typed *wire.RemoteError (errors.As for the code) and
 // the matching local sentinel (errors.Is across the wire).
@@ -128,16 +92,18 @@ func (e *remoteError) Unwrap() []error {
 // fall back to the message, but a v2 peer always sends a code.
 func decodeRemoteError(payload []byte) error {
 	re := wire.DecodeError(payload)
-	return &remoteError{re: re, sentinel: SentinelForCode(re.Code)}
+	return RemoteFault(re.Code, re.Msg)
 }
 
 // RemoteFault builds the error a typed remote failure surfaces as: it
-// unwraps to both the *wire.RemoteError carrying code and the matching
-// local sentinel. Callers that learn a failure's code out of band — the
-// fleet router reading the X-Raced-Error-Code header off an HTTP reply —
-// use it to restore errors.Is classification that plain body text loses.
+// unwraps to both the *wire.RemoteError carrying code and the sentinel of
+// the code's row in conditions. Callers that learn a failure's code out of
+// band — the fleet router reading the X-Raced-Error-Code header off an HTTP
+// reply — use it to restore errors.Is classification that plain body text
+// loses.
 func RemoteFault(code wire.ErrCode, msg string) error {
-	return &remoteError{re: &wire.RemoteError{Code: code, Msg: msg}, sentinel: SentinelForCode(code)}
+	c, _ := byCode(code)
+	return &remoteError{re: &wire.RemoteError{Code: code, Msg: msg}, sentinel: c.Sentinel}
 }
 
 // RemoteErrorCode extracts the wire error code from an error chain (""
@@ -161,7 +127,7 @@ func (c *Client) Open(cfg SessionConfig) (*RemoteSession, error) {
 // deadline aborts a handshake stuck on an unresponsive server (the
 // connection is poisoned by the interrupt and should be closed).
 func (c *Client) OpenContext(ctx context.Context, cfg SessionConfig) (*RemoteSession, error) {
-	sess, _, err := c.handshake(ctx, helloPayload{Proto: wire.Proto, Session: cfg})
+	sess, _, err := c.handshake(ctx, HelloPayload{Proto: wire.Proto, Session: cfg})
 	return sess, err
 }
 
@@ -170,7 +136,7 @@ func (c *Client) OpenContext(ctx context.Context, cfg SessionConfig) (*RemoteSes
 // migration). The server rejects ids already in use (ErrIDTaken) and ids
 // matching its own auto-assigned form.
 func (c *Client) OpenID(ctx context.Context, id string, cfg SessionConfig) (*RemoteSession, error) {
-	sess, _, err := c.handshake(ctx, helloPayload{Proto: wire.Proto, Session: cfg, SessionID: id})
+	sess, _, err := c.handshake(ctx, HelloPayload{Proto: wire.Proto, Session: cfg, SessionID: id})
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +155,7 @@ func (c *Client) OpenID(ctx context.Context, id string, cfg SessionConfig) (*Rem
 // accepted: the caller must continue feeding from that offset (events
 // before it are already journaled and analyzed, or queued to be).
 func (c *Client) Resume(ctx context.Context, id string) (*RemoteSession, uint64, error) {
-	sess, fed, err := c.handshake(ctx, helloPayload{Proto: wire.Proto, Resume: id})
+	sess, fed, err := c.handshake(ctx, HelloPayload{Proto: wire.Proto, Resume: id})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -203,7 +169,7 @@ func (c *Client) Resume(ctx context.Context, id string) (*RemoteSession, uint64,
 }
 
 // handshake sends a Hello and reads the Ack, bounded by ctx.
-func (c *Client) handshake(ctx context.Context, hello helloPayload) (*RemoteSession, uint64, error) {
+func (c *Client) handshake(ctx context.Context, hello HelloPayload) (*RemoteSession, uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -267,7 +233,7 @@ func (c *Client) handshake(ctx context.Context, hello helloPayload) (*RemoteSess
 	if t != wire.TAck {
 		return nil, 0, fmt.Errorf("server: expected ack frame, got %v", t)
 	}
-	var ack ackPayload
+	var ack AckPayload
 	if err := json.Unmarshal(resp, &ack); err != nil {
 		return nil, 0, fmt.Errorf("server: bad ack payload: %w", err)
 	}
@@ -456,7 +422,7 @@ func (s *RemoteSession) flushWire(tp string) error {
 	}
 	var payload []byte
 	if tp != "" {
-		payload, _ = json.Marshal(flushPayload{Trace: tp})
+		payload, _ = json.Marshal(FlushPayload{Trace: tp})
 	}
 	if err := wire.WriteFrame(s.c.bw, wire.TFlush, payload); err != nil {
 		return s.fail(err)
@@ -470,7 +436,7 @@ func (s *RemoteSession) flushWire(tp string) error {
 	}
 	switch t {
 	case wire.TFlushAck:
-		var fa flushAckPayload
+		var fa FlushAckPayload
 		if err := json.Unmarshal(payload, &fa); err != nil {
 			return s.fail(fmt.Errorf("server: bad flush-ack payload: %w", err))
 		}

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -97,24 +97,19 @@ func (s *Server) traceHTTP(next http.Handler) http.Handler {
 	})
 }
 
-// httpError maps session-manager errors to status codes. Every response
-// also carries the wire error code in ErrorCodeHeader — the HTTP analogue
-// of a typed TError frame, so the fleet router classifies admin-API
-// failures the same way wire clients classify frames.
+// ReadHeaderTimeout is how long the HTTP front ends of raced and racefleet
+// wait for a request's headers: a client that connects and sends nothing
+// must not hold the connection forever.
+const ReadHeaderTimeout = 10 * time.Second
+
+// httpError answers with the status of err's row in conditions, and with
+// the row's wire code in ErrorCodeHeader — the HTTP analogue of a typed
+// TError frame, so the fleet router classifies admin-API failures the same
+// way wire clients classify frames.
 func httpError(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, ErrServerFull):
-		code = http.StatusTooManyRequests
-	case errors.Is(err, ErrServerClosed), errors.Is(err, ErrDraining):
-		code = http.StatusServiceUnavailable
-	case errors.Is(err, ErrSessionClosed), errors.Is(err, ErrEvicted), errors.Is(err, ErrIDTaken):
-		code = http.StatusConflict
-	case errors.Is(err, ErrUnknown):
-		code = http.StatusNotFound
-	}
-	w.Header().Set(wire.ErrorCodeHeader, string(ErrorCode(err)))
-	http.Error(w, err.Error(), code)
+	c := Classify(err)
+	w.Header().Set(wire.ErrorCodeHeader, string(c.WireCode()))
+	http.Error(w, err.Error(), c.Status)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -144,8 +139,7 @@ func (s *Server) withSession(h func(http.ResponseWriter, *http.Request, *Session
 func (s *Server) withExclusiveSession(h func(http.ResponseWriter, *http.Request, *Session)) http.HandlerFunc {
 	return s.withSession(func(w http.ResponseWriter, r *http.Request, sess *Session) {
 		if err := sess.attach(); err != nil {
-			w.Header().Set(wire.ErrorCodeHeader, string(ErrorCode(err)))
-			http.Error(w, err.Error(), http.StatusConflict)
+			httpError(w, err)
 			return
 		}
 		defer sess.detach()
@@ -176,16 +170,16 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"session": sess.ID})
 }
 
-// openError maps OpenSession failures: server-side conditions keep their
-// operational codes, anything else (unknown analysis name, N/A Table 1
-// cell) is the caller's configuration — a 400, not a server fault.
+// openError maps OpenSession failures: a typed condition (full, draining,
+// shut down, id taken) keeps its row's status; anything untyped (unknown
+// analysis name, N/A Table 1 cell, invalid id) is the caller's
+// configuration — a 400, not a server fault.
 func openError(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrServerFull) || errors.Is(err, ErrServerClosed) ||
-		errors.Is(err, ErrDraining) || errors.Is(err, ErrIDTaken) {
-		httpError(w, err)
+	if Classify(err).Code == wire.CodeInternal {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	http.Error(w, err.Error(), http.StatusBadRequest)
+	httpError(w, err)
 }
 
 // handleList serves the session inventory: every live session and every

@@ -4,14 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
-	"syscall"
 	"time"
 
 	"repro/internal/obs/tracing"
-	"repro/internal/wire"
 	"repro/race"
 )
 
@@ -187,41 +183,6 @@ func (s *ReliableSession) Acked() uint64 { return s.acked }
 // sessions parent under it, so the whole stream shares one trace ID.
 func (s *ReliableSession) TraceContext() tracing.SpanContext { return s.traceSC }
 
-// isTransient reports whether err is worth a reconnect: an explicit handoff
-// redirect, connection-level failure (including a frame that failed its
-// checksum — the connection is dead but the session resumes), or a server
-// telling us the session was suspended or evicted out from under the
-// connection (graceful shutdown, a fleet migration) — the journal survives
-// those, and resume is the recovery. Other server-side session errors (bad
-// stream, rejected config, a disk-faulted session) are permanent.
-// Server-side conditions arrive as typed TError codes and classify with
-// errors.Is on the wrapped sentinels — no message matching.
-func isTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrHandoff) || errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, wire.ErrCorruptFrame) {
-		return true
-	}
-	if errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) ||
-		errors.Is(err, syscall.ECONNREFUSED) {
-		return true
-	}
-	if errors.Is(err, ErrSuspended) || errors.Is(err, ErrEvicted) {
-		return true
-	}
-	switch RemoteErrorCode(err) {
-	case wire.CodeTimeout, wire.CodeCorrupt:
-		// The server cut (or distrusted) the old connection; the session
-		// itself is intact and resumable.
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
-}
-
 // reconnect re-dials, resumes the session, and replays the unacknowledged
 // suffix of the stream. The resume ack's offset must land inside
 // [acked, acked+len(pending)]: below means the server lost acknowledged
@@ -257,7 +218,7 @@ func (s *ReliableSession) reconnect() error {
 				return s.fail(context.Cause(s.ctx))
 			}
 			lastErr = err
-			if !isTransient(err) && !isResumeRacing(err) {
+			if c := Classify(err); !c.Resumable() && c.Recovery != RetryResume {
 				break
 			}
 			continue
@@ -295,15 +256,6 @@ func (s *ReliableSession) backoffDelay(attempt int) time.Duration {
 	return delay/2 + time.Duration(s.rand63(int64(delay)))
 }
 
-// isResumeRacing recognizes resume rejections that clear on their own:
-// during a migration the source has suspended the session but the target
-// has not recovered it yet, and after a network drop the server may not
-// have reaped the dead connection when the client is already back — the
-// session still reads as attached (busy) until the reaper runs.
-func isResumeRacing(err error) bool {
-	return errors.Is(err, ErrSuspended) || errors.Is(err, ErrUnknown) || errors.Is(err, ErrBusy)
-}
-
 func (s *ReliableSession) fail(err error) error {
 	if s.err == nil {
 		s.err = err
@@ -311,9 +263,9 @@ func (s *ReliableSession) fail(err error) error {
 	return s.err
 }
 
-// Feed buffers and forwards one event. A transient send failure triggers
-// reconnect; the replay there already re-ships the event, so the op is not
-// repeated.
+// Feed buffers and forwards one event. A send failure whose condition is
+// Resumable triggers reconnect; the replay there already re-ships the
+// event, so the op is not repeated.
 func (s *ReliableSession) Feed(ev race.Event) error {
 	return s.FeedBatch([]race.Event{ev})
 }
@@ -328,7 +280,7 @@ func (s *ReliableSession) FeedBatch(evs []race.Event) error {
 	}
 	s.pending = append(s.pending, evs...)
 	if err := s.sess.FeedBatch(evs); err != nil {
-		if !isTransient(err) {
+		if !Classify(err).Resumable() {
 			return s.fail(err)
 		}
 		return s.reconnect() // replay subsumes this batch
@@ -355,7 +307,7 @@ func (s *ReliableSession) Flush() error {
 			}
 			return nil
 		}
-		if !isTransient(err) {
+		if !Classify(err).Resumable() {
 			return s.fail(err)
 		}
 		if rerr := s.reconnect(); rerr != nil {
@@ -390,7 +342,7 @@ func (s *ReliableSession) CloseJSON() ([]byte, error) {
 			s.c.Close()
 			return doc, nil
 		}
-		if !isTransient(err) {
+		if !Classify(err).Resumable() {
 			s.closed = true
 			return nil, s.fail(err)
 		}

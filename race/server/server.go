@@ -20,6 +20,11 @@
 // its own connection), and an analysis panic poisons only its session — the
 // feeder recovers it into the session's sticky error while the server keeps
 // serving every other tenant.
+//
+// What can go wrong, and what each party does about it, is one table
+// (errors.go): wire code, local sentinel, HTTP status, report label, the
+// holder's recovery and the journal's fate per condition, read by every
+// layer through Classify.
 package server
 
 import (
@@ -115,25 +120,6 @@ const (
 	defaultMaxSessions = 64
 	defaultQueueDepth  = 32
 	defaultIdleTimeout = 5 * time.Minute
-)
-
-// Errors returned by the session manager.
-var (
-	ErrServerFull    = errors.New("server: session limit reached, try again later")
-	ErrServerClosed  = errors.New("server: server is shut down")
-	ErrSessionClosed = errors.New("server: session is closed")
-	ErrEvicted       = errors.New("server: session evicted after idle timeout")
-	ErrSuspended     = errors.New("server: session suspended (journal preserved; resume to continue)")
-	ErrBusy          = errors.New("server: session is attached to another connection")
-	ErrUnknown       = errors.New("server: unknown session")
-	ErrDraining      = errors.New("server: draining, not accepting new sessions")
-	ErrIDTaken       = errors.New("server: session id already in use")
-	// ErrDiskFault marks a session killed by journal I/O (failed append,
-	// fsync, or metadata write): the session's error is sticky, its journal
-	// directory is quarantined, and the server — still healthy for every
-	// other tenant — reports itself degraded on /healthz. Wire clients see
-	// it as CodeIO.
-	ErrDiskFault = errors.New("server: session failed on disk I/O")
 )
 
 // engineSink is the slice of race.EventSink a session drives (plus Abort,
@@ -973,29 +959,19 @@ func (sess *Session) run(sink engineSink) {
 		abortSafe(sink)
 		return
 	}
-	if sess.Err() != nil {
+	if err := sess.Err(); err != nil {
 		// Aborted, evicted, or already poisoned: nobody will read a report,
 		// so discard the engine instead of paying Close (which, for a
 		// vindicating engine, replays the whole retained stream).
 		abortSafe(sink)
 		if sess.jlog != nil {
 			sess.jlog.Close()
-			if errors.Is(sess.Err(), ErrEvicted) {
-				// Idle eviction reclaims the pool slot, not the data: the
-				// journal is intact and sealed, so the session stays
-				// "open" on disk — a restarted server resumes it.
-				return
-			}
-			if errors.Is(sess.Err(), ErrDiskFault) {
-				// The journal can no longer be trusted (a failed append or
-				// sync may have left it short of what the client believes is
-				// acked). Move the whole session directory aside so a restart
-				// never resurrects it as a resumable session, and leave the
-				// bytes for the operator.
+			switch Classify(err).Fate {
+			case Quarantine:
 				sess.quarantine()
-				return
+			case MarkAborted:
+				sess.persistState(stateAborted, sess.Fed())
 			}
-			sess.persistState(stateAborted, sess.Fed())
 		}
 		return
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"os"
 	"syscall"
 	"time"
 
@@ -16,48 +15,6 @@ import (
 	"repro/internal/wire"
 	"repro/race"
 )
-
-// errProto marks server-detected protocol violations (bad frame sequence,
-// undecodable payload, version mismatch) so sendErr classifies them as
-// CodeProto rather than CodeInternal.
-var errProto = errors.New("server: protocol violation")
-
-// ErrorCode classifies a server-side error into the wire vocabulary — the
-// typed half of every TError frame. The mapping is what lets clients and
-// routers use errors.Is instead of message matching. The fleet router uses
-// it too, so an error classifies identically no matter which hop encodes it.
-func ErrorCode(err error) wire.ErrCode {
-	switch {
-	case errors.Is(err, ErrUnknown):
-		return wire.CodeUnknownSession
-	case errors.Is(err, ErrBusy):
-		return wire.CodeBusy
-	case errors.Is(err, ErrSuspended):
-		return wire.CodeSuspended
-	case errors.Is(err, ErrEvicted):
-		return wire.CodeEvicted
-	case errors.Is(err, ErrDraining):
-		return wire.CodeDraining
-	case errors.Is(err, ErrServerFull):
-		return wire.CodeFull
-	case errors.Is(err, ErrServerClosed):
-		return wire.CodeShutdown
-	case errors.Is(err, ErrSessionClosed):
-		return wire.CodeClosed
-	case errors.Is(err, ErrIDTaken):
-		return wire.CodeIDTaken
-	case errors.Is(err, ErrDiskFault):
-		return wire.CodeIO
-	case errors.Is(err, wire.ErrCorruptFrame):
-		return wire.CodeCorrupt
-	case errors.Is(err, os.ErrDeadlineExceeded):
-		return wire.CodeTimeout
-	case errors.Is(err, errProto):
-		return wire.CodeProto
-	default:
-		return wire.CodeInternal
-	}
-}
 
 // deadlineConn enforces Config.IOTimeout: every Read and Write refreshes
 // the matching deadline, so steady progress — however slow — never trips
@@ -85,14 +42,14 @@ func WithIOTimeout(conn net.Conn, d time.Duration) net.Conn {
 	return &deadlineConn{Conn: conn, timeout: d}
 }
 
-// helloPayload is the JSON body of the wire protocol's Hello frame.
+// HelloPayload is the JSON body of the wire protocol's Hello frame.
 // Resume names an existing (typically journal-recovered) session to
 // re-attach to instead of opening a new one; Session is ignored then.
 // SessionID, when set on a fresh open, requests a caller-chosen id (the
 // fleet router assigns ids so a session keeps its identity across backend
 // migrations); clients verify the Ack echoes it, so an old server that
 // ignores the field is detected rather than silently mis-assigning.
-type helloPayload struct {
+type HelloPayload struct {
 	Proto     int           `json:"proto"`
 	Session   SessionConfig `json:"session"`
 	SessionID string        `json:"session_id,omitempty"`
@@ -104,26 +61,26 @@ type helloPayload struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// ackPayload is the JSON body of the Ack frame. Fed is the event offset
+// AckPayload is the JSON body of the Ack frame. Fed is the event offset
 // the session has already accepted — a resuming client continues sending
 // from there (0 for a fresh session).
-type ackPayload struct {
+type AckPayload struct {
 	Session string `json:"session"`
 	Fed     uint64 `json:"fed"`
 }
 
-// flushPayload is the optional JSON body of a Flush frame: a traceparent
+// FlushPayload is the optional JSON body of a Flush frame: a traceparent
 // tying the server-side barrier spans (journal fsync, engine sync) to the
 // client's flush span. Historically the Flush frame had an empty payload
 // and servers never inspected it, so both directions stay compatible with
 // old peers: an old server ignores the payload, a new server treats an
 // empty one as "no trace context".
-type flushPayload struct {
+type FlushPayload struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// flushAckPayload is the JSON body of the FlushAck frame.
-type flushAckPayload struct {
+// FlushAckPayload is the JSON body of the FlushAck frame.
+type FlushAckPayload struct {
 	Fed uint64 `json:"fed"`
 }
 
@@ -196,7 +153,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	bw := bufio.NewWriterSize(wrapped, 1<<16)
 
 	sendErr := func(err error) {
-		if werr := wire.WriteFrame(bw, wire.TError, wire.EncodeError(ErrorCode(err), err.Error())); werr == nil {
+		if werr := wire.WriteFrame(bw, wire.TError, wire.EncodeError(Classify(err).WireCode(), err.Error())); werr == nil {
 			bw.Flush()
 		}
 	}
@@ -204,10 +161,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	// deadline cut, tells the client why (the write side often still works
 	// when only the read stalled).
 	noteReadErr := func(err error) {
-		switch {
-		case errors.Is(err, wire.ErrCorruptFrame):
+		switch Classify(err).Code {
+		case wire.CodeCorrupt:
 			s.metrics.corruptFrames.Add(1)
-		case errors.Is(err, os.ErrDeadlineExceeded):
+		case wire.CodeTimeout:
 			s.metrics.connTimeouts.Add(1)
 			sendErr(err)
 		}
@@ -219,16 +176,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	if t != wire.THello {
-		sendErr(fmt.Errorf("%w: expected hello frame, got %v", errProto, t))
+		sendErr(fmt.Errorf("%w: expected hello frame, got %v", ErrProto, t))
 		return
 	}
-	var hello helloPayload
+	var hello HelloPayload
 	if err := json.Unmarshal(payload, &hello); err != nil {
-		sendErr(fmt.Errorf("%w: bad hello payload: %v", errProto, err))
+		sendErr(fmt.Errorf("%w: bad hello payload: %v", ErrProto, err))
 		return
 	}
 	if hello.Proto != wire.Proto {
-		sendErr(fmt.Errorf("%w: unsupported protocol version %d (want %d)", errProto, hello.Proto, wire.Proto))
+		sendErr(fmt.Errorf("%w: unsupported protocol version %d (want %d)", ErrProto, hello.Proto, wire.Proto))
 		return
 	}
 	var sess *Session
@@ -291,7 +248,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			sess.abort(err)
 		}
 	}
-	ack, _ := json.Marshal(ackPayload{Session: sess.ID, Fed: sess.Enqueued()})
+	ack, _ := json.Marshal(AckPayload{Session: sess.ID, Fed: sess.Enqueued()})
 	if err := wire.WriteFrame(bw, wire.TAck, ack); err != nil {
 		lost(err)
 		return
@@ -322,7 +279,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			payload, err = wire.ReadBody(br, t, n, nil)
 		}
 		if errors.Is(err, trace.ErrBadRecords) {
-			err = fmt.Errorf("%w: %v", errProto, err)
+			err = fmt.Errorf("%w: %v", ErrProto, err)
 			sess.abort(err)
 			sendErr(err)
 			return
@@ -332,7 +289,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// EOF frame): free the slot (or, for a durable session, leave
 			// it resumable) rather than waiting for idle eviction.
 			noteReadErr(err)
-			lost(fmt.Errorf("server: connection lost: %w", err))
+			lost(fmt.Errorf("%w: %w", ErrConnLost, err))
 			return
 		}
 		switch t {
@@ -346,7 +303,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		case wire.TFlush:
 			// Best-effort: an empty or undecodable payload (old client)
 			// just means the barrier spans parent under the connection.
-			var fp flushPayload
+			var fp FlushPayload
 			if len(payload) > 0 {
 				json.Unmarshal(payload, &fp)
 			}
@@ -356,7 +313,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				sendErr(err)
 				return
 			}
-			fa, _ := json.Marshal(flushAckPayload{Fed: sess.Fed()})
+			fa, _ := json.Marshal(FlushAckPayload{Fed: sess.Fed()})
 			if err := wire.WriteFrame(bw, wire.TFlushAck, fa); err != nil {
 				lost(err)
 				return
@@ -386,7 +343,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			bw.Flush()
 			return
 		default:
-			err := fmt.Errorf("%w: unexpected %v frame mid-session", errProto, t)
+			err := fmt.Errorf("%w: unexpected %v frame mid-session", ErrProto, t)
 			sess.abort(err)
 			sendErr(err)
 			return

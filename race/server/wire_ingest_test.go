@@ -170,6 +170,11 @@ func TestWireRefusesBadFrames(t *testing.T) {
 		{"bad-crc", corrupt, ""},
 		{"invalid-op", frameOf(badOp), wire.CodeProto},
 		{"ragged", frameOf(good[:len(good)-5]), wire.CodeProto},
+		{"unexpected-frame", func() []byte {
+			var b bytes.Buffer
+			wire.WriteFrame(&b, wire.TAck, nil)
+			return b.Bytes()
+		}(), wire.CodeProto},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, addr := startTCP(t, Config{DataDir: t.TempDir()})
@@ -180,13 +185,13 @@ func TestWireRefusesBadFrames(t *testing.T) {
 			defer conn.Close()
 			conn.SetDeadline(time.Now().Add(10 * time.Second))
 			br := bufio.NewReader(conn)
-			hello, _ := json.Marshal(helloPayload{Proto: wire.Proto})
+			hello, _ := json.Marshal(HelloPayload{Proto: wire.Proto})
 			wire.WriteFrame(conn, wire.THello, hello)
 			ty, payload, err := wire.ReadFrame(br)
 			if err != nil || ty != wire.TAck {
 				t.Fatalf("handshake: %v, %v", ty, err)
 			}
-			var ack ackPayload
+			var ack AckPayload
 			json.Unmarshal(payload, &ack)
 			sess, _ := s.Session(ack.Session)
 
