@@ -1,11 +1,14 @@
 package core
 
 import (
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/analysis"
+	"repro/internal/report"
 	"repro/internal/trace"
-	"repro/internal/vc"
 	"repro/internal/workload"
 )
 
@@ -113,8 +116,7 @@ func TestExtrasLifecycle(t *testing.T) {
 	sawExtra := false
 	for _, e := range fig.Trace.Events {
 		a.Handle(e)
-		v := &a.vars[fig.RaceVar]
-		if len(v.ew) > 0 {
+		if cd := a.slot(fig.RaceVar).cold; cd != nil && len(cd.ew) > 0 {
 			sawExtra = true
 		}
 	}
@@ -135,28 +137,29 @@ func TestExtrasClearedAtOwnWrite(t *testing.T) {
 }
 
 func TestCSListPushIsImmutable(t *testing.T) {
-	var l csList
-	c1 := vc.New(1)
-	l1 := l.push(csEntry{c: c1, m: 0})
-	l2 := l1.push(csEntry{c: c1, m: 1})
-	l3 := l1.push(csEntry{c: c1, m: 2})
-	if len(l1) != 1 || len(l2) != 2 || len(l3) != 2 {
-		t.Fatal("push must copy")
+	l1 := push(nil, 0)
+	l2 := push(l1, 1)
+	l3 := push(l1, 2)
+	if l1.depth != 1 || l2.depth != 2 || l3.depth != 2 || l1.up != nil {
+		t.Fatal("push must leave the list it extends as it was")
 	}
-	if l2[1].m != 1 || l3[1].m != 2 {
+	if l2.sec.m != 1 || l3.sec.m != 2 || l2.sec == l3.sec {
 		t.Error("pushes onto a shared prefix must not alias")
+	}
+	if l2.up != l1 || l3.up != l1 || l2.outer != l1.sec || l3.outer != l1.sec {
+		t.Error("both lists must share the enclosing one")
 	}
 }
 
 func TestExtrasSetReplaces(t *testing.T) {
-	c := vc.New(1)
-	ex := extras{{t: 1, m: 0, c: c}, {t: 2, m: 1, c: c}}
-	ex = ex.set(1, extras{{t: 1, m: 5, c: c}})
+	s0, s1, s5 := &section{m: 0}, &section{m: 1}, &section{m: 5}
+	ex := extras{{t: 1, s: s0}, {t: 2, s: s1}}
+	ex = ex.set(1, extras{{t: 1, s: s5}})
 	if len(ex) != 2 {
 		t.Fatalf("ex = %v", ex)
 	}
 	for _, e := range ex {
-		if e.t == 1 && e.m != 5 {
+		if e.t == 1 && e.s != s5 {
 			t.Error("old entries for thread 1 must be replaced")
 		}
 	}
@@ -176,7 +179,7 @@ func TestFillReleaseOutOfOrder(t *testing.T) {
 	if a.Races().Dynamic() != 0 {
 		t.Errorf("unexpected races: %v", a.Races().Races())
 	}
-	if len(a.ht[0]) != 0 {
+	if a.ht[0] != nil {
 		t.Errorf("T1's CS list not drained: %v", a.ht[0])
 	}
 }
@@ -235,5 +238,223 @@ func TestNamesAndAccessors(t *testing.T) {
 		if a.Races() == nil || a.Cases() == nil {
 			t.Error("nil accessors")
 		}
+	}
+}
+
+// TestCaptureSeesOutOfOrderRelease: a variable that captured [m, n] before
+// m was released out of nesting order sees m's release time afterwards, and
+// one that captured the rebuilt list [n] after it sees n's — both through
+// the section object, which the rebuild must not replace.
+func TestCaptureSeesOutOfOrderRelease(t *testing.T) {
+	b := trace.NewBuilder()
+	b.Write("T1", "y"). // ordered before the later reads of y only through rel(m) / rel(n)
+				Acq("T1", "m").Acq("T1", "n").
+				Write("T1", "x"). // captures [m, n]
+				Rel("T1", "m").
+				Write("T1", "z"). // captures the rebuilt [n]
+				Rel("T1", "n").
+				Acq("T2", "m").Read("T2", "x").Read("T2", "y").Rel("T2", "m").
+				Acq("T3", "n").Read("T3", "z").Read("T3", "y").Rel("T3", "n")
+	tr := trace.MustCheck(b.Build())
+	a := New(analysis.WDC, analysis.SpecOf(tr))
+	for _, e := range tr.Events[:6] {
+		a.Handle(e)
+	}
+	x, z := a.slot(b.VarID("x")), a.slot(b.VarID("z"))
+	if x.lw.depth != 2 || !x.lw.outer.released || x.lw.sec.released {
+		t.Fatalf("x's list must read [m released, n open]: %+v", x.lw)
+	}
+	if z.lw.depth != 1 || z.lw == x.lw || z.lw.sec != x.lw.sec || a.ht[0] != z.lw {
+		t.Fatal("the rebuilt list must be a new node over n's original section")
+	}
+	for _, e := range tr.Events[6:] {
+		a.Handle(e)
+	}
+	if !z.lw.sec.released || a.ht[0] != nil {
+		t.Error("n's release must reach the section both lists share")
+	}
+	if a.Races().Dynamic() != 0 {
+		t.Errorf("both readers are in conflicting critical sections: %v", a.Races().Races())
+	}
+}
+
+// TestOpenSectionOfAnotherWriterIsKept pins the one MultiCheck whose list is
+// not owned by the thread it is run for: [Write Exclusive]'s
+// MultiCheck(Lw_x, u, ⊥) when u read x after W wrote it. W's section on b is
+// still open at T's write (W released a out of order), so it is neither
+// ordered nor conflicting and must survive in Ew_x for R, who later reads x
+// under b, to be ordered after W's release — as Unopt-WDC's rule (a) has it.
+// (Through PR 22 the open section's clock read 0 in u's slot, counted as
+// ordered, and R's read of q raced.)
+func TestOpenSectionOfAnotherWriterIsKept(t *testing.T) {
+	b := trace.NewBuilder()
+	b.VolWrite("U", "v0").
+		VolRead("W", "v0"). // W knows more of U than T ever will
+		Write("W", "q").Acq("W", "a").Acq("W", "b").Write("W", "x").Rel("W", "a").
+		VolWrite("W", "v1").
+		VolRead("U", "v1").Acq("U", "c").Read("U", "x"). // [Read Exclusive]
+		Write("T", "x").                                 // races with U's read; U's c and W's b left over
+		Rel("W", "b").
+		Acq("R", "b").Read("R", "x").Read("R", "q").Rel("R", "b").
+		Rel("U", "c")
+	tr := trace.MustCheck(b.Build())
+	ref, _ := analysis.Lookup(analysis.WDC, analysis.Unopt)
+	want := analysis.Run(ref.NewFor(tr), tr).RaceVars()
+	got := run(t, analysis.WDC, tr).Races().RaceVars()
+	if !slices.Equal(want, got) || len(got) != 1 || got[0] != b.VarID("x") {
+		t.Errorf("racing variables %v, Unopt-WDC %v, want only x", got, want)
+	}
+}
+
+func TestVarSlotFitsBudget(t *testing.T) {
+	if sz := unsafe.Sizeof(stVar{}); sz > 48 {
+		t.Errorf("stVar is %d bytes, budget 48", sz)
+	}
+	if sz := unsafe.Sizeof(csNode{}); sz > 64 {
+		t.Errorf("csNode is %d bytes, budget one 64-byte size class", sz)
+	}
+}
+
+// steady builds an ST-WDC analysis with threads "A" (holding three nested
+// locks) and "B" (holding none), and returns a feeder that interns names
+// through one builder, so that a loop body can be replayed allocation-free.
+func steady(t testing.TB) (a *Analysis, events func(build func(b *trace.Builder)) []trace.Event) {
+	t.Helper()
+	b := trace.NewBuilder()
+	b.Acq("A", "k1").Acq("A", "k2").Acq("A", "k3").Write("B", "y").Write("B", "z")
+	a = New(analysis.WDC, analysis.Spec{})
+	fed := 0
+	events = func(build func(*trace.Builder)) []trace.Event {
+		build(b)
+		evs := b.Build().Events[fed:]
+		fed += len(evs)
+		return evs
+	}
+	for _, e := range events(func(*trace.Builder) {}) {
+		a.Handle(e)
+	}
+	return a, events
+}
+
+// TestAccessPathsDoNotAllocate: under three nested locks, in steady state,
+// no access case allocates — capturing a CS list is a pointer store, and
+// residual sections land in buffers the variable and the analysis keep.
+func TestAccessPathsDoNotAllocate(t *testing.T) {
+	a, events := steady(t)
+	body := events(func(b *trace.Builder) {
+		b.VolWrite("B", "v").VolRead("A", "v").
+			Read("A", "y").  // [Read Exclusive]: B's write is ordered, A's list captured
+			Read("A", "y").  // [Read Same Epoch]
+			Write("A", "y"). // [Write Owned]
+			Write("A", "y"). // [Write Same Epoch]
+			Write("A", "z"). // [Write Exclusive]
+			VolWrite("A", "w").
+			Read("A", "y"). // [Read Owned]
+			VolWrite("A", "w").VolRead("B", "w").
+			Write("B", "y"). // [Write Exclusive] against A's open list: three residual sections
+			Write("B", "z")
+	})
+	loop := func() {
+		for _, e := range body {
+			a.Handle(e)
+		}
+	}
+	loop() // first pass sizes the clocks, y's and z's cold blocks and the residual buffer
+	before := *a.Cases()
+	if n := testing.AllocsPerRun(100, loop); n != 0 {
+		t.Errorf("%v allocations per pass over the access cases, want 0", n)
+	}
+	c := a.Cases()
+	for name, hit := range map[string]bool{
+		"ReadExclusive": c.ReadExclusive > before.ReadExclusive, "ReadSameEpoch": c.ReadSameEpoch > before.ReadSameEpoch,
+		"ReadOwned": c.ReadOwned > before.ReadOwned, "WriteOwned": c.WriteOwned > before.WriteOwned,
+		"WriteSameEpoch": c.WriteSameEpoch > before.WriteSameEpoch, "WriteExclusive": c.WriteExclusive > before.WriteExclusive,
+		"three locks held": c.HeldAtLeast(3) > before.HeldAtLeast(3),
+	} {
+		if !hit {
+			t.Errorf("the loop never took %s", name)
+		}
+	}
+	if cd := a.slot(0).cold; cd == nil || len(cd.er) != 3 {
+		t.Error("B's write must leave A's three open sections in Er_y")
+	}
+	if a.Races().Dynamic() != 0 {
+		t.Errorf("every access is ordered by a volatile, yet %d races", a.Races().Dynamic())
+	}
+}
+
+// TestCriticalSectionAllocatesTwice: an acquire is one list node, a release
+// one exactly-sized clock, nested or not.
+func TestCriticalSectionAllocatesTwice(t *testing.T) {
+	a, events := steady(t)
+	for _, thread := range []string{"A", "B"} {
+		pair := events(func(b *trace.Builder) { b.Acq(thread, "m").Write(thread, "x"+thread).Rel(thread, "m") })
+		loop := func() {
+			for _, e := range pair {
+				a.Handle(e)
+			}
+		}
+		loop()
+		if n := testing.AllocsPerRun(100, loop); n > 2 {
+			t.Errorf("thread %s: %v allocations per acquire/release pair, want ≤ 2", thread, n)
+		}
+	}
+}
+
+// TestMetadataWeightTracksHeap holds the memory instrument to the heap: the
+// paper-table memory factor is 8*MetadataWeight(), so it has to be within
+// 2× of what the analysis really retains.
+func TestMetadataWeightTracksHeap(t *testing.T) {
+	p, _ := workload.ProgramByName("xalan")
+	tr := p.Generate(1000, 1)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	a := run(t, analysis.WDC, tr)
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	// The collector's race list is the report, not analysis metadata.
+	races := a.Races().Dynamic() * int(unsafe.Sizeof(report.Race{}))
+	grown := int(m1.HeapAlloc) - int(m0.HeapAlloc) - races
+	counted := 8 * a.MetadataWeight()
+	t.Logf("heap grew %d B net of %d B of races; MetadataWeight counts %d B (%.2f×)", grown, races, counted, float64(counted)/float64(grown))
+	if counted < grown/2 || counted > 2*grown {
+		t.Errorf("8*MetadataWeight() = %d B, heap growth %d B: not within 2×", counted, grown)
+	}
+	runtime.KeepAlive(tr)
+}
+
+// BenchmarkCriticalSection prices one acquire/release pair with a write
+// inside, nested under three held locks: a list node, a captured list and a
+// release clock.
+func BenchmarkCriticalSection(b *testing.B) {
+	a, events := steady(b)
+	pair := events(func(tb *trace.Builder) { tb.Acq("A", "m").Write("A", "x").Rel("A", "m") })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, e := range pair {
+			a.Handle(e)
+		}
+	}
+}
+
+// BenchmarkCapture prices a non-same-epoch access under three nested locks:
+// 256 owned reads that each capture the thread's CS list, per tick of the
+// thread's clock.
+func BenchmarkCapture(b *testing.B) {
+	a, events := steady(b)
+	tick := events(func(tb *trace.Builder) { tb.VolWrite("A", "v") })[0]
+	reads := make([]trace.Event, 256)
+	for i := range reads {
+		reads[i] = trace.Event{T: tick.T, Op: trace.OpRead, Targ: uint32(i)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(reads) == 0 {
+			a.Handle(tick)
+		}
+		a.Handle(reads[i%len(reads)])
 	}
 }

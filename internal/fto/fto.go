@@ -142,7 +142,7 @@ func (a *View) Read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 			if !vc.EpochLeq(v.w, p) {
 				a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Index: int(idx), PriorTid: trace.Tid(v.w.Tid())})
 			}
-			v.rvc = a.vcs.Get()
+			v.rvc = a.vcs.Get(a.Sub.Threads())
 			v.rvc.Set(v.r.Tid(), v.r.Clock())
 			v.rvc.Set(tt, c)
 			v.r = vc.None

@@ -27,9 +27,8 @@ const (
 	tidBits = 16
 	// MaxClock is the largest representable clock value.
 	MaxClock Clock = (1 << (64 - tidBits)) - 1
-	// Inf is the sentinel clock stored in a critical-section release time
-	// that has not happened yet (SmartTrack's deferred release update). It
-	// is never ⪯ any real clock.
+	// Inf is a sentinel clock that is never ⪯ any real clock; String renders
+	// it as ∞.
 	Inf Clock = MaxClock
 )
 
@@ -157,15 +156,24 @@ func (v *VC) Copy() *VC {
 }
 
 // CopyFrom overwrites v in place with the contents of o, preserving v's
-// identity. SmartTrack relies on this to fill a critical section's release
-// time into the vector clock object that CS lists and extra metadata already
-// reference.
+// identity and reusing its capacity: the per-lock release clocks are
+// overwritten at every release.
 func (v *VC) CopyFrom(o *VC) {
 	v.grow(len(o.c))
 	copy(v.c, o.c)
 	for i := len(o.c); i < len(v.c); i++ {
 		v.c[i] = 0
 	}
+}
+
+// CopyExact overwrites v with the contents of o in a fresh array of exactly
+// o.Len() slots, for a clock that is written once and then only read:
+// SmartTrack stores a critical section's release time this way, in the
+// section that CS lists and extra metadata already reference. CopyFrom, which
+// keeps and doubles capacity, is for clocks that are overwritten repeatedly.
+func (v *VC) CopyExact(o *VC) {
+	v.c = make([]Clock, len(o.c))
+	copy(v.c, o.c)
 }
 
 // Epoch returns thread t's component of v as the epoch v(t)@t.
@@ -209,15 +217,16 @@ type Pool struct {
 	free []*VC
 }
 
-// Get returns a zeroed clock, reusing a retired one when available.
-func (p *Pool) Get() *VC {
-	if n := len(p.free); n > 0 {
-		v := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+// Get returns a zeroed clock, reusing a retired one when available; a new
+// one is sized for n threads, so that filling it in does not grow it.
+func (p *Pool) Get(n int) *VC {
+	if last := len(p.free) - 1; last >= 0 {
+		v := p.free[last]
+		p.free[last] = nil
+		p.free = p.free[:last]
 		return v
 	}
-	return New(0)
+	return New(n)
 }
 
 // Put retires v into the pool. v must not be referenced elsewhere; its

@@ -319,3 +319,33 @@ func BenchmarkEpochLeq(b *testing.B) {
 		}
 	}
 }
+
+func TestCopyExactIsExactAndIndependent(t *testing.T) {
+	src := New(2)
+	src.Set(4, 7) // grown by doubling: capacity beyond its five slots
+	var dst VC
+	dst.CopyExact(src)
+	if dst.Len() != 5 || dst.Weight() != 5 || dst.Get(4) != 7 {
+		t.Errorf("CopyExact gave %v with %d words for a 5-slot clock", &dst, dst.Weight())
+	}
+	src.Set(4, 9)
+	if dst.Get(4) != 7 {
+		t.Error("CopyExact must not alias its source")
+	}
+}
+
+func TestPoolSizesNewClocksOnce(t *testing.T) {
+	var p Pool
+	v := p.Get(6)
+	if v.Weight() != 6 || !v.Leq(New(0)) {
+		t.Fatalf("Get(6) = %v with %d words, want a zero clock of 6", v, v.Weight())
+	}
+	v.Set(5, 3) // within the size it was given: no growth
+	if v.Weight() != 6 {
+		t.Errorf("filling a pooled clock grew it to %d words", v.Weight())
+	}
+	p.Put(v)
+	if w := p.Get(2); w != v || w.Get(5) != 0 {
+		t.Error("a retired clock must come back, zeroed, whatever size is asked for")
+	}
+}
