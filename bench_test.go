@@ -116,10 +116,30 @@ var fanoutTrace = func() *trace.Trace {
 	return p.Generate(20000, 1)
 }()
 
-// BenchmarkEngineFanout15 measures the full Table 1 matrix in one engine —
-// 15 cells, 7 computations — the way the fanout15-par row drives it:
-// 8192-event runs with a Sync barrier after each, sequentially and on two
-// pipeline workers, as ns and allocated bytes per event.
+// feedFanout15 runs tr through the full Table 1 matrix in one engine — 15
+// cells, 7 computations — the way the fanout15-par row drives it: 8192-event
+// runs with a Sync barrier after each.
+func feedFanout15(tr *trace.Trace, parallelism int) error {
+	eng, err := race.NewEngine(race.WithAnalysisNames(race.Detectors()...), race.WithParallelism(parallelism))
+	if err != nil {
+		return err
+	}
+	for evs := tr.Events; len(evs) > 0; {
+		n := min(len(evs), 8192)
+		if err := eng.FeedBatch(evs[:n]); err != nil {
+			return err
+		}
+		if err := eng.Sync(); err != nil {
+			return err
+		}
+		evs = evs[n:]
+	}
+	_, err = eng.Close()
+	return err
+}
+
+// BenchmarkEngineFanout15 measures feedFanout15 over fanoutTrace sequentially
+// and on two pipeline workers, as ns and allocated bytes per event.
 func BenchmarkEngineFanout15(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
@@ -133,21 +153,7 @@ func BenchmarkEngineFanout15(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng, err := race.NewEngine(race.WithAnalysisNames(race.Detectors()...), race.WithParallelism(cfg.par))
-				if err != nil {
-					b.Fatal(err)
-				}
-				for evs := fanoutTrace.Events; len(evs) > 0; {
-					n := min(len(evs), 8192)
-					if err := eng.FeedBatch(evs[:n]); err != nil {
-						b.Fatal(err)
-					}
-					if err := eng.Sync(); err != nil {
-						b.Fatal(err)
-					}
-					evs = evs[n:]
-				}
-				if _, err := eng.Close(); err != nil {
+				if err := feedFanout15(fanoutTrace, cfg.par); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -157,6 +163,28 @@ func BenchmarkEngineFanout15(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
 		})
+	}
+}
+
+// TestFanout15AllocationBudget keeps the 15-cell engine's allocation from
+// creeping back, on the fanout15-par row's own trace (h2/4000, seed 1), where
+// one sequential pass reads 55.3 B/event with the rule (b) logs and graph
+// edges in flat chunks. The full length matters: per-engine tables are a
+// fixed ≈ 6 MB, which would be 30 B/event of a reading over fanoutTrace.
+func TestFanout15AllocationBudget(t *testing.T) {
+	const budget = 65 // B/event
+	p, _ := workload.ProgramByName("h2")
+	tr := p.Generate(4000, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := feedFanout15(tr, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / float64(tr.Len())
+	t.Logf("%.1f B/event over %d events", got, tr.Len())
+	if got > budget {
+		t.Errorf("the 15-cell engine allocated %.1f B/event, budget %d", got, budget)
 	}
 }
 

@@ -30,14 +30,22 @@
 // exactly as the pre-sized batch construction did with per-pair FIFO
 // queues (the paper's Acq_m,t(t') / Rel_m,t(t')).
 //
-// The logs are retained for the analysis's lifetime even after every
-// current observer's cursor has passed an entry: a thread forked later may
-// still be rule (b)-ordered after an old critical section (e.g. through a
-// fork edge from its owner), so dropping consumed entries would weaken the
-// relation and over-report races. Rule (b) memory therefore grows with the
-// number of critical sections per lock — the same worst case as the old
-// per-pair queues (which only freed entries once consumed), minus their
-// (T-1)-way duplication of every entry.
+// Log retention. A log entry (csEntry) is one critical section: its acquire
+// time, the name of its release time, the release's trace index. Entries and
+// the clocks they name are kept for the analysis's lifetime, even after
+// every current observer's cursor has passed them, so rule (b) memory grows
+// with the number of critical sections — the same worst case as the paper's
+// per-pair queues, which only freed an entry once every thread had consumed
+// it, minus their (T-1)-way duplication. Trimming a log below the minimum
+// cursor of its observers is not done because the observer set is not
+// knowable from a stream: trace.Check treats a thread that is never forked
+// as existing from the start of the trace, so a thread id first seen at
+// event one million is a legal observer whose cursors start at zero, and it
+// can be rule (b)-ordered after any old critical section (a volatile read
+// suffices to put the old acquire before its release). Dropping what the
+// threads seen so far have consumed would weaken the relation for that
+// thread and over-report races. A trim needs either declared thread counts
+// or a per-log summary clock for late arrivals; neither exists yet.
 //
 // Representation. Both structures index by the engines' dense id spaces
 // rather than hashing: rule (a) state is a paged slice of per-(lock, var)
@@ -45,7 +53,14 @@
 // lookups or per-access heap traffic, and rule (b) cursors are dense
 // [observer][owner] slices (thread ids are small). Pages materialize on
 // first touch, so sparse id use under one lock does not pay for the full
-// variable space.
+// variable space. Rule (b)'s history is flat: a 16-byte pointer-free entry
+// per critical section in one slice per (lock, owner), and every logged
+// clock in one vc.Arena per RuleB. The arena can be write-once because a
+// logged time is never updated — the log only ever appends, and a cursor
+// only ever reads what is behind it — which is also what lets SmartTrack's
+// sections share the logged release clock instead of copying it (see
+// Release), and it keeps a history of a million clocks out of the
+// collector's mark phase.
 package ccs
 
 import (
@@ -54,55 +69,33 @@ import (
 	"repro/internal/vc"
 )
 
-// relEntry pairs a critical section's release time with the release's trace
-// index (for constraint-graph edges).
-type relEntry struct {
-	c   *vc.VC
+// csEntry is one critical section in its (lock, owner) log: 16 bytes, no
+// pointers. acq is the acquire time — an epoch when the owning analysis uses
+// the epoch-queue optimization (SmartTrack, and WCP at every level: for WCP
+// the ordering test a₁ ≺WCP r₂ is exactly the component test
+// P_r₂(t') ≥ local(a₁) under left HB-composition, so only the epoch is
+// meaningful), otherwise the arena Ref of a full vector clock (DC at the
+// Unopt/FTO levels, Algorithm 1 line 2). rel is the arena Ref of the release
+// time, zero while the section is open, and idx the release's trace index
+// (for constraint-graph edges).
+type csEntry struct {
+	acq uint64
+	rel vc.Ref
 	idx int32
 }
 
-// acqEntry is a logged acquire time: a full vector clock for DC at the
-// Unopt/FTO levels (Algorithm 1 line 2), or an epoch when the owning
-// analysis uses the epoch-queue optimization (SmartTrack, and WCP at every
-// level — for WCP the ordering test a₁ ≺WCP r₂ is exactly the component
-// test P_r₂(t') ≥ local(a₁) under left HB-composition, so only the epoch is
-// meaningful).
-type acqEntry struct {
-	c  *vc.VC
-	ep vc.Epoch
-}
-
-// csLog is the append-only critical-section history of one (lock, owner)
-// pair: acq[i] and rel[i] are the acquire and release times of the owner's
-// i-th critical section on the lock. Per-lock mutual exclusion guarantees
-// that whenever another thread processes its own release of the lock,
-// every logged acquire has a matching logged release (len(rel) ≥ any
-// cursor that can be consumed), because the owner cannot still be inside
-// a critical section another thread is releasing.
-type csLog struct {
-	acq []acqEntry
-	rel []relEntry
-}
-
-// lockLogs holds the per-owner logs for one lock (indexed by owner thread
-// id — dense, so a growable slice; nil means the owner has no critical
-// sections on this lock) plus the per-pair consumed-prefix cursors,
-// heads[observer][owner] — dense in both dimensions because thread ids are
-// small and dense, replacing the old observer<<16|owner map (a hash lookup
-// and potential insert per (observer, owner) pair per release).
+// lockLogs holds the per-owner logs for one lock — byOwner[t][i] is t's i-th
+// critical section on the lock; owner thread ids are dense, so a growable
+// slice, nil for an owner with no critical sections here — plus the per-pair
+// consumed-prefix cursors, heads[observer][owner], dense in both dimensions.
+//
+// Per-lock mutual exclusion guarantees that whenever a thread processes its
+// own release of the lock, every entry of every other owner has its release
+// filled in: the owner cannot still be inside a critical section on a lock
+// another thread is releasing.
 type lockLogs struct {
-	byOwner []*csLog
+	byOwner [][]csEntry
 	heads   [][]int32
-}
-
-func (ll *lockLogs) owner(t trace.Tid) *csLog {
-	analysis.EnsureLen(&ll.byOwner, int(t)+1)
-	lg := ll.byOwner[t]
-	if lg == nil {
-		lg = &csLog{}
-		ll.byOwner[t] = lg
-	}
-	return lg
 }
 
 // cursors returns observer t's consumed-prefix row, sized to cover all
@@ -124,6 +117,7 @@ type RuleB struct {
 	rel      analysis.Relation
 	epochAcq bool
 	locks    []*lockLogs
+	clocks   vc.Arena // every logged acquire and release clock
 }
 
 // NewRuleB builds rule (b) state from capacity hints. epochAcq selects
@@ -154,24 +148,26 @@ func (b *RuleB) lockState(m uint32) *lockLogs {
 // (Algorithm 1 line 2 / Algorithm 3 line 2). P is the relation clock of t
 // at the acquire (after any HB lock joins, before the tick).
 func (b *RuleB) Acquire(t trace.Tid, m uint32, p *vc.VC) {
-	var ent acqEntry
+	var ent csEntry
 	if b.epochAcq {
-		ent.ep = p.Epoch(vc.Tid(t))
+		ent.acq = uint64(p.Epoch(vc.Tid(t)))
 	} else {
-		ent.c = p.Copy()
+		ent.acq = uint64(b.clocks.Put(p))
 	}
-	lg := b.lockState(m).owner(t)
-	lg.acq = append(lg.acq, ent)
+	ll := b.lockState(m)
+	analysis.EnsureLen(&ll.byOwner, int(t)+1)
+	ll.byOwner[t] = append(ll.byOwner[t], ent)
 }
 
 // Release performs rule (b) at t's release of m (Algorithm 1 lines 4–8):
 // earlier critical sections whose acquires are ordered before the current
 // clock contribute their release times, which are joined into t's relation
-// clock; then the current release time is logged. For WCP the logged
-// release time is the HB clock (left HB-composition); for DC it is the
-// relation clock itself. idx is the trace index of the release event; hook
-// (optional) receives rule (b) constraint edges.
-func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32, hook analysis.Hook) {
+// clock; then the current release time is logged, and returned as a
+// read-only view of the logged copy. For WCP the logged release time is the
+// HB clock (left HB-composition); for DC it is the relation clock itself.
+// idx is the trace index of the release event; hook (optional) receives
+// rule (b) constraint edges.
+func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32, hook analysis.Hook) vc.VC {
 	p := s.P[t]
 	ll := b.lockState(m)
 	heads := ll.cursors(t)
@@ -179,28 +175,28 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 	// pre-sized per-pair queues. Determinism matters: JoinP below grows p,
 	// which the ordered test reads, so the iteration order is part of the
 	// algorithm's observable behavior.
-	for owner := 0; owner < len(ll.byOwner); owner++ {
-		lg := ll.byOwner[owner]
-		if lg == nil || owner == int(t) {
+	for owner, lg := range ll.byOwner {
+		if owner == int(t) {
 			continue
 		}
 		h := heads[owner]
-		for int(h) < len(lg.acq) {
-			front := lg.acq[h]
+		for int(h) < len(lg) {
+			front := lg[h]
 			var ordered bool
 			if b.epochAcq {
-				ordered = vc.EpochLeq(front.ep, p)
+				ordered = vc.EpochLeq(vc.Epoch(front.acq), p)
 			} else {
-				ordered = front.c.Leq(p)
+				acq := b.clocks.At(vc.Ref(front.acq))
+				ordered = acq.Leq(p)
 			}
 			if !ordered {
 				break
 			}
-			re := lg.rel[h]
 			h++
-			s.JoinP(t, re.c) // rule (b): r1 ≺ r2
-			if hook != nil && re.idx >= 0 {
-				hook.Edge(re.idx, idx)
+			rel := b.clocks.At(front.rel)
+			s.JoinP(t, &rel) // rule (b): r1 ≺ r2
+			if hook != nil {
+				hook.Edge(front.idx, idx)
 			}
 		}
 		heads[owner] = h
@@ -209,33 +205,26 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 	if b.rel == analysis.WCP {
 		snap = s.H[t]
 	}
-	lg := ll.owner(t)
-	lg.rel = append(lg.rel, relEntry{c: snap.Copy(), idx: idx})
+	own := ll.byOwner[t]
+	cs := &own[len(own)-1] // the section t's acquire of m opened
+	cs.rel, cs.idx = b.clocks.Put(snap), idx
+	return b.clocks.At(cs.rel)
 }
 
-// Weight estimates retained rule (b) metadata in 8-byte words.
+// Weight estimates retained rule (b) metadata in 8-byte words: the cursor
+// rows and entry slices at their capacity, and the arena, which holds every
+// clock an entry names.
 func (b *RuleB) Weight() int {
-	w := 0
+	w := b.clocks.Weight()
 	for _, ll := range b.locks {
 		if ll == nil {
 			continue
 		}
 		for _, row := range ll.heads {
-			w += (len(row) + 1) / 2
+			w += (cap(row) + 1) / 2
 		}
 		for _, lg := range ll.byOwner {
-			if lg == nil {
-				continue
-			}
-			w += 2 * (len(lg.acq) + len(lg.rel))
-			for _, a := range lg.acq {
-				if a.c != nil {
-					w += a.c.Weight()
-				}
-			}
-			for _, r := range lg.rel {
-				w += r.c.Weight()
-			}
+			w += 2 * cap(lg)
 		}
 	}
 	return w

@@ -273,12 +273,12 @@ func TestRuleBWCPEnqueuesHBTime(t *testing.T) {
 	// The logged release entry must be the HB clock (its own component is
 	// the local clock, which P strips on export).
 	lg := rb.locks[0].byOwner[0]
-	if len(lg.rel) != 1 {
-		t.Fatalf("release log length = %d, want 1", len(lg.rel))
+	if len(lg) != 1 || lg[0].rel == 0 {
+		t.Fatalf("release log = %v, want one released section", lg)
 	}
-	ent := lg.rel[0]
-	if ent.c.Get(0) != s.H[0].Get(vc.Tid(0))-1 && ent.c.Get(0) == 0 {
-		t.Errorf("WCP rule (b) must log HB release times, got %v", ent.c)
+	c := rb.clocks.At(lg[0].rel)
+	if c.Get(0) != s.H[0].Get(vc.Tid(0))-1 && c.Get(0) == 0 {
+		t.Errorf("WCP rule (b) must log HB release times, got %v", &c)
 	}
 }
 

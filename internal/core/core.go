@@ -32,6 +32,11 @@
 // by u ≠ t on a lock t holds has been released (mutual exclusion, which
 // trace.Checker enforces).
 //
+// ST-WCP and ST-DC do not allocate that clock at all: the section takes a
+// view of the copy rule (b)'s log has just written. The two are equal because
+// ccs.RuleB.Release logs H[t] (WCP) or P[t] (DC) as its last step, and
+// nothing runs between that and the section's fill.
+//
 // MultiCheck fuses the CCS detection with the race check: it walks a prior
 // access's CS list from outermost to innermost; an ordered release subsumes
 // everything inner (and the race check); a release on a lock the current
@@ -285,20 +290,22 @@ func (a *Analysis) Handle(e trace.Event) {
 		a.ht[t] = push(a.ht[t], e.Targ)
 		a.s.PostAcquire(t, e.Targ)
 	case trace.OpRelease:
-		if a.rb != nil {
-			a.rb.Release(t, e.Targ, a.s, idx, nil)
-		}
-		a.fillRelease(t, e.Targ)
+		a.fillRelease(t, e.Targ, idx)
 		a.s.PostRelease(t, e.Targ)
 	default:
 		a.s.HandleOther(e, idx)
 	}
 }
 
-// fillRelease resolves the deferred release time of t's critical section on
-// m: the section that CS lists and extra metadata reference receives the
-// release time (HB time for WCP, relation time for DC/WDC), and leaves Ht.
-func (a *Analysis) fillRelease(t trace.Tid, m uint32) {
+// fillRelease runs rule (b) at t's release of m and resolves the deferred
+// release time of the critical section: the section that CS lists and extra
+// metadata reference receives the release time (HB time for WCP, relation
+// time for DC/WDC), and leaves Ht.
+func (a *Analysis) fillRelease(t trace.Tid, m uint32, idx int32) {
+	var logged vc.VC
+	if a.rb != nil {
+		logged = a.rb.Release(t, m, a.s, idx, nil)
+	}
 	top := a.ht[t]
 	n := top
 	for n != nil && n.sec.m != m { // innermost first
@@ -307,11 +314,11 @@ func (a *Analysis) fillRelease(t trace.Tid, m uint32) {
 	if n == nil {
 		return
 	}
-	src := a.s.P[t]
-	if a.rel == analysis.WCP {
-		src = a.s.H[t]
+	if a.rb != nil {
+		n.sec.c = logged // the log's copy, shared; see the package comment
+	} else {
+		n.sec.c.CopyExact(a.s.P[t])
 	}
-	n.sec.c.CopyExact(src)
 	n.sec.released = true
 	if n == top {
 		a.ht[t] = top.up // structured locking: the enclosing list is shared as is
@@ -552,7 +559,9 @@ const slotWords, coldWords, nodeWords = 6, 9, 8
 // MetadataWeight implements analysis.Analysis. It counts what the analysis
 // holds — variable pages, cold blocks, and the list nodes and release clocks
 // reachable from them and from Ht, each section once (a node rebuilt by a
-// non-LIFO release is counted with the node it was rebuilt from).
+// non-LIFO release is counted with the node it was rebuilt from). With a
+// rule (b) log the release clocks are views of its arena, which the log's
+// weight already counts whole.
 func (a *Analysis) MetadataWeight() int {
 	w := a.s.Weight() + len(a.pages) + len(a.ht)
 	if a.rb != nil {
@@ -569,7 +578,10 @@ func (a *Analysis) heldWords(seen bool) (w int) {
 	count := func(s *section) {
 		if s.seen != seen {
 			s.seen = seen
-			w += nodeWords + s.c.Weight()
+			w += nodeWords
+			if a.rb == nil {
+				w += s.c.Weight()
+			}
 		}
 	}
 	list := func(l *csNode) {

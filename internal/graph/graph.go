@@ -7,14 +7,19 @@
 // witness reordering.
 package graph
 
-import "sort"
+import "slices"
+
+// chunkEdges is how many edges one chunk holds (64 KiB). The edge list only
+// grows and is only read whole, so it is kept as full chunks plus a partial
+// last one: recording an edge never copies the edges before it.
+const chunkEdges = 8192
 
 // Graph is an event constraint graph over a trace of N events. N grows as
 // events are observed, so a graph can be built over a stream whose length
 // is not known up front.
 type Graph struct {
-	N     int
-	edges [][2]int32
+	N      int
+	chunks [][][2]int32 // in recording order; every chunk but the last is full
 
 	adj  [][]int32 // built on demand by Succ/Pred
 	radj [][]int32
@@ -42,15 +47,27 @@ func (g *Graph) Edge(src, dst int32) {
 	}
 	g.Observe(src)
 	g.Observe(dst)
-	g.edges = append(g.edges, [2]int32{src, dst})
+	last := len(g.chunks) - 1
+	if last < 0 || len(g.chunks[last]) == chunkEdges {
+		g.chunks = append(g.chunks, make([][2]int32, 0, chunkEdges))
+		last++
+	}
+	g.chunks[last] = append(g.chunks[last], [2]int32{src, dst})
 	g.adj, g.radj = nil, nil
 }
 
 // Len returns the number of recorded cross-thread edges.
-func (g *Graph) Len() int { return len(g.edges) }
+func (g *Graph) Len() int {
+	if len(g.chunks) == 0 {
+		return 0
+	}
+	return (len(g.chunks)-1)*chunkEdges + len(g.chunks[len(g.chunks)-1])
+}
 
-// Edges returns the raw edge list (aliased; callers must not modify).
-func (g *Graph) Edges() [][2]int32 { return g.edges }
+// Edges returns a copy of the edge list, in recording order.
+func (g *Graph) Edges() [][2]int32 {
+	return slices.Concat(g.chunks...)
+}
 
 func (g *Graph) build() {
 	if g.adj != nil {
@@ -58,9 +75,11 @@ func (g *Graph) build() {
 	}
 	g.adj = make([][]int32, g.N)
 	g.radj = make([][]int32, g.N)
-	for _, e := range g.edges {
-		g.adj[e[0]] = append(g.adj[e[0]], e[1])
-		g.radj[e[1]] = append(g.radj[e[1]], e[0])
+	for _, c := range g.chunks {
+		for _, e := range c {
+			g.adj[e[0]] = append(g.adj[e[0]], e[1])
+			g.radj[e[1]] = append(g.radj[e[1]], e[0])
+		}
 	}
 	for i := range g.adj {
 		sortDedup(&g.adj[i])
@@ -69,18 +88,8 @@ func (g *Graph) build() {
 }
 
 func sortDedup(s *[]int32) {
-	v := *s
-	if len(v) < 2 {
-		return
-	}
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-	out := v[:1]
-	for _, x := range v[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	*s = out
+	slices.Sort(*s)
+	*s = slices.Compact(*s)
 }
 
 // Succ returns the cross-thread successors of event i. Indices beyond the
@@ -104,13 +113,14 @@ func (g *Graph) Pred(i int32) []int32 {
 }
 
 // Weight estimates the graph's retained memory in 8-byte words — the
-// "w/G" analyses' extra footprint.
+// "w/G" analyses' extra footprint: the edge chunks at their capacity, the
+// chunk table, and the adjacency lists once built.
 func (g *Graph) Weight() int {
-	w := len(g.edges)
+	w := (3 + chunkEdges) * len(g.chunks)
 	if g.adj != nil {
-		w += 2 * g.N
+		w += 2 * 3 * g.N
 		for i := range g.adj {
-			w += (len(g.adj[i]) + len(g.radj[i])) / 2
+			w += (cap(g.adj[i]) + cap(g.radj[i]) + 1) / 2
 		}
 	}
 	return w

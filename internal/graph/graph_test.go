@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func TestEdgeRecording(t *testing.T) {
 	g := New(6)
@@ -65,5 +69,53 @@ func TestSortDedup(t *testing.T) {
 	sortDedup(&one)
 	if len(one) != 1 {
 		t.Errorf("singleton mangled: %v", one)
+	}
+}
+
+// TestChunkedEdgesMatchNaiveModel records three full chunks and one edge more
+// and holds Len, Edges, Succ and Pred to a plain edge list and sorted sets.
+func TestChunkedEdgesMatchNaiveModel(t *testing.T) {
+	const n, nodes = 3*chunkEdges + 1, 500
+	g := New(0)
+	var want [][2]int32
+	succ, pred := map[int32][]int32{}, map[int32][]int32{}
+	rng := rand.New(rand.NewSource(1))
+	for len(want) < n {
+		src, dst := int32(rng.Intn(nodes)), int32(rng.Intn(nodes))
+		g.Edge(src, dst)
+		if src == dst {
+			continue // ignored by Edge
+		}
+		want = append(want, [2]int32{src, dst})
+		succ[src] = append(succ[src], dst)
+		pred[dst] = append(pred[dst], src)
+	}
+	if len(g.chunks) != 4 || g.Len() != n {
+		t.Fatalf("%d chunks, Len = %d; want 4 chunks holding %d edges", len(g.chunks), g.Len(), n)
+	}
+	if got := g.Edges(); !slices.Equal(got, want) {
+		t.Fatal("Edges() is not the recorded sequence")
+	}
+	set := func(s []int32) []int32 {
+		slices.Sort(s)
+		return slices.Compact(s)
+	}
+	for i := int32(0); i < nodes; i++ {
+		if !slices.Equal(g.Succ(i), set(succ[i])) || !slices.Equal(g.Pred(i), set(pred[i])) {
+			t.Fatalf("node %d: Succ %v Pred %v, want %v %v", i, g.Succ(i), g.Pred(i), set(succ[i]), set(pred[i]))
+		}
+	}
+	if w := g.Weight(); w < 4*chunkEdges {
+		t.Errorf("Weight = %d words, must count four chunks at capacity", w)
+	}
+}
+
+// BenchmarkEdge prices recording one constraint edge, chunk allocation
+// amortized in.
+func BenchmarkEdge(b *testing.B) {
+	b.ReportAllocs()
+	g := New(0)
+	for i := 0; i < b.N; i++ {
+		g.Edge(int32(i&0xffff), int32(i&0xffff)+1)
 	}
 }
