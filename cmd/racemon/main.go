@@ -23,10 +23,11 @@
 //
 // The collection and validation logic lives in internal/obs/collect so
 // cmd/raceload can run the same collector inline while generating load;
-// this file is only flag parsing and the polling loop.
+// this file is only flag parsing.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -88,7 +89,9 @@ func main() {
 		obs.RegisterBuildInfo(reg, "racemon")
 		go func() {
 			logger.Info("self-metrics listening", "addr", *metricsAddr)
-			if err := http.ListenAndServe(*metricsAddr, selfMetricsHandler(reg)); err != nil {
+			mux := http.NewServeMux()
+			mux.Handle("GET /metrics", obs.MetricsHandler(reg))
+			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
 				logger.Warn("self-metrics server failed", "err", err)
 			}
 		}()
@@ -99,43 +102,10 @@ func main() {
 		IntervalSeconds: interval.Seconds(),
 		Targets:         urls,
 	}
-	client := &http.Client{Timeout: *interval}
 	col := collect.New(rep)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
-	tick := time.NewTicker(*interval)
-	defer tick.Stop()
-collectLoop:
-	for i := 0; *cycles == 0 || i < *cycles; i++ {
-		now := time.Now()
-		samples := make(map[string]collect.TargetSample, len(urls))
-		for _, u := range urls {
-			s, err := collect.Scrape(client, u)
-			if err != nil {
-				logger.Warn("scrape failed", "target", u, "err", err)
-				rep.Summary.ScrapeErrors++
-				samples[u] = collect.TargetSample{Up: false}
-				continue
-			}
-			samples[u] = s
-		}
-		cyc := col.Record(now, samples)
-		logger.Debug("cycle", "n", i, "events_total", cyc.Fleet.EventsAnalyzedTotal,
-			"events_per_second", cyc.Fleet.EventsPerSecond)
-
-		if *cycles != 0 && i == *cycles-1 {
-			break
-		}
-		select {
-		case <-tick.C:
-		case s := <-sig:
-			logger.Info("stopping", "signal", s.String())
-			break collectLoop
-		}
-	}
-
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	col.Run(ctx, *interval, *cycles, logger)
+	stop()
 	col.Finish()
 	doc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -146,23 +116,6 @@ collectLoop:
 	}
 	logger.Info("report written", "path", *out, "cycles", len(rep.Cycles),
 		"sustained_eps", rep.Summary.SustainedEventsPerSecond)
-}
-
-// selfMetricsHandler serves racemon's own registry at /metrics, honoring
-// the same format selection as raced: Prometheus text under
-// ?format=prometheus or a text/plain Accept header, JSON otherwise.
-func selfMetricsHandler(reg *obs.Registry) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "prometheus" || obs.AcceptsText(r.Header.Get("Accept")) {
-			w.Header().Set("Content-Type", obs.TextContentType)
-			obs.WriteText(w, reg.Snapshot())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(obs.JSONMap(reg.Snapshot()))
-	})
-	return mux
 }
 
 func fatalf(format string, args ...any) {

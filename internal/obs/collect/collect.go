@@ -17,8 +17,10 @@
 package collect
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"sort"
@@ -164,6 +166,39 @@ func (c *Collector) Record(now time.Time, samples map[string]TargetSample) Cycle
 	return cyc
 }
 
+// Run is the polling loop cmd/racemon and the raceload generator share:
+// every interval it scrapes each target of the report, counts and logs the
+// ones that fail (recorded as down) and records the round, until ctx ends
+// or — when cycles > 0 — that many rounds are in.
+func (c *Collector) Run(ctx context.Context, interval time.Duration, cycles int, logger *slog.Logger) {
+	client := &http.Client{Timeout: interval}
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for n := 1; ; n++ {
+		now := time.Now()
+		samples := make(map[string]TargetSample, len(c.rep.Targets))
+		for _, u := range c.rep.Targets {
+			s, err := Scrape(client, u)
+			if err != nil {
+				logger.Warn("scrape failed", "target", u, "err", err)
+				c.rep.Summary.ScrapeErrors++
+			}
+			samples[u] = s
+		}
+		cyc := c.Record(now, samples)
+		logger.Debug("cycle", "n", n, "events_total", cyc.Fleet.EventsAnalyzedTotal,
+			"events_per_second", cyc.Fleet.EventsPerSecond)
+		if n == cycles {
+			return
+		}
+		select {
+		case <-tick.C:
+		case <-ctx.Done():
+			return
+		}
+	}
+}
+
 // Finish computes the run summary from the collected cycles.
 func (c *Collector) Finish() {
 	rep := c.rep
@@ -230,28 +265,15 @@ func Scrape(client *http.Client, base string) (TargetSample, error) {
 			}
 		case "gauge":
 			for _, sm := range f.Samples {
-				s.Gauges[sampleKey(sm)] += sm.Value
+				s.Gauges[obs.SeriesKey(sm.Name, sm.Labels)] += sm.Value
 			}
 		default: // counter, untyped
 			for _, sm := range f.Samples {
-				s.Counters[sampleKey(sm)] += sm.Value
+				s.Counters[obs.SeriesKey(sm.Name, sm.Labels)] += sm.Value
 			}
 		}
 	}
 	return s, nil
-}
-
-// sampleKey spells a series name{labels} the way the exposition does, so
-// report keys match what an operator sees when scraping by hand.
-func sampleKey(s obs.Sample) string {
-	if len(s.Labels) == 0 {
-		return s.Name
-	}
-	parts := make([]string, len(s.Labels))
-	for i, l := range s.Labels {
-		parts[i] = fmt.Sprintf("%s=%q", l.Key, l.Value)
-	}
-	return s.Name + "{" + strings.Join(parts, ",") + "}"
 }
 
 // CheckFile reads and validates a LOAD_*.json document (see Check).

@@ -71,7 +71,7 @@ func WriteText(w io.Writer, snaps []MetricSnapshot) error {
 				writeHistogram(bw, s)
 				continue
 			}
-			writeSample(bw, s.Name, s.Labels, "", "", s.Value)
+			writeSample(bw, s.Name, s.Labels, s.Value)
 		}
 	}
 	return bw.Flush()
@@ -82,40 +82,18 @@ func writeHistogram(bw *bufio.Writer, s MetricSnapshot) {
 	var cum uint64
 	for i, bound := range h.Bounds {
 		cum += h.Counts[i]
-		writeSample(bw, s.Name+"_bucket", s.Labels, "le", formatFloat(bound), float64(cum))
+		writeSample(bw, s.Name+"_bucket", s.Labels, float64(cum), L("le", formatFloat(bound)))
 	}
 	cum += h.Counts[len(h.Bounds)]
-	writeSample(bw, s.Name+"_bucket", s.Labels, "le", "+Inf", float64(cum))
-	writeSample(bw, s.Name+"_sum", s.Labels, "", "", h.Sum)
-	writeSample(bw, s.Name+"_count", s.Labels, "", "", float64(cum))
+	writeSample(bw, s.Name+"_bucket", s.Labels, float64(cum), L("le", "+Inf"))
+	writeSample(bw, s.Name+"_sum", s.Labels, h.Sum)
+	writeSample(bw, s.Name+"_count", s.Labels, float64(cum))
 }
 
-// writeSample emits one sample line. extraKey/extraVal, when non-empty,
-// append a synthetic label (used for histogram "le").
-func writeSample(bw *bufio.Writer, name string, labels []Label, extraKey, extraVal string, v float64) {
-	bw.WriteString(name)
-	if len(labels) > 0 || extraKey != "" {
-		bw.WriteByte('{')
-		for i, l := range labels {
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			bw.WriteString(l.Key)
-			bw.WriteString(`="`)
-			bw.WriteString(escapeLabel(l.Value))
-			bw.WriteByte('"')
-		}
-		if extraKey != "" {
-			if len(labels) > 0 {
-				bw.WriteByte(',')
-			}
-			bw.WriteString(extraKey)
-			bw.WriteString(`="`)
-			bw.WriteString(escapeLabel(extraVal))
-			bw.WriteByte('"')
-		}
-		bw.WriteByte('}')
-	}
+// writeSample emits one sample line; extra appends a synthetic label (the
+// histogram "le").
+func writeSample(bw *bufio.Writer, name string, labels []Label, v float64, extra ...Label) {
+	writeSeries(bw, name, labels, extra...)
 	bw.WriteByte(' ')
 	bw.WriteString(formatFloat(v))
 	bw.WriteByte('\n')

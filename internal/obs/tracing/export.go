@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+
+	"repro/internal/obs"
 )
 
 // jsonSpan is the /debug/traces JSON shape of one completed span.
@@ -72,7 +74,6 @@ func Handler(t *Tracer) http.Handler {
 			WriteChrome(w, spans)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
 		out := struct {
 			Service string     `json:"service"`
 			Spans   []jsonSpan `json:"spans"`
@@ -80,9 +81,37 @@ func Handler(t *Tracer) http.Handler {
 		for _, s := range spans {
 			out.Spans = append(out.Spans, toJSONSpan(s))
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
+		obs.WriteJSON(w, out)
+	})
+}
+
+// HTTP wraps a daemon's API mux: each request gets a root span named
+// prefix + " METHOD path" that adopts an incoming traceparent header, the
+// response echoes the span's own context in the same header, handlers find
+// it in the request context for their ingest spans, and the request's header
+// is rewritten so a proxied call carries the span to its backend. With
+// tracing off next is returned untouched, so the HTTP path stays exactly as
+// before. Probe and introspection endpoints are exempt — a scrape every few
+// seconds would drown real request trees in the span ring.
+func HTTP(t *Tracer, prefix string, next http.Handler) http.Handler {
+	if t == nil {
+		return next
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz", "/metrics", "/debug/traces":
+			next.ServeHTTP(w, r)
+			return
+		}
+		remote, _ := ParseTraceparent(r.Header.Get(Header))
+		sp := t.Root(prefix+" "+r.Method+" "+r.URL.Path, remote)
+		sp.SetAttr("method", r.Method)
+		sp.SetAttr("path", r.URL.Path)
+		tp := sp.Context().Traceparent()
+		w.Header().Set(Header, tp)
+		r.Header.Set(Header, tp)
+		next.ServeHTTP(w, r.WithContext(ContextWith(r.Context(), sp.Context())))
+		sp.End()
 	})
 }
 

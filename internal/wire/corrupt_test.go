@@ -75,16 +75,18 @@ func TestFaultConnCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestErrorPayloadRoundTrip covers the typed TError payload helpers,
-// including the legacy plain-text fallback.
+// TestErrorPayloadRoundTrip covers the typed TError payload helpers: a
+// payload without a code (pre-v2 plain text) decodes as internal, its text
+// kept.
 func TestErrorPayloadRoundTrip(t *testing.T) {
 	e := DecodeError(EncodeError(CodeSuspended, "session s1 suspended"))
 	if e.Code != CodeSuspended || e.Msg != "session s1 suspended" {
 		t.Fatalf("round trip: %+v", e)
 	}
-	legacy := DecodeError([]byte("plain text failure"))
-	if legacy.Code != "" || legacy.Msg != "plain text failure" {
-		t.Fatalf("legacy payload: %+v", legacy)
+	for _, raw := range []string{"plain text failure", `{"msg":"no code"}`, ""} {
+		if got := DecodeError([]byte(raw)); got.Code != CodeInternal || got.Msg != raw {
+			t.Fatalf("codeless payload %q decoded as %+v", raw, got)
+		}
 	}
 	if got := e.Error(); got != "session s1 suspended [suspended]" {
 		t.Fatalf("Error() = %q", got)

@@ -62,13 +62,14 @@ func EncodeError(code ErrCode, msg string) []byte {
 	return b
 }
 
-// DecodeError parses a TError payload. Payloads from peers that predate
-// typed codes (or hand-written text) decode as a RemoteError with an
-// empty Code and the raw payload as the message.
+// DecodeError parses a TError payload. A v2 peer always sends a code, so a
+// payload without one (undecodable, or hand-written text) is an internal
+// failure of the peer with the raw payload kept as the message: no
+// RemoteError leaves this package with an empty Code.
 func DecodeError(payload []byte) *RemoteError {
 	var e RemoteError
-	if len(payload) > 0 && payload[0] == '{' && json.Unmarshal(payload, &e) == nil && (e.Code != "" || e.Msg != "") {
-		return &e
+	if json.Unmarshal(payload, &e) != nil || e.Code == "" {
+		return &RemoteError{Code: CodeInternal, Msg: string(payload)}
 	}
-	return &RemoteError{Msg: string(payload)}
+	return &e
 }

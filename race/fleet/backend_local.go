@@ -2,13 +2,11 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync/atomic"
 
 	"repro/internal/obs/tracing"
-	"repro/internal/wire"
 	"repro/race/server"
 )
 
@@ -16,17 +14,25 @@ import (
 // deterministic implementation for tests and single-binary deployments.
 // Kill simulates a backend crash: every subsequent operation (including
 // in-flight sessions) fails as unreachable, while whatever the server had
-// journaled stays on disk, exactly like a SIGKILL'd raced.
+// journaled stays on disk, exactly like a SIGKILL'd raced. The kill switch
+// is a FaultBackend gate that never reopens, so it cuts exactly the
+// operations an injected partition cuts.
 type Local struct {
-	name    string
-	srv     *server.Server
-	handler http.Handler
-	killed  atomic.Bool
+	*FaultBackend
+	srv    *server.Server
+	killed atomic.Bool
 }
 
 // NewLocal wraps srv as a named backend.
 func NewLocal(name string, srv *server.Server) *Local {
-	return &Local{name: name, srv: srv, handler: srv.Handler()}
+	b := &Local{srv: srv}
+	b.FaultBackend = NewFaultBackend(&inProcess{name, srv, srv.Handler()}, func(string) error {
+		if b.killed.Load() {
+			return fmt.Errorf("%w: %s (killed)", ErrBackendDown, name)
+		}
+		return nil
+	})
+	return b
 }
 
 // Kill simulates a hard crash. The wrapped server object stays alive (the
@@ -36,146 +42,82 @@ func (b *Local) Kill() { b.killed.Store(true) }
 // Server returns the wrapped server (tests reach through for assertions).
 func (b *Local) Server() *server.Server { return b.srv }
 
-func (b *Local) Name() string    { return b.name }
-func (b *Local) DataDir() string { return b.srv.DataDir() }
-
-func (b *Local) down() error {
-	if b.killed.Load() {
-		return fmt.Errorf("%w: %s (killed)", ErrBackendDown, b.name)
-	}
-	return nil
+// inProcess is Local without the kill switch: Backend calls turned into
+// calls on the server.
+type inProcess struct {
+	name    string
+	srv     *server.Server
+	handler http.Handler
 }
 
-func (b *Local) Healthz(context.Context) error {
-	if err := b.down(); err != nil {
-		return err
-	}
+func (b *inProcess) Name() string    { return b.name }
+func (b *inProcess) DataDir() string { return b.srv.DataDir() }
+
+func (b *inProcess) Healthz(context.Context) error {
 	if b.srv.Draining() {
 		return ErrBackendDraining
 	}
 	return nil
 }
 
-func (b *Local) Open(ctx context.Context, id string, cfg server.SessionConfig) (Session, error) {
-	if err := b.down(); err != nil {
-		return nil, err
-	}
-	sess, err := b.srv.OpenSessionWithID(id, cfg)
+func (b *inProcess) Open(ctx context.Context, id string, cfg server.SessionConfig) (Session, error) {
+	sess, _, err := b.attach(ctx, &server.HelloPayload{SessionID: id, Session: cfg})
+	return sess, err
+}
+
+func (b *inProcess) Resume(ctx context.Context, id string) (Session, uint64, error) {
+	return b.attach(ctx, &server.HelloPayload{Resume: id})
+}
+
+// attach enters the session the way a wire connection to the server would
+// (server.Attach), so a session's lifecycle is the same behind either door.
+func (b *inProcess) attach(ctx context.Context, hello *server.HelloPayload) (Session, uint64, error) {
+	att, ack, err := b.srv.Attach(ctx, hello)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if err := sess.Attach(); err != nil {
-		return nil, err
-	}
-	if sc := tracing.FromContext(ctx); sc.Valid() {
-		sess.SetTraceContext(sc)
-	}
-	return &localSession{b: b, sess: sess}, nil
+	return &localSession{att: att}, ack.Fed, nil
 }
 
-func (b *Local) Resume(ctx context.Context, id string) (Session, uint64, error) {
-	if err := b.down(); err != nil {
-		return nil, 0, err
-	}
-	sess, ok := b.srv.Session(id)
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", server.ErrUnknown, id)
-	}
-	if err := sess.Attach(); err != nil {
-		return nil, 0, err
-	}
-	if err := sess.Err(); err != nil {
-		sess.Detach()
-		return nil, 0, err
-	}
-	if sc := tracing.FromContext(ctx); sc.Valid() {
-		sess.SetTraceContext(sc)
-	}
-	return &localSession{b: b, sess: sess}, sess.Enqueued(), nil
-}
-
-func (b *Local) Suspend(_ context.Context, id string) (uint64, error) {
-	if err := b.down(); err != nil {
-		return 0, err
-	}
+func (b *inProcess) Suspend(_ context.Context, id string) (uint64, error) {
 	return b.srv.SuspendSession(id)
 }
 
-func (b *Local) RecoverSession(ctx context.Context, id string) error {
-	if err := b.down(); err != nil {
-		return err
-	}
+func (b *inProcess) RecoverSession(ctx context.Context, id string) error {
 	return b.srv.RecoverSessionCtx(ctx, id)
 }
 
-func (b *Local) Drain(context.Context) error {
-	if err := b.down(); err != nil {
-		return err
-	}
+func (b *inProcess) Drain(context.Context) error {
 	b.srv.Drain()
 	return nil
 }
 
-func (b *Local) Sessions(context.Context) ([]server.SessionStatus, error) {
-	if err := b.down(); err != nil {
-		return nil, err
-	}
+func (b *inProcess) Sessions(context.Context) ([]server.SessionStatus, error) {
 	return b.srv.Sessions(), nil
 }
 
-func (b *Local) Proxy(w http.ResponseWriter, r *http.Request) {
-	if err := b.down(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	b.handler.ServeHTTP(w, r)
-}
+func (b *inProcess) Proxy(w http.ResponseWriter, r *http.Request) { b.handler.ServeHTTP(w, r) }
 
-// localSession drives a *server.Session directly.
+// localSession drives the server's session through its attachment, as the
+// server's own connection loop does.
 type localSession struct {
-	b       *Local
-	sess    *server.Session
+	att     server.Attachment
 	flushSC tracing.SpanContext // next Flush's trace parent (SetFlushContext)
 }
 
 // SetFlushContext parents the next Flush's server-side spans under sc.
 func (s *localSession) SetFlushContext(sc tracing.SpanContext) { s.flushSC = sc }
 
-func (s *localSession) FeedRecords(recs []byte) error {
-	if err := s.b.down(); err != nil {
-		return err
-	}
-	evs, err := wire.DecodeEvents(recs)
-	if err != nil {
-		return err
-	}
-	return s.sess.Feed(evs)
-}
+func (s *localSession) FeedRecords(recs []byte) error { return s.att.FeedRecords(recs) }
 
 func (s *localSession) Flush() (uint64, error) {
-	if err := s.b.down(); err != nil {
-		return 0, err
-	}
 	sc := s.flushSC
 	s.flushSC = tracing.SpanContext{}
-	if err := s.sess.FlushCtx(sc); err != nil {
-		return 0, err
-	}
-	return s.sess.Fed(), nil
+	return s.att.Flush(sc)
 }
 
-func (s *localSession) Close() ([]byte, error) {
-	if err := s.b.down(); err != nil {
-		return nil, err
-	}
-	defer s.sess.Detach()
-	rep, err := s.sess.Close()
-	if err != nil {
-		return nil, err
-	}
-	// Matches the raced TCP/HTTP report encoding, keeping local and remote
-	// backends byte-transparent.
-	return json.Marshal(rep)
-}
+func (s *localSession) Close() ([]byte, error) { return s.att.Close() }
 
-func (s *localSession) Release() { s.sess.Detach() }
+// Release is a connection to the server going away: a durable session stays
+// resumable at its enqueued offset, a memory-only one frees its slot.
+func (s *localSession) Release() { s.att.Drop(server.ErrConnLost) }

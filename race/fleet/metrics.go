@@ -20,6 +20,11 @@ type fleetMetrics struct {
 	migFailed    *obs.Counter
 	redirects    *obs.Counter
 
+	// What server.Front counts on the router's client connections, as
+	// raced_conn_timeouts_total and raced_corrupt_frames_total do on raced's.
+	connTimeouts  *obs.Counter
+	corruptFrames *obs.Counter
+
 	// Migration phase latencies: suspend (seal the source journal), copy
 	// (stage + rename the session dir), recover (journal replay on the
 	// target).
@@ -49,6 +54,9 @@ func newFleetMetrics(reg *obs.Registry, names []string) *fleetMetrics {
 		migCompleted: reg.Counter("fleet_migrations_completed_total", "Session migrations that finished with the session recovered on its target."),
 		migFailed:    reg.Counter("fleet_migrations_failed_total", "Session migrations abandoned with the source directory still authoritative."),
 		redirects:    reg.Counter("fleet_redirects_total", "Redirect frames sent to streaming clients whose session moved or lost its backend."),
+
+		connTimeouts:  reg.Counter("fleet_conn_timeouts_total", "Client connections cut by the router-side I/O deadline."),
+		corruptFrames: reg.Counter("fleet_corrupt_frames_total", "Client frames rejected by the per-frame checksum."),
 
 		migSuspend: reg.Histogram("fleet_migration_suspend_seconds", "Latency of suspending (sealing) a live session ahead of migration.", obs.LatencyBuckets()),
 		migCopy:    reg.Histogram("fleet_migration_copy_seconds", "Latency of staging, fsyncing, and renaming a session directory onto its target backend.", obs.LatencyBuckets()),

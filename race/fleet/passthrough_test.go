@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -257,8 +258,9 @@ func TestRouterRefusesBadFramesAtTheEdge(t *testing.T) {
 }
 
 // TestFrontEndsAnswerTheSameCode: raced over TCP and racefleet over a Local
-// backend are two readers of one protocol, so the same violation — and the
-// same session-level refusal — earns the same code from both.
+// backend run one protocol loop, so the same violation — and the same
+// session-level refusal, stall or corrupt frame — earns the same answer and
+// the same count from both.
 func TestFrontEndsAnswerTheSameCode(t *testing.T) {
 	hello := func(h server.HelloPayload) []byte {
 		var b bytes.Buffer
@@ -275,62 +277,97 @@ func TestFrontEndsAnswerTheSameCode(t *testing.T) {
 	good := wire.AppendEvents(nil, []trace.Event{{Op: trace.OpWrite, Targ: 1}, {T: 1, Op: trace.OpRead, Targ: 1}})
 	badOp := append([]byte(nil), good...)
 	badOp[trace.RecordSize+2] = 0xEE
+	badCRC := frame(wire.TEvents, good)
+	badCRC[7] ^= 0x10
 
 	cases := []struct {
 		name string
 		// send is what a fresh connection writes; the reply to its last frame
-		// must be a TError carrying code. attached first opens a session on a
-		// second connection and hands its id over.
-		send func(attached string) [][]byte
+		// must be a TError carrying code — or, when code is empty, the
+		// connection dropped without one. attach opens a session on a second
+		// connection, which stays attached, and returns its id.
+		send func(attach func() string) [][]byte
 		code wire.ErrCode
+		// corrupt and timeouts are what the front's two connection counters
+		// read afterwards.
+		corrupt, timeouts float64
 	}{
-		{"non-hello-first-frame", func(string) [][]byte { return [][]byte{frame(wire.TFlush, nil)} }, wire.CodeProto},
-		{"undecodable-hello", func(string) [][]byte { return [][]byte{frame(wire.THello, []byte("{not json"))} }, wire.CodeProto},
-		{"wrong-proto", func(string) [][]byte { return [][]byte{hello(server.HelloPayload{Proto: wire.Proto + 7})} }, wire.CodeProto},
-		{"unexpected-frame-mid-session", func(string) [][]byte { return [][]byte{open, frame(wire.TAck, nil)} }, wire.CodeProto},
-		{"ragged-events", func(string) [][]byte { return [][]byte{open, frame(wire.TEvents, good[:len(good)-5])} }, wire.CodeProto},
-		{"invalid-op-events", func(string) [][]byte { return [][]byte{open, frame(wire.TEvents, badOp)} }, wire.CodeProto},
-		{"resume-unknown-session", func(string) [][]byte {
+		{name: "non-hello-first-frame", send: func(func() string) [][]byte { return [][]byte{frame(wire.TFlush, nil)} }, code: wire.CodeProto},
+		{name: "undecodable-hello", send: func(func() string) [][]byte { return [][]byte{frame(wire.THello, []byte("{not json"))} }, code: wire.CodeProto},
+		{name: "wrong-proto", send: func(func() string) [][]byte { return [][]byte{hello(server.HelloPayload{Proto: wire.Proto + 7})} }, code: wire.CodeProto},
+		{name: "unexpected-frame-mid-session", send: func(func() string) [][]byte { return [][]byte{open, frame(wire.TAck, nil)} }, code: wire.CodeProto},
+		{name: "ragged-events", send: func(func() string) [][]byte { return [][]byte{open, frame(wire.TEvents, good[:len(good)-5])} }, code: wire.CodeProto},
+		{name: "invalid-op-events", send: func(func() string) [][]byte { return [][]byte{open, frame(wire.TEvents, badOp)} }, code: wire.CodeProto},
+		{name: "resume-unknown-session", send: func(func() string) [][]byte {
 			return [][]byte{hello(server.HelloPayload{Proto: wire.Proto, Resume: "fnosuchsession"})}
-		}, wire.CodeUnknownSession},
-		{"second-attach", func(attached string) [][]byte {
-			return [][]byte{hello(server.HelloPayload{Proto: wire.Proto, Resume: attached})}
-		}, wire.CodeBusy},
+		}, code: wire.CodeUnknownSession},
+		{name: "second-attach", send: func(attach func() string) [][]byte {
+			return [][]byte{hello(server.HelloPayload{Proto: wire.Proto, Resume: attach()})}
+		}, code: wire.CodeBusy},
+		// After the handshake the client writes nothing: the front's I/O
+		// deadline cuts the connection and says why.
+		{name: "stalled-connection", send: func(func() string) [][]byte { return [][]byte{open, nil} }, code: wire.CodeTimeout, timeouts: 1},
+		{name: "bad-crc", send: func(func() string) [][]byte { return [][]byte{open, badCRC} }, corrupt: 1},
 	}
-	fronts := map[string]func(*testing.T) string{
-		"raced": func(t *testing.T) string {
-			srv := server.New(server.Config{DataDir: t.TempDir(), IdleTimeout: -1})
+	// A front is its address, its registry and its metric prefix. Both cut
+	// a connection that stalls for stall.
+	const stall = 400 * time.Millisecond
+	type front struct {
+		addr   string
+		reg    *obs.Registry
+		prefix string
+	}
+	fronts := map[string]func(*testing.T) front{
+		"raced": func(t *testing.T) front {
+			srv := server.New(server.Config{DataDir: t.TempDir(), IdleTimeout: -1, IOTimeout: stall})
 			lis, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			go srv.ServeTCP(lis)
 			t.Cleanup(func() { lis.Close(); srv.Close() })
-			return lis.Addr().String()
+			return front{lis.Addr().String(), srv.Registry(), "raced"}
 		},
-		"racefleet": func(t *testing.T) string {
-			_, _, addr := startSpyFleet(t)
-			return addr
+		"racefleet": func(t *testing.T) front {
+			srv := server.New(server.Config{DataDir: t.TempDir(), IdleTimeout: -1})
+			t.Cleanup(func() { srv.Close() })
+			rt, err := New([]Backend{NewLocal("only", srv)}, Options{ProbeInterval: 50 * time.Millisecond, IOTimeout: stall})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(rt.Close)
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { lis.Close() })
+			go rt.ServeTCP(lis)
+			return front{lis.Addr().String(), rt.Registry(), "fleet"}
 		},
 	}
-	for front, start := range fronts {
+	for name, start := range fronts {
 		for _, tc := range cases {
-			t.Run(front+"/"+tc.name, func(t *testing.T) {
-				addr := start(t)
-				holder := dialRaw(t, addr) // keeps one session attached for the busy case
-				conn, err := net.Dial("tcp", addr)
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				f := start(t)
+				conn, err := net.Dial("tcp", f.addr)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer conn.Close()
 				conn.SetDeadline(time.Now().Add(10 * time.Second))
 				br := bufio.NewReader(conn)
-				frames := tc.send(holder.id)
-				for i, f := range frames {
-					if _, err := conn.Write(f); err != nil {
+				frames := tc.send(func() string { return dialRaw(t, f.addr).id })
+				for i, fr := range frames {
+					if _, err := conn.Write(fr); err != nil {
 						t.Fatal(err)
 					}
 					ty, payload, err := wire.ReadFrame(br)
+					if i == len(frames)-1 && tc.code == "" {
+						if err == nil {
+							t.Fatalf("answered %v (%s), want the connection dropped", ty, payload)
+						}
+						break
+					}
 					if err != nil {
 						t.Fatalf("frame %d: %v", i, err)
 					}
@@ -343,6 +380,10 @@ func TestFrontEndsAnswerTheSameCode(t *testing.T) {
 					if re := wire.DecodeError(payload); ty != wire.TError || re.Code != tc.code {
 						t.Fatalf("answered %v code %q (%s), want TError %q", ty, re.Code, re.Msg, tc.code)
 					}
+				}
+				got := obs.JSONMap(f.reg.Snapshot())
+				if c, to := got[f.prefix+"_corrupt_frames_total"], got[f.prefix+"_conn_timeouts_total"]; c != tc.corrupt || to != tc.timeouts {
+					t.Fatalf("%s counted %v corrupt frames and %v timeouts, want %v and %v", f.prefix, c, to, tc.corrupt, tc.timeouts)
 				}
 			})
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -40,10 +39,8 @@ type Router struct {
 	metrics  *fleetMetrics
 	logger   *slog.Logger
 	tracer   *tracing.Tracer
-
-	ioTimeout time.Duration
-	wrapConn  func(net.Conn) net.Conn
-	newID     func() string
+	front    *server.Front // the wire-protocol front end (ServeTCP)
+	newID    func() string
 
 	lockMu    sync.Mutex
 	sessLocks map[string]*sync.Mutex
@@ -115,8 +112,6 @@ func New(backends []Backend, opts Options) (*Router, error) {
 		reg:       opts.Registry,
 		logger:    opts.Logger,
 		tracer:    opts.Tracer,
-		ioTimeout: opts.IOTimeout,
-		wrapConn:  opts.WrapConn,
 		newID:     opts.NewSessionID,
 	}
 	if rt.newID == nil {
@@ -141,6 +136,13 @@ func New(backends []Backend, opts Options) (*Router, error) {
 		rt.breakers[name] = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
 	rt.metrics = newFleetMetrics(rt.reg, rt.names)
+	rt.front = &server.Front{
+		Logger: rt.logger, Tracer: rt.tracer, IOTimeout: opts.IOTimeout, WrapConn: opts.WrapConn,
+		SpanName:     "fleet.session",
+		Open:         rt.open,
+		Redirects:    rt.metrics.redirects,
+		ConnTimeouts: rt.metrics.connTimeouts, CorruptFrames: rt.metrics.corruptFrames,
+	}
 	rt.ring = newRing(rt.names, opts.VNodes)
 	rt.health = newHealthMonitor(rt.names, opts.ProbeInterval, opts.ProbeThreshold)
 	rt.metrics.registerBackendUp(rt.reg, rt.names, rt.health)
@@ -159,10 +161,6 @@ func New(backends []Backend, opts Options) (*Router, error) {
 // Registry exposes the router's metrics registry (the one from
 // Options.Registry, or the private default).
 func (rt *Router) Registry() *obs.Registry { return rt.reg }
-
-// Tracer exposes the router's tracer (Options.Tracer; nil when tracing is
-// off).
-func (rt *Router) Tracer() *tracing.Tracer { return rt.tracer }
 
 // Close stops health probing. Sessions keep living on their backends.
 func (rt *Router) Close() { rt.health.close() }
@@ -379,205 +377,90 @@ func (rt *Router) routeResume(ctx context.Context, id string) (Session, uint64, 
 
 // ---- wire-protocol front end ----
 
-// ServeTCP accepts wire-protocol connections until the listener closes,
-// one proxied session per connection, riding out transient accept failures
-// exactly as raced does (server.ServeListener).
-func (rt *Router) ServeTCP(lis net.Listener) error {
-	return server.ServeListener(lis, rt.logger, rt.serveConn)
-}
+// ServeTCP accepts wire-protocol connections until the listener closes, one
+// proxied session per connection, through raced's own accept and protocol
+// loops (server.Front), so the two front ends cannot answer a frame
+// differently. Frame in, session op out: Events feed, Flush barriers (acked
+// with the backend's durable offset), EOF closes and relays the backend's
+// report bytes verbatim. When the backend fails mid-stream in a way that
+// re-resuming can heal — drain, migration, crash — the client gets a
+// Redirect frame instead of an Error and reconnects through the router,
+// which lands it on the session's new home.
+func (rt *Router) ServeTCP(lis net.Listener) error { return rt.front.Serve(lis) }
 
-// serveConn proxies one client session onto its backend. Frame in, session
-// op out: Events feed, Flush barriers (acked with the backend's durable
-// offset), EOF closes and relays the backend's report bytes verbatim. When
-// the backend fails mid-stream in a way that re-resuming can heal — drain,
-// migration, crash — the client gets a Redirect frame instead of an Error
-// and reconnects through the router, which lands it on the session's new
-// home.
-func (rt *Router) serveConn(conn net.Conn) {
-	defer conn.Close()
-	defer func() {
-		if r := recover(); r != nil {
-			rt.logger.Error("connection handler panic", "remote", conn.RemoteAddr(), "panic", r)
-		}
-	}()
-	ctx := context.Background()
-	// Seam order matches raced: the fault injector (if any) wraps the raw
-	// socket, the deadline layer sits on top.
-	wrapped := conn
-	if rt.wrapConn != nil {
-		wrapped = rt.wrapConn(wrapped)
-	}
-	if rt.ioTimeout > 0 {
-		wrapped = server.WithIOTimeout(wrapped, rt.ioTimeout)
-	}
-	br := bufio.NewReaderSize(wrapped, 1<<16)
-	bw := bufio.NewWriterSize(wrapped, 1<<16)
-
-	sendErr := func(err error) {
-		if werr := wire.WriteFrame(bw, wire.TError, wire.EncodeError(server.Classify(err).WireCode(), err.Error())); werr == nil {
-			bw.Flush()
-		}
-	}
-	// fail answers a backend's mid-stream error: a Redirect when resuming
-	// heals it (the session moved or its backend died), else the typed error.
-	fail := func(err error) {
-		if !server.Classify(err).Resumable() {
-			sendErr(err)
-			return
-		}
-		rt.metrics.redirects.Inc()
-		if werr := wire.WriteFrame(bw, wire.TRedirect, nil); werr == nil {
-			bw.Flush()
-		}
-	}
-
-	t, payload, err := wire.ReadFrame(br)
-	if err != nil {
-		return
-	}
-	if t != wire.THello {
-		sendErr(fmt.Errorf("%w: expected hello frame, got %v", server.ErrProto, t))
-		return
-	}
-	var hello server.HelloPayload
-	if err := json.Unmarshal(payload, &hello); err != nil {
-		sendErr(fmt.Errorf("%w: bad hello payload: %v", server.ErrProto, err))
-		return
-	}
-	if hello.Proto != wire.Proto {
-		sendErr(fmt.Errorf("%w: unsupported protocol version %d (want %d)", server.ErrProto, hello.Proto, wire.Proto))
-		return
-	}
-
-	// Trace context: the router roots a fleet.session span, adopting the
-	// client's trace when the hello carries one; backends see the router
-	// span as their parent (or, with router tracing off, the client's
-	// context untouched).
-	remoteSC, _ := tracing.ParseTraceparent(hello.Trace)
-	connSpan := rt.tracer.Root("fleet.session", remoteSC)
-	connSpan.SetAttr("remote", conn.RemoteAddr().String())
-	defer connSpan.End()
-	if connSpan != nil {
-		ctx = tracing.ContextWith(ctx, connSpan.Context())
-	} else if remoteSC.Valid() {
-		ctx = tracing.ContextWith(ctx, remoteSC)
-	}
-
+// open routes a hello: a resume goes wherever the session now lives, a
+// fresh session — under the client's id or a minted one — to its ring arc.
+// ctx carries the fleet.session span (or, with router tracing off, the
+// client's context untouched) that backends see as their parent.
+func (rt *Router) open(ctx context.Context, hello *server.HelloPayload) (server.Stream, server.AckPayload, error) {
 	var (
 		sess Session
-		id   string
 		fed  uint64
+		err  error
 	)
-	if hello.Resume != "" {
-		id = hello.Resume
-		connSpan.SetAttr("resume", id)
+	id := hello.Resume
+	if id != "" {
 		sess, fed, _, err = rt.routeResume(ctx, id)
 	} else {
-		id = hello.SessionID
-		if id == "" {
+		if id = hello.SessionID; id == "" {
 			id = rt.newID()
 		}
 		sess, _, err = rt.routeOpen(ctx, id, hello.Session)
 	}
 	if err != nil {
-		connSpan.SetError(err)
-		sendErr(err)
-		return
+		return nil, server.AckPayload{}, err
 	}
-	connSpan.SetAttr("session", id)
-
-	ack, _ := json.Marshal(server.AckPayload{Session: id, Fed: fed})
-	if err := wire.WriteFrame(bw, wire.TAck, ack); err != nil {
-		sess.Release()
-		return
-	}
-	if err := bw.Flush(); err != nil {
-		sess.Release()
-		return
-	}
-
-	// Every frame is read into one buffer (payload, starting with the
-	// hello's), reused for the connection's lifetime. An Events body is checked where it lies — frame checksum,
-	// whole records, valid ops — and forwarded verbatim, so frame boundaries
-	// (and with them the offsets backends ack) pass through unchanged.
-	for {
-		t, n, err := wire.ReadHeader(br)
-		if err == nil {
-			payload, err = wire.ReadBody(br, t, n, payload)
-		}
-		if err != nil {
-			sess.Release() // client vanished; durable sessions stay resumable
-			return
-		}
-		switch t {
-		case wire.TEvents:
-			if err := trace.CheckRecords(payload); err != nil {
-				sess.Release()
-				sendErr(fmt.Errorf("%w: %v", server.ErrProto, err))
-				return
-			}
-			if err := sess.FeedRecords(payload); err != nil {
-				sess.Release()
-				fail(err)
-				return
-			}
-		case wire.TFlush:
-			// Per-flush trace: parent under the client's flush span when the
-			// frame carries one, else the session context; the backend sees
-			// the router's fleet.flush span (or, with router tracing off,
-			// the client's context passed through).
-			parent := tracing.FromContext(ctx)
-			if len(payload) > 0 {
-				var fp server.FlushPayload
-				if json.Unmarshal(payload, &fp) == nil {
-					if fsc, ok := tracing.ParseTraceparent(fp.Trace); ok {
-						parent = fsc
-					}
-				}
-			}
-			var fsp *tracing.Span
-			downstream := parent
-			if rt.tracer != nil {
-				fsp = rt.tracer.Child("fleet.flush", parent)
-				fsp.SetAttr("session", id)
-				downstream = fsp.Context()
-			}
-			if downstream.Valid() {
-				sess.SetFlushContext(downstream)
-			}
-			n, err := sess.Flush()
-			fsp.SetError(err)
-			fsp.End()
-			if err != nil {
-				sess.Release()
-				fail(err)
-				return
-			}
-			fa, _ := json.Marshal(server.FlushAckPayload{Fed: n})
-			if err := wire.WriteFrame(bw, wire.TFlushAck, fa); err != nil {
-				sess.Release()
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				sess.Release()
-				return
-			}
-		case wire.TEOF:
-			doc, err := sess.Close()
-			if err != nil {
-				fail(err)
-				return
-			}
-			if err := wire.WriteFrame(bw, wire.TReport, doc); err != nil {
-				sendErr(fmt.Errorf("fleet: sending report for %s: %w", id, err))
-				return
-			}
-			bw.Flush()
-			return
-		default:
-			sess.Release()
-			sendErr(fmt.Errorf("%w: unexpected %v frame mid-session", server.ErrProto, t))
-			return
-		}
-	}
+	return &proxied{rt: rt, sc: tracing.FromContext(ctx), id: id, sess: sess}, server.AckPayload{Session: id, Fed: fed}, nil
 }
+
+// proxied is the router's server.Stream: one client connection's session,
+// held open on its backend.
+type proxied struct {
+	rt   *Router
+	sc   tracing.SpanContext // the connection's trace context: a flush's default parent
+	id   string
+	sess Session
+	buf  []byte // Events bodies: one buffer, reused for the connection's lifetime
+}
+
+// Events checks an Events body where it lies — frame checksum, whole
+// records, valid ops — and forwards it verbatim, so frame boundaries (and
+// with them the offsets backends ack) pass through unchanged.
+func (p *proxied) Events(br *bufio.Reader, n int) (readErr, err error) {
+	if p.buf, readErr = wire.ReadBody(br, wire.TEvents, n, p.buf); readErr != nil {
+		return readErr, nil
+	}
+	if err := trace.CheckRecords(p.buf); err != nil {
+		return err, nil
+	}
+	return nil, p.sess.FeedRecords(p.buf)
+}
+
+// Flush traces per flush: the fleet.flush span parents under the client's
+// flush span when the frame carried one, else the session context; the
+// backend sees the router's span (or, with router tracing off, the client's
+// context passed through).
+func (p *proxied) Flush(parent tracing.SpanContext) (uint64, error) {
+	if !parent.Valid() {
+		parent = p.sc
+	}
+	var fsp *tracing.Span
+	if p.rt.tracer != nil {
+		fsp = p.rt.tracer.Child("fleet.flush", parent)
+		fsp.SetAttr("session", p.id)
+		parent = fsp.Context()
+	}
+	if parent.Valid() {
+		p.sess.SetFlushContext(parent)
+	}
+	fed, err := p.sess.Flush()
+	fsp.SetError(err)
+	fsp.End()
+	return fed, err
+}
+
+func (p *proxied) Close() ([]byte, error) { return p.sess.Close() }
+
+// Drop lets go of the backend session, whatever the cause: the backend ends
+// a memory-only one and keeps a durable one resumable.
+func (p *proxied) Drop(error) { p.sess.Release() }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"sort"
 
@@ -31,43 +30,11 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/sessions/{id}/{rest...}", rt.handleSession)
 	mux.HandleFunc("POST /ingest", rt.handleIngest)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /metrics", rt.handleMetrics)
+	mux.Handle("GET /metrics", obs.MetricsHandler(rt.reg))
 	mux.HandleFunc("POST /admin/backends/{name}/drain", rt.handleDrainBackend)
 	mux.HandleFunc("POST /admin/sessions/{id}/migrate", rt.handleMigrate)
 	mux.Handle("GET /debug/traces", tracing.Handler(rt.tracer))
-	return rt.traceHTTP(mux)
-}
-
-// traceHTTP roots a span per API request (adopting an incoming traceparent)
-// and rewrites the header on the outgoing request, so proxied calls carry
-// the router span to the backend. Probe and introspection endpoints are
-// exempt — a scraper polling /metrics would drown the ring. No-op without
-// a tracer.
-func (rt *Router) traceHTTP(next http.Handler) http.Handler {
-	if rt.tracer == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/healthz", "/metrics", "/debug/traces":
-			next.ServeHTTP(w, r)
-			return
-		}
-		remote, _ := tracing.ParseTraceparent(r.Header.Get(tracing.Header))
-		sp := rt.tracer.Root("fleet.http "+r.Method+" "+r.URL.Path, remote)
-		sp.SetAttr("method", r.Method)
-		sp.SetAttr("path", r.URL.Path)
-		tp := sp.Context().Traceparent()
-		w.Header().Set(tracing.Header, tp)
-		r.Header.Set(tracing.Header, tp)
-		next.ServeHTTP(w, r.WithContext(tracing.ContextWith(r.Context(), sp.Context())))
-		sp.End()
-	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	return tracing.HTTP(rt.tracer, "fleet.http", mux)
 }
 
 // pickRoutable returns the first routable backend in id's ring sequence.
@@ -158,7 +125,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		all = append(all, sessions...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	writeJSON(w, map[string]any{"sessions": all, "backends": byBackend})
+	obs.WriteJSON(w, map[string]any{"sessions": all, "backends": byBackend})
 }
 
 // handleIngest routes a one-shot ingest to any routable backend (hashed on
@@ -189,21 +156,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	writeJSON(w, map[string]any{"ok": ok, "routable_backends": routable, "backends": status})
-}
-
-// handleMetrics serves the one registry snapshot two ways: Prometheus text
-// exposition under ?format=prometheus or an Accept header asking for
-// text/plain (how Prometheus itself scrapes), otherwise the same snapshot as
-// a JSON map keyed by canonical metric name.
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := rt.reg.Snapshot()
-	if r.URL.Query().Get("format") == "prometheus" || obs.AcceptsText(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", obs.TextContentType)
-		obs.WriteText(w, snap)
-		return
-	}
-	writeJSON(w, obs.JSONMap(snap))
+	obs.WriteJSON(w, map[string]any{"ok": ok, "routable_backends": routable, "backends": status})
 }
 
 // handleDrainBackend drains one backend and marks it unroutable
@@ -220,7 +173,7 @@ func (rt *Router) handleDrainBackend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.health.observe(name, ErrBackendDraining)
-	writeJSON(w, map[string]any{"backend": name, "draining": true})
+	obs.WriteJSON(w, map[string]any{"backend": name, "draining": true})
 }
 
 // handleMigrate moves a session to the backend named by ?to=.
@@ -239,5 +192,5 @@ func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	writeJSON(w, map[string]string{"session": id, "backend": to})
+	obs.WriteJSON(w, map[string]string{"session": id, "backend": to})
 }

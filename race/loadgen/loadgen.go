@@ -22,7 +22,6 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -348,36 +347,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}}
 	col := collect.New(&rep.Report)
 	colDone := make(chan struct{})
-	colStop := make(chan struct{})
-	if len(urls) > 0 {
-		client := &http.Client{Timeout: cfg.ScrapeInterval}
-		go func() {
-			defer close(colDone)
-			tick := time.NewTicker(cfg.ScrapeInterval)
-			defer tick.Stop()
-			for {
-				samples := make(map[string]collect.TargetSample, len(urls))
-				for _, u := range urls {
-					s, err := collect.Scrape(client, u)
-					if err != nil {
-						cfg.Logger.Warn("scrape failed", "target", u, "err", err)
-						rep.Summary.ScrapeErrors++
-						samples[u] = collect.TargetSample{Up: false}
-						continue
-					}
-					samples[u] = s
-				}
-				col.Record(time.Now(), samples)
-				select {
-				case <-tick.C:
-				case <-colStop:
-					return
-				}
-			}
-		}()
-	} else {
-		close(colDone)
-	}
+	colCtx, colStop := context.WithCancel(context.Background())
+	go func() {
+		defer close(colDone)
+		if len(urls) > 0 {
+			col.Run(colCtx, cfg.ScrapeInterval, 0, cfg.Logger)
+		}
+	}()
 
 	// Sample roughly evenly across the whole run: expected arrivals over
 	// the schedule divided by the quota gives the sampling period.
@@ -472,7 +448,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// Drain: every launched session runs to completion (or typed failure)
 	// so the error accounting and verification see the whole run.
 	r.wg.Wait()
-	close(colStop)
+	colStop()
 	<-colDone
 	col.Finish()
 

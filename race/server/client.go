@@ -87,9 +87,8 @@ func (e *remoteError) Unwrap() []error {
 }
 
 // decodeRemoteError turns a TError payload into the error wire clients
-// propagate. Legacy plain-text payloads (an old server) decode with an
-// empty code and no sentinel — callers that still need to classify those
-// fall back to the message, but a v2 peer always sends a code.
+// propagate. A v2 peer always sends a code; a payload without one decodes
+// as internal (wire.DecodeError), so every remote error classifies.
 func decodeRemoteError(payload []byte) error {
 	re := wire.DecodeError(payload)
 	return RemoteFault(re.Code, re.Msg)
@@ -430,25 +429,34 @@ func (s *RemoteSession) flushWire(tp string) error {
 	if err := s.c.bw.Flush(); err != nil {
 		return s.fail(err)
 	}
-	t, payload, err := wire.ReadFrame(s.c.br)
+	payload, err := s.answer(wire.TFlushAck)
 	if err != nil {
-		return s.fail(err)
+		return err
 	}
-	switch t {
-	case wire.TFlushAck:
-		var fa FlushAckPayload
-		if err := json.Unmarshal(payload, &fa); err != nil {
-			return s.fail(fmt.Errorf("server: bad flush-ack payload: %w", err))
-		}
-		s.flushed = fa.Fed
-		return nil
-	case wire.TRedirect:
-		return s.fail(ErrHandoff)
-	case wire.TError:
-		return s.serverError(payload)
-	default:
-		return s.fail(fmt.Errorf("server: expected flush-ack, got %v", t))
+	var fa FlushAckPayload
+	if err := json.Unmarshal(payload, &fa); err != nil {
+		return s.fail(fmt.Errorf("server: bad flush-ack payload: %w", err))
 	}
+	s.flushed = fa.Fed
+	return nil
+}
+
+// answer reads the server's reply to a Flush or EOF frame and returns the
+// payload of the frame wanted; a Redirect (ErrHandoff), an Error frame or
+// anything else becomes the session's sticky error.
+func (s *RemoteSession) answer(want wire.Type) ([]byte, error) {
+	t, payload, err := wire.ReadFrame(s.c.br)
+	switch {
+	case err != nil:
+		return nil, s.fail(fmt.Errorf("server: reading %v: %w", want, err))
+	case t == want:
+		return payload, nil
+	case t == wire.TRedirect:
+		return nil, s.fail(ErrHandoff)
+	case t == wire.TError:
+		return nil, s.serverError(payload)
+	}
+	return nil, s.fail(fmt.Errorf("server: expected %v frame, got %v", want, t))
 }
 
 // Close ends the stream (EOF frame) and returns the report the server
@@ -486,29 +494,16 @@ func (s *RemoteSession) CloseJSON() ([]byte, error) {
 	if err := s.c.bw.Flush(); err != nil {
 		return nil, s.fail(err)
 	}
-	t, payload, err := wire.ReadFrame(s.c.br)
-	if err != nil {
-		return nil, s.fail(fmt.Errorf("server: reading report: %w", err))
-	}
-	switch t {
-	case wire.TReport:
-		s.endSpan(nil)
-		return payload, nil
-	case wire.TRedirect:
+	doc, err := s.answer(wire.TReport)
+	if errors.Is(err, ErrHandoff) {
 		// The backend is gone mid-close; the stream (including any events
 		// shipped above) must be replayed from the acked offset elsewhere.
 		// The session span stays open — the trace continues after resume.
 		s.closed = false // the session lives on after resumption
-		return nil, s.fail(ErrHandoff)
-	case wire.TError:
-		err := s.serverError(payload)
-		s.endSpan(err)
-		return nil, err
-	default:
-		err := s.fail(fmt.Errorf("server: expected report frame, got %v", t))
-		s.endSpan(err)
 		return nil, err
 	}
+	s.endSpan(err)
+	return doc, err
 }
 
 // endSpan finishes the session span once (no-op without a tracer).

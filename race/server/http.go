@@ -61,40 +61,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /sessions/{id}", s.withSession(s.handleAbort))
 	mux.HandleFunc("POST /ingest", s.handleIngest)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", obs.MetricsHandler(s.Registry()))
 	mux.HandleFunc("POST /admin/drain", s.handleDrain)
 	mux.HandleFunc("POST /admin/sessions/{id}/suspend", s.handleSuspend)
 	mux.HandleFunc("POST /admin/sessions/{id}/recover", s.handleRecover)
 	mux.Handle("GET /debug/traces", tracing.Handler(s.cfg.Tracer))
-	return s.traceHTTP(mux)
-}
-
-// traceHTTP wraps the API mux: each request gets a server-side root span
-// that adopts an incoming traceparent header, the response echoes the
-// span's own context in the same header, and handlers find the context in
-// the request for their ingest spans. With tracing off the mux is
-// returned untouched, so the HTTP path stays exactly as before. Probe and
-// introspection endpoints are exempt — a scrape every few seconds would
-// drown real request trees in the span ring.
-func (s *Server) traceHTTP(next http.Handler) http.Handler {
-	tr := s.cfg.Tracer
-	if tr == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/healthz", "/metrics", "/debug/traces":
-			next.ServeHTTP(w, r)
-			return
-		}
-		remote, _ := tracing.ParseTraceparent(r.Header.Get(tracing.Header))
-		sp := tr.Root("raced.http "+r.Method+" "+r.URL.Path, remote)
-		sp.SetAttr("method", r.Method)
-		sp.SetAttr("path", r.URL.Path)
-		w.Header().Set(tracing.Header, sp.Context().Traceparent())
-		next.ServeHTTP(w, r.WithContext(tracing.ContextWith(r.Context(), sp.Context())))
-		sp.End()
-	})
+	return tracing.HTTP(s.cfg.Tracer, "raced.http", mux)
 }
 
 // ReadHeaderTimeout is how long the HTTP front ends of raced and racefleet
@@ -110,13 +82,6 @@ func httpError(w http.ResponseWriter, err error) {
 	c := Classify(err)
 	w.Header().Set(wire.ErrorCodeHeader, string(c.WireCode()))
 	http.Error(w, err.Error(), c.Status)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 func (s *Server) withSession(h func(http.ResponseWriter, *http.Request, *Session)) http.HandlerFunc {
@@ -167,7 +132,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, map[string]string{"session": sess.ID})
+	obs.WriteJSON(w, map[string]string{"session": sess.ID})
 }
 
 // openError maps OpenSession failures: a typed condition (full, draining,
@@ -185,7 +150,7 @@ func openError(w http.ResponseWriter, err error) {
 // handleList serves the session inventory: every live session and every
 // retained finished one, with state, event count, and races so far.
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]any{"sessions": s.Sessions()})
+	obs.WriteJSON(w, map[string]any{"sessions": s.Sessions()})
 }
 
 // handleEvents streams raw event records from the request body into the
@@ -223,7 +188,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, sess *Sess
 		}
 		fed += uint64(n)
 	}
-	writeJSON(w, map[string]uint64{"fed": fed})
+	obs.WriteJSON(w, map[string]uint64{"fed": fed})
 }
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request, sess *Session) {
@@ -231,7 +196,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request, sess *Sessi
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, map[string]uint64{"fed": sess.Fed()})
+	obs.WriteJSON(w, map[string]uint64{"fed": sess.Fed()})
 }
 
 func (s *Server) handleClose(w http.ResponseWriter, _ *http.Request, sess *Session) {
@@ -252,7 +217,7 @@ func (s *Server) handleClose(w http.ResponseWriter, _ *http.Request, sess *Sessi
 func (s *Server) handleRaces(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if sess, ok := s.Session(id); ok {
-		writeJSON(w, map[string]any{
+		obs.WriteJSON(w, map[string]any{
 			"session": sess.ID,
 			"fed":     sess.Fed(),
 			"races":   sess.Races(),
@@ -400,7 +365,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	writeJSON(w, st)
+	obs.WriteJSON(w, st)
 }
 
 // dataDirWritable probes the data dir with a create+remove round trip on
@@ -423,7 +388,7 @@ func dataDirWritable(fsys fault.FS, dir string) bool {
 // refused (ErrDraining / healthz 503) while live sessions keep streaming.
 func (s *Server) handleDrain(w http.ResponseWriter, _ *http.Request) {
 	s.Drain()
-	writeJSON(w, map[string]any{"draining": true, "active_sessions": s.ActiveSessions()})
+	obs.WriteJSON(w, map[string]any{"draining": true, "active_sessions": s.ActiveSessions()})
 }
 
 // handleSuspend seals one live durable session for migration and returns
@@ -434,14 +399,14 @@ func (s *Server) handleSuspend(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, map[string]uint64{"fed": fed})
+	obs.WriteJSON(w, map[string]uint64{"fed": fed})
 }
 
 // handleRecover loads a session directory that appeared under the data dir
 // (a migration's copied journal) into this server.
 func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if err := s.recoverSessionCtx(tracing.FromContext(r.Context()), id); err != nil {
+	if err := s.RecoverSessionCtx(r.Context(), id); err != nil {
 		httpError(w, err)
 		return
 	}
@@ -449,19 +414,5 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	if sess, ok := s.Session(id); ok {
 		offset = sess.Enqueued()
 	}
-	writeJSON(w, map[string]uint64{"fed": offset})
-}
-
-// handleMetrics serves the one registry snapshot two ways: ?format=prometheus
-// — or a Prometheus-style Accept: text/plain; version=0.0.4 header — emits
-// the text exposition (v0.0.4); the default is the same snapshot as a JSON
-// map keyed by canonical metric name (see the README catalog).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.Registry().Snapshot()
-	if r.URL.Query().Get("format") == "prometheus" || obs.AcceptsText(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", obs.TextContentType)
-		obs.WriteText(w, snap)
-		return
-	}
-	writeJSON(w, obs.JSONMap(snap))
+	obs.WriteJSON(w, map[string]uint64{"fed": offset})
 }

@@ -287,21 +287,15 @@ func (s *Server) Recover() (int, error) {
 // replays its journal and joins the live table, resumable at the journal
 // offset; a "closed" one joins the finished archive with its report.
 func (s *Server) RecoverSession(id string) error {
-	return s.recoverSessionCtx(tracing.SpanContext{}, id)
+	return s.RecoverSessionCtx(context.Background(), id)
 }
 
-// RecoverSessionCtx is RecoverSession under a caller's trace context — an
-// in-process Local backend forwards the router's migrate span the same way
-// the recover admin request's traceparent does for a Remote one.
+// RecoverSessionCtx is RecoverSession under a caller's trace context: the
+// router's migrate span arrives here — through the recover admin request's
+// traceparent, or straight from an in-process Local backend — making the
+// target-side replay part of the same migration tree.
 func (s *Server) RecoverSessionCtx(ctx context.Context, id string) error {
-	return s.recoverSessionCtx(tracing.FromContext(ctx), id)
-}
-
-// recoverSessionCtx is RecoverSession under a caller's trace context —
-// the router's migrate span arrives here through the recover admin
-// request's traceparent, making the target-side replay part of the same
-// migration tree.
-func (s *Server) recoverSessionCtx(parent tracing.SpanContext, id string) error {
+	parent := tracing.FromContext(ctx)
 	if s.cfg.DataDir == "" {
 		return errors.New("server: no data dir; nothing to recover from")
 	}
@@ -475,7 +469,7 @@ func (s *Server) recoverOpen(parent tracing.SpanContext, dir string, meta sessio
 	if s.closed {
 		s.mu.Unlock()
 		jlog.Close()
-		abortSafe(sink)
+		abortSink(sink)
 		return ErrServerClosed
 	}
 	s.sessions[sess.ID] = sess
@@ -512,7 +506,7 @@ func (sess *Session) replayJournal(sink engineSink) (err error) {
 		if err != nil {
 			return err
 		}
-		if err := feedSafe(sink, batch[:n]); err != nil {
+		if err := guard("", func() error { return sink.FeedBatch(batch[:n]) }); err != nil {
 			return err
 		}
 		// Recovery work, not new ingest: the original run already counted

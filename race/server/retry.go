@@ -115,21 +115,11 @@ func WithReliableBatchSize(n int) ReliableOption {
 // cancellation values are dropped too (a short connect timeout must not
 // poison a long stream).
 func OpenReliable(ctx context.Context, addr string, cfg SessionConfig, opts ...ReliableOption) (*ReliableSession, error) {
-	rs := newReliable(ctx, addr, opts)
-	c, err := DialContext(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	c.SetTracer(rs.tracer)
-	sess, err := c.OpenContext(ctx, cfg)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	sess.SetBatchSize(rs.batchSize)
-	rs.c, rs.sess, rs.id = c, sess, sess.ID()
-	rs.traceSC = sess.TraceContext()
-	return rs, nil
+	rs, _, err := dialReliable(ctx, addr, opts, func(c *Client) (*RemoteSession, uint64, error) {
+		sess, err := c.OpenContext(ctx, cfg)
+		return sess, 0, err
+	})
+	return rs, err
 }
 
 // ResumeReliable re-attaches to an existing durable session as a
@@ -137,20 +127,25 @@ func OpenReliable(ctx context.Context, addr string, cfg SessionConfig, opts ...R
 // caller feeds from there. Like OpenReliable, ctx bounds only the initial
 // handshake.
 func ResumeReliable(ctx context.Context, addr, id string, opts ...ReliableOption) (*ReliableSession, uint64, error) {
+	return dialReliable(ctx, addr, opts, func(c *Client) (*RemoteSession, uint64, error) { return c.Resume(ctx, id) })
+}
+
+// dialReliable builds the session around its first connection: dial, then
+// open — the handshake that tells OpenReliable from ResumeReliable.
+func dialReliable(ctx context.Context, addr string, opts []ReliableOption, open func(*Client) (*RemoteSession, uint64, error)) (*ReliableSession, uint64, error) {
 	rs := newReliable(ctx, addr, opts)
 	c, err := DialContext(ctx, addr)
 	if err != nil {
 		return nil, 0, err
 	}
 	c.SetTracer(rs.tracer)
-	sess, fed, err := c.Resume(ctx, id)
+	sess, fed, err := open(c)
 	if err != nil {
 		c.Close()
 		return nil, 0, err
 	}
 	sess.SetBatchSize(rs.batchSize)
-	rs.c, rs.sess, rs.id = c, sess, id
-	rs.acked = fed
+	rs.c, rs.sess, rs.id, rs.acked = c, sess, sess.ID(), fed
 	rs.traceSC = sess.TraceContext()
 	return rs, fed, nil
 }

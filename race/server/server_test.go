@@ -94,7 +94,7 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := s.OpenSession(SessionConfig{}); err != nil {
 		t.Fatalf("after freeing a slot: %v", err)
 	}
-	if got := s.metrics.rejected.full.Value(); got != 1 {
+	if got := s.metrics.rejected[rejectFull].Value(); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
 }
