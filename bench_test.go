@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"bytes"
 	"runtime"
+	"syscall"
 	"testing"
 
 	"repro/internal/analysis"
@@ -138,9 +139,22 @@ func feedFanout15(tr *trace.Trace, parallelism int) error {
 	return err
 }
 
+// cpuNanos is the process's user+system CPU time so far.
+func cpuNanos() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err)
+	}
+	return ru.Utime.Nano() + ru.Stime.Nano()
+}
+
 // BenchmarkEngineFanout15 measures feedFanout15 over fanoutTrace sequentially
-// and on two pipeline workers, as ns and allocated bytes per event.
+// and on two pipeline workers, as wall ns, CPU ns and allocated bytes per
+// event. x-seq-cpu is the parallel run's CPU cost over the sequential one's:
+// what running the seven computations on two cores adds to each event —
+// scheduling, and cache lines moving between cores — which wall time hides.
 func BenchmarkEngineFanout15(b *testing.B) {
+	var seqCPU float64
 	for _, cfg := range []struct {
 		name string
 		par  int
@@ -151,6 +165,7 @@ func BenchmarkEngineFanout15(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
+			cpu := cpuNanos()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := feedFanout15(fanoutTrace, cfg.par); err != nil {
@@ -158,10 +173,17 @@ func BenchmarkEngineFanout15(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			cpu = cpuNanos() - cpu
 			runtime.ReadMemStats(&after)
 			events := float64(fanoutTrace.Len()) * float64(b.N)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+			b.ReportMetric(float64(cpu)/events, "cpu-ns/event")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
+			if cfg.par == 1 {
+				seqCPU = float64(cpu) / events
+			} else if seqCPU > 0 {
+				b.ReportMetric(float64(cpu)/events/seqCPU, "x-seq-cpu")
+			}
 		})
 	}
 }

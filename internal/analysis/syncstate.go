@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/vc"
 )
@@ -31,6 +32,7 @@ type Hook interface {
 // Spec before any events exist and consume an unbounded stream whose id
 // spaces are discovered incrementally.
 type SyncState struct {
+	_   report.Pad
 	Rel Relation
 
 	// P is the relation clock per thread; P[t].Get(t) is t's local clock.
@@ -60,11 +62,32 @@ type SyncState struct {
 
 	// Graph bookkeeping (hook != nil only for the "w/G" analyses).
 	hook        Hook
-	lastIdx     []int32 // last event index per thread
-	pendingFork []int32 // fork event index awaiting the child's first event
+	marks       []threadMark
 	lastVolW    []int32 // last volatile-write event per volatile
 	lastVolR    []int32 // last volatile-read event per volatile
 	lastClsInit []int32
+	_           report.Pad
+}
+
+// threadMark is a thread's graph bookkeeping: event indices, -1 for none.
+type threadMark struct {
+	last int32 // the thread's last event
+	fork int32 // the fork event awaiting the thread's first event
+}
+
+// growMarks extends marks to n threads without events. OnEvent stores into
+// the table per event, so its backing array keeps a Pad's worth of elements
+// nothing touches on either side (see report.Pad).
+func growMarks(marks []threadMark, n int) []threadMark {
+	if n > cap(marks) {
+		const slack = len(report.Pad{}) / 8
+		buf := make([]threadMark, slack+2*n+slack)
+		marks = buf[slack : slack+copy(buf[slack:], marks) : slack+2*n]
+	}
+	for len(marks) < n {
+		marks = append(marks, threadMark{last: -1, fork: -1})
+	}
+	return marks
 }
 
 // NewSyncState builds synchronization state from capacity hints. The hints
@@ -96,10 +119,9 @@ func (s *SyncState) growThreads(n int) {
 			s.selfP = append(s.selfP, 0)
 		}
 		s.held = append(s.held, nil)
-		if s.hook != nil {
-			s.lastIdx = append(s.lastIdx, -1)
-			s.pendingFork = append(s.pendingFork, -1)
-		}
+	}
+	if s.hook != nil {
+		s.marks = growMarks(s.marks, n)
 	}
 }
 
@@ -150,8 +172,7 @@ func (s *SyncState) Ensure(t trace.Tid) { s.et(t) }
 // SetHook enables constraint-graph edge recording.
 func (s *SyncState) SetHook(h Hook, spec Spec) {
 	s.hook = h
-	s.lastIdx = fillNeg(max(spec.Threads, len(s.P)))
-	s.pendingFork = fillNeg(max(spec.Threads, len(s.P)))
+	s.marks = growMarks(nil, max(spec.Threads, len(s.P)))
 	s.lastVolW = fillNeg(max(spec.Volatiles, len(s.volRP)))
 	s.lastVolR = fillNeg(max(spec.Volatiles, len(s.volRP)))
 	s.lastClsInit = fillNeg(max(spec.Classes, len(s.clsP)))
@@ -191,11 +212,12 @@ func (s *SyncState) OnEvent(t trace.Tid, idx int32) {
 		return
 	}
 	s.et(t)
-	if f := s.pendingFork[t]; f >= 0 {
-		s.hook.Edge(f, idx)
-		s.pendingFork[t] = -1
+	m := &s.marks[t]
+	if m.fork >= 0 {
+		s.hook.Edge(m.fork, idx)
+		m.fork = -1
 	}
-	s.lastIdx[t] = idx
+	m.last = idx
 }
 
 // Held returns the locks currently held by t, innermost last. The returned
@@ -331,7 +353,7 @@ func (s *SyncState) HandleOther(e trace.Event, idx int32) bool {
 			s.H[child].Join(s.H[t])
 		}
 		if s.hook != nil {
-			s.pendingFork[child] = idx
+			s.marks[child].fork = idx
 		}
 	case trace.OpJoin:
 		child := trace.Tid(e.Targ)
@@ -341,7 +363,7 @@ func (s *SyncState) HandleOther(e trace.Event, idx int32) bool {
 			s.H[t].Join(s.H[child])
 		}
 		if s.hook != nil {
-			s.edge(s.lastIdx[child], idx)
+			s.edge(s.marks[child].last, idx)
 		}
 	case trace.OpVolatileRead:
 		v := e.Targ

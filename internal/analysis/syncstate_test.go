@@ -1,8 +1,13 @@
 package analysis
 
 import (
+	"cmp"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
+	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/vc"
 )
@@ -225,4 +230,38 @@ func TestRunHelper(t *testing.T) {
 	if col.Dynamic() != 1 {
 		t.Errorf("dynamic = %d", col.Dynamic())
 	}
+}
+
+// TestMarksTablesKeepTheirLines: the per-thread marks are stored into per
+// event, by whichever pipeline worker runs the computation, and a ten-thread
+// table is 80 bytes — the allocator would pack other computations' tables
+// onto its cache lines. growMarks leaves a Pad's worth of slack on both
+// sides: of many tables allocated back to back, grown or not, no two come
+// within a line of each other.
+func TestMarksTablesKeepTheirLines(t *testing.T) {
+	type extent struct{ lo, hi uintptr }
+	var tables []extent
+	var live [][]threadMark // no table's memory is handed out twice
+	for i := 0; i < 512; i++ {
+		m := growMarks(nil, 4)
+		if i%2 == 1 {
+			m = growMarks(m, 10)
+		}
+		for _, mark := range m {
+			if mark.last != -1 || mark.fork != -1 {
+				t.Fatalf("table %d: a thread starts with mark %v, want no event (-1, -1)", i, mark)
+			}
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(m)))
+		tables = append(tables, extent{lo, lo + uintptr(cap(m))*unsafe.Sizeof(m[0])})
+		live = append(live, m)
+	}
+	const line = uintptr(len(report.Pad{}))
+	slices.SortFunc(tables, func(a, b extent) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(tables); i++ {
+		if tables[i].lo < tables[i-1].hi+2*line {
+			t.Fatalf("tables at [%#x, %#x) and [%#x, %#x): less than two Pads apart", tables[i-1].lo, tables[i-1].hi, tables[i].lo, tables[i].hi)
+		}
+	}
+	runtime.KeepAlive(live)
 }

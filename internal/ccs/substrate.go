@@ -3,6 +3,7 @@ package ccs
 import (
 	"repro/internal/analysis"
 	"repro/internal/graph"
+	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/vc"
 )
@@ -34,6 +35,7 @@ import (
 //	(iv)  The graph stays edge-identical because rule (a) joins draw edges
 //	      only when the view that owns the graph is itself stale.
 type Substrate struct {
+	_ report.Pad
 	analysis.SyncState
 	lt    *LockTables   // nil for HB
 	rb    *RuleB        // nil for HB and WDC
@@ -41,6 +43,7 @@ type Substrate struct {
 	hook  analysis.Hook // g, or nil
 	idx   int32         // events begun; the current event's trace index is idx-1
 	ready int           // threads whose events Begin need not prepare for
+	_     report.Pad
 }
 
 // NewSubstrate builds the substrate of relation rel from capacity hints;
@@ -61,8 +64,14 @@ func NewSubstrate(rel analysis.Relation, spec analysis.Spec, buildGraph bool) *S
 	return b
 }
 
-// Graph returns the constraint graph, or nil if not built.
-func (b *Substrate) Graph() *graph.Graph { return b.g }
+// Graph returns the constraint graph over the events begun so far, or nil if
+// not built.
+func (b *Substrate) Graph() *graph.Graph {
+	if b.g != nil {
+		b.g.N = int(b.idx)
+	}
+	return b.g
+}
 
 // Begin opens the next event, by thread t: it returns the event's trace
 // index and makes t's tables exist, so that direct P[t]/H[t] indexing is
@@ -78,11 +87,10 @@ func (b *Substrate) Begin(t trace.Tid) int32 {
 // begin is Begin's slow path: a thread's first event, or any event of a
 // graph-building substrate (whose ready stays 0).
 func (b *Substrate) begin(t trace.Tid) {
-	b.Ensure(t)
 	if b.g != nil {
-		b.g.Observe(b.idx - 1)
 		b.OnEvent(t, b.idx-1)
 	} else {
+		b.Ensure(t)
 		b.ready = len(b.P)
 	}
 }

@@ -195,6 +195,7 @@ func (c *CaseCounts) HeldAtLeast(k int) uint64 {
 
 // Analysis is SmartTrack-WCP, SmartTrack-DC, or SmartTrack-WDC.
 type Analysis struct {
+	_     report.Pad
 	rel   analysis.Relation
 	s     *analysis.SyncState
 	rb    *ccs.RuleB // epoch acquire queues; nil for WDC
@@ -206,6 +207,7 @@ type Analysis struct {
 	resid extras  // multiCheck's result buffer
 	idx   int32
 	raced bool // one dynamic race per access event
+	_     report.Pad
 }
 
 // Options tunes SmartTrack for ablation studies.

@@ -52,11 +52,13 @@ func (s *Stats) HeldAtLeast(k int) uint64 {
 // View is FTO's last-access metadata and race check over a relation's
 // substrate (see ccs.Substrate).
 type View struct {
+	_    report.Pad
 	Sub  *ccs.Substrate
 	vars []varState
 	col  *report.Collector
 	st   Stats
 	vcs  vc.Pool // recycles retired read vector clocks
+	_    report.Pad
 }
 
 // NewView builds FTO's view of sub from capacity hints; state grows on

@@ -7,37 +7,34 @@
 // witness reordering.
 package graph
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/report"
+)
 
 // chunkEdges is how many edges one chunk holds (64 KiB). The edge list only
 // grows and is only read whole, so it is kept as full chunks plus a partial
 // last one: recording an edge never copies the edges before it.
 const chunkEdges = 8192
 
-// Graph is an event constraint graph over a trace of N events. N grows as
-// events are observed, so a graph can be built over a stream whose length
-// is not known up front.
+// Graph is an event constraint graph over a trace of N events. Edge extends
+// N to cover its endpoints; an analysis that builds the graph over a stream
+// sets N to the events processed when it hands the graph out, so recording
+// is the only per-event work.
 type Graph struct {
+	_      report.Pad
 	N      int
-	chunks [][][2]int32 // in recording order; every chunk but the last is full
+	chunks [][][2]int32 // in recording order, each at full length
+	cur    [][2]int32   // the filled prefix of the last chunk
 
 	adj  [][]int32 // built on demand by Succ/Pred
 	radj [][]int32
+	_    report.Pad
 }
 
-// New returns an empty graph over n events (a capacity hint; Observe and
-// Edge extend N on demand).
+// New returns an empty graph over n events.
 func New(n int) *Graph { return &Graph{N: n} }
-
-// Observe extends the graph's event space to cover index i. Streaming
-// analyses call it per event so that N always equals the number of events
-// processed, whether or not the event contributed an edge.
-func (g *Graph) Observe(i int32) {
-	if int(i) >= g.N {
-		g.N = int(i) + 1
-		g.adj, g.radj = nil, nil
-	}
-}
 
 // Edge records the constraint src before dst. It implements
 // analysis.Hook. Self and negative edges are ignored.
@@ -45,28 +42,27 @@ func (g *Graph) Edge(src, dst int32) {
 	if src < 0 || src == dst {
 		return
 	}
-	g.Observe(src)
-	g.Observe(dst)
-	last := len(g.chunks) - 1
-	if last < 0 || len(g.chunks[last]) == chunkEdges {
-		g.chunks = append(g.chunks, make([][2]int32, 0, chunkEdges))
-		last++
+	if len(g.cur) == cap(g.cur) {
+		chunk := make([][2]int32, chunkEdges)
+		g.chunks, g.cur = append(g.chunks, chunk), chunk[:0]
 	}
-	g.chunks[last] = append(g.chunks[last], [2]int32{src, dst})
-	g.adj, g.radj = nil, nil
+	g.cur = append(g.cur, [2]int32{src, dst})
+	if m := int(max(src, dst)); m >= g.N {
+		g.N = m + 1
+	}
+	if g.adj != nil {
+		g.adj, g.radj = nil, nil
+	}
 }
 
 // Len returns the number of recorded cross-thread edges.
 func (g *Graph) Len() int {
-	if len(g.chunks) == 0 {
-		return 0
-	}
-	return (len(g.chunks)-1)*chunkEdges + len(g.chunks[len(g.chunks)-1])
+	return max(len(g.chunks)-1, 0)*chunkEdges + len(g.cur)
 }
 
 // Edges returns a copy of the edge list, in recording order.
 func (g *Graph) Edges() [][2]int32 {
-	return slices.Concat(g.chunks...)
+	return slices.Concat(g.chunks...)[:g.Len()]
 }
 
 func (g *Graph) build() {
@@ -75,7 +71,10 @@ func (g *Graph) build() {
 	}
 	g.adj = make([][]int32, g.N)
 	g.radj = make([][]int32, g.N)
-	for _, c := range g.chunks {
+	for i, c := range g.chunks {
+		if i == len(g.chunks)-1 {
+			c = g.cur
+		}
 		for _, e := range c {
 			g.adj[e[0]] = append(g.adj[e[0]], e[1])
 			g.radj[e[1]] = append(g.radj[e[1]], e[0])

@@ -43,6 +43,14 @@ func (r Race) String() string {
 	return fmt.Sprintf("race on x%d at loc%d (T%d %s, event %d)", r.Var, r.Loc, r.Tid, kind, r.Index)
 }
 
+// Pad is one cache line of nothing. The computations of one engine run on
+// different cores (race/pipeline.go) while the allocator packs their headers
+// side by side, so every struct that takes a store per event, access or race
+// begins and ends with a Pad: whatever the neighbours are, no line it writes
+// holds a byte another computation touches. It is declared here because this
+// is the one package every analysis package imports.
+type Pad [64]byte
+
 // Collector accumulates dynamic races. Following §5.1, multiple failed
 // checks at one access count as a single dynamic race: analyses must call
 // Add at most once per access event (the engines guarantee this).
@@ -54,12 +62,14 @@ func (r Race) String() string {
 // may run concurrently with each other (a finished report is served to
 // many requests).
 type Collector struct {
+	_     Pad
 	races []Race
 
 	mu      sync.Mutex  // guards the derived sets below
 	indexed int         // races[:indexed] are in the sets
 	locs    []trace.Loc // racing program locations, sorted
 	vars    []uint32    // variables with a race, sorted
+	_       Pad
 }
 
 // NewCollector returns an empty collector.

@@ -89,7 +89,7 @@ func (a *Analysis) Name() string {
 func (a *View) Races() *report.Collector { return a.col }
 
 // Graph returns the constraint graph, or nil if not built.
-func (a *View) Graph() *graph.Graph { return a.g }
+func (a *View) Graph() *graph.Graph { return a.Sub.Graph() }
 
 // Handle implements analysis.Analysis.
 func (a *Analysis) Handle(e trace.Event) {

@@ -1,6 +1,7 @@
 package race
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -11,6 +12,14 @@ import (
 
 // Tid identifies a recorded goroutine.
 type Tid = trace.Tid
+
+// ErrThreadLimit is the sticky error of a Runtime asked to register more
+// goroutines than a Tid can name. The session ends there: the refused
+// goroutine's events, and every later one, are dropped.
+var ErrThreadLimit = errors.New("race: a session records at most 65536 goroutines")
+
+// threadLimit is the size of the Tid space; tests lower it.
+var threadLimit = 1 << 16
 
 // Runtime records synchronization and memory-access events from a live Go
 // program — this repository's stand-in for the RoadRunner instrumentation
@@ -147,6 +156,9 @@ func (rt *Runtime) Err() error {
 
 func (rt *Runtime) thread(t Tid) *threadState {
 	ts := *rt.threads.Load()
+	if len(ts) == 0 { // ended with ErrThreadLimit: t records into a throwaway, and commit drops it
+		return newThreadState()
+	}
 	return ts[t]
 }
 
@@ -223,11 +235,11 @@ func (rt *Runtime) commit(runs ...[]trace.Event) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for _, run := range runs {
-		if len(run) == 0 {
+		if len(run) == 0 || rt.err != nil { // a failed session's stream is never read again
 			continue
 		}
 		rt.stream = append(rt.stream, run...)
-		if rt.engine != nil && rt.err == nil {
+		if rt.engine != nil {
 			if err := rt.engine.FeedBatch(run); err != nil {
 				rt.err = err
 			}
@@ -246,10 +258,19 @@ func (rt *Runtime) syncPoint(ts *threadState, e trace.Event) {
 }
 
 // Go registers a new goroutine forked by parent and returns its thread id.
-// Call it in the parent before starting the goroutine.
+// Call it in the parent before starting the goroutine. Past the Tid space it
+// fails the session with ErrThreadLimit.
 func (rt *Runtime) Go(parent Tid) Tid {
 	rt.mu.Lock()
 	cur := *rt.threads.Load()
+	if n := len(cur); n == 0 || n == threadLimit { // ended, or ending here
+		rt.threads.Store(new([]*threadState))
+		if rt.err == nil {
+			rt.err = ErrThreadLimit
+		}
+		rt.mu.Unlock()
+		return parent
+	}
 	child := Tid(len(cur))
 	next := make([]*threadState, len(cur)+1)
 	copy(next, cur)
