@@ -45,117 +45,47 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"net"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux (-debug-addr)
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/obs"
-	"repro/internal/obs/tracing"
 	"repro/race/server"
 )
 
 func main() {
+	d := daemon.New("raced", ":7117", ":7118", "every session, flush, and recovery")
 	var (
-		httpAddr  = flag.String("http", ":7117", "HTTP API listen address (empty disables)")
-		tcpAddr   = flag.String("tcp", ":7118", "wire-protocol TCP listen address (empty disables)")
-		maxSess   = flag.Int("max-sessions", 64, "maximum concurrently open sessions")
-		queue     = flag.Int("queue", 32, "per-session pending-batch queue depth")
-		idle      = flag.Duration("idle", 5*time.Minute, "idle-session eviction timeout (negative disables)")
-		dataDir   = flag.String("data-dir", "", "durable-session directory: journal every session to a racelog and resume open sessions on restart (empty keeps sessions in memory)")
-		ioTimeout = flag.Duration("io-timeout", 0, "cut wire connections making no read or write progress for this long (0 disables)")
-		debugAddr = flag.String("debug-addr", "", "net/http/pprof listen address (empty disables)")
-		logLevel  = flag.String("log-level", "info", "log threshold: debug, info, warn, or error")
-		trace     = flag.Bool("trace", false, "record spans for every session, flush, and recovery (GET /debug/traces)")
-		traceSlow = flag.Duration("trace-slow", 0, "log any trace whose root span exceeds this duration, with a per-span breakdown (implies -trace)")
+		maxSess = flag.Int("max-sessions", 64, "maximum concurrently open sessions")
+		queue   = flag.Int("queue", 32, "per-session pending-batch queue depth")
+		idle    = flag.Duration("idle", 5*time.Minute, "idle-session eviction timeout (negative disables)")
+		dataDir = flag.String("data-dir", "", "durable-session directory: journal every session to a racelog and resume open sessions on restart (empty keeps sessions in memory)")
 	)
 	flag.Parse()
-	if *httpAddr == "" && *tcpAddr == "" {
-		fatalf("nothing to serve: both -http and -tcp are empty")
-	}
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	logger := obs.NewLogger(os.Stderr, level).With("component", "raced")
-
-	var tracer *tracing.Tracer
-	if *trace || *traceSlow > 0 {
-		tracer = tracing.New(tracing.Options{
-			Service:       "raced",
-			SlowThreshold: *traceSlow,
-			Logger:        logger,
-		})
-		logger.Info("tracing enabled", "slow_threshold", traceSlow.String())
-	}
+	d.Start()
 
 	srv := server.New(server.Config{
 		MaxSessions: *maxSess,
 		QueueDepth:  *queue,
 		IdleTimeout: *idle,
 		DataDir:     *dataDir,
-		IOTimeout:   *ioTimeout,
-		Logger:      logger,
-		Tracer:      tracer,
+		IOTimeout:   *d.IOTimeout,
+		Logger:      d.Logger,
+		Tracer:      d.Tracer,
 	})
 	obs.RegisterRuntimeMetrics(srv.Registry())
 	obs.RegisterBuildInfo(srv.Registry(), "raced")
 	if *dataDir != "" {
 		resumed, err := srv.Recover()
 		if err != nil {
-			fatalf("recovering sessions from %s: %v", *dataDir, err)
+			d.Fatalf("recovering sessions from %s: %v", *dataDir, err)
 		}
-		logger.Info("data dir opened", "dir", *dataDir, "sessions_resumed", resumed)
+		d.Logger.Info("data dir opened", "dir", *dataDir, "sessions_resumed", resumed)
 	}
 
-	errc := make(chan error, 3)
-	if *tcpAddr != "" {
-		lis, err := net.Listen("tcp", *tcpAddr)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		logger.Info("wire protocol listening", "addr", lis.Addr().String())
-		go func() { errc <- srv.ServeTCP(lis) }()
-	}
-	if *httpAddr != "" {
-		lis, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		logger.Info("HTTP API listening", "addr", lis.Addr().String())
-		hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: server.ReadHeaderTimeout}
-		go func() { errc <- hs.Serve(lis) }()
-	}
-	if *debugAddr != "" {
-		lis, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		logger.Info("pprof debug listening", "addr", lis.Addr().String())
-		// nil handler = DefaultServeMux, where net/http/pprof registered.
-		go func() { errc <- http.Serve(lis, nil) }()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		if err != nil {
-			fatalf("%v", err)
-		}
-	case s := <-sig:
+	if sig := d.Serve(srv.ServeTCP, srv.Handler()); sig != nil {
 		// Graceful: drain every session queue and sync + seal every
 		// journal before exiting, so a -data-dir restart resumes cleanly.
-		logger.Info("shutting down", "signal", s.String(), "sessions", srv.ActiveSessions())
+		d.Logger.Info("shutting down", "signal", sig.String(), "sessions", srv.ActiveSessions())
 		srv.Shutdown()
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "raced: "+format+"\n", args...)
-	os.Exit(1)
 }

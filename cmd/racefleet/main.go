@@ -44,19 +44,11 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"net"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux (-debug-addr)
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
+	"repro/internal/daemon"
 	"repro/internal/obs"
-	"repro/internal/obs/tracing"
 	"repro/race/fleet"
-	"repro/race/server"
 )
 
 // backendFlag collects repeated -backend definitions.
@@ -69,123 +61,59 @@ func (b *backendFlag) Set(v string) error {
 }
 
 func main() {
+	d := daemon.New("racefleet", ":7119", ":7120", "every session, placement, flush, and migration")
 	var backendSpecs backendFlag
 	var (
-		httpAddr  = flag.String("http", ":7119", "HTTP API listen address (empty disables)")
-		tcpAddr   = flag.String("tcp", ":7120", "wire-protocol TCP listen address (empty disables)")
 		vnodes    = flag.Int("vnodes", fleet.DefaultVNodes, "virtual nodes per backend on the hash ring")
 		interval  = flag.Duration("probe-interval", fleet.DefaultProbeInterval, "health-probe interval")
 		threshold = flag.Int("probe-threshold", fleet.DefaultProbeThreshold, "consecutive probe failures before a backend is down")
-		ioTimeout = flag.Duration("io-timeout", 0, "cut client wire connections making no read or write progress for this long (0 disables)")
 		brkThresh = flag.Int("breaker-threshold", fleet.DefaultBreakerThreshold, "consecutive unreachable failures before a backend's circuit opens")
 		brkCool   = flag.Duration("breaker-cooldown", fleet.DefaultBreakerCooldown, "open-circuit cooldown before a half-open trial")
-		debugAddr = flag.String("debug-addr", "", "net/http/pprof listen address (empty disables)")
-		logLevel  = flag.String("log-level", "info", "log threshold: debug, info, warn, or error")
-		trace     = flag.Bool("trace", false, "record router spans for every session, placement, flush, and migration (GET /debug/traces)")
-		traceSlow = flag.Duration("trace-slow", 0, "log any trace whose root span exceeds this duration, with a per-span breakdown (implies -trace)")
 	)
 	flag.Var(&backendSpecs, "backend", "backend as name,tcpAddr,httpAddr[,dataDir] (repeatable)")
 	flag.Parse()
 
 	if len(backendSpecs) == 0 {
-		fatalf("no backends: pass at least one -backend name,tcpAddr,httpAddr[,dataDir]")
+		d.Fatalf("no backends: pass at least one -backend name,tcpAddr,httpAddr[,dataDir]")
 	}
-	if *httpAddr == "" && *tcpAddr == "" {
-		fatalf("nothing to serve: both -http and -tcp are empty")
-	}
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	logger := obs.NewLogger(os.Stderr, level).With("component", "racefleet")
+	d.Start()
 	var backends []fleet.Backend
 	for _, spec := range backendSpecs {
 		parts := strings.Split(spec, ",")
-		if len(parts) < 3 || len(parts) > 4 {
-			fatalf("bad -backend %q: want name,tcpAddr,httpAddr[,dataDir]", spec)
+		if len(parts) == 3 {
+			parts = append(parts, "") // no data dir
 		}
-		dataDir := ""
-		if len(parts) == 4 {
-			dataDir = parts[3]
+		if len(parts) != 4 {
+			d.Fatalf("bad -backend %q: want name,tcpAddr,httpAddr[,dataDir]", spec)
 		}
-		b, err := fleet.NewRemote(parts[0], parts[1], parts[2], dataDir)
+		b, err := fleet.NewRemote(parts[0], parts[1], parts[2], parts[3])
 		if err != nil {
-			fatalf("%v", err)
+			d.Fatalf("%v", err)
 		}
 		backends = append(backends, b)
-	}
-
-	var tracer *tracing.Tracer
-	if *trace || *traceSlow > 0 {
-		tracer = tracing.New(tracing.Options{
-			Service:       "racefleet",
-			SlowThreshold: *traceSlow,
-			Logger:        logger,
-		})
-		logger.Info("tracing enabled", "slow_threshold", traceSlow.String())
 	}
 
 	rt, err := fleet.New(backends, fleet.Options{
 		VNodes:           *vnodes,
 		ProbeInterval:    *interval,
 		ProbeThreshold:   *threshold,
-		IOTimeout:        *ioTimeout,
+		IOTimeout:        *d.IOTimeout,
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCool,
-		Logger:           logger,
-		Tracer:           tracer,
+		Logger:           d.Logger,
+		Tracer:           d.Tracer,
 	})
 	if err != nil {
-		fatalf("%v", err)
+		d.Fatalf("%v", err)
 	}
 	obs.RegisterRuntimeMetrics(rt.Registry())
 	obs.RegisterBuildInfo(rt.Registry(), "fleet")
 	defer rt.Close()
-	logger.Info("routing", "backends", strings.Join(rt.Backends(), ", "))
+	d.Logger.Info("routing", "backends", strings.Join(rt.Backends(), ", "))
 
-	errc := make(chan error, 3)
-	if *tcpAddr != "" {
-		lis, err := net.Listen("tcp", *tcpAddr)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		logger.Info("wire protocol listening", "addr", lis.Addr().String())
-		go func() { errc <- rt.ServeTCP(lis) }()
-	}
-	if *httpAddr != "" {
-		lis, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		logger.Info("HTTP API listening", "addr", lis.Addr().String())
-		hs := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: server.ReadHeaderTimeout}
-		go func() { errc <- hs.Serve(lis) }()
-	}
-	if *debugAddr != "" {
-		lis, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		logger.Info("pprof debug listening", "addr", lis.Addr().String())
-		// nil handler = DefaultServeMux, where net/http/pprof registered.
-		go func() { errc <- http.Serve(lis, nil) }()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		if err != nil {
-			fatalf("%v", err)
-		}
-	case s := <-sig:
+	if sig := d.Serve(rt.ServeTCP, rt.Handler()); sig != nil {
 		// The router is stateless: sessions live in backend journals, so
 		// there is nothing to drain here.
-		logger.Info("shutting down", "signal", s.String())
+		d.Logger.Info("shutting down", "signal", sig.String())
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "racefleet: "+format+"\n", args...)
-	os.Exit(1)
 }

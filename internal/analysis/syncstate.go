@@ -227,17 +227,6 @@ func (s *SyncState) Held(t trace.Tid) []uint32 {
 	return s.held[t]
 }
 
-// Holds reports whether t currently holds lock m.
-func (s *SyncState) Holds(t trace.Tid, m uint32) bool {
-	s.et(t)
-	for _, l := range s.held[t] {
-		if l == m {
-			return true
-		}
-	}
-	return false
-}
-
 // JoinP joins c into t's relation clock, absorbing any self-knowledge c
 // carries (WCP only). Every join into P — relation edges and HB carrier
 // edges alike — must go through JoinP so that exportable self-knowledge is
@@ -262,12 +251,6 @@ func (s *SyncState) Tick(t trace.Tid) {
 	if s.H != nil {
 		s.H[t].Tick(vc.Tid(t))
 	}
-}
-
-// Epoch returns t's current epoch E(t, local clock).
-func (s *SyncState) Epoch(t trace.Tid) vc.Epoch {
-	s.et(t)
-	return s.P[t].Epoch(vc.Tid(t))
 }
 
 // PreAcquire applies the release→acquire edges of HB-composing relations

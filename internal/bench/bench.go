@@ -113,11 +113,6 @@ type Measurement struct {
 	Dynamic   int
 }
 
-// MeasureAnalysis runs one analysis over a trace, timing the event loop.
-func MeasureAnalysis(entry analysis.Entry, tr *trace.Trace) Measurement {
-	return MeasureAnalyses([]analysis.Entry{entry}, tr)[0]
-}
-
 // measureChunk is the fan-out granularity of MeasureAnalyses: small enough
 // that a chunk of events stays cache-hot across all analyses, large enough
 // that the per-chunk timer reads vanish in the measurement.

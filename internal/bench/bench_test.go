@@ -177,7 +177,7 @@ func TestMeasureBaselinePositive(t *testing.T) {
 		t.Error("program bytes")
 	}
 	e, _ := analysis.ByName("FTO-HB")
-	m := MeasureAnalysis(e, tr)
+	m := MeasureAnalyses([]analysis.Entry{e}, tr)[0]
 	if m.Duration <= 0 || m.MetaBytes <= 0 {
 		t.Errorf("measurement = %+v", m)
 	}

@@ -184,15 +184,6 @@ func (c *CaseCounts) NSEAWrites() uint64 {
 	return c.WriteOwned + c.WriteExclusive + c.WriteShared
 }
 
-// HeldAtLeast returns the number of NSEAs holding at least k locks (k ≤ 3).
-func (c *CaseCounts) HeldAtLeast(k int) uint64 {
-	var n uint64
-	for i := k; i < len(c.HeldAtNSEA); i++ {
-		n += c.HeldAtNSEA[i]
-	}
-	return n
-}
-
 // Analysis is SmartTrack-WCP, SmartTrack-DC, or SmartTrack-WDC.
 type Analysis struct {
 	_     report.Pad

@@ -103,7 +103,7 @@ func TestNSEAAccounting(t *testing.T) {
 	if c.NSEAWrites() != 1 || c.NSEAReads() != 1 {
 		t.Errorf("NSEAs: reads=%d writes=%d", c.NSEAReads(), c.NSEAWrites())
 	}
-	if c.HeldAtLeast(1) != 1 || c.HeldAtLeast(2) != 0 {
+	if h := c.HeldAtNSEA; h[1] != 1 || h[2]+h[3] != 0 {
 		t.Errorf("held histogram = %v", c.HeldAtNSEA)
 	}
 }
@@ -370,7 +370,7 @@ func TestAccessPathsDoNotAllocate(t *testing.T) {
 		"ReadExclusive": c.ReadExclusive > before.ReadExclusive, "ReadSameEpoch": c.ReadSameEpoch > before.ReadSameEpoch,
 		"ReadOwned": c.ReadOwned > before.ReadOwned, "WriteOwned": c.WriteOwned > before.WriteOwned,
 		"WriteSameEpoch": c.WriteSameEpoch > before.WriteSameEpoch, "WriteExclusive": c.WriteExclusive > before.WriteExclusive,
-		"three locks held": c.HeldAtLeast(3) > before.HeldAtLeast(3),
+		"three locks held": c.HeldAtNSEA[3] > before.HeldAtNSEA[3],
 	} {
 		if !hit {
 			t.Errorf("the loop never took %s", name)

@@ -65,20 +65,6 @@ func (s *ConnStats) Counts() map[string]int64 {
 	return out
 }
 
-// Total returns the sum of all counters.
-func (s *ConnStats) Total() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, v := range s.counts {
-		n += v
-	}
-	return n
-}
-
 // Conn wraps a net.Conn with the faults described by a ConnPlan.
 type Conn struct {
 	net.Conn

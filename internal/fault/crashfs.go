@@ -41,11 +41,8 @@ type crashState struct {
 }
 
 // NewCrashFS returns a CrashFS over the real filesystem.
-func NewCrashFS() *CrashFS { return NewCrashFSOver(OS{}) }
-
-// NewCrashFSOver returns a CrashFS over inner.
-func NewCrashFSOver(inner FS) *CrashFS {
-	return &CrashFS{inner: inner, files: make(map[string]*crashState)}
+func NewCrashFS() *CrashFS {
+	return &CrashFS{inner: OS{}, files: make(map[string]*crashState)}
 }
 
 // CutAtSync arms the power cut to fire on the n-th File.Sync call
@@ -64,24 +61,6 @@ func (c *CrashFS) Syncs() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.syncs
-}
-
-// Crashed reports whether the power cut has fired.
-func (c *CrashFS) Crashed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.crashed
-}
-
-// Durable returns the durable byte count tracked for path (0 if the path
-// was never written through this FS).
-func (c *CrashFS) Durable(path string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st := c.files[path]; st != nil {
-		return st.synced
-	}
-	return 0
 }
 
 // Crash fires the power cut immediately: every tracked file is truncated

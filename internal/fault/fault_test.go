@@ -46,7 +46,7 @@ func TestInjectFSSyncSchedule(t *testing.T) {
 			t.Fatalf("sync %d: unexpected error %v", i, err)
 		}
 	}
-	if got := fsys.Counts()["sync"]; got != int64(fails) || fails != 3 {
+	if got := fsys.Injected(); got != int64(fails) || fails != 3 {
 		t.Fatalf("sync fault count = %d (observed %d), want 3", got, fails)
 	}
 }

@@ -42,7 +42,7 @@ type InjectFS struct {
 	rng     *Rand
 	syncs   int64
 	written int64
-	counts  map[string]int64
+	hits    int64 // faults injected
 }
 
 // NewInjectFS wraps inner with the fault schedule described by plan.
@@ -50,39 +50,14 @@ func NewInjectFS(inner FS, plan FSPlan) *InjectFS {
 	if inner == nil {
 		inner = OS{}
 	}
-	return &InjectFS{
-		inner:  inner,
-		plan:   plan,
-		rng:    NewRand(plan.Seed),
-		counts: make(map[string]int64),
-	}
-}
-
-// Counts returns a copy of the per-class injected-fault counters
-// ("sync", "write", "short-write", "enospc").
-func (f *InjectFS) Counts() map[string]int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]int64, len(f.counts))
-	for k, v := range f.counts {
-		out[k] = v
-	}
-	return out
+	return &InjectFS{inner: inner, plan: plan, rng: NewRand(plan.Seed)}
 }
 
 // Injected returns the total number of faults injected so far.
 func (f *InjectFS) Injected() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var n int64
-	for _, v := range f.counts {
-		n += v
-	}
-	return n
-}
-
-func (f *InjectFS) hit(class string) {
-	f.counts[class]++
+	return f.hits
 }
 
 func (f *InjectFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
@@ -120,18 +95,18 @@ func (f *injectFile) Write(p []byte) (int, error) {
 	f.fs.mu.Lock()
 	plan := f.fs.plan
 	if plan.ENOSPCAfter > 0 && f.fs.written+int64(len(p)) > plan.ENOSPCAfter {
-		f.fs.hit("enospc")
+		f.fs.hits++
 		f.fs.mu.Unlock()
 		return 0, fmt.Errorf("fault: write %s: %w: %w", f.name, ErrInjected, syscall.ENOSPC)
 	}
 	if plan.WriteFailProb > 0 && f.fs.rng.Chance(plan.WriteFailProb) {
-		f.fs.hit("write")
+		f.fs.hits++
 		f.fs.mu.Unlock()
 		return 0, fmt.Errorf("fault: write %s: %w: %w", f.name, ErrInjected, syscall.EIO)
 	}
 	short := plan.ShortWriteProb > 0 && len(p) > 1 && f.fs.rng.Chance(plan.ShortWriteProb)
 	if short {
-		f.fs.hit("short-write")
+		f.fs.hits++
 	}
 	f.fs.mu.Unlock()
 
@@ -160,7 +135,7 @@ func (f *injectFile) Sync() error {
 		fail = f.fs.rng.Chance(f.fs.plan.SyncFailProb)
 	}
 	if fail {
-		f.fs.hit("sync")
+		f.fs.hits++
 	}
 	f.fs.mu.Unlock()
 	if fail {

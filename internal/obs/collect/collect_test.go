@@ -36,7 +36,7 @@ func TestScrapeAggregatesExposition(t *testing.T) {
 		obs.Label{Key: "kind", Value: "wire"}).Add(3)
 	reg.Counter("raced_sessions_opened_total", "opens",
 		obs.Label{Key: "kind", Value: "http"}).Add(4)
-	reg.Gauge("raced_sessions_active", "active").Set(2)
+	reg.GaugeFunc("raced_sessions_active", "active", func() float64 { return 2 })
 	h := reg.Histogram("raced_flush_ack_seconds", "acks", []float64{0.01, 0.1, 1})
 	for i := 0; i < 100; i++ {
 		h.Observe(0.05)

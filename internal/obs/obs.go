@@ -71,20 +71,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // MetricSnapshot is one metric at one point in time.
 type MetricSnapshot struct {
 	Name   string
@@ -103,7 +89,6 @@ type entry struct {
 	kind   Kind
 
 	counter   *Counter
-	gauge     *Gauge
 	gaugeFunc func() float64 // GaugeFunc or CounterFunc
 	hist      *Histogram
 }
@@ -165,14 +150,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return c
 }
 
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(&entry{name: name, help: help, labels: labels, kind: KindGauge, gauge: g})
-	return g
-}
-
-// GaugeFunc registers a gauge whose value is computed by fn at
+// GaugeFunc registers a gauge — a value that can go up and down — computed by fn at
 // snapshot time. fn must be safe to call concurrently.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(&entry{name: name, help: help, labels: labels, kind: KindGauge, gaugeFunc: fn})
@@ -209,8 +187,6 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 		switch {
 		case e.counter != nil:
 			s.Value = float64(e.counter.Value())
-		case e.gauge != nil:
-			s.Value = float64(e.gauge.Value())
 		case e.gaugeFunc != nil:
 			s.Value = e.gaugeFunc()
 		case e.hist != nil:
@@ -232,19 +208,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	for i := range b {
 		b[i] = v
 		v *= factor
-	}
-	return b
-}
-
-// LinearBuckets returns n evenly spaced upper bounds starting at start
-// with the given width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 {
-		panic("obs: LinearBuckets needs n >= 1")
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start + float64(i)*width
 	}
 	return b
 }

@@ -15,8 +15,7 @@ func buildRegistry() *Registry {
 		sc := r.Counter("svc_shard_events_total", "Per-shard events.", L("shard", shard))
 		sc.Add(100)
 	}
-	g := r.Gauge("svc_sessions_active", "Open sessions.")
-	g.Set(7)
+	r.GaugeFunc("svc_sessions_active", "Open sessions.", func() float64 { return 7 })
 	r.GaugeFunc("svc_up", "Always one.", func() float64 { return 1 })
 	h := r.Histogram("svc_flush_seconds", "Flush latency.", []float64{0.001, 0.01, 0.1, 1})
 	for _, v := range []float64{0.0005, 0.002, 0.002, 0.05, 0.5, 3} {

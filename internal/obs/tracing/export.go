@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strconv"
 
 	"repro/internal/obs"
 )
@@ -194,7 +193,3 @@ func WriteChrome(w io.Writer, spans []SpanData) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
 }
-
-// FormatInt renders an integer attribute value without fmt's interface
-// boxing on the caller side.
-func FormatInt(v int64) string { return strconv.FormatInt(v, 10) }

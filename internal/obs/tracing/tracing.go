@@ -150,9 +150,6 @@ func (t *Tracer) Service() string {
 	return t.service
 }
 
-// Enabled reports whether the tracer records spans.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // splitmix64 is the finalizer from Vigna's splitmix64 generator: applied
 // to a seeded counter it yields a full-period, well-mixed ID sequence
 // without locks (one atomic add per 8 bytes of ID).

@@ -81,12 +81,7 @@ func TestAppendBatchBytesMatchPerEventAppend(t *testing.T) {
 			}
 			for lo := 0; lo < len(evs); lo += batch {
 				run := evs[lo:min(lo+batch, len(evs))]
-				if batch == 1 {
-					err = l.Append(run[0])
-				} else {
-					err = l.AppendBatch(run)
-				}
-				if err != nil {
+				if err := l.AppendBatch(run); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -152,8 +147,5 @@ func TestReadBatchMatchesNext(t *testing.T) {
 			got = append(got, buf[:n]...)
 		}
 		eventsEqual(t, got, evs[17:])
-		if r.Events() != uint64(len(evs)-17) {
-			t.Errorf("batch %d: Events() = %d, want %d", size, r.Events(), len(evs)-17)
-		}
 	}
 }

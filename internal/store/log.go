@@ -193,62 +193,12 @@ func (l *Log) syncDir() error {
 	return l.fsys.SyncDir(l.dir)
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Events returns the total record count appended so far (buffered records
 // included) — the offset the next Append receives.
 func (l *Log) Events() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.appended
-}
-
-// Synced returns the record count guaranteed durable as of the last Sync,
-// seal, or Close.
-func (l *Log) Synced() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.synced
-}
-
-// Summary aggregates the whole log's per-op counts and id-space sizes.
-func (l *Log) Summary() Summary {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var s Summary
-	for _, m := range l.sealed {
-		s.merge(m.sum)
-	}
-	s.merge(l.active.sum)
-	return s
-}
-
-// SegmentInfo describes one segment of a log.
-type SegmentInfo struct {
-	Seg    uint32
-	First  uint64
-	Events uint64
-	Sealed bool
-	Path   string
-}
-
-// Segments lists the log's segments in order.
-func (l *Log) Segments() []SegmentInfo {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]SegmentInfo, 0, len(l.sealed)+1)
-	for _, m := range l.sealed {
-		out = append(out, SegmentInfo{Seg: m.seg, First: m.first, Events: m.count, Sealed: true, Path: m.path})
-	}
-	a := l.active
-	out = append(out, SegmentInfo{Seg: a.seg, First: a.first, Events: a.count, Sealed: false, Path: a.path})
-	return out
-}
-
-// Append writes one record to the log.
-func (l *Log) Append(ev trace.Event) error {
-	return l.AppendBatch([]trace.Event{ev})
 }
 
 // AppendBatch writes a run of records. Records are encoded, folded into the

@@ -25,7 +25,7 @@ func writeUntilCut(t *testing.T, fsys fault.FS, dir string, evs []trace.Event, f
 		}
 		t.Fatal(err)
 	}
-	floor = l.Synced()
+	floor = l.synced
 	for i := 0; i < len(evs); i += flushEvery {
 		end := min(i+flushEvery, len(evs))
 		if err := l.AppendBatch(evs[i:end]); err != nil {
@@ -35,14 +35,14 @@ func writeUntilCut(t *testing.T, fsys fault.FS, dir string, evs []trace.Event, f
 			t.Fatal(err)
 		}
 		// Rotation inside AppendBatch is a durability point too.
-		floor = max(floor, l.Synced())
+		floor = max(floor, l.synced)
 		if err := l.Sync(); err != nil {
 			if fault.Injected(err) {
 				return floor, true
 			}
 			t.Fatal(err)
 		}
-		floor = l.Synced()
+		floor = l.synced
 	}
 	if err := l.Close(); err != nil {
 		if fault.Injected(err) {

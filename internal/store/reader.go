@@ -28,7 +28,6 @@ type Reader struct {
 	f    fault.File
 	br   *bufio.Reader
 	left uint64 // records remaining in the current segment
-	read uint64
 	err  error
 
 	// buf holds the batch Next serves from (allocated on the first Next);
@@ -44,23 +43,11 @@ type Reader struct {
 // disturbing the evidence).
 func OpenRead(dir string) (*Reader, error) { return OpenReadAt(dir, 0) }
 
-// OpenReadFS is OpenRead over an explicit filesystem (fault injection and
-// crash-simulation harnesses; nil means the real one).
-func OpenReadFS(fsys fault.FS, dir string, off uint64) (*Reader, error) {
-	if fsys == nil {
-		fsys = fault.OS{}
-	}
-	return openReadAt(fsys, dir, off)
-}
-
 // OpenReadAt is OpenRead positioned at event offset off: the fixed-width
 // records make the seek arithmetic, so skipping an already-consumed
 // prefix (a resumed client re-reading its own journal) costs no decoding.
 func OpenReadAt(dir string, off uint64) (*Reader, error) {
-	return openReadAt(fault.OS{}, dir, off)
-}
-
-func openReadAt(fsys fault.FS, dir string, off uint64) (*Reader, error) {
+	fsys := fault.OS{}
 	metas, _, err := recoverDir(fsys, dir)
 	if err != nil {
 		return nil, err
@@ -144,7 +131,6 @@ func (r *Reader) Next() (trace.Event, error) {
 		}
 	}
 	r.pos++
-	r.read++
 	return r.buf[r.pos-1], nil
 }
 
@@ -160,7 +146,6 @@ func (r *Reader) ReadBatch(dst []trace.Event) (int, error) {
 			return 0, err
 		}
 	}
-	r.read += uint64(n)
 	return n, nil
 }
 
@@ -207,13 +192,6 @@ func (r *Reader) fill(dst []trace.Event) (int, error) {
 	}
 	return n, nil
 }
-
-// Events returns the number of events the reader has produced so far.
-func (r *Reader) Events() uint64 { return r.read }
-
-// Summary returns the aggregate summary of the reader's snapshot (the
-// whole log, regardless of the starting offset).
-func (r *Reader) Summary() Summary { return r.sum }
 
 // Close releases the reader's file handle. Reading past io.EOF already
 // closes it; Close is for abandoning a reader mid-stream.

@@ -209,7 +209,7 @@ func TestTornTailRecovery(t *testing.T) {
 			}
 
 			// The recovered log must accept appends and close cleanly.
-			if err := l2.Append(trace.Event{T: 1, Op: trace.OpWrite, Targ: 9}); err != nil {
+			if err := l2.AppendBatch([]trace.Event{{T: 1, Op: trace.OpWrite, Targ: 9}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := l2.Close(); err != nil {

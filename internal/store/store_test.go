@@ -65,12 +65,11 @@ func TestRoundTripAcrossRotation(t *testing.T) {
 	if got := l.Events(); got != 1000 {
 		t.Fatalf("Events() = %d, want 1000", got)
 	}
-	segs := l.Segments()
-	if len(segs) != 8 { // 7 sealed × 128 + active 104
-		t.Fatalf("got %d segments, want 8: %+v", len(segs), segs)
+	if len(l.sealed) != 7 || l.active.count != 104 { // 7 sealed × 128 + active 104
+		t.Fatalf("got %d sealed segments and %d active events, want 7 and 104", len(l.sealed), l.active.count)
 	}
-	for i, s := range segs[:7] {
-		if !s.Sealed || s.Events != 128 || s.First != uint64(i)*128 {
+	for i, s := range l.sealed {
+		if !s.sealed || s.count != 128 || s.first != uint64(i)*128 {
 			t.Fatalf("segment %d bad: %+v", i, s)
 		}
 	}
@@ -140,7 +139,7 @@ func TestReopenAppendAfterCrash(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Synced(); got != 200 {
+	if got := l.synced; got != 200 {
 		t.Fatalf("Synced() = %d, want 200", got)
 	}
 	// Simulate a crash: the log is abandoned without Close, so the active
@@ -201,7 +200,7 @@ func TestReopenAfterCleanClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	eventsEqual(t, drain(t, r), evs)
-	if got := r.Summary().Events; got != 100 {
+	if got := r.sum.Events; got != 100 {
 		t.Fatalf("summary events %d, want 100", got)
 	}
 }

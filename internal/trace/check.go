@@ -156,9 +156,6 @@ const (
 // NewChecker returns a checker with no events observed.
 func NewChecker() *Checker { return &Checker{} }
 
-// Checked returns the number of events stepped so far.
-func (c *Checker) Checked() int { return c.n }
-
 // fail builds the error for the event being stepped.
 func (c *Checker) fail(e Event, f string, args ...any) error {
 	return &CheckError{Index: c.n, Event: e, Msg: fmt.Sprintf(f, args...)}

@@ -111,13 +111,7 @@ func diffStream(t *testing.T, name string, evs []trace.Event) int {
 		if g.Index != i {
 			t.Fatalf("%s: CheckError.Index = %d at stream index %d", name, g.Index, i)
 		}
-		if got.Checked() != i {
-			t.Fatalf("%s: Checked = %d after rejecting event %d", name, got.Checked(), i)
-		}
 		return i
-	}
-	if got.Checked() != len(evs) {
-		t.Fatalf("%s: Checked = %d, want %d", name, got.Checked(), len(evs))
 	}
 	return -1
 }

@@ -21,8 +21,8 @@ func TestCheckerAcceptsWellFormedStream(t *testing.T) {
 			t.Fatalf("event %d (%v): %v", i, e, err)
 		}
 	}
-	if c.Checked() != tr.Len() {
-		t.Errorf("Checked = %d, want %d", c.Checked(), tr.Len())
+	if c.n != tr.Len() {
+		t.Errorf("Checked = %d, want %d", c.n, tr.Len())
 	}
 }
 

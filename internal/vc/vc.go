@@ -116,17 +116,6 @@ func (v *VC) Join(o *VC) {
 	}
 }
 
-// JoinEpoch joins a single epoch into v: v(t) = max(v(t), c) for e = c@t.
-func (v *VC) JoinEpoch(e Epoch) {
-	if e == None {
-		return
-	}
-	t, c := e.Tid(), e.Clock()
-	if c > v.Get(t) {
-		v.Set(t, c)
-	}
-}
-
 // Leq reports v ⊑ o: pointwise ≤.
 func (v *VC) Leq(o *VC) bool {
 	for i, c := range v.c {

@@ -97,23 +97,6 @@ func TestJoinGrows(t *testing.T) {
 	}
 }
 
-func TestJoinEpoch(t *testing.T) {
-	v := New(2)
-	v.Set(1, 5)
-	v.JoinEpoch(E(1, 3))
-	if v.Get(1) != 5 {
-		t.Error("smaller epoch must not lower clock")
-	}
-	v.JoinEpoch(E(1, 8))
-	if v.Get(1) != 8 {
-		t.Error("larger epoch must raise clock")
-	}
-	v.JoinEpoch(None)
-	if v.Get(0) != 0 {
-		t.Error("⊥ join must be identity")
-	}
-}
-
 func TestLeq(t *testing.T) {
 	a, b := New(2), New(2)
 	a.Set(0, 1)

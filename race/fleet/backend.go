@@ -98,16 +98,16 @@ type Backend interface {
 // Session is one streaming session held open through a backend. Events
 // travel as bytes: FeedRecords takes the body of one Events frame — whole,
 // valid event records, which the router has already checked — and must not
-// keep recs after it returns. SetFlushContext hands the next Flush a trace
-// parent (the router's flush span, or the client's passed through) for the
-// backend's barrier spans. Close returns the backend's canonical report
-// JSON verbatim, so a report is byte-identical whether the session stayed
-// put or migrated. Release drops the attachment without ending the session
+// keep recs after it returns. Flush is the sync barrier, returning the
+// offset the backend acknowledges; parent (the router's flush span, or the
+// client's passed through; zero for none) is what the backend's barrier
+// spans hang under. Close returns the backend's canonical report JSON
+// verbatim, so a report is byte-identical whether the session stayed put or
+// migrated. Release drops the attachment without ending the session
 // (durable sessions stay resumable).
 type Session interface {
 	FeedRecords(recs []byte) error
-	SetFlushContext(sc tracing.SpanContext)
-	Flush() (uint64, error)
+	Flush(parent tracing.SpanContext) (uint64, error)
 	Close() ([]byte, error)
 	Release()
 }

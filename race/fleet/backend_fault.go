@@ -4,11 +4,14 @@ import (
 	"context"
 	"net/http"
 
+	"repro/internal/obs/tracing"
 	"repro/race/server"
 )
 
 // FaultBackend decorates a Backend with an injected availability gate — the
-// fleet-level fault seam. Every operation (and every session operation on
+// one fleet-level fault seam: router→backend network faults are injected
+// here (a fault.Gate driving the gate), not inside a backend's dialer, so
+// Local and Remote fail the same way. Every operation (and every session operation on
 // sessions it vended) first consults gate(op) and fails with the gate's
 // error when non-nil, so a deterministic schedule (fault.Gate driving the
 // gate) produces backend flapping and partial partitions without touching
@@ -105,11 +108,11 @@ func (s *faultSession) FeedRecords(recs []byte) error {
 	return s.Session.FeedRecords(recs)
 }
 
-func (s *faultSession) Flush() (uint64, error) {
+func (s *faultSession) Flush(parent tracing.SpanContext) (uint64, error) {
 	if err := s.gate("flush"); err != nil {
 		return 0, err
 	}
-	return s.Session.Flush()
+	return s.Session.Flush(parent)
 }
 
 func (s *faultSession) Close() ([]byte, error) {

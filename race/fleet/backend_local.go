@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sync/atomic"
 
-	"repro/internal/obs/tracing"
 	"repro/race/server"
 )
 
@@ -76,7 +75,7 @@ func (b *inProcess) attach(ctx context.Context, hello *server.HelloPayload) (Ses
 	if err != nil {
 		return nil, 0, err
 	}
-	return &localSession{att: att}, ack.Fed, nil
+	return localSession{att}, ack.Fed, nil
 }
 
 func (b *inProcess) Suspend(_ context.Context, id string) (uint64, error) {
@@ -84,7 +83,7 @@ func (b *inProcess) Suspend(_ context.Context, id string) (uint64, error) {
 }
 
 func (b *inProcess) RecoverSession(ctx context.Context, id string) error {
-	return b.srv.RecoverSessionCtx(ctx, id)
+	return b.srv.RecoverSession(ctx, id)
 }
 
 func (b *inProcess) Drain(context.Context) error {
@@ -98,26 +97,10 @@ func (b *inProcess) Sessions(context.Context) ([]server.SessionStatus, error) {
 
 func (b *inProcess) Proxy(w http.ResponseWriter, r *http.Request) { b.handler.ServeHTTP(w, r) }
 
-// localSession drives the server's session through its attachment, as the
-// server's own connection loop does.
-type localSession struct {
-	att     server.Attachment
-	flushSC tracing.SpanContext // next Flush's trace parent (SetFlushContext)
-}
-
-// SetFlushContext parents the next Flush's server-side spans under sc.
-func (s *localSession) SetFlushContext(sc tracing.SpanContext) { s.flushSC = sc }
-
-func (s *localSession) FeedRecords(recs []byte) error { return s.att.FeedRecords(recs) }
-
-func (s *localSession) Flush() (uint64, error) {
-	sc := s.flushSC
-	s.flushSC = tracing.SpanContext{}
-	return s.att.Flush(sc)
-}
-
-func (s *localSession) Close() ([]byte, error) { return s.att.Close() }
+// localSession is the server's own attachment — FeedRecords, Flush and
+// Close are the methods its connection loop calls — plus Release.
+type localSession struct{ server.Attachment }
 
 // Release is a connection to the server going away: a durable session stays
 // resumable at its enqueued offset, a memory-only one frees its slot.
-func (s *localSession) Release() { s.att.Drop(server.ErrConnLost) }
+func (s localSession) Release() { s.Drop(server.ErrConnLost) }

@@ -3,10 +3,8 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
@@ -14,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/obs/tracing"
-	"repro/internal/wire"
 	"repro/race/server"
 )
 
@@ -23,14 +20,12 @@ import (
 // httpAddr. DataDir is the backend's -data-dir as visible to the router
 // (shared filesystem), which is what migration copies between.
 type Remote struct {
-	name     string
-	tcpAddr  string
-	httpAddr string
-	dataDir  string
-	base     *url.URL
-	hc       *http.Client
-	proxy    *httputil.ReverseProxy
-	wrapConn func(net.Conn) net.Conn
+	name    string
+	tcpAddr string
+	dataDir string
+	base    *url.URL
+	hc      *http.Client
+	proxy   *httputil.ReverseProxy
 }
 
 // NewRemote builds a remote backend. httpAddr is a host:port or URL;
@@ -49,48 +44,26 @@ func NewRemote(name, tcpAddr, httpAddr, dataDir string) (*Remote, error) {
 		http.Error(w, fmt.Sprintf("fleet: backend %s: %v", name, err), http.StatusBadGateway)
 	}
 	return &Remote{
-		name:     name,
-		tcpAddr:  tcpAddr,
-		httpAddr: httpAddr,
-		dataDir:  dataDir,
-		base:     base,
-		hc:       &http.Client{Timeout: 30 * time.Second},
-		proxy:    proxy,
+		name:    name,
+		tcpAddr: tcpAddr,
+		dataDir: dataDir,
+		base:    base,
+		hc:      &http.Client{Timeout: 30 * time.Second},
+		proxy:   proxy,
 	}, nil
 }
 
 func (b *Remote) Name() string    { return b.name }
 func (b *Remote) DataDir() string { return b.dataDir }
 
-// TCPAddr returns the backend's wire-protocol address.
-func (b *Remote) TCPAddr() string { return b.tcpAddr }
-
-// SetConnWrapper installs a wrapper applied to every wire connection the
-// backend dials — the router→backend network fault-injection seam
-// (fault.WrapConn). Set it before handing the backend to a Router.
-func (b *Remote) SetConnWrapper(f func(net.Conn) net.Conn) { b.wrapConn = f }
-
-// dial opens a wire-protocol connection to the backend, applying the
-// fault-injection wrapper when one is installed.
-func (b *Remote) dial(ctx context.Context) (*server.Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", b.tcpAddr)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: backend %s: dialing: %w", b.name, err)
-	}
-	if b.wrapConn != nil {
-		conn = b.wrapConn(conn)
-	}
-	return server.NewClient(conn), nil
-}
-
-// post issues a bodyless POST to path and decodes a JSON response into out
-// (when non-nil). A non-2xx response becomes a typed error: the backend's
-// X-Raced-Error-Code header (when present) is rebuilt into the matching
-// sentinel chain, so errors.Is classifies identically to the wire path;
-// the body text rides along for humans.
-func (b *Remote) post(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base.JoinPath(path).String(), nil)
+// call issues a bodyless request to path and decodes a JSON response into
+// out (when non-nil; a failing answer's too, if it is a document). A non-2xx
+// response becomes a typed error: the backend's X-Raced-Error-Code header
+// (when present) is rebuilt into the matching sentinel chain, so errors.Is
+// classifies identically to the wire path; the body text rides along for
+// humans.
+func (b *Remote) call(ctx context.Context, method, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, b.base.JoinPath(path).String(), nil)
 	if err != nil {
 		return err
 	}
@@ -104,66 +77,55 @@ func (b *Remote) post(ctx context.Context, path string, out any) error {
 		return fmt.Errorf("fleet: backend %s: %w", b.name, err)
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode/100 != 2 {
-		msg := fmt.Sprintf("fleet: backend %s: %s: %s", b.name, resp.Status, strings.TrimSpace(string(body)))
-		if code := wire.ErrCode(resp.Header.Get(wire.ErrorCodeHeader)); code != "" {
-			return server.RemoteFault(code, msg)
-		}
-		return errors.New(msg)
-	}
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	var bad error
 	if out != nil {
-		return json.Unmarshal(body, out)
+		bad = json.Unmarshal(body, out)
+	}
+	if resp.StatusCode/100 != 2 {
+		return answerErr(b.name, resp.StatusCode, resp.Header, strings.TrimSpace(string(body)))
+	}
+	if bad != nil {
+		return fmt.Errorf("fleet: backend %s: bad %s response: %w", b.name, path, bad)
 	}
 	return nil
 }
 
 func (b *Remote) Healthz(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base.JoinPath("/healthz").String(), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := b.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("fleet: backend %s: %w", b.name, err)
-	}
-	defer resp.Body.Close()
 	var st struct {
 		OK       bool `json:"ok"`
 		Draining bool `json:"draining"`
 	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	if err := json.Unmarshal(body, &st); err != nil {
-		return fmt.Errorf("fleet: backend %s: bad healthz response (%s): %w", b.name, resp.Status, err)
-	}
-	if st.Draining {
+	err := b.call(ctx, http.MethodGet, "/healthz", &st) // a 503 still carries the document
+	switch {
+	case st.Draining:
 		return ErrBackendDraining
+	case err == nil && !st.OK:
+		return fmt.Errorf("fleet: backend %s: not ready", b.name)
 	}
-	if !st.OK || resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet: backend %s: not ready: %s", b.name, strings.TrimSpace(string(body)))
-	}
-	return nil
+	return err
 }
 
 func (b *Remote) Open(ctx context.Context, id string, cfg server.SessionConfig) (Session, error) {
-	c, err := b.dial(ctx)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := c.OpenID(ctx, id, cfg)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	return &remoteSession{c: c, sess: sess}, nil
+	sess, _, err := b.attach(ctx, func(c *server.Client) (*server.RemoteSession, uint64, error) {
+		sess, err := c.OpenID(ctx, id, cfg)
+		return sess, 0, err
+	})
+	return sess, err
 }
 
 func (b *Remote) Resume(ctx context.Context, id string) (Session, uint64, error) {
-	c, err := b.dial(ctx)
+	return b.attach(ctx, func(c *server.Client) (*server.RemoteSession, uint64, error) { return c.Resume(ctx, id) })
+}
+
+// attach dials the backend's wire port and runs the handshake that opens or
+// resumes the session the connection will carry.
+func (b *Remote) attach(ctx context.Context, handshake func(*server.Client) (*server.RemoteSession, uint64, error)) (Session, uint64, error) {
+	c, err := server.DialContext(ctx, b.tcpAddr)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("fleet: backend %s: %w", b.name, err)
 	}
-	sess, fed, err := c.Resume(ctx, id)
+	sess, fed, err := handshake(c)
 	if err != nil {
 		c.Close()
 		return nil, 0, err
@@ -175,40 +137,26 @@ func (b *Remote) Suspend(ctx context.Context, id string) (uint64, error) {
 	var resp struct {
 		Fed uint64 `json:"fed"`
 	}
-	if err := b.post(ctx, "/admin/sessions/"+url.PathEscape(id)+"/suspend", &resp); err != nil {
+	if err := b.call(ctx, http.MethodPost, "/admin/sessions/"+url.PathEscape(id)+"/suspend", &resp); err != nil {
 		return 0, err
 	}
 	return resp.Fed, nil
 }
 
 func (b *Remote) RecoverSession(ctx context.Context, id string) error {
-	return b.post(ctx, "/admin/sessions/"+url.PathEscape(id)+"/recover", nil)
+	return b.call(ctx, http.MethodPost, "/admin/sessions/"+url.PathEscape(id)+"/recover", nil)
 }
 
 func (b *Remote) Drain(ctx context.Context) error {
-	return b.post(ctx, "/admin/drain", nil)
+	return b.call(ctx, http.MethodPost, "/admin/drain", nil)
 }
 
 func (b *Remote) Sessions(ctx context.Context) ([]server.SessionStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base.JoinPath("/sessions").String(), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := b.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: backend %s: %w", b.name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: backend %s: listing sessions: %s", b.name, resp.Status)
-	}
 	var doc struct {
 		Sessions []server.SessionStatus `json:"sessions"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, err
-	}
-	return doc.Sessions, nil
+	err := b.call(ctx, http.MethodGet, "/sessions", &doc)
+	return doc.Sessions, err
 }
 
 func (b *Remote) Proxy(w http.ResponseWriter, r *http.Request) {
@@ -221,13 +169,12 @@ type remoteSession struct {
 	sess *server.RemoteSession
 }
 
-// SetFlushContext hands the router's flush span to the backend via the
-// next Flush frame's optional trace payload.
-func (s *remoteSession) SetFlushContext(sc tracing.SpanContext) { s.sess.SetFlushContext(sc) }
-
 func (s *remoteSession) FeedRecords(recs []byte) error { return s.sess.FeedRecords(recs) }
 
-func (s *remoteSession) Flush() (uint64, error) {
+// Flush hands parent to the backend in the Flush frame's optional trace
+// payload.
+func (s *remoteSession) Flush(parent tracing.SpanContext) (uint64, error) {
+	s.sess.SetFlushContext(parent)
 	if err := s.sess.Flush(); err != nil {
 		return 0, err
 	}

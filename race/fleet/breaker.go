@@ -97,26 +97,17 @@ func (b *breaker) record(err error) (opened bool) {
 // breakerAllow reports whether name's circuit admits a call, counting the
 // refusals it short-circuits.
 func (rt *Router) breakerAllow(name string) bool {
-	br := rt.breakers[name]
-	if br == nil || br.allow() {
+	if rt.breakers[name].allow() {
 		return true
 	}
-	if c, ok := rt.metrics.breakerShorts[name]; ok {
-		c.Inc()
-	}
+	rt.metrics.breakerShorts[name].Inc()
 	return false
 }
 
 // breakerRecord folds one backend RPC outcome into name's circuit.
 func (rt *Router) breakerRecord(name string, err error) {
-	br := rt.breakers[name]
-	if br == nil {
-		return
-	}
-	if br.record(err) {
-		if c, ok := rt.metrics.breakerOpens[name]; ok {
-			c.Inc()
-		}
+	if rt.breakers[name].record(err) {
+		rt.metrics.breakerOpens[name].Inc()
 		rt.logger.Warn("backend circuit opened", "backend", name, "err", err)
 	}
 }

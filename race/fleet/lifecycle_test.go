@@ -5,16 +5,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"io/fs"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs/tracing"
 	"repro/internal/trace"
 	"repro/internal/wire"
+	"repro/internal/workload"
 	"repro/race/server"
 )
 
@@ -54,7 +61,7 @@ func TestSessionLifecycleSameBehindEitherDoor(t *testing.T) {
 					t.Fatal(err)
 				}
 				if flush {
-					if _, err := sess.Flush(); err != nil {
+					if _, err := sess.Flush(tracing.SpanContext{}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -183,7 +190,7 @@ func TestLocalFeedDoesNotAllocate(t *testing.T) {
 	// same-epoch fast path and allocates nothing either.
 	frame := wire.AppendEvents(nil, make([]trace.Event, 2048))
 	flush := func() {
-		if _, err := sess.Flush(); err != nil {
+		if _, err := sess.Flush(tracing.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,4 +249,429 @@ func TestNoWholePayloadCodecCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// httpDo issues one request against a handler under test and returns the
+// status, the X-Raced-Error-Code header and the body.
+func httpDo(t *testing.T, base, method, path string, body io.Reader) (int, wire.ErrCode, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, base+path, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	doc, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, wire.ErrCode(resp.Header.Get(wire.ErrorCodeHeader)), doc
+}
+
+// TestSessionDrivenOverHTTPMatchesWire: the HTTP session routes are a driver
+// of the same door a wire connection comes in by. Through raced's handler
+// and through the router's, a session fed by chunked uploads reports the
+// bytes a wire-fed one (and batch Analyze) does; whichever front end holds
+// the claim, the other is told busy; and a memory-only session, which a
+// vanished wire driver would end, is still there for the next request.
+func TestSessionDrivenOverHTTPMatchesWire(t *testing.T) {
+	names := []string{"ST-WDC", "FTO-HB", "Unopt-DC w/G"}
+	p, _ := workload.ProgramByName("avrora")
+	tr := p.Generate(100000, 9)
+	want := batchReport(t, tr, names)
+	cfgDoc, _ := json.Marshal(server.SessionConfig{Analyses: names})
+
+	fronts := map[string]func(t *testing.T, srv *server.Server) (api http.Handler, serveTCP func(net.Listener) error){
+		"raced": func(t *testing.T, srv *server.Server) (http.Handler, func(net.Listener) error) {
+			return srv.Handler(), srv.ServeTCP
+		},
+		"racefleet": func(t *testing.T, srv *server.Server) (http.Handler, func(net.Listener) error) {
+			rt, err := New([]Backend{NewLocal("only", srv)}, Options{ProbeInterval: 50 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(rt.Close)
+			return rt.Handler(), rt.ServeTCP
+		},
+	}
+	for name, start := range fronts {
+		t.Run(name, func(t *testing.T) {
+			srv := server.New(server.Config{IdleTimeout: -1}) // memory-only
+			t.Cleanup(func() { srv.Close() })
+			api, serveTCP := start(t, srv)
+			ts := httptest.NewServer(api)
+			t.Cleanup(ts.Close)
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { lis.Close() })
+			go serveTCP(lis)
+
+			// The wire-driven twin.
+			c, err := server.Dial(lis.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			wsess, err := c.Open(server.SessionConfig{Analyses: names})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wsess.FeedBatch(tr.Events[:len(tr.Events)/2]); err != nil {
+				t.Fatal(err)
+			}
+			if err := wsess.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			status, _, doc := httpDo(t, ts.URL, "POST", "/sessions", bytes.NewReader(cfgDoc))
+			var opened struct{ Session string }
+			if err := json.Unmarshal(doc, &opened); status != http.StatusCreated || err != nil {
+				t.Fatalf("POST /sessions: %d %s", status, doc)
+			}
+			id := opened.Session
+			events := "/sessions/" + id + "/events"
+
+			// Three uploads; between requests nobody holds the session, and it
+			// must still be there (a wire driver going away would have ended it).
+			third := len(tr.Events) / 3
+			for i, part := range [][]trace.Event{tr.Events[:third], tr.Events[third : 2*third], tr.Events[2*third:]} {
+				if status, _, doc := httpDo(t, ts.URL, "POST", events, bytes.NewReader(wire.AppendEvents(nil, part))); status != http.StatusOK {
+					t.Fatalf("upload %d: %d %s", i, status, doc)
+				}
+				if _, ok := srv.Session(id); !ok {
+					t.Fatalf("memory-only session gone after upload %d", i)
+				}
+				if i == 0 {
+					// The wire connection holds its claim: HTTP is told busy.
+					for _, path := range []string{"/events", "/flush", "/close"} {
+						status, code, doc := httpDo(t, ts.URL, "POST", "/sessions/"+wsess.ID()+path, nil)
+						if status != http.StatusConflict || code != wire.CodeBusy {
+							t.Fatalf("POST %s on a wire-held session: %d [%s] %s, want 409 [busy]", path, status, code, doc)
+						}
+					}
+					// And the other way: while an upload is in flight, a wire
+					// resume of the same session is told busy.
+					pr, pw := io.Pipe()
+					defer pw.Close()
+					done := make(chan int, 1)
+					go func() {
+						status, _, _ := httpDo(t, ts.URL, "POST", events, pr)
+						done <- status
+					}()
+					pw.Write(wire.AppendEvents(nil, part[:1])[:4]) // the upload has begun, mid-record
+					// Until it holds the claim, which a second request finds out
+					// harmlessly (a wire resume that won the race would, on going
+					// away, end this memory-only session).
+					waitFor(t, func() bool {
+						status, _, _ := httpDo(t, ts.URL, "POST", "/sessions/"+id+"/flush", nil)
+						return status == http.StatusConflict
+					})
+					c2, err := server.Dial(lis.Addr().String())
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer c2.Close()
+					if _, _, err := c2.Resume(context.Background(), id); server.Classify(err).Code != wire.CodeBusy {
+						t.Fatalf("wire resume during an HTTP upload answered %v, want busy", err)
+					}
+					pw.Close() // end it there: four bytes are no record
+					if status := <-done; status != http.StatusBadRequest {
+						t.Fatalf("upload cut inside a record answered %d, want 400", status)
+					}
+				}
+			}
+			if status, _, doc := httpDo(t, ts.URL, "POST", "/sessions/"+id+"/flush", nil); status != http.StatusOK {
+				t.Fatalf("flush: %d %s", status, doc)
+			}
+			status, _, got := httpDo(t, ts.URL, "POST", "/sessions/"+id+"/close", nil)
+			if status != http.StatusOK || !bytes.Equal(got, want) {
+				t.Errorf("HTTP-driven report (%d) differs from batch Analyze\n--- http ---\n%s\n--- batch ---\n%s", status, got, want)
+			}
+
+			if err := wsess.FeedBatch(tr.Events[len(tr.Events)/2:]); err != nil {
+				t.Fatal(err)
+			}
+			if wgot, err := wsess.CloseJSON(); err != nil || !bytes.Equal(wgot, want) {
+				t.Errorf("wire-driven report differs from batch Analyze (err %v)", err)
+			}
+
+			// One-shot ingest is the same door once more.
+			var file bytes.Buffer
+			if err := trace.WriteBinary(&file, tr); err != nil {
+				t.Fatal(err)
+			}
+			status, _, got = httpDo(t, ts.URL, "POST", "/ingest?analysis="+url.QueryEscape(strings.Join(names, ",")), &file)
+			if status != http.StatusOK || !bytes.Equal(got, want) {
+				t.Errorf("POST /ingest report (%d) differs from batch Analyze", status)
+			}
+		})
+	}
+}
+
+// fleetOf boots durable local backends, each admitting max sessions, behind
+// a router whose HTTP API and wire listener are both up.
+func fleetOf(t *testing.T, n, max int, opts Options) (rt *Router, locals []*Local, api, wireAddr string) {
+	t.Helper()
+	var backends []Backend
+	for i := 0; i < n; i++ {
+		srv := server.New(server.Config{DataDir: t.TempDir(), IdleTimeout: -1, MaxSessions: max})
+		t.Cleanup(func() { srv.Close() })
+		locals = append(locals, NewLocal(string(rune('a'+i))+"-backend", srv))
+		backends = append(backends, locals[i])
+	}
+	if opts.ProbeInterval == 0 {
+		opts.ProbeInterval = time.Hour // health changes only when a test says so
+	}
+	rt, err := New(backends, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go rt.ServeTCP(lis)
+	return rt, locals, ts.URL, lis.Addr().String()
+}
+
+// idsOwnedBy mints fleet ids whose first ring arc is the named backend.
+func idsOwnedBy(rt *Router, name string) func() string {
+	n := 0
+	return func() string {
+		for {
+			n++
+			if id := fmt.Sprintf("fowned%06d", n); rt.ring.sequence(id)[0] == name {
+				return id
+			}
+		}
+	}
+}
+
+// TestHTTPOpensArePlacedLikeWireOpens: POST /sessions and POST /ingest walk
+// the ring the way a wire open does. With the id's first arc full, and then
+// draining without the prober having noticed, all three land on the next
+// arc; with every arc refusing, both front ends answer the same condition.
+func TestHTTPOpensArePlacedLikeWireOpens(t *testing.T) {
+	p, _ := workload.ProgramByName("avrora")
+	tr := p.Generate(400000, 2) // small: the trace file fits the replay window
+	var file bytes.Buffer
+	if err := trace.WriteBinary(&file, tr); err != nil {
+		t.Fatal(err)
+	}
+	want := batchReport(t, tr, []string{"ST-WDC"})
+
+	refusals := map[string]func(t *testing.T, first *Local){
+		"full": func(t *testing.T, first *Local) {
+			if _, err := first.Server().OpenSession(server.SessionConfig{}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"draining": func(t *testing.T, first *Local) { first.Server().Drain() },
+	}
+	for name, refuse := range refusals {
+		t.Run(name, func(t *testing.T) {
+			var mint func() string
+			rt, locals, api, wireAddr := fleetOf(t, 2, 1, Options{NewSessionID: func() string { return mint() }})
+			first, second := locals[0], locals[1]
+			mint = idsOwnedBy(rt, first.Name())
+			refuse(t, first)
+			landed := func(how, id string) {
+				t.Helper()
+				sess, ok := second.Server().Session(id)
+				if !ok {
+					t.Fatalf("%s: session %s is not on %s, the arc after the refusing one", how, id, second.Name())
+				}
+				sess.Close() // second admits one session at a time too
+			}
+
+			c, err := server.Dial(wireAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			wsess, err := c.Open(server.SessionConfig{})
+			if err != nil {
+				t.Fatalf("wire open with the first arc %s: %v", name, err)
+			}
+			landed("wire open", wsess.ID())
+
+			status, code, doc := httpDo(t, api, "POST", "/sessions", strings.NewReader(`{"analyses":["ST-WDC"]}`))
+			var opened struct{ Session string }
+			if err := json.Unmarshal(doc, &opened); status != http.StatusCreated || err != nil {
+				t.Fatalf("POST /sessions with the first arc %s: %d [%s] %s, want 201 from %s", name, status, code, doc, second.Name())
+			}
+			landed("POST /sessions", opened.Session)
+			if chosen := mint(); true {
+				status, _, doc := httpDo(t, api, "POST", "/sessions?id="+chosen, nil)
+				if status != http.StatusCreated {
+					t.Fatalf("POST /sessions?id=%s: %d %s", chosen, status, doc)
+				}
+				landed("POST /sessions?id=", chosen)
+			}
+
+			status, code, got := httpDo(t, api, "POST", "/ingest?analysis=ST-WDC", bytes.NewReader(file.Bytes()))
+			if status != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("POST /ingest with the first arc %s: %d [%s] %s", name, status, code, got)
+			}
+
+			// Nobody left to take it: the same row of the table from both.
+			if _, err := second.Server().OpenSession(server.SessionConfig{}); err != nil {
+				t.Fatal(err)
+			}
+			c2, err := server.Dial(wireAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			_, werr := c2.Open(server.SessionConfig{})
+			status, code, doc = httpDo(t, api, "POST", "/sessions", nil)
+			cond := server.Classify(werr)
+			if werr == nil || status != cond.Status || code != cond.WireCode() || cond.Code != wire.CodeFull {
+				t.Fatalf("every arc refusing: wire says %v, HTTP %d [%s] %s; want one condition, full, from both", werr, status, code, doc)
+			}
+		})
+	}
+}
+
+// TestBroughtHomeByResumeOrByMigrate: a client's resume and an operator's
+// POST /admin/sessions/{id}/migrate run one homecoming. From each state a
+// session can be stranded in — live on a draining backend, sealed in the
+// directory of a dead one, sealed under the very backend it belongs on —
+// both ways end with the same report, the same fleet_migrations_* and
+// fleet_resumes_routed_total deltas, and both leave the session alone when
+// the home's circuit is open.
+func TestBroughtHomeByResumeOrByMigrate(t *testing.T) {
+	names := []string{"ST-WDC", "FTO-HB"}
+	tr := workload.Channels(workload.ChannelConfig{
+		Seed: 13, Threads: 5, Chans: 3, MaxCap: 2, Locks: 2, Vars: 5, Events: 3000,
+	})
+	want := batchReport(t, tr, names)
+	mid := len(tr.Events) / 2
+
+	// strand leaves the session off the backend a resume may land on and
+	// returns that backend, its home-to-be.
+	states := map[string]func(t *testing.T, rt *Router, holder, other *Local, id string) (home *Local){
+		"live on a draining backend": func(t *testing.T, rt *Router, holder, other *Local, id string) *Local {
+			holder.Server().Drain()
+			rt.health.observe(holder.Name(), ErrBackendDraining)
+			return other
+		},
+		"sealed on a dead backend": func(t *testing.T, rt *Router, holder, other *Local, id string) *Local {
+			holder.Kill()
+			return other
+		},
+		"sealed under its own home": func(t *testing.T, rt *Router, holder, other *Local, id string) *Local {
+			if _, err := holder.Server().SuspendSession(id); err != nil {
+				t.Fatal(err)
+			}
+			rt.health.observe(other.Name(), ErrBackendDraining) // a resume may land on holder alone
+			return holder
+		},
+	}
+	type counts struct{ started, completed, failed, resumes uint64 }
+	read := func(rt *Router) (c counts) {
+		c = counts{rt.metrics.migStarted.Value(), rt.metrics.migCompleted.Value(), rt.metrics.migFailed.Value(), 0}
+		for _, r := range rt.metrics.resumesRouted {
+			c.resumes += r.Value()
+		}
+		return c
+	}
+	// run strands a fresh session, brings it home one way, finishes the
+	// stream and returns what the router counted.
+	run := func(t *testing.T, state string, byAdmin, circuitOpen bool) counts {
+		rt, locals, api, wireAddr := fleetOf(t, 2, 0, Options{})
+		c, err := server.Dial(wireAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := c.Open(server.SessionConfig{Analyses: names})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := sess.ID()
+		if err := sess.FeedBatch(tr.Events[:mid]); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close() // the durable session stays resumable
+		holder, other := holderOf(t, locals, id)
+		waitFor(t, func() bool { // until the backend has reaped the dropped connection
+			att, _, err := holder.Server().Attach(context.Background(), &server.HelloPayload{Resume: id})
+			if err == nil {
+				att.Drop(server.ErrConnLost)
+			}
+			return err == nil
+		})
+		home := states[state](t, rt, holder, other, id)
+		before := read(rt)
+		if circuitOpen {
+			for i := 0; i < DefaultBreakerThreshold; i++ {
+				rt.breakerRecord(home.Name(), ErrBackendDown)
+			}
+		}
+
+		var homeErr error
+		if byAdmin {
+			status, _, doc := httpDo(t, api, "POST", "/admin/sessions/"+id+"/migrate?to="+home.Name(), nil)
+			if status != http.StatusOK {
+				homeErr = fmt.Errorf("%d %s", status, doc)
+			}
+		}
+		var resumed *server.RemoteSession
+		var fed uint64
+		c2, err := server.Dial(wireAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c2.Close()
+		if homeErr == nil {
+			resumed, fed, homeErr = c2.Resume(context.Background(), id)
+		}
+		if circuitOpen {
+			if homeErr == nil {
+				t.Fatalf("brought home to %s through its open circuit", home.Name())
+			}
+			if _, moved := home.Server().Session(id); moved && home != holder {
+				t.Fatalf("refused (%v), yet the session moved to %s", homeErr, home.Name())
+			}
+			return read(rt)
+		}
+		if homeErr != nil {
+			t.Fatal(homeErr)
+		}
+		if _, ok := home.Server().Session(id); !ok {
+			t.Fatalf("session %s is not live on its home %s", id, home.Name())
+		}
+		if err := resumed.FeedBatch(tr.Events[fed:]); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := resumed.CloseJSON(); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("report differs from batch Analyze (err %v)", err)
+		}
+		after := read(rt)
+		return counts{after.started - before.started, after.completed - before.completed, after.failed - before.failed, after.resumes - before.resumes}
+	}
+	for state := range states {
+		t.Run(state, func(t *testing.T) {
+			byResume, byAdmin := run(t, state, false, false), run(t, state, true, false)
+			if byResume != byAdmin || byResume != (counts{started: 1, completed: 1, resumes: 1}) {
+				t.Errorf("brought home by resume the router counted %+v, by admin migrate %+v; want one migration and one routed resume from both", byResume, byAdmin)
+			}
+		})
+	}
+	t.Run("open circuit", func(t *testing.T) {
+		run(t, "live on a draining backend", false, true)
+		run(t, "live on a draining backend", true, true)
+	})
 }

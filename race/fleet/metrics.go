@@ -104,8 +104,6 @@ func (m *fleetMetrics) registerBackendUp(reg *obs.Registry, names []string, h *h
 func (m *fleetMetrics) probeHook(name string, rtt time.Duration, err error) {
 	m.probeRTT.ObserveDuration(rtt)
 	if err != nil && !errors.Is(err, ErrBackendDraining) {
-		if c, ok := m.probeFailures[name]; ok {
-			c.Inc()
-		}
+		m.probeFailures[name].Inc()
 	}
 }

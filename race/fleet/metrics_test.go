@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/tracing"
 	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/race/server"
@@ -34,7 +35,7 @@ func TestFleetMetricsExposition(t *testing.T) {
 	if err := sess.FeedRecords(wire.AppendEvents(nil, tr.Events[:512])); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Flush(); err != nil {
+	if _, err := sess.Flush(tracing.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	sess.Release()

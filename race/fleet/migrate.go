@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/obs/tracing"
+	"repro/race/server"
 )
 
 // Migration moves a sealed session directory between backend data dirs:
@@ -62,7 +64,7 @@ func copySessionDir(srcDataDir, dstDataDir, id string) error {
 		os.RemoveAll(staging)
 		return err
 	}
-	return syncDir(filepath.Dir(final))
+	return fault.OS{}.SyncDir(filepath.Dir(final))
 }
 
 func copyTree(src, dst string) error {
@@ -106,18 +108,13 @@ func copyFileSync(src, dst string) error {
 	return out.Close()
 }
 
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 // suspendTimed suspends id on b, observing the seal latency of successful
-// suspends into the migration-suspend histogram.
+// suspends into the migration-suspend histogram and feeding b's circuit
+// breaker (an open circuit refuses the call).
 func (rt *Router) suspendTimed(ctx context.Context, b Backend, id string) (uint64, error) {
+	if !rt.breakerAllow(b.Name()) {
+		return 0, fmt.Errorf("%w: %s", ErrCircuitOpen, b.Name())
+	}
 	ssp := rt.span(ctx, "fleet.migrate.suspend")
 	ssp.SetAttr("session", id)
 	ssp.SetAttr("backend", b.Name())
@@ -136,26 +133,23 @@ func (rt *Router) suspendTimed(ctx context.Context, b Backend, id string) (uint6
 // dead) to dst and recovers it there. The source directory is removed only
 // after the target has recovered the session, so a failure at any step
 // leaves a resumable copy somewhere.
-func (rt *Router) migrate(ctx context.Context, id string, srcDataDir string, dst Backend) error {
+func (rt *Router) migrate(ctx context.Context, id string, srcDataDir string, dst Backend) (err error) {
 	msp := rt.span(ctx, "fleet.migrate")
 	msp.SetAttr("session", id)
 	msp.SetAttr("target", dst.Name())
 	if msp != nil {
 		ctx = tracing.ContextWith(ctx, msp.Context())
 	}
-	defer msp.End()
 	rt.metrics.migStarted.Inc()
-	err := rt.doMigrate(ctx, id, srcDataDir, dst)
-	if err != nil {
-		msp.SetError(err)
-		rt.metrics.migFailed.Inc()
-		return err
-	}
-	rt.metrics.migCompleted.Inc()
-	return nil
-}
-
-func (rt *Router) doMigrate(ctx context.Context, id string, srcDataDir string, dst Backend) error {
+	defer func() {
+		if err != nil {
+			msp.SetError(err)
+			rt.metrics.migFailed.Inc()
+		} else {
+			rt.metrics.migCompleted.Inc()
+		}
+		msp.End()
+	}()
 	if srcDataDir == "" || dst.DataDir() == "" {
 		return fmt.Errorf("fleet: migrating %s: both backends need data dirs", id)
 	}
@@ -180,7 +174,9 @@ func (rt *Router) doMigrate(ctx context.Context, id string, srcDataDir string, d
 		rctx = tracing.ContextWith(ctx, rsp.Context())
 	}
 	t1 := time.Now()
-	if err := dst.RecoverSession(rctx, id); err != nil {
+	err = dst.RecoverSession(rctx, id)
+	rt.breakerRecord(dst.Name(), err)
+	if err != nil {
 		rsp.SetError(err)
 		// Leave both copies; the source dir is still authoritative.
 		if srcDataDir != dst.DataDir() {
@@ -197,59 +193,61 @@ func (rt *Router) doMigrate(ctx context.Context, id string, srcDataDir string, d
 	return nil
 }
 
-// MigrateSession explicitly moves a session to the named backend: suspend
-// it wherever it lives now (if live anywhere), copy + recover on the
-// target. The streaming client, if any, is redirected by its proxy loop
-// and re-resumes onto the migrated session.
+// bring makes target the home of session id, from whatever state the
+// session is in — the one homecoming, for a client's resume and an
+// operator's migrate call alike. It seals the session wherever it is live
+// (a backend answering unknown-session has nothing to seal: the session is
+// sealed already, or was never there), finds its directory, and migrates it:
+// a directory already under target is recovered in place, which counts as a
+// migration with nothing to copy. The caller holds the session's lock.
+func (rt *Router) bring(ctx context.Context, id string, target Backend) error {
+	// The home is asked first: if it cannot be called (down, circuit open),
+	// nothing has been touched yet.
+	order := []string{target.Name()}
+	for _, name := range rt.ring.sequence(id) {
+		if name != target.Name() {
+			order = append(order, name)
+		}
+	}
+	for i, name := range order {
+		if !rt.health.reachable(name) {
+			continue
+		}
+		_, err := rt.suspendTimed(ctx, rt.backends[name], id)
+		if err == nil {
+			break // live in one place at most
+		}
+		switch {
+		case isUnreachable(err):
+			if i == 0 {
+				return err
+			}
+			rt.health.markDown(name) // its directory may still be there to find
+		case isUnknownSession(err):
+		default:
+			return fmt.Errorf("fleet: suspending %s on %s: %w", id, name, err)
+		}
+	}
+	for _, name := range order {
+		if dir := rt.backends[name].DataDir(); hasSessionDir(dir, id) {
+			return rt.migrate(ctx, id, dir, target)
+		}
+	}
+	return fmt.Errorf("%w: %s", server.ErrUnknown, id)
+}
+
+// MigrateSession explicitly moves a session to the named backend. The
+// streaming client, if any, is redirected by its proxy loop and re-resumes
+// onto the migrated session.
 func (rt *Router) MigrateSession(ctx context.Context, id, to string) error {
 	dst, ok := rt.backends[to]
 	if !ok {
 		return fmt.Errorf("fleet: unknown backend %q", to)
 	}
 	if !rt.health.reachable(to) {
-		return fmt.Errorf("fleet: target backend %s is down", to)
+		return fmt.Errorf("%w: target %s", ErrBackendDown, to)
 	}
 	unlock := rt.lockSession(id)
 	defer unlock()
-
-	// Find the live holder by suspending: success identifies the holder
-	// and seals the journal in one step.
-	var srcDataDir string
-	for _, name := range rt.ring.sequence(id) {
-		b := rt.backends[name]
-		if name == to || !rt.health.reachable(name) || b.DataDir() == "" {
-			continue
-		}
-		if _, err := rt.suspendTimed(ctx, b, id); err != nil {
-			if isUnreachable(err) {
-				rt.health.markDown(name)
-			}
-			continue
-		}
-		srcDataDir = b.DataDir()
-		break
-	}
-	if srcDataDir == "" {
-		// Not live anywhere (crashed backend, or already suspended):
-		// fall back to locating the directory on disk.
-		for _, name := range rt.ring.sequence(id) {
-			b := rt.backends[name]
-			if name != to && hasSessionDir(b.DataDir(), id) {
-				srcDataDir = b.DataDir()
-				break
-			}
-		}
-	}
-	if srcDataDir == "" {
-		if hasSessionDir(dst.DataDir(), id) {
-			// Already home: just make sure it's loaded.
-			if sess, _, err := dst.Resume(ctx, id); err == nil {
-				sess.Release()
-				return nil
-			}
-			return dst.RecoverSession(ctx, id)
-		}
-		return fmt.Errorf("fleet: session %s not found on any backend", id)
-	}
-	return rt.migrate(ctx, id, srcDataDir, dst)
+	return rt.bring(ctx, id, dst)
 }

@@ -85,12 +85,3 @@ func (r *ring) sequence(key string) []string {
 	}
 	return out
 }
-
-// owner returns the first backend in key's sequence.
-func (r *ring) owner(key string) string {
-	seq := r.sequence(key)
-	if len(seq) == 0 {
-		return ""
-	}
-	return seq[0]
-}

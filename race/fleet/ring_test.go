@@ -54,7 +54,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 30000
 	for i := 0; i < keys; i++ {
-		counts[r.owner(fmt.Sprintf("f%012x", i*7919))]++
+		counts[r.sequence(fmt.Sprintf("f%012x", i*7919))[0]]++
 	}
 	for _, name := range names {
 		share := float64(counts[name]) / keys
@@ -73,8 +73,8 @@ func TestRingMinimalDisruption(t *testing.T) {
 	moved, kept := 0, 0
 	for i := 0; i < 5000; i++ {
 		key := fmt.Sprintf("f%012x", i*104729)
-		before := full.owner(key)
-		after := without.owner(key)
+		before := full.sequence(key)[0]
+		after := without.sequence(key)[0]
 		if before == "b2" {
 			moved++
 			if after == "b2" {
@@ -89,5 +89,14 @@ func TestRingMinimalDisruption(t *testing.T) {
 	}
 	if moved == 0 || kept == 0 {
 		t.Fatalf("degenerate split: moved=%d kept=%d", moved, kept)
+	}
+}
+
+// TestSmokeIDFirstArc pins the id CI's fleet-smoke opens over HTTP after
+// draining b1: on a {b1, b2} ring its first arc must be b1, or the step
+// proves nothing. If the ring's hashing changes, pick another id there.
+func TestSmokeIDFirstArc(t *testing.T) {
+	if seq := newRing([]string{"b1", "b2"}, DefaultVNodes).sequence("fsmoke1"); seq[0] != "b1" {
+		t.Fatalf("fsmoke1 routes %v; update the id in .github/workflows/ci.yml's fleet-smoke", seq)
 	}
 }

@@ -147,11 +147,7 @@ func New(backends []Backend, opts Options) (*Router, error) {
 	rt.health = newHealthMonitor(rt.names, opts.ProbeInterval, opts.ProbeThreshold)
 	rt.metrics.registerBackendUp(rt.reg, rt.names, rt.health)
 	rt.health.onProbe = rt.metrics.probeHook
-	rt.health.onRecover = func(name string) {
-		if c, ok := rt.metrics.recoveries[name]; ok {
-			c.Inc()
-		}
-	}
+	rt.health.onRecover = func(name string) { rt.metrics.recoveries[name].Inc() }
 	rt.health.start(func(ctx context.Context, name string) error {
 		return rt.backends[name].Healthz(ctx)
 	})
@@ -172,9 +168,6 @@ func (rt *Router) Backends() []string { return append([]string(nil), rt.names...
 // span starts a router-side child span under whatever trace context ctx
 // carries (nil, costing nothing, when tracing is off).
 func (rt *Router) span(ctx context.Context, name string) *tracing.Span {
-	if rt.tracer == nil {
-		return nil
-	}
 	return rt.tracer.Child(name, tracing.FromContext(ctx))
 }
 
@@ -216,25 +209,32 @@ func isUnreachable(err error) bool {
 	return server.Classify(err).Recovery == server.Reconnect
 }
 
-// routeOpen places a fresh session: the id's ring sequence is tried in
-// order, skipping unroutable backends and failing over past full, draining,
-// or unreachable ones.
-func (rt *Router) routeOpen(ctx context.Context, id string, cfg server.SessionConfig) (Session, Backend, error) {
+// place is the fleet's one placement decision, for a wire open and an HTTP
+// one alike: the backends of id's ring sequence that may take a new session
+// (routable, circuit closed) are offered it through try, in order, until one
+// takes it. A backend that is gone (Reconnect) is marked down and passed
+// over; one that admits nothing now (Failover: full, draining, closed) is
+// passed over; any other refusal is the answer. The walk ends early when ctx
+// does.
+func (rt *Router) place(ctx context.Context, id string, try func(Backend) error) (Backend, error) {
 	rsp := rt.span(ctx, "fleet.route_open")
 	rsp.SetAttr("session", id)
 	defer rsp.End()
 	var lastErr error
 	for _, name := range rt.ring.sequence(id) {
+		if ctx.Err() != nil {
+			break
+		}
 		if !rt.health.routable(name) || !rt.breakerAllow(name) {
 			continue
 		}
 		b := rt.backends[name]
-		sess, err := b.Open(ctx, id, cfg)
+		err := try(b)
 		rt.breakerRecord(name, err)
 		if err == nil {
 			rt.metrics.sessionsRouted[name].Inc()
 			rsp.SetAttr("backend", name)
-			return sess, b, nil
+			return b, nil
 		}
 		lastErr = err
 		switch server.Classify(err).Recovery {
@@ -242,13 +242,22 @@ func (rt *Router) routeOpen(ctx context.Context, id string, cfg server.SessionCo
 			rt.health.markDown(name)
 		case server.Failover: // capacity: next arc on the ring
 		default:
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if lastErr == nil {
 		lastErr = ErrNoBackends
 	}
-	return nil, nil, lastErr
+	return nil, lastErr
+}
+
+// routeOpen places a fresh wire session.
+func (rt *Router) routeOpen(ctx context.Context, id string, cfg server.SessionConfig) (sess Session, b Backend, err error) {
+	b, err = rt.place(ctx, id, func(b Backend) (err error) {
+		sess, err = b.Open(ctx, id, cfg)
+		return err
+	})
+	return sess, b, err
 }
 
 // resumeOn resumes id on one backend, counting it and feeding the
@@ -266,113 +275,62 @@ func (rt *Router) resumeOn(ctx context.Context, b Backend, id string) (Session, 
 	return sess, fed, nil
 }
 
-// routeResume re-attaches a client to its session wherever it now lives,
-// migrating it home if need be:
-//
-//  1. Try the id's routable ring sequence directly — the common case (the
-//     session is live on its owner, or was already migrated to the next
-//     arc after a crash).
-//  2. Unknown there: scatter across the other reachable backends — the
-//     session may be live on a draining backend (serve it in place; drain
-//     means "no NEW sessions") or on one the ring no longer prefers.
-//  3. Still unknown: look for the session's directory on disk — its
-//     backend crashed or suspended it. If the dir is already under the
-//     target, recover in place; otherwise copy + recover (migration), then
-//     resume on the target.
-//
-// Steps 2–3 run under the session's router lock so concurrent resumes and
-// admin migrations cannot race the directory move.
-func (rt *Router) routeResume(ctx context.Context, id string) (Session, uint64, Backend, error) {
-	rsp := rt.span(ctx, "fleet.route_resume")
-	rsp.SetAttr("session", id)
-	defer rsp.End()
+// resumeLive re-attaches to id where it is live on a routable backend,
+// wherever on the ring that is — its owner, the next arc it failed over or
+// was migrated to, or one the ring no longer prefers. When no such backend
+// knows the session, the backend returned (with a nil Session) is the first
+// that said so: the home to bring it to. Any other refusal (busy, poisoned,
+// …) is not routing's problem.
+func (rt *Router) resumeLive(ctx context.Context, id string) (Session, uint64, Backend, error) {
 	var target Backend
-	var lastErr error
+	lastErr := ErrNoBackends
 	for _, name := range rt.ring.sequence(id) {
 		if !rt.health.routable(name) {
 			continue
 		}
 		b := rt.backends[name]
 		sess, fed, err := rt.resumeOn(ctx, b, id)
-		if err == nil {
+		switch {
+		case err == nil:
 			return sess, fed, b, nil
+		case isUnreachable(err):
+			rt.health.markDown(name)
+		case isUnknownSession(err):
+			if target == nil {
+				target = b
+			}
+		default:
+			return nil, 0, nil, err
 		}
 		lastErr = err
-		if isUnreachable(err) {
-			rt.health.markDown(name)
-			continue
-		}
-		if isUnknownSession(err) {
-			target = b
-			break
-		}
-		return nil, 0, nil, err // busy, poisoned, …: not routing's problem
 	}
-	if target == nil {
-		if lastErr == nil {
-			lastErr = ErrNoBackends
-		}
-		return nil, 0, nil, lastErr
-	}
+	return nil, 0, target, lastErr
+}
 
+// routeResume re-attaches a client to its session wherever it now lives,
+// bringing it home first if it is live nowhere a new connection may land:
+// on a draining backend, or sealed in the directory of one that crashed or
+// suspended it. The unlocked first look is the common case; the second,
+// under the session's router lock, sees what a concurrent resume or admin
+// migration that held the lock has just done.
+func (rt *Router) routeResume(ctx context.Context, id string) (Session, uint64, Backend, error) {
+	rsp := rt.span(ctx, "fleet.route_resume")
+	rsp.SetAttr("session", id)
+	defer rsp.End()
+	sess, fed, b, err := rt.resumeLive(ctx, id)
+	if sess != nil || b == nil {
+		return sess, fed, b, err
+	}
 	unlock := rt.lockSession(id)
 	defer unlock()
-
-	// Scatter: live somewhere the ring didn't send us?
-	for _, name := range rt.ring.sequence(id) {
-		b := rt.backends[name]
-		if b == target || !rt.health.reachable(name) {
-			continue
-		}
-		sess, fed, err := rt.resumeOn(ctx, b, id)
-		if err == nil {
-			if rt.health.routable(name) {
-				return sess, fed, b, nil // serve in place
-			}
-			// Draining backend: move the session to the target now.
-			sess.Release()
-			if _, err := rt.suspendTimed(ctx, b, id); err != nil {
-				return nil, 0, nil, fmt.Errorf("fleet: suspending %s on draining %s: %w", id, name, err)
-			}
-			if err := rt.migrate(ctx, id, b.DataDir(), target); err != nil {
-				return nil, 0, nil, err
-			}
-			sess2, fed2, err2 := rt.resumeOn(ctx, target, id)
-			return sess2, fed2, target, err2
-		}
-		if isUnreachable(err) {
-			rt.health.markDown(name)
-		}
+	if sess, fed, b, err = rt.resumeLive(ctx, id); sess != nil || b == nil {
+		return sess, fed, b, err
 	}
-
-	// Disk: the session's home backend is gone (or sealed it); find the
-	// directory and bring it to the target.
-	if hasSessionDir(target.DataDir(), id) {
-		if err := target.RecoverSession(ctx, id); err != nil {
-			return nil, 0, nil, err
-		}
-		rt.metrics.migStarted.Inc() // in-place recovery counts as a (trivial) migration
-		rt.metrics.migCompleted.Inc()
-		sess, fed, err := rt.resumeOn(ctx, target, id)
-		return sess, fed, target, err
+	if err := rt.bring(ctx, id, b); err != nil {
+		return nil, 0, nil, err
 	}
-	for _, name := range rt.ring.sequence(id) {
-		b := rt.backends[name]
-		if b == target || !hasSessionDir(b.DataDir(), id) {
-			continue
-		}
-		if rt.health.reachable(name) {
-			// Best effort: if it is somehow still live there, seal it
-			// before copying. "Unknown session" just means it already is.
-			rt.suspendTimed(ctx, b, id)
-		}
-		if err := rt.migrate(ctx, id, b.DataDir(), target); err != nil {
-			return nil, 0, nil, err
-		}
-		sess, fed, err := rt.resumeOn(ctx, target, id)
-		return sess, fed, target, err
-	}
-	return nil, 0, nil, fmt.Errorf("%w: %s", server.ErrUnknown, id)
+	sess, fed, err = rt.resumeOn(ctx, b, id)
+	return sess, fed, b, err
 }
 
 // ---- wire-protocol front end ----
@@ -444,16 +402,12 @@ func (p *proxied) Flush(parent tracing.SpanContext) (uint64, error) {
 	if !parent.Valid() {
 		parent = p.sc
 	}
-	var fsp *tracing.Span
-	if p.rt.tracer != nil {
-		fsp = p.rt.tracer.Child("fleet.flush", parent)
-		fsp.SetAttr("session", p.id)
+	fsp := p.rt.tracer.Child("fleet.flush", parent)
+	fsp.SetAttr("session", p.id)
+	if fsp != nil {
 		parent = fsp.Context()
 	}
-	if parent.Valid() {
-		p.sess.SetFlushContext(parent)
-	}
-	fed, err := p.sess.Flush()
+	fed, err := p.sess.Flush(parent)
 	fsp.SetError(err)
 	fsp.End()
 	return fed, err

@@ -1,12 +1,20 @@
 package fleet
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"sort"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
+	"repro/internal/wire"
 	"repro/race/server"
 )
 
@@ -37,14 +45,104 @@ func (rt *Router) Handler() http.Handler {
 	return tracing.HTTP(rt.tracer, "fleet.http", mux)
 }
 
-// pickRoutable returns the first routable backend in id's ring sequence.
-func (rt *Router) pickRoutable(id string) (Backend, bool) {
-	for _, name := range rt.ring.sequence(id) {
-		if rt.health.routable(name) {
-			return rt.backends[name], true
+// replayWindow is how much of an opening request's body the router holds
+// on to, so that the backend after the one that refused can be sent the same
+// request: every POST /sessions config fits, and so does a small trace.
+const replayWindow = 64 << 10
+
+// placeHTTP proxies a request that opens a session to the backend place
+// picks for id. A backend's "not here" is held back (gate) and the next arc
+// offered the request, as a wire open would be — unless the body is longer
+// than the window: then part of it went to the backend that refused, nobody
+// else can be offered it, and the refusal is the answer.
+func (rt *Router) placeHTTP(w http.ResponseWriter, r *http.Request, id string) {
+	ctx, stop := context.WithCancel(r.Context())
+	defer stop()
+	body := bufio.NewReaderSize(r.Body, replayWindow)
+	head, err := body.Peek(replayWindow)
+	whole := err == io.EOF // the body ends inside the window
+	if err != nil && !whole {
+		http.Error(w, "fleet: reading request body: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	var g *gate
+	_, err = rt.place(ctx, id, func(b Backend) error {
+		r.Body = io.NopCloser(body)
+		if whole {
+			r.Body = io.NopCloser(bytes.NewReader(head))
+		}
+		g = &gate{w: w, backend: b.Name(), hdr: make(http.Header)}
+		b.Proxy(g, r)
+		if g.held && !whole {
+			stop()
+		}
+		return g.err()
+	})
+	if err != nil && (g == nil || g.held) {
+		server.HTTPError(w, err)
+	}
+}
+
+// gate is the ResponseWriter a placed request is proxied through. The
+// backend's answer goes to the client unless it is one placement routes
+// around — an error whose condition says Failover or Reconnect, or the bare
+// 502 a proxy hop writes for a backend it could not reach — which is held.
+type gate struct {
+	w       http.ResponseWriter
+	backend string
+	hdr     http.Header
+	status  int
+	held    bool
+	msg     []byte // the body of a held answer
+}
+
+func (g *gate) Header() http.Header { return g.hdr }
+
+func (g *gate) WriteHeader(status int) {
+	if g.status != 0 || status < 200 {
+		return // a proxy hop's 100 Continue is not the answer
+	}
+	g.status = status
+	if status >= 400 {
+		r := server.Classify(answerErr(g.backend, status, g.hdr, "")).Recovery
+		if g.held = r == server.Failover || r == server.Reconnect; g.held {
+			return
 		}
 	}
-	return nil, false
+	maps.Copy(g.w.Header(), g.hdr)
+	g.w.WriteHeader(status)
+}
+
+func (g *gate) Write(p []byte) (int, error) {
+	g.WriteHeader(http.StatusOK)
+	if g.held {
+		g.msg = append(g.msg, p...)
+		return len(p), nil
+	}
+	return g.w.Write(p)
+}
+
+// err is what the backend's answer said, if it was a failure.
+func (g *gate) err() error {
+	if g.status < 400 {
+		return nil
+	}
+	return answerErr(g.backend, g.status, g.hdr, strings.TrimSpace(string(g.msg)))
+}
+
+// answerErr is the error a backend's failing HTTP answer stands for. Its
+// X-Raced-Error-Code header, when it has one, types it as the condition a
+// TError frame with that code would be; a bare 502 is a proxy hop (or a
+// fault gate) saying the backend could not be reached.
+func answerErr(backend string, status int, hdr http.Header, body string) error {
+	msg := fmt.Sprintf("fleet: backend %s: %d %s: %s", backend, status, http.StatusText(status), body)
+	if code := wire.ErrCode(hdr.Get(wire.ErrorCodeHeader)); code != "" {
+		return server.RemoteFault(code, msg)
+	}
+	if status == http.StatusBadGateway {
+		return fmt.Errorf("%w: %s", ErrBackendDown, msg)
+	}
+	return errors.New(msg)
 }
 
 // handleOpen assigns a fleet session id (unless the caller chose one) and
@@ -57,13 +155,7 @@ func (rt *Router) handleOpen(w http.ResponseWriter, r *http.Request) {
 		q.Set("id", id)
 		r.URL.RawQuery = q.Encode()
 	}
-	b, ok := rt.pickRoutable(id)
-	if !ok {
-		http.Error(w, ErrNoBackends.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	rt.metrics.sessionsRouted[b.Name()].Inc()
-	b.Proxy(w, r)
+	rt.placeHTTP(w, r, id)
 }
 
 // locate finds the backend currently holding id (live or finished),
@@ -79,13 +171,7 @@ func (rt *Router) locate(ctx context.Context, id string) (Backend, bool) {
 		if fallback == nil {
 			fallback = b
 		}
-		sessions, err := b.Sessions(ctx)
-		if err != nil {
-			if isUnreachable(err) {
-				rt.health.markDown(name)
-			}
-			continue
-		}
+		sessions, _ := rt.sessionsOn(ctx, name)
 		for _, st := range sessions {
 			if st.ID == id {
 				return b, true
@@ -93,6 +179,16 @@ func (rt *Router) locate(ctx context.Context, id string) (Backend, bool) {
 		}
 	}
 	return fallback, fallback != nil
+}
+
+// sessionsOn lists name's sessions; a backend that cannot be reached is
+// marked down.
+func (rt *Router) sessionsOn(ctx context.Context, name string) ([]server.SessionStatus, bool) {
+	sessions, err := rt.backends[name].Sessions(ctx)
+	if err != nil && isUnreachable(err) {
+		rt.health.markDown(name)
+	}
+	return sessions, err == nil
 }
 
 // handleSession proxies any per-session route to the backend holding the
@@ -114,29 +210,19 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		if !rt.health.reachable(name) {
 			continue
 		}
-		sessions, err := rt.backends[name].Sessions(r.Context())
-		if err != nil {
-			if isUnreachable(err) {
-				rt.health.markDown(name)
-			}
-			continue
+		if sessions, ok := rt.sessionsOn(r.Context(), name); ok {
+			byBackend[name] = sessions
+			all = append(all, sessions...)
 		}
-		byBackend[name] = sessions
-		all = append(all, sessions...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 	obs.WriteJSON(w, map[string]any{"sessions": all, "backends": byBackend})
 }
 
-// handleIngest routes a one-shot ingest to any routable backend (hashed on
-// a throwaway id so load still spreads).
+// handleIngest places a one-shot ingest like an open (hashed on a throwaway
+// id so load still spreads).
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	b, ok := rt.pickRoutable(rt.newID())
-	if !ok {
-		http.Error(w, ErrNoBackends.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	b.Proxy(w, r)
+	rt.placeHTTP(w, r, rt.newID())
 }
 
 // handleHealthz reports router readiness: OK while at least one backend is

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"syscall"
@@ -366,52 +367,96 @@ func (f *Front) serveConn(conn net.Conn) {
 	}
 }
 
-// Attach is the one way into a session for a driver that holds it for a
-// while — ServeTCP's connections and an in-process fleet backend: it opens
-// the session hello asks for (fresh, under a requested id, or a live one
-// resumed), claims it (ErrBusy when another driver holds it), refuses one
-// already failed with its sticky error, and parents its ingest spans under
-// ctx's trace context. The ack carries the id and the accepted offset.
+// Attach is the one way into a session for whoever drives it — ServeTCP's
+// connections and an in-process fleet backend for as long as they last, an
+// HTTP mutation for one request: it opens the session hello asks for (fresh,
+// under a requested id, or a live one resumed) and claims it. The ack
+// carries the id and the accepted offset.
 func (s *Server) Attach(ctx context.Context, hello *HelloPayload) (Attachment, AckPayload, error) {
-	var (
-		sess *Session
-		err  error
-	)
-	switch {
-	case hello.Resume != "":
-		// Resumption: re-attach to a live session — journal-recovered after
-		// a restart, or orphaned by a dropped connection.
-		var ok bool
-		if sess, ok = s.Session(hello.Resume); !ok {
-			err = fmt.Errorf("%w: %s", ErrUnknown, hello.Resume)
+	var sess *Session
+	if hello.Resume == "" {
+		var err error
+		if sess, err = s.open(hello.SessionID, hello.Session); err != nil {
+			return Attachment{}, AckPayload{}, err
 		}
-	case hello.SessionID != "":
-		sess, err = s.OpenSessionWithID(hello.SessionID, hello.Session)
-	default:
-		sess, err = s.OpenSession(hello.Session)
+	} else if live, ok := s.Session(hello.Resume); ok {
+		// Resumption re-attaches to a live session — journal-recovered
+		// after a restart, or orphaned by a dropped connection.
+		sess = live
+	} else {
+		return Attachment{}, AckPayload{}, fmt.Errorf("%w: %s", ErrUnknown, hello.Resume)
 	}
+	att, err := sess.claim(ctx)
 	if err != nil {
-		return Attachment{}, AckPayload{}, err
-	}
-	if err := sess.attach(); err != nil {
 		if hello.Resume == "" {
 			sess.abort(err) // unreachable for a fresh id, but never leak the slot
 		}
 		return Attachment{}, AckPayload{}, err
 	}
-	if err := sess.Err(); err != nil {
-		sess.detach()
-		return Attachment{}, AckPayload{}, err
+	return att, AckPayload{Session: sess.ID, Fed: sess.Enqueued()}, nil
+}
+
+// claim makes the caller the session's one driver — a wire connection or an
+// in-process fleet backend for its lifetime, an HTTP mutation for its
+// duration; at most one drives a session at a time, keeping the journaled
+// stream a single client's view. It answers ErrBusy when another holds the
+// session and the sticky error of one already failed; from here on the
+// session's ingest spans parent under ctx's trace context (the driver's
+// connection, route or request span) unless a frame brings its own.
+func (sess *Session) claim(ctx context.Context) (Attachment, error) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	switch {
+	case sess.attached:
+		return Attachment{}, ErrBusy
+	case sess.err != nil:
+		return Attachment{}, sess.err
 	}
+	sess.attached = true
 	if sc := tracing.FromContext(ctx); sc.Valid() {
-		sess.SetTraceContext(sc)
+		sess.traceCtx = sc
 	}
-	return Attachment{sess}, AckPayload{Session: sess.ID, Fed: sess.Enqueued()}, nil
+	return Attachment{sess}, nil
 }
 
 // Attachment is a session claimed by its one driver (Server.Attach) — the
 // server's Stream. Whatever ends it also releases the claim.
 type Attachment struct{ sess *Session }
+
+// release gives the claim back and nothing else: how a driver that lasts
+// one request (an HTTP mutation) lets go, leaving the session as it is for
+// the next. Drop is for a driver whose going away leaves nobody to feed the
+// session, and so ends a memory-only one — which must survive between
+// requests.
+func (a Attachment) release() { a.sess.detach() }
+
+// ingestBatch is how many events ingest decodes per slab.
+const ingestBatch = 4096
+
+// ingest drains read — a stream of events of unknown length, such as a
+// request body — into the session through its slabs, ingestBatch events at a
+// time, and returns how many it fed. read fills dst from the front and ends
+// the stream with io.EOF; any other error of its is readErr, and nothing of
+// that slab reaches the session. err is the session refusing a batch.
+func (a Attachment) ingest(read func(dst []race.Event) (int, error)) (fed uint64, readErr, err error) {
+	for {
+		slab := a.sess.takeSlab()
+		if cap(slab) < ingestBatch {
+			slab = make([]race.Event, ingestBatch)
+		}
+		n, rerr := read(slab[:ingestBatch])
+		if rerr != nil && rerr != io.EOF {
+			a.sess.putSlab(slab)
+			return fed, rerr, nil
+		}
+		if err := a.sess.feed(tracing.SpanContext{}, slab[:n], true); err != nil {
+			return fed, nil, err
+		}
+		if fed += uint64(n); rerr == io.EOF {
+			return fed, nil, nil
+		}
+	}
+}
 
 // Events decodes the frame body straight out of br into one of the
 // session's two slabs (taking one waits for the feeder to be done with it —

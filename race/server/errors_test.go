@@ -75,9 +75,9 @@ func TestConditionTableRoundTrips(t *testing.T) {
 		}
 		// The HTTP API answers the row's status and carries its code.
 		rec := httptest.NewRecorder()
-		httpError(rec, local)
+		HTTPError(rec, local)
 		if rec.Code != c.Status || rec.Header().Get(wire.ErrorCodeHeader) != string(c.WireCode()) {
-			t.Errorf("httpError(%v) = %d [%s], want %d [%s]", local, rec.Code,
+			t.Errorf("HTTPError(%v) = %d [%s], want %d [%s]", local, rec.Code,
 				rec.Header().Get(wire.ErrorCodeHeader), c.Status, c.WireCode())
 		}
 	}
@@ -220,7 +220,7 @@ func TestConditionFatesEndToEnd(t *testing.T) {
 				return e.sess.Flush()
 			},
 			revive: func(e *env) *Server {
-				if err := e.s.RecoverSession(e.sess.ID()); err != nil {
+				if err := e.s.RecoverSession(context.Background(), e.sess.ID()); err != nil {
 					e.t.Fatal(err)
 				}
 				return e.s

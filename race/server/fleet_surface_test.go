@@ -278,7 +278,7 @@ func TestReliableClientSurvivesServerRestart(t *testing.T) {
 	if err := sess.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sess.Acked(); got != uint64(mid) {
+	if got := sess.acked; got != uint64(mid) {
 		t.Fatalf("flush acked %d, want %d", got, mid)
 	}
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,7 +11,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -54,11 +54,11 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sessions", s.handleOpen)
 	mux.HandleFunc("GET /sessions", s.handleList)
-	mux.HandleFunc("POST /sessions/{id}/events", s.withExclusiveSession(s.handleEvents))
-	mux.HandleFunc("POST /sessions/{id}/flush", s.withExclusiveSession(s.handleFlush))
-	mux.HandleFunc("POST /sessions/{id}/close", s.withExclusiveSession(s.handleClose))
+	mux.HandleFunc("POST /sessions/{id}/events", s.driven(handleEvents))
+	mux.HandleFunc("POST /sessions/{id}/flush", s.driven(handleFlush))
+	mux.HandleFunc("POST /sessions/{id}/close", s.driven(handleClose))
 	mux.HandleFunc("GET /sessions/{id}/races", s.handleRaces)
-	mux.HandleFunc("DELETE /sessions/{id}", s.withSession(s.handleAbort))
+	mux.HandleFunc("DELETE /sessions/{id}", s.handleAbort)
 	mux.HandleFunc("POST /ingest", s.handleIngest)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", obs.MetricsHandler(s.Registry()))
@@ -69,47 +69,33 @@ func (s *Server) Handler() http.Handler {
 	return tracing.HTTP(s.cfg.Tracer, "raced.http", mux)
 }
 
-// ReadHeaderTimeout is how long the HTTP front ends of raced and racefleet
-// wait for a request's headers: a client that connects and sends nothing
-// must not hold the connection forever.
-const ReadHeaderTimeout = 10 * time.Second
-
-// httpError answers with the status of err's row in conditions, and with
+// HTTPError answers with the status of err's row in conditions, and with
 // the row's wire code in ErrorCodeHeader — the HTTP analogue of a typed
 // TError frame, so the fleet router classifies admin-API failures the same
-// way wire clients classify frames.
-func httpError(w http.ResponseWriter, err error) {
+// way wire clients classify frames (and answers its own the same way).
+func HTTPError(w http.ResponseWriter, err error) {
 	c := Classify(err)
 	w.Header().Set(wire.ErrorCodeHeader, string(c.WireCode()))
 	http.Error(w, err.Error(), c.Status)
 }
 
-func (s *Server) withSession(h func(http.ResponseWriter, *http.Request, *Session)) http.HandlerFunc {
+// driven makes a mutating request the session's driver for its duration,
+// through the door a wire connection comes in by (Attach): one session has
+// exactly one feeder at a time, whichever front end it came in through. A
+// wire connection mid-session (or a concurrent HTTP upload) answers 409 — a
+// check-then-act test would leave the whole remainder of an in-flight upload
+// free to interleave with a wire resume (DELETE stays exempt: operators may
+// abort anything).
+func (s *Server) driven(h func(http.ResponseWriter, *http.Request, Attachment)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		sess, ok := s.Session(r.PathValue("id"))
-		if !ok {
-			httpError(w, fmt.Errorf("%w: %s", ErrUnknown, r.PathValue("id")))
+		att, _, err := s.Attach(r.Context(), &HelloPayload{Resume: r.PathValue("id")})
+		if err != nil {
+			HTTPError(w, err)
 			return
 		}
-		h(w, r, sess)
+		defer att.release()
+		h(w, r, att)
 	}
-}
-
-// withExclusiveSession claims the session for the duration of a mutating
-// request: one session has exactly one feeder at a time, whichever front
-// end it came in through. A wire connection mid-session (or a concurrent
-// HTTP upload) answers 409 — a check-then-act test would leave the whole
-// remainder of an in-flight upload free to interleave with a wire resume
-// (DELETE stays exempt: operators may abort anything).
-func (s *Server) withExclusiveSession(h func(http.ResponseWriter, *http.Request, *Session)) http.HandlerFunc {
-	return s.withSession(func(w http.ResponseWriter, r *http.Request, sess *Session) {
-		if err := sess.attach(); err != nil {
-			httpError(w, err)
-			return
-		}
-		defer sess.detach()
-		h(w, r, sess)
-	})
 }
 
 func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
@@ -120,13 +106,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var sess *Session
-	var err error
-	if id := r.URL.Query().Get("id"); id != "" {
-		sess, err = s.OpenSessionWithID(id, cfg)
-	} else {
-		sess, err = s.OpenSession(cfg)
-	}
+	sess, err := s.open(r.URL.Query().Get("id"), cfg)
 	if err != nil {
 		openError(w, err)
 		return
@@ -144,7 +124,7 @@ func openError(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	httpError(w, err)
+	HTTPError(w, err)
 }
 
 // handleList serves the session inventory: every live session and every
@@ -154,58 +134,45 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleEvents streams raw event records from the request body into the
-// session, batching every ingestBatch events. The body length need not be
-// known: chunked uploads work, so a live client can keep one request open.
-const ingestBatch = 4096
-
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, sess *Session) {
+// session. The body length need not be known: chunked uploads work, so a
+// live client can keep one request open.
+func handleEvents(w http.ResponseWriter, r *http.Request, att Attachment) {
 	br := bufio.NewReaderSize(r.Body, 1<<16)
-	sc := tracing.FromContext(r.Context())
-	var fed uint64
-	for done := false; !done; {
-		slab := sess.takeSlab()
-		if cap(slab) < ingestBatch {
-			slab = make([]race.Event, ingestBatch)
-		}
-		n, bad, err := trace.ReadRecords(br, slab[:ingestBatch], nil)
-		done = err == io.EOF
+	fed, readErr, err := att.ingest(func(dst []race.Event) (int, error) {
+		n, bad, err := trace.ReadRecords(br, dst, nil)
 		switch {
 		case bad >= 0:
-			err = trace.BadRecord(bad, slab[bad].Op)
-		case done:
-			err = nil
-		case err != nil:
+			err = trace.BadRecord(bad, dst[bad].Op)
+		case err != nil && err != io.EOF:
 			err = fmt.Errorf("truncated event record: %w", err)
 		}
-		if err != nil {
-			sess.putSlab(slab)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := sess.feed(sc, slab[:n], true); err != nil {
-			httpError(w, err)
-			return
-		}
-		fed += uint64(n)
+		return n, err
+	})
+	if readErr != nil {
+		http.Error(w, readErr.Error(), http.StatusBadRequest)
+		return
+	}
+	serveFed(w, fed, err)
+}
+
+func handleFlush(w http.ResponseWriter, r *http.Request, att Attachment) {
+	fed, err := att.Flush(tracing.FromContext(r.Context()))
+	serveFed(w, fed, err)
+}
+
+func handleClose(w http.ResponseWriter, _ *http.Request, att Attachment) {
+	doc, err := att.Close()
+	serveReport(w, doc, err)
+}
+
+// serveFed answers with the event offset an operation acknowledges, or with
+// the error it ended in.
+func serveFed(w http.ResponseWriter, fed uint64, err error) {
+	if err != nil {
+		HTTPError(w, err)
+		return
 	}
 	obs.WriteJSON(w, map[string]uint64{"fed": fed})
-}
-
-func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request, sess *Session) {
-	if err := sess.FlushCtx(tracing.FromContext(r.Context())); err != nil {
-		httpError(w, err)
-		return
-	}
-	obs.WriteJSON(w, map[string]uint64{"fed": sess.Fed()})
-}
-
-func (s *Server) handleClose(w http.ResponseWriter, _ *http.Request, sess *Session) {
-	rep, err := sess.Close()
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	writeReport(w, rep)
 }
 
 // handleRaces serves races for both live and finished sessions: while a
@@ -226,19 +193,24 @@ func (s *Server) handleRaces(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, ok := s.Finished(id)
 	if !ok {
-		httpError(w, fmt.Errorf("%w: %s", ErrUnknown, id))
+		HTTPError(w, fmt.Errorf("%w: %s", ErrUnknown, id))
 		return
 	}
+	var doc []byte
 	rep, err := sess.Close() // idempotent: returns the recorded outcome
-	if err != nil {
-		httpError(w, err)
-		return
+	if err == nil {
+		doc, err = json.Marshal(rep)
 	}
-	writeReport(w, rep)
+	serveReport(w, doc, err)
 }
 
-func (s *Server) handleAbort(w http.ResponseWriter, _ *http.Request, sess *Session) {
-	sess.abort(fmt.Errorf("server: session aborted by client"))
+func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
+	sess, ok := s.Session(r.PathValue("id"))
+	if !ok {
+		HTTPError(w, fmt.Errorf("%w: %s", ErrUnknown, r.PathValue("id")))
+		return
+	}
+	sess.abort(errors.New("server: session aborted by client"))
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -268,48 +240,43 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The whole one-shot run parents under this request's span.
-	sess.SetTraceContext(tracing.FromContext(r.Context()))
-	dec := trace.NewDecoder(r.Body)
-	batch := make([]race.Event, 0, ingestBatch)
-	for {
-		ev, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			sess.abort(err)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		batch = append(batch, ev)
-		if len(batch) >= ingestBatch {
-			if err := sess.Feed(batch); err != nil {
-				sess.Close()
-				httpError(w, err)
-				return
-			}
-			batch = make([]race.Event, 0, ingestBatch)
-		}
-	}
-	if err := sess.Feed(batch); err != nil {
-		sess.Close()
-		httpError(w, err)
-		return
-	}
-	rep, err := sess.Close()
+	att, err := sess.claim(r.Context())
 	if err != nil {
-		httpError(w, err)
+		sess.abort(err) // unreachable: nobody else knows the id
+		HTTPError(w, err)
 		return
 	}
-	writeReport(w, rep)
+	dec := trace.NewDecoder(r.Body)
+	_, readErr, err := att.ingest(func(dst []race.Event) (int, error) {
+		for n := range dst {
+			ev, err := dec.Next()
+			if err != nil {
+				return n, err
+			}
+			dst[n] = ev
+		}
+		return len(dst), nil
+	})
+	if readErr != nil {
+		att.Drop(readErr)
+		http.Error(w, readErr.Error(), http.StatusBadRequest)
+		return
+	}
+	if err != nil {
+		att.Drop(err)
+		HTTPError(w, err)
+		return
+	}
+	doc, err := att.Close()
+	serveReport(w, doc, err)
 }
 
-// writeReport serves a report's canonical JSON form — raced's half of the
-// byte-identical remote == in-process conformance contract.
-func writeReport(w http.ResponseWriter, rep *race.Report) {
-	doc, err := json.Marshal(rep)
+// serveReport answers with a report's canonical JSON form — raced's half of
+// the byte-identical remote == in-process conformance contract — or with the
+// error the session ended in.
+func serveReport(w http.ResponseWriter, doc []byte, err error) {
 	if err != nil {
-		httpError(w, err)
+		HTTPError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -395,24 +362,17 @@ func (s *Server) handleDrain(w http.ResponseWriter, _ *http.Request) {
 // its journaled offset.
 func (s *Server) handleSuspend(w http.ResponseWriter, r *http.Request) {
 	fed, err := s.SuspendSession(r.PathValue("id"))
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	obs.WriteJSON(w, map[string]uint64{"fed": fed})
+	serveFed(w, fed, err)
 }
 
 // handleRecover loads a session directory that appeared under the data dir
 // (a migration's copied journal) into this server.
 func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if err := s.RecoverSessionCtx(r.Context(), id); err != nil {
-		httpError(w, err)
-		return
-	}
+	err := s.RecoverSession(r.Context(), id)
 	offset := uint64(0)
 	if sess, ok := s.Session(id); ok {
 		offset = sess.Enqueued()
 	}
-	obs.WriteJSON(w, map[string]uint64{"fed": offset})
+	serveFed(w, offset, err)
 }

@@ -220,16 +220,12 @@ func (s *Server) Recover() (int, error) {
 	s.recovering = true
 	s.mu.Unlock()
 	defer func() {
-		s.mu.Lock()
-		s.recovering = false
-		live := make([]*Session, 0, len(s.sessions))
-		for _, sess := range s.sessions {
-			live = append(live, sess)
-		}
-		s.mu.Unlock()
-		for _, sess := range live {
+		for _, sess := range s.live() {
 			sess.touch()
 		}
+		s.mu.Lock()
+		s.recovering = false
+		s.mu.Unlock()
 	}()
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
@@ -249,66 +245,62 @@ func (s *Server) Recover() (int, error) {
 	defer rsp.End()
 	resumed := 0
 	for _, name := range names {
-		dir := filepath.Join(root, name)
 		// Advance the id counter past every session directory, readable
 		// or not: a dir whose session.json a crash never wrote must still
 		// never have its id (== its name) reassigned — a new tenant
 		// reusing it would splice the dead session's leftover journal
 		// into its own stream.
 		s.noteRecoveredID(name)
-		meta, err := readSessionMeta(s.fsys(), dir)
+		state, err := s.recoverDir(rsp.Context(), name)
 		if err != nil {
-			continue // unreadable leftovers never block a restart
-		}
-		switch meta.State {
-		case stateClosed:
-			s.recoverFinished(dir, meta)
-		case stateOpen:
-			if err := s.recoverOpen(rsp.Context(), dir, meta); err != nil {
-				// One unrecoverable session (a config this binary no
-				// longer accepts, a journal I/O error) must not crash-loop
-				// the whole service: skip it, leave its directory
-				// untouched for the operator, and keep recovering the
-				// rest.
-				s.cfg.Logger.Warn("session not recovered, left on disk",
-					"session", meta.ID, "err", err)
-				continue
-			}
+			// One unrecoverable session (unreadable leftovers, a config this
+			// binary no longer accepts, a journal I/O error) must not
+			// crash-loop the whole service: skip it, leave its directory
+			// untouched for the operator, and keep recovering the rest.
+			s.cfg.Logger.Warn("session not recovered, left on disk", "session", name, "err", err)
+		} else if state == stateOpen {
 			resumed++
 		}
 	}
 	return resumed, nil
 }
 
+// recoverDir is the per-directory step of recovery, at boot and on demand,
+// and returns the state the directory was in: an "open" session replays its
+// journal and joins the live table, resumable at the journal offset; a
+// "closed" one joins the finished archive with its report; any other is
+// left alone.
+func (s *Server) recoverDir(parent tracing.SpanContext, id string) (state string, err error) {
+	dir := filepath.Join(s.sessionsRoot(), id)
+	meta, err := readSessionMeta(s.fsys(), dir)
+	if err != nil {
+		return "", err
+	}
+	if meta.ID != id {
+		return "", fmt.Errorf("server: session dir %s holds metadata for %q", dir, meta.ID)
+	}
+	switch meta.State {
+	case stateClosed:
+		s.recoverFinished(dir, meta)
+	case stateOpen:
+		err = s.recoverOpen(parent, dir, meta)
+	}
+	return meta.State, err
+}
+
 // RecoverSession loads one session directory that appeared under the data
 // dir after boot — the target half of a fleet migration: the router copies
 // a sealed session directory (journal + metadata) into this server's
-// sessions root, then asks it to recover just that id. An "open" session
-// replays its journal and joins the live table, resumable at the journal
-// offset; a "closed" one joins the finished archive with its report.
-func (s *Server) RecoverSession(id string) error {
-	return s.RecoverSessionCtx(context.Background(), id)
-}
-
-// RecoverSessionCtx is RecoverSession under a caller's trace context: the
-// router's migrate span arrives here — through the recover admin request's
-// traceparent, or straight from an in-process Local backend — making the
-// target-side replay part of the same migration tree.
-func (s *Server) RecoverSessionCtx(ctx context.Context, id string) error {
-	parent := tracing.FromContext(ctx)
+// sessions root, then asks it to recover just that id. ctx carries the
+// router's migrate span — through the recover admin request's traceparent,
+// or straight from an in-process Local backend — making the target-side
+// replay part of the same migration tree.
+func (s *Server) RecoverSession(ctx context.Context, id string) error {
 	if s.cfg.DataDir == "" {
 		return errors.New("server: no data dir; nothing to recover from")
 	}
 	if err := ValidateSessionID(id); err != nil && !isAutoID(id) {
 		return err
-	}
-	dir := filepath.Join(s.sessionsRoot(), id)
-	meta, err := readSessionMeta(s.fsys(), dir)
-	if err != nil {
-		return err
-	}
-	if meta.ID != id {
-		return fmt.Errorf("server: session dir %s holds metadata for %q", dir, meta.ID)
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -331,19 +323,15 @@ func (s *Server) RecoverSessionCtx(ctx context.Context, id string) error {
 		return fmt.Errorf("%w: %s", ErrIDTaken, id)
 	}
 	s.noteRecoveredID(id)
-	switch meta.State {
-	case stateClosed:
-		s.recoverFinished(dir, meta)
-		return nil
-	case stateOpen:
-		if err := s.recoverOpen(parent, dir, meta); err != nil {
-			return err
-		}
+	switch state, err := s.recoverDir(tracing.FromContext(ctx), id); {
+	case err != nil:
+		return err
+	case state == stateOpen:
 		s.metrics.imported.Add(1)
-		return nil
-	default:
-		return fmt.Errorf("server: session %s is %q; only open or closed sessions recover", id, meta.State)
+	case state != stateClosed:
+		return fmt.Errorf("server: session %s is %q; only open or closed sessions recover", id, state)
 	}
+	return nil
 }
 
 // isAutoID reports whether id has the server-assigned form s<digits> —
@@ -459,8 +447,7 @@ func (s *Server) recoverOpen(parent tracing.SpanContext, dir string, meta sessio
 		// A journal the engine rejects (poisoned mid-replay) still yields
 		// a live session — with the sticky error a resuming client must
 		// see, exactly as if the failure had happened without a restart.
-		sess.fail(err)
-		s.metrics.failed.Add(1)
+		sess.poison(err, nil)
 	}
 	sess.lastActive = s.cfg.now()
 	sess.enqueued = sess.fed
@@ -528,35 +515,12 @@ func (sess *Session) replayJournal(sink engineSink) (err error) {
 // Memory-only sessions (no journal) have nothing to preserve and are
 // aborted with ErrServerClosed, exactly as Close would.
 func (s *Server) Shutdown() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	live := make([]*Session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
-	}
-	s.mu.Unlock()
-	for _, sess := range live {
-		var owned bool
+	s.stop(func(sess *Session) bool {
 		if sess.jlog != nil {
-			owned = sess.suspend()
-		} else {
-			owned = sess.abort(ErrServerClosed)
+			return sess.suspend()
 		}
-		if !owned {
-			// A clean close was already in flight: wait for its feeder so
-			// the report (and its persistence) completes before the
-			// process exits.
-			<-sess.done
-		}
-	}
-	if s.stopJanitor != nil {
-		close(s.stopJanitor)
-		<-s.janitorDone
-	}
+		return sess.abort(ErrServerClosed)
+	})
 	return nil
 }
 
@@ -567,24 +531,18 @@ func (s *Server) Shutdown() error {
 // (a client's Close racing the shutdown) is left alone: its clean close,
 // report and all, completes normally.
 func (sess *Session) suspend() bool {
-	sess.ingestMu.Lock()
-	if sess.closing {
-		sess.ingestMu.Unlock()
-		return false
+	// The feeder reads the flag only after the channel closes, and only a
+	// suspend that actually owns the close may set it — a clean close in
+	// flight must win.
+	owned := sess.end(func() {
+		sess.mu.Lock()
+		sess.suspended = true
+		sess.mu.Unlock()
+	})
+	if owned {
+		// Late API calls on the dead process's session object get a truthful
+		// terminal error (the next process serves the resumed session).
+		sess.fail(ErrSuspended)
 	}
-	// Mark before closing the work channel: the feeder reads the flag
-	// only after the channel closes, and only a suspend that actually
-	// owns the close may set it — a clean close in flight must win.
-	sess.mu.Lock()
-	sess.suspended = true
-	sess.mu.Unlock()
-	sess.closing = true
-	close(sess.work)
-	sess.ingestMu.Unlock()
-	<-sess.done
-	// Late API calls on the dead process's session object get a truthful
-	// terminal error (the next process serves the resumed session).
-	sess.fail(ErrSuspended)
-	sess.srv.remove(sess)
-	return true
+	return owned
 }

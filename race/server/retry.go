@@ -168,11 +168,6 @@ func newReliable(ctx context.Context, addr string, opts []ReliableOption) *Relia
 // ID returns the session id (stable across reconnects and migrations).
 func (s *ReliableSession) ID() string { return s.id }
 
-// Acked returns the server-acknowledged event offset: everything before it
-// has been analyzed (and journaled, on a durable backend) and is no longer
-// buffered client-side.
-func (s *ReliableSession) Acked() uint64 { return s.acked }
-
 // TraceContext returns the stream's trace identity — the first connection's
 // session span — or a zero SpanContext when tracing is off. Reconnected
 // sessions parent under it, so the whole stream shares one trace ID.

@@ -140,7 +140,7 @@ func TestReplayBufferTrimOnFlushAck(t *testing.T) {
 	if got := len(rs.pending); got != 0 {
 		t.Errorf("pending = %d events after flush ack, want 0", got)
 	}
-	if got := rs.Acked(); got != uint64(len(a)) {
+	if got := rs.acked; got != uint64(len(a)) {
 		t.Errorf("acked = %d, want %d", got, len(a))
 	}
 
@@ -153,8 +153,8 @@ func TestReplayBufferTrimOnFlushAck(t *testing.T) {
 	if err := rs.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.pending) != 0 || rs.Acked() != uint64(len(tr.Events)) {
+	if len(rs.pending) != 0 || rs.acked != uint64(len(tr.Events)) {
 		t.Errorf("after second ack: pending = %d, acked = %d; want 0, %d",
-			len(rs.pending), rs.Acked(), len(tr.Events))
+			len(rs.pending), rs.acked, len(tr.Events))
 	}
 }

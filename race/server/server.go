@@ -198,6 +198,15 @@ func (s *Server) OpenSessionWithID(id string, cfg SessionConfig) (*Session, erro
 	return s.openSession(id, cfg, true)
 }
 
+// open admits a session under the caller's id, or under a server-assigned
+// one when id is empty.
+func (s *Server) open(id string, cfg SessionConfig) (*Session, error) {
+	if id == "" {
+		return s.OpenSession(cfg)
+	}
+	return s.OpenSessionWithID(id, cfg)
+}
+
 // maxSessionIDLen bounds caller-chosen session ids (they become directory
 // names under the data dir).
 const maxSessionIDLen = 64
@@ -222,11 +231,7 @@ func ValidateSessionID(id string) error {
 			return fmt.Errorf("server: session id %q contains %q (want [A-Za-z0-9._-])", id, c)
 		}
 	}
-	reserved := len(id) > 1 && id[0] == 's'
-	for i := 1; reserved && i < len(id); i++ {
-		reserved = id[i] >= '0' && id[i] <= '9'
-	}
-	if reserved {
+	if isAutoID(id) {
 		return fmt.Errorf("server: session id %q is reserved for server-assigned ids (s<digits>)", id)
 	}
 	return nil
@@ -474,22 +479,17 @@ func (s *Server) EvictIdle(now time.Time) int {
 	}
 	cutoff := now.Add(-s.cfg.IdleTimeout)
 	s.mu.Lock()
-	if s.recovering {
-		s.mu.Unlock()
+	recovering := s.recovering
+	s.mu.Unlock()
+	if recovering {
 		return 0
 	}
-	var idle []*Session
-	for _, sess := range s.sessions {
-		sess.mu.Lock()
-		if sess.lastActive.Before(cutoff) {
-			idle = append(idle, sess)
-		}
-		sess.mu.Unlock()
-	}
-	s.mu.Unlock()
 	n := 0
-	for _, sess := range idle {
-		if sess.abort(ErrEvicted) {
+	for _, sess := range s.live() {
+		sess.mu.Lock()
+		idle := sess.lastActive.Before(cutoff)
+		sess.mu.Unlock()
+		if idle && sess.abort(ErrEvicted) {
 			s.metrics.evicted.Add(1)
 			n++
 		}
@@ -530,26 +530,44 @@ func (s *Server) Finished(id string) (*Session, bool) {
 	return sess, ok
 }
 
-// Close shuts the server down: no new sessions are admitted, every live
-// session is aborted, and the janitor stops.
-func (s *Server) Close() error {
+// live snapshots the live table.
+func (s *Server) live() []*Session {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
+	defer s.mu.Unlock()
 	live := make([]*Session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
 		live = append(live, sess)
 	}
+	return live
+}
+
+// Close shuts the server down: no new sessions are admitted, every live
+// session is aborted, and the janitor stops.
+func (s *Server) Close() error {
+	s.stop(func(sess *Session) bool { return sess.abort(ErrServerClosed) })
+	return nil
+}
+
+// stop is the one way down, for Close and Shutdown: admission ends, every
+// live session is ended by end, and the janitor stops. A session end did not
+// get to end (false) was already closing: its feeder is waited for, so a
+// clean close in flight completes — report, persistence and all — before
+// the process exits.
+func (s *Server) stop(end func(*Session) bool) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.closed = true
 	s.mu.Unlock()
-	for _, sess := range live {
-		sess.abort(ErrServerClosed)
+	for _, sess := range s.live() {
+		if !end(sess) {
+			<-sess.done
+		}
 	}
 	if s.stopJanitor != nil {
 		close(s.stopJanitor)
 		<-s.janitorDone
 	}
-	return nil
 }

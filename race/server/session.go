@@ -66,16 +66,6 @@ type Session struct {
 	traceCtx   tracing.SpanContext // default parent for ingest spans (the driving connection's span)
 }
 
-// SetTraceContext records the span context driving this session — the
-// wire connection's span or an in-process fleet backend's route span
-// (Server.Attach), or a one-shot request's — as the default parent for
-// ingest spans when a request carries no context of its own.
-func (sess *Session) SetTraceContext(sc tracing.SpanContext) {
-	sess.mu.Lock()
-	sess.traceCtx = sc
-	sess.mu.Unlock()
-}
-
 // startSpan opens a child span named name under parent, falling back to
 // the session's connection-level context. Nil (free) when tracing is off.
 func (sess *Session) startSpan(name string, parent tracing.SpanContext) *tracing.Span {
@@ -123,10 +113,7 @@ func (sess *Session) run(sink engineSink) {
 				jsp.SetError(err)
 				jsp.End()
 				if err != nil {
-					if sess.fail(fmt.Errorf("%w: syncing journal: %w", ErrDiskFault, err)) {
-						sess.srv.metrics.failed.Add(1)
-						sess.srv.noteIOFault(err)
-					}
+					sess.poison(fmt.Errorf("%w: syncing journal: %w", ErrDiskFault, err), err)
 				}
 			}
 			if sess.Err() == nil {
@@ -134,8 +121,8 @@ func (sess *Session) run(sink engineSink) {
 				err := guard(" at sync", sink.Sync)
 				esp.SetError(err)
 				esp.End()
-				if err != nil && sess.fail(err) {
-					sess.srv.metrics.failed.Add(1)
+				if err != nil {
+					sess.poison(err, nil)
 				}
 			}
 			item.ack <- sess.Err()
@@ -177,8 +164,8 @@ func (sess *Session) run(sink engineSink) {
 	}
 	var rep *race.Report
 	cerr := guard(" at close", func() (err error) { rep, err = sink.Close(); return })
-	if cerr != nil && sess.fail(cerr) {
-		sess.srv.metrics.failed.Add(1)
+	if cerr != nil {
+		sess.poison(cerr, nil)
 	}
 	sess.mu.Lock()
 	if sess.err == nil {
@@ -214,10 +201,7 @@ func (sess *Session) ingest(sink engineSink, item workItem) {
 		jsp.SetError(err)
 		jsp.End()
 		if err != nil {
-			if sess.fail(fmt.Errorf("%w: journaling batch: %w", ErrDiskFault, err)) {
-				sess.srv.metrics.failed.Add(1)
-				sess.srv.noteIOFault(err)
-			}
+			sess.poison(fmt.Errorf("%w: journaling batch: %w", ErrDiskFault, err), err)
 			return
 		}
 	}
@@ -227,9 +211,7 @@ func (sess *Session) ingest(sink engineSink, item workItem) {
 	if err := guard("", func() error { return sink.FeedBatch(item.events) }); err != nil {
 		asp.SetError(err)
 		asp.End()
-		if sess.fail(err) {
-			sess.srv.metrics.failed.Add(1)
-		}
+		sess.poison(err, nil)
 		return
 	}
 	asp.End()
@@ -245,6 +227,18 @@ func (sess *Session) isSuspended() bool {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return sess.suspended
+}
+
+// poison fails the session on an ingestion or analysis error, counting the
+// failure once; ioErr, when set, is the disk failure behind it.
+func (sess *Session) poison(err, ioErr error) {
+	if !sess.fail(err) {
+		return
+	}
+	sess.srv.metrics.failed.Add(1)
+	if ioErr != nil {
+		sess.srv.noteIOFault(ioErr)
+	}
 }
 
 // fail records the session's first error, reporting whether this call set
@@ -453,21 +447,7 @@ func (sess *Session) Enqueued() uint64 {
 	return sess.enqueued
 }
 
-// attach claims the session for one driver — a wire connection or an
-// in-process fleet backend for its lifetime (Server.Attach), or an HTTP
-// mutation request for its duration; at most one drives a session at a
-// time, keeping the journaled stream a single client's view.
-func (sess *Session) attach() error {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.attached {
-		return ErrBusy
-	}
-	sess.attached = true
-	return nil
-}
-
-// detach releases the claim.
+// detach releases the claim (Session.claim).
 func (sess *Session) detach() {
 	sess.mu.Lock()
 	sess.attached = false
@@ -507,21 +487,33 @@ func (sess *Session) FlushCtx(parent tracing.SpanContext) error {
 // is idempotent; after it, the session no longer counts against the
 // server's session limit.
 func (sess *Session) Close() (*race.Report, error) {
-	sess.ingestMu.Lock()
-	first := !sess.closing
-	if first {
-		sess.closing = true
-		close(sess.work)
-	}
-	sess.ingestMu.Unlock()
-	<-sess.done
-	if first {
-		sess.srv.remove(sess)
+	if sess.end(func() {}) {
 		sess.srv.metrics.closed.Add(1)
 	}
+	<-sess.done
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return sess.report, sess.err
+}
+
+// end closes the work queue, waits for the feeder to finish and moves the
+// session to the finished archive — once: it reports whether this call did,
+// and only then runs mark first, under the producers' lock, so that what the
+// feeder finds when the queue closes (a preset error, the suspended flag) is
+// the ending that won.
+func (sess *Session) end(mark func()) bool {
+	sess.ingestMu.Lock()
+	if sess.closing {
+		sess.ingestMu.Unlock()
+		return false
+	}
+	mark()
+	sess.closing = true
+	close(sess.work)
+	sess.ingestMu.Unlock()
+	<-sess.done
+	sess.srv.remove(sess)
+	return true
 }
 
 // abort closes the session with a preset error (eviction, shutdown,
@@ -530,17 +522,9 @@ func (sess *Session) Close() (*race.Report, error) {
 // metric so opened == closed + evicted + active stays an invariant
 // (evictions are counted by EvictIdle).
 func (sess *Session) abort(cause error) bool {
-	sess.ingestMu.Lock()
-	if sess.closing {
-		sess.ingestMu.Unlock()
+	if !sess.end(func() { sess.fail(cause) }) {
 		return false
 	}
-	sess.fail(cause)
-	sess.closing = true
-	close(sess.work)
-	sess.ingestMu.Unlock()
-	<-sess.done
-	sess.srv.remove(sess)
 	if !errors.Is(cause, ErrEvicted) {
 		sess.srv.metrics.closed.Add(1)
 	}

@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
+	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/race"
@@ -243,4 +246,74 @@ func TestSlabTakePrefersTheGrownOne(t *testing.T) {
 		t.Fatalf("spare slab has cap %d before any overlap", cap(spare))
 	}
 	_ = held
+}
+
+// TestHTTPUploadsFillTheSessionsSlabs: the HTTP routes decode into the two
+// slabs a wire connection decodes into. A refused upload hands its slab
+// back (a third refusal would otherwise block), a client that flushes
+// between uploads grows one slab and leaves the spare empty, and a one-shot
+// POST /ingest, whatever its length, shows its engine no third backing array.
+func TestHTTPUploadsFillTheSessionsSlabs(t *testing.T) {
+	var mu sync.Mutex
+	seen := make(map[unsafe.Pointer]bool)
+	s := New(Config{newSink: func(cfg SessionConfig, onRace func(race.RaceInfo)) (engineSink, error) {
+		eng, err := newEngineSink(cfg, onRace, "", nil)
+		return &slabSpy{engineSink: eng, mu: &mu, slabs: seen}, err
+	}})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	sess, err := s.OpenSession(SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := workload.ProgramByName("avrora")
+	tr := p.Generate(40000, 5)
+	good := wire.AppendEvents(nil, tr.Events[:3000])
+	bad := append([]byte(nil), good...)
+	bad[14] = 0xEE
+	for i, body := range [][]byte{bad, good[:len(good)-5], bad} {
+		if status := post("/sessions/"+sess.ID+"/events", body); status != http.StatusBadRequest {
+			t.Fatalf("malformed upload %d answered %d, want 400", i, status)
+		}
+	}
+	for i, body := range [][]byte{good, wire.AppendEvents(nil, tr.Events[3000:6000])} {
+		if status := post("/sessions/"+sess.ID+"/events", body); status != http.StatusOK {
+			t.Fatalf("upload %d answered %d", i, status)
+		}
+		if status := post("/sessions/"+sess.ID+"/flush", nil); status != http.StatusOK {
+			t.Fatalf("flush %d answered %d", i, status)
+		}
+	}
+	if n := len(sess.slabs); n != 2 {
+		t.Fatalf("%d slabs on the free list between requests, want 2", n)
+	}
+	a, b := <-sess.slabs, <-sess.slabs
+	if cap(a) != 0 && cap(b) != 0 {
+		t.Errorf("sequential, flushed uploads grew both slabs (caps %d and %d), want one", cap(a), cap(b))
+	}
+	sess.slabs <- a
+	sess.slabs <- b
+
+	clear(seen)
+	var file bytes.Buffer
+	if err := trace.WriteBinary(&file, tr); err != nil {
+		t.Fatal(err)
+	}
+	if status := post("/ingest", file.Bytes()); status != http.StatusOK {
+		t.Fatalf("POST /ingest answered %d", status)
+	}
+	if len(tr.Events) < 5*ingestBatch || len(seen) == 0 || len(seen) > 2 {
+		t.Errorf("a %d-event ingest showed its engine %d backing arrays, want 1 or 2", len(tr.Events), len(seen))
+	}
 }
