@@ -25,8 +25,6 @@ import (
 	"repro/internal/workload"
 	"repro/race"
 
-	"repro/internal/unopt"
-
 	_ "repro/internal/ft"
 	_ "repro/internal/fto"
 )
@@ -407,19 +405,18 @@ func BenchmarkFigures(b *testing.B) {
 func BenchmarkVindication(b *testing.B) {
 	p, _ := workload.ProgramByName("pmd")
 	tr := p.Generate(80000, 3)
-	a := unopt.NewPredictive(analysis.WDC, analysis.SpecOf(tr), true)
-	for _, e := range tr.Events {
-		a.Handle(e)
+	v, err := vindicate.New(tr)
+	if err != nil {
+		b.Fatal(err)
 	}
-	races := a.Races().Races()
+	races := v.Races()
 	if len(races) == 0 {
 		b.Fatal("no races to vindicate")
 	}
-	g := a.Graph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := races[i%len(races)]
-		vindicate.Race(tr, g, r.Index, vindicate.Options{Seed: int64(i)})
+		v.Race(r.Index, vindicate.Options{Seed: int64(i)})
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	// Register the FT2 baseline with the analysis registry.
 	_ "repro/internal/ft"
-	"repro/internal/unopt"
 	"repro/internal/vindicate"
 	"repro/internal/workload"
 )
@@ -321,17 +320,14 @@ func RenderFigures() string {
 			fmt.Fprintf(&b, "  %-4s %s\n", rel.String()+":", verdict)
 		}
 		// Vindication via the weakest relation's constraint graph.
-		a := unopt.NewPredictive(analysis.WDC, analysis.SpecOf(fig.Trace), true)
-		analysis.Run(a, fig.Trace)
-		if races := a.Races().Races(); len(races) > 0 {
-			res := vindicate.Race(fig.Trace, a.Graph(), races[0].Index, vindicate.Options{})
-			if res.Vindicated {
-				fmt.Fprintf(&b, "  vindication: predictable race confirmed (witness of %d events)\n", len(res.Witness))
-			} else {
-				fmt.Fprintf(&b, "  vindication: not confirmed (%s)\n", res.Reason)
-			}
-		} else {
+		if v, err := vindicate.New(fig.Trace); err != nil {
+			fmt.Fprintf(&b, "  vindication: %v\n", err)
+		} else if races := v.Races(); len(races) == 0 {
 			fmt.Fprintf(&b, "  vindication: n/a (no analysis reports a race)\n")
+		} else if res := v.Race(races[0].Index, vindicate.Options{}); res.Vindicated {
+			fmt.Fprintf(&b, "  vindication: predictable race confirmed (witness of %d events)\n", len(res.Witness))
+		} else {
+			fmt.Fprintf(&b, "  vindication: not confirmed (%s)\n", res.Reason)
 		}
 		b.WriteString("\n")
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/oracle"
-	"repro/internal/unopt"
 	"repro/internal/vindicate"
 	"repro/internal/workload"
 )
@@ -77,13 +76,15 @@ func TestVindicationSoundAgainstOracle(t *testing.T) {
 	checked := 0
 	for _, cfg := range tinyConfigs() {
 		tr := workload.Random(cfg)
-		a := unopt.NewPredictive(analysis.WDC, analysis.SpecOf(tr), true)
-		analysis.Run(a, tr)
-		for i, r := range a.Races().Races() {
+		v, err := vindicate.New(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range v.Races() {
 			if i >= 3 {
 				break
 			}
-			res := vindicate.Race(tr, a.Graph(), r.Index, vindicate.Options{Seed: cfg.Seed})
+			res := v.Race(r.Index, vindicate.Options{Seed: cfg.Seed})
 			if !res.Vindicated {
 				continue
 			}

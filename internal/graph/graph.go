@@ -28,8 +28,8 @@ type Graph struct {
 	chunks [][][2]int32 // in recording order, each at full length
 	cur    [][2]int32   // the filled prefix of the last chunk
 
-	adj  [][]int32 // built on demand by Succ/Pred
-	radj [][]int32
+	adj  [][]int32 // built when Succ is first asked
+	radj [][]int32 // built when Pred is first asked (all that vindication reads)
 	_    report.Pad
 }
 
@@ -50,7 +50,7 @@ func (g *Graph) Edge(src, dst int32) {
 	if m := int(max(src, dst)); m >= g.N {
 		g.N = m + 1
 	}
-	if g.adj != nil {
+	if g.adj != nil || g.radj != nil {
 		g.adj, g.radj = nil, nil
 	}
 }
@@ -65,25 +65,22 @@ func (g *Graph) Edges() [][2]int32 {
 	return slices.Concat(g.chunks...)[:g.Len()]
 }
 
-func (g *Graph) build() {
-	if g.adj != nil {
-		return
-	}
-	g.adj = make([][]int32, g.N)
-	g.radj = make([][]int32, g.N)
+// adjacency groups the recorded edges by their from-end: list[e[from]] holds
+// every e[1-from], sorted, duplicates dropped.
+func (g *Graph) adjacency(from int) [][]int32 {
+	list := make([][]int32, g.N)
 	for i, c := range g.chunks {
 		if i == len(g.chunks)-1 {
 			c = g.cur
 		}
 		for _, e := range c {
-			g.adj[e[0]] = append(g.adj[e[0]], e[1])
-			g.radj[e[1]] = append(g.radj[e[1]], e[0])
+			list[e[from]] = append(list[e[from]], e[1-from])
 		}
 	}
-	for i := range g.adj {
-		sortDedup(&g.adj[i])
-		sortDedup(&g.radj[i])
+	for i := range list {
+		sortDedup(&list[i])
 	}
+	return list
 }
 
 func sortDedup(s *[]int32) {
@@ -94,7 +91,9 @@ func sortDedup(s *[]int32) {
 // Succ returns the cross-thread successors of event i. Indices beyond the
 // observed event space have no edges.
 func (g *Graph) Succ(i int32) []int32 {
-	g.build()
+	if g.adj == nil {
+		g.adj = g.adjacency(0)
+	}
 	if int(i) >= len(g.adj) {
 		return nil
 	}
@@ -104,7 +103,9 @@ func (g *Graph) Succ(i int32) []int32 {
 // Pred returns the cross-thread predecessors of event i. Indices beyond the
 // observed event space have no edges.
 func (g *Graph) Pred(i int32) []int32 {
-	g.build()
+	if g.radj == nil {
+		g.radj = g.adjacency(1)
+	}
 	if int(i) >= len(g.radj) {
 		return nil
 	}
@@ -113,13 +114,13 @@ func (g *Graph) Pred(i int32) []int32 {
 
 // Weight estimates the graph's retained memory in 8-byte words — the
 // "w/G" analyses' extra footprint: the edge chunks at their capacity, the
-// chunk table, and the adjacency lists once built.
+// chunk table, and whichever adjacency lists have been built.
 func (g *Graph) Weight() int {
 	w := (3 + chunkEdges) * len(g.chunks)
-	if g.adj != nil {
-		w += 2 * 3 * g.N
-		for i := range g.adj {
-			w += (cap(g.adj[i]) + cap(g.radj[i]) + 1) / 2
+	for _, list := range [][][]int32{g.adj, g.radj} {
+		w += 3 * len(list)
+		for i := range list {
+			w += (cap(list[i]) + 1) / 2
 		}
 	}
 	return w

@@ -52,12 +52,25 @@ func WriteBinary(w io.Writer, tr *Trace) error {
 // (Encoder), whose declared id spaces are hints widened to the observed
 // ids.
 func ReadBinary(r io.Reader) (*Trace, error) {
-	d := NewDecoder(r)
+	tr, streamed, err := drain(NewDecoder(r))
+	if err == nil && streamed {
+		tr.Widen(tr.Events)
+	}
+	return tr, err
+}
+
+// drain reads either streaming decoder to io.EOF into a Trace declared over
+// its header's id spaces, pre-sized when the header counts its events;
+// streamed reports that it does not.
+func drain(d interface {
+	Header() (Header, error)
+	Next() (Event, error)
+}) (tr *Trace, streamed bool, err error) {
 	h, err := d.Header()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	tr := &Trace{
+	tr = &Trace{
 		Threads:   h.Threads,
 		Vars:      h.Vars,
 		Locks:     h.Locks,
@@ -67,24 +80,20 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	if h.Events != Unbounded {
 		const maxEvents = 1 << 32
 		if h.Events > maxEvents {
-			return nil, fmt.Errorf("trace: implausible event count %d", h.Events)
+			return nil, false, fmt.Errorf("trace: implausible event count %d", h.Events)
 		}
 		tr.Events = make([]Event, 0, h.Events)
 	}
 	for {
 		e, err := d.Next()
 		if err == io.EOF {
-			break
+			return tr, h.Events == Unbounded, nil
 		}
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		tr.Events = append(tr.Events, e)
 	}
-	if h.Events == Unbounded {
-		tr.Widen(tr.Events)
-	}
-	return tr, nil
 }
 
 // Widen grows the trace's declared id spaces to cover every id evs use
@@ -130,29 +139,8 @@ func WriteText(w io.Writer, tr *Trace) error {
 }
 
 // ReadText parses the line-oriented form produced by WriteText by draining
-// a TextDecoder.
+// a TextDecoder. The header's id spaces stand as declared.
 func ReadText(r io.Reader) (*Trace, error) {
-	d := NewTextDecoder(r)
-	h, err := d.Header()
-	if err != nil {
-		return nil, err
-	}
-	tr := &Trace{
-		Threads:   h.Threads,
-		Vars:      h.Vars,
-		Locks:     h.Locks,
-		Volatiles: h.Volatiles,
-		Classes:   h.Classes,
-	}
-	for {
-		e, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		tr.Events = append(tr.Events, e)
-	}
-	return tr, nil
+	tr, _, err := drain(NewTextDecoder(r))
+	return tr, err
 }

@@ -1,22 +1,34 @@
 // Package vindicate checks whether a reported race is a true predictable
 // race by constructing a witness: a predicted trace (§2.2) in which the two
 // conflicting accesses are adjacent. It plays the role of prior work's
-// VindicateRace algorithm (Roemer et al. 2018), consuming the event
-// constraint graph built by the "w/G" analyses.
+// VindicateRace algorithm (Roemer et al. 2018).
+//
+// A Vindicator is the one object that gets from a trace to verdicts, built
+// once per trace by New: it checks the trace, replays it under Unopt-WDC w/G
+// (the weakest relation, so its event constraint graph constrains every
+// candidate race; §4.3's record & replay split), and indexes it. The graph,
+// the index and the search's scratch stay inside; Race and Pair answer any
+// number of races from them.
 //
 // The algorithm is a constraint-guided greedy scheduler with random
 // restarts rather than prior work's full search; like VindicateRace it is
-// sound but incomplete: a returned witness always passes an independent
-// predicted-trace verifier (so a vindicated race is certainly predictable),
-// while failure to find a witness leaves the race unverified.
+// sound but incomplete: a returned witness always passes the predicted-trace
+// verifier (so a vindicated race is certainly predictable), while failure to
+// find a witness leaves the race unverified. The verifier reads the trace
+// and nothing the search produced — not the graph, not the cone — which is
+// what makes it a gate; Verify is the same check for a caller holding only a
+// trace and a witness.
 package vindicate
 
 import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/analysis"
 	"repro/internal/graph"
+	"repro/internal/report"
 	"repro/internal/trace"
+	"repro/internal/unopt"
 )
 
 // Result describes a vindication attempt.
@@ -62,36 +74,135 @@ type Options struct {
 	Seed int64
 }
 
+// conflict reports whether a and b are accesses to one variable by two
+// threads, at least one of them a write.
+func conflict(a, b trace.Event) bool {
+	return a.T != b.T && a.Targ == b.Targ && a.Op.IsAccess() && b.Op.IsAccess() &&
+		(a.Op == trace.OpWrite || b.Op == trace.OpWrite)
+}
+
 // FindPrior locates candidate earlier accesses conflicting with the access
 // at index e2, latest first.
 func FindPrior(tr *trace.Trace, e2 int) []int {
-	ev2 := tr.Events[e2]
-	if !ev2.Op.IsAccess() {
-		return nil
-	}
 	var out []int
 	for i := e2 - 1; i >= 0; i-- {
-		e := tr.Events[i]
-		if !e.Op.IsAccess() || e.Targ != ev2.Targ || e.T == ev2.T {
-			continue
-		}
-		if e.Op == trace.OpWrite || ev2.Op == trace.OpWrite {
+		if conflict(tr.Events[i], tr.Events[e2]) {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
+// Vindicator answers vindication queries over one trace. It is not safe for
+// concurrent use: the searches share scratch.
+type Vindicator struct {
+	index
+	g     *graph.Graph  // the replay's event constraint graph
+	races []report.Race // what the replay detected
+
+	// Scratch of schedule, allocated once and left clean by every try.
+	scheduled []bool  // per event
+	lockOwner []int32 // per lock: owning thread, -1 = free
+	lastW     []int32 // per variable: last write emitted, -1 = none
+	ptr       []int32 // per thread: cone events emitted
+	trail     []int32 // the try's emitted events, in order
+	cand      []int   // threads whose next cone event is enabled
+}
+
+// index is what vindication reads of a trace alone, built once per trace.
+type index struct {
+	tr *trace.Trace
+	// byThread lists event indices per thread in trace order.
+	byThread [][]int32
+	// posInThread[i] is the rank of event i within its thread.
+	posInThread []int32
+	// lastWriter[i] is, for a read event i, the index of its last writer in
+	// the original trace (-1 if none).
+	lastWriter []int32
+	// matchRel[i] is, for an acquire event i, the index of its matching
+	// release (-1 if the critical section never closes).
+	matchRel []int32
+}
+
+// newIndex indexes tr, or returns the well-formedness rule tr breaks: the
+// tables are sized by tr's declared id spaces and pair every release with
+// its acquire.
+func newIndex(tr *trace.Trace) (index, error) {
+	if err := trace.Check(tr); err != nil {
+		return index{}, fmt.Errorf("vindicate: ill-formed trace: %w", err)
+	}
+	x := index{
+		tr:          tr,
+		byThread:    make([][]int32, tr.Threads),
+		posInThread: make([]int32, tr.Len()),
+		lastWriter:  make([]int32, tr.Len()),
+		matchRel:    make([]int32, tr.Len()),
+	}
+	lastW := filled(tr.Vars)
+	openAcq := filled(tr.Locks) // the lock's open acquire (at most one, by well-formedness)
+	for i, e := range tr.Events {
+		x.posInThread[i] = int32(len(x.byThread[e.T]))
+		x.byThread[e.T] = append(x.byThread[e.T], int32(i))
+		x.lastWriter[i] = -1
+		x.matchRel[i] = -1
+		switch e.Op {
+		case trace.OpRead:
+			x.lastWriter[i] = lastW[e.Targ]
+		case trace.OpWrite:
+			lastW[e.Targ] = int32(i)
+		case trace.OpAcquire:
+			openAcq[e.Targ] = int32(i)
+		case trace.OpRelease:
+			x.matchRel[openAcq[e.Targ]] = int32(i)
+		}
+	}
+	return x, nil
+}
+
+// filled returns n int32s, all -1.
+func filled(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = -1
+	}
+	return s
+}
+
+// New builds the vindicator of tr: one well-formedness check, one
+// Unopt-WDC w/G replay, one index. It returns an error, wrapping the
+// *trace.CheckError, if tr is ill formed.
+func New(tr *trace.Trace) (*Vindicator, error) {
+	x, err := newIndex(tr)
+	if err != nil {
+		return nil, err
+	}
+	a := unopt.NewPredictive(analysis.WDC, analysis.SpecOf(tr), true)
+	col := analysis.Run(a, tr)
+	return &Vindicator{
+		index:     x,
+		g:         a.Graph(),
+		races:     col.Races(),
+		scheduled: make([]bool, tr.Len()),
+		lockOwner: filled(tr.Locks),
+		lastW:     filled(tr.Vars),
+		ptr:       make([]int32, tr.Threads),
+	}, nil
+}
+
+// Races returns the races the replay detected, in detection order: every
+// candidate the weakest relation flags.
+func (v *Vindicator) Races() []report.Race { return v.races }
+
 // Race attempts to vindicate the race whose detecting access is at trace
 // index e2, trying each conflicting prior access in turn. A failure on a
 // racing read whose candidate writes were all graph-ordered before it is
 // flagged as the write→read gap (Result.WriteReadGap) rather than left as
 // a silent miss.
-func Race(tr *trace.Trace, g *graph.Graph, e2 int, opts Options) Result {
-	cands := FindPrior(tr, e2)
+func (v *Vindicator) Race(e2 int, opts Options) Result {
+	cands := FindPrior(v.tr, e2)
 	ordered := 0
 	for _, e1 := range cands {
-		r := Pair(tr, g, e1, e2, opts)
+		r := v.Pair(e1, e2, opts)
 		if r.Vindicated {
 			return r
 		}
@@ -100,7 +211,7 @@ func Race(tr *trace.Trace, g *graph.Graph, e2 int, opts Options) Result {
 		}
 	}
 	res := Result{E2: e2, Reason: "no conflicting prior access could be witnessed"}
-	if tr.Events[e2].Op == trace.OpRead && len(cands) > 0 && ordered == len(cands) {
+	if v.tr.Events[e2].Op == trace.OpRead && len(cands) > 0 && ordered == len(cands) {
 		res.WriteReadGap = true
 		res.Reason = ReasonWriteReadGap
 	}
@@ -108,26 +219,23 @@ func Race(tr *trace.Trace, g *graph.Graph, e2 int, opts Options) Result {
 }
 
 // Pair attempts to vindicate the specific conflicting pair (e1, e2).
-func Pair(tr *trace.Trace, g *graph.Graph, e1, e2 int, opts Options) Result {
+func (v *Vindicator) Pair(e1, e2 int, opts Options) Result {
 	if opts.Restarts <= 0 {
 		opts.Restarts = 32
 	}
 	res := Result{E1: e1, E2: e2}
-	a, b := tr.Events[e1], tr.Events[e2]
-	if a.T == b.T || a.Targ != b.Targ || !a.Op.IsAccess() || !b.Op.IsAccess() ||
-		(a.Op != trace.OpWrite && b.Op != trace.OpWrite) {
+	if !conflict(v.tr.Events[e1], v.tr.Events[e2]) {
 		res.Reason = "events do not conflict"
 		return res
 	}
 
-	v := newVindicator(tr, g)
 	cut, ok := v.cone(e1, e2)
 	if !ok {
 		res.Reason = reasonGraphOrdered
 		return res
 	}
 	// The racing threads may not hold a common lock at the race.
-	if m, clash := v.commonHeldLock(cut, e1, e2); clash {
+	if m, clash := v.commonHeldLock(e1, e2); clash {
 		res.Reason = fmt.Sprintf("racing accesses both inside critical sections on lock %d", m)
 		return res
 	}
@@ -135,7 +243,7 @@ func Pair(tr *trace.Trace, g *graph.Graph, e1, e2 int, opts Options) Result {
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
 	for try := 0; try < opts.Restarts; try++ {
 		if w, ok := v.schedule(cut, e1, e2, rng); ok {
-			if err := Verify(tr, w, e1, e2); err != nil {
+			if err := v.verify(w, e1, e2); err != nil {
 				// The verifier is the soundness gate; a schedule that fails
 				// it is discarded.
 				continue
@@ -149,56 +257,6 @@ func Pair(tr *trace.Trace, g *graph.Graph, e1, e2 int, opts Options) Result {
 	return res
 }
 
-type vindicator struct {
-	tr *trace.Trace
-	g  *graph.Graph
-	// byThread lists event indices per thread in trace order.
-	byThread [][]int32
-	// posInThread[i] is the rank of event i within its thread.
-	posInThread []int32
-	// lastWriter[i] is, for a read event i, the index of its last writer in
-	// the original trace (-1 if none).
-	lastWriter []int32
-	// matchRel[i] is, for an acquire event i, the index of its matching
-	// release (-1 if the critical section never closes).
-	matchRel []int32
-}
-
-func newVindicator(tr *trace.Trace, g *graph.Graph) *vindicator {
-	v := &vindicator{
-		tr:          tr,
-		g:           g,
-		byThread:    make([][]int32, tr.Threads),
-		posInThread: make([]int32, tr.Len()),
-		lastWriter:  make([]int32, tr.Len()),
-		matchRel:    make([]int32, tr.Len()),
-	}
-	lastW := make([]int32, tr.Vars)
-	for i := range lastW {
-		lastW[i] = -1
-	}
-	openAcq := make([][]int32, tr.Locks) // stack per lock (depth ≤ 1 per well-formedness)
-	for i, e := range tr.Events {
-		v.posInThread[i] = int32(len(v.byThread[e.T]))
-		v.byThread[e.T] = append(v.byThread[e.T], int32(i))
-		v.lastWriter[i] = -1
-		v.matchRel[i] = -1
-		switch e.Op {
-		case trace.OpRead:
-			v.lastWriter[i] = lastW[e.Targ]
-		case trace.OpWrite:
-			lastW[e.Targ] = int32(i)
-		case trace.OpAcquire:
-			openAcq[e.Targ] = append(openAcq[e.Targ], int32(i))
-		case trace.OpRelease:
-			st := openAcq[e.Targ]
-			v.matchRel[st[len(st)-1]] = int32(i)
-			openAcq[e.Targ] = st[:len(st)-1]
-		}
-	}
-	return v
-}
-
 // cone computes, per thread, the prefix of events that must appear in any
 // witness for (e1, e2): the closure of the racing accesses' predecessors
 // under program order, the constraint graph's cross-thread edges,
@@ -207,69 +265,57 @@ func newVindicator(tr *trace.Trace, g *graph.Graph) *vindicator {
 // with it the release's program-order prefix). cut[t] is the number of
 // t-events included. Returns ok=false if closure pulls e1 or e2 in (the
 // pair is ordered, so no witness exists with them last).
-func (v *vindicator) cone(e1, e2 int) ([]int32, bool) {
+func (v *Vindicator) cone(e1, e2 int) ([]int32, bool) {
 	cut := make([]int32, v.tr.Threads) // number of events included per thread
 	var stack []int32
 
-	// need marks event i (and its PO prefix) as required.
-	need := func(i int32) {
-		t := v.tr.Events[i].T
-		if v.posInThread[i] < cut[t] {
-			return
+	// pull includes every stacked event not yet in the cone, with its
+	// program-order prefix, and chases what the included events depend on:
+	// their graph predecessors and last writers.
+	pull := func() (grew bool) {
+		for len(stack) > 0 {
+			i := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			t := v.tr.Events[i].T
+			p := v.posInThread[i]
+			if p < cut[t] {
+				continue
+			}
+			for r := cut[t]; r <= p; r++ {
+				j := v.byThread[t][r]
+				stack = append(stack, v.g.Pred(j)...)
+				if w := v.lastWriter[j]; w >= 0 {
+					stack = append(stack, w)
+				}
+			}
+			cut[t] = p + 1
+			grew = true
 		}
-		stack = append(stack, i)
+		return grew
 	}
 
 	// Seed: strict predecessors of the racing accesses.
 	for _, e := range []int{e1, e2} {
-		t := v.tr.Events[e].T
 		if p := v.posInThread[e]; p > 0 {
-			need(v.byThread[t][p-1])
+			stack = append(stack, v.byThread[v.tr.Events[e].T][p-1])
 		}
-		for _, pr := range v.g.Pred(int32(e)) {
-			need(pr)
-		}
+		stack = append(stack, v.g.Pred(int32(e))...)
 	}
-
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		t := v.tr.Events[i].T
-		p := v.posInThread[i]
-		if p < cut[t] {
-			continue
-		}
-		// Include t's events (cut[t] .. p] and chase their dependencies.
-		for r := cut[t]; r <= p; r++ {
-			j := v.byThread[t][r]
-			for _, pr := range v.g.Pred(j) {
-				need(pr)
-			}
-			if w := v.lastWriter[j]; w >= 0 {
-				need(w)
-			}
-		}
-		cut[t] = p + 1
-	}
+	pull()
 
 	// Lock completion to a fixpoint: if two threads' included prefixes both
 	// acquire lock m, every included critical section on m except those
 	// still open at the race must also include its release.
 	for changed := true; changed; {
 		changed = false
-		inclAcq := make(map[uint32]int) // lock -> #threads with included acquires
-		seen := make(map[uint32]map[trace.Tid]bool)
+		inclAcq := make(map[uint32]int)   // lock -> #threads with included acquires
+		lastAcq := make(map[uint32]int32) // lock -> 1 + the last such thread
 		for t := range v.byThread {
 			for r := int32(0); r < cut[t]; r++ {
 				e := v.tr.Events[v.byThread[t][r]]
-				if e.Op == trace.OpAcquire {
-					if seen[e.Targ] == nil {
-						seen[e.Targ] = make(map[trace.Tid]bool)
-					}
-					if !seen[e.Targ][e.T] {
-						seen[e.Targ][e.T] = true
-						inclAcq[e.Targ]++
-					}
+				if e.Op == trace.OpAcquire && lastAcq[e.Targ] != int32(t)+1 {
+					lastAcq[e.Targ] = int32(t) + 1
+					inclAcq[e.Targ]++
 				}
 			}
 		}
@@ -281,40 +327,19 @@ func (v *vindicator) cone(e1, e2 int) ([]int32, bool) {
 					continue
 				}
 				rel := v.matchRel[i]
-				if rel < 0 {
+				if rel < 0 || v.posInThread[rel] < cut[t] {
 					continue
 				}
-				if v.posInThread[rel] >= cut[e.T] {
-					// Pull in the release (and its prefix) unless this is a
-					// critical section containing the race itself.
-					if int(i) <= e1 && e1 <= int(rel) && v.tr.Events[e1].T == e.T {
-						continue
-					}
-					if int(i) <= e2 && e2 <= int(rel) && v.tr.Events[e2].T == e.T {
-						continue
-					}
-					stack = append(stack, rel)
-					for len(stack) > 0 {
-						j := stack[len(stack)-1]
-						stack = stack[:len(stack)-1]
-						tj := v.tr.Events[j].T
-						pj := v.posInThread[j]
-						if pj < cut[tj] {
-							continue
-						}
-						for rr := cut[tj]; rr <= pj; rr++ {
-							k := v.byThread[tj][rr]
-							for _, pr := range v.g.Pred(k) {
-								stack = append(stack, pr)
-							}
-							if w := v.lastWriter[k]; w >= 0 {
-								stack = append(stack, w)
-							}
-						}
-						cut[tj] = pj + 1
-						changed = true
-					}
+				// Pull in the release (and its prefix) unless this is a
+				// critical section containing the race itself.
+				if int(i) <= e1 && e1 <= int(rel) && v.tr.Events[e1].T == e.T {
+					continue
 				}
+				if int(i) <= e2 && e2 <= int(rel) && v.tr.Events[e2].T == e.T {
+					continue
+				}
+				stack = append(stack, rel)
+				changed = pull() || changed
 			}
 		}
 	}
@@ -328,17 +353,12 @@ func (v *vindicator) cone(e1, e2 int) ([]int32, bool) {
 
 // commonHeldLock reports a lock held by both racing threads at their
 // accesses (which makes adjacency impossible).
-func (v *vindicator) commonHeldLock(cut []int32, e1, e2 int) (uint32, bool) {
+func (v *Vindicator) commonHeldLock(e1, e2 int) (uint32, bool) {
 	held := func(e int) map[uint32]bool {
-		t := v.tr.Events[e].T
 		h := make(map[uint32]bool)
-		for r := int32(0); r < v.posInThread[e]; r++ {
-			ev := v.tr.Events[v.byThread[t][r]]
-			switch ev.Op {
-			case trace.OpAcquire:
-				h[ev.Targ] = true
-			case trace.OpRelease:
-				delete(h, ev.Targ)
+		for _, i := range v.byThread[v.tr.Events[e].T][:v.posInThread[e]] {
+			if rel := v.matchRel[i]; v.tr.Events[i].Op == trace.OpAcquire && (rel < 0 || int(rel) > e) {
+				h[v.tr.Events[i].Targ] = true
 			}
 		}
 		return h
@@ -356,19 +376,10 @@ func (v *vindicator) commonHeldLock(cut []int32, e1, e2 int) (uint32, bool) {
 // picks a random enabled thread; an event is enabled when its graph
 // predecessors are scheduled, its lock (for acquires) is free, and (for
 // reads) its original last writer is the witness's current last writer.
-func (v *vindicator) schedule(cut []int32, e1, e2 int, rng *rand.Rand) ([]trace.Event, bool) {
+func (v *Vindicator) schedule(cut []int32, e1, e2 int, rng *rand.Rand) ([]trace.Event, bool) {
 	tr := v.tr
-	ptr := make([]int32, tr.Threads)
-	scheduled := make([]bool, tr.Len())
-	lockOwner := make([]int32, tr.Locks)
-	for i := range lockOwner {
-		lockOwner[i] = -1
-	}
-	lastW := make([]int32, tr.Vars)
-	for i := range lastW {
-		lastW[i] = -1
-	}
-	var out []trace.Event
+	clear(v.ptr)
+	defer v.undo()
 
 	total := 0
 	for t := range cut {
@@ -382,17 +393,17 @@ func (v *vindicator) schedule(cut []int32, e1, e2 int, rng *rand.Rand) ([]trace.
 	enabled := func(i int32, racing bool) bool {
 		e := tr.Events[i]
 		for _, pr := range v.g.Pred(i) {
-			if !scheduled[pr] {
+			if !v.scheduled[pr] {
 				return false
 			}
 		}
 		switch e.Op {
 		case trace.OpAcquire:
-			if lockOwner[e.Targ] != -1 {
+			if v.lockOwner[e.Targ] != -1 {
 				return false
 			}
 		case trace.OpRead:
-			if !racing && lastW[e.Targ] != v.lastWriter[i] {
+			if !racing && v.lastW[e.Targ] != v.lastWriter[i] {
 				return false
 			}
 		}
@@ -401,33 +412,32 @@ func (v *vindicator) schedule(cut []int32, e1, e2 int, rng *rand.Rand) ([]trace.
 
 	emit := func(i int32) {
 		e := tr.Events[i]
-		scheduled[i] = true
-		out = append(out, e)
+		v.scheduled[i] = true
+		v.trail = append(v.trail, i)
 		switch e.Op {
 		case trace.OpAcquire:
-			lockOwner[e.Targ] = int32(e.T)
+			v.lockOwner[e.Targ] = int32(e.T)
 		case trace.OpRelease:
-			lockOwner[e.Targ] = -1
+			v.lockOwner[e.Targ] = -1
 		case trace.OpWrite:
-			lastW[e.Targ] = i
+			v.lastW[e.Targ] = i
 		}
 	}
 
-	for emitted := 0; emitted < total; {
+	for emitted := 0; emitted < total; emitted++ {
 		// Candidate threads whose next cone event is enabled.
-		var cand []int
+		v.cand = v.cand[:0]
 		for t := 0; t < tr.Threads; t++ {
-			if ptr[t] < cut[t] && enabled(v.byThread[t][ptr[t]], false) {
-				cand = append(cand, t)
+			if v.ptr[t] < cut[t] && enabled(v.byThread[t][v.ptr[t]], false) {
+				v.cand = append(v.cand, t)
 			}
 		}
-		if len(cand) == 0 {
+		if len(v.cand) == 0 {
 			return nil, false // stuck: constraint deadlock under this order
 		}
-		t := cand[rng.Intn(len(cand))]
-		emit(v.byThread[t][ptr[t]])
-		ptr[t]++
-		emitted++
+		t := v.cand[rng.Intn(len(v.cand))]
+		emit(v.byThread[t][v.ptr[t]])
+		v.ptr[t]++
 	}
 	// Finally the racing pair: both must be co-enabled in this state
 	// (emitting e1 cannot disable e2 — accesses do not touch locks, and
@@ -437,19 +447,53 @@ func (v *vindicator) schedule(cut []int32, e1, e2 int, rng *rand.Rand) ([]trace.
 	}
 	emit(int32(e1))
 	emit(int32(e2))
+	out := make([]trace.Event, len(v.trail))
+	for k, i := range v.trail {
+		out[k] = tr.Events[i]
+	}
 	return out, true
+}
+
+// undo takes back what a try emitted, so the next one starts from clean
+// scratch at a cost set by the cone, not the trace.
+func (v *Vindicator) undo() {
+	for _, i := range v.trail {
+		v.scheduled[i] = false
+		switch e := v.tr.Events[i]; e.Op {
+		case trace.OpAcquire, trace.OpRelease:
+			v.lockOwner[e.Targ] = -1
+		case trace.OpWrite:
+			v.lastW[e.Targ] = -1
+		}
+	}
+	v.trail = v.trail[:0]
 }
 
 // Verify independently checks that witness is a predicted trace of tr
 // exposing a race between tr's events e1 and e2: witness events are a
 // per-thread program-order prefix-respecting subsequence of tr, locking is
 // well formed, every read has the same last writer as in tr, and the final
-// two events are the conflicting pair with no intervening event.
+// two events are the conflicting pair with no intervening event. It reads tr
+// alone — no replay, no graph — and returns an error for an ill-formed tr or
+// out-of-range indices.
 func Verify(tr *trace.Trace, witness []trace.Event, e1, e2 int) error {
+	x, err := newIndex(tr)
+	if err != nil {
+		return err
+	}
+	if e1 < 0 || e1 >= tr.Len() || e2 < 0 || e2 >= tr.Len() {
+		return fmt.Errorf("vindicate: racing pair (%d, %d) out of range (trace has %d events)", e1, e2, tr.Len())
+	}
+	return x.verify(witness, e1, e2)
+}
+
+// verify is Verify over the trace's index: the gate every candidate witness
+// of the search passes.
+func (x *index) verify(witness []trace.Event, e1, e2 int) error {
+	tr := x.tr
 	if len(witness) < 2 {
 		return fmt.Errorf("vindicate: witness too short")
 	}
-	v := newVindicator(tr, graph.New(tr.Len()))
 
 	// Map witness events back to trace indices: per-thread subsequence
 	// matching (greedy — witness events must appear in each thread's
@@ -457,14 +501,15 @@ func Verify(tr *trace.Trace, witness []trace.Event, e1, e2 int) error {
 	next := make([]int32, tr.Threads)
 	idxOf := make([]int32, len(witness))
 	for wi, e := range witness {
-		t := e.T
 		found := int32(-1)
-		for r := next[t]; r < int32(len(v.byThread[t])); r++ {
-			j := v.byThread[t][r]
-			if tr.Events[j] == e {
-				found = j
-				next[t] = r + 1
-				break
+		if t := int(e.T); t < tr.Threads { // an event of an undeclared thread matches nothing
+			for r := next[t]; r < int32(len(x.byThread[t])); r++ {
+				j := x.byThread[t][r]
+				if tr.Events[j] == e {
+					found = j
+					next[t] = r + 1
+					break
+				}
 			}
 		}
 		if found < 0 {
@@ -497,24 +542,16 @@ func Verify(tr *trace.Trace, witness []trace.Event, e1, e2 int) error {
 	// pair, which the formal definition only requires to be co-enabled —
 	// they do not "execute", so a racing read is exempt (its value is
 	// exactly what the race would corrupt).
-	lastW := make(map[uint32]int32)
+	lastW := make(map[uint32]int32) // variable -> 1 + its last write so far
 	for wi, e := range witness {
 		i := idxOf[wi]
 		switch e.Op {
 		case trace.OpRead:
-			if wi >= len(witness)-2 {
-				continue
-			}
-			want := v.lastWriter[i]
-			got, ok := lastW[e.Targ]
-			if !ok {
-				got = -1
-			}
-			if got != want {
+			if got, want := lastW[e.Targ]-1, x.lastWriter[i]; got != want && wi < len(witness)-2 {
 				return fmt.Errorf("vindicate: witness read %d has last writer %d, original %d", wi, got, want)
 			}
 		case trace.OpWrite:
-			lastW[e.Targ] = i
+			lastW[e.Targ] = i + 1
 		}
 	}
 
@@ -522,9 +559,7 @@ func Verify(tr *trace.Trace, witness []trace.Event, e1, e2 int) error {
 	if idxOf[len(witness)-2] != int32(e1) || idxOf[len(witness)-1] != int32(e2) {
 		return fmt.Errorf("vindicate: witness does not end with the racing pair")
 	}
-	a, b := tr.Events[e1], tr.Events[e2]
-	if a.T == b.T || a.Targ != b.Targ ||
-		(a.Op != trace.OpWrite && b.Op != trace.OpWrite) || !a.Op.IsAccess() || !b.Op.IsAccess() {
+	if !conflict(tr.Events[e1], tr.Events[e2]) {
 		return fmt.Errorf("vindicate: final pair does not conflict")
 	}
 	return nil

@@ -1,31 +1,34 @@
 package vindicate
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/graph"
 	"repro/internal/trace"
-	"repro/internal/unopt"
 	"repro/internal/workload"
 )
 
-// runWDCGraph runs Unopt-WDC w/G (the weakest relation, so it flags every
-// candidate race) and returns the analysis.
-func runWDCGraph(tr *trace.Trace) *unopt.Analysis {
-	a := unopt.NewPredictive(analysis.WDC, analysis.SpecOf(tr), true)
-	analysis.Run(a, tr)
-	return a
+// mustNew builds tr's vindicator; its Races are what Unopt-WDC w/G (the
+// weakest relation, so it flags every candidate race) detects.
+func mustNew(t *testing.T, tr *trace.Trace) *Vindicator {
+	t.Helper()
+	v, err := New(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 func TestVindicateFigure1(t *testing.T) {
 	fig := workload.Figure1()
-	a := runWDCGraph(fig.Trace)
-	races := a.Races().Races()
+	v := mustNew(t, fig.Trace)
+	races := v.Races()
 	if len(races) == 0 {
 		t.Fatal("WDC must report the figure 1 race")
 	}
-	res := Race(fig.Trace, a.Graph(), races[0].Index, Options{})
+	res := v.Race(races[0].Index, Options{})
 	if !res.Vindicated {
 		t.Fatalf("figure 1 race must vindicate: %s", res.Reason)
 	}
@@ -42,12 +45,12 @@ func TestVindicateFigure1(t *testing.T) {
 
 func TestVindicateFigure2(t *testing.T) {
 	fig := workload.Figure2()
-	a := runWDCGraph(fig.Trace)
-	races := a.Races().Races()
+	v := mustNew(t, fig.Trace)
+	races := v.Races()
 	if len(races) == 0 {
 		t.Fatal("WDC must report the figure 2 race")
 	}
-	res := Race(fig.Trace, a.Graph(), races[0].Index, Options{})
+	res := v.Race(races[0].Index, Options{})
 	if !res.Vindicated {
 		t.Fatalf("figure 2 race must vindicate: %s", res.Reason)
 	}
@@ -55,12 +58,12 @@ func TestVindicateFigure2(t *testing.T) {
 
 func TestVindicateRejectsFigure3(t *testing.T) {
 	fig := workload.Figure3()
-	a := runWDCGraph(fig.Trace)
-	races := a.Races().Races()
+	v := mustNew(t, fig.Trace)
+	races := v.Races()
 	if len(races) == 0 {
 		t.Fatal("WDC must report the (false) figure 3 race")
 	}
-	res := Race(fig.Trace, a.Graph(), races[0].Index, Options{Restarts: 64})
+	res := v.Race(races[0].Index, Options{Restarts: 64})
 	if res.Vindicated {
 		t.Fatalf("figure 3's WDC race is not predictable but was vindicated; witness %v", res.Witness)
 	}
@@ -70,12 +73,12 @@ func TestVindicateAdjacentWrites(t *testing.T) {
 	b := trace.NewBuilder()
 	b.Write("T1", "x").Write("T2", "x")
 	tr := trace.MustCheck(b.Build())
-	a := runWDCGraph(tr)
-	races := a.Races().Races()
+	v := mustNew(t, tr)
+	races := v.Races()
 	if len(races) != 1 {
 		t.Fatalf("races = %v", races)
 	}
-	res := Race(tr, a.Graph(), races[0].Index, Options{})
+	res := v.Race(races[0].Index, Options{})
 	if !res.Vindicated {
 		t.Fatalf("trivial race must vindicate: %s", res.Reason)
 	}
@@ -94,12 +97,12 @@ func TestVindicateRespectsLastWriter(t *testing.T) {
 		Read("T2", "y").
 		Write("T2", "x")
 	tr := trace.MustCheck(b.Build())
-	a := runWDCGraph(tr)
-	races := a.Races().Races()
+	v := mustNew(t, tr)
+	races := v.Races()
 	if len(races) == 0 {
 		t.Fatal("expected a race on x")
 	}
-	res := Race(tr, a.Graph(), races[0].Index, Options{})
+	res := v.Race(races[0].Index, Options{})
 	if !res.Vindicated {
 		t.Fatalf("race must vindicate: %s", res.Reason)
 	}
@@ -180,8 +183,8 @@ func TestFindPrior(t *testing.T) {
 func TestVindicateWorkloadRaces(t *testing.T) {
 	p, _ := workload.ProgramByName("pmd")
 	tr := p.Generate(80000, 3)
-	a := runWDCGraph(tr)
-	races := a.Races().Races()
+	v := mustNew(t, tr)
+	races := v.Races()
 	if len(races) == 0 {
 		t.Fatal("pmd workload must have races")
 	}
@@ -190,7 +193,7 @@ func TestVindicateWorkloadRaces(t *testing.T) {
 		if i >= 10 {
 			break
 		}
-		res := Race(tr, a.Graph(), r.Index, Options{Seed: int64(i)})
+		res := v.Race(r.Index, Options{Seed: int64(i)})
 		if res.Vindicated {
 			vindicated++
 			if err := Verify(tr, res.Witness, res.E1, res.E2); err != nil {
@@ -221,5 +224,39 @@ func TestGraphBasics(t *testing.T) {
 	}
 	if g.Weight() <= 0 {
 		t.Error("weight must be positive")
+	}
+}
+
+// TestSharedVindicatorMatchesFreshOnes: one Vindicator answering every race
+// of a trace in order gives, Result for Result, what a Vindicator built for
+// that race alone gives — the scratch the searches share leaks nothing from
+// one to the next, whether a search ended in a witness, a deadlock or a
+// graph-ordered pair.
+func TestSharedVindicatorMatchesFreshOnes(t *testing.T) {
+	p, _ := workload.ProgramByName("pmd")
+	tr := p.Generate(4000, 11)
+	shared := mustNew(t, tr)
+	races := shared.Races()
+	if len(races) < 10 {
+		t.Fatalf("only %d races: the differential compares too little", len(races))
+	}
+	vindicated := 0
+	for i, r := range races {
+		opts := Options{Seed: int64(i % 3)}
+		got, want := shared.Race(r.Index, opts), mustNew(t, tr).Race(r.Index, opts)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("race %d (event %d): shared vindicator %+v, fresh one %+v", i, r.Index, got, want)
+		}
+		if got.Vindicated {
+			vindicated++
+		}
+	}
+	if slices.Contains(shared.scheduled, true) ||
+		slices.ContainsFunc(shared.lockOwner, func(o int32) bool { return o != -1 }) ||
+		slices.ContainsFunc(shared.lastW, func(w int32) bool { return w != -1 }) {
+		t.Fatal("a search left its scratch marked")
+	}
+	if vindicated == 0 || vindicated == len(races) {
+		t.Errorf("%d of %d races vindicated: want both outcomes compared", vindicated, len(races))
 	}
 }

@@ -3,10 +3,8 @@ package vindicate_test
 import (
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/oracle"
 	"repro/internal/trace"
-	"repro/internal/unopt"
 	"repro/internal/vindicate"
 )
 
@@ -27,17 +25,19 @@ func buildPair(secondWrite bool) *trace.Trace {
 	return b.Build()
 }
 
-// raceIndexOf runs graph-building WDC and returns the single detected
-// race's index plus the analysis graph.
-func raceIndexOf(t *testing.T, tr *trace.Trace) (int, *unopt.Analysis) {
+// raceIndexOf builds tr's vindicator and returns the single detected race's
+// index with it.
+func raceIndexOf(t *testing.T, tr *trace.Trace) (int, *vindicate.Vindicator) {
 	t.Helper()
-	a := unopt.NewPredictive(analysis.WDC, analysis.SpecOf(tr), true)
-	analysis.Run(a, tr)
-	races := a.Races().Races()
+	v, err := vindicate.New(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	races := v.Races()
 	if len(races) != 1 {
 		t.Fatalf("want exactly 1 detected race, got %v", races)
 	}
-	return races[0].Index, a
+	return races[0].Index, v
 }
 
 // TestWriteReadPairCannotBeVindicated pins the PR 2 vindication gap: a
@@ -49,12 +49,12 @@ func raceIndexOf(t *testing.T, tr *trace.Trace) (int, *unopt.Analysis) {
 // not soundness.
 func TestWriteReadPairCannotBeVindicated(t *testing.T) {
 	tr := buildPair(false)
-	idx, a := raceIndexOf(t, tr)
+	idx, v := raceIndexOf(t, tr)
 	if !tr.Events[idx].Op.IsAccess() || tr.Events[idx].Op != trace.OpRead {
 		t.Fatalf("detecting access should be the read, got %v", tr.Events[idx])
 	}
 
-	res := vindicate.Race(tr, a.Graph(), idx, vindicate.Options{})
+	res := v.Race(idx, vindicate.Options{})
 	if res.Vindicated {
 		t.Fatalf("write→read pair unexpectedly vindicated — the documented gap has been fixed; update race.Vindicate, ErrWriteReadRace, and the README")
 	}
@@ -81,8 +81,8 @@ func TestWriteReadPairCannotBeVindicated(t *testing.T) {
 // gap flag stays scoped to write→read pairs.
 func TestWriteWritePairStillVindicates(t *testing.T) {
 	tr := buildPair(true)
-	idx, a := raceIndexOf(t, tr)
-	res := vindicate.Race(tr, a.Graph(), idx, vindicate.Options{})
+	idx, v := raceIndexOf(t, tr)
+	res := v.Race(idx, vindicate.Options{})
 	if !res.Vindicated {
 		t.Fatalf("write→write control pair not vindicated: %s", res.Reason)
 	}

@@ -396,15 +396,7 @@ func (e *Engine) feed(evs []Event) error {
 		}
 	} else {
 		for i := range e.comps {
-			c := &e.comps[i]
-			for _, ev := range evs {
-				c.a.Handle(ev)
-			}
-			if e.onRace != nil || e.met != nil {
-				for _, di := range c.dets {
-					e.deliverNew(&e.dets[di])
-				}
-			}
+			e.apply(&e.comps[i], evs, e.onRace)
 		}
 	}
 	e.fed += len(evs)
@@ -440,17 +432,33 @@ func (d *engineDet) pending() RaceInfo {
 	}
 }
 
-// deliverNew invokes the OnRace callback for d's not-yet-delivered races
-// and counts them into the metrics registry. RaceCount is a cheap counter
-// read; the race records are only touched on the (rare) events that
-// detected something.
-func (e *Engine) deliverNew(d *engineDet) {
+// apply is the unit of dispatch, on the feeding goroutine and on a pipeline
+// worker alike: c consumes a run of events, then its detectors' new races
+// are published.
+func (e *Engine) apply(c *computation, evs []Event, emit func(RaceInfo)) {
+	for _, ev := range evs {
+		c.a.Handle(ev)
+	}
+	if emit != nil || e.met != nil {
+		for _, di := range c.dets {
+			e.publish(&e.dets[di], emit)
+		}
+	}
+}
+
+// publish advances d's delivery cursor over its not-yet-delivered races, in
+// detection order: each is counted into the metrics registry and, unless
+// emit is nil, handed to it — the OnRace callback itself, or the pipeline's
+// send to the goroutine that calls it. RaceCount is a cheap counter read;
+// the race records are only touched on the (rare) runs that detected
+// something.
+func (e *Engine) publish(d *engineDet, emit func(RaceInfo)) {
 	for n := d.col.RaceCount(); d.seen < n; d.seen++ {
 		if e.met != nil {
 			e.met.races.Inc()
 		}
-		if e.onRace != nil {
-			e.onRace(d.pending())
+		if emit != nil {
+			emit(d.pending())
 		}
 	}
 }
@@ -568,22 +576,6 @@ func (e *Engine) FeedSource(src EventSource) error {
 	}
 }
 
-// bufferedTrace rebuilds a Trace from the retained stream. With an active
-// spill the stream is replayed from the racelog on disk.
-func (e *Engine) bufferedTrace() (*Trace, error) {
-	if e.spill != nil && e.spill.log != nil {
-		return e.spilledTrace()
-	}
-	return e.traceOf(e.events), nil
-}
-
-// traceOf declares events over the engine's observed id spaces.
-func (e *Engine) traceOf(events []Event) *Trace {
-	tr := e.spaces
-	tr.Events = events
-	return &tr
-}
-
 // Abort discards the engine without computing a report: pipeline workers
 // (if any) flush and join so no goroutines leak, and subsequent Feed and
 // Close calls fail. It is the cheap alternative to Close for a stream
@@ -595,11 +587,7 @@ func (e *Engine) Abort() {
 		return
 	}
 	e.closed = true
-	if e.pipe != nil {
-		if err := e.drainPipeline(); err != nil && e.err == nil {
-			e.err = err
-		}
-	}
+	e.drainPipeline()
 	e.spillCleanup()
 	if e.err == nil {
 		e.err = errors.New("race: engine aborted")
@@ -616,14 +604,10 @@ func (e *Engine) Close() (*Report, error) {
 		return nil, errors.New("race: engine already closed")
 	}
 	e.closed = true
-	if e.pipe != nil {
-		// Flush the trailing batch and join the workers before reading any
-		// analysis state; worker completion is the happens-before edge that
-		// makes the collectors safe to read here.
-		if err := e.drainPipeline(); err != nil && e.err == nil {
-			e.err = err
-		}
-	}
+	// Flush the trailing batch and join the workers before reading any
+	// analysis state; worker completion is the happens-before edge that
+	// makes the collectors safe to read here.
+	e.drainPipeline()
 	if e.err != nil {
 		e.spillCleanup()
 		return nil, e.err
@@ -651,20 +635,19 @@ func (e *Engine) Close() (*Report, error) {
 	return rep, nil
 }
 
-// vindicateAll replays the retained stream — from the spill racelog when
-// the engine spilled to disk — under an unoptimized graph-building WDC
-// analysis and vindicates the first race at each racing program location
-// of every sub-report, keyed by detecting-event index.
+// vindicateAll hands the retained stream — read back from the spill racelog
+// when the engine spilled to disk — to one vindicator and asks it about the
+// first race at each racing program location of every sub-report, keyed by
+// detecting-event index.
 func (e *Engine) vindicateAll(subs []*Report) (map[int]VindicationResult, error) {
 	tr, err := e.bufferedTrace()
 	if err != nil {
 		return nil, err
 	}
-	a := unopt.NewPredictive(analysis.WDC, analysis.SpecOf(tr), true)
-	for _, ev := range tr.Events {
-		a.Handle(ev)
+	v, err := vindicate.New(tr)
+	if err != nil {
+		return nil, fmt.Errorf("race: %w", err)
 	}
-	g := a.Graph()
 	out := make(map[int]VindicationResult)
 	seenLoc := make(map[uint32]bool)
 	for _, sub := range subs {
@@ -676,12 +659,7 @@ func (e *Engine) vindicateAll(subs []*Report) (map[int]VindicationResult, error)
 			if _, done := out[rc.Index]; done {
 				continue
 			}
-			res := vindicate.Race(tr, g, rc.Index, vindicate.Options{})
-			out[rc.Index] = VindicationResult{
-				Vindicated: res.Vindicated,
-				Witness:    res.Witness,
-				Reason:     res.Reason,
-			}
+			out[rc.Index] = verdictOf(v.Race(rc.Index, vindicate.Options{}))
 		}
 	}
 	return out, nil

@@ -85,7 +85,8 @@ type pipeline struct {
 	batchSize int
 	cur       *eventBatch
 	raceCh    chan RaceInfo
-	syncAck   chan struct{} // drainer acks Sync's sentinel here
+	emit      func(RaceInfo) // sends to raceCh; nil without an OnRace callback
+	syncAck   chan struct{}  // drainer acks Sync's sentinel here
 	drainDone chan struct{}
 	workers   sync.WaitGroup
 
@@ -134,6 +135,7 @@ func (e *Engine) startPipeline(n, batchSize int) {
 	}
 	if e.onRace != nil {
 		p.raceCh = make(chan RaceInfo, 256)
+		p.emit = func(ri RaceInfo) { p.raceCh <- ri }
 		p.syncAck = make(chan struct{})
 		p.drainDone = make(chan struct{})
 		go func() {
@@ -199,7 +201,7 @@ func (e *Engine) runWorker(p *pipeline) {
 		t.claimed = true
 		lo, hi := t.next, p.tail
 		p.mu.Unlock()
-		ns, n, ok := e.apply(p, t, lo, hi)
+		ns, n, ok := e.applyPending(p, t, lo, hi)
 		p.mu.Lock()
 		if !ok {
 			return // t stays claimed; fail has woken the producer
@@ -220,11 +222,11 @@ func (e *Engine) runWorker(p *pipeline) {
 	}
 }
 
-// apply feeds batches [lo, hi) to t's computation and publishes its new
-// races, without the lock: the slots cannot be reused before t.next passes
-// them. It returns the time and event count of the batches it timed; ok is
-// false if the analysis panicked, which poisons the engine.
-func (e *Engine) apply(p *pipeline, t *task, lo, hi uint64) (ns time.Duration, n int, ok bool) {
+// applyPending applies batches [lo, hi) to t's computation, without the lock:
+// the slots cannot be reused before t.next passes them. It returns the time
+// and event count of the batches it timed (publishing their races included);
+// ok is false if the analysis panicked, which poisons the engine.
+func (e *Engine) applyPending(p *pipeline, t *task, lo, hi uint64) (ns time.Duration, n int, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.fail(fmt.Errorf("race: analysis panicked in pipeline worker: %v", r))
@@ -238,19 +240,10 @@ func (e *Engine) apply(p *pipeline, t *task, lo, hi uint64) (ns time.Duration, n
 		if len(evs) >= minTimedBatch {
 			t0 = time.Now()
 		}
-		for _, ev := range evs {
-			t.a.Handle(ev)
-		}
+		e.apply(t.computation, evs, p.emit)
 		if len(evs) >= minTimedBatch {
 			ns += time.Since(t0)
 			n += len(evs)
-		}
-		for _, di := range t.dets {
-			if p.raceCh != nil {
-				e.deliverRaces(&e.dets[di], p.raceCh)
-			} else if e.met != nil {
-				e.countRaces(&e.dets[di])
-			}
 		}
 	}
 	return ns, n, true
@@ -272,24 +265,6 @@ func (p *pipeline) recycle() {
 		*slot = nil
 	}
 	p.room.Broadcast()
-}
-
-// countRaces advances d's delivery cursor counting new races into the
-// metrics registry, for pipelines with no OnRace drainer installed.
-func (e *Engine) countRaces(d *engineDet) {
-	for n := d.col.RaceCount(); d.seen < n; d.seen++ {
-		e.met.races.Inc()
-	}
-}
-
-// deliverRaces publishes d's newly detected races in detection order.
-func (e *Engine) deliverRaces(d *engineDet, sink chan<- RaceInfo) {
-	for n := d.col.RaceCount(); d.seen < n; d.seen++ {
-		if e.met != nil {
-			e.met.races.Inc()
-		}
-		sink <- d.pending()
-	}
 }
 
 // fail records a worker or callback error, flips the poison flag, and wakes
@@ -404,12 +379,16 @@ func (e *Engine) Sync() error {
 	return e.checkPipe()
 }
 
-// drainPipeline flushes the trailing partial batch, lets the workers finish
-// what is published and joins them, then waits for the drainer; it returns
-// the first worker error, if any.
-func (e *Engine) drainPipeline() error {
+// drainPipeline, on a parallel engine, flushes the trailing partial batch,
+// lets the workers finish what is published and joins them, then waits for
+// the drainer; the first worker error, if any, becomes the engine's unless it
+// already has one.
+func (e *Engine) drainPipeline() {
 	p := e.pipe
-	ferr := e.flushBatch()
+	if p == nil {
+		return
+	}
+	err := e.flushBatch()
 	p.mu.Lock()
 	p.closed = true
 	p.work.Broadcast()
@@ -419,8 +398,10 @@ func (e *Engine) drainPipeline() error {
 		close(p.raceCh)
 		<-p.drainDone
 	}
-	if err := p.firstErr(); err != nil {
-		return err
+	if werr := p.firstErr(); werr != nil {
+		err = werr
 	}
-	return ferr
+	if e.err == nil {
+		e.err = err
+	}
 }

@@ -47,7 +47,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/report"
 	"repro/internal/trace"
-	"repro/internal/unopt"
 	"repro/internal/vindicate"
 
 	// Register all analyses with the registry.
@@ -316,7 +315,8 @@ var ErrWriteReadRace = errors.New("race: write→read race pairs cannot be vindi
 // true predictable race, by re-running an unoptimized WDC analysis that
 // builds the event constraint graph and then searching for a verified
 // witness reordering (§4.3 of the paper: a recorded run using SmartTrack
-// can replay under a graph-building analysis to check its races).
+// can replay under a graph-building analysis to check its races). An
+// ill-formed trace is an error wrapping the rule it breaks.
 //
 // When the detecting access is a read racing with earlier writes, the
 // search is structurally unable to succeed and Vindicate returns
@@ -329,21 +329,29 @@ func Vindicate(tr *Trace, raceIndex int) (VindicationResult, error) {
 	if raceIndex < 0 || raceIndex >= tr.Len() {
 		return VindicationResult{}, fmt.Errorf("race: race index %d out of range (trace has %d events)", raceIndex, tr.Len())
 	}
-	a := unopt.NewPredictive(analysis.WDC, analysis.SpecOf(tr), true)
-	for _, e := range tr.Events {
-		a.Handle(e)
+	v, err := vindicate.New(tr)
+	if err != nil {
+		return VindicationResult{}, fmt.Errorf("race: %w", err)
 	}
-	res := vindicate.Race(tr, a.Graph(), raceIndex, vindicate.Options{})
-	out := VindicationResult{Vindicated: res.Vindicated, Witness: res.Witness, Reason: res.Reason}
+	res := v.Race(raceIndex, vindicate.Options{})
 	if res.WriteReadGap {
-		return out, ErrWriteReadRace
+		return verdictOf(res), ErrWriteReadRace
 	}
-	return out, nil
+	return verdictOf(res), nil
+}
+
+// verdictOf is the public form of a vindicator's result.
+func verdictOf(res vindicate.Result) VindicationResult {
+	return VindicationResult{Vindicated: res.Vindicated, Witness: res.Witness, Reason: res.Reason}
 }
 
 // VerifyWitness independently checks a witness against the predicted-trace
-// rules for the racing pair at original indices e1 < e2.
+// rules for the racing pair at original indices e1 < e2. An ill-formed
+// trace or an out-of-range index is an error like any failed check.
 func VerifyWitness(tr *Trace, witness []Event, e1, e2 int) error {
+	if tr == nil {
+		return fmt.Errorf("race: VerifyWitness of nil trace")
+	}
 	return vindicate.Verify(tr, witness, e1, e2)
 }
 

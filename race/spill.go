@@ -2,7 +2,6 @@ package race
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/store"
@@ -118,15 +117,20 @@ func (e *Engine) spillCleanup() {
 	s.log, s.path = nil, ""
 }
 
-// spilledTrace rebuilds the retained stream from the racelog plus the
-// in-memory tail, declared over the engine's observed id spaces. The
-// materialization is transient — it exists only while Close vindicates —
-// so a spill-enabled engine's steady-state memory stays bounded by the
-// spill threshold while it streams.
-func (e *Engine) spilledTrace() (*Trace, error) {
+// bufferedTrace rebuilds the retained stream as a Trace declared over the
+// engine's observed id spaces. With an active spill it is the racelog plus
+// the in-memory tail; that materialization is transient — it exists only
+// while Close vindicates — so a spill-enabled engine's steady-state memory
+// stays bounded by the spill threshold while it streams.
+func (e *Engine) bufferedTrace() (*Trace, error) {
+	tr := e.spaces
+	tr.Events = e.events
 	s := e.spill
-	// Flush the tail so the log holds the entire stream, then replay it
-	// from disk in one sequential pass.
+	if s == nil || s.log == nil {
+		return &tr, nil
+	}
+	// Flush the tail so the log holds the entire stream, then read it back
+	// a segment run at a time into one slice of its length.
 	if len(e.events) > 0 {
 		if err := e.spillFlush(); err != nil {
 			return nil, err
@@ -137,16 +141,13 @@ func (e *Engine) spilledTrace() (*Trace, error) {
 		return nil, fmt.Errorf("race: replaying spill racelog: %w", err)
 	}
 	defer r.Close()
-	events := make([]Event, 0, s.log.Events())
-	for {
-		ev, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	tr.Events = make([]Event, s.log.Events())
+	for n := 0; n < tr.Len(); {
+		k, err := r.ReadBatch(tr.Events[n:])
+		if err != nil { // io.EOF included: the log holds what was appended to it
 			return nil, fmt.Errorf("race: replaying spill racelog: %w", err)
 		}
-		events = append(events, ev)
+		n += k
 	}
-	return e.traceOf(events), nil
+	return &tr, nil
 }
