@@ -206,7 +206,7 @@ func runRemote(w io.Writer, addr string) (*race.Report, error) {
 		return nil, err
 	}
 	fmt.Fprintf(w, "remote: streaming session %s\n", sess.ID())
-	env := sync.NewEnv(race.WithSink(sess))
+	env := sync.NewEnv(race.WithEngineAttached(sess))
 	return serveTraffic(env)
 }
 

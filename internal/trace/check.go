@@ -20,7 +20,8 @@ func (e *CheckError) Error() string {
 //     nested per lock);
 //   - a thread executes no events before it is forked (other than thread 0)
 //     and none after it is joined;
-//   - fork and join targets are valid and forked/joined at most once;
+//   - fork and join targets are valid, never the acting thread itself, and
+//     forked/joined at most once;
 //   - all ids are within the trace's declared id spaces.
 //
 // It returns nil if the trace is well formed.
@@ -97,6 +98,9 @@ func Check(tr *Trace) error {
 			ct := Tid(e.Targ)
 			if int(ct) >= tr.Threads {
 				return fail(i, e, "joined thread id out of range")
+			}
+			if ct == e.T {
+				return fail(i, e, "thread joins itself")
 			}
 			if !started[ct] {
 				return fail(i, e, "join of never-forked thread T%d", ct)

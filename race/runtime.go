@@ -42,23 +42,25 @@ var threadLimit = 1 << 16
 // Analysis can run in either of the paper's two modes:
 //
 //   - Record & replay (§4.3): record, then call Snapshot or Analyze.
-//   - Online: attach a streaming Engine with WithEngineAttached; merged
-//     events feed the engine as they are committed, and Finish returns the
-//     engine's report — record-and-analyze in one pass.
+//   - Online: attach a streaming Engine (or a remote session) with
+//     WithEngineAttached; merged events feed it as they are committed, and
+//     Finish returns its report — record-and-analyze in one pass.
 //
 // Each recorded thread's methods must be called from the single goroutine
 // registered for that Tid (the same contract instrumentation frameworks
 // impose); different threads' methods may run concurrently.
 //
-// Runtime methods do not panic on recording mistakes (such as releasing a
-// lock that is not held): the first such error is retained and returned by
-// Err, Snapshot, Analyze, and Finish.
+// Runtime methods do not panic on recording mistakes (releasing a lock
+// that is not held, a Tid the runtime never issued, a thread joining
+// itself): the first such error is retained and returned by Err,
+// Snapshot, Analyze, and Finish.
 type Runtime struct {
+	// internMu guards the global intern tables, one per kind of key.
 	internMu sync.Mutex
 	vars     map[any]uint32
 	locks    map[any]uint32
 	vols     map[any]uint32
-	locs     map[uintptr]trace.Loc
+	locs     map[uintptr]uint32
 
 	// mu guards stream, engine feeding, err, and thread creation.
 	mu     sync.Mutex
@@ -71,48 +73,41 @@ type Runtime struct {
 
 // threadState is one recorded thread's private recording state. Only the
 // thread's own goroutine and the merge points (Join, Snapshot, Finish)
-// touch it, under its mutex.
+// touch its buffer and held set, under its mutex.
 type threadState struct {
-	mu        sync.Mutex
-	buf       []trace.Event
-	holdCount map[uint32]int // reentrancy filtering
-	heldOrder []uint32       // outermost-held locks in acquisition order
+	mu   sync.Mutex
+	buf  []trace.Event
+	held []heldLock // outermost-held locks in acquisition order
 
-	// Per-thread intern caches. Interning is the one global rendezvous on
-	// the access fast path: every Read/Write used to take internMu twice
-	// (key and PC). The caches make repeat interning thread-local — the
-	// global maps are consulted (under internMu) only on a thread's first
-	// sight of a key or call site. They are accessed without locking,
-	// which is safe under the Runtime contract that a thread's methods are
-	// called only from its registered goroutine.
+	// Per-thread intern caches, one per global table: repeat interning is
+	// thread-local, and internMu is taken only on a thread's first sight of
+	// a key or call site. They are accessed without locking, which is safe
+	// under the contract that a thread's methods are called only from its
+	// registered goroutine.
 	varIDs  map[any]uint32
 	lockIDs map[any]uint32
 	volIDs  map[any]uint32
-	pcLocs  map[uintptr]trace.Loc
+	pcLocs  map[uintptr]uint32
+}
+
+// heldLock is one lock a thread holds, with its reentrant depth.
+type heldLock struct {
+	lock  uint32
+	depth int
 }
 
 // RuntimeOption configures a Runtime.
 type RuntimeOption func(*Runtime)
 
-// WithEngineAttached feeds every committed event into eng as it is merged
-// into the linearization, giving record-and-analyze in one pass. Use
-// Finish to close open critical sections and obtain the engine's report.
-// The runtime serializes all feeding; the engine must not be fed from
-// anywhere else. Attaching an engine built with WithParallelism moves the
-// analysis work off the recorded program's sequence points entirely: the
-// commit path becomes a batched enqueue and the Table 1 fan-out runs on
-// the pipeline's worker goroutines.
-func WithEngineAttached(eng *Engine) RuntimeOption {
-	return func(rt *Runtime) { rt.engine = eng }
-}
-
-// WithSink attaches an arbitrary event sink in place of an in-process
-// engine — most usefully a raced client session (race/server.RemoteSession),
-// which turns the runtime into the recording half of a remote detector:
-// committed events stream over the wire and Finish returns the report the
-// server computed. The sink is fed under the same serialization contract as
-// an attached engine.
-func WithSink(sink EventSink) RuntimeOption {
+// WithEngineAttached feeds every committed event into sink as it is merged
+// into the linearization — record-and-analyze in one pass — and Finish
+// returns the sink's report. The sink is an *Engine, or any EventSink such
+// as a raced client session (race/server.RemoteSession), which makes the
+// runtime the recording half of a remote detector. The runtime serializes
+// all feeding; nothing else may feed the sink. An engine built with
+// WithParallelism takes the analysis off the recorded program's sequence
+// points: a commit becomes a batched enqueue for the pipeline's workers.
+func WithEngineAttached(sink EventSink) RuntimeOption {
 	return func(rt *Runtime) { rt.engine = sink }
 }
 
@@ -123,7 +118,7 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 		vars:  make(map[any]uint32),
 		locks: make(map[any]uint32),
 		vols:  make(map[any]uint32),
-		locs:  make(map[uintptr]trace.Loc),
+		locs:  make(map[uintptr]uint32),
 	}
 	ts := []*threadState{newThreadState()}
 	rt.threads.Store(&ts)
@@ -135,11 +130,10 @@ func NewRuntime(opts ...RuntimeOption) *Runtime {
 
 func newThreadState() *threadState {
 	return &threadState{
-		holdCount: make(map[uint32]int),
-		varIDs:    make(map[any]uint32),
-		lockIDs:   make(map[any]uint32),
-		volIDs:    make(map[any]uint32),
-		pcLocs:    make(map[uintptr]trace.Loc),
+		varIDs:  make(map[any]uint32),
+		lockIDs: make(map[any]uint32),
+		volIDs:  make(map[any]uint32),
+		pcLocs:  make(map[uintptr]uint32),
 	}
 }
 
@@ -154,75 +148,83 @@ func (rt *Runtime) Err() error {
 	return rt.err
 }
 
+func (rt *Runtime) fail(err error) {
+	rt.mu.Lock()
+	if rt.err == nil {
+		rt.err = err
+	}
+	rt.mu.Unlock()
+}
+
+// thread is the one way an operation reaches t's recording state. It
+// returns nil — and the operation records nothing — once the session has
+// ended with ErrThreadLimit, or for a Tid this runtime never issued, which
+// fails the session.
 func (rt *Runtime) thread(t Tid) *threadState {
-	ts := *rt.threads.Load()
-	if len(ts) == 0 { // ended with ErrThreadLimit: t records into a throwaway, and commit drops it
-		return newThreadState()
+	threads := *rt.threads.Load()
+	if int(t) < len(threads) {
+		return threads[t]
 	}
-	return ts[t]
+	if len(threads) > 0 {
+		rt.fail(fmt.Errorf("race: thread %d was never issued by this Runtime", t))
+	}
+	return nil
 }
 
-func (rt *Runtime) intern(m map[any]uint32, key any) uint32 {
-	rt.internMu.Lock()
-	defer rt.internMu.Unlock()
-	id, ok := m[key]
-	if !ok {
-		id = uint32(len(m))
-		m[key] = id
-	}
-	return id
-}
-
-// internCached resolves key through the thread-local cache, falling back
-// to (and populating from) the global intern table only on first sight.
-func (rt *Runtime) internCached(local map[any]uint32, global map[any]uint32, key any) uint32 {
-	if id, ok := local[key]; ok {
+// intern resolves key to its dense id through the thread's cache, falling
+// back to (and populating from) the global table of its kind under
+// internMu only on the thread's first sight of key. Ids count from first.
+func intern[K comparable](rt *Runtime, cache, global map[K]uint32, key K, first uint32) uint32 {
+	if id, ok := cache[key]; ok {
 		return id
 	}
-	id := rt.intern(global, key)
-	local[key] = id
+	rt.internMu.Lock()
+	id, ok := global[key]
+	if !ok {
+		id = first + uint32(len(global))
+		global[key] = id
+	}
+	rt.internMu.Unlock()
+	cache[key] = id
 	return id
 }
 
-// site interns the caller's program counter as a static location, giving
-// the paper's "statically distinct race" accounting for free. The PC→Loc
-// mapping is cached per thread, so steady-state recording does not touch
-// internMu. skip counts stack frames exactly as in runtime.Caller, with
-// frame 1 being site's caller.
-func (rt *Runtime) site(ts *threadState, skip int) trace.Loc {
-	pc, _, _, ok := runtime.Caller(skip)
-	if !ok {
-		return trace.NoLoc
-	}
-	if loc, seen := ts.pcLocs[pc]; seen {
-		return loc
-	}
-	rt.internMu.Lock()
-	loc, seen := rt.locs[pc]
-	if !seen {
-		loc = trace.Loc(len(rt.locs) + 1)
-		rt.locs[pc] = loc
-	}
-	rt.internMu.Unlock()
-	ts.pcLocs[pc] = loc
-	return loc
-}
-
-// buffer appends an access event to t's private buffer (no global
-// coordination).
-func (rt *Runtime) buffer(ts *threadState, e trace.Event) {
+// take empties the thread's buffer and returns what it held — the one
+// place a buffer is reset.
+func (ts *threadState) take() []trace.Event {
 	ts.mu.Lock()
-	ts.buf = append(ts.buf, e)
-	ts.mu.Unlock()
-}
-
-// drain takes t's buffered events, leaving the buffer empty.
-func (ts *threadState) drain() []trace.Event {
-	ts.mu.Lock()
-	out := ts.buf
+	run := ts.buf
 	ts.buf = nil
 	ts.mu.Unlock()
-	return out
+	return run
+}
+
+// hold applies an outermost-filtered acquire (or release) of lock m to the
+// thread's held set. emit reports whether the operation is outermost and
+// so recorded; ok is false for a release of a lock the thread does not
+// hold.
+func (ts *threadState) hold(m uint32, acquire bool) (emit, ok bool) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	i := len(ts.held) - 1
+	for i >= 0 && ts.held[i].lock != m {
+		i--
+	}
+	switch {
+	case acquire && i < 0:
+		ts.held = append(ts.held, heldLock{lock: m, depth: 1})
+		return true, true
+	case acquire:
+		ts.held[i].depth++
+		return false, true
+	case i < 0:
+		return false, false
+	case ts.held[i].depth > 1:
+		ts.held[i].depth--
+		return false, true
+	}
+	ts.held = append(ts.held[:i], ts.held[i+1:]...)
+	return true, true
 }
 
 // commit merges pending event runs into the global linearization, feeding
@@ -247,20 +249,21 @@ func (rt *Runtime) commit(runs ...[]trace.Event) {
 	}
 }
 
-// syncPoint drains t's buffer, appends the synchronization event e, and
-// commits the run — the per-thread buffer merge at a sequence point.
-func (rt *Runtime) syncPoint(ts *threadState, e trace.Event) {
-	ts.mu.Lock()
-	run := append(ts.buf, e)
-	ts.buf = nil
-	ts.mu.Unlock()
-	rt.commit(run)
+// sequence is the one sequence point: the thread's buffered accesses, then
+// the synchronization event e, commit as one run — after first (a joined
+// child's remaining buffer), in the same commit.
+func (rt *Runtime) sequence(ts *threadState, e trace.Event, first []trace.Event) {
+	rt.commit(first, append(ts.take(), e))
 }
 
 // Go registers a new goroutine forked by parent and returns its thread id.
 // Call it in the parent before starting the goroutine. Past the Tid space it
 // fails the session with ErrThreadLimit.
 func (rt *Runtime) Go(parent Tid) Tid {
+	ts := rt.thread(parent)
+	if ts == nil {
+		return parent
+	}
 	rt.mu.Lock()
 	cur := *rt.threads.Load()
 	if n := len(cur); n == 0 || n == threadLimit { // ended, or ending here
@@ -278,119 +281,93 @@ func (rt *Runtime) Go(parent Tid) Tid {
 	rt.threads.Store(&next)
 	rt.mu.Unlock()
 
-	rt.syncPoint(rt.thread(parent), trace.Event{T: parent, Op: trace.OpFork, Targ: uint32(child)})
+	rt.sequence(ts, trace.Event{T: parent, Op: trace.OpFork, Targ: uint32(child)}, nil)
 	return child
 }
 
 // Join records that parent joined (awaited) child. The child goroutine
 // must have finished recording; its remaining buffered events merge before
-// the join event.
+// the join event. A thread joining itself is a recording error.
 func (rt *Runtime) Join(parent, child Tid) {
-	childRun := rt.thread(child).drain()
-	ts := rt.thread(parent)
-	ts.mu.Lock()
-	parentRun := append(ts.buf, trace.Event{T: parent, Op: trace.OpJoin, Targ: uint32(child)})
-	ts.buf = nil
-	ts.mu.Unlock()
-	rt.commit(childRun, parentRun)
+	ps, cs := rt.thread(parent), rt.thread(child)
+	if ps == nil || cs == nil {
+		return
+	}
+	if parent == child {
+		rt.fail(fmt.Errorf("race: thread %d joins itself", parent))
+		return
+	}
+	rt.sequence(ps, trace.Event{T: parent, Op: trace.OpJoin, Targ: uint32(child)}, cs.take())
 }
 
 // Read records a read of the variable identified by key, attributed to
 // Read's caller.
-func (rt *Runtime) Read(t Tid, key any) {
-	rt.ReadSkip(t, key, 1)
-}
+func (rt *Runtime) Read(t Tid, key any) { rt.access(t, trace.OpRead, key, 0) }
 
 // Write records a write of the variable identified by key, attributed to
 // Write's caller.
-func (rt *Runtime) Write(t Tid, key any) {
-	rt.WriteSkip(t, key, 1)
-}
+func (rt *Runtime) Write(t Tid, key any) { rt.access(t, trace.OpWrite, key, 0) }
 
 // ReadSkip records a read of key attributed to a call site skip frames
 // above ReadSkip's caller: skip 0 attributes to the immediate caller
 // (like Read), skip 1 to the caller's caller, and so on. Instrumentation
 // wrappers (such as race/sync's shadow primitives) use it so recorded
 // sites point at user code rather than at the wrapper.
-func (rt *Runtime) ReadSkip(t Tid, key any, skip int) {
-	ts := rt.thread(t)
-	rt.buffer(ts, trace.Event{T: t, Op: trace.OpRead, Targ: rt.internCached(ts.varIDs, rt.vars, key), Loc: rt.site(ts, 2+skip)})
-}
+func (rt *Runtime) ReadSkip(t Tid, key any, skip int) { rt.access(t, trace.OpRead, key, skip) }
 
 // WriteSkip records a write of key attributed skip frames above
 // WriteSkip's caller (see ReadSkip).
-func (rt *Runtime) WriteSkip(t Tid, key any, skip int) {
+func (rt *Runtime) WriteSkip(t Tid, key any, skip int) { rt.access(t, trace.OpWrite, key, skip) }
+
+// access appends a read or write to the thread's private buffer (no global
+// coordination). Its site is the caller's program counter interned as a
+// static location, giving the paper's "statically distinct race"
+// accounting for free; Locs count from 1. skip counts frames above the
+// caller of access's caller (Read, Write, ReadSkip or WriteSkip).
+func (rt *Runtime) access(t Tid, op trace.Op, key any, skip int) {
 	ts := rt.thread(t)
-	rt.buffer(ts, trace.Event{T: t, Op: trace.OpWrite, Targ: rt.internCached(ts.varIDs, rt.vars, key), Loc: rt.site(ts, 2+skip)})
+	if ts == nil {
+		return
+	}
+	e := trace.Event{T: t, Op: op, Targ: intern(rt, ts.varIDs, rt.vars, key, 0)}
+	if pc, _, _, ok := runtime.Caller(2 + skip); ok {
+		e.Loc = trace.Loc(intern(rt, ts.pcLocs, rt.locs, pc, 1))
+	}
+	ts.mu.Lock()
+	ts.buf = append(ts.buf, e)
+	ts.mu.Unlock()
 }
 
 // Acquire records a lock acquisition. Reentrant acquisitions are counted
 // and filtered: only the outermost acquisition emits an event.
-func (rt *Runtime) Acquire(t Tid, lock any) {
-	ts := rt.thread(t)
-	m := rt.internCached(ts.lockIDs, rt.locks, lock)
-	ts.mu.Lock()
-	ts.holdCount[m]++
-	outermost := ts.holdCount[m] == 1
-	if outermost {
-		ts.heldOrder = append(ts.heldOrder, m)
-		run := append(ts.buf, trace.Event{T: t, Op: trace.OpAcquire, Targ: m})
-		ts.buf = nil
-		ts.mu.Unlock()
-		rt.commit(run)
-		return
-	}
-	ts.mu.Unlock()
-}
+func (rt *Runtime) Acquire(t Tid, lock any) { rt.lockOp(t, trace.OpAcquire, lock) }
 
 // Release records a lock release; only the outermost release emits.
 // Releasing a lock the thread does not hold records a runtime error (see
 // Err) instead of panicking.
-func (rt *Runtime) Release(t Tid, lock any) {
+func (rt *Runtime) Release(t Tid, lock any) { rt.lockOp(t, trace.OpRelease, lock) }
+
+func (rt *Runtime) lockOp(t Tid, op trace.Op, lock any) {
 	ts := rt.thread(t)
-	m := rt.internCached(ts.lockIDs, rt.locks, lock)
-	ts.mu.Lock()
-	if ts.holdCount[m] == 0 {
-		ts.mu.Unlock()
+	if ts == nil {
+		return
+	}
+	m := intern(rt, ts.lockIDs, rt.locks, lock, 0)
+	emit, ok := ts.hold(m, op == trace.OpAcquire)
+	if !ok {
 		rt.fail(fmt.Errorf("race: thread %d releases lock it does not hold", t))
 		return
 	}
-	ts.holdCount[m]--
-	if ts.holdCount[m] == 0 {
-		for i := len(ts.heldOrder) - 1; i >= 0; i-- {
-			if ts.heldOrder[i] == m {
-				ts.heldOrder = append(ts.heldOrder[:i], ts.heldOrder[i+1:]...)
-				break
-			}
-		}
-		run := append(ts.buf, trace.Event{T: t, Op: trace.OpRelease, Targ: m})
-		ts.buf = nil
-		ts.mu.Unlock()
-		rt.commit(run)
-		return
+	if emit {
+		rt.sequence(ts, trace.Event{T: t, Op: op, Targ: m}, nil)
 	}
-	ts.mu.Unlock()
-}
-
-func (rt *Runtime) fail(err error) {
-	rt.mu.Lock()
-	if rt.err == nil {
-		rt.err = err
-	}
-	rt.mu.Unlock()
 }
 
 // VolatileRead records an atomic/volatile load of key.
-func (rt *Runtime) VolatileRead(t Tid, key any) {
-	ts := rt.thread(t)
-	rt.syncPoint(ts, trace.Event{T: t, Op: trace.OpVolatileRead, Targ: rt.internCached(ts.volIDs, rt.vols, key)})
-}
+func (rt *Runtime) VolatileRead(t Tid, key any) { rt.volatile(t, trace.OpVolatileRead, key) }
 
 // VolatileWrite records an atomic/volatile store of key.
-func (rt *Runtime) VolatileWrite(t Tid, key any) {
-	ts := rt.thread(t)
-	rt.syncPoint(ts, trace.Event{T: t, Op: trace.OpVolatileWrite, Targ: rt.internCached(ts.volIDs, rt.vols, key)})
-}
+func (rt *Runtime) VolatileWrite(t Tid, key any) { rt.volatile(t, trace.OpVolatileWrite, key) }
 
 // volSlot composes a user key with a slot index into one interned
 // volatile identity. Keyed and unkeyed volatiles occupy disjoint parts of
@@ -408,45 +385,42 @@ type volSlot struct {
 // per buffer cell), rendezvous handshakes, and reader/writer ordering
 // onto the analyses' volatile rules. key must be comparable.
 func (rt *Runtime) VolatileReadKeyed(t Tid, key any, slot uint32) {
-	ts := rt.thread(t)
-	rt.syncPoint(ts, trace.Event{T: t, Op: trace.OpVolatileRead, Targ: rt.internCached(ts.volIDs, rt.vols, volSlot{key, slot})})
+	rt.volatile(t, trace.OpVolatileRead, volSlot{key, slot})
 }
 
 // VolatileWriteKeyed records an atomic/volatile store of slot `slot` of
 // the multi-slot volatile identified by key (see VolatileReadKeyed).
 func (rt *Runtime) VolatileWriteKeyed(t Tid, key any, slot uint32) {
-	ts := rt.thread(t)
-	rt.syncPoint(ts, trace.Event{T: t, Op: trace.OpVolatileWrite, Targ: rt.internCached(ts.volIDs, rt.vols, volSlot{key, slot})})
+	rt.volatile(t, trace.OpVolatileWrite, volSlot{key, slot})
 }
 
-// flushAll merges every thread's remaining buffer into the linearization,
-// in thread-id order, and returns the per-thread open-lock stacks observed
-// at the merge.
-func (rt *Runtime) flushAll() [][]uint32 {
+func (rt *Runtime) volatile(t Tid, op trace.Op, key any) {
+	if ts := rt.thread(t); ts != nil {
+		rt.sequence(ts, trace.Event{T: t, Op: op, Targ: intern(rt, ts.volIDs, rt.vols, key, 0)}, nil)
+	}
+}
+
+// closeOut is the one end-of-recording step: every thread's remaining
+// buffer merges into the linearization, in thread-id order, and the
+// releases that close every open critical section are returned — threads
+// in ascending id order, each thread's sections in LIFO order (reverse
+// acquisition order), so nested sections close deterministically
+// innermost-first. forget drops the held sets, for a caller that commits
+// the releases. n is the number of threads merged.
+func (rt *Runtime) closeOut(forget bool) (closing []trace.Event, n int) {
 	threads := *rt.threads.Load()
-	heldOrders := make([][]uint32, len(threads))
 	for t, ts := range threads {
-		run := ts.drain()
-		rt.commit(run)
+		rt.commit(ts.take())
 		ts.mu.Lock()
-		heldOrders[t] = append([]uint32(nil), ts.heldOrder...)
+		for i := len(ts.held) - 1; i >= 0; i-- {
+			closing = append(closing, trace.Event{T: Tid(t), Op: trace.OpRelease, Targ: ts.held[i].lock})
+		}
+		if forget {
+			ts.held = nil
+		}
 		ts.mu.Unlock()
 	}
-	return heldOrders
-}
-
-// closingReleases synthesizes the releases that close every open critical
-// section: threads in ascending id order, and each thread's sections in
-// LIFO order (reverse acquisition order), so nested sections close
-// deterministically innermost-first.
-func closingReleases(heldOrders [][]uint32) []trace.Event {
-	var out []trace.Event
-	for t, order := range heldOrders {
-		for i := len(order) - 1; i >= 0; i-- {
-			out = append(out, trace.Event{T: Tid(t), Op: trace.OpRelease, Targ: order[i]})
-		}
-	}
-	return out
+	return closing, len(threads)
 }
 
 // Snapshot returns the recorded trace. The recorder can keep recording;
@@ -456,7 +430,7 @@ func closingReleases(heldOrders [][]uint32) []trace.Event {
 // them for the trace checker with deterministic LIFO releases (per thread
 // in ascending id order, each thread's sections innermost-first).
 func (rt *Runtime) Snapshot() (*Trace, error) {
-	heldOrders := rt.flushAll()
+	closing, threads := rt.closeOut(false)
 
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -465,14 +439,13 @@ func (rt *Runtime) Snapshot() (*Trace, error) {
 	}
 	rt.internMu.Lock()
 	tr := &trace.Trace{
-		Events:    append([]trace.Event(nil), rt.stream...),
-		Threads:   len(heldOrders),
+		Events:    append(append([]trace.Event(nil), rt.stream...), closing...),
+		Threads:   threads,
 		Vars:      len(rt.vars),
 		Locks:     len(rt.locks),
 		Volatiles: len(rt.vols),
 	}
 	rt.internMu.Unlock()
-	tr.Events = append(tr.Events, closingReleases(heldOrders)...)
 	if err := trace.Check(tr); err != nil {
 		return nil, fmt.Errorf("race: recorded trace is ill-formed: %w", err)
 	}
@@ -501,19 +474,7 @@ func (rt *Runtime) Finish() (*Report, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("race: Finish requires an attached engine (WithEngineAttached)")
 	}
-	heldOrders := rt.flushAll()
-	closing := closingReleases(heldOrders)
-	// Mirror the closing releases in the per-thread stacks so a later
-	// Snapshot does not close them twice.
-	threads := *rt.threads.Load()
-	for t, ts := range threads {
-		ts.mu.Lock()
-		for _, m := range heldOrders[t] {
-			delete(ts.holdCount, m)
-		}
-		ts.heldOrder = nil
-		ts.mu.Unlock()
-	}
+	closing, _ := rt.closeOut(true) // a later Snapshot must not close them twice
 	rt.commit(closing)
 
 	rt.mu.Lock()

@@ -59,3 +59,33 @@ func TestThreadLimitEndsTheSession(t *testing.T) {
 		t.Errorf("Finish error = %v, want ErrThreadLimit", err)
 	}
 }
+
+// TestEndedSessionDoesNotAllocate: after ErrThreadLimit an operation used to
+// record into a throwaway thread state built for it (four maps; 30
+// allocations per read + acquire + release). Now it returns at the door.
+func TestEndedSessionDoesNotAllocate(t *testing.T) {
+	defer func(n int) { threadLimit = n }(threadLimit)
+	threadLimit = 2
+
+	rt := NewRuntime()
+	a := rt.Go(rt.Main())
+	rt.Go(a) // refused: the session ends
+	if !errors.Is(rt.Err(), ErrThreadLimit) {
+		t.Fatalf("Err = %v, want ErrThreadLimit", rt.Err())
+	}
+	var x, m, v int
+	for _, row := range []struct {
+		name string
+		op   func()
+	}{
+		{"Read", func() { rt.Read(a, &x) }},
+		{"Acquire", func() { rt.Acquire(a, &m) }},
+		{"Release", func() { rt.Release(a, &m) }},
+		{"VolatileWrite", func() { rt.VolatileWrite(a, &v) }},
+		{"Join", func() { rt.Join(rt.Main(), a) }},
+	} {
+		if n := testing.AllocsPerRun(100, row.op); n != 0 {
+			t.Errorf("%s after ErrThreadLimit: %v allocations, want 0", row.name, n)
+		}
+	}
+}

@@ -16,8 +16,8 @@ import (
 
 // Client is the wire-protocol client side: it turns a TCP connection to a
 // raced instance into a race.EventSink, so an instrumented program's
-// Runtime can stream its trace to a remote detector instead of analyzing
-// in-process (race.WithSink).
+// Runtime, given a session through race.WithEngineAttached, streams its
+// trace to a remote detector instead of analyzing in-process.
 type Client struct {
 	conn   net.Conn
 	br     *bufio.Reader

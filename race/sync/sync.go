@@ -102,16 +102,18 @@ import (
 )
 
 // Env binds shadow primitives to a race.Runtime. With an attached engine
-// (race.WithEngineAttached) the runtime feeds every committed event to
-// the analyses as the program runs, and Finish returns the online report;
-// without one, Snapshot/Analyze give the record-then-replay mode.
+// or remote session (race.WithEngineAttached) the runtime feeds every
+// committed event to the analyses as the program runs, and Finish returns
+// the online report; without one, Snapshot/Analyze give the
+// record-then-replay mode.
 type Env struct {
 	rt   *race.Runtime
 	root *G
 }
 
 // NewEnv creates an Env over a fresh race.Runtime. Pass
-// race.WithEngineAttached(eng) to analyze online while the program runs.
+// race.WithEngineAttached(eng) to analyze online while the program runs —
+// eng a *race.Engine, or a race/server session to analyze remotely.
 func NewEnv(opts ...race.RuntimeOption) *Env {
 	return Bind(race.NewRuntime(opts...))
 }
