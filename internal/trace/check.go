@@ -182,15 +182,41 @@ func cover[T any](s []T, i int) []T {
 // Step checks the next event of the stream. The error, if any, is a
 // *CheckError carrying the event's stream index.
 func (c *Checker) Step(e Event) error {
-	// An access by a thread that is running and not joined — nearly every
-	// event — breaks no rule and changes no state. Deciding that before the
-	// call keeps the event in registers: step's growth and error paths make
-	// it spill every argument on entry.
-	if e.Op.IsAccess() && int(e.T) < len(c.threads) && c.threads[e.T]&^threadForked == threadRunning {
+	if plainAccess(c.threads, e) {
 		c.n++
 		return nil
 	}
 	return c.step(e)
+}
+
+// Run checks evs as the next events of the stream, in order, and stops at
+// the first that breaks a rule: n events, evs[:n], were accepted, and err is
+// nil or the *CheckError Step would have returned for evs[n]. It is Step in
+// one loop, for a front end that holds a run: the access shortcut costs no
+// call and the thread table stays in a register.
+func (c *Checker) Run(evs []Event) (n int, err error) {
+	base, threads := c.n, c.threads
+	for i, e := range evs {
+		if plainAccess(threads, e) {
+			continue
+		}
+		c.n = base + i
+		if err := c.step(e); err != nil {
+			return i, err
+		}
+		threads = c.threads
+	}
+	c.n = base + len(evs)
+	return len(evs), nil
+}
+
+// plainAccess reports whether e is an access by a thread that is running
+// and not joined: nearly every event, and one that breaks no rule and
+// changes no state. Step and Run decide it before calling step, which keeps
+// the event in registers: step's growth and error paths make it spill every
+// argument on entry.
+func plainAccess(threads []uint8, e Event) bool {
+	return e.Op.IsAccess() && int(e.T) < len(threads) && threads[e.T]&^threadForked == threadRunning
 }
 
 // step is Step without the shortcut: every rule, for any event.

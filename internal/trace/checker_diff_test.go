@@ -88,9 +88,10 @@ func (c *refChecker) Step(e trace.Event) error {
 }
 
 // diffStream steps both checkers through evs until one rejects, and fails
-// the test on any disagreement. It returns the index of the rejected event,
-// or -1 if the stream was accepted.
-func diffStream(t *testing.T, name string, evs []trace.Event) int {
+// the test on any disagreement; then it holds Checker.Run, fed evs in runs
+// of random length drawn from runs, to the Step loop (diffRun). It returns
+// the index of the rejected event, or -1 if the stream was accepted.
+func diffStream(t *testing.T, name string, runs *rand.Rand, evs []trace.Event) int {
 	t.Helper()
 	got, want := trace.NewChecker(), newRefChecker()
 	for i, e := range evs {
@@ -111,9 +112,39 @@ func diffStream(t *testing.T, name string, evs []trace.Event) int {
 		if g.Index != i {
 			t.Fatalf("%s: CheckError.Index = %d at stream index %d", name, g.Index, i)
 		}
+		diffRun(t, name, runs, evs, i, g)
 		return i
 	}
+	diffRun(t, name, runs, evs, len(evs), nil)
 	return -1
+}
+
+// diffRun feeds evs to a fresh checker through Run, in runs of random length
+// — one event, a few, a window, most of the stream — and fails the test
+// unless it accepts exactly the events the Step loop accepted and then
+// rejects with the same *CheckError (nil: the stream was accepted).
+func diffRun(t *testing.T, name string, runs *rand.Rand, evs []trace.Event, accepted int, want *trace.CheckError) {
+	t.Helper()
+	ck := trace.NewChecker()
+	got := 0
+	var err error
+	for rest := evs; len(rest) > 0 && err == nil; {
+		k := min(len(rest), 1+runs.Intn([]int{1, 8, 1024, 1 << 20}[runs.Intn(4)]))
+		var n int
+		n, err = ck.Run(rest[:k])
+		if err == nil && n != k {
+			t.Fatalf("%s: Run accepted %d of a %d-event run and returned no error", name, n, k)
+		}
+		got += n
+		rest = rest[k:]
+	}
+	if got != accepted {
+		t.Fatalf("%s: Run accepted %d events, the Step loop %d", name, got, accepted)
+	}
+	var g *trace.CheckError
+	if (err == nil) != (want == nil) || err != nil && (!errors.As(err, &g) || *g != *want) {
+		t.Fatalf("%s: Run rejects with %v, the Step loop with %v", name, err, want)
+	}
 }
 
 // wellFormedStreams is generator output covering every op: DaCapo-shaped
@@ -249,14 +280,16 @@ var mutations = []struct {
 // TestCheckerMatchesReferenceModel is the seeded differential test: over
 // well-formed generator output both checkers accept; over each mutation of
 // it, applied at many positions, they reject at the same index with the same
-// message — or both accept, where the mutation happened to be harmless.
+// message — or both accept, where the mutation happened to be harmless. Run,
+// in random run lengths, accepts and rejects every stream as Step does.
 func TestCheckerMatchesReferenceModel(t *testing.T) {
 	const trials = 25
 	tried, rejected := map[string]int{}, map[string]int{}
 	for seed := int64(1); seed <= 4; seed++ {
+		runs := rand.New(rand.NewSource(-seed))
 		for name, evs := range wellFormedStreams(seed) {
 			name = fmt.Sprintf("%s/seed%d", name, seed)
-			if i := diffStream(t, name, evs); i >= 0 {
+			if i := diffStream(t, name, runs, evs); i >= 0 {
 				t.Fatalf("%s: generator output rejected at event %d", name, i)
 			}
 			r := rand.New(rand.NewSource(seed))
@@ -267,7 +300,7 @@ func TestCheckerMatchesReferenceModel(t *testing.T) {
 				for trial := 0; trial < trials; trial++ {
 					tried[m.name]++
 					at := 1 + r.Intn(len(evs)-1)
-					if diffStream(t, name+"/"+m.name, m.mutate(r, evs, at)) >= 0 {
+					if diffStream(t, name+"/"+m.name, runs, m.mutate(r, evs, at)) >= 0 {
 						rejected[m.name]++
 					}
 				}
@@ -363,9 +396,9 @@ func hasOps(evs []trace.Event, ops []trace.Op) bool {
 	return true
 }
 
-// TestCheckerStepAllocs pins the steady state at zero allocations per Step:
-// once the tables cover the stream's ids, accepting an event touches no
-// heap. (Growth and rejection allocate; neither is steady state.)
+// TestCheckerStepAllocs pins the steady state at zero allocations per Step
+// and per Run: once the tables cover the stream's ids, accepting an event
+// touches no heap. (Growth and rejection allocate; neither is steady state.)
 func TestCheckerStepAllocs(t *testing.T) {
 	// Without its forks and joins a generated stream is still well formed
 	// (every thread is a root thread) and, as it ends with no lock held,
@@ -387,5 +420,13 @@ func TestCheckerStepAllocs(t *testing.T) {
 	step() // the tables now cover every id
 	if n := testing.AllocsPerRun(20, step); n != 0 {
 		t.Errorf("steady-state Step allocates: %v allocs per %d events", n, len(steady))
+	}
+	run := func() {
+		if _, err := ck.Run(steady); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, run); n != 0 {
+		t.Errorf("steady-state Run allocates: %v allocs per %d events", n, len(steady))
 	}
 }

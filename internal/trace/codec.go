@@ -37,12 +37,8 @@ func WriteBinary(w io.Writer, tr *Trace) error {
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	rec := make([]byte, recSize)
-	for _, e := range tr.Events {
-		PutRecord(rec, e)
-		if _, err := bw.Write(rec); err != nil {
-			return err
-		}
+	if err := WriteRecords(bw, tr.Events, nil); err != nil {
+		return err
 	}
 	return bw.Flush()
 }

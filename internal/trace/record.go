@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"unsafe"
 )
 
 // RecordSize is the fixed wire size of one encoded event: tid u16, op u8,
@@ -15,6 +16,27 @@ import (
 // event frames, so an event batch on the wire is byte-compatible with the
 // body of a trace file.
 const RecordSize = recSize
+
+// recordPad is the offset of a record's pad byte, which is written as 0 and
+// ignored on read.
+const recordPad = 3
+
+// eventIsRecord reports whether this host lays an Event out in memory
+// exactly as a record — fields at the record's offsets, the pad byte where
+// the record's is, little-endian — so that a run of records and a []Event
+// are the same bytes. Every 64-bit little-endian target Go supports does;
+// the run codecs then move records with one copy, and on any other host they
+// fall back to encoding field by field. Tests clear it to hold the two paths
+// to each other.
+var eventIsRecord = unsafe.Sizeof(Event{}) == RecordSize &&
+	unsafe.Offsetof(Event{}.T) == 0 && unsafe.Offsetof(Event{}.Op) == 2 &&
+	unsafe.Offsetof(Event{}.Targ) == 4 && unsafe.Offsetof(Event{}.Loc) == 8 &&
+	binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// eventBytes is the memory of evs as bytes: valid only where eventIsRecord.
+func eventBytes(evs []Event) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(evs))), len(evs)*RecordSize)
+}
 
 // PutRecord encodes e into b, which must be at least RecordSize bytes.
 func PutRecord(b []byte, e Event) {
@@ -30,9 +52,15 @@ func PutRecord(b []byte, e Event) {
 func GetRecord(b []byte) (Event, error) {
 	e := decodeRecord(b)
 	if !e.Op.Valid() {
-		return Event{}, fmt.Errorf("trace: invalid op %d in record", b[2])
+		return Event{}, invalidOp(e.Op)
 	}
 	return e, nil
+}
+
+// invalidOp is the error for one record carrying op: GetRecord's, and the
+// Decoder's under the record's event index.
+func invalidOp(op Op) error {
+	return fmt.Errorf("trace: invalid op %d in record", uint8(op))
 }
 
 // decodeRecord decodes one record without judging its op.
@@ -55,9 +83,18 @@ const RecordWindow = 1024
 // byte or a byte count that is not a whole number of records.
 var ErrBadRecords = errors.New("trace: malformed event records")
 
-// PutRecords encodes evs into b, which must hold len(evs) records.
+// PutRecords encodes evs into b, which must hold len(evs) records. Every pad
+// byte is written as 0, whatever an Event decoded from a record with a
+// non-zero one carries in its padding.
 func PutRecords(b []byte, evs []Event) {
-	_ = b[:len(evs)*RecordSize]
+	b = b[:len(evs)*RecordSize]
+	if eventIsRecord {
+		copy(b, eventBytes(evs))
+		for i := recordPad; i < len(b); i += RecordSize {
+			b[i] = 0
+		}
+		return
+	}
 	for i, e := range evs {
 		PutRecord(b[i*RecordSize:], e)
 	}
@@ -66,16 +103,26 @@ func PutRecords(b []byte, evs []Event) {
 // GetRecords decodes len(dst) records from b. Every record is decoded; the
 // result is the index of the first one whose op is invalid, or -1.
 func GetRecords(dst []Event, b []byte) int {
-	_ = b[:len(dst)*RecordSize]
-	bad := -1
-	for i := range dst {
-		e := decodeRecord(b[i*RecordSize : i*RecordSize+RecordSize])
-		if !e.Op.Valid() && bad < 0 {
-			bad = i
+	b = b[:len(dst)*RecordSize]
+	if eventIsRecord {
+		copy(eventBytes(dst), b)
+	} else {
+		for i := range dst {
+			dst[i] = decodeRecord(b[i*RecordSize:])
 		}
-		dst[i] = e
 	}
-	return bad
+	return firstBadOp(b)
+}
+
+// firstBadOp returns the index of the first record of b whose op byte is
+// invalid, or -1.
+func firstBadOp(b []byte) int {
+	for i := 2; i < len(b); i += RecordSize {
+		if !Op(b[i]).Valid() {
+			return i / RecordSize
+		}
+	}
+	return -1
 }
 
 // CheckRecords validates b as a run of event records without decoding it:
@@ -85,10 +132,8 @@ func CheckRecords(b []byte) error {
 	if len(b)%RecordSize != 0 {
 		return RaggedRecords(len(b))
 	}
-	for i := 2; i < len(b); i += RecordSize {
-		if !Op(b[i]).Valid() {
-			return BadRecord(i/RecordSize, Op(b[i]))
-		}
+	if i := firstBadOp(b); i >= 0 {
+		return BadRecord(i, Op(b[i*RecordSize+2]))
 	}
 	return nil
 }
@@ -105,9 +150,9 @@ func BadRecord(i int, op Op) error {
 }
 
 // WriteRecords encodes evs straight into bw's free buffer space, a window at
-// a time, folding the encoded bytes into the running CRC-32 (IEEE) *crc.
-// Nothing is allocated and each record is touched once: encoded, summed and
-// committed while its window is cache-hot.
+// a time, folding the encoded bytes into the running CRC-32 (IEEE) *crc when
+// crc is non-nil. Nothing is allocated and each record is touched once:
+// encoded, summed and committed while its window is cache-hot.
 func WriteRecords(bw *bufio.Writer, evs []Event, crc *uint32) error {
 	for len(evs) > 0 {
 		buf := bw.AvailableBuffer()
@@ -122,7 +167,9 @@ func WriteRecords(bw *bufio.Writer, evs []Event, crc *uint32) error {
 		n := min(len(evs), cap(buf)/RecordSize, RecordWindow)
 		buf = buf[:n*RecordSize]
 		PutRecords(buf, evs[:n])
-		*crc = crc32.Update(*crc, crc32.IEEETable, buf)
+		if crc != nil {
+			*crc = crc32.Update(*crc, crc32.IEEETable, buf)
+		}
 		if _, err := bw.Write(buf); err != nil {
 			return err
 		}

@@ -30,11 +30,19 @@ const Unbounded = streamCount
 // without materializing the event list. It is the streaming counterpart of
 // ReadBinary: arbitrarily large trace files can be piped through an
 // analysis engine in constant memory.
+//
+// Next serves events from a window of up to RecordWindow records decoded in
+// one ReadRecords pass. A window holds only what the stream has already
+// delivered, or one record when nothing has: a live stream's events are
+// served as they arrive.
 type Decoder struct {
 	br      *bufio.Reader
 	hdr     Header
 	hdrRead bool
-	read    uint64
+	read    uint64  // events served
+	buf     []Event // the window's storage
+	win     []Event // the window's events not yet served
+	end     error   // what the stream holds after the window: io.EOF or an error
 	err     error
 }
 
@@ -89,31 +97,56 @@ func (d *Decoder) Header() (Header, error) {
 
 // Next returns the next event. It returns io.EOF after the last event.
 func (d *Decoder) Next() (Event, error) {
-	if err := d.readHeader(); err != nil {
-		return Event{}, err
-	}
-	if d.hdr.Events != Unbounded && d.read >= d.hdr.Events {
-		return Event{}, io.EOF
-	}
-	var rec [recSize]byte
-	if _, err := io.ReadFull(d.br, rec[:]); err != nil {
-		if d.hdr.Events == Unbounded && err == io.EOF {
-			return Event{}, io.EOF
+	for len(d.win) == 0 {
+		if err := d.fill(); err != nil {
+			return Event{}, err
 		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			d.err = fmt.Errorf("trace: truncated at event %d of %d", d.read, d.hdr.Events)
-			return Event{}, d.err
-		}
-		d.err = fmt.Errorf("trace: reading event %d: %w", d.read, err)
-		return Event{}, d.err
 	}
-	e, err := GetRecord(rec[:])
-	if err != nil {
-		d.err = fmt.Errorf("trace: event %d: %w", d.read, err)
-		return Event{}, d.err
-	}
+	e := d.win[0]
+	d.win = d.win[1:]
 	d.read++
 	return e, nil
+}
+
+// fill decodes the next window, or returns what the stream holds in place
+// of the next event: io.EOF, or the decoder's sticky error. A window that
+// ends early leaves why in d.end, for the fill after it has been served.
+func (d *Decoder) fill() error {
+	if err := d.readHeader(); err != nil {
+		return err
+	}
+	if end := d.end; end != nil {
+		d.end = nil
+		if end != io.EOF {
+			d.err = end
+		}
+		return end
+	}
+	want := uint64(RecordWindow)
+	if d.hdr.Events != Unbounded {
+		if d.read >= d.hdr.Events {
+			return io.EOF
+		}
+		want = min(want, d.hdr.Events-d.read)
+	}
+	want = min(want, uint64(max(1, d.br.Buffered()/RecordSize)))
+	if d.buf == nil {
+		d.buf = make([]Event, RecordWindow)
+	}
+	n, bad, err := ReadRecords(d.br, d.buf[:want], nil)
+	switch {
+	case bad >= 0:
+		n = bad
+		d.end = fmt.Errorf("trace: event %d: %w", d.read+uint64(n), invalidOp(d.buf[n].Op))
+	case err == io.EOF && d.hdr.Events == Unbounded:
+		d.end = io.EOF
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		d.end = fmt.Errorf("trace: truncated at event %d of %d", d.read+uint64(n), d.hdr.Events)
+	case err != nil:
+		d.end = fmt.Errorf("trace: reading event %d: %w", d.read+uint64(n), err)
+	}
+	d.win = d.buf[:n]
+	return nil
 }
 
 // Encoder writes the binary format incrementally, one event per Encode

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"testing/iotest"
 )
 
 func TestCheckerAcceptsWellFormedStream(t *testing.T) {
@@ -152,5 +153,92 @@ func TestDecoderTruncatedExactCount(t *testing.T) {
 	}
 	if err == io.EOF {
 		t.Error("truncated exact-count trace must error, not EOF")
+	}
+}
+
+// TestDecoderErrors pins what Decoder.Next serves at every way a binary
+// trace can end — the events before the end, then io.EOF or a sticky error
+// naming the event — with the texts and indices the per-record decoder
+// gave. Each row runs over a whole-buffer reader and over a one-byte-per-Read
+// one, so windows end where the stream's deliveries do.
+func TestDecoderErrors(t *testing.T) {
+	const n = 3000
+	evs := codecEvents(n)
+	var counted, unbounded bytes.Buffer
+	if err := WriteBinary(&counted, &Trace{Events: evs}); err != nil {
+		t.Fatal(err)
+	}
+	enc := NewEncoder(&unbounded, Header{})
+	for _, e := range evs {
+		enc.Encode(e)
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const hdr = 4 + 4*6 + 8
+	cut := func(k int) func([]byte) []byte {
+		return func(b []byte) []byte { return b[:len(b)-k] }
+	}
+	badOp := func(i int) func([]byte) []byte {
+		return func(b []byte) []byte {
+			b[hdr+i*RecordSize+2] = 0xEE
+			return b
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		stream  *bytes.Buffer
+		mutate  func([]byte) []byte
+		served  int
+		wantErr string // "" = io.EOF
+	}{
+		{"counted/whole", &counted, cut(0), n, ""},
+		{"unbounded/whole", &unbounded, cut(0), n, ""},
+		{"counted/truncated inside a record", &counted, cut(5), n - 1, "trace: truncated at event 2999 of 3000"},
+		{"unbounded/truncated inside a record", &unbounded, cut(5), n - 1, "trace: truncated at event 2999 of 18446744073709551615"},
+		{"counted/truncated on a record boundary", &counted, cut(1000 * RecordSize), 2000, "trace: truncated at event 2000 of 3000"},
+		{"unbounded/truncated on a record boundary", &unbounded, cut(1000 * RecordSize), 2000, ""},
+		{"counted/invalid op at 0", &counted, badOp(0), 0, "trace: event 0: trace: invalid op 238 in record"},
+		{"counted/invalid op at 1023", &counted, badOp(1023), 1023, "trace: event 1023: trace: invalid op 238 in record"},
+		{"counted/invalid op at 1024", &counted, badOp(1024), 1024, "trace: event 1024: trace: invalid op 238 in record"},
+		{"unbounded/invalid op at 1024", &unbounded, badOp(1024), 1024, "trace: event 1024: trace: invalid op 238 in record"},
+		{"counted/trailing bytes ignored", &counted, func(b []byte) []byte {
+			return append(b, bytes.Repeat([]byte{0xEE}, 2*RecordSize+5)...)
+		}, n, ""},
+	} {
+		for _, r := range []struct {
+			name string
+			wrap func(io.Reader) io.Reader
+		}{
+			{"whole", func(r io.Reader) io.Reader { return r }},
+			{"one-byte", iotest.OneByteReader},
+		} {
+			name := tc.name + "/" + r.name
+			d := NewDecoder(r.wrap(bytes.NewReader(tc.mutate(bytes.Clone(tc.stream.Bytes())))))
+			var err error
+			served := 0
+			for ; ; served++ {
+				var e Event
+				if e, err = d.Next(); err != nil {
+					break
+				}
+				if served >= n || e != evs[served] {
+					t.Fatalf("%s: event %d = %v, want %v", name, served, e, evs[min(served, n-1)])
+				}
+			}
+			if served != tc.served {
+				t.Errorf("%s: served %d events, want %d", name, served, tc.served)
+			}
+			if tc.wantErr == "" {
+				if err != io.EOF {
+					t.Errorf("%s: ended with %v, want io.EOF", name, err)
+				}
+			} else if err == nil || err == io.EOF || err.Error() != tc.wantErr {
+				t.Errorf("%s: ended with %v, want %q", name, err, tc.wantErr)
+			}
+			if _, again := d.Next(); again != err {
+				t.Errorf("%s: the next call says %v, want %v again", name, again, err)
+			}
+		}
 	}
 }

@@ -373,12 +373,9 @@ func (e *Engine) feed(evs []Event) error {
 	}
 	var verr error
 	if e.chk != nil {
-		for i, ev := range evs {
-			if err := e.chk.Step(ev); err != nil {
-				verr = fmt.Errorf("race: ill-formed event stream: %w", err)
-				evs = evs[:i]
-				break
-			}
+		if n, err := e.chk.Run(evs); err != nil {
+			verr = fmt.Errorf("race: ill-formed event stream: %w", err)
+			evs = evs[:n]
 		}
 	}
 	if e.keep {

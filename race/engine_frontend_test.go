@@ -36,10 +36,12 @@ func (s *sliceSource) Next() (race.Event, error) {
 // entryPoints are the engine's four ways in; FeedBatch at three run
 // lengths: per event, ragged against every internal boundary, and the chunk
 // FeedTrace and FeedSource themselves use.
-var entryPoints = []struct {
+type entryPoint struct {
 	name string
 	feed func(eng *race.Engine, tr *race.Trace) error
-}{
+}
+
+var entryPoints = []entryPoint{
 	{"Feed", func(eng *race.Engine, tr *race.Trace) error {
 		for _, ev := range tr.Events {
 			if err := eng.Feed(ev); err != nil {
@@ -181,7 +183,9 @@ func TestEntryPointsAgree(t *testing.T) {
 // TestEntryPointsAgreeOnIllFormedStream: when event i of the stream breaks
 // a well-formedness rule, every entry point analyzes exactly events [0, i)
 // — the online races are those of the prefix — and returns the same wrapped
-// *trace.CheckError, and the engine is poisoned.
+// *trace.CheckError, and the engine is poisoned. Besides the entry points
+// above, FeedBatch runs that put the bad event first, last and alone in its
+// run, and one run of the whole stream.
 func TestEntryPointsAgreeOnIllFormedStream(t *testing.T) {
 	good := frontEndTrace()
 	const bad = 20000 // mid-chunk, mid-run for every run length above
@@ -205,9 +209,22 @@ func TestEntryPointsAgreeOnIllFormedStream(t *testing.T) {
 		t.Fatal("no races before the ill-formed event; the comparison would be vacuous")
 	}
 
+	eps := append(entryPoints[:len(entryPoints):len(entryPoints)], []entryPoint{
+		{"FeedBatch/bad-first", feedInRuns(bad)},
+		{"FeedBatch/bad-last", feedInRuns(bad + 1)},
+		{"FeedBatch/bad-alone", func(eng *race.Engine, tr *race.Trace) error {
+			for _, run := range [][]race.Event{tr.Events[:bad], tr.Events[bad : bad+1], tr.Events[bad+1:]} {
+				if err := eng.FeedBatch(run); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"FeedBatch/whole", feedInRuns(ill.Len())},
+	}...)
 	var wantMsg string
 	for _, shape := range engineShapes[:2] {
-		for _, ep := range entryPoints {
+		for _, ep := range eps {
 			name := shape.name + "/" + ep.name
 			var online onlineLog
 			opts := append(shape.opts(t), race.WithAnalysisNames(frontEndCells...), race.WithOnRace(online.record))

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -124,6 +126,69 @@ func TestWireSlabRecycling(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestRecordPadByteLeavesNoTrace: a record's pad byte is not part of the
+// event. Decoded records carry it in the events' padding, and the router
+// forwards record bytes verbatim, so the stream sent with pad 0 and with pad
+// 0xFF in every record, verbatim (FeedRecords) to a durable server, must give
+// the same report and byte-identical journal segment files: every encoder
+// writes the pad as 0.
+func TestRecordPadByteLeavesNoTrace(t *testing.T) {
+	p, _ := workload.ProgramByName("avrora")
+	tr := p.Generate(4000, 5)
+	clean := wire.AppendEvents(nil, tr.Events)
+	padded := bytes.Clone(clean)
+	for i := 3; i < len(padded); i += trace.RecordSize {
+		padded[i] = 0xFF
+	}
+	send := func(recs []byte) (report []byte, journal map[string][]byte) {
+		t.Helper()
+		dir := t.TempDir()
+		_, addr := startTCP(t, Config{DataDir: dir})
+		client, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		sess, err := client.Open(SessionConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const frame = 1000 * trace.RecordSize
+		for lo := 0; lo < len(recs); lo += frame {
+			if err := sess.FeedRecords(recs[lo:min(lo+frame, len(recs))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if report, err = sess.CloseJSON(); err != nil {
+			t.Fatal(err)
+		}
+		segs, _ := filepath.Glob(filepath.Join(dir, "sessions", sess.ID(), "journal", "*"))
+		journal = make(map[string][]byte)
+		for _, seg := range segs {
+			if journal[filepath.Base(seg)], err = os.ReadFile(seg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return report, journal
+	}
+	wantReport, wantJournal := send(clean)
+	gotReport, gotJournal := send(padded)
+	if !bytes.Equal(gotReport, wantReport) {
+		t.Errorf("report with pad 0xFF differs from pad 0\n--- 0xFF ---\n%s\n--- 0 ---\n%s", gotReport, wantReport)
+	}
+	if len(wantJournal) == 0 {
+		t.Fatal("the session left no journal files; the comparison would be vacuous")
+	}
+	if len(gotJournal) != len(wantJournal) {
+		t.Fatalf("journal files: %d with pad 0xFF, %d with pad 0", len(gotJournal), len(wantJournal))
+	}
+	for name, want := range wantJournal {
+		if !bytes.Equal(gotJournal[name], want) {
+			t.Errorf("journal file %s differs between pad 0xFF and pad 0", name)
 		}
 	}
 }
