@@ -11,6 +11,7 @@ package repro_test
 import (
 	"bufio"
 	"bytes"
+	"math/bits"
 	"runtime"
 	"syscall"
 	"testing"
@@ -184,6 +185,31 @@ func BenchmarkEngineFanout15(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSameEpochMark measures the 15-cell engine's same-epoch marker
+// (analysis.SameEpoch) alone over fanoutTrace, in the 8192-event runs
+// feedFanout15 feeds: ns per event, and the share of events it marks — the
+// accesses no computation looks up in its own metadata.
+func BenchmarkSameEpochMark(b *testing.B) {
+	evs := fanoutTrace.Events
+	var same analysis.Same
+	marked := 0
+	for i := 0; i < b.N; i++ {
+		var m analysis.SameEpoch
+		marked = 0
+		for lo := 0; lo < len(evs); lo += 8192 {
+			run := evs[lo:min(lo+8192, len(evs))]
+			same = same[:0].Cover(len(run))
+			m.Mark(run, same, 0)
+			for _, w := range same {
+				marked += bits.OnesCount64(w)
+			}
+		}
+	}
+	events := float64(len(evs)) * float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(marked)/float64(len(evs)), "marked/event")
 }
 
 // TestFanout15AllocationBudget keeps the 15-cell engine's allocation from

@@ -74,14 +74,18 @@ func (l Level) String() string {
 	return fmt.Sprintf("Level(%d)", int(l))
 }
 
-// Analysis is a dynamic race detection analysis processing one event at a
-// time in trace order. Implementations keep all state internal and are not
-// safe for concurrent use; the public race.Runtime linearizes for them.
+// Analysis is a dynamic race detection analysis processing events in trace
+// order. Implementations keep all state internal and are not safe for
+// concurrent use; the public race.Runtime linearizes for them.
 type Analysis interface {
 	// Name identifies the analysis, e.g. "SmartTrack-DC".
 	Name() string
 	// Handle processes the next event of the trace.
 	Handle(e trace.Event)
+	// HandleRun processes the next run of events, as Handle would one at a
+	// time. An event same marks (see SameEpoch) gets only what the
+	// analysis's own same-epoch branch does; a nil same marks nothing.
+	HandleRun(evs []trace.Event, same Same)
 	// Races exposes the collector of detected races.
 	Races() *report.Collector
 	// MetadataWeight estimates retained analysis metadata in 8-byte words,
@@ -128,7 +132,7 @@ func SpecOf(tr *trace.Trace) Spec {
 
 // Constructor builds a fresh analysis instance from capacity hints. The
 // instance exists before any events do and consumes its stream incrementally
-// through Analysis.Handle.
+// through Analysis.Handle or Analysis.HandleRun.
 type Constructor func(spec Spec) Analysis
 
 // Caps describes what a registered analysis can do — the capability

@@ -165,13 +165,17 @@ const (
 type varPage [varPageSize]stVar
 
 // CaseCounts tallies how often each FTO case fires (the paper's Table 12
-// and Appendix B).
+// and Appendix B). ReadSameEpoch counts [Read Same Epoch] and [Shared Same
+// Epoch] together: an access a multi-analysis engine marks same-epoch (see
+// analysis.SameEpoch) is skipped without reading the variable's mode, so
+// which of the two it would have been is not known. Table 12 reads only the
+// non-same-epoch counters.
 type CaseCounts struct {
-	ReadSameEpoch, SharedSameEpoch, WriteSameEpoch uint64
-	ReadOwned, ReadSharedOwned                     uint64
-	ReadExclusive, ReadShare, ReadShared           uint64
-	WriteOwned, WriteExclusive, WriteShared        uint64
-	HeldAtNSEA                                     [4]uint64
+	ReadSameEpoch, WriteSameEpoch           uint64
+	ReadOwned, ReadSharedOwned              uint64
+	ReadExclusive, ReadShare, ReadShared    uint64
+	WriteOwned, WriteExclusive, WriteShared uint64
+	HeldAtNSEA                              [4]uint64
 }
 
 // NSEAReads returns the non-same-epoch read count.
@@ -290,6 +294,32 @@ func (a *Analysis) Handle(e trace.Event) {
 	}
 }
 
+// HandleRun implements analysis.Analysis. SmartTrack's same-epoch cases
+// count the access and do nothing else beyond taking the event's index.
+func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
+	if same == nil { // a single-cell engine's runs: nothing is marked
+		for _, e := range evs {
+			a.Handle(e)
+		}
+		return
+	}
+	var reads, writes uint64
+	for i, e := range evs {
+		switch {
+		case !same.Has(i):
+			a.Handle(e)
+			continue
+		case e.Op == trace.OpWrite:
+			writes++
+		default:
+			reads++
+		}
+		a.idx++
+	}
+	a.cases.ReadSameEpoch += reads
+	a.cases.WriteSameEpoch += writes
+}
+
 // fillRelease runs rule (b) at t's release of m and resolves the deferred
 // release time of the critical section: the section that CS lists and extra
 // metadata reference receives the release time (HB time for WCP, relation
@@ -376,13 +406,9 @@ func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	c := p.Get(tt)
 	cur := vc.E(tt, c)
 	v := a.slot(x)
-	if v.rvc == nil && v.r == cur {
+	if v.rvc == nil && v.r == cur || v.rvc != nil && v.rvc.Get(tt) == c {
 		a.cases.ReadSameEpoch++
-		return // [Read Same Epoch]
-	}
-	if v.rvc != nil && v.rvc.Get(tt) == c {
-		a.cases.SharedSameEpoch++
-		return // [Shared Same Epoch]
+		return // [Read Same Epoch] or [Shared Same Epoch]
 	}
 	held := a.s.Held(t)
 	a.cases.HeldAtNSEA[min(len(held), 3)]++

@@ -66,6 +66,18 @@ func (a *Analysis) Handle(e trace.Event) {
 	}
 }
 
+// HandleRun implements analysis.Analysis. FT2's same-epoch branch does
+// nothing beyond opening the event.
+func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
+	for i, e := range evs {
+		if same.Has(i) {
+			a.Sub.Begin(e.T)
+		} else {
+			a.Handle(e)
+		}
+	}
+}
+
 // Stale implements ccs.View: the [Same Epoch] cases.
 func (a *View) Stale(t trace.Tid, x uint32, write bool) bool {
 	tt := vc.Tid(t)

@@ -104,6 +104,32 @@ func (a *Analysis) Handle(e trace.Event) {
 	}
 }
 
+// HandleRun implements analysis.Analysis. FTO's same-epoch branch counts
+// the access and does nothing else beyond opening the event.
+func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
+	var reads, writes uint64
+	for i, e := range evs {
+		switch {
+		case !same.Has(i):
+			a.Handle(e)
+			continue
+		case e.Op == trace.OpWrite:
+			writes++
+		default:
+			reads++
+		}
+		a.Sub.Begin(e.T)
+	}
+	a.CountMarked(reads, writes)
+}
+
+// CountMarked implements ccs.Counter: Reads and Writes count every access,
+// the marked same-epoch ones included.
+func (a *View) CountMarked(reads, writes uint64) {
+	a.st.Reads += reads
+	a.st.Writes += writes
+}
+
 // Stale implements ccs.View: the [Same Epoch] cases.
 func (a *View) Stale(t trace.Tid, x uint32, write bool) bool {
 	tt := vc.Tid(t)

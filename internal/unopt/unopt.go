@@ -110,6 +110,18 @@ func (a *Analysis) Handle(e trace.Event) {
 	}
 }
 
+// HandleRun implements analysis.Analysis. The §5.1 check's skip does
+// nothing beyond opening the event, which w/G's graph bookkeeping needs.
+func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
+	for i, e := range evs {
+		if same.Has(i) {
+			a.Sub.Begin(e.T)
+		} else {
+			a.Handle(e)
+		}
+	}
+}
+
 // Stale implements ccs.View: per §5.1, a [Shared Same Epoch]-like check —
 // has t already read (written) x in this epoch?
 func (a *View) Stale(t trace.Tid, x uint32, write bool) bool {

@@ -95,9 +95,7 @@ func TestNewCoversFullGrid(t *testing.T) {
 			continue
 		}
 		// A detector from New is usable immediately.
-		for _, e := range tr.Events {
-			det.Handle(e)
-		}
+		det.HandleRun(tr.Events, nil)
 		if det.Name() == "" {
 			t.Errorf("New(%v): empty name", cell)
 		}

@@ -180,17 +180,19 @@ type engineDet struct {
 	seen int // races already delivered to the OnRace callback
 }
 
-// computation is the engine's unit of per-event work, and of scheduling on
-// the parallel pipeline: one Handle call per event on behalf of one or more
-// detectors. The FT2, FTO and Unopt cells of one relation share a
-// computation — one relation substrate advanced once per event, each cell a
-// view reading its P (see ccs.Substrate for why that is exact) — so the full
-// Table 1 matrix is 7 computations, not 15: HB, WCP, DC, WDC, and each
-// SmartTrack cell alone, because SmartTrack's CS lists feed last-access
-// metadata back into P.
+// computation is the engine's unit of work, and of scheduling on the
+// parallel pipeline: one HandleRun call per run of events on behalf of one
+// or more detectors, with the run's same-epoch bitmap. The FT2, FTO and
+// Unopt cells of one relation share a computation — one relation substrate
+// advanced once per event, each cell a view reading its P (see
+// ccs.Substrate for why that is exact) — so the full Table 1 matrix is 7
+// computations, not 15: HB, WCP, DC, WDC, and each SmartTrack cell alone,
+// because SmartTrack's CS lists feed last-access metadata back into P.
 type computation struct {
 	name string // the shared relation, or the lone SmartTrack cell
-	a    interface{ Handle(trace.Event) }
+	a    interface {
+		HandleRun(evs []trace.Event, same analysis.Same)
+	}
 	dets []int // indices into Engine.dets, in fan-out order
 }
 
@@ -218,6 +220,17 @@ type Engine struct {
 	chk    *trace.Checker
 	onRace func(RaceInfo)
 	pipe   *pipeline // non-nil iff the engine runs the parallel fan-out
+
+	// mark flags the accesses every computation would skip as same-epoch
+	// (see analysis.SameEpoch), on the feeding goroutine after the checker;
+	// nil unless the engine has two or more computations. One computation
+	// has nothing to share the stamp table's cost with: its own same-epoch
+	// test is the one lookup, and the table would be a second cache miss on
+	// a large variable space. The sequential engine marks into same; the
+	// pipeline marks into each batch's own bitmap.
+	mark *analysis.SameEpoch
+	same analysis.Same
+	one  [1]Event // Feed's one-event run: a HandleRun argument, so not on Feed's stack
 
 	keep   bool // retain events for vindication at Close
 	events []Event
@@ -287,6 +300,9 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		entries = append(entries, entry)
 	}
 	e.build(entries, cfg.hints.spec())
+	if len(e.comps) > 1 {
+		e.mark = new(analysis.SameEpoch)
+	}
 	if n := min(cfg.par, len(e.comps)); n > 1 {
 		e.startPipeline(n, cfg.batch)
 	}
@@ -362,8 +378,9 @@ func (e *Engine) Fed() int { return e.fed }
 const feedChunk = 8192
 
 // feed is the engine's one front end, behind every entry point: check the
-// run, retain it if Close will vindicate, then dispatch it — into the
-// pipeline's current batch, or through each computation in turn.
+// run, retain it if Close will vindicate, then mark and dispatch the
+// accepted prefix — into the pipeline's current batch, or through each
+// computation in turn.
 func (e *Engine) feed(evs []Event) error {
 	if e.closed {
 		return errors.New("race: Feed on closed engine")
@@ -392,8 +409,14 @@ func (e *Engine) feed(evs []Event) error {
 			return err
 		}
 	} else {
+		var same analysis.Same
+		if e.mark != nil {
+			e.same = e.same[:0].Cover(len(evs))
+			e.mark.Mark(evs, e.same, 0)
+			same = e.same
+		}
 		for i := range e.comps {
-			e.apply(&e.comps[i], evs, e.onRace)
+			e.apply(&e.comps[i], evs, same, e.onRace)
 		}
 	}
 	e.fed += len(evs)
@@ -411,8 +434,8 @@ func (e *Engine) feed(evs []Event) error {
 // Ill-formed input (per the incremental well-formedness rules) returns an
 // error and poisons the engine.
 func (e *Engine) Feed(ev Event) error {
-	one := [1]Event{ev}
-	return e.feed(one[:])
+	e.one[0] = ev
+	return e.feed(e.one[:])
 }
 
 // pending returns d's oldest not-yet-delivered race, stamped with its
@@ -430,12 +453,10 @@ func (d *engineDet) pending() RaceInfo {
 }
 
 // apply is the unit of dispatch, on the feeding goroutine and on a pipeline
-// worker alike: c consumes a run of events, then its detectors' new races
-// are published.
-func (e *Engine) apply(c *computation, evs []Event, emit func(RaceInfo)) {
-	for _, ev := range evs {
-		c.a.Handle(ev)
-	}
+// worker alike: c consumes a run of events in one call, skipping what same
+// marks, then its detectors' new races are published.
+func (e *Engine) apply(c *computation, evs []Event, same analysis.Same, emit func(RaceInfo)) {
+	c.a.HandleRun(evs, same)
 	if emit != nil || e.met != nil {
 		for _, di := range c.dets {
 			e.publish(&e.dets[di], emit)
@@ -474,9 +495,13 @@ func (e *Engine) checkPipe() error {
 
 // FeedBatch consumes a run of events in one call — the feed-side batching
 // that makes per-thread runs from a Runtime (and event frames arriving at a
-// raced server) cheap to commit: one well-formedness pass and one analysis
-// pass per cell (or a single append into the parallel pipeline's current
-// batch), instead of per-event bookkeeping.
+// raced server) cheap to commit: one well-formedness pass and one HandleRun
+// call per computation (or a single append into the parallel pipeline's
+// current batch), instead of per-event bookkeeping. On an engine with two
+// or more computations, the accepted prefix of the run is also marked once
+// for the accesses every computation would skip as same-epoch (see
+// analysis.SameEpoch), so that no computation looks them up in its own
+// metadata; the bitmap stays inside the engine.
 //
 // Semantics match feeding the events one at a time: if event i is
 // ill-formed, events [0, i) are fully analyzed, the engine is poisoned, and

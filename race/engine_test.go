@@ -75,9 +75,7 @@ func TestEngineMatchesBatchAcrossTable1(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: New: %v", name, d.Name, err)
 			}
-			for _, e := range tr.Events {
-				det.Handle(e)
-			}
+			det.HandleRun(tr.Events, nil)
 			if got, want := sub.Dynamic(), det.Races().Dynamic(); got != want {
 				t.Errorf("%s/%s: streaming dynamic = %d, batch = %d", name, d.Name, got, want)
 			}

@@ -36,6 +36,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/analysis"
 )
 
 // DefaultBatchSize is the pipeline batch size WithBatchSize(0) resolves
@@ -52,10 +54,12 @@ const (
 	minTimedBatch = 64
 )
 
-// eventBatch is one batch of events, read by every computation and
-// recycled once the last cursor has passed it.
+// eventBatch is one batch of events and its same-epoch bitmap, written by
+// the producer before the batch is published, read by every computation,
+// and recycled once the last cursor has passed it.
 type eventBatch struct {
-	evs []Event
+	evs  []Event
+	same analysis.Same
 }
 
 // batchPool recycles event batches between the producer and the last
@@ -166,7 +170,7 @@ func (e *Engine) startPipeline(n, batchSize int) {
 
 func newBatch() *eventBatch {
 	b := batchPool.Get().(*eventBatch)
-	b.evs = b.evs[:0]
+	b.evs, b.same = b.evs[:0], b.same[:0]
 	return b
 }
 
@@ -235,12 +239,13 @@ func (e *Engine) applyPending(p *pipeline, t *task, lo, hi uint64) (ns time.Dura
 	}()
 	pprof.SetGoroutineLabels(t.labels)
 	for i := lo; i < hi; i++ {
-		evs := p.ring[i%ringCapacity].evs
+		b := p.ring[i%ringCapacity]
+		evs := b.evs
 		var t0 time.Time
 		if len(evs) >= minTimedBatch {
 			t0 = time.Now()
 		}
-		e.apply(t.computation, evs, p.emit)
+		e.apply(t.computation, evs, b.same, p.emit)
 		if len(evs) >= minTimedBatch {
 			ns += time.Since(t0)
 			n += len(evs)
@@ -288,15 +293,23 @@ func (p *pipeline) firstErr() error {
 }
 
 // enqueue appends a run of events to the current batch in one append — the
-// pipeline half of the engine's front end. Flush triggers: batch size, and
-// (when an OnRace callback wants timely delivery) the presence of any
-// synchronization event in the run — run-granular, so commit-per-run
-// batching is kept even on engines with callbacks installed (every raced
-// session has one); Feed's one-event runs make it event-granular there.
+// pipeline half of the engine's front end — and marks the run's same-epoch
+// accesses into the batch's bitmap at the run's offset, so that workers only
+// read the bits. Flush triggers: batch size, and (when an OnRace callback
+// wants timely delivery) the presence of any synchronization event in the
+// run — run-granular, so commit-per-run batching is kept even on engines
+// with callbacks installed (every raced session has one); Feed's one-event
+// runs make it event-granular there.
 func (e *Engine) enqueue(evs []Event) error {
 	p := e.pipe
-	p.cur.evs = append(p.cur.evs, evs...)
-	if len(p.cur.evs) >= p.batchSize {
+	b := p.cur
+	off := len(b.evs)
+	b.evs = append(b.evs, evs...)
+	if e.mark != nil {
+		b.same = b.same.Cover(len(b.evs))
+		e.mark.Mark(evs, b.same, off)
+	}
+	if len(b.evs) >= p.batchSize {
 		return e.flushBatch()
 	}
 	if p.raceCh != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
@@ -26,24 +27,26 @@ type owned struct {
 	sink    uint64
 }
 
-func (o *owned) Handle(e Event) {
+func (o *owned) HandleRun(evs []Event, _ analysis.Same) {
 	if !o.inside.CompareAndSwap(0, 1) {
-		panic("Handle entered by two workers at once")
+		panic("HandleRun entered by two workers at once")
 	}
 	defer o.inside.Store(0)
-	if int(e.Loc) != o.applied {
-		panic(fmt.Sprintf("event %d handled after %d events", e.Loc, o.applied))
-	}
-	if o.applied == o.panicAt {
-		time.Sleep(o.nap)
-		panic("armed")
-	}
-	o.applied++
-	if o.spin > 0 && o.applied%o.spin == 0 {
-		for i := 0; i < 200; i++ {
-			o.sink = o.sink*6364136223846793005 + 1
+	for _, e := range evs {
+		if int(e.Loc) != o.applied {
+			panic(fmt.Sprintf("event %d handled after %d events", e.Loc, o.applied))
 		}
-		o.col.Add(report.Race{Var: e.Targ, Loc: e.Loc, Index: int(e.Loc), Write: true})
+		if o.applied == o.panicAt {
+			time.Sleep(o.nap)
+			panic("armed")
+		}
+		o.applied++
+		if o.spin > 0 && o.applied%o.spin == 0 {
+			for i := 0; i < 200; i++ {
+				o.sink = o.sink*6364136223846793005 + 1
+			}
+			o.col.Add(report.Race{Var: e.Targ, Loc: e.Loc, Index: int(e.Loc), Write: true})
+		}
 	}
 }
 
