@@ -31,8 +31,7 @@
 // threshold. -trace records router spans — session, placement, flush,
 // migration — joined to client and backend spans under one trace ID
 // (GET /debug/traces, ?format=chrome for Perfetto); -trace-slow logs any
-// trace slower than a threshold. cmd/racemon scrapes a router and its
-// backends together into fleet-wide load reports.
+// trace slower than a threshold.
 //
 // Migration requires the backend data dirs to be paths the router can read
 // and write (same host or a shared filesystem): the router suspends the

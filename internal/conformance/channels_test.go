@@ -9,14 +9,14 @@ import (
 	"repro/race"
 )
 
-func channelConfigs() []workload.ChannelConfig {
-	var cfgs []workload.ChannelConfig
+func channelConfigs() []workload.ChannelsConfig {
+	var cfgs []workload.ChannelsConfig
 	for seed := int64(0); seed < 25; seed++ {
 		cfgs = append(cfgs,
-			workload.ChannelConfig{Seed: seed},
-			workload.ChannelConfig{Seed: seed, Threads: 6, Chans: 5, MaxCap: 4, Events: 800},
-			workload.ChannelConfig{Seed: seed, Threads: 3, Chans: 2, MaxCap: 1, Vars: 2, Events: 300, PSend: 0.3, PRecv: 0.3},
-			workload.ChannelConfig{Seed: seed, Threads: 5, Chans: 4, MaxCap: 2, Locks: 3, Events: 600, PClose: 0.01},
+			workload.ChannelsConfig{Seed: seed},
+			workload.ChannelsConfig{Seed: seed, Threads: 6, Chans: 5, MaxCap: 4, Events: 800},
+			workload.ChannelsConfig{Seed: seed, Threads: 3, Chans: 2, MaxCap: 1, Vars: 2, Events: 300, PSend: 0.3, PRecv: 0.3},
+			workload.ChannelsConfig{Seed: seed, Threads: 5, Chans: 4, MaxCap: 2, Locks: 3, Events: 600, PClose: 0.01},
 		)
 	}
 	return cfgs
@@ -38,7 +38,7 @@ func TestChannelWorkloadWellFormed(t *testing.T) {
 
 // TestChannelWorkloadDeterminism: same config, same trace.
 func TestChannelWorkloadDeterminism(t *testing.T) {
-	cfg := workload.ChannelConfig{Seed: 11, Threads: 5, Chans: 4, Events: 500}
+	cfg := workload.ChannelsConfig{Seed: 11, Threads: 5, Chans: 4, Events: 500}
 	a, b := workload.Channels(cfg), workload.Channels(cfg)
 	if len(a.Events) != len(b.Events) {
 		t.Fatal("nondeterministic length")

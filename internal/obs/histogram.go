@@ -47,11 +47,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
-// Value snapshots the histogram. Callers that need interval statistics
-// (e.g. per-ramp-step quantiles in a load harness) take a snapshot at
-// each boundary and Sub the previous one.
-func (h *Histogram) Value() *HistogramValue { return h.value() }
-
 // value snapshots the histogram.
 func (h *Histogram) value() *HistogramValue {
 	v := &HistogramValue{
@@ -73,29 +68,6 @@ type HistogramValue struct {
 	Counts []uint64  // per-bucket counts, len = len(Bounds)+1
 	Count  uint64    // total observations (= sum of Counts)
 	Sum    float64
-}
-
-// Sub returns the delta histogram v − prev: the observations recorded
-// between the two snapshots. prev must be an earlier snapshot of the same
-// histogram (identical bounds); Sub returns v unchanged otherwise, which
-// degrades an interval quantile to a cumulative one instead of lying.
-func (v *HistogramValue) Sub(prev *HistogramValue) *HistogramValue {
-	if prev == nil || len(prev.Counts) != len(v.Counts) {
-		return v
-	}
-	d := &HistogramValue{
-		Bounds: v.Bounds,
-		Counts: make([]uint64, len(v.Counts)),
-		Sum:    v.Sum - prev.Sum,
-	}
-	for i := range v.Counts {
-		if v.Counts[i] < prev.Counts[i] {
-			return v // not an earlier snapshot of this histogram
-		}
-		d.Counts[i] = v.Counts[i] - prev.Counts[i]
-		d.Count += d.Counts[i]
-	}
-	return d
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear

@@ -7,11 +7,11 @@ import (
 	"strings"
 )
 
-// MetricsHandler serves reg's snapshot — the GET /metrics of raced,
-// racefleet and racemon — two ways: ?format=prometheus, or a
-// Prometheus-style Accept: text/plain; version=0.0.4 header, emits the text
-// exposition (v0.0.4); the default is the same snapshot as a JSON map keyed
-// by canonical metric name (see the README catalog).
+// MetricsHandler serves reg's snapshot — the GET /metrics of raced and
+// racefleet — two ways: ?format=prometheus, or a Prometheus-style Accept:
+// text/plain; version=0.0.4 header, emits the text exposition (v0.0.4); the
+// default is the same snapshot as a JSON map keyed by canonical metric name
+// (see the README catalog).
 func MetricsHandler(reg *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		snap := reg.Snapshot()
@@ -25,7 +25,7 @@ func MetricsHandler(reg *Registry) http.Handler {
 }
 
 // WriteJSON answers an HTTP request with v as an indented JSON document —
-// the response body of every JSON endpoint of raced, racefleet and racemon.
+// the response body of every JSON endpoint of raced and racefleet.
 func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -8,8 +8,8 @@ import (
 )
 
 // NewLogger returns a slog text logger writing to w at the given
-// level — the shared construction for raced, racefleet, and racemon so
-// their log lines are uniformly greppable.
+// level — the shared construction for raced and racefleet so their log
+// lines are uniformly greppable.
 func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
 }

@@ -152,7 +152,7 @@ func diffRun(t *testing.T, name string, runs *rand.Rand, evs []trace.Event, acce
 // scheduler with and without a fork/join phase.
 func wellFormedStreams(seed int64) map[string][]trace.Event {
 	out := map[string][]trace.Event{
-		"channels": workload.Channels(workload.ChannelConfig{Seed: seed, Threads: 5, Events: 3000}).Events,
+		"channels": workload.Channels(workload.ChannelsConfig{Seed: seed, Threads: 5, Events: 3000}).Events,
 		"random": workload.Random(workload.RandomConfig{
 			Seed: seed, Threads: 6, Vars: 8, Locks: 5, Volatiles: 3, Events: 3000}).Events,
 		"random-forkjoin": workload.Random(workload.RandomConfig{

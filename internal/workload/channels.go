@@ -6,7 +6,7 @@ import (
 	"repro/internal/trace"
 )
 
-// ChannelConfig parameterizes the channel-heavy trace generator. It
+// ChannelsConfig parameterizes the channel-heavy trace generator. It
 // simulates worker goroutines communicating over Go-style channels the
 // way race/sync lowers them onto core operations:
 //
@@ -22,7 +22,7 @@ import (
 // mixed with lock critical sections and guarded/unguarded plain
 // accesses. The output is well formed by construction and deterministic
 // per config.
-type ChannelConfig struct {
+type ChannelsConfig struct {
 	Seed    int64
 	Threads int // worker threads; thread 0 forks, closes, and joins
 	Chans   int
@@ -37,7 +37,7 @@ type ChannelConfig struct {
 	PWrite                      float64
 }
 
-func (c ChannelConfig) withDefaults() ChannelConfig {
+func (c ChannelsConfig) withDefaults() ChannelsConfig {
 	if c.Threads <= 0 {
 		c.Threads = 4
 	}
@@ -88,7 +88,7 @@ func (cs *chanState) occupancy() int { return cs.sendSeq - cs.recvSeq }
 
 // Channels generates a channel-heavy well-formed trace. The same config
 // (including Seed) always yields the same trace.
-func Channels(cfg ChannelConfig) *trace.Trace {
+func Channels(cfg ChannelsConfig) *trace.Trace {
 	cfg = cfg.withDefaults()
 	r := rand.New(rand.NewSource(cfg.Seed))
 

@@ -19,7 +19,7 @@ import (
 )
 
 // The reachability inventory: every top-level declaration and every method
-// of the wrapper packages (internal/** and race/{server,fleet,loadgen}),
+// of the wrapper packages (internal/** and race/{server,fleet}),
 // exported or not, must be reachable from somebody who is not a test — a
 // cmd/ or examples/ main, the public race and race/sync API (with the
 // methods of every type that API names or hands out, aliased ones such as
@@ -29,12 +29,13 @@ import (
 //
 // Reading a failure: "store.Log.Dir unreachable" names a declaration that no
 // root reaches through non-test code. Delete it (and the test-only callers),
-// or — for a reference implementation, a fault model or a fake's control
-// that exists for tests — add a row with one of the reasons below.
+// or — for a reference implementation, a trace generator, a fault model or
+// a fake's control that exists for tests — add a row with one of the reasons
+// below.
 // "allow-list row X indicts nothing" means the row's declaration is gone or
 // has become reachable: delete the row.
 
-// keep is why an unreachable declaration stays. There is no third kind for
+// keep is why an unreachable declaration stays. There is no kind for
 // what benchmark/ledger.go pins (the whole-payload wire codec, until ROADMAP
 // item 1): the benchmark's uses are roots, so those are reachable.
 type keep string
@@ -42,6 +43,7 @@ type keep string
 const (
 	keepReference keep = "reference the differential tests compare against"
 	keepFake      keep = "a test's control over a fake"
+	keepGenerator keep = "a generator the differential tests draw traces from"
 )
 
 // allowRow names an identifier as a failure prints it, or a prefix of one
@@ -60,6 +62,13 @@ var inventoryAllow = []allowRow{
 	// the rule (b) reference differentials compare, edge for edge.
 	{"graph.Graph.Edges", keepReference},
 	{"graph.Graph.Succ", keepReference},
+	// The exposition parser the metrics tests read /metrics back with;
+	// Family.Histogram reaches Sample.Label, ParseText the Sample type.
+	{"obs.ParseText", keepReference},
+	{"obs.Family", keepReference},
+	// Random and channel-heavy streams beside the ten programs.
+	{"workload.Random", keepGenerator},
+	{"workload.Channels", keepGenerator},
 	{"fleet.Local.Kill", keepFake},
 	{"fleet.Local.Server", keepFake},
 }
@@ -126,7 +135,7 @@ type (
 func audited(path string) bool {
 	rel := strings.TrimPrefix(path, modulePath+"/")
 	return strings.HasPrefix(rel, "internal/") ||
-		rel == "race/server" || rel == "race/fleet" || rel == "race/loadgen"
+		rel == "race/server" || rel == "race/fleet"
 }
 
 // rootPackage reports whether everything the package declares is a root:

@@ -29,7 +29,7 @@ func groupedTraces(t *testing.T) map[string]*race.Trace {
 	out["random"] = workload.Random(workload.RandomConfig{
 		Seed: 11, Threads: 5, Vars: 6, Locks: 3, Events: 2500, ForkJoin: true, Volatiles: 2,
 	})
-	out["channels"] = workload.Channels(workload.ChannelConfig{
+	out["channels"] = workload.Channels(workload.ChannelsConfig{
 		Seed: 12, Threads: 5, Chans: 3, MaxCap: 2, Locks: 2, Vars: 5, Events: 2000,
 	})
 	// One thread alone for 600 events, then four more that nothing forked.

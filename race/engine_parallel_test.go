@@ -51,7 +51,7 @@ func parallelConformanceTraces(t *testing.T) map[string]*race.Trace {
 		out[name] = p.Generate(400000, 1)
 	}
 	for seed := int64(0); seed < 3; seed++ {
-		out[fmt.Sprintf("channels-%d", seed)] = workload.Channels(workload.ChannelConfig{
+		out[fmt.Sprintf("channels-%d", seed)] = workload.Channels(workload.ChannelsConfig{
 			Seed: seed, Threads: 6, Chans: 4, MaxCap: 3, Locks: 2, Vars: 6, Events: 2000,
 		})
 		out[fmt.Sprintf("random-forks-%d", seed)] = workload.Random(workload.RandomConfig{

@@ -145,7 +145,7 @@ func TestCrashMigrationConformanceAllCells(t *testing.T) {
 	if len(names) != 15 {
 		t.Fatalf("registry has %d analyses, want 15", len(names))
 	}
-	tr := workload.Channels(workload.ChannelConfig{
+	tr := workload.Channels(workload.ChannelsConfig{
 		Seed: 7, Threads: 6, Chans: 4, MaxCap: 3, Locks: 2, Vars: 6, Events: 3000,
 	})
 	want := batchReport(t, tr, names)
@@ -199,7 +199,7 @@ func TestCrashMigrationConformanceAllCells(t *testing.T) {
 // resumable ones", while in-flight connections elsewhere are untouched.
 func TestDrainedBackendResumeMigrates(t *testing.T) {
 	names := []string{"ST-WDC", "FTO-HB"}
-	tr := workload.Channels(workload.ChannelConfig{
+	tr := workload.Channels(workload.ChannelsConfig{
 		Seed: 11, Threads: 5, Chans: 3, MaxCap: 2, Locks: 2, Vars: 5, Events: 3000,
 	})
 	want := batchReport(t, tr, names)

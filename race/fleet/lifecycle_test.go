@@ -551,7 +551,7 @@ func TestHTTPOpensArePlacedLikeWireOpens(t *testing.T) {
 // the home's circuit is open.
 func TestBroughtHomeByResumeOrByMigrate(t *testing.T) {
 	names := []string{"ST-WDC", "FTO-HB"}
-	tr := workload.Channels(workload.ChannelConfig{
+	tr := workload.Channels(workload.ChannelsConfig{
 		Seed: 13, Threads: 5, Chans: 3, MaxCap: 2, Locks: 2, Vars: 5, Events: 3000,
 	})
 	want := batchReport(t, tr, names)

@@ -259,7 +259,7 @@ func ctxError(ctx context.Context, err error) error {
 type RemoteSession struct {
 	c         *Client
 	id        string
-	batchSize int
+	batchSize int          // events per frame: DefaultClientBatch; tests vary it
 	buf       []race.Event // pending events of Feed and short FeedBatch runs
 	flushed   uint64       // server-acknowledged offset from the last Flush
 	closed    bool
@@ -289,13 +289,6 @@ func (s *RemoteSession) ID() string { return s.id }
 // successful Flush: everything before it is analyzed (and, on a durable
 // server, journaled and synced). A retrying client resumes from here.
 func (s *RemoteSession) Flushed() uint64 { return s.flushed }
-
-// SetBatchSize tunes how many events accumulate before a frame ships.
-func (s *RemoteSession) SetBatchSize(n int) {
-	if n > 0 {
-		s.batchSize = n
-	}
-}
 
 func (s *RemoteSession) fail(err error) error {
 	if s.err == nil {

@@ -41,7 +41,7 @@ func streamRemote(addr string, cfg SessionConfig, tr *race.Trace, batch int) (*r
 	if err != nil {
 		return nil, err
 	}
-	sess.SetBatchSize(batch)
+	sess.batchSize = batch
 	mid := len(tr.Events) / 2
 	if err := sess.FeedBatch(tr.Events[:mid]); err != nil {
 		return nil, err
@@ -69,7 +69,7 @@ func conformanceTraces(t *testing.T) map[string]*race.Trace {
 		}
 		out[name] = p.Generate(400000, 1)
 	}
-	out["channels"] = workload.Channels(workload.ChannelConfig{
+	out["channels"] = workload.Channels(workload.ChannelsConfig{
 		Seed: 2, Threads: 6, Chans: 4, MaxCap: 3, Locks: 2, Vars: 6, Events: 2000,
 	})
 	return out

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the service's error contract, written once. Every layer —
-// TError frames, the HTTP API, ReliableSession, the fleet router, raceload,
+// TError frames, the HTTP API, ReliableSession, the fleet router,
 // racechaos, Session.run — reads a column of conditions through Classify;
 // none keeps a classifier of its own. The README's "Errors" table is
 // rendered from the same rows.
@@ -102,7 +102,7 @@ type Condition struct {
 	Code     wire.ErrCode // "" when no TError frame carries it; sent as internal
 	Sentinel error        // the local error standing for it (nil: none)
 	Status   int          // HTTP status of an API error
-	Label    string       // what raceload and racechaos reports call it
+	Label    string       // what racechaos reports call it
 	Recovery Recovery
 	Fate     Fate
 	Meaning  string
@@ -194,8 +194,8 @@ func Classify(err error) Condition {
 }
 
 // connLost is the transport predicate: the errors a dead, refused or
-// unroutable connection produces. It is the union of what the client retry
-// loop, the router and the load harness each used to test for.
+// unroutable connection produces. The client retry loop and the router
+// both test for it.
 func connLost(err error) bool {
 	for _, e := range [...]error{io.EOF, io.ErrUnexpectedEOF, net.ErrClosed,
 		syscall.ECONNRESET, syscall.EPIPE, syscall.ECONNREFUSED,

@@ -100,9 +100,8 @@ func TestConditionTableRoundTrips(t *testing.T) {
 	}
 }
 
-// TestClassifyTransport pins the one transport predicate — the union of the
-// three sets the retry loop, the router and the load harness used to keep —
-// and each disagreement the table resolved.
+// TestClassifyTransport pins the one transport predicate the retry loop and
+// the router share, and each disagreement the table resolved.
 func TestClassifyTransport(t *testing.T) {
 	opErr := func(errno syscall.Errno) error {
 		return &net.OpError{Op: "read", Net: "tcp", Err: os.NewSyscallError("read", errno)}
@@ -162,7 +161,7 @@ func TestResumeInvariant(t *testing.T) {
 // the condition's row names.
 func TestConditionFatesEndToEnd(t *testing.T) {
 	names := []string{"ST-WDC"}
-	tr := workload.Channels(workload.ChannelConfig{
+	tr := workload.Channels(workload.ChannelsConfig{
 		Seed: 13, Threads: 4, Chans: 2, MaxCap: 2, Locks: 1, Vars: 4, Events: 1000,
 	})
 	want := batchReport(t, tr, names)

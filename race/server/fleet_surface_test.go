@@ -91,7 +91,7 @@ func TestDrainRefusesNewSessions(t *testing.T) {
 	defer s.Close()
 	cfg := SessionConfig{Analyses: []string{"FTO-HB"}}
 
-	tr := workload.Channels(workload.ChannelConfig{
+	tr := workload.Channels(workload.ChannelsConfig{
 		Seed: 5, Threads: 4, Chans: 2, MaxCap: 2, Locks: 2, Vars: 4, Events: 1000,
 	})
 	want := batchReport(t, tr, cfg.Analyses)
@@ -184,7 +184,7 @@ func TestHealthzReadiness(t *testing.T) {
 // Analyze.
 func TestHTTPAdminSuspendRecoverRoundTrip(t *testing.T) {
 	names := []string{"ST-WDC", "FTO-HB"}
-	tr := workload.Channels(workload.ChannelConfig{
+	tr := workload.Channels(workload.ChannelsConfig{
 		Seed: 13, Threads: 5, Chans: 3, MaxCap: 2, Locks: 2, Vars: 5, Events: 2000,
 	})
 	want := batchReport(t, tr, names)
@@ -265,13 +265,17 @@ func TestReliableClientSurvivesServerRestart(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	sess, err := OpenReliable(ctx, addr, SessionConfig{Analyses: names},
-		WithRetry(RetryPolicy{MaxAttempts: 20, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}),
-		WithReliableBatchSize(331))
+		WithRetry(RetryPolicy{MaxAttempts: 20, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// The resume point sits inside a client batch, so the replayed suffix
+	// does not start on a frame boundary.
 	mid := len(tr.Events) / 2
+	if mid%DefaultClientBatch == 0 {
+		mid++
+	}
 	if err := sess.FeedBatch(tr.Events[:mid]); err != nil {
 		t.Fatal(err)
 	}

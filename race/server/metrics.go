@@ -52,7 +52,7 @@ type metrics struct {
 }
 
 // The reasons raced_sessions_rejected_total is split by (indices of
-// metrics.rejected), so a load harness can tell admission-control
+// metrics.rejected), so a scrape can tell admission-control
 // backpressure (full, draining) from client mistakes (config, id_conflict)
 // and disk degradation (io).
 const (

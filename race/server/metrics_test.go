@@ -211,8 +211,8 @@ func TestMetricsContentNegotiation(t *testing.T) {
 
 // TestRejectedReasonSplit: admission rejections are counted under their
 // reason label, and the JSON snapshot's sessions_rejected stays the sum —
-// the raceload harness keys its backpressure-onset detection on the
-// reason="full" / reason="draining" series specifically.
+// the reason="full" / reason="draining" series are what tell backpressure
+// from client mistakes.
 func TestRejectedReasonSplit(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := New(Config{Registry: reg, MaxSessions: 1})

@@ -62,7 +62,7 @@ func TestResumedSessionMatchesBatchAnalyzeAllCells(t *testing.T) {
 	p, _ := workload.ProgramByName("avrora")
 	traces := map[string]*race.Trace{
 		"avrora": p.Generate(400000, 3),
-		"channels": workload.Channels(workload.ChannelConfig{
+		"channels": workload.Channels(workload.ChannelsConfig{
 			Seed: 5, Threads: 6, Chans: 4, MaxCap: 3, Locks: 2, Vars: 6, Events: 2000,
 		}),
 	}
@@ -132,7 +132,7 @@ func TestResumedSessionMatchesBatchAnalyzeAllCells(t *testing.T) {
 // match batch Analyze.
 func TestHardCrashRecovery(t *testing.T) {
 	names := []string{"ST-WDC", "FTO-HB"}
-	tr := workload.Channels(workload.ChannelConfig{
+	tr := workload.Channels(workload.ChannelsConfig{
 		Seed: 11, Threads: 5, Chans: 3, MaxCap: 2, Locks: 2, Vars: 5, Events: 3000,
 	})
 	want := batchReport(t, tr, names)
@@ -212,7 +212,7 @@ func TestWireResumeAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess1.SetBatchSize(333)
+	sess1.batchSize = 333
 	id := sess1.ID()
 	mid := len(tr.Events) / 2
 	if err := sess1.FeedBatch(tr.Events[:mid]); err != nil {
@@ -264,7 +264,7 @@ func TestWireResumeAfterRestart(t *testing.T) {
 // report is served by the next process from report.json, byte-identical.
 func TestFinishedReportSurvivesRestart(t *testing.T) {
 	names := []string{"ST-WDC"}
-	tr := workload.Channels(workload.ChannelConfig{
+	tr := workload.Channels(workload.ChannelsConfig{
 		Seed: 3, Threads: 4, Chans: 2, MaxCap: 2, Locks: 1, Vars: 4, Events: 800,
 	})
 	dir := t.TempDir()
@@ -359,7 +359,7 @@ func TestDurableVindicatingSessionReport(t *testing.T) {
 // stays "open" on disk and a restarted server resumes it.
 func TestEvictedDurableSessionStaysResumable(t *testing.T) {
 	names := []string{"ST-WDC"}
-	tr := workload.Channels(workload.ChannelConfig{
+	tr := workload.Channels(workload.ChannelsConfig{
 		Seed: 13, Threads: 4, Chans: 2, MaxCap: 2, Locks: 1, Vars: 4, Events: 1000,
 	})
 	want := batchReport(t, tr, names)

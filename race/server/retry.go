@@ -29,10 +29,9 @@ import (
 // live). WithRetry enables bounded exponential backoff with jitter for the
 // harder case of a backend that needs time to restart and recover journals.
 type ReliableSession struct {
-	ctx       context.Context
-	addr      string
-	policy    RetryPolicy
-	batchSize int
+	ctx    context.Context
+	addr   string
+	policy RetryPolicy
 
 	c    *Client
 	sess *RemoteSession
@@ -98,16 +97,6 @@ func WithTracer(t *tracing.Tracer) ReliableOption {
 	return func(s *ReliableSession) { s.tracer = t }
 }
 
-// WithReliableBatchSize tunes the wrapped session's client-side batch size
-// (DefaultClientBatch otherwise), preserved across reconnects.
-func WithReliableBatchSize(n int) ReliableOption {
-	return func(s *ReliableSession) {
-		if n > 0 {
-			s.batchSize = n
-		}
-	}
-}
-
 // OpenReliable dials addr, opens a session, and returns a sink that
 // survives connection loss and fleet-side session migration. ctx bounds the
 // initial dial+handshake; its deadline (if any) does NOT apply to later
@@ -144,7 +133,6 @@ func dialReliable(ctx context.Context, addr string, opts []ReliableOption, open 
 		c.Close()
 		return nil, 0, err
 	}
-	sess.SetBatchSize(rs.batchSize)
 	rs.c, rs.sess, rs.id, rs.acked = c, sess, sess.ID(), fed
 	rs.traceSC = sess.TraceContext()
 	return rs, fed, nil
@@ -152,12 +140,11 @@ func dialReliable(ctx context.Context, addr string, opts []ReliableOption, open 
 
 func newReliable(ctx context.Context, addr string, opts []ReliableOption) *ReliableSession {
 	rs := &ReliableSession{
-		ctx:       context.WithoutCancel(ctx),
-		addr:      addr,
-		policy:    RetryPolicy{MaxAttempts: 1}, // single immediate reconnect; WithRetry adds backoff
-		batchSize: DefaultClientBatch,
-		rand63:    rand.Int63n,
-		sleep:     time.After,
+		ctx:    context.WithoutCancel(ctx),
+		addr:   addr,
+		policy: RetryPolicy{MaxAttempts: 1}, // single immediate reconnect; WithRetry adds backoff
+		rand63: rand.Int63n,
+		sleep:  time.After,
 	}
 	for _, opt := range opts {
 		opt(rs)
@@ -218,7 +205,6 @@ func (s *ReliableSession) reconnect() error {
 			return s.fail(fmt.Errorf("server: resume of %s acked offset %d outside sent window [%d, %d]",
 				s.id, fed, s.acked, s.acked+uint64(len(s.pending))))
 		}
-		sess.SetBatchSize(s.batchSize)
 		// Drop the prefix the server already has; replay the rest.
 		s.pending = s.pending[fed-s.acked:]
 		s.acked = fed
@@ -341,16 +327,4 @@ func (s *ReliableSession) CloseJSON() ([]byte, error) {
 			return nil, rerr
 		}
 	}
-}
-
-// Release closes the connection without ending the session server-side
-// (a durable session stays resumable; a memory-only one is aborted by the
-// server's connection-loss handling).
-func (s *ReliableSession) Release() {
-	if s.c != nil {
-		s.c.Close()
-		s.c, s.sess = nil, nil
-	}
-	s.closed = true
-	s.fail(errors.New("server: reliable session released"))
 }

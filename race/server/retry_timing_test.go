@@ -123,7 +123,7 @@ func TestReplayBufferTrimOnFlushAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rs.Release()
+	defer rs.Close()
 
 	tr := workload.Random(workload.RandomConfig{Seed: 7, Threads: 4, Vars: 8, Locks: 2, Events: 300})
 	a, b := tr.Events[:200], tr.Events[200:]

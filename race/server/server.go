@@ -452,7 +452,7 @@ func (s *Server) SuspendSession(id string) (uint64, error) {
 }
 
 // Registry returns the server's metrics registry — the full catalog a
-// Prometheus scrape or a racemon collector reads.
+// Prometheus scrape of GET /metrics reads.
 func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
 
 // janitor periodically evicts idle sessions.

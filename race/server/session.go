@@ -425,8 +425,8 @@ func (sess *Session) feed(parent tracing.SpanContext, events []race.Event, recyc
 		// accepted batches and the blocked fraction is count-above-zero.
 		sess.srv.metrics.queueWait.Observe(0)
 	default:
-		// Queue full: this send is the per-session backpressure stall the
-		// load harness correlates with client flush-ack p99.
+		// Queue full: this send is the per-session backpressure stall,
+		// the wait a client sees in its flush-ack latency.
 		start := sess.srv.cfg.now()
 		sess.work <- item
 		sess.srv.metrics.queueWait.ObserveDuration(sess.srv.cfg.now().Sub(start))

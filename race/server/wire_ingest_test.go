@@ -98,7 +98,7 @@ func TestWireSlabRecycling(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sess.SetBatchSize(frame)
+					sess.batchSize = frame
 					buf := make([]race.Event, frame)
 					for lo := 0; lo < len(tr.Events); lo += frame {
 						n := copy(buf, tr.Events[lo:])

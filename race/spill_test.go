@@ -82,7 +82,7 @@ func TestSpillVindicatesFigure1FromDisk(t *testing.T) {
 // every Table 1 cell in the fan-out.
 func TestSpillReportMatchesInMemory(t *testing.T) {
 	names := race.Detectors()
-	tr := workload.Channels(workload.ChannelConfig{
+	tr := workload.Channels(workload.ChannelsConfig{
 		Seed: 7, Threads: 5, Chans: 3, MaxCap: 2, Locks: 2, Vars: 5, Events: 1500,
 	})
 
