@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/trace"
 	"repro/internal/vc"
 )
 
@@ -157,13 +158,13 @@ func (f edgeFunc) Edge(src, dst int32) { f(src, dst) }
 
 func TestLockTablesReadSeesWriters(t *testing.T) {
 	s, tr := syncFor(analysis.DC, 2, 1)
-	lt := NewLockTables(tr)
+	lt := NewLockTables(tr, nil)
 
 	// T0 writes x in a CS on m.
 	s.PostAcquire(0, 0)
 	lt.WriteJoin(0, 0, 3, s, 1, nil)
 	relTime := s.P[0].Copy()
-	lt.Release(0, 0, relTime, 2)
+	lt.Release(0, 0, relTime, 0, 2)
 	s.PostRelease(0, 0)
 
 	// T1 reads x in a CS on m: rule (a) must join T0's release time.
@@ -176,10 +177,10 @@ func TestLockTablesReadSeesWriters(t *testing.T) {
 
 func TestLockTablesReadersOnlyConflictWithWrites(t *testing.T) {
 	s, tr := syncFor(analysis.DC, 2, 1)
-	lt := NewLockTables(tr)
+	lt := NewLockTables(tr, nil)
 	s.PostAcquire(0, 0)
 	lt.ReadJoin(0, 0, 3, s, 1, nil) // read-only CS
-	lt.Release(0, 0, s.P[0], 2)
+	lt.Release(0, 0, s.P[0], 0, 2)
 	s.PostRelease(0, 0)
 
 	s.PostAcquire(1, 0)
@@ -200,14 +201,14 @@ func TestLockTablesReadersOnlyConflictWithWrites(t *testing.T) {
 func TestLockTablesWriteOnlySectionOrdersLaterAccesses(t *testing.T) {
 	for _, laterWrite := range []bool{false, true} {
 		s, tr := syncFor(analysis.DC, 2, 1)
-		lt := NewLockTables(tr)
+		lt := NewLockTables(tr, nil)
 		s.PostAcquire(0, 0)
 		lt.WriteJoin(0, 0, 3, s, 1, nil)
 		relTime := s.P[0].Copy()
-		lt.Release(0, 0, relTime, 2)
+		lt.Release(0, 0, relTime, 0, 2)
 		s.PostRelease(0, 0)
-		if cl := lt.locks[0].cell(3); cl.lr != nil || cl.lw == nil {
-			t.Fatalf("write-only section must fold into Lw alone: lr=%v lw=%v", cl.lr, cl.lw)
+		if cl := lt.locks[0].cell(3); cl.lr.set() || !cl.lw.set() {
+			t.Fatalf("write-only section must fold into Lw alone: lr=%+v lw=%+v", cl.lr, cl.lw)
 		}
 		s.PostAcquire(1, 0)
 		if laterWrite {
@@ -223,16 +224,16 @@ func TestLockTablesWriteOnlySectionOrdersLaterAccesses(t *testing.T) {
 
 func TestLockTablesClearsAccessSets(t *testing.T) {
 	s, tr := syncFor(analysis.DC, 1, 1)
-	lt := NewLockTables(tr)
+	lt := NewLockTables(tr, nil)
 	s.PostAcquire(0, 0)
 	lt.ReadJoin(0, 0, 1, s, 0, nil)
 	lt.WriteJoin(0, 0, 2, s, 1, nil)
-	lt.Release(0, 0, s.P[0], 2)
+	lt.Release(0, 0, s.P[0], 0, 2)
 	tb := lt.locks[0]
 	if len(tb.touched) != 0 || tb.cell(1).mark != 0 || tb.cell(2).mark != 0 {
 		t.Error("release must clear the ongoing access sets")
 	}
-	if tb.cell(1).lr == nil || tb.cell(2).lw == nil {
+	if !tb.cell(1).lr.set() || !tb.cell(2).lw.set() {
 		t.Error("release must fold access sets into Lr/Lw")
 	}
 }
@@ -240,14 +241,14 @@ func TestLockTablesClearsAccessSets(t *testing.T) {
 func TestWeights(t *testing.T) {
 	s, tr := syncFor(analysis.DC, 3, 2)
 	rb := NewRuleB(analysis.DC, tr, false)
-	lt := NewLockTables(tr)
+	lt := NewLockTables(tr, nil)
 	if rb.Weight() != 0 || lt.Weight() != 0 {
 		t.Error("fresh state must weigh nothing")
 	}
 	rb.Acquire(0, 0, s.P[0])
 	s.PostAcquire(0, 0)
 	lt.WriteJoin(0, 0, 1, s, 0, nil)
-	lt.Release(0, 0, s.P[0], 1)
+	lt.Release(0, 0, s.P[0], 0, 1)
 	rb.Release(0, 0, s, 1, nil)
 	if rb.Weight() <= 0 || lt.Weight() <= 0 {
 		t.Error("populated state must have weight")
@@ -279,6 +280,41 @@ func TestRuleBWCPEnqueuesHBTime(t *testing.T) {
 	c := rb.clocks.At(lg[0].rel)
 	if c.Get(0) != s.H[0].Get(vc.Tid(0))-1 && c.Get(0) == 0 {
 		t.Errorf("WCP rule (b) must log HB release times, got %v", &c)
+	}
+}
+
+// TestWCPJoinsWhatTheEpochTestWouldSkip pins where fact 3 of the package
+// comment stops: under WCP, P_t(u) ≥ c for u's release r at local time c
+// does not mean P_t holds H_r. w releases m′ and u acquires it, so H_u gets
+// w's time and P_u does not; u writes x under m, releases m (r) and forks t,
+// which gives P_t u's time past c; t acquires m and reads x. Rule (a) must
+// join H_r, bringing w's time, which the epoch test would have skipped.
+func TestWCPJoinsWhatTheEpochTestWouldSkip(t *testing.T) {
+	b := trace.NewBuilder()
+	b.Acq("w", "m'").Rel("w", "m'").Acq("u", "m'").Acq("u", "m").Write("u", "x").Rel("u", "m")
+	b.Fork("u", "t").Acq("t", "m").Read("t", "x")
+	tr := trace.MustCheck(b.Build())
+	const w, u, tt = 0, 1, 2
+	sub := NewSubstrate(analysis.WCP, analysis.SpecOf(tr), false)
+	var hr *vc.VC
+	for i, e := range tr.Events {
+		if i == len(tr.Events)-1 { // t's read: the epoch test's premise holds, its conclusion does not
+			if sub.P[tt].Get(u) < hr.Get(u) || sub.P[tt].Get(w) >= hr.Get(w) {
+				t.Fatalf("the trace does not set the trap: P_t = %v, H_r = %v", sub.P[tt], hr)
+			}
+		}
+		if e.Op == trace.OpRelease && e.T == u {
+			hr = sub.H[u].Copy()
+		}
+		idx := sub.Begin(e.T)
+		if e.Op.IsAccess() {
+			sub.RuleA(e.T, e.Targ, e.Op == trace.OpWrite, idx, false)
+		} else {
+			sub.Sync(e, idx)
+		}
+	}
+	if got, want := sub.P[tt].Get(w), hr.Get(w); got < want {
+		t.Errorf("after t's read P_t(w) = %d: rule (a) skipped H_r, whose w component is %d", got, want)
 	}
 }
 

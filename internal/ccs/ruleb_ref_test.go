@@ -8,6 +8,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/trace"
 	"repro/internal/vc"
+	"repro/internal/workload"
 )
 
 // refRuleB is rule (b) as RuleB kept it before its log went flat: one heap
@@ -79,6 +80,171 @@ func (b *refRuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int
 	own := ll.byOwner[t]
 	own[len(own)-1].rel, own[len(own)-1].idx = snap.Copy(), idx
 	return *own[len(own)-1].rel
+}
+
+// refLockTables is rule (a) as LockTables kept it before its cells named
+// logged clocks: every cell owns its Lr and Lw, every release joins its time
+// into them, and every access joins every release time it conflicts with.
+// It is the reference TestSubstrateMatchesReference holds LockTables to.
+type refLockTables struct {
+	cells   map[[2]uint32]*refCell // (lock, var)
+	touched map[uint32][]uint32    // lock → variables its ongoing section accessed
+	joins   int                    // release times joined at accesses
+}
+
+type refCell struct {
+	lr, lw       *vc.VC
+	lrIdx, lwIdx int32
+	mark         uint8
+}
+
+func newRefLockTables() *refLockTables {
+	return &refLockTables{cells: map[[2]uint32]*refCell{}, touched: map[uint32][]uint32{}}
+}
+
+func (lt *refLockTables) cell(m, x uint32) *refCell {
+	cl := lt.cells[[2]uint32{m, x}]
+	if cl == nil {
+		cl = &refCell{}
+		lt.cells[[2]uint32{m, x}] = cl
+	}
+	return cl
+}
+
+func (lt *refLockTables) join(t trace.Tid, s *analysis.SyncState, c *vc.VC, src, dst int32, hook analysis.Hook) {
+	if c == nil {
+		return
+	}
+	lt.joins++
+	s.JoinP(t, c)
+	if hook != nil {
+		hook.Edge(src, dst)
+	}
+}
+
+func (lt *refLockTables) access(t trace.Tid, m, x uint32, s *analysis.SyncState, idx int32, hook analysis.Hook, write bool) {
+	cl := lt.cell(m, x)
+	if write {
+		lt.join(t, s, cl.lr, cl.lrIdx, idx, hook)
+	}
+	lt.join(t, s, cl.lw, cl.lwIdx, idx, hook)
+	if cl.mark == 0 {
+		lt.touched[m] = append(lt.touched[m], x)
+	}
+	if write {
+		cl.mark |= inWriteSet
+	} else {
+		cl.mark |= inReadSet
+	}
+}
+
+func (lt *refLockTables) Release(t trace.Tid, m uint32, rt *vc.VC, idx int32) {
+	for _, x := range lt.touched[m] {
+		cl := lt.cell(m, x)
+		if cl.mark&inReadSet != 0 {
+			cl.lr = refJoinInto(cl.lr, rt)
+			cl.lrIdx = idx
+		}
+		if cl.mark&inWriteSet != 0 {
+			cl.lw = refJoinInto(cl.lw, rt)
+			cl.lwIdx = idx
+		}
+		cl.mark = 0
+	}
+	lt.touched[m] = lt.touched[m][:0]
+}
+
+func refJoinInto(dst, src *vc.VC) *vc.VC {
+	if dst != nil {
+		dst.Join(src)
+		return dst
+	}
+	return src.Copy()
+}
+
+// RefSubstrate is a Substrate whose rule (a) and rule (b) are the
+// references: its sync state, graph and Begin are a Substrate's own, and
+// Handle runs refLockTables and refRuleB where Group.Handle runs LockTables
+// and RuleB. Views are built over Sub.
+type RefSubstrate struct {
+	Sub *Substrate
+	lt  *refLockTables
+	rb  *refRuleB
+}
+
+// NewRefSubstrate builds the reference substrate of relation rel.
+func NewRefSubstrate(rel analysis.Relation, spec analysis.Spec, buildGraph bool) *RefSubstrate {
+	sub := NewSubstrate(rel, spec, buildGraph)
+	r := &RefSubstrate{Sub: sub}
+	if sub.lt != nil {
+		r.lt = newRefLockTables()
+	}
+	if sub.rb != nil {
+		r.rb = &refRuleB{rel: rel, epochAcq: sub.rb.epochAcq, locks: map[uint32]*refLogs{}}
+	}
+	sub.lt, sub.rb = nil, nil
+	return r
+}
+
+// RuleAJoins is the number of release times the reference rule (a) joined.
+func (r *RefSubstrate) RuleAJoins() int { return r.lt.joins }
+
+// Handle is Group.Handle over the reference rule (a) and rule (b): views
+// are asked Stale once each, and rule (a) draws edges only when the view at
+// index edged is stale.
+func (r *RefSubstrate) Handle(e trace.Event, views []View, edged int) {
+	b, t := r.Sub, e.T
+	idx := b.Begin(t)
+	switch e.Op {
+	case trace.OpAcquire:
+		b.PreAcquire(t, e.Targ)
+		if r.rb != nil {
+			r.rb.Acquire(t, e.Targ, b.P[t])
+		}
+		b.PostAcquire(t, e.Targ)
+		return
+	case trace.OpRelease:
+		if r.rb != nil {
+			r.rb.Release(t, e.Targ, &b.SyncState, idx, b.hook)
+		}
+		if r.lt != nil {
+			r.lt.Release(t, e.Targ, b.releaseTime(t), idx)
+		}
+		b.PostRelease(t, e.Targ)
+		return
+	case trace.OpRead, trace.OpWrite:
+	default:
+		b.HandleOther(e, idx)
+		return
+	}
+	write := e.Op == trace.OpWrite
+	var stale uint32
+	for i, v := range views {
+		if v.Stale(t, e.Targ, write) {
+			stale |= 1 << i
+		}
+	}
+	if stale == 0 {
+		return
+	}
+	if r.lt != nil {
+		hook := b.hook
+		if stale&(1<<edged) == 0 {
+			hook = nil
+		}
+		for _, m := range b.Held(t) {
+			r.lt.access(t, m, e.Targ, &b.SyncState, idx, hook, write)
+		}
+	}
+	for i, v := range views {
+		switch {
+		case stale&(1<<i) == 0:
+		case write:
+			v.Write(t, e.Targ, e.Loc, idx)
+		default:
+			v.Read(t, e.Targ, e.Loc, idx)
+		}
+	}
 }
 
 // syncOnly is a random well-formed stream of lock and volatile events whose
@@ -157,7 +323,7 @@ func TestRuleBMatchesReference(t *testing.T) {
 					sw.PostAcquire(e.T, e.Targ)
 				case trace.OpRelease:
 					releases++
-					lg, lw := got.Release(e.T, e.Targ, sg, idx, &eg), want.Release(e.T, e.Targ, sw, idx, &ew)
+					lg, lw := got.At(got.Release(e.T, e.Targ, sg, idx, &eg)), want.Release(e.T, e.Targ, sw, idx, &ew)
 					if lg.Len() != lw.Len() || !equalClocks(&lg, &lw) {
 						t.Fatalf("%s: release %d logged %v, reference %v", id, i, &lg, &lw)
 					}
@@ -217,5 +383,59 @@ func BenchmarkRuleBRelease(b *testing.B) {
 		s.PostAcquire(t, 0)
 		rb.Release(t, 0, s, int32(i), nil)
 		s.PostRelease(t, 0)
+	}
+}
+
+// everyAccess is a view that is stale on every access and checks nothing,
+// so rule (a) runs at every access under a lock.
+type everyAccess struct{}
+
+func (everyAccess) Stale(trace.Tid, uint32, bool) bool        { return true }
+func (everyAccess) Read(trace.Tid, uint32, trace.Loc, int32)  {}
+func (everyAccess) Write(trace.Tid, uint32, trace.Loc, int32) {}
+
+// BenchmarkLockTables prices rule (a) — ReadJoin and WriteJoin at every
+// access under every held lock, Release at every release — with the rule (b)
+// and sync processing it rides on, over the h2 generator's lock and variable
+// mix (190 k events), for each relation with rule (a). It reports the release
+// times joined per rule (a) access and the number the join-everything
+// reference joins.
+func BenchmarkLockTables(b *testing.B) {
+	p, _ := workload.ProgramByName("h2")
+	tr := p.Generate(20000, 1)
+	spec := analysis.SpecOf(tr)
+	for _, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
+		b.Run(rel.String(), func(b *testing.B) {
+			ref := NewRefSubstrate(rel, spec, false)
+			for _, e := range tr.Events {
+				ref.Handle(e, []View{everyAccess{}}, 0)
+			}
+			var joins, accesses int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sub := NewSubstrate(rel, spec, false)
+				joins, accesses = 0, 0
+				for _, e := range tr.Events {
+					t, idx := e.T, sub.Begin(e.T)
+					switch e.Op {
+					case trace.OpRead, trace.OpWrite:
+						for _, m := range sub.Held(t) {
+							accesses++
+							if e.Op == trace.OpWrite {
+								joins += sub.lt.WriteJoin(t, m, e.Targ, &sub.SyncState, idx, nil)
+							} else {
+								joins += sub.lt.ReadJoin(t, m, e.Targ, &sub.SyncState, idx, nil)
+							}
+						}
+					default:
+						sub.Sync(e, idx)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()), "ns/event")
+			b.ReportMetric(float64(joins)/float64(accesses), "joins/access")
+			b.ReportMetric(float64(ref.RuleAJoins())/float64(accesses), "ref-joins/access")
+		})
 	}
 }

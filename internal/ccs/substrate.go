@@ -51,10 +51,10 @@ type Substrate struct {
 func NewSubstrate(rel analysis.Relation, spec analysis.Spec, buildGraph bool) *Substrate {
 	b := &Substrate{SyncState: *analysis.NewSyncState(rel, spec)}
 	if rel != analysis.HB {
-		b.lt = NewLockTables(spec)
 		if rel != analysis.WDC {
 			b.rb = NewRuleB(rel, spec, false)
 		}
+		b.lt = NewLockTables(spec, b.rb)
 	}
 	if buildGraph {
 		b.g = graph.New(spec.Events)
@@ -106,11 +106,12 @@ func (b *Substrate) Sync(e trace.Event, idx int32) {
 		}
 		b.PostAcquire(t, e.Targ)
 	case trace.OpRelease:
+		var named vc.Ref
 		if b.rb != nil {
-			b.rb.Release(t, e.Targ, &b.SyncState, idx, b.hook)
+			named = b.rb.Release(t, e.Targ, &b.SyncState, idx, b.hook)
 		}
 		if b.lt != nil {
-			b.lt.Release(t, e.Targ, b.releaseTime(t), idx)
+			b.lt.Release(t, e.Targ, b.releaseTime(t), named, idx)
 		}
 		b.PostRelease(t, e.Targ)
 	default:
@@ -118,9 +119,10 @@ func (b *Substrate) Sync(e trace.Event, idx int32) {
 	}
 }
 
-// releaseTime is the clock stored into rule (a) tables at a release: the HB
+// releaseTime is the clock folded into rule (a) tables at a release: the HB
 // clock for WCP (so that joins left-compose WCP edges with HB), the
-// relation clock itself for DC and WDC.
+// relation clock itself for DC and WDC — for WCP and DC the clock rule (b)
+// has just logged.
 func (b *Substrate) releaseTime(t trace.Tid) *vc.VC {
 	if b.Rel == analysis.WCP {
 		return b.H[t]

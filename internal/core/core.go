@@ -325,7 +325,7 @@ func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
 // metadata reference receives the release time (HB time for WCP, relation
 // time for DC/WDC), and leaves Ht.
 func (a *Analysis) fillRelease(t trace.Tid, m uint32, idx int32) {
-	var logged vc.VC
+	var logged vc.Ref
 	if a.rb != nil {
 		logged = a.rb.Release(t, m, a.s, idx, nil)
 	}
@@ -338,7 +338,7 @@ func (a *Analysis) fillRelease(t trace.Tid, m uint32, idx int32) {
 		return
 	}
 	if a.rb != nil {
-		n.sec.c = logged // the log's copy, shared; see the package comment
+		n.sec.c = a.rb.At(logged) // the log's copy, shared; see the package comment
 	} else {
 		n.sec.c.CopyExact(a.s.P[t])
 	}

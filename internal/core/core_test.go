@@ -417,6 +417,9 @@ func TestMetadataWeightTracksHeap(t *testing.T) {
 		{"ST-DC", "h2", 20000, 0.85, 1.15},
 		{"ST-WCP", "h2", 20000, 0.85, 1.15},
 		{"FTO-DC", "h2", 20000, 0.85, 1.15},
+		{"FTO-WCP", "h2", 20000, 0.85, 1.15},
+		{"FTO-WDC", "h2", 20000, 0.85, 1.15},
+		{"Unopt-DC w/G", "h2", 20000, 0.85, 1.15},
 	} {
 		p, _ := workload.ProgramByName(tc.program)
 		tr := p.Generate(tc.scale, 1)
