@@ -4,7 +4,8 @@
 // straight into the engine, so memory goes to retained analysis metadata
 // (last-access state, and critical-section logs for the predictive
 // relations) rather than the event list itself. Vindication, which needs
-// the full trace for witness construction, makes the engine retain it.
+// the full trace for witness construction, makes the engine retain it in
+// memory.
 //
 // Several analyses can run over the file in a single pass:
 //
@@ -13,9 +14,9 @@
 //	racedetect -analysis ST-WDC -vindicate trace.bin
 //	racedetect -list
 //
-// A racelog directory (the raced per-session journal / engine spill
-// format, package store) is analyzed directly — recovery runs in memory,
-// so a journal can be analyzed post-mortem without disturbing it:
+// A racelog directory (the raced per-session journal format, package
+// store) is analyzed directly — recovery runs in memory, so a journal can
+// be analyzed post-mortem without disturbing it:
 //
 //	racedetect -analysis ST-WDC /var/lib/raced/sessions/s000042/journal
 //

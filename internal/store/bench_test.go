@@ -30,7 +30,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 }
 
 // BenchmarkStoreReplay measures streaming a racelog back through a Reader
-// (the journal-replay and spill-replay path).
+// (the journal-replay and journal-vindication path).
 func BenchmarkStoreReplay(b *testing.B) {
 	const n = 1 << 18
 	dir := b.TempDir()

@@ -193,14 +193,6 @@ func (l *Log) syncDir() error {
 	return l.fsys.SyncDir(l.dir)
 }
 
-// Events returns the total record count appended so far (buffered records
-// included) — the offset the next Append receives.
-func (l *Log) Events() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appended
-}
-
 // AppendBatch writes a run of records. Records are encoded, folded into the
 // segment's running CRC and handed to the buffered writer a window at a time
 // (trace.WriteRecords); a run that crosses the rotation threshold is split

@@ -96,6 +96,23 @@ func (r *Reader) Header() (trace.Header, error) {
 	return h, nil
 }
 
+// ReadTrace reads a fresh reader's whole stream into one trace declared over
+// the id spaces Header reports: the stream in memory, for a consumer that
+// needs random access to it (vindication).
+func (r *Reader) ReadTrace() (*trace.Trace, error) {
+	h, _ := r.Header() // a racelog header is derived in memory and cannot fail
+	tr := &trace.Trace{Threads: h.Threads, Vars: h.Vars, Locks: h.Locks, Volatiles: h.Volatiles, Classes: h.Classes}
+	tr.Events = make([]trace.Event, h.Events)
+	for n := 0; n < tr.Len(); {
+		k, err := r.ReadBatch(tr.Events[n:])
+		if err != nil { // io.EOF included: Header counts every event the snapshot holds
+			return nil, err
+		}
+		n += k
+	}
+	return tr, nil
+}
+
 // open positions the file cursor at the current segment's starting record.
 func (r *Reader) open() error {
 	m := r.segs[r.cur]

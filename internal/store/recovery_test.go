@@ -190,7 +190,7 @@ func TestTornTailRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := l2.Events(); got != uint64(tc.want) {
+			if got := logEvents(t, l2); got != uint64(tc.want) {
 				t.Fatalf("recovered %d events, want %d", got, tc.want)
 			}
 			r, err := l2.Reader()
@@ -257,7 +257,7 @@ func TestRecoveryDropsOnlyUnsynced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := l2.Events()
+	got := logEvents(t, l2)
 	if got < 120 {
 		t.Fatalf("recovery lost synced data: %d < 120", got)
 	}

@@ -2,10 +2,9 @@
 // on-disk trace store over the binary event record codec of package trace
 // (trace.RecordSize / PutRecord / GetRecord). It is the durability layer
 // under the race detection service: a raced server journals every ingested
-// batch into a per-session racelog so sessions survive process restarts,
-// and a vindication-enabled engine spills its retained stream here so
-// traces far larger than memory can still be replayed for witness
-// construction.
+// batch into a per-session racelog, so sessions survive process restarts
+// and a vindicating session replays its own journal for witness
+// construction at close instead of keeping a second copy of the stream.
 //
 // # On-disk format
 //
@@ -109,8 +108,9 @@ type Options struct {
 	FS fault.FS
 	// NoSync disables fsync on Sync, seal, and rotation. Flushes still
 	// happen, so same-process readers see everything, but crash safety is
-	// reduced to whatever the OS has written back — appropriate for
-	// scratch spills whose lifetime is the owning process's.
+	// reduced to whatever the OS has written back — appropriate only for a
+	// log whose lifetime is the owning process's, such as one timed
+	// without the disk's sync cost.
 	NoSync bool
 	// Metrics, when non-nil, receives the log's operational timings
 	// (rotation, recovery, fsync). The hooks fire on the slow paths

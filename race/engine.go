@@ -14,7 +14,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/unopt"
-	"repro/internal/vindicate"
 )
 
 // Cell names one cell of the paper's Table 1: a relation at an
@@ -64,21 +63,19 @@ func (h CapacityHints) spec() analysis.Spec {
 
 // engineConfig collects the functional options of NewEngine.
 type engineConfig struct {
-	rel            Relation
-	relSet         bool
-	lvl            Level
-	lvlSet         bool
-	cells          []Cell
-	names          []string
-	vindicate      bool
-	onRace         func(RaceInfo)
-	hints          CapacityHints
-	unchecked      bool
-	par            int
-	batch          int
-	spillDir       string
-	spillThreshold int
-	met            *EngineMetrics
+	rel       Relation
+	relSet    bool
+	lvl       Level
+	lvlSet    bool
+	cells     []Cell
+	names     []string
+	vindicate bool
+	onRace    func(RaceInfo)
+	hints     CapacityHints
+	unchecked bool
+	par       int
+	batch     int
+	met       *EngineMetrics
 }
 
 // Option configures an Engine.
@@ -111,11 +108,14 @@ func WithAnalysisNames(names ...string) Option {
 }
 
 // WithVindication makes Close vindicate the detected races: the engine
-// retains the event stream, replays it under an unoptimized graph-building
-// WDC analysis (§4.3's record & replay split), and attempts a witness
-// reordering for the first race at each racing program location. Retaining
-// the stream costs memory proportional to its length — unless WithSpill
-// moves the retained stream to disk past a threshold.
+// retains the event stream in memory, replays it under an unoptimized
+// graph-building WDC analysis (§4.3's record & replay split), and attempts
+// a witness reordering for the first race at each racing program location
+// (Report.Vindicate). Retaining the stream costs memory proportional to its
+// length; a caller that already keeps the stream elsewhere — a trace file
+// written with NewTraceEncoder while feeding, a server's session journal —
+// leaves this option off and calls Report.Vindicate on that stream after
+// Close instead.
 func WithVindication() Option {
 	return func(c *engineConfig) { c.vindicate = true }
 }
@@ -234,7 +234,6 @@ type Engine struct {
 
 	keep   bool // retain events for vindication at Close
 	events []Event
-	spill  *spillState    // non-nil iff WithSpill configured (with vindication)
 	met    *EngineMetrics // non-nil iff WithMetrics configured
 
 	// spaces declares the id spaces of the retained stream (Events stays
@@ -276,13 +275,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		cells = append([]Cell{{rel, lvl}}, cells...)
 	}
 	e := &Engine{onRace: cfg.onRace, keep: cfg.vindicate, met: cfg.met}
-	if e.keep && cfg.spillDir != "" {
-		threshold := cfg.spillThreshold
-		if threshold <= 0 {
-			threshold = DefaultSpillThreshold
-		}
-		e.spill = &spillState{dir: cfg.spillDir, threshold: threshold}
-	}
 	if !cfg.unchecked {
 		e.chk = trace.NewChecker()
 	}
@@ -396,10 +388,8 @@ func (e *Engine) feed(evs []Event) error {
 		}
 	}
 	if e.keep {
-		if err := e.retain(evs); err != nil {
-			e.err = err
-			return err
-		}
+		e.spaces.Widen(evs)
+		e.events = append(e.events, evs...)
 	}
 	if e.pipe != nil {
 		if err := e.checkPipe(); err != nil {
@@ -610,7 +600,6 @@ func (e *Engine) Abort() {
 	}
 	e.closed = true
 	e.drainPipeline()
-	e.spillCleanup()
 	if e.err == nil {
 		e.err = errors.New("race: engine aborted")
 	}
@@ -631,7 +620,6 @@ func (e *Engine) Close() (*Report, error) {
 	// makes the collectors safe to read here.
 	e.drainPipeline()
 	if e.err != nil {
-		e.spillCleanup()
 		return nil, e.err
 	}
 	if len(e.dets) == 0 {
@@ -643,46 +631,12 @@ func (e *Engine) Close() (*Report, error) {
 	}
 	rep := &Report{name: subs[0].name, col: subs[0].col, subs: subs}
 	if e.keep {
-		vind, err := e.vindicateAll(subs)
-		e.spillCleanup()
-		if err != nil {
+		tr := e.spaces
+		tr.Events = e.events
+		if err := rep.Vindicate(&tr); err != nil {
 			e.err = err
 			return nil, err
 		}
-		rep.vind = vind
-		for _, sub := range subs {
-			sub.vind = rep.vind
-		}
 	}
 	return rep, nil
-}
-
-// vindicateAll hands the retained stream — read back from the spill racelog
-// when the engine spilled to disk — to one vindicator and asks it about the
-// first race at each racing program location of every sub-report, keyed by
-// detecting-event index.
-func (e *Engine) vindicateAll(subs []*Report) (map[int]VindicationResult, error) {
-	tr, err := e.bufferedTrace()
-	if err != nil {
-		return nil, err
-	}
-	v, err := vindicate.New(tr)
-	if err != nil {
-		return nil, fmt.Errorf("race: %w", err)
-	}
-	out := make(map[int]VindicationResult)
-	seenLoc := make(map[uint32]bool)
-	for _, sub := range subs {
-		for _, rc := range sub.col.Races() {
-			if seenLoc[uint32(rc.Loc)] {
-				continue
-			}
-			seenLoc[uint32(rc.Loc)] = true
-			if _, done := out[rc.Index]; done {
-				continue
-			}
-			out[rc.Index] = verdictOf(v.Race(rc.Index, vindicate.Options{}))
-		}
-	}
-	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
@@ -71,22 +72,15 @@ func feedInRuns(n int) func(*race.Engine, *race.Trace) error {
 }
 
 // engineShapes are the engine configurations every entry point must behave
-// identically on; opts is a function because spilling needs a fresh
-// directory per engine.
+// identically on.
 var engineShapes = []struct {
 	name string
-	opts func(t *testing.T) []race.Option
+	opts []race.Option
 }{
-	{"sequential", func(*testing.T) []race.Option { return nil }},
-	{"parallel", func(*testing.T) []race.Option {
-		return []race.Option{race.WithParallelism(3), race.WithBatchSize(64)}
-	}},
-	{"sequential+vindication", func(*testing.T) []race.Option {
-		return []race.Option{race.WithVindication()}
-	}},
-	{"parallel+vindication+spill", func(t *testing.T) []race.Option {
-		return []race.Option{race.WithParallelism(2), race.WithVindication(), race.WithSpill(t.TempDir(), 5000)}
-	}},
+	{"sequential", nil},
+	{"parallel", []race.Option{race.WithParallelism(3), race.WithBatchSize(64)}},
+	{"sequential+vindication", []race.Option{race.WithVindication()}},
+	{"parallel+vindication", []race.Option{race.WithParallelism(2), race.WithVindication()}},
 }
 
 // onlineLog records OnRace deliveries per analysis. Parallel engines call
@@ -142,7 +136,7 @@ func TestEntryPointsAgree(t *testing.T) {
 		for _, ep := range entryPoints {
 			name := shape.name + "/" + ep.name
 			var online onlineLog
-			opts := append(shape.opts(t), race.WithAnalysisNames(frontEndCells...), race.WithOnRace(online.record))
+			opts := slices.Concat(shape.opts, []race.Option{race.WithAnalysisNames(frontEndCells...), race.WithOnRace(online.record)})
 			eng, err := race.NewEngine(opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -227,7 +221,7 @@ func TestEntryPointsAgreeOnIllFormedStream(t *testing.T) {
 		for _, ep := range eps {
 			name := shape.name + "/" + ep.name
 			var online onlineLog
-			opts := append(shape.opts(t), race.WithAnalysisNames(frontEndCells...), race.WithOnRace(online.record))
+			opts := slices.Concat(shape.opts, []race.Option{race.WithAnalysisNames(frontEndCells...), race.WithOnRace(online.record)})
 			eng, err := race.NewEngine(opts...)
 			if err != nil {
 				t.Fatal(err)

@@ -1,16 +1,18 @@
 package race
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
 // TestRetainedTraceDeclaresObservedIDSpaces: id-space observation happens
-// in the retain step, so a vindicating engine's rebuilt trace — in memory
-// or replayed from a spill — declares every id the stream used (trace.Check
-// rejects ids outside the declared spaces), and an engine that retains
-// nothing observes nothing.
+// in the retain step, so a vindicating engine's rebuilt trace declares every
+// id the stream used (trace.Check rejects ids outside the declared spaces),
+// and so does the trace a durable session reads back from its journal for
+// the same stream; an engine that retains nothing observes nothing.
 func TestRetainedTraceDeclaresObservedIDSpaces(t *testing.T) {
 	stream := []Event{
 		{T: 0, Op: OpFork, Targ: 6},
@@ -27,23 +29,48 @@ func TestRetainedTraceDeclaresObservedIDSpaces(t *testing.T) {
 	}
 	want := [5]int{7, 41, 12, 4, 9}
 
-	for name, opts := range map[string][]Option{
-		"memory": {WithVindication()},
-		"spill":  {WithVindication(), WithSpill(t.TempDir(), 3)},
-	} {
-		eng, err := NewEngine(opts...)
+	memory := func() (*Trace, error) {
+		eng, err := NewEngine(WithVindication())
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
+		defer eng.Abort()
 		if err := eng.FeedBatch(stream[:5]); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		for _, ev := range stream[5:] {
 			if err := eng.Feed(ev); err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 		}
-		tr, err := eng.bufferedTrace()
+		tr := eng.spaces
+		tr.Events = eng.events
+		return &tr, nil
+	}
+	// journal appends the stream the way a session's feeder does, across
+	// segment boundaries, and reads it back the way the session does at
+	// close.
+	journal := func() (*Trace, error) {
+		l, err := store.Open(t.TempDir(), store.Options{SegmentEvents: 3, NoSync: true})
+		if err != nil {
+			return nil, err
+		}
+		defer l.Close()
+		if err := l.AppendBatch(stream[:5]); err != nil {
+			return nil, err
+		}
+		if err := l.AppendBatch(stream[5:]); err != nil {
+			return nil, err
+		}
+		r, err := l.Reader()
+		if err != nil {
+			return nil, err
+		}
+		defer r.Close()
+		return r.ReadTrace()
+	}
+	for name, rebuild := range map[string]func() (*Trace, error){"memory": memory, "journal": journal} {
+		tr, err := rebuild()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,10 +80,9 @@ func TestRetainedTraceDeclaresObservedIDSpaces(t *testing.T) {
 		if got := spacesOf(tr); got != want {
 			t.Errorf("%s: rebuilt trace declares %v, want %v", name, got, want)
 		}
-		if len(tr.Events) != len(stream) {
-			t.Errorf("%s: rebuilt trace has %d events, want %d", name, len(tr.Events), len(stream))
+		if !slices.Equal(tr.Events, stream) {
+			t.Errorf("%s: rebuilt trace holds %v, want %v", name, tr.Events, stream)
 		}
-		eng.Abort()
 	}
 
 	eng, err := NewEngine()

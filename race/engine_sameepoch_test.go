@@ -15,7 +15,7 @@ import (
 
 // markedTraces are the streams the same-epoch marking is held to, with the
 // sha256 and length of the 15-cell report JSON — plain, and with
-// WithVindication and WithSpill(dir, 2048) — as the engine produced them
+// WithVindication — as the engine produced them
 // before it marked anything (read with Feed, one event at a time).
 var markedTraces = []struct {
 	name      string
@@ -66,7 +66,7 @@ func feedRuns(eng *Engine, tr *Trace, n int) error {
 // same-epoch accesses, produces the report JSON the engine produced before
 // marking existed, byte for byte — sequential and on 2 or 4 workers, at
 // pipeline batch sizes either side of a bitmap word, fed one event at a
-// time or in runs of 1, 7 or 8192, and vindicating from a spill.
+// time or in runs of 1, 7 or 8192, and vindicating.
 func TestMarkedFanOutReportsAreUnchanged(t *testing.T) {
 	type config struct {
 		par, batch, run int
@@ -86,7 +86,7 @@ func TestMarkedFanOutReportsAreUnchanged(t *testing.T) {
 			opts := []Option{WithAnalysisNames(Detectors()...), WithParallelism(c.par), WithBatchSize(c.batch)}
 			wantBytes, wantSHA := mt.bytes, mt.sha256
 			if c.vindicate {
-				opts = append(opts, WithVindication(), WithSpill(t.TempDir(), 2048))
+				opts = append(opts, WithVindication())
 				wantBytes, wantSHA = mt.vindBytes, mt.vindSHA
 			}
 			eng, err := NewEngine(opts...)

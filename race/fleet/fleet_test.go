@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -148,12 +150,47 @@ func TestCrashMigrationConformanceAllCells(t *testing.T) {
 	tr := workload.Channels(workload.ChannelsConfig{
 		Seed: 7, Threads: 6, Chans: 4, MaxCap: 3, Locks: 2, Vars: 6, Events: 3000,
 	})
-	want := batchReport(t, tr, names)
+	crashMigrate(t, server.SessionConfig{Analyses: names}, tr, batchReport(t, tr, names))
+}
 
+// TestCrashMigrationVindicatesFromTheJournal: a vindicating session crash-
+// migrated the same way vindicates at close from the journal the survivor
+// recovered, with the verdicts of an in-process WithVindication engine, and
+// neither backend's data dir holds a second copy of the stream.
+func TestCrashMigrationVindicatesFromTheJournal(t *testing.T) {
+	names := []string{"ST-WDC", "ST-DC"}
+	p, _ := workload.ProgramByName("pmd")
+	tr := p.Generate(4000, 11)
+	eng, err := race.NewEngine(race.WithAnalysisNames(names...), race.WithVindication())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.FeedTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(rep)
+	locals := crashMigrate(t, server.SessionConfig{Analyses: names, Vindicate: true}, tr, want)
+	for _, b := range locals {
+		if _, err := os.Stat(filepath.Join(b.Server().DataDir(), "spill")); !os.IsNotExist(err) {
+			t.Errorf("backend %s data dir has a spill entry (stat: %v)", b.Name(), err)
+		}
+	}
+}
+
+// crashMigrate streams tr through a reliable session of cfg on a two-backend
+// fleet, hard-kills the holder after a flush barrier halfway, finishes the
+// stream on the survivor and requires the report to be want. It returns the
+// backends.
+func crashMigrate(t *testing.T, cfg server.SessionConfig, tr *race.Trace, want []byte) []*Local {
+	t.Helper()
 	rt, locals, addr := startFleet(t, 2)
 	ctx := context.Background()
 
-	sess, err := server.OpenReliable(ctx, addr, server.SessionConfig{Analyses: names},
+	sess, err := server.OpenReliable(ctx, addr, cfg,
 		server.WithRetry(server.RetryPolicy{MaxAttempts: 10, BaseDelay: 10 * time.Millisecond, MaxDelay: 100 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +214,7 @@ func TestCrashMigrationConformanceAllCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("crash-migrated report differs from batch Analyze\n--- migrated ---\n%s\n--- batch ---\n%s", got, want)
+		t.Errorf("crash-migrated report differs from in-process analysis\n--- migrated ---\n%s\n--- in-process ---\n%s", got, want)
 	}
 	if _, ok := survivor.Server().Session(id); ok {
 		// Close ended it; it should be finished, not live.
@@ -190,6 +227,7 @@ func TestCrashMigrationConformanceAllCells(t *testing.T) {
 	if st := rt.health.status(holder.Name()); st != "down" {
 		t.Errorf("killed backend status %q, want down", st)
 	}
+	return locals
 }
 
 // TestDrainedBackendResumeMigrates: a durable session whose client

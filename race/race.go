@@ -291,6 +291,61 @@ func (r *Report) Vindication(idx int) (VindicationResult, bool) {
 	return res, ok
 }
 
+// Vindicate records a vindication verdict for the first race at each racing
+// program location of every analysis in the report, replaying tr — the
+// stream the report was computed from — under one graph-building vindicator
+// (§4.3: a run recorded now is checked later). A vindicating engine's Close
+// calls it on the stream it retained; a caller that kept the stream itself
+// (a trace file written with NewTraceEncoder and read back with ReadTrace,
+// a session journal) calls it after Close. Verdicts already on the report
+// are replaced.
+//
+// tr must be the report's stream: a nil trace, a race index past its end,
+// or an event at a race's index that is not that race's access (variable,
+// location, read or write) is an error, and so is an ill-formed trace.
+func (r *Report) Vindicate(tr *Trace) error {
+	if tr == nil {
+		return errors.New("race: Report.Vindicate of nil trace")
+	}
+	subs := r.subs
+	if len(subs) == 0 {
+		subs = []*Report{r}
+	}
+	for _, sub := range subs {
+		for _, rc := range sub.col.Races() {
+			if rc.Index < 0 || rc.Index >= tr.Len() {
+				return fmt.Errorf("race: %s race at index %d is past the trace's %d events", sub.name, rc.Index, tr.Len())
+			}
+			if ev := tr.Events[rc.Index]; !ev.Op.IsAccess() || ev.Targ != rc.Var || ev.Loc != rc.Loc || (ev.Op == OpWrite) != rc.Write {
+				return fmt.Errorf("race: %s race at index %d is not the trace's event there (%v)", sub.name, rc.Index, ev)
+			}
+		}
+	}
+	v, err := vindicate.New(tr)
+	if err != nil {
+		return fmt.Errorf("race: %w", err)
+	}
+	vind := make(map[int]VindicationResult)
+	seenLoc := make(map[uint32]bool)
+	for _, sub := range subs {
+		for _, rc := range sub.col.Races() {
+			if seenLoc[uint32(rc.Loc)] {
+				continue
+			}
+			seenLoc[uint32(rc.Loc)] = true
+			if _, done := vind[rc.Index]; done {
+				continue
+			}
+			vind[rc.Index] = verdictOf(v.Race(rc.Index, vindicate.Options{}))
+		}
+	}
+	r.vind = vind
+	for _, sub := range subs {
+		sub.vind = vind
+	}
+	return nil
+}
+
 // VindicationResult reports a witness-construction attempt.
 type VindicationResult struct {
 	// Vindicated is true if a verified witness reordering was found —

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"repro/race"
 )
@@ -13,8 +12,9 @@ type SessionConfig struct {
 	// Analyses lists Table 1 analyses by display name (see race.Detectors).
 	// Empty runs the engine's default, SmartTrack-WDC.
 	Analyses []string `json:"analyses,omitempty"`
-	// Vindicate makes the session's engine retain the stream and vindicate
-	// detected races at close (memory proportional to the stream).
+	// Vindicate adds vindication verdicts to the report at close. A durable
+	// session replays its journal for them; a memory-only one's engine
+	// retains the stream (memory proportional to the stream).
 	Vindicate bool `json:"vindicate,omitempty"`
 	// Parallelism and BatchSize configure the engine's worker pipeline
 	// (race.WithParallelism / race.WithBatchSize).
@@ -62,13 +62,12 @@ func clampHints(h race.CapacityHints) race.CapacityHints {
 	}
 }
 
-// newEngineSink builds the session's real engine from its config. On a
-// durable server a vindicating engine also gets a spill: the journal
-// already holds every event on disk, so letting the engine retain the
-// whole stream in RAM a second time would defeat the larger-than-memory
-// story — past the default threshold its retention moves to a scratch
-// racelog under <dataDir>/spill (removed at engine Close/Abort).
-func newEngineSink(cfg SessionConfig, onRace func(race.RaceInfo), dataDir string, met *race.EngineMetrics) (engineSink, error) {
+// newEngineSink builds the session's real engine from its config. A
+// journaled session's journal already holds its whole stream on disk, so
+// its engine retains nothing: the session vindicates from the journal at
+// clean close (Session.finish). Only an unjournaled vindicating session's
+// engine retains the stream, in memory.
+func newEngineSink(cfg SessionConfig, onRace func(race.RaceInfo), journaled bool, met *race.EngineMetrics) (engineSink, error) {
 	opts := []race.Option{
 		race.WithCapacityHints(clampHints(cfg.Hints)),
 		race.WithOnRace(onRace),
@@ -77,11 +76,8 @@ func newEngineSink(cfg SessionConfig, onRace func(race.RaceInfo), dataDir string
 	if len(cfg.Analyses) > 0 {
 		opts = append(opts, race.WithAnalysisNames(cfg.Analyses...))
 	}
-	if cfg.Vindicate {
+	if cfg.Vindicate && !journaled {
 		opts = append(opts, race.WithVindication())
-		if dataDir != "" {
-			opts = append(opts, race.WithSpill(filepath.Join(dataDir, "spill"), 0))
-		}
 	}
 	if cfg.Parallelism > 1 {
 		opts = append(opts, race.WithParallelism(cfg.Parallelism), race.WithBatchSize(cfg.BatchSize))

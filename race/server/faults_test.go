@@ -3,10 +3,13 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -119,5 +122,50 @@ func TestDiskFaultDegradesWithoutCrashing(t *testing.T) {
 	}
 	if org := s.metrics.ioFaultsOrganic.Value(); org != 0 {
 		t.Errorf("%d organic I/O faults counted; injected faults misattributed", org)
+	}
+}
+
+// unreadableFS fails every read-only Open once armed: a session's journal
+// still takes appends and syncs, but cannot be read back.
+type unreadableFS struct {
+	fault.OS
+	armed atomic.Bool
+}
+
+func (f *unreadableFS) Open(name string) (fault.File, error) {
+	if f.armed.Load() {
+		return nil, fmt.Errorf("open %s: %w", name, syscall.EIO)
+	}
+	return f.OS.Open(name)
+}
+
+// TestUnreadableJournalFailsVindicationAsDiskFault: a vindicating durable
+// session reads its journal back at close; a journal it cannot read fails
+// the session with ErrDiskFault, which quarantines the session directory
+// and degrades the server like any other disk fault.
+func TestUnreadableJournalFailsVindicationAsDiskFault(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &unreadableFS{}
+	s := New(Config{DataDir: dir, FS: fsys, IdleTimeout: -1})
+	defer s.Close()
+	sess, err := s.OpenSession(SessionConfig{Analyses: []string{"ST-WDC"}, Vindicate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Feed(append([]race.Event(nil), writeWriteRace().Events...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fsys.armed.Store(true)
+	if rep, err := sess.Close(); rep != nil || !errors.Is(err, ErrDiskFault) {
+		t.Fatalf("Close = %v, %v; want ErrDiskFault", rep, err)
+	}
+	if !s.Degraded() {
+		t.Error("server not degraded after the journal could not be read")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", sess.ID)); err != nil {
+		t.Errorf("quarantined session dir missing: %v", err)
 	}
 }

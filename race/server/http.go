@@ -231,9 +231,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		cfg.Analyses = strings.Split(names, ",")
 	}
 	// The ingest session is a throwaway — the report is returned in this
-	// very response — so skip durability: journaling (and retaining) a
-	// session that can never be resumed would only double the I/O and
-	// grow the data dir without bound.
+	// very response — so skip durability: journaling a session that can
+	// never be resumed would only double the I/O and grow the data dir
+	// without bound. Unjournaled, a vindicating ingest's engine retains
+	// the stream in memory (newEngineSink).
 	sess, err := s.openSession("", cfg, false)
 	if err != nil {
 		openError(w, err)

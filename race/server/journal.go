@@ -437,7 +437,7 @@ func (s *Server) recoverOpen(parent tracing.SpanContext, dir string, meta sessio
 	if ssp != nil {
 		sess.traceCtx = ssp.Context()
 	}
-	sink, err := s.cfg.newSink(meta.Config, sess.onRace)
+	sink, err := s.cfg.newSink(meta.Config, sess.onRace, true)
 	if err != nil {
 		jlog.Close()
 		ssp.SetError(err)
@@ -505,6 +505,17 @@ func (sess *Session) replayJournal(sink engineSink) (err error) {
 		sess.mu.Unlock()
 		replayed += uint64(n)
 	}
+}
+
+// journalTrace reads the session's journal back as one trace, declared over
+// the id spaces its segment summaries record.
+func (sess *Session) journalTrace() (*race.Trace, error) {
+	r, err := sess.jlog.Reader()
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return r.ReadTrace()
 }
 
 // Shutdown is the graceful counterpart of Close for a durable server:

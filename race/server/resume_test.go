@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io/fs"
 	"net"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -303,9 +305,9 @@ func TestFinishedReportSurvivesRestart(t *testing.T) {
 }
 
 // TestDurableVindicatingSessionReport: on a durable server a vindicating
-// session's engine gets a spill under <DataDir>/spill; the report must
-// stay byte-identical to an in-memory vindicating engine's, and the
-// engine must leave no spill residue behind.
+// session vindicates from its journal at close; the report must stay
+// byte-identical to an in-memory vindicating engine's, and nothing but the
+// journal may hold the stream on disk.
 func TestDurableVindicatingSessionReport(t *testing.T) {
 	b := race.NewBuilder()
 	b.Fork("T0", "T1")
@@ -347,10 +349,97 @@ func TestDurableVindicatingSessionReport(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("durable vindicating session report differs from in-memory engine\n%s\nvs\n%s", got, want)
 	}
-	// The spill dir (if the engine created it at all) must hold no
-	// leftover racelogs after Close.
-	if ents, err := os.ReadDir(dir + "/spill"); err == nil && len(ents) != 0 {
-		t.Errorf("spill residue left behind: %v", ents)
+	journalIsTheOnlyCopy(t, dir, sess.ID)
+}
+
+// journalIsTheOnlyCopy fails unless dir holds no spill entry and every
+// racelog segment under it belongs to the journal of session id.
+func journalIsTheOnlyCopy(t *testing.T, dir, id string) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(dir, "spill")); !os.IsNotExist(err) {
+		t.Errorf("data dir has a spill entry (stat: %v)", err)
+	}
+	journal := filepath.Join(dir, "sessions", id, "journal")
+	var all, journaled int64
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".rlog" {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		all += info.Size()
+		if filepath.Dir(path) == journal {
+			journaled += info.Size()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if journaled == 0 || all != journaled {
+		t.Errorf("data dir holds %d racelog bytes, the session journal %d", all, journaled)
+	}
+}
+
+// TestVindicatingJournalIsTheOnlyCopy: a vindicating durable session fed
+// more than 2^20 events — the threshold past which its engine used to spill
+// the stream into a second racelog under the data dir — crashes after a
+// flush barrier and is recovered from its journal by a second server, which
+// takes the rest of the stream and closes it. The journal stays the only
+// copy of the stream on disk, and the verdicts are the in-memory engine's.
+func TestVindicatingJournalIsTheOnlyCopy(t *testing.T) {
+	names := []string{"ST-WDC"}
+	p, _ := workload.ProgramByName("avrora")
+	tr := p.Generate(1100, 3)
+	crashAt := 1<<20 + 4096
+	if tr.Len() < crashAt+4096 {
+		t.Fatalf("trace has %d events, want more than %d", tr.Len(), crashAt+4096)
+	}
+	dir := t.TempDir()
+	s1 := New(Config{DataDir: dir, IdleTimeout: -1})
+	sess1, err := s1.OpenSession(SessionConfig{Analyses: names, Vindicate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedChunks(t, sess1, tr, 0, crashAt, 4096)
+	if err := sess1.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: s1 is abandoned, never shut down or closed.
+
+	s2 := New(Config{DataDir: dir, IdleTimeout: -1})
+	t.Cleanup(func() { s2.Close() })
+	if _, err := s2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sess2, ok := s2.Session(sess1.ID)
+	if !ok {
+		t.Fatalf("session %s not recovered", sess1.ID)
+	}
+	feedChunks(t, sess2, tr, int(sess2.Enqueued()), tr.Len(), 4096)
+	rep, err := sess2.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	journalIsTheOnlyCopy(t, dir, sess1.ID)
+
+	eng, err := race.NewEngine(race.WithAnalysisNames(names...), race.WithVindication())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.FeedTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	local, err := eng.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(rep)
+	want, _ := json.Marshal(local)
+	if !bytes.Equal(got, want) {
+		t.Errorf("crash-recovered vindicating session report differs from the in-memory engine's (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

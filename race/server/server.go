@@ -94,7 +94,7 @@ type Config struct {
 
 	// now and newSink are test seams.
 	now     func() time.Time
-	newSink func(SessionConfig, func(race.RaceInfo)) (engineSink, error)
+	newSink func(cfg SessionConfig, onRace func(race.RaceInfo), journaled bool) (engineSink, error)
 }
 
 const (
@@ -162,10 +162,9 @@ func New(cfg Config) *Server {
 	s.metrics.start = cfg.now()
 	s.metrics.init(cfg.Registry, s)
 	if s.cfg.newSink == nil {
-		dataDir := cfg.DataDir
 		engMet := s.metrics.eng
-		s.cfg.newSink = func(sc SessionConfig, onRace func(race.RaceInfo)) (engineSink, error) {
-			return newEngineSink(sc, onRace, dataDir, engMet)
+		s.cfg.newSink = func(sc SessionConfig, onRace func(race.RaceInfo), journaled bool) (engineSink, error) {
+			return newEngineSink(sc, onRace, journaled, engMet)
 		}
 	}
 	if cfg.IdleTimeout > 0 {
@@ -268,7 +267,8 @@ func (s *Server) openSession(reqID string, cfg SessionConfig, persist bool) (*Se
 		done:  make(chan struct{}),
 		slabs: newSlabs(),
 	}
-	sink, err := s.cfg.newSink(cfg, sess.onRace)
+	journaled := persist && s.cfg.DataDir != ""
+	sink, err := s.cfg.newSink(cfg, sess.onRace, journaled)
 	if err != nil {
 		s.metrics.rejected[rejectConfig].Add(1)
 		return nil, err
@@ -307,7 +307,7 @@ func (s *Server) openSession(reqID string, cfg SessionConfig, persist bool) (*Se
 	}
 	s.mu.Unlock()
 
-	if persist && s.cfg.DataDir != "" {
+	if journaled {
 		// A requested id must also be free on disk: a stale session
 		// directory under the same name would make persistInit append this
 		// tenant's stream onto a dead session's leftover journal.

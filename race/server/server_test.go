@@ -159,11 +159,11 @@ func (p *panicSink) Abort()                       { panic("poisoned at abort") }
 
 // poisonedFactory routes sessions whose config asks for the marker
 // analysis to a panicking sink, everything else to the real engine.
-func poisonedFactory(cfg SessionConfig, onRace func(race.RaceInfo)) (engineSink, error) {
+func poisonedFactory(cfg SessionConfig, onRace func(race.RaceInfo), journaled bool) (engineSink, error) {
 	if len(cfg.Analyses) == 1 && cfg.Analyses[0] == "PANIC" {
 		return &panicSink{after: 1}, nil
 	}
-	return newEngineSink(cfg, onRace, "", nil)
+	return newEngineSink(cfg, onRace, journaled, nil)
 }
 
 func TestPanicIsolation(t *testing.T) {

@@ -146,45 +146,57 @@ func (sess *Session) run(sink engineSink) {
 		abortSink(sink)
 		return
 	}
-	if err := sess.Err(); err != nil {
+	var rep *race.Report
+	if sess.Err() == nil {
+		rep = sess.finish(sink)
+	} else {
 		// Aborted, evicted, or already poisoned: nobody will read a report,
 		// so discard the engine instead of paying Close (which, for a
 		// vindicating engine, replays the whole retained stream).
 		abortSink(sink)
-		if sess.jlog != nil {
-			sess.jlog.Close()
-			switch Classify(err).Fate {
-			case Quarantine:
-				sess.quarantine()
-			case MarkAborted:
-				sess.persistState(stateAborted, sess.Fed())
-			}
-		}
+	}
+	if sess.jlog == nil {
 		return
 	}
-	var rep *race.Report
-	cerr := guard(" at close", func() (err error) { rep, err = sink.Close(); return })
-	if cerr != nil {
-		sess.poison(cerr, nil)
-	}
-	sess.mu.Lock()
-	if sess.err == nil {
-		sess.report = rep
-	}
-	sess.mu.Unlock()
-	if sess.jlog != nil {
-		sess.jlog.Close()
-		if rep != nil && sess.Err() == nil {
-			if err := sess.persistReport(rep); err == nil {
-				sess.persistState(stateClosed, sess.Fed())
-			}
-			// On a failed report write the state stays "open": the sealed
-			// journal regenerates the identical report after a restart,
-			// which beats discarding a recoverable result.
-			return
+	sess.jlog.Close()
+	switch err := sess.Err(); {
+	case err == nil:
+		if err := sess.persistReport(rep); err == nil {
+			sess.persistState(stateClosed, sess.Fed())
 		}
+		// On a failed report write the state stays "open": the sealed
+		// journal regenerates the identical report after a restart, which
+		// beats discarding a recoverable result.
+	case Classify(err).Fate == Quarantine:
+		sess.quarantine()
+	case Classify(err).Fate == MarkAborted:
 		sess.persistState(stateAborted, sess.Fed())
 	}
+}
+
+// finish closes the engine into the session's report, or poisons the
+// session. A journaled session's engine retains no stream (newEngineSink):
+// its vindication verdicts come from the journal, the one on-disk copy of
+// the stream, so a journal that cannot be read back is a disk fault.
+func (sess *Session) finish(sink engineSink) *race.Report {
+	var rep *race.Report
+	err := guard(" at close", func() (err error) { rep, err = sink.Close(); return })
+	if err == nil && sess.cfg.Vindicate && sess.jlog != nil {
+		tr, rerr := sess.journalTrace()
+		if rerr != nil {
+			sess.poison(fmt.Errorf("%w: reading journal to vindicate: %w", ErrDiskFault, rerr), rerr)
+			return nil
+		}
+		err = guard(" at close", func() error { return rep.Vindicate(tr) })
+	}
+	if err != nil {
+		sess.poison(err, nil)
+		return nil
+	}
+	sess.mu.Lock()
+	sess.report = rep
+	sess.mu.Unlock()
+	return rep
 }
 
 // ingest applies one batch on the feeder goroutine: journal, then engine.

@@ -40,9 +40,9 @@ func (s *slabSpy) FeedBatch(evs []race.Event) error {
 // of two recycled slabs, and recycling never lets bytes of a later frame (or
 // of the client's own buffer, scribbled over after every FeedBatch) reach an
 // engine that is still working on an earlier one — parallel engines hold
-// batches on worker rings, vindicating ones retain the stream, spilling ones
-// write it out later. Reports must be byte-identical to in-process analysis
-// and no session may see more than two slabs.
+// batches on worker rings, vindicating ones retain the stream (or, durable,
+// read it back from the journal at close). Reports must be byte-identical to
+// in-process analysis and no session may see more than two slabs.
 func TestWireSlabRecycling(t *testing.T) {
 	p, _ := workload.ProgramByName("avrora")
 	tr := p.Generate(20000, 5)
@@ -50,13 +50,12 @@ func TestWireSlabRecycling(t *testing.T) {
 
 	engines := []struct {
 		name string
-		opts []race.Option
+		cfg  SessionConfig
 		ref  []race.Option
 	}{
-		{"parallel", []race.Option{race.WithAnalysisNames("FTO-HB", "ST-WDC", "ST-DC", "FT2"), race.WithParallelism(4), race.WithBatchSize(64)},
+		{"parallel", SessionConfig{Analyses: []string{"FTO-HB", "ST-WDC", "ST-DC", "FT2"}, Parallelism: 4, BatchSize: 64},
 			[]race.Option{race.WithAnalysisNames("FTO-HB", "ST-WDC", "ST-DC", "FT2")}},
-		{"vindicating", []race.Option{race.WithVindication()}, []race.Option{race.WithVindication()}},
-		{"spilling", []race.Option{race.WithVindication(), race.WithSpill(t.TempDir(), 512)}, []race.Option{race.WithVindication()}},
+		{"vindicating", SessionConfig{Vindicate: true}, []race.Option{race.WithVindication()}},
 	}
 	for _, e := range engines {
 		ref, err := race.NewEngine(e.ref...)
@@ -81,8 +80,8 @@ func TestWireSlabRecycling(t *testing.T) {
 					if durable {
 						cfg.DataDir = t.TempDir()
 					}
-					cfg.newSink = func(_ SessionConfig, onRace func(race.RaceInfo)) (engineSink, error) {
-						eng, err := race.NewEngine(append([]race.Option{race.WithOnRace(onRace)}, e.opts...)...)
+					cfg.newSink = func(sc SessionConfig, onRace func(race.RaceInfo), journaled bool) (engineSink, error) {
+						eng, err := newEngineSink(sc, onRace, journaled, nil)
 						if err != nil {
 							return nil, err
 						}
@@ -94,7 +93,7 @@ func TestWireSlabRecycling(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer client.Close()
-					sess, err := client.Open(SessionConfig{})
+					sess, err := client.Open(e.cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -321,8 +320,8 @@ func TestSlabTakePrefersTheGrownOne(t *testing.T) {
 func TestHTTPUploadsFillTheSessionsSlabs(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[unsafe.Pointer]bool)
-	s := New(Config{newSink: func(cfg SessionConfig, onRace func(race.RaceInfo)) (engineSink, error) {
-		eng, err := newEngineSink(cfg, onRace, "", nil)
+	s := New(Config{newSink: func(cfg SessionConfig, onRace func(race.RaceInfo), journaled bool) (engineSink, error) {
+		eng, err := newEngineSink(cfg, onRace, journaled, nil)
 		return &slabSpy{engineSink: eng, mu: &mu, slabs: seen}, err
 	}})
 	defer s.Close()

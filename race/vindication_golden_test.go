@@ -4,11 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"repro/internal/workload"
 	"repro/race"
+	"repro/race/server"
 )
 
 // goldenVindication pins the full report JSON — verdicts, reasons and
@@ -33,7 +36,7 @@ var goldenVindication = []struct {
 // with the extra options and returns the Close report's JSON.
 func vindicatingReport(t *testing.T, tr *race.Trace, extra ...race.Option) []byte {
 	t.Helper()
-	opts := append([]race.Option{race.WithVindication(), race.WithAnalysisNames("ST-WDC", "ST-DC")}, extra...)
+	opts := append([]race.Option{race.WithVindication(), race.WithAnalysisNames(goldenNames...)}, extra...)
 	eng, err := race.NewEngine(opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +55,91 @@ func vindicatingReport(t *testing.T, tr *race.Trace, extra ...race.Option) []byt
 	return doc
 }
 
-// TestVindicationGoldenDigests: the sequential, the parallel and the spilled
-// engine all produce the pinned bytes.
+// goldenNames are the analyses of the pinned reports.
+var goldenNames = []string{"ST-WDC", "ST-DC"}
+
+// reportVindicated closes a non-retaining engine over tr and vindicates its
+// report against tr afterwards.
+func reportVindicated(t *testing.T, tr *race.Trace) []byte {
+	t.Helper()
+	eng, err := race.NewEngine(race.WithAnalysisNames(goldenNames...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.FeedTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Vindicate(tr); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// durableReport streams tr through a vindicating session of a durable
+// server. With crash set, the first server is abandoned mid-stream after a
+// flush barrier (a killed process), and a second one over the same data dir
+// recovers the session from its journal and takes the rest of the stream.
+// The session's engine retains nothing: its verdicts come from the journal,
+// and no other copy of the stream lands in the data dir.
+func durableReport(t *testing.T, tr *race.Trace, crash bool) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	feed := func(sess *server.Session, from, to int) {
+		t.Helper()
+		for off := from; off < to; off += 4096 {
+			if err := sess.Feed(tr.Events[off:min(off+4096, to)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	srv := server.New(server.Config{DataDir: dir, IdleTimeout: -1})
+	sess, err := srv.OpenSession(server.SessionConfig{Analyses: goldenNames, Vindicate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crash {
+		mid := tr.Len() / 2
+		feed(sess, 0, mid)
+		if err := sess.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		srv = server.New(server.Config{DataDir: dir, IdleTimeout: -1})
+		if _, err := srv.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		var ok bool
+		if sess, ok = srv.Session(sess.ID); !ok {
+			t.Fatalf("session %s not recovered", sess.ID)
+		}
+	}
+	t.Cleanup(func() { srv.Close() })
+	feed(sess, int(sess.Enqueued()), tr.Len())
+	rep, err := sess.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "spill")); !os.IsNotExist(err) {
+		t.Errorf("data dir has a spill entry (stat: %v)", err)
+	}
+	doc, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// TestVindicationGoldenDigests: the sequential and the parallel engine,
+// Report.Vindicate over the generated trace, a durable session vindicating
+// from its journal, and one recovered from a crash all produce the pinned
+// bytes.
 func TestVindicationGoldenDigests(t *testing.T) {
 	for _, g := range goldenVindication {
 		t.Run(g.program, func(t *testing.T) {
@@ -66,15 +152,17 @@ func TestVindicationGoldenDigests(t *testing.T) {
 			}
 			tr := p.Generate(g.div, 11)
 			modes := []struct {
-				name  string
-				extra []race.Option
+				name   string
+				report func() []byte
 			}{
-				{"sequential", nil},
-				{"parallel", []race.Option{race.WithParallelism(2)}},
-				{"spilled", []race.Option{race.WithSpill(t.TempDir(), 4096)}},
+				{"sequential", func() []byte { return vindicatingReport(t, tr) }},
+				{"parallel", func() []byte { return vindicatingReport(t, tr, race.WithParallelism(2)) }},
+				{"Report.Vindicate", func() []byte { return reportVindicated(t, tr) }},
+				{"durable", func() []byte { return durableReport(t, tr, false) }},
+				{"crash-recovered", func() []byte { return durableReport(t, tr, true) }},
 			}
 			for _, m := range modes {
-				doc := vindicatingReport(t, tr, m.extra...)
+				doc := m.report()
 				sum := sha256.Sum256(doc)
 				if got := hex.EncodeToString(sum[:]); len(doc) != g.bytes || got != g.sha256 {
 					t.Errorf("%s: report is %d bytes, sha256 %s; pinned %d bytes, %s",
