@@ -103,8 +103,9 @@ func (c *chaosFleet) close() {
 }
 
 // buildFleet boots two durable in-process backends behind a router with the
-// named fault schedule armed. Fast probes and breakers keep failover inside
-// the harness's patience.
+// named fault schedule armed. Fast probes keep failover and recovery inside
+// the harness's patience: a backend a failed call marked down earns its way
+// back in two good probes (eight while flapping), 100–400 ms.
 func buildFleet(schedule string, seed uint64) (*chaosFleet, error) {
 	c := &chaosFleet{}
 	tmp, err := os.MkdirTemp("", "racechaos-")
@@ -165,10 +166,8 @@ func buildFleet(schedule string, seed uint64) (*chaosFleet, error) {
 	var idMu sync.Mutex
 	ids := fault.NewRand(seed ^ 0x5e5510) // its own stream, apart from the fault plans'
 	opts := fleet.Options{
-		ProbeInterval:   50 * time.Millisecond,
-		ProbeThreshold:  2,
-		BreakerCooldown: 200 * time.Millisecond,
-		IOTimeout:       5 * time.Second,
+		ProbeInterval: 50 * time.Millisecond,
+		IOTimeout:     5 * time.Second,
 		NewSessionID: func() string {
 			idMu.Lock()
 			defer idMu.Unlock()

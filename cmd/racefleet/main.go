@@ -62,13 +62,7 @@ func (b *backendFlag) Set(v string) error {
 func main() {
 	d := daemon.New("racefleet", ":7119", ":7120", "every session, placement, flush, and migration")
 	var backendSpecs backendFlag
-	var (
-		vnodes    = flag.Int("vnodes", fleet.DefaultVNodes, "virtual nodes per backend on the hash ring")
-		interval  = flag.Duration("probe-interval", fleet.DefaultProbeInterval, "health-probe interval")
-		threshold = flag.Int("probe-threshold", fleet.DefaultProbeThreshold, "consecutive probe failures before a backend is down")
-		brkThresh = flag.Int("breaker-threshold", fleet.DefaultBreakerThreshold, "consecutive unreachable failures before a backend's circuit opens")
-		brkCool   = flag.Duration("breaker-cooldown", fleet.DefaultBreakerCooldown, "open-circuit cooldown before a half-open trial")
-	)
+	interval := flag.Duration("probe-interval", fleet.DefaultProbeInterval, "health-probe interval")
 	flag.Var(&backendSpecs, "backend", "backend as name,tcpAddr,httpAddr[,dataDir] (repeatable)")
 	flag.Parse()
 
@@ -93,14 +87,10 @@ func main() {
 	}
 
 	rt, err := fleet.New(backends, fleet.Options{
-		VNodes:           *vnodes,
-		ProbeInterval:    *interval,
-		ProbeThreshold:   *threshold,
-		IOTimeout:        *d.IOTimeout,
-		BreakerThreshold: *brkThresh,
-		BreakerCooldown:  *brkCool,
-		Logger:           d.Logger,
-		Tracer:           d.Tracer,
+		ProbeInterval: *interval,
+		IOTimeout:     *d.IOTimeout,
+		Logger:        d.Logger,
+		Tracer:        d.Tracer,
 	})
 	if err != nil {
 		d.Fatalf("%v", err)

@@ -53,11 +53,6 @@ var (
 	// ErrBackendDown is a simulated-crash (Local.Kill) or probe-declared
 	// dead backend refusing an operation.
 	ErrBackendDown error = &routerErr{"fleet: backend is down", server.ErrConnLost}
-	// ErrCircuitOpen is the fast-fail a tripped backend circuit returns: the
-	// backend accumulated too many unreachable-class failures and calls to it
-	// are short-circuited until the cooldown expires. Routing fails over to
-	// the next ring arc exactly as if the dial itself had been refused.
-	ErrCircuitOpen error = &routerErr{"fleet: backend circuit open", server.ErrConnLost}
 )
 
 // Backend is one raced instance as the router sees it. Open/Resume carry

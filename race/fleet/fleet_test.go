@@ -42,7 +42,7 @@ func batchReport(t *testing.T, tr *race.Trace, names []string) []byte {
 // the router's wire address.
 func startFleet(t *testing.T, n int) (*Router, []*Local, string) {
 	t.Helper()
-	rt, locals, _, addr := fleetOf(t, n, 0, Options{ProbeInterval: 50 * time.Millisecond, ProbeThreshold: 2})
+	rt, locals, _, addr := fleetOf(t, n, 0, Options{ProbeInterval: 50 * time.Millisecond})
 	return rt, locals, addr
 }
 

@@ -12,7 +12,7 @@ import (
 const (
 	stateUp       int32 = iota // routable: takes new sessions
 	stateDraining              // reachable (admin, existing sessions) but not routable
-	stateDown                  // failed ProbeThreshold consecutive probes
+	stateDown                  // failed probeThreshold consecutive probes, or marked down
 )
 
 func stateName(s int32) string {
@@ -26,15 +26,14 @@ func stateName(s int32) string {
 	}
 }
 
-// DefaultProbeInterval and DefaultProbeThreshold govern health checking
-// when unconfigured: a probe every 2s, down after 2 consecutive failures.
-const (
-	DefaultProbeInterval  = 2 * time.Second
-	DefaultProbeThreshold = 2
-)
+// DefaultProbeInterval is the health-probe period when unconfigured.
+const DefaultProbeInterval = 2 * time.Second
 
-// Flap damping: a backend that failed its way down must string together
-// threshold consecutive good probes before it takes traffic again — and a
+// probeThreshold consecutive failed probes take a backend down.
+const probeThreshold = 2
+
+// Flap damping: a backend that went down must string together
+// probeThreshold consecutive good probes before it takes traffic again — and a
 // backend that has bounced recently (flapTrips recoveries inside
 // flapWindow) must produce flapPenalty times that, so a flapping backend
 // converges to a stable "down" instead of oscillating sessions on and off
@@ -45,48 +44,36 @@ const (
 	flapPenalty = 4
 )
 
-// probeRecord is one backend's health as maintained by the monitor.
+// probeRecord is one backend's health as maintained by the monitor. Routing
+// reads state without a lock; every write — a probe's observe, a failed
+// call's markDown — holds mu for its whole read-modify-write, so a good
+// probe that raced a mark-down cannot store "up" over it.
 type probeRecord struct {
-	state       atomic.Int32
-	consecFails atomic.Int32
-	consecOKs   atomic.Int32 // good probes since going down
+	state atomic.Int32
 
-	mu         sync.Mutex
-	recoveries []time.Time // down→up transitions inside flapWindow
+	mu          sync.Mutex
+	consecFails int
+	consecOKs   int         // good probes since going down
+	recoveries  []time.Time // down→up transitions inside flapWindow
 }
 
-// noteRecovery records a down→up transition for flap tracking.
-func (rec *probeRecord) noteRecovery(now time.Time) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	rec.recoveries = append(rec.recoveries, now)
-	rec.trimLocked(now)
-}
-
-// flapping reports whether the backend has recovered repeatedly within the
-// damping window.
-func (rec *probeRecord) flapping(now time.Time) bool {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	rec.trimLocked(now)
-	return len(rec.recoveries) >= flapTrips
-}
-
-func (rec *probeRecord) trimLocked(now time.Time) {
+// flappingLocked reports whether the backend has recovered repeatedly
+// within the damping window.
+func (rec *probeRecord) flappingLocked(now time.Time) bool {
 	cut := 0
 	for cut < len(rec.recoveries) && now.Sub(rec.recoveries[cut]) > flapWindow {
 		cut++
 	}
 	rec.recoveries = rec.recoveries[cut:]
+	return len(rec.recoveries) >= flapTrips
 }
 
 // healthMonitor probes every backend's Healthz on a fixed interval. A
-// failed RPC also lets the router mark a backend down immediately
-// (markDown) instead of waiting out the probe threshold.
+// Backend call that could not reach its backend also marks it down at once
+// (markDown, from Router.called) instead of waiting out the probe threshold.
 type healthMonitor struct {
-	interval  time.Duration
-	threshold int
-	records   map[string]*probeRecord
+	interval time.Duration
+	records  map[string]*probeRecord
 
 	// onProbe, when set before start, observes every probe's RTT and
 	// outcome (metrics). Synthetic state changes — markDown, admin
@@ -102,18 +89,14 @@ type healthMonitor struct {
 	wg   sync.WaitGroup
 }
 
-func newHealthMonitor(names []string, interval time.Duration, threshold int) *healthMonitor {
+func newHealthMonitor(names []string, interval time.Duration) *healthMonitor {
 	if interval <= 0 {
 		interval = DefaultProbeInterval
 	}
-	if threshold <= 0 {
-		threshold = DefaultProbeThreshold
-	}
 	h := &healthMonitor{
-		interval:  interval,
-		threshold: threshold,
-		records:   make(map[string]*probeRecord, len(names)),
-		stop:      make(chan struct{}),
+		interval: interval,
+		records:  make(map[string]*probeRecord, len(names)),
+		stop:     make(chan struct{}),
 	}
 	for _, name := range names {
 		h.records[name] = &probeRecord{} // optimistically up until probed
@@ -158,38 +141,46 @@ func (h *healthMonitor) runProbe(probe func(ctx context.Context, name string) er
 // back with consecutive successes (see the flap-damping constants), so a
 // backend bouncing at probe frequency sheds traffic instead of thrashing it.
 func (h *healthMonitor) observe(name string, err error) {
-	rec := h.records[name]
+	if h.records[name].observe(err) && h.onRecover != nil {
+		h.onRecover(name)
+	}
+}
+
+// observe folds one probe result into the record and reports whether it
+// brought the backend back up.
+func (rec *probeRecord) observe(err error) (recovered bool) {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
 	switch {
 	case err == nil:
-		rec.consecFails.Store(0)
+		rec.consecFails = 0
 		if rec.state.Load() != stateDown {
-			rec.consecOKs.Store(0)
+			rec.consecOKs = 0
 			rec.state.Store(stateUp)
-			return
+			return false
 		}
 		now := time.Now()
-		need := int32(h.threshold)
-		if rec.flapping(now) {
+		need := probeThreshold
+		if rec.flappingLocked(now) {
 			need *= flapPenalty
 		}
-		if rec.consecOKs.Add(1) >= need {
-			rec.consecOKs.Store(0)
-			rec.state.Store(stateUp)
-			rec.noteRecovery(now)
-			if h.onRecover != nil {
-				h.onRecover(name)
-			}
+		if rec.consecOKs++; rec.consecOKs < need {
+			return false
 		}
+		rec.consecOKs = 0
+		rec.state.Store(stateUp)
+		rec.recoveries = append(rec.recoveries, now)
+		return true
 	case errors.Is(err, ErrBackendDraining):
-		rec.consecFails.Store(0)
-		rec.consecOKs.Store(0)
+		rec.consecFails, rec.consecOKs = 0, 0
 		rec.state.Store(stateDraining)
 	default:
-		rec.consecOKs.Store(0)
-		if int(rec.consecFails.Add(1)) >= h.threshold {
+		rec.consecOKs = 0
+		if rec.consecFails++; rec.consecFails >= probeThreshold {
 			rec.state.Store(stateDown)
 		}
 	}
+	return false
 }
 
 func (h *healthMonitor) close() {
@@ -210,12 +201,15 @@ func (h *healthMonitor) reachable(name string) bool {
 	return ok && rec.state.Load() != stateDown
 }
 
-// markDown records an observed hard failure without waiting for probes.
+// markDown records an observed hard failure without waiting for probes;
+// Router.called, through which every Backend call's error passes, is its
+// one caller.
 func (h *healthMonitor) markDown(name string) {
 	if rec, ok := h.records[name]; ok {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
 		rec.state.Store(stateDown)
-		rec.consecFails.Store(int32(h.threshold))
-		rec.consecOKs.Store(0)
+		rec.consecFails, rec.consecOKs = probeThreshold, 0
 	}
 }
 

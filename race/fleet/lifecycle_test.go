@@ -548,7 +548,7 @@ func TestHTTPOpensArePlacedLikeWireOpens(t *testing.T) {
 // directory of a dead one, sealed under the very backend it belongs on —
 // both ways end with the same report, the same fleet_migrations_* and
 // fleet_resumes_routed_total deltas, and both leave the session alone when
-// the home's circuit is open.
+// the home is marked down.
 func TestBroughtHomeByResumeOrByMigrate(t *testing.T) {
 	names := []string{"ST-WDC", "FTO-HB"}
 	tr := workload.Channels(workload.ChannelsConfig{
@@ -587,7 +587,7 @@ func TestBroughtHomeByResumeOrByMigrate(t *testing.T) {
 	}
 	// run strands a fresh session, brings it home one way, finishes the
 	// stream and returns what the router counted.
-	run := func(t *testing.T, state string, byAdmin, circuitOpen bool) counts {
+	run := func(t *testing.T, state string, byAdmin, homeDown bool) counts {
 		rt, locals, api, wireAddr := fleetOf(t, 2, 0, Options{})
 		c, err := server.Dial(wireAddr)
 		if err != nil {
@@ -615,10 +615,8 @@ func TestBroughtHomeByResumeOrByMigrate(t *testing.T) {
 		})
 		home := states[state](t, rt, holder, other, id)
 		before := read(rt)
-		if circuitOpen {
-			for i := 0; i < DefaultBreakerThreshold; i++ {
-				rt.breakerRecord(home.Name(), ErrBackendDown)
-			}
+		if homeDown {
+			rt.health.markDown(home.Name())
 		}
 
 		var homeErr error
@@ -638,9 +636,9 @@ func TestBroughtHomeByResumeOrByMigrate(t *testing.T) {
 		if homeErr == nil {
 			resumed, fed, homeErr = c2.Resume(context.Background(), id)
 		}
-		if circuitOpen {
+		if homeDown {
 			if homeErr == nil {
-				t.Fatalf("brought home to %s through its open circuit", home.Name())
+				t.Fatalf("brought home to %s, which is marked down", home.Name())
 			}
 			if _, moved := home.Server().Session(id); moved && home != holder {
 				t.Fatalf("refused (%v), yet the session moved to %s", homeErr, home.Name())
@@ -670,7 +668,7 @@ func TestBroughtHomeByResumeOrByMigrate(t *testing.T) {
 			}
 		})
 	}
-	t.Run("open circuit", func(t *testing.T) {
+	t.Run("home marked down", func(t *testing.T) {
 		run(t, "live on a draining backend", false, true)
 		run(t, "live on a draining backend", true, true)
 	})

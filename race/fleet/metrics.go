@@ -40,12 +40,8 @@ type fleetMetrics struct {
 	sessionsRouted map[string]*obs.Counter
 	resumesRouted  map[string]*obs.Counter
 	probeFailures  map[string]*obs.Counter
-
-	// Failure-handling state machines: circuit-breaker trips and refusals,
-	// and probe-earned recoveries (a high recovery rate is the flap signal).
-	breakerOpens  map[string]*obs.Counter
-	breakerShorts map[string]*obs.Counter
-	recoveries    map[string]*obs.Counter
+	// Probe-earned recoveries: a high rate is the flap signal.
+	recoveries map[string]*obs.Counter
 }
 
 func newFleetMetrics(reg *obs.Registry, names []string) *fleetMetrics {
@@ -67,8 +63,6 @@ func newFleetMetrics(reg *obs.Registry, names []string) *fleetMetrics {
 		sessionsRouted: make(map[string]*obs.Counter, len(names)),
 		resumesRouted:  make(map[string]*obs.Counter, len(names)),
 		probeFailures:  make(map[string]*obs.Counter, len(names)),
-		breakerOpens:   make(map[string]*obs.Counter, len(names)),
-		breakerShorts:  make(map[string]*obs.Counter, len(names)),
 		recoveries:     make(map[string]*obs.Counter, len(names)),
 	}
 	for _, name := range names {
@@ -76,8 +70,6 @@ func newFleetMetrics(reg *obs.Registry, names []string) *fleetMetrics {
 		m.sessionsRouted[name] = reg.Counter("fleet_sessions_routed_total", "Fresh sessions placed on the backend.", l)
 		m.resumesRouted[name] = reg.Counter("fleet_resumes_routed_total", "Session re-attachments landed on the backend.", l)
 		m.probeFailures[name] = reg.Counter("fleet_probe_failures_total", "Failed health probes against the backend (total, not consecutive).", l)
-		m.breakerOpens[name] = reg.Counter("fleet_breaker_opens_total", "Times the backend's circuit breaker tripped open on unreachable-class failures.", l)
-		m.breakerShorts[name] = reg.Counter("fleet_breaker_short_circuits_total", "Calls refused fast because the backend's circuit was open.", l)
 		m.recoveries[name] = reg.Counter("fleet_backend_recoveries_total", "Down-to-up transitions earned through consecutive good probes (a high rate means the backend is flapping).", l)
 	}
 	return m

@@ -109,19 +109,14 @@ func copyFileSync(src, dst string) error {
 }
 
 // suspendTimed suspends id on b, observing the seal latency of successful
-// suspends into the migration-suspend histogram and feeding b's circuit
-// breaker (an open circuit refuses the call).
+// suspends into the migration-suspend histogram.
 func (rt *Router) suspendTimed(ctx context.Context, b Backend, id string) (uint64, error) {
-	if !rt.breakerAllow(b.Name()) {
-		return 0, fmt.Errorf("%w: %s", ErrCircuitOpen, b.Name())
-	}
 	ssp := rt.span(ctx, "fleet.migrate.suspend")
 	ssp.SetAttr("session", id)
 	ssp.SetAttr("backend", b.Name())
 	t0 := time.Now()
 	fed, err := b.Suspend(ctx, id)
-	rt.breakerRecord(b.Name(), err)
-	if err == nil {
+	if err = rt.called(b.Name(), err); err == nil {
 		rt.metrics.migSuspend.ObserveDuration(time.Since(t0))
 	}
 	ssp.SetError(err)
@@ -174,9 +169,7 @@ func (rt *Router) migrate(ctx context.Context, id string, srcDataDir string, dst
 		rctx = tracing.ContextWith(ctx, rsp.Context())
 	}
 	t1 := time.Now()
-	err = dst.RecoverSession(rctx, id)
-	rt.breakerRecord(dst.Name(), err)
-	if err != nil {
+	if err = rt.called(dst.Name(), dst.RecoverSession(rctx, id)); err != nil {
 		rsp.SetError(err)
 		// Leave both copies; the source dir is still authoritative.
 		if srcDataDir != dst.DataDir() {
@@ -201,8 +194,11 @@ func (rt *Router) migrate(ctx context.Context, id string, srcDataDir string, dst
 // a directory already under target is recovered in place, which counts as a
 // migration with nothing to copy. The caller holds the session's lock.
 func (rt *Router) bring(ctx context.Context, id string, target Backend) error {
-	// The home is asked first: if it cannot be called (down, circuit open),
-	// nothing has been touched yet.
+	// The home is asked first: if it cannot be called (marked down, or found
+	// gone by its suspend), nothing has been touched yet.
+	if !rt.health.reachable(target.Name()) {
+		return fmt.Errorf("%w: target %s", ErrBackendDown, target.Name())
+	}
 	order := []string{target.Name()}
 	for _, name := range rt.ring.sequence(id) {
 		if name != target.Name() {
@@ -218,11 +214,10 @@ func (rt *Router) bring(ctx context.Context, id string, target Backend) error {
 			break // live in one place at most
 		}
 		switch {
-		case isUnreachable(err):
+		case isUnreachable(err): // marked down; its directory may still be there to find
 			if i == 0 {
 				return err
 			}
-			rt.health.markDown(name) // its directory may still be there to find
 		case isUnknownSession(err):
 		default:
 			return fmt.Errorf("fleet: suspending %s on %s: %w", id, name, err)
@@ -240,12 +235,12 @@ func (rt *Router) bring(ctx context.Context, id string, target Backend) error {
 // streaming client, if any, is redirected by its proxy loop and re-resumes
 // onto the migrated session.
 func (rt *Router) MigrateSession(ctx context.Context, id, to string) error {
+	if err := validResume(id); err != nil {
+		return err
+	}
 	dst, ok := rt.backends[to]
 	if !ok {
 		return fmt.Errorf("fleet: unknown backend %q", to)
-	}
-	if !rt.health.reachable(to) {
-		return fmt.Errorf("%w: target %s", ErrBackendDown, to)
 	}
 	unlock := rt.lockSession(id)
 	defer unlock()

@@ -9,7 +9,7 @@ import (
 // ring is a consistent-hash ring over backend names. Each backend owns
 // vnodes points placed by FNV-64a of "name#i"; a key routes to the first
 // point clockwise of its own hash. The placement is a pure function of the
-// backend names and vnode count, so every router instance — and every
+// backend names, so every router instance — and every
 // restart — computes the same assignment: the ring is the fleet's only
 // routing "state", and it is stateless.
 //
@@ -27,13 +27,11 @@ type ringPoint struct {
 	idx  int // index into names
 }
 
-// DefaultVNodes is the virtual-node count per backend when unconfigured.
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per backend. It is fixed, not a knob:
+// two routers with different counts would route the same id differently.
+const vnodes = 64
 
-func newRing(names []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+func newRing(names []string) *ring {
 	r := &ring{names: names, points: make([]ringPoint, 0, len(names)*vnodes)}
 	for i, name := range names {
 		for v := 0; v < vnodes; v++ {

@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// TestRingDeterminism: the ring is a pure function of (names, vnodes) —
+// TestRingDeterminism: the ring is a pure function of the backend names —
 // two independently built rings agree on every key, which is what lets any
 // router instance (or restart) route identically with no shared state.
 func TestRingDeterminism(t *testing.T) {
 	names := []string{"b1", "b2", "b3"}
-	r1 := newRing(names, 64)
-	r2 := newRing([]string{"b1", "b2", "b3"}, 64)
+	r1 := newRing(names)
+	r2 := newRing([]string{"b1", "b2", "b3"})
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("f%012x", i)
 		s1, s2 := r1.sequence(key), r2.sequence(key)
@@ -30,7 +30,7 @@ func TestRingDeterminism(t *testing.T) {
 // every backend exactly once.
 func TestRingSequenceCoversAllBackends(t *testing.T) {
 	names := []string{"b1", "b2", "b3", "b4"}
-	r := newRing(names, 32)
+	r := newRing(names)
 	for i := 0; i < 200; i++ {
 		seq := r.sequence(fmt.Sprintf("key-%d", i))
 		if len(seq) != len(names) {
@@ -50,7 +50,7 @@ func TestRingSequenceCoversAllBackends(t *testing.T) {
 // bounds of uniform — no backend starves or hogs.
 func TestRingBalance(t *testing.T) {
 	names := []string{"b1", "b2", "b3"}
-	r := newRing(names, DefaultVNodes)
+	r := newRing(names)
 	counts := map[string]int{}
 	const keys = 30000
 	for i := 0; i < keys; i++ {
@@ -68,8 +68,8 @@ func TestRingBalance(t *testing.T) {
 // keys it owned — every other key keeps its owner. This is the property
 // that makes rebalancing migrate only the dead backend's sessions.
 func TestRingMinimalDisruption(t *testing.T) {
-	full := newRing([]string{"b1", "b2", "b3"}, DefaultVNodes)
-	without := newRing([]string{"b1", "b3"}, DefaultVNodes)
+	full := newRing([]string{"b1", "b2", "b3"})
+	without := newRing([]string{"b1", "b3"})
 	moved, kept := 0, 0
 	for i := 0; i < 5000; i++ {
 		key := fmt.Sprintf("f%012x", i*104729)
@@ -96,7 +96,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 // draining b1: on a {b1, b2} ring its first arc must be b1, or the step
 // proves nothing. If the ring's hashing changes, pick another id there.
 func TestSmokeIDFirstArc(t *testing.T) {
-	if seq := newRing([]string{"b1", "b2"}, DefaultVNodes).sequence("fsmoke1"); seq[0] != "b1" {
+	if seq := newRing([]string{"b1", "b2"}).sequence("fsmoke1"); seq[0] != "b1" {
 		t.Fatalf("fsmoke1 routes %v; update the id in .github/workflows/ci.yml's fleet-smoke", seq)
 	}
 }

@@ -34,7 +34,6 @@ type Router struct {
 	names    []string // sorted, fixed at construction
 	ring     *ring
 	health   *healthMonitor
-	breakers map[string]*breaker
 	reg      *obs.Registry
 	metrics  *fleetMetrics
 	logger   *slog.Logger
@@ -43,26 +42,21 @@ type Router struct {
 	newID    func() string
 
 	lockMu    sync.Mutex
-	sessLocks map[string]*sync.Mutex
+	sessLocks map[string]*sessLock
+}
+
+// sessLock is one session id's routing lock, held in Router.sessLocks while
+// anyone holds or waits for it.
+type sessLock struct {
+	sync.Mutex
+	refs int // holders and waiters, under Router.lockMu
 }
 
 // Options configures a Router.
 type Options struct {
-	// VNodes is the virtual-node count per backend on the hash ring
-	// (DefaultVNodes when zero).
-	VNodes int
-	// ProbeInterval and ProbeThreshold govern health checking
-	// (DefaultProbeInterval / DefaultProbeThreshold when zero).
-	ProbeInterval  time.Duration
-	ProbeThreshold int
-
-	// BreakerThreshold and BreakerCooldown govern the per-backend circuit
-	// breakers (DefaultBreakerThreshold / DefaultBreakerCooldown when
-	// zero): after BreakerThreshold consecutive unreachable-class RPC
-	// failures, calls to the backend fail fast with ErrCircuitOpen until a
-	// half-open trial succeeds.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// ProbeInterval is the health-probe period (DefaultProbeInterval when
+	// zero).
+	ProbeInterval time.Duration
 
 	// IOTimeout, when positive, cuts client connections that make no read
 	// or write progress for the duration (the same stall guard raced's
@@ -107,8 +101,7 @@ func New(backends []Backend, opts Options) (*Router, error) {
 	}
 	rt := &Router{
 		backends:  make(map[string]Backend, len(backends)),
-		breakers:  make(map[string]*breaker, len(backends)),
-		sessLocks: make(map[string]*sync.Mutex),
+		sessLocks: make(map[string]*sessLock),
 		reg:       opts.Registry,
 		logger:    opts.Logger,
 		tracer:    opts.Tracer,
@@ -133,7 +126,6 @@ func New(backends []Backend, opts Options) (*Router, error) {
 		}
 		rt.backends[name] = b
 		rt.names = append(rt.names, name)
-		rt.breakers[name] = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
 	rt.metrics = newFleetMetrics(rt.reg, rt.names)
 	rt.front = &server.Front{
@@ -143,8 +135,8 @@ func New(backends []Backend, opts Options) (*Router, error) {
 		Redirects:    rt.metrics.redirects,
 		ConnTimeouts: rt.metrics.connTimeouts, CorruptFrames: rt.metrics.corruptFrames,
 	}
-	rt.ring = newRing(rt.names, opts.VNodes)
-	rt.health = newHealthMonitor(rt.names, opts.ProbeInterval, opts.ProbeThreshold)
+	rt.ring = newRing(rt.names)
+	rt.health = newHealthMonitor(rt.names, opts.ProbeInterval)
 	rt.metrics.registerBackendUp(rt.reg, rt.names, rt.health)
 	rt.health.onProbe = rt.metrics.probeHook
 	rt.health.onRecover = func(name string) { rt.metrics.recoveries[name].Inc() }
@@ -172,16 +164,27 @@ func (rt *Router) span(ctx context.Context, name string) *tracing.Span {
 }
 
 // lockSession serializes routing decisions and migrations per session id.
+// The id's entry lives only while someone holds or waits for it, so ids
+// that come and go — unknown ones a client made up included — leave
+// nothing behind.
 func (rt *Router) lockSession(id string) func() {
 	rt.lockMu.Lock()
-	m, ok := rt.sessLocks[id]
-	if !ok {
-		m = new(sync.Mutex)
-		rt.sessLocks[id] = m
+	l := rt.sessLocks[id]
+	if l == nil {
+		l = new(sessLock)
+		rt.sessLocks[id] = l
 	}
+	l.refs++
 	rt.lockMu.Unlock()
-	m.Lock()
-	return m.Unlock
+	l.Lock()
+	return func() {
+		l.Unlock()
+		rt.lockMu.Lock()
+		if l.refs--; l.refs == 0 {
+			delete(rt.sessLocks, id)
+		}
+		rt.lockMu.Unlock()
+	}
 }
 
 // NewSessionID mints a router-assigned session id: "f" + 12 hex chars.
@@ -202,20 +205,40 @@ func isUnknownSession(err error) bool {
 }
 
 // isUnreachable reports whether err says the backend is gone (a
-// connection-level failure, a killed local backend, a tripped circuit)
-// rather than that it rejected the session; an injected fault (fault.Conn,
-// fault.Gate) and an organic one route the same.
+// connection-level failure, a killed local backend) rather than that it
+// rejected the session; an injected fault (fault.Conn, fault.Gate) and an
+// organic one route the same.
 func isUnreachable(err error) bool {
 	return server.Classify(err).Recovery == server.Reconnect
 }
 
+// called is the router's one failure signal: the error of every Backend
+// call passes through it, and a backend the call could not reach is marked
+// down at once — off the routable set until the prober has seen it earn its
+// way back. It returns err.
+func (rt *Router) called(name string, err error) error {
+	if isUnreachable(err) {
+		rt.health.markDown(name)
+	}
+	return err
+}
+
+// validResume answers an id a client or operator names an existing session
+// by: one that breaks the grammar RecoverSession enforces is no session
+// here, and is refused before it reaches a ring walk, a lock or a path.
+func validResume(id string) error {
+	if server.ValidateResumeID(id) != nil {
+		return fmt.Errorf("%w: %q", server.ErrUnknown, id)
+	}
+	return nil
+}
+
 // place is the fleet's one placement decision, for a wire open and an HTTP
-// one alike: the backends of id's ring sequence that may take a new session
-// (routable, circuit closed) are offered it through try, in order, until one
-// takes it. A backend that is gone (Reconnect) is marked down and passed
-// over; one that admits nothing now (Failover: full, draining, closed) is
-// passed over; any other refusal is the answer. The walk ends early when ctx
-// does.
+// one alike: the routable backends of id's ring sequence are offered the
+// session through try, in order, until one takes it. A backend that is gone
+// (Reconnect) is marked down and passed over; one that admits nothing now
+// (Failover: full, draining, closed) is passed over; any other refusal is
+// the answer. The walk ends early when ctx does.
 func (rt *Router) place(ctx context.Context, id string, try func(Backend) error) (Backend, error) {
 	rsp := rt.span(ctx, "fleet.route_open")
 	rsp.SetAttr("session", id)
@@ -225,23 +248,18 @@ func (rt *Router) place(ctx context.Context, id string, try func(Backend) error)
 		if ctx.Err() != nil {
 			break
 		}
-		if !rt.health.routable(name) || !rt.breakerAllow(name) {
+		if !rt.health.routable(name) {
 			continue
 		}
 		b := rt.backends[name]
-		err := try(b)
-		rt.breakerRecord(name, err)
+		err := rt.called(name, try(b))
 		if err == nil {
 			rt.metrics.sessionsRouted[name].Inc()
 			rsp.SetAttr("backend", name)
 			return b, nil
 		}
 		lastErr = err
-		switch server.Classify(err).Recovery {
-		case server.Reconnect:
-			rt.health.markDown(name)
-		case server.Failover: // capacity: next arc on the ring
-		default:
+		if r := server.Classify(err).Recovery; r != server.Reconnect && r != server.Failover {
 			return nil, err
 		}
 	}
@@ -260,15 +278,10 @@ func (rt *Router) routeOpen(ctx context.Context, id string, cfg server.SessionCo
 	return sess, b, err
 }
 
-// resumeOn resumes id on one backend, counting it and feeding the
-// backend's circuit breaker.
+// resumeOn resumes id on one backend and counts it.
 func (rt *Router) resumeOn(ctx context.Context, b Backend, id string) (Session, uint64, error) {
-	if !rt.breakerAllow(b.Name()) {
-		return nil, 0, fmt.Errorf("%w: %s", ErrCircuitOpen, b.Name())
-	}
 	sess, fed, err := b.Resume(ctx, id)
-	rt.breakerRecord(b.Name(), err)
-	if err != nil {
+	if err = rt.called(b.Name(), err); err != nil {
 		return nil, 0, err
 	}
 	rt.metrics.resumesRouted[b.Name()].Inc()
@@ -293,8 +306,7 @@ func (rt *Router) resumeLive(ctx context.Context, id string) (Session, uint64, B
 		switch {
 		case err == nil:
 			return sess, fed, b, nil
-		case isUnreachable(err):
-			rt.health.markDown(name)
+		case isUnreachable(err): // marked down by called: the next arc
 		case isUnknownSession(err):
 			if target == nil {
 				target = b
@@ -358,7 +370,9 @@ func (rt *Router) open(ctx context.Context, hello *server.HelloPayload) (server.
 	)
 	id := hello.Resume
 	if id != "" {
-		sess, fed, _, err = rt.routeResume(ctx, id)
+		if err = validResume(id); err == nil {
+			sess, fed, _, err = rt.routeResume(ctx, id)
+		}
 	} else {
 		if id = hello.SessionID; id == "" {
 			id = rt.newID()

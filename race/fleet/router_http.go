@@ -185,10 +185,7 @@ func (rt *Router) locate(ctx context.Context, id string) (Backend, bool) {
 // marked down.
 func (rt *Router) sessionsOn(ctx context.Context, name string) ([]server.SessionStatus, bool) {
 	sessions, err := rt.backends[name].Sessions(ctx)
-	if err != nil && isUnreachable(err) {
-		rt.health.markDown(name)
-	}
-	return sessions, err == nil
+	return sessions, rt.called(name, err) == nil
 }
 
 // handleSession proxies any per-session route to the backend holding the
@@ -254,7 +251,7 @@ func (rt *Router) handleDrainBackend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fleet: unknown backend "+name, http.StatusNotFound)
 		return
 	}
-	if err := b.Drain(r.Context()); err != nil {
+	if err := rt.called(name, b.Drain(r.Context())); err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}

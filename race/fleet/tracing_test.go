@@ -31,7 +31,7 @@ func startTracedFleet(t *testing.T, n int) (*Router, []*Local, string, *tracing.
 		tracers = append(tracers, bt)
 	}
 	rtTracer := tracing.New(tracing.Options{Service: "racefleet", Seed: 99})
-	rt, err := New(backends, Options{ProbeInterval: 50 * time.Millisecond, ProbeThreshold: 2, Tracer: rtTracer})
+	rt, err := New(backends, Options{ProbeInterval: 50 * time.Millisecond, Tracer: rtTracer})
 	if err != nil {
 		t.Fatal(err)
 	}

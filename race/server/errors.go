@@ -45,7 +45,7 @@ var (
 	// offset says where to pick up. ReliableSession does this automatically.
 	ErrHandoff = errors.New("server: session handed off; reconnect and resume to continue")
 	// ErrConnLost marks a failure of the connection rather than of the
-	// session; the fleet's backend-down and circuit-open errors wrap it.
+	// session; the fleet's backend-down error wraps it.
 	ErrConnLost = errors.New("server: connection lost")
 )
 

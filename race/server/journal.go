@@ -299,7 +299,7 @@ func (s *Server) RecoverSession(ctx context.Context, id string) error {
 	if s.cfg.DataDir == "" {
 		return errors.New("server: no data dir; nothing to recover from")
 	}
-	if err := ValidateSessionID(id); err != nil && !isAutoID(id) {
+	if err := ValidateResumeID(id); err != nil {
 		return err
 	}
 	s.mu.Lock()

@@ -236,6 +236,16 @@ func ValidateSessionID(id string) error {
 	return nil
 }
 
+// ValidateResumeID reports whether id can name an existing session: a valid
+// caller-chosen id or a server-assigned one — the grammar RecoverSession
+// enforces before an id becomes a path under the data dir.
+func ValidateResumeID(id string) error {
+	if isAutoID(id) {
+		return nil
+	}
+	return ValidateSessionID(id)
+}
+
 func (s *Server) openSession(reqID string, cfg SessionConfig, persist bool) (*Session, error) {
 	// reject counts a refused open by reason and discards the engine, once
 	// one is built (reaping a parallel engine's worker goroutines).
