@@ -1,7 +1,7 @@
 // Command racechaos is the deterministic fault-injection harness: it boots
 // a two-backend raced fleet in-process (real TCP listeners, real journals),
 // turns on a seed-driven fault schedule at one or more of the three seams —
-// disk (internal/fault.InjectFS under one backend's journals), net
+// disk (internal/fault.InjectFS under the backends' journals), net
 // (internal/fault.Conn corrupting, dropping, and delaying the router's
 // client connections), and fleet (internal/fault.Gate flapping one backend
 // up and down) — and streams full 15-cell analysis sessions through the
@@ -13,15 +13,19 @@
 //	classified (typed) error. Nothing hangs, nothing corrupts silently,
 //	nothing fails with an unclassifiable shrug.
 //
-// The same seed replays the same schedule, so a failure here is a
-// deterministic repro, not a flake. Exit status: 0 when every session met
-// the contract AND the schedule actually injected at least -min-faults
-// faults (a schedule that injects nothing is vacuously green and exits 2);
-// 1 on any contract violation.
+// No fault decision reads the clock: faults land on counted fsyncs, bytes
+// and backend calls, and the router probes only when the harness steps it
+// (Router.Probe, at every acknowledged flush and every session's end). The
+// same seed replays the same schedule on any machine, so a failure here is
+// a deterministic repro, not a flake, and two -v runs of one seed print the
+// same lines. Each schedule is drawn within what the run is sure to do, so
+// it always injects a fault; one that injected none would prove nothing,
+// and counts as a failure. Exit status: 0 when every schedule met the
+// contract, 1 otherwise.
 //
 //	racechaos                         # all three schedules, seed 1
 //	racechaos -schedule net -seed 7 -sessions 8
-//	racechaos -schedule disk -events 80000 -min-faults 5 -v
+//	racechaos -schedule disk -events 80000 -v
 package main
 
 import (
@@ -32,58 +36,101 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/race"
 	"repro/race/fleet"
 	"repro/race/server"
 )
 
+// A session is fed in batches of chunk events and flushed after every
+// flushEvery batches.
+const chunk, flushEvery = 1024, 8
+
 func main() {
 	var (
-		seed      = flag.Uint64("seed", 1, "fault-schedule seed (same seed, same chaos)")
-		schedule  = flag.String("schedule", "all", "fault schedule: disk, net, flap, or all")
-		sessions  = flag.Int("sessions", 6, "sessions to stream per schedule")
-		events    = flag.Int("events", 30000, "events per session")
-		minFaults = flag.Int("min-faults", 1, "minimum injected faults per schedule (guards against a vacuous run)")
-		verbose   = flag.Bool("v", false, "log each session's verdict")
+		seed     = flag.Uint64("seed", 1, "fault-schedule seed (same seed, same chaos)")
+		schedule = flag.String("schedule", "all", "fault schedule: disk, net, flap, or all")
+		sessions = flag.Int("sessions", 6, "sessions to stream per schedule")
+		events   = flag.Int("events", 30000, "events per session")
+		verbose  = flag.Bool("v", false, "log each session's verdict and the faults injected during it")
 	)
 	flag.Parse()
+	if *sessions < 1 {
+		fatalf("-sessions %d: want at least 1", *sessions)
+	}
+	schedules := []string{"disk", "net", "flap"}
+	if *schedule != "all" {
+		if !slices.Contains(schedules, *schedule) {
+			fatalf("unknown schedule %q: want disk, net, flap, or all", *schedule)
+		}
+		schedules = []string{*schedule}
+	}
 
 	names := race.Detectors()
 	if len(names) != 15 {
 		fatalf("registry has %d analyses, want the paper's 15 Table 1 cells", len(names))
 	}
-
-	schedules := []string{"disk", "net", "flap"}
-	if *schedule != "all" {
-		schedules = []string{*schedule}
+	jobs, err := plan(*sessions, *events, names)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	failed, vacuous := false, false
+	failed := false
 	for _, name := range schedules {
-		ok, injected, err := runSchedule(name, *seed, *sessions, *events, names, *verbose)
+		ok, err := runSchedule(name, *seed, jobs, names, *verbose)
 		if err != nil {
 			fatalf("schedule %s: %v", name, err)
 		}
 		if !ok {
 			failed = true
 		}
-		if injected < int64(*minFaults) {
-			fmt.Fprintf(os.Stderr, "racechaos: schedule %s injected %d faults, want >= %d — the run proved nothing\n",
-				name, injected, *minFaults)
-			vacuous = true
-		}
 	}
 	if failed {
 		os.Exit(1)
 	}
-	if vacuous {
-		os.Exit(2)
-	}
 	fmt.Println("racechaos: all schedules met the contract")
+}
+
+// job is one session's trace and the report it must end with.
+type job struct {
+	prog string
+	tr   *race.Trace
+	want []byte
+}
+
+// plan generates the sessions every schedule streams, with their
+// uninterrupted in-process truth.
+func plan(sessions, events int, names []string) ([]job, error) {
+	programs := []string{"avrora", "xalan", "h2", "tomcat", "jython", "lusearch"}
+	jobs := make([]job, sessions)
+	for i := range jobs {
+		prog, _ := workload.ProgramByName(programs[i%len(programs)])
+		tr := prog.Generate(events, int64(3+i))
+		want, err := reference(tr, names)
+		if err != nil {
+			return nil, fmt.Errorf("reference analysis: %w", err)
+		}
+		jobs[i] = job{prog.Name, tr, want}
+	}
+	return jobs, nil
+}
+
+// load counts what a fault-free run of jobs is sure to do: the barriers it
+// steps the router's probes at (one per acknowledged flush, one per session
+// end; each is also at least one journal fsync) and the bytes its events
+// take, in a journal or on the wire. A schedule drawn within them fires
+// inside the run.
+func load(jobs []job) (barriers int, bytes int64) {
+	for _, j := range jobs {
+		barriers += 1 + (j.tr.Len()+chunk-1)/chunk/flushEvery
+		bytes += int64(j.tr.Len()) * trace.RecordSize
+	}
+	return barriers, bytes
 }
 
 // chaosFleet is one booted fleet plus the fault hooks its schedule armed.
@@ -92,7 +139,8 @@ type chaosFleet struct {
 	addr    string // router wire address
 	cleanup []func()
 
-	// injected returns how many faults the schedule has fired so far.
+	// injected returns how many faults the schedule has fired so far: the
+	// counter of its fault.InjectFS, fault.ConnFaults or fault.Gate.
 	injected func() int64
 }
 
@@ -103,10 +151,12 @@ func (c *chaosFleet) close() {
 }
 
 // buildFleet boots two durable in-process backends behind a router with the
-// named fault schedule armed. Fast probes keep failover and recovery inside
-// the harness's patience: a backend a failed call marked down earns its way
-// back in two good probes (eight while flapping), 100–400 ms.
-func buildFleet(schedule string, seed uint64) (*chaosFleet, error) {
+// named fault schedule armed, drawn within the operations jobs will make.
+// The router never probes on its own (its interval outlasts any run): the
+// harness steps it at every barrier, so a backend a failed call marked down
+// earns its way back in two barriers' probes (eight while flapping) on every
+// machine alike.
+func buildFleet(schedule string, seed uint64, jobs []job) (*chaosFleet, error) {
 	c := &chaosFleet{}
 	tmp, err := os.MkdirTemp("", "racechaos-")
 	if err != nil {
@@ -122,43 +172,42 @@ func buildFleet(schedule string, seed uint64) (*chaosFleet, error) {
 		return server.Config{DataDir: dir, FS: fsys, IdleTimeout: -1, IOTimeout: 5 * time.Second}
 	}
 
-	var fs1 fault.FS = fault.OS{}
-	var injectFS *fault.InjectFS
+	barriers, bytes := load(jobs)
+	var fsys fault.FS = fault.OS{}
 	if schedule == "disk" {
-		// One backend's disk goes bad: occasional failed syncs and writes,
-		// plus a hard ENOSPC wall. The other backend's disk stays clean, so
-		// the fleet keeps taking sessions while the sick one degrades.
-		injectFS = fault.NewInjectFS(fault.OS{}, fault.FSPlan{
-			Seed:          seed,
-			SyncFailProb:  0.02,
-			WriteFailProb: 0.002,
-			ENOSPCAfter:   8 << 20,
+		// The fleet's storage goes bad: one plan under both backends'
+		// journals fails every Nth fsync, for an N no larger than the
+		// fsyncs the run makes, and fills the disk somewhere in the second
+		// half of the bytes its events take.
+		rng := fault.NewRand(seed)
+		injectFS := fault.NewInjectFS(fault.OS{}, fault.FSPlan{
+			FailSyncEvery: 1 + rng.Intn(barriers),
+			ENOSPCAfter:   bytes/2 + int64(rng.Intn(int(bytes/2)+1)),
 		})
-		fs1 = injectFS
+		fsys, c.injected = injectFS, injectFS.Injected
 	}
-	srv1 := server.New(cfg("b1", fs1))
-	srv2 := server.New(cfg("b2", fault.OS{}))
+	srv1 := server.New(cfg("b1", fsys))
+	srv2 := server.New(cfg("b2", fsys))
 	c.cleanup = append(c.cleanup, func() { srv1.Close() }, func() { srv2.Close() })
 
-	var b1 fleet.Backend = fleet.NewLocal("b1", srv1)
+	b1 := fleet.NewLocal("b1", srv1)
 	b2 := fleet.NewLocal("b2", srv2)
 
-	var gate *fault.Gate
 	if schedule == "flap" {
-		// One backend flaps: short up/down cycles severing its wire ops
-		// (and probes) while it is down — sessions must ride the failovers.
-		gate = fault.NewGate(fault.GatePlan{
-			Seed:     seed,
-			MeanUp:   400 * time.Millisecond,
-			MeanDown: 120 * time.Millisecond,
-		})
-		b1 = fleet.NewFaultBackend(b1, func(op string) error {
+		// One backend flaps: up/down windows counted in the calls that
+		// reach it sever its wire ops (and fail its probes) while down —
+		// sessions must ride the failovers. Every barrier probes it, so
+		// the first up window, shorter than the run's barriers, ends
+		// inside the run.
+		gate := fault.NewGate(fault.GatePlan{Seed: seed, MeanUp: max(1, barriers/2), MeanDown: max(1, barriers/8)})
+		b1.SetGate(func(op string) error {
 			switch op {
 			case "open", "resume", "feed", "flush", "close", "healthz":
 				return gate.Err()
 			}
 			return nil
 		})
+		c.injected = gate.Faults
 	}
 
 	// Session ids pick backends, so they come from the seed too: which
@@ -166,7 +215,7 @@ func buildFleet(schedule string, seed uint64) (*chaosFleet, error) {
 	var idMu sync.Mutex
 	ids := fault.NewRand(seed ^ 0x5e5510) // its own stream, apart from the fault plans'
 	opts := fleet.Options{
-		ProbeInterval: 50 * time.Millisecond,
+		ProbeInterval: time.Hour, // probes are stepped: Router.Probe
 		IOTimeout:     5 * time.Second,
 		NewSessionID: func() string {
 			idMu.Lock()
@@ -174,28 +223,21 @@ func buildFleet(schedule string, seed uint64) (*chaosFleet, error) {
 			return fmt.Sprintf("f%012x", ids.Uint64()>>16)
 		},
 	}
-	var connStats *fault.ConnStats
 	if schedule == "net" {
 		// The client↔router wire takes the beating: latency, drops, and
 		// bit flips. Flips must surface as CRC-caught corrupt frames (never
-		// as silently wrong data); drops as reconnect+resume.
-		connStats = fault.NewConnStats()
-		// Probabilities are per Read/Write call (bufio batches them into a
-		// few dozen calls per megabyte), so per-call odds this high still
-		// mean a handful of faults per session, not a storm.
-		plan := fault.ConnPlan{
+		// as silently wrong data); drops as reconnect+resume. Each
+		// direction of a connection takes one fault within three quarters
+		// of a mean session's bytes, so the largest session is sure to.
+		faults := fault.NewConnFaults(fault.ConnPlan{
 			Seed:       seed,
 			LatencyMax: 200 * time.Microsecond,
-			DropProb:   0.03,
-			FlipProb:   0.02,
+			FaultAfter: bytes / int64(2*len(jobs)),
+			DropProb:   0.6,
 			FirstByte:  1 << 14, // let every handshake through
-		}
-		rng := fault.NewRand(seed)
-		opts.WrapConn = func(conn net.Conn) net.Conn {
-			p := plan
-			p.Seed = rng.Split() // per-connection deterministic sub-schedule
-			return fault.WrapConn(conn, p, connStats)
-		}
+		})
+		opts.WrapConn = func(conn net.Conn) net.Conn { return faults.Wrap(conn) }
+		c.injected = faults.Faults
 	}
 
 	rt, err := fleet.New([]fleet.Backend{b1, b2}, opts)
@@ -212,21 +254,6 @@ func buildFleet(schedule string, seed uint64) (*chaosFleet, error) {
 	c.addr = lis.Addr().String()
 	c.cleanup = append(c.cleanup, func() { lis.Close() })
 	go rt.ServeTCP(lis)
-
-	c.injected = func() int64 {
-		switch {
-		case injectFS != nil:
-			return injectFS.Injected()
-		case connStats != nil:
-			// Latency is seasoning, not a fault; gate on the ones that
-			// actually break something.
-			counts := connStats.Counts()
-			return counts["drop"] + counts["flip"] + counts["stall"]
-		case gate != nil:
-			return gate.Faults()
-		}
-		return 0
-	}
 	return c, nil
 }
 
@@ -263,27 +290,23 @@ func classify(err error) string {
 	return ""
 }
 
-// runSchedule streams sessions through one armed schedule and scores them
+// runSchedule streams jobs through one armed schedule and scores them
 // against the contract: every session ends byte-identical or loudly
-// classified; a mismatch (silent corruption) or an unclassified error is a
+// classified, and the schedule injected at least one fault; a mismatch
+// (silent corruption), an unclassified error or a vacuous schedule is a
 // violation.
-func runSchedule(schedule string, seed uint64, sessions, events int, names []string, verbose bool) (bool, int64, error) {
-	c, err := buildFleet(schedule, seed)
+func runSchedule(schedule string, seed uint64, jobs []job, names []string, verbose bool) (bool, error) {
+	c, err := buildFleet(schedule, seed, jobs)
 	if err != nil {
-		return false, 0, err
+		return false, err
 	}
 	defer c.close()
 
-	programs := []string{"avrora", "xalan", "h2", "tomcat", "jython", "lusearch"}
 	ok, completed, failedLoud := true, 0, 0
-	for i := 0; i < sessions; i++ {
-		prog, _ := workload.ProgramByName(programs[i%len(programs)])
-		tr := prog.Generate(events, int64(3+i))
-		want, err := reference(tr, names)
-		if err != nil {
-			return false, 0, fmt.Errorf("reference analysis: %w", err)
-		}
-		verdict := streamSession(c.addr, tr, names, want)
+	for i, j := range jobs {
+		before := c.injected()
+		verdict := streamSession(c, j.tr, names, j.want)
+		c.router.Probe(context.Background()) // the session's end is a barrier
 		violation := verdict == "unclassified" || verdict == "mismatch"
 		switch {
 		case verdict == "ok":
@@ -294,38 +317,43 @@ func runSchedule(schedule string, seed uint64, sessions, events int, names []str
 			failedLoud++
 		}
 		if verbose || violation {
-			fmt.Printf("racechaos: %s session %d (%s, %d events): %s\n",
-				schedule, i, prog.Name, tr.Len(), verdict)
+			fmt.Printf("racechaos: %s session %d (%s, %d events): %s, %d faults\n",
+				schedule, i, j.prog, j.tr.Len(), verdict, c.injected()-before)
 		}
 	}
 
 	injected := c.injected()
 	fmt.Printf("racechaos: schedule=%s seed=%d sessions=%d ok=%d failed-classified=%d injected-faults=%d\n",
-		schedule, seed, sessions, completed, failedLoud, injected)
-	return ok, injected, nil
+		schedule, seed, len(jobs), completed, failedLoud, injected)
+	if injected == 0 {
+		fmt.Fprintf(os.Stderr, "racechaos: schedule %s injected no faults — the run proved nothing\n", schedule)
+		ok = false
+	}
+	return ok, nil
 }
 
-// streamSession pushes one trace through a reliable session and returns
-// "ok" (byte-identical report), a classified failure name, "mismatch", or
+// streamSession pushes one trace through a reliable session, stepping the
+// router's probes at every acknowledged flush, and returns "ok"
+// (byte-identical report), a classified failure name, "mismatch", or
 // "unclassified".
-func streamSession(addr string, tr *race.Trace, names []string, want []byte) string {
+func streamSession(c *chaosFleet, tr *race.Trace, names []string, want []byte) string {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	sess, err := server.OpenReliable(ctx, addr, server.SessionConfig{Analyses: names},
+	sess, err := server.OpenReliable(ctx, c.addr, server.SessionConfig{Analyses: names},
 		server.WithRetry(server.RetryPolicy{MaxAttempts: 12, BaseDelay: 10 * time.Millisecond, MaxDelay: 250 * time.Millisecond}))
 	if err != nil {
 		return failureVerdict(err)
 	}
-	const chunk = 1024
 	for off := 0; off < len(tr.Events); off += chunk {
 		end := min(off+chunk, len(tr.Events))
 		if err := sess.FeedBatch(tr.Events[off:end]); err != nil {
 			return failureVerdict(err)
 		}
-		if off/chunk%8 == 7 {
+		if off/chunk%flushEvery == flushEvery-1 {
 			if err := sess.Flush(); err != nil {
 				return failureVerdict(err)
 			}
+			c.router.Probe(ctx)
 		}
 	}
 	got, err := sess.CloseJSON()

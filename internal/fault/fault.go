@@ -5,18 +5,20 @@
 //
 //   - FS, a filesystem interface (create/write/sync/rename/remove) adopted
 //     by internal/store and race/server's journal writers. InjectFS layers
-//     short writes, fsync failures, and ENOSPC on top of a real FS;
+//     every-Nth fsync failures and an ENOSPC budget on top of a real FS;
 //     CrashFS simulates a power cut at any fsync boundary by truncating
 //     files back to their last-synced prefix.
-//   - WrapConn, a net.Conn wrapper injecting latency, stalls, mid-frame
-//     drops, and bit-flipped bytes into wire traffic.
-//   - Gate, an on/off schedule used to flap fleet backends and to carve
-//     partial partitions between a router and its backends.
+//   - ConnFaults, whose Wrap puts latency, mid-frame drops and
+//     bit-flipped bytes, at byte offsets, into a net.Conn's traffic.
+//   - Gate, an on/off schedule counted in calls, used to flap fleet
+//     backends and to carve partial partitions between a router and its
+//     backends.
 //
 // Every injected error wraps ErrInjected, so downstream metrics can
-// distinguish injected faults from organic ones with errors.Is. All
-// randomness comes from a splitmix64 PRNG seeded explicitly — the same
-// seed and operation sequence always yields the same fault schedule.
+// distinguish injected faults from organic ones with errors.Is. No fault
+// decision reads the clock: all randomness comes from a splitmix64 PRNG
+// seeded explicitly, and every trigger counts operations — the same seed
+// and operation sequence always yields the same fault schedule.
 package fault
 
 import "errors"
@@ -33,7 +35,7 @@ func Injected(err error) bool { return errors.Is(err, ErrInjected) }
 
 // Rand is a splitmix64 PRNG: tiny, fast, and fully determined by its
 // seed. It is not safe for concurrent use; callers that share one across
-// goroutines must lock (InjectFS and Conn do).
+// goroutines must lock (Gate and ConnFaults do).
 type Rand struct{ s uint64 }
 
 // NewRand returns a PRNG seeded with seed.
@@ -56,11 +58,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Float64 returns a value in [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
 // Chance reports true with probability p.
 func (r *Rand) Chance(p float64) bool {
 	if p <= 0 {
@@ -69,9 +66,5 @@ func (r *Rand) Chance(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return r.Float64() < p
+	return float64(r.Uint64()>>11)/(1<<53) < p
 }
-
-// Split derives an independent child seed from the stream, so one master
-// seed can deterministically fan out to per-connection or per-file plans.
-func (r *Rand) Split() uint64 { return r.Uint64() }

@@ -1,13 +1,14 @@
 package fault
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
-	"time"
 )
 
 func TestRandDeterminism(t *testing.T) {
@@ -133,35 +134,106 @@ func TestCrashFSCutAtSync(t *testing.T) {
 	}
 }
 
-func TestConnBitFlip(t *testing.T) {
+// pipeThrough sends msg across a net.Pipe in calls of step bytes, both ends
+// cut alike, with the sending (wrapRead false) or the receiving end wrapped
+// by f. It returns what arrived before the stream ended and the receiver's
+// error.
+func pipeThrough(msg []byte, step int, f *ConnFaults, wrapRead bool) ([]byte, error) {
 	client, srv := net.Pipe()
+	defer client.Close()
 	defer srv.Close()
-	stats := NewConnStats()
-	fc := WrapConn(client, ConnPlan{Seed: 7, FlipProb: 1}, stats)
-	msg := make([]byte, 64)
-	go fc.Write(msg)
-	got := make([]byte, 64)
-	if _, err := srv.Read(got); err != nil {
-		t.Fatal(err)
+	w, r := net.Conn(client), net.Conn(srv)
+	if wrapRead {
+		r = f.Wrap(srv)
+	} else {
+		w = f.Wrap(client)
 	}
-	diff := 0
-	for i := range got {
-		if got[i] != msg[i] {
-			diff++
+	go func() {
+		for off := 0; off < len(msg); off += step {
+			if _, err := w.Write(msg[off:min(off+step, len(msg))]); err != nil {
+				return
+			}
+		}
+	}()
+	var got []byte
+	buf := make([]byte, step)
+	for len(got) < len(msg) {
+		n, err := r.Read(buf)
+		got = append(got, buf[:n]...)
+		if err != nil {
+			return got, err
 		}
 	}
-	if diff != 1 {
-		t.Fatalf("flipped %d bytes, want exactly 1", diff)
+	return got, nil
+}
+
+// TestConnBitFlip: a flip is one bit of the byte at an offset drawn from
+// the seed — the same byte however the stream is cut into calls, on Write
+// and on Read, and whether or not a connection that never passed FirstByte
+// came first — and the caller's buffer is left alone.
+func TestConnBitFlip(t *testing.T) {
+	plan := ConnPlan{Seed: 7, FaultAfter: 1 << 10, FirstByte: 64}
+	msg := make([]byte, 4<<10)
+	want := map[bool][]byte{}
+	for _, step := range []int{len(msg), 100, 7} {
+		for _, wrapRead := range []bool{false, true} {
+			f := NewConnFaults(plan)
+			if step == 7 { // a handshake-sized stream first: it draws nothing
+				if _, err := pipeThrough(msg[:64], step, f, wrapRead); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := pipeThrough(msg, step, f, wrapRead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diff := 0
+			for i := range got {
+				if got[i] != msg[i] {
+					diff++
+				}
+			}
+			if diff != 1 {
+				t.Fatalf("step %d, read side %v: flipped %d bytes, want exactly 1", step, wrapRead, diff)
+			}
+			if n := f.Faults(); n != 1 {
+				t.Fatalf("fault counter = %d, want 1", n)
+			}
+			if want[wrapRead] == nil {
+				want[wrapRead] = got
+			} else if !bytes.Equal(got, want[wrapRead]) {
+				t.Fatalf("step %d, read side %v: the flip moved", step, wrapRead)
+			}
+		}
 	}
-	if stats.Counts()["flip"] != 1 {
-		t.Fatalf("flip counter = %v", stats.Counts())
-	}
-	if msg[0] != 0 {
+	if !bytes.Equal(msg, make([]byte, len(msg))) {
 		t.Fatal("caller's buffer was mutated")
 	}
 }
 
+// TestConnDrop: a drop cuts the stream at an offset drawn from the seed —
+// the bytes before it arrive, however the reads are cut — and the
+// connection stays dead.
 func TestConnDrop(t *testing.T) {
+	plan := ConnPlan{Seed: 1, FaultAfter: 1 << 10, DropProb: 1}
+	msg := bytes.Repeat([]byte("racechaos"), 512)
+	var want []byte
+	for _, step := range []int{len(msg), 100, 7} {
+		got, err := pipeThrough(msg, step, NewConnFaults(plan), true)
+		if !Injected(err) {
+			t.Fatalf("step %d: want injected drop error, got %v", step, err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("step %d: %d bytes arrived before the drop, want %d", step, len(got), len(want))
+		}
+	}
+	if len(want) < 1<<9 || !bytes.Equal(want, msg[:len(want)]) {
+		t.Fatalf("%d bytes arrived before the drop, want an intact prefix of at least %d", len(want), 1<<9)
+	}
+
+	plan.FaultAfter = 2
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +255,7 @@ func TestConnDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := WrapConn(raw, ConnPlan{Seed: 1, DropProb: 1}, nil)
+	fc := NewConnFaults(plan).Wrap(raw)
 	_, werr := fc.Write(make([]byte, 128))
 	if !Injected(werr) {
 		t.Fatalf("want injected drop error, got %v", werr)
@@ -193,28 +265,55 @@ func TestConnDrop(t *testing.T) {
 	}
 }
 
+// TestGateSchedule: a gate's windows are counted in calls, so one seed
+// fails the same calls every time and another seed fails others. It starts
+// up, flaps, and every window stays within [mean/2, 3·mean/2) calls.
 func TestGateSchedule(t *testing.T) {
-	g := NewGate(GatePlan{Seed: 5, MeanUp: 40 * time.Millisecond, MeanDown: 40 * time.Millisecond, StartDown: true})
-	err := g.Err()
-	if err == nil || !Injected(err) || !errors.Is(err, syscall.ECONNREFUSED) {
-		t.Fatalf("StartDown gate should begin down with a classified error, got %v", err)
+	plan := GatePlan{Seed: 5, MeanUp: 8, MeanDown: 4}
+	schedule := func(plan GatePlan) (string, int64) {
+		g := NewGate(plan)
+		var s []byte
+		for i := 0; i < 200; i++ {
+			switch err := g.Err(); {
+			case err == nil:
+				s = append(s, '+')
+			case Injected(err) && errors.Is(err, syscall.ECONNREFUSED):
+				s = append(s, '-')
+			default:
+				t.Fatalf("call %d: unclassified gate error %v", i, err)
+			}
+		}
+		return string(s), g.Faults()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	sawUp, sawDownAgain := false, false
-	for time.Now().Before(deadline) {
-		e := g.Err()
-		if e == nil {
-			sawUp = true
-		} else if sawUp {
-			sawDownAgain = true
+	a, faults := schedule(plan)
+	if b, _ := schedule(plan); a != b {
+		t.Fatalf("one seed, two schedules:\n%s\n%s", a, b)
+	}
+	other := plan
+	other.Seed = 6
+	if c, _ := schedule(other); a == c {
+		t.Fatalf("seeds 5 and 6 gave the same schedule %s", a)
+	}
+	if a[0] != '+' {
+		t.Fatalf("gate starts down: %s", a)
+	}
+	if want := int64(strings.Count(a, "-")); faults != want || faults == 0 {
+		t.Fatalf("Faults() = %d, want the %d refused calls of %s", faults, want, a)
+	}
+	// Every window but the last (cut off at 200 calls) keeps to its bounds.
+	for i, j := 0, 0; ; i = j {
+		for j < len(a) && a[j] == a[i] {
+			j++
+		}
+		if j == len(a) {
 			break
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if !sawUp || !sawDownAgain {
-		t.Fatalf("gate did not flap (up=%v downAgain=%v)", sawUp, sawDownAgain)
-	}
-	if g.Faults() == 0 {
-		t.Fatal("fault counter never advanced")
+		mean := plan.MeanUp
+		if a[i] == '-' {
+			mean = plan.MeanDown
+		}
+		if n := j - i; n < mean/2 || n >= mean/2+mean {
+			t.Errorf("window at call %d lasts %d calls, want [%d, %d)", i, n, mean/2, mean/2+mean)
+		}
 	}
 }

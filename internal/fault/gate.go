@@ -4,59 +4,56 @@ import (
 	"fmt"
 	"sync"
 	"syscall"
-	"time"
 )
 
 // GatePlan configures a Gate: an alternating up/down schedule used to
 // flap a fleet backend or carve a partial partition between a router and
-// one backend. Window lengths are drawn deterministically from the seed:
-// window i lasts Mean{Up,Down} scaled by a factor in [0.5, 1.5).
+// one backend. The schedule is counted in calls, not time: window i is
+// up for even i and down for odd i, and lasts between Mean{Up,Down}/2 and
+// 3·Mean{Up,Down}/2 calls, drawn from the seed. Both means must be
+// positive.
 type GatePlan struct {
 	Seed     uint64
-	MeanUp   time.Duration
-	MeanDown time.Duration
-	// StartDown starts the schedule in a down window.
-	StartDown bool
+	MeanUp   int
+	MeanDown int
 }
 
-// Gate evaluates the schedule against a monotonic clock starting at the
-// first Err call. While down, Err returns an injected connection-refused
-// error; while up, nil. Err is cheap enough to consult on every RPC.
+// Gate evaluates the schedule against the number of Err calls made so
+// far, so one seed fails the same calls on any machine. While down, Err
+// returns an injected connection-refused error; while up, nil. Err is
+// cheap enough to consult on every RPC.
 type Gate struct {
 	plan GatePlan
 
-	mu      sync.Mutex
-	rng     *Rand
-	started time.Time
-	edges   []time.Duration // cumulative window end offsets
-	faults  int64
+	mu     sync.Mutex
+	rng    *Rand
+	down   bool  // the current window
+	left   int   // calls left in the current window
+	faults int64 // calls rejected while down
 }
 
 // NewGate returns a gate following plan.
 func NewGate(plan GatePlan) *Gate {
-	return &Gate{plan: plan, rng: NewRand(plan.Seed)}
+	g := &Gate{plan: plan, rng: NewRand(plan.Seed)}
+	g.left = g.window(plan.MeanUp) // window 0 is up
+	return g
 }
 
-// Err returns nil while the gate is up, or an injected unreachable error
-// while it is down.
+// Err counts one call: nil while the gate is up, an injected unreachable
+// error while it is down.
 func (g *Gate) Err() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	now := time.Now()
-	if g.started.IsZero() {
-		g.started = now
+	if g.left == 0 {
+		g.down = !g.down
+		mean := g.plan.MeanUp
+		if g.down {
+			mean = g.plan.MeanDown
+		}
+		g.left = g.window(mean)
 	}
-	off := now.Sub(g.started)
-	for len(g.edges) == 0 || g.edges[len(g.edges)-1] <= off {
-		g.extendLocked()
-	}
-	// Window index 0 is up unless StartDown.
-	i := 0
-	for g.edges[i] <= off {
-		i++
-	}
-	down := i%2 == 0 == g.plan.StartDown
-	if down {
+	g.left--
+	if g.down {
 		g.faults++
 		return fmt.Errorf("fault: gate: %w: %w", ErrInjected, syscall.ECONNREFUSED)
 	}
@@ -70,20 +67,8 @@ func (g *Gate) Faults() int64 {
 	return g.faults
 }
 
-func (g *Gate) extendLocked() {
-	i := len(g.edges)
-	mean := g.plan.MeanUp
-	if i%2 == 0 == g.plan.StartDown {
-		mean = g.plan.MeanDown
-	}
-	if mean <= 0 {
-		mean = time.Second
-	}
-	scale := 0.5 + g.rng.Float64()
-	win := time.Duration(float64(mean) * scale)
-	var base time.Duration
-	if i > 0 {
-		base = g.edges[i-1]
-	}
-	g.edges = append(g.edges, base+win)
+// window draws one window's length in calls: at least 1, in
+// [mean/2, mean/2+mean).
+func (g *Gate) window(mean int) int {
+	return max(1, mean/2+g.rng.Intn(mean))
 }

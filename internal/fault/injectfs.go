@@ -8,24 +8,13 @@ import (
 	"syscall"
 )
 
-// FSPlan configures an InjectFS. Deterministic count-based triggers
-// (FailSyncEvery, ENOSPCAfter) fire regardless of goroutine interleaving;
-// probability-based triggers draw from the seeded PRNG, so they are
-// deterministic for a fixed operation order.
+// FSPlan configures an InjectFS. Its triggers are counts, not coin flips,
+// so they fire on the same operations regardless of goroutine
+// interleaving.
 type FSPlan struct {
-	Seed uint64
-
 	// FailSyncEvery makes every Nth File.Sync (counted across all files)
 	// fail with an injected EIO. 0 disables.
 	FailSyncEvery int
-	// SyncFailProb fails each Sync with this probability.
-	SyncFailProb float64
-	// WriteFailProb fails each Write with an injected EIO before any
-	// bytes reach the inner file.
-	WriteFailProb float64
-	// ShortWriteProb makes a Write persist only a prefix of the buffer
-	// and return an injected short-write error.
-	ShortWriteProb float64
 	// ENOSPCAfter injects ENOSPC on every write once the total bytes
 	// written through this FS exceed the budget. 0 disables.
 	ENOSPCAfter int64
@@ -39,7 +28,6 @@ type InjectFS struct {
 	plan  FSPlan
 
 	mu      sync.Mutex
-	rng     *Rand
 	syncs   int64
 	written int64
 	hits    int64 // faults injected
@@ -50,7 +38,7 @@ func NewInjectFS(inner FS, plan FSPlan) *InjectFS {
 	if inner == nil {
 		inner = OS{}
 	}
-	return &InjectFS{inner: inner, plan: plan, rng: NewRand(plan.Seed)}
+	return &InjectFS{inner: inner, plan: plan}
 }
 
 // Injected returns the total number of faults injected so far.
@@ -93,33 +81,12 @@ func (f *injectFile) Close() error                              { return f.inner
 
 func (f *injectFile) Write(p []byte) (int, error) {
 	f.fs.mu.Lock()
-	plan := f.fs.plan
-	if plan.ENOSPCAfter > 0 && f.fs.written+int64(len(p)) > plan.ENOSPCAfter {
+	if budget := f.fs.plan.ENOSPCAfter; budget > 0 && f.fs.written+int64(len(p)) > budget {
 		f.fs.hits++
 		f.fs.mu.Unlock()
 		return 0, fmt.Errorf("fault: write %s: %w: %w", f.name, ErrInjected, syscall.ENOSPC)
 	}
-	if plan.WriteFailProb > 0 && f.fs.rng.Chance(plan.WriteFailProb) {
-		f.fs.hits++
-		f.fs.mu.Unlock()
-		return 0, fmt.Errorf("fault: write %s: %w: %w", f.name, ErrInjected, syscall.EIO)
-	}
-	short := plan.ShortWriteProb > 0 && len(p) > 1 && f.fs.rng.Chance(plan.ShortWriteProb)
-	if short {
-		f.fs.hits++
-	}
 	f.fs.mu.Unlock()
-
-	if short {
-		n, err := f.inner.Write(p[:len(p)/2])
-		f.fs.mu.Lock()
-		f.fs.written += int64(n)
-		f.fs.mu.Unlock()
-		if err != nil {
-			return n, err
-		}
-		return n, fmt.Errorf("fault: write %s: %w: short write", f.name, ErrInjected)
-	}
 	n, err := f.inner.Write(p)
 	f.fs.mu.Lock()
 	f.fs.written += int64(n)
@@ -131,9 +98,6 @@ func (f *injectFile) Sync() error {
 	f.fs.mu.Lock()
 	f.fs.syncs++
 	fail := f.fs.plan.FailSyncEvery > 0 && f.fs.syncs%int64(f.fs.plan.FailSyncEvery) == 0
-	if !fail && f.fs.plan.SyncFailProb > 0 {
-		fail = f.fs.rng.Chance(f.fs.plan.SyncFailProb)
-	}
 	if fail {
 		f.fs.hits++
 	}

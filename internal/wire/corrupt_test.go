@@ -57,9 +57,11 @@ func TestCorruptFrameClassified(t *testing.T) {
 // sees a silently altered frame.
 func TestFaultConnCorruptionDetected(t *testing.T) {
 	payload := AppendEvents(nil, []trace.Event{{T: 5, Op: trace.OpRead, Targ: 1, Loc: 2}})
+	// The flip lands in the frame's last two thirds: payload and checksum.
+	flipAfter := int64(len(encodeFrame(TEvents, payload))) * 2 / 3
 	for seed := uint64(1); seed <= 32; seed++ {
 		cli, srv := net.Pipe()
-		fc := fault.WrapConn(cli, fault.ConnPlan{Seed: seed, FlipProb: 1}, nil)
+		fc := fault.NewConnFaults(fault.ConnPlan{Seed: seed, FaultAfter: flipAfter}).Wrap(cli)
 		go func() {
 			WriteFrame(fc, TEvents, payload)
 			cli.Close()

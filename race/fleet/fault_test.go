@@ -50,9 +50,11 @@ func TestRouterErrorsJoinTheTable(t *testing.T) {
 // TestHealthFlapDamping: a down backend does not return to rotation on a
 // single good probe — it must earn threshold consecutive successes, a
 // failure in between resets the streak, and the recovery fires onRecover.
+// The damping window is counted in probes: recoveries more than flapWindow
+// probes old no longer count toward the penalty.
 func TestHealthFlapDamping(t *testing.T) {
 	boom := syscall.ECONNREFUSED
-	h := newHealthMonitor([]string{"b"}, time.Second)
+	h := newHealthMonitor([]string{"b"}, time.Second, nil)
 	recovered := 0
 	h.onRecover = func(name string) { recovered++ }
 
@@ -100,6 +102,19 @@ func TestHealthFlapDamping(t *testing.T) {
 	if !h.routable("b") {
 		t.Fatal("flapping backend never recovered despite sustained good probes")
 	}
+
+	// flapWindow good probes later the three recoveries above have aged
+	// out: the next trip costs threshold probes again, not the penalty.
+	for i := 0; i < flapWindow; i++ {
+		h.observe("b", nil)
+	}
+	h.markDown("b")
+	for i := 0; i < probeThreshold; i++ {
+		h.observe("b", nil)
+	}
+	if !h.routable("b") {
+		t.Fatalf("recoveries older than %d probes still cost the flap penalty", flapWindow)
+	}
 }
 
 // TestProbeDoesNotUndoAMarkDown: a good probe racing a failed call's
@@ -109,7 +124,7 @@ func TestHealthFlapDamping(t *testing.T) {
 // thousand iterations.
 func TestProbeDoesNotUndoAMarkDown(t *testing.T) {
 	for i := 0; i < 20000; i++ {
-		h := newHealthMonitor([]string{"b"}, time.Second)
+		h := newHealthMonitor([]string{"b"}, time.Second, nil)
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		wg.Add(1)
@@ -136,8 +151,9 @@ func TestProbeDoesNotUndoAMarkDown(t *testing.T) {
 func TestPartialPartitionRoutesAround(t *testing.T) {
 	srvA := server.New(server.Config{DataDir: t.TempDir(), IdleTimeout: -1})
 	srvB := server.New(server.Config{DataDir: t.TempDir(), IdleTimeout: -1})
-	var failedOpens uint64 // written by this goroutine alone: only probes run elsewhere
-	sick := NewFaultBackend(NewLocal("a-backend", srvA), func(op string) error {
+	var failedOpens uint64 // written by this goroutine alone: it plays the probe rounds too
+	sick := NewLocal("a-backend", srvA)
+	sick.SetGate(func(op string) error {
 		switch op {
 		case "open":
 			failedOpens++
@@ -160,7 +176,7 @@ func TestPartialPartitionRoutesAround(t *testing.T) {
 	// A passing probe round before every open: the only way back from the
 	// mark-down the first failed open causes.
 	for i := 0; i < 24; i++ {
-		rt.health.observe("a-backend", nil)
+		rt.Probe(t.Context())
 		sess, b, err := rt.routeOpen(t.Context(), NewSessionID(), server.SessionConfig{Analyses: []string{"FTO-HB"}})
 		if err != nil {
 			t.Fatalf("open %d failed: %v", i, err)
@@ -229,7 +245,8 @@ func TestEveryBackendCallMarksADeadBackendDown(t *testing.T) {
 				t.Cleanup(func() { srv.Close() })
 				backends = append(backends, NewLocal(name, srv))
 			}
-			sick := NewFaultBackend(backends[0], func(o string) error {
+			sick := backends[0].(*Local)
+			sick.SetGate(func(o string) error {
 				if o == op {
 					return syscall.ECONNREFUSED
 				}

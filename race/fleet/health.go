@@ -34,12 +34,14 @@ const probeThreshold = 2
 
 // Flap damping: a backend that went down must string together
 // probeThreshold consecutive good probes before it takes traffic again — and a
-// backend that has bounced recently (flapTrips recoveries inside
-// flapWindow) must produce flapPenalty times that, so a flapping backend
-// converges to a stable "down" instead of oscillating sessions on and off
-// the ring.
+// backend that has bounced recently (flapTrips recoveries inside the last
+// flapWindow probes) must produce flapPenalty times that, so a flapping
+// backend converges to a stable "down" instead of oscillating sessions on and
+// off the ring. The window is counted in probes, not seconds (30 rounds is a
+// minute at DefaultProbeInterval), so recovery is a function of what the
+// probes saw, not of how fast the machine ran.
 const (
-	flapWindow  = time.Minute
+	flapWindow  = 30
 	flapTrips   = 2
 	flapPenalty = 4
 )
@@ -52,27 +54,30 @@ type probeRecord struct {
 	state atomic.Int32
 
 	mu          sync.Mutex
+	probes      uint64 // probes observed: the clock flap damping reads
 	consecFails int
-	consecOKs   int         // good probes since going down
-	recoveries  []time.Time // down→up transitions inside flapWindow
+	consecOKs   int      // good probes since going down
+	recoveries  []uint64 // probe numbers of down→up transitions inside flapWindow
 }
 
 // flappingLocked reports whether the backend has recovered repeatedly
 // within the damping window.
-func (rec *probeRecord) flappingLocked(now time.Time) bool {
+func (rec *probeRecord) flappingLocked() bool {
 	cut := 0
-	for cut < len(rec.recoveries) && now.Sub(rec.recoveries[cut]) > flapWindow {
+	for cut < len(rec.recoveries) && rec.probes-rec.recoveries[cut] > flapWindow {
 		cut++
 	}
 	rec.recoveries = rec.recoveries[cut:]
 	return len(rec.recoveries) >= flapTrips
 }
 
-// healthMonitor probes every backend's Healthz on a fixed interval. A
-// Backend call that could not reach its backend also marks it down at once
-// (markDown, from Router.called) instead of waiting out the probe threshold.
+// healthMonitor probes every backend's Healthz on a fixed interval, and
+// whenever Router.Probe asks. A Backend call that could not reach its
+// backend also marks it down at once (markDown, from Router.called) instead
+// of waiting out the probe threshold.
 type healthMonitor struct {
 	interval time.Duration
+	healthz  func(ctx context.Context, name string) error // the health RPC
 	records  map[string]*probeRecord
 
 	// onProbe, when set before start, observes every probe's RTT and
@@ -89,12 +94,15 @@ type healthMonitor struct {
 	wg   sync.WaitGroup
 }
 
-func newHealthMonitor(names []string, interval time.Duration) *healthMonitor {
+// newHealthMonitor returns a monitor over names whose probe runs healthz
+// (bounded by ctx).
+func newHealthMonitor(names []string, interval time.Duration, healthz func(ctx context.Context, name string) error) *healthMonitor {
 	if interval <= 0 {
 		interval = DefaultProbeInterval
 	}
 	h := &healthMonitor{
 		interval: interval,
+		healthz:  healthz,
 		records:  make(map[string]*probeRecord, len(names)),
 		stop:     make(chan struct{}),
 	}
@@ -104,9 +112,10 @@ func newHealthMonitor(names []string, interval time.Duration) *healthMonitor {
 	return h
 }
 
-// start launches one prober goroutine per backend. probe runs the actual
-// health RPC (bounded by ctx).
-func (h *healthMonitor) start(probe func(ctx context.Context, name string) error) {
+// start launches one prober goroutine per backend, which probes on every
+// tick (not at start: a backend dead at boot is marked down by the first
+// call that fails to reach it).
+func (h *healthMonitor) start() {
 	for name := range h.records {
 		h.wg.Add(1)
 		go func(name string) {
@@ -114,9 +123,9 @@ func (h *healthMonitor) start(probe func(ctx context.Context, name string) error
 			t := time.NewTicker(h.interval)
 			defer t.Stop()
 			for {
-				h.observe(name, h.runProbe(probe, name))
 				select {
 				case <-t.C:
+					h.probe(context.Background(), name)
 				case <-h.stop:
 					return
 				}
@@ -125,11 +134,17 @@ func (h *healthMonitor) start(probe func(ctx context.Context, name string) error
 	}
 }
 
-func (h *healthMonitor) runProbe(probe func(ctx context.Context, name string) error, name string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), h.interval)
+// probe runs one backend's health RPC and folds the result into its state:
+// a tick's whole work, and one backend's share of Router.Probe.
+func (h *healthMonitor) probe(ctx context.Context, name string) {
+	h.observe(name, h.runProbe(ctx, name))
+}
+
+func (h *healthMonitor) runProbe(ctx context.Context, name string) error {
+	ctx, cancel := context.WithTimeout(ctx, h.interval)
 	defer cancel()
 	t0 := time.Now()
-	err := probe(ctx, name)
+	err := h.healthz(ctx, name)
 	if h.onProbe != nil {
 		h.onProbe(name, time.Since(t0), err)
 	}
@@ -151,6 +166,7 @@ func (h *healthMonitor) observe(name string, err error) {
 func (rec *probeRecord) observe(err error) (recovered bool) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
+	rec.probes++
 	switch {
 	case err == nil:
 		rec.consecFails = 0
@@ -159,9 +175,8 @@ func (rec *probeRecord) observe(err error) (recovered bool) {
 			rec.state.Store(stateUp)
 			return false
 		}
-		now := time.Now()
 		need := probeThreshold
-		if rec.flappingLocked(now) {
+		if rec.flappingLocked() {
 			need *= flapPenalty
 		}
 		if rec.consecOKs++; rec.consecOKs < need {
@@ -169,7 +184,7 @@ func (rec *probeRecord) observe(err error) (recovered bool) {
 		}
 		rec.consecOKs = 0
 		rec.state.Store(stateUp)
-		rec.recoveries = append(rec.recoveries, now)
+		rec.recoveries = append(rec.recoveries, rec.probes)
 		return true
 	case errors.Is(err, ErrBackendDraining):
 		rec.consecFails, rec.consecOKs = 0, 0

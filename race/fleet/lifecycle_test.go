@@ -217,7 +217,7 @@ func TestLocalFeedDoesNotAllocate(t *testing.T) {
 }
 
 // TestNoWholePayloadCodecCallers: wire.AppendEvents and wire.DecodeEvents
-// stay only for benchmark/'s ledger (ROADMAP item 8); nothing else outside
+// stay only for benchmark/'s ledger (ROADMAP item 9(a)); nothing else outside
 // tests builds or parses a whole Events payload.
 func TestNoWholePayloadCodecCallers(t *testing.T) {
 	root := filepath.Join("..", "..")

@@ -31,7 +31,7 @@ import (
 // themselves live in backend journals — a router restart loses nothing.
 type Router struct {
 	backends map[string]Backend
-	names    []string // sorted, fixed at construction
+	names    []string // in New's order, fixed at construction
 	ring     *ring
 	health   *healthMonitor
 	reg      *obs.Registry
@@ -64,9 +64,9 @@ type Options struct {
 	IOTimeout time.Duration
 
 	// WrapConn, when set, wraps every accepted client connection — the
-	// router-side network fault-injection seam (fault.WrapConn). Applied
-	// under the IOTimeout layer, so injected stalls hit the same deadline
-	// an organic stall would.
+	// router-side network fault-injection seam (fault.ConnFaults). Applied
+	// under the IOTimeout layer, so injected latency meets the same
+	// deadline an organic stall would.
 	WrapConn func(net.Conn) net.Conn
 
 	// NewSessionID mints the id of a session whose client chose none; the
@@ -93,8 +93,8 @@ type Options struct {
 	Tracer *tracing.Tracer
 }
 
-// New builds a router over backends and starts health probing. Close stops
-// the probers.
+// New builds a router over backends and starts health probing: the first
+// round one ProbeInterval from now. Close stops the probers.
 func New(backends []Backend, opts Options) (*Router, error) {
 	if len(backends) == 0 {
 		return nil, errors.New("fleet: router needs at least one backend")
@@ -136,14 +136,25 @@ func New(backends []Backend, opts Options) (*Router, error) {
 		ConnTimeouts: rt.metrics.connTimeouts, CorruptFrames: rt.metrics.corruptFrames,
 	}
 	rt.ring = newRing(rt.names)
-	rt.health = newHealthMonitor(rt.names, opts.ProbeInterval)
+	rt.health = newHealthMonitor(rt.names, opts.ProbeInterval, func(ctx context.Context, name string) error {
+		return rt.backends[name].Healthz(ctx)
+	})
 	rt.metrics.registerBackendUp(rt.reg, rt.names, rt.health)
 	rt.health.onProbe = rt.metrics.probeHook
 	rt.health.onRecover = func(name string) { rt.metrics.recoveries[name].Inc() }
-	rt.health.start(func(ctx context.Context, name string) error {
-		return rt.backends[name].Healthz(ctx)
-	})
+	rt.health.start()
 	return rt, nil
+}
+
+// Probe runs one probe round now, on the caller's goroutine: every
+// backend's health probe, in the order New was given them, folded into its
+// state as a tick's would be. A router whose ProbeInterval outlasts its run
+// changes health only on failed calls and Probe, so a harness that steps it
+// gets the same health on every run.
+func (rt *Router) Probe(ctx context.Context) {
+	for _, name := range rt.names {
+		rt.health.probe(ctx, name)
+	}
 }
 
 // Registry exposes the router's metrics registry (the one from

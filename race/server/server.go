@@ -81,7 +81,7 @@ type Config struct {
 	// deadlines.
 	IOTimeout time.Duration
 	// WrapConn, when non-nil, wraps every accepted wire connection before
-	// it is served — the network fault-injection seam (fault.WrapConn).
+	// it is served — the network fault-injection seam (fault.ConnFaults).
 	// The wrapper sits under the I/O deadline layer, so injected stalls
 	// are subject to IOTimeout like organic ones.
 	WrapConn func(net.Conn) net.Conn
