@@ -214,13 +214,14 @@ func BenchmarkSameEpochMark(b *testing.B) {
 
 // TestFanout15AllocationBudget keeps the 15-cell engine's allocation from
 // creeping back, on the fanout15-par row's own trace (h2/4000, seed 1), where
-// one sequential pass reads 50.9 B/event with the rule (b) logs and graph
-// edges in flat chunks and rule (a) cells naming logged clocks (55.3 when
+// one sequential pass reads 44.9 B/event with the rule (b) logs in flat
+// chunks, graph edges as varint deltas in byte chunks and rule (a) cells
+// naming logged clocks (50.9 with each edge a pair of int32s, 55.3 when
 // every cell owned joined copies). The budget is that reading plus 10 %. The
 // full length matters: per-engine tables are a fixed ≈ 6 MB, which would be
 // 30 B/event of a reading over fanoutTrace.
 func TestFanout15AllocationBudget(t *testing.T) {
-	const budget = 56 // B/event
+	const budget = 49 // B/event
 	p, _ := workload.ProgramByName("h2")
 	tr := p.Generate(4000, 1)
 	var before, after runtime.MemStats

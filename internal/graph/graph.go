@@ -8,15 +8,26 @@
 package graph
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"repro/internal/report"
 )
 
-// chunkEdges is how many edges one chunk holds (64 KiB). The edge list only
-// grows and is only read whole, so it is kept as full chunks plus a partial
-// last one: recording an edge never copies the edges before it.
-const chunkEdges = 8192
+// The edge list only grows and is only read whole, so it is kept as a
+// sequence of 64 KiB byte chunks: recording an edge never copies the edges
+// before it. An edge is two zigzag varints, its dst minus the previous
+// edge's dst, then its dst minus its src. Analyses draw each edge into the
+// event they are processing, so the first delta is almost always 0 or
+// small, and the second is the edge's reach back in the trace: 3.4–3.8
+// bytes an edge on h2 against 8 for the pair of int32s. Both ends are
+// non-negative int32s, so each delta fits an int32 and its varint takes at
+// most MaxVarintLen32 bytes; a chunk with less than edgeRoom left is closed
+// and a new one started.
+const (
+	chunkBytes = 64 << 10
+	edgeRoom   = 2 * binary.MaxVarintLen32
+)
 
 // Graph is an event constraint graph over a trace of N events. Edge extends
 // N to cover its endpoints; an analysis that builds the graph over a stream
@@ -25,11 +36,17 @@ const chunkEdges = 8192
 type Graph struct {
 	_      report.Pad
 	N      int
-	chunks [][][2]int32 // in recording order, each at full length
-	cur    [][2]int32   // the filled prefix of the last chunk
+	edges  int      // recorded so far
+	last   int32    // the last recorded edge's dst
+	used   int      // bytes written to cur
+	cur    []byte   // the open chunk, at full length
+	chunks [][]byte // the closed chunks in recording order, each at its written length
 
-	adj  [][]int32 // built when Succ is first asked
-	radj [][]int32 // built when Pred is first asked (all that vindication reads)
+	// The predecessor index, built when Pred is first asked (all that
+	// vindication reads): the predecessors of event i are
+	// from[off[i]:off[i+1]], sorted, duplicates dropped.
+	off  []int32
+	from []int32
 	_    report.Pad
 }
 
@@ -37,91 +54,124 @@ type Graph struct {
 func New(n int) *Graph { return &Graph{N: n} }
 
 // Edge records the constraint src before dst. It implements
-// analysis.Hook. Self and negative edges are ignored.
+// analysis.Hook. Self edges and edges with a negative end are ignored.
 func (g *Graph) Edge(src, dst int32) {
-	if src < 0 || src == dst {
+	if src|dst < 0 || src == dst {
 		return
 	}
-	if len(g.cur) == cap(g.cur) {
-		chunk := make([][2]int32, chunkEdges)
-		g.chunks, g.cur = append(g.chunks, chunk), chunk[:0]
+	if g.used > len(g.cur)-edgeRoom {
+		if g.cur != nil {
+			g.chunks = append(g.chunks, g.cur[:g.used])
+		}
+		g.cur, g.used = make([]byte, chunkBytes), 0
 	}
-	g.cur = append(g.cur, [2]int32{src, dst})
+	i := putVarint(g.cur, g.used, dst-g.last)
+	g.used = putVarint(g.cur, i, dst-src)
+	g.last = dst
+	g.edges++
 	if m := int(max(src, dst)); m >= g.N {
 		g.N = m + 1
 	}
-	if g.adj != nil || g.radj != nil {
-		g.adj, g.radj = nil, nil
+	if g.off != nil {
+		g.off, g.from = nil, nil
+	}
+}
+
+// putVarint writes d zigzag-encoded as a varint at b[i:] and returns the
+// offset past it: the encoding binary.PutVarint gives, without its call.
+func putVarint(b []byte, i int, d int32) int {
+	v := uint32(d<<1) ^ uint32(d>>31)
+	for v >= 0x80 {
+		b[i] = byte(v) | 0x80
+		v >>= 7
+		i++
+	}
+	b[i] = byte(v)
+	return i + 1
+}
+
+// each calls f on every recorded edge, in recording order.
+func (g *Graph) each(f func(src, dst int32)) {
+	var dst int32
+	for c := 0; c <= len(g.chunks); c++ {
+		b := g.cur[:g.used]
+		if c < len(g.chunks) {
+			b = g.chunks[c]
+		}
+		for len(b) > 0 {
+			dd, n := binary.Varint(b)
+			back, m := binary.Varint(b[n:])
+			b = b[n+m:]
+			dst += int32(dd)
+			f(dst-int32(back), dst)
+		}
 	}
 }
 
 // Len returns the number of recorded cross-thread edges.
-func (g *Graph) Len() int {
-	return max(len(g.chunks)-1, 0)*chunkEdges + len(g.cur)
-}
+func (g *Graph) Len() int { return g.edges }
 
 // Edges returns a copy of the edge list, in recording order.
 func (g *Graph) Edges() [][2]int32 {
-	return slices.Concat(g.chunks...)[:g.Len()]
-}
-
-// adjacency groups the recorded edges by their from-end: list[e[from]] holds
-// every e[1-from], sorted, duplicates dropped.
-func (g *Graph) adjacency(from int) [][]int32 {
-	list := make([][]int32, g.N)
-	for i, c := range g.chunks {
-		if i == len(g.chunks)-1 {
-			c = g.cur
-		}
-		for _, e := range c {
-			list[e[from]] = append(list[e[from]], e[1-from])
-		}
-	}
-	for i := range list {
-		sortDedup(&list[i])
-	}
+	list := make([][2]int32, 0, g.Len())
+	g.each(func(src, dst int32) { list = append(list, [2]int32{src, dst}) })
 	return list
 }
 
-func sortDedup(s *[]int32) {
-	slices.Sort(*s)
-	*s = slices.Compact(*s)
-}
-
-// Succ returns the cross-thread successors of event i. Indices beyond the
-// observed event space have no edges.
-func (g *Graph) Succ(i int32) []int32 {
-	if g.adj == nil {
-		g.adj = g.adjacency(0)
-	}
-	if int(i) >= len(g.adj) {
-		return nil
-	}
-	return g.adj[i]
-}
-
-// Pred returns the cross-thread predecessors of event i. Indices beyond the
-// observed event space have no edges.
+// Pred returns the cross-thread predecessors of event i, sorted. Indices
+// beyond the observed event space have no edges.
 func (g *Graph) Pred(i int32) []int32 {
-	if g.radj == nil {
-		g.radj = g.adjacency(1)
+	if g.off == nil {
+		g.buildPred()
 	}
-	if int(i) >= len(g.radj) {
+	if int(i) >= len(g.off)-1 {
 		return nil
 	}
-	return g.radj[i]
+	lo, hi := g.off[i], g.off[i+1]
+	return g.from[lo:hi:hi]
+}
+
+// buildPred builds the predecessor index: one count pass over the edges,
+// one placing pass, then each row sorted and deduplicated in place.
+func (g *Graph) buildPred() {
+	off := make([]int32, g.N+1)
+	g.each(func(_, dst int32) { off[dst]++ })
+	// off[i] becomes the end of row i; placing a row's edges steps it back
+	// to the row's start.
+	var end int32
+	for i := range off[:g.N] {
+		end += off[i]
+		off[i] = end
+	}
+	off[g.N] = end
+	from := make([]int32, end)
+	g.each(func(src, dst int32) {
+		off[dst]--
+		from[off[dst]] = src
+	})
+	// Close the gaps dropped duplicates leave: row i moves down to w.
+	var w int32
+	for i := range off[:g.N] {
+		row := from[off[i]:off[i+1]]
+		slices.Sort(row)
+		off[i] = w
+		w += int32(copy(from[w:], slices.Compact(row)))
+	}
+	off[g.N] = w
+	g.off, g.from = off, from[:w]
 }
 
 // Weight estimates the graph's retained memory in 8-byte words — the
 // "w/G" analyses' extra footprint: the edge chunks at their capacity, the
-// chunk table, and whichever adjacency lists have been built.
+// chunk table, and the predecessor index once built.
 func (g *Graph) Weight() int {
-	w := (3 + chunkEdges) * len(g.chunks)
-	for _, list := range [][][]int32{g.adj, g.radj} {
-		w += 3 * len(list)
-		for i := range list {
-			w += (cap(list[i]) + 1) / 2
-		}
+	chunks := len(g.chunks)
+	if g.cur != nil {
+		chunks++
+	}
+	w := (3 + chunkBytes/8) * chunks
+	if g.off != nil {
+		w += 6 + (cap(g.off)+cap(g.from)+1)/2
 	}
 	return w
 }

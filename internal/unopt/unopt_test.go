@@ -101,6 +101,23 @@ func TestGraphConstruction(t *testing.T) {
 	}
 }
 
+// TestGraphBytesPerEdge holds the three w/G graphs of the fanout15-par
+// row's trace (h2/4000, seed 1) to at most 4 bytes an edge, chunk slack
+// included: two varint deltas take about 3.4, a pair of int32s took 8.
+func TestGraphBytesPerEdge(t *testing.T) {
+	p, _ := workload.ProgramByName("h2")
+	tr := p.Generate(4000, 1)
+	for _, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
+		a := runPred(rel, tr, true)
+		g := a.Graph()
+		perEdge := 8 * float64(g.Weight()) / float64(g.Len())
+		t.Logf("%s: %d edges, %.2f B/edge", a.Name(), g.Len(), perEdge)
+		if perEdge > 4 {
+			t.Errorf("%s: %.2f bytes per edge over %d edges, want <= 4", a.Name(), perEdge, g.Len())
+		}
+	}
+}
+
 func TestGraphCostsMemory(t *testing.T) {
 	p, _ := workload.ProgramByName("pmd")
 	tr := p.Generate(80000, 1)

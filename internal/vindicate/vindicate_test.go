@@ -216,8 +216,8 @@ func TestGraphBasics(t *testing.T) {
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	if succ := g.Succ(0); len(succ) != 1 || succ[0] != 3 {
-		t.Errorf("Succ(0) = %v", succ)
+	if pred := g.Pred(2); len(pred) != 0 {
+		t.Errorf("Pred(2) = %v; the edge from -1 must be ignored", pred)
 	}
 	if pred := g.Pred(3); len(pred) != 2 || pred[0] != 0 || pred[1] != 1 {
 		t.Errorf("Pred(3) = %v", pred)

@@ -61,7 +61,6 @@ var inventoryAllow = []allowRow{
 	// The recorded edge list is what grouped ≡ standalone, engine ≡ batch and
 	// the rule (b) reference differentials compare, edge for edge.
 	{"graph.Graph.Edges", keepReference},
-	{"graph.Graph.Succ", keepReference},
 	// The exposition parser the metrics tests read /metrics back with;
 	// Family.Histogram reaches Sample.Label, ParseText the Sample type.
 	{"obs.ParseText", keepReference},

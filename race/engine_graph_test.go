@@ -29,7 +29,7 @@ func graphOf(c *computation) *graph.Graph {
 // must equal the events fed — mid-stream and after a tail of 150 same-epoch
 // reads that draw nothing — for the three w/G cells alone and inside the
 // 15-cell matrix, sequential and pipelined; and a graph handed out
-// mid-stream, adjacency built, still shows the edges drawn after.
+// mid-stream, predecessor index built, still shows the edges drawn after.
 func TestGraphNIsEventsFed(t *testing.T) {
 	tr := workload.Random(workload.RandomConfig{Seed: 5, Threads: 4, Vars: 6, Locks: 3, Volatiles: 1, Events: 4000, ForkJoin: true})
 	body := len(tr.Events)
@@ -59,7 +59,7 @@ func TestGraphNIsEventsFed(t *testing.T) {
 					if g.N != eng.Fed() {
 						t.Errorf("%d cells, parallelism %d, %s: mid-stream N = %d after %d events", len(names), par, eng.comps[ci].name, g.N, eng.Fed())
 					}
-					g.Succ(0) // builds the adjacency the later edges must invalidate
+					g.Pred(0) // builds the index the later edges must invalidate
 					early = append(early, g)
 				}
 			}
@@ -73,8 +73,8 @@ func TestGraphNIsEventsFed(t *testing.T) {
 				if int(last[1]) < body/2 || len(tr.Events)-int(last[1]) <= 100 {
 					t.Fatalf("last edge %v: the trace must draw edges after event %d and none over its last 100", last, body/2)
 				}
-				if !slices.Contains(g.Succ(last[0]), last[1]) || !slices.Contains(g.Pred(last[1]), last[0]) {
-					t.Errorf("%d cells, parallelism %d: edge %v, drawn after the adjacency was built, is not in Succ/Pred", len(names), par, last)
+				if !slices.Contains(g.Pred(last[1]), last[0]) {
+					t.Errorf("%d cells, parallelism %d: edge %v, drawn after the index was built, is not in Pred", len(names), par, last)
 				}
 			}
 			for ci := range eng.comps {

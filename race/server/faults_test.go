@@ -125,6 +125,48 @@ func TestDiskFaultDegradesWithoutCrashing(t *testing.T) {
 	}
 }
 
+// syncFailingFS fails every File.Sync of a file opened while armed.
+type syncFailingFS struct {
+	fault.OS
+	faulty *fault.InjectFS
+	armed  atomic.Bool
+}
+
+func (f *syncFailingFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+	if f.armed.Load() {
+		return f.faulty.OpenFile(name, flag, perm)
+	}
+	return f.OS.OpenFile(name, flag, perm)
+}
+
+// TestFailedDurableOpenIsADiskFault: an open whose journal or metadata
+// cannot be made durable answers disk_fault, not internal, and removes the
+// directory it started, so the same requested id opens once the disk
+// recovers and no boot finds a leftover.
+func TestFailedDurableOpenIsADiskFault(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &syncFailingFS{faulty: fault.NewInjectFS(fault.OS{}, fault.FSPlan{FailSyncEvery: 1})}
+	fsys.armed.Store(true)
+	s := New(Config{DataDir: dir, FS: fsys, IdleTimeout: -1})
+	defer s.Close()
+	cfg := SessionConfig{Analyses: []string{"FTO-HB"}}
+	_, err := s.OpenSessionWithID("tenant-1", cfg)
+	if c := Classify(err); err == nil || c.Label != "disk_fault" {
+		t.Errorf("open under failing fsyncs = %v, classified %q; want disk_fault", err, c.Label)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "sessions", "tenant-1")); !os.IsNotExist(err) {
+		t.Errorf("the failed open left its directory behind (stat: %v)", err)
+	}
+	fsys.armed.Store(false)
+	sess, err := s.OpenSessionWithID("tenant-1", cfg)
+	if err != nil {
+		t.Fatalf("open of the same id after the fault cleared: %v", err)
+	}
+	if _, err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // unreadableFS fails every read-only Open once armed: a session's journal
 // still takes appends and syncs, but cannot be read back.
 type unreadableFS struct {

@@ -99,19 +99,26 @@ func writeJSONFile(fsys fault.FS, path string, v any) error {
 
 // persistInit creates the session's on-disk identity: directory, journal,
 // and "open" metadata. Called once the session has its server-assigned id,
-// before its feeder starts.
+// before its feeder starts. A failure is an ErrDiskFault and removes what
+// was built, so the id is free again on disk and no boot finds a leftover.
 func (sess *Session) persistInit() error {
 	fsys := sess.srv.fsys()
 	dir := filepath.Join(sess.srv.sessionsRoot(), sess.ID)
+	fail := func(jlog *store.Log, what string, err error) error {
+		if jlog != nil {
+			jlog.Close()
+		}
+		fsys.RemoveAll(dir)
+		return fmt.Errorf("%w: %s: %w", ErrDiskFault, what, err)
+	}
 	jlog, err := store.Open(filepath.Join(dir, "journal"),
 		store.Options{Metrics: &sess.srv.metrics.store, FS: fsys})
 	if err != nil {
-		return fmt.Errorf("server: opening session journal: %w", err)
+		return fail(nil, "opening session journal", err)
 	}
 	if err := writeJSONFile(fsys, filepath.Join(dir, "session.json"),
 		sessionMeta{ID: sess.ID, Config: sess.cfg, State: stateOpen}); err != nil {
-		jlog.Close()
-		return fmt.Errorf("server: writing session metadata: %w", err)
+		return fail(jlog, "writing session metadata", err)
 	}
 	// Durability of the acked flush includes the session directory tree
 	// existing at all: fsync the newly created directory chain up to the
@@ -119,8 +126,7 @@ func (sess *Session) persistInit() error {
 	// journal's bytes were safely synced.
 	for _, d := range []string{dir, sess.srv.sessionsRoot(), sess.srv.cfg.DataDir} {
 		if err := fsys.SyncDir(d); err != nil {
-			jlog.Close()
-			return fmt.Errorf("server: syncing session directories: %w", err)
+			return fail(jlog, "syncing session directories", err)
 		}
 	}
 	sess.dir = dir
