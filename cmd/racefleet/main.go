@@ -7,7 +7,7 @@
 //
 //	raced -http :7117 -tcp :7118 -data-dir /var/lib/raced/b1 &
 //	raced -http :7127 -tcp :7128 -data-dir /var/lib/raced/b2 &
-//	racefleet -http :7119 -tcp :7120 \
+//	racefleet -http :7119 -tcp :7120 -probe-interval 2s \
 //	    -backend b1,localhost:7118,localhost:7117,/var/lib/raced/b1 \
 //	    -backend b2,localhost:7128,localhost:7127,/var/lib/raced/b2
 //

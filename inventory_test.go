@@ -270,8 +270,10 @@ func (inv *inventory) Import(path string) (*types.Package, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 	}
+	// Checking goes on past an error, so that a mutation's package is whole;
+	// the first error is still returned.
 	var err error
-	p.types, err = (&types.Config{Importer: inv}).Check(path, inv.fset, p.files, p.info)
+	p.types, err = (&types.Config{Importer: inv, Error: func(error) {}}).Check(path, inv.fset, p.files, p.info)
 	return p.types, err
 }
 
@@ -283,16 +285,25 @@ func (inv *inventory) withFile(t *testing.T, dir, name, src string) *inventory {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mut, err := inv.withFiles(dir, func(files []*ast.File) []*ast.File { return append(files, f) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mut
+}
+
+// withFiles returns a copy of the inventory in which the package in dir has
+// the files edit makes of a copy of its own, and the first error of
+// checking it; only that package is checked again.
+func (inv *inventory) withFiles(dir string, edit func([]*ast.File) []*ast.File) (*inventory, error) {
 	mut := &inventory{fset: inv.fset, pkgs: make(map[string]*invPkg), stdlib: inv.stdlib, unnamed: inv.unnamed}
 	for path, p := range inv.pkgs {
 		mut.pkgs[path] = p
 	}
 	old := inv.pkgs[modulePath+"/"+dir]
-	mut.pkgs[old.path] = &invPkg{path: old.path, dir: old.dir, files: append(old.files[:len(old.files):len(old.files)], f)}
-	if _, err := mut.Import(old.path); err != nil {
-		t.Fatal(err)
-	}
-	return mut
+	mut.pkgs[old.path] = &invPkg{path: old.path, dir: old.dir, files: edit(append([]*ast.File(nil), old.files...))}
+	_, err := mut.Import(old.path)
+	return mut, err
 }
 
 // declID names a package-level object or a method the way failures print

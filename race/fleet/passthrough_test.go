@@ -89,6 +89,17 @@ func dialRaw(t *testing.T, addr string) *rawClient {
 	return c
 }
 
+// close ends the session cleanly: EOF, answered by the report.
+func (c *rawClient) close(t *testing.T) {
+	t.Helper()
+	if err := wire.WriteFrame(c.conn, wire.TEOF, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ty, payload, err := wire.ReadFrame(c.br); err != nil || ty != wire.TReport {
+		t.Fatalf("close: %v frame (%s), err %v", ty, payload, err)
+	}
+}
+
 // flush runs a flush barrier and returns the acked offset.
 func (c *rawClient) flush(t *testing.T) uint64 {
 	t.Helper()
@@ -280,42 +291,69 @@ func TestFrontEndsAnswerTheSameCode(t *testing.T) {
 	badCRC := frame(wire.TEvents, good)
 	badCRC[7] ^= 0x10
 
+	// A peer opens a session on a second connection and returns its id:
+	// attach leaves it attached, finish closes it cleanly first.
+	type peer struct{ attach, finish func() string }
 	cases := []struct {
 		name string
 		// send is what a fresh connection writes; the reply to its last frame
 		// must be a TError carrying code — or, when code is empty, the
-		// connection dropped without one. attach opens a session on a second
-		// connection, which stays attached, and returns its id.
-		send func(attach func() string) [][]byte
+		// connection dropped without one.
+		send func(peer) [][]byte
 		code wire.ErrCode
 		// corrupt and timeouts are what the front's two connection counters
 		// read afterwards.
 		corrupt, timeouts float64
 	}{
-		{name: "non-hello-first-frame", send: func(func() string) [][]byte { return [][]byte{frame(wire.TFlush, nil)} }, code: wire.CodeProto},
-		{name: "undecodable-hello", send: func(func() string) [][]byte { return [][]byte{frame(wire.THello, []byte("{not json"))} }, code: wire.CodeProto},
-		{name: "wrong-proto", send: func(func() string) [][]byte { return [][]byte{hello(server.HelloPayload{Proto: wire.Proto + 7})} }, code: wire.CodeProto},
-		{name: "unexpected-frame-mid-session", send: func(func() string) [][]byte { return [][]byte{open, frame(wire.TAck, nil)} }, code: wire.CodeProto},
-		{name: "ragged-events", send: func(func() string) [][]byte { return [][]byte{open, frame(wire.TEvents, good[:len(good)-5])} }, code: wire.CodeProto},
-		{name: "invalid-op-events", send: func(func() string) [][]byte { return [][]byte{open, frame(wire.TEvents, badOp)} }, code: wire.CodeProto},
-		{name: "resume-unknown-session", send: func(func() string) [][]byte {
+		{name: "non-hello-first-frame", send: func(peer) [][]byte { return [][]byte{frame(wire.TFlush, nil)} }, code: wire.CodeProto},
+		{name: "undecodable-hello", send: func(peer) [][]byte { return [][]byte{frame(wire.THello, []byte("{not json"))} }, code: wire.CodeProto},
+		{name: "wrong-proto", send: func(peer) [][]byte { return [][]byte{hello(server.HelloPayload{Proto: wire.Proto + 7})} }, code: wire.CodeProto},
+		{name: "unexpected-frame-mid-session", send: func(peer) [][]byte { return [][]byte{open, frame(wire.TAck, nil)} }, code: wire.CodeProto},
+		{name: "ragged-events", send: func(peer) [][]byte { return [][]byte{open, frame(wire.TEvents, good[:len(good)-5])} }, code: wire.CodeProto},
+		{name: "invalid-op-events", send: func(peer) [][]byte { return [][]byte{open, frame(wire.TEvents, badOp)} }, code: wire.CodeProto},
+		{name: "resume-unknown-session", send: func(peer) [][]byte {
 			return [][]byte{hello(server.HelloPayload{Proto: wire.Proto, Resume: "fnosuchsession"})}
 		}, code: wire.CodeUnknownSession},
-		{name: "second-attach", send: func(attach func() string) [][]byte {
-			return [][]byte{hello(server.HelloPayload{Proto: wire.Proto, Resume: attach()})}
+		{name: "second-attach", send: func(p peer) [][]byte {
+			return [][]byte{hello(server.HelloPayload{Proto: wire.Proto, Resume: p.attach()})}
 		}, code: wire.CodeBusy},
+		// A durable session closed cleanly is finished, not lost: no
+		// backend has it live, and its directory is not to be recovered.
+		{name: "resume-finished-session", send: func(p peer) [][]byte {
+			return [][]byte{hello(server.HelloPayload{Proto: wire.Proto, Resume: p.finish()})}
+		}, code: wire.CodeClosed},
 		// After the handshake the client writes nothing: the front's I/O
 		// deadline cuts the connection and says why.
-		{name: "stalled-connection", send: func(func() string) [][]byte { return [][]byte{open, nil} }, code: wire.CodeTimeout, timeouts: 1},
-		{name: "bad-crc", send: func(func() string) [][]byte { return [][]byte{open, badCRC} }, corrupt: 1},
+		{name: "stalled-connection", send: func(peer) [][]byte { return [][]byte{open, nil} }, code: wire.CodeTimeout, timeouts: 1},
+		{name: "bad-crc", send: func(peer) [][]byte { return [][]byte{open, badCRC} }, corrupt: 1},
 	}
-	// A front is its address, its registry and its metric prefix. Both cut
+	// A front is its address, its registry and its metric prefix. Each cuts
 	// a connection that stalls for stall.
 	const stall = 400 * time.Millisecond
 	type front struct {
 		addr   string
 		reg    *obs.Registry
 		prefix string
+	}
+	startRouter := func(t *testing.T, names ...string) front {
+		var backends []Backend
+		for _, name := range names {
+			srv := server.New(server.Config{DataDir: t.TempDir(), IdleTimeout: -1})
+			t.Cleanup(func() { srv.Close() })
+			backends = append(backends, NewLocal(name, srv))
+		}
+		rt, err := New(backends, Options{ProbeInterval: 50 * time.Millisecond, IOTimeout: stall})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { lis.Close() })
+		go rt.ServeTCP(lis)
+		return front{lis.Addr().String(), rt.Registry(), "fleet"}
 	}
 	fronts := map[string]func(*testing.T) front{
 		"raced": func(t *testing.T) front {
@@ -328,22 +366,8 @@ func TestFrontEndsAnswerTheSameCode(t *testing.T) {
 			t.Cleanup(func() { lis.Close(); srv.Close() })
 			return front{lis.Addr().String(), srv.Registry(), "raced"}
 		},
-		"racefleet": func(t *testing.T) front {
-			srv := server.New(server.Config{DataDir: t.TempDir(), IdleTimeout: -1})
-			t.Cleanup(func() { srv.Close() })
-			rt, err := New([]Backend{NewLocal("only", srv)}, Options{ProbeInterval: 50 * time.Millisecond, IOTimeout: stall})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(rt.Close)
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { lis.Close() })
-			go rt.ServeTCP(lis)
-			return front{lis.Addr().String(), rt.Registry(), "fleet"}
-		},
+		"racefleet":   func(t *testing.T) front { return startRouter(t, "only") },
+		"racefleet-2": func(t *testing.T) front { return startRouter(t, "b1", "b2") },
 	}
 	for name, start := range fronts {
 		for _, tc := range cases {
@@ -356,7 +380,10 @@ func TestFrontEndsAnswerTheSameCode(t *testing.T) {
 				defer conn.Close()
 				conn.SetDeadline(time.Now().Add(10 * time.Second))
 				br := bufio.NewReader(conn)
-				frames := tc.send(func() string { return dialRaw(t, f.addr).id })
+				frames := tc.send(peer{
+					attach: func() string { return dialRaw(t, f.addr).id },
+					finish: func() string { c := dialRaw(t, f.addr); c.close(t); return c.id },
+				})
 				for i, fr := range frames {
 					if _, err := conn.Write(fr); err != nil {
 						t.Fatal(err)
@@ -378,12 +405,17 @@ func TestFrontEndsAnswerTheSameCode(t *testing.T) {
 						continue
 					}
 					if re := wire.DecodeError(payload); ty != wire.TError || re.Code != tc.code {
-						t.Fatalf("answered %v code %q (%s), want TError %q", ty, re.Code, re.Msg, tc.code)
+						t.Errorf("answered %v code %q (%s), want TError %q", ty, re.Code, re.Msg, tc.code)
 					}
 				}
 				got := obs.JSONMap(f.reg.Snapshot())
 				if c, to := got[f.prefix+"_corrupt_frames_total"], got[f.prefix+"_conn_timeouts_total"]; c != tc.corrupt || to != tc.timeouts {
 					t.Fatalf("%s counted %v corrupt frames and %v timeouts, want %v and %v", f.prefix, c, to, tc.corrupt, tc.timeouts)
+				}
+				// No answer above is the router's to heal by moving a session
+				// (raced has no such counter: it reads 0).
+				if m, _ := got["fleet_migrations_started_total"].(float64); m != 0 {
+					t.Fatalf("%s started %v migrations, want 0", f.prefix, m)
 				}
 			})
 		}

@@ -383,6 +383,13 @@ func (s *Server) Attach(ctx context.Context, hello *HelloPayload) (Attachment, A
 		// Resumption re-attaches to a live session — journal-recovered
 		// after a restart, or orphaned by a dropped connection.
 		sess = live
+	} else if fin, ok := s.Finished(hello.Resume); ok && !Classify(fin.closedErr()).Resumable() {
+		// A session that ended for good answers how it ended — closed
+		// cleanly, or its sticky error — so that no caller (a router
+		// included) goes looking for it on disk. Its report stays readable
+		// at GET /sessions/{id}/races. A suspended or evicted one is still
+		// unknown here: it resumes from its journal.
+		return Attachment{}, AckPayload{}, fmt.Errorf("resuming %s: %w", hello.Resume, fin.closedErr())
 	} else {
 		return Attachment{}, AckPayload{}, fmt.Errorf("%w: %s", ErrUnknown, hello.Resume)
 	}
