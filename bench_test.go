@@ -117,10 +117,15 @@ var fanoutTrace = func() *trace.Trace {
 }()
 
 // feedFanout15 runs tr through the full Table 1 matrix in one engine — 15
-// cells, 7 computations — the way the fanout15-par row drives it: 8192-event
-// runs with a Sync barrier after each.
+// cells, 7 computations — the way the fanout15-par row drives it.
 func feedFanout15(tr *trace.Trace, parallelism int) error {
-	eng, err := race.NewEngine(race.WithAnalysisNames(race.Detectors()...), race.WithParallelism(parallelism))
+	return feed(tr, race.WithAnalysisNames(race.Detectors()...), race.WithParallelism(parallelism))
+}
+
+// feed runs tr through one engine built from opts the way the benchmark's
+// engine rows drive it: 8192-event runs with a Sync barrier after each.
+func feed(tr *trace.Trace, opts ...race.Option) error {
+	eng, err := race.NewEngine(opts...)
 	if err != nil {
 		return err
 	}
@@ -214,27 +219,48 @@ func BenchmarkSameEpochMark(b *testing.B) {
 
 // TestFanout15AllocationBudget keeps the 15-cell engine's allocation from
 // creeping back, on the fanout15-par row's own trace (h2/4000, seed 1), where
-// one sequential pass reads 44.9 B/event with the rule (b) logs in flat
-// chunks, graph edges as varint deltas in byte chunks and rule (a) cells
-// naming logged clocks (50.9 with each edge a pair of int32s, 55.3 when
-// every cell owned joined copies). The budget is that reading plus 10 %. The
+// one sequential pass reads 42.25 B/event with the rule (b) logs in flat
+// chunks, graph edges as varint deltas in byte chunks, rule (a) cells naming
+// logged clocks and ST-WDC sections viewing per-thread snapshots (44.9 when
+// each section owned a copy of its release time, 50.9 with each edge a pair
+// of int32s as well). The budget is that reading plus 10 %. The
 // full length matters: per-engine tables are a fixed ≈ 6 MB, which would be
 // 30 B/event of a reading over fanoutTrace.
 func TestFanout15AllocationBudget(t *testing.T) {
-	const budget = 49 // B/event
+	const budget = 46.5 // B/event
 	p, _ := workload.ProgramByName("h2")
 	tr := p.Generate(4000, 1)
+	if got := allocPerEvent(t, tr, func() error { return feedFanout15(tr, 1) }); got > budget {
+		t.Errorf("the 15-cell engine allocated %.1f B/event, budget %.1f", got, budget)
+	}
+}
+
+// TestNestedAllocationBudget does the same for the detect-nested row's engine
+// and trace (the default ST-WDC cell, xalan/100, seed 1), where critical
+// sections are most of what is allocated: one pass reads 8.94 B/event with
+// each release viewing its thread's snapshot of its clock, 12.9 when each
+// section owned a copy. The budget is that reading plus 10 %.
+func TestNestedAllocationBudget(t *testing.T) {
+	const budget = 9.8 // B/event
+	p, _ := workload.ProgramByName("xalan")
+	tr := p.Generate(100, 1)
+	if got := allocPerEvent(t, tr, func() error { return feed(tr) }); got > budget {
+		t.Errorf("the ST-WDC engine allocated %.2f B/event, budget %.1f", got, budget)
+	}
+}
+
+// allocPerEvent returns the bytes run allocates per event of tr.
+func allocPerEvent(t *testing.T, tr *trace.Trace, run func() error) float64 {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := feedFanout15(tr, 1); err != nil {
+	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
 	got := float64(after.TotalAlloc-before.TotalAlloc) / float64(tr.Len())
-	t.Logf("%.1f B/event over %d events", got, tr.Len())
-	if got > budget {
-		t.Errorf("the 15-cell engine allocated %.1f B/event, budget %d", got, budget)
-	}
+	t.Logf("%.2f B/event over %d events", got, tr.Len())
+	return got
 }
 
 // BenchmarkCheckerStep measures the incremental well-formedness checker

@@ -23,19 +23,23 @@
 // is what lists captured earlier rely on to see its release time.
 //
 // A section has no release time before the release: its released flag is
-// false, every ordering query against it fails, and the release allocates
-// the clock at exactly its final size, never to be written again. This is
-// exact because a CS-list clock is only ever (1) asked for one thread's
-// component, to test whether the release is ordered before the current
-// access — false by the flag while the section is open — or (2) joined into
-// the clock of a thread that holds the section's lock, and a section owned
-// by u ≠ t on a lock t holds has been released (mutual exclusion, which
-// trace.Checker enforces).
+// false, and every ordering query against it fails. A release time is only
+// ever (1) asked for one thread's component, to test whether the release is
+// ordered before the current access — false by the flag while the section
+// is open — or (2) joined into the clock of a thread that holds the
+// section's lock, and a section owned by u ≠ t on a lock t holds has been
+// released (mutual exclusion, which trace.Checker enforces). Both go through
+// the section (at, joinSec), so ST-WDC keeps a release by t as own, P[t](t),
+// over a view of snap[t], t's snapshot of P[t], which the release replaces
+// by a fresh exact copy only if P[t] differs from it off t's component.
+// That is exact: a snapshot is never written once published, so it equals
+// P[t] at every release viewing it on each component but t's, where it
+// holds an earlier time than own. Memory only falls: one snapshot at most
+// per section.
 //
-// ST-WCP and ST-DC do not allocate that clock at all: the section takes a
-// view of the copy rule (b)'s log has just written. The two are equal because
-// ccs.RuleB.Release logs H[t] (WCP) or P[t] (DC) as its last step, and
-// nothing runs between that and the section's fill.
+// ST-WCP and ST-DC view the copy of H[t] (WCP) or P[t] (DC) that
+// ccs.RuleB.Release logs as its last step, with nothing run between that
+// and the section's fill, and read own from it.
 //
 // MultiCheck fuses the CCS detection with the race check: it walks a prior
 // access's CS list from outermost to innermost; an ordered release subsumes
@@ -64,17 +68,27 @@ import (
 // section is one critical section on lock m: the object CS lists and extra
 // metadata share, so that all of them see its release time once it exists.
 type section struct {
-	c        vc.VC // release time; empty until released
+	c        vc.VC    // release time but the owner's component; a read-only view, empty until released
+	own      vc.Clock // the owner's component of the release time
 	m        uint32
+	owner    vc.Tid
 	released bool
 	seen     bool // MetadataWeight's visited mark
+}
+
+// at returns u's component of the section's release time.
+func (s *section) at(u vc.Tid) vc.Clock {
+	if u == s.owner {
+		return s.own
+	}
+	return s.c.Get(u)
 }
 
 // before reports whether the section's release is ordered before an access
 // with clock p, judged by u's component (u is the section's owner except in
 // [Write Exclusive]'s second MultiCheck).
 func (s *section) before(u vc.Tid, p *vc.VC) bool {
-	return s.released && s.c.Get(u) <= p.Get(u)
+	return s.released && s.at(u) <= p.Get(u)
 }
 
 // csNode is one element of a CS list, innermost first — the paper's
@@ -84,17 +98,16 @@ type csNode struct {
 	sec   *section // &own, except in nodes a non-LIFO release rebuilt
 	up    *csNode  // the enclosing critical section; nil at the outermost
 	outer *section // the list's outermost section
-	depth int32    // sections in the list
 	own   section
 }
 
 // push returns l extended by a new innermost critical section on m.
 func push(l *csNode, m uint32) *csNode {
-	n := &csNode{up: l, depth: 1}
+	n := &csNode{up: l}
 	n.own.m = m
 	n.sec, n.outer = &n.own, &n.own
 	if l != nil {
-		n.depth, n.outer = l.depth+1, l.outer
+		n.outer = l.outer
 	}
 	return n
 }
@@ -105,7 +118,7 @@ func without(l *csNode, s *section) *csNode {
 	if l.sec == s {
 		return l.up
 	}
-	n := &csNode{sec: l.sec, up: without(l.up, s), outer: l.sec, depth: l.depth - 1}
+	n := &csNode{sec: l.sec, up: without(l.up, s), outer: l.sec}
 	if n.up != nil {
 		n.outer = n.up.outer
 	}
@@ -196,6 +209,7 @@ type Analysis struct {
 	rb    *ccs.RuleB // epoch acquire queues; nil for WDC
 	pages []*varPage
 	ht    []*csNode // current CS list per thread; a thread with a slot here has one in s
+	snap  []vc.VC   // ST-WDC: per thread, the snapshot of P[t] its sections view
 	col   *report.Collector
 	cases CaseCounts
 	vcs   vc.Pool // recycles retired read vector clocks
@@ -230,6 +244,7 @@ func NewWithOptions(rel analysis.Relation, spec analysis.Spec, opts Options) *An
 		s:     analysis.NewSyncState(rel, spec),
 		pages: make([]*varPage, (spec.Vars+varPageSize-1)>>varPageBits),
 		ht:    make([]*csNode, spec.Threads),
+		snap:  make([]vc.VC, spec.Threads),
 		col:   report.NewCollector(),
 	}
 	if rel != analysis.WDC {
@@ -273,6 +288,7 @@ func (a *Analysis) Handle(e trace.Event) {
 	if int(t) >= len(a.ht) {
 		a.s.Ensure(t)
 		analysis.EnsureLen(&a.ht, int(t)+1)
+		analysis.EnsureLen(&a.snap, int(t)+1)
 	}
 	switch e.Op {
 	case trace.OpRead:
@@ -337,16 +353,31 @@ func (a *Analysis) fillRelease(t trace.Tid, m uint32, idx int32) {
 	if n == nil {
 		return
 	}
+	tt := vc.Tid(t)
 	if a.rb != nil {
 		n.sec.c = a.rb.At(logged) // the log's copy, shared; see the package comment
+		n.sec.own = n.sec.c.Get(tt)
 	} else {
-		n.sec.c.CopyExact(a.s.P[t])
+		p := a.s.P[t]
+		if !a.snap[t].EqualExcept(p, tt) {
+			a.snap[t].CopyExact(p) // replaces the snapshot; the old one stays as its sections saw it
+		}
+		n.sec.c, n.sec.own = a.snap[t], p.Get(tt)
 	}
-	n.sec.released = true
+	n.sec.owner, n.sec.released = tt, true
 	if n == top {
 		a.ht[t] = top.up // structured locking: the enclosing list is shared as is
 	} else {
 		a.ht[t] = without(top, n.sec)
+	}
+}
+
+// joinSec joins s's release time into t's clock: the view, then the owner's
+// component, which the view may hold an earlier time of.
+func (a *Analysis) joinSec(t trace.Tid, s *section) {
+	a.s.JoinP(t, &s.c)
+	if p := a.s.P[t]; p.Get(s.owner) < s.own {
+		p.Set(s.owner, s.own)
 	}
 }
 
@@ -373,20 +404,17 @@ func (a *Analysis) multiCheck(l *csNode, u vc.Tid, prior vc.Epoch, t trace.Tid, 
 			return e // ordered: subsumes inner critical sections and the race check
 		}
 		var buf [8]*section
-		secs := buf[:]
-		if int(l.depth) > len(buf) {
-			secs = make([]*section, l.depth)
-		}
-		secs = secs[:l.depth]
+		secs := buf[:0]
 		for n := l; n != nil; n = n.up {
-			secs[n.depth-1] = n.sec
+			secs = append(secs, n.sec)
 		}
+		slices.Reverse(secs)
 		for i, s := range secs { // outermost → innermost
 			if i > 0 && s.before(u, p) {
 				return e
 			}
 			if slices.Contains(held, s.m) {
-				a.s.JoinP(t, &s.c) // conflicting critical sections: rel(m) ≺ current access
+				a.joinSec(t, s) // conflicting critical sections: rel(m) ≺ current access
 				return e
 			}
 			e = append(e, extraEntry{t: u, s: s})
@@ -418,7 +446,7 @@ func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 		for _, m := range held {
 			for _, ent := range cd.ew {
 				if ent.s.m == m && ent.t != tt {
-					a.s.JoinP(t, &ent.s.c)
+					a.joinSec(t, ent.s)
 				}
 			}
 		}
@@ -510,7 +538,7 @@ func (a *Analysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 		for _, m := range held {
 			for _, ent := range cd.er {
 				if ent.s.m == m && ent.t != tt {
-					a.s.JoinP(t, &ent.s.c)
+					a.joinSec(t, ent.s)
 				}
 			}
 		}
@@ -578,11 +606,12 @@ const slotWords, coldWords, nodeWords = 6, 9, 8
 // MetadataWeight implements analysis.Analysis. It counts what the analysis
 // holds — variable pages, cold blocks, and the list nodes and release clocks
 // reachable from them and from Ht, each section once (a node rebuilt by a
-// non-LIFO release is counted with the node it was rebuilt from). With a
-// rule (b) log the release clocks are views of its arena, which the log's
-// weight already counts whole.
+// non-LIFO release is counted with the node it was rebuilt from) and each
+// ST-WDC snapshot once however many sections view it. With a rule (b) log
+// the release clocks are views of its arena, which the log's weight already
+// counts whole.
 func (a *Analysis) MetadataWeight() int {
-	w := a.s.Weight() + len(a.pages) + len(a.ht)
+	w := a.s.Weight() + len(a.pages) + len(a.ht) + 3*len(a.snap)
 	if a.rb != nil {
 		w += a.rb.Weight()
 	}
@@ -591,15 +620,25 @@ func (a *Analysis) MetadataWeight() int {
 	return w
 }
 
-// heldWords sums the variable table and every section not yet marked `seen`,
-// marking as it goes.
+// heldWords sums the variable table, the snapshots and every section not
+// yet marked `seen`, marking as it goes.
 func (a *Analysis) heldWords(seen bool) (w int) {
+	snaps := make(map[*vc.Clock]bool)
+	snap := func(c *vc.VC) {
+		if k := c.Array(); k != nil && !snaps[k] {
+			snaps[k] = true
+			w += c.Weight()
+		}
+	}
+	for i := range a.snap {
+		snap(&a.snap[i])
+	}
 	count := func(s *section) {
 		if s.seen != seen {
 			s.seen = seen
 			w += nodeWords
 			if a.rb == nil {
-				w += s.c.Weight()
+				snap(&s.c)
 			}
 		}
 	}

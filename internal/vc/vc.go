@@ -155,14 +155,36 @@ func (v *VC) CopyFrom(o *VC) {
 	}
 }
 
-// CopyExact overwrites v with the contents of o in a fresh array of exactly
-// o.Len() slots, for a clock that is written once and then only read:
-// SmartTrack stores a critical section's release time this way, in the
-// section that CS lists and extra metadata already reference. CopyFrom, which
-// keeps and doubles capacity, is for clocks that are overwritten repeatedly.
+// CopyExact points v at a fresh array of exactly o.Len() slots holding o's
+// contents, for a clock that is written once and then only read: arrays v
+// shared before are left as they were. CopyFrom, which keeps and doubles
+// capacity, is for clocks that are overwritten repeatedly.
 func (v *VC) CopyExact(o *VC) {
 	v.c = make([]Clock, len(o.c))
 	copy(v.c, o.c)
+}
+
+// EqualExcept reports whether v and o have the same length and agree on
+// every component but t's.
+func (v *VC) EqualExcept(o *VC, t Tid) bool {
+	if len(v.c) != len(o.c) {
+		return false
+	}
+	for i, c := range v.c {
+		if c != o.c[i] && i != int(t) {
+			return false
+		}
+	}
+	return true
+}
+
+// Array identifies the array v's components live in, so that clocks sharing
+// one can be counted once; nil when v has none.
+func (v *VC) Array() *Clock {
+	if len(v.c) == 0 {
+		return nil
+	}
+	return &v.c[0]
 }
 
 // Epoch returns thread t's component of v as the epoch v(t)@t.

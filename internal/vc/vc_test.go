@@ -317,6 +317,29 @@ func TestCopyExactIsExactAndIndependent(t *testing.T) {
 	}
 }
 
+func TestEqualExcept(t *testing.T) {
+	a, b := New(3), New(3)
+	a.Set(1, 4)
+	b.Set(1, 9)
+	if !a.EqualExcept(b, 1) || a.EqualExcept(b, 0) {
+		t.Error("EqualExcept must skip exactly the named component")
+	}
+	b.Set(1, 4)
+	b.Set(3, 0) // same contents, one slot longer
+	if a.EqualExcept(b, 1) || b.EqualExcept(a, 1) {
+		t.Error("clocks of different lengths must compare unequal")
+	}
+}
+
+func TestArrayIdentifiesSharedComponents(t *testing.T) {
+	var empty VC
+	src := New(2)
+	view, copied := *src, src.Copy()
+	if empty.Array() != nil || view.Array() != src.Array() || copied.Array() == src.Array() {
+		t.Error("Array must be shared by views of one clock and only by them")
+	}
+}
+
 func TestPoolSizesNewClocksOnce(t *testing.T) {
 	var p Pool
 	v := p.Get(6)
