@@ -244,6 +244,19 @@ func (s *SyncState) JoinP(t trace.Tid, c *vc.VC) {
 	}
 }
 
+// JoinRel is JoinP for a logged clock read through its owner-relative view.
+// The self-knowledge it carries is its component of t's, which is the view's
+// own when t logged it: the view's base may hold an earlier time there.
+func (s *SyncState) JoinRel(t trace.Tid, r *vc.Rel) {
+	s.et(t)
+	r.JoinInto(s.P[t])
+	if s.selfP != nil {
+		if g := r.Get(vc.Tid(t)); g > s.selfP[t] {
+			s.selfP[t] = g
+		}
+	}
+}
+
 // Tick increments t's local clock on P (and H for WCP).
 func (s *SyncState) Tick(t trace.Tid) {
 	s.et(t)

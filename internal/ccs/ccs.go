@@ -60,7 +60,20 @@
 // only ever reads what is behind it — which is what lets SmartTrack's
 // sections and rule (a)'s cells name the logged release clock instead of
 // copying it, and it keeps a history of a million clocks out of the
-// collector's mark phase.
+// collector's mark phase. A logged clock is a thread's, and most of a
+// thread's logged clocks differ from its previous one only in its own
+// component (on h2, half of WCP's release clocks, 71 % of DC's and nearly
+// every vector acquire): RuleB keeps per thread a base, the last of its
+// clocks stored whole, and logs a clock equal to it off the thread's
+// component as a 16-byte record (the base's name and that component).
+// Every reader — the ordered tests and joins of Release, and rule (a) —
+// reads a logged clock through vc.Rel, the view that takes the owner's
+// component from the record and every other from the base, and joins it
+// through SyncState.JoinRel, which gives WCP's self-knowledge the owner's
+// component when the joining thread logged it. That is exact: the arena
+// never writes a clock once stored, a base equals the logged clock off the
+// owner's component, the record holds the owner's, and nothing reads the
+// base alone.
 //
 // Known releases are not joined again. The paper's algorithms join a
 // release time into the thread's clock at every rule (a) conflict and every
@@ -70,11 +83,13 @@
 //
 //  1. A cell's Lw is one release's clock, and so is Lr after a critical
 //     section that read and wrote the variable (see LockTables.Release).
-//     Such a cell names the clock rule (b) logged for
-//     that release — RuleB logs exactly the release time rule (a) folds —
+//     Such a cell names the clock rule (b) logged for that release, whole
+//     or record, and reads it through the view, with the releasing thread
+//     as its owner — RuleB logs exactly the release time rule (a) folds —
 //     or, without a log (WDC), keeps a copy overwritten in place. Only a
-//     DC or WDC read-only section's Lr can be a real join, and only when
-//     the reader does not already hold the old Lr (fact 3).
+//     DC or WDC read-only section's Lr can be a real join, copied out of
+//     the view into the cell's own storage, and only when the reader does
+//     not already hold the old Lr (fact 3).
 //  2. WCP: release times of one lock only grow, so a thread that has joined
 //     the release of m at trace index k holds every release of m at or
 //     before k. RuleB keeps that index per (thread, lock), rule (a) skips a
@@ -108,10 +123,11 @@ import (
 // the epoch-queue optimization (SmartTrack, and WCP at every level: for WCP
 // the ordering test a₁ ≺WCP r₂ is exactly the component test
 // P_r₂(t') ≥ local(a₁) under left HB-composition, so only the epoch is
-// meaningful), otherwise the arena Ref of a full vector clock (DC at the
-// Unopt/FTO levels, Algorithm 1 line 2). rel is the arena Ref of the release
-// time, zero while the section is open, and idx the release's trace index
-// (for constraint-graph edges).
+// meaningful), otherwise the arena Ref of a vector clock, whole or record
+// (DC at the Unopt/FTO levels, Algorithm 1 line 2). rel is the arena Ref of
+// the release time, zero while the section is open, and idx the release's
+// trace index (for constraint-graph edges). The log's owner is the owner
+// of both clocks, the thread their views read own for.
 type csEntry struct {
 	acq uint64
 	rel vc.Ref
@@ -156,6 +172,7 @@ type RuleB struct {
 	epochAcq bool
 	locks    []*lockLogs
 	clocks   vc.Arena // every logged acquire and release clock
+	bases    []vc.Ref // per thread, its last clock the arena holds whole
 }
 
 // NewRuleB builds rule (b) state from capacity hints. epochAcq selects
@@ -190,11 +207,18 @@ func (b *RuleB) Acquire(t trace.Tid, m uint32, p *vc.VC) {
 	if b.epochAcq {
 		ent.acq = uint64(p.Epoch(vc.Tid(t)))
 	} else {
-		ent.acq = uint64(b.clocks.Put(p))
+		ent.acq = uint64(b.log(t, p))
 	}
 	ll := b.lockState(m)
 	analysis.EnsureLen(&ll.byOwner, int(t)+1)
 	ll.byOwner[t] = append(ll.byOwner[t], ent)
+}
+
+// log stores c, a clock of t's, in the arena: as a record over t's base
+// when c equals it off t's component, otherwise whole as t's new base.
+func (b *RuleB) log(t trace.Tid, c *vc.VC) vc.Ref {
+	analysis.EnsureLen(&b.bases, int(t)+1)
+	return b.clocks.PutOver(&b.bases[t], c, vc.Tid(t))
 }
 
 // Release performs rule (b) at t's release of m (Algorithm 1 lines 4–8):
@@ -218,11 +242,12 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 	ll := b.lockState(m)
 	heads := ll.cursors(t)
 	wcp := b.rel == analysis.WCP
-	var latest csEntry // WCP: the consumed entry with the highest trace index
-	var latestC vc.VC  // its release time, read when an ordered test needs it
-	var viewed vc.Ref  // the release time latestC reads
+	var latest csEntry  // WCP: the consumed entry with the highest trace index
+	var latestBy vc.Tid // its owner
+	var latestC vc.Rel  // its release time, read when an ordered test needs it
+	var viewed vc.Ref   // the release time latestC reads
 	// Owners iterate in ascending thread order — the same order as the old
-	// pre-sized per-pair queues. Determinism matters: JoinP below grows p
+	// pre-sized per-pair queues. Determinism matters: JoinRel below grows p
 	// (for WCP, latestC stands for what it would have grown p by), which
 	// the ordered test reads, so the iteration order is part of the
 	// algorithm's observable behavior.
@@ -240,14 +265,14 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 				c := vc.Epoch(front.acq).Clock()
 				if ordered = c <= p.Get(u); !ordered && latest.rel != 0 {
 					if viewed != latest.rel {
-						latestC, viewed = b.clocks.At(latest.rel), latest.rel
+						latestC, viewed = b.clocks.At(latest.rel, latestBy), latest.rel
 					}
 					ordered = c <= latestC.Get(u)
 				}
 			case b.epochAcq:
 				ordered = vc.EpochLeq(vc.Epoch(front.acq), p)
 			default:
-				acq := b.clocks.At(vc.Ref(front.acq))
+				acq := b.clocks.At(vc.Ref(front.acq), u)
 				ordered = acq.Leq(p)
 			}
 			if !ordered {
@@ -256,10 +281,10 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 			h++
 			if wcp { // rule (b): r1 ≺ r2
 				if latest.rel == 0 || front.idx > latest.idx {
-					latest = front
+					latest, latestBy = front, u
 				}
-			} else if rel := b.clocks.At(front.rel); rel.Get(u) > p.Get(u) {
-				s.JoinP(t, &rel)
+			} else if rel := b.clocks.At(front.rel, u); rel.Get(u) > p.Get(u) {
+				s.JoinRel(t, &rel)
 			}
 			if hook != nil {
 				hook.Edge(front.idx, idx)
@@ -268,8 +293,8 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 		heads[owner] = h
 	}
 	if latest.rel != 0 && heads[t] <= latest.idx {
-		rel := b.clocks.At(latest.rel)
-		s.JoinP(t, &rel)
+		rel := b.clocks.At(latest.rel, latestBy)
+		s.JoinRel(t, &rel)
 		heads[t] = latest.idx + 1
 	}
 	snap := p
@@ -278,12 +303,13 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 	}
 	own := ll.byOwner[t]
 	cs := &own[len(own)-1] // the section t's acquire of m opened
-	cs.rel, cs.idx = b.clocks.Put(snap), idx
+	cs.rel, cs.idx = b.log(t, snap), idx
 	return cs.rel
 }
 
-// At returns a read-only view of the release time Release logged as r.
-func (b *RuleB) At(r vc.Ref) vc.VC { return b.clocks.At(r) }
+// At returns a read-only view of the clock that owner's Acquire or Release
+// logged as r.
+func (b *RuleB) At(r vc.Ref, owner trace.Tid) vc.Rel { return b.clocks.At(r, vc.Tid(owner)) }
 
 // joined returns WCP's record of the latest release of m whose clock t's P
 // has joined: one past its trace index, 0 for none (see lockLogs).
@@ -293,10 +319,11 @@ func (b *RuleB) joined(t trace.Tid, m uint32) *int32 {
 
 // Weight estimates retained rule (b) metadata in 8-byte words: the cursor
 // rows (and with them WCP's per-(thread, lock) record) and entry slices at
-// their capacity, and the arena, which holds every clock an entry names —
-// and every clock a rule (a) cell names.
+// their capacity, the per-thread bases, and the arena, which holds every
+// clock an entry names — and every clock a rule (a) cell names — with each
+// base once however many records view it.
 func (b *RuleB) Weight() int {
-	w := b.clocks.Weight()
+	w := b.clocks.Weight() + (cap(b.bases)+1)/2
 	for _, ll := range b.locks {
 		if ll == nil {
 			continue
@@ -408,12 +435,13 @@ func (lt *LockTables) tab(m uint32) *lockTab {
 	return tb
 }
 
-// at returns the release time a set side holds.
-func (lt *LockTables) at(sd *aSide) vc.VC {
+// at returns the release time a set side holds; u is the thread whose
+// release a one-release side holds.
+func (lt *LockTables) at(sd *aSide, u trace.Tid) vc.Rel {
 	if sd.ref != 0 {
-		return lt.log.clocks.At(sd.ref)
+		return lt.log.At(sd.ref, u)
 	}
-	return *sd.own
+	return vc.Whole(*sd.own, vc.Tid(u))
 }
 
 // holds reports whether p, t's relation clock, holds the one release time
@@ -424,7 +452,7 @@ func (lt *LockTables) holds(t trace.Tid, p *vc.VC, sd *aSide, u trace.Tid) bool 
 	if u == t {
 		return true
 	}
-	c := lt.at(sd)
+	c := lt.at(sd, u)
 	return c.Get(vc.Tid(u)) <= p.Get(vc.Tid(u))
 }
 
@@ -444,8 +472,8 @@ func (lt *LockTables) join(t trace.Tid, m uint32, s *analysis.SyncState, sd *aSi
 	case !joined && lt.holds(t, s.P[t], sd, u):
 		return 0
 	}
-	c := lt.at(sd)
-	s.JoinP(t, &c)
+	c := lt.at(sd, u)
+	s.JoinRel(t, &c)
 	return 1
 }
 
@@ -536,12 +564,12 @@ func (lt *LockTables) Release(t trace.Tid, m uint32, rt *vc.VC, named vc.Ref, id
 			hold(&cl.lr, rt, named, idx)
 			cl.lrBy = t
 		default: // a read-only section, DC or WDC: Lr ⊔ rt
-			if cl.lr.ref != 0 {
-				old := lt.at(&cl.lr)
+			if cl.lr.ref != 0 { // the logged clock, out into own storage
+				old := lt.at(&cl.lr, cl.lrBy)
 				if cl.lr.own == nil {
 					cl.lr.own = old.Copy()
 				} else {
-					cl.lr.own.CopyFrom(&old)
+					old.CopyTo(cl.lr.own)
 				}
 				cl.lr.ref = 0
 			}

@@ -277,9 +277,9 @@ func TestRuleBWCPEnqueuesHBTime(t *testing.T) {
 	if len(lg) != 1 || lg[0].rel == 0 {
 		t.Fatalf("release log = %v, want one released section", lg)
 	}
-	c := rb.clocks.At(lg[0].rel)
+	c := rb.At(lg[0].rel, 0)
 	if c.Get(0) != s.H[0].Get(vc.Tid(0))-1 && c.Get(0) == 0 {
-		t.Errorf("WCP rule (b) must log HB release times, got %v", &c)
+		t.Errorf("WCP rule (b) must log HB release times, got %v", c.Copy())
 	}
 }
 

@@ -26,9 +26,9 @@ func collector(v ccs.View) *report.Collector {
 // diffReference runs relation rel's substrate, under an FTO and an Unopt
 // w/G view, beside the reference substrate (join-everything rule (a) and
 // rule (b)) under the same two views. It fails at the first event after
-// which any thread's P or H, the graph's edge count or a view's race count
-// differs; at the end the graphs must be edge for edge, and the reports
-// race for race, the same.
+// which any thread's P, H or WCP self-knowledge (selfP), the graph's edge
+// count or a view's race count differs; at the end the graphs must be edge
+// for edge, and the reports race for race, the same.
 func diffReference(t testing.TB, id string, tr *trace.Trace, rel analysis.Relation, spec analysis.Spec) {
 	t.Helper()
 	sub, ref := ccs.NewSubstrate(rel, spec, true), ccs.NewRefSubstrate(rel, spec, true)
@@ -47,6 +47,9 @@ func diffReference(t testing.TB, id string, tr *trace.Trace, rel analysis.Relati
 			}
 			if sub.H != nil && !equal(sub.H[u], ref.Sub.H[u]) {
 				t.Fatalf("%s: after event %d (%+v) H[%d] = %v, reference %v", id, i, e, u, sub.H[u], ref.Sub.H[u])
+			}
+			if got, want := ccs.SelfP(&sub.SyncState, u), ccs.SelfP(&ref.Sub.SyncState, u); got != want {
+				t.Fatalf("%s: after event %d (%+v) selfP[%d] = %d, reference %d", id, i, e, u, got, want)
 			}
 		}
 		if got, want := sub.Graph().Len(), ref.Sub.Graph().Len(); got != want {

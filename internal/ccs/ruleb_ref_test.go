@@ -323,9 +323,9 @@ func TestRuleBMatchesReference(t *testing.T) {
 					sw.PostAcquire(e.T, e.Targ)
 				case trace.OpRelease:
 					releases++
-					lg, lw := got.At(got.Release(e.T, e.Targ, sg, idx, &eg)), want.Release(e.T, e.Targ, sw, idx, &ew)
-					if lg.Len() != lw.Len() || !equalClocks(&lg, &lw) {
-						t.Fatalf("%s: release %d logged %v, reference %v", id, i, &lg, &lw)
+					rg, lw := got.At(got.Release(e.T, e.Targ, sg, idx, &eg), e.T), want.Release(e.T, e.Targ, sw, idx, &ew)
+					if lg := rg.Copy(); lg.Len() != lw.Len() || !equalClocks(lg, &lw) {
+						t.Fatalf("%s: release %d logged %v, reference %v", id, i, lg, &lw)
 					}
 					if len(eg) != len(ew) || len(eg) > 0 && eg[len(eg)-1] != ew[len(ew)-1] {
 						t.Fatalf("%s: release %d drew %d edges, reference %d", id, i, len(eg), len(ew))
@@ -362,27 +362,35 @@ func TestRuleBMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkRuleBRelease prices one uncontended acquire/release pair of ST-DC's
-// rule (b) on a ten-thread clock: an entry, an arena copy of the release
-// time, and a scan of nine other owners' cursors.
+// BenchmarkRuleBRelease prices one uncontended acquire/release pair of
+// rule (b) on a ten-thread clock: an entry, the logged release time, and a
+// scan of nine other owners' cursors; with epoch acquires (ST-DC's log) and
+// with vector acquires (the DC computation's, which logs the acquire time
+// too and tests it against the releasing clock). No thread learns of
+// another, so after the first round every logged clock is a record: B/op is
+// the arena's share of a pair.
 func BenchmarkRuleBRelease(b *testing.B) {
-	spec := analysis.Spec{Threads: 10, Locks: 1}
-	s := analysis.NewSyncState(analysis.DC, spec)
-	rb := NewRuleB(analysis.DC, spec, true)
-	for t := trace.Tid(0); t < 10; t++ { // every thread owns history on the lock
-		rb.Acquire(t, 0, s.P[t])
-		s.PostAcquire(t, 0)
-		rb.Release(t, 0, s, int32(t), nil)
-		s.PostRelease(t, 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := trace.Tid(i % 10)
-		rb.Acquire(t, 0, s.P[t])
-		s.PostAcquire(t, 0)
-		rb.Release(t, 0, s, int32(i), nil)
-		s.PostRelease(t, 0)
+	for _, epochAcq := range []bool{true, false} {
+		b.Run(fmt.Sprintf("epochAcq=%v", epochAcq), func(b *testing.B) {
+			spec := analysis.Spec{Threads: 10, Locks: 1}
+			s := analysis.NewSyncState(analysis.DC, spec)
+			rb := NewRuleB(analysis.DC, spec, epochAcq)
+			for t := trace.Tid(0); t < 10; t++ { // every thread owns history on the lock
+				rb.Acquire(t, 0, s.P[t])
+				s.PostAcquire(t, 0)
+				rb.Release(t, 0, s, int32(t), nil)
+				s.PostRelease(t, 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := trace.Tid(i % 10)
+				rb.Acquire(t, 0, s.P[t])
+				s.PostAcquire(t, 0)
+				rb.Release(t, 0, s, int32(i), nil)
+				s.PostRelease(t, 0)
+			}
+		})
 	}
 }
 

@@ -29,17 +29,21 @@
 // is open — or (2) joined into the clock of a thread that holds the
 // section's lock, and a section owned by u ≠ t on a lock t holds has been
 // released (mutual exclusion, which trace.Checker enforces). Both go through
-// the section (at, joinSec), so ST-WDC keeps a release by t as own, P[t](t),
-// over a view of snap[t], t's snapshot of P[t], which the release replaces
-// by a fresh exact copy only if P[t] differs from it off t's component.
-// That is exact: a snapshot is never written once published, so it equals
-// P[t] at every release viewing it on each component but t's, where it
-// holds an earlier time than own. Memory only falls: one snapshot at most
-// per section.
+// the section's vc.Rel, the owner-relative view (at; joinSec through
+// SyncState.JoinRel), so ST-WDC keeps a release by t as own, P[t](t)@t,
+// over snap[t], t's snapshot of P[t], which the release replaces by a fresh
+// exact copy only if P[t] differs from it off t's component. That is exact:
+// a snapshot is never written once published, so it equals P[t] at every
+// release viewing it on each component but t's, where it holds an earlier
+// time than own. Memory only falls: one snapshot at most per section.
 //
-// ST-WCP and ST-DC view the copy of H[t] (WCP) or P[t] (DC) that
-// ccs.RuleB.Release logs as its last step, with nothing run between that
-// and the section's fill, and read own from it.
+// ST-WCP and ST-DC hold the view of the clock — H[t] for WCP, P[t] for DC —
+// that ccs.RuleB.Release logs as its last step, with nothing run between
+// that and the section's fill: the same shape over the log's arena, where a
+// clock equal to t's base off t's component is a record of own over that
+// base. A section of t's own can be joined into t's clock (through a list
+// another thread captured, or extras), which is why joinSec goes through
+// JoinRel: WCP's self-knowledge takes own, not the base's earlier time.
 //
 // MultiCheck fuses the CCS detection with the race check: it walks a prior
 // access's CS list from outermost to innermost; an ordered release subsumes
@@ -68,21 +72,14 @@ import (
 // section is one critical section on lock m: the object CS lists and extra
 // metadata share, so that all of them see its release time once it exists.
 type section struct {
-	c        vc.VC    // release time but the owner's component; a read-only view, empty until released
-	own      vc.Clock // the owner's component of the release time
+	rel      vc.Rel // the release time, relative to its owner; zero until released
 	m        uint32
-	owner    vc.Tid
 	released bool
 	seen     bool // MetadataWeight's visited mark
 }
 
 // at returns u's component of the section's release time.
-func (s *section) at(u vc.Tid) vc.Clock {
-	if u == s.owner {
-		return s.own
-	}
-	return s.c.Get(u)
-}
+func (s *section) at(u vc.Tid) vc.Clock { return s.rel.Get(u) }
 
 // before reports whether the section's release is ordered before an access
 // with clock p, judged by u's component (u is the section's owner except in
@@ -353,18 +350,16 @@ func (a *Analysis) fillRelease(t trace.Tid, m uint32, idx int32) {
 	if n == nil {
 		return
 	}
-	tt := vc.Tid(t)
 	if a.rb != nil {
-		n.sec.c = a.rb.At(logged) // the log's copy, shared; see the package comment
-		n.sec.own = n.sec.c.Get(tt)
+		n.sec.rel = a.rb.At(logged, t) // the log's view, shared; see the package comment
 	} else {
-		p := a.s.P[t]
+		p, tt := a.s.P[t], vc.Tid(t)
 		if !a.snap[t].EqualExcept(p, tt) {
 			a.snap[t].CopyExact(p) // replaces the snapshot; the old one stays as its sections saw it
 		}
-		n.sec.c, n.sec.own = a.snap[t], p.Get(tt)
+		n.sec.rel = vc.Relative(a.snap[t], p.Epoch(tt))
 	}
-	n.sec.owner, n.sec.released = tt, true
+	n.sec.released = true
 	if n == top {
 		a.ht[t] = top.up // structured locking: the enclosing list is shared as is
 	} else {
@@ -372,14 +367,8 @@ func (a *Analysis) fillRelease(t trace.Tid, m uint32, idx int32) {
 	}
 }
 
-// joinSec joins s's release time into t's clock: the view, then the owner's
-// component, which the view may hold an earlier time of.
-func (a *Analysis) joinSec(t trace.Tid, s *section) {
-	a.s.JoinP(t, &s.c)
-	if p := a.s.P[t]; p.Get(s.owner) < s.own {
-		p.Set(s.owner, s.own)
-	}
-}
+// joinSec joins s's release time into t's clock through its view.
+func (a *Analysis) joinSec(t trace.Tid, s *section) { a.s.JoinRel(t, &s.rel) }
 
 func (a *Analysis) reportRace(t trace.Tid, x uint32, loc trace.Loc, idx int32, write bool, prior trace.Tid) {
 	if a.raced {
@@ -638,7 +627,7 @@ func (a *Analysis) heldWords(seen bool) (w int) {
 			s.seen = seen
 			w += nodeWords
 			if a.rb == nil {
-				snap(&s.c)
+				snap(s.rel.Base())
 			}
 		}
 	}

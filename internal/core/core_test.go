@@ -475,12 +475,16 @@ func TestMetadataWeightTracksHeap(t *testing.T) {
 	}
 }
 
-// FuzzSectionReleaseTimes holds ST-WDC's sections to the release times they
-// stand for, over the workload.RandomConfig tuple that FuzzReleaseSnapshots
-// in internal/ccs draws from, with some releases out of nesting order. Right
-// after each release the section reads, on every component, the releasing
-// thread's clock as the release found it; at the end of the trace every
-// section still does, so no snapshot was written after a section viewed it.
+// FuzzSectionReleaseTimes holds SmartTrack's sections to the release times
+// they stand for, over the workload.RandomConfig tuple that
+// FuzzReleaseSnapshots in internal/ccs draws from, with some releases out of
+// nesting order. An ST-WDC section views its thread's snapshot; an ST-WCP or
+// ST-DC section views the clock rule (b) logged, often a record over the
+// thread's base. Right after each release the section reads, on every
+// component, the releasing thread's clock as the release left it — H[t] for
+// WCP, P[t] for DC and WDC, after rule (b)'s joins and before the tick; at
+// the end of the trace every section still does, so no snapshot or base was
+// written after a section viewed it.
 func FuzzSectionReleaseTimes(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(5), uint8(2), uint8(1), uint16(2000), uint8(3), true)
 	f.Add(int64(7), uint8(8), uint8(2), uint8(1), uint8(0), uint16(3000), uint8(1), false)
@@ -495,32 +499,41 @@ func FuzzSectionReleaseTimes(f *testing.F) {
 			s    *section
 			want *vc.VC
 		}
-		check := func(r release, when string) {
-			for u := range vc.Tid(max(r.want.Len(), r.s.c.Len()) + 1) {
-				if got, want := r.s.at(u), r.want.Get(u); !r.s.released || got != want {
-					t.Fatalf("%s: the section of release %d reads %d for thread %d (released %v), want %d", when, r.idx, got, u, r.s.released, want)
-				}
-			}
-		}
-		a := New(analysis.WDC, analysis.Spec{})
-		var rels []release
-		for i, e := range tr.Events {
-			r := release{idx: i}
-			if e.Op == trace.OpRelease {
-				for n := a.ht[e.T]; n != nil && r.s == nil; n = n.up {
-					if n.sec.m == e.Targ {
-						r.s, r.want = n.sec, a.s.P[e.T].Copy()
+		for _, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
+			check := func(r release, when string) {
+				for u := range vc.Tid(max(r.want.Len(), r.s.rel.Base().Len()) + 1) {
+					if got, want := r.s.at(u), r.want.Get(u); !r.s.released || got != want {
+						t.Fatalf("ST-%v, %s: the section of release %d reads %d for thread %d (released %v), want %d", rel, when, r.idx, got, u, r.s.released, want)
 					}
 				}
 			}
-			a.Handle(e)
-			if r.s != nil {
-				check(r, "at the release")
-				rels = append(rels, r)
+			a := New(rel, analysis.Spec{})
+			var rels []release
+			for i, e := range tr.Events {
+				r := release{idx: i}
+				if e.Op == trace.OpRelease {
+					for n := a.ht[e.T]; n != nil && r.s == nil; n = n.up {
+						if n.sec.m == e.Targ {
+							r.s = n.sec
+						}
+					}
+				}
+				a.Handle(e)
+				if r.s != nil {
+					clock := a.s.P[e.T]
+					if rel == analysis.WCP {
+						clock = a.s.H[e.T]
+					}
+					tt := vc.Tid(e.T)
+					r.want = clock.Copy()
+					r.want.Set(tt, clock.Get(tt)-1) // the release's tick
+					check(r, "at the release")
+					rels = append(rels, r)
+				}
 			}
-		}
-		for _, r := range rels {
-			check(r, "at the end of the trace")
+			for _, r := range rels {
+				check(r, "at the end of the trace")
+			}
 		}
 	})
 }

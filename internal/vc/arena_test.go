@@ -6,10 +6,10 @@ func clockOf(cs ...Clock) *VC { return &VC{c: cs} }
 
 func TestArenaRefZeroIsNone(t *testing.T) {
 	var a Arena
-	if v := a.At(0); v.Len() != 0 || v.Get(3) != 0 {
-		t.Errorf("the zero Ref must read as the zero clock, got %v", &v)
+	if v := a.At(0, 3); v.Get(3) != 0 || v.Get(0) != 0 || !v.Leq(New(0)) {
+		t.Errorf("the zero Ref must read as the zero clock, got %v", v.Copy())
 	}
-	if r := a.Put(New(0)); r == 0 {
+	if r := a.put(New(0)); r == 0 {
 		t.Error("the first stored clock, even an empty one, must not be named 0")
 	}
 	if a.Weight() < arenaChunk {
@@ -20,10 +20,10 @@ func TestArenaRefZeroIsNone(t *testing.T) {
 func TestArenaViewsAreIndependentOfTheirNeighbours(t *testing.T) {
 	var a Arena
 	src := clockOf(1, 2, 3)
-	r1 := a.Put(src)
-	r2 := a.Put(clockOf(7, 8))
-	src.Set(0, 99) // Put copied: the source may go on changing
-	v1, v2 := a.At(r1), a.At(r2)
+	r1 := a.put(src)
+	r2 := a.put(clockOf(7, 8))
+	src.Set(0, 99) // put copied: the source may go on changing
+	v1, v2 := a.whole(r1), a.whole(r2)
 	if v1.String() != "[1 2 3]" || v2.String() != "[7 8]" {
 		t.Fatalf("stored clocks read %v and %v", &v1, &v2)
 	}
@@ -31,10 +31,10 @@ func TestArenaViewsAreIndependentOfTheirNeighbours(t *testing.T) {
 	// next: that is what lets At hand out the arena's own memory.
 	v1.Set(3, 42)
 	v1.Join(clockOf(0, 0, 0, 0, 5, 6, 7))
-	if v2 = a.At(r2); v2.String() != "[7 8]" {
+	if v2 = a.whole(r2); v2.String() != "[7 8]" {
 		t.Errorf("growing the first view changed its neighbour to %v", &v2)
 	}
-	if v1 = a.At(r1); v1.String() != "[1 2 3]" {
+	if v1 = a.whole(r1); v1.String() != "[1 2 3]" {
 		t.Errorf("growing a view changed the stored clock to %v", &v1)
 	}
 }
@@ -43,31 +43,31 @@ func TestArenaStartsANewChunkWhenAClockDoesNotFit(t *testing.T) {
 	var a Arena
 	wide := New(arenaChunk/2 - 1) // with its length word: exactly half a chunk
 	wide.Set(0, 5)
-	r1, r2 := a.Put(wide), a.Put(wide)
+	r1, r2 := a.put(wide), a.put(wide)
 	if len(a.chunks) != 1 || len(a.chunks[0]) != arenaChunk {
 		t.Fatalf("two half-chunk clocks must fill one chunk exactly: %d chunks", len(a.chunks))
 	}
 	first := &a.chunks[0][0]
-	r3 := a.Put(clockOf(9))
+	r3 := a.put(clockOf(9))
 	if len(a.chunks) != 2 || &a.chunks[0][0] != first {
 		t.Fatalf("a clock that does not fit must start chunk 2 and leave chunk 1 where it is: %d chunks", len(a.chunks))
 	}
 	for i, r := range []Ref{r1, r2} {
-		if v := a.At(r); v.Len() != wide.Len() || v.Get(0) != 5 {
+		if v := a.whole(r); v.Len() != wide.Len() || v.Get(0) != 5 {
 			t.Errorf("clock %d unreadable after the arena grew", i+1)
 		}
 	}
-	if v := a.At(r3); v.String() != "[9]" {
+	if v := a.whole(r3); v.String() != "[9]" {
 		t.Errorf("first clock of chunk 2 reads %v", &v)
 	}
 	// Wider than a chunk: a chunk of its own, and the arena carries on.
 	huge := New(arenaChunk + 10)
 	huge.Set(Tid(arenaChunk+9), 77)
-	r4, r5 := a.Put(huge), a.Put(clockOf(3))
-	if v := a.At(r4); v.Len() != huge.Len() || v.Get(Tid(arenaChunk+9)) != 77 {
+	r4, r5 := a.put(huge), a.put(clockOf(3))
+	if v := a.whole(r4); v.Len() != huge.Len() || v.Get(Tid(arenaChunk+9)) != 77 {
 		t.Error("a clock wider than a chunk must be stored whole")
 	}
-	if v := a.At(r5); v.String() != "[3]" {
+	if v := a.whole(r5); v.String() != "[3]" {
 		t.Errorf("clock after the oversized one reads %v", &v)
 	}
 }
@@ -75,16 +75,70 @@ func TestArenaStartsANewChunkWhenAClockDoesNotFit(t *testing.T) {
 func TestArenaPutInsideAChunkDoesNotAllocate(t *testing.T) {
 	var a Arena
 	v := clockOf(1, 2, 3, 4, 5, 6, 7, 8)
-	a.Put(v)         // allocates the chunk
+	a.put(v)         // allocates the chunk
 	const runs = 500 // × 9 words: well inside the first chunk
 	var sink Clock
 	if n := testing.AllocsPerRun(runs, func() {
-		got := a.At(a.Put(v))
+		got := a.At(a.put(v), 0)
 		sink += got.Get(7)
 	}); n != 0 {
-		t.Errorf("Put + At inside a chunk: %v allocs, want 0", n)
+		t.Errorf("put + At inside a chunk: %v allocs, want 0", n)
 	}
 	if len(a.chunks) != 1 || sink == 0 {
 		t.Fatalf("the loop left the first chunk (%d chunks) or read nothing", len(a.chunks))
+	}
+}
+
+// TestArenaRecordsReadTheirClock logs a thread's clocks through PutOver: a
+// clock equal to the base off the owner's component is a two-word record
+// and reads back whole; one that differs elsewhere, or in length, is stored
+// whole and becomes the base, and the records over the old base still read
+// what they were.
+func TestArenaRecordsReadTheirClock(t *testing.T) {
+	var a Arena
+	var base Ref
+	const owner = 1
+	logged := []*VC{
+		clockOf(4, 2, 7),     // whole: no base yet
+		clockOf(4, 3, 7),     // record
+		clockOf(4, 9, 7),     // record
+		clockOf(5, 9, 7),     // whole: component 0 changed
+		clockOf(5, 9, 7),     // record, own unchanged
+		clockOf(5, 11, 7, 1), // whole: longer
+		clockOf(5, 12, 7, 1), // record
+	}
+	wholes := map[int]bool{0: true, 3: true, 5: true}
+	var refs []Ref
+	for i, v := range logged {
+		before := 0
+		if len(a.chunks) > 0 {
+			before = len(a.chunks[0])
+		}
+		prev := base
+		refs = append(refs, a.PutOver(&base, v, owner))
+		words := len(a.chunks[0]) - before
+		if wholes[i] {
+			if base != refs[i] || words != v.Len()+1 {
+				t.Errorf("clock %d: %d words, base %d → %d; want it whole (%d words) and the new base", i, words, prev, base, v.Len()+1)
+			}
+		} else if base != prev || words != 2 {
+			t.Errorf("clock %d: %d words, base %d → %d; want a 2-word record over the same base", i, words, prev, base)
+		}
+	}
+	for i, v := range logged {
+		got := a.At(refs[i], owner)
+		if c := got.Copy(); c.String() != v.String() {
+			t.Errorf("clock %d reads %v, logged %v", i, c, v)
+		}
+		for u := range Tid(5) {
+			if got.Get(u) != v.Get(u) {
+				t.Errorf("clock %d: Get(%d) = %d, logged %d", i, u, got.Get(u), v.Get(u))
+			}
+		}
+	}
+	// A record's base is a whole clock, never a record: the record of clock
+	// 2 views clock 0.
+	if r, w := a.At(refs[2], owner), a.whole(refs[0]); r.Base().Array() != w.Array() {
+		t.Error("a record must view the whole clock it was compared with")
 	}
 }

@@ -6,7 +6,9 @@
 // single word; a vector clock maps each thread to a clock. Vector clocks
 // here store one clock per thread slot (the paper's "vector clocks map to
 // epochs" presentation is equivalent because slot t always holds a time of
-// thread t).
+// thread t). Clocks that are logged once and then only read live in an
+// Arena and are read through Rel, a view relative to the thread that logged
+// them.
 package vc
 
 import (
