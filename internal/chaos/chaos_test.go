@@ -1,4 +1,4 @@
-package fault
+package chaos
 
 import (
 	"bytes"
@@ -9,6 +9,8 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 func TestRandDeterminism(t *testing.T) {
@@ -26,7 +28,7 @@ func TestRandDeterminism(t *testing.T) {
 
 func TestInjectFSSyncSchedule(t *testing.T) {
 	dir := t.TempDir()
-	fsys := NewInjectFS(OS{}, FSPlan{FailSyncEvery: 3})
+	fsys := NewInjectFS(fault.OS{}, FSPlan{FailSyncEvery: 3})
 	f, err := fsys.OpenFile(filepath.Join(dir, "x"), os.O_CREATE|os.O_WRONLY, 0o666)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +41,7 @@ func TestInjectFSSyncSchedule(t *testing.T) {
 			if err == nil {
 				t.Fatalf("sync %d: want injected failure", i)
 			}
-			if !Injected(err) || !errors.Is(err, syscall.EIO) {
+			if !fault.Injected(err) || !errors.Is(err, syscall.EIO) {
 				t.Fatalf("sync %d: error not classified: %v", i, err)
 			}
 			fails++
@@ -54,7 +56,7 @@ func TestInjectFSSyncSchedule(t *testing.T) {
 
 func TestInjectFSENOSPC(t *testing.T) {
 	dir := t.TempDir()
-	fsys := NewInjectFS(OS{}, FSPlan{ENOSPCAfter: 10})
+	fsys := NewInjectFS(fault.OS{}, FSPlan{ENOSPCAfter: 10})
 	f, err := fsys.OpenFile(filepath.Join(dir, "x"), os.O_CREATE|os.O_WRONLY, 0o666)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +66,7 @@ func TestInjectFSENOSPC(t *testing.T) {
 		t.Fatalf("within budget: %v", err)
 	}
 	_, err = f.Write(make([]byte, 8))
-	if !errors.Is(err, syscall.ENOSPC) || !Injected(err) {
+	if !errors.Is(err, syscall.ENOSPC) || !fault.Injected(err) {
 		t.Fatalf("want injected ENOSPC, got %v", err)
 	}
 }
@@ -99,8 +101,8 @@ func TestCrashFSPowerCut(t *testing.T) {
 	if string(got) != "durable!" {
 		t.Fatalf("after cut file = %q, want synced prefix only", got)
 	}
-	if !Injected(ErrPowerCut) {
-		t.Fatal("ErrPowerCut must wrap ErrInjected")
+	if !fault.Injected(ErrPowerCut) {
+		t.Fatal("ErrPowerCut must wrap fault.ErrInjected")
 	}
 }
 
@@ -220,7 +222,7 @@ func TestConnDrop(t *testing.T) {
 	var want []byte
 	for _, step := range []int{len(msg), 100, 7} {
 		got, err := pipeThrough(msg, step, NewConnFaults(plan), true)
-		if !Injected(err) {
+		if !fault.Injected(err) {
 			t.Fatalf("step %d: want injected drop error, got %v", step, err)
 		}
 		if want == nil {
@@ -257,10 +259,10 @@ func TestConnDrop(t *testing.T) {
 	}
 	fc := NewConnFaults(plan).Wrap(raw)
 	_, werr := fc.Write(make([]byte, 128))
-	if !Injected(werr) {
+	if !fault.Injected(werr) {
 		t.Fatalf("want injected drop error, got %v", werr)
 	}
-	if _, err := fc.Write([]byte("x")); !Injected(err) {
+	if _, err := fc.Write([]byte("x")); !fault.Injected(err) {
 		t.Fatalf("conn should stay dead after drop, got %v", err)
 	}
 }
@@ -277,7 +279,7 @@ func TestGateSchedule(t *testing.T) {
 			switch err := g.Err(); {
 			case err == nil:
 				s = append(s, '+')
-			case Injected(err) && errors.Is(err, syscall.ECONNREFUSED):
+			case fault.Injected(err) && errors.Is(err, syscall.ECONNREFUSED):
 				s = append(s, '-')
 			default:
 				t.Fatalf("call %d: unclassified gate error %v", i, err)

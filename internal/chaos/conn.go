@@ -1,4 +1,4 @@
-package fault
+package chaos
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // ConnPlan configures fault-injected connections. Each direction of a
@@ -105,7 +107,9 @@ type direction struct {
 	bit   uint
 }
 
-func errDropped(op string) error { return fmt.Errorf("fault: conn %s: %w: dropped", op, ErrInjected) }
+func errDropped(op string) error {
+	return fmt.Errorf("fault: conn %s: %w: dropped", op, fault.ErrInjected)
+}
 
 // dropLocked fires d's drop: from here on every operation fails. The
 // caller closes the connection once it has let go of mu.

@@ -1,15 +1,17 @@
-package fault
+package chaos
 
 import (
 	"fmt"
 	"io/fs"
 	"os"
 	"sync"
+
+	"repro/internal/fault"
 )
 
 // ErrPowerCut is returned by every CrashFS operation after the simulated
-// power cut. It wraps ErrInjected.
-var ErrPowerCut = fmt.Errorf("%w: power cut", ErrInjected)
+// power cut. It wraps fault.ErrInjected.
+var ErrPowerCut = fmt.Errorf("%w: power cut", fault.ErrInjected)
 
 // CrashFS simulates pulling the plug at an fsync boundary. Writes pass
 // through to the real filesystem, but the FS tracks, per file, how many
@@ -24,7 +26,7 @@ var ErrPowerCut = fmt.Errorf("%w: power cut", ErrInjected)
 // recovery contract is written against; the torn tail covers partial
 // last-sector writes.
 type CrashFS struct {
-	inner FS
+	inner fault.FS
 
 	mu       sync.Mutex
 	files    map[string]*crashState
@@ -42,7 +44,7 @@ type crashState struct {
 
 // NewCrashFS returns a CrashFS over the real filesystem.
 func NewCrashFS() *CrashFS {
-	return &CrashFS{inner: OS{}, files: make(map[string]*crashState)}
+	return &CrashFS{inner: fault.OS{}, files: make(map[string]*crashState)}
 }
 
 // CutAtSync arms the power cut to fire on the n-th File.Sync call
@@ -105,7 +107,7 @@ func (c *CrashFS) dead() error {
 	return nil
 }
 
-func (c *CrashFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+func (c *CrashFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
 	c.mu.Lock()
 	if c.crashed {
 		c.mu.Unlock()
@@ -139,7 +141,7 @@ func (c *CrashFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 	return &crashFile{fs: c, inner: inner, name: name, st: st}, nil
 }
 
-func (c *CrashFS) Open(name string) (File, error) {
+func (c *CrashFS) Open(name string) (fault.File, error) {
 	if err := c.dead(); err != nil {
 		return nil, err
 	}
@@ -230,7 +232,7 @@ func (c *CrashFS) SyncDir(name string) error {
 
 type crashFile struct {
 	fs    *CrashFS
-	inner File
+	inner fault.File
 	name  string
 	st    *crashState // nil for read-only opens
 }

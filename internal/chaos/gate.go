@@ -1,9 +1,11 @@
-package fault
+package chaos
 
 import (
 	"fmt"
 	"sync"
 	"syscall"
+
+	"repro/internal/fault"
 )
 
 // GatePlan configures a Gate: an alternating up/down schedule used to
@@ -55,7 +57,7 @@ func (g *Gate) Err() error {
 	g.left--
 	if g.down {
 		g.faults++
-		return fmt.Errorf("fault: gate: %w: %w", ErrInjected, syscall.ECONNREFUSED)
+		return fmt.Errorf("fault: gate: %w: %w", fault.ErrInjected, syscall.ECONNREFUSED)
 	}
 	return nil
 }

@@ -1,4 +1,4 @@
-package fault
+package chaos
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"os"
 	"sync"
 	"syscall"
+
+	"repro/internal/fault"
 )
 
 // FSPlan configures an InjectFS. Its triggers are counts, not coin flips,
@@ -20,11 +22,11 @@ type FSPlan struct {
 	ENOSPCAfter int64
 }
 
-// InjectFS layers fault injection over an inner FS. Directory and
+// InjectFS layers fault injection over an inner fault.FS. Directory and
 // metadata operations pass through untouched; data-path operations
 // (Write, Sync) consult the plan.
 type InjectFS struct {
-	inner FS
+	inner fault.FS
 	plan  FSPlan
 
 	mu      sync.Mutex
@@ -34,9 +36,9 @@ type InjectFS struct {
 }
 
 // NewInjectFS wraps inner with the fault schedule described by plan.
-func NewInjectFS(inner FS, plan FSPlan) *InjectFS {
+func NewInjectFS(inner fault.FS, plan FSPlan) *InjectFS {
 	if inner == nil {
-		inner = OS{}
+		inner = fault.OS{}
 	}
 	return &InjectFS{inner: inner, plan: plan}
 }
@@ -48,7 +50,7 @@ func (f *InjectFS) Injected() int64 {
 	return f.hits
 }
 
-func (f *InjectFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+func (f *InjectFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
 	inner, err := f.inner.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
@@ -56,7 +58,7 @@ func (f *InjectFS) OpenFile(name string, flag int, perm os.FileMode) (File, erro
 	return &injectFile{fs: f, inner: inner, name: name}, nil
 }
 
-func (f *InjectFS) Open(name string) (File, error)             { return f.inner.Open(name) }
+func (f *InjectFS) Open(name string) (fault.File, error)       { return f.inner.Open(name) }
 func (f *InjectFS) ReadFile(name string) ([]byte, error)       { return f.inner.ReadFile(name) }
 func (f *InjectFS) ReadDir(name string) ([]fs.DirEntry, error) { return f.inner.ReadDir(name) }
 func (f *InjectFS) Stat(name string) (os.FileInfo, error)      { return f.inner.Stat(name) }
@@ -71,7 +73,7 @@ func (f *InjectFS) SyncDir(name string) error              { return f.inner.Sync
 
 type injectFile struct {
 	fs    *InjectFS
-	inner File
+	inner fault.File
 	name  string
 }
 
@@ -84,7 +86,7 @@ func (f *injectFile) Write(p []byte) (int, error) {
 	if budget := f.fs.plan.ENOSPCAfter; budget > 0 && f.fs.written+int64(len(p)) > budget {
 		f.fs.hits++
 		f.fs.mu.Unlock()
-		return 0, fmt.Errorf("fault: write %s: %w: %w", f.name, ErrInjected, syscall.ENOSPC)
+		return 0, fmt.Errorf("fault: write %s: %w: %w", f.name, fault.ErrInjected, syscall.ENOSPC)
 	}
 	f.fs.mu.Unlock()
 	n, err := f.inner.Write(p)
@@ -103,7 +105,7 @@ func (f *injectFile) Sync() error {
 	}
 	f.fs.mu.Unlock()
 	if fail {
-		return fmt.Errorf("fault: fsync %s: %w: %w", f.name, ErrInjected, syscall.EIO)
+		return fmt.Errorf("fault: fsync %s: %w: %w", f.name, fault.ErrInjected, syscall.EIO)
 	}
 	return f.inner.Sync()
 }

@@ -18,7 +18,8 @@ type File interface {
 // FS abstracts every filesystem operation the racelog store and the
 // server's journal/state-file writers perform, so faults can be injected
 // under real code paths instead of test doubles. OS is the passthrough
-// implementation; InjectFS and CrashFS layer faults on top of another FS.
+// implementation; chaos.InjectFS and chaos.CrashFS layer faults on top of
+// another FS.
 type FS interface {
 	// OpenFile opens name with os.OpenFile semantics.
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)

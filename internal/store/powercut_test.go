@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/fault"
 	"repro/internal/trace"
 )
@@ -95,7 +96,7 @@ func TestPowerCutAtEveryFsyncBoundary(t *testing.T) {
 	evs := genEvents(total)
 
 	// Dry run to count the pattern's fsync boundaries.
-	dry := fault.NewCrashFS()
+	dry := chaos.NewCrashFS()
 	if _, cut := writeUntilCut(t, dry, filepath.Join(t.TempDir(), "dry"), evs, flushEvery, segEvents); cut {
 		t.Fatal("dry run hit a cut")
 	}
@@ -107,7 +108,7 @@ func TestPowerCutAtEveryFsyncBoundary(t *testing.T) {
 	for n := int64(1); n <= boundaries; n++ {
 		for _, after := range []bool{false, true} {
 			dir := filepath.Join(t.TempDir(), "log")
-			fsys := fault.NewCrashFS()
+			fsys := chaos.NewCrashFS()
 			// Leave up to 7 bytes of torn tail (a partial 12-byte record).
 			fsys.CutAtSync(n, after, 7)
 			floor, cut := writeUntilCut(t, fsys, dir, evs, flushEvery, segEvents)
@@ -139,7 +140,7 @@ func TestPowerCutAtEveryFsyncBoundary(t *testing.T) {
 // subsequent recovery.
 func TestInjectedSyncFailureSurfaces(t *testing.T) {
 	dir := t.TempDir()
-	fsys := fault.NewInjectFS(nil, fault.FSPlan{FailSyncEvery: 2})
+	fsys := chaos.NewInjectFS(nil, chaos.FSPlan{FailSyncEvery: 2})
 	l, err := Open(dir, Options{SegmentEvents: 1 << 20, FS: fsys})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 	"net"
 	"testing"
 
-	"repro/internal/fault"
+	"repro/internal/chaos"
 	"repro/internal/trace"
 )
 
@@ -61,7 +61,7 @@ func TestFaultConnCorruptionDetected(t *testing.T) {
 	flipAfter := int64(len(encodeFrame(TEvents, payload))) * 2 / 3
 	for seed := uint64(1); seed <= 32; seed++ {
 		cli, srv := net.Pipe()
-		fc := fault.NewConnFaults(fault.ConnPlan{Seed: seed, FaultAfter: flipAfter}).Wrap(cli)
+		fc := chaos.NewConnFaults(chaos.ConnPlan{Seed: seed, FaultAfter: flipAfter}).Wrap(cli)
 		go func() {
 			WriteFrame(fc, TEvents, payload)
 			cli.Close()
@@ -116,7 +116,7 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzFrameCorruption: any single-bit flip of a valid frame must be
-// rejected — this is the invariant racechaos leans on for the network
+// rejected — this is the invariant TestChaos leans on for the network
 // fault schedule.
 func FuzzFrameCorruption(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint32(3))

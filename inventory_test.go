@@ -41,13 +41,14 @@ import (
 type keep string
 
 const (
-	keepReference keep = "reference the differential tests compare against"
-	keepFake      keep = "a test's control over a fake"
-	keepGenerator keep = "a generator the differential tests draw traces from"
+	keepReference  keep = "reference the differential tests compare against"
+	keepFake       keep = "a test's control over a fake"
+	keepGenerator  keep = "a generator the differential tests draw traces from"
+	keepFaultModel keep = "a fault model the chaos and fault tests inject, or the probe step they replay by"
 )
 
 // allowRow names an identifier as a failure prints it, or a prefix of one
-// ending at a dot boundary ("oracle" covers the package, "fault.CrashFS" the
+// ending at a dot boundary ("oracle" covers the package, "fleet.Local" the
 // type and its methods).
 type allowRow struct {
 	id     string
@@ -56,8 +57,7 @@ type allowRow struct {
 
 var inventoryAllow = []allowRow{
 	{"oracle", keepReference},
-	{"fault.CrashFS", keepReference},
-	{"fault.NewCrashFS", keepReference},
+	{"chaos", keepFaultModel},
 	// The recorded edge list is what grouped ≡ standalone, engine ≡ batch and
 	// the rule (b) reference differentials compare, edge for edge.
 	{"graph.Graph.Edges", keepReference},
@@ -68,8 +68,11 @@ var inventoryAllow = []allowRow{
 	// Random and channel-heavy streams beside the ten programs.
 	{"workload.Random", keepGenerator},
 	{"workload.Channels", keepGenerator},
-	{"fleet.Local.Kill", keepFake},
-	{"fleet.Local.Server", keepFake},
+	// The in-process backend the fleet tests boot, and the probe round
+	// TestChaos steps instead of a clock.
+	{"fleet.Local", keepFake},
+	{"fleet.NewLocal", keepFake},
+	{"fleet.Router.Probe", keepFaultModel},
 }
 
 const modulePath = "repro"

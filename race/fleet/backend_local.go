@@ -20,7 +20,7 @@ import (
 // "healthz", "suspend", "recover", "drain", "sessions", "proxy"; session
 // ops are "feed", "flush", "close"), so a gate can partition selectively —
 // fail the wire ops while probes still pass, the nastiest partial
-// partition. A fault.Gate behind it flaps the backend on a seeded schedule.
+// partition. A chaos.Gate behind it flaps the backend on a seeded schedule.
 // Kill is a gate that never reopens: every later operation, in-flight
 // sessions included, fails as unreachable while whatever the server had
 // journaled stays on disk, exactly like a SIGKILL'd raced.

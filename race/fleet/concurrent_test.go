@@ -100,7 +100,7 @@ func TestConcurrentSessionsMatchBatch(t *testing.T) {
 func TestConcurrentOpensPastCapacityAreServerFull(t *testing.T) {
 	names := []string{"ST-WDC"}
 	traces := mixedTraces(8)
-	_, _, _, addr := fleetOf(t, 2, 1, Options{})
+	_, _, _, addr := fleetOf(t, 2, server.Config{MaxSessions: 1}, Options{})
 
 	sessions := make([]*server.ReliableSession, len(traces))
 	errs := make([]error, len(traces))

@@ -274,7 +274,7 @@ func TestEveryBackendCallMarksADeadBackendDown(t *testing.T) {
 // router copy the second arc's <data-dir>/extra tree into the first's and
 // leave an empty sessions/.importing-.. behind.
 func TestResumeIDIsCheckedBeforeAnyPath(t *testing.T) {
-	rt, locals, api, wireAddr := fleetOf(t, 2, 0, Options{})
+	rt, locals, api, wireAddr := fleetOf(t, 2, server.Config{}, Options{})
 	const id = "../extra"
 	second := rt.backends[rt.ring.sequence(id)[1]]
 	if err := os.MkdirAll(filepath.Join(second.DataDir(), "extra", "sub"), 0o777); err != nil {
@@ -314,7 +314,7 @@ func TestResumeIDIsCheckedBeforeAnyPath(t *testing.T) {
 // knows takes the id's routing lock to look again, and gives its entry back
 // — also when another resume of the same id holds or waits for it.
 func TestSessionLocksDoNotOutliveTheirHolders(t *testing.T) {
-	rt, _, _, _ := fleetOf(t, 2, 0, Options{})
+	rt, _, _, _ := fleetOf(t, 2, server.Config{}, Options{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

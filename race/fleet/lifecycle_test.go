@@ -413,13 +413,15 @@ func TestSessionDrivenOverHTTPMatchesWire(t *testing.T) {
 	}
 }
 
-// fleetOf boots durable local backends, each admitting max sessions, behind
-// a router whose HTTP API and wire listener are both up.
-func fleetOf(t *testing.T, n, max int, opts Options) (rt *Router, locals []*Local, api, wireAddr string) {
+// fleetOf boots n durable local backends, each configured as cfg with its
+// own data directory and no idle timeout, behind a router whose HTTP API
+// and wire listener are both up.
+func fleetOf(t *testing.T, n int, cfg server.Config, opts Options) (rt *Router, locals []*Local, api, wireAddr string) {
 	t.Helper()
 	var backends []Backend
 	for i := 0; i < n; i++ {
-		srv := server.New(server.Config{DataDir: t.TempDir(), IdleTimeout: -1, MaxSessions: max})
+		cfg.DataDir, cfg.IdleTimeout = t.TempDir(), -1
+		srv := server.New(cfg)
 		t.Cleanup(func() { srv.Close() })
 		locals = append(locals, NewLocal(string(rune('a'+i))+"-backend", srv))
 		backends = append(backends, locals[i])
@@ -480,7 +482,7 @@ func TestHTTPOpensArePlacedLikeWireOpens(t *testing.T) {
 	for name, refuse := range refusals {
 		t.Run(name, func(t *testing.T) {
 			var mint func() string
-			rt, locals, api, wireAddr := fleetOf(t, 2, 1, Options{NewSessionID: func() string { return mint() }})
+			rt, locals, api, wireAddr := fleetOf(t, 2, server.Config{MaxSessions: 1}, Options{NewSessionID: func() string { return mint() }})
 			first, second := locals[0], locals[1]
 			mint = idsOwnedBy(rt, first.Name())
 			refuse(t, first)
@@ -588,7 +590,7 @@ func TestBroughtHomeByResumeOrByMigrate(t *testing.T) {
 	// run strands a fresh session, brings it home one way, finishes the
 	// stream and returns what the router counted.
 	run := func(t *testing.T, state string, byAdmin, homeDown bool) counts {
-		rt, locals, api, wireAddr := fleetOf(t, 2, 0, Options{})
+		rt, locals, api, wireAddr := fleetOf(t, 2, server.Config{}, Options{})
 		c, err := server.Dial(wireAddr)
 		if err != nil {
 			t.Fatal(err)

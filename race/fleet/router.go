@@ -64,7 +64,7 @@ type Options struct {
 	IOTimeout time.Duration
 
 	// WrapConn, when set, wraps every accepted client connection — the
-	// router-side network fault-injection seam (fault.ConnFaults). Applied
+	// router-side network fault-injection seam (chaos.ConnFaults). Applied
 	// under the IOTimeout layer, so injected latency meets the same
 	// deadline an organic stall would.
 	WrapConn func(net.Conn) net.Conn
@@ -217,7 +217,7 @@ func isUnknownSession(err error) bool {
 
 // isUnreachable reports whether err says the backend is gone (a
 // connection-level failure, a killed local backend) rather than that it
-// rejected the session; an injected fault (fault.Conn, fault.Gate) and an
+// rejected the session; an injected fault (chaos.Conn, chaos.Gate) and an
 // organic one route the same.
 func isUnreachable(err error) bool {
 	return server.Classify(err).Recovery == server.Reconnect

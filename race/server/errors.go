@@ -14,7 +14,7 @@ import (
 
 // This file is the service's error contract, written once. Every layer —
 // TError frames, the HTTP API, ReliableSession, the fleet router,
-// racechaos, Session.run — reads a column of conditions through Classify;
+// TestChaos, Session.run — reads a column of conditions through Classify;
 // none keeps a classifier of its own. The README's "Errors" table is
 // rendered from the same rows.
 
@@ -102,7 +102,7 @@ type Condition struct {
 	Code     wire.ErrCode // "" when no TError frame carries it; sent as internal
 	Sentinel error        // the local error standing for it (nil: none)
 	Status   int          // HTTP status of an API error
-	Label    string       // what racechaos reports call it
+	Label    string       // what TestChaos verdicts call it
 	Recovery Recovery
 	Fate     Fate
 	Meaning  string

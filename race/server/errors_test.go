@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/fault"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -108,7 +109,7 @@ func TestClassifyTransport(t *testing.T) {
 	}
 	for _, err := range []error{
 		io.EOF, io.ErrUnexpectedEOF, net.ErrClosed,
-		syscall.ECONNRESET, syscall.EPIPE, syscall.ECONNREFUSED, // bare, as fault.Gate wraps them
+		syscall.ECONNRESET, syscall.EPIPE, syscall.ECONNREFUSED, // bare, as chaos.Gate wraps them
 		syscall.EHOSTUNREACH, syscall.ENETUNREACH, syscall.ETIMEDOUT,
 		opErr(syscall.ECONNRESET), opErr(syscall.EADDRNOTAVAIL), // any *net.OpError
 		&net.DNSError{Err: "no such host", Name: "backend"},
@@ -244,7 +245,7 @@ func TestConditionFatesEndToEnd(t *testing.T) {
 			end: func(e *env) error { e.conn.Close(); return readErr(e) }},
 		{name: "disk-fault", label: "disk_fault",
 			cfg: func(c *Config) {
-				c.FS = fault.NewInjectFS(fault.OS{}, fault.FSPlan{ENOSPCAfter: 9 << 10})
+				c.FS = chaos.NewInjectFS(fault.OS{}, chaos.FSPlan{ENOSPCAfter: 9 << 10})
 			},
 			end: func(e *env) error {
 				if err := e.sess.FeedBatch(tr.Events[mid:]); err != nil {

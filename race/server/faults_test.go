@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/fault"
 	"repro/internal/workload"
 	"repro/race"
@@ -28,7 +29,7 @@ func TestDiskFaultDegradesWithoutCrashing(t *testing.T) {
 	dir := t.TempDir()
 	// Let session setup and a small healthy session through, then fail
 	// every write once the victim's journal pushes past the budget.
-	fsys := fault.NewInjectFS(fault.OS{}, fault.FSPlan{ENOSPCAfter: 256 << 10})
+	fsys := chaos.NewInjectFS(fault.OS{}, chaos.FSPlan{ENOSPCAfter: 256 << 10})
 	s := New(Config{DataDir: dir, FS: fsys, IdleTimeout: -1})
 	defer s.Close()
 
@@ -128,7 +129,7 @@ func TestDiskFaultDegradesWithoutCrashing(t *testing.T) {
 // syncFailingFS fails every File.Sync of a file opened while armed.
 type syncFailingFS struct {
 	fault.OS
-	faulty *fault.InjectFS
+	faulty *chaos.InjectFS
 	armed  atomic.Bool
 }
 
@@ -145,7 +146,7 @@ func (f *syncFailingFS) OpenFile(name string, flag int, perm os.FileMode) (fault
 // recovers and no boot finds a leftover.
 func TestFailedDurableOpenIsADiskFault(t *testing.T) {
 	dir := t.TempDir()
-	fsys := &syncFailingFS{faulty: fault.NewInjectFS(fault.OS{}, fault.FSPlan{FailSyncEvery: 1})}
+	fsys := &syncFailingFS{faulty: chaos.NewInjectFS(fault.OS{}, chaos.FSPlan{FailSyncEvery: 1})}
 	fsys.armed.Store(true)
 	s := New(Config{DataDir: dir, FS: fsys, IdleTimeout: -1})
 	defer s.Close()
