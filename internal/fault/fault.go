@@ -4,7 +4,7 @@
 // internal/store and race/server's journal writers take, and OS its
 // passthrough over the real filesystem. The fault models that layer over it
 // (and over net.Conn and fleet backends) are package internal/chaos, which
-// only tests use.
+// only tests use; their unit tests are this package's models_test.go.
 //
 // Every injected error wraps ErrInjected, so downstream metrics can
 // distinguish injected faults from organic ones with errors.Is.

@@ -1,4 +1,4 @@
-package chaos
+package fault_test
 
 import (
 	"bytes"
@@ -10,25 +10,26 @@ import (
 	"syscall"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/fault"
 )
 
 func TestRandDeterminism(t *testing.T) {
-	a, b := NewRand(42), NewRand(42)
+	a, b := chaos.NewRand(42), chaos.NewRand(42)
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("streams diverged at %d", i)
 		}
 	}
-	c := NewRand(43)
-	if NewRand(42).Uint64() == c.Uint64() {
+	c := chaos.NewRand(43)
+	if chaos.NewRand(42).Uint64() == c.Uint64() {
 		t.Fatal("different seeds produced identical first draw")
 	}
 }
 
 func TestInjectFSSyncSchedule(t *testing.T) {
 	dir := t.TempDir()
-	fsys := NewInjectFS(fault.OS{}, FSPlan{FailSyncEvery: 3})
+	fsys := chaos.NewInjectFS(fault.OS{}, chaos.FSPlan{FailSyncEvery: 3})
 	f, err := fsys.OpenFile(filepath.Join(dir, "x"), os.O_CREATE|os.O_WRONLY, 0o666)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +57,7 @@ func TestInjectFSSyncSchedule(t *testing.T) {
 
 func TestInjectFSENOSPC(t *testing.T) {
 	dir := t.TempDir()
-	fsys := NewInjectFS(fault.OS{}, FSPlan{ENOSPCAfter: 10})
+	fsys := chaos.NewInjectFS(fault.OS{}, chaos.FSPlan{ENOSPCAfter: 10})
 	f, err := fsys.OpenFile(filepath.Join(dir, "x"), os.O_CREATE|os.O_WRONLY, 0o666)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func TestInjectFSENOSPC(t *testing.T) {
 
 func TestCrashFSPowerCut(t *testing.T) {
 	dir := t.TempDir()
-	fsys := NewCrashFS()
+	fsys := chaos.NewCrashFS()
 	path := filepath.Join(dir, "seg")
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o666)
 	if err != nil {
@@ -91,8 +92,8 @@ func TestCrashFSPowerCut(t *testing.T) {
 	if err := fsys.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte("x")); !errors.Is(err, ErrPowerCut) {
-		t.Fatalf("post-cut write: want ErrPowerCut, got %v", err)
+	if _, err := f.Write([]byte("x")); !errors.Is(err, chaos.ErrPowerCut) {
+		t.Fatalf("post-cut write: want chaos.ErrPowerCut, got %v", err)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
@@ -101,15 +102,15 @@ func TestCrashFSPowerCut(t *testing.T) {
 	if string(got) != "durable!" {
 		t.Fatalf("after cut file = %q, want synced prefix only", got)
 	}
-	if !fault.Injected(ErrPowerCut) {
-		t.Fatal("ErrPowerCut must wrap fault.ErrInjected")
+	if !fault.Injected(chaos.ErrPowerCut) {
+		t.Fatal("chaos.ErrPowerCut must wrap fault.ErrInjected")
 	}
 }
 
 func TestCrashFSCutAtSync(t *testing.T) {
 	dir := t.TempDir()
 	for _, after := range []bool{false, true} {
-		fsys := NewCrashFS()
+		fsys := chaos.NewCrashFS()
 		fsys.CutAtSync(2, after, 0)
 		path := filepath.Join(dir, "f")
 		os.Remove(path)
@@ -122,7 +123,7 @@ func TestCrashFSCutAtSync(t *testing.T) {
 			t.Fatalf("sync 1 (after=%v): %v", after, err)
 		}
 		f.Write([]byte("bb"))
-		if err := f.Sync(); !errors.Is(err, ErrPowerCut) {
+		if err := f.Sync(); !errors.Is(err, chaos.ErrPowerCut) {
 			t.Fatalf("sync 2 (after=%v): want power cut, got %v", after, err)
 		}
 		got, _ := os.ReadFile(path)
@@ -140,7 +141,7 @@ func TestCrashFSCutAtSync(t *testing.T) {
 // cut alike, with the sending (wrapRead false) or the receiving end wrapped
 // by f. It returns what arrived before the stream ended and the receiver's
 // error.
-func pipeThrough(msg []byte, step int, f *ConnFaults, wrapRead bool) ([]byte, error) {
+func pipeThrough(msg []byte, step int, f *chaos.ConnFaults, wrapRead bool) ([]byte, error) {
 	client, srv := net.Pipe()
 	defer client.Close()
 	defer srv.Close()
@@ -174,12 +175,12 @@ func pipeThrough(msg []byte, step int, f *ConnFaults, wrapRead bool) ([]byte, er
 // and on Read, and whether or not a connection that never passed FirstByte
 // came first — and the caller's buffer is left alone.
 func TestConnBitFlip(t *testing.T) {
-	plan := ConnPlan{Seed: 7, FaultAfter: 1 << 10, FirstByte: 64}
+	plan := chaos.ConnPlan{Seed: 7, FaultAfter: 1 << 10, FirstByte: 64}
 	msg := make([]byte, 4<<10)
 	want := map[bool][]byte{}
 	for _, step := range []int{len(msg), 100, 7} {
 		for _, wrapRead := range []bool{false, true} {
-			f := NewConnFaults(plan)
+			f := chaos.NewConnFaults(plan)
 			if step == 7 { // a handshake-sized stream first: it draws nothing
 				if _, err := pipeThrough(msg[:64], step, f, wrapRead); err != nil {
 					t.Fatal(err)
@@ -217,11 +218,11 @@ func TestConnBitFlip(t *testing.T) {
 // the bytes before it arrive, however the reads are cut — and the
 // connection stays dead.
 func TestConnDrop(t *testing.T) {
-	plan := ConnPlan{Seed: 1, FaultAfter: 1 << 10, DropProb: 1}
+	plan := chaos.ConnPlan{Seed: 1, FaultAfter: 1 << 10, DropProb: 1}
 	msg := bytes.Repeat([]byte("racechaos"), 512)
 	var want []byte
 	for _, step := range []int{len(msg), 100, 7} {
-		got, err := pipeThrough(msg, step, NewConnFaults(plan), true)
+		got, err := pipeThrough(msg, step, chaos.NewConnFaults(plan), true)
 		if !fault.Injected(err) {
 			t.Fatalf("step %d: want injected drop error, got %v", step, err)
 		}
@@ -257,7 +258,7 @@ func TestConnDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := NewConnFaults(plan).Wrap(raw)
+	fc := chaos.NewConnFaults(plan).Wrap(raw)
 	_, werr := fc.Write(make([]byte, 128))
 	if !fault.Injected(werr) {
 		t.Fatalf("want injected drop error, got %v", werr)
@@ -271,9 +272,9 @@ func TestConnDrop(t *testing.T) {
 // fails the same calls every time and another seed fails others. It starts
 // up, flaps, and every window stays within [mean/2, 3·mean/2) calls.
 func TestGateSchedule(t *testing.T) {
-	plan := GatePlan{Seed: 5, MeanUp: 8, MeanDown: 4}
-	schedule := func(plan GatePlan) (string, int64) {
-		g := NewGate(plan)
+	plan := chaos.GatePlan{Seed: 5, MeanUp: 8, MeanDown: 4}
+	schedule := func(plan chaos.GatePlan) (string, int64) {
+		g := chaos.NewGate(plan)
 		var s []byte
 		for i := 0; i < 200; i++ {
 			switch err := g.Err(); {
