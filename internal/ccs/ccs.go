@@ -53,27 +53,33 @@
 // lookups or per-access heap traffic, and rule (b) cursors are dense
 // [observer][owner] slices (thread ids are small). Pages materialize on
 // first touch, so sparse id use under one lock does not pay for the full
-// variable space. Rule (b)'s history is flat: a 16-byte pointer-free entry
-// per critical section in one slice per (lock, owner), and every logged
-// clock in one vc.Arena per RuleB. The arena can be write-once because a
-// logged time is never updated — the log only ever appends, and a cursor
-// only ever reads what is behind it — which is what lets SmartTrack's
-// sections and rule (a)'s cells name the logged release clock instead of
-// copying it, and it keeps a history of a million clocks out of the
-// collector's mark phase. A logged clock is a thread's, and most of a
-// thread's logged clocks differ from its previous one only in its own
-// component (on h2, half of WCP's release clocks, 71 % of DC's and nearly
-// every vector acquire): RuleB keeps per thread a base, the last of its
-// clocks stored whole, and logs a clock equal to it off the thread's
-// component as a 16-byte record (the base's name and that component).
-// Every reader — the ordered tests and joins of Release, and rule (a) —
-// reads a logged clock through vc.Rel, the view that takes the owner's
-// component from the record and every other from the base, and joins it
-// through SyncState.JoinRel, which gives WCP's self-knowledge the owner's
-// component when the joining thread logged it. That is exact: the arena
-// never writes a clock once stored, a base equals the logged clock off the
-// owner's component, the record holds the owner's, and nothing reads the
-// base alone.
+// variable space. Rule (b)'s history is flat: a 12-byte pointer-free entry
+// per critical section, in fixed blocks of 16 drawn from one store per
+// RuleB, so a log is the list of its blocks' numbers, and every logged
+// clock in one vc.Arena per RuleB. Neither blocks nor arena chunks are ever
+// reallocated. The arena can be write-once because a logged time is never
+// updated — the log only ever appends, and a cursor only ever reads what is
+// behind it — which is what lets SmartTrack's sections and rule (a)'s cells
+// name the logged release clock instead of copying it, and it keeps a
+// history of a million clocks out of the collector's mark phase. A logged
+// clock is a thread's, and most of a thread's logged clocks differ from its
+// previous one only in its own component (on h2, half of WCP's release
+// clocks, 71 % of DC's and nearly every vector acquire): RuleB keeps per
+// thread a base, the last of its clocks stored whole, and logs a clock
+// equal to it off the thread's component as a 16-byte record (the base's
+// name and that component). Every reader — the ordered tests and joins of
+// Release, and rule (a) — reads a logged clock through vc.Rel, the view that
+// takes the owner's component from the record and every other from the
+// base, and joins it through SyncState.JoinRel, which gives WCP's
+// self-knowledge the owner's component when the joining thread logged it.
+// That is exact: the arena never writes a clock once stored, a base equals
+// the logged clock off the owner's component, the record holds the
+// owner's, and nothing reads the base alone. Without a log (WDC) LockTables
+// keeps the same shape itself: per thread a read-only snapshot of its
+// clock, replaced by a fresh exact copy only when a release's clock differs
+// from it off the thread's component, and a cell's one-release side names
+// that snapshot and the owner's component, as an offset over the
+// snapshot's, read through the same view.
 //
 // Known releases are not joined again. The paper's algorithms join a
 // release time into the thread's clock at every rule (a) conflict and every
@@ -86,10 +92,11 @@
 //     Such a cell names the clock rule (b) logged for that release, whole
 //     or record, and reads it through the view, with the releasing thread
 //     as its owner — RuleB logs exactly the release time rule (a) folds —
-//     or, without a log (WDC), keeps a copy overwritten in place. Only a
-//     DC or WDC read-only section's Lr can be a real join, copied out of
-//     the view into the cell's own storage, and only when the reader does
-//     not already hold the old Lr (fact 3).
+//     or, without a log (WDC), names the releasing thread's snapshot and
+//     the owner's component, read through the same view. Only a DC or WDC
+//     read-only section's Lr can be a real join, copied out of the view
+//     into the cell's own storage, and only when the reader does not
+//     already hold the old Lr (fact 3); no other side owns a clock.
 //  2. WCP: release times of one lock only grow, so a thread that has joined
 //     the release of m at trace index k holds every release of m at or
 //     before k. RuleB keeps that index per (thread, lock), rule (a) skips a
@@ -113,42 +120,92 @@
 package ccs
 
 import (
+	"math"
+
 	"repro/internal/analysis"
 	"repro/internal/trace"
 	"repro/internal/vc"
 )
 
-// csEntry is one critical section in its (lock, owner) log: 16 bytes, no
-// pointers. acq is the acquire time — an epoch when the owning analysis uses
-// the epoch-queue optimization (SmartTrack, and WCP at every level: for WCP
-// the ordering test a₁ ≺WCP r₂ is exactly the component test
-// P_r₂(t') ≥ local(a₁) under left HB-composition, so only the epoch is
-// meaningful), otherwise the arena Ref of a vector clock, whole or record
-// (DC at the Unopt/FTO levels, Algorithm 1 line 2). rel is the arena Ref of
-// the release time, zero while the section is open, and idx the release's
-// trace index (for constraint-graph edges). The log's owner is the owner
-// of both clocks, the thread their views read own for.
+// csEntry is one critical section in its (lock, owner) log: 12 bytes, no
+// pointers. acq is the acquire time: with epoch acquires (SmartTrack, and
+// WCP at every level: for WCP the ordering test a₁ ≺WCP r₂ is exactly the
+// component test P_r₂(t') ≥ local(a₁) under left HB-composition, so only the
+// epoch is meaningful) the owner's clock at the acquire, the epoch's thread
+// being the log's owner; otherwise the arena Ref of a vector clock, whole or
+// record (DC at the Unopt/FTO levels, Algorithm 1 line 2). rel is the arena
+// Ref of the release time, zero while the section is open, and idx the
+// release's trace index (for constraint-graph edges). The log's owner is the
+// owner of both clocks, the thread their views read own for.
+//
+// A trace index is an int32, and a thread's clock ticks at most once per
+// event, so an acquire clock fits acq's 32 bits on every trace the engines
+// can index; one that does not panics (Acquire), as vc.Arena does past what
+// a Ref can address.
 type csEntry struct {
-	acq uint64
+	acq uint32
 	rel vc.Ref
 	idx int32
 }
 
-// lockLogs holds the per-owner logs for one lock — byOwner[t][i] is t's i-th
-// critical section on the lock; owner thread ids are dense, so a growable
-// slice, nil for an owner with no critical sections here — plus the per-pair
-// consumed-prefix cursors, heads[observer][owner], dense in both dimensions.
-// The diagonal, which no cursor uses (a thread never consumes its own log),
-// holds WCP's per-(thread, lock) record: heads[t][t] is one past the trace
-// index of the latest release of the lock whose clock t's P has joined, 0
-// for none (fact 2 of the package comment).
+// blockLen is the number of entries in a block, and chunkBlocks the number
+// of blocks in one chunk of a RuleB's store: 192 and 6144 bytes.
+const (
+	blockLen    = 16
+	chunkBlocks = 32
+)
+
+// csBlock is blockLen consecutive entries of one log.
+type csBlock [blockLen]csEntry
+
+// csLog is one (lock, owner) log: its n entries in order, blockLen to a
+// block, in the blocks of its RuleB's store that blocks numbers.
+type csLog struct {
+	blocks []uint32
+	n      int32
+}
+
+// blockStore holds the blocks of every log of one RuleB, chunkBlocks to a
+// chunk; a block's number is its chunk and its index there. A chunk is
+// never reallocated — a full one starts the next — so an entry's address
+// never changes as logs grow.
+type blockStore struct {
+	chunks [][]csBlock
+}
+
+// alloc returns the number of a fresh, zeroed block.
+func (s *blockStore) alloc() uint32 {
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last]) == chunkBlocks {
+		s.chunks = append(s.chunks, make([]csBlock, 0, chunkBlocks))
+		last++
+	}
+	c := s.chunks[last]
+	s.chunks[last] = c[:len(c)+1]
+	return uint32(last*chunkBlocks + len(c))
+}
+
+// block returns the block n numbers.
+func (s *blockStore) block(n uint32) *csBlock {
+	return &s.chunks[n/chunkBlocks][n%chunkBlocks]
+}
+
+// lockLogs holds the per-owner logs for one lock — byOwner[t] is t's log of
+// critical sections on the lock (RuleB.entry reads its i-th); owner thread
+// ids are dense, so a growable slice, empty for an owner with no critical
+// sections here — plus the per-pair consumed-prefix cursors,
+// heads[observer][owner], dense in both dimensions. The diagonal, which no
+// cursor uses (a thread never consumes its own log), holds WCP's
+// per-(thread, lock) record: heads[t][t] is one past the trace index of the
+// latest release of the lock whose clock t's P has joined, 0 for none (fact
+// 2 of the package comment).
 //
 // Per-lock mutual exclusion guarantees that whenever a thread processes its
 // own release of the lock, every entry of every other owner has its release
 // filled in: the owner cannot still be inside a critical section on a lock
 // another thread is releasing.
 type lockLogs struct {
-	byOwner [][]csEntry
+	byOwner []csLog
 	heads   [][]int32
 }
 
@@ -171,8 +228,9 @@ type RuleB struct {
 	rel      analysis.Relation
 	epochAcq bool
 	locks    []*lockLogs
-	clocks   vc.Arena // every logged acquire and release clock
-	bases    []vc.Ref // per thread, its last clock the arena holds whole
+	entries  blockStore // every log's blocks
+	clocks   vc.Arena   // every logged acquire and release clock
+	bases    []vc.Ref   // per thread, its last clock the arena holds whole
 }
 
 // NewRuleB builds rule (b) state from capacity hints. epochAcq selects
@@ -205,13 +263,27 @@ func (b *RuleB) lockState(m uint32) *lockLogs {
 func (b *RuleB) Acquire(t trace.Tid, m uint32, p *vc.VC) {
 	var ent csEntry
 	if b.epochAcq {
-		ent.acq = uint64(p.Epoch(vc.Tid(t)))
+		c := p.Get(vc.Tid(t))
+		if c > math.MaxUint32 {
+			panic("ccs: an acquire clock exceeds what a log entry holds")
+		}
+		ent.acq = uint32(c)
 	} else {
-		ent.acq = uint64(b.log(t, p))
+		ent.acq = uint32(b.log(t, p))
 	}
 	ll := b.lockState(m)
 	analysis.EnsureLen(&ll.byOwner, int(t)+1)
-	ll.byOwner[t] = append(ll.byOwner[t], ent)
+	lg := &ll.byOwner[t]
+	if lg.n%blockLen == 0 {
+		lg.blocks = append(lg.blocks, b.entries.alloc())
+	}
+	lg.n++
+	*b.entry(lg, lg.n-1) = ent
+}
+
+// entry returns log lg's i-th entry.
+func (b *RuleB) entry(lg *csLog, i int32) *csEntry {
+	return &b.entries.block(lg.blocks[i/blockLen])[i%blockLen]
 }
 
 // log stores c, a clock of t's, in the arena: as a record over t's base
@@ -251,18 +323,19 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 	// (for WCP, latestC stands for what it would have grown p by), which
 	// the ordered test reads, so the iteration order is part of the
 	// algorithm's observable behavior.
-	for owner, lg := range ll.byOwner {
+	for owner := range ll.byOwner {
 		if owner == int(t) {
 			continue
 		}
+		lg := &ll.byOwner[owner]
 		u := vc.Tid(owner)
 		h := heads[owner]
-		for int(h) < len(lg) {
-			front := lg[h]
+		for h < lg.n {
+			front := *b.entry(lg, h)
 			var ordered bool
 			switch {
 			case wcp:
-				c := vc.Epoch(front.acq).Clock()
+				c := vc.Clock(front.acq)
 				if ordered = c <= p.Get(u); !ordered && latest.rel != 0 {
 					if viewed != latest.rel {
 						latestC, viewed = b.clocks.At(latest.rel, latestBy), latest.rel
@@ -270,7 +343,7 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 					ordered = c <= latestC.Get(u)
 				}
 			case b.epochAcq:
-				ordered = vc.EpochLeq(vc.Epoch(front.acq), p)
+				ordered = vc.Clock(front.acq) <= p.Get(u)
 			default:
 				acq := b.clocks.At(vc.Ref(front.acq), u)
 				ordered = acq.Leq(p)
@@ -301,8 +374,8 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 	if wcp {
 		snap = s.H[t]
 	}
-	own := ll.byOwner[t]
-	cs := &own[len(own)-1] // the section t's acquire of m opened
+	own := &ll.byOwner[t]
+	cs := b.entry(own, own.n-1) // the section t's acquire of m opened
 	cs.rel, cs.idx = b.log(t, snap), idx
 	return cs.rel
 }
@@ -318,12 +391,15 @@ func (b *RuleB) joined(t trace.Tid, m uint32) *int32 {
 }
 
 // Weight estimates retained rule (b) metadata in 8-byte words: the cursor
-// rows (and with them WCP's per-(thread, lock) record) and entry slices at
-// their capacity, the per-thread bases, and the arena, which holds every
-// clock an entry names — and every clock a rule (a) cell names — with each
-// base once however many records view it.
+// rows (and with them WCP's per-(thread, lock) record) at their capacity,
+// the logs (a 4-word header each, and block numbers), the store's entry
+// blocks at capacity, whole chunks however few of their blocks are in use,
+// the per-thread bases, and the arena, which holds every clock an entry
+// names — and every clock a rule (a) cell names — with each base once
+// however many records view it.
 func (b *RuleB) Weight() int {
 	w := b.clocks.Weight() + (cap(b.bases)+1)/2
+	w += 3*cap(b.entries.chunks) + len(b.entries.chunks)*chunkBlocks*blockLen*3/2
 	for _, ll := range b.locks {
 		if ll == nil {
 			continue
@@ -331,8 +407,9 @@ func (b *RuleB) Weight() int {
 		for _, row := range ll.heads {
 			w += (cap(row) + 1) / 2
 		}
+		w += 4 * cap(ll.byOwner)
 		for _, lg := range ll.byOwner {
-			w += 2 * cap(lg)
+			w += (cap(lg.blocks) + 1) / 2
 		}
 	}
 	return w
@@ -361,9 +438,10 @@ const (
 // aSide is one of a cell's two release times, Lr or Lw, with the trace
 // index of the latest release folded into it (for constraint-graph edges).
 // It holds either one release's clock — named in rule (b)'s arena (ref), or,
-// with no log, a copy in own — or, for a DC/WDC Lr marked lrJoined, a join
-// of several in own. own's storage stays while ref names the time, for the
-// next time the side becomes a join. Empty: no ref and no own.
+// with no log, viewed over the releasing thread's snapshot (own) with the
+// owner's component ref more than the snapshot's — or, for a DC/WDC Lr
+// marked lrJoined, a join of several in own, the cell's own storage and the
+// only clock a cell owns. Empty: no ref and no own.
 type aSide struct {
 	own *vc.VC
 	ref vc.Ref
@@ -414,7 +492,8 @@ func (tb *lockTab) cell(x uint32) *aCell {
 // section.
 type LockTables struct {
 	locks []*lockTab
-	log   *RuleB // the relation's rule (b) log, whose clocks cells name; nil for WDC
+	log   *RuleB   // the relation's rule (b) log, whose clocks cells name; nil for WDC
+	snap  []*vc.VC // without a log: per thread, the snapshot of its clock its cells view
 	wcp   bool
 }
 
@@ -436,12 +515,33 @@ func (lt *LockTables) tab(m uint32) *lockTab {
 }
 
 // at returns the release time a set side holds; u is the thread whose
-// release a one-release side holds.
-func (lt *LockTables) at(sd *aSide, u trace.Tid) vc.Rel {
-	if sd.ref != 0 {
+// release a one-release side holds, and joined says the side is a join.
+func (lt *LockTables) at(sd *aSide, u trace.Tid, joined bool) vc.Rel {
+	switch {
+	case joined:
+		return vc.Whole(*sd.own, vc.Tid(u))
+	case lt.log != nil:
 		return lt.log.At(sd.ref, u)
 	}
-	return vc.Whole(*sd.own, vc.Tid(u))
+	uu := vc.Tid(u)
+	return vc.Relative(*sd.own, vc.E(uu, sd.own.Get(uu)+vc.Clock(sd.ref)))
+}
+
+// snapshot returns the one-release side that names rt, t's release time, in
+// a table without a log: t's snapshot and rt's t component as an offset over
+// the snapshot's. The snapshot is replaced by a fresh exact copy of rt —
+// never written in place: cells view the old one — when rt differs from it
+// off t's component, or the offset would not fit in 32 bits (making it 0).
+func (lt *LockTables) snapshot(t trace.Tid, rt *vc.VC, idx int32) aSide {
+	analysis.EnsureLen(&lt.snap, int(t)+1)
+	tt := vc.Tid(t)
+	sn := lt.snap[t]
+	if sn == nil || !sn.EqualExcept(rt, tt) || rt.Get(tt)-sn.Get(tt) > math.MaxUint32 {
+		sn = new(vc.VC)
+		sn.CopyExact(rt)
+		lt.snap[t] = sn
+	}
+	return aSide{own: sn, ref: vc.Ref(rt.Get(tt) - sn.Get(tt)), idx: idx}
 }
 
 // holds reports whether p, t's relation clock, holds the one release time
@@ -452,7 +552,7 @@ func (lt *LockTables) holds(t trace.Tid, p *vc.VC, sd *aSide, u trace.Tid) bool 
 	if u == t {
 		return true
 	}
-	c := lt.at(sd, u)
+	c := lt.at(sd, u, false)
 	return c.Get(vc.Tid(u)) <= p.Get(vc.Tid(u))
 }
 
@@ -472,7 +572,7 @@ func (lt *LockTables) join(t trace.Tid, m uint32, s *analysis.SyncState, sd *aSi
 	case !joined && lt.holds(t, s.P[t], sd, u):
 		return 0
 	}
-	c := lt.at(sd, u)
+	c := lt.at(sd, u, joined)
 	s.JoinRel(t, &c)
 	return 1
 }
@@ -529,7 +629,8 @@ func (lt *LockTables) WriteJoin(t trace.Tid, m, x uint32, s *analysis.SyncState,
 // Release folds the ongoing critical section's access sets into Lr/Lw with
 // t's release time rt (Algorithm 1 lines 9–11): the relation clock for DC
 // and WDC, the HB clock for WCP. named is the name under which the
-// relation's rule (b) log has just logged rt, zero without a log. Touched
+// relation's rule (b) log has just logged rt, zero without a log, where a
+// cell views t's snapshot of rt instead (LockTables.snapshot). Touched
 // variables fold in access order (first touch first); the sets are disjoint
 // per variable, so the order is unobservable.
 //
@@ -547,34 +648,30 @@ func (lt *LockTables) Release(t trace.Tid, m uint32, rt *vc.VC, named vc.Ref, id
 		return
 	}
 	tb := lt.locks[m]
-	if tb == nil {
+	if tb == nil || len(tb.touched) == 0 {
 		return
+	}
+	one := aSide{ref: named, idx: idx} // rt, as a one-release side holds it
+	if lt.log == nil {
+		one = lt.snapshot(t, rt, idx)
 	}
 	for _, x := range tb.touched {
 		cl := tb.cell(x)
 		switch {
 		case cl.mark&inWriteSet != 0:
-			hold(&cl.lw, rt, named, idx)
-			cl.lwBy = t
+			cl.lw, cl.lwBy = one, t
 			if cl.mark&inReadSet != 0 {
-				hold(&cl.lr, rt, named, idx)
-				cl.lrBy, cl.mark = t, cl.mark&^lrJoined
+				cl.lr, cl.lrBy, cl.mark = one, t, cl.mark&^lrJoined
 			}
 		case lt.wcp || !cl.lr.set() || cl.mark&lrJoined == 0 && lt.holds(t, rt, &cl.lr, cl.lrBy):
-			hold(&cl.lr, rt, named, idx)
-			cl.lrBy = t
+			cl.lr, cl.lrBy = one, t
 		default: // a read-only section, DC or WDC: Lr ⊔ rt
-			if cl.lr.ref != 0 { // the logged clock, out into own storage
-				old := lt.at(&cl.lr, cl.lrBy)
-				if cl.lr.own == nil {
-					cl.lr.own = old.Copy()
-				} else {
-					old.CopyTo(cl.lr.own)
-				}
-				cl.lr.ref = 0
+			if cl.mark&lrJoined == 0 { // one release, out of the view into own storage
+				old := lt.at(&cl.lr, cl.lrBy, false)
+				cl.lr.own = old.Copy()
 			}
 			cl.lr.own.Join(rt)
-			cl.lr.idx = idx
+			cl.lr.ref, cl.lr.idx = 0, idx
 			cl.mark |= lrJoined
 		}
 		cl.mark &= lrJoined
@@ -582,33 +679,30 @@ func (lt *LockTables) Release(t trace.Tid, m uint32, rt *vc.VC, named vc.Ref, id
 	tb.touched = tb.touched[:0]
 }
 
-// hold makes sd hold the one release time rt: named, or copied into its own
-// storage when there is no log.
-func hold(sd *aSide, rt *vc.VC, named vc.Ref, idx int32) {
-	sd.idx = idx
-	switch {
-	case named != 0:
-		sd.ref = named
-	case sd.own == nil:
-		sd.own = rt.Copy()
-	default:
-		sd.own.CopyFrom(rt)
-	}
-}
-
 // aCellWords is the footprint of one dense cell in 8-byte words (two
-// clock pointers, two names, two indices, two owners, the marks and
-// padding).
+// clock pointers, two names or offsets, two indices, two owners, the marks
+// and padding).
 const aCellWords = 5
 
 // Weight estimates retained rule (a) metadata in 8-byte words, counting
 // every materialized page at its full dense footprint — the memory the
 // paged representation actually holds, including unused cells — plus each
-// lock's table (two slice headers, both slices at capacity) and the clocks
-// the cells own, each with its 3-word header. A clock a cell names is the
-// rule (b) log's, and RuleB.Weight counts it.
+// lock's table (two slice headers, both slices at capacity), the clocks the
+// cells own, and without a log the snapshots, each clock with its 3-word
+// header and each snapshot once however many sides view it. A clock a cell
+// names is the rule (b) log's, and RuleB.Weight counts it.
 func (lt *LockTables) Weight() int {
-	w := 0
+	w := cap(lt.snap)
+	snaps := make(map[*vc.VC]bool)
+	clock := func(c *vc.VC) {
+		if c != nil && !snaps[c] {
+			snaps[c] = true
+			w += c.Weight() + 3
+		}
+	}
+	for _, sn := range lt.snap {
+		clock(sn)
+	}
 	for _, tb := range lt.locks {
 		if tb == nil {
 			continue
@@ -620,11 +714,8 @@ func (lt *LockTables) Weight() int {
 			}
 			w += pageSize * aCellWords
 			for i := range p {
-				for _, own := range [2]*vc.VC{p[i].lr.own, p[i].lw.own} {
-					if own != nil {
-						w += own.Weight() + 3
-					}
-				}
+				clock(p[i].lr.own)
+				clock(p[i].lw.own)
 			}
 		}
 	}

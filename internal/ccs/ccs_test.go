@@ -2,6 +2,7 @@ package ccs
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/analysis"
 	"repro/internal/trace"
@@ -273,11 +274,11 @@ func TestRuleBWCPEnqueuesHBTime(t *testing.T) {
 	s.PostRelease(0, 0)
 	// The logged release entry must be the HB clock (its own component is
 	// the local clock, which P strips on export).
-	lg := rb.locks[0].byOwner[0]
-	if len(lg) != 1 || lg[0].rel == 0 {
+	lg := &rb.locks[0].byOwner[0]
+	if lg.n != 1 || rb.entry(lg, 0).rel == 0 {
 		t.Fatalf("release log = %v, want one released section", lg)
 	}
-	c := rb.At(lg[0].rel, 0)
+	c := rb.At(rb.entry(lg, 0).rel, 0)
 	if c.Get(0) != s.H[0].Get(vc.Tid(0))-1 && c.Get(0) == 0 {
 		t.Errorf("WCP rule (b) must log HB release times, got %v", c.Copy())
 	}
@@ -339,5 +340,18 @@ func TestSubstrateShape(t *testing.T) {
 	}
 	if b := NewSubstrate(analysis.WDC, spec, true); b.Graph() == nil || b.hook == nil {
 		t.Error("graph-building substrate has no graph")
+	}
+}
+
+// TestRuleStateFitsBudget pins the per-item footprints the package comment
+// counts on: a rule (a) cell, which names or views its release times
+// instead of owning them, and a rule (b) log entry, whose epoch acquire
+// keeps only the owner's clock.
+func TestRuleStateFitsBudget(t *testing.T) {
+	if sz := unsafe.Sizeof(aCell{}); sz > 40 || sz != 8*aCellWords {
+		t.Errorf("aCell is %d bytes, budget 40 (Weight counts %d words)", sz, aCellWords)
+	}
+	if sz := unsafe.Sizeof(csEntry{}); sz > 12 {
+		t.Errorf("csEntry is %d bytes, budget 12", sz)
 	}
 }

@@ -20,6 +20,13 @@ type loggedTime struct {
 	want  *vc.VC
 }
 
+// untick copies c as it was before the event's tick of t's component.
+func untick(c *vc.VC, t trace.Tid) *vc.VC {
+	w := c.Copy()
+	w.Set(vc.Tid(t), c.Get(vc.Tid(t))-1)
+	return w
+}
+
 // checkLoggedTimes runs relation rel's substrate over tr, its rule (b) log
 // replaced by one with epoch acquires when epochAcq is set (SmartTrack's
 // shape), and holds every clock the log holds, whole or record, to a copy of
@@ -36,7 +43,7 @@ func checkLoggedTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation, epoc
 		sub.lt.log = sub.rb
 	}
 	check := func(l loggedTime, when string) {
-		ent := sub.rb.locks[l.m].byOwner[l.owner][l.i]
+		ent := *sub.rb.entry(&sub.rb.locks[l.m].byOwner[l.owner], int32(l.i))
 		r := ent.rel
 		if l.acq {
 			r = vc.Ref(ent.acq)
@@ -51,12 +58,6 @@ func checkLoggedTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation, epoc
 			t.Fatalf("%v %s: a logged clock is not ⊑ the clock it reads as", rel, when)
 		}
 	}
-	// untick copies c as it was before the event's tick of t's component.
-	untick := func(c *vc.VC, t trace.Tid) *vc.VC {
-		w := c.Copy()
-		w.Set(vc.Tid(t), c.Get(vc.Tid(t))-1)
-		return w
-	}
 	var logged []loggedTime
 	for _, e := range tr.Events {
 		idx := sub.Begin(e.T)
@@ -68,7 +69,7 @@ func checkLoggedTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation, epoc
 		switch e.Op {
 		case trace.OpAcquire:
 			if !sub.rb.epochAcq {
-				i := len(sub.rb.locks[e.Targ].byOwner[e.T]) - 1
+				i := int(sub.rb.locks[e.Targ].byOwner[e.T].n) - 1
 				logged = append(logged, loggedTime{m: e.Targ, owner: e.T, i: i, acq: true, want: untick(sub.P[e.T], e.T)})
 			}
 		case trace.OpRelease:
@@ -76,7 +77,7 @@ func checkLoggedTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation, epoc
 			if rel == analysis.WCP {
 				clock = sub.H[e.T]
 			}
-			l := loggedTime{m: e.Targ, owner: e.T, i: len(sub.rb.locks[e.Targ].byOwner[e.T]) - 1, want: untick(clock, e.T)}
+			l := loggedTime{m: e.Targ, owner: e.T, i: int(sub.rb.locks[e.Targ].byOwner[e.T].n) - 1, want: untick(clock, e.T)}
 			check(l, "at the release")
 			for _, a := range logged { // the section's acquire, if logged
 				if a.acq && a.m == l.m && a.owner == l.owner && a.i == l.i {
@@ -145,8 +146,9 @@ func TestRuleBBytesPerLoggedClock(t *testing.T) {
 			if ll == nil {
 				continue
 			}
-			for _, lg := range ll.byOwner {
-				for _, ent := range lg {
+			for o := range ll.byOwner {
+				for i := range ll.byOwner[o].n {
+					ent := sub.rb.entry(&ll.byOwner[o], i)
 					if ent.rel != 0 {
 						n++
 					}

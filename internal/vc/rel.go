@@ -60,12 +60,6 @@ func (r *Rel) Copy() *VC {
 	return c
 }
 
-// CopyTo overwrites dst in place with r, as CopyFrom does.
-func (r *Rel) CopyTo(dst *VC) {
-	dst.CopyFrom(&r.base)
-	dst.Set(r.own.Tid(), r.own.Clock())
-}
-
 // Base returns the view r reads every component but the owner's from. A
 // caller may use it to identify shared storage (VC.Array), never to read r.
 func (r *Rel) Base() *VC { return &r.base }

@@ -232,10 +232,19 @@ func (s *ReliableSession) backoffDelay(attempt int) time.Duration {
 	return delay/2 + time.Duration(s.rand63(int64(delay)))
 }
 
+// fail makes err the session's sticky error, unless it already has one,
+// and lets go of what only a live session needs: the connection, closed so
+// the server sees the session's end instead of an idle socket, and the
+// replay buffer, which nothing will replay.
 func (s *ReliableSession) fail(err error) error {
 	if s.err == nil {
 		s.err = err
 	}
+	if s.c != nil {
+		s.c.Close()
+		s.c, s.sess = nil, nil
+	}
+	s.pending = nil
 	return s.err
 }
 
@@ -303,13 +312,15 @@ func (s *ReliableSession) Close() (*race.Report, error) {
 	return race.ReportFromJSON(doc)
 }
 
-// CloseJSON is Close returning the server's canonical report bytes.
+// CloseJSON is Close returning the server's canonical report bytes. A
+// session that has failed returns its sticky error, however often it is
+// closed.
 func (s *ReliableSession) CloseJSON() ([]byte, error) {
-	if s.closed {
-		return nil, errors.New("server: reliable session already closed")
-	}
 	if s.err != nil {
 		return nil, s.err
+	}
+	if s.closed {
+		return nil, errors.New("server: reliable session already closed")
 	}
 	for {
 		doc, err := s.sess.CloseJSON()

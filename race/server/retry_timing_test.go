@@ -1,11 +1,16 @@
 package server
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/race"
 )
@@ -156,5 +161,80 @@ func TestReplayBufferTrimOnFlushAck(t *testing.T) {
 	if len(rs.pending) != 0 || rs.acked != uint64(len(tr.Events)) {
 		t.Errorf("after second ack: pending = %d, acked = %d; want 0, %d",
 			len(rs.pending), rs.acked, len(tr.Events))
+	}
+}
+
+// TestReliableSessionFailureClosesItsConnection: a reliable session that
+// fails on a condition no reconnect heals — a protocol violation, a disk
+// fault — closes its connection at once, so the server sees the session
+// end instead of an idle socket, drops its replay buffer, and answers every
+// Close with the same sticky error.
+func TestReliableSessionFailureClosesItsConnection(t *testing.T) {
+	for _, code := range []wire.ErrCode{wire.CodeProto, wire.CodeIO} {
+		t.Run(string(code), func(t *testing.T) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			// A server that acks the hello, answers every flush with the
+			// error, and reports how its read of the connection ended.
+			ended := make(chan error, 1)
+			go func() {
+				conn, err := lis.Accept()
+				if err != nil {
+					ended <- err
+					return
+				}
+				defer conn.Close()
+				conn.SetDeadline(time.Now().Add(10 * time.Second))
+				br := bufio.NewReader(conn)
+				if _, _, err := wire.ReadFrame(br); err != nil {
+					ended <- err
+					return
+				}
+				ack, _ := json.Marshal(AckPayload{Session: "scripted"})
+				wire.WriteFrame(conn, wire.TAck, ack)
+				for {
+					ty, _, err := wire.ReadFrame(br)
+					if err != nil {
+						ended <- err
+						return
+					}
+					if ty == wire.TFlush {
+						wire.WriteFrame(conn, wire.TError, wire.EncodeError(code, "scripted failure"))
+					}
+				}
+			}()
+
+			rs, err := OpenReliable(context.Background(), lis.Addr().String(), SessionConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := workload.Random(workload.RandomConfig{Seed: 3, Threads: 2, Vars: 4, Locks: 1, Events: 50})
+			if err := rs.FeedBatch(append([]race.Event(nil), tr.Events...)); err != nil {
+				t.Fatal(err)
+			}
+			ferr := rs.Flush()
+			if got := Classify(ferr).Code; got != code {
+				t.Fatalf("Flush = %v (code %q), want code %q", ferr, got, code)
+			}
+			select {
+			case err := <-ended:
+				if !errors.Is(err, io.EOF) {
+					t.Fatalf("the server's read ended with %v, want EOF: the client closed the connection", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the failed session's connection is still open")
+			}
+			if rs.pending != nil {
+				t.Errorf("the failed session keeps %d events for a replay that cannot happen", len(rs.pending))
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := rs.Close(); err != ferr {
+					t.Fatalf("Close #%d = %v, want the sticky %v", i+1, err, ferr)
+				}
+			}
+		})
 	}
 }
