@@ -399,7 +399,7 @@ func (b *RuleB) joined(t trace.Tid, m uint32) *int32 {
 // however many records view it.
 func (b *RuleB) Weight() int {
 	w := b.clocks.Weight() + (cap(b.bases)+1)/2
-	w += 3*cap(b.entries.chunks) + len(b.entries.chunks)*chunkBlocks*blockLen*3/2
+	w += 3*cap(b.entries.chunks) + len(b.entries.chunks)*chunkBlocks*blockLen*3/2 // 12-byte entries
 	for _, ll := range b.locks {
 		if ll == nil {
 			continue
