@@ -30,7 +30,7 @@ func checkCellTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation) {
 	lt := sub.lt
 	check := func(h heldTime, when string) {
 		got := lt.at(&h.side, h.by, false)
-		for u := range vc.Tid(max(h.want.Len(), got.Base().Len()) + 1) {
+		for u := range vc.Tid(max(h.want.Len(), got.Len()) + 1) {
 			if got.Get(u) != h.want.Get(u) {
 				t.Fatalf("%v %s: the side thread %d's release at index %d left reads %v, released %v", rel, when, h.by, h.side.idx, got.Copy(), h.want)
 			}

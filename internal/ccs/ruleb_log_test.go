@@ -49,7 +49,7 @@ func checkLoggedTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation, epoc
 			r = vc.Ref(ent.acq)
 		}
 		got := sub.rb.At(r, l.owner)
-		for u := range vc.Tid(max(l.want.Len(), got.Base().Len()) + 1) {
+		for u := range vc.Tid(max(l.want.Len(), got.Len()) + 1) {
 			if got.Get(u) != l.want.Get(u) {
 				t.Fatalf("%v (epochAcq %v) %s: thread %d's clock %d on lock %d (acquire %v) reads %v, logged %v", rel, epochAcq, when, l.owner, l.i, l.m, l.acq, got.Copy(), l.want)
 			}

@@ -37,6 +37,14 @@
 // release viewing it on each component but t's, where it holds an earlier
 // time than own. Memory only falls: one snapshot at most per section.
 //
+// Sections are what the analysis keeps most of, one per acquire, so each is
+// held to a small Go size class: a vc.Rel is 16 bytes (a pointer into the
+// base and its length, the owner and its 32-bit component), a section 24
+// and the list node that embeds it 48. A variable
+// slot is 40 bytes: the shared read clock sits in the cold block, which
+// every [Read Share] allocates anyway, so only a shared variable's reads
+// take the extra hop.
+//
 // ST-WCP and ST-DC hold the view of the clock — H[t] for WCP, P[t] for DC —
 // that ccs.RuleB.Release logs as its last step, with nothing run between
 // that and the section's fill: the same shape over the log's arena, where a
@@ -71,6 +79,7 @@ import (
 
 // section is one critical section on lock m: the object CS lists and extra
 // metadata share, so that all of them see its release time once it exists.
+// It is 24 bytes: the 16-byte view, the lock and two flags.
 type section struct {
 	rel      vc.Rel // the release time, relative to its owner; zero until released
 	m        uint32
@@ -90,7 +99,8 @@ func (s *section) before(u vc.Tid, p *vc.VC) bool {
 
 // csNode is one element of a CS list, innermost first — the paper's
 // head-to-tail presentation. Nodes are immutable once pushed; only the
-// section a node refers to changes, once, at its release.
+// section a node refers to changes, once, at its release. A node is the one
+// allocation of an acquire: 48 bytes, three pointers and its own section.
 type csNode struct {
 	sec   *section // &own, except in nodes a non-LIFO release rebuilt
 	up    *csNode  // the enclosing critical section; nil at the outermost
@@ -145,24 +155,42 @@ func (ex extras) set(u vc.Tid, e extras) extras {
 }
 
 // stVar is SmartTrack's per-variable metadata: the fields nearly every
-// variable uses. What only shared or residual-carrying variables need sits
-// behind cold.
+// variable uses, 40 bytes. What only shared or residual-carrying variables
+// need — the read vector clock among it — sits behind cold.
 type stVar struct {
-	w   vc.Epoch
-	r   vc.Epoch // valid when rvc == nil
-	rvc *vc.VC   // read vector clock when shared
-
-	lw   *csNode // CS list of the last write
-	lr   *csNode // CS list of the last access (epoch mode)
+	w    vc.Epoch
+	r    vc.Epoch // None while shared
+	lw   *csNode  // CS list of the last write
+	lr   *csNode  // CS list of the last access (epoch mode)
 	cold *stCold
 }
 
 // stCold is allocated at a variable's first [Read Share] or first residual
-// and kept from then on: a write that retires the shared state clears
-// lrByT for the next inflation to reuse.
+// and kept from then on: a write that retires the shared state drops rvc
+// and clears lrByT for the next inflation to reuse.
 type stCold struct {
+	rvc    *vc.VC    // read vector clock when shared
 	lrByT  []*csNode // per-thread CS lists (shared mode)
 	er, ew extras
+}
+
+// shared returns v's read vector clock, nil unless v is shared.
+func (v *stVar) shared() *vc.VC {
+	if v.cold == nil {
+		return nil
+	}
+	return v.cold.rvc
+}
+
+// sameRead reports whether a read at cur takes [Read Same Epoch] or [Shared
+// Same Epoch]. v.r is None while v is shared, so only a shared variable
+// takes the hop to its cold block.
+func (v *stVar) sameRead(cur vc.Epoch) bool {
+	if v.r == cur {
+		return true
+	}
+	rvc := v.shared()
+	return rvc != nil && rvc.Get(cur.Tid()) == cur.Clock()
 }
 
 // Variables live in pages materialized on first touch, so the table neither
@@ -423,7 +451,7 @@ func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	c := p.Get(tt)
 	cur := vc.E(tt, c)
 	v := a.slot(x)
-	if v.rvc == nil && v.r == cur || v.rvc != nil && v.rvc.Get(tt) == c {
+	if v.sameRead(cur) {
 		a.cases.ReadSameEpoch++
 		return // [Read Same Epoch] or [Shared Same Epoch]
 	}
@@ -440,7 +468,8 @@ func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 			}
 		}
 	}
-	if v.rvc == nil {
+	rvc := v.shared()
+	if rvc == nil {
 		if v.r != vc.None && v.r.Tid() == tt { // [Read Owned]
 			a.cases.ReadOwned++
 			v.lr = a.ht[t]
@@ -468,24 +497,24 @@ func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 		a.setLr(v, u, v.lr)
 		a.setLr(v, tt, a.ht[t])
 		v.lr = nil
-		rvc := a.vcs.Get(a.s.Threads())
+		rvc = a.vcs.Get(a.s.Threads())
 		rvc.Set(u, v.r.Clock())
 		rvc.Set(tt, c)
-		v.rvc = rvc
+		v.cold.rvc = rvc // setLr made the cold block
 		v.r = vc.None
 		return
 	}
-	if v.rvc.Get(tt) != 0 { // [Read Shared Owned]
+	if rvc.Get(tt) != 0 { // [Read Shared Owned]
 		a.cases.ReadSharedOwned++
 		a.setLr(v, tt, a.ht[t])
-		v.rvc.Set(tt, c)
+		rvc.Set(tt, c)
 		return
 	}
 	// [Read Shared]
 	a.cases.ReadShared++
 	a.multiCheck(v.lw, v.w.Tid(), v.w, t, held, p, x, loc, idx, false)
 	a.setLr(v, tt, a.ht[t])
-	v.rvc.Set(tt, c)
+	rvc.Set(tt, c)
 }
 
 // setLr stores l as thread u's shared-mode CS list of v, sizing the table
@@ -534,7 +563,7 @@ func (a *Analysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 		cd.er = dropExtras(cd.er, tt, held)
 		cd.ew = dropExtras(cd.ew, tt, held)
 	}
-	if v.rvc == nil {
+	if rvc := v.shared(); rvc == nil {
 		if v.r != vc.None && v.r.Tid() == tt { // [Write Owned]
 			a.cases.WriteOwned++
 		} else { // [Write Exclusive]
@@ -555,10 +584,10 @@ func (a *Analysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 		lrByT := v.cold.lrByT
 		for u := range lrByT {
 			ut := vc.Tid(u)
-			if ut == tt || v.rvc.Get(ut) == 0 {
+			if ut == tt || rvc.Get(ut) == 0 {
 				continue
 			}
-			if e := a.multiCheck(lrByT[u], ut, vc.E(ut, v.rvc.Get(ut)), t, held, p, x, loc, idx, true); len(e) > 0 {
+			if e := a.multiCheck(lrByT[u], ut, vc.E(ut, rvc.Get(ut)), t, held, p, x, loc, idx, true); len(e) > 0 {
 				cd := v.cold
 				cd.er = cd.er.set(ut, e)
 				if v.w != vc.None && v.w.Tid() == ut {
@@ -568,8 +597,8 @@ func (a *Analysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 			}
 		}
 		clear(lrByT)
-		a.vcs.Put(v.rvc) // the write retires the shared read clock
-		v.rvc = nil
+		a.vcs.Put(rvc) // the write retires the shared read clock
+		v.cold.rvc = nil
 	}
 	v.lw = a.ht[t]
 	v.lr = a.ht[t]
@@ -590,7 +619,7 @@ func dropExtras(ex extras, t vc.Tid, held []uint32) extras {
 }
 
 // Words of one variable slot, cold block and list node, for MetadataWeight.
-const slotWords, coldWords, nodeWords = 6, 9, 8
+const slotWords, coldWords, nodeWords = 5, 10, 6
 
 // MetadataWeight implements analysis.Analysis. It counts what the analysis
 // holds — variable pages, cold blocks, and the list nodes and release clocks
@@ -613,21 +642,21 @@ func (a *Analysis) MetadataWeight() int {
 // yet marked `seen`, marking as it goes.
 func (a *Analysis) heldWords(seen bool) (w int) {
 	snaps := make(map[*vc.Clock]bool)
-	snap := func(c *vc.VC) {
-		if k := c.Array(); k != nil && !snaps[k] {
+	snap := func(k *vc.Clock, words int) {
+		if k != nil && !snaps[k] {
 			snaps[k] = true
-			w += c.Weight()
+			w += words
 		}
 	}
 	for i := range a.snap {
-		snap(&a.snap[i])
+		snap(a.snap[i].Array(), a.snap[i].Weight())
 	}
 	count := func(s *section) {
 		if s.seen != seen {
 			s.seen = seen
 			w += nodeWords
 			if a.rb == nil {
-				snap(s.rel.Base())
+				snap(s.rel.Array(), s.rel.Len()) // a snapshot is an exact copy: its length is its capacity
 			}
 		}
 	}
@@ -646,13 +675,13 @@ func (a *Analysis) heldWords(seen bool) (w int) {
 		w += varPageSize * slotWords
 		for i := range pg {
 			v := &pg[i]
-			if v.rvc != nil {
-				w += v.rvc.Weight() + 3
-			}
 			list(v.lw)
 			list(v.lr)
 			if cd := v.cold; cd != nil {
 				w += coldWords + cap(cd.lrByT) + 2*(cap(cd.er)+cap(cd.ew))
+				if cd.rvc != nil {
+					w += cd.rvc.Weight() + 3
+				}
 				for _, l := range cd.lrByT {
 					list(l)
 				}

@@ -316,15 +316,26 @@ func TestOpenSectionOfAnotherWriterIsKept(t *testing.T) {
 	}
 }
 
-func TestVarSlotFitsBudget(t *testing.T) {
-	if sz := unsafe.Sizeof(stVar{}); sz > 48 {
-		t.Errorf("stVar is %d bytes, budget 48", sz)
-	}
-	if sz := unsafe.Sizeof(csNode{}); sz > 64 {
-		t.Errorf("csNode is %d bytes, budget one 64-byte size class", sz)
-	}
-	if sz := unsafe.Sizeof(section{}); sz > 40 {
-		t.Errorf("section is %d bytes, budget 40", sz)
+// TestSmartTrackStateFitsBudget pins the per-variable and per-section
+// footprints, each held to its Go size class, and the word
+// counts MetadataWeight charges for them.
+func TestSmartTrackStateFitsBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		size, budget uintptr
+		words        int
+	}{
+		{"stVar", unsafe.Sizeof(stVar{}), 40, slotWords},
+		{"stCold", unsafe.Sizeof(stCold{}), 80, coldWords},
+		{"csNode", unsafe.Sizeof(csNode{}), 48, nodeWords},
+		{"section", unsafe.Sizeof(section{}), 24, 0}, // charged inside its csNode
+	} {
+		if tc.size > tc.budget {
+			t.Errorf("%s is %d bytes, budget %d", tc.name, tc.size, tc.budget)
+		}
+		if tc.words > 0 && uintptr(8*tc.words) != tc.size {
+			t.Errorf("%s is %d bytes, MetadataWeight counts %d words", tc.name, tc.size, tc.words)
+		}
 	}
 }
 
@@ -501,7 +512,7 @@ func FuzzSectionReleaseTimes(f *testing.F) {
 		}
 		for _, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
 			check := func(r release, when string) {
-				for u := range vc.Tid(max(r.want.Len(), r.s.rel.Base().Len()) + 1) {
+				for u := range vc.Tid(max(r.want.Len(), r.s.rel.Len()) + 1) {
 					if got, want := r.s.at(u), r.want.Get(u); !r.s.released || got != want {
 						t.Fatalf("ST-%v, %s: the section of release %d reads %d for thread %d (released %v), want %d", rel, when, r.idx, got, u, r.s.released, want)
 					}

@@ -15,10 +15,9 @@ func (a *Analysis) SameEpoch(e trace.Event) bool {
 	}
 	v := &a.pages[pi][e.Targ%varPageSize]
 	tt := vc.Tid(e.T)
-	c := a.s.P[e.T].Get(tt)
-	cur := vc.E(tt, c)
+	cur := a.s.P[e.T].Epoch(tt)
 	if e.Op == trace.OpWrite {
 		return v.w == cur // [Write Same Epoch]
 	}
-	return v.rvc == nil && v.r == cur || v.rvc != nil && v.rvc.Get(tt) == c // [Read/Shared Same Epoch]
+	return v.sameRead(cur) // [Read/Shared Same Epoch]
 }

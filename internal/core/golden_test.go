@@ -86,6 +86,19 @@ func digest(t *testing.T, traces []*trace.Trace) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// programTraces returns the program traces of TestGoldenReports: every
+// workload program at ≈ 60k events, seeds 1–3.
+func programTraces() []*trace.Trace {
+	var trs []*trace.Trace
+	for _, p := range workload.Programs {
+		div := max(1, int(p.PaperEventsM*1e6/60000))
+		for seed := int64(1); seed <= 3; seed++ {
+			trs = append(trs, p.Generate(div, seed))
+		}
+	}
+	return trs
+}
+
 // TestGoldenReports pins the reports of the three SmartTrack cells to the
 // bytes the PR 22 tree produced (the slice-copying CS lists and 144-byte
 // variable slots this package had through PR 22): nothing else in the tree
@@ -94,13 +107,8 @@ func digest(t *testing.T, traces []*trace.Trace) string {
 // change to the algorithm or the generators, by pasting the values the
 // failure prints.
 func TestGoldenReports(t *testing.T) {
-	var programs, random []*trace.Trace
-	for _, p := range workload.Programs {
-		div := max(1, int(p.PaperEventsM*1e6/60000)) // ≈ 60k events each
-		for seed := int64(1); seed <= 3; seed++ {
-			programs = append(programs, p.Generate(div, seed))
-		}
-	}
+	programs := programTraces()
+	var random []*trace.Trace
 	for _, cfg := range goldenRandomConfigs() {
 		random = append(random, workload.Random(cfg))
 	}
@@ -165,3 +173,68 @@ func TestUnstructuredPrecisionPreserving(t *testing.T) {
 		t.Errorf("only %d of 400 traces had a release moved; the transform is not exercising anything", swapped)
 	}
 }
+
+// TestGoldenCaseCounts pins how often each FTO case fires (Cases) in the
+// three SmartTrack cells, summed over TestGoldenReports' program traces: a
+// change to the per-variable metadata that leaves the reports alone must
+// also take every case branch it took before. These are the counts behind
+// the paper's Table 12 on this repository's generated programs.
+func TestGoldenCaseCounts(t *testing.T) {
+	programs := programTraces()
+	for _, g := range []struct {
+		rel  analysis.Relation
+		want CaseCounts
+	}{
+		{analysis.WCP, goldenCasesWCP},
+		{analysis.DC, goldenCasesDC},
+		{analysis.WDC, goldenCasesWDC},
+	} {
+		var got CaseCounts
+		for _, tr := range programs {
+			c := run(t, g.rel, tr).Cases()
+			got.ReadSameEpoch += c.ReadSameEpoch
+			got.WriteSameEpoch += c.WriteSameEpoch
+			got.ReadOwned += c.ReadOwned
+			got.ReadSharedOwned += c.ReadSharedOwned
+			got.ReadExclusive += c.ReadExclusive
+			got.ReadShare += c.ReadShare
+			got.ReadShared += c.ReadShared
+			got.WriteOwned += c.WriteOwned
+			got.WriteExclusive += c.WriteExclusive
+			got.WriteShared += c.WriteShared
+			for i, n := range c.HeldAtNSEA {
+				got.HeldAtNSEA[i] += n
+			}
+		}
+		if got != g.want {
+			t.Errorf("ST-%v: case counts\n%+v\nwant\n%+v", g.rel, got, g.want)
+		}
+	}
+}
+
+// The same-epoch and held-lock counts do not depend on the relation: the
+// same-epoch tests compare the thread's own component of its clock, which
+// every relation ticks at the same events.
+var (
+	goldenCasesWCP = CaseCounts{
+		ReadSameEpoch: 1924218, WriteSameEpoch: 7848,
+		ReadOwned: 72539, ReadSharedOwned: 1288,
+		ReadExclusive: 15901, ReadShare: 2650, ReadShared: 2404,
+		WriteOwned: 39300, WriteExclusive: 59682, WriteShared: 2012,
+		HeldAtNSEA: [4]uint64{106508, 12295, 69603, 7370},
+	}
+	goldenCasesDC = CaseCounts{
+		ReadSameEpoch: 1924218, WriteSameEpoch: 7848,
+		ReadOwned: 72371, ReadSharedOwned: 1784,
+		ReadExclusive: 13601, ReadShare: 3666, ReadShared: 3360,
+		WriteOwned: 39055, WriteExclusive: 59114, WriteShared: 2825,
+		HeldAtNSEA: [4]uint64{106508, 12295, 69603, 7370},
+	}
+	goldenCasesWDC = CaseCounts{
+		ReadSameEpoch: 1924218, WriteSameEpoch: 7848,
+		ReadOwned: 72370, ReadSharedOwned: 1792,
+		ReadExclusive: 13575, ReadShare: 3676, ReadShared: 3369,
+		WriteOwned: 39052, WriteExclusive: 59109, WriteShared: 2833,
+		HeldAtNSEA: [4]uint64{106508, 12295, 69603, 7370},
+	}
+)

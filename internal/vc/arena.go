@@ -98,7 +98,7 @@ func (a *Arena) At(r Ref, owner Tid) Rel {
 	if h&recordTag == 0 {
 		return Whole(a.view(r, int(h)), owner)
 	}
-	return Rel{base: a.view(Ref(h), int(h&^recordTag>>32)), own: E(owner, c[off+1])}
+	return Relative(a.view(Ref(h), int(h&^recordTag>>32)), E(owner, c[off+1]))
 }
 
 // whole returns the whole clock r names.

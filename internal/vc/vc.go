@@ -110,8 +110,13 @@ func (v *VC) Join(o *VC) {
 	if o == nil {
 		return
 	}
-	v.grow(len(o.c))
-	for i, oc := range o.c {
+	v.join(o.c)
+}
+
+// join sets v to the pointwise maximum of v and the clock with components o.
+func (v *VC) join(o []Clock) {
+	v.grow(len(o))
+	for i, oc := range o {
 		if oc > v.c[i] {
 			v.c[i] = oc
 		}
