@@ -66,20 +66,20 @@
 // previous one only in its own component (on h2, half of WCP's release
 // clocks, 71 % of DC's and nearly every vector acquire): RuleB keeps per
 // thread a base, the last of its clocks stored whole, and logs a clock
-// equal to it off the thread's component as a 16-byte record (the base's
-// name and that component). Every reader — the ordered tests and joins of
-// Release, and rule (a) — reads a logged clock through vc.Rel, the view that
-// takes the owner's component from the record and every other from the
-// base, and joins it through SyncState.JoinRel, which gives WCP's
-// self-knowledge the owner's component when the joining thread logged it.
-// That is exact: the arena never writes a clock once stored, a base equals
-// the logged clock off the owner's component, the record holds the
-// owner's, and nothing reads the base alone. Without a log (WDC) LockTables
-// keeps the same shape itself: per thread a read-only snapshot of its
-// clock, replaced by a fresh exact copy only when a release's clock differs
-// from it off the thread's component, and a cell's one-release side names
-// that snapshot and the owner's component, as an offset over the
-// snapshot's, read through the same view.
+// equal to it off the thread's component as a 12-byte record (the base's
+// length and name, and that component). Every reader — the ordered tests
+// and joins of Release, and rule (a) — reads a logged clock through vc.Rel,
+// the view that takes the owner's component from the record and every
+// other from the base, and joins it through SyncState.JoinRel, which gives
+// WCP's self-knowledge the owner's component when the joining thread
+// logged it. That is exact: the arena never writes a clock once stored, a
+// base equals the logged clock off the owner's component, the record holds
+// the owner's, and nothing reads the base alone. Without a log (WDC)
+// LockTables keeps the same shape itself: per thread a read-only snapshot
+// of its clock, replaced by a fresh exact copy only when a release's clock
+// differs from it off the thread's component, and a cell's one-release
+// side names that snapshot and holds the owner's component, read through
+// the same view.
 //
 // Known releases are not joined again. The paper's algorithms join a
 // release time into the thread's clock at every rule (a) conflict and every
@@ -120,8 +120,6 @@
 package ccs
 
 import (
-	"math"
-
 	"repro/internal/analysis"
 	"repro/internal/trace"
 	"repro/internal/vc"
@@ -137,13 +135,8 @@ import (
 // Ref of the release time, zero while the section is open, and idx the
 // release's trace index (for constraint-graph edges). The log's owner is the
 // owner of both clocks, the thread their views read own for.
-//
-// A trace index is an int32, and a thread's clock ticks at most once per
-// event, so an acquire clock fits acq's 32 bits on every trace the engines
-// can index; one that does not panics (Acquire), as vc.Arena does past what
-// a Ref can address.
 type csEntry struct {
-	acq uint32
+	acq vc.Clock
 	rel vc.Ref
 	idx int32
 }
@@ -263,13 +256,9 @@ func (b *RuleB) lockState(m uint32) *lockLogs {
 func (b *RuleB) Acquire(t trace.Tid, m uint32, p *vc.VC) {
 	var ent csEntry
 	if b.epochAcq {
-		c := p.Get(vc.Tid(t))
-		if c > math.MaxUint32 {
-			panic("ccs: an acquire clock exceeds what a log entry holds")
-		}
-		ent.acq = uint32(c)
+		ent.acq = p.Get(vc.Tid(t))
 	} else {
-		ent.acq = uint32(b.log(t, p))
+		ent.acq = vc.Clock(b.log(t, p))
 	}
 	ll := b.lockState(m)
 	analysis.EnsureLen(&ll.byOwner, int(t)+1)
@@ -335,7 +324,7 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 			var ordered bool
 			switch {
 			case wcp:
-				c := vc.Clock(front.acq)
+				c := front.acq
 				if ordered = c <= p.Get(u); !ordered && latest.rel != 0 {
 					if viewed != latest.rel {
 						latestC, viewed = b.clocks.At(latest.rel, latestBy), latest.rel
@@ -343,7 +332,7 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 					ordered = c <= latestC.Get(u)
 				}
 			case b.epochAcq:
-				ordered = vc.Clock(front.acq) <= p.Get(u)
+				ordered = front.acq <= p.Get(u)
 			default:
 				acq := b.clocks.At(vc.Ref(front.acq), u)
 				ordered = acq.Leq(p)
@@ -439,9 +428,9 @@ const (
 // index of the latest release folded into it (for constraint-graph edges).
 // It holds either one release's clock — named in rule (b)'s arena (ref), or,
 // with no log, viewed over the releasing thread's snapshot (own) with the
-// owner's component ref more than the snapshot's — or, for a DC/WDC Lr
-// marked lrJoined, a join of several in own, the cell's own storage and the
-// only clock a cell owns. Empty: no ref and no own.
+// owner's component held in ref — or, for a DC/WDC Lr marked lrJoined, a
+// join of several in own, the cell's own storage and the only clock a cell
+// owns. Empty: no ref and no own.
 type aSide struct {
 	own *vc.VC
 	ref vc.Ref
@@ -523,25 +512,23 @@ func (lt *LockTables) at(sd *aSide, u trace.Tid, joined bool) vc.Rel {
 	case lt.log != nil:
 		return lt.log.At(sd.ref, u)
 	}
-	uu := vc.Tid(u)
-	return vc.Relative(*sd.own, vc.E(uu, sd.own.Get(uu)+vc.Clock(sd.ref)))
+	return vc.Relative(*sd.own, vc.E(vc.Tid(u), vc.Clock(sd.ref)))
 }
 
 // snapshot returns the one-release side that names rt, t's release time, in
-// a table without a log: t's snapshot and rt's t component as an offset over
-// the snapshot's. The snapshot is replaced by a fresh exact copy of rt —
-// never written in place: cells view the old one — when rt differs from it
-// off t's component, or the offset would not fit in 32 bits (making it 0).
+// a table without a log: t's snapshot and rt's t component. The snapshot is
+// replaced by a fresh exact copy of rt — never written in place: cells view
+// the old one — when rt differs from it off t's component.
 func (lt *LockTables) snapshot(t trace.Tid, rt *vc.VC, idx int32) aSide {
 	analysis.EnsureLen(&lt.snap, int(t)+1)
 	tt := vc.Tid(t)
 	sn := lt.snap[t]
-	if sn == nil || !sn.EqualExcept(rt, tt) || rt.Get(tt)-sn.Get(tt) > math.MaxUint32 {
+	if sn == nil || !sn.EqualExcept(rt, tt) {
 		sn = new(vc.VC)
 		sn.CopyExact(rt)
 		lt.snap[t] = sn
 	}
-	return aSide{own: sn, ref: vc.Ref(rt.Get(tt) - sn.Get(tt)), idx: idx}
+	return aSide{own: sn, ref: vc.Ref(rt.Get(tt)), idx: idx}
 }
 
 // holds reports whether p, t's relation clock, holds the one release time
@@ -680,8 +667,8 @@ func (lt *LockTables) Release(t trace.Tid, m uint32, rt *vc.VC, named vc.Ref, id
 }
 
 // aCellWords is the footprint of one dense cell in 8-byte words (two
-// clock pointers, two names or offsets, two indices, two owners, the marks
-// and padding).
+// clock pointers, two names or owner's components, two indices, two
+// owners, the marks and padding).
 const aCellWords = 5
 
 // Weight estimates retained rule (a) metadata in 8-byte words, counting

@@ -75,7 +75,7 @@ func checkCellTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation) {
 // to the release time it was folded from, over the workload.RandomConfig
 // tuple FuzzReleaseSnapshots draws from, for the WCP and DC substrates
 // (whose sides name their rule (b) log's clocks) and the WDC one (whose
-// sides view per-thread snapshots with the owner's component as an offset).
+// sides view per-thread snapshots and hold the owner's component).
 func FuzzRuleACellTimes(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(5), uint8(2), uint8(1), uint16(2000), uint8(3), true)
 	f.Add(int64(7), uint8(8), uint8(2), uint8(1), uint8(0), uint16(3000), uint8(1), false)

@@ -368,8 +368,10 @@ func TestRuleBMatchesReference(t *testing.T) {
 // with vector acquires (the DC computation's, which logs the acquire time
 // too and tests it against the releasing clock). No thread learns of
 // another, so after the first round every logged clock is a record: B/op is
-// the arena's share of a pair and its 12-byte entry, 28 and 44 bytes (95
-// and 111 when entries were 16 bytes in append-doubled slices).
+// the arena's share of a pair, one or two 12-byte records, and its 12-byte
+// entry, 25 and 37 bytes (28 and 44 with 8-byte clock components and
+// 16-byte records, 95 and 111 when entries were 16 bytes in append-doubled
+// slices too).
 func BenchmarkRuleBRelease(b *testing.B) {
 	for _, epochAcq := range []bool{true, false} {
 		b.Run(fmt.Sprintf("epochAcq=%v", epochAcq), func(b *testing.B) {

@@ -39,7 +39,7 @@
 //
 // Sections are what the analysis keeps most of, one per acquire, so each is
 // held to a small Go size class: a vc.Rel is 16 bytes (a pointer into the
-// base and its length, the owner and its 32-bit component), a section 24
+// base and its length, the owner and its component), a section 24
 // and the list node that embeds it 48. A variable
 // slot is 40 bytes: the shared read clock sits in the cold block, which
 // every [Read Share] allocates anyway, so only a shared variable's reads
@@ -656,7 +656,7 @@ func (a *Analysis) heldWords(seen bool) (w int) {
 			s.seen = seen
 			w += nodeWords
 			if a.rb == nil {
-				snap(s.rel.Array(), s.rel.Len()) // a snapshot is an exact copy: its length is its capacity
+				snap(s.rel.Array(), (s.rel.Len()+1)/2) // a snapshot is an exact copy: its length is its capacity
 			}
 		}
 	}

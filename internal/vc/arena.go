@@ -3,9 +3,9 @@ package vc
 // Ref names a clock stored in an Arena. The zero Ref is none.
 type Ref uint32
 
-// arenaBits sets the arena's chunk size: 1<<arenaBits words, 64 KiB. A Ref
+// arenaBits sets the arena's chunk size: 1<<arenaBits words, 32 KiB. A Ref
 // is a chunk number and a word offset in it, so this also fixes how many
-// chunks a 4-byte Ref can address (2^19, 32 GiB).
+// chunks a 4-byte Ref can address (2^19, 16 GiB).
 const (
 	arenaBits  = 13
 	arenaChunk = 1 << arenaBits
@@ -14,8 +14,8 @@ const (
 
 // recordTag marks the first word of a record; the first word of a whole
 // clock is its length, which never reaches it. Below the tag a record's
-// first word holds its base's length (bits 32 and up) and Ref (the low 32).
-const recordTag Clock = 1 << 63
+// first word holds its base's length.
+const recordTag Clock = 1 << 31
 
 // Arena stores clocks that are written once and never changed or freed: the
 // critical-section histories that predictive analyses keep for their whole
@@ -25,13 +25,13 @@ const recordTag Clock = 1 << 63
 // nothing for the allocator to size or for the collector to mark — where a
 // million *VC are two million:
 //
-//   - whole: a length word followed by the components;
-//   - record, two words: recordTag with the Ref and length of a whole
-//     clock of the same owner (its base), then the owner's component. The
-//     clock is the base on every other component. A record's base is
-//     always a whole clock, never another record, and reading the record
-//     touches the base's words only when a component other than the
-//     owner's is read.
+//   - whole: a length word followed by the components, 4 bytes each;
+//   - record, three words, 12 bytes: recordTag with the length of a whole
+//     clock of the same owner (its base), the base's Ref, then the owner's
+//     component. The clock is the base on every other component. A
+//     record's base is always a whole clock, never another record, and
+//     reading the record touches the base's words only when a component
+//     other than the owner's is read.
 //
 // PutOver writes a record whenever the clock equals its owner's base off
 // the owner's component, which is most of a thread's releases and nearly
@@ -78,8 +78,8 @@ func (a *Arena) put(v *VC) Ref {
 func (a *Arena) PutOver(base *Ref, v *VC, owner Tid) Ref {
 	if *base != 0 {
 		if b := a.whole(*base); b.EqualExcept(v, owner) {
-			r, w := a.alloc(2)
-			w[0], w[1] = recordTag|Clock(b.Len())<<32|Clock(*base), v.Get(owner)
+			r, w := a.alloc(3)
+			w[0], w[1], w[2] = recordTag|Clock(b.Len()), Clock(*base), v.Get(owner)
 			return r
 		}
 	}
@@ -98,7 +98,7 @@ func (a *Arena) At(r Ref, owner Tid) Rel {
 	if h&recordTag == 0 {
 		return Whole(a.view(r, int(h)), owner)
 	}
-	return Relative(a.view(Ref(h), int(h&^recordTag>>32)), E(owner, c[off+1]))
+	return Relative(a.view(Ref(c[off+1]), int(h&^recordTag)), E(owner, c[off+2]))
 }
 
 // whole returns the whole clock r names.
@@ -125,7 +125,7 @@ func (a *Arena) word(r Ref) ([]Clock, int) {
 func (a *Arena) Weight() int {
 	w := 3 * cap(a.chunks)
 	for _, c := range a.chunks {
-		w += cap(c)
+		w += (cap(c) + 1) / 2
 	}
 	return w
 }

@@ -1,6 +1,9 @@
 package vc
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func clockOf(cs ...Clock) *VC { return &VC{c: cs} }
 
@@ -12,7 +15,7 @@ func TestArenaRefZeroIsNone(t *testing.T) {
 	if r := a.put(New(0)); r == 0 {
 		t.Error("the first stored clock, even an empty one, must not be named 0")
 	}
-	if a.Weight() < arenaChunk {
+	if a.Weight() < arenaChunk/2 { // 4-byte words, weighed in 8-byte ones
 		t.Errorf("Weight = %d, must count the whole first chunk", a.Weight())
 	}
 }
@@ -90,10 +93,10 @@ func TestArenaPutInsideAChunkDoesNotAllocate(t *testing.T) {
 }
 
 // TestArenaRecordsReadTheirClock logs a thread's clocks through PutOver: a
-// clock equal to the base off the owner's component is a two-word record
+// clock equal to the base off the owner's component is a 12-byte record
 // and reads back whole; one that differs elsewhere, or in length, is stored
-// whole and becomes the base, and the records over the old base still read
-// what they were.
+// whole in 4 bytes per component plus a 4-byte length, and becomes the
+// base, and the records over the old base still read what they were.
 func TestArenaRecordsReadTheirClock(t *testing.T) {
 	var a Arena
 	var base Ref
@@ -116,13 +119,13 @@ func TestArenaRecordsReadTheirClock(t *testing.T) {
 		}
 		prev := base
 		refs = append(refs, a.PutOver(&base, v, owner))
-		words := len(a.chunks[0]) - before
+		bytes := (len(a.chunks[0]) - before) * int(unsafe.Sizeof(Clock(0)))
 		if wholes[i] {
-			if base != refs[i] || words != v.Len()+1 {
-				t.Errorf("clock %d: %d words, base %d → %d; want it whole (%d words) and the new base", i, words, prev, base, v.Len()+1)
+			if want := 4 + 4*v.Len(); base != refs[i] || bytes != want {
+				t.Errorf("clock %d: %d bytes, base %d → %d; want it whole (%d bytes) and the new base", i, bytes, prev, base, want)
 			}
-		} else if base != prev || words != 2 {
-			t.Errorf("clock %d: %d words, base %d → %d; want a 2-word record over the same base", i, words, prev, base)
+		} else if base != prev || bytes != 12 {
+			t.Errorf("clock %d: %d bytes, base %d → %d; want a 12-byte record over the same base", i, bytes, prev, base)
 		}
 	}
 	for i, v := range logged {

@@ -1,9 +1,6 @@
 package vc
 
-import (
-	"math"
-	"unsafe"
-)
+import "unsafe"
 
 // Rel is a read-only view of a clock logged by one thread, its owner, read
 // relative to that owner: own is the owner's component, and base holds every
@@ -18,12 +15,11 @@ import (
 // (nil for an empty base) and last the last thread it has a component for,
 // rebuilt into a slice by unsafe.Slice; the pointer keeps the whole chunk or
 // snapshot it points into alive, as a slice header would. A Tid is 16 bits,
-// so no base is wider than 1<<16 components; own fits 32 bits because a
-// thread's clock ticks at most once per event and a trace index is an int32.
-// A clock past either bound panics where its view is made.
+// so no base is wider than 1<<16 components, and a wider one panics where
+// its view is made.
 type Rel struct {
 	base  *Clock
-	own   uint32
+	own   Clock
 	last  Tid // the last thread base has a component for
 	owner Tid
 }
@@ -31,10 +27,7 @@ type Rel struct {
 // Relative returns the view of the clock that is base on every component
 // but own's thread's, and own there.
 func Relative(base VC, own Epoch) Rel {
-	if own.Clock() > math.MaxUint32 {
-		panic("vc: an owner's component exceeds what a Rel holds")
-	}
-	r := Rel{own: uint32(own.Clock()), owner: own.Tid()}
+	r := Rel{own: own.Clock(), owner: own.Tid()}
 	if n := len(base.c); n > 0 {
 		if n > 1<<16 {
 			panic("vc: a base exceeds what a Rel holds")
@@ -53,7 +46,7 @@ func (r *Rel) components() []Clock { return unsafe.Slice(r.base, r.Len()) }
 // Get returns u's component of the clock.
 func (r *Rel) Get(u Tid) Clock {
 	if u == r.owner {
-		return Clock(r.own)
+		return r.own
 	}
 	if b := r.components(); int(u) < len(b) {
 		return b[u]
@@ -66,7 +59,7 @@ func (r *Rel) Get(u Tid) Clock {
 // from the owner usually exceeds p.
 func (r *Rel) Leq(p *VC) bool {
 	u := r.owner
-	if Clock(r.own) > p.Get(u) {
+	if r.own > p.Get(u) {
 		return false
 	}
 	for i, c := range r.components() {
@@ -80,8 +73,8 @@ func (r *Rel) Leq(p *VC) bool {
 // JoinInto sets p to p ⊔ r: base, then the owner's component raised to own.
 func (r *Rel) JoinInto(p *VC) {
 	p.join(r.components())
-	if u := r.owner; p.Get(u) < Clock(r.own) {
-		p.Set(u, Clock(r.own))
+	if u := r.owner; p.Get(u) < r.own {
+		p.Set(u, r.own)
 	}
 }
 
@@ -89,7 +82,7 @@ func (r *Rel) JoinInto(p *VC) {
 func (r *Rel) Copy() *VC {
 	c := &VC{c: make([]Clock, r.Len())}
 	copy(c.c, r.components())
-	c.Set(r.owner, Clock(r.own))
+	c.Set(r.owner, r.own)
 	return c
 }
 

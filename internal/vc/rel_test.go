@@ -1,18 +1,21 @@
 package vc
 
 import (
-	"math"
 	"runtime"
 	"testing"
 	"time"
 	"unsafe"
 )
 
-// TestRelFitsBudget pins the view at 16 bytes: ST-WDC keeps one in every
-// critical section.
+// TestRelFitsBudget pins the view at 16 bytes (ST-WDC keeps one in every
+// critical section) and a clock component at 4 (every clock the analyses
+// keep is a run of them).
 func TestRelFitsBudget(t *testing.T) {
 	if sz := unsafe.Sizeof(Rel{}); sz > 16 {
 		t.Errorf("Rel is %d bytes, budget 16", sz)
+	}
+	if sz := unsafe.Sizeof(Clock(0)); sz != 4 {
+		t.Errorf("Clock is %d bytes, want 4", sz)
 	}
 }
 
@@ -135,35 +138,37 @@ func TestRelKeepsItsBaseAlive(t *testing.T) {
 	}
 }
 
-// TestRelPanicsPastItsBounds: a view holds its owner's component in 32 bits
-// and its base's length in 16 (minus one); a clock past either panics where
-// the view is made, never reads truncated.
+// TestRelPanicsPastItsBounds: a view holds its base's length in 16 bits
+// (minus one), and a base past that panics where the view is made, never
+// reads truncated. A clock component cannot pass what a view holds: Tick
+// panics at MaxClock rather than wrap.
 func TestRelPanicsPastItsBounds(t *testing.T) {
 	wide := VC{c: make([]Clock, 1<<16)}
 	wide.c[1<<16-1] = 3
 	if r := Relative(wide, E(0, 1)); r.Len() != 1<<16 || r.Get(1<<16-1) != 3 {
 		t.Errorf("a base of 1<<16 components reads length %d, last component %d", r.Len(), r.Get(1<<16-1))
 	}
-	if r := Relative(*clockOf(1, 2), E(1, math.MaxUint32)); r.Get(1) != math.MaxUint32 {
-		t.Errorf("an owner's component of 1<<32-1 reads %d", r.Get(1))
+	if r := Relative(*clockOf(1, 2), E(1, MaxClock)); r.Get(1) != MaxClock {
+		t.Errorf("an owner's component of MaxClock reads %d", r.Get(1))
 	}
-	var a Arena
-	var base Ref
-	a.PutOver(&base, clockOf(1, 2), 1)
-	past := a.PutOver(&base, clockOf(1, math.MaxUint32+1), 1) // a record: the arena stores it, the view cannot
+	top := clockOf(1, MaxClock-1)
+	if c := top.Tick(1); c != MaxClock {
+		t.Errorf("Tick to MaxClock gave %d", c)
+	}
 	for name, f := range map[string]func(){
-		"own past 32 bits":      func() { Relative(*clockOf(1, 2), E(1, math.MaxUint32+1)) },
-		"whole past 32 bits":    func() { Whole(*clockOf(1, math.MaxUint32+1), 1) },
-		"record past 32 bits":   func() { a.At(past, 1) },
+		"Tick at MaxClock":      func() { top.Tick(1) },
 		"base wider than 1<<16": func() { Relative(VC{c: make([]Clock, 1<<16+1)}, E(0, 1)) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: made a view, want a panic", name)
+					t.Errorf("%s: returned, want a panic", name)
 				}
 			}()
 			f()
 		}()
+	}
+	if top.Get(1) != MaxClock {
+		t.Errorf("a Tick that panicked left the clock at %d", top.Get(1))
 	}
 }

@@ -9,10 +9,16 @@
 // thread t). Clocks that are logged once and then only read live in an
 // Arena and are read through Rel, a view relative to the thread that logged
 // them.
+//
+// A clock component is 32 bits, half a machine word, and that is exact: a
+// thread's clock ticks at most once per event, and no engine accepts a
+// stream past math.MaxInt32 events (race.ErrEventLimit), so no thread
+// reaches MaxClock; Tick panics rather than wrap if one ever did.
 package vc
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -21,22 +27,23 @@ import (
 type Tid uint16
 
 // Clock is a scalar logical clock value. Clocks start at 1 for each thread's
-// own component and increment at synchronization operations.
-type Clock uint64
+// own component and increment at synchronization operations, at most once
+// per event, so 32 bits hold every clock of a stream an engine accepts.
+type Clock uint32
 
 const (
 	// tidBits is the number of low bits of an Epoch holding the thread id.
 	tidBits = 16
-	// MaxClock is the largest representable clock value.
-	MaxClock Clock = (1 << (64 - tidBits)) - 1
 	// Inf is a sentinel clock that is never ⪯ any real clock; String renders
-	// it as ∞.
-	Inf Clock = MaxClock
+	// it as ∞. No thread reaches it: Tick stops at MaxClock.
+	Inf Clock = math.MaxUint32
+	// MaxClock is the largest clock Tick gives a thread.
+	MaxClock = Inf - 1
 )
 
-// Epoch is a scalar logical time c@t: the clock c of thread t. The zero
-// Epoch is ⊥ (no access recorded): thread 0's clocks start at 1, so 0@0
-// never names a real event.
+// Epoch is a scalar logical time c@t: the clock c of thread t, above a
+// 16-bit thread id. The zero Epoch is ⊥ (no access recorded): thread 0's
+// clocks start at 1, so 0@0 never names a real event.
 type Epoch uint64
 
 // None is the uninitialized epoch ⊥.
@@ -85,9 +92,13 @@ func (v *VC) Set(t Tid, c Clock) {
 	v.c[t] = c
 }
 
-// Tick increments thread t's component and returns the new value.
+// Tick increments thread t's component and returns the new value. It
+// panics at MaxClock rather than wrap.
 func (v *VC) Tick(t Tid) Clock {
 	v.grow(int(t) + 1)
+	if v.c[t] >= MaxClock {
+		panic("vc: a thread's clock exceeds MaxClock")
+	}
 	v.c[t]++
 	return v.c[t]
 }
@@ -222,7 +233,7 @@ func (v *VC) String() string {
 
 // Weight is the memory footprint of the clock in 8-byte words, used by the
 // benchmark harness to estimate retained analysis metadata.
-func (v *VC) Weight() int { return cap(v.c) }
+func (v *VC) Weight() int { return (cap(v.c) + 1) / 2 }
 
 // Pool is a free list of scratch vector clocks for single-threaded reuse.
 // Analyses whose metadata transitions retire clocks deterministically (e.g.

@@ -308,7 +308,7 @@ func TestCopyExactIsExactAndIndependent(t *testing.T) {
 	src.Set(4, 7) // grown by doubling: capacity beyond its five slots
 	var dst VC
 	dst.CopyExact(src)
-	if dst.Len() != 5 || dst.Weight() != 5 || dst.Get(4) != 7 {
+	if dst.Len() != 5 || dst.Weight() != 3 || dst.Get(4) != 7 { // 20 bytes: three 8-byte words
 		t.Errorf("CopyExact gave %v with %d words for a 5-slot clock", &dst, dst.Weight())
 	}
 	src.Set(4, 9)
@@ -343,11 +343,11 @@ func TestArrayIdentifiesSharedComponents(t *testing.T) {
 func TestPoolSizesNewClocksOnce(t *testing.T) {
 	var p Pool
 	v := p.Get(6)
-	if v.Weight() != 6 || !v.Leq(New(0)) {
+	if v.Weight() != 3 || !v.Leq(New(0)) { // six 4-byte components: three 8-byte words
 		t.Fatalf("Get(6) = %v with %d words, want a zero clock of 6", v, v.Weight())
 	}
 	v.Set(5, 3) // within the size it was given: no growth
-	if v.Weight() != 6 {
+	if v.Weight() != 3 {
 		t.Errorf("filling a pooled clock grew it to %d words", v.Weight())
 	}
 	p.Put(v)

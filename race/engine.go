@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"time"
 
@@ -369,6 +370,13 @@ func (e *Engine) Fed() int { return e.fed }
 // between the checking pass and the analysis passes.
 const feedChunk = 8192
 
+// ErrEventLimit is the sticky error of an Engine fed a run that would take
+// its stream past math.MaxInt32 events. The analyses index events with an
+// int32, and a thread's clock ticks at most once per event, which is what
+// holds every clock component to 32 bits. The run, and every later one, is
+// refused, whether or not the engine checks its input.
+var ErrEventLimit = errors.New("race: a stream holds at most 2147483647 events")
+
 // feed is the engine's one front end, behind every entry point: check the
 // run, retain it if Close will vindicate, then mark and dispatch the
 // accepted prefix — into the pipeline's current batch, or through each
@@ -378,6 +386,10 @@ func (e *Engine) feed(evs []Event) error {
 		return errors.New("race: Feed on closed engine")
 	}
 	if e.err != nil {
+		return e.err
+	}
+	if len(evs) > math.MaxInt32-e.fed {
+		e.err = ErrEventLimit
 		return e.err
 	}
 	var verr error

@@ -2,6 +2,7 @@ package race
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 )
@@ -87,5 +88,47 @@ func TestEndedSessionDoesNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(100, row.op); n != 0 {
 			t.Errorf("%s after ErrThreadLimit: %v allocations, want 0", row.name, n)
 		}
+	}
+}
+
+// TestEventLimitEndsTheStream: an engine's analyses index events with an
+// int32, so a stream past math.MaxInt32 events used to wrap their indices.
+// Now the run that would cross the bound is refused with ErrEventLimit,
+// sticky through Feed and Close, in every engine shape, unchecked input
+// included. The engine's count starts just under the bound: feeding 2^31
+// real events takes minutes.
+func TestEventLimitEndsTheStream(t *testing.T) {
+	run := []Event{{T: 0, Op: OpWrite, Targ: 0}, {T: 0, Op: OpRead, Targ: 1}}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"sequential", nil},
+		{"unchecked", []Option{WithUncheckedInput()}},
+		{"fan-out", []Option{WithLevel(FTO), WithAnalysisNames("ST-WDC")}},
+		{"parallel", []Option{WithAnalysisNames("FTO-HB", "ST-WDC"), WithParallelism(2)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := NewEngine(tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.fed = math.MaxInt32 - 3
+			if err := eng.FeedBatch(run); err != nil {
+				t.Fatalf("a run ending one event under the bound: %v", err)
+			}
+			if err := eng.FeedBatch(run); !errors.Is(err, ErrEventLimit) {
+				t.Fatalf("a run crossing the bound: %v, want ErrEventLimit", err)
+			}
+			if eng.Fed() != math.MaxInt32-1 {
+				t.Errorf("Fed = %d, want the refused run uncounted (%d)", eng.Fed(), math.MaxInt32-1)
+			}
+			if err := eng.Feed(run[0]); !errors.Is(err, ErrEventLimit) {
+				t.Errorf("Feed after the limit: %v, want ErrEventLimit", err)
+			}
+			if _, err := eng.Close(); !errors.Is(err, ErrEventLimit) {
+				t.Errorf("Close after the limit: %v, want ErrEventLimit", err)
+			}
+		})
 	}
 }
