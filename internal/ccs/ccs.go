@@ -113,10 +113,15 @@
 //     valid for WCP, whose release clocks are H, not P: a fork or a lock
 //     edge can give P_t u's local time without the rest of H_r.
 //
-// Every ordering test still runs as before, on the same clocks, and every
-// hook edge is still drawn, so cursors, P, H, the graph and the reports are
-// unchanged; TestSubstrateMatchesReference holds the substrates to the
-// join-everything reference after every event.
+// Every ordering test still runs as before, on the same clocks, so cursors,
+// P, H and the reports are unchanged; TestSubstrateMatchesReference holds the
+// substrates to the join-everything reference after every event.
+//
+// Rule (b) draws no edge the graph implies (see RuleB.Release): each one it
+// leaves out, src → dst, has a drawn src′ → dst′ with src before src′ and
+// dst′ before dst in program order, which the graph keeps implicit. So which
+// events reach which — all vindication reads — is unchanged, as
+// TestRuleBEdgesKeepReachability checks; every other edge is drawn as before.
 package ccs
 
 import (
@@ -152,10 +157,15 @@ const (
 type csBlock [blockLen]csEntry
 
 // csLog is one (lock, owner) log: its n entries in order, blockLen to a
-// block, in the blocks of its RuleB's store that blocks numbers.
+// block, in the blocks of its RuleB's store that blocks numbers; acq is the
+// owner's clock at its last acquire, relOwn and relIdx the owner's component
+// of its last closed release time and that release's trace index.
 type csLog struct {
 	blocks []uint32
 	n      int32
+	acq    vc.Clock
+	relOwn vc.Clock
+	relIdx int32
 }
 
 // blockStore holds the blocks of every log of one RuleB, chunkBlocks to a
@@ -224,6 +234,9 @@ type RuleB struct {
 	entries  blockStore // every log's blocks
 	clocks   vc.Arena   // every logged acquire and release clock
 	bases    []vc.Ref   // per thread, its last clock the arena holds whole
+	// drawn[t][u] is one past the trace index of the latest rule (b) edge
+	// source from u into t, 0 for none; kept only while edges are drawn.
+	drawn [][]int32
 }
 
 // NewRuleB builds rule (b) state from capacity hints. epochAcq selects
@@ -268,6 +281,7 @@ func (b *RuleB) Acquire(t trace.Tid, m uint32, p *vc.VC) {
 	}
 	lg.n++
 	*b.entry(lg, lg.n-1) = ent
+	lg.acq = p.Get(vc.Tid(t))
 }
 
 // entry returns log lg's i-th entry.
@@ -289,7 +303,10 @@ func (b *RuleB) log(t trace.Tid, c *vc.VC) vc.Ref {
 // reads it). For WCP the logged release time is the HB clock (left
 // HB-composition); for DC it is the relation clock itself. idx is the trace
 // index of the release event; hook (optional) receives rule (b) constraint
-// edges, one per consumed entry whether or not its time needed joining.
+// edges: per owner, at most one, from the last entry the release consumed,
+// and none if an earlier rule (b) edge into t came from that release of the
+// owner or a later one. The graph keeps program order implicit, so every
+// edge this leaves out is implied by a drawn one and program order.
 //
 // A consumed release time t already holds is not joined (package comment,
 // facts 2 and 3). For DC that is the epoch test on the owner's component of
@@ -297,7 +314,10 @@ func (b *RuleB) log(t trace.Tid, c *vc.VC) vc.Ref {
 // join of them all is the one with the highest trace index: it is joined
 // once, after the scan, and only if t has not joined that release or a
 // later one of m; meanwhile the ordered test reads the owner's component of
-// that entry's clock as if it had been joined.
+// that entry's clock as if it had been joined. An owner t has caught up with
+// is consumed whole without reading its entries: for WCP when its last
+// acquire is ordered, for DC when t holds its last release (fact 3: then it
+// holds every release and acquire before it too).
 func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32, hook analysis.Hook) vc.Ref {
 	p := s.P[t]
 	ll := b.lockState(m)
@@ -307,18 +327,31 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 	var latestBy vc.Tid // its owner
 	var latestC vc.Rel  // its release time, read when an ordered test needs it
 	var viewed vc.Ref   // the release time latestC reads
+	var drawn []int32
+	if hook != nil {
+		analysis.EnsureLen(&b.drawn, int(t)+1)
+		analysis.EnsureLen(&b.drawn[t], len(ll.byOwner))
+		drawn = b.drawn[t]
+	}
 	// Owners iterate in ascending thread order — the same order as the old
 	// pre-sized per-pair queues. Determinism matters: JoinRel below grows p
 	// (for WCP, latestC stands for what it would have grown p by), which
 	// the ordered test reads, so the iteration order is part of the
 	// algorithm's observable behavior.
 	for owner := range ll.byOwner {
-		if owner == int(t) {
+		lg := &ll.byOwner[owner]
+		h := heads[owner]
+		if owner == int(t) || h == lg.n {
 			continue
 		}
-		lg := &ll.byOwner[owner]
 		u := vc.Tid(owner)
-		h := heads[owner]
+		src := int32(-1) // the trace index of the last entry consumed
+		switch {
+		case wcp && lg.acq <= p.Get(u):
+			h = lg.n - 1 // all ordered: the scan reads only the last, for latest
+		case !wcp && lg.relOwn <= p.Get(u):
+			h, src = lg.n, lg.relIdx
+		}
 		for h < lg.n {
 			front := *b.entry(lg, h)
 			var ordered bool
@@ -340,19 +373,21 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 			if !ordered {
 				break
 			}
-			h++
+			h, src = h+1, front.idx
 			if wcp { // rule (b): r1 ≺ r2
 				if latest.rel == 0 || front.idx > latest.idx {
 					latest, latestBy = front, u
 				}
-			} else if rel := b.clocks.At(front.rel, u); rel.Get(u) > p.Get(u) {
+			} else if b.clocks.Own(front.rel, u) > p.Get(u) {
+				rel := b.clocks.At(front.rel, u)
 				s.JoinRel(t, &rel)
-			}
-			if hook != nil {
-				hook.Edge(front.idx, idx)
 			}
 		}
 		heads[owner] = h
+		if drawn != nil && src >= drawn[owner] {
+			hook.Edge(src, idx)
+			drawn[owner] = src + 1
+		}
 	}
 	if latest.rel != 0 && heads[t] <= latest.idx {
 		rel := b.clocks.At(latest.rel, latestBy)
@@ -366,6 +401,7 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 	own := &ll.byOwner[t]
 	cs := b.entry(own, own.n-1) // the section t's acquire of m opened
 	cs.rel, cs.idx = b.log(t, snap), idx
+	own.relOwn, own.relIdx = snap.Get(vc.Tid(t)), idx
 	return cs.rel
 }
 
@@ -379,24 +415,28 @@ func (b *RuleB) joined(t trace.Tid, m uint32) *int32 {
 	return &b.lockState(m).cursors(t)[t]
 }
 
-// Weight estimates retained rule (b) metadata in 8-byte words: the cursor
-// rows (and with them WCP's per-(thread, lock) record) at their capacity,
-// the logs (a 4-word header each, and block numbers), the store's entry
-// blocks at capacity, whole chunks however few of their blocks are in use,
-// the per-thread bases, and the arena, which holds every clock an entry
-// names — and every clock a rule (a) cell names — with each base once
+// Weight estimates retained rule (b) metadata in 8-byte words: the lock
+// slot table, each lock's lockLogs (two slice headers), its cursor rows (and
+// with them WCP's per-(thread, lock) record) at their capacity, its logs (a
+// 5-word header each, and block numbers), the store's entry blocks at
+// capacity, whole chunks however few of their blocks are in use, the
+// per-thread bases and drawn rows, and the arena, which holds every clock an
+// entry names — and every clock a rule (a) cell names — with each base once
 // however many records view it.
 func (b *RuleB) Weight() int {
-	w := b.clocks.Weight() + (cap(b.bases)+1)/2
+	w := b.clocks.Weight() + (cap(b.bases)+1)/2 + cap(b.locks) + 3*cap(b.drawn)
 	w += 3*cap(b.entries.chunks) + len(b.entries.chunks)*chunkBlocks*blockLen*3/2 // 12-byte entries
+	for _, row := range b.drawn {
+		w += (cap(row) + 1) / 2
+	}
 	for _, ll := range b.locks {
 		if ll == nil {
 			continue
 		}
+		w += 6 + 3*cap(ll.heads) + 5*cap(ll.byOwner)
 		for _, row := range ll.heads {
 			w += (cap(row) + 1) / 2
 		}
-		w += 4 * cap(ll.byOwner)
 		for _, lg := range ll.byOwner {
 			w += (cap(lg.blocks) + 1) / 2
 		}
@@ -539,8 +579,11 @@ func (lt *LockTables) holds(t trace.Tid, p *vc.VC, sd *aSide, u trace.Tid) bool 
 	if u == t {
 		return true
 	}
-	c := lt.at(sd, u, false)
-	return c.Get(vc.Tid(u)) <= p.Get(vc.Tid(u))
+	own := vc.Clock(sd.ref) // without a log, the owner's component itself
+	if lt.log != nil {
+		own = lt.log.clocks.Own(sd.ref, vc.Tid(u))
+	}
+	return own <= p.Get(vc.Tid(u))
 }
 
 // join joins side sd of a cell on m into t's relation clock (rule (a):
@@ -673,13 +716,14 @@ const aCellWords = 5
 
 // Weight estimates retained rule (a) metadata in 8-byte words, counting
 // every materialized page at its full dense footprint — the memory the
-// paged representation actually holds, including unused cells — plus each
-// lock's table (two slice headers, both slices at capacity), the clocks the
-// cells own, and without a log the snapshots, each clock with its 3-word
-// header and each snapshot once however many sides view it. A clock a cell
-// names is the rule (b) log's, and RuleB.Weight counts it.
+// paged representation actually holds, including unused cells — plus the
+// lock slot table, each lock's table (two slice headers, both slices at
+// capacity), the clocks the cells own, and without a log the snapshots, each
+// clock with its 3-word header and each snapshot once however many sides
+// view it. A clock a cell names is the rule (b) log's, and RuleB.Weight
+// counts it.
 func (lt *LockTables) Weight() int {
-	w := cap(lt.snap)
+	w := cap(lt.snap) + cap(lt.locks)
 	snaps := make(map[*vc.VC]bool)
 	clock := func(c *vc.VC) {
 		if c != nil && !snaps[c] {

@@ -243,8 +243,8 @@ func TestWeights(t *testing.T) {
 	s, tr := syncFor(analysis.DC, 3, 2)
 	rb := NewRuleB(analysis.DC, tr, false)
 	lt := NewLockTables(tr, nil)
-	if rb.Weight() != 0 || lt.Weight() != 0 {
-		t.Error("fresh state must weigh nothing")
+	if rb.Weight() != tr.Locks || lt.Weight() != tr.Locks {
+		t.Errorf("fresh state must weigh only its %d lock slots: rule (b) weighs %d words, rule (a) %d", tr.Locks, rb.Weight(), lt.Weight())
 	}
 	rb.Acquire(0, 0, s.P[0])
 	s.PostAcquire(0, 0)

@@ -13,12 +13,23 @@ import (
 
 // refRuleB is rule (b) as RuleB kept it before its log went flat: one heap
 // clock per logged acquire and release, two parallel slices per (lock,
-// owner). It is the reference TestRuleBMatchesReference holds RuleB to.
+// owner), every pending entry read. It is the reference
+// TestRuleBMatchesReference holds RuleB to. Its edges follow the spec: per
+// owner, one from the last entry a release consumed, unless an earlier edge
+// into the releasing thread came from that owner at that index or later;
+// everyEntry draws the paper's one edge per consumed entry instead, the
+// graph TestRuleBEdgesKeepReachability holds RuleB's to.
 type refRuleB struct {
-	rel      analysis.Relation
-	epochAcq bool
-	locks    map[uint32]*refLogs
-	stalls   int // scans that stopped at an acquire not yet ordered
+	rel        analysis.Relation
+	epochAcq   bool
+	everyEntry bool
+	locks      map[uint32]*refLogs
+	sources    map[[2]trace.Tid]int32 // (observer, owner) → highest edge source drawn
+	stalls     int                    // scans that stopped at an acquire not yet ordered
+}
+
+func newRefRuleB(rel analysis.Relation, epochAcq, everyEntry bool) *refRuleB {
+	return &refRuleB{rel: rel, epochAcq: epochAcq, everyEntry: everyEntry, locks: map[uint32]*refLogs{}, sources: map[[2]trace.Tid]int32{}}
 }
 
 type refLogs struct {
@@ -60,18 +71,26 @@ func (b *refRuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int
 			continue
 		}
 		key := [2]trace.Tid{t, trace.Tid(owner)}
-		h := ll.heads[key]
+		first := ll.heads[key]
+		h := first
 		for ; h < len(lg); h++ {
 			if b.epochAcq && !vc.EpochLeq(lg[h].acqE, p) || !b.epochAcq && !lg[h].acqC.Leq(p) {
 				b.stalls++
 				break
 			}
 			s.JoinP(t, lg[h].rel)
-			if hook != nil {
+			if hook != nil && b.everyEntry {
 				hook.Edge(lg[h].idx, idx)
 			}
 		}
 		ll.heads[key] = h
+		if hook == nil || b.everyEntry || h == first {
+			continue
+		}
+		if src := lg[h-1].idx; src > b.sources[key] { // a release is never event 0
+			hook.Edge(src, idx)
+			b.sources[key] = src
+		}
 	}
 	snap := p
 	if b.rel == analysis.WCP {
@@ -180,7 +199,7 @@ func NewRefSubstrate(rel analysis.Relation, spec analysis.Spec, buildGraph bool)
 		r.lt = newRefLockTables()
 	}
 	if sub.rb != nil {
-		r.rb = &refRuleB{rel: rel, epochAcq: sub.rb.epochAcq, locks: map[uint32]*refLogs{}}
+		r.rb = newRefRuleB(rel, sub.rb.epochAcq, false)
 	}
 	sub.lt, sub.rb = nil, nil
 	return r
@@ -305,7 +324,7 @@ func TestRuleBMatchesReference(t *testing.T) {
 			id := fmt.Sprintf("%v epochAcq=%v seed %d", tc.rel, tc.epochAcq, seed)
 			evs := syncOnly(seed, 12, 5, 12000, 400)
 			var spec analysis.Spec // no hints: everything grows as the stream reveals it
-			got, want := NewRuleB(tc.rel, spec, tc.epochAcq), &refRuleB{rel: tc.rel, epochAcq: tc.epochAcq, locks: map[uint32]*refLogs{}}
+			got, want := NewRuleB(tc.rel, spec, tc.epochAcq), newRefRuleB(tc.rel, tc.epochAcq, false)
 			sg, sw := analysis.NewSyncState(tc.rel, spec), analysis.NewSyncState(tc.rel, spec)
 			var eg, ew edgeList
 			releases, joined := 0, 0

@@ -460,6 +460,7 @@ func TestMetadataWeightTracksHeap(t *testing.T) {
 		{"FTO-WCP", "h2", 20000, 0.85, 1.15},
 		{"FTO-WDC", "h2", 20000, 0.85, 1.15},
 		{"Unopt-DC w/G", "h2", 20000, 0.85, 1.15},
+		{"Unopt-WCP w/G", "h2", 20000, 0.85, 1.15},
 	} {
 		p, _ := workload.ProgramByName(tc.program)
 		tr := p.Generate(tc.scale, 1)

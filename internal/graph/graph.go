@@ -3,8 +3,11 @@
 // trace event indices, edges are cross-thread ordering constraints —
 // rule (a) and rule (b) edges, fork/join, volatile, class-init, and
 // last-writer edges. Program order is implicit (events of one thread are
-// ordered by trace index). Vindication consumes the graph to construct a
-// witness reordering.
+// ordered by trace index), so an edge that program order and another edge
+// imply need not be recorded: rule (b) records at most one edge per
+// (release, owner) and none an earlier rule (b) edge into the thread implies
+// (ccs.RuleB.Release). Vindication consumes the graph — which events reach
+// which over edges and program order — to construct a witness reordering.
 package graph
 
 import (
@@ -19,8 +22,8 @@ import (
 // before it. An edge is two zigzag varints, its dst minus the previous
 // edge's dst, then its dst minus its src. Analyses draw each edge into the
 // event they are processing, so the first delta is almost always 0 or
-// small, and the second is the edge's reach back in the trace: 3.4–3.8
-// bytes an edge on h2 against 8 for the pair of int32s. Both ends are
+// small, and the second is the edge's reach back in the trace: 3.7 bytes
+// an edge on h2 against 8 for the pair of int32s. Both ends are
 // non-negative int32s, so each delta fits an int32 and its varint takes at
 // most MaxVarintLen32 bytes; a chunk with less than edgeRoom left is closed
 // and a new one started.

@@ -103,17 +103,28 @@ func TestGraphConstruction(t *testing.T) {
 
 // TestGraphBytesPerEdge holds the three w/G graphs of the fanout15-par
 // row's trace (h2/4000, seed 1) to at most 4 bytes an edge, chunk slack
-// included: two varint deltas take about 3.4, a pair of int32s took 8.
+// included (two varint deltas take 3.7, a pair of int32s took 8), and to
+// their edge counts plus 10 %: 285,254 for WCP and 245,156 for DC, whose
+// rule (b) draws at most one edge per owner a release consumes and none
+// that program order and an earlier rule (b) edge imply (534,916 and
+// 532,864 with one per consumed entry), and 212,855 for WDC, which has no
+// rule (b).
 func TestGraphBytesPerEdge(t *testing.T) {
 	p, _ := workload.ProgramByName("h2")
 	tr := p.Generate(4000, 1)
-	for _, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
-		a := runPred(rel, tr, true)
+	for _, tc := range []struct {
+		rel   analysis.Relation
+		edges int
+	}{{analysis.WCP, 314000}, {analysis.DC, 270000}, {analysis.WDC, 234000}} {
+		a := runPred(tc.rel, tr, true)
 		g := a.Graph()
 		perEdge := 8 * float64(g.Weight()) / float64(g.Len())
 		t.Logf("%s: %d edges, %.2f B/edge", a.Name(), g.Len(), perEdge)
 		if perEdge > 4 {
 			t.Errorf("%s: %.2f bytes per edge over %d edges, want <= 4", a.Name(), perEdge, g.Len())
+		}
+		if g.Len() > tc.edges {
+			t.Errorf("%s: %d edges, want <= %d", a.Name(), g.Len(), tc.edges)
 		}
 	}
 }

@@ -101,6 +101,22 @@ func (a *Arena) At(r Ref, owner Tid) Rel {
 	return Relative(a.view(Ref(c[off+1]), int(h&^recordTag)), E(owner, c[off+2]))
 }
 
+// Own returns owner's component of the clock r names, logged by owner — what
+// At(r, owner).Get(owner) reads — from the record or the whole clock,
+// without building the view; the zero Ref reads as 0.
+func (a *Arena) Own(r Ref, owner Tid) Clock {
+	if r == 0 {
+		return 0
+	}
+	c, off := a.word(r)
+	if h := c[off]; h&recordTag != 0 {
+		return c[off+2]
+	} else if Clock(owner) < h {
+		return c[off+1+int(owner)]
+	}
+	return 0
+}
+
 // whole returns the whole clock r names.
 func (a *Arena) whole(r Ref) VC {
 	c, off := a.word(r)

@@ -96,7 +96,8 @@ func TestArenaPutInsideAChunkDoesNotAllocate(t *testing.T) {
 // clock equal to the base off the owner's component is a 12-byte record
 // and reads back whole; one that differs elsewhere, or in length, is stored
 // whole in 4 bytes per component plus a 4-byte length, and becomes the
-// base, and the records over the old base still read what they were.
+// base, and the records over the old base still read what they were. Own
+// reads the owner's component of either kind, as the view does.
 func TestArenaRecordsReadTheirClock(t *testing.T) {
 	var a Arena
 	var base Ref
@@ -138,6 +139,12 @@ func TestArenaRecordsReadTheirClock(t *testing.T) {
 				t.Errorf("clock %d: Get(%d) = %d, logged %d", i, u, got.Get(u), v.Get(u))
 			}
 		}
+		if own := a.Own(refs[i], owner); own != v.Get(owner) {
+			t.Errorf("clock %d: Own = %d, logged %d", i, own, v.Get(owner))
+		}
+	}
+	if short := a.put(clockOf(3)); a.Own(short, 2) != 0 || a.Own(0, owner) != 0 {
+		t.Error("Own past a whole clock's length, or of the zero Ref, must read 0")
 	}
 	// A record's base is a whole clock, never a record: the record of clock
 	// 2 views clock 0.
