@@ -1,9 +1,9 @@
-// Package repro_test holds the repository-level benchmarks: one per paper
-// table and figure (regenerating the artifact each iteration at a reduced
-// scale), per-analysis event throughput, vindication, and the SmartTrack
-// ablation. cmd/racebench produces the full-scale tables; these benchmarks
-// track the cost of producing them and the per-event costs the paper's
-// run-time tables derive from.
+// Package repro_test holds the repository-level benchmarks: one per table
+// racebench renders and the figures (regenerating the artifact each
+// iteration at a reduced scale), per-analysis event throughput,
+// vindication, and the SmartTrack ablation. cmd/racebench produces the
+// full-scale tables; these benchmarks track the cost of producing them and
+// the per-event costs the paper's run-time tables derive from.
 //
 //	go test -bench=. -benchmem
 package repro_test
@@ -366,14 +366,6 @@ func BenchmarkLogAppendBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
 }
 
-// BenchmarkUninstrumentedReplay is the baseline the slowdown factors in
-// Tables 3–5 divide by.
-func BenchmarkUninstrumentedReplay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.MeasureBaseline(benchTrace)
-	}
-}
-
 func BenchmarkTable1Registry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if out := bench.RenderTable1(); len(out) == 0 {
@@ -404,15 +396,6 @@ func BenchmarkTable4Geomean(b *testing.B) {
 	cfg := bench.Config{ScaleDiv: benchScale, Programs: []string{"avrora", "pmd", "xalan"}}
 	for i := 0; i < b.N; i++ {
 		if out := bench.RenderTable4(cfg); len(out) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkTable5RunTime(b *testing.B) {
-	cfg := bench.Config{ScaleDiv: benchScale, Programs: []string{"h2", "luindex"}}
-	for i := 0; i < b.N; i++ {
-		if out := bench.RenderTable5(cfg, false); len(out) == 0 {
 			b.Fatal("empty table")
 		}
 	}

@@ -83,8 +83,9 @@ type Analysis interface {
 	// Handle processes the next event of the trace.
 	Handle(e trace.Event)
 	// HandleRun processes the next run of events, as Handle would one at a
-	// time. An event same marks (see SameEpoch) gets only what the
-	// analysis's own same-epoch branch does; a nil same marks nothing.
+	// time. An event same marks (see SameEpoch) is only opened, which is
+	// all the analysis's own same-epoch branch does; a nil same marks
+	// nothing.
 	HandleRun(evs []trace.Event, same Same)
 	// Races exposes the collector of detected races.
 	Races() *report.Collector

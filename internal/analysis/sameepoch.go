@@ -70,8 +70,9 @@ func (s Same) Cover(n int) Same {
 // check (unopt.View.Stale) — would return "same epoch" for the marked
 // access. What each still does on a mark is what its own same-epoch branch
 // does: open the event (the trace index, and the w/G graph's per-event
-// bookkeeping), and count the case. The per-level differential tests in
-// ft, fto, unopt and core run each cell's own test on every marked event.
+// bookkeeping); Stats counts no same-epoch access. The per-level
+// differential tests in ft, fto, unopt and core run each cell's own test on
+// every marked event.
 //
 // State: one 8-byte stamp per variable and one counter per thread. A stamp
 // packs the last access to x as tid<<48 | write<<47 | (syncs of tid + 1):

@@ -1,11 +1,11 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis"
 )
 
 func TestNewSample(t *testing.T) {
@@ -69,8 +69,8 @@ func TestRunProducesCells(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing cell %s", name)
 		}
-		if c.Slowdown.Mean <= 0 || c.Memory.Mean < 1 {
-			t.Errorf("%s: slowdown=%f memory=%f", name, c.Slowdown.Mean, c.Memory.Mean)
+		if c.Memory.Mean < 1 {
+			t.Errorf("%s: memory=%f", name, c.Memory.Mean)
 		}
 	}
 	if pr.Cells["ST-DC"].Static.Mean != float64(pr.Program.ExpectedStatic("DC")) {
@@ -82,8 +82,8 @@ func TestRunMultiTrial(t *testing.T) {
 	cfg := Config{ScaleDiv: 400000, Trials: 3, Programs: []string{"luindex"}}
 	results := Run(cfg, []string{"FTO-WDC"})
 	c := results[0].Cells["FTO-WDC"]
-	if c.Slowdown.n != 3 {
-		t.Errorf("trials = %d", c.Slowdown.n)
+	if c.Memory.n != 3 {
+		t.Errorf("trials = %d", c.Memory.n)
 	}
 }
 
@@ -96,45 +96,42 @@ func TestRenderTable1(t *testing.T) {
 	}
 }
 
-func TestRenderTable2(t *testing.T) {
-	out := RenderTable2(Config{ScaleDiv: 400000, Programs: []string{"xalan"}})
-	if !strings.Contains(out, "xalan") || !strings.Contains(out, "%") {
-		t.Errorf("table 2:\n%s", out)
-	}
-}
-
-func TestRenderTable3And8(t *testing.T) {
-	cfg := Config{ScaleDiv: 400000, Programs: []string{"pmd"}}
-	out := RenderTable3(cfg, false)
-	if !strings.Contains(out, "Table 3") || !strings.Contains(out, "geomean") {
-		t.Errorf("table 3:\n%s", out)
-	}
-	cfg.Trials = 2
-	out8 := RenderTable3(cfg, true)
-	if !strings.Contains(out8, "Table 8") || !strings.Contains(out8, "±") {
-		t.Errorf("table 8 missing CIs:\n%s", out8)
-	}
-}
-
-func TestRenderGridTables(t *testing.T) {
-	cfg := Config{ScaleDiv: 400000, Programs: []string{"sunflow"}}
-	for id, out := range map[string]string{
-		"4":  RenderTable4(cfg),
-		"5":  RenderTable5(cfg, false),
-		"6":  RenderTable6(cfg, false),
-		"7":  RenderTable7(cfg, false),
-		"12": RenderTable12(cfg),
+// TestTablesPinned pins each table racebench renders by the sha256 of its
+// text at scale 1/40000, seed 1. Every one is a function of (program,
+// scale, seed), so a one-event change to a generator, or an access one
+// cell's case accounting moves to another case, changes a digest. A
+// deliberate change prints the digest to paste.
+func TestTablesPinned(t *testing.T) {
+	cfg := Config{ScaleDiv: 40000, Seed: 1}
+	ci := Config{ScaleDiv: 40000, Seed: 1, Trials: 2, Programs: []string{"pmd"}}
+	for _, tc := range []struct {
+		name   string
+		render func() string
+		want   string
+	}{
+		{"table1", RenderTable1,
+			"7156b6f5f2b374e9635744a644575e93485ef5a742ac478708804bc8821d7b88"},
+		{"table2", func() string { return RenderTable2(cfg) },
+			"833cba7a9211a4b248d149735b8cb20f26b19936289c1a8c8b876d5c27f8cd43"},
+		{"table3", func() string { return RenderTable3(cfg, false) },
+			"c5e0cc6f817ab654b7ebec57a3206f1456e3d1a57f797a3d666e46eceb4eaa36"},
+		{"table4", func() string { return RenderTable4(cfg) },
+			"0eeee3efc18dde330268146e88d133114cff483b65a2bfdf7eedf09ab9ece4ad"},
+		{"table6", func() string { return RenderTable6(cfg, false) },
+			"9a1d7065d306b43d191cae17e4e6f58460df8dcce17af402ba6fbb2465e7b2da"},
+		{"table7", func() string { return RenderTable7(cfg, false) },
+			"4abaffd37f8e087b796acc9de3a7618a20a69f9ae2e807bbb2ebc9798aa10809"},
+		{"table8", func() string { return RenderTable3(ci, true) },
+			"ea243b85c6691936b824dd357b9a7214dde0ca3a286111730334dabb99567d5e"},
+		{"table12", func() string { return RenderTable12(cfg) },
+			"c36ca2612474215784be386732025bf9b2293740d0246f743815ced66090f459"},
 	} {
-		if !strings.Contains(out, "Table "+id) {
-			t.Errorf("table %s header missing:\n%s", id, out)
-		}
-	}
-	t7 := RenderTable7(cfg, false)
-	// sunflow's seeded counts: HB 6, WCP 18, DC/WDC 19.
-	for _, want := range []string{"6 (", "18 (", "19 ("} {
-		if !strings.Contains(t7, want) {
-			t.Errorf("table 7 missing %q:\n%s", want, t7)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			out := tc.render()
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != tc.want {
+				t.Errorf("sha256 %s, want %s (paste it if the change is deliberate):\n%s", got, tc.want, out)
+			}
+		})
 	}
 }
 
@@ -163,22 +160,5 @@ func TestFactorFormatting(t *testing.T) {
 	}
 	if count(Sample{Mean: 13}, false) != "13" {
 		t.Error("count formatting")
-	}
-}
-
-func TestMeasureBaselinePositive(t *testing.T) {
-	cfg := Config{ScaleDiv: 400000, Programs: []string{"batik"}}
-	p := cfg.SelectedPrograms()[0]
-	tr := p.Generate(cfg.ScaleDiv, 1)
-	if MeasureBaseline(tr) < 0 {
-		t.Error("negative duration")
-	}
-	if ProgramBytes(tr) <= 0 {
-		t.Error("program bytes")
-	}
-	e, _ := analysis.ByName("FTO-HB")
-	m := MeasureAnalyses([]analysis.Entry{e}, tr)[0]
-	if m.Duration <= 0 || m.MetaBytes <= 0 {
-		t.Errorf("measurement = %+v", m)
 	}
 }

@@ -120,7 +120,8 @@ func RenderTable2(cfg Config) string {
 		})
 }
 
-// RenderTable3 prints the baseline comparison (Table 3; Table 8 with CIs).
+// RenderTable3 prints the baselines' memory usage (Table 3; Table 8 with
+// CIs). Their run times are the benchmark module's cell.* rows.
 func RenderTable3(cfg Config, ci bool) string {
 	cfg = cfg.withDefaults()
 	results := Run(cfg, BaselineNames)
@@ -128,70 +129,47 @@ func RenderTable3(cfg Config, ci bool) string {
 	if ci {
 		id = 8
 	}
-	hdr := fmt.Sprintf("Table %d. Run time and memory vs. uninstrumented replay (scale 1/%d, %d trial(s)).",
+	hdr := fmt.Sprintf("Table %d. Memory usage relative to program data (scale 1/%d, %d trial(s)).",
 		id, cfg.ScaleDiv, cfg.Trials)
 	return table(hdr, func(w *tabwriter.Writer) {
-		for _, metric := range []string{"Run time", "Memory usage"} {
-			fmt.Fprintf(w, "-- %s --\t\n", metric)
-			fmt.Fprintln(w, "Program\t"+strings.Join(BaselineNames, "\t"))
-			geo := make(map[string][]float64)
-			for _, pr := range results {
-				row := []string{pr.Program.Name}
-				for _, name := range BaselineNames {
-					c := pr.Cells[name]
-					s := c.Slowdown
-					if metric == "Memory usage" {
-						s = c.Memory
-					}
-					row = append(row, factorCI(s, ci))
-					geo[name] = append(geo[name], s.Mean)
-				}
-				fmt.Fprintln(w, strings.Join(row, "\t"))
-			}
-			row := []string{"geomean"}
+		fmt.Fprintln(w, "Program\t"+strings.Join(BaselineNames, "\t"))
+		geo := make(map[string][]float64)
+		for _, pr := range results {
+			row := []string{pr.Program.Name}
 			for _, name := range BaselineNames {
-				row = append(row, factor(Geomean(geo[name])))
+				s := pr.Cells[name].Memory
+				row = append(row, factorCI(s, ci))
+				geo[name] = append(geo[name], s.Mean)
 			}
 			fmt.Fprintln(w, strings.Join(row, "\t"))
 		}
+		row := []string{"geomean"}
+		for _, name := range BaselineNames {
+			row = append(row, factor(Geomean(geo[name])))
+		}
+		fmt.Fprintln(w, strings.Join(row, "\t"))
 	})
 }
 
-// gridTables renders Tables 4/5/6/7 (and 9/10/11 with CIs) from one
-// measurement pass.
-type metricKind int
+var gridLevels = []analysis.Level{analysis.Unopt, analysis.FTO, analysis.SmartTrack}
 
-const (
-	metricTime metricKind = iota
-	metricMem
-	metricRaces
-)
-
-func renderGrid(cfg Config, kind metricKind, ci bool, id int, caption string) string {
+// renderGrid renders a per-program relation × level grid (Tables 6 and 7;
+// 10 and 11 with CIs), one cell string per measured analysis.
+func renderGrid(cfg Config, id int, caption string, cell func(c *Cell) string) string {
 	cfg = cfg.withDefaults()
 	results := Run(cfg, GridNames)
 	hdr := fmt.Sprintf("Table %d. %s (scale 1/%d, %d trial(s)).", id, caption, cfg.ScaleDiv, cfg.Trials)
-	levels := []analysis.Level{analysis.Unopt, analysis.FTO, analysis.SmartTrack}
 	return table(hdr, func(w *tabwriter.Writer) {
 		for _, pr := range results {
 			fmt.Fprintf(w, "-- %s --\t\n", pr.Program.Name)
 			fmt.Fprintln(w, "\tUnopt-\tFTO-\tST-")
 			for _, rel := range analysis.Relations {
 				row := []string{rel.String()}
-				for _, lvl := range levels {
-					name := gridName(lvl, rel)
-					c, ok := pr.Cells[name]
-					if !ok {
+				for _, lvl := range gridLevels {
+					if c, ok := pr.Cells[gridName(lvl, rel)]; ok {
+						row = append(row, cell(c))
+					} else {
 						row = append(row, "N/A")
-						continue
-					}
-					switch kind {
-					case metricTime:
-						row = append(row, factorCI(c.Slowdown, ci))
-					case metricMem:
-						row = append(row, factorCI(c.Memory, ci))
-					default:
-						row = append(row, fmt.Sprintf("%s (%s)", count(c.Static, ci), count(c.Dynamic, ci)))
 					}
 				}
 				fmt.Fprintln(w, strings.Join(row, "\t"))
@@ -200,69 +178,55 @@ func renderGrid(cfg Config, kind metricKind, ci bool, id int, caption string) st
 	})
 }
 
-// RenderTable4 prints the geometric-mean grid (Table 4).
+// RenderTable4 prints the geometric mean of memory usage across programs
+// (Table 4's memory half; its run-time half is the benchmark's).
 func RenderTable4(cfg Config) string {
 	cfg = cfg.withDefaults()
 	results := Run(cfg, GridNames)
-	levels := []analysis.Level{analysis.Unopt, analysis.FTO, analysis.SmartTrack}
-	hdr := fmt.Sprintf("Table 4. Geometric mean of run time and memory usage across programs (scale 1/%d, %d trial(s)).",
+	hdr := fmt.Sprintf("Table 4. Geometric mean of memory usage across programs (scale 1/%d, %d trial(s)).",
 		cfg.ScaleDiv, cfg.Trials)
 	return table(hdr, func(w *tabwriter.Writer) {
-		for _, metric := range []string{"Run time", "Memory usage"} {
-			fmt.Fprintf(w, "-- %s --\t\n", metric)
-			fmt.Fprintln(w, "\tUnopt-\tFTO-\tST-")
-			for _, rel := range analysis.Relations {
-				row := []string{rel.String()}
-				for _, lvl := range levels {
-					name := gridName(lvl, rel)
-					if _, ok := analysis.ByName(name); !ok {
-						row = append(row, "N/A")
-						continue
-					}
-					var vals []float64
-					for _, pr := range results {
-						if c, ok := pr.Cells[name]; ok {
-							if metric == "Run time" {
-								vals = append(vals, c.Slowdown.Mean)
-							} else {
-								vals = append(vals, c.Memory.Mean)
-							}
-						}
-					}
-					row = append(row, factor(Geomean(vals)))
+		fmt.Fprintln(w, "\tUnopt-\tFTO-\tST-")
+		for _, rel := range analysis.Relations {
+			row := []string{rel.String()}
+			for _, lvl := range gridLevels {
+				name := gridName(lvl, rel)
+				if _, ok := analysis.ByName(name); !ok {
+					row = append(row, "N/A")
+					continue
 				}
-				fmt.Fprintln(w, strings.Join(row, "\t"))
+				var vals []float64
+				for _, pr := range results {
+					if c, ok := pr.Cells[name]; ok {
+						vals = append(vals, c.Memory.Mean)
+					}
+				}
+				row = append(row, factor(Geomean(vals)))
 			}
+			fmt.Fprintln(w, strings.Join(row, "\t"))
 		}
 	})
-}
-
-// RenderTable5 prints per-program run-time factors (Table 5; Table 9 w/CI).
-func RenderTable5(cfg Config, ci bool) string {
-	id, caption := 5, "Run time relative to uninstrumented replay"
-	if ci {
-		id = 9
-	}
-	return renderGrid(cfg, metricTime, ci, id, caption)
 }
 
 // RenderTable6 prints per-program memory factors (Table 6; Table 10 w/CI).
 func RenderTable6(cfg Config, ci bool) string {
-	id, caption := 6, "Memory usage relative to trace footprint"
+	id := 6
 	if ci {
 		id = 10
 	}
-	return renderGrid(cfg, metricMem, ci, id, caption)
+	return renderGrid(cfg, id, "Memory usage relative to program data",
+		func(c *Cell) string { return factorCI(c.Memory, ci) })
 }
 
 // RenderTable7 prints races reported (Table 7; Table 11 w/CI): statically
 // distinct races with total dynamic races in parentheses.
 func RenderTable7(cfg Config, ci bool) string {
-	id, caption := 7, "Average races reported: static (dynamic)"
+	id := 7
 	if ci {
 		id = 11
 	}
-	return renderGrid(cfg, metricRaces, ci, id, caption)
+	return renderGrid(cfg, id, "Average races reported: static (dynamic)",
+		func(c *Cell) string { return fmt.Sprintf("%s (%s)", count(c.Static, ci), count(c.Dynamic, ci)) })
 }
 
 // RenderTable12 prints SmartTrack-WDC case frequencies (Table 12).
@@ -275,7 +239,7 @@ func RenderTable12(cfg Config) string {
 			tr := p.Generate(cfg.ScaleDiv, cfg.Seed)
 			a := core.New(analysis.WDC, analysis.SpecOf(tr))
 			analysis.Run(a, tr)
-			c := a.Cases()
+			c := a.Stats()
 			pct := func(n, total uint64) string {
 				if total == 0 {
 					return "—"

@@ -180,54 +180,31 @@ type View interface {
 	Write(t trace.Tid, x uint32, loc trace.Loc, idx int32)
 }
 
-// Counter is a view whose same-epoch branch does more than skip: it counts
-// the access (FTO's Table 2 counters). A Group counts the marked accesses
-// of a run into these views and touches no other view state for them.
-type Counter interface {
-	CountMarked(reads, writes uint64)
-}
-
 // Group is one computation: a substrate advanced once per event, and every
 // configured view of its relation reading it.
 type Group struct {
-	sub      *Substrate
-	views    []View
-	counters []Counter // the views that are Counters
-	edged    uint32
+	sub   *Substrate
+	views []View
+	edged uint32
 }
 
 // NewGroup runs views over sub. edged indexes the view whose stale accesses
 // draw the graph's rule (a) edges — the Unopt view; it goes unread when sub
 // builds no graph.
 func NewGroup(sub *Substrate, views []View, edged int) *Group {
-	g := &Group{sub: sub, views: views, edged: 1 << edged}
-	for _, v := range views {
-		if c, ok := v.(Counter); ok {
-			g.counters = append(g.counters, c)
-		}
-	}
-	return g
+	return &Group{sub: sub, views: views, edged: 1 << edged}
 }
 
 // HandleRun processes the next run of events for every view. A marked
-// event (see analysis.SameEpoch) is same-epoch for every view, so it opens
-// the event and is counted, and no view's Stale runs for it.
+// event (see analysis.SameEpoch) is same-epoch for every view, so it only
+// opens the event, and no view's Stale runs for it.
 func (g *Group) HandleRun(evs []trace.Event, same analysis.Same) {
-	var reads, writes uint64
 	for i, e := range evs {
-		switch {
-		case !same.Has(i):
+		if same.Has(i) {
+			g.sub.Begin(e.T)
+		} else {
 			g.Handle(e)
-			continue
-		case e.Op == trace.OpWrite:
-			writes++
-		default:
-			reads++
 		}
-		g.sub.Begin(e.T)
-	}
-	for _, c := range g.counters {
-		c.CountMarked(reads, writes)
 	}
 }
 

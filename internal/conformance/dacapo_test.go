@@ -52,7 +52,7 @@ func TestDacapoCharacteristics(t *testing.T) {
 			// locks; at unit-test scale they can dominate the tail of the
 			// locks-held distribution for programs whose background almost
 			// never holds locks (pmd, sunflow), so the absolute tolerance is
-			// generous. EXPERIMENTS.md reports the bench-scale values.
+			// generous. racebench -table 2 reports the bench-scale values.
 			for k := 1; k <= 3; k++ {
 				got := float64(st.HeldAtLeast(k)) / float64(st.NSEAs())
 				want := p.Held[k-1]

@@ -202,30 +202,6 @@ const (
 
 type varPage [varPageSize]stVar
 
-// CaseCounts tallies how often each FTO case fires (the paper's Table 12
-// and Appendix B). ReadSameEpoch counts [Read Same Epoch] and [Shared Same
-// Epoch] together: an access a multi-analysis engine marks same-epoch (see
-// analysis.SameEpoch) is skipped without reading the variable's mode, so
-// which of the two it would have been is not known. Table 12 reads only the
-// non-same-epoch counters.
-type CaseCounts struct {
-	ReadSameEpoch, WriteSameEpoch           uint64
-	ReadOwned, ReadSharedOwned              uint64
-	ReadExclusive, ReadShare, ReadShared    uint64
-	WriteOwned, WriteExclusive, WriteShared uint64
-	HeldAtNSEA                              [4]uint64
-}
-
-// NSEAReads returns the non-same-epoch read count.
-func (c *CaseCounts) NSEAReads() uint64 {
-	return c.ReadOwned + c.ReadSharedOwned + c.ReadExclusive + c.ReadShare + c.ReadShared
-}
-
-// NSEAWrites returns the non-same-epoch write count.
-func (c *CaseCounts) NSEAWrites() uint64 {
-	return c.WriteOwned + c.WriteExclusive + c.WriteShared
-}
-
 // Analysis is SmartTrack-WCP, SmartTrack-DC, or SmartTrack-WDC.
 type Analysis struct {
 	_     report.Pad
@@ -236,7 +212,7 @@ type Analysis struct {
 	ht    []*csNode // current CS list per thread; a thread with a slot here has one in s
 	snap  []vc.VC   // ST-WDC: per thread, the snapshot of P[t] its sections view
 	col   *report.Collector
-	cases CaseCounts
+	st    analysis.Stats
 	vcs   vc.Pool // recycles retired read vector clocks
 	resid extras  // multiCheck's result buffer
 	idx   int32
@@ -287,8 +263,8 @@ func (a *Analysis) Name() string { return "ST-" + a.rel.String() }
 // Races implements analysis.Analysis.
 func (a *Analysis) Races() *report.Collector { return a.col }
 
-// Cases returns the per-case frequency counters.
-func (a *Analysis) Cases() *CaseCounts { return &a.cases }
+// Stats returns the case counts gathered so far (Tables 2 and 12).
+func (a *Analysis) Stats() *analysis.Stats { return &a.st }
 
 // slot returns variable x's metadata.
 func (a *Analysis) slot(x uint32) *stVar {
@@ -335,30 +311,16 @@ func (a *Analysis) Handle(e trace.Event) {
 	}
 }
 
-// HandleRun implements analysis.Analysis. SmartTrack's same-epoch cases
-// count the access and do nothing else beyond taking the event's index.
+// HandleRun implements analysis.Analysis. SmartTrack's same-epoch cases do
+// nothing beyond taking the event's index.
 func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
-	if same == nil { // a single-cell engine's runs: nothing is marked
-		for _, e := range evs {
-			a.Handle(e)
-		}
-		return
-	}
-	var reads, writes uint64
 	for i, e := range evs {
-		switch {
-		case !same.Has(i):
+		if same.Has(i) {
+			a.idx++
+		} else {
 			a.Handle(e)
-			continue
-		case e.Op == trace.OpWrite:
-			writes++
-		default:
-			reads++
 		}
-		a.idx++
 	}
-	a.cases.ReadSameEpoch += reads
-	a.cases.WriteSameEpoch += writes
 }
 
 // fillRelease runs rule (b) at t's release of m and resolves the deferred
@@ -452,11 +414,10 @@ func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	cur := vc.E(tt, c)
 	v := a.slot(x)
 	if v.sameRead(cur) {
-		a.cases.ReadSameEpoch++
 		return // [Read Same Epoch] or [Shared Same Epoch]
 	}
 	held := a.s.Held(t)
-	a.cases.HeldAtNSEA[min(len(held), 3)]++
+	a.st.Held(len(held))
 	// Extra write metadata: order with otherwise-lost write critical
 	// sections on any lock the current thread holds (Read lines 4–6).
 	if cd := v.cold; cd != nil && len(cd.ew) > 0 {
@@ -471,7 +432,7 @@ func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	rvc := v.shared()
 	if rvc == nil {
 		if v.r != vc.None && v.r.Tid() == tt { // [Read Owned]
-			a.cases.ReadOwned++
+			a.st.ReadOwned++
 			v.lr = a.ht[t]
 			v.r = cur
 			return
@@ -486,13 +447,13 @@ func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 			ordered = vc.EpochLeq(v.r, p)
 		}
 		if ordered { // [Read Exclusive]
-			a.cases.ReadExclusive++
+			a.st.ReadExclusive++
 			v.lr = a.ht[t]
 			v.r = cur
 			return
 		}
 		// [Read Share]
-		a.cases.ReadShare++
+		a.st.ReadShare++
 		a.multiCheck(v.lw, v.w.Tid(), v.w, t, held, p, x, loc, idx, false)
 		a.setLr(v, u, v.lr)
 		a.setLr(v, tt, a.ht[t])
@@ -505,13 +466,13 @@ func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 		return
 	}
 	if rvc.Get(tt) != 0 { // [Read Shared Owned]
-		a.cases.ReadSharedOwned++
+		a.st.ReadSharedOwned++
 		a.setLr(v, tt, a.ht[t])
 		rvc.Set(tt, c)
 		return
 	}
 	// [Read Shared]
-	a.cases.ReadShared++
+	a.st.ReadShared++
 	a.multiCheck(v.lw, v.w.Tid(), v.w, t, held, p, x, loc, idx, false)
 	a.setLr(v, tt, a.ht[t])
 	rvc.Set(tt, c)
@@ -544,11 +505,10 @@ func (a *Analysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	cur := vc.E(tt, c)
 	v := a.slot(x)
 	if v.w == cur {
-		a.cases.WriteSameEpoch++
 		return // [Write Same Epoch]
 	}
 	held := a.s.Held(t)
-	a.cases.HeldAtNSEA[min(len(held), 3)]++
+	a.st.Held(len(held))
 	// Extra read/write metadata (Write lines 19–23): order with lost
 	// critical sections on held locks, then drop the consumed entries and
 	// the current thread's own entries.
@@ -565,9 +525,9 @@ func (a *Analysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	}
 	if rvc := v.shared(); rvc == nil {
 		if v.r != vc.None && v.r.Tid() == tt { // [Write Owned]
-			a.cases.WriteOwned++
+			a.st.WriteOwned++
 		} else { // [Write Exclusive]
-			a.cases.WriteExclusive++
+			a.st.WriteExclusive++
 			u := v.r.Tid()
 			if e := a.multiCheck(v.lr, u, v.r, t, held, p, x, loc, idx, true); len(e) > 0 {
 				cd := coldOf(v)
@@ -578,7 +538,7 @@ func (a *Analysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 			}
 		}
 	} else { // [Write Shared]
-		a.cases.WriteShared++
+		a.st.WriteShared++
 		// Every thread with a component in rvc has an lrByT slot (both are
 		// set together at reads), so the slot count bounds the candidates.
 		lrByT := v.cold.lrByT

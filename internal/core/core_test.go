@@ -39,8 +39,8 @@ func TestSameEpochCases(t *testing.T) {
 				Read("T1", "x").  // Read Same Epoch (Rx == cur after write)
 				Read("T1", "x")   // Read Same Epoch
 	a := run(t, analysis.WDC, trace.MustCheck(b.Build()))
-	c := a.Cases()
-	if c.WriteSameEpoch != 1 || c.ReadSameEpoch != 2 || c.WriteExclusive != 1 {
+	// Four accesses, one NSEA: the other three are same-epoch.
+	if c := a.Stats(); *c != (analysis.Stats{WriteExclusive: 1, HeldAtNSEA: [4]uint64{1}}) {
 		t.Errorf("cases = %+v", *c)
 	}
 }
@@ -53,7 +53,7 @@ func TestOwnedCases(t *testing.T) {
 				Write("T1", "x"). // Write Owned
 				Rel("T1", "m")
 	a := run(t, analysis.WDC, trace.MustCheck(b.Build()))
-	c := a.Cases()
+	c := a.Stats()
 	if c.ReadOwned != 1 || c.WriteOwned != 1 || c.ReadExclusive != 1 {
 		t.Errorf("cases = %+v", *c)
 	}
@@ -70,7 +70,7 @@ func TestReadShareUpgrade(t *testing.T) {
 		Read("T2", "x"). // Read Shared Owned (T2 has a slot, new epoch)
 		Rel("T2", "m")
 	a := run(t, analysis.WDC, trace.MustCheck(b.Build()))
-	c := a.Cases()
+	c := a.Stats()
 	if c.ReadShare != 1 || c.ReadShared != 1 || c.ReadSharedOwned != 1 {
 		t.Errorf("cases = %+v", *c)
 	}
@@ -82,8 +82,8 @@ func TestWriteSharedAfterReads(t *testing.T) {
 		Read("T2", "x").
 		Write("T3", "x") // Write Shared — races with both readers
 	a := run(t, analysis.WDC, trace.MustCheck(b.Build()))
-	if a.Cases().WriteShared != 1 {
-		t.Errorf("cases = %+v", *a.Cases())
+	if a.Stats().WriteShared != 1 {
+		t.Errorf("cases = %+v", *a.Stats())
 	}
 	// One access ⇒ at most one dynamic race (§5.1) even though the write
 	// conflicts with two prior reads.
@@ -100,7 +100,7 @@ func TestNSEAAccounting(t *testing.T) {
 		Rel("T1", "m").
 		Read("T2", "y")
 	a := run(t, analysis.WDC, trace.MustCheck(b.Build()))
-	c := a.Cases()
+	c := a.Stats()
 	if c.NSEAWrites() != 1 || c.NSEAReads() != 1 {
 		t.Errorf("NSEAs: reads=%d writes=%d", c.NSEAReads(), c.NSEAWrites())
 	}
@@ -204,7 +204,7 @@ func TestDeferredReleaseVisibleThroughSharedVC(t *testing.T) {
 		t.Errorf("figure 4(a) has no DC races, got %v", a.Races().Races())
 	}
 	// T2's rd(x) must have taken [Read Share] — the paper's walkthrough.
-	if a.Cases().ReadShare == 0 {
+	if a.Stats().ReadShare == 0 {
 		t.Error("figure 4(a) must exercise [Read Share]")
 	}
 }
@@ -245,7 +245,7 @@ func TestNamesAndAccessors(t *testing.T) {
 		if a.Name() != want {
 			t.Errorf("Name = %q", a.Name())
 		}
-		if a.Races() == nil || a.Cases() == nil {
+		if a.Races() == nil || a.Stats() == nil {
 			t.Error("nil accessors")
 		}
 	}
@@ -378,21 +378,32 @@ func TestAccessPathsDoNotAllocate(t *testing.T) {
 			Write("B", "y"). // [Write Exclusive] against A's open list: three residual sections
 			Write("B", "z")
 	})
+	passes := 0
 	loop := func() {
+		passes++
 		for _, e := range body {
 			a.Handle(e)
 		}
 	}
 	loop() // first pass sizes the clocks, y's and z's cold blocks and the residual buffer
-	before := *a.Cases()
+	before, passed := *a.Stats(), passes
 	if n := testing.AllocsPerRun(100, loop); n != 0 {
 		t.Errorf("%v allocations per pass over the access cases, want 0", n)
 	}
-	c := a.Cases()
+	c := a.Stats()
+	var reads, writes uint64 // fed since before
+	for _, e := range body {
+		switch e.Op {
+		case trace.OpRead:
+			reads += uint64(passes - passed)
+		case trace.OpWrite:
+			writes += uint64(passes - passed)
+		}
+	}
 	for name, hit := range map[string]bool{
-		"ReadExclusive": c.ReadExclusive > before.ReadExclusive, "ReadSameEpoch": c.ReadSameEpoch > before.ReadSameEpoch,
+		"ReadExclusive": c.ReadExclusive > before.ReadExclusive, "ReadSameEpoch": c.NSEAReads()-before.NSEAReads() < reads,
 		"ReadOwned": c.ReadOwned > before.ReadOwned, "WriteOwned": c.WriteOwned > before.WriteOwned,
-		"WriteSameEpoch": c.WriteSameEpoch > before.WriteSameEpoch, "WriteExclusive": c.WriteExclusive > before.WriteExclusive,
+		"WriteSameEpoch": c.NSEAWrites()-before.NSEAWrites() < writes, "WriteExclusive": c.WriteExclusive > before.WriteExclusive,
 		"three locks held": c.HeldAtNSEA[3] > before.HeldAtNSEA[3],
 	} {
 		if !hit {

@@ -174,7 +174,14 @@ func TestUnstructuredPrecisionPreserving(t *testing.T) {
 	}
 }
 
-// TestGoldenCaseCounts pins how often each FTO case fires (Cases) in the
+// goldenCases is what TestGoldenCaseCounts pins: a cell's Stats, and its
+// same-epoch accesses, which are the accesses fed minus its NSEAs.
+type goldenCases struct {
+	ReadSameEpoch, WriteSameEpoch uint64
+	analysis.Stats
+}
+
+// TestGoldenCaseCounts pins how often each FTO case fires (Stats) in the
 // three SmartTrack cells, summed over TestGoldenReports' program traces: a
 // change to the per-variable metadata that leaves the reports alone must
 // also take every case branch it took before. These are the counts behind
@@ -183,17 +190,25 @@ func TestGoldenCaseCounts(t *testing.T) {
 	programs := programTraces()
 	for _, g := range []struct {
 		rel  analysis.Relation
-		want CaseCounts
+		want goldenCases
 	}{
 		{analysis.WCP, goldenCasesWCP},
 		{analysis.DC, goldenCasesDC},
 		{analysis.WDC, goldenCasesWDC},
 	} {
-		var got CaseCounts
+		var got goldenCases
 		for _, tr := range programs {
-			c := run(t, g.rel, tr).Cases()
-			got.ReadSameEpoch += c.ReadSameEpoch
-			got.WriteSameEpoch += c.WriteSameEpoch
+			c := run(t, g.rel, tr).Stats()
+			for _, e := range tr.Events {
+				switch e.Op {
+				case trace.OpRead:
+					got.ReadSameEpoch++
+				case trace.OpWrite:
+					got.WriteSameEpoch++
+				}
+			}
+			got.ReadSameEpoch -= c.NSEAReads()
+			got.WriteSameEpoch -= c.NSEAWrites()
 			got.ReadOwned += c.ReadOwned
 			got.ReadSharedOwned += c.ReadSharedOwned
 			got.ReadExclusive += c.ReadExclusive
@@ -216,25 +231,31 @@ func TestGoldenCaseCounts(t *testing.T) {
 // same-epoch tests compare the thread's own component of its clock, which
 // every relation ticks at the same events.
 var (
-	goldenCasesWCP = CaseCounts{
+	goldenCasesWCP = goldenCases{
 		ReadSameEpoch: 1924218, WriteSameEpoch: 7848,
-		ReadOwned: 72539, ReadSharedOwned: 1288,
-		ReadExclusive: 15901, ReadShare: 2650, ReadShared: 2404,
-		WriteOwned: 39300, WriteExclusive: 59682, WriteShared: 2012,
-		HeldAtNSEA: [4]uint64{106508, 12295, 69603, 7370},
+		Stats: analysis.Stats{
+			ReadOwned: 72539, ReadSharedOwned: 1288,
+			ReadExclusive: 15901, ReadShare: 2650, ReadShared: 2404,
+			WriteOwned: 39300, WriteExclusive: 59682, WriteShared: 2012,
+			HeldAtNSEA: [4]uint64{106508, 12295, 69603, 7370},
+		},
 	}
-	goldenCasesDC = CaseCounts{
+	goldenCasesDC = goldenCases{
 		ReadSameEpoch: 1924218, WriteSameEpoch: 7848,
-		ReadOwned: 72371, ReadSharedOwned: 1784,
-		ReadExclusive: 13601, ReadShare: 3666, ReadShared: 3360,
-		WriteOwned: 39055, WriteExclusive: 59114, WriteShared: 2825,
-		HeldAtNSEA: [4]uint64{106508, 12295, 69603, 7370},
+		Stats: analysis.Stats{
+			ReadOwned: 72371, ReadSharedOwned: 1784,
+			ReadExclusive: 13601, ReadShare: 3666, ReadShared: 3360,
+			WriteOwned: 39055, WriteExclusive: 59114, WriteShared: 2825,
+			HeldAtNSEA: [4]uint64{106508, 12295, 69603, 7370},
+		},
 	}
-	goldenCasesWDC = CaseCounts{
+	goldenCasesWDC = goldenCases{
 		ReadSameEpoch: 1924218, WriteSameEpoch: 7848,
-		ReadOwned: 72370, ReadSharedOwned: 1792,
-		ReadExclusive: 13575, ReadShare: 3676, ReadShared: 3369,
-		WriteOwned: 39052, WriteExclusive: 59109, WriteShared: 2833,
-		HeldAtNSEA: [4]uint64{106508, 12295, 69603, 7370},
+		Stats: analysis.Stats{
+			ReadOwned: 72370, ReadSharedOwned: 1792,
+			ReadExclusive: 13575, ReadShare: 3676, ReadShared: 3369,
+			WriteOwned: 39052, WriteExclusive: 59109, WriteShared: 2833,
+			HeldAtNSEA: [4]uint64{106508, 12295, 69603, 7370},
+		},
 	}
 )

@@ -84,8 +84,8 @@ func TestHandleRunCountsMarkedAccesses(t *testing.T) {
 				m.Mark(run, same, 0)
 				runs.HandleRun(run, same)
 			}
-			if *one.Cases() != *runs.Cases() {
-				t.Errorf("%s/%v: cases %+v in marked runs, %+v one at a time", name, rel, *runs.Cases(), *one.Cases())
+			if *one.Stats() != *runs.Stats() {
+				t.Errorf("%s/%v: cases %+v in marked runs, %+v one at a time", name, rel, *runs.Stats(), *one.Stats())
 			}
 			if one.Races().Dynamic() != runs.Races().Dynamic() {
 				t.Errorf("%s/%v: %d races in marked runs, %d one at a time", name, rel, runs.Races().Dynamic(), one.Races().Dynamic())

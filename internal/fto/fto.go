@@ -25,30 +25,6 @@ type varState struct {
 	rvc *vc.VC   // read vector clock when shared; nil in epoch mode
 }
 
-// Stats are run-time characteristics gathered while the analysis runs,
-// backing the paper's Table 2.
-type Stats struct {
-	// Reads and Writes count all access events.
-	Reads, Writes uint64
-	// NSEAReads and NSEAWrites count non-same-epoch accesses.
-	NSEAReads, NSEAWrites uint64
-	// HeldAtNSEA[k] counts NSEAs executed while holding exactly k locks
-	// (bucket 3 means ≥ 3).
-	HeldAtNSEA [4]uint64
-}
-
-// NSEAs returns the total number of non-same-epoch accesses.
-func (s *Stats) NSEAs() uint64 { return s.NSEAReads + s.NSEAWrites }
-
-// HeldAtLeast returns the number of NSEAs holding at least k locks (k ≤ 3).
-func (s *Stats) HeldAtLeast(k int) uint64 {
-	var n uint64
-	for i := k; i < len(s.HeldAtNSEA); i++ {
-		n += s.HeldAtNSEA[i]
-	}
-	return n
-}
-
 // View is FTO's last-access metadata and race check over a relation's
 // substrate (see ccs.Substrate).
 type View struct {
@@ -56,7 +32,7 @@ type View struct {
 	Sub  *ccs.Substrate
 	vars []varState
 	col  *report.Collector
-	st   Stats
+	st   analysis.Stats
 	vcs  vc.Pool // recycles retired read vector clocks
 	_    report.Pad
 }
@@ -82,8 +58,8 @@ func (a *Analysis) Name() string { return "FTO-" + a.Sub.Rel.String() }
 // Races exposes the collector of detected races.
 func (a *View) Races() *report.Collector { return a.col }
 
-// Stats returns the run-time characteristics gathered so far.
-func (a *View) Stats() *Stats { return &a.st }
+// Stats returns the case counts gathered so far (Tables 2 and 12).
+func (a *View) Stats() *analysis.Stats { return &a.st }
 
 // Handle implements analysis.Analysis.
 func (a *Analysis) Handle(e trace.Event) {
@@ -104,30 +80,16 @@ func (a *Analysis) Handle(e trace.Event) {
 	}
 }
 
-// HandleRun implements analysis.Analysis. FTO's same-epoch branch counts
-// the access and does nothing else beyond opening the event.
+// HandleRun implements analysis.Analysis. FTO's same-epoch branch does
+// nothing beyond opening the event.
 func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
-	var reads, writes uint64
 	for i, e := range evs {
-		switch {
-		case !same.Has(i):
+		if same.Has(i) {
+			a.Sub.Begin(e.T)
+		} else {
 			a.Handle(e)
-			continue
-		case e.Op == trace.OpWrite:
-			writes++
-		default:
-			reads++
 		}
-		a.Sub.Begin(e.T)
 	}
-	a.CountMarked(reads, writes)
-}
-
-// CountMarked implements ccs.Counter: Reads and Writes count every access,
-// the marked same-epoch ones included.
-func (a *View) CountMarked(reads, writes uint64) {
-	a.st.Reads += reads
-	a.st.Writes += writes
 }
 
 // Stale implements ccs.View: the [Same Epoch] cases.
@@ -137,24 +99,17 @@ func (a *View) Stale(t trace.Tid, x uint32, write bool) bool {
 	analysis.EnsureLen(&a.vars, int(x)+1)
 	v := &a.vars[x]
 	if write {
-		a.st.Writes++
 		return v.w != vc.E(tt, c) // [Write Same Epoch]
 	}
-	a.st.Reads++
 	if v.rvc == nil {
 		return v.r != vc.E(tt, c) // [Read Same Epoch]
 	}
 	return v.rvc.Get(tt) != c // [Shared Same Epoch]
 }
 
-func (a *View) nsea(t trace.Tid) {
-	a.st.HeldAtNSEA[min(len(a.Sub.Held(t)), 3)]++
-}
-
 // Read implements ccs.View.
 func (a *View) Read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
-	a.st.NSEAReads++
-	a.nsea(t)
+	a.st.Held(len(a.Sub.Held(t)))
 	p := a.Sub.P[t]
 	tt := vc.Tid(t)
 	c := p.Get(tt)
@@ -163,10 +118,13 @@ func (a *View) Read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	if v.rvc == nil {
 		switch {
 		case v.r != vc.None && v.r.Tid() == tt: // [Read Owned]
+			a.st.ReadOwned++
 			v.r = cur
 		case vc.EpochLeq(v.r, p): // [Read Exclusive] (covers first access)
+			a.st.ReadExclusive++
 			v.r = cur
 		default: // [Read Share]
+			a.st.ReadShare++
 			if !vc.EpochLeq(v.w, p) {
 				a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Index: int(idx), PriorTid: trace.Tid(v.w.Tid())})
 			}
@@ -178,10 +136,12 @@ func (a *View) Read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 		return
 	}
 	if v.rvc.Get(tt) != 0 { // [Read Shared Owned]
+		a.st.ReadSharedOwned++
 		v.rvc.Set(tt, c)
 		return
 	}
 	// [Read Shared]
+	a.st.ReadShared++
 	if !vc.EpochLeq(v.w, p) {
 		a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Index: int(idx), PriorTid: trace.Tid(v.w.Tid())})
 	}
@@ -190,20 +150,22 @@ func (a *View) Read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 
 // Write implements ccs.View.
 func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
-	a.st.NSEAWrites++
-	a.nsea(t)
+	a.st.Held(len(a.Sub.Held(t)))
 	p := a.Sub.P[t]
 	tt := vc.Tid(t)
 	cur := vc.E(tt, p.Get(tt))
 	v := &a.vars[x]
 	if v.rvc == nil {
 		if v.r == vc.None || v.r.Tid() != tt { // [Write Exclusive]
+			a.st.WriteExclusive++
 			if !vc.EpochLeq(v.r, p) {
 				a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Write: true, Index: int(idx), PriorTid: trace.Tid(v.r.Tid())})
 			}
+		} else { // [Write Owned]: skip the race check
+			a.st.WriteOwned++
 		}
-		// else [Write Owned]: skip the race check.
 	} else { // [Write Shared]
+		a.st.WriteShared++
 		if !v.rvc.Leq(p) {
 			a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Write: true, Index: int(idx), PriorTid: report.UnknownTid})
 		}

@@ -118,14 +118,37 @@ func TestStatsCounters(t *testing.T) {
 		Read("T2", "y") // NSEA, no locks
 	a := run(analysis.HB, trace.MustCheck(b.Build()))
 	st := a.Stats()
-	if st.Reads != 2 || st.Writes != 2 {
-		t.Errorf("reads=%d writes=%d", st.Reads, st.Writes)
+	want := analysis.Stats{WriteExclusive: 1, ReadExclusive: 1, HeldAtNSEA: [4]uint64{1, 1}}
+	if *st != want {
+		t.Errorf("stats %+v, want %+v", *st, want)
 	}
 	if st.NSEAs() != 2 {
 		t.Errorf("NSEAs = %d, want 2", st.NSEAs())
 	}
 	if st.HeldAtLeast(1) != 1 {
 		t.Errorf("held≥1 = %d, want 1", st.HeldAtLeast(1))
+	}
+
+	// The six other cases, each once, after a [Read Exclusive].
+	b = trace.NewBuilder()
+	b.Read("T1", "x"). // [Read Exclusive]
+				Read("T2", "x"). // [Read Share]: T1's read is unordered
+				Read("T3", "x"). // [Read Shared]
+				Acq("T2", "m").
+				Read("T2", "x"). // [Read Shared Owned]
+				Rel("T2", "m").
+				Write("T3", "x"). // [Write Shared]
+				Acq("T3", "m").
+				Read("T3", "x").  // [Read Owned]
+				Write("T3", "x"). // [Write Owned]
+				Rel("T3", "m")
+	st = run(analysis.HB, trace.MustCheck(b.Build())).Stats()
+	want = analysis.Stats{
+		ReadExclusive: 1, ReadShare: 1, ReadShared: 1, ReadSharedOwned: 1, ReadOwned: 1,
+		WriteShared: 1, WriteOwned: 1, HeldAtNSEA: [4]uint64{4, 3},
+	}
+	if *st != want {
+		t.Errorf("stats %+v, want %+v", *st, want)
 	}
 }
 

@@ -38,7 +38,7 @@ type Program struct {
 // Programs lists the ten evaluated DaCapo workloads with parameters from
 // Tables 2 and 7. (tomcat's per-relation counts are roughly equal in the
 // paper, so all of its sites are HB sites; its site count dominates its
-// scaled-down trace, which EXPERIMENTS.md notes.)
+// scaled-down trace: see its NSEAs in racebench -table 2.)
 var Programs = []Program{
 	{Name: "avrora", Threads: 7, PaperEventsM: 1400, NSEAFrac: 0.100, Held: [3]float64{0.0589, 0.0005, 0.0001}, HBSites: 6, Repeats: 50},
 	{Name: "batik", Threads: 7, PaperEventsM: 160, NSEAFrac: 0.036, Held: [3]float64{0.461, 0.0005, 0.0003}, Repeats: 1},

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/fto"
 	"repro/internal/workload"
 )
@@ -191,8 +192,9 @@ func groupedFTOViews(c *computation) []*fto.View {
 }
 
 // TestGroupedFTOStatsMatchStandalone: after a 15-cell run, which skips the
-// marked accesses without asking any view, each grouped FTO view's Table 2
-// counters equal those of the same cell run alone.
+// marked accesses without asking any view or SmartTrack cell, each grouped
+// FTO view's Stats, and each SmartTrack computation's, equal those of the
+// same cell run alone.
 func TestGroupedFTOStatsMatchStandalone(t *testing.T) {
 	for _, mt := range markedTraces {
 		tr := mt.tr()
@@ -207,9 +209,18 @@ func TestGroupedFTOStatsMatchStandalone(t *testing.T) {
 			if err := eng.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			grouped := 0
+			grouped, st := 0, 0
 			for ci := range eng.comps {
 				c := &eng.comps[ci]
+				if a, ok := c.a.(*core.Analysis); ok {
+					st++
+					entry, _ := analysis.ByName(c.name)
+					alone := entry.NewFor(tr).(*core.Analysis)
+					analysis.Run(alone, tr)
+					if *a.Stats() != *alone.Stats() {
+						t.Errorf("%s par=%d: %s counts %+v, alone %+v", mt.name, par, c.name, *a.Stats(), *alone.Stats())
+					}
+				}
 				for _, v := range groupedFTOViews(c) {
 					grouped++
 					alone := fto.New(v.Sub.Rel, analysis.SpecOf(tr))
@@ -219,8 +230,8 @@ func TestGroupedFTOStatsMatchStandalone(t *testing.T) {
 					}
 				}
 			}
-			if grouped != 4 {
-				t.Fatalf("%s par=%d: found %d grouped FTO views, want 4", mt.name, par, grouped)
+			if grouped != 4 || st != 3 {
+				t.Fatalf("%s par=%d: found %d grouped FTO views and %d ST cells, want 4 and 3", mt.name, par, grouped, st)
 			}
 			if _, err := eng.Close(); err != nil {
 				t.Fatal(err)

@@ -30,8 +30,8 @@ var padType = reflect.TypeOf(report.Pad{})
 var hotStructs = []reflect.Type{
 	reflect.TypeOf((*graph.Graph)(nil)).Elem(),        // cur, per edge
 	reflect.TypeOf((*report.Collector)(nil)).Elem(),   // races, per race
-	reflect.TypeOf((*fto.View)(nil)).Elem(),           // st.Reads/Writes, per access
-	reflect.TypeOf((*core.Analysis)(nil)).Elem(),      // idx, raced, cases, per event
+	reflect.TypeOf((*fto.View)(nil)).Elem(),           // st, per stale access
+	reflect.TypeOf((*core.Analysis)(nil)).Elem(),      // idx, raced, st, per event
 	reflect.TypeOf((*ccs.Substrate)(nil)).Elem(),      // idx, per event
 	reflect.TypeOf((*analysis.SyncState)(nil)).Elem(), // read per event beside them
 }
