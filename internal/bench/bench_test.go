@@ -96,6 +96,47 @@ func TestRenderTable1(t *testing.T) {
 	}
 }
 
+func TestRenderTable2(t *testing.T) {
+	out := RenderTable2(Config{ScaleDiv: 400000, Programs: []string{"xalan"}})
+	if !strings.Contains(out, "xalan") || !strings.Contains(out, "%") {
+		t.Errorf("table 2:\n%s", out)
+	}
+}
+
+func TestRenderTable3And8(t *testing.T) {
+	cfg := Config{ScaleDiv: 400000, Programs: []string{"pmd"}}
+	out := RenderTable3(cfg, false)
+	if !strings.Contains(out, "Table 3") || !strings.Contains(out, "geomean") {
+		t.Errorf("table 3:\n%s", out)
+	}
+	cfg.Trials = 2
+	out8 := RenderTable3(cfg, true)
+	if !strings.Contains(out8, "Table 8") || !strings.Contains(out8, "±") {
+		t.Errorf("table 8 missing CIs:\n%s", out8)
+	}
+}
+
+func TestRenderGridTables(t *testing.T) {
+	cfg := Config{ScaleDiv: 400000, Programs: []string{"sunflow"}}
+	for id, out := range map[string]string{
+		"4":  RenderTable4(cfg),
+		"6":  RenderTable6(cfg, false),
+		"7":  RenderTable7(cfg, false),
+		"12": RenderTable12(cfg),
+	} {
+		if !strings.Contains(out, "Table "+id) {
+			t.Errorf("table %s header missing:\n%s", id, out)
+		}
+	}
+	t7 := RenderTable7(cfg, false)
+	// sunflow's seeded counts: HB 6, WCP 18, DC/WDC 19.
+	for _, want := range []string{"6 (", "18 (", "19 ("} {
+		if !strings.Contains(t7, want) {
+			t.Errorf("table 7 missing %q:\n%s", want, t7)
+		}
+	}
+}
+
 // TestTablesPinned pins each table racebench renders by the sha256 of its
 // text at scale 1/40000, seed 1. Every one is a function of (program,
 // scale, seed), so a one-event change to a generator, or an access one
