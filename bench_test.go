@@ -219,21 +219,23 @@ func BenchmarkSameEpochMark(b *testing.B) {
 
 // TestFanout15AllocationBudget keeps the 15-cell engine's allocation from
 // creeping back, on the fanout15-par row's own trace (h2/4000, seed 1), where
-// one sequential pass reads 19.95 B/event with rule (b) drawing at most one
-// graph edge per owner a release consumes, 4-byte clock components, the
-// rule (b) logs' clocks in flat chunks, most of them 12-byte records over
-// their thread's base, and their 12-byte entries in fixed blocks, graph
-// edges as varint deltas in byte chunks, rule (a) cells naming logged clocks
-// or, for WDC, viewing per-thread snapshots, ST-WDC sections viewing such
-// snapshots too, and every SmartTrack section in a 48-byte list node (21.90
-// with a rule (b) edge per consumed entry, 26.04 with 8-byte components as
+// one sequential pass reads 17.46 B/event with the graphs recording only
+// the edges program order and an earlier edge do not imply, as varint
+// deltas in 8 KiB byte chunks, 4-byte clock components, the rule (b) logs'
+// clocks in flat chunks, most of them 12-byte records over their thread's
+// base, and their 12-byte entries in fixed blocks, rule (a) cells naming
+// logged clocks or, for WDC, viewing
+// per-thread snapshots, ST-WDC sections viewing such snapshots too, and
+// every SmartTrack section in a 48-byte list node (19.95 with every edge
+// but the rule (b) edges an earlier one implies, 21.90 with a rule (b)
+// edge per consumed entry as well, 26.04 with 8-byte components as
 // well, 27.90 with 64-byte nodes as well, 32.86 with WDC's cells owning
 // copies and entries in append-doubled slices too, 42.25 with every logged
 // clock whole too). The budget is that reading plus 10 %. The
 // full length matters: per-engine tables are a fixed ≈ 6 MB, which would be
 // 30 B/event of a reading over fanoutTrace.
 func TestFanout15AllocationBudget(t *testing.T) {
-	const budget = 22.0 // B/event
+	const budget = 19.2 // B/event
 	p, _ := workload.ProgramByName("h2")
 	tr := p.Generate(4000, 1)
 	if got := allocPerEvent(t, tr, func() error { return feedFanout15(tr, 1) }); got > budget {

@@ -7,9 +7,18 @@ import (
 )
 
 // Hook receives constraint-graph edges from an analysis (the "w/G"
-// variants). src and dst are trace event indices; src < dst.
+// variants). src and dst are trace event indices, src < dst, of threads
+// from and to; dst is the event the analysis is processing, so the edges
+// into one thread arrive in program order of their destinations.
 type Hook interface {
-	Edge(src, dst int32)
+	Edge(src, dst int32, from, to trace.Tid)
+}
+
+// Source is an event a constraint-graph edge may come from: its trace index,
+// -1 for none, and its thread.
+type Source struct {
+	Idx int32
+	T   trace.Tid
 }
 
 // SyncState implements the synchronization handling shared by every
@@ -63,16 +72,16 @@ type SyncState struct {
 	// Graph bookkeeping (hook != nil only for the "w/G" analyses).
 	hook        Hook
 	marks       []threadMark
-	lastVolW    []int32 // last volatile-write event per volatile
-	lastVolR    []int32 // last volatile-read event per volatile
-	lastClsInit []int32
+	lastVolW    []Source // last volatile-write event per volatile
+	lastVolR    []Source // last volatile-read event per volatile
+	lastClsInit []Source
 	_           report.Pad
 }
 
 // threadMark is a thread's graph bookkeeping: event indices, -1 for none.
 type threadMark struct {
-	last int32 // the thread's last event
-	fork int32 // the fork event awaiting the thread's first event
+	last int32  // the thread's last event
+	fork Source // the fork event awaiting the thread's first event, by the forker
 }
 
 // growMarks extends marks to n threads without events. OnEvent stores into
@@ -85,7 +94,7 @@ func growMarks(marks []threadMark, n int) []threadMark {
 		marks = buf[slack : slack+copy(buf[slack:], marks) : slack+2*n]
 	}
 	for len(marks) < n {
-		marks = append(marks, threadMark{last: -1, fork: -1})
+		marks = append(marks, threadMark{last: -1, fork: Source{Idx: -1}})
 	}
 	return marks
 }
@@ -142,8 +151,8 @@ func (s *SyncState) growVolatiles(n int) {
 		EnsureLen(&s.volWH, n)
 	}
 	if s.hook != nil {
-		GrowNeg(&s.lastVolW, n)
-		GrowNeg(&s.lastVolR, n)
+		GrowSources(&s.lastVolW, n)
+		GrowSources(&s.lastVolR, n)
 	}
 }
 
@@ -153,7 +162,7 @@ func (s *SyncState) growClasses(n int) {
 		EnsureLen(&s.clsH, n)
 	}
 	if s.hook != nil {
-		GrowNeg(&s.lastClsInit, n)
+		GrowSources(&s.lastClsInit, n)
 	}
 }
 
@@ -169,39 +178,38 @@ func (s *SyncState) et(t trace.Tid) {
 // event is the one being handled.
 func (s *SyncState) Ensure(t trace.Tid) { s.et(t) }
 
-// SetHook enables constraint-graph edge recording.
+// SetHook enables constraint-graph edge recording: every edge the analysis
+// draws goes to h, on a state no event has reached yet.
 func (s *SyncState) SetHook(h Hook, spec Spec) {
 	s.hook = h
 	s.marks = growMarks(nil, max(spec.Threads, len(s.P)))
-	s.lastVolW = fillNeg(max(spec.Volatiles, len(s.volRP)))
-	s.lastVolR = fillNeg(max(spec.Volatiles, len(s.volRP)))
-	s.lastClsInit = fillNeg(max(spec.Classes, len(s.clsP)))
+	s.lastVolW, s.lastVolR, s.lastClsInit = nil, nil, nil
+	GrowSources(&s.lastVolW, max(spec.Volatiles, len(s.volRP)))
+	GrowSources(&s.lastVolR, max(spec.Volatiles, len(s.volRP)))
+	GrowSources(&s.lastClsInit, max(spec.Classes, len(s.clsP)))
 }
 
-func fillNeg(n int) []int32 {
-	v := make([]int32, n)
-	for i := range v {
-		v[i] = -1
-	}
-	return v
-}
+// Hook returns the hook edges go to, nil if none.
+func (s *SyncState) Hook() Hook { return s.hook }
 
-// GrowNeg grows *s to at least n elements, filling new slots with -1 (the
-// "no event yet" sentinel of graph bookkeeping tables).
-func GrowNeg(s *[]int32, n int) {
+// GrowSources grows *s to at least n elements, filling new slots with no
+// event (the "no event yet" sentinel of graph bookkeeping tables).
+func GrowSources(s *[]Source, n int) {
 	if n <= len(*s) {
 		return
 	}
 	old := len(*s)
 	EnsureLen(s, n)
 	for i := old; i < n; i++ {
-		(*s)[i] = -1
+		(*s)[i].Idx = -1
 	}
 }
 
-func (s *SyncState) edge(src int32, dst int32) {
-	if s.hook != nil && src >= 0 {
-		s.hook.Edge(src, dst)
+// Edge hands the hook, if any, the constraint src → dst, where dst is the
+// current event, by thread t. A source with no event draws nothing.
+func (s *SyncState) Edge(src Source, dst int32, t trace.Tid) {
+	if s.hook != nil && src.Idx >= 0 {
+		s.hook.Edge(src.Idx, dst, src.T, t)
 	}
 }
 
@@ -213,9 +221,9 @@ func (s *SyncState) OnEvent(t trace.Tid, idx int32) {
 	}
 	s.et(t)
 	m := &s.marks[t]
-	if m.fork >= 0 {
-		s.hook.Edge(m.fork, idx)
-		m.fork = -1
+	if m.fork.Idx >= 0 {
+		s.hook.Edge(m.fork.Idx, idx, m.fork.T, t)
+		m.fork.Idx = -1
 	}
 	m.last = idx
 }
@@ -349,7 +357,7 @@ func (s *SyncState) HandleOther(e trace.Event, idx int32) bool {
 			s.H[child].Join(s.H[t])
 		}
 		if s.hook != nil {
-			s.marks[child].fork = idx
+			s.marks[child].fork = Source{idx, t}
 		}
 	case trace.OpJoin:
 		child := trace.Tid(e.Targ)
@@ -359,7 +367,7 @@ func (s *SyncState) HandleOther(e trace.Event, idx int32) bool {
 			s.H[t].Join(s.H[child])
 		}
 		if s.hook != nil {
-			s.edge(s.marks[child].last, idx)
+			s.Edge(Source{s.marks[child].last, child}, idx, t)
 		}
 	case trace.OpVolatileRead:
 		v := e.Targ
@@ -373,8 +381,8 @@ func (s *SyncState) HandleOther(e trace.Event, idx int32) bool {
 			joinInto(&s.volRH[v], s.H[t])
 		}
 		if s.hook != nil {
-			s.edge(s.lastVolW[v], idx)
-			s.lastVolR[v] = idx
+			s.Edge(s.lastVolW[v], idx, t)
+			s.lastVolR[v] = Source{idx, t}
 		}
 	case trace.OpVolatileWrite:
 		v := e.Targ
@@ -390,9 +398,9 @@ func (s *SyncState) HandleOther(e trace.Event, idx int32) bool {
 			joinInto(&s.volWH[v], s.H[t])
 		}
 		if s.hook != nil {
-			s.edge(s.lastVolW[v], idx)
-			s.edge(s.lastVolR[v], idx)
-			s.lastVolW[v] = idx
+			s.Edge(s.lastVolW[v], idx, t)
+			s.Edge(s.lastVolR[v], idx, t)
+			s.lastVolW[v] = Source{idx, t}
 		}
 	case trace.OpClassInit:
 		c := e.Targ
@@ -402,7 +410,7 @@ func (s *SyncState) HandleOther(e trace.Event, idx int32) bool {
 			joinInto(&s.clsH[c], s.H[t])
 		}
 		if s.hook != nil {
-			s.lastClsInit[c] = idx
+			s.lastClsInit[c] = Source{idx, t}
 		}
 	case trace.OpClassAccess:
 		c := e.Targ
@@ -412,7 +420,7 @@ func (s *SyncState) HandleOther(e trace.Event, idx int32) bool {
 			s.H[t].Join(s.clsH[c])
 		}
 		if s.hook != nil {
-			s.edge(s.lastClsInit[c], idx)
+			s.Edge(s.lastClsInit[c], idx, t)
 		}
 	default:
 		return false

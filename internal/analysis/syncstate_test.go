@@ -168,18 +168,23 @@ func TestHandleOtherRejectsAccesses(t *testing.T) {
 func TestGraphHookEdges(t *testing.T) {
 	tr := tinyTrace(2, 0, 1, 1)
 	s := NewSyncState(DC, tr)
-	var edges [][2]int32
-	s.SetHook(edgeFunc(func(a, b int32) { edges = append(edges, [2]int32{a, b}) }), tr)
+	var edges [][4]int32 // src, dst and their threads
+	s.SetHook(edgeFunc(func(src, dst int32, from, to trace.Tid) {
+		edges = append(edges, [4]int32{src, dst, int32(from), int32(to)})
+	}), tr)
 
 	s.OnEvent(0, 0)
 	s.HandleOther(trace.Event{T: 0, Op: trace.OpFork, Targ: 1}, 0)
-	s.OnEvent(1, 1) // child's first event: fork edge 0→1
+	s.OnEvent(1, 1) // child's first event: fork edge 0→1, T0 → T1
 	s.HandleOther(trace.Event{T: 1, Op: trace.OpVolatileWrite, Targ: 0}, 1)
 	s.OnEvent(0, 2)
-	s.HandleOther(trace.Event{T: 0, Op: trace.OpVolatileRead, Targ: 0}, 2) // edge 1→2
+	s.HandleOther(trace.Event{T: 0, Op: trace.OpVolatileRead, Targ: 0}, 2) // edge 1→2, T1 → T0
 	s.OnEvent(1, 3)
-	s.HandleOther(trace.Event{T: 0, Op: trace.OpJoin, Targ: 1}, 4) // edge lastIdx(T1)=3 → 4
-	want := map[[2]int32]bool{{0, 1}: true, {1, 2}: true, {3, 4}: true}
+	s.HandleOther(trace.Event{T: 1, Op: trace.OpClassInit, Targ: 0}, 3)
+	s.OnEvent(0, 4)
+	s.HandleOther(trace.Event{T: 0, Op: trace.OpClassAccess, Targ: 0}, 4) // edge 3→4, T1 → T0
+	s.HandleOther(trace.Event{T: 0, Op: trace.OpJoin, Targ: 1}, 5)        // edge lastIdx(T1)=3 → 5, T1 → T0
+	want := map[[4]int32]bool{{0, 1, 0, 1}: true, {1, 2, 1, 0}: true, {3, 4, 1, 0}: true, {3, 5, 1, 0}: true}
 	for _, e := range edges {
 		if !want[e] {
 			t.Errorf("unexpected edge %v", e)
@@ -191,9 +196,9 @@ func TestGraphHookEdges(t *testing.T) {
 	}
 }
 
-type edgeFunc func(a, b int32)
+type edgeFunc func(src, dst int32, from, to trace.Tid)
 
-func (f edgeFunc) Edge(a, b int32) { f(a, b) }
+func (f edgeFunc) Edge(src, dst int32, from, to trace.Tid) { f(src, dst, from, to) }
 
 func TestSyncStateWeight(t *testing.T) {
 	s := NewSyncState(WCP, tinyTrace(4, 2, 1, 1))
@@ -245,7 +250,7 @@ func TestMarksTablesKeepTheirLines(t *testing.T) {
 			m = growMarks(m, 10)
 		}
 		for _, mark := range m {
-			if mark.last != -1 || mark.fork != -1 {
+			if mark.last != -1 || mark.fork.Idx != -1 {
 				t.Fatalf("table %d: a thread starts with mark %v, want no event (-1, -1)", i, mark)
 			}
 		}

@@ -155,7 +155,7 @@ func TestTablesPinned(t *testing.T) {
 		{"table2", func() string { return RenderTable2(cfg) },
 			"833cba7a9211a4b248d149735b8cb20f26b19936289c1a8c8b876d5c27f8cd43"},
 		{"table3", func() string { return RenderTable3(cfg, false) },
-			"c5e0cc6f817ab654b7ebec57a3206f1456e3d1a57f797a3d666e46eceb4eaa36"},
+			"72994ae4512393c6bd70612ff09944c192f3899f20eb3640dc738804ccf212f6"},
 		{"table4", func() string { return RenderTable4(cfg) },
 			"0eeee3efc18dde330268146e88d133114cff483b65a2bfdf7eedf09ab9ece4ad"},
 		{"table6", func() string { return RenderTable6(cfg, false) },
@@ -163,7 +163,7 @@ func TestTablesPinned(t *testing.T) {
 		{"table7", func() string { return RenderTable7(cfg, false) },
 			"4abaffd37f8e087b796acc9de3a7618a20a69f9ae2e807bbb2ebc9798aa10809"},
 		{"table8", func() string { return RenderTable3(ci, true) },
-			"ea243b85c6691936b824dd357b9a7214dde0ca3a286111730334dabb99567d5e"},
+			"8d7cab88dab609e1e7c5ce67832175b68940f259e5c295f00d5513ff8c218c46"},
 		{"table12", func() string { return RenderTable12(cfg) },
 			"c36ca2612474215784be386732025bf9b2293740d0246f743815ced66090f459"},
 	} {

@@ -117,11 +117,16 @@
 // P, H and the reports are unchanged; TestSubstrateMatchesReference holds the
 // substrates to the join-everything reference after every event.
 //
-// Rule (b) draws no edge the graph implies (see RuleB.Release): each one it
-// leaves out, src → dst, has a drawn src′ → dst′ with src before src′ and
-// dst′ before dst in program order, which the graph keeps implicit. So which
-// events reach which — all vindication reads — is unchanged, as
-// TestRuleBEdgesKeepReachability checks; every other edge is drawn as before.
+// Rule (b) draws one edge per owner a release consumes from, from the last
+// entry consumed (see RuleB.Release): each paper edge it leaves out comes
+// from an earlier entry of that owner, before the drawn edge's source in
+// program order, into the same release. Rule (a) draws one edge per side it
+// joins or skips, from the side's latest release, by the thread a cell
+// records with it. Every edge goes to the graph with both endpoints' threads,
+// and the graph keeps only those program order and a kept edge do not imply
+// (see graph.Graph.Edge). So which events reach which — all vindication reads
+// — is unchanged, as TestRuleBEdgesKeepReachability checks here and
+// TestGraphEdgesKeepReachability in package unopt for every edge kind.
 package ccs
 
 import (
@@ -234,9 +239,6 @@ type RuleB struct {
 	entries  blockStore // every log's blocks
 	clocks   vc.Arena   // every logged acquire and release clock
 	bases    []vc.Ref   // per thread, its last clock the arena holds whole
-	// drawn[t][u] is one past the trace index of the latest rule (b) edge
-	// source from u into t, 0 for none; kept only while edges are drawn.
-	drawn [][]int32
 }
 
 // NewRuleB builds rule (b) state from capacity hints. epochAcq selects
@@ -303,10 +305,10 @@ func (b *RuleB) log(t trace.Tid, c *vc.VC) vc.Ref {
 // reads it). For WCP the logged release time is the HB clock (left
 // HB-composition); for DC it is the relation clock itself. idx is the trace
 // index of the release event; hook (optional) receives rule (b) constraint
-// edges: per owner, at most one, from the last entry the release consumed,
-// and none if an earlier rule (b) edge into t came from that release of the
-// owner or a later one. The graph keeps program order implicit, so every
-// edge this leaves out is implied by a drawn one and program order.
+// edges: per owner, at most one, from the last entry the release consumed.
+// The graph keeps program order implicit, so every edge this leaves out is
+// implied by a drawn one and program order; the graph drops those an
+// earlier edge into t implies (graph.Graph.Edge).
 //
 // A consumed release time t already holds is not joined (package comment,
 // facts 2 and 3). For DC that is the epoch test on the owner's component of
@@ -327,12 +329,6 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 	var latestBy vc.Tid // its owner
 	var latestC vc.Rel  // its release time, read when an ordered test needs it
 	var viewed vc.Ref   // the release time latestC reads
-	var drawn []int32
-	if hook != nil {
-		analysis.EnsureLen(&b.drawn, int(t)+1)
-		analysis.EnsureLen(&b.drawn[t], len(ll.byOwner))
-		drawn = b.drawn[t]
-	}
 	// Owners iterate in ascending thread order — the same order as the old
 	// pre-sized per-pair queues. Determinism matters: JoinRel below grows p
 	// (for WCP, latestC stands for what it would have grown p by), which
@@ -384,9 +380,8 @@ func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32,
 			}
 		}
 		heads[owner] = h
-		if drawn != nil && src >= drawn[owner] {
-			hook.Edge(src, idx)
-			drawn[owner] = src + 1
+		if hook != nil && src >= 0 {
+			hook.Edge(src, idx, trace.Tid(owner), t)
 		}
 	}
 	if latest.rel != 0 && heads[t] <= latest.idx {
@@ -420,15 +415,12 @@ func (b *RuleB) joined(t trace.Tid, m uint32) *int32 {
 // with them WCP's per-(thread, lock) record) at their capacity, its logs (a
 // 5-word header each, and block numbers), the store's entry blocks at
 // capacity, whole chunks however few of their blocks are in use, the
-// per-thread bases and drawn rows, and the arena, which holds every clock an
-// entry names — and every clock a rule (a) cell names — with each base once
-// however many records view it.
+// per-thread bases, and the arena, which holds every clock an entry names —
+// and every clock a rule (a) cell names — with each base once however many
+// records view it.
 func (b *RuleB) Weight() int {
-	w := b.clocks.Weight() + (cap(b.bases)+1)/2 + cap(b.locks) + 3*cap(b.drawn)
+	w := b.clocks.Weight() + (cap(b.bases)+1)/2 + cap(b.locks)
 	w += 3*cap(b.entries.chunks) + len(b.entries.chunks)*chunkBlocks*blockLen*3/2 // 12-byte entries
-	for _, row := range b.drawn {
-		w += (cap(row) + 1) / 2
-	}
 	for _, ll := range b.locks {
 		if ll == nil {
 			continue
@@ -480,9 +472,10 @@ type aSide struct {
 func (sd *aSide) set() bool { return sd.ref != 0 || sd.own != nil }
 
 // aCell is the rule (a) state of one (lock, variable) pair: Lr and Lw, the
-// threads whose release a one-release side holds (the epoch test reads that
-// thread's component), and the marks. 40 bytes, and the whole per-access
-// rule (a) path is two slice indexings.
+// threads of each side's latest release (a one-release side's epoch test
+// reads that thread's component; every side's graph edge comes from it),
+// and the marks. 40 bytes, and the whole per-access rule (a) path is two
+// slice indexings.
 type aCell struct {
 	lr, lw     aSide
 	lrBy, lwBy trace.Tid
@@ -617,7 +610,7 @@ func (lt *LockTables) ReadJoin(t trace.Tid, m, x uint32, s *analysis.SyncState, 
 	if cl.lw.set() {
 		joins = lt.join(t, m, s, &cl.lw, cl.lwBy, false)
 		if hook != nil {
-			hook.Edge(cl.lw.idx, idx)
+			hook.Edge(cl.lw.idx, idx, cl.lwBy, t)
 		}
 	}
 	if cl.mark&(inReadSet|inWriteSet) == 0 {
@@ -640,13 +633,13 @@ func (lt *LockTables) WriteJoin(t trace.Tid, m, x uint32, s *analysis.SyncState,
 	if cl.lr.set() {
 		joins = lt.join(t, m, s, &cl.lr, cl.lrBy, cl.mark&lrJoined != 0)
 		if hook != nil {
-			hook.Edge(cl.lr.idx, idx)
+			hook.Edge(cl.lr.idx, idx, cl.lrBy, t)
 		}
 	}
 	if cl.lw.set() {
 		joins += lt.join(t, m, s, &cl.lw, cl.lwBy, false)
 		if hook != nil {
-			hook.Edge(cl.lw.idx, idx)
+			hook.Edge(cl.lw.idx, idx, cl.lwBy, t)
 		}
 	}
 	if cl.mark&(inReadSet|inWriteSet) == 0 {
@@ -701,7 +694,7 @@ func (lt *LockTables) Release(t trace.Tid, m uint32, rt *vc.VC, named vc.Ref, id
 				cl.lr.own = old.Copy()
 			}
 			cl.lr.own.Join(rt)
-			cl.lr.ref, cl.lr.idx = 0, idx
+			cl.lr.ref, cl.lr.idx, cl.lrBy = 0, idx, t
 			cl.mark |= lrJoined
 		}
 		cl.mark &= lrJoined

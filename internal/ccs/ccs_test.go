@@ -137,25 +137,20 @@ func TestRuleBFIFOPairing(t *testing.T) {
 func TestRuleBGraphEdges(t *testing.T) {
 	s, tr := syncFor(analysis.DC, 2, 1)
 	rb := NewRuleB(analysis.DC, tr, false)
-	var edges [][2]int32
-	hook := edgeFunc(func(src, dst int32) { edges = append(edges, [2]int32{src, dst}) })
+	var edges edgeList
 
 	rb.Acquire(0, 0, s.P[0])
 	s.PostAcquire(0, 0)
-	rb.Release(0, 0, s, 1, hook)
+	rb.Release(0, 0, s, 1, &edges)
 	s.PostRelease(0, 0)
 	rb.Acquire(1, 0, s.P[1])
 	s.PostAcquire(1, 0)
 	s.JoinP(1, s.P[0])
-	rb.Release(1, 0, s, 5, hook)
-	if len(edges) != 1 || edges[0] != [2]int32{1, 5} {
-		t.Errorf("edges = %v, want [[1 5]]", edges)
+	rb.Release(1, 0, s, 5, &edges)
+	if len(edges) != 1 || edges[0] != [4]int32{1, 5, 0, 1} {
+		t.Errorf("edges = %v, want [[1 5 0 1]]: T0's release 1 before T1's release 5", edges)
 	}
 }
-
-type edgeFunc func(src, dst int32)
-
-func (f edgeFunc) Edge(src, dst int32) { f(src, dst) }
 
 func TestLockTablesReadSeesWriters(t *testing.T) {
 	s, tr := syncFor(analysis.DC, 2, 1)
@@ -334,11 +329,11 @@ func TestSubstrateShape(t *testing.T) {
 		if (b.lt != nil) != tc.lt || (b.rb != nil) != tc.rb {
 			t.Errorf("%v: rule (a) state %v, rule (b) state %v; want %v, %v", tc.rel, b.lt != nil, b.rb != nil, tc.lt, tc.rb)
 		}
-		if b.Graph() != nil || b.hook != nil {
+		if b.Graph() != nil || b.Hook() != nil {
 			t.Errorf("%v: graph built without being asked for", tc.rel)
 		}
 	}
-	if b := NewSubstrate(analysis.WDC, spec, true); b.Graph() == nil || b.hook == nil {
+	if b := NewSubstrate(analysis.WDC, spec, true); b.Graph() == nil || b.Hook() == nil {
 		t.Error("graph-building substrate has no graph")
 	}
 }

@@ -15,21 +15,19 @@ import (
 // clock per logged acquire and release, two parallel slices per (lock,
 // owner), every pending entry read. It is the reference
 // TestRuleBMatchesReference holds RuleB to. Its edges follow the spec: per
-// owner, one from the last entry a release consumed, unless an earlier edge
-// into the releasing thread came from that owner at that index or later;
-// everyEntry draws the paper's one edge per consumed entry instead, the
-// graph TestRuleBEdgesKeepReachability holds RuleB's to.
+// owner, one from the last entry a release consumed; everyEntry draws the
+// paper's one edge per consumed entry instead, the graph
+// TestRuleBEdgesKeepReachability holds RuleB's to.
 type refRuleB struct {
 	rel        analysis.Relation
 	epochAcq   bool
 	everyEntry bool
 	locks      map[uint32]*refLogs
-	sources    map[[2]trace.Tid]int32 // (observer, owner) → highest edge source drawn
-	stalls     int                    // scans that stopped at an acquire not yet ordered
+	stalls     int // scans that stopped at an acquire not yet ordered
 }
 
 func newRefRuleB(rel analysis.Relation, epochAcq, everyEntry bool) *refRuleB {
-	return &refRuleB{rel: rel, epochAcq: epochAcq, everyEntry: everyEntry, locks: map[uint32]*refLogs{}, sources: map[[2]trace.Tid]int32{}}
+	return &refRuleB{rel: rel, epochAcq: epochAcq, everyEntry: everyEntry, locks: map[uint32]*refLogs{}}
 }
 
 type refLogs struct {
@@ -80,16 +78,12 @@ func (b *refRuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int
 			}
 			s.JoinP(t, lg[h].rel)
 			if hook != nil && b.everyEntry {
-				hook.Edge(lg[h].idx, idx)
+				hook.Edge(lg[h].idx, idx, trace.Tid(owner), t)
 			}
 		}
 		ll.heads[key] = h
-		if hook == nil || b.everyEntry || h == first {
-			continue
-		}
-		if src := lg[h-1].idx; src > b.sources[key] { // a release is never event 0
-			hook.Edge(src, idx)
-			b.sources[key] = src
+		if hook != nil && !b.everyEntry && h > first {
+			hook.Edge(lg[h-1].idx, idx, trace.Tid(owner), t)
 		}
 	}
 	snap := p
@@ -113,7 +107,8 @@ type refLockTables struct {
 
 type refCell struct {
 	lr, lw       *vc.VC
-	lrIdx, lwIdx int32
+	lrIdx, lwIdx int32     // the latest release folded into each
+	lrBy, lwBy   trace.Tid // its thread
 	mark         uint8
 }
 
@@ -130,23 +125,23 @@ func (lt *refLockTables) cell(m, x uint32) *refCell {
 	return cl
 }
 
-func (lt *refLockTables) join(t trace.Tid, s *analysis.SyncState, c *vc.VC, src, dst int32, hook analysis.Hook) {
+func (lt *refLockTables) join(t trace.Tid, s *analysis.SyncState, c *vc.VC, src int32, by trace.Tid, dst int32, hook analysis.Hook) {
 	if c == nil {
 		return
 	}
 	lt.joins++
 	s.JoinP(t, c)
 	if hook != nil {
-		hook.Edge(src, dst)
+		hook.Edge(src, dst, by, t)
 	}
 }
 
 func (lt *refLockTables) access(t trace.Tid, m, x uint32, s *analysis.SyncState, idx int32, hook analysis.Hook, write bool) {
 	cl := lt.cell(m, x)
 	if write {
-		lt.join(t, s, cl.lr, cl.lrIdx, idx, hook)
+		lt.join(t, s, cl.lr, cl.lrIdx, cl.lrBy, idx, hook)
 	}
-	lt.join(t, s, cl.lw, cl.lwIdx, idx, hook)
+	lt.join(t, s, cl.lw, cl.lwIdx, cl.lwBy, idx, hook)
 	if cl.mark == 0 {
 		lt.touched[m] = append(lt.touched[m], x)
 	}
@@ -162,11 +157,11 @@ func (lt *refLockTables) Release(t trace.Tid, m uint32, rt *vc.VC, idx int32) {
 		cl := lt.cell(m, x)
 		if cl.mark&inReadSet != 0 {
 			cl.lr = refJoinInto(cl.lr, rt)
-			cl.lrIdx = idx
+			cl.lrIdx, cl.lrBy = idx, t
 		}
 		if cl.mark&inWriteSet != 0 {
 			cl.lw = refJoinInto(cl.lw, rt)
-			cl.lwIdx = idx
+			cl.lwIdx, cl.lwBy = idx, t
 		}
 		cl.mark = 0
 	}
@@ -224,7 +219,7 @@ func (r *RefSubstrate) Handle(e trace.Event, views []View, edged int) {
 		return
 	case trace.OpRelease:
 		if r.rb != nil {
-			r.rb.Release(t, e.Targ, &b.SyncState, idx, b.hook)
+			r.rb.Release(t, e.Targ, &b.SyncState, idx, b.Hook())
 		}
 		if r.lt != nil {
 			r.lt.Release(t, e.Targ, b.releaseTime(t), idx)
@@ -247,7 +242,7 @@ func (r *RefSubstrate) Handle(e trace.Event, views []View, edged int) {
 		return
 	}
 	if r.lt != nil {
-		hook := b.hook
+		hook := b.Hook()
 		if stale&(1<<edged) == 0 {
 			hook = nil
 		}
@@ -299,9 +294,13 @@ func syncOnly(seed int64, threads, locks, events, stride int) []trace.Event {
 	return evs
 }
 
-type edgeList [][2]int32
+// edgeList is a Hook that records every edge it is handed, unfiltered: src,
+// dst and their threads.
+type edgeList [][4]int32
 
-func (l *edgeList) Edge(src, dst int32) { *l = append(*l, [2]int32{src, dst}) }
+func (l *edgeList) Edge(src, dst int32, from, to trace.Tid) {
+	*l = append(*l, [4]int32{src, dst, int32(from), int32(to)})
+}
 
 func equalClocks(a, b *vc.VC) bool { return a.Leq(b) && b.Leq(a) }
 

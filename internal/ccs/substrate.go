@@ -37,12 +37,11 @@ import (
 type Substrate struct {
 	_ report.Pad
 	analysis.SyncState
-	lt    *LockTables   // nil for HB
-	rb    *RuleB        // nil for HB and WDC
-	g     *graph.Graph  // nil unless the graph is built
-	hook  analysis.Hook // g, or nil
-	idx   int32         // events begun; the current event's trace index is idx-1
-	ready int           // threads whose events Begin need not prepare for
+	lt    *LockTables  // nil for HB
+	rb    *RuleB       // nil for HB and WDC
+	g     *graph.Graph // nil unless the graph is built
+	idx   int32        // events begun; the current event's trace index is idx-1
+	ready int          // threads whose events Begin need not prepare for
 	_     report.Pad
 }
 
@@ -58,7 +57,6 @@ func NewSubstrate(rel analysis.Relation, spec analysis.Spec, buildGraph bool) *S
 	}
 	if buildGraph {
 		b.g = graph.New(spec.Events)
-		b.hook = b.g
 		b.SetHook(b.g, spec)
 	}
 	return b
@@ -108,7 +106,7 @@ func (b *Substrate) Sync(e trace.Event, idx int32) {
 	case trace.OpRelease:
 		var named vc.Ref
 		if b.rb != nil {
-			named = b.rb.Release(t, e.Targ, &b.SyncState, idx, b.hook)
+			named = b.rb.Release(t, e.Targ, &b.SyncState, idx, b.Hook())
 		}
 		if b.lt != nil {
 			b.lt.Release(t, e.Targ, b.releaseTime(t), named, idx)
@@ -140,7 +138,7 @@ func (b *Substrate) RuleA(t trace.Tid, x uint32, write bool, idx int32, edges bo
 }
 
 func (b *Substrate) ruleA(t trace.Tid, x uint32, write bool, idx int32, edges bool) {
-	hook := b.hook
+	hook := b.Hook()
 	if !edges {
 		hook = nil
 	}

@@ -4,10 +4,11 @@
 // rule (a) and rule (b) edges, fork/join, volatile, class-init, and
 // last-writer edges. Program order is implicit (events of one thread are
 // ordered by trace index), so an edge that program order and another edge
-// imply need not be recorded: rule (b) records at most one edge per
-// (release, owner) and none an earlier rule (b) edge into the thread implies
-// (ccs.RuleB.Release). Vindication consumes the graph — which events reach
-// which over edges and program order — to construct a witness reordering.
+// imply need not be recorded, and Edge records none: of the edges from one
+// thread into another it keeps only those whose source is later than every
+// source kept before. Vindication consumes the graph — which events reach
+// which over edges and program order, unchanged by the dropped edges — to
+// construct a witness reordering.
 package graph
 
 import (
@@ -15,20 +16,23 @@ import (
 	"slices"
 
 	"repro/internal/report"
+	"repro/internal/trace"
 )
 
 // The edge list only grows and is only read whole, so it is kept as a
-// sequence of 64 KiB byte chunks: recording an edge never copies the edges
+// sequence of 8 KiB byte chunks: recording an edge never copies the edges
 // before it. An edge is two zigzag varints, its dst minus the previous
 // edge's dst, then its dst minus its src. Analyses draw each edge into the
 // event they are processing, so the first delta is almost always 0 or
-// small, and the second is the edge's reach back in the trace: 3.7 bytes
-// an edge on h2 against 8 for the pair of int32s. Both ends are
-// non-negative int32s, so each delta fits an int32 and its varint takes at
-// most MaxVarintLen32 bytes; a chunk with less than edgeRoom left is closed
-// and a new one started.
+// small, and the second is the edge's reach back in the trace: 3.1 bytes
+// an edge for WCP's graph on h2 and 3.5 for DC's, against 8 for the pair
+// of int32s. Both ends are non-negative int32s, so each delta fits an
+// int32 and its varint takes at most MaxVarintLen32 bytes; a chunk with
+// less than edgeRoom left is closed and a new one started. A chunk is 8 KiB
+// because the graphs are small once implied edges are dropped (WDC's on h2
+// is about 31 KB): a 64 KiB chunk would be mostly slack.
 const (
-	chunkBytes = 64 << 10
+	chunkBytes = 8 << 10
 	edgeRoom   = 2 * binary.MaxVarintLen32
 )
 
@@ -45,9 +49,14 @@ type Graph struct {
 	cur    []byte   // the open chunk, at full length
 	chunks [][]byte // the closed chunks in recording order, each at its written length
 
+	// latest[to][from] is one past the latest source Edge has recorded from
+	// thread from into thread to, 0 for none; rows grow to the thread ids
+	// seen.
+	latest [][]uint32
+
 	// The predecessor index, built when Pred is first asked (all that
 	// vindication reads): the predecessors of event i are
-	// from[off[i]:off[i+1]], sorted, duplicates dropped.
+	// from[off[i]:off[i+1]], sorted.
 	off  []int32
 	from []int32
 	_    report.Pad
@@ -56,12 +65,40 @@ type Graph struct {
 // New returns an empty graph over n events.
 func New(n int) *Graph { return &Graph{N: n} }
 
-// Edge records the constraint src before dst. It implements
-// analysis.Hook. Self edges and edges with a negative end are ignored.
-func (g *Graph) Edge(src, dst int32) {
-	if src|dst < 0 || src == dst {
+// Edge records the constraint src before dst, by threads from and to, unless
+// program order and an edge already recorded imply it. It implements
+// analysis.Hook, whose edges point into the event being processed: the
+// destinations of the edges into one thread arrive in program order. Two
+// kinds of edge are dropped:
+//
+//   - an edge within one thread (self edges included), which program order
+//     implies;
+//   - an edge whose source is no later than the latest source recorded from
+//     from into to. That edge s′ → d′ was recorded earlier, so d′ is dst or
+//     before it in to, and src is s′ or before it in from: src ≤ s′ → d′ ≤
+//     dst.
+//
+// So every event is reached by the same events over the recorded edges and
+// program order as over all of them, and the enabledness vindication's
+// schedule tests — every predecessor emitted, each thread emitting in
+// program order — is the same too. No (src, dst) pair is recorded twice.
+// Edges with a negative end are ignored.
+func (g *Graph) Edge(src, dst int32, from, to trace.Tid) {
+	if src|dst < 0 || from == to {
 		return
 	}
+	if int(to) >= len(g.latest) {
+		g.latest = append(g.latest, make([][]uint32, int(to)+1-len(g.latest))...)
+	}
+	row := g.latest[to]
+	if int(from) >= len(row) {
+		row = append(row, make([]uint32, int(from)+1-len(row))...)
+		g.latest[to] = row
+	}
+	if uint32(src) < row[from] {
+		return
+	}
+	row[from] = uint32(src) + 1
 	if g.used > len(g.cur)-edgeRoom {
 		if g.cur != nil {
 			g.chunks = append(g.chunks, g.cur[:g.used])
@@ -135,7 +172,8 @@ func (g *Graph) Pred(i int32) []int32 {
 }
 
 // buildPred builds the predecessor index: one count pass over the edges,
-// one placing pass, then each row sorted and deduplicated in place.
+// one placing pass, then each row sorted in place. Edge records no pair
+// twice, so no row holds a duplicate.
 func (g *Graph) buildPred() {
 	off := make([]int32, g.N+1)
 	g.each(func(_, dst int32) { off[dst]++ })
@@ -152,27 +190,25 @@ func (g *Graph) buildPred() {
 		off[dst]--
 		from[off[dst]] = src
 	})
-	// Close the gaps dropped duplicates leave: row i moves down to w.
-	var w int32
 	for i := range off[:g.N] {
-		row := from[off[i]:off[i+1]]
-		slices.Sort(row)
-		off[i] = w
-		w += int32(copy(from[w:], slices.Compact(row)))
+		slices.Sort(from[off[i]:off[i+1]])
 	}
-	off[g.N] = w
-	g.off, g.from = off, from[:w]
+	g.off, g.from = off, from
 }
 
 // Weight estimates the graph's retained memory in 8-byte words — the
 // "w/G" analyses' extra footprint: the edge chunks at their capacity, the
-// chunk table, and the predecessor index once built.
+// chunk table, the per-thread-pair table of latest sources, and the
+// predecessor index once built.
 func (g *Graph) Weight() int {
 	chunks := len(g.chunks)
 	if g.cur != nil {
 		chunks++
 	}
-	w := (3 + chunkBytes/8) * chunks
+	w := (3+chunkBytes/8)*chunks + 3*cap(g.latest)
+	for _, row := range g.latest {
+		w += (cap(row) + 1) / 2
+	}
 	if g.off != nil {
 		w += 6 + (cap(g.off)+cap(g.from)+1)/2
 	}

@@ -6,19 +6,26 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestEdgeRecording(t *testing.T) {
+	// Events 0 and 4 are T0's, 1 and 5 T1's, 2 T2's.
 	g := New(6)
-	g.Edge(0, 2)
-	g.Edge(1, 2)
-	g.Edge(0, 2) // duplicate kept in raw list, deduped in Pred
-	g.Edge(4, 5)
-	if g.Len() != 4 {
-		t.Fatalf("Len = %d", g.Len())
+	g.Edge(0, 2, 0, 2)
+	g.Edge(1, 2, 1, 2)
+	g.Edge(0, 2, 0, 2) // a repeat: dropped
+	g.Edge(4, 5, 0, 1)
+	g.Edge(0, 5, 0, 1) // 0 before 4 → 5: dropped
+	if g.Len() != 3 {
+		t.Fatalf("Len = %d, edges %v", g.Len(), g.Edges())
 	}
 	if got := g.Pred(2); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Errorf("Pred(2) = %v", got)
+	}
+	if got := g.Pred(5); !slices.Equal(got, []int32{4}) {
+		t.Errorf("Pred(5) = %v, want [4]", got)
 	}
 	if got := g.Pred(3); len(got) != 0 {
 		t.Errorf("Pred(3) = %v", got)
@@ -30,9 +37,10 @@ func TestEdgeRecording(t *testing.T) {
 
 func TestEdgeIgnoresInvalid(t *testing.T) {
 	g := New(3)
-	g.Edge(-1, 1) // unknown source (e.g. no prior volatile write)
-	g.Edge(1, -1)
-	g.Edge(2, 2) // self edge
+	g.Edge(-1, 1, 0, 1) // unknown source (e.g. no prior volatile write)
+	g.Edge(1, -1, 1, 0)
+	g.Edge(2, 2, 1, 1) // self edge
+	g.Edge(0, 2, 1, 1) // within one thread: program order
 	if g.Len() != 0 {
 		t.Errorf("invalid edges recorded: %v", g.Edges())
 	}
@@ -40,11 +48,11 @@ func TestEdgeIgnoresInvalid(t *testing.T) {
 
 func TestPredInvalidatedByNewEdges(t *testing.T) {
 	g := New(4)
-	g.Edge(0, 1)
+	g.Edge(0, 1, 0, 1)
 	if len(g.Pred(1)) != 1 {
 		t.Fatal("first build")
 	}
-	g.Edge(2, 1)
+	g.Edge(2, 1, 2, 1)
 	if got := g.Pred(1); !slices.Equal(got, []int32{0, 2}) {
 		t.Errorf("Pred(1) = %v after Edge, want [0 2]", got)
 	}
@@ -54,8 +62,8 @@ func TestPredInvalidatedByNewEdges(t *testing.T) {
 // into the next, which lies behind it in the same array.
 func TestPredRowsDoNotShareCapacity(t *testing.T) {
 	g := New(4)
-	g.Edge(0, 1)
-	g.Edge(0, 2)
+	g.Edge(0, 1, 0, 1)
+	g.Edge(0, 2, 0, 2)
 	_ = append(g.Pred(1), 3)
 	if got := g.Pred(2); !slices.Equal(got, []int32{0}) {
 		t.Errorf("Pred(2) = %v after an append to Pred(1)", got)
@@ -67,7 +75,7 @@ func TestWeight(t *testing.T) {
 	if g.Weight() != 0 {
 		t.Error("empty graph weighs 0")
 	}
-	g.Edge(0, 1)
+	g.Edge(0, 1, 0, 1)
 	if g.Weight() < chunkBytes/8 {
 		t.Error("a recorded edge must count its chunk")
 	}
@@ -76,6 +84,27 @@ func TestWeight(t *testing.T) {
 	if g.Weight() <= before {
 		t.Error("the predecessor index must have weight")
 	}
+	wide := New(4)
+	wide.Edge(0, 1, 900, 901) // 902 rows, one of 901 latest sources
+	if d := wide.Weight() - before; d < 3*902+901/2 {
+		t.Errorf("an edge between threads 900 and 901 weighs %d words more than one between 0 and 1; the thread-pair table alone is %d", d, 3*902+901/2)
+	}
+}
+
+// keeps is the rule Edge applies, kept apart from it: of the edges from one
+// thread into another, only one whose source is later than every source
+// kept before between them, and none within a thread or with a negative
+// end. It records a kept edge's source in latest.
+func keeps(latest map[[2]trace.Tid]int32, src, dst int32, from, to trace.Tid) bool {
+	if src < 0 || dst < 0 || from == to {
+		return false
+	}
+	pair := [2]trace.Tid{from, to}
+	if l, ok := latest[pair]; ok && src <= l {
+		return false
+	}
+	latest[pair] = src
+	return true
 }
 
 // varintLen is the encoded size of d, by encoding/binary.
@@ -85,31 +114,37 @@ func varintLen(d int32) int {
 }
 
 // TestChunkedEdgesMatchNaiveModel records three full chunks and one edge more
-// and holds Len, Edges and Pred to a plain edge list and sorted sets, and the
-// chunks to the encoding/binary sizes of the two deltas per edge.
+// and holds Len, Edges and Pred to a plain edge list under the rule, and
+// sorted sets, and the chunks to the encoding/binary sizes of the two
+// deltas per edge. The edges fall in a window that moves up the trace, so
+// the rule keeps many of them, with threads by event index mod 7; now and
+// then one between two threads of their own reaches far, for 4-byte deltas.
 func TestChunkedEdgesMatchNaiveModel(t *testing.T) {
-	const nodes = 500
+	const window = 500
 	g := New(0)
 	var want [][2]int32
+	latest := map[[2]trace.Tid]int32{}
 	pred := map[int32][]int32{}
 	rng := rand.New(rand.NewSource(1))
-	bytes, last := 0, int32(0)
-	for len(g.chunks) < 3 {
-		src, dst := int32(rng.Intn(nodes)), int32(rng.Intn(nodes))
+	bytes, last, nodes := 0, int32(0), int32(0)
+	for i := 0; len(g.chunks) < 3; i++ {
+		base := int32(i / 4)
+		src, dst := base+int32(rng.Intn(window)), base+int32(rng.Intn(window))
+		from, to := trace.Tid(src%7), trace.Tid(dst%7)
 		if rng.Intn(64) == 0 {
-			dst = int32(rng.Intn(1 << 22)) // a 4-byte delta now and then
+			dst = int32(rng.Intn(1 << 22))
 			src = dst - int32(rng.Intn(1<<21))
+			from, to = 7, 8
 		}
-		g.Edge(src, dst)
-		if src < 0 || src == dst {
-			continue // ignored by Edge
+		g.Edge(src, dst, from, to)
+		if !keeps(latest, src, dst, from, to) {
+			continue
 		}
 		want = append(want, [2]int32{src, dst})
-		if dst < nodes {
-			pred[dst] = append(pred[dst], src)
-		}
+		pred[dst] = append(pred[dst], src)
 		bytes += varintLen(dst-last) + varintLen(dst-src)
 		last = dst
+		nodes = base + window
 	}
 	if g.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", g.Len(), len(want))
@@ -128,15 +163,13 @@ func TestChunkedEdgesMatchNaiveModel(t *testing.T) {
 		t.Errorf("chunks hold %d bytes; the two varint deltas of every edge take %d", total, bytes)
 	}
 	if got := g.Edges(); !slices.Equal(got, want) {
-		t.Fatal("Edges() is not the recorded sequence")
-	}
-	set := func(s []int32) []int32 {
-		slices.Sort(s)
-		return slices.Compact(s)
+		t.Fatal("Edges() is not the kept sequence")
 	}
 	for i := int32(0); i < nodes; i++ {
-		if !slices.Equal(g.Pred(i), set(pred[i])) {
-			t.Fatalf("node %d: Pred %v, want %v", i, g.Pred(i), set(pred[i]))
+		row := pred[i]
+		slices.Sort(row)
+		if !slices.Equal(g.Pred(i), row) {
+			t.Fatalf("node %d: Pred %v, want %v", i, g.Pred(i), row)
 		}
 	}
 	if w := g.Weight(); w < 4*chunkBytes/8 {
@@ -156,10 +189,11 @@ func fuzzValue(b byte) int32 {
 	return int32(b) - 16
 }
 
-// FuzzGraphEdges records an arbitrary (src, dst) sequence, repeated so it
-// crosses chunk boundaries, and holds Edges, Len and N to the filtered
-// input, and — where the event space is small enough to index — every Pred
-// row to a sorted, deduplicated set.
+// FuzzGraphEdges records an arbitrary (src, dst) sequence, each event on
+// thread event mod 3, repeated with every non-negative end moved 8 later
+// per repetition so that it crosses chunk boundaries, and holds Edges, Len
+// and N to the input filtered by the rule (keeps), and — where the event
+// space is small enough to index — every Pred row to a sorted set.
 func FuzzGraphEdges(f *testing.F) {
 	f.Add(uint16(0), []byte{16, 18, 17, 18, 16, 18, 20, 19})
 	f.Add(uint16(3000), []byte{16, 255, 255, 16, 240, 241, 0, 17, 17, 17})
@@ -170,13 +204,22 @@ func FuzzGraphEdges(f *testing.F) {
 		}
 		g := New(0)
 		var want [][2]int32
+		latest := map[[2]trace.Tid]int32{}
 		n := 0
 		pairs := len(data) / 2
+		moved := func(b byte, r int) int32 {
+			v := fuzzValue(b)
+			if v < 0 {
+				return v
+			}
+			return int32(min(int64(v)+8*int64(r), math.MaxInt32))
+		}
 		for r := 0; r <= int(repeat) && len(want) < 1<<17; r++ {
 			for p := 0; p < pairs; p++ {
-				src, dst := fuzzValue(data[2*p]), fuzzValue(data[2*p+1])
-				g.Edge(src, dst)
-				if src < 0 || dst < 0 || src == dst {
+				src, dst := moved(data[2*p], r), moved(data[2*p+1], r)
+				from, to := trace.Tid(uint32(src)%3), trace.Tid(uint32(dst)%3)
+				g.Edge(src, dst, from, to)
+				if !keeps(latest, src, dst, from, to) {
 					continue
 				}
 				want = append(want, [2]int32{src, dst})
@@ -187,7 +230,7 @@ func FuzzGraphEdges(f *testing.F) {
 			t.Fatalf("Len = %d, N = %d; want %d, %d", g.Len(), g.N, len(want), n)
 		}
 		if got := g.Edges(); !slices.Equal(got, want) {
-			t.Fatalf("Edges() differs from the %d recorded edges", len(want))
+			t.Fatalf("Edges() differs from the %d kept edges", len(want))
 		}
 		if n > 1<<17 {
 			return // an index over MaxInt32 events is not worth building here
@@ -198,8 +241,8 @@ func FuzzGraphEdges(f *testing.F) {
 		}
 		for i, row := range rows {
 			slices.Sort(row)
-			if got := g.Pred(int32(i)); !slices.Equal(got, slices.Compact(row)) {
-				t.Fatalf("Pred(%d) = %v, want %v", i, got, slices.Compact(row))
+			if got := g.Pred(int32(i)); !slices.Equal(got, row) {
+				t.Fatalf("Pred(%d) = %v, want %v", i, got, row)
 			}
 		}
 		if g.Pred(int32(n)) != nil {
@@ -214,6 +257,6 @@ func BenchmarkEdge(b *testing.B) {
 	b.ReportAllocs()
 	g := New(0)
 	for i := 0; i < b.N; i++ {
-		g.Edge(int32(i&0xffff), int32(i&0xffff)+1)
+		g.Edge(int32(i), int32(i)+1, 0, 1)
 	}
 }

@@ -36,8 +36,8 @@ type View struct {
 	rx, wx []vc.VC
 	col    *report.Collector
 
-	g         *graph.Graph // Sub's graph, if any
-	lastWrIdx []int32      // last write event per variable, for g
+	g      *graph.Graph      // Sub's graph, if any
+	lastWr []analysis.Source // last write event per variable, for g
 }
 
 // NewView builds the unoptimized view of sub from capacity hints; state
@@ -51,7 +51,7 @@ func NewView(sub *ccs.Substrate, spec analysis.Spec) *View {
 		g:   sub.Graph(),
 	}
 	if v.g != nil {
-		analysis.GrowNeg(&v.lastWrIdx, spec.Vars)
+		analysis.GrowSources(&v.lastWr, spec.Vars)
 	}
 	return v
 }
@@ -140,15 +140,15 @@ func (a *View) growVars(n int) {
 	analysis.EnsureLen(&a.rx, n)
 	analysis.EnsureLen(&a.wx, n)
 	if a.g != nil {
-		analysis.GrowNeg(&a.lastWrIdx, n)
+		analysis.GrowSources(&a.lastWr, n)
 	}
 }
 
 // Read implements ccs.View.
 func (a *View) Read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	p := a.Sub.P[t]
-	if a.g != nil && a.lastWrIdx[x] >= 0 {
-		a.g.Edge(a.lastWrIdx[x], idx) // last-writer hard edge
+	if a.g != nil {
+		a.Sub.Edge(a.lastWr[x], idx, t) // last-writer hard edge
 	}
 	if wx := &a.wx[x]; !wx.Leq(p) {
 		a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Write: false, Index: int(idx), PriorTid: culprit(wx, p)})
@@ -177,7 +177,7 @@ func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	}
 	wx.Set(vc.Tid(t), p.Get(vc.Tid(t)))
 	if a.g != nil {
-		a.lastWrIdx[x] = idx
+		a.lastWr[x] = analysis.Source{Idx: idx, T: t}
 	}
 }
 

@@ -208,12 +208,12 @@ func TestVindicateWorkloadRaces(t *testing.T) {
 
 func TestGraphBasics(t *testing.T) {
 	g := graph.New(5)
-	g.Edge(0, 3)
-	g.Edge(1, 3)
-	g.Edge(0, 3) // duplicate
-	g.Edge(-1, 2)
-	g.Edge(2, 2)
-	if g.Len() != 3 {
+	g.Edge(0, 3, 0, 3)
+	g.Edge(1, 3, 1, 3)
+	g.Edge(0, 3, 0, 3) // duplicate: dropped
+	g.Edge(-1, 2, 0, 2)
+	g.Edge(2, 2, 2, 2)
+	if g.Len() != 2 {
 		t.Fatalf("Len = %d", g.Len())
 	}
 	if pred := g.Pred(2); len(pred) != 0 {
