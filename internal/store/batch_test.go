@@ -30,7 +30,7 @@ func referenceSegments(evs []trace.Event, segEvents int) map[string][]byte {
 			var rec [trace.RecordSize]byte
 			trace.PutRecord(rec[:], ev)
 			img = append(img, rec[:]...)
-			sum.add(ev)
+			sum.add([]trace.Event{ev})
 		}
 		crcRec := crc32.ChecksumIEEE(img[headerSize:])
 		files[segmentName(seg)] = append(img, buildFooter(uint64(len(run)), index, sum, crcRec)...)

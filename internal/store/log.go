@@ -222,9 +222,7 @@ func (l *Log) AppendBatch(evs []trace.Event) error {
 				Pos: headerSize + c*uint64(trace.RecordSize),
 			})
 		}
-		for _, ev := range run {
-			a.sum.add(ev)
-		}
+		a.sum.add(run)
 		a.count = end
 		a.size += int64(len(run)) * trace.RecordSize
 		l.appended += uint64(len(run))
@@ -336,9 +334,5 @@ func (l *Log) ReaderAt(off uint64) (*Reader, error) {
 	if !l.closed {
 		metas = append(metas, l.active)
 	}
-	var s Summary
-	for _, m := range metas {
-		s.merge(m.sum)
-	}
-	return newReader(l.fsys, metas, s, off)
+	return newReader(l.fsys, metas, off)
 }

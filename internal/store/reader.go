@@ -20,9 +20,9 @@ import (
 type Reader struct {
 	fsys  fault.FS
 	segs  []segMeta
-	sum   Summary
-	start uint64 // the offset the reader was opened at
-	from  uint64 // cursor: offset of the next unread event
+	hdr   trace.Header // the summary of segs
+	start uint64       // the offset the reader was opened at
+	from  uint64       // cursor: offset of the next unread event
 
 	cur  int
 	f    fault.File
@@ -55,23 +55,19 @@ func OpenReadAt(dir string, off uint64) (*Reader, error) {
 	if len(metas) == 0 {
 		return nil, fmt.Errorf("store: %s contains no racelog segments", dir)
 	}
-	var s Summary
-	for _, m := range metas {
-		s.merge(m.sum)
-	}
-	return newReader(fsys, metas, s, off)
+	return newReader(fsys, metas, off)
 }
 
 // newReader positions a reader over metas starting at event offset from.
-func newReader(fsys fault.FS, metas []segMeta, sum Summary, from uint64) (*Reader, error) {
+func newReader(fsys fault.FS, metas []segMeta, from uint64) (*Reader, error) {
+	var sum Summary
 	total := uint64(0)
-	if n := len(metas); n > 0 {
-		total = metas[n-1].last()
+	for _, m := range metas {
+		sum.merge(m.sum)
+		total = m.last()
 	}
-	if from > total {
-		from = total
-	}
-	r := &Reader{fsys: fsys, segs: metas, sum: sum, start: from, from: from}
+	from = min(from, total)
+	r := &Reader{fsys: fsys, segs: metas, hdr: sum.Header, start: from, from: from}
 	// Locate the starting segment: the last one whose first offset is
 	// ≤ from. Within a segment the offset → position map is arithmetic
 	// over the fixed-width records (cross-checked against the sparse
@@ -91,7 +87,7 @@ func newReader(fsys fault.FS, metas []segMeta, sum Summary, from uint64) (*Reade
 // The count reflects the reader's remaining stream (total minus the
 // starting offset).
 func (r *Reader) Header() (trace.Header, error) {
-	h := r.sum.Header()
+	h := r.hdr
 	h.Events -= r.start
 	return h, nil
 }

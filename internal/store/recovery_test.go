@@ -328,7 +328,7 @@ func FuzzSegmentDecoder(f *testing.F) {
 			if err != nil {
 				t.Fatalf("recovered record %d does not decode: %v", i, err)
 			}
-			sum.add(ev)
+			sum.add([]trace.Event{ev})
 		}
 		if sum != summaryNoIndex(m.sum) {
 			t.Fatalf("summary mismatch: recomputed %+v, recovered %+v", sum, m.sum)

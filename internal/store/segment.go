@@ -211,7 +211,7 @@ func scanRecords(data []byte, m *segMeta) {
 				Pos: headerSize + count*uint64(trace.RecordSize),
 			})
 		}
-		m.sum.add(ev)
+		m.sum.add([]trace.Event{ev})
 	}
 	m.count = count
 	m.sealed = false

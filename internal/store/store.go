@@ -153,43 +153,23 @@ func (m *Metrics) sync(d time.Duration) {
 	}
 }
 
-// Summary aggregates what a range of records contains: per-op counts and
-// the sizes of the id spaces the events touch (max id + 1, so a summary
-// doubles as capacity hints for replay).
+// Summary aggregates what a range of records contains: per-op counts, and
+// a trace header — the event count and the sizes of the id spaces the events
+// touch (max id + 1) — which a Reader serves as capacity hints for replay.
 type Summary struct {
-	OpCounts  [10]uint64
-	Events    uint64
-	Threads   int
-	Vars      int
-	Locks     int
-	Volatiles int
-	Classes   int
+	OpCounts [10]uint64
+	trace.Header
 }
 
-// add widens s with one event.
-func (s *Summary) add(ev trace.Event) {
-	if int(ev.Op) < len(s.OpCounts) {
-		s.OpCounts[ev.Op]++
-	}
-	s.Events++
-	widen := func(n *int, id int) {
-		if id+1 > *n {
-			*n = id + 1
+// add folds a run of records into s.
+func (s *Summary) add(run []trace.Event) {
+	for _, ev := range run {
+		if int(ev.Op) < len(s.OpCounts) {
+			s.OpCounts[ev.Op]++
 		}
 	}
-	widen(&s.Threads, int(ev.T))
-	switch ev.Op {
-	case trace.OpRead, trace.OpWrite:
-		widen(&s.Vars, int(ev.Targ))
-	case trace.OpAcquire, trace.OpRelease:
-		widen(&s.Locks, int(ev.Targ))
-	case trace.OpFork, trace.OpJoin:
-		widen(&s.Threads, int(ev.Targ))
-	case trace.OpVolatileRead, trace.OpVolatileWrite:
-		widen(&s.Volatiles, int(ev.Targ))
-	case trace.OpClassInit, trace.OpClassAccess:
-		widen(&s.Classes, int(ev.Targ))
-	}
+	s.Events += uint64(len(run))
+	s.Widen(run)
 }
 
 // merge folds o into s.
@@ -203,19 +183,6 @@ func (s *Summary) merge(o Summary) {
 	s.Locks = max(s.Locks, o.Locks)
 	s.Volatiles = max(s.Volatiles, o.Volatiles)
 	s.Classes = max(s.Classes, o.Classes)
-}
-
-// Header renders the summary as a trace stream header, the capacity
-// declaration a Reader serves to analysis engines.
-func (s Summary) Header() trace.Header {
-	return trace.Header{
-		Threads:   s.Threads,
-		Vars:      s.Vars,
-		Locks:     s.Locks,
-		Volatiles: s.Volatiles,
-		Classes:   s.Classes,
-		Events:    s.Events,
-	}
 }
 
 // appendSummary serializes s (without the Events count, which the trailer
@@ -241,13 +208,10 @@ func parseSummary(b []byte, count uint64) (Summary, error) {
 	for i := range s.OpCounts {
 		s.OpCounts[i] = binary.LittleEndian.Uint64(b[i*8:])
 	}
-	off := 10 * 8
 	s.Events = count
-	s.Threads = int(binary.LittleEndian.Uint32(b[off:]))
-	s.Vars = int(binary.LittleEndian.Uint32(b[off+4:]))
-	s.Locks = int(binary.LittleEndian.Uint32(b[off+8:]))
-	s.Volatiles = int(binary.LittleEndian.Uint32(b[off+12:]))
-	s.Classes = int(binary.LittleEndian.Uint32(b[off+16:]))
+	for i, n := range [...]*int{&s.Threads, &s.Vars, &s.Locks, &s.Volatiles, &s.Classes} {
+		*n = int(binary.LittleEndian.Uint32(b[10*8+i*4:]))
+	}
 	return s, nil
 }
 

@@ -213,7 +213,7 @@ func TestReopenAfterCleanClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	eventsEqual(t, drain(t, r), evs)
-	if got := r.sum.Events; got != 100 {
+	if got := r.hdr.Events; got != 100 {
 		t.Fatalf("summary events %d, want 100", got)
 	}
 }

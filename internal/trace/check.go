@@ -15,113 +15,55 @@ func (e *CheckError) Error() string {
 
 // Check verifies the well-formedness rules the paper's formalism assumes:
 //
+//   - every id is within the trace's declared id spaces;
 //   - a thread only acquires a lock that is not held, and only releases a
 //     lock it holds (critical sections are non-reentrant and properly
 //     nested per lock);
-//   - a thread executes no events before it is forked (other than thread 0)
-//     and none after it is joined;
-//   - fork and join targets are valid, never the acting thread itself, and
-//     forked/joined at most once;
-//   - all ids are within the trace's declared id spaces.
+//   - a thread runs only between its fork and its join: threads that are
+//     never forked exist from the start, and no thread runs after it is
+//     joined;
+//   - fork and join targets are threads, never the acting thread itself,
+//     and forked or joined at most once.
 //
-// It returns nil if the trace is well formed.
+// It is two passes: the declared-range pass, then the streaming Checker
+// over the events before the first id out of range, so the Checker's
+// tables never grow past the declared spaces. The earlier of the passes'
+// first violations is the error, a *CheckError; a thread that runs before
+// its fork is reported at the fork. It returns nil if the trace is well
+// formed.
 func Check(tr *Trace) error {
-	lockHolder := make([]int32, tr.Locks) // -1 = free
-	for i := range lockHolder {
-		lockHolder[i] = -1
+	spaces := tr.spaces()
+	var bound [numOps]int // per op: the size of its target's id space
+	for op, s := range targetSpace {
+		bound[op] = *spaces[s]
 	}
-	// Threads that are never the target of a fork are treated as existing
-	// from the start of the trace (the paper's example traces have no fork
-	// events); fork targets must not run before their fork.
-	started := make([]bool, tr.Threads)
-	for i := range started {
-		started[i] = true
-	}
-	for _, e := range tr.Events {
-		if e.Op == OpFork && int(e.Targ) < tr.Threads {
-			started[e.Targ] = false
-		}
-	}
-	ended := make([]bool, tr.Threads)
-
-	fail := func(i int, e Event, f string, args ...any) error {
-		return &CheckError{Index: i, Event: e, Msg: fmt.Sprintf(f, args...)}
-	}
-
+	in := len(tr.Events)
 	for i, e := range tr.Events {
-		if int(e.T) >= tr.Threads {
-			return fail(i, e, "thread id out of range (Threads=%d)", tr.Threads)
-		}
-		if !started[e.T] {
-			return fail(i, e, "thread ran before being forked")
-		}
-		if ended[e.T] {
-			return fail(i, e, "thread ran after being joined")
-		}
-		switch e.Op {
-		case OpRead, OpWrite:
-			if int(e.Targ) >= tr.Vars {
-				return fail(i, e, "variable id out of range (Vars=%d)", tr.Vars)
-			}
-		case OpAcquire:
-			if int(e.Targ) >= tr.Locks {
-				return fail(i, e, "lock id out of range (Locks=%d)", tr.Locks)
-			}
-			if h := lockHolder[e.Targ]; h >= 0 {
-				if h == int32(e.T) {
-					return fail(i, e, "reentrant acquire (lock already held by this thread)")
-				}
-				return fail(i, e, "lock already held by T%d", h)
-			}
-			lockHolder[e.Targ] = int32(e.T)
-		case OpRelease:
-			if int(e.Targ) >= tr.Locks {
-				return fail(i, e, "lock id out of range (Locks=%d)", tr.Locks)
-			}
-			if lockHolder[e.Targ] != int32(e.T) {
-				return fail(i, e, "release of lock not held by this thread")
-			}
-			lockHolder[e.Targ] = -1
-		case OpFork:
-			ct := Tid(e.Targ)
-			if int(ct) >= tr.Threads {
-				return fail(i, e, "forked thread id out of range")
-			}
-			if ct == e.T {
-				return fail(i, e, "thread forks itself")
-			}
-			if started[ct] {
-				return fail(i, e, "thread T%d forked twice (or is main)", ct)
-			}
-			started[ct] = true
-		case OpJoin:
-			ct := Tid(e.Targ)
-			if int(ct) >= tr.Threads {
-				return fail(i, e, "joined thread id out of range")
-			}
-			if ct == e.T {
-				return fail(i, e, "thread joins itself")
-			}
-			if !started[ct] {
-				return fail(i, e, "join of never-forked thread T%d", ct)
-			}
-			if ended[ct] {
-				return fail(i, e, "thread T%d joined twice", ct)
-			}
-			ended[ct] = true
-		case OpVolatileRead, OpVolatileWrite:
-			if int(e.Targ) >= tr.Volatiles {
-				return fail(i, e, "volatile id out of range (Volatiles=%d)", tr.Volatiles)
-			}
-		case OpClassInit, OpClassAccess:
-			if int(e.Targ) >= tr.Classes {
-				return fail(i, e, "class id out of range (Classes=%d)", tr.Classes)
-			}
-		default:
-			return fail(i, e, "unknown op")
+		if int(e.T) >= tr.Threads || e.Op < numOps && int(e.Targ) >= bound[e.Op] {
+			in = i
+			break
 		}
 	}
-	return nil
+	if _, err := NewChecker().Run(tr.Events[:in]); err != nil {
+		return err
+	}
+	if in == len(tr.Events) {
+		return nil
+	}
+	e := tr.Events[in]
+	s, what := threadSpace, "thread"
+	switch {
+	case int(e.T) >= tr.Threads:
+	case e.Op == OpFork:
+		what = "forked thread"
+	case e.Op == OpJoin:
+		what = "joined thread"
+	default:
+		s = targetSpace[e.Op]
+		what = spaceNames[s]
+	}
+	return &CheckError{Index: in, Event: e,
+		Msg: fmt.Sprintf("%s id out of range (%s=%d)", what, spaceFields[s], *spaces[s])}
 }
 
 // MustCheck panics if tr is not well formed; intended for tests and for the
@@ -134,12 +76,13 @@ func MustCheck(tr *Trace) *Trace {
 }
 
 // Checker verifies well-formedness incrementally, one event at a time, for
-// streams whose length and id spaces are not known up front. It enforces
-// the same locking-discipline and thread-lifecycle rules as Check, with two
-// streaming adaptations: id ranges are unchecked (streams declare hints,
-// not bounds), and a thread is considered started at its first event — so
-// "ran before being forked" surfaces as an error at the later fork ("fork
-// of a thread that already ran") rather than at the early event.
+// streams whose length and id spaces are not known up front. It holds the
+// locking-discipline and thread-lifecycle rules, the one copy of them:
+// Check runs it after its range pass, and vindication's witness check runs
+// it too. Ids are unchecked against any declaration (streams declare hints,
+// not bounds), but a fork or join target must fit a thread id. A thread is
+// started at its first event, so one that runs before its fork is an error
+// at the fork ("fork of thread Tn that already ran").
 //
 // Its state is two dense tables indexed by id and grown by doubling as ids
 // appear, the layout every analysis uses for the same id spaces: the common
@@ -246,6 +189,9 @@ func (c *Checker) step(e Event) error {
 		}
 		c.holder[m] = 0
 	case OpFork:
+		if e.Targ > maxTid {
+			return c.fail(e, "forked thread id out of range")
+		}
 		ct := int(Tid(e.Targ))
 		if ct == t {
 			return c.fail(e, "thread forks itself")
@@ -259,6 +205,9 @@ func (c *Checker) step(e Event) error {
 		}
 		c.threads[ct] |= threadForked
 	case OpJoin:
+		if e.Targ > maxTid {
+			return c.fail(e, "joined thread id out of range")
+		}
 		ct := int(Tid(e.Targ))
 		if ct == t {
 			return c.fail(e, "thread joins itself")
@@ -267,9 +216,8 @@ func (c *Checker) step(e Event) error {
 		if c.threads[ct]&threadEnded != 0 {
 			return c.fail(e, "thread T%d joined twice", ct)
 		}
-		// A join target that never appeared is treated as a root thread
-		// that executed no events, matching Check's treatment of threads
-		// that are never fork targets.
+		// A join target that never appeared is a root thread that
+		// executed no events.
 		c.threads[ct] |= threadEnded
 	default:
 		return c.fail(e, "unknown op")

@@ -7,17 +7,22 @@ package trace_test
 // the same CheckError index, event and message.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// refChecker is the reference model: the pre-PR-14 Checker, verbatim but
-// for the package qualifiers.
+// refChecker is the reference model: the map-based Checker the dense
+// tables replaced, plus the rule that a fork or join target must fit a
+// thread id.
 type refChecker struct {
 	n          int
 	lockHolder map[uint32]int32   // lock -> holding thread; absent = free
@@ -59,6 +64,9 @@ func (c *refChecker) Step(e trace.Event) error {
 		}
 		delete(c.lockHolder, e.Targ)
 	case trace.OpFork:
+		if e.Targ > math.MaxUint16 {
+			return fail("forked thread id out of range")
+		}
 		ct := trace.Tid(e.Targ)
 		if ct == e.T {
 			return fail("thread forks itself")
@@ -71,6 +79,9 @@ func (c *refChecker) Step(e trace.Event) error {
 		}
 		c.forked[ct] = true
 	case trace.OpJoin:
+		if e.Targ > math.MaxUint16 {
+			return fail("joined thread id out of range")
+		}
 		ct := trace.Tid(e.Targ)
 		if ct == e.T {
 			return fail("thread joins itself")
@@ -249,6 +260,15 @@ var mutations = []struct {
 		}
 		return evs
 	}},
+	{"fork/join target wider than a Tid", nil, true, func(r *rand.Rand, evs []trace.Event, i int) []trace.Event {
+		// Truncated to a Tid, the target would name a real thread.
+		op := trace.OpFork
+		if r.Intn(2) == 0 {
+			op = trace.OpJoin
+		}
+		wide := trace.Event{T: evs[i].T, Op: op, Targ: 1<<16 + uint32(evs[i].T) + uint32(r.Intn(1<<15))<<16}
+		return append(append(evs[:i:i], wide), evs[i:]...)
+	}},
 	{"unknown op", nil, true, func(r *rand.Rand, evs []trace.Event, i int) []trace.Event {
 		bad := evs[i]
 		bad.Op = trace.Op(10 + r.Intn(246))
@@ -318,9 +338,8 @@ func TestCheckerMatchesReferenceModel(t *testing.T) {
 // TestCheckAgreesWithChecker: the batch Check and the streaming Checker
 // enforce one rule set. Over the corpus and every mutation of it, Check —
 // given id spaces widened over the stream, as the Checker checks no ranges —
-// accepts a stream exactly when the Checker accepts every event of it. (Where
-// they reject, they may name different events: Check flags a thread that ran
-// before its fork at the early event, the Checker at the fork.)
+// rejects a stream with exactly the *CheckError the Checker rejects it with,
+// and accepts it exactly when the Checker accepts every event of it.
 func TestCheckAgreesWithChecker(t *testing.T) {
 	const trials = 25
 	for seed := int64(1); seed <= 4; seed++ {
@@ -352,7 +371,9 @@ func agree(t *testing.T, name string, evs []trace.Event) {
 		}
 	}
 	batchErr := trace.Check(widened(evs))
-	if (streamErr == nil) != (batchErr == nil) {
+	var s, b *trace.CheckError
+	if (streamErr == nil) != (batchErr == nil) ||
+		streamErr != nil && (!errors.As(streamErr, &s) || !errors.As(batchErr, &b) || *s != *b) {
 		t.Fatalf("%s: Checker says %v, Check says %v", name, streamErr, batchErr)
 	}
 }
@@ -360,27 +381,118 @@ func agree(t *testing.T, name string, evs []trace.Event) {
 // widened is evs as a trace whose declared id spaces just cover its ids.
 func widened(evs []trace.Event) *trace.Trace {
 	tr := &trace.Trace{Events: evs}
-	cover := func(n *int, id uint32) {
-		if int(id) >= *n {
-			*n = int(id) + 1
-		}
-	}
 	for _, e := range evs {
-		cover(&tr.Threads, uint32(e.T))
-		switch e.Op {
-		case trace.OpRead, trace.OpWrite:
-			cover(&tr.Vars, e.Targ)
-		case trace.OpAcquire, trace.OpRelease:
-			cover(&tr.Locks, e.Targ)
-		case trace.OpFork, trace.OpJoin:
-			cover(&tr.Threads, e.Targ)
-		case trace.OpVolatileRead, trace.OpVolatileWrite:
-			cover(&tr.Volatiles, e.Targ)
-		case trace.OpClassInit, trace.OpClassAccess:
-			cover(&tr.Classes, e.Targ)
+		tr.Threads = max(tr.Threads, int(e.T)+1)
+		if n := declared(tr, e.Op); n != nil {
+			*n = max(*n, int(e.Targ)+1)
 		}
 	}
 	return tr
+}
+
+// declared is the field of tr declaring the id space op's target names, or
+// nil for an unknown op: the test's own copy of the op → id-space map.
+func declared(tr *trace.Trace, op trace.Op) *int {
+	switch op {
+	case trace.OpRead, trace.OpWrite:
+		return &tr.Vars
+	case trace.OpAcquire, trace.OpRelease:
+		return &tr.Locks
+	case trace.OpFork, trace.OpJoin:
+		return &tr.Threads
+	case trace.OpVolatileRead, trace.OpVolatileWrite:
+		return &tr.Volatiles
+	case trace.OpClassInit, trace.OpClassAccess:
+		return &tr.Classes
+	}
+	return nil
+}
+
+// fuzzTrace decodes a trace from fuzz bytes: five declared id spaces of up
+// to 255 ids, then events of three bytes — thread, flags, target — where
+// flag bits 0–3 are the op (10–15 unknown), bit 4 widens the thread to two
+// bytes and bit 5 the target to four, so ids reach 2¹⁶ and 2³².
+func fuzzTrace(data []byte) *trace.Trace {
+	next := func(n int) uint32 {
+		var v uint32
+		for k := 0; k < n && len(data) > 0; k++ {
+			v |= uint32(data[0]) << (8 * k)
+			data = data[1:]
+		}
+		return v
+	}
+	tr := &trace.Trace{Threads: int(next(1)), Vars: int(next(1)), Locks: int(next(1)),
+		Volatiles: int(next(1)), Classes: int(next(1))}
+	for len(data) > 0 {
+		t := next(1)
+		flags := next(1)
+		if flags&16 != 0 {
+			t |= next(1) << 8
+		}
+		n := 1
+		if flags&32 != 0 {
+			n = 4
+		}
+		tr.Events = append(tr.Events, trace.Event{T: trace.Tid(t), Op: trace.Op(flags & 15), Targ: next(n)})
+	}
+	return tr
+}
+
+// FuzzCheck holds Check to its two passes: it rejects at whichever comes
+// first, the first event with an id outside the declared spaces or
+// refChecker's first rejection, and only the range pass sees out-of-range
+// ids. The Checker grows its tables to every id it is shown, so a call
+// allocating 1 MiB or more means it was shown one past the declared spaces
+// (at most 255 ids each).
+func FuzzCheck(f *testing.F) {
+	ev := func(t, flags byte, targ ...byte) []byte { return append([]byte{t, flags}, targ...) }
+	spaces := []byte{3, 2, 2, 1, 1}
+	for _, evs := range [][][]byte{
+		{ev(0, 0x4, 1), ev(1, 0x2, 0), ev(1, 0x1, 1), ev(1, 0x3, 0), ev(0, 0x5, 1), ev(0, 0x0, 1)}, // well formed
+		{ev(0, 0x22, 0, 0, 0x40, 0), ev(0, 0x3, 1)},                                                // lock 1<<22, then a release of an unheld lock
+		{ev(0, 0x0, 0), ev(0, 0x24, 1, 0, 1, 0)},                                                   // fork of 65537, truncated T1
+		{ev(2, 0x1, 0), ev(0, 0x4, 2), ev(0, 0x5, 2)},                                              // T2 runs before its fork
+		{ev(0, 0x2, 1), ev(7, 0x1, 0)},                                                             // thread past the declared ones
+		{ev(0, 0x2, 0), ev(0, 0x2, 0)},                                                             // reentrant acquire
+		{ev(1, 0xc, 0)},                                                                            // unknown op
+	} {
+		f.Add(append(append([]byte{}, spaces...), bytes.Join(evs, nil)...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := fuzzTrace(data)
+		var want error
+		ref := newRefChecker()
+		for i, e := range tr.Events {
+			if n := declared(tr, e.Op); int(e.T) >= tr.Threads || n != nil && int(e.Targ) >= *n {
+				want = &trace.CheckError{Index: i, Event: e, Msg: "an id out of range"}
+				break
+			}
+			if want = ref.Step(e); want != nil {
+				break
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := trace.Check(tr)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("Check allocated %d bytes: the Checker saw an id past the declared spaces", alloc)
+		}
+		var g, w *trace.CheckError
+		switch {
+		case (got == nil) != (want == nil):
+			t.Fatalf("Check = %v, want %v", got, want)
+		case got == nil:
+		case !errors.As(got, &g) || !errors.As(want, &w):
+			t.Fatalf("Check = %v (%T), want a *CheckError", got, got)
+		case w.Msg == "an id out of range":
+			if g.Index != w.Index || g.Event != w.Event || !strings.Contains(g.Msg, " id out of range") {
+				t.Fatalf("Check = %v, want the range error at event %d (%v)", got, w.Index, w.Event)
+			}
+		case *g != *w:
+			t.Fatalf("Check = %v, want %v", got, want)
+		}
+	})
 }
 
 func hasOps(evs []trace.Event, ops []trace.Op) bool {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -23,18 +22,9 @@ const (
 // WriteBinary streams tr to w in the binary format.
 func WriteBinary(w io.Writer, tr *Trace) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(binMagic); err != nil {
-		return err
-	}
-	hdr := make([]byte, 4*6+8)
-	binary.LittleEndian.PutUint32(hdr[0:], binVersion)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(tr.Threads))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(tr.Vars))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(tr.Locks))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(tr.Volatiles))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(tr.Classes))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(tr.Events)))
-	if _, err := bw.Write(hdr); err != nil {
+	h := Header{Threads: tr.Threads, Vars: tr.Vars, Locks: tr.Locks, Volatiles: tr.Volatiles,
+		Classes: tr.Classes, Events: uint64(len(tr.Events))}
+	if _, err := bw.Write(h.encode()); err != nil {
 		return err
 	}
 	if err := WriteRecords(bw, tr.Events, nil); err != nil {
@@ -89,31 +79,6 @@ func drain(d interface {
 			return nil, false, err
 		}
 		tr.Events = append(tr.Events, e)
-	}
-}
-
-// Widen grows the trace's declared id spaces to cover every id evs use
-// (streamed headers carry hints, not bounds).
-func (tr *Trace) Widen(evs []Event) {
-	widen := func(n *int, id uint32) {
-		if int(id)+1 > *n {
-			*n = int(id) + 1
-		}
-	}
-	for _, e := range evs {
-		widen(&tr.Threads, uint32(e.T))
-		switch e.Op {
-		case OpRead, OpWrite:
-			widen(&tr.Vars, e.Targ)
-		case OpAcquire, OpRelease:
-			widen(&tr.Locks, e.Targ)
-		case OpFork, OpJoin:
-			widen(&tr.Threads, e.Targ)
-		case OpVolatileRead, OpVolatileWrite:
-			widen(&tr.Volatiles, e.Targ)
-		case OpClassInit, OpClassAccess:
-			widen(&tr.Classes, e.Targ)
-		}
 	}
 }
 

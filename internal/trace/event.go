@@ -14,6 +14,10 @@ import "fmt"
 // at 0 for the main thread.
 type Tid uint16
 
+// maxTid is the largest thread id: a fork or join target above it names no
+// thread.
+const maxTid = 1<<16 - 1
+
 // Op is the kind of an event.
 type Op uint8
 
@@ -75,6 +79,46 @@ func (o Op) IsAccess() bool { return o == OpRead || o == OpWrite }
 // event that increments the executing thread's logical clock.
 func (o Op) IsSync() bool { return !o.IsAccess() }
 
+// The id spaces of a trace, in the order Trace and Header declare them.
+const (
+	threadSpace = iota
+	varSpace
+	lockSpace
+	volatileSpace
+	classSpace
+	numSpaces
+)
+
+// targetSpace is the id space each op's target names: the one map from op
+// to id space, read by Check's range pass, widening and Event.String.
+var targetSpace = [numOps]int{
+	OpRead: varSpace, OpWrite: varSpace,
+	OpAcquire: lockSpace, OpRelease: lockSpace,
+	OpFork: threadSpace, OpJoin: threadSpace,
+	OpVolatileRead: volatileSpace, OpVolatileWrite: volatileSpace,
+	OpClassInit: classSpace, OpClassAccess: classSpace,
+}
+
+// Per id space: its name in Check's errors, the field declaring it, and
+// its letter in Event.String.
+var (
+	spaceNames  = [numSpaces]string{"thread", "variable", "lock", "volatile", "class"}
+	spaceFields = [numSpaces]string{"Threads", "Vars", "Locks", "Volatiles", "Classes"}
+	spaceLetter = [numSpaces]byte{'T', 'x', 'm', 'v', 'c'}
+)
+
+// widen grows the id-space sizes sizes, indexed by space, to cover every id
+// evs use.
+func widen(sizes [numSpaces]*int, evs []Event) {
+	for _, e := range evs {
+		*sizes[threadSpace] = max(*sizes[threadSpace], int(e.T)+1)
+		if e.Op < numOps {
+			n := sizes[targetSpace[e.Op]]
+			*n = max(*n, int(e.Targ)+1)
+		}
+	}
+}
+
 // Loc is a static program location (source site). Race reports are
 // deduplicated by Loc to produce the paper's "statically distinct" counts.
 type Loc uint32
@@ -94,18 +138,9 @@ type Event struct {
 
 // String renders the event like "T2:wr(x17)@loc42".
 func (e Event) String() string {
-	var kind byte
-	switch e.Op {
-	case OpRead, OpWrite:
-		kind = 'x'
-	case OpAcquire, OpRelease:
-		kind = 'm'
-	case OpFork, OpJoin:
-		kind = 'T'
-	case OpVolatileRead, OpVolatileWrite:
-		kind = 'v'
-	default:
-		kind = 'c'
+	kind := byte('c')
+	if e.Op.Valid() {
+		kind = spaceLetter[targetSpace[e.Op]]
 	}
 	s := fmt.Sprintf("T%d:%s(%c%d)", e.T, e.Op, kind, e.Targ)
 	if e.Loc != NoLoc {
@@ -131,6 +166,15 @@ type Trace struct {
 	// debugging; nil for generated traces.
 	Names *NameTable
 }
+
+// spaces returns the trace's id-space sizes, indexed by space.
+func (tr *Trace) spaces() [numSpaces]*int {
+	return [...]*int{&tr.Threads, &tr.Vars, &tr.Locks, &tr.Volatiles, &tr.Classes}
+}
+
+// Widen grows the trace's declared id spaces to cover every id evs use
+// (streamed headers carry hints, not bounds).
+func (tr *Trace) Widen(evs []Event) { widen(tr.spaces(), evs) }
 
 // NameTable records the human-readable names used by a Builder.
 type NameTable struct {

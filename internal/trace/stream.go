@@ -26,6 +26,20 @@ type Header struct {
 // Unbounded marks a header whose event count is unknown (streamed output).
 const Unbounded = streamCount
 
+// Widen grows h's id spaces to cover every id evs use. Events stays as is.
+func (h *Header) Widen(evs []Event) {
+	widen([...]*int{&h.Threads, &h.Vars, &h.Locks, &h.Volatiles, &h.Classes}, evs)
+}
+
+// encode is h in the binary format, magic and version first.
+func (h Header) encode() []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(binMagic), binVersion)
+	for _, n := range [...]int{h.Threads, h.Vars, h.Locks, h.Volatiles, h.Classes} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	}
+	return binary.LittleEndian.AppendUint64(b, h.Events)
+}
+
 // Decoder reads a binary trace incrementally, one event per Next call,
 // without materializing the event list. It is the streaming counterpart of
 // ReadBinary: arbitrarily large trace files can be piped through an
@@ -170,24 +184,12 @@ func (e *Encoder) writeHeader() error {
 	if e.hdrOut || e.err != nil {
 		return e.err
 	}
-	if _, err := e.bw.WriteString(binMagic); err != nil {
-		e.err = err
-		return err
+	h := e.hints
+	h.Events = streamCount
+	if _, e.err = e.bw.Write(h.encode()); e.err == nil {
+		e.hdrOut = true
 	}
-	hdr := make([]byte, 4*6+8)
-	binary.LittleEndian.PutUint32(hdr[0:], binVersion)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(e.hints.Threads))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(e.hints.Vars))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(e.hints.Locks))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(e.hints.Volatiles))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(e.hints.Classes))
-	binary.LittleEndian.PutUint64(hdr[24:], streamCount)
-	if _, err := e.bw.Write(hdr); err != nil {
-		e.err = err
-		return err
-	}
-	e.hdrOut = true
-	return nil
+	return e.err
 }
 
 // Encode appends one event to the stream.

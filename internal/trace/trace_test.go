@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -156,9 +157,11 @@ func TestCheckRunBeforeFork(t *testing.T) {
 		Write("T2", "x"). // T2 runs...
 		Fork("T1", "T2"). // ...before its fork
 		Build()
-	err := Check(tr)
-	if err == nil || !strings.Contains(err.Error(), "before being forked") {
-		t.Errorf("want before-fork error, got %v", err)
+	// The thread started at its write, so the fork is the violation.
+	want := CheckError{Index: 1, Event: tr.Events[1], Msg: "fork of thread T0 that already ran"}
+	var got *CheckError
+	if err := Check(tr); !errors.As(err, &got) || *got != want {
+		t.Errorf("Check = %v, want %v", err, &want)
 	}
 }
 

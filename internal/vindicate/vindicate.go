@@ -471,11 +471,12 @@ func (v *Vindicator) undo() {
 
 // Verify independently checks that witness is a predicted trace of tr
 // exposing a race between tr's events e1 and e2: witness events are a
-// per-thread program-order prefix-respecting subsequence of tr, locking is
-// well formed, every read has the same last writer as in tr, and the final
-// two events are the conflicting pair with no intervening event. It reads tr
-// alone — no replay, no graph — and returns an error for an ill-formed tr or
-// out-of-range indices.
+// per-thread program-order prefix-respecting subsequence of tr, the
+// witness passes trace.Checker (locking and the thread lifecycle: no
+// thread runs before its fork), every read has the same last writer as in
+// tr, and the final two events are the conflicting pair with no
+// intervening event. It reads tr alone — no replay, no graph — and returns
+// an error for an ill-formed tr or out-of-range indices.
 func Verify(tr *trace.Trace, witness []trace.Event, e1, e2 int) error {
 	x, err := newIndex(tr)
 	if err != nil {
@@ -488,7 +489,7 @@ func Verify(tr *trace.Trace, witness []trace.Event, e1, e2 int) error {
 }
 
 // verify is Verify over the trace's index: the gate every candidate witness
-// of the search passes.
+// of the search passes, held to trace.Checker's rules as Check holds tr.
 func (x *index) verify(witness []trace.Event, e1, e2 int) error {
 	tr := x.tr
 	if len(witness) < 2 {
@@ -521,21 +522,9 @@ func (x *index) verify(witness []trace.Event, e1, e2 int) error {
 	// implicitly via PO preservation only; we additionally scheduled
 	// prefixes, but verification only demands PO order, checked above.
 
-	// Well-formed locking.
-	owner := make(map[uint32]trace.Tid)
-	for wi, e := range witness {
-		switch e.Op {
-		case trace.OpAcquire:
-			if _, held := owner[e.Targ]; held {
-				return fmt.Errorf("vindicate: witness event %d reacquires held lock", wi)
-			}
-			owner[e.Targ] = e.T
-		case trace.OpRelease:
-			if owner[e.Targ] != e.T {
-				return fmt.Errorf("vindicate: witness event %d releases unheld lock", wi)
-			}
-			delete(owner, e.Targ)
-		}
+	// Well-formed locking and thread lifecycle, by the rules tr was held to.
+	if _, err := trace.NewChecker().Run(witness); err != nil {
+		return fmt.Errorf("vindicate: ill-formed witness: %w", err)
 	}
 
 	// Same last writer for every read. The final two events are the racing

@@ -26,41 +26,14 @@ type Cell struct {
 
 func (c Cell) String() string { return fmt.Sprintf("%v/%v", c.Relation, c.Level) }
 
-// CapacityHints pre-sizes detector state tables. Every field is a hint,
-// never a bound: detectors grow on demand as new ids appear, so the zero
-// value is always valid.
-type CapacityHints struct {
-	Threads   int
-	Vars      int
-	Locks     int
-	Volatiles int
-	Classes   int
-	// Events hints the stream length (constraint-graph pre-sizing).
-	Events int
-}
+// CapacityHints pre-sizes detector state tables: the analyses' own id-space
+// declaration, analysis.Spec. Every field is a hint, never a bound:
+// detectors grow on demand as new ids appear, so the zero value is always
+// valid.
+type CapacityHints = analysis.Spec
 
 // HintsOf derives exact capacity hints from a complete trace.
-func HintsOf(tr *Trace) CapacityHints {
-	return CapacityHints{
-		Threads:   tr.Threads,
-		Vars:      tr.Vars,
-		Locks:     tr.Locks,
-		Volatiles: tr.Volatiles,
-		Classes:   tr.Classes,
-		Events:    tr.Len(),
-	}
-}
-
-func (h CapacityHints) spec() analysis.Spec {
-	return analysis.Spec{
-		Threads:   h.Threads,
-		Vars:      h.Vars,
-		Locks:     h.Locks,
-		Volatiles: h.Volatiles,
-		Classes:   h.Classes,
-		Events:    h.Events,
-	}
-}
+func HintsOf(tr *Trace) CapacityHints { return analysis.SpecOf(tr) }
 
 // engineConfig collects the functional options of NewEngine.
 type engineConfig struct {
@@ -292,7 +265,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 		}
 		entries = append(entries, entry)
 	}
-	e.build(entries, cfg.hints.spec())
+	e.build(entries, cfg.hints)
 	if len(e.comps) > 1 {
 		e.mark = new(analysis.SameEpoch)
 	}

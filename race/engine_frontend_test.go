@@ -295,3 +295,27 @@ func TestFeedAllocatesNothing(t *testing.T) {
 		t.Errorf("Feed allocates %v times per event", n)
 	}
 }
+
+// TestForkTargetWiderThanATid: a fork target past the largest thread id is
+// an ill-formed event, not a fork of the thread its low 16 bits name. FTO-HB
+// once analyzed the stream below as a fork of T1 and reported no race.
+func TestForkTargetWiderThanATid(t *testing.T) {
+	evs := []race.Event{
+		{T: 0, Op: race.OpWrite, Targ: 0},
+		{T: 0, Op: race.OpFork, Targ: 1<<16 + 1},
+		{T: 1, Op: race.OpWrite, Targ: 0},
+	}
+	eng, err := race.NewEngine(race.WithAnalysisNames("FTO-HB"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ferr := eng.FeedBatch(evs)
+	want := trace.CheckError{Index: 1, Event: evs[1], Msg: "forked thread id out of range"}
+	var cerr *trace.CheckError
+	if !errors.As(ferr, &cerr) || *cerr != want {
+		t.Fatalf("FeedBatch = %v, want an error wrapping %v", ferr, &want)
+	}
+	if rep, err := eng.Close(); err != ferr || rep != nil {
+		t.Errorf("poisoned engine's Close returned %v, %v", rep, err)
+	}
+}

@@ -422,6 +422,31 @@ func TestServerCloseAbortsSessions(t *testing.T) {
 	}
 }
 
+// TestSessionConfigJSON pins the session config's JSON — the Hello payload,
+// the POST /sessions body and a journal's config — byte for byte: hints
+// spell their fields as analysis.Spec does, and a zero Hints is omitted.
+func TestSessionConfigJSON(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  SessionConfig
+		want string
+	}{
+		{SessionConfig{Analyses: []string{"ST-WDC"}}, `{"analyses":["ST-WDC"]}`},
+		{SessionConfig{Vindicate: true, Parallelism: 2, BatchSize: 64, Hints: race.CapacityHints{
+			Threads: 1, Vars: 2, Locks: 3, Volatiles: 4, Classes: 5, Events: 6}},
+			`{"vindicate":true,"parallelism":2,"batch_size":64,"hints":` +
+				`{"Threads":1,"Vars":2,"Locks":3,"Volatiles":4,"Classes":5,"Events":6}}`},
+	} {
+		got, err := json.Marshal(tc.cfg)
+		if err != nil || string(got) != tc.want {
+			t.Errorf("json.Marshal(%+v) = %s, %v; want %s", tc.cfg, got, err, tc.want)
+		}
+		var back SessionConfig
+		if err := json.Unmarshal([]byte(tc.want), &back); err != nil || back.Hints != tc.cfg.Hints {
+			t.Errorf("json.Unmarshal(%s) hints = %+v, %v; want %+v", tc.want, back.Hints, err, tc.cfg.Hints)
+		}
+	}
+}
+
 // TestHostileHintsClamped: a tenant cannot pre-allocate the server into
 // the ground (or panic it) with absurd or negative capacity hints — they
 // are clamped, the session opens, and analysis still works.

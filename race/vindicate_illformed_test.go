@@ -132,3 +132,26 @@ func TestUncheckedVindicatingEngineRejectsIllFormedStream(t *testing.T) {
 		t.Fatalf("Close = %v, %v; want an error wrapping the well-formedness violation", rep, err)
 	}
 }
+
+// TestVerifyWitnessRejectsChildBeforeFork: a witness is held to the thread
+// lifecycle the trace is — here the child writes y before its fork. Each
+// thread's events keep their order and no lock or read is involved, so
+// only the lifecycle rule can reject it.
+func TestVerifyWitnessRejectsChildBeforeFork(t *testing.T) {
+	tr := &race.Trace{Threads: 2, Vars: 2, Events: []race.Event{
+		{T: 0, Op: race.OpFork, Targ: 1},
+		{T: 1, Op: race.OpWrite, Targ: 1},
+		{T: 1, Op: race.OpWrite, Targ: 0},
+		{T: 0, Op: race.OpWrite, Targ: 0},
+	}}
+	ev := tr.Events
+	if err := race.VerifyWitness(tr, []race.Event{ev[0], ev[1], ev[2], ev[3]}, 2, 3); err != nil {
+		t.Fatalf("control witness rejected: %v", err)
+	}
+	err := race.VerifyWitness(tr, []race.Event{ev[1], ev[0], ev[2], ev[3]}, 2, 3)
+	want := trace.CheckError{Index: 1, Event: ev[0], Msg: "fork of thread T1 that already ran"}
+	var cerr *trace.CheckError
+	if !errors.As(err, &cerr) || *cerr != want {
+		t.Errorf("VerifyWitness = %v, want an error wrapping %v", err, &want)
+	}
+}
