@@ -48,10 +48,7 @@ func BenchmarkAnalysis(b *testing.B) {
 		b.Run(entry.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				a := entry.NewFor(benchTrace)
-				for _, e := range benchTrace.Events {
-					a.Handle(e)
-				}
+				analysis.Run(entry.NewFor(benchTrace), benchTrace)
 			}
 			b.ReportMetric(float64(benchTrace.Len()), "events/op")
 		})

@@ -44,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"strings"
 	"time"
@@ -55,6 +56,8 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("racedetect: ")
 	var (
 		names     = flag.String("analysis", "ST-DC", "comma-separated analyses to run in one pass (see -list)")
 		text      = flag.Bool("text", false, "input is the text trace format")
@@ -102,7 +105,7 @@ func main() {
 		// only) and use its summary as exact capacity hints.
 		r, err := store.OpenRead(flag.Arg(0))
 		if err != nil {
-			fatalf("%v", err)
+			log.Fatal(err)
 		}
 		defer r.Close()
 		h, _ := r.Header()
@@ -114,7 +117,7 @@ func main() {
 	} else {
 		f, err := os.Open(flag.Arg(0))
 		if err != nil {
-			fatalf("%v", err)
+			log.Fatal(err)
 		}
 		defer f.Close()
 		if *text {
@@ -134,7 +137,7 @@ func main() {
 		// Remote mode: the events stream over the wire protocol; analysis
 		// and (optional) vindication happen on the server.
 		if *online {
-			fmt.Fprintln(os.Stderr, "racedetect: -online has no effect with -remote: the wire protocol has no callback channel (poll GET /sessions/{id}/races on the server's HTTP API instead)")
+			log.Print("-online has no effect with -remote: the wire protocol has no callback channel (poll GET /sessions/{id}/races on the server's HTTP API instead)")
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		cfg := server.SessionConfig{Analyses: analyses, Vindicate: *vind, Hints: hints}
@@ -157,7 +160,7 @@ func main() {
 			client, err = server.DialContext(ctx, *remote)
 			if err != nil {
 				cancel()
-				fatalf("%v", err)
+				log.Fatal(err)
 			}
 			defer client.Close()
 			client.SetTracer(tracer)
@@ -171,32 +174,32 @@ func main() {
 		}
 		cancel()
 		if err != nil {
-			fatalf("%v", err)
+			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "racedetect: remote session %s (resume at offset %d)\n", sess.ID(), skip)
+		log.Printf("remote session %s (resume at offset %d)", sess.ID(), skip)
 		if sc := sess.TraceContext(); sc.Valid() {
-			fmt.Fprintf(os.Stderr, "racedetect: trace %s\n", sc.TraceID.String())
+			log.Printf("trace %s", sc.TraceID.String())
 		}
 		if logDir != "" && skip > 0 {
 			// Racelog input: fixed-width records make the resume offset a
 			// seek, not a decode-and-discard of the whole acked prefix.
 			r, err := store.OpenReadAt(logDir, skip)
 			if err != nil {
-				fatalf("%v", err)
+				log.Fatal(err)
 			}
 			defer r.Close()
 			src, skip = r, 0
 		}
 		fed, err = feedSinkFrom(sess, src, skip, *flushEach)
 		if err != nil {
-			fatalf("streaming trace to %s: %v", *remote, err)
+			log.Fatalf("streaming trace to %s: %v", *remote, err)
 		}
 		if rep, err = sess.Close(); err != nil {
-			fatalf("remote analysis: %v", err)
+			log.Fatalf("remote analysis: %v", err)
 		}
 	} else {
 		if *resume != "" {
-			fatalf("-resume requires -remote")
+			log.Fatal("-resume requires -remote")
 		}
 		opts := []race.Option{race.WithAnalysisNames(analyses...), race.WithCapacityHints(hints)}
 		if *vind {
@@ -214,13 +217,13 @@ func main() {
 		}
 		eng, err := race.NewEngine(opts...)
 		if err != nil {
-			fatalf("%v", err)
+			log.Fatal(err)
 		}
 		if err := eng.FeedSource(src); err != nil {
-			fatalf("streaming trace: %v", err)
+			log.Fatalf("streaming trace: %v", err)
 		}
 		if rep, err = eng.Close(); err != nil {
-			fatalf("%v", err)
+			log.Fatal(err)
 		}
 		fed = eng.Fed()
 	}
@@ -301,9 +304,4 @@ func feedSinkFrom(sink remoteStream, src race.EventSource, skip uint64, flushEve
 			}
 		}
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "racedetect: "+format+"\n", args...)
-	os.Exit(1)
 }

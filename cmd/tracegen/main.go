@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 
 	"repro/internal/workload"
@@ -17,6 +18,8 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("tracegen: ")
 	var (
 		program = flag.String("program", "", "DaCapo-calibrated workload to generate")
 		figure  = flag.String("figure", "", "paper figure trace to emit (figure1..figure4d)")
@@ -45,7 +48,7 @@ func main() {
 	case *program != "":
 		p, ok := workload.ProgramByName(*program)
 		if !ok {
-			fatalf("unknown program %q (try -list)", *program)
+			log.Fatalf("unknown program %q (try -list)", *program)
 		}
 		tr = p.Generate(*scale, *seed)
 	case *figure != "":
@@ -56,7 +59,7 @@ func main() {
 			}
 		}
 		if tr == nil {
-			fatalf("unknown figure %q (try -list)", *figure)
+			log.Fatalf("unknown figure %q (try -list)", *figure)
 		}
 	default:
 		flag.Usage()
@@ -67,7 +70,7 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatalf("%v", err)
+			log.Fatal(err)
 		}
 		defer f.Close()
 		w = f
@@ -89,13 +92,8 @@ func main() {
 		}
 	}
 	if err != nil {
-		fatalf("writing trace: %v", err)
+		log.Fatalf("writing trace: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "tracegen: %d events, %d threads, %d vars, %d locks\n",
+	log.Printf("%d events, %d threads, %d vars, %d locks",
 		tr.Len(), tr.Threads, tr.Vars, tr.Locks)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "tracegen: "+format+"\n", args...)
-	os.Exit(1)
 }

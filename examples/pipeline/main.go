@@ -24,12 +24,7 @@ const workers = 3
 
 func main() {
 	eng, err := race.NewEngine(
-		race.WithAnalyses(
-			race.Cell{Relation: race.HB, Level: race.FTO},
-			race.Cell{Relation: race.WCP, Level: race.SmartTrack},
-			race.Cell{Relation: race.DC, Level: race.SmartTrack},
-			race.Cell{Relation: race.WDC, Level: race.SmartTrack},
-		),
+		race.WithAnalysisNames("FTO-HB", "ST-WCP", "ST-DC", "ST-WDC"),
 		race.WithOnRace(func(r race.RaceInfo) {
 			fmt.Printf("online: %s flags var %d while the pipeline is still running\n",
 				r.Analysis, r.Var)

@@ -53,10 +53,7 @@ func main() {
 	// moment the detecting access is fed — online, as the paper's analyses
 	// run inside RoadRunner.
 	eng, err := race.NewEngine(
-		race.WithAnalyses(
-			race.Cell{Relation: race.HB, Level: race.FTO},
-			race.Cell{Relation: race.WDC, Level: race.SmartTrack},
-		),
+		race.WithAnalysisNames("FTO-HB", "ST-WDC"),
 		race.WithOnRace(func(r race.RaceInfo) {
 			fmt.Printf("\nonline: %s flags var %d at event %d, mid-stream\n",
 				r.Analysis, r.Var, r.Index)

@@ -78,14 +78,9 @@ func (l Level) String() string {
 // order. Implementations keep all state internal and are not safe for
 // concurrent use; the public race.Runtime linearizes for them.
 type Analysis interface {
-	// Name identifies the analysis, e.g. "SmartTrack-DC".
-	Name() string
-	// Handle processes the next event of the trace.
-	Handle(e trace.Event)
-	// HandleRun processes the next run of events, as Handle would one at a
-	// time. An event same marks (see SameEpoch) is only opened, which is
-	// all the analysis's own same-epoch branch does; a nil same marks
-	// nothing.
+	// HandleRun processes the next run of events of the trace, in order. An
+	// event same marks (see SameEpoch) is only opened, which is all the
+	// analysis's own same-epoch branch does; a nil same marks nothing.
 	HandleRun(evs []trace.Event, same Same)
 	// Races exposes the collector of detected races.
 	Races() *report.Collector
@@ -96,9 +91,7 @@ type Analysis interface {
 
 // Run feeds every event of tr to a in order and returns a's collector.
 func Run(a Analysis, tr *trace.Trace) *report.Collector {
-	for _, e := range tr.Events {
-		a.Handle(e)
-	}
+	a.HandleRun(tr.Events, nil)
 	return a.Races()
 }
 
@@ -133,7 +126,7 @@ func SpecOf(tr *trace.Trace) Spec {
 
 // Constructor builds a fresh analysis instance from capacity hints. The
 // instance exists before any events do and consumes its stream incrementally
-// through Analysis.Handle or Analysis.HandleRun.
+// through Analysis.HandleRun.
 type Constructor func(spec Spec) Analysis
 
 // Caps describes what a registered analysis can do — the capability

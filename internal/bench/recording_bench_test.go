@@ -147,7 +147,7 @@ func BenchmarkRecordLockedSectionsParallel(b *testing.B) {
 // event-at-a-time Feed — the feed-side batching that raced's ingestion
 // path shares.
 func BenchmarkRecordAnalyzeAttached(b *testing.B) {
-	eng, err := race.NewEngine(race.WithRelation(race.WDC), race.WithLevel(race.SmartTrack))
+	eng, err := race.NewEngine()
 	if err != nil {
 		b.Fatal(err)
 	}

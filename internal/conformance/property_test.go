@@ -1,7 +1,6 @@
 package conformance
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/analysis"
@@ -204,8 +203,5 @@ func TestCollectorBasics(t *testing.T) {
 	}
 	if r, ok := c.FirstRace(10); !ok || r.Loc != 1 {
 		t.Fatal("FirstRace failed")
-	}
-	if locs := c.StaticLocs(); fmt.Sprint(locs) != "[1 2]" {
-		t.Fatalf("StaticLocs=%v", locs)
 	}
 }

@@ -257,9 +257,6 @@ func NewWithOptions(rel analysis.Relation, spec analysis.Spec, opts Options) *An
 	return a
 }
 
-// Name implements analysis.Analysis.
-func (a *Analysis) Name() string { return "ST-" + a.rel.String() }
-
 // Races implements analysis.Analysis.
 func (a *Analysis) Races() *report.Collector { return a.col }
 
@@ -281,7 +278,7 @@ func (a *Analysis) newPage(x uint32) *stVar {
 	return &a.pages[pi][x%varPageSize]
 }
 
-// Handle implements analysis.Analysis.
+// Handle processes the next event of the trace.
 func (a *Analysis) Handle(e trace.Event) {
 	idx := a.idx
 	a.idx++

@@ -241,10 +241,10 @@ func TestNamesAndAccessors(t *testing.T) {
 	for rel, want := range map[analysis.Relation]string{
 		analysis.WCP: "ST-WCP", analysis.DC: "ST-DC", analysis.WDC: "ST-WDC",
 	} {
-		a := New(rel, analysis.SpecOf(tr))
-		if a.Name() != want {
-			t.Errorf("Name = %q", a.Name())
+		if e, _ := analysis.Lookup(rel, analysis.SmartTrack); e.Name != want {
+			t.Errorf("registered as %q, want %q", e.Name, want)
 		}
+		a := New(rel, analysis.SpecOf(tr))
 		if a.Races() == nil || a.Stats() == nil {
 			t.Error("nil accessors")
 		}
@@ -480,9 +480,7 @@ func TestMetadataWeightTracksHeap(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
 		a := ent.NewFor(tr)
-		for _, e := range tr.Events {
-			a.Handle(e)
-		}
+		a.HandleRun(tr.Events, nil)
 		runtime.GC()
 		runtime.ReadMemStats(&m1)
 		// The collector's race list is the report, not analysis metadata.

@@ -78,7 +78,7 @@ func digest(t *testing.T, traces []*trace.Trace) string {
 	for _, tr := range traces {
 		for _, rel := range stRelations {
 			a := run(t, rel, tr)
-			if err := enc.Encode(report.AnalysisJSON(a.Name(), a.Races())); err != nil {
+			if err := enc.Encode(report.AnalysisJSON("ST-"+rel.String(), a.Races())); err != nil {
 				t.Fatal(err)
 			}
 		}

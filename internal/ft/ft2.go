@@ -43,13 +43,10 @@ func New(spec analysis.Spec) *Analysis {
 	return &Analysis{*NewView(ccs.NewSubstrate(analysis.HB, spec, false), spec)}
 }
 
-// Name implements analysis.Analysis.
-func (a *Analysis) Name() string { return "FT2" }
-
 // Races exposes the collector of detected races.
 func (a *View) Races() *report.Collector { return a.col }
 
-// Handle implements analysis.Analysis.
+// Handle processes the next event of the trace.
 func (a *Analysis) Handle(e trace.Event) {
 	idx := a.Sub.Begin(e.T)
 	switch e.Op {

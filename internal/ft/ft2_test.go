@@ -135,7 +135,7 @@ func TestMetadataWeight(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(analysis.Spec{Threads: 1}).Name() != "FT2" {
-		t.Error("name")
+	if e, _ := analysis.Lookup(analysis.HB, analysis.FT2); e.Name != "FT2" {
+		t.Errorf("registered as %q", e.Name)
 	}
 }

@@ -52,16 +52,13 @@ func New(rel analysis.Relation, spec analysis.Spec) *Analysis {
 	return &Analysis{*NewView(ccs.NewSubstrate(rel, spec, false), spec)}
 }
 
-// Name implements analysis.Analysis.
-func (a *Analysis) Name() string { return "FTO-" + a.Sub.Rel.String() }
-
 // Races exposes the collector of detected races.
 func (a *View) Races() *report.Collector { return a.col }
 
 // Stats returns the case counts gathered so far (Tables 2 and 12).
 func (a *View) Stats() *analysis.Stats { return &a.st }
 
-// Handle implements analysis.Analysis.
+// Handle processes the next event of the trace.
 func (a *Analysis) Handle(e trace.Event) {
 	idx := a.Sub.Begin(e.T)
 	switch e.Op {

@@ -184,13 +184,12 @@ func TestMetadataWeightIncludesTables(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	tr := &trace.Trace{Threads: 1}
 	for rel, want := range map[analysis.Relation]string{
 		analysis.HB: "FTO-HB", analysis.WCP: "FTO-WCP",
 		analysis.DC: "FTO-DC", analysis.WDC: "FTO-WDC",
 	} {
-		if got := New(rel, analysis.SpecOf(tr)).Name(); got != want {
-			t.Errorf("Name = %q, want %q", got, want)
+		if e, _ := analysis.Lookup(rel, analysis.FTO); e.Name != want {
+			t.Errorf("registered as %q, want %q", e.Name, want)
 		}
 	}
 }

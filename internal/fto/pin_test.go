@@ -53,7 +53,7 @@ func TestClocksAndReportsPinned(t *testing.T) {
 				fmt.Fprintf(h, "%+v", r)
 			}
 			if got := h.Sum64(); got != want[i] {
-				t.Errorf("%s on %s: digest %#x, pinned %#x", a.Name(), name, got, want[i])
+				t.Errorf("FTO-%v on %s: digest %#x, pinned %#x", rel, name, got, want[i])
 			}
 		}
 	}

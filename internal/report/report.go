@@ -55,8 +55,8 @@ type Pad [64]byte
 // checks at one access count as a single dynamic race: analyses must call
 // Add at most once per access event (the engines guarantee this).
 //
-// Add is the analyses' hot path and only appends. The sets behind Static,
-// StaticLocs and RaceVars are derived from the race list when asked for,
+// Add is the analyses' hot path and only appends. The sets behind Static
+// and RaceVars are derived from the race list when asked for,
 // and extended — not rebuilt — over the races added since. Like the list
 // itself they must not be read while another goroutine is adding; readers
 // may run concurrently with each other (a finished report is served to
@@ -141,11 +141,4 @@ func (c *Collector) FirstRace(v uint32) (Race, bool) {
 		}
 	}
 	return Race{}, false
-}
-
-// StaticLocs returns the sorted racing program locations.
-func (c *Collector) StaticLocs() []trace.Loc {
-	c.lockSets()
-	defer c.mu.Unlock()
-	return slices.Clone(c.locs)
 }

@@ -22,9 +22,6 @@ func TestCountsAndDedup(t *testing.T) {
 	if got := c.RaceVars(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("RaceVars = %v", got)
 	}
-	if got := c.StaticLocs(); len(got) != 2 || got[0] != 5 || got[1] != 9 {
-		t.Errorf("StaticLocs = %v", got)
-	}
 }
 
 func TestFirstRacePerVariable(t *testing.T) {
@@ -77,7 +74,7 @@ func TestUnknownTidSentinel(t *testing.T) {
 // stays the first.
 func TestDerivedSetsFollowAdds(t *testing.T) {
 	c := NewCollector()
-	if c.Static() != 0 || len(c.RaceVars()) != 0 || len(c.StaticLocs()) != 0 {
+	if c.Static() != 0 || len(c.RaceVars()) != 0 {
 		t.Fatal("empty collector has derived races")
 	}
 	c.Add(Race{Loc: 3, Var: 4, Index: 1})
@@ -111,7 +108,7 @@ func TestDerivedSetsConcurrentReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ja := AnalysisJSON("X", c)
-			if ja.Static != 7 || len(ja.RaceVars) != 5 || len(c.StaticLocs()) != 7 {
+			if ja.Static != 7 || len(ja.RaceVars) != 5 || c.Static() != 7 {
 				t.Errorf("static %d, vars %d", ja.Static, len(ja.RaceVars))
 			}
 			if r, ok := c.FirstRace(3); !ok || r.Index != 3 {

@@ -77,21 +77,13 @@ func NewPredictive(rel analysis.Relation, spec analysis.Spec, buildGraph bool) *
 	return &Analysis{*NewView(ccs.NewSubstrate(rel, spec, buildGraph), spec)}
 }
 
-// Name implements analysis.Analysis.
-func (a *Analysis) Name() string {
-	if a.g != nil {
-		return "Unopt-" + a.Sub.Rel.String() + " w/G"
-	}
-	return "Unopt-" + a.Sub.Rel.String()
-}
-
 // Races exposes the collector of detected races.
 func (a *View) Races() *report.Collector { return a.col }
 
 // Graph returns the constraint graph, or nil if not built.
 func (a *View) Graph() *graph.Graph { return a.Sub.Graph() }
 
-// Handle implements analysis.Analysis.
+// Handle processes the next event of the trace.
 func (a *Analysis) Handle(e trace.Event) {
 	idx := a.Sub.Begin(e.T)
 	switch e.Op {

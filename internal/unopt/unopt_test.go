@@ -32,9 +32,6 @@ func TestHBBasics(t *testing.T) {
 	if a.Races().Dynamic() != 1 {
 		t.Errorf("dynamic = %d", a.Races().Dynamic())
 	}
-	if a.Name() != "Unopt-HB" {
-		t.Error("name")
-	}
 	if a.MetadataWeight() <= 0 {
 		t.Error("weight")
 	}
@@ -74,12 +71,10 @@ func TestNewPredictiveRejectsHB(t *testing.T) {
 }
 
 func TestPredictiveNames(t *testing.T) {
-	tr := &trace.Trace{Threads: 1}
-	if NewPredictive(analysis.DC, analysis.SpecOf(tr), false).Name() != "Unopt-DC" {
-		t.Error("name w/o G")
-	}
-	if NewPredictive(analysis.DC, analysis.SpecOf(tr), true).Name() != "Unopt-DC w/G" {
-		t.Error("name w/G")
+	for lvl, want := range map[analysis.Level]string{analysis.Unopt: "Unopt-DC", analysis.UnoptG: "Unopt-DC w/G"} {
+		if e, _ := analysis.Lookup(analysis.DC, lvl); e.Name != want {
+			t.Errorf("registered as %q, want %q", e.Name, want)
+		}
 	}
 }
 
@@ -133,19 +128,19 @@ func TestGraphBytesPerEdge(t *testing.T) {
 		{analysis.DC, 34700, 127600, true},
 		{analysis.WDC, 9100, 37200, false},
 	} {
-		a := runPred(tc.rel, tr, true)
-		g := a.Graph()
+		name := "Unopt-" + tc.rel.String() + " w/G"
+		g := runPred(tc.rel, tr, true).Graph()
 		bytes := 8 * g.Weight()
 		perEdge := float64(bytes) / float64(g.Len())
-		t.Logf("%s: %d edges in %d bytes, %.2f B/edge", a.Name(), g.Len(), bytes, perEdge)
+		t.Logf("%s: %d edges in %d bytes, %.2f B/edge", name, g.Len(), bytes, perEdge)
 		if tc.perEdge && perEdge > 4 {
-			t.Errorf("%s: %.2f bytes per edge over %d edges, want <= 4", a.Name(), perEdge, g.Len())
+			t.Errorf("%s: %.2f bytes per edge over %d edges, want <= 4", name, perEdge, g.Len())
 		}
 		if g.Len() > tc.edges {
-			t.Errorf("%s: %d edges, want <= %d", a.Name(), g.Len(), tc.edges)
+			t.Errorf("%s: %d edges, want <= %d", name, g.Len(), tc.edges)
 		}
 		if bytes > tc.bytes {
-			t.Errorf("%s: %d bytes, want <= %d", a.Name(), bytes, tc.bytes)
+			t.Errorf("%s: %d bytes, want <= %d", name, bytes, tc.bytes)
 		}
 	}
 }

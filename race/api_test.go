@@ -2,18 +2,27 @@ package race_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/race"
 )
 
+// cell is one (relation, level) pair of Table 1's grid.
+type cell struct {
+	rel race.Relation
+	lvl race.Level
+}
+
 // allCells enumerates the full (relation, level) grid of Table 1.
-func allCells() []race.Cell {
-	var out []race.Cell
+func allCells() []cell {
+	var out []cell
 	for _, rel := range []race.Relation{race.HB, race.WCP, race.DC, race.WDC} {
 		for _, lvl := range []race.Level{race.UnoptG, race.Unopt, race.FT2, race.FTO, race.SmartTrack} {
-			out = append(out, race.Cell{Relation: rel, Level: lvl})
+			out = append(out, cell{rel, lvl})
 		}
 	}
 	return out
@@ -21,12 +30,12 @@ func allCells() []race.Cell {
 
 // naCells are the five grid cells the paper's Table 1 marks N/A: HB has no
 // graph-building or SmartTrack variant, and FT2 applies only to HB.
-var naCells = map[race.Cell]bool{
-	{Relation: race.HB, Level: race.UnoptG}:     true,
-	{Relation: race.HB, Level: race.SmartTrack}: true,
-	{Relation: race.WCP, Level: race.FT2}:       true,
-	{Relation: race.DC, Level: race.FT2}:        true,
-	{Relation: race.WDC, Level: race.FT2}:       true,
+var naCells = map[cell]bool{
+	{race.HB, race.UnoptG}:     true,
+	{race.HB, race.SmartTrack}: true,
+	{race.WCP, race.FT2}:       true,
+	{race.DC, race.FT2}:        true,
+	{race.WDC, race.FT2}:       true,
 }
 
 // TestDetectorsMatchTable1 pins the registry's contents against the
@@ -78,38 +87,104 @@ func TestDetectorTableCaps(t *testing.T) {
 	}
 }
 
-// TestNewCoversFullGrid: New succeeds on exactly the registered cells and
-// returns an error (never panics) on every N/A cell.
-func TestNewCoversFullGrid(t *testing.T) {
+// TestAnalyzeCoversFullGrid: Analyze returns an error (never panics) on
+// every N/A cell, and on every registered cell runs the analysis
+// DetectorTable lists there.
+func TestAnalyzeCoversFullGrid(t *testing.T) {
+	names := make(map[cell]string)
+	for _, d := range race.DetectorTable() {
+		names[cell{d.Relation, d.Level}] = d.Name
+	}
 	tr := figure1Trace()
-	for _, cell := range allCells() {
-		det, err := race.New(tr, cell.Relation, cell.Level)
-		if naCells[cell] {
+	for _, c := range allCells() {
+		rep, err := race.Analyze(tr, c.rel, c.lvl)
+		if naCells[c] {
 			if err == nil {
-				t.Errorf("New(%v) must fail (N/A in Table 1)", cell)
+				t.Errorf("Analyze(%v, %v) must fail (N/A in Table 1)", c.rel, c.lvl)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("New(%v): %v", cell, err)
+			t.Errorf("Analyze(%v, %v): %v", c.rel, c.lvl, err)
 			continue
 		}
-		// A detector from New is usable immediately.
-		det.HandleRun(tr.Events, nil)
-		if det.Name() == "" {
-			t.Errorf("New(%v): empty name", cell)
+		if rep.Analysis() != names[c] {
+			t.Errorf("Analyze(%v, %v) ran %q, want %q", c.rel, c.lvl, rep.Analysis(), names[c])
 		}
 	}
 }
 
-// TestNewEngineCoversFullGrid mirrors TestNewCoversFullGrid on the engine
-// constructor.
-func TestNewEngineCoversFullGrid(t *testing.T) {
-	for _, cell := range allCells() {
-		_, err := race.NewEngine(race.WithAnalyses(cell))
-		if naCells[cell] != (err != nil) {
-			t.Errorf("NewEngine(%v): err = %v, want N/A = %v", cell, err, naCells[cell])
+// TestEveryCellRefusesIllFormedInput feeds every registered cell a release
+// of a lock nobody holds, then a read: the stream that panicked every rule
+// (b) cell when a detector could be had without the checker in front. Each
+// refuses it with the checker's error, through the engine and through
+// Analyze.
+func TestEveryCellRefusesIllFormedInput(t *testing.T) {
+	evs := []race.Event{{T: 0, Op: race.OpRelease, Targ: 3}, {T: 1, Op: race.OpRead, Targ: 1}}
+	for _, d := range race.DetectorTable() {
+		t.Run(d.Name, func(t *testing.T) {
+			eng, err := race.NewEngine(race.WithAnalysisNames(d.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ce *trace.CheckError
+			if err := eng.FeedBatch(evs); !errors.As(err, &ce) {
+				t.Errorf("engine: err = %v, want a *trace.CheckError", err)
+			}
+			tr := &race.Trace{Events: evs, Threads: 2, Vars: 2, Locks: 4}
+			if _, err := race.Analyze(tr, d.Relation, d.Level); !errors.As(err, &ce) {
+				t.Errorf("Analyze: err = %v, want a *trace.CheckError", err)
+			}
+		})
+	}
+}
+
+// TestNilTraceIsAnError: every entry point that takes a trace answers a
+// nil one with an error, and HintsOf with zero hints; none panics.
+func TestNilTraceIsAnError(t *testing.T) {
+	rep, err := race.AnalyzeByName(figure1Trace(), "ST-WDC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := func() *race.Engine {
+		eng, err := race.NewEngine()
+		if err != nil {
+			t.Fatal(err)
 		}
+		return eng
+	}
+	for _, tc := range []struct {
+		name   string
+		call   func() error
+		refuse bool
+	}{
+		{"Analyze", func() error { _, err := race.Analyze(nil, race.WDC, race.SmartTrack); return err }, true},
+		{"AnalyzeByName", func() error { _, err := race.AnalyzeByName(nil, "ST-WDC"); return err }, true},
+		{"CheckTrace", func() error { return race.CheckTrace(nil) }, true},
+		{"WriteTrace", func() error { return race.WriteTrace(io.Discard, nil) }, true},
+		{"WriteTraceText", func() error { return race.WriteTraceText(io.Discard, nil) }, true},
+		{"FeedTrace", func() error { return engine().FeedTrace(nil) }, true},
+		{"FeedSource", func() error { return engine().FeedSource(nil) }, true},
+		{"Vindicate", func() error { _, err := race.Vindicate(nil, 0); return err }, true},
+		{"VerifyWitness", func() error { return race.VerifyWitness(nil, nil, 0, 1) }, true},
+		{"Report.Vindicate", func() error { return rep.Vindicate(nil) }, true},
+		{"HintsOf", func() error {
+			if h := race.HintsOf(nil); h != (race.CapacityHints{}) {
+				return fmt.Errorf("hints %+v, want zero", h)
+			}
+			return nil
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("panicked: %v", p)
+				}
+			}()
+			if err := tc.call(); (err != nil) != tc.refuse {
+				t.Errorf("err = %v, want an error: %v", err, tc.refuse)
+			}
+		})
 	}
 }
 

@@ -17,31 +17,23 @@ import (
 	"repro/internal/unopt"
 )
 
-// Cell names one cell of the paper's Table 1: a relation at an
-// optimization level.
-type Cell struct {
-	Relation Relation
-	Level    Level
-}
-
-func (c Cell) String() string { return fmt.Sprintf("%v/%v", c.Relation, c.Level) }
-
 // CapacityHints pre-sizes detector state tables: the analyses' own id-space
 // declaration, analysis.Spec. Every field is a hint, never a bound:
 // detectors grow on demand as new ids appear, so the zero value is always
 // valid.
 type CapacityHints = analysis.Spec
 
-// HintsOf derives exact capacity hints from a complete trace.
-func HintsOf(tr *Trace) CapacityHints { return analysis.SpecOf(tr) }
+// HintsOf derives exact capacity hints from a complete trace; a nil trace
+// hints nothing.
+func HintsOf(tr *Trace) CapacityHints {
+	if tr == nil {
+		return CapacityHints{}
+	}
+	return analysis.SpecOf(tr)
+}
 
 // engineConfig collects the functional options of NewEngine.
 type engineConfig struct {
-	rel       Relation
-	relSet    bool
-	lvl       Level
-	lvlSet    bool
-	cells     []Cell
 	names     []string
 	vindicate bool
 	onRace    func(RaceInfo)
@@ -55,28 +47,11 @@ type engineConfig struct {
 // Option configures an Engine.
 type Option func(*engineConfig)
 
-// WithRelation selects the relation of the engine's default analysis
-// (combined with WithLevel). Without any analysis options the engine runs
-// SmartTrack-WDC, the paper's recommended configuration.
-func WithRelation(rel Relation) Option {
-	return func(c *engineConfig) { c.rel, c.relSet = rel, true }
-}
-
-// WithLevel selects the optimization level of the engine's default
-// analysis (combined with WithRelation).
-func WithLevel(lvl Level) Option {
-	return func(c *engineConfig) { c.lvl, c.lvlSet = lvl, true }
-}
-
-// WithAnalyses adds Table 1 cells to the engine's fan-out: every listed
-// analysis consumes the event stream in the same single pass, the way
-// RoadRunner runs the paper's full analysis matrix over one execution.
-func WithAnalyses(cells ...Cell) Option {
-	return func(c *engineConfig) { c.cells = append(c.cells, cells...) }
-}
-
-// WithAnalysisNames adds analyses to the fan-out by display name (see
-// Detectors), e.g. "ST-DC" or "FTO-HB".
+// WithAnalysisNames adds Table 1 cells to the engine's fan-out by display
+// name (see Detectors), e.g. "ST-DC" or "FTO-HB": every listed analysis
+// consumes the event stream in the same single pass, the way RoadRunner
+// runs the paper's full analysis matrix over one execution. Without it the
+// engine runs ST-WDC, the paper's recommended configuration.
 func WithAnalysisNames(names ...string) Option {
 	return func(c *engineConfig) { c.names = append(c.names, names...) }
 }
@@ -221,49 +196,29 @@ type Engine struct {
 }
 
 // NewEngine builds a streaming engine from functional options. It returns
-// an error — not a panic — for unknown analysis names, Table 1 cells the
-// paper marks N/A, and an empty fan-out.
+// an error — not a panic — for an unknown analysis name.
 func NewEngine(opts ...Option) (*Engine, error) {
 	cfg := &engineConfig{}
 	for _, opt := range opts {
 		opt(cfg)
 	}
-	cells := cfg.cells
-	for _, name := range cfg.names {
+	names := cfg.names
+	if len(names) == 0 {
+		names = []string{"ST-WDC"}
+	}
+	var entries []analysis.Entry
+	for _, name := range names {
 		entry, ok := analysis.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("race: unknown analysis %q (see Detectors())", name)
 		}
-		cells = append(cells, Cell{entry.Relation, entry.Level})
-	}
-	if cfg.relSet || cfg.lvlSet || len(cells) == 0 {
-		rel, lvl := WDC, SmartTrack
-		if cfg.relSet {
-			rel = cfg.rel
+		if !slices.ContainsFunc(entries, func(e analysis.Entry) bool { return e.Name == name }) {
+			entries = append(entries, entry)
 		}
-		if cfg.lvlSet {
-			lvl = cfg.lvl
-		} else if rel == HB {
-			lvl = FTO // SmartTrack-HB is N/A; FTO-HB is the paper's HB baseline
-		}
-		cells = append([]Cell{{rel, lvl}}, cells...)
 	}
 	e := &Engine{onRace: cfg.onRace, keep: cfg.vindicate, met: cfg.met}
 	if !cfg.unchecked {
 		e.chk = trace.NewChecker()
-	}
-	var entries []analysis.Entry
-	seen := make(map[Cell]bool, len(cells))
-	for _, cell := range cells {
-		if seen[cell] {
-			continue
-		}
-		seen[cell] = true
-		entry, ok := analysis.Lookup(cell.Relation, cell.Level)
-		if !ok {
-			return nil, fmt.Errorf("race: no %v analysis at level %v (N/A in Table 1)", cell.Relation, cell.Level)
-		}
-		entries = append(entries, entry)
 	}
 	e.build(entries, cfg.hints)
 	if len(e.comps) > 1 {
@@ -552,6 +507,9 @@ var _ EventSink = (*Engine)(nil)
 // through FeedBatch from one reused 8192-event buffer (so OnRace interleaves
 // as in FeedTrace), those read before a source error included.
 func (e *Engine) FeedSource(src EventSource) error {
+	if src == nil {
+		return errors.New("race: FeedSource of nil source")
+	}
 	buf := make([]Event, 0, feedChunk)
 	for {
 		ev, err := src.Next()
@@ -606,9 +564,6 @@ func (e *Engine) Close() (*Report, error) {
 	e.drainPipeline()
 	if e.err != nil {
 		return nil, e.err
-	}
-	if len(e.dets) == 0 {
-		return nil, errors.New("race: engine has no analyses")
 	}
 	subs := make([]*Report, len(e.dets))
 	for i := range e.dets {

@@ -173,10 +173,7 @@ func TestParallelEngineFeedCloseStress(t *testing.T) {
 		var races int
 		var mu sync.Mutex
 		eng, err := race.NewEngine(
-			race.WithAnalyses(race.Cell{Relation: race.WDC, Level: race.SmartTrack},
-				race.Cell{Relation: race.DC, Level: race.FTO},
-				race.Cell{Relation: race.HB, Level: race.FTO},
-				race.Cell{Relation: race.WDC, Level: race.Unopt}),
+			race.WithAnalysisNames("ST-WDC", "FTO-DC", "FTO-HB", "Unopt-WDC"),
 			race.WithParallelism(4),
 			race.WithBatchSize(1+i*13),
 			race.WithOnRace(func(race.RaceInfo) { mu.Lock(); races++; mu.Unlock() }),

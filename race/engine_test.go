@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/workload"
 	"repro/race"
 )
@@ -42,17 +43,13 @@ func conformanceTraces(t *testing.T) map[string]*race.Trace {
 // cell, on every conformance workload. All cells share one engine, so this
 // also exercises the single-pass multi-analysis fan-out.
 func TestEngineMatchesBatchAcrossTable1(t *testing.T) {
-	table := race.DetectorTable()
-	if len(table) == 0 {
+	names := race.Detectors()
+	if len(names) == 0 {
 		t.Fatal("no registered analyses")
-	}
-	var cells []race.Cell
-	for _, d := range table {
-		cells = append(cells, race.Cell{Relation: d.Relation, Level: d.Level})
 	}
 	for name, tr := range conformanceTraces(t) {
 		// One engine, every Table 1 cell, no hints: pure streaming.
-		eng, err := race.NewEngine(race.WithAnalyses(cells...))
+		eng, err := race.NewEngine(race.WithAnalysisNames(names...))
 		if err != nil {
 			t.Fatalf("%s: NewEngine: %v", name, err)
 		}
@@ -65,22 +62,20 @@ func TestEngineMatchesBatchAcrossTable1(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Close: %v", name, err)
 		}
-		for _, d := range table {
-			sub, ok := rep.ByAnalysis(d.Name)
+		for _, a := range names {
+			sub, ok := rep.ByAnalysis(a)
 			if !ok {
-				t.Fatalf("%s: no sub-report for %s", name, d.Name)
+				t.Fatalf("%s: no sub-report for %s", name, a)
 			}
-			// Batch path: detector pre-sized for the complete trace.
-			det, err := race.New(tr, d.Relation, d.Level)
-			if err != nil {
-				t.Fatalf("%s/%s: New: %v", name, d.Name, err)
+			// Batch path: the standalone analysis pre-sized for the
+			// complete trace.
+			entry, _ := analysis.ByName(a)
+			col := analysis.Run(entry.NewFor(tr), tr)
+			if got, want := sub.Dynamic(), col.Dynamic(); got != want {
+				t.Errorf("%s/%s: streaming dynamic = %d, batch = %d", name, a, got, want)
 			}
-			det.HandleRun(tr.Events, nil)
-			if got, want := sub.Dynamic(), det.Races().Dynamic(); got != want {
-				t.Errorf("%s/%s: streaming dynamic = %d, batch = %d", name, d.Name, got, want)
-			}
-			if got, want := sub.Static(), det.Races().Static(); got != want {
-				t.Errorf("%s/%s: streaming static = %d, batch = %d", name, d.Name, got, want)
+			if got, want := sub.Static(), col.Static(); got != want {
+				t.Errorf("%s/%s: streaming static = %d, batch = %d", name, a, got, want)
 			}
 		}
 	}
@@ -115,21 +110,8 @@ func TestEngineDefaultsToSmartTrackWDC(t *testing.T) {
 	}
 }
 
-func TestEngineHBDefaultsToFTO(t *testing.T) {
-	eng, err := race.NewEngine(race.WithRelation(race.HB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Detectors(); len(got) != 1 || got[0] != "FTO-HB" {
-		t.Fatalf("HB default detectors = %v, want [FTO-HB]", got)
-	}
-	if _, err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEngineRejectsNACellAndUnknownName(t *testing.T) {
-	if _, err := race.NewEngine(race.WithRelation(race.HB), race.WithLevel(race.SmartTrack)); err == nil {
+	if _, err := race.NewEngine(race.WithAnalysisNames("ST-HB")); err == nil {
 		t.Error("SmartTrack-HB engine must be rejected")
 	}
 	if _, err := race.NewEngine(race.WithAnalysisNames("nope")); err == nil {
@@ -140,7 +122,6 @@ func TestEngineRejectsNACellAndUnknownName(t *testing.T) {
 func TestEngineOnRaceFiresOnline(t *testing.T) {
 	var seen []race.RaceInfo
 	eng, err := race.NewEngine(
-		race.WithRelation(race.WDC), race.WithLevel(race.SmartTrack),
 		race.WithOnRace(func(r race.RaceInfo) { seen = append(seen, r) }),
 	)
 	if err != nil {
@@ -201,7 +182,6 @@ func TestEngineFeedAfterClose(t *testing.T) {
 
 func TestEngineVindication(t *testing.T) {
 	eng, err := race.NewEngine(
-		race.WithRelation(race.WDC), race.WithLevel(race.SmartTrack),
 		race.WithVindication(),
 	)
 	if err != nil {
@@ -301,10 +281,7 @@ func TestEncoderDecoderStreamRoundTrip(t *testing.T) {
 // Runtime with an attached engine: analysis happens while recording
 // (record-and-analyze in one pass), and Finish returns the fan-out report.
 func TestRuntimeEngineOnePass(t *testing.T) {
-	eng, err := race.NewEngine(race.WithAnalyses(
-		race.Cell{Relation: race.HB, Level: race.FTO},
-		race.Cell{Relation: race.WDC, Level: race.SmartTrack},
-	))
+	eng, err := race.NewEngine(race.WithAnalysisNames("FTO-HB", "ST-WDC"))
 	if err != nil {
 		t.Fatal(err)
 	}

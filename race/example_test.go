@@ -38,10 +38,7 @@ func ExampleEngine() {
 	tr := b.Build()
 
 	eng, _ := race.NewEngine(
-		race.WithAnalyses(
-			race.Cell{Relation: race.HB, Level: race.FTO},
-			race.Cell{Relation: race.WDC, Level: race.SmartTrack},
-		),
+		race.WithAnalysisNames("FTO-HB", "ST-WDC"),
 		race.WithOnRace(func(r race.RaceInfo) {
 			fmt.Printf("online: %s at event %d\n", r.Analysis, r.Index)
 		}),

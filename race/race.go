@@ -17,9 +17,11 @@
 //   - vindication, which proves a reported race is a true predictable race
 //     by constructing a verified witness reordering.
 //
-// The streaming quick start — detectors exist before any events do:
+// The streaming quick start — detectors exist before any events do; an
+// engine runs ST-WDC unless WithAnalysisNames lists other Table 1 cells
+// (see Detectors):
 //
-//	eng, _ := race.NewEngine(race.WithRelation(race.WDC), race.WithLevel(race.SmartTrack))
+//	eng, _ := race.NewEngine(race.WithAnalysisNames("ST-WDC", "FTO-HB"))
 //	eng.Feed(race.Event{T: 0, Op: race.OpRead, Targ: 0})  // ... one event at a time
 //	report, _ := eng.Close()
 //
@@ -35,8 +37,8 @@
 //	fmt.Println(report.Dynamic()) // 1 — the predictable race HB misses
 //
 // No function in this package panics on user input: invalid analysis
-// configurations, ill-formed event streams, and out-of-range race indices
-// all surface as errors.
+// configurations, ill-formed event streams, nil traces and out-of-range race
+// indices all surface as errors.
 package race
 
 import (
@@ -87,7 +89,12 @@ func NewBuilder() *Builder { return trace.NewBuilder() }
 
 // CheckTrace verifies trace well-formedness (locking discipline, fork/join
 // lifecycle, id ranges).
-func CheckTrace(tr *Trace) error { return trace.Check(tr) }
+func CheckTrace(tr *Trace) error {
+	if tr == nil {
+		return errors.New("race: CheckTrace of nil trace")
+	}
+	return trace.Check(tr)
+}
 
 // Relation selects the partial order an analysis tracks.
 type Relation = analysis.Relation
@@ -124,9 +131,6 @@ const (
 	SmartTrack = analysis.SmartTrack
 )
 
-// Detector is a streaming race detection analysis.
-type Detector = analysis.Analysis
-
 // Caps describes a detector's capabilities (the registry's metadata).
 type Caps = analysis.Caps
 
@@ -139,40 +143,24 @@ type DetectorInfo struct {
 	Caps     Caps
 }
 
-// New builds a detector for the given relation and optimization level,
-// pre-sized for the trace's id spaces (the trace may be nil for a detector
-// that will discover its id spaces from the stream). It returns an error
-// for the Table 1 cells the paper marks N/A (e.g. SmartTrack-HB).
-func New(tr *Trace, rel Relation, lvl Level) (Detector, error) {
+// Analyze runs the (rel, lvl) analysis over the whole trace and returns its
+// report: AnalyzeByName under the cell's display name. A Table 1 cell the
+// paper marks N/A (e.g. SmartTrack-HB) and an ill-formed trace are errors.
+func Analyze(tr *Trace, rel Relation, lvl Level) (*Report, error) {
 	e, ok := analysis.Lookup(rel, lvl)
 	if !ok {
 		return nil, fmt.Errorf("race: no %v analysis at level %v (N/A in Table 1)", rel, lvl)
 	}
-	var spec analysis.Spec
-	if tr != nil {
-		spec = analysis.SpecOf(tr)
-	}
-	return e.New(spec), nil
+	return AnalyzeByName(tr, e.Name)
 }
 
-// Analyze runs the (rel, lvl) analysis over the whole trace and returns its
-// report. It is a thin wrapper over the streaming Engine: the trace goes
-// through FeedTrace, with incremental well-formedness checking. Invalid
-// (rel, lvl) combinations and ill-formed traces return errors.
-func Analyze(tr *Trace, rel Relation, lvl Level) (*Report, error) {
-	eng, err := NewEngine(WithRelation(rel), WithLevel(lvl), WithCapacityHints(HintsOf(tr)))
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.FeedTrace(tr); err != nil {
-		return nil, err
-	}
-	return eng.Close()
-}
-
-// AnalyzeByName runs a registered analysis by display name (e.g. "ST-DC"),
-// through the same engine path as Analyze.
+// AnalyzeByName runs a registered analysis by display name (e.g. "ST-DC")
+// over the whole trace. It is a thin wrapper over the streaming Engine: the
+// trace goes through FeedTrace, with incremental well-formedness checking.
 func AnalyzeByName(tr *Trace, name string) (*Report, error) {
+	if tr == nil {
+		return nil, errors.New("race: AnalyzeByName of nil trace")
+	}
 	eng, err := NewEngine(WithAnalysisNames(name), WithCapacityHints(HintsOf(tr)))
 	if err != nil {
 		return nil, err
@@ -237,30 +225,30 @@ func (r *Report) Analysis() string { return r.name }
 
 // Analyses lists the names of all analyses in the report, in fan-out order.
 func (r *Report) Analyses() []string {
-	if len(r.subs) == 0 {
-		return []string{r.name}
-	}
-	out := make([]string, len(r.subs))
-	for i, s := range r.subs {
-		out[i] = s.name
+	var out []string
+	for _, s := range r.reports() {
+		out = append(out, s.name)
 	}
 	return out
 }
 
 // ByAnalysis returns the sub-report of the named analysis.
 func (r *Report) ByAnalysis(name string) (*Report, bool) {
-	if len(r.subs) == 0 {
-		if name == r.name {
-			return r, true
-		}
-		return nil, false
-	}
-	for _, s := range r.subs {
+	for _, s := range r.reports() {
 		if s.name == name {
 			return s, true
 		}
 	}
 	return nil, false
+}
+
+// reports lists r's per-analysis reports: its sub-reports, or r itself if
+// it is one.
+func (r *Report) reports() []*Report {
+	if len(r.subs) == 0 {
+		return []*Report{r}
+	}
+	return r.subs
 }
 
 // Dynamic returns the total number of dynamic races detected.
@@ -307,10 +295,7 @@ func (r *Report) Vindicate(tr *Trace) error {
 	if tr == nil {
 		return errors.New("race: Report.Vindicate of nil trace")
 	}
-	subs := r.subs
-	if len(subs) == 0 {
-		subs = []*Report{r}
-	}
+	subs := r.reports()
 	for _, sub := range subs {
 		for _, rc := range sub.col.Races() {
 			if rc.Index < 0 || rc.Index >= tr.Len() {
@@ -411,13 +396,23 @@ func VerifyWitness(tr *Trace, witness []Event, e1, e2 int) error {
 }
 
 // WriteTrace serializes a trace in the binary format.
-func WriteTrace(w io.Writer, tr *Trace) error { return trace.WriteBinary(w, tr) }
+func WriteTrace(w io.Writer, tr *Trace) error {
+	if tr == nil {
+		return errors.New("race: WriteTrace of nil trace")
+	}
+	return trace.WriteBinary(w, tr)
+}
 
 // ReadTrace parses a binary trace.
 func ReadTrace(r io.Reader) (*Trace, error) { return trace.ReadBinary(r) }
 
 // WriteTraceText serializes a trace in the human-readable text format.
-func WriteTraceText(w io.Writer, tr *Trace) error { return trace.WriteText(w, tr) }
+func WriteTraceText(w io.Writer, tr *Trace) error {
+	if tr == nil {
+		return errors.New("race: WriteTraceText of nil trace")
+	}
+	return trace.WriteText(w, tr)
+}
 
 // ReadTraceText parses a text trace.
 func ReadTraceText(r io.Reader) (*Trace, error) { return trace.ReadText(r) }

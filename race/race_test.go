@@ -52,16 +52,6 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
-func TestNewRejectsNACells(t *testing.T) {
-	tr := figure1()
-	if _, err := race.New(tr, race.HB, race.SmartTrack); err == nil {
-		t.Error("SmartTrack-HB must be rejected")
-	}
-	if _, err := race.New(tr, race.DC, race.SmartTrack); err != nil {
-		t.Errorf("ST-DC rejected: %v", err)
-	}
-}
-
 func TestDetectorsAndByName(t *testing.T) {
 	names := race.Detectors()
 	if len(names) != 15 {

@@ -42,12 +42,8 @@ type jsonReport struct {
 // MarshalJSON implements json.Marshaler: the report document raced serves.
 func (r *Report) MarshalJSON() ([]byte, error) {
 	doc := jsonReport{Analysis: r.name}
-	if len(r.subs) == 0 {
-		doc.Analyses = []report.JSONAnalysis{report.AnalysisJSON(r.name, r.col)}
-	} else {
-		for _, sub := range r.subs {
-			doc.Analyses = append(doc.Analyses, report.AnalysisJSON(sub.name, sub.col))
-		}
+	for _, sub := range r.reports() {
+		doc.Analyses = append(doc.Analyses, report.AnalysisJSON(sub.name, sub.col))
 	}
 	if r.vind != nil {
 		doc.Vindications = make(map[string]jsonVindication, len(r.vind))

@@ -105,7 +105,7 @@ func TestEventLimitEndsTheStream(t *testing.T) {
 	}{
 		{"sequential", nil},
 		{"unchecked", []Option{WithUncheckedInput()}},
-		{"fan-out", []Option{WithLevel(FTO), WithAnalysisNames("ST-WDC")}},
+		{"fan-out", []Option{WithAnalysisNames("FTO-WDC", "ST-WDC")}},
 		{"parallel", []Option{WithAnalysisNames("FTO-HB", "ST-WDC"), WithParallelism(2)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
