@@ -7,6 +7,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/trace"
 	"repro/race"
 )
@@ -84,6 +85,46 @@ func TestDetectorTableCaps(t *testing.T) {
 	wcp := byName["ST-WCP"]
 	if wcp.Caps.NeedsVindication {
 		t.Errorf("ST-WCP is sound and must not need vindication: %+v", wcp.Caps)
+	}
+}
+
+// TestNewCoversFullGrid: an analysis can be built for exactly the
+// registered cells, and every N/A cell has none. An analysis built for a
+// cell is usable at once.
+func TestNewCoversFullGrid(t *testing.T) {
+	tr := figure1Trace()
+	for _, c := range allCells() {
+		e, ok := analysis.Lookup(c.rel, c.lvl)
+		if ok == naCells[c] {
+			t.Errorf("Lookup(%v, %v): ok = %v, want N/A = %v", c.rel, c.lvl, ok, naCells[c])
+			continue
+		}
+		if !ok {
+			continue
+		}
+		if analysis.Run(e.NewFor(tr), tr) == nil {
+			t.Errorf("%s: nil race collector", e.Name)
+		}
+	}
+}
+
+// TestNewEngineCoversFullGrid mirrors TestNewCoversFullGrid on the engine
+// constructor: it accepts the name of every registered cell and refuses
+// the name an N/A cell would have.
+func TestNewEngineCoversFullGrid(t *testing.T) {
+	names := make(map[cell]string)
+	for _, d := range race.DetectorTable() {
+		names[cell{d.Relation, d.Level}] = d.Name
+	}
+	for _, c := range allCells() {
+		name := names[c]
+		if naCells[c] {
+			name = c.lvl.String() + "-" + c.rel.String()
+		}
+		_, err := race.NewEngine(race.WithAnalysisNames(name))
+		if naCells[c] != (err != nil) {
+			t.Errorf("NewEngine(%q): err = %v, want N/A = %v", name, err, naCells[c])
+		}
 	}
 }
 

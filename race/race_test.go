@@ -52,6 +52,24 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNACells: SmartTrack-HB is N/A in Table 1, through Analyze
+// and through the engine; SmartTrack-DC is not.
+func TestNewRejectsNACells(t *testing.T) {
+	tr := figure1()
+	if _, err := race.Analyze(tr, race.HB, race.SmartTrack); err == nil {
+		t.Error("SmartTrack-HB must be rejected")
+	}
+	if _, err := race.NewEngine(race.WithAnalysisNames("ST-HB")); err == nil {
+		t.Error("engine: ST-HB must be rejected")
+	}
+	if _, err := race.Analyze(tr, race.DC, race.SmartTrack); err != nil {
+		t.Errorf("ST-DC rejected: %v", err)
+	}
+	if _, err := race.NewEngine(race.WithAnalysisNames("ST-DC")); err != nil {
+		t.Errorf("engine: ST-DC rejected: %v", err)
+	}
+}
+
 func TestDetectorsAndByName(t *testing.T) {
 	names := race.Detectors()
 	if len(names) != 15 {
