@@ -99,7 +99,7 @@ func runEngine(tr *trace.Trace, names []string, parallelism int) error {
 	if err != nil {
 		return err
 	}
-	if err := eng.FeedTrace(tr); err != nil {
+	if err := eng.FeedBatch(tr.Events); err != nil {
 		return err
 	}
 	_, err = eng.Close()
@@ -287,8 +287,8 @@ func BenchmarkCheckerStep(b *testing.B) {
 
 // BenchmarkEngineFrontEnd measures what the engine adds around one ST-WDC
 // analysis (BenchmarkAnalysis/ST-WDC is the bare cell): the checked
-// default against WithUncheckedInput, fed in the 8192-event chunks
-// FeedTrace uses.
+// default against WithUncheckedInput, fed as the whole trace in one
+// FeedBatch, which commits it in 8192-event pieces.
 func BenchmarkEngineFrontEnd(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
@@ -304,7 +304,7 @@ func BenchmarkEngineFrontEnd(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := eng.FeedTrace(benchTrace); err != nil {
+				if err := eng.FeedBatch(benchTrace.Events); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := eng.Close(); err != nil {

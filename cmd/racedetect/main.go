@@ -95,8 +95,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: racedetect [-analysis NAMES] [-vindicate] trace-file")
 		os.Exit(2)
 	}
+	if *remote == "" {
+		// A flag documented "with -remote:" set without it would be
+		// silently ignored by the local analysis: refuse it instead.
+		flag.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Usage, "with -remote:") {
+				log.Fatalf("-%s requires -remote", f.Name)
+			}
+		})
+	}
 
-	var src race.EventSource
+	var src eventSource
 	var hints race.CapacityHints
 	var logDir string // non-empty when the input is a racelog directory
 	if fi, err := os.Stat(flag.Arg(0)); err == nil && fi.IsDir() {
@@ -129,8 +138,10 @@ func main() {
 
 	analyses := strings.Split(*names, ",")
 	var (
-		rep   *race.Report
-		fed   int
+		sink  race.EventSink
+		flush func() error // the wire flush barrier of a remote session
+		skip  uint64
+		what  = "streaming trace"
 		start = time.Now()
 	)
 	if *remote != "" {
@@ -146,7 +157,6 @@ func main() {
 			tracer = tracing.New(tracing.Options{Service: "racedetect"})
 		}
 		var sess remoteStream
-		var skip uint64
 		var err error
 		if *retry {
 			ropts := []server.ReliableOption{server.WithRetry(server.RetryPolicy{}), server.WithTracer(tracer)}
@@ -190,17 +200,8 @@ func main() {
 			defer r.Close()
 			src, skip = r, 0
 		}
-		fed, err = feedSinkFrom(sess, src, skip, *flushEach)
-		if err != nil {
-			log.Fatalf("streaming trace to %s: %v", *remote, err)
-		}
-		if rep, err = sess.Close(); err != nil {
-			log.Fatalf("remote analysis: %v", err)
-		}
+		sink, flush, what = sess, sess.Flush, "streaming trace to "+*remote
 	} else {
-		if *resume != "" {
-			log.Fatal("-resume requires -remote")
-		}
 		opts := []race.Option{race.WithAnalysisNames(analyses...), race.WithCapacityHints(hints)}
 		if *vind {
 			opts = append(opts, race.WithVindication())
@@ -219,13 +220,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := eng.FeedSource(src); err != nil {
-			log.Fatalf("streaming trace: %v", err)
+		sink = eng
+	}
+	fed, err := drain(src, sink, skip, *flushEach, flush)
+	if err != nil {
+		log.Fatalf("%s: %v", what, err)
+	}
+	rep, err := sink.Close()
+	if err != nil {
+		if *remote != "" {
+			err = fmt.Errorf("remote analysis: %w", err)
 		}
-		if rep, err = eng.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fed = eng.Fed()
+		log.Fatal(err)
 	}
 	dur := time.Since(start)
 
@@ -274,33 +280,56 @@ type remoteStream interface {
 	TraceContext() tracing.SpanContext
 }
 
-// feedSinkFrom drains an event source into an event sink (the remote
-// session), skipping the first skip events — the prefix a resumed session
-// has already accepted — and counting the events fed. Racelog inputs seek
-// instead (store.OpenReadAt); flat trace files pay a decode-and-discard
-// of the prefix, bounded by the decoder's tens-of-Mevents/sec. A positive
-// flushEvery inserts a flush barrier every that many fed events.
-func feedSinkFrom(sink remoteStream, src race.EventSource, skip uint64, flushEvery int) (int, error) {
-	n := 0
+// eventSource is a stream of events ending with io.EOF: the streaming trace
+// decoders and a racelog's store.Reader.
+type eventSource interface {
+	Next() (race.Event, error)
+}
+
+// feedChunk is the longest run drain hands the sink at once, the piece in
+// which an Engine commits a run.
+const feedChunk = 8192
+
+// drain is the one loop from an event source into a sink, local engine or
+// remote session: it feeds src in runs of up to feedChunk events and returns
+// the number of events fed. It skips the first skip events — the prefix a
+// resumed session has already accepted (racelog inputs seek instead, with
+// store.OpenReadAt; flat trace files pay a decode-and-discard of the
+// prefix). A positive flushEvery ends a run at every multiple of that many
+// fed events and calls flush there. The events read before a source error
+// are fed before the error is returned.
+func drain(src eventSource, sink race.EventSink, skip uint64, flushEvery int, flush func() error) (int, error) {
+	buf := make([]race.Event, 0, feedChunk)
+	fed := 0
 	for {
 		ev, err := src.Next()
+		if err == nil {
+			if skip > 0 {
+				skip--
+				continue
+			}
+			buf = append(buf, ev)
+			barrier := flushEvery > 0 && (fed+len(buf))%flushEvery == 0
+			if len(buf) < feedChunk && !barrier {
+				continue
+			}
+		}
+		if len(buf) > 0 {
+			if ferr := sink.FeedBatch(buf); ferr != nil {
+				return fed, ferr
+			}
+			fed += len(buf)
+			buf = buf[:0]
+		}
 		if err == io.EOF {
-			return n, nil
+			return fed, nil
 		}
 		if err != nil {
-			return n, err
+			return fed, err
 		}
-		if skip > 0 {
-			skip--
-			continue
-		}
-		if err := sink.Feed(ev); err != nil {
-			return n, err
-		}
-		n++
-		if flushEvery > 0 && n%flushEvery == 0 {
-			if err := sink.Flush(); err != nil {
-				return n, err
+		if flushEvery > 0 && fed%flushEvery == 0 {
+			if ferr := flush(); ferr != nil {
+				return fed, ferr
 			}
 		}
 	}

@@ -62,8 +62,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, e := range tr.Events {
-		if err := eng.Feed(e); err != nil {
+	for i := range tr.Events {
+		if err := eng.FeedBatch(tr.Events[i : i+1]); err != nil { // one event at a time
 			log.Fatal(err)
 		}
 	}

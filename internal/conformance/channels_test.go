@@ -66,7 +66,7 @@ func TestChannelStreamingEqualsBatch(t *testing.T) {
 				t.Fatalf("%s: %v", entry.Name, err)
 			}
 			for _, ev := range tr.Events {
-				if err := eng.Feed(ev); err != nil {
+				if err := eng.FeedBatch([]race.Event{ev}); err != nil {
 					t.Fatalf("%s seed=%d: Feed: %v", entry.Name, cfg.Seed, err)
 				}
 			}

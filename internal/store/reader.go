@@ -12,8 +12,8 @@ import (
 // Reader streams a racelog's records as decoded events. It is
 // trace.Decoder-compatible — Header declares the log's id spaces and event
 // count, Next returns events until io.EOF — so everything that consumes a
-// trace stream (race.Engine.FeedSource, Analyze, vindication replay,
-// conformance) reads a racelog unchanged.
+// trace stream (racedetect's drain into race.Engine.FeedBatch, vindication
+// replay, conformance) reads a racelog unchanged.
 //
 // A Reader reads a snapshot: the records present when it was created.
 // Concurrent appends to the same log are not observed.

@@ -187,13 +187,6 @@ func TestNilTraceIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := func() *race.Engine {
-		eng, err := race.NewEngine()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
 	for _, tc := range []struct {
 		name   string
 		call   func() error
@@ -204,8 +197,6 @@ func TestNilTraceIsAnError(t *testing.T) {
 		{"CheckTrace", func() error { return race.CheckTrace(nil) }, true},
 		{"WriteTrace", func() error { return race.WriteTrace(io.Discard, nil) }, true},
 		{"WriteTraceText", func() error { return race.WriteTraceText(io.Discard, nil) }, true},
-		{"FeedTrace", func() error { return engine().FeedTrace(nil) }, true},
-		{"FeedSource", func() error { return engine().FeedSource(nil) }, true},
 		{"Vindicate", func() error { _, err := race.Vindicate(nil, 0); return err }, true},
 		{"VerifyWitness", func() error { return race.VerifyWitness(nil, nil, 0, 1) }, true},
 		{"Report.Vindicate", func() error { return rep.Vindicate(nil) }, true},

@@ -3,7 +3,6 @@ package race
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"time"
@@ -69,7 +68,7 @@ func WithVindication() Option {
 	return func(c *engineConfig) { c.vindicate = true }
 }
 
-// WithOnRace installs an online race callback, invoked during Feed as
+// WithOnRace installs an online race callback, invoked during FeedBatch as
 // detections happen — the paper's "detect races during the analyzed
 // execution" shape. On a sequential engine the callback runs synchronously
 // on the feeding goroutine; on a parallel engine (WithParallelism) it runs
@@ -103,8 +102,8 @@ func WithUncheckedInput() Option {
 // share one (see FeedBatch), so n is capped at the number of computations —
 // 7 for the full 15-cell matrix — and workers take the costliest pending
 // computation first, by cost measured on the stream itself. n ≤ 1 keeps
-// the sequential engine. Feed must still be called from one goroutine at a
-// time; the Close report is identical to the sequential engine's, and
+// the sequential engine. FeedBatch must still be called from one goroutine
+// at a time; the Close report is identical to the sequential engine's, and
 // OnRace callbacks are delivered from a single goroutine in per-analysis
 // detection order (see RaceInfo.Seq). A good default is
 // runtime.GOMAXPROCS(0) when the fan-out has at least that many
@@ -148,21 +147,21 @@ type computation struct {
 // Engine is a streaming, multi-analysis race detection engine: the public
 // API's embodiment of the paper's online analyses. An engine is constructed
 // before any events exist, consumes an event stream incrementally through
-// Feed (or FeedTrace / FeedSource), runs every configured analysis in one
-// pass, reports races online through the optional OnRace callback, and
-// produces a final Report at Close.
+// FeedBatch, one run at a time, runs every configured analysis in one pass,
+// reports races online through the optional OnRace callback, and produces a
+// final Report at Close.
 //
 // Cells of one relation below the SmartTrack level share their relation's
 // synchronization and CCS state (see computation), whichever way the engine
 // runs; every sub-report is byte-identical to that cell analyzed alone.
 //
 // With WithParallelism the computations run on worker goroutines fed by a
-// batched pipeline (see pipeline.go); Feed becomes a cheap enqueue and the
-// Close report is bit-identical to the sequential engine's.
+// batched pipeline (see pipeline.go); FeedBatch becomes a cheap enqueue and
+// the Close report is bit-identical to the sequential engine's.
 //
 // An Engine is not safe for concurrent use; callers (such as Runtime)
-// serialize Feed calls. After an error from Feed the engine is poisoned:
-// subsequent Feed and Close calls return the same error.
+// serialize FeedBatch calls. After an error from FeedBatch the engine is
+// poisoned: subsequent FeedBatch and Close calls return the same error.
 type Engine struct {
 	dets   []engineDet
 	comps  []computation
@@ -179,7 +178,6 @@ type Engine struct {
 	// pipeline marks into each batch's own bitmap.
 	mark *analysis.SameEpoch
 	same analysis.Same
-	one  [1]Event // Feed's one-event run: a HandleRun argument, so not on Feed's stack
 
 	keep   bool // retain events for vindication at Close
 	events []Event
@@ -293,9 +291,9 @@ func (e *Engine) Detectors() []string {
 // Fed returns the number of events consumed so far.
 func (e *Engine) Fed() int { return e.fed }
 
-// feedChunk is the run length in which FeedTrace and FeedSource commit a
-// stream: per-call costs vanish per event, and a chunk stays cache-resident
-// between the checking pass and the analysis passes.
+// feedChunk is the longest run FeedBatch commits in one piece: per-call
+// costs vanish per event, and a piece stays cache-resident between the
+// checking pass and the analysis passes.
 const feedChunk = 8192
 
 // ErrEventLimit is the sticky error of an Engine fed a run that would take
@@ -305,21 +303,10 @@ const feedChunk = 8192
 // refused, whether or not the engine checks its input.
 var ErrEventLimit = errors.New("race: a stream holds at most 2147483647 events")
 
-// feed is the engine's one front end, behind every entry point: check the
-// run, retain it if Close will vindicate, then mark and dispatch the
-// accepted prefix — into the pipeline's current batch, or through each
-// computation in turn.
+// feed commits one piece of a FeedBatch run: check it, retain it if Close
+// will vindicate, then mark and dispatch the accepted prefix — into the
+// pipeline's current batch, or through each computation in turn.
 func (e *Engine) feed(evs []Event) error {
-	if e.closed {
-		return errors.New("race: Feed on closed engine")
-	}
-	if e.err != nil {
-		return e.err
-	}
-	if len(evs) > math.MaxInt32-e.fed {
-		e.err = ErrEventLimit
-		return e.err
-	}
 	var verr error
 	if e.chk != nil {
 		if n, err := e.chk.Run(evs); err != nil {
@@ -357,15 +344,6 @@ func (e *Engine) feed(evs []Event) error {
 		e.err = verr
 	}
 	return verr
-}
-
-// Feed consumes the next event of the stream, running every configured
-// analysis on it: a one-event run through the FeedBatch front end.
-// Ill-formed input (per the incremental well-formedness rules) returns an
-// error and poisons the engine.
-func (e *Engine) Feed(ev Event) error {
-	e.one[0] = ev
-	return e.feed(e.one[:])
 }
 
 // pending returns d's oldest not-yet-delivered race, stamped with its
@@ -423,68 +401,58 @@ func (e *Engine) checkPipe() error {
 	return nil
 }
 
-// FeedBatch consumes a run of events in one call — the feed-side batching
-// that makes per-thread runs from a Runtime (and event frames arriving at a
-// raced server) cheap to commit: one well-formedness pass and one HandleRun
-// call per computation (or a single append into the parallel pipeline's
-// current batch), instead of per-event bookkeeping. On an engine with two
-// or more computations, the accepted prefix of the run is also marked once
-// for the accesses every computation would skip as same-epoch (see
+// FeedBatch consumes the next run of the stream, of any length, running
+// every configured analysis on it: the engine's one way in, whether the run
+// is one event, a per-thread run from a Runtime, an event frame arriving at
+// a raced server or a whole trace's Events. The run is committed in pieces
+// of at most 8192 events, each with one well-formedness pass and one
+// HandleRun call per computation (or a single append into the parallel
+// pipeline's current batch), instead of per-event bookkeeping. On an engine
+// with two or more computations, each piece is also marked once for the
+// accesses every computation would skip as same-epoch (see
 // analysis.SameEpoch), so that no computation looks them up in its own
 // metadata; the bitmap stays inside the engine.
 //
 // Semantics match feeding the events one at a time: if event i is
 // ill-formed, events [0, i) are fully analyzed, the engine is poisoned, and
-// the checker's error is returned. The one observable difference is OnRace
-// interleaving on a sequential multi-analysis engine: within a run each
-// analysis runs to completion before the next (as the parallel pipeline
-// always has), so per-analysis detection order and Seq numbering are
-// unchanged, but callbacks of different analyses interleave per run, not
-// per event — and cells of one relation deliver together: the FT2, FTO and
-// Unopt cells of a relation run as one computation over shared
-// synchronization state, so after each run their new races arrive back to
+// the checker's error is returned; every later FeedBatch, of any run, empty
+// included, and Close return that error. The one observable difference is
+// OnRace interleaving on a sequential multi-analysis engine: within a piece
+// each analysis runs to completion before the next (as the parallel
+// pipeline always has), so per-analysis detection order and Seq numbering
+// are unchanged, but callbacks of different analyses interleave per piece,
+// not per event — and cells of one relation deliver together: the FT2, FTO
+// and Unopt cells of a relation run as one computation over shared
+// synchronization state, so after each piece their new races arrive back to
 // back, in fan-out order, at the position of the relation's first cell.
-// That holds on every entry point: Feed's run is one event, FeedTrace's
-// and FeedSource's are 8192-event chunks.
 func (e *Engine) FeedBatch(evs []Event) error {
-	if e.met == nil {
-		return e.feed(evs)
+	if e.closed {
+		return errors.New("race: FeedBatch on closed engine")
 	}
-	t0 := time.Now()
-	err := e.feed(evs)
-	e.met.feedBatch.ObserveDuration(time.Since(t0))
-	return err
-}
-
-// FeedTrace streams a complete trace through the engine. The trace's
-// declared id spaces widen the engine's capacity view up front; the events
-// then flow through FeedBatch in 8192-event chunks, so on a sequential
-// multi-analysis engine cross-analysis OnRace interleaving is per chunk;
-// per-analysis order and Seq are unchanged (see FeedBatch).
-func (e *Engine) FeedTrace(tr *Trace) error {
-	if tr == nil {
-		return errors.New("race: FeedTrace of nil trace")
+	if e.err != nil {
+		return e.err
 	}
-	sp := &e.spaces
-	sp.Threads = max(sp.Threads, tr.Threads)
-	sp.Vars = max(sp.Vars, tr.Vars)
-	sp.Locks = max(sp.Locks, tr.Locks)
-	sp.Volatiles = max(sp.Volatiles, tr.Volatiles)
-	sp.Classes = max(sp.Classes, tr.Classes)
-	for evs := tr.Events; len(evs) > 0; {
+	if len(evs) > math.MaxInt32-e.fed {
+		e.err = ErrEventLimit
+		return e.err
+	}
+	for {
 		n := min(len(evs), feedChunk)
-		if err := e.FeedBatch(evs[:n]); err != nil {
+		var t0 time.Time
+		if e.met != nil {
+			t0 = time.Now()
+		}
+		err := e.feed(evs[:n])
+		if e.met != nil {
+			e.met.feedBatch.ObserveDuration(time.Since(t0))
+		}
+		if err != nil {
 			return err
 		}
-		evs = evs[n:]
+		if evs = evs[n:]; len(evs) == 0 {
+			return nil
+		}
 	}
-	return nil
-}
-
-// EventSource is a stream of events ending with io.EOF — implemented by
-// the streaming trace decoders (NewTraceDecoder, NewTextTraceDecoder).
-type EventSource interface {
-	Next() (Event, error)
 }
 
 // EventSink consumes an event stream and produces a final report — the
@@ -495,45 +463,15 @@ type EventSource interface {
 // serialized by the caller, errors are sticky, and Close finalizes the
 // stream and returns the report.
 type EventSink interface {
-	Feed(Event) error
 	FeedBatch([]Event) error
 	Close() (*Report, error)
 }
 
 var _ EventSink = (*Engine)(nil)
 
-// FeedSource drains an EventSource into the engine, so arbitrarily large
-// trace files pipe through without being materialized: events are committed
-// through FeedBatch from one reused 8192-event buffer (so OnRace interleaves
-// as in FeedTrace), those read before a source error included.
-func (e *Engine) FeedSource(src EventSource) error {
-	if src == nil {
-		return errors.New("race: FeedSource of nil source")
-	}
-	buf := make([]Event, 0, feedChunk)
-	for {
-		ev, err := src.Next()
-		if err == nil {
-			if buf = append(buf, ev); len(buf) < feedChunk {
-				continue
-			}
-		}
-		if ferr := e.FeedBatch(buf); ferr != nil {
-			return ferr
-		}
-		buf = buf[:0]
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
 // Abort discards the engine without computing a report: pipeline workers
-// (if any) flush and join so no goroutines leak, and subsequent Feed and
-// Close calls fail. It is the cheap alternative to Close for a stream
+// (if any) flush and join so no goroutines leak, and subsequent FeedBatch
+// and Close calls fail. It is the cheap alternative to Close for a stream
 // whose results no longer matter — Close on a vindicating engine replays
 // the whole retained stream to vindicate its races; Abort does not. The
 // server layer aborts the engines of evicted and disconnected sessions.

@@ -10,8 +10,9 @@ import (
 )
 
 // TestFeedBatchMatchesFeed: committing a stream as arbitrary-sized runs
-// through FeedBatch produces reports byte-identical to event-at-a-time
-// Feed, on both the sequential engine and the parallel pipeline.
+// through FeedBatch, the whole stream in one run included, produces reports
+// byte-identical to one-event runs, on both the sequential engine and the
+// parallel pipeline.
 func TestFeedBatchMatchesFeed(t *testing.T) {
 	p, _ := workload.ProgramByName("pmd")
 	tr := p.Generate(400000, 2)
@@ -26,7 +27,7 @@ func TestFeedBatchMatchesFeed(t *testing.T) {
 	for _, cfg := range []struct {
 		par, run int
 	}{
-		{0, 1}, {0, 13}, {0, 4096}, {2, 13}, {4, 1024},
+		{0, 1}, {0, 13}, {0, 4096}, {2, 13}, {4, 1024}, {0, len(tr.Events)}, {2, len(tr.Events)},
 	} {
 		opts := []race.Option{race.WithAnalysisNames(names...)}
 		if cfg.par > 0 {
@@ -47,7 +48,7 @@ func TestFeedBatchMatchesFeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := renderReport(rep); got != want {
-			t.Errorf("par=%d run=%d: FeedBatch report differs from Feed\n--- batch ---\n%s--- feed ---\n%s",
+			t.Errorf("par=%d run=%d: report differs from one-event runs\n--- batch ---\n%s--- one-event runs ---\n%s",
 				cfg.par, cfg.run, got, want)
 		}
 	}
@@ -151,7 +152,7 @@ func TestSyncBarrier(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, ev := range tr.Events {
-			if err := eng.Feed(ev); err != nil {
+			if err := eng.FeedBatch([]race.Event{ev}); err != nil {
 				t.Fatal(err)
 			}
 			if i%997 == 0 {

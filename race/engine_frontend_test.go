@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 	"testing"
@@ -15,49 +14,21 @@ import (
 	"repro/race"
 )
 
-// sliceSource is an EventSource over a slice that ends with io.EOF, or with
-// fail (if set) once the events are exhausted.
-type sliceSource struct {
-	evs  []race.Event
-	fail error
-}
-
-func (s *sliceSource) Next() (race.Event, error) {
-	if len(s.evs) == 0 {
-		if s.fail != nil {
-			return race.Event{}, s.fail
-		}
-		return race.Event{}, io.EOF
-	}
-	ev := s.evs[0]
-	s.evs = s.evs[1:]
-	return ev, nil
-}
-
-// entryPoints are the engine's four ways in; FeedBatch at three run
-// lengths: per event, ragged against every internal boundary, and the chunk
-// FeedTrace and FeedSource themselves use.
+// entryPoints are the ways to cut a stream into FeedBatch runs: per event
+// (the reference), ragged against every internal boundary, the 8192-event
+// piece FeedBatch commits in, runs longer than a piece, and the whole stream
+// in one call.
 type entryPoint struct {
 	name string
 	feed func(eng *race.Engine, tr *race.Trace) error
 }
 
 var entryPoints = []entryPoint{
-	{"Feed", func(eng *race.Engine, tr *race.Trace) error {
-		for _, ev := range tr.Events {
-			if err := eng.Feed(ev); err != nil {
-				return err
-			}
-		}
-		return nil
-	}},
 	{"FeedBatch/1", feedInRuns(1)},
 	{"FeedBatch/7", feedInRuns(7)},
 	{"FeedBatch/8192", feedInRuns(8192)},
-	{"FeedTrace", (*race.Engine).FeedTrace},
-	{"FeedSource", func(eng *race.Engine, tr *race.Trace) error {
-		return eng.FeedSource(&sliceSource{evs: tr.Events})
-	}},
+	{"FeedBatch/20000", feedInRuns(20000)},
+	{"FeedBatch/whole", func(eng *race.Engine, tr *race.Trace) error { return eng.FeedBatch(tr.Events) }},
 }
 
 func feedInRuns(n int) func(*race.Engine, *race.Trace) error {
@@ -114,14 +85,15 @@ func (l *onlineLog) String() string {
 
 var frontEndCells = []string{"ST-WDC", "FTO-HB", "Unopt-DC"}
 
-// frontEndTrace spans five feedChunk-sized chunks and has races in each
+// frontEndTrace spans five 8192-event pieces and has races in each
 // analysis of the fan-out.
 func frontEndTrace() *race.Trace {
 	p, _ := workload.ProgramByName("avrora")
 	return p.Generate(40000, 2)
 }
 
-// TestEntryPointsAgree: one stream, every entry point, every engine shape —
+// TestEntryPointsAgree: one stream, every way to cut it into runs, every
+// engine shape —
 // the Close report is byte-identical JSON, and every analysis's online
 // races arrive in the same order with the same Seq. (Cross-analysis
 // interleaving is per run and deliberately not compared.)
@@ -179,7 +151,7 @@ func TestEntryPointsAgree(t *testing.T) {
 // — the online races are those of the prefix — and returns the same wrapped
 // *trace.CheckError, and the engine is poisoned. Besides the entry points
 // above, FeedBatch runs that put the bad event first, last and alone in its
-// run, and one run of the whole stream.
+// run.
 func TestEntryPointsAgreeOnIllFormedStream(t *testing.T) {
 	good := frontEndTrace()
 	const bad = 20000 // mid-chunk, mid-run for every run length above
@@ -214,7 +186,6 @@ func TestEntryPointsAgreeOnIllFormedStream(t *testing.T) {
 			}
 			return nil
 		}},
-		{"FeedBatch/whole", feedInRuns(ill.Len())},
 	}...)
 	var wantMsg string
 	for _, shape := range engineShapes[:2] {
@@ -242,8 +213,11 @@ func TestEntryPointsAgreeOnIllFormedStream(t *testing.T) {
 			if eng.Fed() != bad {
 				t.Errorf("%s: Fed = %d, want the %d-event prefix", name, eng.Fed(), bad)
 			}
-			if err := eng.Feed(good.Events[bad]); err != ferr {
-				t.Errorf("%s: poisoned engine's Feed returned %v", name, err)
+			if err := eng.FeedBatch(good.Events[bad : bad+1]); err != ferr {
+				t.Errorf("%s: poisoned engine's one-event FeedBatch returned %v", name, err)
+			}
+			if err := eng.FeedBatch(nil); err != ferr {
+				t.Errorf("%s: poisoned engine's empty FeedBatch returned %v", name, err)
 			}
 			if err := eng.FeedBatch(good.Events[bad:]); err != ferr {
 				t.Errorf("%s: poisoned engine's FeedBatch returned %v", name, err)
@@ -258,41 +232,19 @@ func TestEntryPointsAgreeOnIllFormedStream(t *testing.T) {
 	}
 }
 
-// TestFeedSourceFeedsEventsReadBeforeSourceError: a source that fails
-// mid-stream does not strand the events already read in FeedSource's
-// buffer.
-func TestFeedSourceFeedsEventsReadBeforeSourceError(t *testing.T) {
-	tr := frontEndTrace()
-	boom := errors.New("decoder: truncated record")
-	for _, n := range []int{0, 100, 8192, 10000} {
-		eng, err := race.NewEngine()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.FeedSource(&sliceSource{evs: tr.Events[:n], fail: boom}); err != boom {
-			t.Fatalf("n=%d: FeedSource = %v, want the source's error", n, err)
-		}
-		if eng.Fed() != n {
-			t.Errorf("n=%d: Fed = %d", n, eng.Fed())
-		}
-		if _, err := eng.Close(); err != nil {
-			t.Errorf("n=%d: a source error poisoned the engine: %v", n, err)
-		}
-	}
-}
-
-// TestFeedAllocatesNothing: Feed's one-event run lives on the stack.
+// TestFeedAllocatesNothing: feeding an event through a reused one-event run
+// allocates nothing.
 func TestFeedAllocatesNothing(t *testing.T) {
 	eng, err := race.NewEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := race.Event{T: 0, Op: race.OpRead, Targ: 0}
-	if err := eng.Feed(ev); err != nil {
+	run := []race.Event{{T: 0, Op: race.OpRead, Targ: 0}}
+	if err := eng.FeedBatch(run); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { eng.Feed(ev) }); n != 0 {
-		t.Errorf("Feed allocates %v times per event", n)
+	if n := testing.AllocsPerRun(100, func() { eng.FeedBatch(run) }); n != 0 {
+		t.Errorf("a one-event FeedBatch allocates %v times per event", n)
 	}
 }
 

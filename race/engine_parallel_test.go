@@ -63,8 +63,8 @@ func parallelConformanceTraces(t *testing.T) map[string]*race.Trace {
 
 func feedAll(t *testing.T, eng *race.Engine, tr *race.Trace) *race.Report {
 	t.Helper()
-	for _, ev := range tr.Events {
-		if err := eng.Feed(ev); err != nil {
+	for i := range tr.Events {
+		if err := eng.FeedBatch(tr.Events[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestParallelEngineFeedCloseStress(t *testing.T) {
 		fed := make(chan error, 1)
 		go func() {
 			for _, ev := range tr.Events {
-				if err := eng.Feed(ev); err != nil {
+				if err := eng.FeedBatch([]race.Event{ev}); err != nil {
 					fed <- err
 					return
 				}
@@ -214,7 +214,7 @@ func TestParallelEngineFeedCloseStress(t *testing.T) {
 
 // TestParallelEngineErrorPoisoning: an ill-formed stream poisons a
 // parallel engine exactly as it does a sequential one — synchronously
-// from Feed, with the same error from then on, and Close still joins the
+// from FeedBatch, with the same error from then on, and Close still joins the
 // workers cleanly.
 func TestParallelEngineErrorPoisoning(t *testing.T) {
 	eng, err := race.NewEngine(
@@ -224,16 +224,16 @@ func TestParallelEngineErrorPoisoning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Feed(race.Event{T: 0, Op: race.OpWrite, Targ: 0}); err != nil {
+	if err := eng.FeedBatch([]race.Event{{T: 0, Op: race.OpWrite, Targ: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	// Release of a lock thread 0 does not hold: the incremental checker
 	// must reject it on the feeding goroutine.
-	ferr := eng.Feed(race.Event{T: 0, Op: race.OpRelease, Targ: 0})
+	ferr := eng.FeedBatch([]race.Event{{T: 0, Op: race.OpRelease, Targ: 0}})
 	if ferr == nil {
 		t.Fatal("ill-formed event accepted by parallel engine")
 	}
-	if err := eng.Feed(race.Event{T: 0, Op: race.OpRead, Targ: 0}); err == nil {
+	if err := eng.FeedBatch([]race.Event{{T: 0, Op: race.OpRead, Targ: 0}}); err == nil {
 		t.Fatal("poisoned engine accepted another event")
 	}
 	if _, err := eng.Close(); err == nil {
@@ -256,7 +256,7 @@ func TestParallelEngineOnRacePanicPoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ev := range tr.Events {
-		if err := eng.Feed(ev); err != nil {
+		if err := eng.FeedBatch([]race.Event{ev}); err != nil {
 			break // poisoned mid-stream is fine; Close must still error
 		}
 	}

@@ -39,7 +39,7 @@ func TestRetainedTraceDeclaresObservedIDSpaces(t *testing.T) {
 			return nil, err
 		}
 		for _, ev := range stream[5:] {
-			if err := eng.Feed(ev); err != nil {
+			if err := eng.FeedBatch([]Event{ev}); err != nil {
 				return nil, err
 			}
 		}

@@ -17,7 +17,7 @@ import (
 // markedTraces are the streams the same-epoch marking is held to, with the
 // sha256 and length of the 15-cell report JSON — plain, and with
 // WithVindication — as the engine produced them
-// before it marked anything (read with Feed, one event at a time).
+// before it marked anything (fed one event at a time).
 var markedTraces = []struct {
 	name      string
 	tr        func() *Trace
@@ -45,11 +45,11 @@ func program(name string, div int) func() *Trace {
 	}
 }
 
-// feedRuns feeds tr in runs of n events (n == 0: Feed, one at a time).
+// feedRuns feeds tr in runs of n events (n == 0: one event at a time).
 func feedRuns(eng *Engine, tr *Trace, n int) error {
 	if n == 0 {
-		for _, ev := range tr.Events {
-			if err := eng.Feed(ev); err != nil {
+		for i := range tr.Events {
+			if err := eng.FeedBatch(tr.Events[i : i+1]); err != nil {
 				return err
 			}
 		}

@@ -54,8 +54,8 @@ func TestEngineMatchesBatchAcrossTable1(t *testing.T) {
 			t.Fatalf("%s: NewEngine: %v", name, err)
 		}
 		for _, e := range tr.Events {
-			if err := eng.Feed(e); err != nil {
-				t.Fatalf("%s: Feed: %v", name, err)
+			if err := eng.FeedBatch([]race.Event{e}); err != nil {
+				t.Fatalf("%s: FeedBatch: %v", name, err)
 			}
 		}
 		rep, err := eng.Close()
@@ -98,7 +98,7 @@ func TestEngineDefaultsToSmartTrackWDC(t *testing.T) {
 	if got := eng.Detectors(); len(got) != 1 || got[0] != "ST-WDC" {
 		t.Fatalf("default detectors = %v, want [ST-WDC]", got)
 	}
-	if err := eng.FeedTrace(figure1Trace()); err != nil {
+	if err := eng.FeedBatch(figure1Trace().Events); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := eng.Close()
@@ -129,7 +129,7 @@ func TestEngineOnRaceFiresOnline(t *testing.T) {
 	}
 	tr := figure1Trace()
 	for i, e := range tr.Events {
-		if err := eng.Feed(e); err != nil {
+		if err := eng.FeedBatch([]race.Event{e}); err != nil {
 			t.Fatal(err)
 		}
 		if i < tr.Len()-1 && len(seen) != 0 {
@@ -152,12 +152,15 @@ func TestEngineRejectsIllFormedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Feed(race.Event{T: 0, Op: race.OpRelease, Targ: 0}); err == nil {
+	if err := eng.FeedBatch([]race.Event{{T: 0, Op: race.OpRelease, Targ: 0}}); err == nil {
 		t.Fatal("release of unheld lock must be rejected")
 	}
 	// The engine is poisoned: further feeding and closing return the error.
-	if err := eng.Feed(race.Event{T: 0, Op: race.OpRead, Targ: 0}); err == nil {
+	if err := eng.FeedBatch([]race.Event{{T: 0, Op: race.OpRead, Targ: 0}}); err == nil {
 		t.Error("poisoned engine must keep rejecting")
+	}
+	if err := eng.FeedBatch(nil); err == nil {
+		t.Error("poisoned engine must reject an empty run too")
 	}
 	if _, err := eng.Close(); err == nil {
 		t.Error("Close after a stream error must fail")
@@ -172,8 +175,11 @@ func TestEngineFeedAfterClose(t *testing.T) {
 	if _, err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Feed(race.Event{T: 0, Op: race.OpRead}); err == nil {
-		t.Error("Feed after Close must fail")
+	if err := eng.FeedBatch([]race.Event{{T: 0, Op: race.OpRead}}); err == nil {
+		t.Error("FeedBatch after Close must fail")
+	}
+	if err := eng.FeedBatch(nil); err == nil {
+		t.Error("an empty FeedBatch after Close must fail")
 	}
 	if _, err := eng.Close(); err == nil {
 		t.Error("double Close must fail")
@@ -187,7 +193,7 @@ func TestEngineVindication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(figure1Trace()); err != nil {
+	if err := eng.FeedBatch(figure1Trace().Events); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := eng.Close()
@@ -208,8 +214,8 @@ func TestEngineVindication(t *testing.T) {
 }
 
 // TestEngineStreamsFromDecoder pipes a serialized trace through the
-// streaming decoder into the engine — the cmd/racedetect path — and checks
-// it against direct analysis.
+// streaming decoder into the engine in 64-event runs — the cmd/racedetect
+// path — and checks it against direct analysis.
 func TestEngineStreamsFromDecoder(t *testing.T) {
 	tr := workload.Random(workload.RandomConfig{Seed: 9, Threads: 4, Vars: 5, Locks: 3, Events: 500, ForkJoin: true})
 	var buf bytes.Buffer
@@ -220,8 +226,25 @@ func TestEngineStreamsFromDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedSource(race.NewTraceDecoder(&buf)); err != nil {
-		t.Fatal(err)
+	dec := race.NewTraceDecoder(&buf)
+	var run []race.Event
+	for {
+		ev, err := dec.Next()
+		if err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		if err == nil {
+			run = append(run, ev)
+		}
+		if len(run) == 64 || err == io.EOF {
+			if ferr := eng.FeedBatch(run); ferr != nil {
+				t.Fatal(ferr)
+			}
+			run = run[:0]
+		}
+		if err == io.EOF {
+			break
+		}
 	}
 	rep, err := eng.Close()
 	if err != nil {

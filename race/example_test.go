@@ -44,7 +44,7 @@ func ExampleEngine() {
 		}),
 	)
 	for _, e := range tr.Events {
-		eng.Feed(e)
+		eng.FeedBatch([]race.Event{e})
 	}
 	rep, _ := eng.Close()
 	for _, name := range rep.Analyses() {

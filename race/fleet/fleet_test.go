@@ -23,7 +23,7 @@ func batchReport(t *testing.T, tr *race.Trace, names []string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(tr); err != nil {
+	if err := eng.FeedBatch(tr.Events); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := eng.Close()
@@ -165,7 +165,7 @@ func TestCrashMigrationVindicatesFromTheJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(tr); err != nil {
+	if err := eng.FeedBatch(tr.Events); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := eng.Close()

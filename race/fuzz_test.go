@@ -1,0 +1,128 @@
+package race_test
+
+import (
+	"bytes"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
+	"testing"
+
+	"repro/internal/trace"
+	"repro/race"
+	"repro/race/server"
+)
+
+// fuzzIDs folds the fuzzer's thread and target ids into a small id space.
+// An engine grows its per-id tables to the largest id it is fed, so one
+// record naming variable 2^32-1 asks for hundreds of gigabytes; folding
+// keeps the target on the doors' logic, and makes locks, threads and
+// variables collide often enough to build real critical sections.
+const fuzzThreads, fuzzTargets = 8, 64
+
+// records encodes evs as the byte string FuzzPublicDoors decodes.
+func records(evs []race.Event) []byte {
+	b := make([]byte, len(evs)*trace.RecordSize)
+	trace.PutRecords(b, evs)
+	return b
+}
+
+// FuzzPublicDoors: arbitrary event records (at most 64, invalid ops
+// included) through every public door that takes a stream. Each door must
+// answer with a result or an error, never a panic, and the doors must agree
+// on whether the stream is well formed: CheckTrace's verdict is every
+// engine's, Analyze's and raced's POST /ingest's.
+//
+// The engines are one per registered cell, and the full fan-out both
+// sequential and WithParallelism(2): a one-cell engine has one computation,
+// which the pipeline would not split, so the fan-out is where the pipeline
+// (and the engine's same-epoch marking) runs.
+func FuzzPublicDoors(f *testing.F) {
+	f.Add(records([]race.Event{{T: 0, Op: race.OpRelease, Targ: 3}, {T: 1, Op: race.OpRead, Targ: 1}}))
+	f.Add([]byte{})
+	srv := server.New(server.Config{IdleTimeout: -1})
+	f.Cleanup(func() { srv.Close() })
+	handler := srv.Handler()
+	cells := race.DetectorTable()
+	names := race.Detectors()
+	ingest := "/ingest?vindicate=true&analysis=" + url.QueryEscape(strings.Join(names, ","))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs := make([]race.Event, min(len(data)/trace.RecordSize, 64))
+		trace.GetRecords(evs, data)
+		for i := range evs {
+			evs[i].T %= fuzzThreads
+			evs[i].Targ %= fuzzTargets
+		}
+		tr := &race.Trace{Events: evs}
+		tr.Widen(evs)
+		checkErr := race.CheckTrace(tr)
+		wellFormed := checkErr == nil
+
+		// agree holds a door's verdict to CheckTrace's: a well-formed
+		// stream is accepted, and an ill-formed one refused with the
+		// checker's *trace.CheckError.
+		agree := func(door string, err error) {
+			t.Helper()
+			var cerr *trace.CheckError
+			switch {
+			case wellFormed && err != nil:
+				t.Errorf("%s refuses a stream CheckTrace accepts: %v", door, err)
+			case !wellFormed && !errors.As(err, &cerr):
+				t.Errorf("%s = %v on a stream CheckTrace refuses (%v)", door, err, checkErr)
+			}
+		}
+		feed := func(door string, opts ...race.Option) *race.Report {
+			t.Helper()
+			eng, err := race.NewEngine(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ferr := eng.FeedBatch(evs)
+			rep, err := eng.Close()
+			if ferr != nil && err != ferr {
+				t.Errorf("%s: Close after FeedBatch's error %v returned %v", door, ferr, err)
+			}
+			agree(door, err)
+			return rep
+		}
+		for _, c := range cells {
+			feed(c.Name, race.WithAnalysisNames(c.Name))
+			_, err := race.Analyze(tr, c.Relation, c.Level)
+			agree("Analyze "+c.Name, err)
+			_, err = race.AnalyzeByName(tr, c.Name)
+			agree("AnalyzeByName "+c.Name, err)
+		}
+		feed("fan-out", race.WithAnalysisNames(names...))
+		rep := feed("parallel fan-out", race.WithAnalysisNames(names...), race.WithParallelism(2))
+
+		if rep != nil {
+			if err := rep.Vindicate(tr); err != nil {
+				t.Errorf("Report.Vindicate on the stream the report was computed from: %v", err)
+			}
+		}
+		// VerifyWitness on whatever indices and prefix the input names.
+		if len(data) >= 2 {
+			e1, e2 := int(data[0])%(len(evs)+2)-1, int(data[1])%(len(evs)+2)-1
+			race.VerifyWitness(tr, evs[:len(evs)/2], e1, e2)
+		}
+
+		var bin bytes.Buffer
+		if err := race.WriteTrace(&bin, tr); err != nil {
+			if wellFormed {
+				t.Errorf("WriteTrace of a well-formed trace: %v", err)
+			}
+			return
+		}
+		req := httptest.NewRequest(http.MethodPost, ingest, &bin)
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		// An ill-formed stream is refused (500 and the checker's error, per
+		// raced's error table; 400 for an op the decoder refuses), and a
+		// panic raced recovers from would still be a failure here.
+		if body := rec.Body.String(); (rec.Code == http.StatusOK) != wellFormed || strings.Contains(body, "panicked") {
+			t.Errorf("POST /ingest answered %d %q; CheckTrace: %v", rec.Code, strings.TrimSpace(body), checkErr)
+		}
+	})
+}

@@ -156,7 +156,7 @@ func (f *footprint) walk(v reflect.Value) {
 func (s span) lines() (first, last uintptr) { return s.lo / lineBytes, (s.hi - 1) / lineBytes }
 
 // TestComputationsShareNoCacheLine builds the 15-cell engine the way the
-// benchmark does (no hints) and the way FeedTrace's callers can (the trace's
+// benchmark does (no hints) and the way AnalyzeByName does (the trace's
 // hints), runs 20 k h2 events through the pipeline, and walks each
 // computation's memory: no line under a hot struct or hot table of one
 // computation may hold a byte another computation can reach.

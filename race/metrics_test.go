@@ -48,7 +48,7 @@ func TestMetricsDoNotPerturbReports(t *testing.T) {
 		// Feed through both entry points so both hot paths run hooked.
 		half := len(tr.Events) / 2
 		for _, ev := range tr.Events[:half] {
-			if err := eng.Feed(ev); err != nil {
+			if err := eng.FeedBatch([]race.Event{ev}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -12,7 +12,7 @@ package race
 // trace being analyzed (two clock reads per computation per batch), not
 // read from a table calibrated on another.
 //
-// Feed stays a cheap enqueue — the well-formedness checker (and a
+// FeedBatch stays a cheap enqueue — the well-formedness checker (and a
 // vindicating engine's retention) runs on the feeding goroutine, so errors
 // still surface synchronously, and the run lands in the current batch,
 // which flushes when full, at synchronization events (when an OnRace
@@ -26,7 +26,7 @@ package race
 //
 // Failure: a panicking analysis poisons the engine — its computation stays
 // claimed for good, so nothing touches its torn state, and the panic
-// surfaces as an error from the next Feed or Sync, or from Close.
+// surfaces as an error from the next FeedBatch or Sync, or from Close.
 
 import (
 	"context"
@@ -47,7 +47,7 @@ const DefaultBatchSize = 1024
 
 const (
 	// ringCapacity is the number of in-flight batches the slowest
-	// computation may lag behind the producer before Feed backpressures.
+	// computation may lag behind the producer before FeedBatch backpressures.
 	ringCapacity = 64
 	// minTimedBatch is the batch length below which a computation's pass
 	// goes untimed: two clock reads would rival the work they measure.
@@ -108,7 +108,7 @@ type pipeline struct {
 
 // deliver invokes the user's OnRace callback, converting a panic into
 // engine poison — the sequential engine lets such a panic unwind through
-// Feed where the caller can recover it; on the drainer goroutine there is
+// FeedBatch where the caller can recover it; on the drainer goroutine there is
 // no caller, so the pipeline's panic contract (recover into an error)
 // applies here too.
 func (p *pipeline) deliver(fn func(RaceInfo), ri RaceInfo) {
@@ -298,8 +298,8 @@ func (p *pipeline) firstErr() error {
 // read the bits. Flush triggers: batch size, and (when an OnRace callback
 // wants timely delivery) the presence of any synchronization event in the
 // run — run-granular, so commit-per-run batching is kept even on engines
-// with callbacks installed (every raced session has one); Feed's one-event
-// runs make it event-granular there.
+// with callbacks installed (every raced session has one); one-event runs
+// make it event-granular there.
 func (e *Engine) enqueue(evs []Event) error {
 	p := e.pipe
 	b := p.cur
@@ -352,10 +352,10 @@ func (e *Engine) flushBatch() error {
 // Sync is a mid-stream barrier: it returns once every event fed so far
 // has been applied by every analysis, surfacing any pipeline error that
 // occurred on the way. On a sequential engine (or before any events) it
-// is a no-op — analyses there run synchronously in Feed/FeedBatch. The
-// raced server uses it to give the wire protocol's flush frame real
-// applied-up-to-here semantics on parallel sessions. Like Feed, Sync must
-// not race with other engine calls.
+// is a no-op — analyses there run synchronously in FeedBatch. The raced
+// server uses it to give the wire protocol's flush frame real
+// applied-up-to-here semantics on parallel sessions. Like FeedBatch, Sync
+// must not race with other engine calls.
 func (e *Engine) Sync() error {
 	if e.closed {
 		return errors.New("race: Sync on closed engine")

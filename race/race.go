@@ -22,7 +22,7 @@
 // (see Detectors):
 //
 //	eng, _ := race.NewEngine(race.WithAnalysisNames("ST-WDC", "FTO-HB"))
-//	eng.Feed(race.Event{T: 0, Op: race.OpRead, Targ: 0})  // ... one event at a time
+//	eng.FeedBatch([]race.Event{{T: 0, Op: race.OpRead, Targ: 0}})  // ... one run at a time
 //	report, _ := eng.Close()
 //
 // The batch quick start over a built trace:
@@ -156,7 +156,8 @@ func Analyze(tr *Trace, rel Relation, lvl Level) (*Report, error) {
 
 // AnalyzeByName runs a registered analysis by display name (e.g. "ST-DC")
 // over the whole trace. It is a thin wrapper over the streaming Engine: the
-// trace goes through FeedTrace, with incremental well-formedness checking.
+// trace's events go through FeedBatch, with incremental well-formedness
+// checking.
 func AnalyzeByName(tr *Trace, name string) (*Report, error) {
 	if tr == nil {
 		return nil, errors.New("race: AnalyzeByName of nil trace")
@@ -165,7 +166,7 @@ func AnalyzeByName(tr *Trace, name string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := eng.FeedTrace(tr); err != nil {
+	if err := eng.FeedBatch(tr.Events); err != nil {
 		return nil, err
 	}
 	return eng.Close()
@@ -417,9 +418,10 @@ func WriteTraceText(w io.Writer, tr *Trace) error {
 // ReadTraceText parses a text trace.
 func ReadTraceText(r io.Reader) (*Trace, error) { return trace.ReadText(r) }
 
-// TraceDecoder streams a binary trace file one event at a time; it
-// implements EventSource for Engine.FeedSource, so arbitrarily large
-// traces flow through a detector without being materialized.
+// TraceDecoder streams a binary trace file one event at a time: a caller
+// collects runs of events and commits each with Engine.FeedBatch, so
+// arbitrarily large traces flow through a detector without being
+// materialized.
 type TraceDecoder = trace.Decoder
 
 // NewTraceDecoder returns a streaming decoder for the binary trace format.

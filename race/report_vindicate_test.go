@@ -34,7 +34,7 @@ func TestReportVindicatesFigure1FromATraceFile(t *testing.T) {
 		if err := enc.Encode(ev); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Feed(ev); err != nil {
+		if err := eng.FeedBatch([]race.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func TestReportVindicateRefusesAnotherStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(tr); err != nil {
+	if err := eng.FeedBatch(tr.Events); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := eng.Close()

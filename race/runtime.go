@@ -99,14 +99,15 @@ type heldLock struct {
 // RuntimeOption configures a Runtime.
 type RuntimeOption func(*Runtime)
 
-// WithEngineAttached feeds every committed event into sink as it is merged
-// into the linearization — record-and-analyze in one pass — and Finish
-// returns the sink's report. The sink is an *Engine, or any EventSink such
-// as a raced client session (race/server.RemoteSession), which makes the
-// runtime the recording half of a remote detector. The runtime serializes
-// all feeding; nothing else may feed the sink. An engine built with
-// WithParallelism takes the analysis off the recorded program's sequence
-// points: a commit becomes a batched enqueue for the pipeline's workers.
+// WithEngineAttached feeds every committed run into sink through FeedBatch
+// as it is merged into the linearization — record-and-analyze in one pass —
+// and Finish returns the sink's report. The sink is an *Engine, or any
+// EventSink such as a raced client session (race/server.RemoteSession),
+// which makes the runtime the recording half of a remote detector. The
+// runtime serializes all feeding; nothing else may feed the sink. An engine
+// built with WithParallelism takes the analysis off the recorded program's
+// sequence points: a commit becomes a batched enqueue for the pipeline's
+// workers.
 func WithEngineAttached(sink EventSink) RuntimeOption {
 	return func(rt *Runtime) { rt.engine = sink }
 }
@@ -230,9 +231,8 @@ func (ts *threadState) hold(m uint32, acquire bool) (emit, ok bool) {
 // commit merges pending event runs into the global linearization, feeding
 // an attached engine. Runs are appended in argument order. Each run commits
 // into the engine as one batch (FeedBatch): a per-thread buffer of accesses
-// lands in the analysis pipeline with a single append instead of
-// event-at-a-time Feed, so the recorded program's sequence points pay one
-// commit per run rather than per event.
+// lands in the analysis pipeline with a single append, so the recorded
+// program's sequence points pay one commit per run rather than per event.
 func (rt *Runtime) commit(runs ...[]trace.Event) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

@@ -11,7 +11,6 @@ import (
 // collectSink is an attached sink that keeps what the runtime commits.
 type collectSink struct{ events []race.Event }
 
-func (s *collectSink) Feed(e race.Event) error { s.events = append(s.events, e); return nil }
 func (s *collectSink) FeedBatch(run []race.Event) error {
 	s.events = append(s.events, run...)
 	return nil

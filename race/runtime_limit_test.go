@@ -94,7 +94,7 @@ func TestEndedSessionDoesNotAllocate(t *testing.T) {
 // TestEventLimitEndsTheStream: an engine's analyses index events with an
 // int32, so a stream past math.MaxInt32 events used to wrap their indices.
 // Now the run that would cross the bound is refused with ErrEventLimit,
-// sticky through Feed and Close, in every engine shape, unchecked input
+// sticky through FeedBatch and Close, in every engine shape, unchecked input
 // included. The engine's count starts just under the bound: feeding 2^31
 // real events takes minutes.
 func TestEventLimitEndsTheStream(t *testing.T) {
@@ -123,8 +123,8 @@ func TestEventLimitEndsTheStream(t *testing.T) {
 			if eng.Fed() != math.MaxInt32-1 {
 				t.Errorf("Fed = %d, want the refused run uncounted (%d)", eng.Fed(), math.MaxInt32-1)
 			}
-			if err := eng.Feed(run[0]); !errors.Is(err, ErrEventLimit) {
-				t.Errorf("Feed after the limit: %v, want ErrEventLimit", err)
+			if err := eng.FeedBatch([]Event{run[0]}); !errors.Is(err, ErrEventLimit) {
+				t.Errorf("a one-event FeedBatch after the limit: %v, want ErrEventLimit", err)
 			}
 			if _, err := eng.Close(); !errors.Is(err, ErrEventLimit) {
 				t.Errorf("Close after the limit: %v, want ErrEventLimit", err)

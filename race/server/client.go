@@ -252,15 +252,16 @@ func ctxError(ctx context.Context, err error) error {
 }
 
 // RemoteSession is one open session on a raced server. It implements
-// race.EventSink: Feed buffers events client-side and ships them in framed
-// batches, Flush is the wire sync barrier, and Close ends the stream and
-// returns the server-computed report. Like an Engine, a RemoteSession is
-// driven from one goroutine at a time and errors are sticky.
+// race.EventSink: FeedBatch buffers short runs client-side and ships them
+// in framed batches, Flush is the wire sync barrier, and Close ends the
+// stream and returns the server-computed report. Like an Engine, a
+// RemoteSession is driven from one goroutine at a time and errors are
+// sticky.
 type RemoteSession struct {
 	c         *Client
 	id        string
 	batchSize int          // events per frame: DefaultClientBatch; tests vary it
-	buf       []race.Event // pending events of Feed and short FeedBatch runs
+	buf       []race.Event // pending events of short FeedBatch runs
 	flushed   uint64       // server-acknowledged offset from the last Flush
 	closed    bool
 	err       error
@@ -301,21 +302,6 @@ func (s *RemoteSession) fail(err error) error {
 // sticky error, preserving the typed classification.
 func (s *RemoteSession) serverError(payload []byte) error {
 	return s.fail(fmt.Errorf("server: %w", decodeRemoteError(payload)))
-}
-
-// Feed buffers one event, shipping the pending batch when full.
-func (s *RemoteSession) Feed(ev race.Event) error {
-	if s.err != nil {
-		return s.err
-	}
-	if s.closed {
-		return errors.New("server: Feed on closed remote session")
-	}
-	s.buf = append(s.buf, ev)
-	if len(s.buf) >= s.batchSize {
-		return s.ship(nil)
-	}
-	return nil
 }
 
 // FeedBatch buffers a run of events, shipping when the pending batch

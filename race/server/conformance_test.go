@@ -50,7 +50,7 @@ func streamRemote(addr string, cfg SessionConfig, tr *race.Trace, batch int) (*r
 		return nil, err
 	}
 	for _, ev := range tr.Events[mid:] {
-		if err := sess.Feed(ev); err != nil {
+		if err := sess.FeedBatch([]race.Event{ev}); err != nil {
 			return nil, err
 		}
 	}
@@ -92,7 +92,7 @@ func TestWireReportsMatchBatchAnalyzeAllCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.FeedTrace(tr); err != nil {
+		if err := eng.FeedBatch(tr.Events); err != nil {
 			t.Fatal(err)
 		}
 		local, err := eng.Close()
@@ -137,7 +137,7 @@ func TestWireVindicationMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(tr); err != nil {
+	if err := eng.FeedBatch(tr.Events); err != nil {
 		t.Fatal(err)
 	}
 	local, err := eng.Close()
@@ -213,7 +213,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.FeedTrace(tr); err != nil {
+		if err := eng.FeedBatch(tr.Events); err != nil {
 			t.Fatal(err)
 		}
 		local, err := eng.Close()
@@ -272,7 +272,7 @@ func TestWireProtocolErrors(t *testing.T) {
 	}
 
 	// Ill-formed stream → error surfaces at Flush, session ends.
-	if err := s2.Feed(race.Event{T: 0, Op: race.OpRelease, Targ: 0}); err != nil {
+	if err := s2.FeedBatch([]race.Event{{T: 0, Op: race.OpRelease, Targ: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Flush(); err == nil {

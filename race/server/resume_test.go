@@ -24,7 +24,7 @@ func batchReport(t *testing.T, tr *race.Trace, names []string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(tr); err != nil {
+	if err := eng.FeedBatch(tr.Events); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := eng.Close()
@@ -322,7 +322,7 @@ func TestDurableVindicatingSessionReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(tr); err != nil {
+	if err := eng.FeedBatch(tr.Events); err != nil {
 		t.Fatal(err)
 	}
 	local, err := eng.Close()
@@ -429,7 +429,7 @@ func TestVindicatingJournalIsTheOnlyCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(tr); err != nil {
+	if err := eng.FeedBatch(tr.Events); err != nil {
 		t.Fatal(err)
 	}
 	local, err := eng.Close()

@@ -248,14 +248,9 @@ func (s *ReliableSession) fail(err error) error {
 	return s.err
 }
 
-// Feed buffers and forwards one event. A send failure whose condition is
-// Resumable triggers reconnect; the replay there already re-ships the
-// event, so the op is not repeated.
-func (s *ReliableSession) Feed(ev race.Event) error {
-	return s.FeedBatch([]race.Event{ev})
-}
-
-// FeedBatch buffers and forwards a run of events.
+// FeedBatch buffers and forwards a run of events. A send failure whose
+// condition is Resumable triggers reconnect; the replay there already
+// re-ships the run, so the op is not repeated.
 func (s *ReliableSession) FeedBatch(evs []race.Event) error {
 	if s.err != nil {
 		return s.err

@@ -384,7 +384,7 @@ func TestHTTPIngestOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(tr); err != nil {
+	if err := eng.FeedBatch(tr.Events); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := eng.Close()

@@ -62,7 +62,7 @@ func TestWireSlabRecycling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.FeedTrace(tr); err != nil {
+		if err := ref.FeedBatch(tr.Events); err != nil {
 			t.Fatal(err)
 		}
 		rep, err := ref.Close()

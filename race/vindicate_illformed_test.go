@@ -122,7 +122,7 @@ func TestUncheckedVindicatingEngineRejectsIllFormedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ev := range illFormedTraces[0].tr.Events {
-		if err := eng.Feed(ev); err != nil {
+		if err := eng.FeedBatch([]race.Event{ev}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -41,7 +41,7 @@ func vindicatingReport(t *testing.T, tr *race.Trace, extra ...race.Option) []byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(tr); err != nil {
+	if err := eng.FeedBatch(tr.Events); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := eng.Close()
@@ -66,7 +66,7 @@ func reportVindicated(t *testing.T, tr *race.Trace) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(tr); err != nil {
+	if err := eng.FeedBatch(tr.Events); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := eng.Close()
@@ -189,7 +189,7 @@ func TestVindicationCloseAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.FeedTrace(tr); err != nil {
+	if err := eng.FeedBatch(tr.Events); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
