@@ -483,9 +483,7 @@ func BenchmarkAblationAcquireQueues(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				a := core.NewWithOptions(analysis.DC, analysis.SpecOf(tr), cfg.opts)
-				for _, e := range tr.Events {
-					a.Handle(e)
-				}
+				a.HandleRun(tr.Events, nil)
 			}
 		})
 	}
@@ -514,10 +512,8 @@ func TestAblationEquivalence(t *testing.T) {
 	tr := p.Generate(400000, 5)
 	a := core.New(analysis.DC, analysis.SpecOf(tr))
 	v := core.NewWithOptions(analysis.DC, analysis.SpecOf(tr), core.Options{VectorAcquireQueues: true})
-	for _, e := range tr.Events {
-		a.Handle(e)
-		v.Handle(e)
-	}
+	a.HandleRun(tr.Events, nil)
+	v.HandleRun(tr.Events, nil)
 	if a.Races().Static() != v.Races().Static() || a.Races().Dynamic() != v.Races().Dynamic() {
 		t.Fatalf("ablation changed results: %d/%d vs %d/%d",
 			a.Races().Static(), a.Races().Dynamic(), v.Races().Static(), v.Races().Dynamic())

@@ -173,9 +173,9 @@ func (s *SyncState) et(t trace.Tid) {
 	}
 }
 
-// Ensure makes thread t's tables exist. Analyses call it once at the top of
-// Handle so that direct P[t]/H[t] indexing is safe even when t's first
-// event is the one being handled.
+// Ensure makes thread t's tables exist. Analyses call it as they open an
+// event of a thread new to them, so that direct P[t]/H[t] indexing is safe
+// even when t's first event is the one being handled.
 func (s *SyncState) Ensure(t trace.Tid) { s.et(t) }
 
 // SetHook enables constraint-graph edge recording: every edge the analysis

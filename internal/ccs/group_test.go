@@ -59,9 +59,9 @@ func TestGroupedSubstrateMatchesStandalone(t *testing.T) {
 				f, u, ug := fto.New(rel, spec), unopt.NewPredictive(rel, spec, false), unopt.NewPredictive(rel, spec, true)
 				for i, e := range tr.Events {
 					g.Handle(e)
-					f.Handle(e)
-					u.Handle(e)
-					ug.Handle(e)
+					f.HandleRun(tr.Events[i:i+1], nil)
+					u.HandleRun(tr.Events[i:i+1], nil)
+					ug.HandleRun(tr.Events[i:i+1], nil)
 					sameClocks(t, id+" vs FTO", i, sub, f.Sub)
 					sameClocks(t, id+" vs Unopt", i, sub, u.Sub)
 				}
@@ -84,9 +84,9 @@ func TestGroupedSubstrateMatchesStandalone(t *testing.T) {
 			a2, ao, au := ft.New(spec), fto.New(analysis.HB, spec), unopt.NewHB(spec)
 			for i, e := range tr.Events {
 				g.Handle(e)
-				a2.Handle(e)
-				ao.Handle(e)
-				au.Handle(e)
+				a2.HandleRun(tr.Events[i:i+1], nil)
+				ao.HandleRun(tr.Events[i:i+1], nil)
+				au.HandleRun(tr.Events[i:i+1], nil)
 				sameClocks(t, id+" vs FT2", i, sub, a2.Sub)
 				sameClocks(t, id+" vs FTO", i, sub, ao.Sub)
 				sameClocks(t, id+" vs Unopt", i, sub, au.Sub)

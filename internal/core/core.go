@@ -60,6 +60,11 @@
 // the current clock; leftovers become "extra" metadata; if nothing matched,
 // the ordinary epoch race check runs.
 //
+// The [Same Epoch] cases, nearly every access of a typical trace, are
+// decided inside HandleRun's loop (stVar.sameEpoch, inlined, over an
+// inlined page lookup): such an access costs its index, one load of P[t]'s
+// own component and one compare, and never reaches read or write.
+//
 // Implementation note (the paper leaves this implicit): MultiCheck is never
 // useful when the prior access's thread u equals the current thread t — all
 // CCS ordering from t's own critical sections is vacuous by program order
@@ -182,10 +187,13 @@ func (v *stVar) shared() *vc.VC {
 	return v.cold.rvc
 }
 
-// sameRead reports whether a read at cur takes [Read Same Epoch] or [Shared
-// Same Epoch]. v.r is None while v is shared, so only a shared variable
-// takes the hop to its cold block.
-func (v *stVar) sameRead(cur vc.Epoch) bool {
+// sameEpoch reports whether an access at cur takes [Write Same Epoch],
+// [Read Same Epoch] or [Shared Same Epoch]. v.r is None while v is shared,
+// so only a shared variable's reads take the hop to its cold block.
+func (v *stVar) sameEpoch(cur vc.Epoch, write bool) bool {
+	if write {
+		return v.w == cur
+	}
 	if v.r == cur {
 		return true
 	}
@@ -263,14 +271,9 @@ func (a *Analysis) Races() *report.Collector { return a.col }
 // Stats returns the case counts gathered so far (Tables 2 and 12).
 func (a *Analysis) Stats() *analysis.Stats { return &a.st }
 
-// slot returns variable x's metadata.
-func (a *Analysis) slot(x uint32) *stVar {
-	if pi := x >> varPageBits; int(pi) < len(a.pages) && a.pages[pi] != nil {
-		return &a.pages[pi][x%varPageSize]
-	}
-	return a.newPage(x)
-}
-
+// newPage materializes the page holding variable x and returns x's slot.
+//
+//go:noinline
 func (a *Analysis) newPage(x uint32) *stVar {
 	pi := int(x >> varPageBits)
 	analysis.EnsureLen(&a.pages, pi+1)
@@ -278,21 +281,48 @@ func (a *Analysis) newPage(x uint32) *stVar {
 	return &a.pages[pi][x%varPageSize]
 }
 
-// Handle processes the next event of the trace.
-func (a *Analysis) Handle(e trace.Event) {
-	idx := a.idx
-	a.idx++
-	t := e.T
-	if int(t) >= len(a.ht) {
-		a.s.Ensure(t)
-		analysis.EnsureLen(&a.ht, int(t)+1)
-		analysis.EnsureLen(&a.snap, int(t)+1)
+// HandleRun implements analysis.Analysis. An access that v.sameEpoch finds
+// in t's current epoch never leaves the loop; SmartTrack does nothing for
+// it beyond taking the event's index, which is all a marked event gets too.
+func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
+	for i, e := range evs {
+		idx, t := a.idx, e.T
+		a.idx++
+		if int(t) >= len(a.ht) {
+			a.s.Ensure(t)
+			analysis.EnsureLen(&a.ht, int(t)+1)
+			analysis.EnsureLen(&a.snap, int(t)+1)
+		}
+		if same.Has(i) {
+			continue
+		}
+		if !e.Op.IsAccess() {
+			a.sync(e, idx)
+			continue
+		}
+		p := a.s.P[t]
+		cur := p.Epoch(vc.Tid(t))
+		var v *stVar
+		if pi := e.Targ >> varPageBits; int(pi) < len(a.pages) && a.pages[pi] != nil {
+			v = &a.pages[pi][e.Targ%varPageSize]
+		} else {
+			v = a.newPage(e.Targ)
+		}
+		write := e.Op == trace.OpWrite
+		switch {
+		case v.sameEpoch(cur, write):
+		case write:
+			a.write(v, p, cur, t, e.Targ, e.Loc, idx)
+		default:
+			a.read(v, p, cur, t, e.Targ, e.Loc, idx)
+		}
 	}
+}
+
+// sync processes a synchronisation event (any non-access).
+func (a *Analysis) sync(e trace.Event, idx int32) {
+	t := e.T
 	switch e.Op {
-	case trace.OpRead:
-		a.read(t, e.Targ, e.Loc, idx)
-	case trace.OpWrite:
-		a.write(t, e.Targ, e.Loc, idx)
 	case trace.OpAcquire:
 		a.s.PreAcquire(t, e.Targ)
 		if a.rb != nil {
@@ -305,18 +335,6 @@ func (a *Analysis) Handle(e trace.Event) {
 		a.s.PostRelease(t, e.Targ)
 	default:
 		a.s.HandleOther(e, idx)
-	}
-}
-
-// HandleRun implements analysis.Analysis. SmartTrack's same-epoch cases do
-// nothing beyond taking the event's index.
-func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
-	for i, e := range evs {
-		if same.Has(i) {
-			a.idx++
-		} else {
-			a.Handle(e)
-		}
 	}
 }
 
@@ -403,16 +421,11 @@ func (a *Analysis) multiCheck(l *csNode, u vc.Tid, prior vc.Epoch, t trace.Tid, 
 	return e
 }
 
-func (a *Analysis) read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
+// read handles t's read of x, slot v, at epoch cur of p = P[t] in no
+// same-epoch case.
+func (a *Analysis) read(v *stVar, p *vc.VC, cur vc.Epoch, t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	a.raced = false
-	p := a.s.P[t]
-	tt := vc.Tid(t)
-	c := p.Get(tt)
-	cur := vc.E(tt, c)
-	v := a.slot(x)
-	if v.sameRead(cur) {
-		return // [Read Same Epoch] or [Shared Same Epoch]
-	}
+	tt, c := cur.Tid(), cur.Clock()
 	held := a.s.Held(t)
 	a.st.Held(len(held))
 	// Extra write metadata: order with otherwise-lost write critical
@@ -494,16 +507,10 @@ func coldOf(v *stVar) *stCold {
 	return v.cold
 }
 
-func (a *Analysis) write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
+// write is read's counterpart for a write.
+func (a *Analysis) write(v *stVar, p *vc.VC, cur vc.Epoch, t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	a.raced = false
-	p := a.s.P[t]
-	tt := vc.Tid(t)
-	c := p.Get(tt)
-	cur := vc.E(tt, c)
-	v := a.slot(x)
-	if v.w == cur {
-		return // [Write Same Epoch]
-	}
+	tt := cur.Tid()
 	held := a.s.Held(t)
 	a.st.Held(len(held))
 	// Extra read/write metadata (Write lines 19–23): order with lost

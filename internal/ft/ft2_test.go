@@ -9,9 +9,7 @@ import (
 
 func run(tr *trace.Trace) *Analysis {
 	a := New(analysis.SpecOf(tr))
-	for _, e := range tr.Events {
-		a.Handle(e)
-	}
+	a.HandleRun(tr.Events, nil)
 	return a
 }
 

@@ -58,50 +58,49 @@ func (a *View) Races() *report.Collector { return a.col }
 // Stats returns the case counts gathered so far (Tables 2 and 12).
 func (a *View) Stats() *analysis.Stats { return &a.st }
 
-// Handle processes the next event of the trace.
-func (a *Analysis) Handle(e trace.Event) {
-	idx := a.Sub.Begin(e.T)
-	switch e.Op {
-	case trace.OpRead:
-		if a.Stale(e.T, e.Targ, false) {
-			a.Sub.RuleA(e.T, e.Targ, false, idx, false)
-			a.Read(e.T, e.Targ, e.Loc, idx)
-		}
-	case trace.OpWrite:
-		if a.Stale(e.T, e.Targ, true) {
-			a.Sub.RuleA(e.T, e.Targ, true, idx, false)
-			a.Write(e.T, e.Targ, e.Loc, idx)
-		}
-	default:
-		a.Sub.Sync(e, idx)
-	}
-}
-
-// HandleRun implements analysis.Analysis. FTO's same-epoch branch does
-// nothing beyond opening the event.
+// HandleRun implements analysis.Analysis. An access varState.sameEpoch
+// finds in its thread's current epoch never leaves the loop: FTO does
+// nothing for it beyond opening the event, which is all a marked event
+// gets too.
 func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
 	for i, e := range evs {
-		if same.Has(i) {
-			a.Sub.Begin(e.T)
-		} else {
-			a.Handle(e)
+		idx := a.Sub.Begin(e.T)
+		switch {
+		case same.Has(i):
+		case !e.Op.IsAccess():
+			a.Sub.Sync(e, idx)
+		default:
+			t, x, write := e.T, e.Targ, e.Op == trace.OpWrite
+			analysis.EnsureLen(&a.vars, int(x)+1)
+			if a.vars[x].sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), write) {
+				continue
+			}
+			a.Sub.RuleA(t, x, write, idx, false)
+			if write {
+				a.Write(t, x, e.Loc, idx)
+			} else {
+				a.Read(t, x, e.Loc, idx)
+			}
 		}
 	}
 }
 
-// Stale implements ccs.View: the [Same Epoch] cases.
+// Stale implements ccs.View: an access in none of the [Same Epoch] cases.
 func (a *View) Stale(t trace.Tid, x uint32, write bool) bool {
-	tt := vc.Tid(t)
-	c := a.Sub.P[t].Get(tt)
 	analysis.EnsureLen(&a.vars, int(x)+1)
-	v := &a.vars[x]
+	return !a.vars[x].sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), write)
+}
+
+// sameEpoch reports whether an access by t at clock c takes [Write Same
+// Epoch], [Read Same Epoch] or [Shared Same Epoch].
+func (v *varState) sameEpoch(t vc.Tid, c vc.Clock, write bool) bool {
 	if write {
-		return v.w != vc.E(tt, c) // [Write Same Epoch]
+		return v.w == vc.E(t, c)
 	}
 	if v.rvc == nil {
-		return v.r != vc.E(tt, c) // [Read Same Epoch]
+		return v.r == vc.E(t, c)
 	}
-	return v.rvc.Get(tt) != c // [Shared Same Epoch]
+	return v.rvc.Get(t) == c
 }
 
 // Read implements ccs.View.

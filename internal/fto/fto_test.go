@@ -10,9 +10,7 @@ import (
 
 func run(rel analysis.Relation, tr *trace.Trace) *Analysis {
 	a := New(rel, analysis.SpecOf(tr))
-	for _, e := range tr.Events {
-		a.Handle(e)
-	}
+	a.HandleRun(tr.Events, nil)
 	return a
 }
 

@@ -45,8 +45,8 @@ func TestClocksAndReportsPinned(t *testing.T) {
 		for i, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
 			a := New(rel, analysis.SpecOf(tr))
 			h := fnv.New64a()
-			for _, e := range tr.Events {
-				a.Handle(e)
+			for i, e := range tr.Events {
+				a.HandleRun(tr.Events[i:i+1], nil)
 				io.WriteString(h, a.Sub.P[e.T].String())
 			}
 			for _, r := range a.Races().Races() {

@@ -2,6 +2,7 @@ package fto
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
@@ -42,7 +43,8 @@ func sameEpochStreams() map[string]*trace.Trace {
 
 // TestMarkedAccessesAreSameEpoch feeds every stream one event at a time to
 // FTO at each relation beside an analysis.SameEpoch: at every event the
-// marker flags, FTO's own [Same Epoch] test must skip the access.
+// marker flags, FTO's own [Same Epoch] test must skip the access, and
+// HandleRun is given the marker's bitmap for it.
 func TestMarkedAccessesAreSameEpoch(t *testing.T) {
 	marked := 0
 	for name, tr := range sameEpochStreams() {
@@ -59,7 +61,7 @@ func TestMarkedAccessesAreSameEpoch(t *testing.T) {
 						t.Fatalf("%s/%v: event %d (%v) is marked, but FTO would not skip it", name, rel, i, e)
 					}
 				}
-				a.Handle(e)
+				a.HandleRun(tr.Events[i:i+1], same)
 			}
 		}
 	}
@@ -68,27 +70,54 @@ func TestMarkedAccessesAreSameEpoch(t *testing.T) {
 	}
 }
 
-// TestHandleRunCountsMarkedAccesses: fed in runs with the marker's bitmap,
-// FTO reports the races and Table 2 counters it reports fed one event at a
-// time with none.
+// runCuts are the run lengths the run-loop differential cuts a stream into;
+// 0 stands for the whole stream in one run.
+var runCuts = []int{1, 7, 8192, 0}
+
+// feedRuns feeds evs to a in runs of n events (all of them if n is 0),
+// each with the marker's bitmap if marked, else with nil.
+func feedRuns(a analysis.Analysis, evs []trace.Event, n int, marked bool) {
+	if n == 0 {
+		n = len(evs)
+	}
+	var m analysis.SameEpoch
+	var same analysis.Same
+	for lo := 0; lo < len(evs); lo += n {
+		run := evs[lo:min(lo+n, len(evs))]
+		if !marked {
+			a.HandleRun(run, nil)
+			continue
+		}
+		same = same[:0].Cover(len(run))
+		m.Mark(run, same, 0)
+		a.HandleRun(run, same)
+	}
+}
+
+// TestHandleRunCountsMarkedAccesses is the run-loop differential: however
+// a stream is cut into runs (runCuts), and whether HandleRun is given the
+// marker's bitmap or nil, FTO reports the same races, case counts and
+// metadata weight.
 func TestHandleRunCountsMarkedAccesses(t *testing.T) {
 	for name, tr := range sameEpochStreams() {
 		for _, rel := range analysis.Relations {
-			one, runs := New(rel, analysis.SpecOf(tr)), New(rel, analysis.Spec{})
-			analysis.Run(one, tr)
-			var m analysis.SameEpoch
-			var same analysis.Same
-			for lo := 0; lo < len(tr.Events); lo += 700 {
-				run := tr.Events[lo:min(lo+700, len(tr.Events))]
-				same = same[:0].Cover(len(run))
-				m.Mark(run, same, 0)
-				runs.HandleRun(run, same)
-			}
-			if *one.Stats() != *runs.Stats() {
-				t.Errorf("%s/%v: stats %+v in marked runs, %+v one at a time", name, rel, *runs.Stats(), *one.Stats())
-			}
-			if one.Races().Dynamic() != runs.Races().Dynamic() {
-				t.Errorf("%s/%v: %d races in marked runs, %d one at a time", name, rel, runs.Races().Dynamic(), one.Races().Dynamic())
+			want := New(rel, analysis.Spec{})
+			feedRuns(want, tr.Events, 1, false)
+			for _, n := range runCuts {
+				for _, marked := range []bool{false, true} {
+					a := New(rel, analysis.Spec{})
+					feedRuns(a, tr.Events, n, marked)
+					id := fmt.Sprintf("%s/%v in runs of %d (marked %v)", name, rel, n, marked)
+					if *a.Stats() != *want.Stats() {
+						t.Errorf("%s: cases %+v, one unmarked event at a time %+v", id, *a.Stats(), *want.Stats())
+					}
+					if !reflect.DeepEqual(a.Races().Races(), want.Races().Races()) {
+						t.Errorf("%s: races %v, one unmarked event at a time %v", id, a.Races().Races(), want.Races().Races())
+					}
+					if a.MetadataWeight() != want.MetadataWeight() {
+						t.Errorf("%s: metadata weight %d, one unmarked event at a time %d", id, a.MetadataWeight(), want.MetadataWeight())
+					}
+				}
 			}
 		}
 	}

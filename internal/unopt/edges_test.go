@@ -73,9 +73,7 @@ func checkGraphReachability(t testing.TB, id string, evs []trace.Event, rel anal
 	tee := &teeHook{g: sub.Graph(), all: map[int32][]int32{}}
 	sub.SetHook(tee, spec)
 	a := &Analysis{*NewView(sub, spec)}
-	for _, e := range evs {
-		a.Handle(e)
-	}
+	a.HandleRun(evs, nil)
 	g := a.Graph()
 	for _, e := range g.Edges() {
 		if !slices.Contains(tee.all[e[1]], e[0]) {

@@ -2,6 +2,7 @@ package unopt
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
@@ -43,7 +44,7 @@ func sameEpochStreams() map[string]*trace.Trace {
 // TestMarkedAccessesAreSameEpoch feeds every stream one event at a time to
 // the unoptimized analysis of each relation beside an analysis.SameEpoch:
 // at every event the marker flags, the §5.1 check (Stale) must skip the
-// access.
+// access, and HandleRun is given the marker's bitmap for it.
 func TestMarkedAccessesAreSameEpoch(t *testing.T) {
 	marked := 0
 	for name, tr := range sameEpochStreams() {
@@ -63,11 +64,69 @@ func TestMarkedAccessesAreSameEpoch(t *testing.T) {
 						t.Fatalf("%s/%v: event %d (%v) is marked, but Unopt would not skip it", name, rel, i, e)
 					}
 				}
-				a.Handle(e)
+				a.HandleRun(tr.Events[i:i+1], same)
 			}
 		}
 	}
 	if marked == 0 {
 		t.Fatal("nothing was marked; the differential is vacuous")
+	}
+}
+
+// runCuts are the run lengths the run-loop differential cuts a stream into;
+// 0 stands for the whole stream in one run.
+var runCuts = []int{1, 7, 8192, 0}
+
+// feedRuns feeds evs to a in runs of n events (all of them if n is 0),
+// each with the marker's bitmap if marked, else with nil.
+func feedRuns(a analysis.Analysis, evs []trace.Event, n int, marked bool) {
+	if n == 0 {
+		n = len(evs)
+	}
+	var m analysis.SameEpoch
+	var same analysis.Same
+	for lo := 0; lo < len(evs); lo += n {
+		run := evs[lo:min(lo+n, len(evs))]
+		if !marked {
+			a.HandleRun(run, nil)
+			continue
+		}
+		same = same[:0].Cover(len(run))
+		m.Mark(run, same, 0)
+		a.HandleRun(run, same)
+	}
+}
+
+// TestHandleRunCountsMarkedAccesses is the run-loop differential: however
+// a stream is cut into runs (runCuts), and whether HandleRun is given the
+// marker's bitmap or nil, the unoptimized analysis of each relation, w/G or
+// not, reports the same races and metadata weight.
+func TestHandleRunCountsMarkedAccesses(t *testing.T) {
+	build := func(rel analysis.Relation, g bool) *Analysis {
+		if rel == analysis.HB {
+			return NewHB(analysis.Spec{})
+		}
+		return NewPredictive(rel, analysis.Spec{}, g)
+	}
+	for name, tr := range sameEpochStreams() {
+		for _, rel := range analysis.Relations {
+			for _, g := range []bool{false, true} {
+				want := build(rel, g)
+				feedRuns(want, tr.Events, 1, false)
+				for _, n := range runCuts {
+					for _, marked := range []bool{false, true} {
+						a := build(rel, g)
+						feedRuns(a, tr.Events, n, marked)
+						id := fmt.Sprintf("%s/%v (graph %v) in runs of %d (marked %v)", name, rel, g, n, marked)
+						if !reflect.DeepEqual(a.Races().Races(), want.Races().Races()) {
+							t.Errorf("%s: races %v, one unmarked event at a time %v", id, a.Races().Races(), want.Races().Races())
+						}
+						if a.MetadataWeight() != want.MetadataWeight() {
+							t.Errorf("%s: metadata weight %d, one unmarked event at a time %d", id, a.MetadataWeight(), want.MetadataWeight())
+						}
+					}
+				}
+			}
+		}
 	}
 }

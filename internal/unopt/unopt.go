@@ -83,48 +83,49 @@ func (a *View) Races() *report.Collector { return a.col }
 // Graph returns the constraint graph, or nil if not built.
 func (a *View) Graph() *graph.Graph { return a.Sub.Graph() }
 
-// Handle processes the next event of the trace.
-func (a *Analysis) Handle(e trace.Event) {
-	idx := a.Sub.Begin(e.T)
-	switch e.Op {
-	case trace.OpRead:
-		if a.Stale(e.T, e.Targ, false) {
-			a.Sub.RuleA(e.T, e.Targ, false, idx, true)
-			a.Read(e.T, e.Targ, e.Loc, idx)
-		}
-	case trace.OpWrite:
-		if a.Stale(e.T, e.Targ, true) {
-			a.Sub.RuleA(e.T, e.Targ, true, idx, true)
-			a.Write(e.T, e.Targ, e.Loc, idx)
-		}
-	default:
-		a.Sub.Sync(e, idx)
-	}
-}
-
-// HandleRun implements analysis.Analysis. The §5.1 check's skip does
-// nothing beyond opening the event, which w/G's graph bookkeeping needs.
+// HandleRun implements analysis.Analysis. An access the §5.1 check
+// (sameEpoch) skips never leaves the loop: it is only opened, which w/G's
+// graph bookkeeping needs, and which is all a marked event gets too.
 func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
 	for i, e := range evs {
-		if same.Has(i) {
-			a.Sub.Begin(e.T)
-		} else {
-			a.Handle(e)
+		idx := a.Sub.Begin(e.T)
+		switch {
+		case same.Has(i):
+		case !e.Op.IsAccess():
+			a.Sub.Sync(e, idx)
+		default:
+			t, x, write := e.T, e.Targ, e.Op == trace.OpWrite
+			if int(x) >= len(a.wx) {
+				a.growVars(int(x) + 1)
+			}
+			if a.sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), x, write) {
+				continue
+			}
+			a.Sub.RuleA(t, x, write, idx, true)
+			if write {
+				a.Write(t, x, e.Loc, idx)
+			} else {
+				a.Read(t, x, e.Loc, idx)
+			}
 		}
 	}
 }
 
-// Stale implements ccs.View: per §5.1, a [Shared Same Epoch]-like check —
-// has t already read (written) x in this epoch?
+// Stale implements ccs.View: an access the §5.1 check does not skip.
 func (a *View) Stale(t trace.Tid, x uint32, write bool) bool {
-	c := a.Sub.P[t].Get(vc.Tid(t))
 	if int(x) >= len(a.wx) {
 		a.growVars(int(x) + 1)
 	}
+	return !a.sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), x, write)
+}
+
+// sameEpoch is §5.1's [Shared Same Epoch]-like check: has t, at clock c,
+// already read (written) x in this epoch?
+func (a *View) sameEpoch(t vc.Tid, c vc.Clock, x uint32, write bool) bool {
 	if write {
-		return a.wx[x].Get(vc.Tid(t)) != c
+		return a.wx[x].Get(t) == c
 	}
-	return a.rx[x].Get(vc.Tid(t)) != c
+	return a.rx[x].Get(t) == c
 }
 
 // growVars extends the per-variable tables to cover variable ids < n.

@@ -11,17 +11,13 @@ import (
 
 func runHB(tr *trace.Trace) *Analysis {
 	a := NewHB(analysis.SpecOf(tr))
-	for _, e := range tr.Events {
-		a.Handle(e)
-	}
+	a.HandleRun(tr.Events, nil)
 	return a
 }
 
 func runPred(rel analysis.Relation, tr *trace.Trace, g bool) *Analysis {
 	a := NewPredictive(rel, analysis.SpecOf(tr), g)
-	for _, e := range tr.Events {
-		a.Handle(e)
-	}
+	a.HandleRun(tr.Events, nil)
 	return a
 }
 

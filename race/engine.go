@@ -88,8 +88,8 @@ func WithCapacityHints(h CapacityHints) Option {
 // checking, for callers that have already validated the stream (e.g. a
 // replay of a checked trace). The checker is two dense table lookups per
 // event, so what the option buys is the last few ns/event — on the default
-// ST-WDC engine, roughly a fifth of the per-event cost — not a different
-// order of throughput.
+// ST-WDC engine over an avrora-like trace, roughly a fifth of the per-event
+// cost — not a different order of throughput.
 func WithUncheckedInput() Option {
 	return func(c *engineConfig) { c.unchecked = true }
 }
@@ -172,10 +172,11 @@ type Engine struct {
 	// mark flags the accesses every computation would skip as same-epoch
 	// (see analysis.SameEpoch), on the feeding goroutine after the checker;
 	// nil unless the engine has two or more computations. One computation
-	// has nothing to share the stamp table's cost with: its own same-epoch
-	// test is the one lookup, and the table would be a second cache miss on
-	// a large variable space. The sequential engine marks into same; the
-	// pipeline marks into each batch's own bitmap.
+	// has nothing to share the stamp table's cost with: its HandleRun
+	// decides same-epoch inside its own loop, one lookup in metadata it
+	// reads anyway, and the table would be a second cache miss on a large
+	// variable space. The sequential engine marks into same; the pipeline
+	// marks into each batch's own bitmap.
 	mark *analysis.SameEpoch
 	same analysis.Same
 

@@ -118,10 +118,15 @@ func FuzzPublicDoors(f *testing.F) {
 		req := httptest.NewRequest(http.MethodPost, ingest, &bin)
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, req)
-		// An ill-formed stream is refused (500 and the checker's error, per
-		// raced's error table; 400 for an op the decoder refuses), and a
-		// panic raced recovers from would still be a failure here.
-		if body := rec.Body.String(); (rec.Code == http.StatusOK) != wellFormed || strings.Contains(body, "panicked") {
+		// An ill-formed stream is the client's input: refused with 400,
+		// whether the checker or (for an op it does not know) the decoder
+		// refuses it. A panic raced recovers from would still be a failure
+		// here.
+		want := http.StatusOK
+		if !wellFormed {
+			want = http.StatusBadRequest
+		}
+		if body := rec.Body.String(); rec.Code != want || strings.Contains(body, "panicked") {
 			t.Errorf("POST /ingest answered %d %q; CheckTrace: %v", rec.Code, strings.TrimSpace(body), checkErr)
 		}
 	})

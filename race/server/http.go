@@ -72,11 +72,19 @@ func (s *Server) Handler() http.Handler {
 // HTTPError answers with the status of err's row in conditions, and with
 // the row's wire code in ErrorCodeHeader — the HTTP analogue of a typed
 // TError frame, so the fleet router classifies admin-API failures the same
-// way wire clients classify frames (and answers its own the same way).
+// way wire clients classify frames (and answers its own the same way). A
+// stream the checker refused (a *trace.CheckError in the chain) is the
+// client's input, not a server fault: it answers 400 under its row's code,
+// on POST /ingest and on every request to the session it poisoned.
 func HTTPError(w http.ResponseWriter, err error) {
 	c := Classify(err)
+	status := c.Status
+	var cerr *trace.CheckError
+	if errors.As(err, &cerr) {
+		status = http.StatusBadRequest
+	}
 	w.Header().Set(wire.ErrorCodeHeader, string(c.WireCode()))
-	http.Error(w, err.Error(), c.Status)
+	http.Error(w, err.Error(), status)
 }
 
 // driven makes a mutating request the session's driver for its duration,

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/race"
 )
@@ -398,6 +399,60 @@ func TestHTTPIngestOneShot(t *testing.T) {
 	if !bytes.Equal(bytes.TrimSpace(got.Bytes()), want) {
 		t.Fatalf("/ingest report differs from in-process analysis:\n%s\nvs\n%s", got.String(), want)
 	}
+}
+
+// TestIllFormedStreamIsBadRequest: both routes whose body is the client's
+// event stream answer a stream the checker refuses, {T0 rel m3; T1 rd x1},
+// with 400 (the client's input, not a server fault) and the checker's
+// error, under the error code its row has always had.
+func TestIllFormedStreamIsBadRequest(t *testing.T) {
+	s := New(Config{IdleTimeout: -1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	evs := []race.Event{{T: 0, Op: race.OpRelease, Targ: 3}, {T: 1, Op: race.OpRead, Targ: 1}}
+	tr := &race.Trace{Events: evs}
+	tr.Widen(evs)
+	want := race.CheckTrace(tr).Error()
+	post := func(route, path string, body []byte, status int) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var msg bytes.Buffer
+		msg.ReadFrom(resp.Body)
+		if resp.StatusCode != status {
+			t.Fatalf("%s answered %d %q, want %d", route, resp.StatusCode, strings.TrimSpace(msg.String()), status)
+		}
+		if status == http.StatusBadRequest {
+			if code := resp.Header.Get(wire.ErrorCodeHeader); code != string(wire.CodeInternal) || !strings.Contains(msg.String(), want) {
+				t.Errorf("%s answered code %q, %q; want code %q and %q", route, code, strings.TrimSpace(msg.String()), wire.CodeInternal, want)
+			}
+		}
+	}
+
+	var bin bytes.Buffer
+	if err := race.WriteTrace(&bin, tr); err != nil {
+		t.Fatal(err)
+	}
+	post("POST /ingest", "/ingest?analysis=ST-WDC", bin.Bytes(), http.StatusBadRequest)
+
+	// The session checks a batch after accepting it, so the refusal is the
+	// answer to the upload after the one that carried the stream.
+	sess, err := s.OpenSession(SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]byte, len(evs)*trace.RecordSize)
+	trace.PutRecords(recs, evs)
+	post("POST /sessions/{id}/events", "/sessions/"+sess.ID+"/events", recs, http.StatusOK)
+	var cerr *trace.CheckError
+	if err := sess.Flush(); !errors.As(err, &cerr) {
+		t.Fatalf("flush after the stream = %v, want the checker's error", err)
+	}
+	post("POST /sessions/{id}/events", "/sessions/"+sess.ID+"/events", recs, http.StatusBadRequest)
 }
 
 // TestServerCloseAbortsSessions: shutdown aborts every tenant and refuses
