@@ -92,7 +92,6 @@ func BenchmarkAnalysisAllCells(b *testing.B) {
 func runEngine(tr *trace.Trace, names []string, parallelism int) error {
 	eng, err := race.NewEngine(
 		race.WithAnalysisNames(names...),
-		race.WithCapacityHints(race.HintsOf(tr)),
 		race.WithParallelism(parallelism),
 		race.WithUncheckedInput(),
 	)

@@ -106,22 +106,15 @@ func main() {
 	}
 
 	var src eventSource
-	var hints race.CapacityHints
 	var logDir string // non-empty when the input is a racelog directory
 	if fi, err := os.Stat(flag.Arg(0)); err == nil && fi.IsDir() {
 		logDir = flag.Arg(0)
-		// A racelog directory: read it in place (recovery is in-memory
-		// only) and use its summary as exact capacity hints.
+		// A racelog directory: read in place (recovery is in-memory only).
 		r, err := store.OpenRead(flag.Arg(0))
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer r.Close()
-		h, _ := r.Header()
-		hints = race.CapacityHints{
-			Threads: h.Threads, Vars: h.Vars, Locks: h.Locks,
-			Volatiles: h.Volatiles, Classes: h.Classes, Events: int(h.Events),
-		}
 		src = r
 	} else {
 		f, err := os.Open(flag.Arg(0))
@@ -151,7 +144,7 @@ func main() {
 			log.Print("-online has no effect with -remote: the wire protocol has no callback channel (poll GET /sessions/{id}/races on the server's HTTP API instead)")
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		cfg := server.SessionConfig{Analyses: analyses, Vindicate: *vind, Hints: hints}
+		cfg := server.SessionConfig{Analyses: analyses, Vindicate: *vind}
 		var tracer *tracing.Tracer
 		if *traceOn {
 			tracer = tracing.New(tracing.Options{Service: "racedetect"})
@@ -202,7 +195,7 @@ func main() {
 		}
 		sink, flush, what = sess, sess.Flush, "streaming trace to "+*remote
 	} else {
-		opts := []race.Option{race.WithAnalysisNames(analyses...), race.WithCapacityHints(hints)}
+		opts := []race.Option{race.WithAnalysisNames(analyses...)}
 		if *vind {
 			opts = append(opts, race.WithVindication())
 		}

@@ -83,7 +83,7 @@ func newReader(fsys fault.FS, metas []segMeta, from uint64) (*Reader, error) {
 }
 
 // Header returns the log's id-space declaration and event count, derived
-// from the per-segment summaries — ready-made capacity hints for replay.
+// from the per-segment summaries: what ReadTrace declares its trace over.
 // The count reflects the reader's remaining stream (total minus the
 // starting offset).
 func (r *Reader) Header() (trace.Header, error) {

@@ -155,7 +155,7 @@ func (m *Metrics) sync(d time.Duration) {
 
 // Summary aggregates what a range of records contains: per-op counts, and
 // a trace header — the event count and the sizes of the id spaces the events
-// touch (max id + 1) — which a Reader serves as capacity hints for replay.
+// touch (max id + 1) — which a Reader serves as the log's Header.
 type Summary struct {
 	OpCounts [10]uint64
 	trace.Header

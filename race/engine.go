@@ -1,6 +1,7 @@
 package race
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -16,14 +17,12 @@ import (
 	"repro/internal/unopt"
 )
 
-// CapacityHints pre-sizes detector state tables: the analyses' own id-space
-// declaration, analysis.Spec. Every field is a hint, never a bound:
-// detectors grow on demand as new ids appear, so the zero value is always
-// valid.
+// CapacityHints is what a streamed trace file's header declares
+// (NewTraceEncoder): the stream's id spaces, as analysis.Spec. An engine
+// takes no declaration: its tables grow to the ids it is fed.
 type CapacityHints = analysis.Spec
 
-// HintsOf derives exact capacity hints from a complete trace; a nil trace
-// hints nothing.
+// HintsOf derives a complete trace's exact header; nil declares nothing.
 func HintsOf(tr *Trace) CapacityHints {
 	if tr == nil {
 		return CapacityHints{}
@@ -36,10 +35,9 @@ type engineConfig struct {
 	names     []string
 	vindicate bool
 	onRace    func(RaceInfo)
-	hints     CapacityHints
 	unchecked bool
 	par       int
-	batch     int
+	batch     int // the pipeline's batch length; 0 is batchSize, the only value outside tests
 	met       *EngineMetrics
 }
 
@@ -79,11 +77,6 @@ func WithOnRace(fn func(RaceInfo)) Option {
 	return func(c *engineConfig) { c.onRace = fn }
 }
 
-// WithCapacityHints pre-sizes detector state for the expected id spaces.
-func WithCapacityHints(h CapacityHints) Option {
-	return func(c *engineConfig) { c.hints = h }
-}
-
 // WithUncheckedInput disables the engine's incremental well-formedness
 // checking, for callers that have already validated the stream (e.g. a
 // replay of a checked trace). The checker is two dense table lookups per
@@ -110,14 +103,6 @@ func WithUncheckedInput() Option {
 // computations.
 func WithParallelism(n int) Option {
 	return func(c *engineConfig) { c.par = n }
-}
-
-// WithBatchSize sets the number of events the parallel pipeline groups per
-// flush (default 1024). Larger batches amortize coordination further;
-// smaller batches reduce the latency of OnRace delivery between
-// synchronization events. Ignored by the sequential engine.
-func WithBatchSize(k int) Option {
-	return func(c *engineConfig) { c.batch = k }
 }
 
 // engineDet is one detector of the fan-out: its report name, the collector
@@ -219,18 +204,19 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	if !cfg.unchecked {
 		e.chk = trace.NewChecker()
 	}
-	e.build(entries, cfg.hints)
+	e.build(entries)
 	if len(e.comps) > 1 {
 		e.mark = new(analysis.SameEpoch)
 	}
 	if n := min(cfg.par, len(e.comps)); n > 1 {
-		e.startPipeline(n, cfg.batch)
+		e.startPipeline(n, cmp.Or(cfg.batch, batchSize))
 	}
 	return e, nil
 }
 
 // build turns the fan-out into detectors and the computations behind them.
-func (e *Engine) build(entries []analysis.Entry, spec analysis.Spec) {
+func (e *Engine) build(entries []analysis.Entry) {
+	var spec analysis.Spec // zero: every table grows to the ids fed
 	e.dets = make([]engineDet, len(entries))
 	for di, entry := range entries {
 		e.dets[di].name = entry.Name

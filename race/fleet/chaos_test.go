@@ -36,10 +36,10 @@ const (
 // net and flap, one per seam of package chaos — and holds every session to
 // the contract: a report byte-identical to uninterrupted in-process batch
 // analysis, or a loud, classified (typed) error. A mismatch, an
-// unclassified error, or a schedule that injected no fault is a violation.
-// No fault decision reads the clock, and the router probes only when the
-// harness steps it, so a seed replays exactly on any machine: a failing
-// subtest prints its go test line.
+// unclassified error, a session that ends closed, or a schedule that
+// injected no fault is a violation. No fault decision reads the clock, and
+// the router probes only when the harness steps it, so a seed replays
+// exactly on any machine: a failing subtest prints its go test line.
 func TestChaos(t *testing.T) {
 	names := race.Detectors()
 	if len(names) != 15 {
@@ -104,6 +104,12 @@ func TestChaos(t *testing.T) {
 		}
 		if v, bad := verdict(nil, untyped, tomcat.want); v != "unclassified" || !bad {
 			t.Errorf("an untyped error is verdict %q (violation %v), want an unclassified violation", v, bad)
+		}
+	})
+	t.Run("self-check/closed", func(t *testing.T) {
+		closed := fmt.Errorf("server: %w", server.ErrSessionClosed)
+		if v, bad := verdict(nil, closed, tomcat.want); v != "closed" || !bad {
+			t.Errorf("a session that ends closed is verdict %q (violation %v), want a closed violation", v, bad)
 		}
 	})
 }
@@ -247,10 +253,14 @@ func (c *chaosFleet) stream(tr *race.Trace, names []string) ([]byte, error) {
 }
 
 // verdict scores how a session ended: "ok" for a report byte-identical to
-// want, "failed:<class>" for an error classify names, else one of the two
-// violations, "unclassified" or "mismatch".
+// want, "failed:<class>" for an error classify names, else one of the three
+// violations, "closed", "unclassified" or "mismatch". A session of the
+// harness ends only by its own close, so closed is a close reply lost and
+// not asked for again (Server.Attach answers a resume with it).
 func verdict(got []byte, err error, want []byte) (v string, violation bool) {
 	switch {
+	case errors.Is(err, server.ErrSessionClosed):
+		return "closed", true
 	case err != nil && classify(err) != "":
 		return "failed:" + classify(err), false
 	case err != nil:

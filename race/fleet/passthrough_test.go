@@ -317,10 +317,10 @@ func TestFrontEndsAnswerTheSameCode(t *testing.T) {
 		{name: "second-attach", send: func(p peer) [][]byte {
 			return [][]byte{hello(server.HelloPayload{Proto: wire.Proto, Resume: p.attach()})}
 		}, code: wire.CodeBusy},
-		// A durable session closed cleanly is finished, not lost: no
-		// backend has it live, and its directory is not to be recovered.
+		// A durable session closed cleanly is finished, not lost: a resume
+		// attaches to it where it finished, and its events are refused.
 		{name: "resume-finished-session", send: func(p peer) [][]byte {
-			return [][]byte{hello(server.HelloPayload{Proto: wire.Proto, Resume: p.finish()})}
+			return [][]byte{hello(server.HelloPayload{Proto: wire.Proto, Resume: p.finish()}), frame(wire.TEvents, good)}
 		}, code: wire.CodeClosed},
 		// After the handshake the client writes nothing: the front's I/O
 		// deadline cuts the connection and says why.

@@ -156,54 +156,51 @@ func (f *footprint) walk(v reflect.Value) {
 func (s span) lines() (first, last uintptr) { return s.lo / lineBytes, (s.hi - 1) / lineBytes }
 
 // TestComputationsShareNoCacheLine builds the 15-cell engine the way the
-// benchmark does (no hints) and the way AnalyzeByName does (the trace's
-// hints), runs 20 k h2 events through the pipeline, and walks each
+// benchmark does, runs 20 k h2 events through the pipeline, and walks each
 // computation's memory: no line under a hot struct or hot table of one
 // computation may hold a byte another computation can reach.
 func TestComputationsShareNoCacheLine(t *testing.T) {
 	p, _ := workload.ProgramByName("h2")
 	tr := p.Generate(190000, 1) // 20 k events
-	for name, hints := range map[string]CapacityHints{"no hints": {}, "trace hints": HintsOf(tr)} {
-		eng, err := NewEngine(WithAnalysisNames(Detectors()...), WithCapacityHints(hints), WithParallelism(2))
-		if err != nil {
-			t.Fatal(err)
+	eng, err := NewEngine(WithAnalysisNames(Detectors()...), WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.FeedBatch(tr.Events); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Sync(); err != nil { // the workers are idle from here on
+		t.Fatal(err)
+	}
+	type hotLine struct {
+		what string
+		comp int
+	}
+	owner := make(map[uintptr]hotLine) // line → the hot span on it
+	prints := make([]*footprint, len(eng.comps))
+	for ci, c := range eng.comps {
+		f := &footprint{seen: make(map[[2]uintptr]bool)}
+		f.walk(reflect.ValueOf(c.a))
+		prints[ci] = f
+		if len(f.hot) == 0 {
+			t.Fatalf("computation %s has no hot struct: the walk is broken", c.name)
 		}
-		if err := eng.FeedBatch(tr.Events); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Sync(); err != nil { // the workers are idle from here on
-			t.Fatal(err)
-		}
-		type hotLine struct {
-			what string
-			comp int
-		}
-		owner := make(map[uintptr]hotLine) // line → the hot span on it
-		prints := make([]*footprint, len(eng.comps))
-		for ci, c := range eng.comps {
-			f := &footprint{seen: make(map[[2]uintptr]bool)}
-			f.walk(reflect.ValueOf(c.a))
-			prints[ci] = f
-			if len(f.hot) == 0 {
-				t.Fatalf("%s: computation %s has no hot struct: the walk is broken", name, c.name)
+		for _, s := range f.hot {
+			for first, last := s.lines(); first <= last; first++ {
+				owner[first] = hotLine{fmt.Sprintf("%s of %s", s.what, c.name), ci}
 			}
-			for _, s := range f.hot {
-				for first, last := s.lines(); first <= last; first++ {
-					owner[first] = hotLine{fmt.Sprintf("%s of %s", s.what, c.name), ci}
+		}
+	}
+	for ci, f := range prints {
+		for _, s := range f.touched {
+			for first, last := s.lines(); first <= last; first++ {
+				if hot, ok := owner[first]; ok && hot.comp != ci {
+					t.Errorf("line %#x under %s also holds a %s of %s", first*lineBytes, hot.what, s.what, eng.comps[ci].name)
 				}
 			}
 		}
-		for ci, f := range prints {
-			for _, s := range f.touched {
-				for first, last := s.lines(); first <= last; first++ {
-					if hot, ok := owner[first]; ok && hot.comp != ci {
-						t.Errorf("%s: line %#x under %s also holds a %s of %s", name, first*lineBytes, hot.what, s.what, eng.comps[ci].name)
-					}
-				}
-			}
-		}
-		if _, err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if _, err := eng.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

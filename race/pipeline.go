@@ -40,12 +40,11 @@ import (
 	"repro/internal/analysis"
 )
 
-// DefaultBatchSize is the pipeline batch size WithBatchSize(0) resolves
-// to: large enough that per-batch coordination (one publish, and one claim
-// per computation at most) vanishes per event.
-const DefaultBatchSize = 1024
-
 const (
+	// batchSize is the events per published batch: per-batch coordination
+	// (one publish, one claim per computation at most) vanishes per event,
+	// and with ringCapacity it bounds the events in flight.
+	batchSize = 1024
 	// ringCapacity is the number of in-flight batches the slowest
 	// computation may lag behind the producer before FeedBatch backpressures.
 	ringCapacity = 64
@@ -86,7 +85,7 @@ const syncSentinel = -1
 // pipeline is the engine's parallel runtime state.
 type pipeline struct {
 	tasks     []*task
-	batchSize int
+	batch     int // events per published batch (batchSize outside tests)
 	cur       *eventBatch
 	raceCh    chan RaceInfo
 	emit      func(RaceInfo) // sends to raceCh; nil without an OnRace callback
@@ -123,11 +122,8 @@ func (p *pipeline) deliver(fn func(RaceInfo), ri RaceInfo) {
 
 // startPipeline starts n workers over the engine's computations, plus the
 // single OnRace drainer when a callback is installed.
-func (e *Engine) startPipeline(n, batchSize int) {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	p := &pipeline{batchSize: batchSize, cur: newBatch()}
+func (e *Engine) startPipeline(n, batch int) {
+	p := &pipeline{batch: batch, cur: newBatch()}
 	p.work.L, p.room.L = &p.mu, &p.mu
 	for i := range e.comps {
 		c := &e.comps[i]
@@ -309,7 +305,7 @@ func (e *Engine) enqueue(evs []Event) error {
 		b.same = b.same.Cover(len(b.evs))
 		e.mark.Mark(evs, b.same, off)
 	}
-	if len(b.evs) >= p.batchSize {
+	if len(b.evs) >= p.batch {
 		return e.flushBatch()
 	}
 	if p.raceCh != nil {

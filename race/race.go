@@ -162,7 +162,7 @@ func AnalyzeByName(tr *Trace, name string) (*Report, error) {
 	if tr == nil {
 		return nil, errors.New("race: AnalyzeByName of nil trace")
 	}
-	eng, err := NewEngine(WithAnalysisNames(name), WithCapacityHints(HintsOf(tr)))
+	eng, err := NewEngine(WithAnalysisNames(name))
 	if err != nil {
 		return nil, err
 	}

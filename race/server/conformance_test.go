@@ -88,7 +88,7 @@ func TestWireReportsMatchBatchAnalyzeAllCells(t *testing.T) {
 	_, addr := startTCP(t, Config{})
 	for trName, tr := range conformanceTraces(t) {
 		// In-process truth: one engine running all 15 cells over the trace.
-		eng, err := race.NewEngine(race.WithAnalysisNames(names...), race.WithCapacityHints(race.HintsOf(tr)))
+		eng, err := race.NewEngine(race.WithAnalysisNames(names...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestConcurrentSessionsStress(t *testing.T) {
 			continue
 		}
 		tr := p.Generate(400000, int64(res.id+1))
-		eng, err := race.NewEngine(race.WithAnalysisNames(names...), race.WithCapacityHints(race.HintsOf(tr)))
+		eng, err := race.NewEngine(race.WithAnalysisNames(names...))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -370,8 +370,8 @@ func (f *Front) serveConn(conn net.Conn) {
 // Attach is the one way into a session for whoever drives it — ServeTCP's
 // connections and an in-process fleet backend for as long as they last, an
 // HTTP mutation for one request: it opens the session hello asks for (fresh,
-// under a requested id, or a live one resumed) and claims it. The ack
-// carries the id and the accepted offset.
+// under a requested id, or one resumed) and claims it. The ack carries the
+// id and the accepted offset.
 func (s *Server) Attach(ctx context.Context, hello *HelloPayload) (Attachment, AckPayload, error) {
 	var sess *Session
 	if hello.Resume == "" {
@@ -383,12 +383,16 @@ func (s *Server) Attach(ctx context.Context, hello *HelloPayload) (Attachment, A
 		// Resumption re-attaches to a live session — journal-recovered
 		// after a restart, or orphaned by a dropped connection.
 		sess = live
-	} else if fin, ok := s.Finished(hello.Resume); ok && !Classify(fin.closedErr()).Resumable() {
-		// A session that ended for good answers how it ended — closed
-		// cleanly, or its sticky error — so that no caller (a router
-		// included) goes looking for it on disk. Its report stays readable
-		// at GET /sessions/{id}/races. A suspended or evicted one is still
-		// unknown here: it resumes from its journal.
+	} else if fin, ok := s.Finished(hello.Resume); ok && fin.closedErr() == ErrSessionClosed {
+		// A cleanly closed session attaches as it ended, at its final
+		// offset, so that a client whose close reply was lost can ask
+		// again: events and flushes answer closed, EOF the close reply.
+		sess = fin
+	} else if ok && !Classify(fin.closedErr()).Resumable() {
+		// A session that ended on its sticky error answers with it, so
+		// that no caller (a router included) goes looking for it on disk.
+		// A suspended or evicted one is still unknown here: it resumes
+		// from its journal.
 		return Attachment{}, AckPayload{}, fmt.Errorf("resuming %s: %w", hello.Resume, fin.closedErr())
 	} else {
 		return Attachment{}, AckPayload{}, fmt.Errorf("%w: %s", ErrUnknown, hello.Resume)

@@ -143,7 +143,12 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 
 // handleEvents streams raw event records from the request body into the
 // session. The body length need not be known: chunked uploads work, so a
-// live client can keep one request open.
+// live client can keep one request open. It answers {"fed": n} once the
+// body is queued; the session checks the batches afterwards, on its feeder
+// goroutine, so a stream the checker refuses earns its 400 on the session's
+// next request, just as a wire events frame's refusal arrives as the error
+// frame after it. Waiting for the check here would be a flush barrier, and
+// put a journal fsync into every durable upload.
 func handleEvents(w http.ResponseWriter, r *http.Request, att Attachment) {
 	br := bufio.NewReaderSize(r.Body, 1<<16)
 	fed, readErr, err := att.ingest(func(dst []race.Event) (int, error) {

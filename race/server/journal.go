@@ -385,18 +385,21 @@ func (s *Server) noteRecoveredID(id string) {
 }
 
 // recoverFinished restores a cleanly closed session's report into the
-// finished archive.
+// finished archive, at the offset it closed at: a resume attaches to it
+// there (Server.Attach), and its slabs take the frames it refuses.
 func (s *Server) recoverFinished(dir string, meta sessionMeta) {
 	done := make(chan struct{})
 	close(done)
 	sess := &Session{
-		ID:      meta.ID,
-		cfg:     meta.Config,
-		srv:     s,
-		dir:     dir,
-		closing: true,
-		done:    done,
-		fed:     meta.Events,
+		ID:       meta.ID,
+		cfg:      meta.Config,
+		srv:      s,
+		dir:      dir,
+		closing:  true,
+		done:     done,
+		slabs:    newSlabs(),
+		fed:      meta.Events,
+		enqueued: meta.Events,
 	}
 	doc, err := s.fsys().ReadFile(filepath.Join(dir, "report.json"))
 	if err == nil {

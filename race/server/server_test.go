@@ -1,11 +1,17 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -478,54 +484,151 @@ func TestServerCloseAbortsSessions(t *testing.T) {
 }
 
 // TestSessionConfigJSON pins the session config's JSON — the Hello payload,
-// the POST /sessions body and a journal's config — byte for byte: hints
-// spell their fields as analysis.Spec does, and a zero Hints is omitted.
+// the POST /sessions body and a journal's config — byte for byte: three
+// fields, each omitted at its zero value.
 func TestSessionConfigJSON(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  SessionConfig
 		want string
 	}{
+		{SessionConfig{}, `{}`},
 		{SessionConfig{Analyses: []string{"ST-WDC"}}, `{"analyses":["ST-WDC"]}`},
-		{SessionConfig{Vindicate: true, Parallelism: 2, BatchSize: 64, Hints: race.CapacityHints{
-			Threads: 1, Vars: 2, Locks: 3, Volatiles: 4, Classes: 5, Events: 6}},
-			`{"vindicate":true,"parallelism":2,"batch_size":64,"hints":` +
-				`{"Threads":1,"Vars":2,"Locks":3,"Volatiles":4,"Classes":5,"Events":6}}`},
+		{SessionConfig{Analyses: []string{"FTO-HB", "ST-DC"}, Vindicate: true, Parallelism: 2},
+			`{"analyses":["FTO-HB","ST-DC"],"vindicate":true,"parallelism":2}`},
 	} {
 		got, err := json.Marshal(tc.cfg)
 		if err != nil || string(got) != tc.want {
 			t.Errorf("json.Marshal(%+v) = %s, %v; want %s", tc.cfg, got, err, tc.want)
 		}
 		var back SessionConfig
-		if err := json.Unmarshal([]byte(tc.want), &back); err != nil || back.Hints != tc.cfg.Hints {
-			t.Errorf("json.Unmarshal(%s) hints = %+v, %v; want %+v", tc.want, back.Hints, err, tc.cfg.Hints)
+		if err := json.Unmarshal([]byte(tc.want), &back); err != nil || !reflect.DeepEqual(back, tc.cfg) {
+			t.Errorf("json.Unmarshal(%s) = %+v, %v; want %+v", tc.want, back, err, tc.cfg)
 		}
 	}
 }
 
-// TestHostileHintsClamped: a tenant cannot pre-allocate the server into
-// the ground (or panic it) with absurd or negative capacity hints — they
-// are clamped, the session opens, and analysis still works.
-func TestHostileHintsClamped(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	sess, err := s.OpenSession(SessionConfig{
-		Analyses: []string{"ST-WDC"},
-		Hints: race.CapacityHints{
-			Threads: 1 << 30, Vars: -5, Locks: 1 << 30, Volatiles: -1, Classes: 1 << 30, Events: 1 << 40,
-		},
-	})
-	if err != nil {
-		t.Fatalf("hostile hints rejected instead of clamped: %v", err)
-	}
+// retiredConfig is a session config as an old client spelled it, with the
+// pre-sizing hints and pipeline batch size a session config no longer has,
+// at hostile values: absurd and negative hints, a batch of 2^40 events.
+const retiredConfig = `{"parallelism":2,"batch_size":1099511627776,"hints":{"Threads":1073741824,` +
+	`"Vars":-5,"Locks":1073741824,"Volatiles":-1,"Classes":1073741824,"Events":1099511627776}}`
+
+// TestRetiredConfigFieldsIgnored: a session config that carries the retired
+// "hints" and "batch_size" fields opens through POST /sessions and a wire
+// Hello, and recovers from a session.json on a durable server; each session
+// finds the race and closes to the report the same stream earns under {}.
+func TestRetiredConfigFieldsIgnored(t *testing.T) {
 	tr := writeWriteRace()
+	recs := wire.AppendEvents(nil, tr.Events)
+	ref := New(Config{})
+	defer ref.Close()
+	sess, err := ref.OpenSession(SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := sess.Feed(append([]race.Event(nil), tr.Events...)); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := sess.Close()
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || rep.Dynamic() != 1 {
+		t.Fatalf("the stream under {} closed to %v, %v; want one race", rep, err)
 	}
-	if rep.Dynamic() != 1 {
-		t.Fatalf("clamped session found %d races, want 1", rep.Dynamic())
+	want, _ := json.Marshal(rep)
+	same := func(t *testing.T, door string, got []byte) {
+		t.Helper()
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s closed to %s, want the report under {}: %s", door, got, want)
+		}
 	}
+
+	t.Run("http", func(t *testing.T) {
+		s := New(Config{})
+		defer s.Close()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		post := func(path string, body []byte, wantStatus int) []byte {
+			t.Helper()
+			resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var doc bytes.Buffer
+			doc.ReadFrom(resp.Body)
+			if resp.StatusCode != wantStatus {
+				t.Fatalf("POST %s: %d %s, want %d", path, resp.StatusCode, doc.Bytes(), wantStatus)
+			}
+			return doc.Bytes()
+		}
+		var opened struct{ Session string }
+		if err := json.Unmarshal(post("/sessions", []byte(retiredConfig), http.StatusCreated), &opened); err != nil {
+			t.Fatal(err)
+		}
+		post("/sessions/"+opened.Session+"/events", recs, http.StatusOK)
+		same(t, "POST /sessions", post("/sessions/"+opened.Session+"/close", nil, http.StatusOK))
+	})
+
+	t.Run("wire", func(t *testing.T) {
+		_, addr := startTCP(t, Config{})
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		hello := fmt.Sprintf(`{"proto":%d,"session":%s}`, wire.Proto, retiredConfig)
+		for _, f := range []struct {
+			ty      wire.Type
+			payload []byte
+		}{{wire.THello, []byte(hello)}, {wire.TEvents, recs}, {wire.TEOF, nil}} {
+			if err := wire.WriteFrame(conn, f.ty, f.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		br := bufio.NewReader(conn)
+		for _, wantTy := range []wire.Type{wire.TAck, wire.TReport} {
+			ty, payload, err := wire.ReadFrame(br)
+			if err != nil || ty != wantTy {
+				t.Fatalf("answered %v (%s), %v; want %v", ty, payload, err, wantTy)
+			}
+			if ty == wire.TReport {
+				same(t, "a wire Hello", payload)
+			}
+		}
+	})
+
+	t.Run("recovered", func(t *testing.T) {
+		dir := t.TempDir()
+		s1 := New(Config{DataDir: dir, IdleTimeout: -1})
+		sess, err := s1.OpenSession(SessionConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Feed(append([]race.Event(nil), tr.Events...)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		s1.Shutdown() // the session stays open on disk
+		meta := fmt.Sprintf(`{"id":%q,"config":%s,"state":"open"}`, sess.ID, retiredConfig)
+		if err := os.WriteFile(filepath.Join(dir, "sessions", sess.ID, "session.json"), []byte(meta), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		s2 := New(Config{DataDir: dir, IdleTimeout: -1})
+		defer s2.Close()
+		if n, err := s2.Recover(); n != 1 || err != nil {
+			t.Fatalf("recovered %d sessions, %v; want 1", n, err)
+		}
+		live, ok := s2.Session(sess.ID)
+		if !ok {
+			t.Fatalf("session %s not recovered", sess.ID)
+		}
+		rep, err := live.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := json.Marshal(rep)
+		same(t, "a recovered session.json", got)
+	})
 }

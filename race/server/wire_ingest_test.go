@@ -53,7 +53,7 @@ func TestWireSlabRecycling(t *testing.T) {
 		cfg  SessionConfig
 		ref  []race.Option
 	}{
-		{"parallel", SessionConfig{Analyses: []string{"FTO-HB", "ST-WDC", "ST-DC", "FT2"}, Parallelism: 4, BatchSize: 64},
+		{"parallel", SessionConfig{Analyses: []string{"FTO-HB", "ST-WDC", "ST-DC", "FT2"}, Parallelism: 4},
 			[]race.Option{race.WithAnalysisNames("FTO-HB", "ST-WDC", "ST-DC", "FT2")}},
 		{"vindicating", SessionConfig{Vindicate: true}, []race.Option{race.WithVindication()}},
 	}
