@@ -481,7 +481,7 @@ func BenchmarkAblationAcquireQueues(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				a := core.NewWithOptions(analysis.DC, analysis.SpecOf(tr), cfg.opts)
+				a := core.NewWithOptions(analysis.DC, cfg.opts)
 				a.HandleRun(tr.Events, nil)
 			}
 		})
@@ -509,8 +509,8 @@ func BenchmarkRuntimeRecording(b *testing.B) {
 func TestAblationEquivalence(t *testing.T) {
 	p, _ := workload.ProgramByName("jython")
 	tr := p.Generate(400000, 5)
-	a := core.New(analysis.DC, analysis.SpecOf(tr))
-	v := core.NewWithOptions(analysis.DC, analysis.SpecOf(tr), core.Options{VectorAcquireQueues: true})
+	a := core.New(analysis.DC)
+	v := core.NewWithOptions(analysis.DC, core.Options{VectorAcquireQueues: true})
 	a.HandleRun(tr.Events, nil)
 	v.HandleRun(tr.Events, nil)
 	if a.Races().Static() != v.Races().Static() || a.Races().Dynamic() != v.Races().Dynamic() {

@@ -2,6 +2,12 @@
 // detection analysis in this repository, plus the relation/optimization
 // taxonomy of the paper's Table 1 and a registry of all analysis
 // constructors.
+//
+// Analyses size themselves. The paper's detectors run online, during the
+// analyzed execution, when no one knows a stream's id spaces in advance, so
+// every per-thread, per-variable, per-lock, per-volatile and per-class table
+// here starts empty and grows to the ids of the events fed to it; no
+// constructor takes a sizing argument.
 package analysis
 
 import (
@@ -95,39 +101,10 @@ func Run(a Analysis, tr *trace.Trace) *report.Collector {
 	return a.Races()
 }
 
-// Spec carries id-space capacity hints for constructing an analysis. Every
-// field is a hint, not a bound: analyses grow their state tables on demand,
-// so a zero Spec is always valid — it just means every table starts empty
-// and grows as ids appear in the event stream. Constructing from a complete
-// trace (SpecOf) pre-sizes the tables and avoids growth reallocations.
-type Spec struct {
-	// Threads, Vars, Locks, Volatiles, Classes hint the number of distinct
-	// ids of each kind the stream will use.
-	Threads   int
-	Vars      int
-	Locks     int
-	Volatiles int
-	Classes   int
-	// Events hints the total stream length (constraint-graph pre-sizing).
-	Events int
-}
-
-// SpecOf derives exact capacity hints from a complete trace.
-func SpecOf(tr *trace.Trace) Spec {
-	return Spec{
-		Threads:   tr.Threads,
-		Vars:      tr.Vars,
-		Locks:     tr.Locks,
-		Volatiles: tr.Volatiles,
-		Classes:   tr.Classes,
-		Events:    tr.Len(),
-	}
-}
-
-// Constructor builds a fresh analysis instance from capacity hints. The
-// instance exists before any events do and consumes its stream incrementally
-// through Analysis.HandleRun.
-type Constructor func(spec Spec) Analysis
+// Constructor builds a fresh analysis instance. The instance exists before
+// any events do, consumes its stream incrementally through
+// Analysis.HandleRun, and grows every table to the ids it is fed.
+type Constructor func() Analysis
 
 // Caps describes what a registered analysis can do — the capability
 // metadata the race.Engine and tooling use to pick and explain detectors.
@@ -165,8 +142,9 @@ type Entry struct {
 	Caps     Caps
 }
 
-// NewFor builds the analysis pre-sized for a complete trace's id spaces.
-func (e Entry) NewFor(tr *trace.Trace) Analysis { return e.New(SpecOf(tr)) }
+// NewFor builds the analysis for a complete trace. It does not read tr: an
+// analysis sizes its tables to the ids it is fed, whatever the caller holds.
+func (e Entry) NewFor(tr *trace.Trace) Analysis { return e.New() }
 
 var registry []Entry
 

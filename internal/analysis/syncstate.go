@@ -37,9 +37,9 @@ type Source struct {
 // synchronization operation, which the epoch same-epoch checks require
 // (§5.1 applies this to the unoptimized analyses as well).
 //
-// All per-id tables grow on demand, so a SyncState can be built from a zero
-// Spec before any events exist and consume an unbounded stream whose id
-// spaces are discovered incrementally.
+// All per-id tables grow on demand, so a SyncState is built before any
+// events exist and consumes an unbounded stream whose id spaces are
+// discovered incrementally.
 type SyncState struct {
 	_   report.Pad
 	Rel Relation
@@ -99,23 +99,15 @@ func growMarks(marks []threadMark, n int) []threadMark {
 	return marks
 }
 
-// NewSyncState builds synchronization state from capacity hints. The hints
-// pre-size the tables; every table still grows on demand as new ids appear.
-func NewSyncState(rel Relation, spec Spec) *SyncState {
-	s := &SyncState{Rel: rel}
-	s.growThreads(spec.Threads)
-	s.growLocks(spec.Locks)
-	s.growVolatiles(spec.Volatiles)
-	s.growClasses(spec.Classes)
-	return s
-}
+// NewSyncState builds empty synchronization state for relation rel; every
+// table grows as new ids appear.
+func NewSyncState(rel Relation) *SyncState { return &SyncState{Rel: rel} }
 
 // Threads returns the number of threads observed so far.
 func (s *SyncState) Threads() int { return len(s.P) }
 
 // growThreads extends the per-thread tables to cover thread ids < n. Each
-// new thread starts with local clock 1 in its own component, exactly as a
-// pre-sized construction would have initialized it.
+// new thread starts with local clock 1 in its own component.
 func (s *SyncState) growThreads(n int) {
 	for t := len(s.P); t < n; t++ {
 		p := vc.New(n)
@@ -179,14 +171,15 @@ func (s *SyncState) et(t trace.Tid) {
 func (s *SyncState) Ensure(t trace.Tid) { s.et(t) }
 
 // SetHook enables constraint-graph edge recording: every edge the analysis
-// draws goes to h, on a state no event has reached yet.
-func (s *SyncState) SetHook(h Hook, spec Spec) {
+// draws goes to h, on a state no event has reached yet. The bookkeeping
+// tables grow to the ids the state already has.
+func (s *SyncState) SetHook(h Hook) {
 	s.hook = h
-	s.marks = growMarks(nil, max(spec.Threads, len(s.P)))
+	s.marks = growMarks(nil, len(s.P))
 	s.lastVolW, s.lastVolR, s.lastClsInit = nil, nil, nil
-	GrowSources(&s.lastVolW, max(spec.Volatiles, len(s.volRP)))
-	GrowSources(&s.lastVolR, max(spec.Volatiles, len(s.volRP)))
-	GrowSources(&s.lastClsInit, max(spec.Classes, len(s.clsP)))
+	GrowSources(&s.lastVolW, len(s.volRP))
+	GrowSources(&s.lastVolR, len(s.volRP))
+	GrowSources(&s.lastClsInit, len(s.clsP))
 }
 
 // Hook returns the hook edges go to, nil if none.

@@ -12,12 +12,16 @@ import (
 	"repro/internal/vc"
 )
 
-func tinyTrace(threads, locks, vols, classes int) Spec {
-	return Spec{Threads: threads, Locks: locks, Volatiles: vols, Classes: classes}
+// newState builds rel's state with threads 0..threads-1 made to exist, so
+// that tests may index P and H directly.
+func newState(rel Relation, threads int) *SyncState {
+	s := NewSyncState(rel)
+	s.Ensure(trace.Tid(threads - 1))
+	return s
 }
 
 func TestInitialClocks(t *testing.T) {
-	s := NewSyncState(DC, tinyTrace(3, 1, 0, 0))
+	s := newState(DC, 3)
 	for i := 0; i < 3; i++ {
 		if s.P[i].Get(vc.Tid(i)) != 1 {
 			t.Errorf("thread %d initial clock = %d, want 1", i, s.P[i].Get(vc.Tid(i)))
@@ -26,14 +30,14 @@ func TestInitialClocks(t *testing.T) {
 	if s.H != nil {
 		t.Error("DC must not maintain an HB clock")
 	}
-	w := NewSyncState(WCP, tinyTrace(2, 1, 0, 0))
+	w := newState(WCP, 2)
 	if w.H == nil {
 		t.Error("WCP must maintain an HB clock")
 	}
 }
 
 func TestTickAdvancesLocalClock(t *testing.T) {
-	s := NewSyncState(WCP, tinyTrace(2, 1, 0, 0))
+	s := newState(WCP, 2)
 	s.Tick(0)
 	if s.P[0].Get(0) != 2 || s.H[0].Get(0) != 2 {
 		t.Error("tick must advance both clocks' own component")
@@ -44,7 +48,7 @@ func TestTickAdvancesLocalClock(t *testing.T) {
 }
 
 func TestHeldStack(t *testing.T) {
-	s := NewSyncState(DC, tinyTrace(1, 3, 0, 0))
+	s := newState(DC, 1)
 	s.PostAcquire(0, 2)
 	s.PostAcquire(0, 0)
 	if got := s.Held(0); len(got) != 2 || got[0] != 2 || got[1] != 0 {
@@ -57,7 +61,7 @@ func TestHeldStack(t *testing.T) {
 }
 
 func TestHBLockEdges(t *testing.T) {
-	s := NewSyncState(HB, tinyTrace(2, 1, 0, 0))
+	s := newState(HB, 2)
 	s.PostAcquire(0, 0)
 	c0 := s.P[0].Get(0) // clock at the release (PostRelease ticks afterwards)
 	s.PostRelease(0, 0)
@@ -68,7 +72,7 @@ func TestHBLockEdges(t *testing.T) {
 }
 
 func TestDCNoLockEdges(t *testing.T) {
-	s := NewSyncState(DC, tinyTrace(2, 1, 0, 0))
+	s := newState(DC, 2)
 	s.PostAcquire(0, 0)
 	s.PostRelease(0, 0)
 	s.PreAcquire(1, 0)
@@ -78,7 +82,7 @@ func TestDCNoLockEdges(t *testing.T) {
 }
 
 func TestWCPLockEdgeStripsOwnComponent(t *testing.T) {
-	s := NewSyncState(WCP, tinyTrace(2, 1, 0, 0))
+	s := newState(WCP, 2)
 	s.PostAcquire(0, 0)
 	s.PostRelease(0, 0)
 	s.PreAcquire(1, 0)
@@ -91,7 +95,7 @@ func TestWCPLockEdgeStripsOwnComponent(t *testing.T) {
 }
 
 func TestWCPSelfKnowledgeExported(t *testing.T) {
-	s := NewSyncState(WCP, tinyTrace(2, 1, 0, 0))
+	s := newState(WCP, 2)
 	// A relation edge delivers knowledge about thread 1 itself to thread 1.
 	src := vc.New(2)
 	src.Set(1, 7)
@@ -108,7 +112,7 @@ func TestWCPSelfKnowledgeExported(t *testing.T) {
 
 func TestForkJoinEdges(t *testing.T) {
 	for _, rel := range []Relation{HB, WCP, DC, WDC} {
-		s := NewSyncState(rel, tinyTrace(2, 0, 0, 0))
+		s := newState(rel, 2)
 		s.Tick(0)
 		s.Tick(0) // parent at clock 3
 		if !s.HandleOther(trace.Event{T: 0, Op: trace.OpFork, Targ: 1}, 0) {
@@ -129,7 +133,7 @@ func TestForkJoinEdges(t *testing.T) {
 
 func TestVolatileConflictEdges(t *testing.T) {
 	for _, rel := range []Relation{HB, WCP, DC, WDC} {
-		s := NewSyncState(rel, tinyTrace(3, 0, 1, 0))
+		s := newState(rel, 3)
 		s.HandleOther(trace.Event{T: 0, Op: trace.OpVolatileWrite, Targ: 0}, 0)
 		w0 := s.P[0].Get(0) - 1 // clock at the write (pre-tick)
 		// Reader is ordered after the writer.
@@ -146,7 +150,7 @@ func TestVolatileConflictEdges(t *testing.T) {
 }
 
 func TestClassInitEdges(t *testing.T) {
-	s := NewSyncState(DC, tinyTrace(2, 0, 0, 1))
+	s := newState(DC, 2)
 	s.Tick(0)
 	s.HandleOther(trace.Event{T: 0, Op: trace.OpClassInit, Targ: 0}, 0)
 	s.HandleOther(trace.Event{T: 1, Op: trace.OpClassAccess, Targ: 0}, 1)
@@ -156,7 +160,7 @@ func TestClassInitEdges(t *testing.T) {
 }
 
 func TestHandleOtherRejectsAccesses(t *testing.T) {
-	s := NewSyncState(DC, tinyTrace(1, 0, 0, 0))
+	s := newState(DC, 1)
 	if s.HandleOther(trace.Event{T: 0, Op: trace.OpRead}, 0) {
 		t.Error("reads are not sync events")
 	}
@@ -166,12 +170,11 @@ func TestHandleOtherRejectsAccesses(t *testing.T) {
 }
 
 func TestGraphHookEdges(t *testing.T) {
-	tr := tinyTrace(2, 0, 1, 1)
-	s := NewSyncState(DC, tr)
+	s := newState(DC, 2)
 	var edges [][4]int32 // src, dst and their threads
 	s.SetHook(edgeFunc(func(src, dst int32, from, to trace.Tid) {
 		edges = append(edges, [4]int32{src, dst, int32(from), int32(to)})
-	}), tr)
+	}))
 
 	s.OnEvent(0, 0)
 	s.HandleOther(trace.Event{T: 0, Op: trace.OpFork, Targ: 1}, 0)
@@ -201,7 +204,7 @@ type edgeFunc func(src, dst int32, from, to trace.Tid)
 func (f edgeFunc) Edge(src, dst int32, from, to trace.Tid) { f(src, dst, from, to) }
 
 func TestSyncStateWeight(t *testing.T) {
-	s := NewSyncState(WCP, tinyTrace(4, 2, 1, 1))
+	s := newState(WCP, 4)
 	if s.Weight() <= 0 {
 		t.Error("weight must count thread clocks")
 	}

@@ -155,15 +155,15 @@ func TestTablesPinned(t *testing.T) {
 		{"table2", func() string { return RenderTable2(cfg) },
 			"833cba7a9211a4b248d149735b8cb20f26b19936289c1a8c8b876d5c27f8cd43"},
 		{"table3", func() string { return RenderTable3(cfg, false) },
-			"72994ae4512393c6bd70612ff09944c192f3899f20eb3640dc738804ccf212f6"},
+			"71099ac62f57437d457ff95a65921104d5f2a953927c4a4a1aea829503b57a8a"},
 		{"table4", func() string { return RenderTable4(cfg) },
-			"0eeee3efc18dde330268146e88d133114cff483b65a2bfdf7eedf09ab9ece4ad"},
+			"6198808a181a382b1664298f3d2295e851a8256558014a0423b46608f6ecdd77"},
 		{"table6", func() string { return RenderTable6(cfg, false) },
-			"9a1d7065d306b43d191cae17e4e6f58460df8dcce17af402ba6fbb2465e7b2da"},
+			"99dcf631780c5738c09779cb15d458758704192115f12d2335f7cabd4fdd1237"},
 		{"table7", func() string { return RenderTable7(cfg, false) },
 			"4abaffd37f8e087b796acc9de3a7618a20a69f9ae2e807bbb2ebc9798aa10809"},
 		{"table8", func() string { return RenderTable3(ci, true) },
-			"8d7cab88dab609e1e7c5ce67832175b68940f259e5c295f00d5513ff8c218c46"},
+			"0f10fc37b2d5a83f924681649216852ad673a25b4928f785c915696979611d9b"},
 		{"table12", func() string { return RenderTable12(cfg) },
 			"c36ca2612474215784be386732025bf9b2293740d0246f743815ced66090f459"},
 	} {

@@ -104,7 +104,7 @@ func RenderTable2(cfg Config) string {
 			fmt.Fprintln(w, "Program\t#Thr\tEvents All\tNSEAs\t≥1 lock\t≥2\t≥3")
 			for _, p := range cfg.SelectedPrograms() {
 				tr := p.Generate(cfg.ScaleDiv, cfg.Seed)
-				a := fto.New(analysis.HB, analysis.SpecOf(tr))
+				a := fto.New(analysis.HB)
 				analysis.Run(a, tr)
 				st := a.Stats()
 				n := st.NSEAs()
@@ -237,7 +237,7 @@ func RenderTable12(cfg Config) string {
 		fmt.Fprintln(w, "Program\tEvent\tTotal\tOwned Excl\tOwned Shared\tUnowned Excl\tUnowned Share\tUnowned Shared")
 		for _, p := range cfg.SelectedPrograms() {
 			tr := p.Generate(cfg.ScaleDiv, cfg.Seed)
-			a := core.New(analysis.WDC, analysis.SpecOf(tr))
+			a := core.New(analysis.WDC)
 			analysis.Run(a, tr)
 			c := a.Stats()
 			pct := func(n, total uint64) string {

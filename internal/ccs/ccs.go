@@ -241,18 +241,10 @@ type RuleB struct {
 	bases    []vc.Ref   // per thread, its last clock the arena holds whole
 }
 
-// NewRuleB builds rule (b) state from capacity hints. epochAcq selects
-// epoch-valued acquire logs (SmartTrack's optimization); it is forced on
-// for WCP.
-func NewRuleB(rel analysis.Relation, spec analysis.Spec, epochAcq bool) *RuleB {
-	if rel == analysis.WCP {
-		epochAcq = true
-	}
-	return &RuleB{
-		rel:      rel,
-		epochAcq: epochAcq,
-		locks:    make([]*lockLogs, spec.Locks),
-	}
+// NewRuleB builds empty rule (b) state. epochAcq selects epoch-valued
+// acquire logs (SmartTrack's optimization); it is forced on for WCP.
+func NewRuleB(rel analysis.Relation, epochAcq bool) *RuleB {
+	return &RuleB{rel: rel, epochAcq: epochAcq || rel == analysis.WCP}
 }
 
 func (b *RuleB) lockState(m uint32) *lockLogs {
@@ -519,11 +511,11 @@ type LockTables struct {
 	wcp   bool
 }
 
-// NewLockTables builds empty rule (a) tables from capacity hints. log is the
-// relation's rule (b) state, nil for WDC; with a log, Release must be given
-// the name under which log has just logged the release time.
-func NewLockTables(spec analysis.Spec, log *RuleB) *LockTables {
-	return &LockTables{locks: make([]*lockTab, spec.Locks), log: log, wcp: log != nil && log.rel == analysis.WCP}
+// NewLockTables builds empty rule (a) tables. log is the relation's rule (b)
+// state, nil for WDC; with a log, Release must be given the name under which
+// log has just logged the release time.
+func NewLockTables(log *RuleB) *LockTables {
+	return &LockTables{log: log, wcp: log != nil && log.rel == analysis.WCP}
 }
 
 func (lt *LockTables) tab(m uint32) *lockTab {

@@ -9,20 +9,23 @@ import (
 	"repro/internal/vc"
 )
 
-func syncFor(rel analysis.Relation, threads, locks int) (*analysis.SyncState, analysis.Spec) {
-	spec := analysis.Spec{Threads: threads, Locks: locks, Vars: 8}
-	return analysis.NewSyncState(rel, spec), spec
+// syncFor builds rel's state with threads 0..threads-1 made to exist, so
+// that tests may index P directly.
+func syncFor(rel analysis.Relation, threads int) *analysis.SyncState {
+	s := analysis.NewSyncState(rel)
+	s.Ensure(trace.Tid(threads - 1))
+	return s
 }
 
 func TestRuleBLateThreadSeesHistory(t *testing.T) {
 	// A thread that first appears after critical sections already completed
 	// must still observe them at its own release — its consumed-prefix
-	// cursors start at zero over the append-only logs — exactly as the
-	// pre-sized batch construction enqueued history for every thread up
-	// front. This is what keeps streaming (threads discovered mid-stream)
-	// equivalent to batch analysis.
-	s, _ := syncFor(analysis.DC, 1, 1) // hints declare ONE thread
-	rb := NewRuleB(analysis.DC, analysis.Spec{Threads: 1, Locks: 1}, false)
+	// cursors start at zero over the append-only logs — exactly as if the
+	// history had been enqueued for every thread up front. This is what
+	// keeps a thread discovered mid-stream equivalent to one known from the
+	// start.
+	s := syncFor(analysis.DC, 1) // ONE thread so far
+	rb := NewRuleB(analysis.DC, false)
 
 	rb.Acquire(0, 0, s.P[0])
 	s.PostAcquire(0, 0)
@@ -43,8 +46,8 @@ func TestRuleBLateThreadSeesHistory(t *testing.T) {
 func TestRuleBOrdersOrderedCriticalSections(t *testing.T) {
 	// T0: acq(m) rel(m); T1: acq(m) [DC-ordered to T0's CS via a manual
 	// join] rel(m) — rule (b) must add T0's release time to T1.
-	s, tr := syncFor(analysis.DC, 2, 1)
-	rb := NewRuleB(analysis.DC, tr, false)
+	s := syncFor(analysis.DC, 2)
+	rb := NewRuleB(analysis.DC, false)
 
 	// T0's critical section.
 	rb.Acquire(0, 0, s.P[0])
@@ -69,8 +72,8 @@ func TestRuleBOrdersOrderedCriticalSections(t *testing.T) {
 }
 
 func TestRuleBSkipsUnorderedCriticalSections(t *testing.T) {
-	s, tr := syncFor(analysis.DC, 2, 1)
-	rb := NewRuleB(analysis.DC, tr, false)
+	s := syncFor(analysis.DC, 2)
+	rb := NewRuleB(analysis.DC, false)
 	rb.Acquire(0, 0, s.P[0])
 	s.PostAcquire(0, 0)
 	rb.Release(0, 0, s, 1, nil)
@@ -86,8 +89,8 @@ func TestRuleBSkipsUnorderedCriticalSections(t *testing.T) {
 }
 
 func TestRuleBEpochQueues(t *testing.T) {
-	s, tr := syncFor(analysis.DC, 2, 1)
-	rb := NewRuleB(analysis.DC, tr, true) // SmartTrack epoch queues
+	s := syncFor(analysis.DC, 2)
+	rb := NewRuleB(analysis.DC, true) // SmartTrack epoch queues
 	rb.Acquire(0, 0, s.P[0])
 	s.PostAcquire(0, 0)
 	rb.Release(0, 0, s, 1, nil)
@@ -105,8 +108,8 @@ func TestRuleBEpochQueues(t *testing.T) {
 func TestRuleBFIFOPairing(t *testing.T) {
 	// Two critical sections by T0; only after T1 is ordered past the first
 	// one does its release time arrive, and the second stays queued.
-	s, tr := syncFor(analysis.DC, 2, 1)
-	rb := NewRuleB(analysis.DC, tr, false)
+	s := syncFor(analysis.DC, 2)
+	rb := NewRuleB(analysis.DC, false)
 
 	// CS 1.
 	rb.Acquire(0, 0, s.P[0])
@@ -135,8 +138,8 @@ func TestRuleBFIFOPairing(t *testing.T) {
 }
 
 func TestRuleBGraphEdges(t *testing.T) {
-	s, tr := syncFor(analysis.DC, 2, 1)
-	rb := NewRuleB(analysis.DC, tr, false)
+	s := syncFor(analysis.DC, 2)
+	rb := NewRuleB(analysis.DC, false)
 	var edges edgeList
 
 	rb.Acquire(0, 0, s.P[0])
@@ -153,8 +156,8 @@ func TestRuleBGraphEdges(t *testing.T) {
 }
 
 func TestLockTablesReadSeesWriters(t *testing.T) {
-	s, tr := syncFor(analysis.DC, 2, 1)
-	lt := NewLockTables(tr, nil)
+	s := syncFor(analysis.DC, 2)
+	lt := NewLockTables(nil)
 
 	// T0 writes x in a CS on m.
 	s.PostAcquire(0, 0)
@@ -172,8 +175,8 @@ func TestLockTablesReadSeesWriters(t *testing.T) {
 }
 
 func TestLockTablesReadersOnlyConflictWithWrites(t *testing.T) {
-	s, tr := syncFor(analysis.DC, 2, 1)
-	lt := NewLockTables(tr, nil)
+	s := syncFor(analysis.DC, 2)
+	lt := NewLockTables(nil)
 	s.PostAcquire(0, 0)
 	lt.ReadJoin(0, 0, 3, s, 1, nil) // read-only CS
 	lt.Release(0, 0, s.P[0], 0, 2)
@@ -196,8 +199,8 @@ func TestLockTablesReadersOnlyConflictWithWrites(t *testing.T) {
 // section on the same lock still join its release time.
 func TestLockTablesWriteOnlySectionOrdersLaterAccesses(t *testing.T) {
 	for _, laterWrite := range []bool{false, true} {
-		s, tr := syncFor(analysis.DC, 2, 1)
-		lt := NewLockTables(tr, nil)
+		s := syncFor(analysis.DC, 2)
+		lt := NewLockTables(nil)
 		s.PostAcquire(0, 0)
 		lt.WriteJoin(0, 0, 3, s, 1, nil)
 		relTime := s.P[0].Copy()
@@ -219,8 +222,8 @@ func TestLockTablesWriteOnlySectionOrdersLaterAccesses(t *testing.T) {
 }
 
 func TestLockTablesClearsAccessSets(t *testing.T) {
-	s, tr := syncFor(analysis.DC, 1, 1)
-	lt := NewLockTables(tr, nil)
+	s := syncFor(analysis.DC, 1)
+	lt := NewLockTables(nil)
 	s.PostAcquire(0, 0)
 	lt.ReadJoin(0, 0, 1, s, 0, nil)
 	lt.WriteJoin(0, 0, 2, s, 1, nil)
@@ -235,11 +238,11 @@ func TestLockTablesClearsAccessSets(t *testing.T) {
 }
 
 func TestWeights(t *testing.T) {
-	s, tr := syncFor(analysis.DC, 3, 2)
-	rb := NewRuleB(analysis.DC, tr, false)
-	lt := NewLockTables(tr, nil)
-	if rb.Weight() != tr.Locks || lt.Weight() != tr.Locks {
-		t.Errorf("fresh state must weigh only its %d lock slots: rule (b) weighs %d words, rule (a) %d", tr.Locks, rb.Weight(), lt.Weight())
+	s := syncFor(analysis.DC, 3)
+	rb := NewRuleB(analysis.DC, false)
+	lt := NewLockTables(nil)
+	if rb.Weight() != 0 || lt.Weight() != 0 {
+		t.Errorf("fresh state must weigh nothing: rule (b) weighs %d words, rule (a) %d", rb.Weight(), lt.Weight())
 	}
 	rb.Acquire(0, 0, s.P[0])
 	s.PostAcquire(0, 0)
@@ -252,17 +255,15 @@ func TestWeights(t *testing.T) {
 }
 
 func TestWCPForcesEpochQueues(t *testing.T) {
-	spec := analysis.Spec{Threads: 2, Locks: 1}
-	rb := NewRuleB(analysis.WCP, spec, false)
+	rb := NewRuleB(analysis.WCP, false)
 	if !rb.epochAcq {
 		t.Error("WCP must use epoch acquire queues (component ordering test)")
 	}
 }
 
 func TestRuleBWCPEnqueuesHBTime(t *testing.T) {
-	spec := analysis.Spec{Threads: 2, Locks: 1, Vars: 1}
-	s := analysis.NewSyncState(analysis.WCP, spec)
-	rb := NewRuleB(analysis.WCP, spec, true)
+	s := syncFor(analysis.WCP, 2)
+	rb := NewRuleB(analysis.WCP, true)
 	rb.Acquire(0, 0, s.P[0])
 	s.PostAcquire(0, 0)
 	rb.Release(0, 0, s, 1, nil)
@@ -291,7 +292,7 @@ func TestWCPJoinsWhatTheEpochTestWouldSkip(t *testing.T) {
 	b.Fork("u", "t").Acq("t", "m").Read("t", "x")
 	tr := trace.MustCheck(b.Build())
 	const w, u, tt = 0, 1, 2
-	sub := NewSubstrate(analysis.WCP, analysis.SpecOf(tr), false)
+	sub := NewSubstrate(analysis.WCP, false)
 	var hr *vc.VC
 	for i, e := range tr.Events {
 		if i == len(tr.Events)-1 { // t's read: the epoch test's premise holds, its conclusion does not
@@ -317,7 +318,6 @@ func TestWCPJoinsWhatTheEpochTestWouldSkip(t *testing.T) {
 // TestSubstrateShape: HB needs neither CCS structure, WDC omits rule (b),
 // and only a graph-building substrate carries a hook.
 func TestSubstrateShape(t *testing.T) {
-	spec := analysis.Spec{Threads: 2, Locks: 1, Vars: 1}
 	for _, tc := range []struct {
 		rel    analysis.Relation
 		lt, rb bool
@@ -325,7 +325,7 @@ func TestSubstrateShape(t *testing.T) {
 		{analysis.HB, false, false}, {analysis.WCP, true, true},
 		{analysis.DC, true, true}, {analysis.WDC, true, false},
 	} {
-		b := NewSubstrate(tc.rel, spec, false)
+		b := NewSubstrate(tc.rel, false)
 		if (b.lt != nil) != tc.lt || (b.rb != nil) != tc.rb {
 			t.Errorf("%v: rule (a) state %v, rule (b) state %v; want %v, %v", tc.rel, b.lt != nil, b.rb != nil, tc.lt, tc.rb)
 		}
@@ -333,7 +333,7 @@ func TestSubstrateShape(t *testing.T) {
 			t.Errorf("%v: graph built without being asked for", tc.rel)
 		}
 	}
-	if b := NewSubstrate(analysis.WDC, spec, true); b.Graph() == nil || b.Hook() == nil {
+	if b := NewSubstrate(analysis.WDC, true); b.Graph() == nil || b.Hook() == nil {
 		t.Error("graph-building substrate has no graph")
 	}
 }

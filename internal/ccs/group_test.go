@@ -50,52 +50,50 @@ func sameClocks(t *testing.T, id string, i int, got, want *ccs.Substrate) {
 // builds. HB runs its three levels the same way.
 func TestGroupedSubstrateMatchesStandalone(t *testing.T) {
 	for name, tr := range groupTraces() {
-		for _, spec := range []analysis.Spec{analysis.SpecOf(tr), {}} {
-			for _, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
-				id := fmt.Sprintf("%s/%v (hints %v)", name, rel, spec.Events > 0)
-				sub := ccs.NewSubstrate(rel, spec, true)
-				fv, uv := fto.NewView(sub, spec), unopt.NewView(sub, spec)
-				g := ccs.NewGroup(sub, []ccs.View{fv, uv}, 1)
-				f, u, ug := fto.New(rel, spec), unopt.NewPredictive(rel, spec, false), unopt.NewPredictive(rel, spec, true)
-				for i, e := range tr.Events {
-					g.Handle(e)
-					f.HandleRun(tr.Events[i:i+1], nil)
-					u.HandleRun(tr.Events[i:i+1], nil)
-					ug.HandleRun(tr.Events[i:i+1], nil)
-					sameClocks(t, id+" vs FTO", i, sub, f.Sub)
-					sameClocks(t, id+" vs Unopt", i, sub, u.Sub)
-				}
-				if !reflect.DeepEqual(fv.Races().Races(), f.Races().Races()) {
-					t.Errorf("%s: grouped FTO view and standalone FTO report different races", id)
-				}
-				if !reflect.DeepEqual(uv.Races().Races(), u.Races().Races()) || !reflect.DeepEqual(uv.Races().Races(), ug.Races().Races()) {
-					t.Errorf("%s: grouped Unopt view and standalone Unopt (w/G or not) report different races", id)
-				}
-				if got, want := sub.Graph(), ug.Graph(); got.N != want.N || !reflect.DeepEqual(got.Edges(), want.Edges()) {
-					t.Errorf("%s: grouped graph has %d events and %d edges, standalone w/G %d and %d (or they differ in order)",
-						id, got.N, got.Len(), want.N, want.Len())
-				}
-			}
-
-			id := fmt.Sprintf("%s/HB (hints %v)", name, spec.Events > 0)
-			sub := ccs.NewSubstrate(analysis.HB, spec, false)
-			v2, vo, vu := ft.NewView(sub, spec), fto.NewView(sub, spec), unopt.NewView(sub, spec)
-			g := ccs.NewGroup(sub, []ccs.View{v2, vo, vu}, 2)
-			a2, ao, au := ft.New(spec), fto.New(analysis.HB, spec), unopt.NewHB(spec)
+		for _, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
+			id := fmt.Sprintf("%s/%v", name, rel)
+			sub := ccs.NewSubstrate(rel, true)
+			fv, uv := fto.NewView(sub), unopt.NewView(sub)
+			g := ccs.NewGroup(sub, []ccs.View{fv, uv}, 1)
+			f, u, ug := fto.New(rel), unopt.NewPredictive(rel, false), unopt.NewPredictive(rel, true)
 			for i, e := range tr.Events {
 				g.Handle(e)
-				a2.HandleRun(tr.Events[i:i+1], nil)
-				ao.HandleRun(tr.Events[i:i+1], nil)
-				au.HandleRun(tr.Events[i:i+1], nil)
-				sameClocks(t, id+" vs FT2", i, sub, a2.Sub)
-				sameClocks(t, id+" vs FTO", i, sub, ao.Sub)
-				sameClocks(t, id+" vs Unopt", i, sub, au.Sub)
+				f.HandleRun(tr.Events[i:i+1], nil)
+				u.HandleRun(tr.Events[i:i+1], nil)
+				ug.HandleRun(tr.Events[i:i+1], nil)
+				sameClocks(t, id+" vs FTO", i, sub, f.Sub)
+				sameClocks(t, id+" vs Unopt", i, sub, u.Sub)
 			}
-			if !reflect.DeepEqual(v2.Races().Races(), a2.Races().Races()) ||
-				!reflect.DeepEqual(vo.Races().Races(), ao.Races().Races()) ||
-				!reflect.DeepEqual(vu.Races().Races(), au.Races().Races()) {
-				t.Errorf("%s: a grouped HB view and its standalone cell report different races", id)
+			if !reflect.DeepEqual(fv.Races().Races(), f.Races().Races()) {
+				t.Errorf("%s: grouped FTO view and standalone FTO report different races", id)
 			}
+			if !reflect.DeepEqual(uv.Races().Races(), u.Races().Races()) || !reflect.DeepEqual(uv.Races().Races(), ug.Races().Races()) {
+				t.Errorf("%s: grouped Unopt view and standalone Unopt (w/G or not) report different races", id)
+			}
+			if got, want := sub.Graph(), ug.Graph(); got.N != want.N || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+				t.Errorf("%s: grouped graph has %d events and %d edges, standalone w/G %d and %d (or they differ in order)",
+					id, got.N, got.Len(), want.N, want.Len())
+			}
+		}
+
+		id := fmt.Sprintf("%s/HB", name)
+		sub := ccs.NewSubstrate(analysis.HB, false)
+		v2, vo, vu := ft.NewView(sub), fto.NewView(sub), unopt.NewView(sub)
+		g := ccs.NewGroup(sub, []ccs.View{v2, vo, vu}, 2)
+		a2, ao, au := ft.New(), fto.New(analysis.HB), unopt.NewHB()
+		for i, e := range tr.Events {
+			g.Handle(e)
+			a2.HandleRun(tr.Events[i:i+1], nil)
+			ao.HandleRun(tr.Events[i:i+1], nil)
+			au.HandleRun(tr.Events[i:i+1], nil)
+			sameClocks(t, id+" vs FT2", i, sub, a2.Sub)
+			sameClocks(t, id+" vs FTO", i, sub, ao.Sub)
+			sameClocks(t, id+" vs Unopt", i, sub, au.Sub)
+		}
+		if !reflect.DeepEqual(v2.Races().Races(), a2.Races().Races()) ||
+			!reflect.DeepEqual(vo.Races().Races(), ao.Races().Races()) ||
+			!reflect.DeepEqual(vu.Races().Races(), au.Races().Races()) {
+			t.Errorf("%s: a grouped HB view and its standalone cell report different races", id)
 		}
 	}
 }

@@ -29,11 +29,11 @@ func collector(v ccs.View) *report.Collector {
 // which any thread's P, H or WCP self-knowledge (selfP), the graph's edge
 // count or a view's race count differs; at the end the graphs must be edge
 // for edge, and the reports race for race, the same.
-func diffReference(t testing.TB, id string, tr *trace.Trace, rel analysis.Relation, spec analysis.Spec) {
+func diffReference(t testing.TB, id string, tr *trace.Trace, rel analysis.Relation) {
 	t.Helper()
-	sub, ref := ccs.NewSubstrate(rel, spec, true), ccs.NewRefSubstrate(rel, spec, true)
-	gv := []ccs.View{fto.NewView(sub, spec), unopt.NewView(sub, spec)}
-	rv := []ccs.View{fto.NewView(ref.Sub, spec), unopt.NewView(ref.Sub, spec)}
+	sub, ref := ccs.NewSubstrate(rel, true), ccs.NewRefSubstrate(rel, true)
+	gv := []ccs.View{fto.NewView(sub), unopt.NewView(sub)}
+	rv := []ccs.View{fto.NewView(ref.Sub), unopt.NewView(ref.Sub)}
 	g := ccs.NewGroup(sub, gv, 1)
 	for i, e := range tr.Events {
 		g.Handle(e)
@@ -79,7 +79,7 @@ var predictive = []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC}
 // after every event: P and H of every thread, the rule (a)/(b) graph edges,
 // and both views' reports. Inputs: random traces with fork/join and
 // volatiles, and slices of the three generator programs whose locking is
-// densest, each with and without capacity hints.
+// densest.
 func TestSubstrateMatchesReference(t *testing.T) {
 	traces := map[string]*trace.Trace{}
 	for seed := int64(0); seed < 24; seed++ {
@@ -95,10 +95,8 @@ func TestSubstrateMatchesReference(t *testing.T) {
 		}
 	}
 	for name, tr := range traces {
-		for _, spec := range []analysis.Spec{analysis.SpecOf(tr), {}} {
-			for _, rel := range predictive {
-				diffReference(t, fmt.Sprintf("%s/%v (hints %v)", name, rel, spec.Events > 0), tr, rel, spec)
-			}
+		for _, rel := range predictive {
+			diffReference(t, fmt.Sprintf("%s/%v", name, rel), tr, rel)
 		}
 	}
 }
@@ -116,7 +114,7 @@ func FuzzReleaseSnapshots(f *testing.F) {
 			Volatiles: int(volatiles % 4), Events: int(events % 4000), MaxDepth: 1 + int(depth%4), ForkJoin: forkJoin,
 		})
 		for _, rel := range predictive {
-			diffReference(t, rel.String(), tr, rel, analysis.Spec{})
+			diffReference(t, rel.String(), tr, rel)
 		}
 	})
 }

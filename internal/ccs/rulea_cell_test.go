@@ -26,7 +26,7 @@ type heldTime struct {
 // snapshot or logged clock written after a side viewed it fails too.
 func checkCellTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation) {
 	t.Helper()
-	sub := NewSubstrate(rel, analysis.Spec{}, false)
+	sub := NewSubstrate(rel, false)
 	lt := sub.lt
 	check := func(h heldTime, when string) {
 		got := lt.at(&h.side, h.by, false)

@@ -57,16 +57,15 @@ func (l edgeList) rows() func(i int32) []int32 {
 // edges the graph left out.
 func checkEdgeReachability(t testing.TB, id string, evs []trace.Event, rel analysis.Relation, epochAcq bool) int {
 	t.Helper()
-	var spec analysis.Spec
-	sub, ref := NewSubstrate(rel, spec, true), NewRefSubstrate(rel, spec, true)
+	sub, ref := NewSubstrate(rel, true), NewRefSubstrate(rel, true)
 	if epochAcq {
-		sub.rb = NewRuleB(rel, spec, true)
+		sub.rb = NewRuleB(rel, true)
 		sub.lt.log = sub.rb
 		ref.rb.epochAcq = true
 	}
 	ref.rb.everyEntry = true
 	var all edgeList
-	ref.Sub.SetHook(&all, spec)
+	ref.Sub.SetHook(&all)
 	views := []View{everyAccess{}}
 	g := NewGroup(sub, views, 0)
 	for _, e := range evs {

@@ -37,9 +37,9 @@ func untick(c *vc.VC, t trace.Tid) *vc.VC {
 // written after a record was put over it fails too.
 func checkLoggedTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation, epochAcq bool) {
 	t.Helper()
-	sub := NewSubstrate(rel, analysis.Spec{}, false)
+	sub := NewSubstrate(rel, false)
 	if epochAcq {
-		sub.rb = NewRuleB(rel, analysis.Spec{}, true)
+		sub.rb = NewRuleB(rel, true)
 		sub.lt.log = sub.rb
 	}
 	check := func(l loggedTime, when string) {
@@ -129,9 +129,9 @@ func TestRuleBBytesPerLoggedClock(t *testing.T) {
 		rel      analysis.Relation
 		epochAcq bool
 	}{{analysis.WCP, true}, {analysis.DC, false}, {analysis.DC, true}} {
-		sub := NewSubstrate(cfg.rel, analysis.Spec{}, false)
+		sub := NewSubstrate(cfg.rel, false)
 		if cfg.epochAcq {
-			sub.rb = NewRuleB(cfg.rel, analysis.Spec{}, true)
+			sub.rb = NewRuleB(cfg.rel, true)
 			sub.lt.log = sub.rb
 		}
 		for _, e := range tr.Events {

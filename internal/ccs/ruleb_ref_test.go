@@ -187,8 +187,8 @@ type RefSubstrate struct {
 }
 
 // NewRefSubstrate builds the reference substrate of relation rel.
-func NewRefSubstrate(rel analysis.Relation, spec analysis.Spec, buildGraph bool) *RefSubstrate {
-	sub := NewSubstrate(rel, spec, buildGraph)
+func NewRefSubstrate(rel analysis.Relation, buildGraph bool) *RefSubstrate {
+	sub := NewSubstrate(rel, buildGraph)
 	r := &RefSubstrate{Sub: sub}
 	if sub.lt != nil {
 		r.lt = newRefLockTables()
@@ -322,9 +322,8 @@ func TestRuleBMatchesReference(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			id := fmt.Sprintf("%v epochAcq=%v seed %d", tc.rel, tc.epochAcq, seed)
 			evs := syncOnly(seed, 12, 5, 12000, 400)
-			var spec analysis.Spec // no hints: everything grows as the stream reveals it
-			got, want := NewRuleB(tc.rel, spec, tc.epochAcq), newRefRuleB(tc.rel, tc.epochAcq, false)
-			sg, sw := analysis.NewSyncState(tc.rel, spec), analysis.NewSyncState(tc.rel, spec)
+			got, want := NewRuleB(tc.rel, tc.epochAcq), newRefRuleB(tc.rel, tc.epochAcq, false)
+			sg, sw := analysis.NewSyncState(tc.rel), analysis.NewSyncState(tc.rel)
 			var eg, ew edgeList
 			releases, joined := 0, 0
 			for i, e := range evs {
@@ -393,9 +392,9 @@ func TestRuleBMatchesReference(t *testing.T) {
 func BenchmarkRuleBRelease(b *testing.B) {
 	for _, epochAcq := range []bool{true, false} {
 		b.Run(fmt.Sprintf("epochAcq=%v", epochAcq), func(b *testing.B) {
-			spec := analysis.Spec{Threads: 10, Locks: 1}
-			s := analysis.NewSyncState(analysis.DC, spec)
-			rb := NewRuleB(analysis.DC, spec, epochAcq)
+			s := analysis.NewSyncState(analysis.DC)
+			s.Ensure(9)
+			rb := NewRuleB(analysis.DC, epochAcq)
 			for t := trace.Tid(0); t < 10; t++ { // every thread owns history on the lock
 				rb.Acquire(t, 0, s.P[t])
 				s.PostAcquire(t, 0)
@@ -432,10 +431,9 @@ func (everyAccess) Write(trace.Tid, uint32, trace.Loc, int32) {}
 func BenchmarkLockTables(b *testing.B) {
 	p, _ := workload.ProgramByName("h2")
 	tr := p.Generate(20000, 1)
-	spec := analysis.SpecOf(tr)
 	for _, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
 		b.Run(rel.String(), func(b *testing.B) {
-			ref := NewRefSubstrate(rel, spec, false)
+			ref := NewRefSubstrate(rel, false)
 			for _, e := range tr.Events {
 				ref.Handle(e, []View{everyAccess{}}, 0)
 			}
@@ -443,7 +441,7 @@ func BenchmarkLockTables(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sub := NewSubstrate(rel, spec, false)
+				sub := NewSubstrate(rel, false)
 				joins, accesses = 0, 0
 				for _, e := range tr.Events {
 					t, idx := e.T, sub.Begin(e.T)

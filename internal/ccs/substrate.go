@@ -45,19 +45,19 @@ type Substrate struct {
 	_     report.Pad
 }
 
-// NewSubstrate builds the substrate of relation rel from capacity hints;
-// buildGraph adds the constraint graph of the "w/G" configurations.
-func NewSubstrate(rel analysis.Relation, spec analysis.Spec, buildGraph bool) *Substrate {
-	b := &Substrate{SyncState: *analysis.NewSyncState(rel, spec)}
+// NewSubstrate builds the empty substrate of relation rel; buildGraph adds
+// the constraint graph of the "w/G" configurations.
+func NewSubstrate(rel analysis.Relation, buildGraph bool) *Substrate {
+	b := &Substrate{SyncState: *analysis.NewSyncState(rel)}
 	if rel != analysis.HB {
 		if rel != analysis.WDC {
-			b.rb = NewRuleB(rel, spec, false)
+			b.rb = NewRuleB(rel, false)
 		}
-		b.lt = NewLockTables(spec, b.rb)
+		b.lt = NewLockTables(b.rb)
 	}
 	if buildGraph {
-		b.g = graph.New(spec.Events)
-		b.SetHook(b.g, spec)
+		b.g = new(graph.Graph)
+		b.SetHook(b.g)
 	}
 	return b
 }

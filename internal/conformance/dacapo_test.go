@@ -41,7 +41,7 @@ func TestDacapoCharacteristics(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			tr := p.Generate(dacapoTestScale, 1)
-			a := fto.New(analysis.HB, analysis.SpecOf(tr))
+			a := fto.New(analysis.HB)
 			analysis.Run(a, tr)
 			st := a.Stats()
 			gotF := float64(st.NSEAs()) / float64(tr.Len())

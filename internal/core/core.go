@@ -237,30 +237,23 @@ type Options struct {
 	VectorAcquireQueues bool
 }
 
-// New builds a SmartTrack analysis for relation rel from capacity hints;
-// state grows on demand as new ids appear in the stream.
-func New(rel analysis.Relation, spec analysis.Spec) *Analysis {
-	return NewWithOptions(rel, spec, Options{})
+// New builds a SmartTrack analysis for relation rel; state grows on demand
+// as new ids appear in the stream.
+func New(rel analysis.Relation) *Analysis {
+	return NewWithOptions(rel, Options{})
 }
 
 // NewWithOptions builds a SmartTrack analysis with ablation options.
-func NewWithOptions(rel analysis.Relation, spec analysis.Spec, opts Options) *Analysis {
+func NewWithOptions(rel analysis.Relation, opts Options) *Analysis {
 	if rel == analysis.HB {
 		panic("core: SmartTrack does not apply to HB (Table 1 marks it N/A)")
 	}
-	a := &Analysis{
-		rel:   rel,
-		s:     analysis.NewSyncState(rel, spec),
-		pages: make([]*varPage, (spec.Vars+varPageSize-1)>>varPageBits),
-		ht:    make([]*csNode, spec.Threads),
-		snap:  make([]vc.VC, spec.Threads),
-		col:   report.NewCollector(),
-	}
+	a := &Analysis{rel: rel, s: analysis.NewSyncState(rel), col: report.NewCollector()}
 	if rel != analysis.WDC {
 		// SmartTrack's default uses epoch acquire queues: because every
 		// analysis ticks the local clock at acquires, an epoch suffices to
 		// test whether an acquire is ordered before a later release.
-		a.rb = ccs.NewRuleB(rel, spec, !opts.VectorAcquireQueues)
+		a.rb = ccs.NewRuleB(rel, !opts.VectorAcquireQueues)
 	}
 	return a
 }
@@ -593,7 +586,7 @@ const slotWords, coldWords, nodeWords = 5, 10, 6
 // the release clocks are views of its arena, which the log's weight already
 // counts whole.
 func (a *Analysis) MetadataWeight() int {
-	w := a.s.Weight() + len(a.pages) + len(a.ht) + 3*len(a.snap)
+	w := a.s.Weight() + cap(a.pages) + cap(a.ht) + 3*cap(a.snap)
 	if a.rb != nil {
 		w += a.rb.Weight()
 	}
@@ -664,6 +657,6 @@ func (a *Analysis) heldWords(seen bool) (w int) {
 func init() {
 	for _, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
 		analysis.Register(rel, analysis.SmartTrack, "ST-"+rel.String(),
-			func(spec analysis.Spec) analysis.Analysis { return New(rel, spec) })
+			func() analysis.Analysis { return New(rel) })
 	}
 }

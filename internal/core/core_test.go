@@ -16,7 +16,7 @@ import (
 
 func run(t *testing.T, rel analysis.Relation, tr *trace.Trace) *Analysis {
 	t.Helper()
-	a := New(rel, analysis.SpecOf(tr))
+	a := New(rel)
 	for _, e := range tr.Events {
 		a.Handle(e)
 	}
@@ -29,7 +29,7 @@ func TestNewRejectsHB(t *testing.T) {
 			t.Error("SmartTrack-HB must panic (N/A in Table 1)")
 		}
 	}()
-	New(analysis.HB, analysis.Spec{Threads: 1})
+	New(analysis.HB)
 }
 
 func TestSameEpochCases(t *testing.T) {
@@ -114,7 +114,7 @@ func TestNSEAAccounting(t *testing.T) {
 // section), consumed at T3's read under the same lock.
 func TestExtrasLifecycle(t *testing.T) {
 	fig := workload.Figure4C()
-	a := New(analysis.DC, analysis.SpecOf(fig.Trace))
+	a := New(analysis.DC)
 	sawExtra := false
 	for _, e := range fig.Trace.Events {
 		a.Handle(e)
@@ -237,14 +237,13 @@ func TestWDCvsDCOnFigure3(t *testing.T) {
 }
 
 func TestNamesAndAccessors(t *testing.T) {
-	tr := workload.Figure1().Trace
 	for rel, want := range map[analysis.Relation]string{
 		analysis.WCP: "ST-WCP", analysis.DC: "ST-DC", analysis.WDC: "ST-WDC",
 	} {
 		if e, _ := analysis.Lookup(rel, analysis.SmartTrack); e.Name != want {
 			t.Errorf("registered as %q, want %q", e.Name, want)
 		}
-		a := New(rel, analysis.SpecOf(tr))
+		a := New(rel)
 		if a.Races() == nil || a.Stats() == nil {
 			t.Error("nil accessors")
 		}
@@ -266,7 +265,7 @@ func TestCaptureSeesOutOfOrderRelease(t *testing.T) {
 				Acq("T2", "m").Read("T2", "x").Read("T2", "y").Rel("T2", "m").
 				Acq("T3", "n").Read("T3", "z").Read("T3", "y").Rel("T3", "n")
 	tr := trace.MustCheck(b.Build())
-	a := New(analysis.WDC, analysis.SpecOf(tr))
+	a := New(analysis.WDC)
 	for _, e := range tr.Events[:6] {
 		a.Handle(e)
 	}
@@ -346,7 +345,7 @@ func steady(t testing.TB) (a *Analysis, events func(build func(b *trace.Builder)
 	t.Helper()
 	b := trace.NewBuilder()
 	b.Acq("A", "k1").Acq("A", "k2").Acq("A", "k3").Write("B", "y").Write("B", "z")
-	a = New(analysis.WDC, analysis.Spec{})
+	a = New(analysis.WDC)
 	fed := 0
 	events = func(build func(*trace.Builder)) []trace.Event {
 		build(b)
@@ -528,7 +527,7 @@ func FuzzSectionReleaseTimes(f *testing.F) {
 					}
 				}
 			}
-			a := New(rel, analysis.Spec{})
+			a := New(rel)
 			var rels []release
 			for i, e := range tr.Events {
 				r := release{idx: i}

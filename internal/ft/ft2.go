@@ -21,6 +21,9 @@ type varState struct {
 	rvc *vc.VC   // read-shared vector clock, nil in epoch mode
 }
 
+// varWords is a varState's size in 8-byte words: two epochs and a pointer.
+const varWords = 3
+
 // View is FT2's last-access metadata and race check over an HB substrate
 // (see ccs.Substrate).
 type View struct {
@@ -29,18 +32,18 @@ type View struct {
 	col  *report.Collector
 }
 
-// NewView builds FT2's view of sub from capacity hints; state grows on
-// demand as new ids appear in the stream.
-func NewView(sub *ccs.Substrate, spec analysis.Spec) *View {
-	return &View{Sub: sub, vars: make([]varState, spec.Vars), col: report.NewCollector()}
+// NewView builds FT2's view of sub; state grows on demand as new ids
+// appear in the stream.
+func NewView(sub *ccs.Substrate) *View {
+	return &View{Sub: sub, col: report.NewCollector()}
 }
 
 // Analysis is the FT2 detector: an HB substrate with the FT2 view alone.
 type Analysis struct{ View }
 
-// New builds an FT2 analysis from capacity hints.
-func New(spec analysis.Spec) *Analysis {
-	return &Analysis{*NewView(ccs.NewSubstrate(analysis.HB, spec, false), spec)}
+// New builds an FT2 analysis.
+func New() *Analysis {
+	return &Analysis{*NewView(ccs.NewSubstrate(analysis.HB, false))}
 }
 
 // Races exposes the collector of detected races.
@@ -147,9 +150,8 @@ func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 
 // MetadataWeight implements analysis.Analysis.
 func (a *Analysis) MetadataWeight() int {
-	w := a.Sub.Weight()
+	w := a.Sub.Weight() + varWords*cap(a.vars)
 	for i := range a.vars {
-		w += 2
 		if a.vars[i].rvc != nil {
 			w += a.vars[i].rvc.Weight() + 3
 		}
@@ -159,5 +161,5 @@ func (a *Analysis) MetadataWeight() int {
 
 func init() {
 	analysis.Register(analysis.HB, analysis.FT2, "FT2",
-		func(spec analysis.Spec) analysis.Analysis { return New(spec) })
+		func() analysis.Analysis { return New() })
 }

@@ -2,13 +2,14 @@ package ft
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/analysis"
 	"repro/internal/trace"
 )
 
 func run(tr *trace.Trace) *Analysis {
-	a := New(analysis.SpecOf(tr))
+	a := New()
 	a.HandleRun(tr.Events, nil)
 	return a
 }
@@ -135,5 +136,19 @@ func TestMetadataWeight(t *testing.T) {
 func TestName(t *testing.T) {
 	if e, _ := analysis.Lookup(analysis.HB, analysis.FT2); e.Name != "FT2" {
 		t.Errorf("registered as %q", e.Name)
+	}
+}
+
+// TestMetadataWeightCountsTheVarTable: the per-variable table is counted at
+// its capacity, which growth leaves up to twice its length, and at its
+// element's size.
+func TestMetadataWeightCountsTheVarTable(t *testing.T) {
+	if got := unsafe.Sizeof(varState{}); got != 8*varWords {
+		t.Fatalf("a varState is %d bytes; varWords counts %d", got, 8*varWords)
+	}
+	a := New()
+	a.HandleRun([]trace.Event{{T: 0, Op: trace.OpWrite, Targ: 99}}, nil)
+	if got, want := a.MetadataWeight()-a.Sub.Weight(), varWords*cap(a.vars); got != want || cap(a.vars) <= len(a.vars) {
+		t.Errorf("the var table weighs %d words, want %d (len %d, cap %d)", got, want, len(a.vars), cap(a.vars))
 	}
 }

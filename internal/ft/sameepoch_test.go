@@ -48,7 +48,7 @@ func sameEpochStreams() map[string]*trace.Trace {
 func TestMarkedAccessesAreSameEpoch(t *testing.T) {
 	marked := 0
 	for name, tr := range sameEpochStreams() {
-		a := New(analysis.SpecOf(tr))
+		a := New()
 		var m analysis.SameEpoch
 		same := analysis.Same(nil).Cover(1)
 		for i, e := range tr.Events {
@@ -97,11 +97,11 @@ func feedRuns(a analysis.Analysis, evs []trace.Event, n int, marked bool) {
 // marker's bitmap or nil, FT2 reports the same races and metadata weight.
 func TestHandleRunCountsMarkedAccesses(t *testing.T) {
 	for name, tr := range sameEpochStreams() {
-		want := New(analysis.Spec{})
+		want := New()
 		feedRuns(want, tr.Events, 1, false)
 		for _, n := range runCuts {
 			for _, marked := range []bool{false, true} {
-				a := New(analysis.Spec{})
+				a := New()
 				feedRuns(a, tr.Events, n, marked)
 				id := fmt.Sprintf("%s in runs of %d (marked %v)", name, n, marked)
 				if !reflect.DeepEqual(a.Races().Races(), want.Races().Races()) {

@@ -25,6 +25,9 @@ type varState struct {
 	rvc *vc.VC   // read vector clock when shared; nil in epoch mode
 }
 
+// varWords is a varState's size in 8-byte words: two epochs and a pointer.
+const varWords = 3
+
 // View is FTO's last-access metadata and race check over a relation's
 // substrate (see ccs.Substrate).
 type View struct {
@@ -37,19 +40,19 @@ type View struct {
 	_    report.Pad
 }
 
-// NewView builds FTO's view of sub from capacity hints; state grows on
-// demand as new ids appear in the stream.
-func NewView(sub *ccs.Substrate, spec analysis.Spec) *View {
-	return &View{Sub: sub, vars: make([]varState, spec.Vars), col: report.NewCollector()}
+// NewView builds FTO's view of sub; state grows on demand as new ids
+// appear in the stream.
+func NewView(sub *ccs.Substrate) *View {
+	return &View{Sub: sub, col: report.NewCollector()}
 }
 
 // Analysis is an FTO-based detector for one of the four relations: the
 // relation's substrate with the FTO view alone.
 type Analysis struct{ View }
 
-// New builds an FTO analysis for relation rel from capacity hints.
-func New(rel analysis.Relation, spec analysis.Spec) *Analysis {
-	return &Analysis{*NewView(ccs.NewSubstrate(rel, spec, false), spec)}
+// New builds an FTO analysis for relation rel.
+func New(rel analysis.Relation) *Analysis {
+	return &Analysis{*NewView(ccs.NewSubstrate(rel, false))}
 }
 
 // Races exposes the collector of detected races.
@@ -176,9 +179,8 @@ func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 
 // MetadataWeight implements analysis.Analysis.
 func (a *Analysis) MetadataWeight() int {
-	w := a.Sub.Weight()
+	w := a.Sub.Weight() + varWords*cap(a.vars)
 	for i := range a.vars {
-		w += 2
 		if a.vars[i].rvc != nil {
 			w += a.vars[i].rvc.Weight() + 3
 		}
@@ -190,6 +192,6 @@ func init() {
 	for _, rel := range analysis.Relations {
 		rel := rel
 		analysis.Register(rel, analysis.FTO, "FTO-"+rel.String(),
-			func(spec analysis.Spec) analysis.Analysis { return New(rel, spec) })
+			func() analysis.Analysis { return New(rel) })
 	}
 }

@@ -2,6 +2,7 @@ package fto
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/analysis"
 	"repro/internal/trace"
@@ -9,7 +10,7 @@ import (
 )
 
 func run(rel analysis.Relation, tr *trace.Trace) *Analysis {
-	a := New(rel, analysis.SpecOf(tr))
+	a := New(rel)
 	a.HandleRun(tr.Events, nil)
 	return a
 }
@@ -189,5 +190,19 @@ func TestNames(t *testing.T) {
 		if e, _ := analysis.Lookup(rel, analysis.FTO); e.Name != want {
 			t.Errorf("registered as %q, want %q", e.Name, want)
 		}
+	}
+}
+
+// TestMetadataWeightCountsTheVarTable: the per-variable table is counted at
+// its capacity, which growth leaves up to twice its length, and at its
+// element's size.
+func TestMetadataWeightCountsTheVarTable(t *testing.T) {
+	if got := unsafe.Sizeof(varState{}); got != 8*varWords {
+		t.Fatalf("a varState is %d bytes; varWords counts %d", got, 8*varWords)
+	}
+	a := New(analysis.DC)
+	a.HandleRun([]trace.Event{{T: 0, Op: trace.OpWrite, Targ: 99}}, nil)
+	if got, want := a.MetadataWeight()-a.Sub.Weight(), varWords*cap(a.vars); got != want || cap(a.vars) <= len(a.vars) {
+		t.Errorf("the var table weighs %d words, want %d (len %d, cap %d)", got, want, len(a.vars), cap(a.vars))
 	}
 }

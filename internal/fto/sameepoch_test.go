@@ -49,7 +49,7 @@ func TestMarkedAccessesAreSameEpoch(t *testing.T) {
 	marked := 0
 	for name, tr := range sameEpochStreams() {
 		for _, rel := range analysis.Relations {
-			a := New(rel, analysis.SpecOf(tr))
+			a := New(rel)
 			var m analysis.SameEpoch
 			same := analysis.Same(nil).Cover(1)
 			for i, e := range tr.Events {
@@ -101,11 +101,11 @@ func feedRuns(a analysis.Analysis, evs []trace.Event, n int, marked bool) {
 func TestHandleRunCountsMarkedAccesses(t *testing.T) {
 	for name, tr := range sameEpochStreams() {
 		for _, rel := range analysis.Relations {
-			want := New(rel, analysis.Spec{})
+			want := New(rel)
 			feedRuns(want, tr.Events, 1, false)
 			for _, n := range runCuts {
 				for _, marked := range []bool{false, true} {
-					a := New(rel, analysis.Spec{})
+					a := New(rel)
 					feedRuns(a, tr.Events, n, marked)
 					id := fmt.Sprintf("%s/%v in runs of %d (marked %v)", name, rel, n, marked)
 					if *a.Stats() != *want.Stats() {

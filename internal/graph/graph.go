@@ -36,10 +36,11 @@ const (
 	edgeRoom   = 2 * binary.MaxVarintLen32
 )
 
-// Graph is an event constraint graph over a trace of N events. Edge extends
-// N to cover its endpoints; an analysis that builds the graph over a stream
-// sets N to the events processed when it hands the graph out, so recording
-// is the only per-event work.
+// Graph is an event constraint graph over a trace of N events; its zero
+// value is an empty graph. Edge extends N to cover its endpoints; an
+// analysis that builds the graph over a stream sets N to the events
+// processed when it hands the graph out, so recording is the only per-event
+// work.
 type Graph struct {
 	_      report.Pad
 	N      int
@@ -61,9 +62,6 @@ type Graph struct {
 	from []int32
 	_    report.Pad
 }
-
-// New returns an empty graph over n events.
-func New(n int) *Graph { return &Graph{N: n} }
 
 // Edge records the constraint src before dst, by threads from and to, unless
 // program order and an edge already recorded imply it. It implements

@@ -12,7 +12,7 @@ import (
 
 func TestEdgeRecording(t *testing.T) {
 	// Events 0 and 4 are T0's, 1 and 5 T1's, 2 T2's.
-	g := New(6)
+	g := new(Graph)
 	g.Edge(0, 2, 0, 2)
 	g.Edge(1, 2, 1, 2)
 	g.Edge(0, 2, 0, 2) // a repeat: dropped
@@ -36,7 +36,7 @@ func TestEdgeRecording(t *testing.T) {
 }
 
 func TestEdgeIgnoresInvalid(t *testing.T) {
-	g := New(3)
+	g := new(Graph)
 	g.Edge(-1, 1, 0, 1) // unknown source (e.g. no prior volatile write)
 	g.Edge(1, -1, 1, 0)
 	g.Edge(2, 2, 1, 1) // self edge
@@ -47,7 +47,7 @@ func TestEdgeIgnoresInvalid(t *testing.T) {
 }
 
 func TestPredInvalidatedByNewEdges(t *testing.T) {
-	g := New(4)
+	g := new(Graph)
 	g.Edge(0, 1, 0, 1)
 	if len(g.Pred(1)) != 1 {
 		t.Fatal("first build")
@@ -61,7 +61,7 @@ func TestPredInvalidatedByNewEdges(t *testing.T) {
 // TestPredRowsDoNotShareCapacity: appending to one row must not write
 // into the next, which lies behind it in the same array.
 func TestPredRowsDoNotShareCapacity(t *testing.T) {
-	g := New(4)
+	g := new(Graph)
 	g.Edge(0, 1, 0, 1)
 	g.Edge(0, 2, 0, 2)
 	_ = append(g.Pred(1), 3)
@@ -71,7 +71,7 @@ func TestPredRowsDoNotShareCapacity(t *testing.T) {
 }
 
 func TestWeight(t *testing.T) {
-	g := New(4)
+	g := new(Graph)
 	if g.Weight() != 0 {
 		t.Error("empty graph weighs 0")
 	}
@@ -84,7 +84,7 @@ func TestWeight(t *testing.T) {
 	if g.Weight() <= before {
 		t.Error("the predecessor index must have weight")
 	}
-	wide := New(4)
+	wide := new(Graph)
 	wide.Edge(0, 1, 900, 901) // 902 rows, one of 901 latest sources
 	if d := wide.Weight() - before; d < 3*902+901/2 {
 		t.Errorf("an edge between threads 900 and 901 weighs %d words more than one between 0 and 1; the thread-pair table alone is %d", d, 3*902+901/2)
@@ -121,7 +121,7 @@ func varintLen(d int32) int {
 // then one between two threads of their own reaches far, for 4-byte deltas.
 func TestChunkedEdgesMatchNaiveModel(t *testing.T) {
 	const window = 500
-	g := New(0)
+	g := new(Graph)
 	var want [][2]int32
 	latest := map[[2]trace.Tid]int32{}
 	pred := map[int32][]int32{}
@@ -202,7 +202,7 @@ func FuzzGraphEdges(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		g := New(0)
+		g := new(Graph)
 		var want [][2]int32
 		latest := map[[2]trace.Tid]int32{}
 		n := 0
@@ -255,7 +255,7 @@ func FuzzGraphEdges(f *testing.F) {
 // amortized in.
 func BenchmarkEdge(b *testing.B) {
 	b.ReportAllocs()
-	g := New(0)
+	g := new(Graph)
 	for i := 0; i < b.N; i++ {
 		g.Edge(int32(i), int32(i)+1, 0, 1)
 	}

@@ -22,9 +22,7 @@ const (
 // WriteBinary streams tr to w in the binary format.
 func WriteBinary(w io.Writer, tr *Trace) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	h := Header{Threads: tr.Threads, Vars: tr.Vars, Locks: tr.Locks, Volatiles: tr.Volatiles,
-		Classes: tr.Classes, Events: uint64(len(tr.Events))}
-	if _, err := bw.Write(h.encode()); err != nil {
+	if _, err := bw.Write(tr.Header().encode()); err != nil {
 		return err
 	}
 	if err := WriteRecords(bw, tr.Events, nil); err != nil {

@@ -176,6 +176,13 @@ func (tr *Trace) spaces() [numSpaces]*int {
 // (streamed headers carry hints, not bounds).
 func (tr *Trace) Widen(evs []Event) { widen(tr.spaces(), evs) }
 
+// Header is the trace's id-space declaration: its id spaces and its exact
+// event count.
+func (tr *Trace) Header() Header {
+	return Header{Threads: tr.Threads, Vars: tr.Vars, Locks: tr.Locks, Volatiles: tr.Volatiles,
+		Classes: tr.Classes, Events: uint64(len(tr.Events))}
+}
+
 // NameTable records the human-readable names used by a Builder.
 type NameTable struct {
 	Threads, Vars, Locks, Volatiles, Classes []string

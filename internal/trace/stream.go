@@ -13,9 +13,11 @@ import (
 // writes the exact count instead.
 const streamCount = ^uint64(0)
 
-// Header is the id-space declaration at the front of a serialized trace.
-// In streamed traces the fields are capacity hints (possibly zero), not
-// bounds: the events that follow may introduce larger ids.
+// Header is the id-space declaration at the front of a serialized trace
+// (Trace.Header derives a complete trace's). In a streamed trace the id
+// spaces are what the producer declared, possibly zero, not bounds: the
+// events that follow may introduce larger ids, and readers widen to them.
+// No analysis reads a header; analyses size themselves to the ids fed.
 type Header struct {
 	Threads, Vars, Locks, Volatiles, Classes int
 	// Events is the declared event count, or Unbounded for a stream whose
@@ -165,26 +167,27 @@ func (d *Decoder) fill() error {
 
 // Encoder writes the binary format incrementally, one event per Encode
 // call, for producers that do not hold the whole trace in memory. The
-// header carries capacity hints and the Unbounded event-count sentinel;
-// Close flushes buffered output.
+// header carries the declared id spaces and the Unbounded event-count
+// sentinel; Close flushes buffered output.
 type Encoder struct {
 	bw     *bufio.Writer
 	hdrOut bool
-	hints  Header
+	hdr    Header
 	err    error
 }
 
-// NewEncoder returns an encoder writing to w with the given capacity hints
-// (zero hints are fine; decoding analyses grow on demand).
-func NewEncoder(w io.Writer, hints Header) *Encoder {
-	return &Encoder{bw: bufio.NewWriterSize(w, 1<<16), hints: hints}
+// NewEncoder returns an encoder writing to w under header hdr, whose event
+// count it replaces with Unbounded (zero id spaces are fine; readers widen
+// to the ids they meet).
+func NewEncoder(w io.Writer, hdr Header) *Encoder {
+	return &Encoder{bw: bufio.NewWriterSize(w, 1<<16), hdr: hdr}
 }
 
 func (e *Encoder) writeHeader() error {
 	if e.hdrOut || e.err != nil {
 		return e.err
 	}
-	h := e.hints
+	h := e.hdr
 	h.Events = streamCount
 	if _, e.err = e.bw.Write(h.encode()); e.err == nil {
 		e.hdrOut = true

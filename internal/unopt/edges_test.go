@@ -68,11 +68,10 @@ func (h *teeHook) Edge(src, dst int32, from, to trace.Tid) {
 // edge drawn. It returns the number of edges the graph left out.
 func checkGraphReachability(t testing.TB, id string, evs []trace.Event, rel analysis.Relation) int {
 	t.Helper()
-	var spec analysis.Spec
-	sub := ccs.NewSubstrate(rel, spec, true)
+	sub := ccs.NewSubstrate(rel, true)
 	tee := &teeHook{g: sub.Graph(), all: map[int32][]int32{}}
-	sub.SetHook(tee, spec)
-	a := &Analysis{*NewView(sub, spec)}
+	sub.SetHook(tee)
+	a := &Analysis{*NewView(sub)}
 	a.HandleRun(evs, nil)
 	g := a.Graph()
 	for _, e := range g.Edges() {

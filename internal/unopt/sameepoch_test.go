@@ -49,9 +49,9 @@ func TestMarkedAccessesAreSameEpoch(t *testing.T) {
 	marked := 0
 	for name, tr := range sameEpochStreams() {
 		for _, rel := range analysis.Relations {
-			a := NewHB(analysis.SpecOf(tr))
+			a := NewHB()
 			if rel != analysis.HB {
-				a = NewPredictive(rel, analysis.SpecOf(tr), true)
+				a = NewPredictive(rel, true)
 			}
 			var m analysis.SameEpoch
 			same := analysis.Same(nil).Cover(1)
@@ -104,9 +104,9 @@ func feedRuns(a analysis.Analysis, evs []trace.Event, n int, marked bool) {
 func TestHandleRunCountsMarkedAccesses(t *testing.T) {
 	build := func(rel analysis.Relation, g bool) *Analysis {
 		if rel == analysis.HB {
-			return NewHB(analysis.Spec{})
+			return NewHB()
 		}
-		return NewPredictive(rel, analysis.Spec{}, g)
+		return NewPredictive(rel, g)
 	}
 	for name, tr := range sameEpochStreams() {
 		for _, rel := range analysis.Relations {

@@ -40,41 +40,30 @@ type View struct {
 	lastWr []analysis.Source // last write event per variable, for g
 }
 
-// NewView builds the unoptimized view of sub from capacity hints; state
-// grows on demand as new ids appear in the stream.
-func NewView(sub *ccs.Substrate, spec analysis.Spec) *View {
-	v := &View{
-		Sub: sub,
-		rx:  make([]vc.VC, spec.Vars),
-		wx:  make([]vc.VC, spec.Vars),
-		col: report.NewCollector(),
-		g:   sub.Graph(),
-	}
-	if v.g != nil {
-		analysis.GrowSources(&v.lastWr, spec.Vars)
-	}
-	return v
+// NewView builds the unoptimized view of sub; state grows on demand as new
+// ids appear in the stream.
+func NewView(sub *ccs.Substrate) *View {
+	return &View{Sub: sub, col: report.NewCollector(), g: sub.Graph()}
 }
 
 // Analysis is an unoptimized detector: a relation's substrate with the
 // unoptimized view alone.
 type Analysis struct{ View }
 
-// NewHB builds an unoptimized HB analysis from capacity hints.
-func NewHB(spec analysis.Spec) *Analysis {
-	return &Analysis{*NewView(ccs.NewSubstrate(analysis.HB, spec, false), spec)}
+// NewHB builds an unoptimized HB analysis.
+func NewHB() *Analysis {
+	return &Analysis{*NewView(ccs.NewSubstrate(analysis.HB, false))}
 }
 
 // NewPredictive builds an unoptimized predictive analysis for relation rel
-// (WCP, DC, or WDC; WDC omits rule (b), §3, and WCP composes with HB, §2.4)
-// from capacity hints. If buildGraph is set, the analysis also constructs
-// the event constraint graph used by vindication (the "w/G"
-// configurations).
-func NewPredictive(rel analysis.Relation, spec analysis.Spec, buildGraph bool) *Analysis {
+// (WCP, DC, or WDC; WDC omits rule (b), §3, and WCP composes with HB,
+// §2.4). If buildGraph is set, the analysis also constructs the event
+// constraint graph used by vindication (the "w/G" configurations).
+func NewPredictive(rel analysis.Relation, buildGraph bool) *Analysis {
 	if rel == analysis.HB {
 		panic("unopt: use NewHB for HB analysis")
 	}
-	return &Analysis{*NewView(ccs.NewSubstrate(rel, spec, buildGraph), spec)}
+	return &Analysis{*NewView(ccs.NewSubstrate(rel, buildGraph))}
 }
 
 // Races exposes the collector of detected races.
@@ -174,16 +163,16 @@ func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	}
 }
 
-// MetadataWeight implements analysis.Analysis.
+// MetadataWeight implements analysis.Analysis. A Source is one word.
 func (a *Analysis) MetadataWeight() int {
-	return a.Sub.Weight() + accessClockWeight(a.rx) + accessClockWeight(a.wx)
+	return a.Sub.Weight() + accessClockWeight(a.rx) + accessClockWeight(a.wx) + cap(a.lastWr)
 }
 
 // accessClockWeight totals the footprint of an unboxed last-access clock
-// table: 3 words of inline header per variable slot plus the materialized
-// clock storage.
+// table: 3 words of inline header per slot of its capacity plus the
+// materialized clock storage.
 func accessClockWeight(clocks []vc.VC) int {
-	w := 3 * len(clocks)
+	w := 3 * cap(clocks)
 	for i := range clocks {
 		w += clocks[i].Weight()
 	}
@@ -203,12 +192,12 @@ func culprit(x, p *vc.VC) trace.Tid {
 
 func init() {
 	analysis.Register(analysis.HB, analysis.Unopt, "Unopt-HB",
-		func(spec analysis.Spec) analysis.Analysis { return NewHB(spec) })
+		func() analysis.Analysis { return NewHB() })
 	for _, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
 		rel := rel
 		analysis.Register(rel, analysis.Unopt, "Unopt-"+rel.String(),
-			func(spec analysis.Spec) analysis.Analysis { return NewPredictive(rel, spec, false) })
+			func() analysis.Analysis { return NewPredictive(rel, false) })
 		analysis.Register(rel, analysis.UnoptG, "Unopt-"+rel.String()+" w/G",
-			func(spec analysis.Spec) analysis.Analysis { return NewPredictive(rel, spec, true) })
+			func() analysis.Analysis { return NewPredictive(rel, true) })
 	}
 }

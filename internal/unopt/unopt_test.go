@@ -3,6 +3,7 @@ package unopt
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/analysis"
 	"repro/internal/trace"
@@ -10,13 +11,13 @@ import (
 )
 
 func runHB(tr *trace.Trace) *Analysis {
-	a := NewHB(analysis.SpecOf(tr))
+	a := NewHB()
 	a.HandleRun(tr.Events, nil)
 	return a
 }
 
 func runPred(rel analysis.Relation, tr *trace.Trace, g bool) *Analysis {
-	a := NewPredictive(rel, analysis.SpecOf(tr), g)
+	a := NewPredictive(rel, g)
 	a.HandleRun(tr.Events, nil)
 	return a
 }
@@ -63,7 +64,7 @@ func TestNewPredictiveRejectsHB(t *testing.T) {
 			t.Error("HB must be rejected")
 		}
 	}()
-	NewPredictive(analysis.HB, analysis.Spec{Threads: 1}, false)
+	NewPredictive(analysis.HB, false)
 }
 
 func TestPredictiveNames(t *testing.T) {
@@ -195,5 +196,21 @@ func TestWriteChecksBothReadAndWrite(t *testing.T) {
 	// T2's read races with T1's write (1); T3's write races with both (1).
 	if a.Races().Dynamic() != 2 {
 		t.Errorf("dynamic = %d, want 2", a.Races().Dynamic())
+	}
+}
+
+// TestMetadataWeightCountsLastWriters: a w/G analysis's last-writer table is
+// counted at its capacity, one word per Source; with no edge drawn it is
+// all that tells its weight from the analysis without the graph.
+func TestMetadataWeightCountsLastWriters(t *testing.T) {
+	if got := unsafe.Sizeof(analysis.Source{}); got != 8 {
+		t.Fatalf("a Source is %d bytes, not one word", got)
+	}
+	g, plain := NewPredictive(analysis.DC, true), NewPredictive(analysis.DC, false)
+	evs := []trace.Event{{T: 0, Op: trace.OpWrite, Targ: 99}}
+	g.HandleRun(evs, nil)
+	plain.HandleRun(evs, nil)
+	if got, want := g.MetadataWeight()-plain.MetadataWeight(), cap(g.lastWr); got != want || want < 100 {
+		t.Errorf("w/G weighs %d words more, want the %d of its last-writer table", got, want)
 	}
 }

@@ -176,7 +176,7 @@ func New(tr *trace.Trace) (*Vindicator, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := unopt.NewPredictive(analysis.WDC, analysis.SpecOf(tr), true)
+	a := unopt.NewPredictive(analysis.WDC, true)
 	col := analysis.Run(a, tr)
 	return &Vindicator{
 		index:     x,

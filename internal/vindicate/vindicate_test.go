@@ -207,7 +207,7 @@ func TestVindicateWorkloadRaces(t *testing.T) {
 }
 
 func TestGraphBasics(t *testing.T) {
-	g := graph.New(5)
+	g := new(graph.Graph)
 	g.Edge(0, 3, 0, 3)
 	g.Edge(1, 3, 1, 3)
 	g.Edge(0, 3, 0, 3) // duplicate: dropped

@@ -17,17 +17,17 @@ import (
 	"repro/internal/unopt"
 )
 
-// CapacityHints is what a streamed trace file's header declares
-// (NewTraceEncoder): the stream's id spaces, as analysis.Spec. An engine
-// takes no declaration: its tables grow to the ids it is fed.
-type CapacityHints = analysis.Spec
+// CapacityHints is the header a streamed trace file declares
+// (NewTraceEncoder): the stream's id spaces. Nothing that analyzes the
+// stream reads it; every table grows to the ids it is fed.
+type CapacityHints = trace.Header
 
 // HintsOf derives a complete trace's exact header; nil declares nothing.
 func HintsOf(tr *Trace) CapacityHints {
 	if tr == nil {
 		return CapacityHints{}
 	}
-	return analysis.SpecOf(tr)
+	return tr.Header()
 }
 
 // engineConfig collects the functional options of NewEngine.
@@ -216,7 +216,6 @@ func NewEngine(opts ...Option) (*Engine, error) {
 
 // build turns the fan-out into detectors and the computations behind them.
 func (e *Engine) build(entries []analysis.Entry) {
-	var spec analysis.Spec // zero: every table grows to the ids fed
 	e.dets = make([]engineDet, len(entries))
 	for di, entry := range entries {
 		e.dets[di].name = entry.Name
@@ -235,12 +234,12 @@ func (e *Engine) build(entries []analysis.Entry) {
 		c := &e.comps[ci]
 		first := entries[c.dets[0]]
 		if len(c.dets) == 1 { // nothing to share: the standalone cell
-			a := first.New(spec)
+			a := first.New()
 			c.a, e.dets[c.dets[0]].col = a, a.Races()
 			continue
 		}
 		buildGraph := slices.ContainsFunc(c.dets, func(di int) bool { return entries[di].Level == UnoptG })
-		sub := ccs.NewSubstrate(first.Relation, spec, buildGraph)
+		sub := ccs.NewSubstrate(first.Relation, buildGraph)
 		var views []ccs.View
 		var uv *unopt.View // one view reports as "Unopt-X" and as "Unopt-X w/G"
 		edged := 0
@@ -248,14 +247,14 @@ func (e *Engine) build(entries []analysis.Entry) {
 			d := &e.dets[di]
 			switch entries[di].Level {
 			case FT2:
-				v := ft.NewView(sub, spec)
+				v := ft.NewView(sub)
 				views, d.col = append(views, v), v.Races()
 			case FTO:
-				v := fto.NewView(sub, spec)
+				v := fto.NewView(sub)
 				views, d.col = append(views, v), v.Races()
 			default:
 				if uv == nil {
-					uv = unopt.NewView(sub, spec)
+					uv = unopt.NewView(sub)
 					edged, views = len(views), append(views, uv)
 				}
 				d.col = uv.Races()

@@ -223,7 +223,7 @@ func TestGroupedFTOStatsMatchStandalone(t *testing.T) {
 				}
 				for _, v := range groupedFTOViews(c) {
 					grouped++
-					alone := fto.New(v.Sub.Rel, analysis.SpecOf(tr))
+					alone := fto.New(v.Sub.Rel)
 					analysis.Run(alone, tr)
 					if *v.Stats() != *alone.Stats() {
 						t.Errorf("%s par=%d: grouped FTO-%v counts %+v, alone %+v", mt.name, par, v.Sub.Rel, *v.Stats(), *alone.Stats())

@@ -36,19 +36,18 @@ func conformanceTraces(t *testing.T) map[string]*race.Trace {
 }
 
 // TestEngineMatchesBatchAcrossTable1 is the streaming-equivalence
-// conformance check: a detector constructed before any events exist (zero
-// capacity hints, state discovered incrementally) and fed one event at a
-// time must report exactly the same dynamic and static race counts as the
-// batch path pre-sized from the full trace — for every registered Table 1
-// cell, on every conformance workload. All cells share one engine, so this
-// also exercises the single-pass multi-analysis fan-out.
+// conformance check: every registered Table 1 cell, fed one event at a time
+// through an engine, must report exactly the same dynamic and static race
+// counts as the standalone cell handed the whole trace in one run, on every
+// conformance workload. All cells share one engine, so this also exercises
+// the single-pass multi-analysis fan-out and its shared substrates.
 func TestEngineMatchesBatchAcrossTable1(t *testing.T) {
 	names := race.Detectors()
 	if len(names) == 0 {
 		t.Fatal("no registered analyses")
 	}
 	for name, tr := range conformanceTraces(t) {
-		// One engine, every Table 1 cell, no hints: pure streaming.
+		// One engine, every Table 1 cell: pure streaming.
 		eng, err := race.NewEngine(race.WithAnalysisNames(names...))
 		if err != nil {
 			t.Fatalf("%s: NewEngine: %v", name, err)
@@ -67,8 +66,8 @@ func TestEngineMatchesBatchAcrossTable1(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: no sub-report for %s", name, a)
 			}
-			// Batch path: the standalone analysis pre-sized for the
-			// complete trace.
+			// Batch path: the standalone analysis over the complete
+			// trace in one run.
 			entry, _ := analysis.ByName(a)
 			col := analysis.Run(entry.NewFor(tr), tr)
 			if got, want := sub.Dynamic(), col.Dynamic(); got != want {

@@ -436,16 +436,10 @@ func NewTextTraceDecoder(r io.Reader) *TextTraceDecoder { return trace.NewTextDe
 // TraceEncoder streams events to a binary trace file as they are produced.
 type TraceEncoder = trace.Encoder
 
-// NewTraceEncoder returns a streaming encoder writing to w. The hints
-// pre-declare id-space sizes for downstream consumers (zero hints are
-// fine — streaming readers widen on demand). Call Close to flush.
+// NewTraceEncoder returns a streaming encoder writing to w, whose file
+// header declares hints' id spaces (HintsOf gives a complete trace's; zero
+// declares none, and readers widen to the ids they meet) and an event count
+// found at EOF. Call Close to flush.
 func NewTraceEncoder(w io.Writer, hints CapacityHints) *TraceEncoder {
-	return trace.NewEncoder(w, trace.Header{
-		Threads:   hints.Threads,
-		Vars:      hints.Vars,
-		Locks:     hints.Locks,
-		Volatiles: hints.Volatiles,
-		Classes:   hints.Classes,
-		Events:    trace.Unbounded,
-	})
+	return trace.NewEncoder(w, hints)
 }

@@ -33,8 +33,10 @@ var (
 	ErrDraining      = errors.New("server: draining, not accepting new sessions")
 	ErrIDTaken       = errors.New("server: session id already in use")
 	// ErrDiskFault marks a session killed by journal I/O (failed append,
-	// fsync, or metadata write); the server — still healthy for every other
-	// tenant — reports itself degraded on /healthz.
+	// fsync, or metadata write), or a finished one whose persisted report a
+	// restart found missing or unreadable; the server — still healthy for
+	// every other tenant — reports itself degraded on /healthz after a
+	// journal fault.
 	ErrDiskFault = errors.New("server: session failed on disk I/O")
 	// ErrProto marks a protocol violation detected by whoever reads the
 	// frames, raced or the fleet router.

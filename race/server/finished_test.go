@@ -155,7 +155,8 @@ func TestCloseReplyLostIsAskedAgain(t *testing.T) {
 // once neither the finished archive nor the disk holds the report. A server
 // that pushed the session out of its archive (maxFinished later ones) knows
 // it no more: unknown-session. A restarted one that finds it closed on disk
-// without its report.json answers that the report is missing.
+// without its report.json answers that the report is missing, as a disk
+// fault (code io, Permanent): the result is lost, the server is not at fault.
 func TestResumeOfAClosedSessionWhoseReportIsGone(t *testing.T) {
 	tr := writeWriteRace()
 	removeReport := func(t *testing.T, dir, id string) {
@@ -195,7 +196,7 @@ func TestResumeOfAClosedSessionWhoseReportIsGone(t *testing.T) {
 		s2, lis2, addr2 := startDurableTCP(t, dir)
 		t.Cleanup(func() { lis2.Close(); s2.Close() })
 		_, _, err := resumeRemote(t, addr2, id)
-		if Classify(err).Code != wire.CodeInternal || !errContains(err, "persisted report missing") {
+		if Classify(err).Code != wire.CodeIO || !errContains(err, "persisted report missing") {
 			t.Fatalf("resume after a restart with the report gone answered %v, want the missing report", err)
 		}
 	})

@@ -406,10 +406,10 @@ func (s *Server) recoverFinished(dir string, meta sessionMeta) {
 		if rep, perr := race.ReportFromJSON(doc); perr == nil {
 			sess.report = rep
 		} else {
-			sess.err = fmt.Errorf("server: persisted report unreadable: %w", perr)
+			sess.err = fmt.Errorf("%w: persisted report unreadable: %w", ErrDiskFault, perr)
 		}
 	} else {
-		sess.err = fmt.Errorf("server: persisted report missing: %w", err)
+		sess.err = fmt.Errorf("%w: persisted report missing: %w", ErrDiskFault, err)
 	}
 	s.mu.Lock()
 	s.archiveLocked(sess)
