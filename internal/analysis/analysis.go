@@ -173,22 +173,6 @@ func Lookup(rel Relation, lvl Level) (Entry, bool) {
 	return Entry{}, false
 }
 
-// EnsureLen grows *s to at least n elements, filling with zero values.
-// Analyses use it to grow per-id state tables as new ids appear in a
-// stream; amortized-doubling keeps per-event growth O(1).
-func EnsureLen[T any](s *[]T, n int) {
-	if n <= len(*s) {
-		return
-	}
-	if n <= cap(*s) {
-		*s = (*s)[:n]
-		return
-	}
-	grown := make([]T, n, 2*n)
-	copy(grown, *s)
-	*s = grown
-}
-
 // ByName finds an analysis by its display name.
 func ByName(name string) (Entry, bool) {
 	for _, e := range registry {

@@ -86,8 +86,8 @@ func (s Same) Cover(n int) Same {
 // (ROADMAP item 7(c)) must revisit them, since a reissued id would inherit
 // its predecessor's stamps.
 type SameEpoch struct {
-	stamps []uint64 // per variable: the last access's stamp, 0 for none
-	syncs  []uint64 // per thread: synchronisation operations so far
+	stamps trace.Table[uint64, [256]uint64] // per variable: the last access's stamp, 0 for none; 2 kB pages
+	syncs  []uint64                         // per thread: synchronisation operations so far
 }
 
 // Stamp layout: see SameEpoch.
@@ -104,23 +104,23 @@ func (s *SameEpoch) Mark(evs []trace.Event, bits Same, off int) {
 		e := &evs[i]
 		t := int(e.T)
 		if t >= len(s.syncs) {
-			EnsureLen(&s.syncs, t+1)
+			trace.EnsureLen(&s.syncs, t+1)
 		}
 		if !e.Op.IsAccess() {
 			s.syncs[t]++
 			continue
 		}
-		x := int(e.Targ)
-		if x >= len(s.stamps) {
-			EnsureLen(&s.stamps, x+1)
-		}
 		// OpRead is 0 and OpWrite 1: the op is the kind bit.
 		st := uint64(t)<<stampTidShift | uint64(e.Op)<<stampSyncBits | (s.syncs[t] + 1)
-		if s.stamps[x] == st {
+		x, ok := s.stamps.Find(e.Targ)
+		if !ok {
+			x = s.stamps.At(e.Targ)
+		}
+		if *x == st {
 			j := off + i
 			bits[j>>6] |= 1 << (j & 63)
 		} else {
-			s.stamps[x] = st
+			*x = st
 		}
 	}
 }

@@ -84,8 +84,8 @@ func TestSameEpochCountPast32Bits(t *testing.T) {
 	marks(&top, rd(0, 0), rd(1, 1))
 	top.syncs[0] = 1<<stampSyncBits - 2
 	wantMarks(t, "r w r at the top count", marks(&top, rd(0, 1), wr(0, 1), rd(0, 1), rd(0, 1)), false, false, false, true)
-	if top.stamps[1]>>stampTidShift != 0 {
-		t.Errorf("thread 0's stamp at count 2^47-2 reads thread %d", top.stamps[1]>>stampTidShift)
+	if (*top.stamps.At(1))>>stampTidShift != 0 {
+		t.Errorf("thread 0's stamp at count 2^47-2 reads thread %d", (*top.stamps.At(1))>>stampTidShift)
 	}
 }
 

@@ -14,12 +14,16 @@ type Hook interface {
 	Edge(src, dst int32, from, to trace.Tid)
 }
 
-// Source is an event a constraint-graph edge may come from: its trace index,
-// -1 for none, and its thread.
+// Source is an event a constraint-graph edge may come from: its trace index
+// plus one, and its thread. The zero Source is no event, so a fresh table
+// slot holds none.
 type Source struct {
-	Idx int32
-	T   trace.Tid
+	at int32
+	T  trace.Tid
 }
+
+// NewSource returns the event at trace index idx, by thread t.
+func NewSource(idx int32, t trace.Tid) Source { return Source{idx + 1, t} }
 
 // SyncState implements the synchronization handling shared by every
 // analysis in the repository (§5.1): per-thread relation clocks, lock
@@ -37,9 +41,9 @@ type Source struct {
 // synchronization operation, which the epoch same-epoch checks require
 // (§5.1 applies this to the unoptimized analyses as well).
 //
-// All per-id tables grow on demand, so a SyncState is built before any
-// events exist and consumes an unbounded stream whose id spaces are
-// discovered incrementally.
+// Every table grows on demand, so a SyncState is built before any events
+// exist and consumes an unbounded stream whose id spaces are discovered
+// incrementally.
 type SyncState struct {
 	_   report.Pad
 	Rel Relation
@@ -49,14 +53,9 @@ type SyncState struct {
 	// H is the HB clock per thread; nil unless Rel == WCP.
 	H []*vc.VC
 
-	lockP []*vc.VC // per-lock release clocks (HB and WCP only)
-	lockH []*vc.VC
-
-	volRP, volWP []*vc.VC // volatile last-readers / last-writer clocks
-	volRH, volWH []*vc.VC
-
-	clsP []*vc.VC // class-initialization clocks
-	clsH []*vc.VC
+	locks trace.Table[lockRow, [syncPage]lockRow] // HB and WCP only
+	vols  trace.Table[volRow, [syncPage]volRow]
+	cls   trace.Table[clsRow, [syncPage]clsRow]
 
 	held [][]uint32 // per-thread stack of held locks, innermost last
 
@@ -70,17 +69,36 @@ type SyncState struct {
 	selfP []vc.Clock
 
 	// Graph bookkeeping (hook != nil only for the "w/G" analyses).
-	hook        Hook
-	marks       []threadMark
-	lastVolW    []Source // last volatile-write event per volatile
-	lastVolR    []Source // last volatile-read event per volatile
-	lastClsInit []Source
-	_           report.Pad
+	hook  Hook
+	marks []threadMark
+	_     report.Pad
 }
 
-// threadMark is a thread's graph bookkeeping: event indices, -1 for none.
+// lockRow is a lock's release clocks, P and H (HB and WCP only).
+type lockRow struct{ p, h *vc.VC }
+
+// volRow is a volatile's last-readers and last-writer clocks, P and H, and
+// its last write and read events for the graph.
+type volRow struct {
+	rp, wp, rh, wh *vc.VC
+	lastW, lastR   Source
+}
+
+// clsRow is a class's initialization clocks, P and H, and its initializing
+// event for the graph.
+type clsRow struct {
+	p, h *vc.VC
+	init Source
+}
+
+// Pages of 16 rows: a stream names tens to a few hundred locks and a
+// handful of volatiles and classes, so a page is about what dense tables
+// of them would hold, and a table of one row stays small.
+const syncPage = 16
+
+// threadMark is a thread's graph bookkeeping.
 type threadMark struct {
-	last int32  // the thread's last event
+	last int32  // the thread's last event's index plus one, 0 for none
 	fork Source // the fork event awaiting the thread's first event, by the forker
 }
 
@@ -93,10 +111,7 @@ func growMarks(marks []threadMark, n int) []threadMark {
 		buf := make([]threadMark, slack+2*n+slack)
 		marks = buf[slack : slack+copy(buf[slack:], marks) : slack+2*n]
 	}
-	for len(marks) < n {
-		marks = append(marks, threadMark{last: -1, fork: Source{Idx: -1}})
-	}
-	return marks
+	return marks[:max(n, len(marks))]
 }
 
 // NewSyncState builds empty synchronization state for relation rel; every
@@ -126,38 +141,6 @@ func (s *SyncState) growThreads(n int) {
 	}
 }
 
-func (s *SyncState) growLocks(n int) {
-	if s.Rel == HB || s.Rel == WCP {
-		EnsureLen(&s.lockP, n)
-		if s.Rel == WCP {
-			EnsureLen(&s.lockH, n)
-		}
-	}
-}
-
-func (s *SyncState) growVolatiles(n int) {
-	EnsureLen(&s.volRP, n)
-	EnsureLen(&s.volWP, n)
-	if s.Rel == WCP {
-		EnsureLen(&s.volRH, n)
-		EnsureLen(&s.volWH, n)
-	}
-	if s.hook != nil {
-		GrowSources(&s.lastVolW, n)
-		GrowSources(&s.lastVolR, n)
-	}
-}
-
-func (s *SyncState) growClasses(n int) {
-	EnsureLen(&s.clsP, n)
-	if s.Rel == WCP {
-		EnsureLen(&s.clsH, n)
-	}
-	if s.hook != nil {
-		GrowSources(&s.lastClsInit, n)
-	}
-}
-
 // et ensures thread t's tables exist (ensure-thread).
 func (s *SyncState) et(t trace.Tid) {
 	if int(t) >= len(s.P) {
@@ -171,38 +154,20 @@ func (s *SyncState) et(t trace.Tid) {
 func (s *SyncState) Ensure(t trace.Tid) { s.et(t) }
 
 // SetHook enables constraint-graph edge recording: every edge the analysis
-// draws goes to h, on a state no event has reached yet. The bookkeeping
-// tables grow to the ids the state already has.
+// draws goes to h, on a state no event has reached yet.
 func (s *SyncState) SetHook(h Hook) {
 	s.hook = h
 	s.marks = growMarks(nil, len(s.P))
-	s.lastVolW, s.lastVolR, s.lastClsInit = nil, nil, nil
-	GrowSources(&s.lastVolW, len(s.volRP))
-	GrowSources(&s.lastVolR, len(s.volRP))
-	GrowSources(&s.lastClsInit, len(s.clsP))
 }
 
 // Hook returns the hook edges go to, nil if none.
 func (s *SyncState) Hook() Hook { return s.hook }
 
-// GrowSources grows *s to at least n elements, filling new slots with no
-// event (the "no event yet" sentinel of graph bookkeeping tables).
-func GrowSources(s *[]Source, n int) {
-	if n <= len(*s) {
-		return
-	}
-	old := len(*s)
-	EnsureLen(s, n)
-	for i := old; i < n; i++ {
-		(*s)[i].Idx = -1
-	}
-}
-
 // Edge hands the hook, if any, the constraint src → dst, where dst is the
 // current event, by thread t. A source with no event draws nothing.
 func (s *SyncState) Edge(src Source, dst int32, t trace.Tid) {
-	if s.hook != nil && src.Idx >= 0 {
-		s.hook.Edge(src.Idx, dst, src.T, t)
+	if s.hook != nil && src.at > 0 {
+		s.hook.Edge(src.at-1, dst, src.T, t)
 	}
 }
 
@@ -214,11 +179,11 @@ func (s *SyncState) OnEvent(t trace.Tid, idx int32) {
 	}
 	s.et(t)
 	m := &s.marks[t]
-	if m.fork.Idx >= 0 {
-		s.hook.Edge(m.fork.Idx, idx, m.fork.T, t)
-		m.fork.Idx = -1
+	if m.fork.at > 0 {
+		s.Edge(m.fork, idx, t)
+		m.fork = Source{}
 	}
-	m.last = idx
+	m.last = idx + 1
 }
 
 // Held returns the locks currently held by t, innermost last. The returned
@@ -271,14 +236,13 @@ func (s *SyncState) Tick(t trace.Tid) {
 // (before rule (b) bookkeeping and before the tick).
 func (s *SyncState) PreAcquire(t trace.Tid, m uint32) {
 	s.et(t)
-	if s.Rel == HB || s.Rel == WCP {
-		s.growLocks(int(m) + 1)
+	if s.Rel != HB && s.Rel != WCP {
+		return
 	}
-	if s.lockP != nil {
-		s.JoinP(t, s.lockP[m])
-	}
-	if s.lockH != nil {
-		s.H[t].Join(s.lockH[m])
+	l := s.locks.At(m)
+	s.JoinP(t, l.p)
+	if s.H != nil {
+		s.H[t].Join(l.h)
 	}
 }
 
@@ -294,19 +258,15 @@ func (s *SyncState) PostAcquire(t trace.Tid, m uint32) {
 // their rule (a)/(b) release processing.
 func (s *SyncState) PostRelease(t trace.Tid, m uint32) {
 	s.et(t)
-	if s.Rel == HB || s.Rel == WCP {
-		s.growLocks(int(m) + 1)
-	}
 	// The per-lock release clocks are overwritten in place: nothing retains
 	// a reference to them (PreAcquire joins their contents immediately), so
 	// reusing the existing vector avoids one or two heap clocks per release.
-	if s.lockP != nil {
-		cp := s.lockP[m]
-		if cp == nil {
-			cp = vc.New(0)
-			s.lockP[m] = cp
+	if s.Rel == HB || s.Rel == WCP {
+		l := s.locks.At(m)
+		if l.p == nil {
+			l.p = vc.New(0)
 		}
-		cp.CopyFrom(s.P[t])
+		l.p.CopyFrom(s.P[t])
 		if s.Rel == WCP {
 			// The release→acquire edge is an HB edge, not a WCP edge: it
 			// carries the releasing thread's WCP-before knowledge (right
@@ -314,16 +274,12 @@ func (s *SyncState) PostRelease(t trace.Tid, m uint32) {
 			// clock, which tracks only program order — otherwise WCP would
 			// collapse into HB. What it may export is selfP: self-knowledge
 			// delivered by earlier relation edges.
-			cp.Set(vc.Tid(t), s.selfP[t])
+			l.p.Set(vc.Tid(t), s.selfP[t])
+			if l.h == nil {
+				l.h = vc.New(0)
+			}
+			l.h.CopyFrom(s.H[t])
 		}
-	}
-	if s.lockH != nil {
-		ch := s.lockH[m]
-		if ch == nil {
-			ch = vc.New(0)
-			s.lockH[m] = ch
-		}
-		ch.CopyFrom(s.H[t])
 	}
 	h := s.held[t]
 	for i := len(h) - 1; i >= 0; i-- {
@@ -350,7 +306,7 @@ func (s *SyncState) HandleOther(e trace.Event, idx int32) bool {
 			s.H[child].Join(s.H[t])
 		}
 		if s.hook != nil {
-			s.marks[child].fork = Source{idx, t}
+			s.marks[child].fork = NewSource(idx, t)
 		}
 	case trace.OpJoin:
 		child := trace.Tid(e.Targ)
@@ -363,57 +319,49 @@ func (s *SyncState) HandleOther(e trace.Event, idx int32) bool {
 			s.Edge(Source{s.marks[child].last, child}, idx, t)
 		}
 	case trace.OpVolatileRead:
-		v := e.Targ
-		s.growVolatiles(int(v) + 1)
-		s.JoinP(t, s.volWP[v])
+		v := s.vols.At(e.Targ)
+		s.JoinP(t, v.wp)
 		if s.H != nil {
-			s.H[t].Join(s.volWH[v])
+			s.H[t].Join(v.wh)
+			joinInto(&v.rh, s.H[t])
 		}
-		joinInto(&s.volRP[v], s.P[t])
-		if s.volRH != nil {
-			joinInto(&s.volRH[v], s.H[t])
-		}
+		joinInto(&v.rp, s.P[t])
 		if s.hook != nil {
-			s.Edge(s.lastVolW[v], idx, t)
-			s.lastVolR[v] = Source{idx, t}
+			s.Edge(v.lastW, idx, t)
+			v.lastR = NewSource(idx, t)
 		}
 	case trace.OpVolatileWrite:
-		v := e.Targ
-		s.growVolatiles(int(v) + 1)
-		s.JoinP(t, s.volWP[v])
-		s.JoinP(t, s.volRP[v])
+		v := s.vols.At(e.Targ)
+		s.JoinP(t, v.wp)
+		s.JoinP(t, v.rp)
 		if s.H != nil {
-			s.H[t].Join(s.volWH[v])
-			s.H[t].Join(s.volRH[v])
+			s.H[t].Join(v.wh)
+			s.H[t].Join(v.rh)
+			joinInto(&v.wh, s.H[t])
 		}
-		joinInto(&s.volWP[v], s.P[t])
-		if s.volWH != nil {
-			joinInto(&s.volWH[v], s.H[t])
-		}
+		joinInto(&v.wp, s.P[t])
 		if s.hook != nil {
-			s.Edge(s.lastVolW[v], idx, t)
-			s.Edge(s.lastVolR[v], idx, t)
-			s.lastVolW[v] = Source{idx, t}
+			s.Edge(v.lastW, idx, t)
+			s.Edge(v.lastR, idx, t)
+			v.lastW = NewSource(idx, t)
 		}
 	case trace.OpClassInit:
-		c := e.Targ
-		s.growClasses(int(c) + 1)
-		joinInto(&s.clsP[c], s.P[t])
-		if s.clsH != nil {
-			joinInto(&s.clsH[c], s.H[t])
+		c := s.cls.At(e.Targ)
+		joinInto(&c.p, s.P[t])
+		if s.H != nil {
+			joinInto(&c.h, s.H[t])
 		}
 		if s.hook != nil {
-			s.lastClsInit[c] = Source{idx, t}
+			c.init = NewSource(idx, t)
 		}
 	case trace.OpClassAccess:
-		c := e.Targ
-		s.growClasses(int(c) + 1)
-		s.JoinP(t, s.clsP[c])
+		c := s.cls.At(e.Targ)
+		s.JoinP(t, c.p)
 		if s.H != nil {
-			s.H[t].Join(s.clsH[c])
+			s.H[t].Join(c.h)
 		}
 		if s.hook != nil {
-			s.Edge(s.lastClsInit[c], idx, t)
+			s.Edge(c.init, idx, t)
 		}
 	default:
 		return false
@@ -430,15 +378,27 @@ func joinInto(dst **vc.VC, src *vc.VC) {
 	(*dst).Join(src)
 }
 
-// Weight estimates retained metadata in 8-byte words.
+// Weight estimates retained metadata in 8-byte words: the thread clocks,
+// and the lock, volatile and class tables with the clocks their rows hold.
 func (s *SyncState) Weight() int {
 	w := 0
-	for _, groups := range [][]*vc.VC{s.P, s.H, s.lockP, s.lockH, s.volRP, s.volWP, s.volRH, s.volWH, s.clsP, s.clsH} {
-		for _, v := range groups {
-			if v != nil {
-				w += v.Weight() + 3
-			}
-		}
+	for _, v := range s.P {
+		w += ClockWords(v)
 	}
-	return w
+	for _, v := range s.H {
+		w += ClockWords(v)
+	}
+	w += s.locks.Weight(2, func(l *lockRow) int { return ClockWords(l.p) + ClockWords(l.h) })
+	w += s.vols.Weight(6, func(v *volRow) int {
+		return ClockWords(v.rp) + ClockWords(v.wp) + ClockWords(v.rh) + ClockWords(v.wh)
+	})
+	return w + s.cls.Weight(3, func(c *clsRow) int { return ClockWords(c.p) + ClockWords(c.h) })
+}
+
+// ClockWords is a heap clock's weight with its 3-word header, 0 for none.
+func ClockWords(v *vc.VC) int {
+	if v == nil {
+		return 0
+	}
+	return v.Weight() + 3
 }

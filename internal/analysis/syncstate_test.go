@@ -253,8 +253,8 @@ func TestMarksTablesKeepTheirLines(t *testing.T) {
 			m = growMarks(m, 10)
 		}
 		for _, mark := range m {
-			if mark.last != -1 || mark.fork.Idx != -1 {
-				t.Fatalf("table %d: a thread starts with mark %v, want no event (-1, -1)", i, mark)
+			if mark != (threadMark{}) {
+				t.Fatalf("table %d: a thread starts with mark %v, want no event (the zero mark)", i, mark)
 			}
 		}
 		lo := uintptr(unsafe.Pointer(unsafe.SliceData(m)))

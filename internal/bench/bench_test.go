@@ -155,15 +155,15 @@ func TestTablesPinned(t *testing.T) {
 		{"table2", func() string { return RenderTable2(cfg) },
 			"833cba7a9211a4b248d149735b8cb20f26b19936289c1a8c8b876d5c27f8cd43"},
 		{"table3", func() string { return RenderTable3(cfg, false) },
-			"71099ac62f57437d457ff95a65921104d5f2a953927c4a4a1aea829503b57a8a"},
+			"57a86a6614a74462f0d03009f59c6025bb10d714c3b1df2166d7d95f08902814"},
 		{"table4", func() string { return RenderTable4(cfg) },
-			"6198808a181a382b1664298f3d2295e851a8256558014a0423b46608f6ecdd77"},
+			"9bf962d9b800cc7081a945be6f22250ef1fb27b39659b09b67a3ce85c1189b2d"},
 		{"table6", func() string { return RenderTable6(cfg, false) },
-			"99dcf631780c5738c09779cb15d458758704192115f12d2335f7cabd4fdd1237"},
+			"3783eeef77e85e47147a7cf921d6b364a744f3785311c01d7543819929049c1f"},
 		{"table7", func() string { return RenderTable7(cfg, false) },
 			"4abaffd37f8e087b796acc9de3a7618a20a69f9ae2e807bbb2ebc9798aa10809"},
 		{"table8", func() string { return RenderTable3(ci, true) },
-			"0f10fc37b2d5a83f924681649216852ad673a25b4928f785c915696979611d9b"},
+			"435f8fb54e61d90ad1053587f108673ad447a5c50798234211d817ba06e91e9e"},
 		{"table12", func() string { return RenderTable12(cfg) },
 			"c36ca2612474215784be386732025bf9b2293740d0246f743815ced66090f459"},
 	} {

@@ -47,16 +47,15 @@
 // thread and over-report races. A trim needs either declared thread counts
 // or a per-log summary clock for late arrivals; neither exists yet.
 //
-// Representation. Both structures index by the engines' dense id spaces
-// rather than hashing: rule (a) state is a paged slice of per-(lock, var)
-// cells (aCell) so the per-access path is two array indexings with no map
-// lookups or per-access heap traffic, and rule (b) cursors are dense
-// [observer][owner] slices (thread ids are small). Pages materialize on
-// first touch, so sparse id use under one lock does not pay for the full
-// variable space. Rule (b)'s history is flat: a 12-byte pointer-free entry
+// Representation. Both structures index by id rather than hashing: rule (a)
+// state is a trace.Table of per-(lock, var) cells (aCell) per lock, in a
+// trace.Table of locks, so the per-access path is table lookups with no map
+// lookups or per-access heap traffic, and rule (b) keeps its per-lock logs
+// in a trace.Table and its cursors in dense [observer][owner] slices (thread
+// ids are small). Rule (b)'s history is flat: a 12-byte pointer-free entry
 // per critical section, in fixed blocks of 16 drawn from one store per
-// RuleB, so a log is the list of its blocks' numbers, and every logged
-// clock in one vc.Arena per RuleB. Neither blocks nor arena chunks are ever
+// RuleB, so a log is the list of its blocks' numbers, and every logged clock
+// in one vc.Arena per RuleB. Neither blocks nor arena chunks are ever
 // reallocated. The arena can be write-once because a logged time is never
 // updated — the log only ever appends, and a cursor only ever reads what is
 // behind it — which is what lets SmartTrack's sections and rule (a)'s cells
@@ -65,21 +64,20 @@
 // clock is a thread's, and most of a thread's logged clocks differ from its
 // previous one only in its own component (on h2, half of WCP's release
 // clocks, 71 % of DC's and nearly every vector acquire): RuleB keeps per
-// thread a base, the last of its clocks stored whole, and logs a clock
-// equal to it off the thread's component as a 12-byte record (the base's
-// length and name, and that component). Every reader — the ordered tests
-// and joins of Release, and rule (a) — reads a logged clock through vc.Rel,
-// the view that takes the owner's component from the record and every
-// other from the base, and joins it through SyncState.JoinRel, which gives
-// WCP's self-knowledge the owner's component when the joining thread
-// logged it. That is exact: the arena never writes a clock once stored, a
-// base equals the logged clock off the owner's component, the record holds
-// the owner's, and nothing reads the base alone. Without a log (WDC)
-// LockTables keeps the same shape itself: per thread a read-only snapshot
-// of its clock, replaced by a fresh exact copy only when a release's clock
-// differs from it off the thread's component, and a cell's one-release
-// side names that snapshot and holds the owner's component, read through
-// the same view.
+// thread a base, the last of its clocks stored whole, and logs a clock equal
+// to it off the thread's component as a 12-byte record (the base's length
+// and name, and that component). Every reader — the ordered tests and joins
+// of Release, and rule (a) — reads a logged clock through vc.Rel, the view
+// that takes the owner's component from the record and every other from the
+// base, and joins it through SyncState.JoinRel, which gives WCP's
+// self-knowledge the owner's component when the joining thread logged it.
+// That is exact: the arena never writes a clock once stored, a base equals
+// the logged clock off the owner's component, the record holds the owner's,
+// and nothing reads the base alone. Without a log (WDC) LockTables keeps the
+// same shape itself: per thread a read-only snapshot of its clock, replaced
+// by a fresh exact copy only when a release's clock differs from it off the
+// thread's component, and a cell's one-release side names that snapshot and
+// holds the owner's component, read through the same view.
 //
 // Known releases are not joined again. The paper's algorithms join a
 // release time into the thread's clock at every rule (a) conflict and every
@@ -220,10 +218,10 @@ type lockLogs struct {
 // cursors returns observer t's consumed-prefix row, sized to cover all
 // current owners and t's own diagonal slot.
 func (ll *lockLogs) cursors(t trace.Tid) []int32 {
-	analysis.EnsureLen(&ll.heads, int(t)+1)
+	trace.EnsureLen(&ll.heads, int(t)+1)
 	row := ll.heads[t]
 	if n := max(len(ll.byOwner), int(t)+1); len(row) < n {
-		analysis.EnsureLen(&row, n)
+		trace.EnsureLen(&row, n)
 		ll.heads[t] = row
 	}
 	return row
@@ -235,7 +233,7 @@ func (ll *lockLogs) cursors(t trace.Tid) []int32 {
 type RuleB struct {
 	rel      analysis.Relation
 	epochAcq bool
-	locks    []*lockLogs
+	locks    trace.Table[lockLogs, [lockPage]lockLogs]
 	entries  blockStore // every log's blocks
 	clocks   vc.Arena   // every logged acquire and release clock
 	bases    []vc.Ref   // per thread, its last clock the arena holds whole
@@ -247,15 +245,9 @@ func NewRuleB(rel analysis.Relation, epochAcq bool) *RuleB {
 	return &RuleB{rel: rel, epochAcq: epochAcq || rel == analysis.WCP}
 }
 
-func (b *RuleB) lockState(m uint32) *lockLogs {
-	analysis.EnsureLen(&b.locks, int(m)+1)
-	q := b.locks[m]
-	if q == nil {
-		q = &lockLogs{}
-		b.locks[m] = q
-	}
-	return q
-}
+// A stream names tens to a few hundred locks: pages of 16 locks' logs
+// (768 B) or of 16 rule (a) tables.
+const lockPage = 16
 
 // Acquire logs the acquire time of t's new critical section on m
 // (Algorithm 1 line 2 / Algorithm 3 line 2). P is the relation clock of t
@@ -267,8 +259,8 @@ func (b *RuleB) Acquire(t trace.Tid, m uint32, p *vc.VC) {
 	} else {
 		ent.acq = vc.Clock(b.log(t, p))
 	}
-	ll := b.lockState(m)
-	analysis.EnsureLen(&ll.byOwner, int(t)+1)
+	ll := b.locks.At(m)
+	trace.EnsureLen(&ll.byOwner, int(t)+1)
 	lg := &ll.byOwner[t]
 	if lg.n%blockLen == 0 {
 		lg.blocks = append(lg.blocks, b.entries.alloc())
@@ -286,7 +278,7 @@ func (b *RuleB) entry(lg *csLog, i int32) *csEntry {
 // log stores c, a clock of t's, in the arena: as a record over t's base
 // when c equals it off t's component, otherwise whole as t's new base.
 func (b *RuleB) log(t trace.Tid, c *vc.VC) vc.Ref {
-	analysis.EnsureLen(&b.bases, int(t)+1)
+	trace.EnsureLen(&b.bases, int(t)+1)
 	return b.clocks.PutOver(&b.bases[t], c, vc.Tid(t))
 }
 
@@ -314,7 +306,7 @@ func (b *RuleB) log(t trace.Tid, c *vc.VC) vc.Ref {
 // holds every release and acquire before it too).
 func (b *RuleB) Release(t trace.Tid, m uint32, s *analysis.SyncState, idx int32, hook analysis.Hook) vc.Ref {
 	p := s.P[t]
-	ll := b.lockState(m)
+	ll := b.locks.At(m)
 	heads := ll.cursors(t)
 	wcp := b.rel == analysis.WCP
 	var latest csEntry  // WCP: the consumed entry with the highest trace index
@@ -399,11 +391,11 @@ func (b *RuleB) At(r vc.Ref, owner trace.Tid) vc.Rel { return b.clocks.At(r, vc.
 // joined returns WCP's record of the latest release of m whose clock t's P
 // has joined: one past its trace index, 0 for none (see lockLogs).
 func (b *RuleB) joined(t trace.Tid, m uint32) *int32 {
-	return &b.lockState(m).cursors(t)[t]
+	return &b.locks.At(m).cursors(t)[t]
 }
 
 // Weight estimates retained rule (b) metadata in 8-byte words: the lock
-// slot table, each lock's lockLogs (two slice headers), its cursor rows (and
+// table of lockLogs (two slice headers each), each lock's cursor rows (and
 // with them WCP's per-(thread, lock) record) at their capacity, its logs (a
 // 5-word header each, and block numbers), the store's entry blocks at
 // capacity, whole chunks however few of their blocks are in use, the
@@ -411,33 +403,19 @@ func (b *RuleB) joined(t trace.Tid, m uint32) *int32 {
 // and every clock a rule (a) cell names — with each base once however many
 // records view it.
 func (b *RuleB) Weight() int {
-	w := b.clocks.Weight() + (cap(b.bases)+1)/2 + cap(b.locks)
+	w := b.clocks.Weight() + (cap(b.bases)+1)/2
 	w += 3*cap(b.entries.chunks) + len(b.entries.chunks)*chunkBlocks*blockLen*3/2 // 12-byte entries
-	for _, ll := range b.locks {
-		if ll == nil {
-			continue
-		}
-		w += 6 + 3*cap(ll.heads) + 5*cap(ll.byOwner)
+	return w + b.locks.Weight(6, func(ll *lockLogs) int {
+		w := 3*cap(ll.heads) + 5*cap(ll.byOwner)
 		for _, row := range ll.heads {
 			w += (cap(row) + 1) / 2
 		}
 		for _, lg := range ll.byOwner {
 			w += (cap(lg.blocks) + 1) / 2
 		}
-	}
-	return w
+		return w
+	})
 }
-
-// pageBits/pageSize set the rule (a) paging granularity: 16 cells (640B)
-// per page balances the footprint of a sparse lock touching few, scattered
-// variables (the DaCapo-calibrated workloads' shape: ~140 live (lock, var)
-// pairs spread over a ~600-variable space) against per-access indexing
-// depth (two levels) and allocation count.
-const (
-	pageBits = 4
-	pageSize = 1 << pageBits
-	pageMask = pageSize - 1
-)
 
 // Cell marks: which access sets of the lock's ongoing critical section
 // contain the variable, and whether Lr is a join of several release times.
@@ -466,46 +444,34 @@ func (sd *aSide) set() bool { return sd.ref != 0 || sd.own != nil }
 // aCell is the rule (a) state of one (lock, variable) pair: Lr and Lw, the
 // threads of each side's latest release (a one-release side's epoch test
 // reads that thread's component; every side's graph edge comes from it),
-// and the marks. 40 bytes, and the whole per-access rule (a) path is two
-// slice indexings.
+// and the marks. 40 bytes.
 type aCell struct {
 	lr, lw     aSide
 	lrBy, lwBy trace.Tid
 	mark       uint8
 }
 
-// aPage is one materialized page of cells.
-type aPage [pageSize]aCell
-
-// lockTab is the per-lock rule (a) table: paged dense cells indexed by
-// variable id, plus the list of variables touched by the ongoing critical
-// section (the old rs/ws sets, now a slice with per-cell marks so
-// membership tests are O(1) without hashing).
+// lockTab is the per-lock rule (a) table: cells by variable id, plus the
+// list of variables touched by the ongoing critical section (the old rs/ws
+// sets, now a slice with per-cell marks so membership tests are O(1)
+// without hashing).
 type lockTab struct {
-	pages   []*aPage
+	cells   trace.Table[aCell, cellPage]
 	touched []uint32
 }
 
-// cell returns the (lock, var) cell, materializing its page on first touch.
-func (tb *lockTab) cell(x uint32) *aCell {
-	pi := int(x >> pageBits)
-	if pi >= len(tb.pages) {
-		analysis.EnsureLen(&tb.pages, pi+1)
-	}
-	p := tb.pages[pi]
-	if p == nil {
-		p = new(aPage)
-		tb.pages[pi] = p
-	}
-	return &p[x&pageMask]
-}
+// cellPage is a rule (a) page: 16 cells (640 B) balance the footprint of a
+// sparse lock touching few, scattered variables (the DaCapo-calibrated
+// workloads' shape: ~140 live (lock, var) pairs spread over a ~600-variable
+// space) against allocation count.
+type cellPage = [16]aCell
 
 // LockTables is rule (a) state for the Unopt and FTO levels: per lock, the
 // joined release times of critical sections that read (Lr) or wrote (Lw)
 // each variable, plus the variables accessed by the lock's ongoing critical
 // section.
 type LockTables struct {
-	locks []*lockTab
+	locks trace.Table[*lockTab, [lockPage]*lockTab]
 	log   *RuleB   // the relation's rule (b) log, whose clocks cells name; nil for WDC
 	snap  []*vc.VC // without a log: per thread, the snapshot of its clock its cells view
 	wcp   bool
@@ -519,13 +485,11 @@ func NewLockTables(log *RuleB) *LockTables {
 }
 
 func (lt *LockTables) tab(m uint32) *lockTab {
-	analysis.EnsureLen(&lt.locks, int(m)+1)
-	tb := lt.locks[m]
-	if tb == nil {
-		tb = &lockTab{}
-		lt.locks[m] = tb
+	tb := lt.locks.At(m)
+	if *tb == nil {
+		*tb = new(lockTab)
 	}
-	return tb
+	return *tb
 }
 
 // at returns the release time a set side holds; u is the thread whose
@@ -545,7 +509,7 @@ func (lt *LockTables) at(sd *aSide, u trace.Tid, joined bool) vc.Rel {
 // replaced by a fresh exact copy of rt — never written in place: cells view
 // the old one — when rt differs from it off t's component.
 func (lt *LockTables) snapshot(t trace.Tid, rt *vc.VC, idx int32) aSide {
-	analysis.EnsureLen(&lt.snap, int(t)+1)
+	trace.EnsureLen(&lt.snap, int(t)+1)
 	tt := vc.Tid(t)
 	sn := lt.snap[t]
 	if sn == nil || !sn.EqualExcept(rt, tt) {
@@ -598,7 +562,7 @@ func (lt *LockTables) join(t trace.Tid, m uint32, s *analysis.SyncState, sd *aSi
 // number of release times it joined, 0 or 1.
 func (lt *LockTables) ReadJoin(t trace.Tid, m, x uint32, s *analysis.SyncState, idx int32, hook analysis.Hook) (joins int) {
 	tb := lt.tab(m)
-	cl := tb.cell(x)
+	cl := tb.cells.At(x)
 	if cl.lw.set() {
 		joins = lt.join(t, m, s, &cl.lw, cl.lwBy, false)
 		if hook != nil {
@@ -621,7 +585,7 @@ func (lt *LockTables) ReadJoin(t trace.Tid, m, x uint32, s *analysis.SyncState, 
 // number of release times it joined, 0 to 2.
 func (lt *LockTables) WriteJoin(t trace.Tid, m, x uint32, s *analysis.SyncState, idx int32, hook analysis.Hook) (joins int) {
 	tb := lt.tab(m)
-	cl := tb.cell(x)
+	cl := tb.cells.At(x)
 	if cl.lr.set() {
 		joins = lt.join(t, m, s, &cl.lr, cl.lrBy, cl.mark&lrJoined != 0)
 		if hook != nil {
@@ -659,10 +623,7 @@ func (lt *LockTables) WriteJoin(t trace.Tid, m, x uint32, s *analysis.SyncState,
 // WDC for one whose Lr is one release t already holds (fact 3). Otherwise a
 // DC or WDC section that read x without writing it is the one real join.
 func (lt *LockTables) Release(t trace.Tid, m uint32, rt *vc.VC, named vc.Ref, idx int32) {
-	if int(m) >= len(lt.locks) {
-		return
-	}
-	tb := lt.locks[m]
+	tb := *lt.locks.At(m)
 	if tb == nil || len(tb.touched) == 0 {
 		return
 	}
@@ -671,7 +632,7 @@ func (lt *LockTables) Release(t trace.Tid, m uint32, rt *vc.VC, named vc.Ref, id
 		one = lt.snapshot(t, rt, idx)
 	}
 	for _, x := range tb.touched {
-		cl := tb.cell(x)
+		cl := tb.cells.At(x)
 		switch {
 		case cl.mark&inWriteSet != 0:
 			cl.lw, cl.lwBy = one, t
@@ -696,44 +657,35 @@ func (lt *LockTables) Release(t trace.Tid, m uint32, rt *vc.VC, named vc.Ref, id
 
 // aCellWords is the footprint of one dense cell in 8-byte words (two
 // clock pointers, two names or owner's components, two indices, two
-// owners, the marks and padding).
-const aCellWords = 5
+// owners, the marks and padding), and lockTabWords that of a lock's table
+// (its cell table's window, map and page count, and the touched list).
+const aCellWords, lockTabWords = 5, 8
 
-// Weight estimates retained rule (a) metadata in 8-byte words, counting
-// every materialized page at its full dense footprint — the memory the
-// paged representation actually holds, including unused cells — plus the
-// lock slot table, each lock's table (two slice headers, both slices at
-// capacity), the clocks the cells own, and without a log the snapshots, each
-// clock with its 3-word header and each snapshot once however many sides
-// view it. A clock a cell names is the rule (b) log's, and RuleB.Weight
-// counts it.
+// Weight estimates retained rule (a) metadata in 8-byte words: the lock
+// table, each lock's table (its cell table, every page at its full width —
+// the memory the table actually holds, including unused cells — and its
+// touched list at capacity), the clocks the cells own, and without a log the
+// snapshots, each clock with its 3-word header and each snapshot once
+// however many sides view it. A clock a cell names is the rule (b) log's,
+// and RuleB.Weight counts it.
 func (lt *LockTables) Weight() int {
-	w := cap(lt.snap) + cap(lt.locks)
+	w := cap(lt.snap)
 	snaps := make(map[*vc.VC]bool)
-	clock := func(c *vc.VC) {
-		if c != nil && !snaps[c] {
-			snaps[c] = true
-			w += c.Weight() + 3
+	clock := func(c *vc.VC) int {
+		if snaps[c] {
+			return 0
 		}
+		snaps[c] = true
+		return analysis.ClockWords(c)
 	}
 	for _, sn := range lt.snap {
-		clock(sn)
+		w += clock(sn)
 	}
-	for _, tb := range lt.locks {
-		if tb == nil {
-			continue
+	return w + lt.locks.Weight(1, func(tb **lockTab) int {
+		if *tb == nil {
+			return 0
 		}
-		w += 6 + (cap(tb.touched)+1)/2 + cap(tb.pages)
-		for _, p := range tb.pages {
-			if p == nil {
-				continue
-			}
-			w += pageSize * aCellWords
-			for i := range p {
-				clock(p[i].lr.own)
-				clock(p[i].lw.own)
-			}
-		}
-	}
-	return w
+		cells := (*tb).cells.Weight(aCellWords, func(c *aCell) int { return clock(c.lr.own) + clock(c.lw.own) })
+		return lockTabWords + (cap((*tb).touched)+1)/2 + cells
+	})
 }

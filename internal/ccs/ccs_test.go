@@ -206,7 +206,7 @@ func TestLockTablesWriteOnlySectionOrdersLaterAccesses(t *testing.T) {
 		relTime := s.P[0].Copy()
 		lt.Release(0, 0, relTime, 0, 2)
 		s.PostRelease(0, 0)
-		if cl := lt.locks[0].cell(3); cl.lr.set() || !cl.lw.set() {
+		if cl := lt.tab(0).cells.At(3); cl.lr.set() || !cl.lw.set() {
 			t.Fatalf("write-only section must fold into Lw alone: lr=%+v lw=%+v", cl.lr, cl.lw)
 		}
 		s.PostAcquire(1, 0)
@@ -228,11 +228,11 @@ func TestLockTablesClearsAccessSets(t *testing.T) {
 	lt.ReadJoin(0, 0, 1, s, 0, nil)
 	lt.WriteJoin(0, 0, 2, s, 1, nil)
 	lt.Release(0, 0, s.P[0], 0, 2)
-	tb := lt.locks[0]
-	if len(tb.touched) != 0 || tb.cell(1).mark != 0 || tb.cell(2).mark != 0 {
+	tb := lt.tab(0)
+	if len(tb.touched) != 0 || tb.cells.At(1).mark != 0 || tb.cells.At(2).mark != 0 {
 		t.Error("release must clear the ongoing access sets")
 	}
-	if !tb.cell(1).lr.set() || !tb.cell(2).lw.set() {
+	if !tb.cells.At(1).lr.set() || !tb.cells.At(2).lw.set() {
 		t.Error("release must fold access sets into Lr/Lw")
 	}
 }
@@ -270,7 +270,7 @@ func TestRuleBWCPEnqueuesHBTime(t *testing.T) {
 	s.PostRelease(0, 0)
 	// The logged release entry must be the HB clock (its own component is
 	// the local clock, which P strips on export).
-	lg := &rb.locks[0].byOwner[0]
+	lg := &rb.locks.At(0).byOwner[0]
 	if lg.n != 1 || rb.entry(lg, 0).rel == 0 {
 		t.Fatalf("release log = %v, want one released section", lg)
 	}
@@ -345,6 +345,9 @@ func TestSubstrateShape(t *testing.T) {
 func TestRuleStateFitsBudget(t *testing.T) {
 	if sz := unsafe.Sizeof(aCell{}); sz > 40 || sz != 8*aCellWords {
 		t.Errorf("aCell is %d bytes, budget 40 (Weight counts %d words)", sz, aCellWords)
+	}
+	if sz := unsafe.Sizeof(lockTab{}); sz != 8*lockTabWords {
+		t.Errorf("lockTab is %d bytes; Weight counts %d words", sz, lockTabWords)
 	}
 	if sz := unsafe.Sizeof(csEntry{}); sz > 12 {
 		t.Errorf("csEntry is %d bytes, budget 12", sz)

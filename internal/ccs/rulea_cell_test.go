@@ -45,8 +45,8 @@ func checkCellTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation) {
 			continue
 		}
 		touched = touched[:0]
-		if e.Op == trace.OpRelease && int(e.Targ) < len(lt.locks) && lt.locks[e.Targ] != nil {
-			touched = append(touched, lt.locks[e.Targ].touched...)
+		if e.Op == trace.OpRelease {
+			touched = append(touched, lt.tab(e.Targ).touched...)
 		}
 		sub.Sync(e, idx)
 		if len(touched) == 0 {
@@ -54,7 +54,7 @@ func checkCellTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation) {
 		}
 		want, start := untick(sub.releaseTime(e.T), e.T), len(held)
 		for _, x := range touched {
-			cl := lt.locks[e.Targ].cell(x)
+			cl := lt.tab(e.Targ).cells.At(x)
 			if cl.lwBy == e.T && cl.lw.idx == idx {
 				held = append(held, heldTime{cl.lw, e.T, want})
 			}

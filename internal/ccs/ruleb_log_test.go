@@ -43,7 +43,7 @@ func checkLoggedTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation, epoc
 		sub.lt.log = sub.rb
 	}
 	check := func(l loggedTime, when string) {
-		ent := *sub.rb.entry(&sub.rb.locks[l.m].byOwner[l.owner], int32(l.i))
+		ent := *sub.rb.entry(&sub.rb.locks.At(l.m).byOwner[l.owner], int32(l.i))
 		r := ent.rel
 		if l.acq {
 			r = vc.Ref(ent.acq)
@@ -69,7 +69,7 @@ func checkLoggedTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation, epoc
 		switch e.Op {
 		case trace.OpAcquire:
 			if !sub.rb.epochAcq {
-				i := int(sub.rb.locks[e.Targ].byOwner[e.T].n) - 1
+				i := int(sub.rb.locks.At(e.Targ).byOwner[e.T].n) - 1
 				logged = append(logged, loggedTime{m: e.Targ, owner: e.T, i: i, acq: true, want: untick(sub.P[e.T], e.T)})
 			}
 		case trace.OpRelease:
@@ -77,7 +77,7 @@ func checkLoggedTimes(t testing.TB, tr *trace.Trace, rel analysis.Relation, epoc
 			if rel == analysis.WCP {
 				clock = sub.H[e.T]
 			}
-			l := loggedTime{m: e.Targ, owner: e.T, i: int(sub.rb.locks[e.Targ].byOwner[e.T].n) - 1, want: untick(clock, e.T)}
+			l := loggedTime{m: e.Targ, owner: e.T, i: int(sub.rb.locks.At(e.Targ).byOwner[e.T].n) - 1, want: untick(clock, e.T)}
 			check(l, "at the release")
 			for _, a := range logged { // the section's acquire, if logged
 				if a.acq && a.m == l.m && a.owner == l.owner && a.i == l.i {
@@ -143,10 +143,8 @@ func TestRuleBBytesPerLoggedClock(t *testing.T) {
 			}
 		}
 		n := 0
-		for _, ll := range sub.rb.locks {
-			if ll == nil {
-				continue
-			}
+		for m := range uint32(tr.Locks) {
+			ll := sub.rb.locks.At(m)
 			for o := range ll.byOwner {
 				for i := range ll.byOwner[o].n {
 					ent := sub.rb.entry(&ll.byOwner[o], i)

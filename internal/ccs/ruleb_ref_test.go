@@ -48,7 +48,7 @@ func (b *refRuleB) lock(m uint32, t trace.Tid) *refLogs {
 		ll = &refLogs{heads: map[[2]trace.Tid]int{}}
 		b.locks[m] = ll
 	}
-	analysis.EnsureLen(&ll.byOwner, int(t)+1)
+	trace.EnsureLen(&ll.byOwner, int(t)+1)
 	return ll
 }
 

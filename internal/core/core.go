@@ -201,14 +201,10 @@ func (v *stVar) sameEpoch(cur vc.Epoch, write bool) bool {
 	return rvc != nil && rvc.Get(cur.Tid()) == cur.Clock()
 }
 
-// Variables live in pages materialized on first touch, so the table neither
-// copies itself as ids appear nor allocates ahead of them.
-const (
-	varPageBits = 8
-	varPageSize = 1 << varPageBits
-)
-
-type varPage [varPageSize]stVar
+// stPage is a page of 256 variable slots, 10 kB: xalan's 1.5 M variables
+// fill 6,100 of them under a window of 8,192 words, while a program
+// with a few hundred variables holds a page or two.
+type stPage = [256]stVar
 
 // Analysis is SmartTrack-WCP, SmartTrack-DC, or SmartTrack-WDC.
 type Analysis struct {
@@ -216,7 +212,7 @@ type Analysis struct {
 	rel   analysis.Relation
 	s     *analysis.SyncState
 	rb    *ccs.RuleB // epoch acquire queues; nil for WDC
-	pages []*varPage
+	vars  trace.Table[stVar, stPage]
 	ht    []*csNode // current CS list per thread; a thread with a slot here has one in s
 	snap  []vc.VC   // ST-WDC: per thread, the snapshot of P[t] its sections view
 	col   *report.Collector
@@ -264,15 +260,13 @@ func (a *Analysis) Races() *report.Collector { return a.col }
 // Stats returns the case counts gathered so far (Tables 2 and 12).
 func (a *Analysis) Stats() *analysis.Stats { return &a.st }
 
-// newPage materializes the page holding variable x and returns x's slot.
+// newVar is HandleRun's way to a variable Find misses: At, out of line.
+// At called in the loop itself takes the table's dictionary, and that
+// larger cold block moved the loop's hot code enough to cost detect-flat
+// about 8 % CPU in paired runs on a 2-core Xeon.
 //
 //go:noinline
-func (a *Analysis) newPage(x uint32) *stVar {
-	pi := int(x >> varPageBits)
-	analysis.EnsureLen(&a.pages, pi+1)
-	a.pages[pi] = new(varPage)
-	return &a.pages[pi][x%varPageSize]
-}
+func (a *Analysis) newVar(x uint32) *stVar { return a.vars.At(x) }
 
 // HandleRun implements analysis.Analysis. An access that v.sameEpoch finds
 // in t's current epoch never leaves the loop; SmartTrack does nothing for
@@ -283,8 +277,8 @@ func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
 		a.idx++
 		if int(t) >= len(a.ht) {
 			a.s.Ensure(t)
-			analysis.EnsureLen(&a.ht, int(t)+1)
-			analysis.EnsureLen(&a.snap, int(t)+1)
+			trace.EnsureLen(&a.ht, int(t)+1)
+			trace.EnsureLen(&a.snap, int(t)+1)
 		}
 		if same.Has(i) {
 			continue
@@ -295,11 +289,9 @@ func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
 		}
 		p := a.s.P[t]
 		cur := p.Epoch(vc.Tid(t))
-		var v *stVar
-		if pi := e.Targ >> varPageBits; int(pi) < len(a.pages) && a.pages[pi] != nil {
-			v = &a.pages[pi][e.Targ%varPageSize]
-		} else {
-			v = a.newPage(e.Targ)
+		v, ok := a.vars.Find(e.Targ)
+		if !ok {
+			v = a.newVar(e.Targ)
 		}
 		write := e.Op == trace.OpWrite
 		switch {
@@ -579,14 +571,14 @@ func dropExtras(ex extras, t vc.Tid, held []uint32) extras {
 const slotWords, coldWords, nodeWords = 5, 10, 6
 
 // MetadataWeight implements analysis.Analysis. It counts what the analysis
-// holds — variable pages, cold blocks, and the list nodes and release clocks
-// reachable from them and from Ht, each section once (a node rebuilt by a
-// non-LIFO release is counted with the node it was rebuilt from) and each
+// holds — the variable table, cold blocks, and the list nodes and release
+// clocks reachable from them and from Ht, each section once (a node rebuilt
+// by a non-LIFO release is counted with the node it was rebuilt from) and each
 // ST-WDC snapshot once however many sections view it. With a rule (b) log
 // the release clocks are views of its arena, which the log's weight already
 // counts whole.
 func (a *Analysis) MetadataWeight() int {
-	w := a.s.Weight() + cap(a.pages) + cap(a.ht) + 3*cap(a.snap)
+	w := a.s.Weight() + cap(a.ht) + 3*cap(a.snap)
 	if a.rb != nil {
 		w += a.rb.Weight()
 	}
@@ -625,33 +617,25 @@ func (a *Analysis) heldWords(seen bool) (w int) {
 	for _, l := range a.ht {
 		list(l)
 	}
-	for _, pg := range a.pages {
-		if pg == nil {
-			continue
+	vars := a.vars.Weight(slotWords, func(v *stVar) int {
+		list(v.lw)
+		list(v.lr)
+		cd := v.cold
+		if cd == nil {
+			return 0
 		}
-		w += varPageSize * slotWords
-		for i := range pg {
-			v := &pg[i]
-			list(v.lw)
-			list(v.lr)
-			if cd := v.cold; cd != nil {
-				w += coldWords + cap(cd.lrByT) + 2*(cap(cd.er)+cap(cd.ew))
-				if cd.rvc != nil {
-					w += cd.rvc.Weight() + 3
-				}
-				for _, l := range cd.lrByT {
-					list(l)
-				}
-				for _, ent := range cd.er {
-					count(ent.s)
-				}
-				for _, ent := range cd.ew {
-					count(ent.s)
-				}
-			}
+		for _, l := range cd.lrByT {
+			list(l)
 		}
-	}
-	return w
+		for _, ent := range cd.er {
+			count(ent.s)
+		}
+		for _, ent := range cd.ew {
+			count(ent.s)
+		}
+		return coldWords + cap(cd.lrByT) + 2*(cap(cd.er)+cap(cd.ew)) + analysis.ClockWords(cd.rvc)
+	})
+	return w + vars
 }
 
 func init() {

@@ -9,21 +9,15 @@ import (
 func (a *Analysis) Handle(e trace.Event) { a.HandleRun([]trace.Event{e}, nil) }
 
 // slot returns variable x's metadata, materializing its page.
-func (a *Analysis) slot(x uint32) *stVar {
-	if pi := x >> varPageBits; int(pi) < len(a.pages) && a.pages[pi] != nil {
-		return &a.pages[pi][x%varPageSize]
-	}
-	return a.newPage(x)
-}
+func (a *Analysis) slot(x uint32) *stVar { return a.vars.At(x) }
 
 // SameEpoch reports whether the access e would take one of SmartTrack's
 // same-epoch cases if handled next (HandleRun's own test, stVar.sameEpoch)
 // without changing the analysis.
 func (a *Analysis) SameEpoch(e trace.Event) bool {
-	pi := int(e.Targ >> varPageBits)
-	if int(e.T) >= len(a.ht) || pi >= len(a.pages) || a.pages[pi] == nil {
-		return false // a thread or a variable page nothing has touched yet
+	if int(e.T) >= len(a.ht) {
+		return false // a thread nothing has touched yet
 	}
 	cur := a.s.P[e.T].Epoch(vc.Tid(e.T))
-	return a.pages[pi][e.Targ%varPageSize].sameEpoch(cur, e.Op == trace.OpWrite)
+	return a.vars.At(e.Targ).sameEpoch(cur, e.Op == trace.OpWrite)
 }

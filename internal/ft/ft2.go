@@ -28,7 +28,7 @@ const varWords = 3
 // (see ccs.Substrate).
 type View struct {
 	Sub  *ccs.Substrate
-	vars []varState
+	vars trace.Table[varState, [256]varState] // pages of 6 kB, the width of SmartTrack's
 	col  *report.Collector
 }
 
@@ -62,8 +62,11 @@ func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
 			a.Sub.Sync(e, idx)
 		default:
 			t, x, write := e.T, e.Targ, e.Op == trace.OpWrite
-			analysis.EnsureLen(&a.vars, int(x)+1)
-			if a.vars[x].sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), write) {
+			v, ok := a.vars.Find(x)
+			if !ok {
+				v = a.vars.At(x)
+			}
+			if v.sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), write) {
 				continue
 			}
 			if write {
@@ -77,8 +80,11 @@ func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
 
 // Stale implements ccs.View: an access in none of the [Same Epoch] cases.
 func (a *View) Stale(t trace.Tid, x uint32, write bool) bool {
-	analysis.EnsureLen(&a.vars, int(x)+1)
-	return !a.vars[x].sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), write)
+	v, ok := a.vars.Find(x)
+	if !ok {
+		v = a.vars.At(x)
+	}
+	return !v.sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), write)
 }
 
 // sameEpoch reports whether an access by t at clock c takes [Write Same
@@ -99,7 +105,7 @@ func (a *View) Read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	tt := vc.Tid(t)
 	c := p.Get(tt)
 	cur := vc.E(tt, c)
-	v := &a.vars[x]
+	v := a.vars.At(x)
 	if !vc.EpochLeq(v.w, p) { // write–read race check
 		a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Index: int(idx), PriorTid: trace.Tid(v.w.Tid())})
 	}
@@ -121,7 +127,7 @@ func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	p := a.Sub.P[t]
 	tt := vc.Tid(t)
 	cur := vc.E(tt, p.Get(tt))
-	v := &a.vars[x]
+	v := a.vars.At(x)
 	raced := false
 	var prior trace.Tid = report.UnknownTid
 	if !vc.EpochLeq(v.w, p) { // write–write race check
@@ -150,13 +156,7 @@ func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 
 // MetadataWeight implements analysis.Analysis.
 func (a *Analysis) MetadataWeight() int {
-	w := a.Sub.Weight() + varWords*cap(a.vars)
-	for i := range a.vars {
-		if a.vars[i].rvc != nil {
-			w += a.vars[i].rvc.Weight() + 3
-		}
-	}
-	return w
+	return a.Sub.Weight() + a.vars.Weight(varWords, func(v *varState) int { return analysis.ClockWords(v.rvc) })
 }
 
 func init() {

@@ -33,7 +33,7 @@ const varWords = 3
 type View struct {
 	_    report.Pad
 	Sub  *ccs.Substrate
-	vars []varState
+	vars trace.Table[varState, [256]varState] // pages of 6 kB, the width of SmartTrack's
 	col  *report.Collector
 	st   analysis.Stats
 	vcs  vc.Pool // recycles retired read vector clocks
@@ -74,8 +74,11 @@ func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
 			a.Sub.Sync(e, idx)
 		default:
 			t, x, write := e.T, e.Targ, e.Op == trace.OpWrite
-			analysis.EnsureLen(&a.vars, int(x)+1)
-			if a.vars[x].sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), write) {
+			v, ok := a.vars.Find(x)
+			if !ok {
+				v = a.vars.At(x)
+			}
+			if v.sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), write) {
 				continue
 			}
 			a.Sub.RuleA(t, x, write, idx, false)
@@ -90,8 +93,11 @@ func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
 
 // Stale implements ccs.View: an access in none of the [Same Epoch] cases.
 func (a *View) Stale(t trace.Tid, x uint32, write bool) bool {
-	analysis.EnsureLen(&a.vars, int(x)+1)
-	return !a.vars[x].sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), write)
+	v, ok := a.vars.Find(x)
+	if !ok {
+		v = a.vars.At(x)
+	}
+	return !v.sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), write)
 }
 
 // sameEpoch reports whether an access by t at clock c takes [Write Same
@@ -113,7 +119,7 @@ func (a *View) Read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	tt := vc.Tid(t)
 	c := p.Get(tt)
 	cur := vc.E(tt, c)
-	v := &a.vars[x]
+	v := a.vars.At(x)
 	if v.rvc == nil {
 		switch {
 		case v.r != vc.None && v.r.Tid() == tt: // [Read Owned]
@@ -153,7 +159,7 @@ func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	p := a.Sub.P[t]
 	tt := vc.Tid(t)
 	cur := vc.E(tt, p.Get(tt))
-	v := &a.vars[x]
+	v := a.vars.At(x)
 	if v.rvc == nil {
 		if v.r == vc.None || v.r.Tid() != tt { // [Write Exclusive]
 			a.st.WriteExclusive++
@@ -179,13 +185,7 @@ func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 
 // MetadataWeight implements analysis.Analysis.
 func (a *Analysis) MetadataWeight() int {
-	w := a.Sub.Weight() + varWords*cap(a.vars)
-	for i := range a.vars {
-		if a.vars[i].rvc != nil {
-			w += a.vars[i].rvc.Weight() + 3
-		}
-	}
-	return w
+	return a.Sub.Weight() + a.vars.Weight(varWords, func(v *varState) int { return analysis.ClockWords(v.rvc) })
 }
 
 func init() {

@@ -193,16 +193,16 @@ func TestNames(t *testing.T) {
 	}
 }
 
-// TestMetadataWeightCountsTheVarTable: the per-variable table is counted at
-// its capacity, which growth leaves up to twice its length, and at its
-// element's size.
+// TestMetadataWeightCountsTheVarTable: the per-variable table is counted a
+// whole page at a time — 256 slots for one variable — and at its element's
+// size.
 func TestMetadataWeightCountsTheVarTable(t *testing.T) {
 	if got := unsafe.Sizeof(varState{}); got != 8*varWords {
 		t.Fatalf("a varState is %d bytes; varWords counts %d", got, 8*varWords)
 	}
 	a := New(analysis.DC)
 	a.HandleRun([]trace.Event{{T: 0, Op: trace.OpWrite, Targ: 99}}, nil)
-	if got, want := a.MetadataWeight()-a.Sub.Weight(), varWords*cap(a.vars); got != want || cap(a.vars) <= len(a.vars) {
-		t.Errorf("the var table weighs %d words, want %d (len %d, cap %d)", got, want, len(a.vars), cap(a.vars))
+	if got, want := a.MetadataWeight()-a.Sub.Weight(), a.vars.Weight(varWords, nil); got != want || want < 256*varWords {
+		t.Errorf("the var table weighs %d words, want %d, a page of 256 %d-word slots at least", got, want, varWords)
 	}
 }

@@ -84,13 +84,12 @@ func MustCheck(tr *Trace) *Trace {
 // started at its first event, so one that runs before its fork is an error
 // at the fork ("fork of thread Tn that already ran").
 //
-// Its state is two dense tables indexed by id and grown by doubling as ids
-// appear, the layout every analysis uses for the same id spaces: the common
-// event costs one byte load.
+// Its state is a dense row of lifecycle flags per thread, which makes the
+// common event cost one byte load, and a Table of holders per lock.
 type Checker struct {
 	n       int
-	threads []uint8 // lifecycle flags per thread id
-	holder  []int32 // per lock id: holding thread + 1; 0 = free
+	threads []uint8                 // lifecycle flags per thread id
+	holder  Table[int32, [16]int32] // per lock id: holding thread + 1, 0 = free; pages of 16, as every per-lock table
 }
 
 // Thread lifecycle flags.
@@ -106,20 +105,6 @@ func NewChecker() *Checker { return &Checker{} }
 // fail builds the error for the event being stepped.
 func (c *Checker) fail(e Event, f string, args ...any) error {
 	return &CheckError{Index: c.n, Event: e, Msg: fmt.Sprintf(f, args...)}
-}
-
-// cover returns s extended to hold index i: new elements are zero, and the
-// capacity doubles when it has to reallocate.
-func cover[T any](s []T, i int) []T {
-	if i < len(s) {
-		return s
-	}
-	if i < cap(s) {
-		return s[:i+1]
-	}
-	grown := make([]T, i+1, 2*(i+1))
-	copy(grown, s)
-	return grown
 }
 
 // Step checks the next event of the stream. The error, if any, is a
@@ -165,7 +150,7 @@ func plainAccess(threads []uint8, e Event) bool {
 // step is Step without the shortcut: every rule, for any event.
 func (c *Checker) step(e Event) error {
 	t := int(e.T)
-	c.threads = cover(c.threads, t)
+	EnsureLen(&c.threads, t+1)
 	if c.threads[t]&threadEnded != 0 {
 		return c.fail(e, "thread ran after being joined")
 	}
@@ -173,21 +158,26 @@ func (c *Checker) step(e Event) error {
 	case OpRead, OpWrite, OpVolatileRead, OpVolatileWrite, OpClassInit, OpClassAccess:
 		// No per-op state beyond marking the thread as running.
 	case OpAcquire:
-		m := int(e.Targ)
-		c.holder = cover(c.holder, m)
-		if h := c.holder[m]; h != 0 {
-			if h == int32(t)+1 {
+		h, ok := c.holder.Find(e.Targ)
+		if !ok {
+			h = c.holder.At(e.Targ)
+		}
+		if *h != 0 {
+			if *h == int32(t)+1 {
 				return c.fail(e, "reentrant acquire (lock already held by this thread)")
 			}
-			return c.fail(e, "lock already held by T%d", h-1)
+			return c.fail(e, "lock already held by T%d", *h-1)
 		}
-		c.holder[m] = int32(t) + 1
+		*h = int32(t) + 1
 	case OpRelease:
-		m := int(e.Targ)
-		if m >= len(c.holder) || c.holder[m] != int32(t)+1 {
+		h, ok := c.holder.Find(e.Targ)
+		if !ok {
+			h = c.holder.At(e.Targ)
+		}
+		if *h != int32(t)+1 {
 			return c.fail(e, "release of lock not held by this thread")
 		}
-		c.holder[m] = 0
+		*h = 0
 	case OpFork:
 		if e.Targ > maxTid {
 			return c.fail(e, "forked thread id out of range")
@@ -196,7 +186,7 @@ func (c *Checker) step(e Event) error {
 		if ct == t {
 			return c.fail(e, "thread forks itself")
 		}
-		c.threads = cover(c.threads, ct)
+		EnsureLen(&c.threads, ct+1)
 		if c.threads[ct]&threadForked != 0 {
 			return c.fail(e, "thread T%d forked twice", ct)
 		}
@@ -212,7 +202,7 @@ func (c *Checker) step(e Event) error {
 		if ct == t {
 			return c.fail(e, "thread joins itself")
 		}
-		c.threads = cover(c.threads, ct)
+		EnsureLen(&c.threads, ct+1)
 		if c.threads[ct]&threadEnded != 0 {
 			return c.fail(e, "thread T%d joined twice", ct)
 		}

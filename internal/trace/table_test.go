@@ -1,0 +1,105 @@
+package trace
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// TestTableMatchesAMap holds a Table to a map over ids that walk up, walk
+// down, cluster at the top of the id space and scatter uniformly over all
+// of it: every slot At hands out is the id's own, zero until written, and
+// Find, At's fast path, sees only ids whose slots At made and misses or
+// agrees on every other.
+func TestTableMatchesAMap(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var ids []uint32
+	for x := uint32(0); x < 5000; x++ { // up
+		ids = append(ids, x)
+	}
+	for x := uint32(1<<24 + 9000); x > 1<<24; x -= 7 { // down, far above the rest
+		ids = append(ids, x)
+	}
+	for i := 0; i < 3000; i++ {
+		ids = append(ids, math.MaxUint32-uint32(r.Intn(4000)), r.Uint32(), uint32(1<<23+r.Intn(600)))
+	}
+	var tb Table[uint64, [16]uint64]
+	want := map[uint32]uint64{}
+	for i, x := range ids {
+		if got := *tb.At(x); got != want[x] {
+			t.Fatalf("step %d: id %d reads %d, want %d", i, x, got, want[x])
+		}
+		*tb.At(x) = uint64(i) + 1
+		want[x] = uint64(i) + 1
+	}
+	for x, v := range want {
+		if p := tb.At(x); *p != v {
+			t.Fatalf("At(%d) holds %d, want %d", x, *p, v)
+		}
+		if p, ok := tb.Find(x); ok && *p != v {
+			t.Fatalf("Find(%d) reads %d, want %d", x, *p, v)
+		}
+		if p, ok := tb.Find(x ^ 1<<12); ok && *p != want[x^1<<12] {
+			t.Fatalf("Find(%d) reads %d, want %d", x^1<<12, *p, want[x^1<<12])
+		}
+	}
+	if _, ok := tb.Find(4999); !ok {
+		t.Error("Find misses the dense ids")
+	}
+	if w, most := tb.Weight(1, nil), (1+16+farWords+windowPerSlot*16)*tb.made; w > most {
+		t.Errorf("%d pages weigh %d words, more than the %d the window's bound allows", tb.made, w, most)
+	}
+}
+
+// TestTableFarIDCostsAPage: an id far from the rest costs its page and a
+// map entry, whatever ids came before it — 2^32-1 beside dense ids, and
+// 2^24-16 beside 0, the two ends of one page directory of 2^20 pointers —
+// and the weight counts exactly that.
+func TestTableFarIDCostsAPage(t *testing.T) {
+	var tb Table[uint64, [256]uint64]
+	for x := uint32(0); x < 1000; x++ {
+		*tb.At(x) = 1
+	}
+	before := tb.Weight(1, nil)
+	*tb.At(math.MaxUint32) = 2
+	if grew := tb.Weight(1, nil) - before; grew != 256+farWords {
+		t.Errorf("id 2^32-1 weighs %d words, want a page (256) and a map entry (%d)", grew, farWords)
+	}
+	if _, ok := tb.Find(1 << 20); ok || *tb.At(math.MaxUint32) != 2 || *tb.At(999) != 1 {
+		t.Error("the far id's page is not its own")
+	}
+
+	var small Table[uint64, [16]uint64]
+	*small.At(0) = 1
+	before = small.Weight(1, nil)
+	*small.At(1<<24 - 16) = 2
+	if grew := small.Weight(1, nil) - before; grew != 16+farWords {
+		t.Errorf("id 2^24-16 beside 0 weighs %d words, want a page (16) and a map entry (%d)", grew, farWords)
+	}
+	if *small.At(1<<24 - 16) != 2 || *small.At(0) != 1 {
+		t.Error("the far id's page is not its own")
+	}
+}
+
+// TestTableWindowTakesInMappedPages: ids walked down from the top of a
+// range start in the map and end in the window, once enough pages are made
+// for it to reach them and a mapped one is touched again, so Find finds
+// them all.
+func TestTableWindowTakesInMappedPages(t *testing.T) {
+	var tb Table[uint32, [16]uint32]
+	for x := uint32(1 << 16); x > 0; x-- {
+		*tb.At(x - 1) = x
+	}
+	if len(tb.far) == 0 {
+		t.Error("the walk down mapped no page")
+	}
+	tb.At(1<<16 - 1)
+	if len(tb.far) != 0 {
+		t.Errorf("%d of %d pages still mapped", len(tb.far), tb.made)
+	}
+	for x := uint32(0); x < 1<<16; x++ {
+		if p, ok := tb.Find(x); !ok || *p != x+1 {
+			t.Fatalf("Find(%d) = %v after the walk down", x, p)
+		}
+	}
+}

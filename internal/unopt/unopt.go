@@ -25,20 +25,23 @@ import (
 // finds are the same either way, so one view reports for both "Unopt-X" and
 // "Unopt-X w/G".
 //
-// The per-variable last-access clocks rx/wx are stored unboxed ([]vc.VC
-// values rather than []*vc.VC): one slice of inline clock headers instead
-// of a pointer array plus one heap object per variable, halving the
-// analysis's per-variable allocations. A zero-value clock means "no access
-// recorded" — real accesses always store a clock ≥ 1, so the ⊑ checks and
-// same-epoch tests read identically on absent state.
+// The per-variable last-access clocks Rx/Wx are stored unboxed, as vc.VC
+// values in the variable's slot rather than pointers: inline clock headers
+// instead of one heap object per variable, halving the analysis's
+// per-variable allocations. A zero-value clock means "no access recorded"
+// — real accesses always store a clock ≥ 1, so the ⊑ checks and same-epoch
+// tests read identically on absent state.
 type View struct {
-	Sub    *ccs.Substrate
-	rx, wx []vc.VC
-	col    *report.Collector
+	Sub  *ccs.Substrate
+	vars trace.Table[accessClocks, [256]accessClocks] // pages of 12 kB, the width of SmartTrack's
+	col  *report.Collector
 
-	g      *graph.Graph      // Sub's graph, if any
-	lastWr []analysis.Source // last write event per variable, for g
+	g      *graph.Graph                                       // Sub's graph, if any
+	lastWr trace.Table[analysis.Source, [256]analysis.Source] // last write event per variable, for g
 }
+
+// accessClocks is a variable's Rx and Wx.
+type accessClocks struct{ rx, wx vc.VC }
 
 // NewView builds the unoptimized view of sub; state grows on demand as new
 // ids appear in the stream.
@@ -84,10 +87,11 @@ func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
 			a.Sub.Sync(e, idx)
 		default:
 			t, x, write := e.T, e.Targ, e.Op == trace.OpWrite
-			if int(x) >= len(a.wx) {
-				a.growVars(int(x) + 1)
+			v, ok := a.vars.Find(x)
+			if !ok {
+				v = a.vars.At(x)
 			}
-			if a.sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), x, write) {
+			if v.sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), write) {
 				continue
 			}
 			a.Sub.RuleA(t, x, write, idx, true)
@@ -102,53 +106,45 @@ func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
 
 // Stale implements ccs.View: an access the §5.1 check does not skip.
 func (a *View) Stale(t trace.Tid, x uint32, write bool) bool {
-	if int(x) >= len(a.wx) {
-		a.growVars(int(x) + 1)
+	v, ok := a.vars.Find(x)
+	if !ok {
+		v = a.vars.At(x)
 	}
-	return !a.sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), x, write)
+	return !v.sameEpoch(vc.Tid(t), a.Sub.P[t].Get(vc.Tid(t)), write)
 }
 
 // sameEpoch is §5.1's [Shared Same Epoch]-like check: has t, at clock c,
-// already read (written) x in this epoch?
-func (a *View) sameEpoch(t vc.Tid, c vc.Clock, x uint32, write bool) bool {
+// already read (written) the variable in this epoch?
+func (v *accessClocks) sameEpoch(t vc.Tid, c vc.Clock, write bool) bool {
 	if write {
-		return a.wx[x].Get(t) == c
+		return v.wx.Get(t) == c
 	}
-	return a.rx[x].Get(t) == c
-}
-
-// growVars extends the per-variable tables to cover variable ids < n.
-func (a *View) growVars(n int) {
-	analysis.EnsureLen(&a.rx, n)
-	analysis.EnsureLen(&a.wx, n)
-	if a.g != nil {
-		analysis.GrowSources(&a.lastWr, n)
-	}
+	return v.rx.Get(t) == c
 }
 
 // Read implements ccs.View.
 func (a *View) Read(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
-	p := a.Sub.P[t]
+	p, v := a.Sub.P[t], a.vars.At(x)
 	if a.g != nil {
-		a.Sub.Edge(a.lastWr[x], idx, t) // last-writer hard edge
+		a.Sub.Edge(*a.lastWr.At(x), idx, t) // last-writer hard edge
 	}
-	if wx := &a.wx[x]; !wx.Leq(p) {
-		a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Write: false, Index: int(idx), PriorTid: culprit(wx, p)})
+	if !v.wx.Leq(p) {
+		a.col.Add(report.Race{Loc: loc, Var: x, Tid: t, Write: false, Index: int(idx), PriorTid: culprit(&v.wx, p)})
 	}
-	a.rx[x].Set(vc.Tid(t), p.Get(vc.Tid(t)))
+	v.rx.Set(vc.Tid(t), p.Get(vc.Tid(t)))
 }
 
 // Write implements ccs.View.
 func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
-	p := a.Sub.P[t]
-	wx := &a.wx[x]
+	p, v := a.Sub.P[t], a.vars.At(x)
+	wx := &v.wx
 	raced := false
 	var prior trace.Tid = report.UnknownTid
 	if !wx.Leq(p) {
 		raced = true
 		prior = culprit(wx, p)
 	}
-	if rx := &a.rx[x]; !rx.Leq(p) {
+	if rx := &v.rx; !rx.Leq(p) {
 		if !raced {
 			prior = culprit(rx, p)
 		}
@@ -159,24 +155,16 @@ func (a *View) Write(t trace.Tid, x uint32, loc trace.Loc, idx int32) {
 	}
 	wx.Set(vc.Tid(t), p.Get(vc.Tid(t)))
 	if a.g != nil {
-		a.lastWr[x] = analysis.Source{Idx: idx, T: t}
+		*a.lastWr.At(x) = analysis.NewSource(idx, t)
 	}
 }
 
-// MetadataWeight implements analysis.Analysis. A Source is one word.
+// MetadataWeight implements analysis.Analysis: a variable slot is two
+// inline clock headers of 3 words each, plus the clocks' storage, and a
+// Source is one word.
 func (a *Analysis) MetadataWeight() int {
-	return a.Sub.Weight() + accessClockWeight(a.rx) + accessClockWeight(a.wx) + cap(a.lastWr)
-}
-
-// accessClockWeight totals the footprint of an unboxed last-access clock
-// table: 3 words of inline header per slot of its capacity plus the
-// materialized clock storage.
-func accessClockWeight(clocks []vc.VC) int {
-	w := 3 * cap(clocks)
-	for i := range clocks {
-		w += clocks[i].Weight()
-	}
-	return w
+	vars := a.vars.Weight(6, func(v *accessClocks) int { return v.rx.Weight() + v.wx.Weight() })
+	return a.Sub.Weight() + vars + a.lastWr.Weight(1, nil)
 }
 
 // culprit returns the thread of some component of x not ordered before p,

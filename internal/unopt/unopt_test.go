@@ -200,7 +200,7 @@ func TestWriteChecksBothReadAndWrite(t *testing.T) {
 }
 
 // TestMetadataWeightCountsLastWriters: a w/G analysis's last-writer table is
-// counted at its capacity, one word per Source; with no edge drawn it is
+// counted a whole page at a time, one word per Source; with no edge drawn it is
 // all that tells its weight from the analysis without the graph.
 func TestMetadataWeightCountsLastWriters(t *testing.T) {
 	if got := unsafe.Sizeof(analysis.Source{}); got != 8 {
@@ -210,7 +210,7 @@ func TestMetadataWeightCountsLastWriters(t *testing.T) {
 	evs := []trace.Event{{T: 0, Op: trace.OpWrite, Targ: 99}}
 	g.HandleRun(evs, nil)
 	plain.HandleRun(evs, nil)
-	if got, want := g.MetadataWeight()-plain.MetadataWeight(), cap(g.lastWr); got != want || want < 100 {
+	if got, want := g.MetadataWeight()-plain.MetadataWeight(), g.lastWr.Weight(1, nil); got != want || want < 100 {
 		t.Errorf("w/G weighs %d words more, want the %d of its last-writer table", got, want)
 	}
 }

@@ -100,14 +100,22 @@ type Vindicator struct {
 	g     *graph.Graph  // the replay's event constraint graph
 	races []report.Race // what the replay detected
 
-	// Scratch of schedule, allocated once and left clean by every try.
-	scheduled []bool  // per event
-	lockOwner []int32 // per lock: owning thread, -1 = free
-	lastW     []int32 // per variable: last write emitted, -1 = none
-	ptr       []int32 // per thread: cone events emitted
-	trail     []int32 // the try's emitted events, in order
-	cand      []int   // threads whose next cone event is enabled
+	// Scratch of schedule, made once and left clean by every try.
+	scheduled []bool      // per event
+	held      locks[bool] // per lock: held by an emitted acquire
+	lastW     vars[int32] // per variable: last write emitted + 1, 0 for none
+	ptr       []int32     // per thread: cone events emitted
+	trail     []int32     // the try's emitted events, in order
+	cand      []int       // threads whose next cone event is enabled
 }
+
+// vars and locks hold vindication's per-variable and per-lock state: pages
+// of 256 variables, the analyses' width, and of 16 locks, as a stream names
+// tens to a few hundred.
+type (
+	vars[T any]  = trace.Table[T, [256]T]
+	locks[T any] = trace.Table[T, [16]T]
+)
 
 // index is what vindication reads of a trace alone, built once per trace.
 type index struct {
@@ -125,8 +133,8 @@ type index struct {
 }
 
 // newIndex indexes tr, or returns the well-formedness rule tr breaks: the
-// tables are sized by tr's declared id spaces and pair every release with
-// its acquire.
+// index pairs every release with its acquire, and its tables hold the ids
+// tr uses, whatever it declares.
 func newIndex(tr *trace.Trace) (index, error) {
 	if err := trace.Check(tr); err != nil {
 		return index{}, fmt.Errorf("vindicate: ill-formed trace: %w", err)
@@ -138,8 +146,8 @@ func newIndex(tr *trace.Trace) (index, error) {
 		lastWriter:  make([]int32, tr.Len()),
 		matchRel:    make([]int32, tr.Len()),
 	}
-	lastW := filled(tr.Vars)
-	openAcq := filled(tr.Locks) // the lock's open acquire (at most one, by well-formedness)
+	var lastW vars[int32]    // the variable's last write + 1
+	var openAcq locks[int32] // the lock's open acquire (at most one, by well-formedness)
 	for i, e := range tr.Events {
 		x.posInThread[i] = int32(len(x.byThread[e.T]))
 		x.byThread[e.T] = append(x.byThread[e.T], int32(i))
@@ -147,25 +155,16 @@ func newIndex(tr *trace.Trace) (index, error) {
 		x.matchRel[i] = -1
 		switch e.Op {
 		case trace.OpRead:
-			x.lastWriter[i] = lastW[e.Targ]
+			x.lastWriter[i] = *lastW.At(e.Targ) - 1
 		case trace.OpWrite:
-			lastW[e.Targ] = int32(i)
+			*lastW.At(e.Targ) = int32(i) + 1
 		case trace.OpAcquire:
-			openAcq[e.Targ] = int32(i)
+			*openAcq.At(e.Targ) = int32(i)
 		case trace.OpRelease:
-			x.matchRel[openAcq[e.Targ]] = int32(i)
+			x.matchRel[*openAcq.At(e.Targ)] = int32(i)
 		}
 	}
 	return x, nil
-}
-
-// filled returns n int32s, all -1.
-func filled(n int) []int32 {
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = -1
-	}
-	return s
 }
 
 // New builds the vindicator of tr: one well-formedness check, one
@@ -183,8 +182,6 @@ func New(tr *trace.Trace) (*Vindicator, error) {
 		g:         a.Graph(),
 		races:     col.Races(),
 		scheduled: make([]bool, tr.Len()),
-		lockOwner: filled(tr.Locks),
-		lastW:     filled(tr.Vars),
 		ptr:       make([]int32, tr.Threads),
 	}, nil
 }
@@ -306,16 +303,19 @@ func (v *Vindicator) cone(e1, e2 int) ([]int32, bool) {
 	// Lock completion to a fixpoint: if two threads' included prefixes both
 	// acquire lock m, every included critical section on m except those
 	// still open at the race must also include its release.
+	type included struct{ threads, last int32 } // threads with included acquires of a lock; 1 + the last
 	for changed := true; changed; {
 		changed = false
-		inclAcq := make(map[uint32]int)   // lock -> #threads with included acquires
-		lastAcq := make(map[uint32]int32) // lock -> 1 + the last such thread
+		var incl locks[included]
 		for t := range v.byThread {
 			for r := int32(0); r < cut[t]; r++ {
 				e := v.tr.Events[v.byThread[t][r]]
-				if e.Op == trace.OpAcquire && lastAcq[e.Targ] != int32(t)+1 {
-					lastAcq[e.Targ] = int32(t) + 1
-					inclAcq[e.Targ]++
+				if e.Op != trace.OpAcquire {
+					continue
+				}
+				if in := incl.At(e.Targ); in.last != int32(t)+1 {
+					in.last = int32(t) + 1
+					in.threads++
 				}
 			}
 		}
@@ -323,7 +323,7 @@ func (v *Vindicator) cone(e1, e2 int) ([]int32, bool) {
 			for r := int32(0); r < cut[t]; r++ {
 				i := v.byThread[t][r]
 				e := v.tr.Events[i]
-				if e.Op != trace.OpAcquire || inclAcq[e.Targ] < 2 {
+				if e.Op != trace.OpAcquire || incl.At(e.Targ).threads < 2 {
 					continue
 				}
 				rel := v.matchRel[i]
@@ -352,20 +352,23 @@ func (v *Vindicator) cone(e1, e2 int) ([]int32, bool) {
 }
 
 // commonHeldLock reports a lock held by both racing threads at their
-// accesses (which makes adjacency impossible).
+// accesses (which makes adjacency impossible): of several, the one e2's
+// thread acquired first.
 func (v *Vindicator) commonHeldLock(e1, e2 int) (uint32, bool) {
-	held := func(e int) map[uint32]bool {
-		h := make(map[uint32]bool)
+	held := func(e int) (ms []uint32) {
 		for _, i := range v.byThread[v.tr.Events[e].T][:v.posInThread[e]] {
 			if rel := v.matchRel[i]; v.tr.Events[i].Op == trace.OpAcquire && (rel < 0 || int(rel) > e) {
-				h[v.tr.Events[i].Targ] = true
+				ms = append(ms, v.tr.Events[i].Targ)
 			}
 		}
-		return h
+		return ms
 	}
-	h1 := held(e1)
-	for m := range held(e2) {
-		if h1[m] {
+	var h1 locks[bool]
+	for _, m := range held(e1) {
+		*h1.At(m) = true
+	}
+	for _, m := range held(e2) {
+		if *h1.At(m) {
 			return m, true
 		}
 	}
@@ -399,11 +402,11 @@ func (v *Vindicator) schedule(cut []int32, e1, e2 int, rng *rand.Rand) ([]trace.
 		}
 		switch e.Op {
 		case trace.OpAcquire:
-			if v.lockOwner[e.Targ] != -1 {
+			if *v.held.At(e.Targ) {
 				return false
 			}
 		case trace.OpRead:
-			if !racing && v.lastW[e.Targ] != v.lastWriter[i] {
+			if !racing && *v.lastW.At(e.Targ)-1 != v.lastWriter[i] {
 				return false
 			}
 		}
@@ -415,12 +418,10 @@ func (v *Vindicator) schedule(cut []int32, e1, e2 int, rng *rand.Rand) ([]trace.
 		v.scheduled[i] = true
 		v.trail = append(v.trail, i)
 		switch e.Op {
-		case trace.OpAcquire:
-			v.lockOwner[e.Targ] = int32(e.T)
-		case trace.OpRelease:
-			v.lockOwner[e.Targ] = -1
+		case trace.OpAcquire, trace.OpRelease:
+			*v.held.At(e.Targ) = e.Op == trace.OpAcquire
 		case trace.OpWrite:
-			v.lastW[e.Targ] = i
+			*v.lastW.At(e.Targ) = i + 1
 		}
 	}
 
@@ -461,9 +462,9 @@ func (v *Vindicator) undo() {
 		v.scheduled[i] = false
 		switch e := v.tr.Events[i]; e.Op {
 		case trace.OpAcquire, trace.OpRelease:
-			v.lockOwner[e.Targ] = -1
+			*v.held.At(e.Targ) = false
 		case trace.OpWrite:
-			v.lastW[e.Targ] = -1
+			*v.lastW.At(e.Targ) = 0
 		}
 	}
 	v.trail = v.trail[:0]
@@ -531,16 +532,16 @@ func (x *index) verify(witness []trace.Event, e1, e2 int) error {
 	// pair, which the formal definition only requires to be co-enabled —
 	// they do not "execute", so a racing read is exempt (its value is
 	// exactly what the race would corrupt).
-	lastW := make(map[uint32]int32) // variable -> 1 + its last write so far
+	var lastW vars[int32] // the variable's last write so far + 1
 	for wi, e := range witness {
 		i := idxOf[wi]
 		switch e.Op {
 		case trace.OpRead:
-			if got, want := lastW[e.Targ]-1, x.lastWriter[i]; got != want && wi < len(witness)-2 {
+			if got, want := *lastW.At(e.Targ)-1, x.lastWriter[i]; got != want && wi < len(witness)-2 {
 				return fmt.Errorf("vindicate: witness read %d has last writer %d, original %d", wi, got, want)
 			}
 		case trace.OpWrite:
-			lastW[e.Targ] = i + 1
+			*lastW.At(e.Targ) = i + 1
 		}
 	}
 

@@ -251,9 +251,11 @@ func TestSharedVindicatorMatchesFreshOnes(t *testing.T) {
 			vindicated++
 		}
 	}
-	if slices.Contains(shared.scheduled, true) ||
-		slices.ContainsFunc(shared.lockOwner, func(o int32) bool { return o != -1 }) ||
-		slices.ContainsFunc(shared.lastW, func(w int32) bool { return w != -1 }) {
+	marked := slices.Contains(shared.scheduled, true)
+	for _, e := range tr.Events {
+		marked = marked || e.Op == trace.OpAcquire && *shared.held.At(e.Targ) || e.Op == trace.OpWrite && *shared.lastW.At(e.Targ) != 0
+	}
+	if marked {
 		t.Fatal("a search left its scratch marked")
 	}
 	if vindicated == 0 || vindicated == len(races) {
