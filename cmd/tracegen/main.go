@@ -30,6 +30,10 @@ func main() {
 		list    = flag.Bool("list", false, "list available programs and figures")
 	)
 	flag.Parse()
+	if *scale < 1 { // a divisor: 0 would divide by zero inside the generator
+		log.Printf("-scale %d: the scale divisor must be at least 1", *scale)
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Println("programs:")

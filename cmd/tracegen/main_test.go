@@ -2,10 +2,12 @@ package main
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -14,11 +16,7 @@ import (
 // (the id spaces race.HintsOf declares), so a change to how that header is
 // derived or encoded shows here; the text digest covers the generator.
 func TestGoldenOutput(t *testing.T) {
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "tracegen")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building tracegen: %v\n%s", err, out)
-	}
+	dir, bin := build(t)
 	for _, c := range []struct {
 		name   string
 		args   []string
@@ -43,4 +41,32 @@ func TestGoldenOutput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestScaleBelowOneIsRefused: -scale divides the program's size, so 0 or a
+// negative value is refused with a message and exit status 2, not a panic.
+func TestScaleBelowOneIsRefused(t *testing.T) {
+	dir, bin := build(t)
+	for _, scale := range []string{"0", "-3"} {
+		out := filepath.Join(dir, "scale"+scale)
+		msg, err := exec.Command(bin, "-program", "h2", "-scale", scale, "-o", out).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(msg), "at least 1") || strings.Contains(string(msg), "panic") {
+			t.Errorf("tracegen -scale %s: %v\n%s", scale, err, msg)
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("tracegen -scale %s wrote %s", scale, out)
+		}
+	}
+}
+
+// build compiles tracegen into a fresh temporary directory.
+func build(t *testing.T) (dir, bin string) {
+	t.Helper()
+	dir = t.TempDir()
+	bin = filepath.Join(dir, "tracegen")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building tracegen: %v\n%s", err, out)
+	}
+	return dir, bin
 }

@@ -157,9 +157,9 @@ func TestTablesPinned(t *testing.T) {
 		{"table3", func() string { return RenderTable3(cfg, false) },
 			"57a86a6614a74462f0d03009f59c6025bb10d714c3b1df2166d7d95f08902814"},
 		{"table4", func() string { return RenderTable4(cfg) },
-			"9bf962d9b800cc7081a945be6f22250ef1fb27b39659b09b67a3ce85c1189b2d"},
+			"3a9cc55c2366f2f234a0058bb11d647a3a66b7883db92e8b0048d81e35a9e87f"},
 		{"table6", func() string { return RenderTable6(cfg, false) },
-			"3783eeef77e85e47147a7cf921d6b364a744f3785311c01d7543819929049c1f"},
+			"c2cd2b5ac00d79de3d7df50983b5a2162f910da6608ef5a0fbb2209b37070e7e"},
 		{"table7", func() string { return RenderTable7(cfg, false) },
 			"4abaffd37f8e087b796acc9de3a7618a20a69f9ae2e807bbb2ebc9798aa10809"},
 		{"table8", func() string { return RenderTable3(ci, true) },

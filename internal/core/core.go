@@ -7,7 +7,7 @@
 // metadata that mirrors the last-access metadata:
 //
 //   - Ht: each thread's current critical-section (CS) list — for every held
-//     lock, a *reference* to a section that will receive the critical
+//     lock, a *reference* to a node that will receive the critical
 //     section's release time when the release happens (deferred update).
 //   - Lw_x / Lr_x: the CS lists of the accesses represented by Wx / Rx.
 //   - Er_x / Ew_x: "extra" per-thread (thread, section) entries preserving
@@ -15,12 +15,16 @@
 //     (Figure 4(c)/(d)).
 //
 // A CS list is persistent: a pointer to the node of the innermost open
-// critical section, each node linking to the enclosing one. An acquire
-// allocates one node; an access captures the thread's list by storing that
-// pointer; a release in nesting order fills the section's time in place and
-// pops. A release out of nesting order rebuilds the nodes inside the
-// released one over the *same* section objects: the identity of a section
-// is what lists captured earlier rely on to see its release time.
+// critical section, each node linking to the enclosing one, and a node is
+// its critical section. An acquire allocates one node; an access captures
+// the thread's list by storing that pointer; a release in nesting order
+// fills the node's time in place and pops. A release out of nesting order
+// rebuilds the nodes inside the released one as fresh nodes, each recorded
+// in the thread's alias list as standing for the node it replaces, which
+// lists captured earlier hold: the release of a rebuilt node fills it and,
+// transitively, every node it aliases, and drops those entries. The alias
+// list only names the thread's open sections, one entry per out-of-order
+// release each has outlived.
 //
 // A section has no release time before the release: its released flag is
 // false, and every ordering query against it fails. A release time is only
@@ -39,11 +43,12 @@
 //
 // Sections are what the analysis keeps most of, one per acquire, so each is
 // held to a small Go size class: a vc.Rel is 16 bytes (a pointer into the
-// base and its length, the owner and its component), a section 24
-// and the list node that embeds it 48. A variable
-// slot is 40 bytes: the shared read clock sits in the cold block, which
-// every [Read Share] allocates anyway, so only a shared variable's reads
-// take the extra hop.
+// base and its length, the owner and its component), and the list node that
+// is the section 32 — the enclosing node, the view, the lock and two flags.
+// A list is as deep as the locks held, so its outermost node is a short walk
+// up, not a field. A variable slot is 40 bytes: the shared read clock sits
+// in the cold block, which every [Read Share] allocates anyway, so only a
+// shared variable's reads take the extra hop.
 //
 // ST-WCP and ST-DC hold the view of the clock — H[t] for WCP, P[t] for DC —
 // that ccs.RuleB.Release logs as its last step, with nothing run between
@@ -82,58 +87,53 @@ import (
 	"repro/internal/vc"
 )
 
-// section is one critical section on lock m: the object CS lists and extra
-// metadata share, so that all of them see its release time once it exists.
-// It is 24 bytes: the 16-byte view, the lock and two flags.
-type section struct {
-	rel      vc.Rel // the release time, relative to its owner; zero until released
+// csNode is one critical section on lock m and its element of a CS list,
+// innermost first — the paper's head-to-tail presentation: the object CS
+// lists and extra metadata share, so that all of them see its release time
+// once it exists. up never changes; the rest changes once, at the release.
+// A node is the one allocation of an acquire: 32 bytes.
+type csNode struct {
+	up       *csNode // the enclosing critical section; nil at the outermost
+	rel      vc.Rel  // the release time, relative to its owner; zero until released
 	m        uint32
 	released bool
 	seen     bool // MetadataWeight's visited mark
 }
 
 // at returns u's component of the section's release time.
-func (s *section) at(u vc.Tid) vc.Clock { return s.rel.Get(u) }
+func (n *csNode) at(u vc.Tid) vc.Clock { return n.rel.Get(u) }
 
 // before reports whether the section's release is ordered before an access
 // with clock p, judged by u's component (u is the section's owner except in
 // [Write Exclusive]'s second MultiCheck).
-func (s *section) before(u vc.Tid, p *vc.VC) bool {
-	return s.released && s.at(u) <= p.Get(u)
+func (n *csNode) before(u vc.Tid, p *vc.VC) bool {
+	return n.released && n.at(u) <= p.Get(u)
 }
 
-// csNode is one element of a CS list, innermost first — the paper's
-// head-to-tail presentation. Nodes are immutable once pushed; only the
-// section a node refers to changes, once, at its release. A node is the one
-// allocation of an acquire: 48 bytes, three pointers and its own section.
-type csNode struct {
-	sec   *section // &own, except in nodes a non-LIFO release rebuilt
-	up    *csNode  // the enclosing critical section; nil at the outermost
-	outer *section // the list's outermost section
-	own   section
+// outer returns the outermost critical section of the non-empty list l.
+func outer(l *csNode) *csNode {
+	for l.up != nil {
+		l = l.up
+	}
+	return l
 }
 
 // push returns l extended by a new innermost critical section on m.
-func push(l *csNode, m uint32) *csNode {
-	n := &csNode{up: l}
-	n.own.m = m
-	n.sec, n.outer = &n.own, &n.own
-	if l != nil {
-		n.outer = l.outer
-	}
-	return n
-}
+func push(l *csNode, m uint32) *csNode { return &csNode{up: l, m: m} }
+
+// alias records that a non-LIFO release rebuilt node orig of an open
+// critical section as node rebuilt.
+type alias struct{ rebuilt, orig *csNode }
 
 // without returns l with section s removed (s is in l but not innermost):
-// the nodes inside s are rebuilt over the sections they already had.
-func without(l *csNode, s *section) *csNode {
-	if l.sec == s {
+// each node inside s is rebuilt as a fresh node, appended to as as an alias
+// of the node it replaces.
+func without(l, s *csNode, as *[]alias) *csNode {
+	if l == s {
 		return l.up
 	}
-	n := &csNode{sec: l.sec, up: without(l.up, s), outer: l.sec}
-	if n.up != nil {
-		n.outer = n.up.outer
-	}
+	n := &csNode{up: without(l.up, s, as), m: l.m}
+	*as = append(*as, alias{n, l})
 	return n
 }
 
@@ -141,7 +141,7 @@ func without(l *csNode, s *section) *csNode {
 // to the variable, not captured by the variable's CS lists.
 type extraEntry struct {
 	t vc.Tid
-	s *section
+	s *csNode
 }
 
 // extras is the Er_x / Ew_x representation: a small flat list, since the
@@ -214,6 +214,7 @@ type Analysis struct {
 	rb    *ccs.RuleB // epoch acquire queues; nil for WDC
 	vars  trace.Table[stVar, stPage]
 	ht    []*csNode // current CS list per thread; a thread with a slot here has one in s
+	alias [][]alias // per thread: its open sections' nodes rebuilt by non-LIFO releases
 	snap  []vc.VC   // ST-WDC: per thread, the snapshot of P[t] its sections view
 	col   *report.Collector
 	st    analysis.Stats
@@ -278,6 +279,7 @@ func (a *Analysis) HandleRun(evs []trace.Event, same analysis.Same) {
 		if int(t) >= len(a.ht) {
 			a.s.Ensure(t)
 			trace.EnsureLen(&a.ht, int(t)+1)
+			trace.EnsureLen(&a.alias, int(t)+1)
 			trace.EnsureLen(&a.snap, int(t)+1)
 		}
 		if same.Has(i) {
@@ -324,9 +326,9 @@ func (a *Analysis) sync(e trace.Event, idx int32) {
 }
 
 // fillRelease runs rule (b) at t's release of m and resolves the deferred
-// release time of the critical section: the section that CS lists and extra
+// release time of the critical section: the node that CS lists and extra
 // metadata reference receives the release time (HB time for WCP, relation
-// time for DC/WDC), and leaves Ht.
+// time for DC/WDC), as does every node it aliases, and leaves Ht.
 func (a *Analysis) fillRelease(t trace.Tid, m uint32, idx int32) {
 	var logged vc.Ref
 	if a.rb != nil {
@@ -334,31 +336,43 @@ func (a *Analysis) fillRelease(t trace.Tid, m uint32, idx int32) {
 	}
 	top := a.ht[t]
 	n := top
-	for n != nil && n.sec.m != m { // innermost first
+	for n != nil && n.m != m { // innermost first
 		n = n.up
 	}
 	if n == nil {
 		return
 	}
+	var rel vc.Rel
 	if a.rb != nil {
-		n.sec.rel = a.rb.At(logged, t) // the log's view, shared; see the package comment
+		rel = a.rb.At(logged, t) // the log's view, shared; see the package comment
 	} else {
 		p, tt := a.s.P[t], vc.Tid(t)
 		if !a.snap[t].EqualExcept(p, tt) {
 			a.snap[t].CopyExact(p) // replaces the snapshot; the old one stays as its sections saw it
 		}
-		n.sec.rel = vc.Relative(a.snap[t], p.Epoch(tt))
+		rel = vc.Relative(a.snap[t], p.Epoch(tt))
 	}
-	n.sec.released = true
+	n.rel, n.released = rel, true
 	if n == top {
 		a.ht[t] = top.up // structured locking: the enclosing list is shared as is
 	} else {
-		a.ht[t] = without(top, n.sec)
+		a.ht[t] = without(top, n, &a.alias[t])
 	}
+	// A node's rebuild is appended after the entry that made the node, so one
+	// backward pass follows n back to the node its section was acquired as.
+	as := a.alias[t]
+	for i := len(as) - 1; i >= 0; i-- {
+		if as[i].rebuilt == n {
+			n = as[i].orig
+			n.rel, n.released = rel, true
+			as = slices.Delete(as, i, i+1)
+		}
+	}
+	a.alias[t] = as
 }
 
 // joinSec joins s's release time into t's clock through its view.
-func (a *Analysis) joinSec(t trace.Tid, s *section) { a.s.JoinRel(t, &s.rel) }
+func (a *Analysis) joinSec(t trace.Tid, s *csNode) { a.s.JoinRel(t, &s.rel) }
 
 func (a *Analysis) reportRace(t trace.Tid, x uint32, loc trace.Loc, idx int32, write bool, prior trace.Tid) {
 	if a.raced {
@@ -379,13 +393,13 @@ func (a *Analysis) multiCheck(l *csNode, u vc.Tid, prior vc.Epoch, t trace.Tid, 
 	}
 	e := a.resid[:0]
 	if l != nil {
-		if l.outer.before(u, p) {
+		if outer(l).before(u, p) {
 			return e // ordered: subsumes inner critical sections and the race check
 		}
-		var buf [8]*section
+		var buf [8]*csNode
 		secs := buf[:0]
 		for n := l; n != nil; n = n.up {
-			secs = append(secs, n.sec)
+			secs = append(secs, n)
 		}
 		slices.Reverse(secs)
 		for i, s := range secs { // outermost → innermost
@@ -437,7 +451,7 @@ func (a *Analysis) read(v *stVar, p *vc.VC, cur vc.Epoch, t trace.Tid, x uint32,
 		// before the current read iff the outermost release is (line 11).
 		var ordered bool
 		if v.lr != nil {
-			ordered = v.lr.outer.before(u, p)
+			ordered = outer(v.lr).before(u, p)
 		} else {
 			ordered = vc.EpochLeq(v.r, p)
 		}
@@ -568,17 +582,16 @@ func dropExtras(ex extras, t vc.Tid, held []uint32) extras {
 }
 
 // Words of one variable slot, cold block and list node, for MetadataWeight.
-const slotWords, coldWords, nodeWords = 5, 10, 6
+const slotWords, coldWords, nodeWords = 5, 10, 4
 
 // MetadataWeight implements analysis.Analysis. It counts what the analysis
 // holds — the variable table, cold blocks, and the list nodes and release
-// clocks reachable from them and from Ht, each section once (a node rebuilt
-// by a non-LIFO release is counted with the node it was rebuilt from) and each
-// ST-WDC snapshot once however many sections view it. With a rule (b) log
-// the release clocks are views of its arena, which the log's weight already
-// counts whole.
+// clocks reachable from them, from Ht and from the alias lists, each node
+// once and each ST-WDC snapshot once however many nodes view it. With a
+// rule (b) log the release clocks are views of its arena, which the log's
+// weight already counts whole.
 func (a *Analysis) MetadataWeight() int {
-	w := a.s.Weight() + cap(a.ht) + 3*cap(a.snap)
+	w := a.s.Weight() + cap(a.ht) + 3*(cap(a.alias)+cap(a.snap))
 	if a.rb != nil {
 		w += a.rb.Weight()
 	}
@@ -587,8 +600,8 @@ func (a *Analysis) MetadataWeight() int {
 	return w
 }
 
-// heldWords sums the variable table, the snapshots and every section not
-// yet marked `seen`, marking as it goes.
+// heldWords sums the variable table, the snapshots, the alias lists and
+// every node not yet marked `seen`, marking as it goes.
 func (a *Analysis) heldWords(seen bool) (w int) {
 	snaps := make(map[*vc.Clock]bool)
 	snap := func(k *vc.Clock, words int) {
@@ -600,22 +613,28 @@ func (a *Analysis) heldWords(seen bool) (w int) {
 	for i := range a.snap {
 		snap(a.snap[i].Array(), a.snap[i].Weight())
 	}
-	count := func(s *section) {
-		if s.seen != seen {
-			s.seen = seen
+	count := func(n *csNode) {
+		if n.seen != seen {
+			n.seen = seen
 			w += nodeWords
 			if a.rb == nil {
-				snap(s.rel.Array(), (s.rel.Len()+1)/2) // a snapshot is an exact copy: its length is its capacity
+				snap(n.rel.Array(), (n.rel.Len()+1)/2) // a snapshot is an exact copy: its length is its capacity
 			}
 		}
 	}
 	list := func(l *csNode) {
 		for ; l != nil; l = l.up {
-			count(l.sec)
+			count(l)
 		}
 	}
 	for _, l := range a.ht {
 		list(l)
+	}
+	for _, as := range a.alias {
+		w += 2 * cap(as)
+		for _, e := range as {
+			list(e.orig)
+		}
 	}
 	vars := a.vars.Weight(slotWords, func(v *stVar) int {
 		list(v.lw)

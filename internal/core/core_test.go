@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -153,16 +154,16 @@ func TestCSListPushIsImmutable(t *testing.T) {
 	if depth(l1) != 1 || depth(l2) != 2 || depth(l3) != 2 || l1.up != nil {
 		t.Fatal("push must leave the list it extends as it was")
 	}
-	if l2.sec.m != 1 || l3.sec.m != 2 || l2.sec == l3.sec {
+	if l2.m != 1 || l3.m != 2 || l2 == l3 {
 		t.Error("pushes onto a shared prefix must not alias")
 	}
-	if l2.up != l1 || l3.up != l1 || l2.outer != l1.sec || l3.outer != l1.sec {
+	if l2.up != l1 || l3.up != l1 || outer(l2) != l1 || outer(l3) != l1 {
 		t.Error("both lists must share the enclosing one")
 	}
 }
 
 func TestExtrasSetReplaces(t *testing.T) {
-	s0, s1, s5 := &section{m: 0}, &section{m: 1}, &section{m: 5}
+	s0, s1, s5 := &csNode{m: 0}, &csNode{m: 1}, &csNode{m: 5}
 	ex := extras{{t: 1, s: s0}, {t: 2, s: s1}}
 	ex = ex.set(1, extras{{t: 1, s: s5}})
 	if len(ex) != 2 {
@@ -252,8 +253,8 @@ func TestNamesAndAccessors(t *testing.T) {
 
 // TestCaptureSeesOutOfOrderRelease: a variable that captured [m, n] before
 // m was released out of nesting order sees m's release time afterwards, and
-// one that captured the rebuilt list [n] after it sees n's — both through
-// the section object, which the rebuild must not replace.
+// one that captured the rebuilt list [n] after it sees n's. The rebuild is a
+// new node aliasing n's original, and n's release fills both with one view.
 func TestCaptureSeesOutOfOrderRelease(t *testing.T) {
 	b := trace.NewBuilder()
 	b.Write("T1", "y"). // ordered before the later reads of y only through rel(m) / rel(n)
@@ -270,20 +271,65 @@ func TestCaptureSeesOutOfOrderRelease(t *testing.T) {
 		a.Handle(e)
 	}
 	x, z := a.slot(b.VarID("x")), a.slot(b.VarID("z"))
-	if depth(x.lw) != 2 || !x.lw.outer.released || x.lw.sec.released {
+	if depth(x.lw) != 2 || !outer(x.lw).released || x.lw.released {
 		t.Fatalf("x's list must read [m released, n open]: %+v", x.lw)
 	}
-	if depth(z.lw) != 1 || z.lw == x.lw || z.lw.sec != x.lw.sec || a.ht[0] != z.lw {
-		t.Fatal("the rebuilt list must be a new node over n's original section")
+	if depth(z.lw) != 1 || z.lw == x.lw || a.ht[0] != z.lw || !slices.Equal(a.alias[0], []alias{{z.lw, x.lw}}) {
+		t.Fatal("the rebuilt list must be a new node aliasing n's original")
 	}
 	for _, e := range tr.Events[6:] {
 		a.Handle(e)
 	}
-	if !z.lw.sec.released || a.ht[0] != nil {
-		t.Error("n's release must reach the section both lists share")
+	if !z.lw.released || !x.lw.released || z.lw.rel != x.lw.rel || a.ht[0] != nil || len(a.alias[0]) != 0 {
+		t.Error("n's release must reach both of its nodes, one view in each")
 	}
 	if a.Races().Dynamic() != 0 {
 		t.Errorf("both readers are in conflicting critical sections: %v", a.Races().Races())
+	}
+}
+
+// TestSectionRebuiltTwice: a thread holds a, b and c and releases a, then b,
+// out of nesting order, writing a variable after each step, so c is rebuilt
+// twice and three lists hold three nodes of it. Each list must read every
+// release through its own node, and the alias list must drain.
+func TestSectionRebuiltTwice(t *testing.T) {
+	b := trace.NewBuilder()
+	b.Acq("T1", "a").Acq("T1", "b").Acq("T1", "c").
+		Write("T1", "x0"). // captures [a, b, c]
+		Rel("T1", "a").
+		Write("T1", "x1"). // captures [b', c']
+		Rel("T1", "b").
+		Write("T1", "x2"). // captures [c'']
+		Rel("T1", "c").
+		Write("T1", "x3") // captures []
+	tr := trace.MustCheck(b.Build())
+	for _, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
+		a := New(rel)
+		for _, e := range tr.Events {
+			a.Handle(e)
+		}
+		var lists [4]*csNode
+		for i := range lists {
+			lists[i] = a.slot(b.VarID(fmt.Sprintf("x%d", i))).lw
+		}
+		if depth(lists[0]) != 3 || depth(lists[1]) != 2 || depth(lists[2]) != 1 || lists[3] != nil {
+			t.Fatalf("ST-%v: lists of depths %d, %d, %d, %d, want 3, 2, 1, 0", rel, depth(lists[0]), depth(lists[1]), depth(lists[2]), depth(lists[3]))
+		}
+		c := lists[0] // c's original node; b's is its up
+		for i, n := range lists[1:3] {
+			if n == c || !n.released || n.rel != c.rel {
+				t.Errorf("ST-%v: x%d's node of c reads %+v, want its own node reading %+v", rel, i+1, n, c)
+			}
+		}
+		if b1 := lists[1].up; b1 == c.up || !b1.released || b1.rel != c.up.rel {
+			t.Errorf("ST-%v: x1's node of b reads %+v, want its own node reading %+v", rel, b1, c.up)
+		}
+		if !c.released || !c.up.released || !outer(c).released || c.rel == c.up.rel {
+			t.Errorf("ST-%v: x0's list must read three distinct releases", rel)
+		}
+		if a.ht[0] != nil || len(a.alias[0]) != 0 {
+			t.Errorf("ST-%v: T1 holds nothing, yet its list is %v and its aliases %v", rel, a.ht[0], a.alias[0])
+		}
 	}
 }
 
@@ -326,8 +372,7 @@ func TestSmartTrackStateFitsBudget(t *testing.T) {
 	}{
 		{"stVar", unsafe.Sizeof(stVar{}), 40, slotWords},
 		{"stCold", unsafe.Sizeof(stCold{}), 80, coldWords},
-		{"csNode", unsafe.Sizeof(csNode{}), 48, nodeWords},
-		{"section", unsafe.Sizeof(section{}), 24, 0}, // charged inside its csNode
+		{"csNode", unsafe.Sizeof(csNode{}), 32, nodeWords},
 	} {
 		if tc.size > tc.budget {
 			t.Errorf("%s is %d bytes, budget %d", tc.name, tc.size, tc.budget)
@@ -516,7 +561,7 @@ func FuzzSectionReleaseTimes(f *testing.F) {
 		}), seed)
 		type release struct {
 			idx  int
-			s    *section
+			s    *csNode
 			want *vc.VC
 		}
 		for _, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
@@ -533,8 +578,8 @@ func FuzzSectionReleaseTimes(f *testing.F) {
 				r := release{idx: i}
 				if e.Op == trace.OpRelease {
 					for n := a.ht[e.T]; n != nil && r.s == nil; n = n.up {
-						if n.sec.m == e.Targ {
-							r.s = n.sec
+						if n.m == e.Targ {
+							r.s = n
 						}
 					}
 				}

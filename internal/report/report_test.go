@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -117,4 +118,14 @@ func TestDerivedSetsConcurrentReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRaceFitsBudget pins the size of a Race, which the collector keeps one
+// of per dynamic race. Index, the one 8-byte field, leads, so the 4-, 2- and
+// 1-byte fields pack into the word after it; Index between two narrow
+// fields would pad the record to 32 bytes.
+func TestRaceFitsBudget(t *testing.T) {
+	if n := unsafe.Sizeof(Race{}); n > 24 {
+		t.Errorf("Race is %d bytes, budget 24", n)
+	}
 }
