@@ -91,12 +91,3 @@ func TestRingMinimalDisruption(t *testing.T) {
 		t.Fatalf("degenerate split: moved=%d kept=%d", moved, kept)
 	}
 }
-
-// TestSmokeIDFirstArc pins the id CI's fleet-smoke opens over HTTP after
-// draining b1: on a {b1, b2} ring its first arc must be b1, or the step
-// proves nothing. If the ring's hashing changes, pick another id there.
-func TestSmokeIDFirstArc(t *testing.T) {
-	if seq := newRing([]string{"b1", "b2"}).sequence("fsmoke1"); seq[0] != "b1" {
-		t.Fatalf("fsmoke1 routes %v; update the id in .github/workflows/ci.yml's fleet-smoke", seq)
-	}
-}

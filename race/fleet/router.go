@@ -244,12 +244,12 @@ func validResume(id string) error {
 	return nil
 }
 
-// place is the fleet's one placement decision, for a wire open and an HTTP
-// one alike: the routable backends of id's ring sequence are offered the
-// session through try, in order, until one takes it. A backend that is gone
-// (Reconnect) is marked down and passed over; one that admits nothing now
-// (Failover: full, draining, closed) is passed over; any other refusal is
-// the answer. The walk ends early when ctx does.
+// place is the fleet's one placement decision, for a wire open and a
+// one-shot POST /ingest alike: the routable backends of id's ring sequence
+// are offered the session through try, in order, until one takes it. A
+// backend that is gone (Reconnect) is marked down and passed over; one that
+// admits nothing now (Failover: full, draining, closed) is passed over; any
+// other refusal is the answer. The walk ends early when ctx does.
 func (rt *Router) place(ctx context.Context, id string, try func(Backend) error) (Backend, error) {
 	rsp := rt.span(ctx, "fleet.route_open")
 	rsp.SetAttr("session", id)

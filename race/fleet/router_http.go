@@ -18,12 +18,12 @@ import (
 	"repro/race/server"
 )
 
-// Handler returns the router's HTTP API — the raced API plus fleet admin:
+// Handler returns the router's HTTP API — the raced API plus fleet admin.
+// Sessions are opened and fed over the wire (ServeTCP); HTTP observes:
 //
-//	POST /sessions                      open (router assigns the id, routes
-//	                                    by hash, proxies to the backend)
 //	GET  /sessions                      union of every backend's sessions
 //	*    /sessions/{id}...              proxied to the session's backend
+//	                                    (GET …/races, DELETE)
 //	POST /ingest                        one-shot ingest on any routable backend
 //	GET  /healthz                       router readiness (≥1 routable backend)
 //	GET  /metrics                       the fleet_* metric registry (JSON, or
@@ -32,7 +32,6 @@ import (
 //	POST /admin/sessions/{id}/migrate   ?to=backend — migrate a session
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /sessions", rt.handleOpen)
 	mux.HandleFunc("GET /sessions", rt.handleList)
 	mux.HandleFunc("/sessions/{id}", rt.handleSession)
 	mux.HandleFunc("/sessions/{id}/{rest...}", rt.handleSession)
@@ -45,16 +44,16 @@ func (rt *Router) Handler() http.Handler {
 	return tracing.HTTP(rt.tracer, "fleet.http", mux)
 }
 
-// replayWindow is how much of an opening request's body the router holds
-// on to, so that the backend after the one that refused can be sent the same
-// request: every POST /sessions config fits, and so does a small trace.
+// replayWindow is how much of a POST /ingest body the router holds on to, so
+// that the backend after the one that refused can be sent the same request:
+// a small trace file fits.
 const replayWindow = 64 << 10
 
-// placeHTTP proxies a request that opens a session to the backend place
-// picks for id. A backend's "not here" is held back (gate) and the next arc
-// offered the request, as a wire open would be — unless the body is longer
-// than the window: then part of it went to the backend that refused, nobody
-// else can be offered it, and the refusal is the answer.
+// placeHTTP proxies a POST /ingest, which opens a throwaway session, to the
+// backend place picks for id. A backend's "not here" is held back (gate) and
+// the next arc offered the request, as a wire open would be — unless the
+// body is longer than the window: then part of it went to the backend that
+// refused, nobody else can be offered it, and the refusal is the answer.
 func (rt *Router) placeHTTP(w http.ResponseWriter, r *http.Request, id string) {
 	ctx, stop := context.WithCancel(r.Context())
 	defer stop()
@@ -145,19 +144,6 @@ func answerErr(backend string, status int, hdr http.Header, body string) error {
 	return errors.New(msg)
 }
 
-// handleOpen assigns a fleet session id (unless the caller chose one) and
-// proxies the open to the id's backend, which honors the id via ?id=.
-func (rt *Router) handleOpen(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	id := q.Get("id")
-	if id == "" {
-		id = rt.newID()
-		q.Set("id", id)
-		r.URL.RawQuery = q.Encode()
-	}
-	rt.placeHTTP(w, r, id)
-}
-
 // locate finds the backend currently holding id (live or finished),
 // preferring ring order; the ring owner is the fallback so a miss still
 // produces the canonical 404.
@@ -216,8 +202,8 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, map[string]any{"sessions": all, "backends": byBackend})
 }
 
-// handleIngest places a one-shot ingest like an open (hashed on a throwaway
-// id so load still spreads).
+// handleIngest places a one-shot ingest like a wire open (hashed on a
+// throwaway id so load still spreads).
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	rt.placeHTTP(w, r, rt.newID())
 }

@@ -368,10 +368,9 @@ func (f *Front) serveConn(conn net.Conn) {
 }
 
 // Attach is the one way into a session for whoever drives it — ServeTCP's
-// connections and an in-process fleet backend for as long as they last, an
-// HTTP mutation for one request: it opens the session hello asks for (fresh,
-// under a requested id, or one resumed) and claims it. The ack carries the
-// id and the accepted offset.
+// connections and an in-process fleet backend, for as long as they last: it
+// opens the session hello asks for (fresh, under a requested id, or one
+// resumed) and claims it. The ack carries the id and the accepted offset.
 func (s *Server) Attach(ctx context.Context, hello *HelloPayload) (Attachment, AckPayload, error) {
 	var sess *Session
 	if hello.Resume == "" {
@@ -407,13 +406,13 @@ func (s *Server) Attach(ctx context.Context, hello *HelloPayload) (Attachment, A
 	return att, AckPayload{Session: sess.ID, Fed: sess.Enqueued()}, nil
 }
 
-// claim makes the caller the session's one driver — a wire connection or an
-// in-process fleet backend for its lifetime, an HTTP mutation for its
-// duration; at most one drives a session at a time, keeping the journaled
-// stream a single client's view. It answers ErrBusy when another holds the
-// session and the sticky error of one already failed; from here on the
-// session's ingest spans parent under ctx's trace context (the driver's
-// connection, route or request span) unless a frame brings its own.
+// claim makes the caller the session's one driver — a wire connection, an
+// in-process fleet backend or a one-shot POST /ingest, for its lifetime; at
+// most one drives a session at a time, keeping the journaled stream a single
+// client's view. It answers ErrBusy when another holds the session and the
+// sticky error of one already failed; from here on the session's ingest
+// spans parent under ctx's trace context (the driver's connection, route or
+// request span) unless a frame brings its own.
 func (sess *Session) claim(ctx context.Context) (Attachment, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -431,40 +430,36 @@ func (sess *Session) claim(ctx context.Context) (Attachment, error) {
 }
 
 // Attachment is a session claimed by its one driver (Server.Attach) — the
-// server's Stream. Whatever ends it also releases the claim.
+// server's Stream. Every claim ends in Close or Drop, which release it, so a
+// memory-only session lives exactly as long as its driver.
 type Attachment struct{ sess *Session }
-
-// release gives the claim back and nothing else: how a driver that lasts
-// one request (an HTTP mutation) lets go, leaving the session as it is for
-// the next. Drop is for a driver whose going away leaves nobody to feed the
-// session, and so ends a memory-only one — which must survive between
-// requests.
-func (a Attachment) release() { a.sess.detach() }
 
 // ingestBatch is how many events ingest decodes per slab.
 const ingestBatch = 4096
 
-// ingest drains read — a stream of events of unknown length, such as a
-// request body — into the session through its slabs, ingestBatch events at a
-// time, and returns how many it fed. read fills dst from the front and ends
-// the stream with io.EOF; any other error of its is readErr, and nothing of
-// that slab reaches the session. err is the session refusing a batch.
-func (a Attachment) ingest(read func(dst []race.Event) (int, error)) (fed uint64, readErr, err error) {
+// ingest drains dec — a trace file of unknown length, such as a request
+// body — into the session through its slabs, ingestBatch events at a time.
+// readErr is dec failing, and nothing of that slab reaches the session; err
+// is the session refusing a batch.
+func (a Attachment) ingest(dec *trace.Decoder) (readErr, err error) {
 	for {
 		slab := a.sess.takeSlab()
 		if cap(slab) < ingestBatch {
 			slab = make([]race.Event, ingestBatch)
 		}
-		n, rerr := read(slab[:ingestBatch])
-		if rerr != nil && rerr != io.EOF {
+		slab = slab[:ingestBatch]
+		n := 0
+		for ; n < ingestBatch; n++ {
+			if slab[n], readErr = dec.Next(); readErr != nil {
+				break
+			}
+		}
+		if readErr != nil && readErr != io.EOF {
 			a.sess.putSlab(slab)
-			return fed, rerr, nil
+			return readErr, nil
 		}
-		if err := a.sess.feed(tracing.SpanContext{}, slab[:n], true); err != nil {
-			return fed, nil, err
-		}
-		if fed += uint64(n); rerr == io.EOF {
-			return fed, nil, nil
+		if err := a.sess.feed(tracing.SpanContext{}, slab[:n], true); err != nil || readErr != nil {
+			return nil, err
 		}
 	}
 }
@@ -508,8 +503,8 @@ func (a Attachment) Flush(parent tracing.SpanContext) (uint64, error) {
 	return a.sess.Fed(), nil
 }
 
-// Close returns the report in the encoding of the HTTP API (writeReport),
-// so it is byte-identical whichever way a session was driven.
+// Close returns the report in the encoding of the HTTP API (serveReport),
+// so it is byte-identical whichever way it is fetched.
 func (a Attachment) Close() ([]byte, error) {
 	defer a.sess.detach()
 	rep, err := a.sess.Close()

@@ -7,9 +7,9 @@ import (
 )
 
 // SessionConfig is a client's requested engine configuration — the payload
-// of the wire protocol's Hello frame and of POST /sessions. The engine sizes
-// itself from the stream; decoding ignores unknown fields, so an old config
-// carrying "hints" or "batch_size" still opens, or recovers from disk.
+// of the wire protocol's Hello frame. The engine sizes itself from the
+// stream; decoding ignores unknown fields, so an old config carrying
+// "hints" or "batch_size" still opens, or recovers from disk.
 type SessionConfig struct {
 	// Analyses lists Table 1 analyses by display name (see race.Detectors).
 	// Empty runs the engine's default, SmartTrack-WDC.

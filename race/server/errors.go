@@ -117,7 +117,7 @@ var conditions = [...]Condition{
 	{wire.CodeUnknownSession, ErrUnknown, http.StatusNotFound, "unknown_session", RetryResume, KeepOpen,
 		"the session id is not open here (nor, on a durable server, on disk)"},
 	{wire.CodeBusy, ErrBusy, http.StatusConflict, "busy", RetryResume, KeepOpen,
-		"the session is attached to another connection or request"},
+		"the session is attached to another connection"},
 	{wire.CodeSuspended, ErrSuspended, http.StatusInternalServerError, "suspended", Resume, KeepOpen,
 		"the session was suspended for migration or shutdown"},
 	{wire.CodeEvicted, ErrEvicted, http.StatusConflict, "evicted", Resume, KeepOpen,

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -17,16 +15,12 @@ import (
 	"repro/internal/obs/tracing"
 	"repro/internal/trace"
 	"repro/internal/wire"
-	"repro/race"
 )
 
-// Handler returns the server's HTTP API:
+// Handler returns the server's HTTP API. Sessions are opened and fed over
+// the wire protocol (ServeTCP); HTTP observes and administers them:
 //
-//	POST   /sessions                 open a session (body: SessionConfig JSON)
 //	GET    /sessions                 list live session ids
-//	POST   /sessions/{id}/events     ingest raw 12-byte event records (body)
-//	POST   /sessions/{id}/flush      sync barrier; reports ingestion errors
-//	POST   /sessions/{id}/close      end the stream; returns the report JSON
 //	GET    /sessions/{id}/races      report JSON (live snapshot while open)
 //	DELETE /sessions/{id}            abort the session, discarding the report
 //	POST   /ingest                   one-shot: body is a binary trace file;
@@ -44,19 +38,9 @@ import (
 //	                                       and free its slot (migration source)
 //	POST   /admin/sessions/{id}/recover    load a session directory that appeared
 //	                                       in the data dir (migration target)
-//
-// Event bodies reuse the trace codec's record encoding, so POST
-// /sessions/{id}/events accepts exactly the bytes an Events wire frame
-// carries, and POST /ingest accepts an unmodified tracegen output file.
-// POST /sessions?id=X opens the session under the caller-chosen id X (the
-// router's consistent-hash placement key) instead of a server-assigned one.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /sessions", s.handleOpen)
 	mux.HandleFunc("GET /sessions", s.handleList)
-	mux.HandleFunc("POST /sessions/{id}/events", s.driven(handleEvents))
-	mux.HandleFunc("POST /sessions/{id}/flush", s.driven(handleFlush))
-	mux.HandleFunc("POST /sessions/{id}/close", s.driven(handleClose))
 	mux.HandleFunc("GET /sessions/{id}/races", s.handleRaces)
 	mux.HandleFunc("DELETE /sessions/{id}", s.handleAbort)
 	mux.HandleFunc("POST /ingest", s.handleIngest)
@@ -87,42 +71,6 @@ func HTTPError(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), status)
 }
 
-// driven makes a mutating request the session's driver for its duration,
-// through the door a wire connection comes in by (Attach): one session has
-// exactly one feeder at a time, whichever front end it came in through. A
-// wire connection mid-session (or a concurrent HTTP upload) answers 409 — a
-// check-then-act test would leave the whole remainder of an in-flight upload
-// free to interleave with a wire resume (DELETE stays exempt: operators may
-// abort anything).
-func (s *Server) driven(h func(http.ResponseWriter, *http.Request, Attachment)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		att, _, err := s.Attach(r.Context(), &HelloPayload{Resume: r.PathValue("id")})
-		if err != nil {
-			HTTPError(w, err)
-			return
-		}
-		defer att.release()
-		h(w, r, att)
-	}
-}
-
-func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
-	var cfg SessionConfig
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
-			http.Error(w, fmt.Sprintf("bad session config: %v", err), http.StatusBadRequest)
-			return
-		}
-	}
-	sess, err := s.open(r.URL.Query().Get("id"), cfg)
-	if err != nil {
-		openError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusCreated)
-	obs.WriteJSON(w, map[string]string{"session": sess.ID})
-}
-
 // openError maps OpenSession failures: a typed condition (full, draining,
 // shut down, id taken) keeps its row's status; anything untyped (unknown
 // analysis name, N/A Table 1 cell, invalid id) is the caller's
@@ -139,43 +87,6 @@ func openError(w http.ResponseWriter, err error) {
 // retained finished one, with state, event count, and races so far.
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	obs.WriteJSON(w, map[string]any{"sessions": s.Sessions()})
-}
-
-// handleEvents streams raw event records from the request body into the
-// session. The body length need not be known: chunked uploads work, so a
-// live client can keep one request open. It answers {"fed": n} once the
-// body is queued; the session checks the batches afterwards, on its feeder
-// goroutine, so a stream the checker refuses earns its 400 on the session's
-// next request, just as a wire events frame's refusal arrives as the error
-// frame after it. Waiting for the check here would be a flush barrier, and
-// put a journal fsync into every durable upload.
-func handleEvents(w http.ResponseWriter, r *http.Request, att Attachment) {
-	br := bufio.NewReaderSize(r.Body, 1<<16)
-	fed, readErr, err := att.ingest(func(dst []race.Event) (int, error) {
-		n, bad, err := trace.ReadRecords(br, dst, nil)
-		switch {
-		case bad >= 0:
-			err = trace.BadRecord(bad, dst[bad].Op)
-		case err != nil && err != io.EOF:
-			err = fmt.Errorf("truncated event record: %w", err)
-		}
-		return n, err
-	})
-	if readErr != nil {
-		http.Error(w, readErr.Error(), http.StatusBadRequest)
-		return
-	}
-	serveFed(w, fed, err)
-}
-
-func handleFlush(w http.ResponseWriter, r *http.Request, att Attachment) {
-	fed, err := att.Flush(tracing.FromContext(r.Context()))
-	serveFed(w, fed, err)
-}
-
-func handleClose(w http.ResponseWriter, _ *http.Request, att Attachment) {
-	doc, err := att.Close()
-	serveReport(w, doc, err)
 }
 
 // serveFed answers with the event offset an operation acknowledges, or with
@@ -260,17 +171,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, err)
 		return
 	}
-	dec := trace.NewDecoder(r.Body)
-	_, readErr, err := att.ingest(func(dst []race.Event) (int, error) {
-		for n := range dst {
-			ev, err := dec.Next()
-			if err != nil {
-				return n, err
-			}
-			dst[n] = ev
-		}
-		return len(dst), nil
-	})
+	readErr, err := att.ingest(trace.NewDecoder(r.Body))
 	if readErr != nil {
 		att.Drop(readErr)
 		http.Error(w, readErr.Error(), http.StatusBadRequest)

@@ -236,75 +236,89 @@ func TestIllFormedStreamPoisonsSessionOnly(t *testing.T) {
 	}
 }
 
-// TestHTTPAPI drives the full REST surface end to end against a generated
-// workload: open, stream events, flush, live races, close, metrics.
+// TestHTTPAPI drives the HTTP surface end to end against a session the wire
+// feeds: the listing, live races, the finished report, abort, metrics and
+// health. HTTP opens and feeds nothing: POST /sessions and the per-session
+// feed routes answer 404 or 405.
 func TestHTTPAPI(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
+	s, addr := startTCP(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	post := func(path, body string, raw []byte) *http.Response {
+	do := func(method, path string, wantStatus int, v any) []byte {
 		t.Helper()
-		var rd *bytes.Reader
-		if raw != nil {
-			rd = bytes.NewReader(raw)
-		} else {
-			rd = bytes.NewReader([]byte(body))
-		}
-		resp, err := http.Post(ts.URL+path, "application/octet-stream", rd)
+		req, err := http.NewRequest(method, ts.URL+path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp
-	}
-	decode := func(resp *http.Response, v any) {
-		t.Helper()
-		defer resp.Body.Close()
-		if resp.StatusCode >= 300 {
-			var msg bytes.Buffer
-			msg.ReadFrom(resp.Body)
-			t.Fatalf("%s %s: %s", resp.Request.Method, resp.Request.URL.Path, msg.String())
-		}
-		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("%s %s: %d %s, want %d", method, path, resp.StatusCode, body.String(), wantStatus)
+		}
+		if v != nil {
+			if err := json.Unmarshal(body.Bytes(), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return body.Bytes()
+	}
+	listed := func(id string) SessionStatus {
+		t.Helper()
+		var list struct{ Sessions []SessionStatus }
+		do("GET", "/sessions", http.StatusOK, &list)
+		for _, st := range list.Sessions {
+			if st.ID == id {
+				return st
+			}
+		}
+		t.Fatalf("GET /sessions does not list %s: %+v", id, list.Sessions)
+		return SessionStatus{}
 	}
 
-	var opened struct {
-		Session string `json:"session"`
-	}
-	decode(post("/sessions", `{"analyses":["ST-WDC","FTO-HB"]}`, nil), &opened)
-	if opened.Session == "" {
-		t.Fatal("no session id")
+	for _, path := range []string{"/sessions", "/sessions/x/events", "/sessions/x/flush", "/sessions/x/close"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s answered %d, want 404 or 405: the wire opens and feeds sessions", path, resp.StatusCode)
+		}
 	}
 
-	tr := writeWriteRace()
-	var evbody []byte
-	for _, ev := range tr.Events {
-		var rec [trace.RecordSize]byte
-		trace.PutRecord(rec[:], ev)
-		evbody = append(evbody, rec[:]...)
-	}
-	var fedResp struct {
-		Fed uint64 `json:"fed"`
-	}
-	decode(post("/sessions/"+opened.Session+"/events", "", evbody), &fedResp)
-	if fedResp.Fed != uint64(tr.Len()) {
-		t.Fatalf("fed %d, want %d", fedResp.Fed, tr.Len())
-	}
-	decode(post("/sessions/"+opened.Session+"/flush", "", nil), &fedResp)
-
-	var live struct {
-		Races []race.RaceInfo `json:"races"`
-	}
-	resp, err := http.Get(ts.URL + "/sessions/" + opened.Session + "/races")
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode(resp, &live)
-	if len(live.Races) != 2 || live.Races[0].Analysis != "ST-WDC" {
-		t.Fatalf("live races = %+v", live.Races)
+	defer c.Close()
+	rs, err := c.Open(SessionConfig{Analyses: []string{"ST-WDC", "FTO-HB"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := writeWriteRace()
+	if err := rs.FeedBatch(tr.Events); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := listed(rs.ID()); st.State != "streaming" || st.Events != uint64(tr.Len()) {
+		t.Fatalf("listing of a flushed live session = %+v, want streaming at %d events", st, tr.Len())
+	}
+
+	var live struct {
+		Fed   uint64          `json:"fed"`
+		Races []race.RaceInfo `json:"races"`
+	}
+	do("GET", "/sessions/"+rs.ID()+"/races", http.StatusOK, &live)
+	if live.Fed != uint64(tr.Len()) || len(live.Races) != 2 || live.Races[0].Analysis != "ST-WDC" {
+		t.Fatalf("live races = %+v", live)
 	}
 
 	var doc struct {
@@ -313,50 +327,53 @@ func TestHTTPAPI(t *testing.T) {
 			Dynamic  int    `json:"dynamic"`
 		} `json:"analyses"`
 	}
-	decode(post("/sessions/"+opened.Session+"/close", "", nil), &doc)
-	if len(doc.Analyses) != 2 || doc.Analyses[0].Dynamic != 1 {
-		t.Fatalf("close report = %+v", doc)
+	closed, err := rs.CloseJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(closed, &doc); err != nil || len(doc.Analyses) != 2 || doc.Analyses[0].Dynamic != 1 {
+		t.Fatalf("close report = %+v, %v", doc, err)
 	}
 
 	// After close the session no longer holds a pool slot, but its report
 	// stays queryable: GET /sessions/{id}/races now serves the canonical
-	// report JSON.
-	resp, err = http.Get(ts.URL + "/sessions/" + opened.Session + "/races")
+	// report JSON, the very bytes the close reply carried.
+	if archived := do("GET", "/sessions/"+rs.ID()+"/races", http.StatusOK, nil); !bytes.Equal(archived, closed) {
+		t.Fatalf("archived report = %s, want the close reply %s", archived, closed)
+	}
+	if st := listed(rs.ID()); st.State != "finished" || st.Races != doc.Analyses[0].Dynamic {
+		t.Fatalf("listing of a closed session = %+v, want finished with the report's %d races", st, doc.Analyses[0].Dynamic)
+	}
+
+	// DELETE aborts a live session, whoever drives it, and knows no other.
+	c2, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var archived struct {
-		Analyses []struct {
-			Analysis string `json:"analysis"`
-			Dynamic  int    `json:"dynamic"`
-		} `json:"analyses"`
+	defer c2.Close()
+	doomed, err := c2.Open(SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	decode(resp, &archived)
-	if len(archived.Analyses) != 2 || archived.Analyses[0].Dynamic != 1 {
-		t.Fatalf("archived report = %+v", archived)
+	do("DELETE", "/sessions/"+doomed.ID(), http.StatusNoContent, nil)
+	if st := listed(doomed.ID()); st.State != "failed" {
+		t.Fatalf("listing of an aborted session = %+v, want failed", st)
 	}
+	do("DELETE", "/sessions/"+doomed.ID(), http.StatusNotFound, nil)
 
 	// JSON /metrics is the registry snapshot under canonical names only.
 	var metrics map[string]any
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	decode(resp, &metrics)
+	do("GET", "/metrics", http.StatusOK, &metrics)
 	if metrics["raced_events_analyzed_total"] != float64(tr.Len()) || metrics["raced_races_total"] != float64(2) {
 		t.Fatalf("metrics = %+v", metrics)
 	}
 	if _, ok := metrics["events_total"]; ok {
 		t.Error("legacy events_total alias still served")
 	}
-	resp, err = http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var health struct {
 		OK bool `json:"ok"`
 	}
-	decode(resp, &health)
+	do("GET", "/healthz", http.StatusOK, &health)
 	if !health.OK {
 		t.Fatal("healthz not ok")
 	}
@@ -407,35 +424,31 @@ func TestHTTPIngestOneShot(t *testing.T) {
 	}
 }
 
-// TestIllFormedStreamIsBadRequest: both routes whose body is the client's
-// event stream answer a stream the checker refuses, {T0 rel m3; T1 rd x1},
-// with 400 (the client's input, not a server fault) and the checker's
-// error, under the error code its row has always had.
+// TestIllFormedStreamIsBadRequest: a stream the checker refuses, {T0 rel
+// m3; T1 rd x1}, is the client's input, not a server fault. POST /ingest,
+// whose body is the stream, answers it with 400 and the checker's error,
+// under the error code its row has always had; so does GET
+// /sessions/{id}/races on the session a wire client poisoned with it.
 func TestIllFormedStreamIsBadRequest(t *testing.T) {
-	s := New(Config{IdleTimeout: -1})
-	defer s.Close()
+	s, addr := startTCP(t, Config{IdleTimeout: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	evs := []race.Event{{T: 0, Op: race.OpRelease, Targ: 3}, {T: 1, Op: race.OpRead, Targ: 1}}
 	tr := &race.Trace{Events: evs}
 	tr.Widen(evs)
 	want := race.CheckTrace(tr).Error()
-	post := func(route, path string, body []byte, status int) {
+	refused := func(route string, resp *http.Response, err error) {
 		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
 		var msg bytes.Buffer
 		msg.ReadFrom(resp.Body)
-		if resp.StatusCode != status {
-			t.Fatalf("%s answered %d %q, want %d", route, resp.StatusCode, strings.TrimSpace(msg.String()), status)
-		}
-		if status == http.StatusBadRequest {
-			if code := resp.Header.Get(wire.ErrorCodeHeader); code != string(wire.CodeInternal) || !strings.Contains(msg.String(), want) {
-				t.Errorf("%s answered code %q, %q; want code %q and %q", route, code, strings.TrimSpace(msg.String()), wire.CodeInternal, want)
-			}
+		if code := resp.Header.Get(wire.ErrorCodeHeader); resp.StatusCode != http.StatusBadRequest ||
+			code != string(wire.CodeInternal) || !strings.Contains(msg.String(), want) {
+			t.Errorf("%s answered %d, code %q, %q; want 400, code %q and %q",
+				route, resp.StatusCode, code, strings.TrimSpace(msg.String()), wire.CodeInternal, want)
 		}
 	}
 
@@ -443,22 +456,26 @@ func TestIllFormedStreamIsBadRequest(t *testing.T) {
 	if err := race.WriteTrace(&bin, tr); err != nil {
 		t.Fatal(err)
 	}
-	post("POST /ingest", "/ingest?analysis=ST-WDC", bin.Bytes(), http.StatusBadRequest)
+	resp, err := http.Post(ts.URL+"/ingest?analysis=ST-WDC", "application/octet-stream", &bin)
+	refused("POST /ingest", resp, err)
 
-	// The session checks a batch after accepting it, so the refusal is the
-	// answer to the upload after the one that carried the stream.
-	sess, err := s.OpenSession(SessionConfig{})
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make([]byte, len(evs)*trace.RecordSize)
-	trace.PutRecords(recs, evs)
-	post("POST /sessions/{id}/events", "/sessions/"+sess.ID+"/events", recs, http.StatusOK)
-	var cerr *trace.CheckError
-	if err := sess.Flush(); !errors.As(err, &cerr) {
+	defer c.Close()
+	rs, err := c.Open(SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.FeedBatch(evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Flush(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("flush after the stream = %v, want the checker's error", err)
 	}
-	post("POST /sessions/{id}/events", "/sessions/"+sess.ID+"/events", recs, http.StatusBadRequest)
+	resp, err = http.Get(ts.URL + "/sessions/" + rs.ID() + "/races")
+	refused("GET /sessions/{id}/races", resp, err)
 }
 
 // TestServerCloseAbortsSessions: shutdown aborts every tenant and refuses
@@ -483,9 +500,9 @@ func TestServerCloseAbortsSessions(t *testing.T) {
 	}
 }
 
-// TestSessionConfigJSON pins the session config's JSON — the Hello payload,
-// the POST /sessions body and a journal's config — byte for byte: three
-// fields, each omitted at its zero value.
+// TestSessionConfigJSON pins the session config's JSON — the Hello payload
+// and a journal's config — byte for byte: three fields, each omitted at its
+// zero value.
 func TestSessionConfigJSON(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  SessionConfig
@@ -514,9 +531,9 @@ const retiredConfig = `{"parallelism":2,"batch_size":1099511627776,"hints":{"Thr
 	`"Vars":-5,"Locks":1073741824,"Volatiles":-1,"Classes":1073741824,"Events":1099511627776}}`
 
 // TestRetiredConfigFieldsIgnored: a session config that carries the retired
-// "hints" and "batch_size" fields opens through POST /sessions and a wire
-// Hello, and recovers from a session.json on a durable server; each session
-// finds the race and closes to the report the same stream earns under {}.
+// "hints" and "batch_size" fields opens through a wire Hello, and recovers
+// from a session.json on a durable server; each session finds the race and
+// closes to the report the same stream earns under {}.
 func TestRetiredConfigFieldsIgnored(t *testing.T) {
 	tr := writeWriteRace()
 	recs := wire.AppendEvents(nil, tr.Events)
@@ -540,33 +557,6 @@ func TestRetiredConfigFieldsIgnored(t *testing.T) {
 			t.Errorf("%s closed to %s, want the report under {}: %s", door, got, want)
 		}
 	}
-
-	t.Run("http", func(t *testing.T) {
-		s := New(Config{})
-		defer s.Close()
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		post := func(path string, body []byte, wantStatus int) []byte {
-			t.Helper()
-			resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var doc bytes.Buffer
-			doc.ReadFrom(resp.Body)
-			if resp.StatusCode != wantStatus {
-				t.Fatalf("POST %s: %d %s, want %d", path, resp.StatusCode, doc.Bytes(), wantStatus)
-			}
-			return doc.Bytes()
-		}
-		var opened struct{ Session string }
-		if err := json.Unmarshal(post("/sessions", []byte(retiredConfig), http.StatusCreated), &opened); err != nil {
-			t.Fatal(err)
-		}
-		post("/sessions/"+opened.Session+"/events", recs, http.StatusOK)
-		same(t, "POST /sessions", post("/sessions/"+opened.Session+"/close", nil, http.StatusOK))
-	})
 
 	t.Run("wire", func(t *testing.T) {
 		_, addr := startTCP(t, Config{})

@@ -62,7 +62,7 @@ type Session struct {
 	report     *race.Report
 	err        error
 	suspended  bool                // graceful shutdown: feeder preserves the journal
-	attached   bool                // a wire connection or HTTP mutation currently drives this session
+	attached   bool                // a driver has claimed this session (Session.claim)
 	traceCtx   tracing.SpanContext // default parent for ingest spans (the driving connection's span)
 }
 
@@ -473,8 +473,8 @@ func (sess *Session) Flush() error {
 }
 
 // FlushCtx is Flush with an explicit trace parent — the client's flush
-// span carried in the wire Flush frame, or an HTTP request span — so the
-// barrier's journal-fsync and engine-sync spans join the caller's trace.
+// span carried in the wire Flush frame — so the barrier's journal-fsync and
+// engine-sync spans join the caller's trace.
 func (sess *Session) FlushCtx(parent tracing.SpanContext) error {
 	sess.ingestMu.Lock()
 	if sess.closing {
