@@ -13,6 +13,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/race"
 )
@@ -79,25 +80,15 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	var err error
+	// The binary header carries the exact event count, so a reader refuses
+	// a file cut short, even at a record boundary.
+	write := race.WriteTrace
 	if *text {
-		err = race.WriteTraceText(w, tr)
-	} else {
-		// Stream through the encoder — the same path a live producer that
-		// never holds the whole trace would use.
-		enc := race.NewTraceEncoder(w, race.HintsOf(tr))
-		for _, e := range tr.Events {
-			if err = enc.Encode(e); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			err = enc.Close()
-		}
+		write = race.WriteTraceText
 	}
-	if err != nil {
+	if err := write(w, tr); err != nil {
 		log.Fatalf("writing trace: %v", err)
 	}
-	log.Printf("%d events, %d threads, %d vars, %d locks",
-		tr.Len(), tr.Threads, tr.Vars, tr.Locks)
+	x := trace.ExtentOf(tr.Events)
+	log.Printf("%d events, %d threads, %d vars, %d locks", tr.Len(), x.Threads, x.Vars, x.Locks)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -9,12 +10,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/race"
 )
 
 // TestGoldenOutput pins the bytes tracegen writes for one program, scale and
-// seed, in both formats. The binary digest covers the streamed file's header
-// (the id spaces race.HintsOf declares), so a change to how that header is
-// derived or encoded shows here; the text digest covers the generator.
+// seed, in both formats. The binary digest covers the file's header (magic,
+// version, exact event count), so a change to how that header is encoded
+// shows here; the text digest covers the generator. Behind the version-2
+// header the records are those version 1 wrote behind its 36 bytes (h2:
+// sha256 ac64ccc6…, figure1: 0b7ac330…), and so are the text's event lines.
 func TestGoldenOutput(t *testing.T) {
 	dir, bin := build(t)
 	for _, c := range []struct {
@@ -22,9 +27,9 @@ func TestGoldenOutput(t *testing.T) {
 		args   []string
 		digest string
 	}{
-		{"binary", []string{"-program", "h2", "-scale", "20000", "-seed", "2"}, "6f4856c8f262d12e577c8e2bb4dfe60c643e83223887949dc3d9ff5aff0390ba"},
-		{"text", []string{"-program", "h2", "-scale", "20000", "-seed", "2", "-text"}, "b89a3407e876b1264eddbfc35db843d0ce4a8c62c6538c1e4a53a3cd43a11b1b"},
-		{"figure1-binary", []string{"-figure", "figure1"}, "c81856b0abf9ae71bd783a687443a94342856cffd2454527edb07ec041fc4510"},
+		{"binary", []string{"-program", "h2", "-scale", "20000", "-seed", "2"}, "8c41fdf2c851174e848b07f573f3741d98cee45cf11b93c7ae69acd9f5d328e3"},
+		{"text", []string{"-program", "h2", "-scale", "20000", "-seed", "2", "-text"}, "992a5066d9a08054570d0920ffaea81359b94ea9edf522040ef5d8e7ee2a9a6f"},
+		{"figure1-binary", []string{"-figure", "figure1"}, "4e7a05931a25257e5459e855f14bb81333ff6ef54269c1042ab6c85341c6a3c5"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			out := filepath.Join(dir, c.name)
@@ -40,6 +45,33 @@ func TestGoldenOutput(t *testing.T) {
 				t.Errorf("tracegen %v: sha256 %s (%d bytes), want %s", c.args, got, len(data), c.digest)
 			}
 		})
+	}
+}
+
+// TestFileCutAtARecordBoundaryIsRefused: tracegen's header carries the exact
+// event count, so a file cut short is refused even when the cut falls
+// between two records, where a count found at EOF would read a shorter
+// trace as whole.
+func TestFileCutAtARecordBoundaryIsRefused(t *testing.T) {
+	dir, bin := build(t)
+	out := filepath.Join(dir, "h2.trace")
+	if msg, err := exec.Command(bin, "-program", "h2", "-scale", "20000", "-seed", "2", "-o", out).CombinedOutput(); err != nil {
+		t.Fatalf("tracegen: %v\n%s", err, msg)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header, record = 16, 12
+	n := (len(data) - header) / record
+	for _, k := range []int{0, 1, n / 2, n - 1} {
+		_, err := race.ReadTrace(bytes.NewReader(data[:header+k*record]))
+		if want := fmt.Sprintf("trace: truncated at event %d of %d", k, n); err == nil || err.Error() != want {
+			t.Errorf("cut after %d of %d events: %v, want %q", k, n, err, want)
+		}
+	}
+	if tr, err := race.ReadTrace(bytes.NewReader(data)); err != nil || tr.Len() != n {
+		t.Errorf("whole file: %v", err)
 	}
 }
 

@@ -224,8 +224,7 @@ func TestRelationAndLevelStrings(t *testing.T) {
 
 func TestRunHelper(t *testing.T) {
 	tr := &trace.Trace{
-		Events:  []trace.Event{{T: 0, Op: trace.OpWrite, Targ: 0, Loc: 1}, {T: 1, Op: trace.OpWrite, Targ: 0, Loc: 2}},
-		Threads: 2, Vars: 1,
+		Events: []trace.Event{{T: 0, Op: trace.OpWrite, Targ: 0, Loc: 1}, {T: 1, Op: trace.OpWrite, Targ: 0, Loc: 2}},
 	}
 	e, ok := Lookup(DC, Unopt)
 	if !ok {

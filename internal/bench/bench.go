@@ -109,9 +109,10 @@ type Cell struct {
 // state: its variables, locks, volatiles, and thread stacks, plus a fixed
 // runtime floor. Analysis metadata is measured on top of this, so the
 // ratios track the paper's even though the trace itself (which has no
-// analog in a live run) is excluded.
+// analog in a live run) is excluded. The counts are the ids the trace uses.
 func ProgramBytes(tr *trace.Trace) int {
-	return 16*tr.Vars + 32*tr.Locks + 16*tr.Volatiles + 4096*tr.Threads + 1<<14
+	x := trace.ExtentOf(tr.Events)
+	return 16*x.Vars + 32*x.Locks + 16*x.Volatiles + 4096*x.Threads + 1<<14
 }
 
 // ProgramResult holds all measured cells for one workload.

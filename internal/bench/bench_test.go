@@ -155,11 +155,11 @@ func TestTablesPinned(t *testing.T) {
 		{"table2", func() string { return RenderTable2(cfg) },
 			"833cba7a9211a4b248d149735b8cb20f26b19936289c1a8c8b876d5c27f8cd43"},
 		{"table3", func() string { return RenderTable3(cfg, false) },
-			"57a86a6614a74462f0d03009f59c6025bb10d714c3b1df2166d7d95f08902814"},
+			"9560a1284d605e2a3b3bcebe9584e2141e2b123fa5a19e1991c65b38e57b40c5"},
 		{"table4", func() string { return RenderTable4(cfg) },
-			"3a9cc55c2366f2f234a0058bb11d647a3a66b7883db92e8b0048d81e35a9e87f"},
+			"d0d0b1677043801df5cf071a07f972eb0db55bf9171ff9d2db5b9d299db75eb3"},
 		{"table6", func() string { return RenderTable6(cfg, false) },
-			"c2cd2b5ac00d79de3d7df50983b5a2162f910da6608ef5a0fbb2209b37070e7e"},
+			"2e671531cc715066b243e25259bbc6af369aded57494e70c032af9e3932f67ae"},
 		{"table7", func() string { return RenderTable7(cfg, false) },
 			"4abaffd37f8e087b796acc9de3a7618a20a69f9ae2e807bbb2ebc9798aa10809"},
 		{"table8", func() string { return RenderTable3(ci, true) },

@@ -115,7 +115,7 @@ func RenderTable2(cfg Config) string {
 					return fmt.Sprintf("%.2f%%", 100*float64(st.HeldAtLeast(k))/float64(n))
 				}
 				fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%s\t%s\t%s\n",
-					p.Name, tr.Threads, tr.Len(), n, pct(1), pct(2), pct(3))
+					p.Name, p.Threads, tr.Len(), n, pct(1), pct(2), pct(3))
 			}
 		})
 }

@@ -143,7 +143,7 @@ func TestRuleBBytesPerLoggedClock(t *testing.T) {
 			}
 		}
 		n := 0
-		for m := range uint32(tr.Locks) {
+		for m := range uint32(trace.ExtentOf(tr.Events).Locks) {
 			ll := sub.rb.locks.At(m)
 			for o := range ll.byOwner {
 				for i := range ll.byOwner[o].n {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/oracle"
+	"repro/internal/trace"
 	"repro/internal/vindicate"
 	"repro/internal/workload"
 )
@@ -117,7 +118,7 @@ func TestOracleRaceImpliesWDCRace(t *testing.T) {
 		for _, v := range col.RaceVars() {
 			flagged[v] = true
 		}
-		for x := uint32(0); int(x) < tr.Vars; x++ {
+		for x := range uint32(trace.ExtentOf(tr.Events).Vars) {
 			if flagged[x] {
 				continue
 			}

@@ -28,15 +28,16 @@ func renameIDs(tr *trace.Trace, seed int64, keepThreads bool) *trace.Trace {
 		}
 		return p
 	}
-	threads := perm(tr.Threads)
+	x := trace.ExtentOf(tr.Events)
+	threads := perm(x.Threads)
 	if keepThreads {
 		for i := range threads {
 			threads[i] = uint32(i)
 		}
 	}
 	target := map[trace.Op][]uint32{
-		trace.OpRead: perm(tr.Vars), trace.OpAcquire: perm(tr.Locks),
-		trace.OpVolatileRead: perm(tr.Volatiles), trace.OpClassInit: perm(tr.Classes),
+		trace.OpRead: perm(x.Vars), trace.OpAcquire: perm(x.Locks),
+		trace.OpVolatileRead: perm(x.Volatiles), trace.OpClassInit: perm(x.Classes),
 		trace.OpFork: threads,
 	}
 	for op, same := range map[trace.Op]trace.Op{
@@ -45,8 +46,7 @@ func renameIDs(tr *trace.Trace, seed int64, keepThreads bool) *trace.Trace {
 	} {
 		target[op] = target[same]
 	}
-	out := &trace.Trace{Threads: tr.Threads, Vars: tr.Vars, Locks: tr.Locks, Volatiles: tr.Volatiles, Classes: tr.Classes,
-		Events: make([]trace.Event, len(tr.Events))}
+	out := &trace.Trace{Events: make([]trace.Event, len(tr.Events))}
 	for i, e := range tr.Events {
 		e.T = trace.Tid(threads[e.T])
 		e.Targ = target[e.Op][e.Targ]

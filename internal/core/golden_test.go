@@ -27,7 +27,7 @@ func unstructure(tr *trace.Trace, seed int64) *trace.Trace {
 	r := rand.New(rand.NewSource(seed))
 	hoisted := make([]int32, len(tr.Events)) // i → 1 + index of the release emitted just before event i
 	moved := make([]bool, len(tr.Events))
-	last := make([]int, tr.Threads) // 1 + index of t's previous event when that is a release still in place
+	last := make([]int, trace.ExtentOf(tr.Events).Threads) // 1 + index of t's previous event when that is a release still in place
 	for j, e := range tr.Events {
 		i := last[e.T] - 1
 		last[e.T] = 0

@@ -50,7 +50,7 @@ func TestClocksAndReportsPinned(t *testing.T) {
 			h := fnv.New64a()
 			for i, e := range tr.Events {
 				a.HandleRun(tr.Events[i:i+1], nil)
-				p := vc.New(tr.Threads)
+				p := vc.New(trace.ExtentOf(tr.Events).Threads)
 				p.Join(a.Sub.P[e.T])
 				io.WriteString(h, p.String())
 			}

@@ -50,7 +50,8 @@ type Result struct {
 
 type searcher struct {
 	tr          *trace.Trace
-	byThread    [][]int32
+	vars        int       // variable ids tr uses
+	byThread    [][]int32 // per thread tr uses, fork and join targets included
 	posInThread []int32
 	lastWriter  []int32 // original last writer per read event
 	e1, e2      int32
@@ -80,8 +81,8 @@ func PredictableRace(tr *trace.Trace, e1, e2 int, budget Budget) Result {
 		budget:  budget.MaxStates,
 	}
 	s.index()
-	next := make([]int32, tr.Threads)
-	lastW := make([]int32, tr.Vars)
+	next := make([]int32, len(s.byThread))
+	lastW := make([]int32, s.vars)
 	for i := range lastW {
 		lastW[i] = -1
 	}
@@ -91,10 +92,12 @@ func PredictableRace(tr *trace.Trace, e1, e2 int, budget Budget) Result {
 
 func (s *searcher) index() {
 	tr := s.tr
-	s.byThread = make([][]int32, tr.Threads)
+	x := trace.ExtentOf(tr.Events)
+	s.vars = x.Vars
+	s.byThread = make([][]int32, x.Threads)
 	s.posInThread = make([]int32, tr.Len())
 	s.lastWriter = make([]int32, tr.Len())
-	lw := make([]int32, tr.Vars)
+	lw := make([]int32, s.vars)
 	for i := range lw {
 		lw[i] = -1
 	}
@@ -109,7 +112,7 @@ func (s *searcher) index() {
 			lw[e.Targ] = int32(i)
 		}
 	}
-	s.cap = make([]int32, tr.Threads)
+	s.cap = make([]int32, len(s.byThread))
 	for t := range s.cap {
 		s.cap[t] = int32(len(s.byThread[t]))
 	}
@@ -204,7 +207,7 @@ func (s *searcher) dfs(next []int32, lastW []int32) bool {
 		return true
 	}
 
-	for t := 0; t < s.tr.Threads; t++ {
+	for t := range s.byThread {
 		if next[t] >= s.cap[t] {
 			continue
 		}

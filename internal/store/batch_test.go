@@ -21,19 +21,13 @@ func referenceSegments(evs []trace.Event, segEvents int) map[string][]byte {
 		run := evs[first:min(first+segEvents, len(evs))]
 		hdr := encodeSegmentHeader(seg, uint64(first))
 		img := append([]byte(nil), hdr[:]...)
-		var sum Summary
-		var index []IndexEntry
-		for i, ev := range run {
-			if i%IndexInterval == 0 {
-				index = append(index, IndexEntry{Off: uint64(first + i), Pos: uint64(len(img))})
-			}
+		for _, ev := range run {
 			var rec [trace.RecordSize]byte
 			trace.PutRecord(rec[:], ev)
 			img = append(img, rec[:]...)
-			sum.add([]trace.Event{ev})
 		}
 		crcRec := crc32.ChecksumIEEE(img[headerSize:])
-		files[segmentName(seg)] = append(img, buildFooter(uint64(len(run)), index, sum, crcRec)...)
+		files[segmentName(seg)] = append(img, buildFooter(uint64(len(run)), crcRec)...)
 		// A run that exactly fills its segment rotates into an empty tail,
 		// which Close seals too.
 		if first += len(run); first >= len(evs) && len(run) < segEvents {
@@ -60,20 +54,19 @@ func readSegments(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestAppendBatchBytesMatchPerEventAppend: however a stream is cut into
-// batches — rotation inside a window, sparse-index entries inside a batch —
-// the segment files (records, index, summary, both CRCs) are byte for byte
-// those of one Append per record, which are those of the format's
-// definition.
+// batches — rotation inside a window, several windows in a batch — the
+// segment files (records, footer, both CRCs) are byte for byte those of one
+// Append per record, which are those of the format's definition.
 func TestAppendBatchBytesMatchPerEventAppend(t *testing.T) {
 	p, _ := workload.ProgramByName("xalan")
 	evs := p.Generate(20000, 3).Events
-	if len(evs) < 3*IndexInterval {
-		t.Fatalf("trace of %d events is too short to cross index entries", len(evs))
+	if len(evs) < 3*4096 {
+		t.Fatalf("trace of %d events is too short to cross segments", len(evs))
 	}
-	// Neither a multiple of the 1024-record window nor of IndexInterval.
+	// None a multiple of the 1024-record window.
 	for _, segEvents := range []int{5000, 4096 + 1024 + 7, len(evs) / 2} {
 		want := referenceSegments(evs, segEvents)
-		for _, batch := range []int{1, 7, 1000, trace.RecordWindow, IndexInterval + 1, 8192, len(evs)} {
+		for _, batch := range []int{1, 7, 1000, trace.RecordWindow, 4097, 8192, len(evs)} {
 			dir := t.TempDir()
 			l, err := Open(dir, Options{SegmentEvents: segEvents})
 			if err != nil {

@@ -215,15 +215,7 @@ func (l *Log) AppendBatch(evs []trace.Event) error {
 		if err := trace.WriteRecords(l.bw, run, &l.crc); err != nil {
 			return err
 		}
-		end := a.count + uint64(len(run))
-		for c := (a.count + IndexInterval - 1) / IndexInterval * IndexInterval; c < end; c += IndexInterval {
-			a.index = append(a.index, IndexEntry{
-				Off: a.first + c,
-				Pos: headerSize + c*uint64(trace.RecordSize),
-			})
-		}
-		a.sum.add(run)
-		a.count = end
+		a.count += uint64(len(run))
 		a.size += int64(len(run)) * trace.RecordSize
 		l.appended += uint64(len(run))
 		evs = evs[len(run):]

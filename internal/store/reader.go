@@ -10,19 +10,19 @@ import (
 )
 
 // Reader streams a racelog's records as decoded events. It is
-// trace.Decoder-compatible — Header declares the log's id spaces and event
-// count, Next returns events until io.EOF — so everything that consumes a
-// trace stream (racedetect's drain into race.Engine.FeedBatch, vindication
-// replay, conformance) reads a racelog unchanged.
+// trace.Decoder-compatible — Next returns events until io.EOF — so
+// everything that consumes a trace stream (racedetect's drain into
+// race.Engine.FeedBatch, vindication replay, conformance) reads a racelog
+// unchanged.
 //
 // A Reader reads a snapshot: the records present when it was created.
 // Concurrent appends to the same log are not observed.
 type Reader struct {
 	fsys  fault.FS
 	segs  []segMeta
-	hdr   trace.Header // the summary of segs
-	start uint64       // the offset the reader was opened at
-	from  uint64       // cursor: offset of the next unread event
+	total uint64 // the offset past the snapshot's last event
+	start uint64 // the offset the reader was opened at
+	from  uint64 // cursor: offset of the next unread event
 
 	cur  int
 	f    fault.File
@@ -60,18 +60,15 @@ func OpenReadAt(dir string, off uint64) (*Reader, error) {
 
 // newReader positions a reader over metas starting at event offset from.
 func newReader(fsys fault.FS, metas []segMeta, from uint64) (*Reader, error) {
-	var sum Summary
-	total := uint64(0)
+	var total uint64
 	for _, m := range metas {
-		sum.merge(m.sum)
 		total = m.last()
 	}
 	from = min(from, total)
-	r := &Reader{fsys: fsys, segs: metas, hdr: sum.Header, start: from, from: from}
+	r := &Reader{fsys: fsys, segs: metas, total: total, start: from, from: from}
 	// Locate the starting segment: the last one whose first offset is
 	// ≤ from. Within a segment the offset → position map is arithmetic
-	// over the fixed-width records (cross-checked against the sparse
-	// index at recovery).
+	// over the fixed-width records.
 	r.cur = len(metas)
 	for i, m := range metas {
 		if from < m.last() || (from == m.last() && m.count == 0) {
@@ -82,31 +79,18 @@ func newReader(fsys fault.FS, metas []segMeta, from uint64) (*Reader, error) {
 	return r, nil
 }
 
-// Header returns the log's id-space declaration and event count, derived
-// from the per-segment summaries: what ReadTrace declares its trace over.
-// The count reflects the reader's remaining stream (total minus the
-// starting offset).
-func (r *Reader) Header() (trace.Header, error) {
-	h := r.hdr
-	h.Events -= r.start
-	return h, nil
-}
-
-// ReadTrace reads a fresh reader's whole stream into one trace declared over
-// the id spaces Header reports: the stream in memory, for a consumer that
-// needs random access to it (vindication).
-func (r *Reader) ReadTrace() (*trace.Trace, error) {
-	h, _ := r.Header() // a racelog header is derived in memory and cannot fail
-	tr := &trace.Trace{Threads: h.Threads, Vars: h.Vars, Locks: h.Locks, Volatiles: h.Volatiles, Classes: h.Classes}
-	tr.Events = make([]trace.Event, h.Events)
-	for n := 0; n < tr.Len(); {
-		k, err := r.ReadBatch(tr.Events[n:])
-		if err != nil { // io.EOF included: Header counts every event the snapshot holds
+// ReadTrace reads a fresh reader's whole stream into memory, for a consumer
+// that needs random access to it (vindication).
+func (r *Reader) ReadTrace() ([]trace.Event, error) {
+	evs := make([]trace.Event, r.total-r.start)
+	for n := 0; n < len(evs); {
+		k, err := r.ReadBatch(evs[n:])
+		if err != nil { // io.EOF included: the snapshot holds every event counted
 			return nil, err
 		}
 		n += k
 	}
-	return tr, nil
+	return evs, nil
 }
 
 // open positions the file cursor at the current segment's starting record.

@@ -43,25 +43,16 @@ func parseSegmentHeader(b []byte) (seg uint32, first uint64, err error) {
 // the record/footer boundary instead of absorbing footer bytes as events.
 var footSentinel = [trace.RecordSize]byte{'R', 'L', 0xFF, 'F', 'S'}
 
-// buildFooter serializes a sealed segment's footer: sentinel, sparse
-// index, summary, trailer. crcRec is the CRC-32 of the segment's record
-// bytes.
-func buildFooter(count uint64, index []IndexEntry, sum Summary, crcRec uint32) []byte {
-	footLen := len(footSentinel) + len(index)*indexEntrySz + summarySize + trailerSize
+// buildFooter serializes a sealed segment's footer: sentinel, trailer.
+// crcRec is the CRC-32 of the segment's record bytes.
+func buildFooter(count uint64, crcRec uint32) []byte {
+	footLen := len(footSentinel) + trailerSize
 	out := make([]byte, 0, footLen)
 	out = append(out, footSentinel[:]...)
-	for _, e := range index {
-		var b [indexEntrySz]byte
-		binary.LittleEndian.PutUint64(b[0:], e.Off)
-		binary.LittleEndian.PutUint64(b[8:], e.Pos)
-		out = append(out, b[:]...)
-	}
-	out = appendSummary(out, sum)
 	crcMeta := crc32.ChecksumIEEE(out)
 	var tr [trailerSize]byte
 	copy(tr[0:4], footMagic)
 	binary.LittleEndian.PutUint64(tr[4:], count)
-	binary.LittleEndian.PutUint32(tr[12:], uint32(len(index)))
 	binary.LittleEndian.PutUint32(tr[16:], crcRec)
 	binary.LittleEndian.PutUint32(tr[20:], crcMeta)
 	binary.LittleEndian.PutUint32(tr[24:], uint32(footLen))
@@ -76,8 +67,6 @@ type segMeta struct {
 	first  uint64
 	count  uint64
 	sealed bool
-	sum    Summary
-	index  []IndexEntry
 	// crcRec is the CRC-32 of the count valid records — from the trailer
 	// for verified seals, recomputed by the scan otherwise — so a
 	// reopened tail can resume its running CRC without re-reading disk.
@@ -119,10 +108,10 @@ func decodeSegment(data []byte, wantSeg uint32, wantFirst uint64) (segMeta, bool
 }
 
 // parseSealed attempts to verify data as a sealed segment. verified is
-// true only when the trailer geometry is consistent, both CRCs match, the
-// summary parses, and the sparse index agrees with the fixed-width
-// arithmetic. recEnd > 0 reports a geometrically plausible (sizes line up)
-// but unverified seal's record-region end, the scan bound for recovery.
+// true only when the trailer geometry is consistent, both CRCs match and
+// the footer opens with the sentinel. recEnd > 0 reports a geometrically
+// plausible (sizes line up) but unverified seal's record-region end, the
+// scan bound for recovery.
 func parseSealed(data []byte, m *segMeta) (verified bool, recEnd int) {
 	if len(data) < headerSize+trailerSize {
 		return false, 0
@@ -132,12 +121,10 @@ func parseSealed(data []byte, m *segMeta) (verified bool, recEnd int) {
 		return false, 0
 	}
 	count := binary.LittleEndian.Uint64(tr[4:])
-	indexCount := binary.LittleEndian.Uint32(tr[12:])
 	crcRec := binary.LittleEndian.Uint32(tr[16:])
 	crcMeta := binary.LittleEndian.Uint32(tr[20:])
 	footLen := binary.LittleEndian.Uint32(tr[24:])
-	wantFoot := uint64(len(footSentinel)) + uint64(indexCount)*indexEntrySz + summarySize + trailerSize
-	if uint64(footLen) != wantFoot {
+	if footLen < uint32(len(footSentinel)+trailerSize) {
 		return false, 0
 	}
 	// Guard the arithmetic below against a hostile count overflowing u64.
@@ -159,38 +146,16 @@ func parseSealed(data []byte, m *segMeta) (verified bool, recEnd int) {
 	if [trace.RecordSize]byte(foot[:len(footSentinel)]) != footSentinel {
 		return false, end
 	}
-	entries := foot[len(footSentinel):]
-	index := make([]IndexEntry, indexCount)
-	for i := range index {
-		index[i].Off = binary.LittleEndian.Uint64(entries[i*indexEntrySz:])
-		index[i].Pos = binary.LittleEndian.Uint64(entries[i*indexEntrySz+8:])
-	}
-	sum, err := parseSummary(entries[int(indexCount)*indexEntrySz:], count)
-	if err != nil {
-		return false, end
-	}
-	// Cross-check the sparse index against the fixed-width arithmetic the
-	// readers rely on.
-	for i, e := range index {
-		wantOff := m.first + uint64(i)*IndexInterval
-		wantPos := headerSize + uint64(i)*IndexInterval*uint64(trace.RecordSize)
-		if e.Off != wantOff || e.Pos != wantPos {
-			return false, end
-		}
-	}
 	m.count = count
 	m.sealed = true
-	m.sum = sum
-	m.index = index
 	m.crcRec = crcRec
 	m.size = int64(total)
 	return true, end
 }
 
 // scanRecords recovers a segment's torn tail: it walks the record region
-// validating each fixed-width record, stops at the first invalid or
-// partial one, and rebuilds the summary and sparse index of the valid
-// prefix in memory.
+// validating each fixed-width record and stops at the first invalid or
+// partial one.
 func scanRecords(data []byte, m *segMeta) {
 	body := data[min(headerSize, len(data)):]
 	// A footer that failed verification is indistinguishable from torn
@@ -200,18 +165,9 @@ func scanRecords(data []byte, m *segMeta) {
 	n := uint64(len(body) / trace.RecordSize)
 	var count uint64
 	for count = 0; count < n; count++ {
-		rec := body[count*uint64(trace.RecordSize):]
-		ev, err := trace.GetRecord(rec)
-		if err != nil {
+		if _, err := trace.GetRecord(body[count*uint64(trace.RecordSize):]); err != nil {
 			break
 		}
-		if count%IndexInterval == 0 {
-			m.index = append(m.index, IndexEntry{
-				Off: m.first + count,
-				Pos: headerSize + count*uint64(trace.RecordSize),
-			})
-		}
-		m.sum.add([]trace.Event{ev})
 	}
 	m.count = count
 	m.sealed = false
@@ -231,11 +187,10 @@ func recoverSegment(fsys fault.FS, path string, wantSeg uint32, wantFirst uint64
 	return m, ok, nil
 }
 
-// writeSealedFrom seals an unsealed-but-valid segment image in place by
-// appending its footer (used when recovery needs to seal a recovered tail
-// before continuing in a fresh segment, and by Log.seal at rotation).
+// appendFooterFile seals the segment m describes by appending its footer to
+// f (Log.seal, at rotation and Close).
 func appendFooterFile(f fault.File, m *segMeta, crcRec uint32) error {
-	foot := buildFooter(m.count, m.index, m.sum, crcRec)
+	foot := buildFooter(m.count, crcRec)
 	if _, err := f.Write(foot); err != nil {
 		return err
 	}

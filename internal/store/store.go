@@ -27,20 +27,19 @@
 //	                            recovery scan stops exactly at the
 //	                            record/footer boundary even when the
 //	                            trailer is damaged
-//	  sparse index              m × 16 bytes: event offset u64 LE,
-//	                            file position u64 LE — one entry per
-//	                            IndexInterval records
-//	  summary (104 bytes)       per-op record counts (10 × u64 LE) plus
-//	                            observed id-space sizes: threads, vars,
-//	                            locks, volatiles, classes, pad (6 × u32 LE)
 //	  trailer (32 bytes)
 //	    magic    "RLFT"         4 bytes
 //	    count    u64 LE         record count
-//	    index    u32 LE         sparse-index entry count
+//	    pad      u32 LE         reserved, zero
 //	    crcRec   u32 LE         CRC-32 (IEEE) of the record bytes
-//	    crcMeta  u32 LE         CRC-32 (IEEE) of index + summary bytes
+//	    crcMeta  u32 LE         CRC-32 (IEEE) of the footer before the
+//	                            trailer
 //	    footLen  u32 LE         total footer length, trailer included
 //	    pad      u32 LE         reserved, zero
+//
+// Bytes between the sentinel and the trailer are opaque metadata under
+// crcMeta: a footer written by an earlier layout, which kept a sparse index
+// and per-op counts there, verifies as sealed by the same parse.
 //
 // Only the last segment of a log may be unsealed (no footer): it is the
 // active tail being appended to. Sealed segments are immutable and fully
@@ -48,9 +47,7 @@
 // before the next one is created.
 //
 // Because records are fixed width, the event-offset → file-position map
-// inside a segment is arithmetic (header + (off−first)·12); the sparse
-// index entries make sealed segments self-describing and let recovery
-// cross-check the arithmetic against what was actually written.
+// inside a segment is arithmetic: header + (off−first)·12.
 //
 // # Crash safety
 //
@@ -68,27 +65,18 @@
 package store
 
 import (
-	"encoding/binary"
-	"fmt"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 const (
-	segMagic     = "RLSG"
-	footMagic    = "RLFT"
-	version      = 1
-	headerSize   = 24
-	trailerSize  = 32
-	summarySize  = 10*8 + 6*4
-	indexEntrySz = 16
-
-	// IndexInterval is the record spacing of a sealed segment's sparse
-	// index entries.
-	IndexInterval = 4096
+	segMagic    = "RLSG"
+	footMagic   = "RLFT"
+	version     = 1
+	headerSize  = 24
+	trailerSize = 32
 )
 
 // DefaultSegmentEvents is the rotation threshold when Options.SegmentEvents
@@ -151,73 +139,4 @@ func (m *Metrics) sync(d time.Duration) {
 	if m != nil && m.SyncSeconds != nil {
 		m.SyncSeconds.ObserveDuration(d)
 	}
-}
-
-// Summary aggregates what a range of records contains: per-op counts, and
-// a trace header — the event count and the sizes of the id spaces the events
-// touch (max id + 1) — which a Reader serves as the log's Header.
-type Summary struct {
-	OpCounts [10]uint64
-	trace.Header
-}
-
-// add folds a run of records into s.
-func (s *Summary) add(run []trace.Event) {
-	for _, ev := range run {
-		if int(ev.Op) < len(s.OpCounts) {
-			s.OpCounts[ev.Op]++
-		}
-	}
-	s.Events += uint64(len(run))
-	s.Widen(run)
-}
-
-// merge folds o into s.
-func (s *Summary) merge(o Summary) {
-	for i := range s.OpCounts {
-		s.OpCounts[i] += o.OpCounts[i]
-	}
-	s.Events += o.Events
-	s.Threads = max(s.Threads, o.Threads)
-	s.Vars = max(s.Vars, o.Vars)
-	s.Locks = max(s.Locks, o.Locks)
-	s.Volatiles = max(s.Volatiles, o.Volatiles)
-	s.Classes = max(s.Classes, o.Classes)
-}
-
-// appendSummary serializes s (without the Events count, which the trailer
-// carries) into the footer encoding.
-func appendSummary(dst []byte, s Summary) []byte {
-	var b [summarySize]byte
-	for i, c := range s.OpCounts {
-		binary.LittleEndian.PutUint64(b[i*8:], c)
-	}
-	off := 10 * 8
-	for i, v := range []int{s.Threads, s.Vars, s.Locks, s.Volatiles, s.Classes, 0} {
-		binary.LittleEndian.PutUint32(b[off+i*4:], uint32(v))
-	}
-	return append(dst, b[:]...)
-}
-
-// parseSummary decodes the footer summary encoding.
-func parseSummary(b []byte, count uint64) (Summary, error) {
-	if len(b) != summarySize {
-		return Summary{}, fmt.Errorf("store: summary is %d bytes, want %d", len(b), summarySize)
-	}
-	var s Summary
-	for i := range s.OpCounts {
-		s.OpCounts[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	s.Events = count
-	for i, n := range [...]*int{&s.Threads, &s.Vars, &s.Locks, &s.Volatiles, &s.Classes} {
-		*n = int(binary.LittleEndian.Uint32(b[10*8+i*4:]))
-	}
-	return s, nil
-}
-
-// IndexEntry is one sparse-index point: the record at event offset Off
-// starts at byte Pos of its segment file.
-type IndexEntry struct {
-	Off uint64
-	Pos uint64
 }

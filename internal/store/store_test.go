@@ -25,7 +25,7 @@ func genEvents(n int) []trace.Event {
 }
 
 // logEvents is the log's record count, buffered appends included, as a
-// reader over it declares it.
+// reader over it reads it.
 func logEvents(t *testing.T, l *Log) uint64 {
 	t.Helper()
 	r, err := l.Reader()
@@ -33,8 +33,11 @@ func logEvents(t *testing.T, l *Log) uint64 {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	h, _ := r.Header()
-	return h.Events
+	evs, err := r.ReadTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uint64(len(evs))
 }
 
 // drain reads a reader to EOF.
@@ -93,15 +96,6 @@ func TestRoundTripAcrossRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	eventsEqual(t, drain(t, r), evs)
-	h, err := r.Header()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fork/join events (ops 4 and 5) widen the thread space with their
-	// targets, so threads covers both executing tids and fork targets.
-	if h.Events != 1000 || h.Threads != 23 || h.Vars != 23 || h.Locks != 23 {
-		t.Fatalf("header %+v", h)
-	}
 
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -132,10 +126,14 @@ func TestReaderAt(t *testing.T) {
 		}
 		want := evs[min(int(off), len(evs)):]
 		eventsEqual(t, drain(t, r), want)
-		h, _ := r.Header()
-		if h.Events != uint64(len(want)) {
-			t.Fatalf("ReaderAt(%d) header events %d, want %d", off, h.Events, len(want))
+		if r, err = l.ReaderAt(off); err != nil {
+			t.Fatal(err)
 		}
+		got, err := r.ReadTrace()
+		if err != nil {
+			t.Fatalf("ReaderAt(%d).ReadTrace: %v", off, err)
+		}
+		eventsEqual(t, got, want)
 	}
 }
 
@@ -213,8 +211,8 @@ func TestReopenAfterCleanClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	eventsEqual(t, drain(t, r), evs)
-	if got := r.hdr.Events; got != 100 {
-		t.Fatalf("summary events %d, want 100", got)
+	if got := r.total; got != 100 {
+		t.Fatalf("reader counts %d events, want 100", got)
 	}
 }
 

@@ -146,12 +146,7 @@ func (b *Builder) Wait(thread, m string) *Builder {
 // Build finalizes the trace.
 func (b *Builder) Build() *Trace {
 	return &Trace{
-		Events:    b.events,
-		Threads:   len(b.threads.names),
-		Vars:      len(b.vars.names),
-		Locks:     len(b.locks.names),
-		Volatiles: len(b.vols.names),
-		Classes:   len(b.classes.names),
+		Events: b.events,
 		Names: &NameTable{
 			Threads:   b.threads.names,
 			Vars:      b.vars.names,

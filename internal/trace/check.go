@@ -15,7 +15,6 @@ func (e *CheckError) Error() string {
 
 // Check verifies the well-formedness rules the paper's formalism assumes:
 //
-//   - every id is within the trace's declared id spaces;
 //   - a thread only acquires a lock that is not held, and only releases a
 //     lock it holds (critical sections are non-reentrant and properly
 //     nested per lock);
@@ -25,45 +24,13 @@ func (e *CheckError) Error() string {
 //   - fork and join targets are threads, never the acting thread itself,
 //     and forked or joined at most once.
 //
-// It is two passes: the declared-range pass, then the streaming Checker
-// over the events before the first id out of range, so the Checker's
-// tables never grow past the declared spaces. The earlier of the passes'
-// first violations is the error, a *CheckError; a thread that runs before
+// It is the streaming Checker over the events: any id is in range, and the
+// first violation is the error, a *CheckError; a thread that runs before
 // its fork is reported at the fork. It returns nil if the trace is well
 // formed.
 func Check(tr *Trace) error {
-	spaces := tr.spaces()
-	var bound [numOps]int // per op: the size of its target's id space
-	for op, s := range targetSpace {
-		bound[op] = *spaces[s]
-	}
-	in := len(tr.Events)
-	for i, e := range tr.Events {
-		if int(e.T) >= tr.Threads || e.Op < numOps && int(e.Targ) >= bound[e.Op] {
-			in = i
-			break
-		}
-	}
-	if _, err := NewChecker().Run(tr.Events[:in]); err != nil {
-		return err
-	}
-	if in == len(tr.Events) {
-		return nil
-	}
-	e := tr.Events[in]
-	s, what := threadSpace, "thread"
-	switch {
-	case int(e.T) >= tr.Threads:
-	case e.Op == OpFork:
-		what = "forked thread"
-	case e.Op == OpJoin:
-		what = "joined thread"
-	default:
-		s = targetSpace[e.Op]
-		what = spaceNames[s]
-	}
-	return &CheckError{Index: in, Event: e,
-		Msg: fmt.Sprintf("%s id out of range (%s=%d)", what, spaceFields[s], *spaces[s])}
+	_, err := NewChecker().Run(tr.Events)
+	return err
 }
 
 // MustCheck panics if tr is not well formed; intended for tests and for the
@@ -76,11 +43,10 @@ func MustCheck(tr *Trace) *Trace {
 }
 
 // Checker verifies well-formedness incrementally, one event at a time, for
-// streams whose length and id spaces are not known up front. It holds the
+// streams whose length is not known up front. It holds the
 // locking-discipline and thread-lifecycle rules, the one copy of them:
-// Check runs it after its range pass, and vindication's witness check runs
-// it too. Ids are unchecked against any declaration (streams declare hints,
-// not bounds), but a fork or join target must fit a thread id. A thread is
+// Check runs it, and vindication's witness check runs it too. Any id is in
+// range, but a fork or join target must fit a thread id. A thread is
 // started at its first event, so one that runs before its fork is an error
 // at the fork ("fork of thread Tn that already ran").
 //

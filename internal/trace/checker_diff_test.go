@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -336,10 +335,9 @@ func TestCheckerMatchesReferenceModel(t *testing.T) {
 }
 
 // TestCheckAgreesWithChecker: the batch Check and the streaming Checker
-// enforce one rule set. Over the corpus and every mutation of it, Check —
-// given id spaces widened over the stream, as the Checker checks no ranges —
-// rejects a stream with exactly the *CheckError the Checker rejects it with,
-// and accepts it exactly when the Checker accepts every event of it.
+// enforce one rule set. Over the corpus and every mutation of it, Check
+// rejects a stream with exactly the *CheckError the Checker's Step rejects
+// it with, and accepts it exactly when Step accepts every event of it.
 func TestCheckAgreesWithChecker(t *testing.T) {
 	const trials = 25
 	for seed := int64(1); seed <= 4; seed++ {
@@ -370,7 +368,7 @@ func agree(t *testing.T, name string, evs []trace.Event) {
 			break
 		}
 	}
-	batchErr := trace.Check(widened(evs))
+	batchErr := trace.Check(&trace.Trace{Events: evs})
 	var s, b *trace.CheckError
 	if (streamErr == nil) != (batchErr == nil) ||
 		streamErr != nil && (!errors.As(streamErr, &s) || !errors.As(batchErr, &b) || *s != *b) {
@@ -378,38 +376,8 @@ func agree(t *testing.T, name string, evs []trace.Event) {
 	}
 }
 
-// widened is evs as a trace whose declared id spaces just cover its ids.
-func widened(evs []trace.Event) *trace.Trace {
-	tr := &trace.Trace{Events: evs}
-	for _, e := range evs {
-		tr.Threads = max(tr.Threads, int(e.T)+1)
-		if n := declared(tr, e.Op); n != nil {
-			*n = max(*n, int(e.Targ)+1)
-		}
-	}
-	return tr
-}
-
-// declared is the field of tr declaring the id space op's target names, or
-// nil for an unknown op: the test's own copy of the op → id-space map.
-func declared(tr *trace.Trace, op trace.Op) *int {
-	switch op {
-	case trace.OpRead, trace.OpWrite:
-		return &tr.Vars
-	case trace.OpAcquire, trace.OpRelease:
-		return &tr.Locks
-	case trace.OpFork, trace.OpJoin:
-		return &tr.Threads
-	case trace.OpVolatileRead, trace.OpVolatileWrite:
-		return &tr.Volatiles
-	case trace.OpClassInit, trace.OpClassAccess:
-		return &tr.Classes
-	}
-	return nil
-}
-
-// fuzzTrace decodes a trace from fuzz bytes: five declared id spaces of up
-// to 255 ids, then events of three bytes — thread, flags, target — where
+// fuzzTrace decodes a trace from fuzz bytes: events of three bytes —
+// thread, flags, target — where
 // flag bits 0–3 are the op (10–15 unknown), bit 4 widens the thread to two
 // bytes and bit 5 the target to four, so ids reach 2¹⁶ and 2³².
 func fuzzTrace(data []byte) *trace.Trace {
@@ -421,8 +389,7 @@ func fuzzTrace(data []byte) *trace.Trace {
 		}
 		return v
 	}
-	tr := &trace.Trace{Threads: int(next(1)), Vars: int(next(1)), Locks: int(next(1)),
-		Volatiles: int(next(1)), Classes: int(next(1))}
+	tr := &trace.Trace{}
 	for len(data) > 0 {
 		t := next(1)
 		flags := next(1)
@@ -438,35 +405,30 @@ func fuzzTrace(data []byte) *trace.Trace {
 	return tr
 }
 
-// FuzzCheck holds Check to its two passes: it rejects at whichever comes
-// first, the first event with an id outside the declared spaces or
-// refChecker's first rejection, and only the range pass sees out-of-range
-// ids. The Checker grows its tables to every id it is shown, so a call
-// allocating 1 MiB or more means it was shown one past the declared spaces
-// (at most 255 ids each).
+// FuzzCheck holds Check to refChecker: the same verdict, and on rejection
+// the same *CheckError. Any id is in range, and the Checker's tables cost a
+// page per id touched, not a table reaching out to the id: a call allocating
+// more than the thread table's growth (one byte per thread id, made at twice
+// the length asked for, so under 256 KiB in all) plus 512 bytes an event
+// means a far id cost more than its page.
 func FuzzCheck(f *testing.F) {
 	ev := func(t, flags byte, targ ...byte) []byte { return append([]byte{t, flags}, targ...) }
-	spaces := []byte{3, 2, 2, 1, 1}
 	for _, evs := range [][][]byte{
 		{ev(0, 0x4, 1), ev(1, 0x2, 0), ev(1, 0x1, 1), ev(1, 0x3, 0), ev(0, 0x5, 1), ev(0, 0x0, 1)}, // well formed
 		{ev(0, 0x22, 0, 0, 0x40, 0), ev(0, 0x3, 1)},                                                // lock 1<<22, then a release of an unheld lock
 		{ev(0, 0x0, 0), ev(0, 0x24, 1, 0, 1, 0)},                                                   // fork of 65537, truncated T1
 		{ev(2, 0x1, 0), ev(0, 0x4, 2), ev(0, 0x5, 2)},                                              // T2 runs before its fork
-		{ev(0, 0x2, 1), ev(7, 0x1, 0)},                                                             // thread past the declared ones
+		{ev(0, 0x2, 1), ev(7, 0x1, 0)},                                                             // a thread no earlier event named
 		{ev(0, 0x2, 0), ev(0, 0x2, 0)},                                                             // reentrant acquire
 		{ev(1, 0xc, 0)},                                                                            // unknown op
 	} {
-		f.Add(append(append([]byte{}, spaces...), bytes.Join(evs, nil)...))
+		f.Add(bytes.Join(evs, nil))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := fuzzTrace(data)
 		var want error
 		ref := newRefChecker()
-		for i, e := range tr.Events {
-			if n := declared(tr, e.Op); int(e.T) >= tr.Threads || n != nil && int(e.Targ) >= *n {
-				want = &trace.CheckError{Index: i, Event: e, Msg: "an id out of range"}
-				break
-			}
+		for _, e := range tr.Events {
 			if want = ref.Step(e); want != nil {
 				break
 			}
@@ -475,8 +437,8 @@ func FuzzCheck(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		got := trace.Check(tr)
 		runtime.ReadMemStats(&after)
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-			t.Errorf("Check allocated %d bytes: the Checker saw an id past the declared spaces", alloc)
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(4<<16+512*len(tr.Events)); alloc > bound {
+			t.Errorf("Check allocated %d bytes over %d events (bound %d): a far id cost more than its page", alloc, len(tr.Events), bound)
 		}
 		var g, w *trace.CheckError
 		switch {
@@ -485,10 +447,6 @@ func FuzzCheck(f *testing.F) {
 		case got == nil:
 		case !errors.As(got, &g) || !errors.As(want, &w):
 			t.Fatalf("Check = %v (%T), want a *CheckError", got, got)
-		case w.Msg == "an id out of range":
-			if g.Index != w.Index || g.Event != w.Event || !strings.Contains(g.Msg, " id out of range") {
-				t.Fatalf("Check = %v, want the range error at event %d (%v)", got, w.Index, w.Event)
-			}
 		case *g != *w:
 			t.Fatalf("Check = %v, want %v", got, want)
 		}

@@ -79,7 +79,7 @@ func (o Op) IsAccess() bool { return o == OpRead || o == OpWrite }
 // event that increments the executing thread's logical clock.
 func (o Op) IsSync() bool { return !o.IsAccess() }
 
-// The id spaces of a trace, in the order Trace and Header declare them.
+// The id spaces an event's target can name.
 const (
 	threadSpace = iota
 	varSpace
@@ -90,7 +90,7 @@ const (
 )
 
 // targetSpace is the id space each op's target names: the one map from op
-// to id space, read by Check's range pass, widening and Event.String.
+// to id space, read by ExtentOf and Event.String.
 var targetSpace = [numOps]int{
 	OpRead: varSpace, OpWrite: varSpace,
 	OpAcquire: lockSpace, OpRelease: lockSpace,
@@ -99,25 +99,8 @@ var targetSpace = [numOps]int{
 	OpClassInit: classSpace, OpClassAccess: classSpace,
 }
 
-// Per id space: its name in Check's errors, the field declaring it, and
-// its letter in Event.String.
-var (
-	spaceNames  = [numSpaces]string{"thread", "variable", "lock", "volatile", "class"}
-	spaceFields = [numSpaces]string{"Threads", "Vars", "Locks", "Volatiles", "Classes"}
-	spaceLetter = [numSpaces]byte{'T', 'x', 'm', 'v', 'c'}
-)
-
-// widen grows the id-space sizes sizes, indexed by space, to cover every id
-// evs use.
-func widen(sizes [numSpaces]*int, evs []Event) {
-	for _, e := range evs {
-		*sizes[threadSpace] = max(*sizes[threadSpace], int(e.T)+1)
-		if e.Op < numOps {
-			n := sizes[targetSpace[e.Op]]
-			*n = max(*n, int(e.Targ)+1)
-		}
-	}
-}
+// spaceLetter is each id space's letter in Event.String.
+var spaceLetter = [numSpaces]byte{'T', 'x', 'm', 'v', 'c'}
 
 // Loc is a static program location (source site). Race reports are
 // deduplicated by Loc to produce the paper's "statically distinct" counts.
@@ -149,38 +132,33 @@ func (e Event) String() string {
 	return s
 }
 
-// Trace is a totally ordered event list plus the sizes of its id spaces.
-// The order of Events is the observed linearization <tr.
+// Trace is a totally ordered event list: the observed linearization <tr.
+// Its ids are its declaration; ExtentOf derives how many of each it uses.
 type Trace struct {
 	Events []Event
-
-	// Threads, Vars, Locks, Volatiles, Classes are the number of distinct
-	// ids of each kind (ids are dense in [0, N)).
-	Threads   int
-	Vars      int
-	Locks     int
-	Volatiles int
-	Classes   int
 
 	// Names optionally maps interned builder names back to ids for
 	// debugging; nil for generated traces.
 	Names *NameTable
 }
 
-// spaces returns the trace's id-space sizes, indexed by space.
-func (tr *Trace) spaces() [numSpaces]*int {
-	return [...]*int{&tr.Threads, &tr.Vars, &tr.Locks, &tr.Volatiles, &tr.Classes}
+// Extent is how many ids of each kind a run of events uses: the largest id
+// plus one, a fork or join target counting as a thread.
+type Extent struct {
+	Threads, Vars, Locks, Volatiles, Classes int
 }
 
-// Widen grows the trace's declared id spaces to cover every id evs use
-// (streamed headers carry hints, not bounds).
-func (tr *Trace) Widen(evs []Event) { widen(tr.spaces(), evs) }
-
-// Header is the trace's id-space declaration: its id spaces and its exact
-// event count.
-func (tr *Trace) Header() Header {
-	return Header{Threads: tr.Threads, Vars: tr.Vars, Locks: tr.Locks, Volatiles: tr.Volatiles,
-		Classes: tr.Classes, Events: uint64(len(tr.Events))}
+// ExtentOf derives the extent of evs.
+func ExtentOf(evs []Event) Extent {
+	var n [numSpaces]int
+	for _, e := range evs {
+		n[threadSpace] = max(n[threadSpace], int(e.T)+1)
+		if e.Op < numOps {
+			s := targetSpace[e.Op]
+			n[s] = max(n[s], int(e.Targ)+1)
+		}
+	}
+	return Extent{n[threadSpace], n[varSpace], n[lockSpace], n[volatileSpace], n[classSpace]}
 }
 
 // NameTable records the human-readable names used by a Builder.

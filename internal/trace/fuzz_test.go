@@ -31,14 +31,13 @@ func fuzzSeedTraces() []*Trace {
 			{T: 0, Op: OpVolatileRead, Targ: 1},
 			{T: 0, Op: OpJoin, Targ: 1},
 		},
-		Threads: 2, Volatiles: 2, Classes: 1,
 	})
 	return out
 }
 
 // FuzzTextDecoder checks the text codec round-trip property on arbitrary
 // inputs: any input the decoder accepts must re-encode (WriteText) and
-// re-decode (TextDecoder) to the identical header and event sequence —
+// re-decode (TextDecoder) to the identical event sequence —
 // decode ∘ encode ∘ decode = decode. Inputs the decoder rejects must be
 // rejected with an error, never a panic, and the streaming decoder must
 // agree with the batch reader event for event.
@@ -64,14 +63,6 @@ func FuzzTextDecoder(f *testing.F) {
 
 		// The streaming decoder must agree with the batch reader.
 		d := NewTextDecoder(bytes.NewReader(data))
-		h, err := d.Header()
-		if err != nil {
-			t.Fatalf("batch accepted but streaming header failed: %v", err)
-		}
-		if h.Threads != tr1.Threads || h.Vars != tr1.Vars || h.Locks != tr1.Locks ||
-			h.Volatiles != tr1.Volatiles || h.Classes != tr1.Classes {
-			t.Fatalf("streaming header %+v != batch trace spaces %+v", h, tr1)
-		}
 		for i := 0; ; i++ {
 			ev, err := d.Next()
 			if err == io.EOF {
@@ -96,10 +87,6 @@ func FuzzTextDecoder(f *testing.F) {
 		tr2, err := ReadText(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v\nencoded:\n%s", err, buf.Bytes())
-		}
-		if tr2.Threads != tr1.Threads || tr2.Vars != tr1.Vars || tr2.Locks != tr1.Locks ||
-			tr2.Volatiles != tr1.Volatiles || tr2.Classes != tr1.Classes {
-			t.Fatalf("round-trip changed id spaces: %+v -> %+v", tr1, tr2)
 		}
 		if len(tr2.Events) != len(tr1.Events) {
 			t.Fatalf("round-trip changed event count: %d -> %d", len(tr1.Events), len(tr2.Events))

@@ -13,33 +13,11 @@ import (
 // writes the exact count instead.
 const streamCount = ^uint64(0)
 
-// Header is the id-space declaration at the front of a serialized trace
-// (Trace.Header derives a complete trace's). In a streamed trace the id
-// spaces are what the producer declared, possibly zero, not bounds: the
-// events that follow may introduce larger ids, and readers widen to them.
-// No analysis reads a header; analyses size themselves to the ids fed.
-type Header struct {
-	Threads, Vars, Locks, Volatiles, Classes int
-	// Events is the declared event count, or Unbounded for a stream whose
-	// length is discovered at EOF.
-	Events uint64
-}
-
-// Unbounded marks a header whose event count is unknown (streamed output).
-const Unbounded = streamCount
-
-// Widen grows h's id spaces to cover every id evs use. Events stays as is.
-func (h *Header) Widen(evs []Event) {
-	widen([...]*int{&h.Threads, &h.Vars, &h.Locks, &h.Volatiles, &h.Classes}, evs)
-}
-
-// encode is h in the binary format, magic and version first.
-func (h Header) encode() []byte {
+// encodeHeader is the binary header over count events: magic, version and
+// count.
+func encodeHeader(count uint64) []byte {
 	b := binary.LittleEndian.AppendUint32([]byte(binMagic), binVersion)
-	for _, n := range [...]int{h.Threads, h.Vars, h.Locks, h.Volatiles, h.Classes} {
-		b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	}
-	return binary.LittleEndian.AppendUint64(b, h.Events)
+	return binary.LittleEndian.AppendUint64(b, count)
 }
 
 // Decoder reads a binary trace incrementally, one event per Next call,
@@ -53,7 +31,7 @@ func (h Header) encode() []byte {
 // served as they arrive.
 type Decoder struct {
 	br      *bufio.Reader
-	hdr     Header
+	count   uint64 // the header's event count, or streamCount
 	hdrRead bool
 	read    uint64  // events served
 	buf     []Event // the window's storage
@@ -63,7 +41,7 @@ type Decoder struct {
 }
 
 // NewDecoder returns a decoder reading the binary format from r. The
-// header is read lazily on the first Header or Next call.
+// header is read lazily on the first Next call.
 func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{br: bufio.NewReaderSize(r, 1<<16)}
 }
@@ -81,7 +59,7 @@ func (d *Decoder) readHeader() error {
 		d.err = fmt.Errorf("trace: bad magic %q", magic)
 		return d.err
 	}
-	hdr := make([]byte, 4*6+8)
+	hdr := make([]byte, headerSize-len(binMagic))
 	if _, err := io.ReadFull(d.br, hdr); err != nil {
 		d.err = fmt.Errorf("trace: reading header: %w", err)
 		return d.err
@@ -90,25 +68,9 @@ func (d *Decoder) readHeader() error {
 		d.err = fmt.Errorf("trace: unsupported version %d", v)
 		return d.err
 	}
-	d.hdr = Header{
-		Threads:   int(binary.LittleEndian.Uint32(hdr[4:])),
-		Vars:      int(binary.LittleEndian.Uint32(hdr[8:])),
-		Locks:     int(binary.LittleEndian.Uint32(hdr[12:])),
-		Volatiles: int(binary.LittleEndian.Uint32(hdr[16:])),
-		Classes:   int(binary.LittleEndian.Uint32(hdr[20:])),
-		Events:    binary.LittleEndian.Uint64(hdr[24:]),
-	}
+	d.count = binary.LittleEndian.Uint64(hdr[4:])
 	d.hdrRead = true
 	return nil
-}
-
-// Header returns the trace's id-space declaration, reading it from the
-// stream if it has not been read yet.
-func (d *Decoder) Header() (Header, error) {
-	if err := d.readHeader(); err != nil {
-		return Header{}, err
-	}
-	return d.hdr, nil
 }
 
 // Next returns the next event. It returns io.EOF after the last event.
@@ -139,11 +101,11 @@ func (d *Decoder) fill() error {
 		return end
 	}
 	want := uint64(RecordWindow)
-	if d.hdr.Events != Unbounded {
-		if d.read >= d.hdr.Events {
+	if d.count != streamCount {
+		if d.read >= d.count {
 			return io.EOF
 		}
-		want = min(want, d.hdr.Events-d.read)
+		want = min(want, d.count-d.read)
 	}
 	want = min(want, uint64(max(1, d.br.Buffered()/RecordSize)))
 	if d.buf == nil {
@@ -154,10 +116,10 @@ func (d *Decoder) fill() error {
 	case bad >= 0:
 		n = bad
 		d.end = fmt.Errorf("trace: event %d: %w", d.read+uint64(n), invalidOp(d.buf[n].Op))
-	case err == io.EOF && d.hdr.Events == Unbounded:
+	case err == io.EOF && d.count == streamCount:
 		d.end = io.EOF
 	case err == io.EOF || err == io.ErrUnexpectedEOF:
-		d.end = fmt.Errorf("trace: truncated at event %d of %d", d.read+uint64(n), d.hdr.Events)
+		d.end = fmt.Errorf("trace: truncated at event %d of %d", d.read+uint64(n), d.count)
 	case err != nil:
 		d.end = fmt.Errorf("trace: reading event %d: %w", d.read+uint64(n), err)
 	}
@@ -166,30 +128,25 @@ func (d *Decoder) fill() error {
 }
 
 // Encoder writes the binary format incrementally, one event per Encode
-// call, for producers that do not hold the whole trace in memory. The
-// header carries the declared id spaces and the Unbounded event-count
-// sentinel; Close flushes buffered output.
+// call, for producers that do not hold the whole trace in memory. Its
+// header's event count is the sentinel for "found at EOF"; Close flushes
+// buffered output.
 type Encoder struct {
 	bw     *bufio.Writer
 	hdrOut bool
-	hdr    Header
 	err    error
 }
 
-// NewEncoder returns an encoder writing to w under header hdr, whose event
-// count it replaces with Unbounded (zero id spaces are fine; readers widen
-// to the ids they meet).
-func NewEncoder(w io.Writer, hdr Header) *Encoder {
-	return &Encoder{bw: bufio.NewWriterSize(w, 1<<16), hdr: hdr}
+// NewEncoder returns an encoder writing to w.
+func NewEncoder(w io.Writer) *Encoder {
+	return &Encoder{bw: bufio.NewWriterSize(w, 1<<16)}
 }
 
 func (e *Encoder) writeHeader() error {
 	if e.hdrOut || e.err != nil {
 		return e.err
 	}
-	h := e.hdr
-	h.Events = streamCount
-	if _, e.err = e.bw.Write(h.encode()); e.err == nil {
+	if _, e.err = e.bw.Write(encodeHeader(streamCount)); e.err == nil {
 		e.hdrOut = true
 	}
 	return e.err
@@ -221,8 +178,6 @@ func (e *Encoder) Close() error {
 // Decoder for the human-readable format.
 type TextDecoder struct {
 	sc       *bufio.Scanner
-	hdr      Header
-	hdrRead  bool
 	opByName map[string]Op
 	line     int
 	err      error
@@ -239,48 +194,17 @@ func NewTextDecoder(r io.Reader) *TextDecoder {
 	return &TextDecoder{sc: sc, opByName: opByName}
 }
 
-func (d *TextDecoder) readHeader() error {
-	if d.hdrRead || d.err != nil {
-		return d.err
-	}
-	if !d.sc.Scan() {
-		if err := d.sc.Err(); err != nil {
-			d.err = err
-		} else {
-			d.err = fmt.Errorf("trace: empty input")
-		}
-		return d.err
-	}
-	d.line = 1
-	h := Header{Events: Unbounded}
-	if _, err := fmt.Sscanf(d.sc.Text(), "# threads=%d vars=%d locks=%d volatiles=%d classes=%d",
-		&h.Threads, &h.Vars, &h.Locks, &h.Volatiles, &h.Classes); err != nil {
-		d.err = fmt.Errorf("trace: bad header %q: %w", d.sc.Text(), err)
-		return d.err
-	}
-	d.hdr = h
-	d.hdrRead = true
-	return nil
-}
-
-// Header returns the trace's id-space declaration. The text format does not
-// declare an event count, so Events is always Unbounded.
-func (d *TextDecoder) Header() (Header, error) {
-	if err := d.readHeader(); err != nil {
-		return Header{}, err
-	}
-	return d.hdr, nil
-}
-
-// Next returns the next event. It returns io.EOF after the last line.
+// Next returns the next event. It returns io.EOF after the last line, and
+// an error for an input of no lines at all. Blank lines and lines starting
+// with '#' are skipped.
 func (d *TextDecoder) Next() (Event, error) {
-	if err := d.readHeader(); err != nil {
-		return Event{}, err
+	if d.err != nil {
+		return Event{}, d.err
 	}
 	for d.sc.Scan() {
 		d.line++
 		txt := d.sc.Text()
-		if txt == "" {
+		if txt == "" || txt[0] == '#' {
 			continue
 		}
 		var tid int
@@ -297,9 +221,11 @@ func (d *TextDecoder) Next() (Event, error) {
 		}
 		return Event{T: Tid(tid), Op: op, Targ: targ, Loc: Loc(loc)}, nil
 	}
-	if err := d.sc.Err(); err != nil {
-		d.err = err
-		return Event{}, err
+	if d.err = d.sc.Err(); d.err == nil && d.line == 0 {
+		d.err = fmt.Errorf("trace: empty input")
+	}
+	if d.err != nil {
+		return Event{}, d.err
 	}
 	return Event{}, io.EOF
 }

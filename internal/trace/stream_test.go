@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 	"testing/iotest"
@@ -92,7 +93,7 @@ func TestCheckerAgreesWithBatchOnCheckedTraces(t *testing.T) {
 
 func TestEncoderStreamsUnboundedCount(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf, Header{Threads: 2, Vars: 1})
+	enc := NewEncoder(&buf)
 	events := []Event{
 		{T: 0, Op: OpWrite, Targ: 0, Loc: 7},
 		{T: 1, Op: OpWrite, Targ: 0, Loc: 9},
@@ -106,14 +107,10 @@ func TestEncoderStreamsUnboundedCount(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if got := binary.LittleEndian.Uint64(buf.Bytes()[headerSize-8:]); got != streamCount {
+		t.Errorf("streamed header count = %d, want the found-at-EOF sentinel", got)
+	}
 	d := NewDecoder(bytes.NewReader(buf.Bytes()))
-	h, err := d.Header()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Events != Unbounded {
-		t.Errorf("streamed header count = %d, want Unbounded", h.Events)
-	}
 	for i, want := range events {
 		got, err := d.Next()
 		if err != nil {
@@ -127,13 +124,31 @@ func TestEncoderStreamsUnboundedCount(t *testing.T) {
 		t.Errorf("want io.EOF at stream end, got %v", err)
 	}
 
-	// ReadBinary accepts the streamed form and widens the id spaces.
+	// ReadBinary accepts the streamed form.
 	tr, err := ReadBinary(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 2 || tr.Threads != 2 || tr.Vars != 1 {
-		t.Errorf("streamed ReadBinary: %d events, %d threads, %d vars", tr.Len(), tr.Threads, tr.Vars)
+	if tr.Len() != 2 || tr.Events[1] != events[1] {
+		t.Errorf("streamed ReadBinary: %v", tr.Events)
+	}
+}
+
+// TestVersion1HeaderIsRefused: a trace in the version-1 layout (magic,
+// version, five declared id-space sizes, event count) is refused by the
+// version check, before any of its bytes are read as events.
+func TestVersion1HeaderIsRefused(t *testing.T) {
+	v1 := binary.LittleEndian.AppendUint32([]byte(binMagic), 1)
+	for _, n := range []uint32{2, 1, 0, 0, 0} {
+		v1 = binary.LittleEndian.AppendUint32(v1, n)
+	}
+	v1 = binary.LittleEndian.AppendUint64(v1, 1)
+	v1 = append(v1, make([]byte, RecordSize)...)
+	if _, err := ReadBinary(bytes.NewReader(v1)); err == nil || err.Error() != "trace: unsupported version 1" {
+		t.Errorf("ReadBinary of a version-1 trace: %v", err)
+	}
+	if _, err := NewDecoder(bytes.NewReader(v1)).Next(); err == nil || err.Error() != "trace: unsupported version 1" {
+		t.Errorf("Decoder.Next of a version-1 trace: %v", err)
 	}
 }
 
@@ -168,14 +183,14 @@ func TestDecoderErrors(t *testing.T) {
 	if err := WriteBinary(&counted, &Trace{Events: evs}); err != nil {
 		t.Fatal(err)
 	}
-	enc := NewEncoder(&unbounded, Header{})
+	enc := NewEncoder(&unbounded)
 	for _, e := range evs {
 		enc.Encode(e)
 	}
 	if err := enc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	const hdr = 4 + 4*6 + 8
+	const hdr = headerSize
 	cut := func(k int) func([]byte) []byte {
 		return func(b []byte) []byte { return b[:len(b)-k] }
 	}

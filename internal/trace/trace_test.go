@@ -19,8 +19,11 @@ func figure1() *Trace {
 
 func TestBuilderInterning(t *testing.T) {
 	tr := figure1()
-	if tr.Threads != 2 || tr.Vars != 3 || tr.Locks != 1 {
-		t.Fatalf("got threads=%d vars=%d locks=%d", tr.Threads, tr.Vars, tr.Locks)
+	if x := ExtentOf(tr.Events); x != (Extent{Threads: 2, Vars: 3, Locks: 1}) {
+		t.Fatalf("got %+v", x)
+	}
+	if n := tr.Names; len(n.Threads) != 2 || len(n.Vars) != 3 || len(n.Locks) != 1 {
+		t.Fatalf("names %+v", n)
 	}
 	if tr.Len() != 8 {
 		t.Fatalf("len=%d", tr.Len())
@@ -189,26 +192,31 @@ func TestCheckDoubleJoin(t *testing.T) {
 }
 
 func TestCheckSelfFork(t *testing.T) {
-	tr := &Trace{
-		Events:  []Event{{T: 0, Op: OpFork, Targ: 0}},
-		Threads: 1,
-	}
+	tr := &Trace{Events: []Event{{T: 0, Op: OpFork, Targ: 0}}}
 	if Check(tr) == nil {
 		t.Error("self-fork must fail")
 	}
 }
 
+// TestCheckIdRanges: a trace declares no id spaces, so any thread, variable,
+// lock, volatile or class id is in range; the one id range left is a fork or
+// join target's, which must fit a thread id.
 func TestCheckIdRanges(t *testing.T) {
-	bad := []*Trace{
-		{Events: []Event{{T: 5, Op: OpRead}}, Threads: 1, Vars: 1},
-		{Events: []Event{{T: 0, Op: OpRead, Targ: 9}}, Threads: 1, Vars: 1},
-		{Events: []Event{{T: 0, Op: OpAcquire, Targ: 3}}, Threads: 1, Locks: 1},
-		{Events: []Event{{T: 0, Op: OpVolatileRead, Targ: 1}}, Threads: 1},
-		{Events: []Event{{T: 0, Op: OpClassInit, Targ: 1}}, Threads: 1},
+	for i, evs := range [][]Event{
+		{{T: 5, Op: OpRead}},
+		{{T: 0, Op: OpRead, Targ: 9}},
+		{{T: 0, Op: OpAcquire, Targ: 3}},
+		{{T: 0, Op: OpVolatileRead, Targ: 1}},
+		{{T: 0, Op: OpClassInit, Targ: 1<<32 - 1}},
+		{{T: 0, Op: OpFork, Targ: maxTid}},
+	} {
+		if err := Check(&Trace{Events: evs}); err != nil {
+			t.Errorf("case %d: %v", i, err)
+		}
 	}
-	for i, tr := range bad {
-		if Check(tr) == nil {
-			t.Errorf("case %d: out-of-range id accepted", i)
+	for _, op := range []Op{OpFork, OpJoin} {
+		if Check(&Trace{Events: []Event{{T: 0, Op: op, Targ: maxTid + 1}}}) == nil {
+			t.Errorf("%v of a target past the largest thread id accepted", op)
 		}
 	}
 }
@@ -263,10 +271,6 @@ func TestTextRoundTrip(t *testing.T) {
 
 func assertTraceEqual(t *testing.T, want, got *Trace) {
 	t.Helper()
-	if got.Threads != want.Threads || got.Vars != want.Vars || got.Locks != want.Locks ||
-		got.Volatiles != want.Volatiles || got.Classes != want.Classes {
-		t.Fatalf("header mismatch: got %+v", got)
-	}
 	if len(got.Events) != len(want.Events) {
 		t.Fatalf("event count %d != %d", len(got.Events), len(want.Events))
 	}
@@ -303,8 +307,27 @@ func TestTextRejectsBadHeader(t *testing.T) {
 	}
 }
 
+// TestTextOldHeaderIsAComment: the count line text traces once opened with
+// reads as a comment, and an input of no lines at all is refused.
+func TestTextOldHeaderIsAComment(t *testing.T) {
+	tr, err := ReadText(strings.NewReader("# threads=2 vars=1 locks=0 volatiles=0 classes=0\n0 wr 0 1\n1 rd 0 2\n"))
+	if err != nil || tr.Len() != 2 || tr.Events[1] != (Event{T: 1, Op: OpRead, Targ: 0, Loc: 2}) {
+		t.Errorf("ReadText = %v, %v", tr, err)
+	}
+	if _, err := ReadText(strings.NewReader("")); err == nil {
+		t.Error("empty input accepted")
+	}
+	var buf bytes.Buffer
+	if err := WriteText(&buf, &Trace{}); err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := ReadText(&buf); err != nil || tr.Len() != 0 {
+		t.Errorf("empty trace round trip: %v, %v", tr, err)
+	}
+}
+
 func TestTextRejectsUnknownOp(t *testing.T) {
-	in := "# threads=1 vars=1 locks=0 volatiles=0 classes=0\n0 frobnicate 0 0\n"
+	in := "# a comment\n0 frobnicate 0 0\n"
 	if _, err := ReadText(strings.NewReader(in)); err == nil {
 		t.Error("unknown op accepted")
 	}

@@ -134,14 +134,14 @@ type index struct {
 
 // newIndex indexes tr, or returns the well-formedness rule tr breaks: the
 // index pairs every release with its acquire, and its tables hold the ids
-// tr uses, whatever it declares.
+// tr uses.
 func newIndex(tr *trace.Trace) (index, error) {
 	if err := trace.Check(tr); err != nil {
 		return index{}, fmt.Errorf("vindicate: ill-formed trace: %w", err)
 	}
 	x := index{
 		tr:          tr,
-		byThread:    make([][]int32, tr.Threads),
+		byThread:    make([][]int32, trace.ExtentOf(tr.Events).Threads),
 		posInThread: make([]int32, tr.Len()),
 		lastWriter:  make([]int32, tr.Len()),
 		matchRel:    make([]int32, tr.Len()),
@@ -182,7 +182,7 @@ func New(tr *trace.Trace) (*Vindicator, error) {
 		g:         a.Graph(),
 		races:     col.Races(),
 		scheduled: make([]bool, tr.Len()),
-		ptr:       make([]int32, tr.Threads),
+		ptr:       make([]int32, len(x.byThread)),
 	}, nil
 }
 
@@ -263,7 +263,7 @@ func (v *Vindicator) Pair(e1, e2 int, opts Options) Result {
 // t-events included. Returns ok=false if closure pulls e1 or e2 in (the
 // pair is ordered, so no witness exists with them last).
 func (v *Vindicator) cone(e1, e2 int) ([]int32, bool) {
-	cut := make([]int32, v.tr.Threads) // number of events included per thread
+	cut := make([]int32, len(v.byThread)) // number of events included per thread
 	var stack []int32
 
 	// pull includes every stacked event not yet in the cone, with its
@@ -428,7 +428,7 @@ func (v *Vindicator) schedule(cut []int32, e1, e2 int, rng *rand.Rand) ([]trace.
 	for emitted := 0; emitted < total; emitted++ {
 		// Candidate threads whose next cone event is enabled.
 		v.cand = v.cand[:0]
-		for t := 0; t < tr.Threads; t++ {
+		for t := range v.byThread {
 			if v.ptr[t] < cut[t] && enabled(v.byThread[t][v.ptr[t]], false) {
 				v.cand = append(v.cand, t)
 			}
@@ -500,11 +500,11 @@ func (x *index) verify(witness []trace.Event, e1, e2 int) error {
 	// Map witness events back to trace indices: per-thread subsequence
 	// matching (greedy — witness events must appear in each thread's
 	// original order).
-	next := make([]int32, tr.Threads)
+	next := make([]int32, len(x.byThread))
 	idxOf := make([]int32, len(witness))
 	for wi, e := range witness {
 		found := int32(-1)
-		if t := int(e.T); t < tr.Threads { // an event of an undeclared thread matches nothing
+		if t := int(e.T); t < len(x.byThread) { // an event of a thread tr never runs matches nothing
 			for r := next[t]; r < int32(len(x.byThread[t])); r++ {
 				j := x.byThread[t][r]
 				if tr.Events[j] == e {

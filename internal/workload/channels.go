@@ -220,12 +220,5 @@ func Channels(cfg ChannelsConfig) *trace.Trace {
 		emit(0, trace.OpJoin, uint32(t), 0)
 	}
 
-	tr := &trace.Trace{
-		Events:    events,
-		Threads:   nThreads,
-		Vars:      cfg.Vars,
-		Locks:     cfg.Locks,
-		Volatiles: int(vols),
-	}
-	return trace.MustCheck(tr)
+	return trace.MustCheck(&trace.Trace{Events: events})
 }

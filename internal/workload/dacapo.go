@@ -186,15 +186,7 @@ func (p Program) Generate(scaleDiv int, seed int64) *trace.Trace {
 	}
 	g.epilogue()
 
-	tr := &trace.Trace{
-		Events:    g.events,
-		Threads:   p.Threads,
-		Vars:      g.nextVar,
-		Locks:     g.nextLock,
-		Volatiles: volatilePool,
-		Classes:   classEvents,
-	}
-	return trace.MustCheck(tr)
+	return trace.MustCheck(&trace.Trace{Events: g.events})
 }
 
 // siteKind distinguishes the injected racy patterns.

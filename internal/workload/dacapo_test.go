@@ -16,8 +16,8 @@ func TestProgramsWellFormed(t *testing.T) {
 			if err := trace.Check(tr); err != nil {
 				t.Fatalf("%s: %v", p.Name, err)
 			}
-			if tr.Threads != p.Threads {
-				t.Errorf("threads = %d, want %d", tr.Threads, p.Threads)
+			if x := trace.ExtentOf(tr.Events); x.Threads != p.Threads {
+				t.Errorf("threads = %d, want %d", x.Threads, p.Threads)
 			}
 			if tr.Len() < 1000 {
 				t.Errorf("suspiciously small trace: %d events", tr.Len())

@@ -108,14 +108,7 @@ func Random(cfg RandomConfig) *trace.Trace {
 		}
 	}
 
-	tr := &trace.Trace{
-		Events:    g.events,
-		Threads:   cfg.Threads,
-		Vars:      cfg.Vars,
-		Locks:     cfg.Locks,
-		Volatiles: cfg.Volatiles,
-	}
-	return trace.MustCheck(tr)
+	return trace.MustCheck(&trace.Trace{Events: g.events})
 }
 
 type sched struct {

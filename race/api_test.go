@@ -3,8 +3,8 @@ package race_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -172,7 +172,7 @@ func TestEveryCellRefusesIllFormedInput(t *testing.T) {
 			if err := eng.FeedBatch(evs); !errors.As(err, &ce) {
 				t.Errorf("engine: err = %v, want a *trace.CheckError", err)
 			}
-			tr := &race.Trace{Events: evs, Threads: 2, Vars: 2, Locks: 4}
+			tr := &race.Trace{Events: evs}
 			if _, err := race.Analyze(tr, d.Relation, d.Level); !errors.As(err, &ce) {
 				t.Errorf("Analyze: err = %v, want a *trace.CheckError", err)
 			}
@@ -181,7 +181,7 @@ func TestEveryCellRefusesIllFormedInput(t *testing.T) {
 }
 
 // TestNilTraceIsAnError: every entry point that takes a trace answers a
-// nil one with an error, and HintsOf with zero hints; none panics.
+// nil one with an error; none panics.
 func TestNilTraceIsAnError(t *testing.T) {
 	rep, err := race.AnalyzeByName(figure1Trace(), "ST-WDC")
 	if err != nil {
@@ -200,12 +200,6 @@ func TestNilTraceIsAnError(t *testing.T) {
 		{"Vindicate", func() error { _, err := race.Vindicate(nil, 0); return err }, true},
 		{"VerifyWitness", func() error { return race.VerifyWitness(nil, nil, 0, 1) }, true},
 		{"Report.Vindicate", func() error { return rep.Vindicate(nil) }, true},
-		{"HintsOf", func() error {
-			if h := race.HintsOf(nil); h != (race.CapacityHints{}) {
-				return fmt.Errorf("hints %+v, want zero", h)
-			}
-			return nil
-		}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -235,7 +229,7 @@ func TestAnalyzeByNameUnknown(t *testing.T) {
 
 // TestTraceRoundTripThroughStreamingDecoder writes with the batch writer
 // and re-reads the same bytes both in batch and through the streaming
-// decoder, checking headers and events agree.
+// decoder, checking the events agree.
 func TestTraceRoundTripThroughStreamingDecoder(t *testing.T) {
 	tr := figure1Trace()
 	var buf bytes.Buffer
@@ -248,18 +242,11 @@ func TestTraceRoundTripThroughStreamingDecoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batch.Len() != tr.Len() || batch.Threads != tr.Threads || batch.Vars != tr.Vars {
-		t.Errorf("batch round trip mismatch: %d events, %d threads", batch.Len(), batch.Threads)
+	if !slices.Equal(batch.Events, tr.Events) {
+		t.Errorf("batch round trip mismatch: %v", batch.Events)
 	}
 
 	dec := race.NewTraceDecoder(bytes.NewReader(raw))
-	hdr, err := dec.Header()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Threads != tr.Threads || hdr.Vars != tr.Vars || hdr.Locks != tr.Locks || hdr.Events != uint64(tr.Len()) {
-		t.Errorf("decoder header = %+v", hdr)
-	}
 	var i int
 	for ; ; i++ {
 		e, err := dec.Next()

@@ -17,19 +17,6 @@ import (
 	"repro/internal/unopt"
 )
 
-// CapacityHints is the header a streamed trace file declares
-// (NewTraceEncoder): the stream's id spaces. Nothing that analyzes the
-// stream reads it; every table grows to the ids it is fed.
-type CapacityHints = trace.Header
-
-// HintsOf derives a complete trace's exact header; nil declares nothing.
-func HintsOf(tr *Trace) CapacityHints {
-	if tr == nil {
-		return CapacityHints{}
-	}
-	return tr.Header()
-}
-
 // engineConfig collects the functional options of NewEngine.
 type engineConfig struct {
 	names     []string
@@ -169,11 +156,6 @@ type Engine struct {
 	events []Event
 	met    *EngineMetrics // non-nil iff WithMetrics configured
 
-	// spaces declares the id spaces of the retained stream (Events stays
-	// nil), so that it can be rebuilt into a well-declared Trace;
-	// maintained only when the engine retains (keep).
-	spaces Trace
-
 	fed    int
 	err    error
 	closed bool
@@ -301,7 +283,6 @@ func (e *Engine) feed(evs []Event) error {
 		}
 	}
 	if e.keep {
-		e.spaces.Widen(evs)
 		e.events = append(e.events, evs...)
 	}
 	if e.pipe != nil {
@@ -495,9 +476,7 @@ func (e *Engine) Close() (*Report, error) {
 	}
 	rep := &Report{name: subs[0].name, col: subs[0].col, subs: subs}
 	if e.keep {
-		tr := e.spaces
-		tr.Events = e.events
-		if err := rep.Vindicate(&tr); err != nil {
+		if err := rep.Vindicate(&Trace{Events: e.events}); err != nil {
 			e.err = err
 			return nil, err
 		}

@@ -15,7 +15,7 @@ import (
 // groupedTraces is the spread the grouped ≡ standalone differential runs
 // over: generator programs (avrora, xalan and pmd seed races), random and
 // channel traces, and a trace whose threads appear mid-stream without a
-// fork, long after the engine was built with zero capacity hints.
+// fork, long after the engine was built.
 func groupedTraces(t *testing.T) map[string]*race.Trace {
 	t.Helper()
 	out := make(map[string]*race.Trace)
@@ -36,7 +36,6 @@ func groupedTraces(t *testing.T) map[string]*race.Trace {
 	late := workload.Random(workload.RandomConfig{Seed: 13, Threads: 1, Vars: 6, Locks: 3, Events: 600})
 	rest := workload.Random(workload.RandomConfig{Seed: 14, Threads: 5, Vars: 6, Locks: 3, Events: 2000})
 	late.Events = append(late.Events, rest.Events...)
-	late.Threads = rest.Threads
 	if err := race.CheckTrace(late); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +173,7 @@ func TestGroupedCellsAnalyzeExactlyThePrefix(t *testing.T) {
 		prefix := *tr
 		prefix.Events = tr.Events[:i]
 		bad := append(append([]race.Event(nil), prefix.Events...),
-			race.Event{T: tr.Events[i].T, Op: race.OpRelease, Targ: uint32(tr.Locks) + 7}) // a lock nobody holds
+			race.Event{T: tr.Events[i].T, Op: race.OpRelease, Targ: 1<<32 - 1}) // a lock no event names
 		bad = append(bad, tr.Events[i:]...)
 		for _, par := range []int{1, 3} {
 			log := &onRaceLog{t: t, by: make(map[string][]race.RaceInfo)}

@@ -38,8 +38,7 @@ func allCellNames() []string { return race.Detectors() }
 // must match the sequential engine on: the DaCapo-calibrated workloads,
 // channel-heavy traces (volatile-dense, so sync-point flushing is
 // exercised), and random traces with mid-stream thread discovery
-// (ForkJoin makes threads appear long after the engine was built with
-// zero capacity hints).
+// (ForkJoin makes threads appear long after the engine was built).
 func parallelConformanceTraces(t *testing.T) map[string]*race.Trace {
 	t.Helper()
 	out := make(map[string]*race.Trace)
@@ -80,8 +79,7 @@ func feedAll(t *testing.T, eng *race.Engine, tr *race.Trace) *race.Report {
 // cells produces a Close report byte-for-byte identical to the sequential
 // engine's — across several parallelism degrees and batch sizes,
 // including batch sizes small enough to exercise ring backpressure.
-// Engines are built with zero capacity hints, so threads forked
-// mid-stream are discovered by the workers, not pre-declared.
+// Threads forked mid-stream are discovered by the workers.
 func TestParallelEngineMatchesSequential(t *testing.T) {
 	names := allCellNames()
 	if len(names) != 15 {

@@ -8,11 +8,11 @@ import (
 	"repro/internal/trace"
 )
 
-// TestRetainedTraceDeclaresObservedIDSpaces: id-space observation happens
-// in the retain step, so a vindicating engine's rebuilt trace declares every
-// id the stream used (trace.Check rejects ids outside the declared spaces),
-// and so does the trace a durable session reads back from its journal for
-// the same stream; an engine that retains nothing observes nothing.
+// TestRetainedTraceDeclaresObservedIDSpaces: a trace's ids are its
+// declaration, so a vindicating engine's rebuilt trace is the stream it
+// retained, every id the stream used included, and so is the trace a
+// durable session reads back from its journal for the same stream; an
+// engine that retains nothing keeps nothing.
 func TestRetainedTraceDeclaresObservedIDSpaces(t *testing.T) {
 	stream := []Event{
 		{T: 0, Op: OpFork, Targ: 6},
@@ -24,10 +24,7 @@ func TestRetainedTraceDeclaresObservedIDSpaces(t *testing.T) {
 		{T: 0, Op: OpJoin, Targ: 6},
 		{T: 0, Op: OpRead, Targ: 40},
 	}
-	spacesOf := func(tr *Trace) [5]int {
-		return [5]int{tr.Threads, tr.Vars, tr.Locks, tr.Volatiles, tr.Classes}
-	}
-	want := [5]int{7, 41, 12, 4, 9}
+	want := trace.Extent{Threads: 7, Vars: 41, Locks: 12, Volatiles: 4, Classes: 9}
 
 	memory := func() (*Trace, error) {
 		eng, err := NewEngine(WithVindication())
@@ -43,9 +40,7 @@ func TestRetainedTraceDeclaresObservedIDSpaces(t *testing.T) {
 				return nil, err
 			}
 		}
-		tr := eng.spaces
-		tr.Events = eng.events
-		return &tr, nil
+		return &Trace{Events: eng.events}, nil
 	}
 	// journal appends the stream the way a session's feeder does, across
 	// segment boundaries, and reads it back the way the session does at
@@ -67,7 +62,8 @@ func TestRetainedTraceDeclaresObservedIDSpaces(t *testing.T) {
 			return nil, err
 		}
 		defer r.Close()
-		return r.ReadTrace()
+		evs, err := r.ReadTrace()
+		return &Trace{Events: evs}, err
 	}
 	for name, rebuild := range map[string]func() (*Trace, error){"memory": memory, "journal": journal} {
 		tr, err := rebuild()
@@ -75,9 +71,9 @@ func TestRetainedTraceDeclaresObservedIDSpaces(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := trace.Check(tr); err != nil {
-			t.Errorf("%s: rebuilt trace is ill-declared: %v", name, err)
+			t.Errorf("%s: rebuilt trace is ill formed: %v", name, err)
 		}
-		if got := spacesOf(tr); got != want {
+		if got := trace.ExtentOf(tr.Events); got != want {
 			t.Errorf("%s: rebuilt trace declares %v, want %v", name, got, want)
 		}
 		if !slices.Equal(tr.Events, stream) {
@@ -92,8 +88,8 @@ func TestRetainedTraceDeclaresObservedIDSpaces(t *testing.T) {
 	if err := eng.FeedBatch(stream); err != nil {
 		t.Fatal(err)
 	}
-	if spacesOf(&eng.spaces) != [5]int{} || eng.events != nil {
-		t.Errorf("non-retaining engine observed %v and kept %d events", spacesOf(&eng.spaces), len(eng.events))
+	if eng.events != nil {
+		t.Errorf("non-retaining engine kept %d events", len(eng.events))
 	}
 	eng.Abort()
 }

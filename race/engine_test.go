@@ -268,7 +268,7 @@ func TestEngineStreamsFromDecoder(t *testing.T) {
 func TestEncoderDecoderStreamRoundTrip(t *testing.T) {
 	tr := figure1Trace()
 	var buf bytes.Buffer
-	enc := race.NewTraceEncoder(&buf, race.HintsOf(tr))
+	enc := race.NewTraceEncoder(&buf)
 	for _, e := range tr.Events {
 		if err := enc.Encode(e); err != nil {
 			t.Fatal(err)

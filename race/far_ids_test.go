@@ -145,7 +145,7 @@ func farBatchCostsAPage(t *testing.T, batch []Event) {
 	t.Run("vindicating", engine(true, WithAnalysisNames("ST-WDC", "ST-DC"), WithVindication()))
 	t.Run("check", func(t *testing.T) {
 		evs := append(farBatch(0, 1), batch...)
-		tr := &Trace{Events: evs, Threads: 8, Vars: farID + 1, Locks: farID + 1, Volatiles: farID + 1, Classes: farID + 1}
+		tr := &Trace{Events: evs}
 		before := allocated()
 		if err := trace.Check(tr); err != nil {
 			t.Fatal(err)

@@ -59,7 +59,6 @@ func FuzzPublicDoors(f *testing.F) {
 			}
 		}
 		tr := &race.Trace{Events: evs}
-		tr.Widen(evs)
 		checkErr := race.CheckTrace(tr)
 		wellFormed := checkErr == nil
 

@@ -88,7 +88,7 @@ type Builder = trace.Builder
 func NewBuilder() *Builder { return trace.NewBuilder() }
 
 // CheckTrace verifies trace well-formedness (locking discipline, fork/join
-// lifecycle, id ranges).
+// lifecycle).
 func CheckTrace(tr *Trace) error {
 	if tr == nil {
 		return errors.New("race: CheckTrace of nil trace")
@@ -437,9 +437,5 @@ func NewTextTraceDecoder(r io.Reader) *TextTraceDecoder { return trace.NewTextDe
 type TraceEncoder = trace.Encoder
 
 // NewTraceEncoder returns a streaming encoder writing to w, whose file
-// header declares hints' id spaces (HintsOf gives a complete trace's; zero
-// declares none, and readers widen to the ids they meet) and an event count
-// found at EOF. Call Close to flush.
-func NewTraceEncoder(w io.Writer, hints CapacityHints) *TraceEncoder {
-	return trace.NewEncoder(w, hints)
-}
+// header declares an event count found at EOF. Call Close to flush.
+func NewTraceEncoder(w io.Writer) *TraceEncoder { return trace.NewEncoder(w) }

@@ -43,10 +43,7 @@ func TestAnalyzeErrors(t *testing.T) {
 		t.Error("Analyze on an N/A cell must return an error, not panic")
 	}
 	// An ill-formed trace (release of a lock never acquired) errors too.
-	tr := &race.Trace{
-		Events:  []race.Event{{T: 0, Op: race.OpRelease, Targ: 0}},
-		Threads: 1, Locks: 1,
-	}
+	tr := &race.Trace{Events: []race.Event{{T: 0, Op: race.OpRelease, Targ: 0}}}
 	if _, err := race.Analyze(tr, race.WDC, race.SmartTrack); err == nil {
 		t.Error("Analyze on an ill-formed trace must return an error")
 	}

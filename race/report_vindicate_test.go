@@ -25,7 +25,7 @@ func TestReportVindicatesFigure1FromATraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := race.NewTraceEncoder(f, race.CapacityHints{})
+	enc := race.NewTraceEncoder(f)
 	eng, err := race.NewEngine(race.WithAnalysisNames(goldenNames...))
 	if err != nil {
 		t.Fatal(err)

@@ -406,8 +406,8 @@ func (rt *Runtime) volatile(t Tid, op trace.Op, key any) {
 // in ascending id order, each thread's sections in LIFO order (reverse
 // acquisition order), so nested sections close deterministically
 // innermost-first. forget drops the held sets, for a caller that commits
-// the releases. n is the number of threads merged.
-func (rt *Runtime) closeOut(forget bool) (closing []trace.Event, n int) {
+// the releases.
+func (rt *Runtime) closeOut(forget bool) (closing []trace.Event) {
 	threads := *rt.threads.Load()
 	for t, ts := range threads {
 		rt.commit(ts.take())
@@ -420,7 +420,7 @@ func (rt *Runtime) closeOut(forget bool) (closing []trace.Event, n int) {
 		}
 		ts.mu.Unlock()
 	}
-	return closing, len(threads)
+	return closing
 }
 
 // Snapshot returns the recorded trace. The recorder can keep recording;
@@ -430,22 +430,14 @@ func (rt *Runtime) closeOut(forget bool) (closing []trace.Event, n int) {
 // them for the trace checker with deterministic LIFO releases (per thread
 // in ascending id order, each thread's sections innermost-first).
 func (rt *Runtime) Snapshot() (*Trace, error) {
-	closing, threads := rt.closeOut(false)
+	closing := rt.closeOut(false)
 
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.err != nil {
 		return nil, rt.err
 	}
-	rt.internMu.Lock()
-	tr := &trace.Trace{
-		Events:    append(append([]trace.Event(nil), rt.stream...), closing...),
-		Threads:   threads,
-		Vars:      len(rt.vars),
-		Locks:     len(rt.locks),
-		Volatiles: len(rt.vols),
-	}
-	rt.internMu.Unlock()
+	tr := &trace.Trace{Events: append(append([]trace.Event(nil), rt.stream...), closing...)}
 	if err := trace.Check(tr); err != nil {
 		return nil, fmt.Errorf("race: recorded trace is ill-formed: %w", err)
 	}
@@ -474,7 +466,7 @@ func (rt *Runtime) Finish() (*Report, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("race: Finish requires an attached engine (WithEngineAttached)")
 	}
-	closing, _ := rt.closeOut(true) // a later Snapshot must not close them twice
+	closing := rt.closeOut(true) // a later Snapshot must not close them twice
 	rt.commit(closing)
 
 	rt.mu.Lock()

@@ -62,14 +62,16 @@ func recordScript(rt *race.Runtime) {
 	// Left open: t0 holds outer; t2 holds m2 (once more) and m3; t3 holds late.
 }
 
-// goldenRuntime pins, at PR 28 (before the recorder was rewritten), the
-// stream recordScript records: the text of a record-mode Snapshot, the
-// report JSON of Finish with an attached vindicating engine, and the
-// Snapshot taken after that Finish.
+// goldenRuntime pins, from before the recorder was rewritten, the stream
+// recordScript records: the text of a record-mode Snapshot, the report JSON
+// of Finish with an attached vindicating engine, and the Snapshot taken
+// after that Finish. The text's first line became a legend when the text
+// format stopped declaring id-space sizes; its event lines, whose sha256 is
+// 3f70d931…, did not change.
 var goldenRuntime = struct{ snapshot, finish, afterFinish string }{
-	snapshot:    "a5f671390749f48d9e19251cb7d18577f73ced1d6ef23b665c77e42b3f244d8c",
+	snapshot:    "68dfb0d868d52fa19ed621f93c7cc308edc4ff7e057685e964e2f8577445f895",
 	finish:      "e25888ec419cb07bb8cd362e167e65d9ef8a599b3e96cdaeec19f5b5d5f86d73",
-	afterFinish: "a5f671390749f48d9e19251cb7d18577f73ced1d6ef23b665c77e42b3f244d8c",
+	afterFinish: "68dfb0d868d52fa19ed621f93c7cc308edc4ff7e057685e964e2f8577445f895",
 }
 
 func digestOf(b []byte) string {

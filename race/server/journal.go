@@ -516,15 +516,18 @@ func (sess *Session) replayJournal(sink engineSink) (err error) {
 	}
 }
 
-// journalTrace reads the session's journal back as one trace, declared over
-// the id spaces its segment summaries record.
+// journalTrace reads the session's journal back as one trace.
 func (sess *Session) journalTrace() (*race.Trace, error) {
 	r, err := sess.jlog.Reader()
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	return r.ReadTrace()
+	evs, err := r.ReadTrace()
+	if err != nil {
+		return nil, err
+	}
+	return &race.Trace{Events: evs}, nil
 }
 
 // Shutdown is the graceful counterpart of Close for a durable server:

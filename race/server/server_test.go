@@ -435,7 +435,6 @@ func TestIllFormedStreamIsBadRequest(t *testing.T) {
 	defer ts.Close()
 	evs := []race.Event{{T: 0, Op: race.OpRelease, Targ: 3}, {T: 1, Op: race.OpRead, Targ: 1}}
 	tr := &race.Trace{Events: evs}
-	tr.Widen(evs)
 	want := race.CheckTrace(tr).Error()
 	refused := func(route string, resp *http.Response, err error) {
 		t.Helper()

@@ -9,12 +9,12 @@ import (
 	"repro/race"
 )
 
-// illFormedTraces are traces that break a well-formedness rule. Through
-// PR 27 the first four panicked inside race.Vindicate and race.VerifyWitness
-// alike (index out of range: the index tables trust the declared id spaces
-// and pair every release with an open acquire), under a package comment
-// promising that nothing panics on user input; the lifecycle row got a
-// verdict about a trace that is not an execution.
+// illFormedTraces are traces that break a well-formedness rule. The first
+// once panicked inside race.Vindicate and race.VerifyWitness alike (index
+// out of range: the index pairs every release with an open acquire), under
+// a package comment promising that nothing panics on user input; the
+// lifecycle row got a verdict about a trace that is not an execution.
+// Traces whose ids merely leave gaps are well formed: TestOneVerdictPerEventList.
 var illFormedTraces = []struct {
 	name string
 	tr   *race.Trace
@@ -22,7 +22,7 @@ var illFormedTraces = []struct {
 }{
 	{
 		name: "release with no open acquire",
-		tr: &race.Trace{Threads: 2, Vars: 1, Locks: 1, Events: []race.Event{
+		tr: &race.Trace{Events: []race.Event{
 			{T: 0, Op: race.OpWrite, Targ: 0},
 			{T: 0, Op: race.OpRelease, Targ: 0},
 			{T: 1, Op: race.OpWrite, Targ: 0},
@@ -30,34 +30,8 @@ var illFormedTraces = []struct {
 		rule: "release of lock not held",
 	},
 	{
-		name: "lock id past the declared locks",
-		tr: &race.Trace{Threads: 2, Vars: 1, Locks: 0, Events: []race.Event{
-			{T: 0, Op: race.OpAcquire, Targ: 3},
-			{T: 0, Op: race.OpWrite, Targ: 0},
-			{T: 0, Op: race.OpRelease, Targ: 3},
-			{T: 1, Op: race.OpWrite, Targ: 0},
-		}},
-		rule: "lock id out of range",
-	},
-	{
-		name: "variable id past the declared variables",
-		tr: &race.Trace{Threads: 2, Vars: 1, Events: []race.Event{
-			{T: 0, Op: race.OpWrite, Targ: 7},
-			{T: 1, Op: race.OpRead, Targ: 7},
-		}},
-		rule: "variable id out of range",
-	},
-	{
-		name: "thread id past the declared threads",
-		tr: &race.Trace{Threads: 1, Vars: 1, Events: []race.Event{
-			{T: 0, Op: race.OpWrite, Targ: 0},
-			{T: 4, Op: race.OpWrite, Targ: 0},
-		}},
-		rule: "thread id out of range",
-	},
-	{
 		name: "thread runs after being joined",
-		tr: &race.Trace{Threads: 2, Vars: 1, Events: []race.Event{
+		tr: &race.Trace{Events: []race.Event{
 			{T: 1, Op: race.OpWrite, Targ: 0},
 			{T: 0, Op: race.OpJoin, Targ: 1},
 			{T: 1, Op: race.OpWrite, Targ: 0},
@@ -91,8 +65,9 @@ func TestVindicateAndVerifyWitnessRejectIllFormedTraces(t *testing.T) {
 	}
 }
 
-// TestVerifyWitnessRejectsStrayInput: a witness naming an undeclared thread,
-// a pair outside the trace and a nil trace are failed checks, not panics.
+// TestVerifyWitnessRejectsStrayInput: a witness naming a thread the trace
+// never runs, a pair outside the trace and a nil trace are failed checks,
+// not panics.
 func TestVerifyWitnessRejectsStrayInput(t *testing.T) {
 	b := race.NewBuilder()
 	b.Write("T1", "x").Write("T2", "x")
@@ -103,7 +78,7 @@ func TestVerifyWitnessRejectsStrayInput(t *testing.T) {
 	}
 	stray := []race.Event{{T: 40, Op: race.OpWrite, Targ: 0}, tr.Events[1]}
 	if race.VerifyWitness(tr, stray, 0, 1) == nil {
-		t.Error("witness event of an undeclared thread accepted")
+		t.Error("witness event of a thread the trace never runs accepted")
 	}
 	if race.VerifyWitness(tr, good, 0, 2) == nil || race.VerifyWitness(tr, good, -1, 1) == nil {
 		t.Error("racing pair outside the trace accepted")
@@ -138,7 +113,7 @@ func TestUncheckedVindicatingEngineRejectsIllFormedStream(t *testing.T) {
 // thread's events keep their order and no lock or read is involved, so
 // only the lifecycle rule can reject it.
 func TestVerifyWitnessRejectsChildBeforeFork(t *testing.T) {
-	tr := &race.Trace{Threads: 2, Vars: 2, Events: []race.Event{
+	tr := &race.Trace{Events: []race.Event{
 		{T: 0, Op: race.OpFork, Targ: 1},
 		{T: 1, Op: race.OpWrite, Targ: 1},
 		{T: 1, Op: race.OpWrite, Targ: 0},
