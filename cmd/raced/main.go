@@ -11,8 +11,9 @@
 // analysis, flush acks mean "analyzed and durable", and a restarted raced
 // rebuilds the sessions a previous process left open — clients resume at
 // the acked offset (racedetect -resume, or server.Client.Resume). On
-// SIGINT/SIGTERM the server shuts down gracefully: every session queue
-// drains and every journal is synced and sealed before the process exits.
+// SIGINT/SIGTERM the server shuts down gracefully: every session finishes
+// the batch it is applying, and every journal is synced and sealed before
+// the process exits.
 //
 // Quick start against a generated trace:
 //
@@ -56,7 +57,6 @@ func main() {
 	d := daemon.New("raced", ":7117", ":7118", "every session, flush, and recovery")
 	var (
 		maxSess = flag.Int("max-sessions", 64, "maximum concurrently open sessions")
-		queue   = flag.Int("queue", 32, "per-session pending-batch queue depth")
 		idle    = flag.Duration("idle", 5*time.Minute, "idle-session eviction timeout (negative disables)")
 		dataDir = flag.String("data-dir", "", "durable-session directory: journal every session to a racelog and resume open sessions on restart (empty keeps sessions in memory)")
 	)
@@ -65,7 +65,6 @@ func main() {
 
 	srv := server.New(server.Config{
 		MaxSessions: *maxSess,
-		QueueDepth:  *queue,
 		IdleTimeout: *idle,
 		DataDir:     *dataDir,
 		IOTimeout:   *d.IOTimeout,
@@ -83,8 +82,8 @@ func main() {
 	}
 
 	if sig := d.Serve(srv.ServeTCP, srv.Handler()); sig != nil {
-		// Graceful: drain every session queue and sync + seal every
-		// journal before exiting, so a -data-dir restart resumes cleanly.
+		// Graceful: let every session's batch in flight finish, sync and
+		// seal every journal before exiting, so a -data-dir restart resumes cleanly.
 		d.Logger.Info("shutting down", "signal", sig.String(), "sessions", srv.ActiveSessions())
 		srv.Shutdown()
 	}

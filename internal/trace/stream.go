@@ -118,6 +118,8 @@ func (d *Decoder) fill() error {
 		d.end = fmt.Errorf("trace: event %d: %w", d.read+uint64(n), invalidOp(d.buf[n].Op))
 	case err == io.EOF && d.count == streamCount:
 		d.end = io.EOF
+	case err == io.ErrUnexpectedEOF && d.count == streamCount:
+		d.end = fmt.Errorf("trace: truncated at event %d", d.read+uint64(n))
 	case err == io.EOF || err == io.ErrUnexpectedEOF:
 		d.end = fmt.Errorf("trace: truncated at event %d of %d", d.read+uint64(n), d.count)
 	case err != nil:
@@ -217,6 +219,10 @@ func (d *TextDecoder) Next() (Event, error) {
 		op, ok := d.opByName[opName]
 		if !ok {
 			d.err = fmt.Errorf("trace: line %d: unknown op %q", d.line, opName)
+			return Event{}, d.err
+		}
+		if tid < 0 || tid > maxTid {
+			d.err = fmt.Errorf("trace: line %d: thread id %d outside 0..%d", d.line, tid, maxTid)
 			return Event{}, d.err
 		}
 		return Event{T: Tid(tid), Op: op, Targ: targ, Loc: Loc(loc)}, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"strings"
 	"testing"
 	"testing/iotest"
 )
@@ -210,7 +211,7 @@ func TestDecoderErrors(t *testing.T) {
 		{"counted/whole", &counted, cut(0), n, ""},
 		{"unbounded/whole", &unbounded, cut(0), n, ""},
 		{"counted/truncated inside a record", &counted, cut(5), n - 1, "trace: truncated at event 2999 of 3000"},
-		{"unbounded/truncated inside a record", &unbounded, cut(5), n - 1, "trace: truncated at event 2999 of 18446744073709551615"},
+		{"unbounded/truncated inside a record", &unbounded, cut(5), n - 1, "trace: truncated at event 2999"},
 		{"counted/truncated on a record boundary", &counted, cut(1000 * RecordSize), 2000, "trace: truncated at event 2000 of 3000"},
 		{"unbounded/truncated on a record boundary", &unbounded, cut(1000 * RecordSize), 2000, ""},
 		{"counted/invalid op at 0", &counted, badOp(0), 0, "trace: event 0: trace: invalid op 238 in record"},
@@ -254,6 +255,28 @@ func TestDecoderErrors(t *testing.T) {
 			if _, again := d.Next(); again != err {
 				t.Errorf("%s: the next call says %v, want %v again", name, again, err)
 			}
+		}
+	}
+	// The text decoder refuses what no event can hold, naming the line.
+	for _, tc := range []struct {
+		in      string
+		served  int
+		wantErr string
+	}{
+		{"0 wr 0 0\n70000 rd 0 0\n", 1, "trace: line 2: thread id 70000 outside 0..65535"},
+		{"# a comment\n-1 wr 0 0\n", 0, "trace: line 2: thread id -1 outside 0..65535"},
+		{"65535 wr 0 0\n0 frobnicate 0 0\n", 1, `trace: line 2: unknown op "frobnicate"`},
+	} {
+		d := NewTextDecoder(strings.NewReader(tc.in))
+		served := 0
+		var err error
+		for ; ; served++ {
+			if _, err = d.Next(); err != nil {
+				break
+			}
+		}
+		if served != tc.served || err == io.EOF || err.Error() != tc.wantErr {
+			t.Errorf("text %q: served %d events and ended with %v, want %d and %q", tc.in, served, err, tc.served, tc.wantErr)
 		}
 	}
 }

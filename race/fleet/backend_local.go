@@ -161,5 +161,5 @@ func (s localSession) Close() ([]byte, error) {
 }
 
 // Release is a connection to the server going away: a durable session stays
-// resumable at its enqueued offset, a memory-only one frees its slot.
+// resumable at its fed offset, a memory-only one frees its slot.
 func (s localSession) Release() { s.Drop(server.ErrConnLost) }

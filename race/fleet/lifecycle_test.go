@@ -29,13 +29,13 @@ import (
 // an EOF — a fleet.Local session released, a wire connection dropped —
 // leaves the session in the same state: a memory-only one frees its pool
 // slot at once (no idle eviction needed), a durable one stays live and
-// resumable at the offset it had enqueued, unflushed frames included.
+// resumable at the offset it had fed, unflushed frames included.
 func TestSessionLifecycleSameBehindEitherDoor(t *testing.T) {
 	const id = "lifecycle-1"
 	cfg := server.SessionConfig{Analyses: []string{"ST-WDC"}}
 	flushed := wire.AppendEvents(nil, []trace.Event{{Op: trace.OpWrite, Targ: 1}, {T: 1, Op: trace.OpRead, Targ: 1}})
 	unflushed := wire.AppendEvents(nil, []trace.Event{{Op: trace.OpWrite, Targ: 2}})
-	const enqueued = 3
+	const fedEvents = 3
 
 	// A door opens or resumes the session and returns the acked offset, a
 	// way to feed one frame (flushing after it or not), and a way to vanish.
@@ -141,7 +141,7 @@ func TestSessionLifecycleSameBehindEitherDoor(t *testing.T) {
 					// connection drops; wait until the server has taken it in.
 					waitFor(t, func() bool {
 						sess, ok := srv.Session(id)
-						return ok && sess.Enqueued() == enqueued
+						return ok && sess.Fed() == fedEvents
 					})
 				}
 				vanish()
@@ -155,8 +155,8 @@ func TestSessionLifecycleSameBehindEitherDoor(t *testing.T) {
 				}
 				fed, _, vanish := open(t, srv, true)
 				defer vanish()
-				if fed != enqueued {
-					t.Fatalf("resumed at offset %d, want the %d events enqueued", fed, enqueued)
+				if fed != fedEvents {
+					t.Fatalf("resumed at offset %d, want the %d events fed", fed, fedEvents)
 				}
 				if n := srv.ActiveSessions(); n != 1 {
 					t.Fatalf("%d live sessions after the resume, want 1", n)
@@ -177,7 +177,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 // TestLocalFeedDoesNotAllocate: an in-process backend feeds record bytes
-// through the session's two recycled slabs, like a wire connection, so in
+// through the session's one reused slab, like a wire connection, so in
 // steady state a frame costs no allocation on top of its flush barrier's.
 func TestLocalFeedDoesNotAllocate(t *testing.T) {
 	srv := server.New(server.Config{IdleTimeout: -1})
@@ -200,8 +200,7 @@ func TestLocalFeedDoesNotAllocate(t *testing.T) {
 		}
 		flush()
 	}
-	// A malformed frame is refused as a protocol violation and costs the
-	// session neither of its two slabs (a third refusal would block on them).
+	// A malformed frame is refused as a protocol violation.
 	bad := append([]byte(nil), frame...)
 	bad[2] = 0xEE
 	for _, recs := range [][]byte{bad, frame[:len(frame)-5], bad} {

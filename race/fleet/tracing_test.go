@@ -142,8 +142,8 @@ func TestFleetConnectedSpanTree(t *testing.T) {
 	if backend == nil {
 		t.Fatal("no backend recorded spans in the client's trace")
 	}
-	if len(backend["raced.enqueue"]) == 0 {
-		t.Error("backend recorded no raced.enqueue span")
+	if len(backend["raced.engine.analyze"]) == 0 {
+		t.Error("backend recorded no raced.engine.analyze span")
 	}
 	flushes := backend["raced.flush"]
 	if len(flushes) == 0 {

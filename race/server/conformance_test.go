@@ -79,13 +79,14 @@ func conformanceTraces(t *testing.T) map[string]*race.Trace {
 // claim: for every workload, the report a raced server computes for a
 // session streamed over the wire protocol is byte-for-byte identical
 // (canonical JSON) to in-process batch analysis — with the full 15-cell
-// Table 1 fan-out in one session.
+// Table 1 fan-out in one session, memory-only and durable.
 func TestWireReportsMatchBatchAnalyzeAllCells(t *testing.T) {
 	names := race.Detectors()
 	if len(names) != 15 {
 		t.Fatalf("registry has %d analyses, want the paper's 15 Table 1 cells", len(names))
 	}
-	_, addr := startTCP(t, Config{})
+	_, memory := startTCP(t, Config{})
+	_, durable := startTCP(t, Config{DataDir: t.TempDir()})
 	for trName, tr := range conformanceTraces(t) {
 		// In-process truth: one engine running all 15 cells over the trace.
 		eng, err := race.NewEngine(race.WithAnalysisNames(names...))
@@ -105,17 +106,19 @@ func TestWireReportsMatchBatchAnalyzeAllCells(t *testing.T) {
 		}
 
 		for _, batch := range []int{1, 7, 2048} {
-			remote, err := streamRemote(addr, SessionConfig{Analyses: names}, tr, batch)
-			if err != nil {
-				t.Fatalf("%s (batch %d): %v", trName, batch, err)
-			}
-			got, err := json.Marshal(remote)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s (batch %d): wire report differs from batch Analyze\n--- remote ---\n%s\n--- local ---\n%s",
-					trName, batch, got, want)
+			for _, addr := range []string{memory, durable} {
+				remote, err := streamRemote(addr, SessionConfig{Analyses: names}, tr, batch)
+				if err != nil {
+					t.Fatalf("%s (batch %d, durable=%v): %v", trName, batch, addr == durable, err)
+				}
+				got, err := json.Marshal(remote)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s (batch %d, durable=%v): wire report differs from batch Analyze\n--- remote ---\n%s\n--- local ---\n%s",
+						trName, batch, addr == durable, got, want)
+				}
 			}
 		}
 	}

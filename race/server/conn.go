@@ -403,7 +403,7 @@ func (s *Server) Attach(ctx context.Context, hello *HelloPayload) (Attachment, A
 		}
 		return Attachment{}, AckPayload{}, err
 	}
-	return att, AckPayload{Session: sess.ID, Fed: sess.Enqueued()}, nil
+	return att, AckPayload{Session: sess.ID, Fed: sess.Fed()}, nil
 }
 
 // claim makes the caller the session's one driver — a wire connection, an
@@ -434,20 +434,19 @@ func (sess *Session) claim(ctx context.Context) (Attachment, error) {
 // memory-only session lives exactly as long as its driver.
 type Attachment struct{ sess *Session }
 
-// ingestBatch is how many events ingest decodes per slab.
+// ingestBatch is how many events ingest decodes per batch.
 const ingestBatch = 4096
 
 // ingest drains dec — a trace file of unknown length, such as a request
-// body — into the session through its slabs, ingestBatch events at a time.
-// readErr is dec failing, and nothing of that slab reaches the session; err
+// body — into the session through its slab, ingestBatch events at a time.
+// readErr is dec failing, and nothing of that batch reaches the session; err
 // is the session refusing a batch.
 func (a Attachment) ingest(dec *trace.Decoder) (readErr, err error) {
+	if cap(a.sess.slab) < ingestBatch {
+		a.sess.slab = make([]race.Event, ingestBatch)
+	}
+	slab := a.sess.slab[:ingestBatch]
 	for {
-		slab := a.sess.takeSlab()
-		if cap(slab) < ingestBatch {
-			slab = make([]race.Event, ingestBatch)
-		}
-		slab = slab[:ingestBatch]
 		n := 0
 		for ; n < ingestBatch; n++ {
 			if slab[n], readErr = dec.Next(); readErr != nil {
@@ -455,45 +454,41 @@ func (a Attachment) ingest(dec *trace.Decoder) (readErr, err error) {
 			}
 		}
 		if readErr != nil && readErr != io.EOF {
-			a.sess.putSlab(slab)
 			return readErr, nil
 		}
-		if err := a.sess.feed(tracing.SpanContext{}, slab[:n], true); err != nil || readErr != nil {
+		if err := a.sess.feed(tracing.SpanContext{}, slab[:n]); err != nil || readErr != nil {
 			return nil, err
 		}
 	}
 }
 
-// Events decodes the frame body straight out of br into one of the
-// session's two slabs (taking one waits for the feeder to be done with it —
-// the connection's backpressure) and enqueues it.
+// Events decodes the frame body straight out of br into the session's slab
+// and applies it; the connection reads its next frame only after that — its
+// backpressure.
 func (a Attachment) Events(br *bufio.Reader, n int) (readErr, err error) {
-	slab := a.sess.takeSlab()
-	evs, readErr := wire.ReadEvents(br, n, slab)
+	evs, readErr := wire.ReadEvents(br, n, a.sess.slab)
 	if readErr != nil {
-		a.sess.putSlab(slab)
 		return readErr, nil
 	}
-	return nil, a.sess.feed(tracing.SpanContext{}, evs, true)
+	a.sess.slab = evs
+	return nil, a.sess.feed(tracing.SpanContext{}, evs)
 }
 
-// FeedRecords enqueues recs — the body of one Events frame, already off the
-// wire — through the same slab path. recs is not kept.
+// FeedRecords applies recs — the body of one Events frame, already off the
+// wire — through the same slab. recs is not kept.
 func (a Attachment) FeedRecords(recs []byte) error {
 	n := len(recs) / trace.RecordSize
 	if n*trace.RecordSize != len(recs) {
 		return fmt.Errorf("%w: %v", ErrProto, trace.RaggedRecords(len(recs)))
 	}
-	slab := a.sess.takeSlab()
-	if cap(slab) < n {
-		slab = make([]race.Event, n)
+	if cap(a.sess.slab) < n {
+		a.sess.slab = make([]race.Event, n)
 	}
-	slab = slab[:n]
+	slab := a.sess.slab[:n]
 	if i := trace.GetRecords(slab, recs); i >= 0 {
-		a.sess.putSlab(slab)
 		return fmt.Errorf("%w: %v", ErrProto, trace.BadRecord(i, slab[i].Op))
 	}
-	return a.sess.feed(tracing.SpanContext{}, slab, true)
+	return a.sess.feed(tracing.SpanContext{}, slab)
 }
 
 func (a Attachment) Flush(parent tracing.SpanContext) (uint64, error) {

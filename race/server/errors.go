@@ -14,7 +14,7 @@ import (
 
 // This file is the service's error contract, written once. Every layer —
 // TError frames, the HTTP API, ReliableSession, the fleet router,
-// TestChaos, Session.run — reads a column of conditions through Classify;
+// TestChaos, Session.teardown — reads a column of conditions through Classify;
 // none keeps a classifier of its own. The README's "Errors" table is
 // rendered from the same rows.
 
@@ -74,7 +74,7 @@ const (
 )
 
 // Fate is what the session actor leaves on disk when a durable session ends
-// on a condition (Session.run).
+// on a condition (Session.teardown).
 type Fate uint8
 
 const (

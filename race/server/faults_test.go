@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/fault"
@@ -66,12 +65,7 @@ func TestDiskFaultDegradesWithoutCrashing(t *testing.T) {
 		t.Fatalf("victim Close = %v, want ErrDiskFault", err)
 	}
 
-	// Teardown (and with it the quarantine move) runs on the feeder
-	// goroutine; give it a moment.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.QuarantinedSessions() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// Teardown, and with it the quarantine move, is done once Close returns.
 	if got := s.QuarantinedSessions(); got != 1 {
 		t.Fatalf("QuarantinedSessions = %d, want 1", got)
 	}

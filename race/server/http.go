@@ -287,7 +287,7 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	err := s.RecoverSession(r.Context(), id)
 	offset := uint64(0)
 	if sess, ok := s.Session(id); ok {
-		offset = sess.Enqueued()
+		offset = sess.Fed()
 	}
 	serveFed(w, offset, err)
 }

@@ -23,8 +23,8 @@ import (
 //
 //	session.json    sessionMeta: the session's engine config and state
 //	journal/        a racelog (package store) of every ingested event,
-//	                appended by the feeder *before* the engine sees the
-//	                batch (write-ahead), synced at each flush barrier
+//	                appended *before* the engine sees the batch
+//	                (write-ahead), synced at each flush barrier
 //	report.json     the canonical report JSON, written at clean close
 //
 // The lifecycle on disk:
@@ -99,7 +99,7 @@ func writeJSONFile(fsys fault.FS, path string, v any) error {
 
 // persistInit creates the session's on-disk identity: directory, journal,
 // and "open" metadata. Called once the session has its server-assigned id,
-// before its feeder starts. A failure is an ErrDiskFault and removes what
+// before it is published. A failure is an ErrDiskFault and removes what
 // was built, so the id is free again on disk and no boot finds a leftover.
 func (sess *Session) persistInit() error {
 	fsys := sess.srv.fsys()
@@ -150,7 +150,7 @@ func (sess *Session) discardPersist() {
 // never resurrect a journal whose durability promises were broken, but
 // preserved on disk for the operator. Best-effort — the disk is already
 // misbehaving — with a rename-only fallback path kept as simple as
-// possible. Called from feeder teardown after the journal is closed.
+// possible. Called from teardown after the journal is closed.
 func (sess *Session) quarantine() {
 	if sess.dir == "" {
 		return
@@ -386,20 +386,15 @@ func (s *Server) noteRecoveredID(id string) {
 
 // recoverFinished restores a cleanly closed session's report into the
 // finished archive, at the offset it closed at: a resume attaches to it
-// there (Server.Attach), and its slabs take the frames it refuses.
+// there (Server.Attach), and refuses every frame.
 func (s *Server) recoverFinished(dir string, meta sessionMeta) {
-	done := make(chan struct{})
-	close(done)
 	sess := &Session{
-		ID:       meta.ID,
-		cfg:      meta.Config,
-		srv:      s,
-		dir:      dir,
-		closing:  true,
-		done:     done,
-		slabs:    newSlabs(),
-		fed:      meta.Events,
-		enqueued: meta.Events,
+		ID:      meta.ID,
+		cfg:     meta.Config,
+		srv:     s,
+		dir:     dir,
+		closing: true,
+		fed:     meta.Events,
 	}
 	doc, err := s.fsys().ReadFile(filepath.Join(dir, "report.json"))
 	if err == nil {
@@ -418,9 +413,9 @@ func (s *Server) recoverFinished(dir string, meta sessionMeta) {
 
 // recoverOpen rebuilds a live session: recover the journal (truncating the
 // torn tail), build a fresh engine from the persisted config, replay the
-// journal into it, and hand the session to a new feeder. The replay runs
-// on the recovering goroutine — the feeder starts only afterwards, so the
-// engine is never touched concurrently.
+// journal into it, and publish the session. The replay runs on the
+// recovering goroutine before the session is published, so no driver
+// touches the engine concurrently.
 func (s *Server) recoverOpen(parent tracing.SpanContext, dir string, meta sessionMeta) error {
 	ssp := s.cfg.Tracer.Child("raced.recover.session", parent)
 	ssp.SetAttr("session", meta.ID)
@@ -432,14 +427,11 @@ func (s *Server) recoverOpen(parent tracing.SpanContext, dir string, meta sessio
 		return err
 	}
 	sess := &Session{
-		ID:    meta.ID,
-		cfg:   meta.Config,
-		srv:   s,
-		dir:   dir,
-		jlog:  jlog,
-		work:  make(chan workItem, s.cfg.QueueDepth),
-		done:  make(chan struct{}),
-		slabs: newSlabs(),
+		ID:   meta.ID,
+		cfg:  meta.Config,
+		srv:  s,
+		dir:  dir,
+		jlog: jlog,
 	}
 	// Replay spans (and the session's later ingest spans, until a
 	// connection re-attaches) parent under the recovery tree.
@@ -459,7 +451,7 @@ func (s *Server) recoverOpen(parent tracing.SpanContext, dir string, meta sessio
 		sess.poison(err, nil)
 	}
 	sess.lastActive = s.cfg.now()
-	sess.enqueued = sess.fed
+	sess.sink = sink
 
 	s.mu.Lock()
 	if s.closed {
@@ -471,7 +463,6 @@ func (s *Server) recoverOpen(parent tracing.SpanContext, dir string, meta sessio
 	s.sessions[sess.ID] = sess
 	s.mu.Unlock()
 	s.metrics.opened.Add(1)
-	go sess.run(sink)
 	return nil
 }
 
@@ -531,32 +522,32 @@ func (sess *Session) journalTrace() (*race.Trace, error) {
 }
 
 // Shutdown is the graceful counterpart of Close for a durable server:
-// it stops admitting sessions, drains every live durable session's
-// queue, syncs and seals its journal, and discards the in-memory engines
-// without producing reports — on disk every live session stays "open",
+// it stops admitting sessions, lets every live durable session's batch in
+// flight finish, syncs and seals its journal, and discards the in-memory
+// engines without producing reports — on disk every live session stays "open",
 // so the next process's Recover resumes all of them at the acked offset.
 // Memory-only sessions (no journal) have nothing to preserve and are
 // aborted with ErrServerClosed, exactly as Close would.
 func (s *Server) Shutdown() error {
-	s.stop(func(sess *Session) bool {
+	s.stop(func(sess *Session) {
 		if sess.jlog != nil {
-			return sess.suspend()
+			sess.suspend()
+		} else {
+			sess.abort(ErrServerClosed)
 		}
-		return sess.abort(ErrServerClosed)
 	})
 	return nil
 }
 
-// suspend quiesces a session for graceful shutdown: pending batches drain
-// into the journal and engine, the journal is sealed, and the feeder
-// exits without closing the engine into a report — the on-disk state
-// stays "open" for the next process to resume. A session already closing
+// suspend quiesces a session for graceful shutdown: a batch in flight
+// finishes, the journal is sealed, and the engine is discarded without
+// closing it into a report — the on-disk state stays "open" for the next
+// process to resume. A session already closing
 // (a client's Close racing the shutdown) is left alone: its clean close,
 // report and all, completes normally.
 func (sess *Session) suspend() bool {
-	// The feeder reads the flag only after the channel closes, and only a
-	// suspend that actually owns the close may set it — a clean close in
-	// flight must win.
+	// Teardown reads the flag, and only a suspend that actually owns the
+	// end may set it — a clean close in flight must win.
 	owned := sess.end(func() {
 		sess.mu.Lock()
 		sess.suspended = true

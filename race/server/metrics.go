@@ -10,11 +10,10 @@ import (
 
 // metrics is the server's obs-backed instrumentation. Counter
 // registration ORDER is load-bearing: the ingest pipeline increments
-// enqueued → journaled → engine-fed → analyzed per batch, and
-// Registry.Snapshot reads metrics in registration order, so registering
-// the downstream counters first makes every scrape observe
-// enqueued ≥ journaled ≥ engine-fed ≥ analyzed — an internally
-// consistent view even mid-ingest.
+// journaled → engine-fed → analyzed per batch, and Registry.Snapshot reads
+// metrics in registration order, so registering the downstream counters
+// first makes every scrape observe journaled ≥ engine-fed ≥ analyzed — an
+// internally consistent view even mid-ingest.
 type metrics struct {
 	start time.Time
 
@@ -22,10 +21,8 @@ type metrics struct {
 	analyzed  *obs.Counter        // raced_events_analyzed_total
 	eng       *race.EngineMetrics // raced_engine_* (shared by every session's engine)
 	journaled *obs.Counter        // raced_events_journaled_total
-	enqueued  *obs.Counter        // raced_events_enqueued_total
 
 	batches   *obs.Counter
-	races     *obs.Counter
 	opened    *obs.Counter
 	closed    *obs.Counter
 	evicted   *obs.Counter
@@ -43,9 +40,7 @@ type metrics struct {
 	connTimeouts     *obs.Counter // raced_conn_timeouts_total
 	corruptFrames    *obs.Counter // raced_corrupt_frames_total
 
-	queueDepth    *obs.Histogram // sampled at each Feed
-	queueWait     *obs.Histogram // time a batch blocked on a full queue
-	flushAck      *obs.Histogram // Flush enqueue → barrier ack
+	flushAck      *obs.Histogram // flush barrier wall time
 	journalAppend *obs.Histogram // write-ahead AppendBatch wall time
 
 	store store.Metrics // rotation / recovery / fsync timings
@@ -75,11 +70,8 @@ func (m *metrics) init(reg *obs.Registry, s *Server) {
 	m.eng = race.NewEngineMetrics(reg, "raced_engine")
 	m.journaled = reg.Counter("raced_events_journaled_total",
 		"Events committed past the write-ahead journal stage (a no-op pass-through on memory-only servers).")
-	m.enqueued = reg.Counter("raced_events_enqueued_total",
-		"Events accepted into session ingest queues.")
 
 	m.batches = reg.Counter("raced_batches_total", "Event batches analyzed.")
-	m.races = reg.Counter("raced_races_total", "Races reported online across all sessions.")
 	m.opened = reg.Counter("raced_sessions_opened_total", "Sessions admitted.")
 	m.closed = reg.Counter("raced_sessions_closed_total", "Sessions closed (including aborts; excluding evictions).")
 	m.evicted = reg.Counter("raced_sessions_evicted_total", "Sessions evicted after the idle timeout.")
@@ -107,12 +99,8 @@ func (m *metrics) init(reg *obs.Registry, s *Server) {
 	reg.GaugeFunc("raced_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return s.cfg.now().Sub(m.start).Seconds() })
 
-	m.queueDepth = reg.Histogram("raced_ingest_queue_depth",
-		"Session ingest-queue occupancy sampled at each accepted batch.", obs.DepthBuckets())
-	m.queueWait = reg.Histogram("raced_ingest_queue_wait_seconds",
-		"Time an accepted batch blocked on a full session ingest queue before enqueue (0 when a slot was free).", obs.LatencyBuckets())
 	m.flushAck = reg.Histogram("raced_flush_ack_seconds",
-		"Flush-barrier latency: enqueue to ack (journal fsync + engine sync behind queued work).", obs.LatencyBuckets())
+		"Flush-barrier latency: journal fsync + engine sync.", obs.LatencyBuckets())
 	m.journalAppend = reg.Histogram("raced_journal_append_seconds",
 		"Write-ahead journal AppendBatch wall time.", obs.LatencyBuckets())
 	m.store = store.Metrics{

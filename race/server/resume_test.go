@@ -107,7 +107,7 @@ func TestResumedSessionMatchesBatchAnalyzeAllCells(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: session %s not live after recovery", trName, id)
 		}
-		off := sess2.Enqueued()
+		off := sess2.Fed()
 		if off < uint64(mid) || off > uint64(extra) {
 			t.Fatalf("%s: resume offset %d outside [%d, %d]", trName, off, mid, extra)
 		}
@@ -128,7 +128,7 @@ func TestResumedSessionMatchesBatchAnalyzeAllCells(t *testing.T) {
 }
 
 // TestHardCrashRecovery: no graceful shutdown at all — the first server is
-// simply abandoned after a flush barrier (its feeder never told; the
+// simply abandoned after a flush barrier (its sessions never told; the
 // journal's durable prefix is whatever the barrier synced). Recovery must
 // resume from at least the acked offset and the finished report must still
 // match batch Analyze.
@@ -163,7 +163,7 @@ func TestHardCrashRecovery(t *testing.T) {
 	if !ok {
 		t.Fatalf("session %s not recovered", id)
 	}
-	off := sess2.Enqueued()
+	off := sess2.Fed()
 	if off < uint64(mid) {
 		t.Fatalf("recovery lost acked events: offset %d < flushed %d", off, mid)
 	}
@@ -418,7 +418,7 @@ func TestVindicatingJournalIsTheOnlyCopy(t *testing.T) {
 	if !ok {
 		t.Fatalf("session %s not recovered", sess1.ID)
 	}
-	feedChunks(t, sess2, tr, int(sess2.Enqueued()), tr.Len(), 4096)
+	feedChunks(t, sess2, tr, int(sess2.Fed()), tr.Len(), 4096)
 	rep, err := sess2.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +489,7 @@ func TestEvictedDurableSessionStaysResumable(t *testing.T) {
 	if !ok {
 		t.Fatalf("evicted session %s not resumable after restart", id)
 	}
-	feedChunks(t, sess2, tr, int(sess2.Enqueued()), len(tr.Events), 89)
+	feedChunks(t, sess2, tr, int(sess2.Fed()), len(tr.Events), 89)
 	rep, err := sess2.Close()
 	if err != nil {
 		t.Fatal(err)

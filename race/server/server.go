@@ -9,17 +9,17 @@
 //
 //	cmd/raced            HTTP + raw-TCP front ends (this package's
 //	                     Handler and ServeTCP), flags, lifecycle
-//	race/server          session manager: admission control, per-session
-//	                     ingest queues with backpressure, idle eviction,
-//	                     panic isolation, metrics
+//	race/server          session manager: admission control, idle
+//	                     eviction, panic isolation, metrics
 //	race                 one race.Engine per session (any Table 1 fan-out)
 //	internal/wire        framed transport shared with the client
 //
-// Sessions are isolated: every engine runs behind a dedicated feeder
-// goroutine with a bounded work queue (a slow analysis backpressures only
-// its own connection), and an analysis panic poisons only its session — the
-// feeder recovers it into the session's sticky error while the server keeps
-// serving every other tenant.
+// Sessions are isolated: each engine runs on the goroutine of the one
+// driver that holds its session, which reads its next frame only once its
+// last batch is applied (a slow analysis backpressures only its own
+// connection), and an analysis panic poisons only its session — it is
+// recovered into the session's sticky error while the server keeps serving
+// every other tenant.
 //
 // What can go wrong, and what each party does about it, is one table
 // (errors.go): wire code, local sentinel, HTTP status, report label, the
@@ -47,10 +47,6 @@ type Config struct {
 	// MaxSessions bounds concurrently open sessions (admission control);
 	// OpenSession returns ErrServerFull beyond it. Default 64.
 	MaxSessions int
-	// QueueDepth is each session's pending-batch queue length. A full queue
-	// blocks that session's producer (its connection), never the server:
-	// per-session backpressure. Default 32.
-	QueueDepth int
 	// IdleTimeout evicts sessions that have not ingested anything for this
 	// long (their engines close, the final report is discarded). Zero means
 	// the default of 5 minutes; negative disables eviction.
@@ -85,7 +81,7 @@ type Config struct {
 	// The wrapper sits under the I/O deadline layer, so injected stalls
 	// are subject to IOTimeout like organic ones.
 	WrapConn func(net.Conn) net.Conn
-	// Tracer records per-request span trees (enqueue, journal append,
+	// Tracer records per-request span trees (journal append,
 	// fsync, engine feed, flush barrier, recovery replay), stitching them
 	// to client traces through wire and HTTP trace context. Nil disables
 	// tracing; every instrumentation point is nil-safe and allocation-free
@@ -99,7 +95,6 @@ type Config struct {
 
 const (
 	defaultMaxSessions = 64
-	defaultQueueDepth  = 32
 	defaultIdleTimeout = 5 * time.Minute
 )
 
@@ -134,9 +129,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = defaultMaxSessions
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = defaultQueueDepth
 	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = defaultIdleTimeout
@@ -175,8 +167,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// OpenSession admits a new tenant: it builds the configured engine, starts
-// its feeder, and returns the session. ErrServerFull applies admission
+// OpenSession admits a new tenant: it builds the configured engine and
+// returns the session. ErrServerFull applies admission
 // control; bad configurations (unknown analysis names, N/A cells) surface
 // as engine construction errors. On a durable server the session persists
 // (journal + metadata) — openSession with persist=false serves callers
@@ -270,25 +262,19 @@ func (s *Server) openSession(reqID string, cfg SessionConfig, persist bool) (*Se
 		return reject(rejectFull, ErrServerFull)
 	}
 
-	sess := &Session{
-		cfg:   cfg,
-		srv:   s,
-		work:  make(chan workItem, s.cfg.QueueDepth),
-		done:  make(chan struct{}),
-		slabs: newSlabs(),
-	}
+	sess := &Session{cfg: cfg, srv: s}
 	journaled := persist && s.cfg.DataDir != ""
 	sink, err := s.cfg.newSink(cfg, sess.onRace, journaled)
 	if err != nil {
 		s.metrics.rejected[rejectConfig].Add(1)
 		return nil, err
 	}
+	sess.sink = sink
 
 	// Reserve an id first (ids are labels; a rejected open burning one is
 	// harmless), then build the session's persistence before publishing:
-	// a session in the table always has its journal set and a live feeder
-	// about to start, so shutdown and eviction never observe a
-	// half-initialized tenant.
+	// a session in the table always has its journal and engine set, so
+	// shutdown and eviction never observe a half-initialized tenant.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -347,7 +333,6 @@ func (s *Server) openSession(reqID string, cfg SessionConfig, persist bool) (*Se
 	s.mu.Unlock()
 
 	s.metrics.opened.Add(1)
-	go sess.run(sink)
 	return sess, nil
 }
 
@@ -440,9 +425,8 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// SuspendSession quiesces one live durable session for migration: pending
-// batches drain into the journal and engine, the journal is synced and
-// sealed, and the session leaves the live table — on disk it stays "open",
+// SuspendSession quiesces one live durable session for migration: a batch
+// in flight finishes, the journal is synced and sealed, and the session leaves the live table — on disk it stays "open",
 // so whichever server next holds the directory resumes it at the accepted
 // offset. It returns the journaled event count. Only durable sessions can
 // be suspended (a memory-only session has no journal to carry its state).
@@ -554,16 +538,15 @@ func (s *Server) live() []*Session {
 // Close shuts the server down: no new sessions are admitted, every live
 // session is aborted, and the janitor stops.
 func (s *Server) Close() error {
-	s.stop(func(sess *Session) bool { return sess.abort(ErrServerClosed) })
+	s.stop(func(sess *Session) { sess.abort(ErrServerClosed) })
 	return nil
 }
 
 // stop is the one way down, for Close and Shutdown: admission ends, every
-// live session is ended by end, and the janitor stops. A session end did not
-// get to end (false) was already closing: its feeder is waited for, so a
-// clean close in flight completes — report, persistence and all — before
-// the process exits.
-func (s *Server) stop(end func(*Session) bool) {
+// live session is ended by end, and the janitor stops. On a session already
+// closing, end returns once that close is complete — report, persistence
+// and all — so it finishes before the process exits.
+func (s *Server) stop(end func(*Session)) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -572,9 +555,7 @@ func (s *Server) stop(end func(*Session) bool) {
 	s.closed = true
 	s.mu.Unlock()
 	for _, sess := range s.live() {
-		if !end(sess) {
-			<-sess.done
-		}
+		end(sess)
 	}
 	if s.stopJanitor != nil {
 		close(s.stopJanitor)

@@ -69,8 +69,9 @@ func TestSessionLifecycle(t *testing.T) {
 	if s.ActiveSessions() != 0 {
 		t.Fatalf("session still registered after Close")
 	}
-	if m := &s.metrics; m.analyzed.Value() != uint64(tr.Len()) || m.races.Value() != 2 || m.closed.Value() != 1 {
-		t.Fatalf("metrics: analyzed %d, races %d, closed %d", m.analyzed.Value(), m.races.Value(), m.closed.Value())
+	races := scrapeValue(s.Registry(), "raced_engine_races_total")
+	if m := &s.metrics; m.analyzed.Value() != uint64(tr.Len()) || races != 2 || m.closed.Value() != 1 {
+		t.Fatalf("metrics: analyzed %d, races %v, closed %d", m.analyzed.Value(), races, m.closed.Value())
 	}
 
 	// Close is idempotent and Feed after Close errors.
@@ -364,7 +365,7 @@ func TestHTTPAPI(t *testing.T) {
 	// JSON /metrics is the registry snapshot under canonical names only.
 	var metrics map[string]any
 	do("GET", "/metrics", http.StatusOK, &metrics)
-	if metrics["raced_events_analyzed_total"] != float64(tr.Len()) || metrics["raced_races_total"] != float64(2) {
+	if metrics["raced_events_analyzed_total"] != float64(tr.Len()) || metrics["raced_engine_races_total"] != float64(2) {
 		t.Fatalf("metrics = %+v", metrics)
 	}
 	if _, ok := metrics["events_total"]; ok {

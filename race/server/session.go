@@ -11,57 +11,40 @@ import (
 	"repro/race"
 )
 
-// workItem is one unit on a session's ingest queue: an event batch, or a
-// flush barrier whose ack is sent once everything before it has been
-// applied.
-type workItem struct {
-	events []race.Event
-	// recycle marks events as one of the session's slabs: the feeder hands
-	// it back (putSlab) once journal and engine are done with the batch.
-	recycle bool
-	ack     chan error
-	// trace is the span context the feeder parents its journal/engine
-	// spans under: the enqueue span for a batch, the flush span for a
-	// barrier. Zero when tracing is off or no context reached the session.
-	trace tracing.SpanContext
-}
-
-// Session is one tenant: an engine plus the feeder goroutine and queue
-// that isolate it from every other tenant. With a durable server
-// (Config.DataDir) the session also owns an on-disk directory and journal
-// racelog (see journal.go).
+// Session is one tenant: an engine that its one driver (Session.claim) — a
+// wire connection, an in-process fleet backend, a one-shot POST /ingest —
+// or an in-process Feed caller runs on its own goroutine. With a durable
+// server (Config.DataDir) the session also owns an on-disk directory and
+// journal racelog (see journal.go).
 type Session struct {
 	ID  string
 	cfg SessionConfig
 	srv *Server
 
 	// dir and jlog are the session's persistence arm (nil/"" without a
-	// DataDir). The journal is written only by the feeder goroutine.
+	// DataDir).
 	dir  string
 	jlog *store.Log
 
-	// ingestMu serializes producers (Feed/Flush/Close/abort) so nothing
-	// sends on a closed work channel.
+	// ingestMu serializes everything that touches the engine and the
+	// journal — feed, FlushCtx and end — so ending waits for at most one
+	// batch in flight. sink is the engine, nil once the session has ended.
 	ingestMu sync.Mutex
 	closing  bool
-	work     chan workItem
-	done     chan struct{} // feeder exited; report/err final
+	sink     engineSink
 
-	// slabs is the free list of event slabs that front ends decode into
-	// (takeSlab/putSlab): exactly two tokens circulate, so one batch is
-	// decoded while the feeder works on the previous one and steady-state
-	// ingest allocates nothing. A token starts empty and grows to the
-	// largest batch seen.
-	slabs chan []race.Event
+	// slab is the claim holder's decode buffer (Attachment): every frame is
+	// decoded into it and fed from it, so steady-state ingest allocates
+	// nothing. It grows to the largest batch seen and goes with the claim.
+	slab []race.Event
 
 	mu         sync.Mutex
 	lastActive time.Time
 	fed        uint64
-	enqueued   uint64 // events accepted into the queue (≥ fed)
 	online     []race.RaceInfo
 	report     *race.Report
 	err        error
-	suspended  bool                // graceful shutdown: feeder preserves the journal
+	suspended  bool                // graceful shutdown: end preserves the journal
 	attached   bool                // a driver has claimed this session (Session.claim)
 	traceCtx   tracing.SpanContext // default parent for ingest spans (the driving connection's span)
 }
@@ -83,59 +66,21 @@ func (sess *Session) startSpan(name string, parent tracing.SpanContext) *tracing
 	return sp
 }
 
-// onRace collects online detections; it runs on the feeder goroutine (or
-// the engine pipeline's drainer), never concurrently with itself.
+// onRace collects online detections; it runs under ingestMu (or on the
+// engine pipeline's drainer), never concurrently with itself.
 func (sess *Session) onRace(ri race.RaceInfo) {
 	sess.mu.Lock()
 	sess.online = append(sess.online, ri)
 	sess.mu.Unlock()
-	sess.srv.metrics.races.Add(1)
 }
 
-// run is the feeder: it drains the work queue — journaling each batch
-// before the engine sees it on a durable server — recovering panics into
-// the session's sticky error, and closes the engine when the queue
-// closes. It is the only goroutine that touches the engine (and the
-// journal), which is what makes one poisoned engine unable to take down
-// the server.
-func (sess *Session) run(sink engineSink) {
-	defer close(sess.done)
-	for item := range sess.work {
-		if item.ack != nil {
-			// Flush barrier: first make everything journaled so far
-			// durable, then wait for the engine to apply it (on a parallel
-			// engine batches are still in flight on worker rings). The ack
-			// then really means "everything before this point is analyzed
-			// and survives a crash".
-			if sess.Err() == nil && sess.jlog != nil {
-				jsp := sess.startSpan("raced.journal.fsync", item.trace)
-				err := sess.jlog.Sync()
-				jsp.SetError(err)
-				jsp.End()
-				if err != nil {
-					sess.poison(fmt.Errorf("%w: syncing journal: %w", ErrDiskFault, err), err)
-				}
-			}
-			if sess.Err() == nil {
-				esp := sess.startSpan("raced.engine.sync", item.trace)
-				err := guard(" at sync", sink.Sync)
-				esp.SetError(err)
-				esp.End()
-				if err != nil {
-					sess.poison(err, nil)
-				}
-			}
-			item.ack <- sess.Err()
-			continue
-		}
-		// A poisoned session drains and discards, so producers never block.
-		if sess.Err() == nil {
-			sess.ingest(sink, item)
-		}
-		if item.recycle {
-			sess.putSlab(item.events)
-		}
-	}
+// teardown ends the engine once ingestion has stopped (end): a suspended
+// session seals its journal and discards the engine, a healthy one closes
+// into its report, a failed one is discarded — and a durable session's
+// state on disk follows its sticky error's fate.
+func (sess *Session) teardown() {
+	sink := sess.sink
+	sess.sink = nil
 	if sess.isSuspended() {
 		// Graceful shutdown: seal the journal (Close syncs it) and discard
 		// only the engine — on disk the session stays "open" so the next
@@ -199,16 +144,17 @@ func (sess *Session) finish(sink engineSink) *race.Report {
 	return rep
 }
 
-// ingest applies one batch on the feeder goroutine: journal, then engine.
-func (sess *Session) ingest(sink engineSink, item workItem) {
+// ingest applies one batch under ingestMu: journal, then engine. Its
+// spans parent under parent, or the session's connection-level context.
+func (sess *Session) ingest(parent tracing.SpanContext, events []race.Event) {
 	// Write-ahead: the journal sees the batch before the engine, so a
 	// crash can lose unjournaled analysis work but never journal an
 	// event the engine might not have seen on replay.
 	if sess.jlog != nil {
-		jsp := sess.startSpan("raced.journal.append", item.trace)
-		jsp.SetInt("events", int64(len(item.events)))
+		jsp := sess.startSpan("raced.journal.append", parent)
+		jsp.SetInt("events", int64(len(events)))
 		t0 := time.Now()
-		err := sess.jlog.AppendBatch(item.events)
+		err := sess.jlog.AppendBatch(events)
 		sess.srv.metrics.journalAppend.ObserveDuration(time.Since(t0))
 		jsp.SetError(err)
 		jsp.End()
@@ -217,20 +163,20 @@ func (sess *Session) ingest(sink engineSink, item workItem) {
 			return
 		}
 	}
-	sess.srv.metrics.journaled.Add(uint64(len(item.events)))
-	asp := sess.startSpan("raced.engine.analyze", item.trace)
-	asp.SetInt("events", int64(len(item.events)))
-	if err := guard("", func() error { return sink.FeedBatch(item.events) }); err != nil {
+	sess.srv.metrics.journaled.Add(uint64(len(events)))
+	asp := sess.startSpan("raced.engine.analyze", parent)
+	asp.SetInt("events", int64(len(events)))
+	if err := guard("", func() error { return sess.sink.FeedBatch(events) }); err != nil {
 		asp.SetError(err)
 		asp.End()
 		sess.poison(err, nil)
 		return
 	}
 	asp.End()
-	sess.srv.metrics.analyzed.Add(uint64(len(item.events)))
+	sess.srv.metrics.analyzed.Add(uint64(len(events)))
 	sess.srv.metrics.batches.Add(1)
 	sess.mu.Lock()
-	sess.fed += uint64(len(item.events))
+	sess.fed += uint64(len(events))
 	sess.mu.Unlock()
 }
 
@@ -288,7 +234,8 @@ func (sess *Session) closedErr() error {
 	return ErrSessionClosed
 }
 
-// Fed returns the number of events the session's engine has consumed.
+// Fed returns the number of events the session's engine has consumed — the
+// offset a resuming client continues from.
 func (sess *Session) Fed() uint64 {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -350,119 +297,39 @@ func (sess *Session) touch() {
 	sess.mu.Unlock()
 }
 
-// Feed enqueues one event batch. It blocks while the session's queue is
-// full — per-session backpressure that propagates to the producing
-// connection and no further. The batch is owned by the session afterwards.
-// A sticky ingestion error is returned immediately (the batch is dropped),
+// Feed applies one event batch — journaled first on a durable server — on
+// the caller's goroutine and returns once it is applied, so a slow analysis
+// stalls only its own producer. The caller may reuse events afterwards. A
+// sticky ingestion error is returned immediately (the batch is dropped),
 // but full error reporting is Flush's and Close's job.
 func (sess *Session) Feed(events []race.Event) error {
-	return sess.feed(tracing.SpanContext{}, events, false)
+	return sess.feed(tracing.SpanContext{}, events)
 }
 
-// maxSlabEvents bounds the slabs a session keeps: a frame past it (1.5 MiB
-// of records; clients ship 2048-event frames by default) is decoded into a
-// one-off buffer instead of pinning that much per session.
-const maxSlabEvents = 1 << 17
-
-func newSlabs() chan []race.Event {
-	slabs := make(chan []race.Event, 2)
-	slabs <- nil
-	slabs <- nil
-	return slabs
-}
-
-// takeSlab takes one of the session's two event slabs, waiting for the
-// feeder to finish with one when both are in flight. Whoever takes a slab
-// hands it (or the grown slab that replaced it) back exactly once: feed
-// with recycle set does so on every path, putSlab otherwise.
-func (sess *Session) takeSlab() []race.Event {
-	slab := <-sess.slabs
-	select {
-	case other := <-sess.slabs:
-		// Both are free: work in the one already grown (and cache-warm). The
-		// second grows only once batches overlap — a client that waits for
-		// every flush ack never makes it.
-		if cap(other) > cap(slab) {
-			slab, other = other, slab
-		}
-		sess.slabs <- other
-	default:
-	}
-	return slab
-}
-
-// putSlab returns a slab to the free list.
-func (sess *Session) putSlab(slab []race.Event) {
-	if cap(slab) > maxSlabEvents {
-		slab = nil
-	}
-	sess.slabs <- slab[:0]
-}
-
-// feed enqueues one batch. With recycle set, events is a slab from takeSlab
-// and goes back to the free list when the feeder is done with it — or here,
-// when the batch is refused.
-func (sess *Session) feed(parent tracing.SpanContext, events []race.Event, recycle bool) error {
-	refuse := func(err error) error {
-		if recycle {
-			sess.putSlab(events)
-		}
-		return err
-	}
+// feed applies one batch unless the session is closing or failed; the
+// batch's spans parent under parent.
+func (sess *Session) feed(parent tracing.SpanContext, events []race.Event) error {
 	if len(events) == 0 {
-		return refuse(sess.Err())
+		return sess.Err()
 	}
 	sess.ingestMu.Lock()
 	defer sess.ingestMu.Unlock()
 	if sess.closing {
-		return refuse(sess.closedErr())
+		return sess.closedErr()
 	}
 	if err := sess.Err(); err != nil {
-		return refuse(err)
+		return err
 	}
 	sess.touch()
-	sp := sess.startSpan("raced.enqueue", parent)
-	sp.SetInt("events", int64(len(events)))
-	sp.SetInt("queue_depth", int64(len(sess.work)))
-	// Counter before send: once the batch is in the channel the feeder
-	// may journal and analyze it at any moment, and the pipeline
-	// invariant (enqueued ≥ journaled ≥ analyzed) must hold under any
-	// interleaving with a scrape.
-	sess.srv.metrics.enqueued.Add(uint64(len(events)))
-	sess.srv.metrics.queueDepth.Observe(float64(len(sess.work)))
-	item := workItem{events: events, recycle: recycle, trace: sp.Context()}
-	select {
-	case sess.work <- item:
-		// Free slot: record a zero wait so the histogram's count matches
-		// accepted batches and the blocked fraction is count-above-zero.
-		sess.srv.metrics.queueWait.Observe(0)
-	default:
-		// Queue full: this send is the per-session backpressure stall,
-		// the wait a client sees in its flush-ack latency.
-		start := sess.srv.cfg.now()
-		sess.work <- item
-		sess.srv.metrics.queueWait.ObserveDuration(sess.srv.cfg.now().Sub(start))
-	}
-	sess.mu.Lock()
-	sess.enqueued += uint64(len(events))
-	sess.mu.Unlock()
-	sp.End()
+	sess.ingest(parent, events)
 	return nil
 }
 
-// Enqueued returns the number of events the session has accepted into its
-// queue — the offset a resuming client must continue from (everything
-// before it will reach the engine; Fed trails it only by queued work).
-func (sess *Session) Enqueued() uint64 {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.enqueued
-}
-
-// detach releases the claim (Session.claim).
+// detach releases the claim (Session.claim), and the decode buffer with it.
 func (sess *Session) detach() {
 	sess.mu.Lock()
 	sess.attached = false
+	sess.slab = nil
 	sess.mu.Unlock()
 }
 
@@ -477,53 +344,70 @@ func (sess *Session) Flush() error {
 // engine-sync spans join the caller's trace.
 func (sess *Session) FlushCtx(parent tracing.SpanContext) error {
 	sess.ingestMu.Lock()
+	defer sess.ingestMu.Unlock()
 	if sess.closing {
-		sess.ingestMu.Unlock()
 		return sess.closedErr()
 	}
 	sess.touch()
 	sp := sess.startSpan("raced.flush", parent)
 	t0 := time.Now()
-	ack := make(chan error, 1)
-	sess.work <- workItem{ack: ack, trace: sp.Context()}
-	sess.ingestMu.Unlock()
-	err := <-ack
+	// First make everything journaled so far durable, then wait for the
+	// engine to apply it (on a parallel engine batches are still in flight
+	// on worker rings): a nil answer means "everything before this point is
+	// analyzed and survives a crash".
+	if sess.Err() == nil && sess.jlog != nil {
+		jsp := sess.startSpan("raced.journal.fsync", sp.Context())
+		err := sess.jlog.Sync()
+		jsp.SetError(err)
+		jsp.End()
+		if err != nil {
+			sess.poison(fmt.Errorf("%w: syncing journal: %w", ErrDiskFault, err), err)
+		}
+	}
+	if sess.Err() == nil {
+		esp := sess.startSpan("raced.engine.sync", sp.Context())
+		err := guard(" at sync", sess.sink.Sync)
+		esp.SetError(err)
+		esp.End()
+		if err != nil {
+			sess.poison(err, nil)
+		}
+	}
+	err := sess.Err()
 	sess.srv.metrics.flushAck.ObserveDuration(time.Since(t0))
 	sp.SetError(err)
 	sp.End()
 	return err
 }
 
-// Close ends the stream: pending batches drain, the engine closes, and the
-// final report is returned (with vindication verdicts if configured). Close
-// is idempotent; after it, the session no longer counts against the
+// Close ends the stream: the engine closes after any batch in flight, and
+// the final report is returned (with vindication verdicts if configured).
+// Close is idempotent; after it, the session no longer counts against the
 // server's session limit.
 func (sess *Session) Close() (*race.Report, error) {
 	if sess.end(func() {}) {
 		sess.srv.metrics.closed.Add(1)
 	}
-	<-sess.done
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return sess.report, sess.err
 }
 
-// end closes the work queue, waits for the feeder to finish and moves the
-// session to the finished archive — once: it reports whether this call did,
-// and only then runs mark first, under the producers' lock, so that what the
-// feeder finds when the queue closes (a preset error, the suspended flag) is
-// the ending that won.
+// end stops ingestion, tears the engine down and moves the session to the
+// finished archive — once: it reports whether this call did, and only then
+// runs mark first, so that what teardown finds (a preset error, the
+// suspended flag) is the ending that won. It holds ingestMu throughout, so
+// it waits for a batch in flight, and an end that lost returns only once the
+// winner's teardown, report and all, is complete.
 func (sess *Session) end(mark func()) bool {
 	sess.ingestMu.Lock()
+	defer sess.ingestMu.Unlock()
 	if sess.closing {
-		sess.ingestMu.Unlock()
 		return false
 	}
 	mark()
 	sess.closing = true
-	close(sess.work)
-	sess.ingestMu.Unlock()
-	<-sess.done
+	sess.teardown()
 	sess.srv.remove(sess)
 	return true
 }

@@ -46,7 +46,7 @@ func waitForSpan(t *testing.T, tr *tracing.Tracer, id tracing.TraceID, name stri
 // TestWireTracePropagation is the tentpole's single-server acceptance
 // claim: a traced client streaming to a traced server produces ONE trace —
 // the client's session, ship, and flush spans and the server's connection,
-// enqueue, journal, engine, and flush spans all share the client's trace
+// journal, engine, and flush spans all share the client's trace
 // id, with the server's connection span parented under the client's
 // session span.
 func TestWireTracePropagation(t *testing.T) {
@@ -110,7 +110,7 @@ func TestWireTracePropagation(t *testing.T) {
 		t.Errorf("raced.conn parent = %s, want the client session span %s", conn[0].Parent, sc.SpanID)
 	}
 	for _, name := range []string{
-		"raced.enqueue", "raced.flush",
+		"raced.flush",
 		"raced.journal.append", "raced.journal.fsync",
 		"raced.engine.analyze", "raced.engine.sync",
 	} {

@@ -22,7 +22,7 @@ import (
 )
 
 // slabSpy is an engineSink that notes the backing array of every batch the
-// feeder hands the engine — the identity of the slab it was decoded into.
+// session hands the engine — the identity of the slab it was decoded into.
 type slabSpy struct {
 	engineSink
 	mu    *sync.Mutex
@@ -36,13 +36,15 @@ func (s *slabSpy) FeedBatch(evs []race.Event) error {
 	return s.engineSink.FeedBatch(evs)
 }
 
-// TestWireSlabRecycling: wire sessions decode every Events frame into one
-// of two recycled slabs, and recycling never lets bytes of a later frame (or
-// of the client's own buffer, scribbled over after every FeedBatch) reach an
-// engine that is still working on an earlier one — parallel engines hold
-// batches on worker rings, vindicating ones retain the stream (or, durable,
-// read it back from the journal at close). Reports must be byte-identical to
-// in-process analysis and no session may see more than two slabs.
+// TestWireSlabRecycling: a wire session decodes every Events frame into its
+// one slab, and reusing it never lets bytes of a later frame (or of the
+// client's own buffer, scribbled over after every FeedBatch) reach an engine
+// that is still working on an earlier one — parallel engines hold batches on
+// worker rings, vindicating ones retain the stream (or, durable, read it back
+// from the journal at close). The client waits for a flush ack after every
+// depth frames, so depth1 never overlaps frames and depth32 keeps the whole
+// stream in flight. Reports must be byte-identical to in-process analysis and
+// the engine must see exactly one backing array.
 func TestWireSlabRecycling(t *testing.T) {
 	p, _ := workload.ProgramByName("avrora")
 	tr := p.Generate(20000, 5)
@@ -76,7 +78,7 @@ func TestWireSlabRecycling(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/depth%d/durable=%v", e.name, depth, durable), func(t *testing.T) {
 					var mu sync.Mutex
 					slabs := make(map[unsafe.Pointer]bool)
-					cfg := Config{QueueDepth: depth}
+					var cfg Config
 					if durable {
 						cfg.DataDir = t.TempDir()
 					}
@@ -107,7 +109,7 @@ func TestWireSlabRecycling(t *testing.T) {
 						for i := range buf { // the caller's slice is its own again
 							buf[i] = race.Event{T: 0xFFFF, Op: 0xEE, Targ: ^uint32(0)}
 						}
-						if lo/frame%5 == 4 {
+						if (lo/frame+1)%depth == 0 {
 							if err := sess.Flush(); err != nil {
 								t.Fatal(err)
 							}
@@ -120,8 +122,8 @@ func TestWireSlabRecycling(t *testing.T) {
 					if !bytes.Equal(got, want) {
 						t.Errorf("report differs from in-process analysis\n--- wire ---\n%s\n--- batch ---\n%s", got, want)
 					}
-					if len(slabs) == 0 || len(slabs) > 2 {
-						t.Errorf("session decoded into %d slabs, want 1 or 2", len(slabs))
+					if len(slabs) != 1 {
+						t.Errorf("session decoded into %d slabs, want 1", len(slabs))
 					}
 				})
 			}
@@ -192,32 +194,11 @@ func TestRecordPadByteLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestSlabsSurviveRefusedBatches: a batch the session refuses (it is
-// closing, or already failed) hands its slab straight back, so a later
-// connection resuming the session still finds both.
-func TestSlabsSurviveRefusedBatches(t *testing.T) {
-	s := New(Config{newSink: poisonedFactory})
-	defer s.Close()
-	sess, err := s.OpenSession(SessionConfig{Analyses: []string{"PANIC"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		slab := append(sess.takeSlab(), race.Event{Op: race.OpWrite}, race.Event{Op: race.OpWrite})
-		sess.feed(sess.traceCtx, slab, true) // the sink panics on the second, failing the session
-		sess.Flush()
-	}
-	sess.feed(sess.traceCtx, sess.takeSlab(), true) // empty batches come back too
-	if n := len(sess.slabs); n != 2 {
-		t.Fatalf("%d slabs on the free list after refused batches, want 2", n)
-	}
-}
-
 // TestWireRefusesBadFrames: nothing of an Events frame reaches the session
 // unless the whole frame verifies. A checksum failure counts as a corrupt
 // frame and drops the connection; an invalid op or ragged payload under a
 // good checksum is a protocol violation answered with a typed TError. Either
-// way the session has enqueued only the good frame before it.
+// way the session has taken only the good frame before it.
 func TestWireRefusesBadFrames(t *testing.T) {
 	good := wire.AppendEvents(nil, []race.Event{{Op: race.OpWrite, Targ: 1}, {T: 1, Op: race.OpRead, Targ: 1}})
 	badOp := append([]byte(nil), good...)
@@ -279,43 +260,16 @@ func TestWireRefusesBadFrames(t *testing.T) {
 			} else if err != nil || ty != wire.TError || wire.DecodeError(payload).Code != tc.code {
 				t.Fatalf("got %v (%s), err %v; want TError %q", ty, payload, err, tc.code)
 			}
-			if n := sess.Enqueued(); n != 2 {
-				t.Errorf("session enqueued %d events, want the good frame's 2", n)
+			if n := sess.Fed(); n != 2 {
+				t.Errorf("session fed %d events, want the good frame's 2", n)
 			}
 		})
 	}
 }
 
-// TestSlabTakePrefersTheGrownOne: while batches never overlap (a client that
-// waits for every flush ack) one slab serves them all and the second token
-// stays empty — half the per-session memory, and the warm half.
-func TestSlabTakePrefersTheGrownOne(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	sess, err := s.OpenSession(SessionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := append(sess.takeSlab(), make([]race.Event, 100)...)
-	sess.putSlab(first)
-	for i := 0; i < 4; i++ {
-		slab := sess.takeSlab()
-		if cap(slab) != cap(first) || unsafe.SliceData(slab[:1]) != unsafe.SliceData(first) {
-			t.Fatalf("take %d returned a slab of cap %d, want the grown one (cap %d)", i, cap(slab), cap(first))
-		}
-		sess.putSlab(slab)
-	}
-	held := sess.takeSlab() // with the grown one in flight, the spare is handed out
-	if spare := sess.takeSlab(); cap(spare) != 0 {
-		t.Fatalf("spare slab has cap %d before any overlap", cap(spare))
-	}
-	_ = held
-}
-
 // TestHTTPUploadsFillTheSessionsSlabs: a one-shot POST /ingest decodes into
-// the two slabs a wire connection decodes into, so whatever its length it
-// shows its engine no third backing array. (A refused batch handing its slab
-// back is TestSlabsSurviveRefusedBatches.)
+// the one slab a wire connection decodes into, so whatever its length it
+// shows its engine one backing array.
 func TestHTTPUploadsFillTheSessionsSlabs(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[unsafe.Pointer]bool)
@@ -341,7 +295,7 @@ func TestHTTPUploadsFillTheSessionsSlabs(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /ingest answered %d", resp.StatusCode)
 	}
-	if len(tr.Events) < 5*ingestBatch || len(seen) == 0 || len(seen) > 2 {
-		t.Errorf("a %d-event ingest showed its engine %d backing arrays, want 1 or 2", len(tr.Events), len(seen))
+	if len(tr.Events) < 5*ingestBatch || len(seen) != 1 {
+		t.Errorf("a %d-event ingest showed its engine %d backing arrays, want 1", len(tr.Events), len(seen))
 	}
 }

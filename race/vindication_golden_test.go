@@ -121,7 +121,7 @@ func durableReport(t *testing.T, tr *race.Trace, crash bool) []byte {
 		}
 	}
 	t.Cleanup(func() { srv.Close() })
-	feed(sess, int(sess.Enqueued()), tr.Len())
+	feed(sess, int(sess.Fed()), tr.Len())
 	rep, err := sess.Close()
 	if err != nil {
 		t.Fatal(err)
