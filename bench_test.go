@@ -215,23 +215,25 @@ func BenchmarkSameEpochMark(b *testing.B) {
 
 // TestFanout15AllocationBudget keeps the 15-cell engine's allocation from
 // creeping back, on the fanout15-par row's own trace (h2/4000, seed 1), where
-// one sequential pass reads 15.48 B/event with the graphs recording only the
+// one sequential pass reads 15.45 B/event with the graphs recording only the
 // edges program order and an earlier edge do not imply, as varint deltas in
 // 8 KiB byte chunks, 4-byte clock components, the rule (b) logs' clocks in
 // flat chunks, most of them 12-byte records over their thread's base, and
 // their 12-byte entries in fixed blocks, rule (a) cells naming logged clocks
 // or, for WDC, viewing per-thread snapshots, ST-WDC sections viewing such
 // snapshots too, every SmartTrack section in a 32-byte list node and 24-byte
-// race records (17.34–17.46 with 48-byte nodes and 32-byte race records,
-// 19.95 with every edge but the rule (b) edges an earlier one implies as
-// well, 21.90 with a rule (b) edge per consumed entry as well, 26.04 with
-// 8-byte components as well, 27.90 with 64-byte nodes as well, 32.86 with
-// WDC's cells owning copies and entries in append-doubled slices too, 42.25
-// with every logged clock whole too). The budget is that reading plus 10 %.
+// race records in chunks that are never copied (15.48 with the races in one
+// append-doubled slice, 17.34–17.46 with 48-byte nodes and 32-byte race
+// records as well, 19.95 with every edge but the rule (b) edges an earlier
+// one implies as well, 21.90 with a rule (b) edge per consumed entry as well,
+// 26.04 with 8-byte components as well, 27.90 with 64-byte nodes as well,
+// 32.86 with WDC's cells owning copies and entries in append-doubled slices
+// too, 42.25 with every logged clock whole too). The budget is that reading
+// plus 10 %.
 // The full length matters: per-engine tables are a fixed ≈ 6 MB, which would
 // be 30 B/event of a reading over fanoutTrace.
 func TestFanout15AllocationBudget(t *testing.T) {
-	const budget = 17.1 // B/event
+	const budget = 17.0 // B/event
 	p, _ := workload.ProgramByName("h2")
 	tr := p.Generate(4000, 1)
 	if got := allocPerEvent(t, tr, func() error { return feedFanout15(tr, 1) }); got > budget {
@@ -241,14 +243,16 @@ func TestFanout15AllocationBudget(t *testing.T) {
 
 // TestNestedAllocationBudget does the same for the detect-nested row's engine
 // and trace (the default ST-WDC cell, xalan/100, seed 1), where critical
-// sections are most of what is allocated: one pass reads 5.50 B/event with
+// sections are most of what is allocated: one pass reads 4.63 B/event with
 // each release a 16-byte view of its thread's snapshot of its clock in a
-// 32-byte list node, 4-byte clock components and 24-byte race records, 7.07
-// with 48-byte nodes and 32-byte race records, 7.63 with 8-byte components
-// as well, 8.94 with 32-byte views in 64-byte nodes as well, 12.9 when each
-// section owned a copy. The budget is that reading plus 10 %.
+// 32-byte list node, 4-byte clock components and 24-byte race records in
+// chunks that are never copied, 5.50 with the races in one append-doubled
+// slice, 7.07 with 48-byte nodes and 32-byte race records as well, 7.63 with
+// 8-byte components as well, 8.94 with 32-byte views in 64-byte nodes as
+// well, 12.9 when each section owned a copy. The budget is that reading plus
+// 10 %.
 func TestNestedAllocationBudget(t *testing.T) {
-	const budget = 6.1 // B/event
+	const budget = 5.1 // B/event
 	p, _ := workload.ProgramByName("xalan")
 	tr := p.Generate(100, 1)
 	if got := allocPerEvent(t, tr, func() error { return feed(tr) }); got > budget {

@@ -45,12 +45,13 @@ func pinTrace(name string) *trace.Trace {
 func TestClocksAndReportsPinned(t *testing.T) {
 	for name, want := range pins {
 		tr := pinTrace(name)
+		threads := trace.ExtentOf(tr.Events).Threads
 		for i, rel := range []analysis.Relation{analysis.WCP, analysis.DC, analysis.WDC} {
 			a := New(rel)
 			h := fnv.New64a()
 			for i, e := range tr.Events {
 				a.HandleRun(tr.Events[i:i+1], nil)
-				p := vc.New(trace.ExtentOf(tr.Events).Threads)
+				p := vc.New(threads)
 				p.Join(a.Sub.P[e.T])
 				io.WriteString(h, p.String())
 			}

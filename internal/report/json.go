@@ -38,7 +38,7 @@ func AnalysisJSON(name string, col *Collector) JSONAnalysis {
 	if n := col.Dynamic(); n > 0 {
 		ja.Races = make([]JSONRace, 0, n)
 	}
-	for i, rc := range col.Races() {
+	for i, rc := range col.Each {
 		ja.Races = append(ja.Races, JSONRace{
 			Seq:   i,
 			Var:   rc.Var,

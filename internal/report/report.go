@@ -57,18 +57,20 @@ type Pad [64]byte
 // checks at one access count as a single dynamic race: analyses must call
 // Add at most once per access event (the engines guarantee this).
 //
-// Add is the analyses' hot path and only appends. The sets behind Static
-// and RaceVars are derived from the race list when asked for,
-// and extended — not rebuilt — over the races added since. Like the list
-// itself they must not be read while another goroutine is adding; readers
-// may run concurrently with each other (a finished report is served to
-// many requests).
+// Add is the analyses' hot path and only appends. The races live in chunks
+// that are never copied (Chunks): a race is stored once, where Add put it,
+// and read in place by RaceAt and Each; Races returns a fresh copy. The
+// sets behind Static and RaceVars are derived from the races when asked
+// for, and extended — not rebuilt — over the races added since. Like the
+// races themselves they must not be read while another goroutine is adding;
+// readers may run concurrently with each other (a finished report is
+// served to many requests).
 type Collector struct {
 	_     Pad
-	races []Race
+	races Chunks[Race]
 
 	mu      sync.Mutex  // guards the derived sets below
-	indexed int         // races[:indexed] are in the sets
+	indexed int         // races [0, indexed) are in the sets
 	locs    []trace.Loc // racing program locations, sorted
 	vars    []uint32    // variables with a race, sorted
 	_       Pad
@@ -78,22 +80,23 @@ type Collector struct {
 func NewCollector() *Collector { return &Collector{} }
 
 // Add records one dynamic race.
-func (c *Collector) Add(r Race) { c.races = append(c.races, r) }
+func (c *Collector) Add(r Race) { c.races.Add(r) }
 
-// lockSets locks c.mu and brings the derived sets up to date with the race
-// list; the caller reads them and unlocks.
+// lockSets locks c.mu and brings the derived sets up to date with the
+// races; the caller reads them and unlocks.
 func (c *Collector) lockSets() {
 	c.mu.Lock()
-	if c.indexed == len(c.races) {
+	n := c.races.Len()
+	if c.indexed == n {
 		return
 	}
-	fresh := c.races[c.indexed:]
-	c.locs, c.vars = slices.Grow(c.locs, len(fresh)), slices.Grow(c.vars, len(fresh))
-	for _, r := range fresh {
+	c.locs, c.vars = slices.Grow(c.locs, n-c.indexed), slices.Grow(c.vars, n-c.indexed)
+	for i := c.indexed; i < n; i++ {
+		r := c.races.At(i)
 		c.locs = append(c.locs, r.Loc)
 		c.vars = append(c.vars, r.Var)
 	}
-	c.indexed = len(c.races)
+	c.indexed = n
 	slices.Sort(c.locs)
 	c.locs = slices.Compact(c.locs)
 	slices.Sort(c.vars)
@@ -101,7 +104,7 @@ func (c *Collector) lockSets() {
 }
 
 // Dynamic returns the total number of dynamic races.
-func (c *Collector) Dynamic() int { return len(c.races) }
+func (c *Collector) Dynamic() int { return c.races.Len() }
 
 // RaceCount returns the number of dynamic races recorded so far — the
 // cheap polling primitive for online delivery: callers watching a live
@@ -111,7 +114,11 @@ func (c *Collector) Dynamic() int { return len(c.races) }
 func (c *Collector) RaceCount() int { return c.Dynamic() }
 
 // RaceAt returns the i-th dynamic race in detection order.
-func (c *Collector) RaceAt(i int) Race { return c.races[i] }
+func (c *Collector) RaceAt(i int) Race { return c.races.At(i) }
+
+// Each yields every dynamic race with its index, in detection order; range
+// over it as `for i, r := range c.Each`.
+func (c *Collector) Each(yield func(int, Race) bool) { c.races.Each(yield) }
 
 // Static returns the number of statically distinct races (program
 // locations).
@@ -121,9 +128,9 @@ func (c *Collector) Static() int {
 	return len(c.locs)
 }
 
-// Races returns all dynamic races in detection order. The returned slice is
-// owned by the collector.
-func (c *Collector) Races() []Race { return c.races }
+// Races returns a fresh copy of all dynamic races in detection order, nil
+// when there are none.
+func (c *Collector) Races() []Race { return c.races.Slice() }
 
 // RaceVars returns the sorted set of variables with at least one race —
 // the quantity the cross-analysis property tests compare.
@@ -134,10 +141,10 @@ func (c *Collector) RaceVars() []uint32 {
 }
 
 // FirstRace returns the first dynamic race on variable v, if any, by
-// scanning the race list: it serves the figure tables, whose traces have a
+// walking the races: it serves the figure tables, whose traces have a
 // handful of races.
 func (c *Collector) FirstRace(v uint32) (Race, bool) {
-	for _, r := range c.races {
+	for _, r := range c.Each {
 		if r.Var == v {
 			return r, true
 		}

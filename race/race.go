@@ -262,7 +262,7 @@ func (r *Report) Static() int { return r.col.Static() }
 // Races lists all dynamic races in detection order.
 func (r *Report) Races() []RaceInfo {
 	var out []RaceInfo
-	for i, rc := range r.col.Races() {
+	for i, rc := range r.col.Each {
 		out = append(out, RaceInfo{Analysis: r.name, Seq: i, Var: rc.Var, Loc: uint32(rc.Loc), Index: rc.Index, Write: rc.Write})
 	}
 	return out
@@ -298,7 +298,7 @@ func (r *Report) Vindicate(tr *Trace) error {
 	}
 	subs := r.reports()
 	for _, sub := range subs {
-		for _, rc := range sub.col.Races() {
+		for _, rc := range sub.col.Each {
 			if rc.Index < 0 || rc.Index >= tr.Len() {
 				return fmt.Errorf("race: %s race at index %d is past the trace's %d events", sub.name, rc.Index, tr.Len())
 			}
@@ -314,7 +314,7 @@ func (r *Report) Vindicate(tr *Trace) error {
 	vind := make(map[int]VindicationResult)
 	seenLoc := make(map[uint32]bool)
 	for _, sub := range subs {
-		for _, rc := range sub.col.Races() {
+		for _, rc := range sub.col.Each {
 			if seenLoc[uint32(rc.Loc)] {
 				continue
 			}

@@ -107,16 +107,18 @@ func serveFed(w http.ResponseWriter, fed uint64, err error) {
 // terminal error instead.
 func (s *Server) handleRaces(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if sess, ok := s.Session(id); ok {
-		obs.WriteJSON(w, map[string]any{
-			"session": sess.ID,
-			"fed":     sess.Fed(),
-			"races":   sess.Races(),
-		})
-		return
-	}
-	sess, ok := s.Finished(id)
-	if !ok {
+	sess, ok := s.Session(id)
+	if ok {
+		if races, live := sess.Races(); live {
+			obs.WriteJSON(w, map[string]any{
+				"session": sess.ID,
+				"fed":     sess.Fed(),
+				"races":   races,
+			})
+			return
+		}
+		// Closed between the lookup and the snapshot: serve its report.
+	} else if sess, ok = s.Finished(id); !ok {
 		HTTPError(w, fmt.Errorf("%w: %s", ErrUnknown, id))
 		return
 	}

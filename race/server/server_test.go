@@ -53,8 +53,8 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	// The sibling write-write race is unordered under every relation, so
 	// both analyses catch it: two online detections, one per analysis.
-	if n := len(sess.Races()); n != 2 {
-		t.Fatalf("live race snapshot has %d races, want 2", n)
+	if races, live := sess.Races(); len(races) != 2 || !live {
+		t.Fatalf("live race snapshot has %d races (live %v), want 2", len(races), live)
 	}
 	rep, err := sess.Close()
 	if err != nil {

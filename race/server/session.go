@@ -3,10 +3,12 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/obs/tracing"
+	"repro/internal/report"
 	"repro/internal/store"
 	"repro/race"
 )
@@ -16,6 +18,11 @@ import (
 // or an in-process Feed caller runs on its own goroutine. With a durable
 // server (Config.DataDir) the session also owns an on-disk directory and
 // journal racelog (see journal.go).
+//
+// The races delivered while it streams live in chunks that are never
+// copied (report.Chunks), as 16-byte liveRace records; Races copies them
+// out as race.RaceInfo. A session that closes into its report drops them:
+// the report holds its races.
 type Session struct {
 	ID  string
 	cfg SessionConfig
@@ -41,7 +48,8 @@ type Session struct {
 	mu         sync.Mutex
 	lastActive time.Time
 	fed        uint64
-	online     []race.RaceInfo
+	online     report.Chunks[liveRace] // online detections, in delivery order
+	names      []string                // analysis names, indexed by liveRace.analysis
 	report     *race.Report
 	err        error
 	suspended  bool                // graceful shutdown: end preserves the journal
@@ -66,11 +74,28 @@ func (sess *Session) startSpan(name string, parent tracing.SpanContext) *tracing
 	return sp
 }
 
+// liveRace is one online detection as a session keeps it: 16 bytes where
+// a race.RaceInfo takes 48. The index fits in 32 bits because an engine
+// refuses a stream past race.ErrEventLimit. It keeps no seq: an engine
+// delivers each analysis's races in detection order from seq 0, so a
+// race's seq is the number of earlier records of its analysis.
+type liveRace struct {
+	v, loc, index uint32
+	analysis      uint16 // into Session.names
+	write         bool
+}
+
 // onRace collects online detections; it runs under ingestMu (or on the
 // engine pipeline's drainer), never concurrently with itself.
 func (sess *Session) onRace(ri race.RaceInfo) {
 	sess.mu.Lock()
-	sess.online = append(sess.online, ri)
+	a := slices.Index(sess.names, ri.Analysis)
+	if a < 0 {
+		a, sess.names = len(sess.names), append(sess.names, ri.Analysis)
+	}
+	sess.online.Add(liveRace{
+		v: ri.Var, loc: ri.Loc, index: uint32(ri.Index), analysis: uint16(a), write: ri.Write,
+	})
 	sess.mu.Unlock()
 }
 
@@ -140,6 +165,7 @@ func (sess *Session) finish(sink engineSink) *race.Report {
 	}
 	sess.mu.Lock()
 	sess.report = rep
+	sess.online, sess.names = report.Chunks[liveRace]{}, nil // rep holds the races
 	sess.mu.Unlock()
 	return rep
 }
@@ -265,28 +291,44 @@ func (sess *Session) status(live bool) SessionStatus {
 		ID:       sess.ID,
 		State:    "streaming",
 		Events:   sess.fed,
-		Races:    len(sess.online),
+		Races:    sess.online.Len(),
 		Analyses: sess.cfg.Analyses,
 	}
 	switch {
 	case sess.err != nil:
 		st.State = "failed"
+	case sess.report != nil: // closed, though perhaps not yet archived
+		st.State = "finished"
+		st.Races = sess.report.Dynamic()
 	case !live:
 		st.State = "finished"
-		if sess.report != nil {
-			st.Races = sess.report.Dynamic()
-		}
 	}
 	return st
 }
 
-// Races returns a snapshot of the races detected so far, in delivery
-// order — the live view GET /sessions/{id}/races serves while the session
-// is still streaming.
-func (sess *Session) Races() []race.RaceInfo {
+// Races returns a fresh copy of the races detected so far, in delivery
+// order, nil when there are none — the live view GET /sessions/{id}/races
+// serves while the session is still streaming. live is false once the
+// session has closed into its report, which then holds its races.
+func (sess *Session) Races() (races []race.RaceInfo, live bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	return append([]race.RaceInfo(nil), sess.online...)
+	if sess.report != nil {
+		return nil, false
+	}
+	if sess.online.Len() == 0 {
+		return nil, true
+	}
+	races = make([]race.RaceInfo, 0, sess.online.Len())
+	seq := make([]int, len(sess.names))
+	for _, lr := range sess.online.Each {
+		races = append(races, race.RaceInfo{
+			Analysis: sess.names[lr.analysis], Seq: seq[lr.analysis], Var: lr.v,
+			Loc: lr.loc, Index: int(lr.index), Write: lr.write,
+		})
+		seq[lr.analysis]++
+	}
+	return races, true
 }
 
 // touch refreshes the idle-eviction clock.

@@ -1,14 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/wire"
+	"repro/internal/workload"
 	"repro/race"
 )
 
@@ -137,5 +144,127 @@ func TestEndingWaitsForTheBatchInFlight(t *testing.T) {
 			}
 			att.Drop(ErrConnLost)
 		})
+	}
+}
+
+// TestLiveRacesMatchOnRace: a streaming session keeps its races as 16-byte
+// records in chunks, and GET /sessions/{id}/races rebuilds from them
+// exactly the RaceInfos an in-process engine's OnRace callback receives for
+// the same prefix — delivery order, analysis names, seq, var, loc, index
+// and write — over several chunks, while GET /sessions counts the same
+// races. Both engines are fed the same runs (one wire frame each), so the
+// analyses' races interleave alike. Once the session closes into its
+// report it drops the list, and the races document is the report.
+func TestLiveRacesMatchOnRace(t *testing.T) {
+	if n := unsafe.Sizeof(liveRace{}); n != 16 {
+		t.Fatalf("liveRace is %d bytes, want 16", n)
+	}
+	analyses := []string{"ST-WDC", "FTO-HB", "ST-DC"}
+	p, _ := workload.ProgramByName("tomcat")
+	tr := p.Generate(60000, 5)
+	var want []race.RaceInfo
+	eng, err := race.NewEngine(race.WithAnalysisNames(analyses...),
+		race.WithOnRace(func(ri race.RaceInfo) { want = append(want, ri) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	s, addr := startTCP(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	getJSON := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rs, err := c.Open(SessionConfig{Analyses: analyses})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fed := 0
+	for _, cut := range []int{tr.Len() / 4, tr.Len() / 2, tr.Len() - 1} {
+		for ; fed < cut; fed += DefaultClientBatch {
+			run := tr.Events[fed:min(fed+DefaultClientBatch, cut)]
+			if err := eng.FeedBatch(run); err != nil {
+				t.Fatal(err)
+			}
+			if err := rs.FeedBatch(run); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fed = cut
+		if err := rs.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var live struct {
+			Fed   uint64          `json:"fed"`
+			Races []race.RaceInfo `json:"races"`
+		}
+		getJSON("/sessions/"+rs.ID()+"/races", &live)
+		if live.Fed != uint64(cut) || !reflect.DeepEqual(live.Races, want) {
+			t.Fatalf("after %d events: live list of %d races at %d events differs from the %d OnRace delivered",
+				cut, len(live.Races), live.Fed, len(want))
+		}
+		var list struct{ Sessions []SessionStatus }
+		getJSON("/sessions", &list)
+		if len(list.Sessions) != 1 || list.Sessions[0].Races != len(want) {
+			t.Fatalf("after %d events: GET /sessions = %+v, want one row counting %d races", cut, list.Sessions, len(want))
+		}
+	}
+	for _, name := range analyses {
+		n := 0
+		for _, ri := range want {
+			if ri.Analysis == name {
+				n++
+			}
+		}
+		if n <= 256 {
+			t.Errorf("%s delivered %d races mid-stream; the check wants several chunks' worth", name, n)
+		}
+	}
+
+	rep, err := rs.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, ok := s.Finished(rs.ID())
+	if !ok {
+		t.Fatal("closed session is not in the finished archive")
+	}
+	sess.mu.Lock()
+	kept, names := sess.online.Len(), sess.names
+	sess.mu.Unlock()
+	if kept != 0 || names != nil {
+		t.Errorf("finished session still holds %d live races and names %v", kept, names)
+	}
+	if races, live := sess.Races(); live || races != nil {
+		t.Errorf("finished session's Races() = %d races, live %v", len(races), live)
+	}
+	var doc, wantDoc json.RawMessage
+	getJSON("/sessions/"+rs.ID()+"/races", &doc)
+	wantDoc, _ = json.Marshal(rep)
+	if !bytes.Equal(doc, wantDoc) {
+		t.Errorf("finished session's races document is not its report:\n%s\nvs\n%s", doc, wantDoc)
+	}
+	var list struct{ Sessions []SessionStatus }
+	getJSON("/sessions", &list)
+	if st := list.Sessions[0]; st.State != "finished" || st.Races != rep.Dynamic() {
+		t.Errorf("GET /sessions after close = %+v, want finished with %d races", st, rep.Dynamic())
 	}
 }
