@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/bench"
@@ -272,6 +273,45 @@ func allocPerEvent(t *testing.T, tr *trace.Trace, run func() error) float64 {
 	got := float64(after.TotalAlloc-before.TotalAlloc) / float64(tr.Len())
 	t.Logf("%.2f B/event over %d events", got, tr.Len())
 	return got
+}
+
+// shiftedTrace is avrora/2000 (700k events) with every variable id moved
+// up by by.
+func shiftedTrace(by uint32) *trace.Trace {
+	p, _ := workload.ProgramByName("avrora")
+	tr := p.Generate(2000, 1)
+	for i, e := range tr.Events {
+		if e.Op.IsAccess() {
+			tr.Events[i].Targ += by
+		}
+	}
+	return tr
+}
+
+// BenchmarkShiftedIDs runs the default ST-WDC engine over avrora/2000
+// with its variable ids as generated, from 0, and moved up by 2^31, in
+// turn: dense ids that start far from 0 live in the per-id tables' windows
+// too (TestTableWindowFollowsDenseIDs pins that), so shifted/from-0 — a
+// ratio of the two sides' ns/event — reads about 1, against about 2 with
+// every shifted lookup in the tables' maps.
+func BenchmarkShiftedIDs(b *testing.B) {
+	trs := []*trace.Trace{shiftedTrace(0), shiftedTrace(1 << 31)}
+	var took [2]time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for i, tr := range trs {
+			t0 := time.Now()
+			if err := feed(tr); err != nil {
+				b.Fatal(err)
+			}
+			took[i] += time.Since(t0)
+		}
+	}
+	events := float64(b.N * trs[0].Len())
+	b.ReportMetric(float64(took[0].Nanoseconds())/events, "ns/event-from-0")
+	b.ReportMetric(float64(took[1].Nanoseconds())/events, "ns/event-from-2^31")
+	b.ReportMetric(float64(took[1])/float64(took[0]), "shifted/from-0")
 }
 
 // BenchmarkCheckerStep measures the incremental well-formedness checker

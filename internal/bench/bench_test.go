@@ -155,11 +155,11 @@ func TestTablesPinned(t *testing.T) {
 		{"table2", func() string { return RenderTable2(cfg) },
 			"833cba7a9211a4b248d149735b8cb20f26b19936289c1a8c8b876d5c27f8cd43"},
 		{"table3", func() string { return RenderTable3(cfg, false) },
-			"9560a1284d605e2a3b3bcebe9584e2141e2b123fa5a19e1991c65b38e57b40c5"},
+			"f1e8f6ec6b9355d3e7fb2b6114c6932420edb571a12ad78678e80a846daccf62"},
 		{"table4", func() string { return RenderTable4(cfg) },
-			"d0d0b1677043801df5cf071a07f972eb0db55bf9171ff9d2db5b9d299db75eb3"},
+			"f2955e1d1e77c62b8ea324a288001f083786981e90239007c99acb65b61d204b"},
 		{"table6", func() string { return RenderTable6(cfg, false) },
-			"2e671531cc715066b243e25259bbc6af369aded57494e70c032af9e3932f67ae"},
+			"92648370993b25ad60a39cbfb9b0d8265c0283dd7622a1db3a161313673d0cd0"},
 		{"table7", func() string { return RenderTable7(cfg, false) },
 			"4abaffd37f8e087b796acc9de3a7618a20a69f9ae2e807bbb2ebc9798aa10809"},
 		{"table8", func() string { return RenderTable3(ci, true) },

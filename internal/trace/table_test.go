@@ -46,7 +46,7 @@ func TestTableMatchesAMap(t *testing.T) {
 	if _, ok := tb.Find(4999); !ok {
 		t.Error("Find misses the dense ids")
 	}
-	if w, most := tb.Weight(1, nil), (1+16+farWords+windowPerSlot*16)*tb.made; w > most {
+	if w, most := tb.Weight(1, nil), (1+16+farWords+windowPerSlot*16)*int(tb.made); w > most {
 		t.Errorf("%d pages weigh %d words, more than the %d the window's bound allows", tb.made, w, most)
 	}
 }
@@ -82,11 +82,13 @@ func TestTableFarIDCostsAPage(t *testing.T) {
 }
 
 // TestTableWindowTakesInMappedPages: ids walked down from the top of a
-// range start in the map and end in the window, once enough pages are made
-// for it to reach them and a mapped one is touched again, so Find finds
-// them all.
+// range, above a window of two pages at 0, start in the map and end in the
+// window, once enough pages are made for it to reach them and a mapped one
+// is touched again, so Find finds them all.
 func TestTableWindowTakesInMappedPages(t *testing.T) {
 	var tb Table[uint32, [16]uint32]
+	tb.At(0)
+	tb.At(16)
 	for x := uint32(1 << 16); x > 0; x-- {
 		*tb.At(x - 1) = x
 	}
@@ -101,5 +103,68 @@ func TestTableWindowTakesInMappedPages(t *testing.T) {
 		if p, ok := tb.Find(x); !ok || *p != x+1 {
 			t.Fatalf("Find(%d) = %v after the walk down", x, p)
 		}
+	}
+}
+
+// TestTableWindowFollowsDenseIDs: dense ids served by the window wherever
+// they start — 2^31 up, 2^32-1 down, 0 up after a first id of 2^32-1, and
+// a first page at 0 with a far id after it — so that once the walk is done
+// Find finds each, at most one page is mapped, and the first id keeps its
+// slot.
+func TestTableWindowFollowsDenseIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		first, from uint32   // first is touched before the walk from from
+		step, n     int64    // n ids step apart
+		after       []uint32 // touched after the walk
+	}{
+		{"2^31 up", 1 << 31, 1 << 31, 1, 50000, nil},
+		{"2^32-1 down", math.MaxUint32, math.MaxUint32, -1, 50000, nil},
+		{"0 up after 2^32-1", math.MaxUint32, 0, 1, 50000, nil},
+		{"0 to 15, then 2^31", 5, 0, 1, 16, []uint32{1 << 31}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var tb Table[uint32, [16]uint32]
+			*tb.At(tc.first) = 7
+			for i := range tc.n {
+				if x := uint32(int64(tc.from) + i*tc.step); x != tc.first {
+					*tb.At(x) = 1
+				}
+			}
+			for _, x := range tc.after {
+				tb.At(x)
+			}
+			for i := range tc.n {
+				x := uint32(int64(tc.from) + i*tc.step)
+				if p, ok := tb.Find(x); !ok || p != tb.At(x) {
+					t.Fatalf("Find(%d) misses", x)
+				}
+			}
+			if *tb.At(tc.first) != 7 {
+				t.Error("the first id lost its slot")
+			}
+			if len(tb.far) > 1 {
+				t.Errorf("%d of %d pages mapped", len(tb.far), tb.made)
+			}
+		})
+	}
+}
+
+// TestTableLonePagesStayMapped: a window of one page stays where it is
+// while far ids make lone pages, which cost no allocation once made, and
+// moves to them once a page is made beside one.
+func TestTableLonePagesStayMapped(t *testing.T) {
+	var tb Table[uint64, [16]uint64]
+	tb.At(0)
+	tb.At(1 << 31)
+	if allocs := testing.AllocsPerRun(100, func() { tb.At(0); tb.At(1 << 31) }); allocs != 0 {
+		t.Errorf("touching two made pages in turn allocates %.0f times", allocs)
+	}
+	if _, ok := tb.Find(0); !ok || len(tb.far) != 1 {
+		t.Errorf("the window left page 0 for a lone page (%d mapped)", len(tb.far))
+	}
+	tb.At(1<<31 + 16)
+	if _, ok := tb.Find(1 << 31); !ok || len(tb.far) != 1 {
+		t.Errorf("the window did not move to two pages side by side (%d mapped)", len(tb.far))
 	}
 }

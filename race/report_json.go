@@ -10,12 +10,13 @@ import (
 )
 
 // This file gives Report a canonical JSON form — the document raced serves
-// from GET /sessions/{id}/races and returns in the wire protocol's Report
-// frame — and the inverse ReportFromJSON used by the remote client. The
-// encoding is deterministic (detection order for races, encoding/json's
-// sorted keys for the vindication map) and lossless: marshal ∘ unmarshal ∘
-// marshal is the identity on bytes, which is what makes "remote report ==
-// in-process report" checkable byte-for-byte.
+// from GET /sessions/{id}/races, journals as report.json and returns in
+// the wire protocol's Report frame — and the inverse ReportFromJSON used by
+// the remote client. The encoding is deterministic (detection order for
+// races, encoding/json's sorted keys for the vindication map) and
+// lossless: marshal ∘ unmarshal ∘ marshal is the identity on bytes, which
+// is what makes "remote report == in-process report" checkable
+// byte-for-byte.
 
 // jsonEvent is the wire form of one trace event (witness reorderings).
 type jsonEvent struct {
@@ -40,6 +41,8 @@ type jsonReport struct {
 }
 
 // MarshalJSON implements json.Marshaler: the report document raced serves.
+// raced calls it directly, once per close: json.Marshal of a report would
+// scan and copy the document once more, to compact what this returns.
 func (r *Report) MarshalJSON() ([]byte, error) {
 	doc := jsonReport{Analysis: r.name}
 	for _, sub := range r.reports() {

@@ -412,11 +412,11 @@ func (s *RemoteSession) flushWire(tp string) error {
 	if err != nil {
 		return err
 	}
-	var fa FlushAckPayload
-	if err := json.Unmarshal(payload, &fa); err != nil {
+	fed, err := parseFlushAck(payload)
+	if err != nil {
 		return s.fail(fmt.Errorf("server: bad flush-ack payload: %w", err))
 	}
-	s.flushed = fa.Fed
+	s.flushed = fed
 	return nil
 }
 

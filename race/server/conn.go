@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -78,6 +80,24 @@ type FlushPayload struct {
 // FlushAckPayload is the JSON body of the FlushAck frame.
 type FlushAckPayload struct {
 	Fed uint64 `json:"fed"`
+}
+
+// flushAckPrefix is what a FlushAckPayload's JSON, {"fed":N} with N the
+// events the session has fed, begins with.
+const flushAckPrefix = `{"fed":`
+
+// parseFlushAck reads a FlushAck body: the canonical {"fed":N} that
+// encoding/json writes for a FlushAckPayload, the one form a server sends
+// (a router passes its backend's frame on unchanged), with no reflection.
+// Anything else is an error.
+func parseFlushAck(payload []byte) (uint64, error) {
+	digits, pre := bytes.CutPrefix(payload, []byte(flushAckPrefix))
+	if digits, post := bytes.CutSuffix(digits, []byte("}")); pre && post && len(digits) > 0 && (digits[0] != '0' || len(digits) == 1) {
+		if fed, err := strconv.ParseUint(string(digits), 10, 64); err == nil {
+			return fed, nil
+		}
+	}
+	return 0, fmt.Errorf("not {\"fed\":N}: %q", payload)
 }
 
 // ServeTCP accepts raw-TCP wire-protocol connections until the listener
@@ -499,14 +519,11 @@ func (a Attachment) Flush(parent tracing.SpanContext) (uint64, error) {
 }
 
 // Close returns the report in the encoding of the HTTP API (serveReport),
-// so it is byte-identical whichever way it is fetched.
+// so it is byte-identical whichever way it is fetched — on a durable
+// server, the very bytes of report.json.
 func (a Attachment) Close() ([]byte, error) {
 	defer a.sess.detach()
-	rep, err := a.sess.Close()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(rep)
+	return a.sess.closeDoc()
 }
 
 // Drop reads the journal-fate column of cause's condition: a durable

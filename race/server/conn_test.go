@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -144,5 +145,47 @@ func TestProtocolLoopReplies(t *testing.T) {
 			}
 			<-st.dropped
 		})
+	}
+}
+
+// FuzzFlushAck: the FlushAck body the server writes, json.Marshal of a
+// FlushAckPayload, reads back as fed, and the client refuses every other
+// payload (leading zeros, signs, spaces, overflow, more keys), however
+// json.Unmarshal would read it.
+func FuzzFlushAck(f *testing.F) {
+	for _, seed := range []string{`{"fed":0}`, `{"fed":1}`, `{"fed":4096}`, `{"fed":18446744073709551615}`,
+		`{"fed":18446744073709551616}`, `{"fed":007}`, `{"fed":-1}`, `{"fed":+1}`, `{"fed": 1}`, `{"fed":1e3}`,
+		`{"fed":1,"fed":2}`, `{"fed":}`, `{"fed":"1"}`, `{}`, `null`, ``, `{"Fed":5}`, `0}`} {
+		f.Add(uint64(len(seed)), []byte(seed))
+	}
+	canonical := func(fed uint64) []byte {
+		doc, err := json.Marshal(FlushAckPayload{Fed: fed})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return doc
+	}
+	f.Fuzz(func(t *testing.T, fed uint64, payload []byte) {
+		ack := canonical(fed)
+		if got, err := parseFlushAck(ack); err != nil || got != fed {
+			t.Fatalf("parseFlushAck(%s) = %d, %v", ack, got, err)
+		}
+		got, err := parseFlushAck(payload)
+		if err == nil && !bytes.Equal(payload, canonical(got)) {
+			t.Fatalf("parseFlushAck(%q) = %d: a payload other than {\"fed\":N} was read", payload, got)
+		}
+	})
+}
+
+// TestFlushAckParseAllocatesNothing: the client reads the canonical
+// FlushAck body in place.
+func TestFlushAckParseAllocatesNothing(t *testing.T) {
+	ack := []byte(`{"fed":123456789}`)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if fed, err := parseFlushAck(ack); err != nil || fed != 123456789 {
+			t.Fatal(fed, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("reading a FlushAck allocates %.0f times", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -9,8 +10,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/trace"
 	"repro/internal/wire"
+	"repro/internal/workload"
 	"repro/race"
 )
 
@@ -200,4 +203,97 @@ func TestResumeOfAClosedSessionWhoseReportIsGone(t *testing.T) {
 			t.Fatalf("resume after a restart with the report gone answered %v, want the missing report", err)
 		}
 	})
+}
+
+// reportWrites is a filesystem that keeps each buffer written to a
+// report.json's temp file, so a test can tell which encoding reached disk.
+type reportWrites struct {
+	fault.OS
+	written *[][]byte
+}
+
+func (fs reportWrites) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
+	f, err := fs.OS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Base(name) != "report.json.tmp" {
+		return f, err
+	}
+	return reportFile{f, fs.written}, nil
+}
+
+type reportFile struct {
+	fault.File
+	written *[][]byte
+}
+
+func (f reportFile) Write(p []byte) (int, error) {
+	*f.written = append(*f.written, p)
+	return f.File.Write(p)
+}
+
+// TestReportEncodedOnce: a durable session encodes its report once, at
+// close. Over the wire its report.json holds the bytes of its Report
+// frame, which are json.Marshal of the same trace's in-process report; and
+// a closing driver (Server.Attach) is handed the very buffer that was
+// written to report.json, not a second encoding.
+func TestReportEncodedOnce(t *testing.T) {
+	names := []string{"ST-WDC", "FTO-HB", "ST-DC"}
+	p, _ := workload.ProgramByName("avrora")
+	tr := p.Generate(40000, 2)
+	want := batchReport(t, tr, names)
+	if !bytes.Contains(want, []byte(`"races":[`)) {
+		t.Fatal("the trace has no races to report")
+	}
+	var written [][]byte
+	dir := t.TempDir()
+	s, addr := startTCP(t, Config{DataDir: dir, IdleTimeout: -1, FS: reportWrites{written: &written}})
+	reportJSON := func(id string) []byte {
+		t.Helper()
+		doc, err := os.ReadFile(filepath.Join(dir, "sessions", id, "report.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rs, err := c.Open(SessionConfig{Analyses: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.FeedBatch(tr.Events); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := rs.CloseJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk := reportJSON(rs.ID()); !bytes.Equal(disk, frame) || !bytes.Equal(frame, want) {
+		t.Errorf("report.json (%d bytes), the Report frame (%d) and json.Marshal of the in-process report (%d) differ",
+			len(disk), len(frame), len(want))
+	}
+
+	written = nil
+	att, ack, err := s.Attach(context.Background(), &HelloPayload{Session: SessionConfig{Analyses: names}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]byte, len(tr.Events)*trace.RecordSize)
+	trace.PutRecords(recs, tr.Events)
+	if err := att.FeedRecords(recs); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := att.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(written) != 1 || len(doc) == 0 || &written[0][0] != &doc[0] {
+		t.Errorf("report.json got %d writes, none of them the %d-byte document the driver was handed", len(written), len(doc))
+	}
+	if !bytes.Equal(reportJSON(ack.Session), want) || !bytes.Equal(doc, want) {
+		t.Error("the attached session's report differs from the in-process report")
+	}
 }

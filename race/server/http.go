@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -101,10 +100,10 @@ func serveFed(w http.ResponseWriter, fed uint64, err error) {
 
 // handleRaces serves races for both live and finished sessions: while a
 // session is streaming it returns a snapshot of the races delivered so
-// far; once the session has closed it returns the canonical report JSON
-// (retained for the last maxFinished terminated sessions). A session that
-// ended without a report (aborted, evicted, poisoned) reports its
-// terminal error instead.
+// far; once the session has closed it returns the canonical report JSON,
+// encoded afresh from the report, which the finished archive keeps for the
+// last maxFinished terminated sessions. A session that ended without a
+// report (aborted, evicted, poisoned) reports its terminal error instead.
 func (s *Server) handleRaces(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess, ok := s.Session(id)
@@ -122,11 +121,7 @@ func (s *Server) handleRaces(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, fmt.Errorf("%w: %s", ErrUnknown, id))
 		return
 	}
-	var doc []byte
-	rep, err := sess.Close() // idempotent: returns the recorded outcome
-	if err == nil {
-		doc, err = json.Marshal(rep)
-	}
+	doc, err := sess.closeDoc() // idempotent: encodes the recorded outcome
 	serveReport(w, doc, err)
 }
 

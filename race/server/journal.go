@@ -64,15 +64,21 @@ func (s *Server) sessionsRoot() string {
 	return filepath.Join(s.cfg.DataDir, "sessions")
 }
 
-// writeJSONFile atomically replaces path with the JSON encoding of v:
-// write to a temp file, fsync it, rename. The fsync-before-rename keeps
-// an OS crash from leaving the rename durable but the contents torn —
-// state transitions (and reports) must never be half-written.
+// writeJSONFile atomically replaces path with the JSON encoding of v
+// (writeFile).
 func writeJSONFile(fsys fault.FS, path string, v any) error {
 	doc, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
+	return writeFile(fsys, path, doc)
+}
+
+// writeFile atomically replaces path with doc: write to a temp file, fsync
+// it, rename. The fsync-before-rename keeps an OS crash from leaving the
+// rename durable but the contents torn — state transitions (and reports)
+// must never be half-written.
+func writeFile(fsys fault.FS, path string, doc []byte) error {
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
@@ -183,12 +189,12 @@ func (sess *Session) persistState(state string, events uint64) {
 		sessionMeta{ID: sess.ID, Config: sess.cfg, State: state, Events: events})
 }
 
-// persistReport writes the canonical report JSON at clean close —
+// persistReport writes the canonical report JSON, doc, at clean close —
 // atomically and fsynced, because the session flips to "closed" right
 // after, and a "closed" session with a torn report would lose a result
 // its (about-to-be-final) journal could have regenerated.
-func (sess *Session) persistReport(rep *race.Report) error {
-	return writeJSONFile(sess.srv.fsys(), filepath.Join(sess.dir, "report.json"), rep)
+func (sess *Session) persistReport(doc []byte) error {
+	return writeFile(sess.srv.fsys(), filepath.Join(sess.dir, "report.json"), doc)
 }
 
 // replayChunk is the batch size journal replay feeds the fresh engine.
@@ -548,7 +554,7 @@ func (s *Server) Shutdown() error {
 func (sess *Session) suspend() bool {
 	// Teardown reads the flag, and only a suspend that actually owns the
 	// end may set it — a clean close in flight must win.
-	owned := sess.end(func() {
+	owned, _ := sess.end(func() {
 		sess.mu.Lock()
 		sess.suspended = true
 		sess.mu.Unlock()

@@ -342,8 +342,8 @@ func TestHTTPAPI(t *testing.T) {
 	if archived := do("GET", "/sessions/"+rs.ID()+"/races", http.StatusOK, nil); !bytes.Equal(archived, closed) {
 		t.Fatalf("archived report = %s, want the close reply %s", archived, closed)
 	}
-	if st := listed(rs.ID()); st.State != "finished" || st.Races != doc.Analyses[0].Dynamic {
-		t.Fatalf("listing of a closed session = %+v, want finished with the report's %d races", st, doc.Analyses[0].Dynamic)
+	if st, n := listed(rs.ID()), doc.Analyses[0].Dynamic+doc.Analyses[1].Dynamic; st.State != "finished" || st.Races != n {
+		t.Fatalf("listing of a closed session = %+v, want finished with both analyses' %d races", st, n)
 	}
 
 	// DELETE aborts a live session, whoever drives it, and knows no other.

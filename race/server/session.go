@@ -22,7 +22,11 @@ import (
 // The races delivered while it streams live in chunks that are never
 // copied (report.Chunks), as 16-byte liveRace records; Races copies them
 // out as race.RaceInfo. A session that closes into its report drops them:
-// the report holds its races.
+// the report holds its races. The report is encoded once per close: a
+// durable session's teardown writes the document to report.json and its
+// closing driver sends those same bytes (closeDoc). The bytes are not
+// retained; a finished session keeps its *race.Report, and a later reader
+// encodes it again.
 type Session struct {
 	ID  string
 	cfg SessionConfig
@@ -102,8 +106,9 @@ func (sess *Session) onRace(ri race.RaceInfo) {
 // teardown ends the engine once ingestion has stopped (end): a suspended
 // session seals its journal and discards the engine, a healthy one closes
 // into its report, a failed one is discarded — and a durable session's
-// state on disk follows its sticky error's fate.
-func (sess *Session) teardown() {
+// state on disk follows its sticky error's fate. It returns the report's
+// document when it wrote one to report.json, nil otherwise.
+func (sess *Session) teardown() (doc []byte) {
 	sink := sess.sink
 	sess.sink = nil
 	if sess.isSuspended() {
@@ -114,7 +119,7 @@ func (sess *Session) teardown() {
 			sess.jlog.Close()
 		}
 		abortSink(sink)
-		return
+		return nil
 	}
 	var rep *race.Report
 	if sess.Err() == nil {
@@ -126,12 +131,13 @@ func (sess *Session) teardown() {
 		abortSink(sink)
 	}
 	if sess.jlog == nil {
-		return
+		return nil
 	}
 	sess.jlog.Close()
 	switch err := sess.Err(); {
 	case err == nil:
-		if err := sess.persistReport(rep); err == nil {
+		doc, _ = rep.MarshalJSON()
+		if err := sess.persistReport(doc); err == nil {
 			sess.persistState(stateClosed, sess.Fed())
 		}
 		// On a failed report write the state stays "open": the sealed
@@ -142,6 +148,7 @@ func (sess *Session) teardown() {
 	case Classify(err).Fate == MarkAborted:
 		sess.persistState(stateAborted, sess.Fed())
 	}
+	return doc
 }
 
 // finish closes the engine into the session's report, or poisons the
@@ -276,8 +283,8 @@ type SessionStatus struct {
 	State string `json:"state"`
 	// Events is the number of events the session's engine has consumed.
 	Events uint64 `json:"events"`
-	// Races counts the races reported so far (live: online detections;
-	// finished: the report's dynamic count).
+	// Races counts the races reported so far, every analysis's (live:
+	// online detections; finished: the sum of the report's dynamic counts).
 	Races    int      `json:"races"`
 	Analyses []string `json:"analyses,omitempty"`
 }
@@ -299,7 +306,11 @@ func (sess *Session) status(live bool) SessionStatus {
 		st.State = "failed"
 	case sess.report != nil: // closed, though perhaps not yet archived
 		st.State = "finished"
-		st.Races = sess.report.Dynamic()
+		st.Races = 0
+		for _, name := range sess.report.Analyses() {
+			sub, _ := sess.report.ByAnalysis(name)
+			st.Races += sub.Dynamic()
+		}
 	case !live:
 		st.State = "finished"
 	}
@@ -427,31 +438,59 @@ func (sess *Session) FlushCtx(parent tracing.SpanContext) error {
 // Close is idempotent; after it, the session no longer counts against the
 // server's session limit.
 func (sess *Session) Close() (*race.Report, error) {
-	if sess.end(func() {}) {
-		sess.srv.metrics.closed.Add(1)
-	}
+	sess.closeEnd()
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return sess.report, sess.err
 }
 
+// closeDoc is Close for a caller that sends the report on: it returns the
+// report's document (race.Report.MarshalJSON) — the bytes this close
+// journaled as report.json, or else an encoding made here, once.
+func (sess *Session) closeDoc() ([]byte, error) {
+	doc := sess.closeEnd()
+	sess.mu.Lock()
+	rep, err := sess.report, sess.err
+	sess.mu.Unlock()
+	switch {
+	case err != nil:
+		return nil, err
+	case rep == nil: // a suspend's end won, and its error is not yet set
+		return nil, sess.closedErr()
+	case doc == nil:
+		doc, _ = rep.MarshalJSON()
+	}
+	return doc, nil
+}
+
+// closeEnd ends the session cleanly unless it has ended already, counting
+// the close, and returns the document teardown journaled, if any.
+func (sess *Session) closeEnd() []byte {
+	won, doc := sess.end(func() {})
+	if won {
+		sess.srv.metrics.closed.Add(1)
+	}
+	return doc
+}
+
 // end stops ingestion, tears the engine down and moves the session to the
-// finished archive — once: it reports whether this call did, and only then
-// runs mark first, so that what teardown finds (a preset error, the
-// suspended flag) is the ending that won. It holds ingestMu throughout, so
-// it waits for a batch in flight, and an end that lost returns only once the
-// winner's teardown, report and all, is complete.
-func (sess *Session) end(mark func()) bool {
+// finished archive — once: it reports whether this call did, with the
+// document teardown journaled, and only then runs mark first, so that what
+// teardown finds (a preset error, the suspended flag) is the ending that
+// won. It holds ingestMu throughout, so it waits for a batch in flight, and
+// an end that lost returns only once the winner's teardown, report and all,
+// is complete.
+func (sess *Session) end(mark func()) (won bool, doc []byte) {
 	sess.ingestMu.Lock()
 	defer sess.ingestMu.Unlock()
 	if sess.closing {
-		return false
+		return false, nil
 	}
 	mark()
 	sess.closing = true
-	sess.teardown()
+	doc = sess.teardown()
 	sess.srv.remove(sess)
-	return true
+	return true, doc
 }
 
 // abort closes the session with a preset error (eviction, shutdown,
@@ -460,7 +499,7 @@ func (sess *Session) end(mark func()) bool {
 // metric so opened == closed + evicted + active stays an invariant
 // (evictions are counted by EvictIdle).
 func (sess *Session) abort(cause error) bool {
-	if !sess.end(func() { sess.fail(cause) }) {
+	if won, _ := sess.end(func() { sess.fail(cause) }); !won {
 		return false
 	}
 	if !errors.Is(cause, ErrEvicted) {
