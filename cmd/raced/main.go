@@ -21,13 +21,11 @@
 //	raced &
 //	curl -s --data-binary @avrora.trace \
 //	    'localhost:7117/ingest?analysis=FTO-HB,ST-WDC' | jq .
-//	curl -s localhost:7117/metrics | jq .
-//	curl -s 'localhost:7117/metrics?format=prometheus'   # text exposition
+//	curl -s localhost:7117/metrics   # Prometheus text exposition
 //
 // Observability: GET /metrics serves the canonical raced_* metric catalog
-// (plus go_* runtime self-metrics and raced_build_info) as JSON, or as
-// Prometheus text exposition v0.0.4 with ?format=prometheus or an Accept
-// header asking for text/plain. -debug-addr starts an optional
+// (plus go_* runtime self-metrics and raced_build_info) as Prometheus text
+// exposition v0.0.4. -debug-addr starts an optional
 // net/http/pprof listener; -log-level sets the structured-log (log/slog)
 // threshold. -trace records spans for every session, flush, and recovery
 // (GET /debug/traces, ?format=chrome for Perfetto); -trace-slow logs any

@@ -20,13 +20,11 @@
 //
 //	curl -XPOST localhost:7119/admin/backends/b1/drain     # stop new sessions on b1
 //	curl -XPOST 'localhost:7119/admin/sessions/f0a1b2c3d4e5/migrate?to=b2'
-//	curl -s localhost:7119/metrics | jq .                  # routing + migration counters
-//	curl -s 'localhost:7119/metrics?format=prometheus'     # text exposition
+//	curl -s localhost:7119/metrics                         # routing + migration counters
 //
 // Observability: GET /metrics serves the canonical fleet_* metric catalog
-// (plus go_* runtime self-metrics and fleet_build_info) as JSON, or as
-// Prometheus text exposition v0.0.4 with ?format=prometheus or an Accept
-// header asking for text/plain. -debug-addr starts an optional
+// (plus go_* runtime self-metrics and fleet_build_info) as Prometheus text
+// exposition v0.0.4. -debug-addr starts an optional
 // net/http/pprof listener; -log-level sets the structured-log (log/slog)
 // threshold. -trace records router spans — session, placement, flush,
 // migration — joined to client and backend spans under one trace ID

@@ -69,39 +69,3 @@ type HistogramValue struct {
 	Count  uint64    // total observations (= sum of Counts)
 	Sum    float64
 }
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear
-// interpolation within the bucket containing the target rank. Values
-// in the +Inf bucket clamp to the last finite bound. Returns 0 for an
-// empty histogram.
-func (v *HistogramValue) Quantile(q float64) float64 {
-	if v.Count == 0 || len(v.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(v.Count)
-	var cum float64
-	for i, n := range v.Counts {
-		prev := cum
-		cum += float64(n)
-		if cum < rank || n == 0 {
-			continue
-		}
-		if i >= len(v.Bounds) {
-			return v.Bounds[len(v.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = v.Bounds[i-1]
-		}
-		hi := v.Bounds[i]
-		frac := (rank - prev) / float64(n)
-		return lo + (hi-lo)*frac
-	}
-	return v.Bounds[len(v.Bounds)-1]
-}

@@ -81,47 +81,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestQuantileAccuracy feeds a known uniform distribution and checks
-// the interpolated quantiles land within one bucket width.
-func TestQuantileAccuracy(t *testing.T) {
-	r := NewRegistry()
-	bounds := make([]float64, 100) // 10,20,...,1000
-	for i := range bounds {
-		bounds[i] = float64(10 * (i + 1))
-	}
-	h := r.Histogram("q", "", bounds)
-	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i))
-	}
-	hv := r.Snapshot()[0].Hist
-	for _, tc := range []struct{ q, want, tol float64 }{
-		{0.50, 500, 10},
-		{0.90, 900, 10},
-		{0.99, 990, 10},
-		{1.00, 1000, 10},
-	} {
-		if got := hv.Quantile(tc.q); math.Abs(got-tc.want) > tc.tol {
-			t.Errorf("Quantile(%v) = %v, want %v ± %v", tc.q, got, tc.want, tc.tol)
-		}
-	}
-	if empty := (&HistogramValue{}); empty.Quantile(0.5) != 0 {
-		t.Errorf("empty quantile != 0")
-	}
-}
-
-// TestQuantileInfBucket: when the rank falls in the +Inf bucket the
-// estimate clamps to the last finite bound instead of inventing data.
-func TestQuantileInfBucket(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("inf", "", []float64{1, 2})
-	for i := 0; i < 10; i++ {
-		h.Observe(1000) // all in +Inf
-	}
-	if got := r.Snapshot()[0].Hist.Quantile(0.5); got != 2 {
-		t.Errorf("Quantile in +Inf bucket = %v, want clamp to 2", got)
-	}
-}
-
 // TestSnapshotOrdering pins the consistency contract: metrics are read
 // in registration order, so a downstream-registered-first counter pair
 // can never snapshot with downstream > upstream.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"math"
+	"net/http"
 	"strconv"
 	"strings"
 )
@@ -12,19 +13,14 @@ import (
 // WriteText (Prometheus text format v0.0.4).
 const TextContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// AcceptsText reports whether an HTTP Accept header asks for the
-// Prometheus text exposition — the content-negotiation alternative to the
-// ?format=prometheus query parameter. Any "text/plain" entry counts
-// (Prometheus sends "text/plain;version=0.0.4"); wildcards deliberately
-// do not, so a browser's "*/*" keeps getting the JSON default.
-func AcceptsText(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mediaType, _, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.TrimSpace(mediaType) == "text/plain" {
-			return true
-		}
-	}
-	return false
+// MetricsHandler serves reg's snapshot as the text exposition — the GET
+// /metrics of raced and racefleet, whatever the request's query string or
+// Accept header asks for.
+func MetricsHandler(reg *Registry) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", TextContentType)
+		WriteText(w, reg.Snapshot())
+	})
 }
 
 // WriteText encodes a snapshot in the Prometheus text exposition
@@ -90,10 +86,24 @@ func writeHistogram(bw *bufio.Writer, s MetricSnapshot) {
 	writeSample(bw, s.Name+"_count", s.Labels, float64(cum))
 }
 
-// writeSample emits one sample line; extra appends a synthetic label (the
-// histogram "le").
+// writeSample emits one sample line, name{k="v",...} over labels, then
+// extra (the histogram "le"), then the value.
 func writeSample(bw *bufio.Writer, name string, labels []Label, v float64, extra ...Label) {
-	writeSeries(bw, name, labels, extra...)
+	bw.WriteString(name)
+	sep := byte('{')
+	for _, ls := range [2][]Label{labels, extra} {
+		for _, l := range ls {
+			bw.WriteByte(sep)
+			bw.WriteString(l.Key)
+			bw.WriteString(`="`)
+			bw.WriteString(escapeLabel(l.Value))
+			bw.WriteByte('"')
+			sep = ','
+		}
+	}
+	if sep == ',' {
+		bw.WriteByte('}')
+	}
 	bw.WriteByte(' ')
 	bw.WriteString(formatFloat(v))
 	bw.WriteByte('\n')

@@ -51,24 +51,3 @@ func TestRegisterBuildInfo(t *testing.T) {
 		t.Fatal("raced_build_info not registered")
 	}
 }
-
-func TestAcceptsText(t *testing.T) {
-	cases := []struct {
-		accept string
-		want   bool
-	}{
-		{"", false},
-		{"*/*", false},
-		{"application/json", false},
-		{"text/plain", true},
-		{"text/plain; version=0.0.4", true},
-		{"text/plain;version=0.0.4;q=0.5, */*;q=0.1", true},
-		{"application/openmetrics-text, text/plain", true},
-		{"text/html", false},
-	}
-	for _, c := range cases {
-		if got := AcceptsText(c.accept); got != c.want {
-			t.Errorf("AcceptsText(%q) = %v, want %v", c.accept, got, c.want)
-		}
-	}
-}

@@ -57,8 +57,9 @@ func WithVindication() Option {
 // detections happen — the paper's "detect races during the analyzed
 // execution" shape. On a sequential engine the callback runs synchronously
 // on the feeding goroutine; on a parallel engine (WithParallelism) it runs
-// on a single delivery goroutine, so invocations never race each other,
-// and races from one analysis arrive in detection order (RaceInfo.Seq).
+// on the worker that applied the batch, one invocation at a time, so
+// invocations never race each other, and races from one analysis arrive in
+// detection order (RaceInfo.Seq).
 // The callback must not call back into the engine.
 func WithOnRace(fn func(RaceInfo)) Option {
 	return func(c *engineConfig) { c.onRace = fn }
@@ -84,7 +85,7 @@ func WithUncheckedInput() Option {
 // computation first, by cost measured on the stream itself. n ≤ 1 keeps
 // the sequential engine. FeedBatch must still be called from one goroutine
 // at a time; the Close report is identical to the sequential engine's, and
-// OnRace callbacks are delivered from a single goroutine in per-analysis
+// OnRace callbacks are delivered one at a time in per-analysis
 // detection order (see RaceInfo.Seq). A good default is
 // runtime.GOMAXPROCS(0) when the fan-out has at least that many
 // computations.
@@ -342,7 +343,7 @@ func (e *Engine) apply(c *computation, evs []Event, same analysis.Same, emit fun
 // publish advances d's delivery cursor over its not-yet-delivered races, in
 // detection order: each is counted into the metrics registry and, unless
 // emit is nil, handed to it — the OnRace callback itself, or the pipeline's
-// send to the goroutine that calls it. RaceCount is a cheap counter read;
+// serialized call of it. RaceCount is a cheap counter read;
 // the race records are only touched on the (rare) runs that detected
 // something.
 func (e *Engine) publish(d *engineDet, emit func(RaceInfo)) {

@@ -55,8 +55,8 @@ var engineShapes = []struct {
 }
 
 // onlineLog records OnRace deliveries per analysis. Parallel engines call
-// it from their drainer goroutine; Close (clean or not) has joined that
-// goroutine by the time the test reads the log.
+// it from their workers; Close (clean or not) has joined them by the time
+// the test reads the log.
 type onlineLog struct {
 	mu   sync.Mutex
 	seen map[string][]race.RaceInfo

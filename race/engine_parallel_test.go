@@ -111,7 +111,7 @@ func TestParallelEngineMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelEngineOnRaceDelivery checks the single-drainer callback
+// TestParallelEngineOnRaceDelivery checks the serialized callback
 // contract: per-analysis sequence numbers arrive gapless and in order,
 // the total delivered set matches the final report exactly, and no two
 // callbacks overlap (guarded counter; the -race run makes any callback
@@ -159,7 +159,8 @@ func TestParallelEngineOnRaceDelivery(t *testing.T) {
 // TestParallelEngineFeedCloseStress drives the pipeline from a feeding
 // goroutine while Close runs on the test goroutine, over and over with
 // adversarial batch sizes — under -race this proves the rings, the batch
-// pool, the drainer, and the worker join in Close are data-race-free.
+// pool, the callbacks on the workers, and the worker join in Close are
+// data-race-free.
 func TestParallelEngineFeedCloseStress(t *testing.T) {
 	p, _ := workload.ProgramByName("avrora")
 	tr := p.Generate(2000000, 2)
@@ -240,8 +241,8 @@ func TestParallelEngineErrorPoisoning(t *testing.T) {
 }
 
 // TestParallelEngineOnRacePanicPoisons: a panicking OnRace callback must
-// not crash the process (it runs on the drainer goroutine, where nothing
-// can recover it) — it poisons the engine, which Close reports.
+// not crash the process (it runs on a pipeline worker, where no caller can
+// recover it) — it poisons the engine, which Close reports.
 func TestParallelEngineOnRacePanicPoisons(t *testing.T) {
 	p, _ := workload.ProgramByName("pmd")
 	tr := p.Generate(400000, 3)

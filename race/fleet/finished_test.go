@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/race"
@@ -76,7 +75,7 @@ func TestResumeOfAFinishedSessionThroughTheRouter(t *testing.T) {
 	if err == nil || server.Classify(err).Code != wire.CodeInternal || !strings.Contains(err.Error(), "ill-formed event stream") {
 		t.Fatalf("resume of a failed session answered %v, want its sticky error %v", err, cerr)
 	}
-	if m, _ := obs.JSONMap(rt.Registry().Snapshot())["fleet_migrations_started_total"].(float64); m != 0 {
+	if m := snapValues(rt.Registry())["fleet_migrations_started_total"]; m != 0 {
 		t.Fatalf("resumes of finished sessions started %v migrations, want 0", m)
 	}
 }

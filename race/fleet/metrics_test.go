@@ -2,9 +2,9 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,8 +18,7 @@ import (
 
 // TestFleetMetricsExposition drives a two-backend fleet through an open,
 // a migration, and a resume, then checks that the canonical fleet_*
-// series, the Prometheus exposition, and the JSON view of the same
-// registry all agree.
+// series and the Prometheus exposition of the same registry agree.
 func TestFleetMetricsExposition(t *testing.T) {
 	rt, locals, _ := startFleet(t, 2)
 	ctx := context.Background()
@@ -74,8 +73,7 @@ func TestFleetMetricsExposition(t *testing.T) {
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 
-	// Prometheus view.
-	res, err := http.Get(ts.URL + "/metrics?format=prometheus")
+	res, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,58 +141,65 @@ func TestFleetMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// JSON view: the same snapshot under canonical names, and nothing else
-	// — the PR 4 aliases (migrations_completed, backends, …) are gone.
-	res2, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res2.Body.Close()
-	var body map[string]any
-	if err := json.NewDecoder(res2.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body["fleet_migrations_completed_total"] != float64(1) {
-		t.Errorf("canonical fleet_migrations_completed_total = %v", body["fleet_migrations_completed_total"])
-	}
-	foundRouted := false
-	for k := range body {
-		if strings.HasPrefix(k, `fleet_sessions_routed_total{backend="`) {
-			foundRouted = true
+	// The exposition holds canonical names only — the old aliases
+	// (migrations_completed, backends, …) are gone.
+	for _, f := range fams {
+		if !strings.HasPrefix(f.Name, "fleet_") && !strings.HasPrefix(f.Name, "go_") {
+			t.Errorf("exposition has non-canonical family %q", f.Name)
 		}
-		if !strings.HasPrefix(k, "fleet_") && !strings.HasPrefix(k, "go_") {
-			t.Errorf("JSON body has non-canonical key %q", k)
-		}
-	}
-	if !foundRouted {
-		t.Error("JSON body missing labelled fleet_sessions_routed_total series")
 	}
 }
 
-// TestFleetMetricsAcceptHeader: the router's /metrics honors an Accept
-// header asking for text/plain as the content-negotiation alternative to
-// ?format=prometheus.
+// TestFleetMetricsAcceptHeader: the router's /metrics serves the
+// Prometheus text exposition to every request, whatever its Accept header
+// or query string asks for.
 func TestFleetMetricsAcceptHeader(t *testing.T) {
 	rt, _, _ := startFleet(t, 1)
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ path, accept string }{
+		{"/metrics", ""},
+		{"/metrics", "*/*"},
+		{"/metrics", "application/json"},
+		{"/metrics", "text/plain; version=0.0.4"},
+		{"/metrics?format=prometheus", ""},
+	} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.accept != "" {
+			req.Header.Set("Accept", tc.accept)
+		}
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := res.Header.Get("Content-Type"); ct != obs.TextContentType {
+			t.Errorf("%s, Accept %q: content type = %q, want %q", tc.path, tc.accept, ct, obs.TextContentType)
+		}
+		fams, err := obs.ParseText(res.Body)
+		res.Body.Close()
+		if err != nil {
+			t.Errorf("%s, Accept %q: exposition does not parse: %v", tc.path, tc.accept, err)
+		}
+		if !slices.ContainsFunc(fams, func(f obs.Family) bool { return f.Name == "fleet_backend_up" }) {
+			t.Errorf("%s, Accept %q: exposition missing fleet_backend_up", tc.path, tc.accept)
+		}
 	}
-	req.Header.Set("Accept", "text/plain; version=0.0.4")
-	res, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// snapValues reads a registry snapshot's unlabeled counters and gauges,
+// by name.
+func snapValues(reg *obs.Registry) map[string]float64 {
+	out := make(map[string]float64)
+	for _, s := range reg.Snapshot() {
+		if s.Hist == nil && len(s.Labels) == 0 {
+			out[s.Name] = s.Value
+		}
 	}
-	defer res.Body.Close()
-	if ct := res.Header.Get("Content-Type"); ct != obs.TextContentType {
-		t.Errorf("content type = %q, want %q", ct, obs.TextContentType)
-	}
-	if _, err := obs.ParseText(res.Body); err != nil {
-		t.Errorf("negotiated exposition does not parse: %v", err)
-	}
+	return out
 }
 
 // snapHistCount reads one histogram's count out of a registry snapshot.

@@ -26,8 +26,7 @@ import (
 //	                                    (GET …/races, DELETE)
 //	POST /ingest                        one-shot ingest on any routable backend
 //	GET  /healthz                       router readiness (≥1 routable backend)
-//	GET  /metrics                       the fleet_* metric registry (JSON, or
-//	                                    Prometheus text)
+//	GET  /metrics                       the fleet_* metric registry (Prometheus text)
 //	POST /admin/backends/{name}/drain   drain a backend fleet-wide
 //	POST /admin/sessions/{id}/migrate   ?to=backend — migrate a session
 func (rt *Router) Handler() http.Handler {

@@ -42,9 +42,9 @@ func NewEngineMetrics(reg *obs.Registry, prefix string) *EngineMetrics {
 	// feeding); registering it first keeps snapshots pipeline-consistent
 	// (see the obs package comment).
 	m.races = reg.Counter(prefix+"_races_total",
-		"Dynamic races detected online, across all analyses.")
+		"Dynamic races detected online, across all analyses; a stream replayed into a fresh engine counts again.")
 	m.eventsFed = reg.Counter(prefix+"_events_fed_total",
-		"Events fed into the analysis engine.")
+		"Events fed into the analysis engine; a stream replayed into a fresh engine counts again.")
 	m.feedBatch = reg.Histogram(prefix+"_feed_batch_seconds",
 		"Wall time of one FeedBatch call (checker + retain + enqueue or analyze).",
 		obs.LatencyBuckets())

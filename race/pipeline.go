@@ -22,7 +22,8 @@ package race
 // feed order, one worker at a time, so the Close report is identical to
 // the sequential engine's, and races delivered to OnRace carry per-analysis
 // sequence numbers (RaceInfo.Seq) that match detection order exactly.
-// Callbacks are invoked from one drainer goroutine, never concurrently.
+// A callback runs on the worker that applied the batch, under a pipeline
+// mutex, so invocations never run concurrently.
 //
 // Failure: a panicking analysis poisons the engine — its computation stays
 // claimed for good, so nothing touches its torn state, and the panic
@@ -62,7 +63,10 @@ type eventBatch struct {
 }
 
 // batchPool recycles event batches between the producer and the last
-// computation to finish each batch.
+// computation to finish each batch. It is package-level, so batches outlive
+// the engine that filled them and the next engine starts on them: a
+// per-pipeline free list measured about 100 KB more allocation per
+// fanout15-par pass, on every pass.
 var batchPool = sync.Pool{New: func() any { return new(eventBatch) }}
 
 // task is a computation's place in the pipeline.
@@ -77,21 +81,16 @@ type task struct {
 	cost    float64 // measured ns/event, smoothed; 0 until a timed batch
 }
 
-// syncSentinel marks a RaceInfo flowing through raceCh as Engine.Sync's
-// drainer barrier rather than a real race (Seq is 0-based for real races,
-// so -1 can never collide).
-const syncSentinel = -1
-
 // pipeline is the engine's parallel runtime state.
 type pipeline struct {
-	tasks     []*task
-	batch     int // events per published batch (batchSize outside tests)
-	cur       *eventBatch
-	raceCh    chan RaceInfo
-	emit      func(RaceInfo) // sends to raceCh; nil without an OnRace callback
-	syncAck   chan struct{}  // drainer acks Sync's sentinel here
-	drainDone chan struct{}
-	workers   sync.WaitGroup
+	tasks   []*task
+	batch   int // events per published batch (batchSize outside tests)
+	cur     *eventBatch
+	emit    func(RaceInfo) // delivers to the OnRace callback; nil without one
+	workers sync.WaitGroup
+
+	cbMu   sync.Mutex // serializes OnRace callbacks across workers
+	cbDead bool       // guarded by cbMu: the OnRace callback has panicked
 
 	mu     sync.Mutex
 	work   sync.Cond                 // workers wait here for something to claim
@@ -102,15 +101,19 @@ type pipeline struct {
 	closed bool                      // no more batches will be published
 	errs   []error
 	dead   atomic.Bool // fast-path flag: some analysis or callback has failed
-	cbDead bool        // drainer-local: the OnRace callback has panicked
 }
 
-// deliver invokes the user's OnRace callback, converting a panic into
-// engine poison — the sequential engine lets such a panic unwind through
-// FeedBatch where the caller can recover it; on the drainer goroutine there is
-// no caller, so the pipeline's panic contract (recover into an error)
-// applies here too.
+// deliver invokes the user's OnRace callback under cbMu, converting a panic
+// into engine poison that mutes later deliveries — the sequential engine
+// lets such a panic unwind through FeedBatch where the caller can recover
+// it; on a worker there is no caller, so the pipeline's panic contract
+// (recover into an error) applies here too.
 func (p *pipeline) deliver(fn func(RaceInfo), ri RaceInfo) {
+	p.cbMu.Lock()
+	defer p.cbMu.Unlock()
+	if p.cbDead {
+		return
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			p.cbDead = true
@@ -120,8 +123,7 @@ func (p *pipeline) deliver(fn func(RaceInfo), ri RaceInfo) {
 	fn(ri)
 }
 
-// startPipeline starts n workers over the engine's computations, plus the
-// single OnRace drainer when a callback is installed.
+// startPipeline starts n workers over the engine's computations.
 func (e *Engine) startPipeline(n, batch int) {
 	p := &pipeline{batch: batch, cur: newBatch()}
 	p.work.L, p.room.L = &p.mu, &p.mu
@@ -134,28 +136,7 @@ func (e *Engine) startPipeline(n, batch int) {
 		p.tasks = append(p.tasks, t)
 	}
 	if e.onRace != nil {
-		p.raceCh = make(chan RaceInfo, 256)
-		p.emit = func(ri RaceInfo) { p.raceCh <- ri }
-		p.syncAck = make(chan struct{})
-		p.drainDone = make(chan struct{})
-		go func() {
-			defer close(p.drainDone)
-			// The drainer must keep consuming even after a callback
-			// panics — workers block sending to raceCh otherwise — so each
-			// delivery recovers individually and a failed callback poisons
-			// the engine and mutes further deliveries. Sync's sentinel
-			// rides the same channel, so acking it means every race queued
-			// before the barrier has been delivered.
-			for ri := range p.raceCh {
-				if ri.Seq == syncSentinel {
-					p.syncAck <- struct{}{}
-					continue
-				}
-				if !p.cbDead {
-					p.deliver(e.onRace, ri)
-				}
-			}
-		}()
+		p.emit = func(ri RaceInfo) { p.deliver(e.onRace, ri) }
 	}
 	p.workers.Add(n)
 	for w := 0; w < n; w++ {
@@ -308,7 +289,7 @@ func (e *Engine) enqueue(evs []Event) error {
 	if len(b.evs) >= p.batch {
 		return e.flushBatch()
 	}
-	if p.raceCh != nil {
+	if p.emit != nil {
 		for _, ev := range evs {
 			if ev.Op.IsSync() {
 				return e.flushBatch()
@@ -370,28 +351,21 @@ func (e *Engine) Sync() error {
 		return err
 	}
 	// Every cursor at the tail means every computation has applied every
-	// batch; a dying worker wakes the wait too, so it cannot hold the
-	// barrier open forever.
+	// batch, and delivered its races: a worker calls the OnRace callback
+	// before its cursor moves, so state observed through the callback (e.g.
+	// a raced session's live race list) is current. A dying worker wakes the
+	// wait too, so it cannot hold the barrier open forever.
 	p.mu.Lock()
 	for p.head < p.tail && !p.dead.Load() {
 		p.room.Wait()
 	}
 	p.mu.Unlock()
-	if p.raceCh != nil {
-		// The workers have pushed every pre-barrier race into raceCh; a
-		// sentinel behind them makes the drainer's ack mean those races
-		// have also been DELIVERED, so state observed through the OnRace
-		// callback (e.g. a raced session's live race list) is current.
-		p.raceCh <- RaceInfo{Seq: syncSentinel}
-		<-p.syncAck
-	}
 	return e.checkPipe()
 }
 
 // drainPipeline, on a parallel engine, flushes the trailing partial batch,
-// lets the workers finish what is published and joins them, then waits for
-// the drainer; the first worker error, if any, becomes the engine's unless it
-// already has one.
+// lets the workers finish what is published and joins them; the first worker
+// error, if any, becomes the engine's unless it already has one.
 func (e *Engine) drainPipeline() {
 	p := e.pipe
 	if p == nil {
@@ -403,10 +377,6 @@ func (e *Engine) drainPipeline() {
 	p.work.Broadcast()
 	p.mu.Unlock()
 	p.workers.Wait()
-	if p.raceCh != nil {
-		close(p.raceCh)
-		<-p.drainDone
-	}
 	if werr := p.firstErr(); werr != nil {
 		err = werr
 	}

@@ -182,7 +182,8 @@ func TestSchedulerPanickingAnalysisPoisons(t *testing.T) {
 }
 
 // TestSchedulerPanickingOnRacePoisons: a panicking OnRace callback poisons
-// the engine from the drainer goroutine, and Sync and Close still return.
+// the engine from the worker that delivered it, and Sync and Close still
+// return.
 func TestSchedulerPanickingOnRacePoisons(t *testing.T) {
 	comps := []*owned{{spin: 50, panicAt: -1}, {spin: 0, panicAt: -1}, {spin: 7, panicAt: -1}}
 	eng := ownedEngine(2, 16, func(RaceInfo) { panic("callback bug") }, comps...)

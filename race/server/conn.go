@@ -512,7 +512,7 @@ func (a Attachment) FeedRecords(recs []byte) error {
 }
 
 func (a Attachment) Flush(parent tracing.SpanContext) (uint64, error) {
-	if err := a.sess.FlushCtx(parent); err != nil {
+	if err := a.sess.flushCtx(parent); err != nil {
 		return 0, err
 	}
 	return a.sess.Fed(), nil

@@ -27,7 +27,7 @@ import (
 //	                                 report (query: analysis=A,B&vindicate=1)
 //	GET    /healthz                  readiness: 503 while draining or with an
 //	                                 unwritable data dir; reports occupancy
-//	GET    /metrics                  the metric registry (JSON, or Prometheus text)
+//	GET    /metrics                  the metric registry (Prometheus text)
 //
 // Fleet administration (the router's control surface):
 //

@@ -503,9 +503,9 @@ func (sess *Session) replayJournal(sink engineSink) (err error) {
 			return err
 		}
 		// Recovery work, not new ingest: the original run already counted
-		// these events in the server metrics, so replay updates only the
-		// session's own cursor (double-counting would spike events_total
-		// after every restart).
+		// these events as journaled and analyzed, so replay moves only the
+		// session's own cursor past them. The engine's own raced_engine_*
+		// series count them again: the sink feeds and detects them anew.
 		sess.mu.Lock()
 		sess.fed += uint64(n)
 		sess.mu.Unlock()

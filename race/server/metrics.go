@@ -13,7 +13,10 @@ import (
 // journaled → engine-fed → analyzed per batch, and Registry.Snapshot reads
 // metrics in registration order, so registering the downstream counters
 // first makes every scrape observe journaled ≥ engine-fed ≥ analyzed — an
-// internally consistent view even mid-ingest.
+// internally consistent view even mid-ingest. That holds for fresh ingest
+// only: journal replay (Recover, RecoverSession) feeds the engine again,
+// so raced_engine_* count replayed events and races too, while journaled
+// and analyzed do not.
 type metrics struct {
 	start time.Time
 

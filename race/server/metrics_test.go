@@ -40,12 +40,29 @@ func scrapeValue(reg *obs.Registry, name string) float64 {
 	return -1
 }
 
+// exposed parses a text exposition into the value of each unlabeled
+// sample, by name.
+func exposed(t *testing.T, r io.Reader) map[string]float64 {
+	t.Helper()
+	fams, err := obs.ParseText(r)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	out := make(map[string]float64)
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if len(s.Labels) == 0 {
+				out[s.Name] = s.Value
+			}
+		}
+	}
+	return out
+}
+
 // TestMetricsScrapeConsistency is the /metrics race-window fix's test:
 // scraping the registry mid-ingest must always observe
 // journaled ≥ engine-fed ≥ analyzed, because a snapshot reads
-// the counters in registration (downstream-first) order. Before the
-// registry, the JSON snapshot read several atomics non-atomically and
-// could claim more analyzed events than accepted ones.
+// the counters in registration (downstream-first) order.
 func TestMetricsScrapeConsistency(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := New(Config{Registry: reg, DataDir: t.TempDir()})
@@ -108,9 +125,51 @@ func TestMetricsScrapeConsistency(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONBackCompat: the registry carries the whole catalog under
-// canonical names (the PR 4 JSON document and its typed snapshot are gone).
-func TestMetricsJSONBackCompat(t *testing.T) {
+// TestReplayCountsIntoEngineMetricsOnly pins what a scrape reads after
+// Recover replays a journal with no new ingest: the replay is recovery
+// work, so journaled and analyzed stay 0, but the fresh engine is fed and
+// detects again, so raced_engine_* count the whole replayed stream — and
+// journaled ≥ engine-fed ≥ analyzed holds for fresh ingest only.
+func TestReplayCountsIntoEngineMetricsOnly(t *testing.T) {
+	dir := t.TempDir()
+	s1 := New(Config{DataDir: dir})
+	sess, err := s1.OpenSession(SessionConfig{Analyses: []string{"ST-WDC"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := workload.ProgramByName("avrora")
+	tr := p.Generate(40000, 1)
+	if err := sess.Feed(append([]race.Event(nil), tr.Events...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	races := scrapeValue(s1.Registry(), "raced_engine_races_total")
+	if races <= 0 {
+		t.Fatalf("the fed stream detected %v races, want some", races)
+	}
+	if err := s1.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Config{DataDir: dir})
+	defer s2.Close()
+	if n, err := s2.Recover(); n != 1 || err != nil {
+		t.Fatalf("Recover = %d, %v; want 1 session", n, err)
+	}
+	jnl, eng, ana := scrapePipeline(t, s2.Registry())
+	if jnl != 0 || ana != 0 || eng != float64(len(tr.Events)) {
+		t.Errorf("after replay: journaled=%v engine-fed=%v analyzed=%v, want 0, %d, 0", jnl, eng, ana, len(tr.Events))
+	}
+	if got := scrapeValue(s2.Registry(), "raced_engine_races_total"); got != races {
+		t.Errorf("after replay: raced_engine_races_total = %v, want the %v the stream detected", got, races)
+	}
+}
+
+// TestMetricsCatalogExposed: the registry carries the whole catalog under
+// canonical names, and its exposition parses.
+func TestMetricsCatalogExposed(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
 	sess, err := srv.OpenSession(SessionConfig{})
@@ -158,68 +217,45 @@ func TestMetricsJSONBackCompat(t *testing.T) {
 }
 
 // TestMetricsContentNegotiation: /metrics serves the Prometheus text
-// exposition both under ?format=prometheus (the original selector) and for
-// an Accept header asking for text/plain (how Prometheus itself scrapes);
-// everything else keeps the JSON default.
+// exposition to every request, whatever its Accept header or query string
+// asks for.
 func TestMetricsContentNegotiation(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	get := func(path, accept string) (string, string) {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+	for _, tc := range []struct{ path, accept string }{
+		{"/metrics", ""},
+		{"/metrics", "*/*"},
+		{"/metrics", "application/json"},
+		{"/metrics", "text/plain; version=0.0.4"},
+		{"/metrics?format=prometheus", ""},
+	} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+tc.path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if accept != "" {
-			req.Header.Set("Accept", accept)
+		if tc.accept != "" {
+			req.Header.Set("Accept", tc.accept)
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
+		if ct := resp.Header.Get("Content-Type"); ct != obs.TextContentType {
+			t.Errorf("%s, Accept %q: Content-Type = %q, want %q", tc.path, tc.accept, ct, obs.TextContentType)
 		}
-		return resp.Header.Get("Content-Type"), string(body)
-	}
-
-	ct, body := get("/metrics?format=prometheus", "")
-	if ct != obs.TextContentType {
-		t.Errorf("?format=prometheus Content-Type = %q, want %q", ct, obs.TextContentType)
-	}
-	if !strings.Contains(body, "raced_sessions_active") {
-		t.Error("?format=prometheus body missing raced_sessions_active")
-	}
-
-	ct, body = get("/metrics", "text/plain; version=0.0.4")
-	if ct != obs.TextContentType {
-		t.Errorf("Accept text/plain Content-Type = %q, want %q", ct, obs.TextContentType)
-	}
-	if _, err := obs.ParseText(strings.NewReader(body)); err != nil {
-		t.Errorf("Accept-negotiated exposition does not parse: %v", err)
-	}
-
-	// JSON default is unaffected — including for a browser's */*.
-	for _, accept := range []string{"", "*/*", "application/json"} {
-		ct, body = get("/metrics", accept)
-		if !strings.HasPrefix(ct, "application/json") {
-			t.Errorf("Accept %q Content-Type = %q, want application/json", accept, ct)
+		if _, ok := exposed(t, resp.Body)["raced_sessions_active"]; !ok {
+			t.Errorf("%s, Accept %q: exposition missing raced_sessions_active", tc.path, tc.accept)
 		}
-		if !strings.HasPrefix(strings.TrimSpace(body), "{") {
-			t.Errorf("Accept %q body is not a JSON object", accept)
-		}
+		resp.Body.Close()
 	}
 }
 
 // TestRejectedReasonSplit: admission rejections are counted under their
-// reason label, and the JSON snapshot's sessions_rejected stays the sum —
-// the reason="full" / reason="draining" series are what tell backpressure
-// from client mistakes.
+// reason label — the reason="full" / reason="draining" series are what tell
+// backpressure from client mistakes.
 func TestRejectedReasonSplit(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := New(Config{Registry: reg, MaxSessions: 1})

@@ -362,10 +362,9 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	do("DELETE", "/sessions/"+doomed.ID(), http.StatusNotFound, nil)
 
-	// JSON /metrics is the registry snapshot under canonical names only.
-	var metrics map[string]any
-	do("GET", "/metrics", http.StatusOK, &metrics)
-	if metrics["raced_events_analyzed_total"] != float64(tr.Len()) || metrics["raced_engine_races_total"] != float64(2) {
+	// /metrics is the registry snapshot under canonical names only.
+	metrics := exposed(t, bytes.NewReader(do("GET", "/metrics", http.StatusOK, nil)))
+	if metrics["raced_events_analyzed_total"] != float64(tr.Len()) || metrics["raced_engine_races_total"] != 2 {
 		t.Fatalf("metrics = %+v", metrics)
 	}
 	if _, ok := metrics["events_total"]; ok {

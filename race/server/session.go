@@ -38,7 +38,7 @@ type Session struct {
 	jlog *store.Log
 
 	// ingestMu serializes everything that touches the engine and the
-	// journal — feed, FlushCtx and end — so ending waits for at most one
+	// journal — feed, flushCtx and end — so ending waits for at most one
 	// batch in flight. sink is the engine, nil once the session has ended.
 	ingestMu sync.Mutex
 	closing  bool
@@ -89,8 +89,9 @@ type liveRace struct {
 	write         bool
 }
 
-// onRace collects online detections; it runs under ingestMu (or on the
-// engine pipeline's drainer), never concurrently with itself.
+// onRace collects online detections; it runs under ingestMu (or on an
+// engine pipeline worker, one call at a time), never concurrently with
+// itself.
 func (sess *Session) onRace(ri race.RaceInfo) {
 	sess.mu.Lock()
 	a := slices.Index(sess.names, ri.Analysis)
@@ -389,13 +390,13 @@ func (sess *Session) detach() {
 // Flush is the sync barrier: it returns once every previously fed batch has
 // been applied to the session's analyses, reporting any ingestion error.
 func (sess *Session) Flush() error {
-	return sess.FlushCtx(tracing.SpanContext{})
+	return sess.flushCtx(tracing.SpanContext{})
 }
 
-// FlushCtx is Flush with an explicit trace parent — the client's flush
+// flushCtx is Flush with an explicit trace parent — the client's flush
 // span carried in the wire Flush frame — so the barrier's journal-fsync and
 // engine-sync spans join the caller's trace.
-func (sess *Session) FlushCtx(parent tracing.SpanContext) error {
+func (sess *Session) flushCtx(parent tracing.SpanContext) error {
 	sess.ingestMu.Lock()
 	defer sess.ingestMu.Unlock()
 	if sess.closing {
